@@ -137,7 +137,7 @@ pub struct RdmaNic {
     pte_cache: Tlb,
     mr_cache: Tlb,
     registered_mrs: u64,
-    faulted_pages: std::collections::HashSet<(Pid, u64)>,
+    faulted_pages: clio_sim::IdSet<(Pid, u64)>,
     pin_pages: bool,
     engine: SerialResource,
     stats: RdmaStats,
@@ -168,7 +168,7 @@ impl RdmaNic {
             pte_cache: Tlb::new(params.pte_cache),
             mr_cache: Tlb::new(params.mr_cache),
             registered_mrs: 0,
-            faulted_pages: std::collections::HashSet::new(),
+            faulted_pages: clio_sim::IdSet::default(),
             pin_pages,
             engine: SerialResource::new(),
             params,

@@ -15,12 +15,10 @@
 //! Completions are returned from [`CLib::on_frame`]/[`CLib::on_timer`] for
 //! the host to deliver to the issuing application.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use clio_net::{Frame, Mac, NicPort};
 use clio_proto::{Perm, Pid};
-use clio_sim::{Ctx, Message, SimDuration, SimTime};
+use clio_sim::{Ctx, IdMap, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Counter, Registry};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
@@ -223,11 +221,11 @@ pub struct CLib {
     cfg: CLibConfig,
     page_size: u64,
     transport: Transport,
-    trackers: HashMap<ThreadId, DependencyTracker<OpToken>>,
-    ops: HashMap<OpToken, PendingOp>,
+    trackers: IdMap<ThreadId, DependencyTracker<OpToken>>,
+    ops: IdMap<OpToken, PendingOp>,
     /// Per-op wakers fired exactly once when the op completes — the
     /// poll-free completion path used by the async executor.
-    wakers: HashMap<OpToken, std::task::Waker>,
+    wakers: IdMap<OpToken, std::task::Waker>,
     /// Arrival-time override for the next submission call: ops admitted
     /// while this is set begin their trace (and report `issued_at`) at the
     /// earlier arrival time, with the gap stitched as a
@@ -249,9 +247,9 @@ impl CLib {
             transport: Transport::new(cfg, cn_id),
             cfg,
             page_size,
-            trackers: HashMap::new(),
-            ops: HashMap::new(),
-            wakers: HashMap::new(),
+            trackers: IdMap::default(),
+            ops: IdMap::default(),
+            wakers: IdMap::default(),
             queued_since: None,
             next_token: 1,
             completed_count: Counter::new(),

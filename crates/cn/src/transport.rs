@@ -85,7 +85,7 @@
 //! [`send`]: Transport::send
 //! [`send_many`]: Transport::send_many
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use clio_net::{Mac, NicPort};
@@ -93,7 +93,7 @@ use clio_proto::{
     codec, split_write, BatchBuilder, ClioPacket, Perm, Pid, Reassembler, ReqHeader, ReqId,
     RequestBody, RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES, MAX_WRITE_FRAG_PAYLOAD,
 };
-use clio_sim::{Ctx, EventId, Message, SimDuration, SimTime};
+use clio_sim::{Ctx, EventId, IdMap, IdSet, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Counter, Gauge, Registry};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
@@ -521,23 +521,25 @@ fn blueprint_digest(bp: &Blueprint) -> u64 {
 pub struct Transport {
     cfg: CLibConfig,
     next_req: u64,
-    outstanding: HashMap<ReqId, Outstanding>,
-    parked_conflicts: HashMap<XferToken, Outstanding>,
-    queues: HashMap<Mac, VecDeque<QueuedSend>>,
-    conflict_generations: HashMap<XferToken, u32>,
-    cwnds: HashMap<Mac, CongestionWindow>,
+    outstanding: IdMap<ReqId, Outstanding>,
+    parked_conflicts: IdMap<XferToken, Outstanding>,
+    queues: IdMap<Mac, VecDeque<QueuedSend>>,
+    conflict_generations: IdMap<XferToken, u32>,
+    cwnds: IdMap<Mac, CongestionWindow>,
     iwnd: IncastWindow,
     reassembler: Reassembler,
     /// MNs with a doorbell (pump) event already scheduled.
-    doorbells: HashMap<Mac, EventId>,
+    doorbells: IdMap<Mac, EventId>,
     /// Last submission time per MN (feeds the adaptive doorbell).
-    last_submit: HashMap<Mac, SimTime>,
+    last_submit: IdMap<Mac, SimTime>,
     /// EWMA of the inter-submission gap per MN, in nanoseconds.
-    submit_gap_ewma: HashMap<Mac, f64>,
+    submit_gap_ewma: IdMap<Mac, f64>,
     /// Retransmissions queued for coalescing: `(new id, retry_of)`.
-    retry_queues: HashMap<Mac, Vec<(ReqId, Option<ReqId>)>>,
+    retry_queues: IdMap<Mac, Vec<(ReqId, Option<ReqId>)>>,
     /// MNs with a zero-delay retry doorbell already scheduled.
-    retry_doorbells: HashSet<Mac>,
+    retry_doorbells: IdSet<Mac>,
+    /// Reused by [`Self::kick_all`] to visit the queues in `Mac` order.
+    kick_scratch: Vec<Mac>,
     /// Retries performed (for stats).
     pub retry_count: Counter,
     /// Multi-request batch frames sent (for stats).
@@ -550,7 +552,7 @@ pub struct Transport {
     pub retry_frames: Counter,
     /// Per-MN circuit-breaker state (empty while the breaker is disabled,
     /// i.e. `breaker_threshold == 0`).
-    health: HashMap<Mac, PeerHealth>,
+    health: IdMap<Mac, PeerHealth>,
     /// Breaker trips (Closed/HalfOpen -> Open transitions).
     pub circuit_open_total: Counter,
     /// Number of MNs currently presumed unhealthy (breaker Open or
@@ -574,22 +576,23 @@ impl Transport {
             iwnd: IncastWindow::new(cfg.iwnd_bytes),
             cfg,
             next_req: cn_id << 40,
-            outstanding: HashMap::new(),
-            parked_conflicts: HashMap::new(),
-            queues: HashMap::new(),
-            conflict_generations: HashMap::new(),
-            cwnds: HashMap::new(),
+            outstanding: IdMap::default(),
+            parked_conflicts: IdMap::default(),
+            queues: IdMap::default(),
+            conflict_generations: IdMap::default(),
+            cwnds: IdMap::default(),
             reassembler: Reassembler::new(),
-            doorbells: HashMap::new(),
-            last_submit: HashMap::new(),
-            submit_gap_ewma: HashMap::new(),
-            retry_queues: HashMap::new(),
-            retry_doorbells: HashSet::new(),
+            doorbells: IdMap::default(),
+            last_submit: IdMap::default(),
+            submit_gap_ewma: IdMap::default(),
+            retry_queues: IdMap::default(),
+            retry_doorbells: IdSet::default(),
+            kick_scratch: Vec::new(),
             retry_count: Counter::new(),
             batch_frames: Counter::new(),
             batched_ops: Counter::new(),
             retry_frames: Counter::new(),
-            health: HashMap::new(),
+            health: IdMap::default(),
             circuit_open_total: Counter::new(),
             peer_health: Gauge::new(),
             mutation: McMutation::None,
@@ -682,7 +685,7 @@ impl Transport {
                 expected
             ));
         }
-        let mut per_mn: HashMap<Mac, u64> = HashMap::new();
+        let mut per_mn: IdMap<Mac, u64> = IdMap::default();
         for o in self.outstanding.values() {
             *per_mn.entry(o.target).or_insert(0) += 1;
         }
@@ -1019,12 +1022,19 @@ impl Transport {
         self.doorbells.insert(target, ev);
     }
 
-    /// Kicks every queue (after a completion/failure freed window space).
+    /// Kicks every queue (after a completion/failure freed window space),
+    /// in `Mac` order: each kick may arm a same-instant `Pump` timer, so the
+    /// visiting order decides NIC serialization order and must be a function
+    /// of the simulation alone, never of table layout.
     fn kick_all(&mut self, ctx: &mut Ctx<'_>, nic: &mut NicPort, done: &mut Vec<XferDone>) {
-        let macs: Vec<Mac> = self.queues.keys().copied().collect();
-        for m in macs {
+        let mut macs = std::mem::take(&mut self.kick_scratch);
+        macs.clear();
+        macs.extend(self.queues.keys().copied());
+        macs.sort_unstable();
+        for &m in &macs {
             self.kick(ctx, nic, m, done);
         }
+        self.kick_scratch = macs;
     }
 
     /// Tries to transmit queued requests toward `target`, coalescing small
@@ -1325,8 +1335,9 @@ impl Transport {
     /// like any stale frame.
     pub fn cancel(&mut self, ctx: &mut Ctx<'_>, token: XferToken) -> bool {
         let mut found = false;
-        let ids: Vec<ReqId> =
+        let mut ids: Vec<ReqId> =
             self.outstanding.iter().filter(|(_, o)| o.token == token).map(|(id, _)| *id).collect();
+        ids.sort_unstable(); // release attempts oldest-first, whatever the table's layout
         for id in ids {
             let mut o = self.outstanding.remove(&id).expect("collected above");
             if let Some(t) = o.timer.take() {

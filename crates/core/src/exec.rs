@@ -57,7 +57,7 @@
 //! client would experience it.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -68,7 +68,7 @@ use bytes::Bytes;
 use clio_cn::ClioError;
 use clio_net::Mac;
 use clio_proto::Perm;
-use clio_sim::{SimDuration, SimTime};
+use clio_sim::{IdMap, SimDuration, SimTime};
 
 use crate::node::{AppCompletion, AppToken, ClientApi, ClientDriver, RuntimeGauges, POKE_TAG};
 
@@ -173,7 +173,7 @@ struct ExecInner {
     /// False until `on_start`: pre-start spawns queue instead of polling
     /// inline (no budget/gauges yet, and nothing can race them).
     running: bool,
-    tasks: HashMap<TaskId, BoxedTask>,
+    tasks: IdMap<TaskId, BoxedTask>,
     next_task: TaskId,
     live_tasks: usize,
     submit_q: VecDeque<Submission>,
@@ -187,8 +187,8 @@ struct ExecInner {
     /// CN-shared gauges (`None` until `on_start`); updated by delta so
     /// several drivers on one node aggregate correctly.
     gauges: Option<RuntimeGauges>,
-    op_slots: HashMap<AppToken, Rc<RefCell<OpSlot>>>,
-    timers: HashMap<u64, TimerEntry>,
+    op_slots: IdMap<AppToken, Rc<RefCell<OpSlot>>>,
+    timers: IdMap<u64, TimerEntry>,
     next_timer_tag: u64,
     /// Pokes delivered while nobody awaited one (level-triggered count).
     poke_pending: u64,
@@ -278,7 +278,7 @@ impl ExecDriver {
                 ready: Arc::new(Mutex::new(VecDeque::new())),
                 inner: RefCell::new(ExecInner {
                     running: false,
-                    tasks: HashMap::new(),
+                    tasks: IdMap::default(),
                     next_task: 0,
                     live_tasks: 0,
                     submit_q: VecDeque::new(),
@@ -287,8 +287,8 @@ impl ExecDriver {
                     peak_inflight: 0,
                     budget: usize::MAX,
                     gauges: None,
-                    op_slots: HashMap::new(),
-                    timers: HashMap::new(),
+                    op_slots: IdMap::default(),
+                    timers: IdMap::default(),
                     next_timer_tag: 0,
                     poke_pending: 0,
                     poke_waiters: Vec::new(),

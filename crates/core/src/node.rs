@@ -9,13 +9,13 @@
 //! allocations and after `Moved` refusals, and transparently re-issues
 //! relocated requests — the CN half of §4.7's distributed memory support.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use clio_cn::{CLib, CLibConfig, ClioError, Completion, CompletionValue, Op, OpToken, ThreadId};
 use clio_net::{Frame, Mac, NicPort};
 use clio_proto::{Perm, Pid};
-use clio_sim::{Actor, ActorId, Ctx, Message, SimDuration, SimTime};
+use clio_sim::{Actor, ActorId, Ctx, IdMap, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Counter, Gauge, Registry};
 use clio_trace::{Tracer, Track};
 
@@ -303,12 +303,12 @@ struct NodeCore {
     controller: ActorId,
     mn_macs: Vec<Mac>,
     driver_pids: Vec<Pid>,
-    app_ops: HashMap<AppToken, HostOp>,
-    token_map: HashMap<OpToken, AppToken>,
+    app_ops: IdMap<AppToken, HostOp>,
+    token_map: IdMap<OpToken, AppToken>,
     next_app_token: u64,
     next_tag: u64,
-    pending_placements: HashMap<u64, AppToken>,
-    pending_routes: HashMap<u64, AppToken>,
+    pending_placements: IdMap<u64, AppToken>,
+    pending_routes: IdMap<u64, AppToken>,
     events: VecDeque<(usize, DriverEvent)>,
     max_moved_retries: u32,
     /// Arrival-time override consumed by the next [`ClientApi`] issue call.
@@ -710,8 +710,10 @@ impl ClientApi<'_, '_> {
             return false;
         }
         self.core.deadline_exceeded.inc();
-        let clib_tokens: Vec<OpToken> =
+        let mut clib_tokens: Vec<OpToken> =
             self.core.token_map.iter().filter(|(_, a)| **a == token).map(|(t, _)| *t).collect();
+        // Each cancel can dispatch dependents: visit in submission order.
+        clib_tokens.sort_unstable();
         if clib_tokens.is_empty() {
             // Never reached CLib: the op is waiting on a controller reply.
             // Drop the pending request and fail the op host-side.
@@ -792,12 +794,12 @@ impl ComputeNode {
                 controller,
                 mn_macs,
                 driver_pids: Vec::new(),
-                app_ops: HashMap::new(),
-                token_map: HashMap::new(),
+                app_ops: IdMap::default(),
+                token_map: IdMap::default(),
                 next_app_token: 0,
                 next_tag: 0,
-                pending_placements: HashMap::new(),
-                pending_routes: HashMap::new(),
+                pending_placements: IdMap::default(),
+                pending_routes: IdMap::default(),
                 events: VecDeque::new(),
                 max_moved_retries: 8,
                 next_arrival: None,

@@ -22,7 +22,7 @@
 //! virtual-time schedule.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -36,7 +36,7 @@ use bytes::Bytes;
 use clio_cn::{ClioError, CompletionValue};
 use clio_net::Mac;
 use clio_proto::{Perm, Pid};
-use clio_sim::{Message, SimDuration};
+use clio_sim::{IdMap, Message, SimDuration};
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::exec::{ExecDriver, OpFuture, ProcHandle};
@@ -146,7 +146,7 @@ enum SeqSlot {
 /// harness after the run (leak accounting).
 #[derive(Default)]
 struct ShimState {
-    slots: HashMap<u64, SeqSlot>,
+    slots: IdMap<u64, SeqSlot>,
     high_water: usize,
 }
 

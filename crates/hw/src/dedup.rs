@@ -12,9 +12,10 @@
 //! on the number of clients — preserving MN statelessness in the scalability
 //! sense.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use clio_proto::ReqId;
+use clio_sim::IdMap;
 
 /// What the MN remembers about an executed non-idempotent request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +33,7 @@ pub enum DedupRecord {
 #[derive(Debug)]
 pub struct DedupBuffer {
     order: VecDeque<ReqId>,
-    records: HashMap<ReqId, DedupRecord>,
+    records: IdMap<ReqId, DedupRecord>,
     capacity_entries: usize,
     hits: u64,
 }
@@ -57,8 +58,8 @@ impl DedupBuffer {
     pub fn new(capacity_entries: usize) -> Self {
         assert!(capacity_entries > 0, "dedup buffer must have capacity");
         DedupBuffer {
-            order: VecDeque::with_capacity(capacity_entries),
-            records: HashMap::with_capacity(capacity_entries),
+            order: VecDeque::new(),
+            records: IdMap::default(),
             capacity_entries,
             hits: 0,
         }

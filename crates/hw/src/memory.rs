@@ -6,9 +6,8 @@
 //! ASIC — only costs host memory proportional to the bytes actually touched.
 //! Untouched memory reads as zero, like freshly faulted pages.
 
-use std::collections::HashMap;
-
 use bytes::{Bytes, BytesMut};
+use clio_sim::IdMap;
 
 /// Host-memory chunk granularity.
 const CHUNK: u64 = 4096;
@@ -16,7 +15,7 @@ const CHUNK: u64 = 4096;
 /// Byte-addressable physical memory of one memory node.
 #[derive(Debug, Default)]
 pub struct PhysMemory {
-    chunks: HashMap<u64, Box<[u8]>>,
+    chunks: IdMap<u64, Box<[u8]>>,
     resident_bytes: u64,
 }
 

@@ -12,6 +12,7 @@
 //! uses.
 
 use clio_proto::{Perm, Pid};
+use clio_sim::IdMap;
 
 use crate::hash::bucket_of;
 
@@ -158,8 +159,7 @@ impl HashPageTable {
     where
         I: IntoIterator<Item = (Pid, u64)>,
     {
-        use std::collections::HashMap;
-        let mut demand: HashMap<usize, usize> = HashMap::new();
+        let mut demand: IdMap<usize, usize> = IdMap::default();
         for (pid, vpn) in pages {
             if self.lookup(pid, vpn).is_some() {
                 return false; // already mapped: allocator must not reuse it

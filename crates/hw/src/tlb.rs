@@ -7,9 +7,8 @@
 //! list over a slab, so misses and evictions are O(1) too — the model can
 //! sustain the millions of lookups the scalability figures need.
 
-use std::collections::HashMap;
-
 use clio_proto::{Perm, Pid};
+use clio_sim::IdMap;
 
 /// A cached translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +32,7 @@ const NIL: usize = usize::MAX;
 /// Fixed-capacity LRU TLB.
 #[derive(Debug)]
 pub struct Tlb {
-    map: HashMap<(Pid, u64), usize>,
+    map: IdMap<(Pid, u64), usize>,
     slab: Vec<Node>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -52,8 +51,8 @@ impl Tlb {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB must have capacity");
         Tlb {
-            map: HashMap::with_capacity(capacity),
-            slab: Vec::with_capacity(capacity),
+            map: IdMap::default(),
+            slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,

@@ -41,13 +41,12 @@
 //! reached with strictly more depth or fault budget remaining than every
 //! earlier visit.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use clio_cn::transport::McMutation;
 use clio_net::Frame;
 use clio_proto::ClioPacket;
-use clio_sim::{Message, SimDuration};
+use clio_sim::{IdMap, IdSet, Message, SimDuration};
 
 use crate::harness::{Framing, Outcome, Scenario};
 
@@ -200,11 +199,11 @@ struct Run {
     scenario: Scenario,
     horizon: SimDuration,
     /// Request ids observed on the wire, for the freshness invariant.
-    seen_req_ids: HashSet<u64>,
+    seen_req_ids: IdSet<u64>,
     /// Capture seqs of explorer-injected duplicates (exempt from the
     /// freshness check: the network may repeat ids, the transport may
     /// not).
-    synthetic: HashSet<u64>,
+    synthetic: IdSet<u64>,
     /// Freshness-scan watermark: frames with `seq` below this were
     /// scanned.
     scanned_up_to: u64,
@@ -222,8 +221,8 @@ impl Run {
         let mut run = Run {
             scenario,
             horizon: cfg.settle_horizon,
-            seen_req_ids: HashSet::new(),
-            synthetic: HashSet::new(),
+            seen_req_ids: IdSet::default(),
+            synthetic: IdSet::default(),
             scanned_up_to: 0,
             crashes: 0,
             trace: Vec::new(),
@@ -586,7 +585,7 @@ struct Search<'a> {
     baseline: Outcome,
     /// state hash → (fewest actions used, fewest faults used) over all
     /// visits.
-    visited: HashMap<u64, (usize, u32)>,
+    visited: IdMap<u64, (usize, u32)>,
     nodes: u64,
     quiescent_runs: u64,
     truncated: bool,
@@ -599,7 +598,7 @@ pub fn explore(cfg: &McConfig) -> McReport {
     let mut search = Search {
         cfg,
         baseline: baseline_outcome(cfg),
-        visited: HashMap::new(),
+        visited: IdMap::default(),
         nodes: 0,
         quiescent_runs: 0,
         truncated: false,

@@ -80,7 +80,7 @@
 //!    from the request frame's source MAC, and the write tracker / dedup
 //!    buffer are TTL- and capacity-bounded.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use clio_hw::dedup::DedupRecord;
@@ -90,7 +90,7 @@ use clio_proto::{
     codec, split_read_response, ClioPacket, NackBatchBuilder, Pid, ReqHeader, ReqId, RequestBody,
     RespBatchBuilder, RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES,
 };
-use clio_sim::{Actor, ActorId, Ctx, EventId, Message, SimDuration, SimTime};
+use clio_sim::{Actor, ActorId, Ctx, EventId, IdMap, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Counter, Gauge, Registry};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
@@ -179,7 +179,7 @@ struct PendingWrite {
 /// corner-case requests" of §4.4 — bounded by in-flight data, not clients).
 #[derive(Debug, Default)]
 struct WriteTracker {
-    pending: HashMap<ReqId, PendingWrite>,
+    pending: IdMap<ReqId, PendingWrite>,
     order: VecDeque<(SimTime, ReqId)>,
 }
 
@@ -264,26 +264,26 @@ pub struct CBoard {
     silicon: Silicon,
     slow: SlowPath,
     nic: NicPort,
-    offloads: HashMap<u16, InstalledOffload>,
+    offloads: IdMap<u16, InstalledOffload>,
     // Synchronization state (§4.5 T3): one global barrier + completions.
     fence_until: SimTime,
     last_completion: SimTime,
     writes: WriteTracker,
     /// Per-destination egress queue, ordered by `ready`.
-    egress: HashMap<Mac, VecDeque<EgressEntry>>,
+    egress: IdMap<Mac, VecDeque<EgressEntry>>,
     /// The scheduled doorbell per destination: `(fire time, event)`.
-    egress_doorbells: HashMap<Mac, (SimTime, EventId)>,
+    egress_doorbells: IdMap<Mac, (SimTime, EventId)>,
     /// Last response-ready time per destination (feeds the adaptive hold).
-    egress_last_ready: HashMap<Mac, SimTime>,
+    egress_last_ready: IdMap<Mac, SimTime>,
     /// EWMA of the response inter-completion gap per destination, in ns.
-    egress_gap_ewma: HashMap<Mac, f64>,
+    egress_gap_ewma: IdMap<Mac, f64>,
     /// EWMA of the request turnaround (arrival → response ready) per
     /// destination, in ns: the board-visible component of that CN's RTT,
     /// from which the derived egress hold budget is computed.
-    egress_turnaround_ewma: HashMap<Mac, f64>,
+    egress_turnaround_ewma: IdMap<Mac, f64>,
     regions: RegionTable,
-    out_migrations: HashMap<(Pid, u64), OutMigration>,
-    in_migrations: HashMap<(Pid, u64), InMigration>,
+    out_migrations: IdMap<(Pid, u64), OutMigration>,
+    in_migrations: IdMap<(Pid, u64), InMigration>,
     controller: Option<ActorId>,
     pressure_threshold: f64,
     pressure_reported: bool,
@@ -299,7 +299,7 @@ pub struct CBoard {
     /// destination: when present, the derived egress hold budget uses the
     /// *same* signal as the CN's doorbell budget (srtt / 4, capped) instead
     /// of the board-local turnaround EWMA.
-    peer_srtt: HashMap<Mac, u32>,
+    peer_srtt: IdMap<Mac, u32>,
     /// Most recent echoed srtt (ns), exported for harness observability.
     peer_srtt_ns: Gauge,
     /// Power state: a crashed board (`BoardPower::Crash`) drops all traffic
@@ -319,18 +319,18 @@ impl CBoard {
             silicon,
             slow,
             nic,
-            offloads: HashMap::new(),
+            offloads: IdMap::default(),
             fence_until: SimTime::ZERO,
             last_completion: SimTime::ZERO,
             writes: WriteTracker::default(),
-            egress: HashMap::new(),
-            egress_doorbells: HashMap::new(),
-            egress_last_ready: HashMap::new(),
-            egress_gap_ewma: HashMap::new(),
-            egress_turnaround_ewma: HashMap::new(),
+            egress: IdMap::default(),
+            egress_doorbells: IdMap::default(),
+            egress_last_ready: IdMap::default(),
+            egress_gap_ewma: IdMap::default(),
+            egress_turnaround_ewma: IdMap::default(),
             regions: RegionTable::new(),
-            out_migrations: HashMap::new(),
-            in_migrations: HashMap::new(),
+            out_migrations: IdMap::default(),
+            in_migrations: IdMap::default(),
             controller: None,
             pressure_threshold: 0.9,
             pressure_reported: false,
@@ -338,7 +338,7 @@ impl CBoard {
             tracer: Tracer::disabled(),
             track: Track::Mn(0),
             cur_trace: None,
-            peer_srtt: HashMap::new(),
+            peer_srtt: IdMap::default(),
             peer_srtt_ns: Gauge::default(),
             alive: true,
         };

@@ -1,9 +1,7 @@
 //! The top-of-rack switch actor.
 
-use std::collections::HashMap;
-
 use clio_sim::resource::SerialResource;
-use clio_sim::{Actor, ActorId, Bandwidth, Ctx, Message, SimDuration};
+use clio_sim::{Actor, ActorId, Bandwidth, Ctx, IdMap, Message, SimDuration};
 
 use crate::chaos::LinkCommand;
 use crate::frame::{Frame, Mac};
@@ -108,13 +106,13 @@ struct Port {
 #[derive(Debug)]
 pub struct Switch {
     config: SwitchConfig,
-    ports: HashMap<Mac, Port>,
+    ports: IdMap<Mac, Port>,
 }
 
 impl Switch {
     /// Creates a switch with the given fixed latencies.
     pub fn new(config: SwitchConfig) -> Self {
-        Switch { config, ports: HashMap::new() }
+        Switch { config, ports: IdMap::default() }
     }
 
     /// Attaches `endpoint` to the fabric as `mac`, with an egress port at

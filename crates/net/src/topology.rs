@@ -1,8 +1,6 @@
 //! Fabric assembly: one ToR switch plus endpoint ports.
 
-use std::collections::HashMap;
-
-use clio_sim::{ActorId, Bandwidth, SimDuration, Simulation};
+use clio_sim::{ActorId, Bandwidth, IdMap, SimDuration, Simulation};
 
 use crate::frame::Mac;
 use crate::nic::NicPort;
@@ -40,7 +38,7 @@ pub struct Network {
     switch_id: ActorId,
     propagation_delay: SimDuration,
     next_mac: u32,
-    pending_rates: HashMap<Mac, Bandwidth>,
+    pending_rates: IdMap<Mac, Bandwidth>,
 }
 
 impl Network {
@@ -48,7 +46,7 @@ impl Network {
     pub fn new(sim: &mut Simulation, config: NetworkConfig) -> Self {
         let propagation_delay = config.switch.propagation_delay;
         let switch_id = sim.add_actor(Switch::new(config.switch));
-        Network { switch_id, propagation_delay, next_mac: 1, pending_rates: HashMap::new() }
+        Network { switch_id, propagation_delay, next_mac: 1, pending_rates: IdMap::default() }
     }
 
     /// The switch actor id.

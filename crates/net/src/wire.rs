@@ -16,9 +16,7 @@
 //! actor is the scheduler's job, which keeps every delivery an explicit,
 //! replayable decision.
 
-use std::collections::HashMap;
-
-use clio_sim::{Actor, ActorId, Ctx, Message};
+use clio_sim::{Actor, ActorId, Ctx, IdMap, Message};
 
 use crate::frame::{Frame, Mac};
 
@@ -41,7 +39,7 @@ pub struct CapturedFrame {
 /// and removes frames via [`take`](Self::take) to deliver or drop them.
 #[derive(Debug, Default)]
 pub struct VirtualWire {
-    endpoints: HashMap<Mac, ActorId>,
+    endpoints: IdMap<Mac, ActorId>,
     pending: Vec<CapturedFrame>,
     next_seq: u64,
     /// Frames captured over the wire's lifetime (delivered or not).

@@ -6,8 +6,6 @@
 //! any order; read-response fragments carry their offset, and CLib reassembles
 //! them with [`Reassembler`] before delivering data to the application.
 
-use std::collections::HashMap;
-
 use bytes::{Bytes, BytesMut};
 
 use crate::codec;
@@ -106,7 +104,10 @@ struct Partial {
 /// returns the full contiguous payload.
 #[derive(Debug, Default)]
 pub struct Reassembler {
-    partials: HashMap<ReqId, Partial>,
+    /// Sorted by request id. A CN's ids only grow, so new partials append
+    /// and lookups are a binary search over the few reads in flight — no
+    /// hashing on the per-fragment path.
+    partials: Vec<(ReqId, Partial)>,
 }
 
 impl Reassembler {
@@ -121,11 +122,19 @@ impl Reassembler {
         if header.pkt_count <= 1 {
             return Some(data);
         }
-        let p = self.partials.entry(header.req_id).or_insert_with(|| Partial {
-            expected: header.pkt_count,
-            got: vec![None; header.pkt_count as usize],
-            received: 0,
-        });
+        let at = match self.partials.binary_search_by_key(&header.req_id, |(id, _)| *id) {
+            Ok(at) => at,
+            Err(at) => {
+                let fresh = Partial {
+                    expected: header.pkt_count,
+                    got: vec![None; header.pkt_count as usize],
+                    received: 0,
+                };
+                self.partials.insert(at, (header.req_id, fresh));
+                at
+            }
+        };
+        let p = &mut self.partials[at].1;
         let idx = header.pkt_index as usize;
         if idx >= p.got.len() || p.got[idx].is_some() {
             return None; // duplicate or malformed index: ignore
@@ -135,7 +144,7 @@ impl Reassembler {
         if p.received < p.expected {
             return None;
         }
-        let p = self.partials.remove(&header.req_id).expect("just inserted");
+        let (_, p) = self.partials.remove(at);
         let mut frags: Vec<(u32, Bytes)> =
             p.got.into_iter().map(|f| f.expect("all fragments received")).collect();
         frags.sort_by_key(|(off, _)| *off);
@@ -150,7 +159,9 @@ impl Reassembler {
     /// Drops any partial state for `req_id` (e.g. when the request times out
     /// and is retried under a new id).
     pub fn forget(&mut self, req_id: ReqId) {
-        self.partials.remove(&req_id);
+        if let Ok(at) = self.partials.binary_search_by_key(&req_id, |(id, _)| *id) {
+            self.partials.remove(at);
+        }
     }
 
     /// Number of requests with outstanding partial fragments.

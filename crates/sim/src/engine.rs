@@ -1,10 +1,11 @@
 //! The discrete-event simulation engine: event queue, actors and dispatch.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::message::Message;
 use crate::rng::SimRng;
+use crate::table::IdSet;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies an actor registered with a [`Simulation`].
@@ -77,7 +78,7 @@ struct SimCore {
     now: SimTime,
     queue: BinaryHeap<Reverse<QueuedEvent>>,
     next_seq: u64,
-    cancelled: HashSet<EventId>,
+    cancelled: IdSet<EventId>,
     rng: SimRng,
     digest: u64,
     events_dispatched: u64,
@@ -175,7 +176,7 @@ impl Simulation {
                 now: SimTime::ZERO,
                 queue: BinaryHeap::new(),
                 next_seq: 0,
-                cancelled: HashSet::new(),
+                cancelled: IdSet::default(),
                 rng: SimRng::new(seed),
                 digest: 0xcbf2_9ce4_8422_2325, // FNV offset basis
                 events_dispatched: 0,

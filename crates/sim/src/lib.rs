@@ -12,6 +12,8 @@
 //!   ([`dist`]),
 //! * resource-reservation primitives used to model pipelines, DMA engines and
 //!   thread pools ([`resource`]),
+//! * deterministic integer-keyed tables ([`IdMap`], [`IdSet`]) for simulator
+//!   state ([`table`]),
 //! * a statistics toolkit: log-bucketed latency histograms with percentiles,
 //!   counters, rate meters and time series ([`stats`]).
 //!
@@ -48,9 +50,11 @@ mod message;
 pub mod resource;
 mod rng;
 pub mod stats;
+pub mod table;
 mod time;
 
 pub use engine::{Actor, ActorId, Ctx, EventId, Simulation};
 pub use message::Message;
 pub use rng::SimRng;
+pub use table::{IdMap, IdSet};
 pub use time::{Bandwidth, Cycles, Frequency, SimDuration, SimTime};

@@ -1,10 +1,9 @@
 //! The [`Tracer`] handle: begin / stitch / retry / finish.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use clio_sim::SimTime;
+use clio_sim::{IdMap, SimTime};
 
 use crate::span::{OpTrace, RetryLink, Span, Stage, TraceCtx, Track};
 
@@ -27,7 +26,7 @@ struct TraceSink {
     next_id: u64,
     sample_every: u64,
     seen: u64,
-    active: HashMap<u64, OpTrace>,
+    active: IdMap<u64, OpTrace>,
     finished: Vec<OpTrace>,
     events: Vec<TraceEvent>,
 }
@@ -61,7 +60,7 @@ impl Tracer {
             next_id: 1,
             sample_every: sample_every.max(1),
             seen: 0,
-            active: HashMap::new(),
+            active: IdMap::default(),
             finished: Vec::new(),
             events: Vec::new(),
         }))))

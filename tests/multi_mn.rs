@@ -21,7 +21,7 @@ use bytes::Bytes;
 use clio::mn::migrate::MigrateCommand;
 use clio::net::Mac;
 use clio::proto::{Perm, Pid};
-use clio::sim::{Message, SimDuration};
+use clio::sim::{Message, SimDuration, SimTime};
 use clio::system::node::PokeDriver;
 use clio::system::{Cluster, ClusterConfig};
 
@@ -290,4 +290,91 @@ fn multi_mn_smoke_matches_single_mn_baseline_and_is_digest_stable() {
     }
     assert_eq!(sharded, baseline, "sharded reads diverge from the single-MN baseline");
     assert_eq!((digest_a, events_a), (digest_b, events_b), "sharded run is not digest-stable");
+}
+
+/// Determinism across table layouts: with two MNs a completion re-kicks
+/// both send queues, and the order the kicks arm their same-instant `Pump`
+/// timers decides NIC serialization order. That order must come from the
+/// simulation (MAC order), not from how a hash table happens to lay out its
+/// keys, so eight builds of the smoke cluster in one process — each with
+/// freshly constructed tables — must agree on the digest, the event count
+/// and every op's completion time.
+#[test]
+fn multi_mn_schedule_is_identical_across_eight_builds_in_one_process() {
+    const RANGES: u64 = 4;
+    const LEN: u64 = 16 << 10;
+    const TASKS: u64 = 8;
+    const OPS: u64 = 12;
+
+    let run = || {
+        let mut cfg = ClusterConfig::test_small();
+        cfg.cns = 4;
+        cfg.mns = 2;
+        cfg.seed = 0xBEEF;
+        let mut cluster = Cluster::build(&cfg);
+        // (cn, task, op index, completion time in ns)
+        let log: Rc<RefCell<Vec<(usize, u64, u64, u64)>>> = Rc::new(RefCell::new(vec![]));
+        let bases: Rc<RefCell<Vec<(usize, Pid, u64)>>> = Rc::new(RefCell::new(vec![]));
+        for cn in 0..4usize {
+            let pid = Pid(300 + cn as u64);
+            let (log, bases) = (log.clone(), bases.clone());
+            cluster.spawn(cn, pid, move |p| async move {
+                // One CN allocates at a time, so the most-free-bytes
+                // placement alternates each CN's ranges between the boards;
+                // all four then start their traffic at the same instant.
+                p.sleep(SimDuration::from_millis(5 * cn as u64)).await;
+                let mut vas = Vec::new();
+                for _ in 0..RANGES {
+                    let va = p.ralloc(LEN, Perm::RW).await.va();
+                    bases.borrow_mut().push((cn, pid, va));
+                    vas.push(va);
+                }
+                p.sleep(SimTime::from_nanos(30_000_000).since(p.now())).await;
+                // Concurrent tasks striding over every range, so each CN
+                // keeps requests queued toward both boards at once.
+                for task in 0..TASKS {
+                    let (p2, log, vas) = (p.clone(), log.clone(), vas.clone());
+                    p.spawn(async move {
+                        for i in 0..OPS {
+                            let va = vas[((task + i) % RANGES) as usize] + task * 1024;
+                            let c = if (task + i) % 3 == 0 {
+                                p2.rwrite(va, Bytes::from(vec![task as u8; 256])).await
+                            } else {
+                                p2.rread(va, 256).await
+                            };
+                            assert!(c.result.is_ok(), "cn{cn} task {task} op {i}: {:?}", c.result);
+                            log.borrow_mut().push((cn, task, i, c.completed_at.as_nanos()));
+                        }
+                    });
+                }
+            });
+        }
+        cluster.start();
+        cluster.run_until_idle();
+        // The scenario only bites if a CN really talks to both boards.
+        let spread = (0..4).all(|cn| {
+            let mut owners: Vec<Mac> = bases
+                .borrow()
+                .iter()
+                .filter(|(c, ..)| *c == cn)
+                .map(|&(_, pid, va)| cluster.cn(cn).route_of(pid, va, LEN).expect("routable"))
+                .collect();
+            owners.sort_unstable();
+            owners.dedup();
+            owners.len() == 2
+        });
+        assert!(spread, "some CN's ranges sit on one board only");
+        let mut log = log.borrow().clone();
+        log.sort_unstable();
+        assert_eq!(log.len() as u64, 4 * TASKS * OPS);
+        (cluster.sim.digest(), cluster.sim.events_dispatched(), log)
+    };
+
+    let (digest, events, log) = run();
+    for build in 1..8 {
+        let (d, e, l) = run();
+        assert_eq!((d, e), (digest, events), "build {build}: digest/event count diverged");
+        let moved = l.iter().zip(&log).find(|(a, b)| a != b);
+        assert_eq!(moved, None, "build {build}: first diverging (cn, task, op, completed_at)");
+    }
 }
