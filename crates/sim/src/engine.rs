@@ -5,7 +5,6 @@ use std::collections::BinaryHeap;
 
 use crate::message::Message;
 use crate::rng::SimRng;
-use crate::table::IdSet;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies an actor registered with a [`Simulation`].
@@ -26,8 +25,14 @@ impl std::fmt::Display for ActorId {
 }
 
 /// Identifies a scheduled event, so it can be cancelled before delivery.
+///
+/// Names the event's sequence number and the slab slot that holds it, so a
+/// cancel is one indexed compare; ids order by scheduling order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
+pub struct EventId {
+    seq: u64,
+    slot: u32,
+}
 
 /// A simulation participant. Actors receive [`Message`]s and react by
 /// mutating their own state and scheduling further messages through [`Ctx`].
@@ -46,39 +51,57 @@ pub trait Actor: std::any::Any {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message);
 }
 
-struct QueuedEvent {
+/// What the heap orders: earliest time first, FIFO (sequence order) among
+/// simultaneous events. 24 bytes, so sifts move keys, never payloads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: SimTime,
     seq: u64,
-    id: EventId,
+    slot: u32,
+}
+
+/// One slab entry: the payload of a pending event, or vacant.
+struct Slot {
+    /// Sequence number of the event held here; [`VACANT`] when free. A heap
+    /// key or an [`EventId`] whose `seq` differs names an event that was
+    /// already delivered or cancelled.
+    seq: u64,
+    src: Option<ActorId>,
+    dst: ActorId,
+    msg: Option<Message>,
+}
+
+/// `Slot::seq` of a free slot (never issued: `next_seq` counts up from 0).
+const VACANT: u64 = u64::MAX;
+
+/// A popped event on its way to its actor.
+struct Due {
+    at: SimTime,
     src: Option<ActorId>,
     dst: ActorId,
     msg: Message,
 }
 
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Earliest time first; FIFO (sequence order) among simultaneous events.
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// The scheduling core shared between the engine and actor contexts.
+///
+/// # Event-queue invariants
+///
+/// * Every pending event owns exactly one slot and one heap key carrying
+///   the slot's `seq`; delivery and cancellation vacate the slot at once
+///   (dropping the message) and recycle it.
+/// * A heap key is *dead* iff its slot's `seq` differs from its own. `dead`
+///   counts them; they are skipped when they surface and swept by
+///   [`SimCore::cancel`] before they outnumber the live keys, so cancelled
+///   timers deepen the heap by at most one level.
+/// * Cancelling an id whose event is gone finds a vacant or re-issued slot
+///   and changes nothing.
 struct SimCore {
     now: SimTime,
-    queue: BinaryHeap<Reverse<QueuedEvent>>,
+    queue: BinaryHeap<Reverse<Key>>,
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    dead: usize,
     next_seq: u64,
-    cancelled: IdSet<EventId>,
     rng: SimRng,
     digest: u64,
     events_dispatched: u64,
@@ -94,9 +117,63 @@ impl SimCore {
     ) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let id = EventId(seq);
-        self.queue.push(Reverse(QueuedEvent { at, seq, id, src, dst, msg }));
-        id
+        let filled = Slot { seq, src, dst, msg: Some(msg) };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = filled;
+                slot
+            }
+            None => {
+                self.slots.push(filled);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.queue.push(Reverse(Key { at, seq, slot }));
+        EventId { seq, slot }
+    }
+
+    /// Vacates `slot`, returning what it held.
+    fn vacate(&mut self, slot: u32) -> Option<Message> {
+        let s = &mut self.slots[slot as usize];
+        s.seq = VACANT;
+        self.free.push(slot);
+        s.msg.take()
+    }
+
+    fn cancel(&mut self, id: EventId) {
+        if self.slots.get(id.slot as usize).is_none_or(|s| s.seq != id.seq) {
+            return; // delivered or cancelled already
+        }
+        self.vacate(id.slot);
+        self.dead += 1;
+        if self.dead > 32 && self.dead * 2 > self.queue.len() {
+            let slots = &self.slots;
+            self.queue.retain(|Reverse(k)| slots[k.slot as usize].seq == k.seq);
+            self.dead = 0;
+        }
+    }
+
+    /// Pops the earliest live event if it is due by `deadline`, discarding
+    /// dead keys that surface on the way.
+    fn pop_due(&mut self, deadline: SimTime) -> Option<Due> {
+        loop {
+            let Reverse(key) = *self.queue.peek()?;
+            let live = self.slots[key.slot as usize].seq == key.seq;
+            if live && key.at > deadline {
+                return None;
+            }
+            self.queue.pop();
+            if !live {
+                self.dead -= 1;
+                continue;
+            }
+            let (src, dst) = {
+                let s = &self.slots[key.slot as usize];
+                (s.src, s.dst)
+            };
+            let msg = self.vacate(key.slot).expect("live slot holds its message");
+            return Some(Due { at: key.at, src, dst, msg });
+        }
     }
 }
 
@@ -150,7 +227,7 @@ impl Ctx<'_> {
     /// Cancels a previously scheduled event. Cancelling an already-delivered
     /// or already-cancelled event is a no-op.
     pub fn cancel(&mut self, id: EventId) {
-        self.core.cancelled.insert(id);
+        self.core.cancel(id);
     }
 
     /// The simulation's deterministic random-number generator.
@@ -175,8 +252,10 @@ impl Simulation {
             core: SimCore {
                 now: SimTime::ZERO,
                 queue: BinaryHeap::new(),
+                slots: Vec::new(),
+                free: Vec::new(),
+                dead: 0,
                 next_seq: 0,
-                cancelled: IdSet::default(),
                 rng: SimRng::new(seed),
                 digest: 0xcbf2_9ce4_8422_2325, // FNV offset basis
                 events_dispatched: 0,
@@ -258,9 +337,10 @@ impl Simulation {
         self.core.schedule(None, dst, at, msg)
     }
 
-    /// Cancels a scheduled event from outside actor context.
+    /// Cancels a scheduled event from outside actor context. Cancelling an
+    /// already-delivered or already-cancelled event is a no-op.
     pub fn cancel(&mut self, id: EventId) {
-        self.core.cancelled.insert(id);
+        self.core.cancel(id);
     }
 
     /// The delivery time of the next pending (non-cancelled) event, or
@@ -274,12 +354,12 @@ impl Simulation {
     /// (doorbells, NIC serialization, datapath completions) have drained
     /// and only long timers or explorer-controlled deliveries remain.
     pub fn peek_next_event_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(ev)) = self.core.queue.peek() {
-            if !self.core.cancelled.contains(&ev.id) {
-                return Some(ev.at);
+        while let Some(&Reverse(key)) = self.core.queue.peek() {
+            if self.core.slots[key.slot as usize].seq == key.seq {
+                return Some(key.at);
             }
-            let Some(Reverse(ev)) = self.core.queue.pop() else { unreachable!("peeked") };
-            self.core.cancelled.remove(&ev.id);
+            self.core.queue.pop();
+            self.core.dead -= 1;
         }
         None
     }
@@ -290,42 +370,40 @@ impl Simulation {
     ///
     /// Panics if an event addresses an unregistered actor.
     pub fn step(&mut self) -> bool {
-        loop {
-            let Some(Reverse(ev)) = self.core.queue.pop() else {
-                return false;
-            };
-            if self.core.cancelled.remove(&ev.id) {
-                continue;
+        match self.core.pop_due(SimTime::MAX) {
+            Some(ev) => {
+                self.dispatch(ev);
+                true
             }
-            debug_assert!(ev.at >= self.core.now, "time went backwards");
-            self.core.now = ev.at;
-            self.core.events_dispatched += 1;
-            // FNV-1a over (time, dst, type name) for the determinism digest.
-            let mut h = self.core.digest;
-            for b in ev
-                .at
-                .as_nanos()
-                .to_le_bytes()
-                .iter()
-                .chain((ev.dst.0 as u64).to_le_bytes().iter())
-                .chain(ev.msg.type_name().as_bytes())
-            {
-                h ^= *b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            self.core.digest = h;
-
-            let slot = ev.dst.index();
-            let mut actor = self.actors[slot]
-                .take()
-                .unwrap_or_else(|| panic!("message to unregistered/executing {}", ev.dst));
-            {
-                let mut ctx = Ctx { core: &mut self.core, self_id: ev.dst, src: ev.src };
-                actor.on_message(&mut ctx, ev.msg);
-            }
-            self.actors[slot] = Some(actor);
-            return true;
+            None => false,
         }
+    }
+
+    fn dispatch(&mut self, ev: Due) {
+        debug_assert!(ev.at >= self.core.now, "time went backwards");
+        self.core.now = ev.at;
+        self.core.events_dispatched += 1;
+        // FNV-1a over (time, dst, type name) for the determinism digest.
+        let mut h = self.core.digest;
+        let mut mix = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        mix(&ev.at.as_nanos().to_le_bytes());
+        mix(&(ev.dst.0 as u64).to_le_bytes());
+        mix(ev.msg.type_name().as_bytes());
+        self.core.digest = h;
+
+        let slot = ev.dst.index();
+        let mut actor = self.actors[slot]
+            .take()
+            .unwrap_or_else(|| panic!("message to unregistered/executing {}", ev.dst));
+        {
+            let mut ctx = Ctx { core: &mut self.core, self_id: ev.dst, src: ev.src };
+            actor.on_message(&mut ctx, ev.msg);
+        }
+        self.actors[slot] = Some(actor);
     }
 
     /// Runs until the queue is exhausted.
@@ -337,13 +415,8 @@ impl Simulation {
     /// are delivered). Later events remain queued; the clock is advanced to
     /// `deadline` if it ran idle before then.
     pub fn run_until(&mut self, deadline: SimTime) {
-        // Peek past cancelled heads: a cancelled event at the queue head
-        // must not cause `step` to deliver a live event beyond `deadline`.
-        while let Some(at) = self.peek_next_event_time() {
-            if at > deadline {
-                break;
-            }
-            self.step();
+        while let Some(ev) = self.core.pop_due(deadline) {
+            self.dispatch(ev);
         }
         if self.core.now < deadline {
             self.core.now = deadline;
@@ -372,7 +445,8 @@ impl std::fmt::Debug for Simulation {
         f.debug_struct("Simulation")
             .field("now", &self.core.now)
             .field("actors", &self.actors.len())
-            .field("pending_events", &self.core.queue.len())
+            .field("pending_events", &(self.core.queue.len() - self.core.dead))
+            .field("cancelled_pending", &self.core.dead)
             .field("events_dispatched", &self.core.events_dispatched)
             .finish()
     }
@@ -530,6 +604,83 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_nanos(10));
         sim.run_until_idle();
         assert_eq!(sim.actor::<Recorder>(r).seen, vec![(SimTime::from_nanos(50), 2)]);
+    }
+
+    #[test]
+    fn cancelling_delivered_events_leaves_no_bookkeeping() {
+        let mut sim = Simulation::new(1);
+        let r = sim.add_actor(Recorder { seen: vec![] });
+        let ids: Vec<EventId> = (0..10_000u64)
+            .map(|i| sim.post_in(r, SimDuration::from_nanos(i % 97), Message::new(i)))
+            .collect();
+        sim.run_until_idle();
+        assert_eq!(sim.actor::<Recorder>(r).seen.len(), 10_000);
+        for id in ids {
+            sim.cancel(id); // documented no-op: the event is long gone
+        }
+        assert_eq!((sim.core.queue.len(), sim.core.dead), (0, 0), "residual cancel state");
+        assert_eq!(sim.core.free.len(), sim.core.slots.len(), "a slot is still held");
+        // The stale cancels must not have poisoned the recycled slots.
+        sim.post_in(r, SimDuration::from_nanos(1), Message::new(7u64));
+        sim.run_until_idle();
+        assert_eq!(sim.actor::<Recorder>(r).seen.len(), 10_001);
+    }
+
+    #[test]
+    fn cancel_then_reschedule_reuses_the_slot_under_a_new_id() {
+        let mut sim = Simulation::new(1);
+        let r = sim.add_actor(Recorder { seen: vec![] });
+        let old = sim.post_in(r, SimDuration::from_nanos(50), Message::new(1u64));
+        sim.cancel(old);
+        let new = sim.post_in(r, SimDuration::from_nanos(20), Message::new(2u64));
+        assert_eq!(new.slot, old.slot, "the vacated slot is recycled at once");
+        assert_ne!(new, old);
+        sim.cancel(old); // a stale id must not hit the slot's new tenant
+        sim.run_until_idle();
+        assert_eq!(sim.actor::<Recorder>(r).seen, vec![(SimTime::from_nanos(20), 2)]);
+        sim.cancel(new); // delivered: no-op
+        assert_eq!((sim.core.queue.len(), sim.core.dead), (0, 0));
+    }
+
+    #[test]
+    fn equal_time_events_stay_fifo_with_cancellations_interleaved() {
+        let mut sim = Simulation::new(1);
+        let r = sim.add_actor(Recorder { seen: vec![] });
+        let at = SimDuration::from_nanos(10);
+        let mut expect = Vec::new();
+        let mut doomed = Vec::new();
+        for i in 0..200u64 {
+            let id = sim.post_in(r, at, Message::new(i));
+            if i % 3 == 1 {
+                doomed.push(id);
+            } else {
+                expect.push((SimTime::from_nanos(10), i));
+            }
+            // Cancel in bursts while posting, so recycled slots sit among
+            // live same-time events and the dead-key sweep runs mid-stream.
+            if i % 50 == 49 {
+                doomed.drain(..).for_each(|id| sim.cancel(id));
+            }
+        }
+        sim.run_until_idle();
+        assert_eq!(sim.actor::<Recorder>(r).seen, expect);
+    }
+
+    #[test]
+    fn cancelled_timers_are_swept_before_they_outnumber_live_events() {
+        let mut sim = Simulation::new(1);
+        let r = sim.add_actor(Recorder { seen: vec![] });
+        for i in 0..100u64 {
+            sim.post_in(r, SimDuration::from_micros(1 + i), Message::new(i));
+        }
+        for i in 0..10_000u64 {
+            let t = sim.post_in(r, SimDuration::from_micros(500), Message::new(i));
+            sim.cancel(t);
+            assert!(sim.core.dead * 2 <= sim.core.queue.len().max(64), "dead keys pile up");
+        }
+        sim.run_until_idle();
+        assert_eq!(sim.actor::<Recorder>(r).seen.len(), 100);
+        assert_eq!(sim.now(), SimTime::from_nanos(100_000), "no cancelled timer advanced the clock");
     }
 
     #[test]
