@@ -15,6 +15,8 @@
 //! Completions are returned from [`CLib::on_frame`]/[`CLib::on_timer`] for
 //! the host to deliver to the issuing application.
 
+use std::ops::RangeInclusive;
+
 use bytes::Bytes;
 use clio_net::{Frame, Mac, NicPort};
 use clio_proto::{Perm, Pid};
@@ -232,6 +234,8 @@ pub struct CLib {
     /// [`Stage::SubmitQueued`] backpressure span.
     queued_since: Option<SimTime>,
     next_token: u64,
+    /// Reused buffer the transport reports finished transfers into.
+    xfer_done: Vec<XferDone>,
     /// Latency histogram source: completions carry issue/finish times.
     completed_count: Counter,
     tracer: Tracer,
@@ -252,6 +256,7 @@ impl CLib {
             wakers: IdMap::default(),
             queued_since: None,
             next_token: 1,
+            xfer_done: Vec::new(),
             completed_count: Counter::new(),
             tracer: Tracer::disabled(),
             track: Track::Cn(0),
@@ -341,26 +346,24 @@ impl CLib {
         &mut self.transport
     }
 
-    fn vpns_of(&self, va: u64, len: u64) -> Vec<u64> {
-        if len == 0 {
-            return vec![va / self.page_size];
-        }
-        (va / self.page_size..=(va + len - 1) / self.page_size).collect()
+    /// The pages `[va, va + len)` touches (a zero-length access still names
+    /// its page).
+    fn vpns_of(&self, va: u64, len: u64) -> RangeInclusive<u64> {
+        va / self.page_size..=(va + len.max(1) - 1) / self.page_size
     }
 
-    fn classify(&self, op: &Op) -> (AccessClass, Vec<u64>, bool) {
+    /// How `op` accesses which pages; `None` for barriers.
+    fn classify(&self, op: &Op) -> Option<(AccessClass, RangeInclusive<u64>)> {
         match op {
-            Op::Read { va, len, .. } => (AccessClass::Read, self.vpns_of(*va, *len as u64), false),
+            Op::Read { va, len, .. } => Some((AccessClass::Read, self.vpns_of(*va, *len as u64))),
             Op::Write { va, data, .. } => {
-                (AccessClass::Write, self.vpns_of(*va, data.len() as u64), false)
+                Some((AccessClass::Write, self.vpns_of(*va, data.len() as u64)))
             }
-            Op::Lock { va, .. } | Op::Unlock { va, .. } => {
-                (AccessClass::Write, self.vpns_of(*va, 8), false)
-            }
-            Op::Faa { va, .. } | Op::Cas { va, .. } => {
-                (AccessClass::Write, self.vpns_of(*va, 8), false)
-            }
-            Op::Free { va, size, .. } => (AccessClass::Write, self.vpns_of(*va, *size), false),
+            Op::Lock { va, .. }
+            | Op::Unlock { va, .. }
+            | Op::Faa { va, .. }
+            | Op::Cas { va, .. } => Some((AccessClass::Write, self.vpns_of(*va, 8))),
+            Op::Free { va, size, .. } => Some((AccessClass::Write, self.vpns_of(*va, *size))),
             // Metadata and synchronization ops act as barriers (§3.1:
             // "potentially conflicting operations execute synchronously in
             // the program order").
@@ -368,27 +371,28 @@ impl CLib {
             | Op::Fence { .. }
             | Op::Release
             | Op::CreateAs { .. }
-            | Op::DestroyAs { .. } => (AccessClass::Write, vec![], true),
-            Op::Offload { .. } => (AccessClass::Write, vec![], true),
+            | Op::DestroyAs { .. }
+            | Op::Offload { .. } => None,
         }
     }
 
     /// Submits an operation on behalf of `thread`. The returned token is
-    /// echoed in the eventual [`Completion`].
+    /// echoed in the eventual [`Completion`]; completions produced
+    /// synchronously are appended to `completions`.
     pub fn submit(
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         thread: ThreadId,
         op: Op,
-    ) -> (OpToken, Vec<Completion>) {
-        let mut completions = Vec::new();
+        completions: &mut Vec<Completion>,
+    ) -> OpToken {
         let (token, dispatch) = self.admit(ctx, thread, op);
         self.queued_since = None;
         if dispatch {
-            self.dispatch(ctx, nic, token, &mut completions);
+            self.dispatch(ctx, nic, token, completions);
         }
-        (token, completions)
+        token
     }
 
     /// Submits an explicit vector of operations on behalf of `thread` — the
@@ -406,9 +410,9 @@ impl CLib {
         nic: &mut NicPort,
         thread: ThreadId,
         ops: Vec<Op>,
-    ) -> (Vec<OpToken>, Vec<Completion>) {
+        completions: &mut Vec<Completion>,
+    ) -> Vec<OpToken> {
         let mut tokens = Vec::with_capacity(ops.len());
-        let mut completions = Vec::new();
         let mut sends = Vec::new();
         for op in ops {
             let (token, dispatch) = self.admit(ctx, thread, op);
@@ -419,15 +423,34 @@ impl CLib {
                         let trace = self.ops.get(&token).and_then(|p| p.trace);
                         sends.push((XferToken(token.0), target, pid, blueprint, trace));
                     }
-                    None => self.finish_release(ctx, nic, token, &mut completions),
+                    None => self.finish_release(ctx, nic, token, completions),
                 }
             }
         }
         self.queued_since = None;
-        for done in self.transport.send_many(ctx, nic, sends) {
-            self.finish(ctx, nic, done, &mut completions);
+        self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
+            t.send_many(ctx, nic, sends, done)
+        });
+        tokens
+    }
+
+    /// Runs `f` against the transport with the reusable done-buffer, then
+    /// finishes every transfer it reported, in order. A nested call (a
+    /// finished op releasing a dependent whose send completes synchronously)
+    /// finds the buffer taken and works on a fresh one.
+    fn with_transport(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        nic: &mut NicPort,
+        completions: &mut Vec<Completion>,
+        f: impl FnOnce(&mut Transport, &mut Ctx<'_>, &mut NicPort, &mut Vec<XferDone>),
+    ) {
+        let mut done = std::mem::take(&mut self.xfer_done);
+        f(&mut self.transport, ctx, nic, &mut done);
+        for d in done.drain(..) {
+            self.finish(ctx, nic, d, completions);
         }
-        (tokens, completions)
+        self.xfer_done = done;
     }
 
     /// Registers an op with its thread's dependency tracker. Returns its
@@ -435,7 +458,7 @@ impl CLib {
     fn admit(&mut self, ctx: &mut Ctx<'_>, thread: ThreadId, op: Op) -> (OpToken, bool) {
         let token = OpToken(self.next_token);
         self.next_token += 1;
-        let (class, vpns, barrier) = self.classify(&op);
+        let access = self.classify(&op);
         // Ops held back by a runtime in-flight budget are attributed to
         // their arrival time; the wait surfaces as a SubmitQueued span.
         let arrival = self.queued_since.unwrap_or_else(|| ctx.now()).min(ctx.now());
@@ -452,21 +475,10 @@ impl CLib {
         };
         self.ops.insert(token, PendingOp { thread, op, issued_at: arrival, trace });
         let tracker = self.trackers.entry(thread).or_default();
-        let dispatch = if barrier {
-            tracker.submit_barrier(token)
-        } else {
-            tracker.submit(token, class, vpns)
+        let dispatch = match access {
+            Some((class, vpns)) => tracker.submit(token, class, vpns),
+            None => tracker.submit_barrier(token),
         };
-        if std::env::var_os("CLIO_DEBUG").is_some() {
-            eprintln!(
-                "[clib t={} thr={:?}] submit {:?} tok={:?} dispatch={}",
-                ctx.now(),
-                thread,
-                op_kind_dbg(&self.ops[&token].op),
-                token,
-                dispatch
-            );
-        }
         (token, dispatch)
     }
 
@@ -544,98 +556,89 @@ impl CLib {
                 let trace = self.ops.get(&token).and_then(|p| p.trace);
                 // The send can complete synchronously (circuit breaker open
                 // -> fail fast with `Unreachable`).
-                for done in
-                    self.transport.send(ctx, nic, XferToken(token.0), target, pid, blueprint, trace)
-                {
-                    self.finish(ctx, nic, done, completions);
-                }
+                self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
+                    t.send(ctx, nic, XferToken(token.0), target, pid, blueprint, trace, done)
+                });
             }
             None => self.finish_release(ctx, nic, token, completions),
         }
     }
 
-    /// Handles a frame delivered to the CN's NIC.
+    /// Handles a frame delivered to the CN's NIC, appending the operations
+    /// it finished to `completions`.
     pub fn on_frame(
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         frame: Frame,
-    ) -> Vec<Completion> {
-        let mut completions = Vec::new();
+        completions: &mut Vec<Completion>,
+    ) {
         if frame.corrupted {
             // Corrupted response: drop; the request timer will retry.
-            return completions;
+            return;
         }
         let Ok(pkt) = frame.payload.downcast::<clio_proto::ClioPacket>() else {
-            return completions;
+            return;
         };
-        for done in self.transport.on_packet(ctx, nic, pkt) {
-            self.finish(ctx, nic, done, &mut completions);
-        }
-        completions
+        self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
+            t.on_packet(ctx, nic, pkt, done)
+        });
     }
 
-    /// Handles a timer message scheduled by CLib on its host actor. Returns
-    /// completions (e.g. timeout failures).
+    /// Handles a timer message scheduled by CLib on its host actor,
+    /// appending completions (e.g. timeout failures) to `completions`.
+    /// Returns the message back if it is not one of CLib's timers.
     pub fn on_timer(
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         msg: Message,
-    ) -> (Vec<Completion>, Option<Message>) {
+        completions: &mut Vec<Completion>,
+    ) -> Option<Message> {
         let msg = match msg.downcast::<TransportTimer>() {
-            Ok(t) => {
-                let mut completions = Vec::new();
-                for done in self.transport.on_timer(ctx, nic, t) {
-                    self.finish(ctx, nic, done, &mut completions);
-                }
-                return (completions, None);
+            Ok(timer) => {
+                self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
+                    t.on_timer(ctx, nic, timer, done)
+                });
+                return None;
             }
             Err(m) => m,
         };
         match msg.downcast::<LockRetry>() {
             Ok(LockRetry { token }) => {
                 // Re-issue the TAS for a still-pending lock.
-                let mut completions = Vec::new();
                 let args = self.ops.get(&token).and_then(|p| match p.op {
                     Op::Lock { mn, pid, va } => Some((mn, pid, va, p.trace)),
                     _ => None,
                 });
                 if let Some((mn, pid, va, trace)) = args {
-                    for done in self.transport.send(
-                        ctx,
-                        nic,
-                        XferToken(token.0),
-                        mn,
-                        pid,
-                        Blueprint::Atomic { va, op: AtomicKind::Tas },
-                        trace,
-                    ) {
-                        self.finish(ctx, nic, done, &mut completions);
-                    }
+                    let tas = Blueprint::Atomic { va, op: AtomicKind::Tas };
+                    self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
+                        t.send(ctx, nic, XferToken(token.0), mn, pid, tas, trace, done)
+                    });
                 }
-                (completions, None)
+                None
             }
-            Err(m) => (Vec::new(), Some(m)),
+            Err(m) => Some(m),
         }
     }
 
     /// Cancels a still-pending op (its deadline elapsed): withdraws every
     /// transport attempt, ends the op's trace with a [`Stage::Cancelled`]
     /// span, wakes any parked waker, and releases the thread's dependents.
-    /// Returns the resulting completions — the cancelled op's
+    /// Appends the resulting completions — the cancelled op's
     /// [`ClioError::DeadlineExceeded`] failure plus anything dependents
     /// produced synchronously. A token no longer pending (the completion
-    /// won the race) returns nothing; the caller must treat the op as
+    /// won the race) appends nothing; the caller must treat the op as
     /// completed normally.
     pub fn cancel(
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         token: OpToken,
-    ) -> Vec<Completion> {
-        let mut completions = Vec::new();
-        let Some(pending) = self.ops.remove(&token) else { return completions };
+        completions: &mut Vec<Completion>,
+    ) {
+        let Some(pending) = self.ops.remove(&token) else { return };
         self.transport.cancel(ctx, XferToken(token.0));
         if let Some(waker) = self.wakers.remove(&token) {
             waker.wake();
@@ -655,10 +658,9 @@ impl CLib {
         if let Some(tracker) = self.trackers.get_mut(&pending.thread) {
             let released = tracker.complete(token);
             for t in released {
-                self.dispatch(ctx, nic, t, &mut completions);
+                self.dispatch(ctx, nic, t, completions);
             }
         }
-        completions
     }
 
     /// Processes one finished transfer: lock spinning, ordering release,
@@ -671,7 +673,7 @@ impl CLib {
         completions: &mut Vec<Completion>,
     ) {
         let token = OpToken(done.token.0);
-        let Some(pending) = self.ops.get(&pending_key(token)) else { return };
+        let Some(pending) = self.ops.get(&token) else { return };
 
         // Lock spinning: TAS returned 1 -> not acquired; back off and retry.
         if let (Op::Lock { .. }, Ok(XferValue::Old(old))) = (&pending.op, &done.result) {
@@ -698,15 +700,6 @@ impl CLib {
         });
         self.completed_count.inc();
         self.tracer.finish(pending.trace, self.track, ctx.now());
-        if std::env::var_os("CLIO_DEBUG").is_some() {
-            eprintln!(
-                "[clib t={}] finish tok={:?} kind={} ok={}",
-                ctx.now(),
-                token,
-                op_kind_dbg(&pending.op),
-                value.is_ok()
-            );
-        }
         completions.push(Completion {
             token,
             thread: pending.thread,
@@ -723,11 +716,6 @@ impl CLib {
             }
         }
     }
-}
-
-/// Identity helper kept separate so the borrow in `finish` stays obvious.
-fn pending_key(token: OpToken) -> OpToken {
-    token
 }
 
 fn op_kind_dbg(op: &Op) -> &'static str {
@@ -755,21 +743,17 @@ mod tests {
     #[test]
     fn classify_ops() {
         let clib = CLib::new(CLibConfig::default(), 1, 4096);
-        let (c, v, b) = clib.classify(&Op::Read { mn: Mac(1), pid: Pid(1), va: 4000, len: 200 });
-        assert_eq!(c, AccessClass::Read);
-        assert_eq!(v, vec![0, 1], "crosses a page boundary");
-        assert!(!b);
-        let (_, _, b) = clib.classify(&Op::Release);
-        assert!(b, "release is a barrier");
-        let (c, v, _) = clib.classify(&Op::Faa { mn: Mac(1), pid: Pid(1), va: 8, delta: 1 });
-        assert_eq!(c, AccessClass::Write);
-        assert_eq!(v, vec![0]);
+        let read = clib.classify(&Op::Read { mn: Mac(1), pid: Pid(1), va: 4000, len: 200 });
+        assert_eq!(read, Some((AccessClass::Read, 0..=1)), "crosses a page boundary");
+        assert_eq!(clib.classify(&Op::Release), None, "release is a barrier");
+        let faa = clib.classify(&Op::Faa { mn: Mac(1), pid: Pid(1), va: 8, delta: 1 });
+        assert_eq!(faa, Some((AccessClass::Write, 0..=0)));
     }
 
     #[test]
     fn vpn_of_zero_len() {
         let clib = CLib::new(CLibConfig::default(), 1, 4096);
-        assert_eq!(clib.vpns_of(8192, 0), vec![2]);
-        assert_eq!(clib.vpns_of(4095, 2), vec![0, 1]);
+        assert_eq!(clib.vpns_of(8192, 0), 2..=2);
+        assert_eq!(clib.vpns_of(4095, 2), 0..=1);
     }
 }

@@ -9,6 +9,10 @@
 //! discusses this trade-off).
 
 use std::collections::VecDeque;
+use std::hash::Hash;
+use std::ops::RangeInclusive;
+
+use clio_sim::IdMap;
 
 /// Whether an operation reads or mutates its pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,26 +23,71 @@ pub enum AccessClass {
     Write,
 }
 
-/// One tracked operation.
+/// One tracked operation: what it does to which pages. An access touches a
+/// contiguous page range, so the range *is* the page list — no per-op
+/// allocation.
 #[derive(Debug, Clone)]
-struct Tracked<T> {
-    token: T,
+struct Tracked {
     class: AccessClass,
-    /// Virtual page numbers the op touches (tiny for data ops).
-    vpns: Vec<u64>,
+    /// First and last virtual page number touched (unused for barriers).
+    vpns: (u64, u64),
     /// Barrier ops conflict with everything.
     barrier: bool,
 }
 
-impl<T> Tracked<T> {
-    fn conflicts_with(&self, class: AccessClass, vpns: &[u64], barrier: bool) -> bool {
-        if self.barrier || barrier {
+impl Tracked {
+    /// The pages a non-barrier op touches.
+    fn pages(&self) -> RangeInclusive<u64> {
+        self.vpns.0..=self.vpns.1
+    }
+
+    fn conflicts_with(&self, other: &Tracked) -> bool {
+        if self.barrier || other.barrier {
             return true;
         }
-        if self.class == AccessClass::Read && class == AccessClass::Read {
+        if self.class == AccessClass::Read && other.class == AccessClass::Read {
             return false;
         }
-        self.vpns.iter().any(|v| vpns.contains(v))
+        self.vpns.0 <= other.vpns.1 && other.vpns.0 <= self.vpns.1
+    }
+}
+
+/// How many tracked ops use one page, split by whether they are in flight
+/// or still waiting in the pending queue.
+#[derive(Debug, Default, Clone, Copy)]
+struct PageUse {
+    fly_readers: u32,
+    fly_writers: u32,
+    wait_readers: u32,
+    wait_writers: u32,
+}
+
+impl PageUse {
+    fn slot(&mut self, class: AccessClass, inflight: bool) -> &mut u32 {
+        match (class, inflight) {
+            (AccessClass::Read, true) => &mut self.fly_readers,
+            (AccessClass::Write, true) => &mut self.fly_writers,
+            (AccessClass::Read, false) => &mut self.wait_readers,
+            (AccessClass::Write, false) => &mut self.wait_writers,
+        }
+    }
+
+    /// Whether an access of `class` conflicts with the ops counted here —
+    /// in flight only, or waiting ones too.
+    fn blocks(&self, class: AccessClass, with_waiting: bool) -> bool {
+        let (mut readers, mut writers) = (self.fly_readers, self.fly_writers);
+        if with_waiting {
+            readers += self.wait_readers;
+            writers += self.wait_writers;
+        }
+        match class {
+            AccessClass::Read => writers > 0,
+            AccessClass::Write => readers + writers > 0,
+        }
+    }
+
+    fn is_unused(&self) -> bool {
+        self.fly_readers + self.fly_writers + self.wait_readers + self.wait_writers == 0
     }
 }
 
@@ -48,16 +97,31 @@ impl<T> Tracked<T> {
 /// either dispatch immediately or join a FIFO pending queue; completions
 /// release queued operations in program order (a pending op never jumps an
 /// earlier conflicting one).
+///
+/// Tracked ops are indexed by page, so admitting an op costs O(pages it
+/// touches) however many ops are in flight — every task of an executor
+/// shares one thread id, so "in flight" is the whole process's window.
 #[derive(Debug)]
 pub struct DependencyTracker<T> {
-    inflight: Vec<Tracked<T>>,
-    pending: VecDeque<Tracked<T>>,
+    inflight: IdMap<T, Tracked>,
+    pending: VecDeque<(T, Tracked)>,
+    /// Page → use counts over every tracked op (in flight and pending).
+    pages: IdMap<u64, PageUse>,
+    /// Barriers in flight / waiting.
+    fly_barriers: usize,
+    wait_barriers: usize,
 }
 
-impl<T: Copy + PartialEq> DependencyTracker<T> {
+impl<T: Copy + Eq + Hash> DependencyTracker<T> {
     /// An empty tracker.
     pub fn new() -> Self {
-        DependencyTracker { inflight: Vec::new(), pending: VecDeque::new() }
+        DependencyTracker {
+            inflight: IdMap::default(),
+            pending: VecDeque::new(),
+            pages: IdMap::default(),
+            fly_barriers: 0,
+            wait_barriers: 0,
+        }
     }
 
     /// Number of dispatched-but-incomplete operations.
@@ -75,68 +139,93 @@ impl<T: Copy + PartialEq> DependencyTracker<T> {
         self.inflight.is_empty() && self.pending.is_empty()
     }
 
-    /// Submits an operation touching `vpns`. Returns `true` if it may be
-    /// sent now; otherwise it is queued and will be released by
+    /// Submits an operation touching the pages `vpns`. Returns `true` if it
+    /// may be sent now; otherwise it is queued and will be released by
     /// [`complete`](Self::complete).
-    pub fn submit(&mut self, token: T, class: AccessClass, vpns: Vec<u64>) -> bool {
-        self.submit_inner(Tracked { token, class, vpns, barrier: false })
+    pub fn submit(&mut self, token: T, class: AccessClass, vpns: RangeInclusive<u64>) -> bool {
+        self.submit_inner(token, Tracked { class, vpns: vpns.into_inner(), barrier: false })
     }
 
     /// Submits a barrier (`rrelease`/`rfence`): it waits for everything
     /// before it, and everything after waits for it.
     pub fn submit_barrier(&mut self, token: T) -> bool {
-        self.submit_inner(Tracked { token, class: AccessClass::Write, vpns: vec![], barrier: true })
+        self.submit_inner(token, Tracked { class: AccessClass::Write, vpns: (0, 0), barrier: true })
     }
 
-    fn submit_inner(&mut self, t: Tracked<T>) -> bool {
-        let conflicts = self
-            .inflight
-            .iter()
-            .chain(self.pending.iter())
-            .any(|o| o.conflicts_with(t.class, &t.vpns, t.barrier));
-        if conflicts {
-            self.pending.push_back(t);
-            false
-        } else {
-            self.inflight.push(t);
-            true
+    /// Whether `t` conflicts with an op in flight (or, `with_waiting`, with
+    /// any tracked op).
+    fn blocked(&self, t: &Tracked, with_waiting: bool) -> bool {
+        let waiting = if with_waiting { self.pending.len() } else { 0 };
+        if t.barrier {
+            return self.inflight.len() + waiting > 0;
         }
+        let barriers = self.fly_barriers + if with_waiting { self.wait_barriers } else { 0 };
+        barriers > 0
+            || t.pages()
+                .any(|p| self.pages.get(&p).is_some_and(|u| u.blocks(t.class, with_waiting)))
+    }
+
+    /// Moves `t`'s page/barrier counts by one: `add` or remove, on the
+    /// in-flight or the waiting side.
+    fn count(&mut self, t: &Tracked, inflight: bool, add: bool) {
+        if t.barrier {
+            let n = if inflight { &mut self.fly_barriers } else { &mut self.wait_barriers };
+            *n = if add { *n + 1 } else { *n - 1 };
+            return;
+        }
+        for p in t.pages() {
+            let used = self.pages.entry(p).or_default();
+            let n = used.slot(t.class, inflight);
+            *n = if add { *n + 1 } else { *n - 1 };
+            if !add && used.is_unused() {
+                self.pages.remove(&p);
+            }
+        }
+    }
+
+    fn submit_inner(&mut self, token: T, t: Tracked) -> bool {
+        let dispatch = !self.blocked(&t, true);
+        self.count(&t, dispatch, true);
+        if dispatch {
+            self.inflight.insert(token, t);
+        } else {
+            self.pending.push_back((token, t));
+        }
+        dispatch
     }
 
     /// Marks a dispatched operation complete and returns the tokens of
     /// queued operations that become dispatchable, in program order.
     pub fn complete(&mut self, token: T) -> Vec<T> {
-        if let Some(idx) = self.inflight.iter().position(|o| o.token == token) {
-            self.inflight.swap_remove(idx);
+        if let Some(t) = self.inflight.remove(&token) {
+            self.count(&t, true, false);
         }
         let mut released = Vec::new();
-        // Repeatedly promote the longest prefix of pending ops whose
-        // conflicts have cleared, preserving FIFO among conflicting ops.
+        // Promote, front to back, every pending op whose conflicts have
+        // cleared: nothing in flight and nothing queued ahead of it
+        // conflicts, preserving FIFO among conflicting ops.
         let mut i = 0;
         while i < self.pending.len() {
-            let candidate = &self.pending[i];
-            let blocked =
-                self.inflight
-                    .iter()
-                    .any(|o| o.conflicts_with(candidate.class, &candidate.vpns, candidate.barrier))
-                    || self.pending.iter().take(i).any(|o| {
-                        o.conflicts_with(candidate.class, &candidate.vpns, candidate.barrier)
-                    });
+            let candidate = &self.pending[i].1;
+            let blocked = self.blocked(candidate, false)
+                || self.pending.iter().take(i).any(|(_, o)| o.conflicts_with(candidate));
             if blocked {
                 i += 1;
                 continue;
             }
-            let t = self.pending.remove(i).expect("index in range");
-            released.push(t.token);
-            self.inflight.push(t);
-            // Restart: releasing one op can unblock none of the earlier
-            // ones, but indices shifted.
+            let (token, t) = self.pending.remove(i).expect("index in range");
+            self.count(&t, false, false);
+            self.count(&t, true, true);
+            released.push(token);
+            self.inflight.insert(token, t);
+            // Releasing one op can unblock none of the earlier ones (it only
+            // adds to what is in flight), so the scan resumes at index `i`.
         }
         released
     }
 }
 
-impl<T: Copy + PartialEq> Default for DependencyTracker<T> {
+impl<T: Copy + Eq + Hash> Default for DependencyTracker<T> {
     fn default() -> Self {
         Self::new()
     }
@@ -150,32 +239,32 @@ mod tests {
     #[test]
     fn independent_ops_fly_together() {
         let mut d = DependencyTracker::new();
-        assert!(d.submit(1u32, Write, vec![1]));
-        assert!(d.submit(2, Write, vec![2]));
-        assert!(d.submit(3, Read, vec![3]));
+        assert!(d.submit(1u32, Write, 1..=1));
+        assert!(d.submit(2, Write, 2..=2));
+        assert!(d.submit(3, Read, 3..=3));
         assert_eq!(d.inflight_len(), 3);
     }
 
     #[test]
     fn reads_to_same_page_do_not_conflict() {
         let mut d = DependencyTracker::new();
-        assert!(d.submit(1u32, Read, vec![7]));
-        assert!(d.submit(2, Read, vec![7]));
+        assert!(d.submit(1u32, Read, 7..=7));
+        assert!(d.submit(2, Read, 7..=7));
     }
 
     #[test]
     fn waw_raw_war_block() {
         let mut d = DependencyTracker::new();
-        assert!(d.submit(1u32, Write, vec![7]));
-        assert!(!d.submit(2, Write, vec![7]), "WAW");
-        assert!(!d.submit(3, Read, vec![7]), "RAW");
+        assert!(d.submit(1u32, Write, 7..=7));
+        assert!(!d.submit(2, Write, 7..=7), "WAW");
+        assert!(!d.submit(3, Read, 7..=7), "RAW");
         let released = d.complete(1);
         assert_eq!(released, vec![2], "only the WAW write releases first");
         let released = d.complete(2);
         assert_eq!(released, vec![3]);
         // WAR: read in flight blocks a write.
-        assert!(d.submit(4, Read, vec![9]));
-        assert!(!d.submit(5, Write, vec![9]), "WAR");
+        assert!(d.submit(4, Read, 9..=9));
+        assert!(!d.submit(5, Write, 9..=9), "WAR");
         d.complete(3);
         assert_eq!(d.complete(4), vec![5]);
     }
@@ -183,9 +272,9 @@ mod tests {
     #[test]
     fn program_order_preserved_among_conflicting_ops() {
         let mut d = DependencyTracker::new();
-        assert!(d.submit(1u32, Write, vec![1]));
-        assert!(!d.submit(2, Write, vec![1]));
-        assert!(!d.submit(3, Write, vec![1]));
+        assert!(d.submit(1u32, Write, 1..=1));
+        assert!(!d.submit(2, Write, 1..=1));
+        assert!(!d.submit(3, Write, 1..=1));
         // Completing 1 must release 2 (not 3).
         assert_eq!(d.complete(1), vec![2]);
         assert_eq!(d.complete(2), vec![3]);
@@ -194,10 +283,10 @@ mod tests {
     #[test]
     fn barrier_waits_for_everything_and_blocks_everything() {
         let mut d = DependencyTracker::new();
-        assert!(d.submit(1u32, Read, vec![1]));
-        assert!(d.submit(2, Write, vec![2]));
+        assert!(d.submit(1u32, Read, 1..=1));
+        assert!(d.submit(2, Write, 2..=2));
         assert!(!d.submit_barrier(10), "barrier waits for in-flight ops");
-        assert!(!d.submit(3, Read, vec![99]), "ops after a barrier wait for it");
+        assert!(!d.submit(3, Read, 99..=99), "ops after a barrier wait for it");
         d.complete(1);
         let rel = d.complete(2);
         assert_eq!(rel, vec![10], "barrier dispatches once drained");
@@ -209,9 +298,9 @@ mod tests {
     #[test]
     fn multi_page_ops_conflict_on_any_shared_page() {
         let mut d = DependencyTracker::new();
-        assert!(d.submit(1u32, Write, vec![1, 2, 3]));
-        assert!(!d.submit(2, Read, vec![3, 4]), "overlap on page 3");
-        assert!(d.submit(3, Read, vec![4, 5]));
+        assert!(d.submit(1u32, Write, 1..=3));
+        assert!(!d.submit(2, Read, 3..=4), "overlap on page 3");
+        assert!(d.submit(3, Read, 4..=5));
     }
 
     #[test]
@@ -219,8 +308,8 @@ mod tests {
         // Two writes to different addresses on the SAME page conflict —
         // the documented false-dependency trade-off.
         let mut d = DependencyTracker::new();
-        assert!(d.submit(1u32, Write, vec![7]));
-        assert!(!d.submit(2, Write, vec![7]));
+        assert!(d.submit(1u32, Write, 7..=7));
+        assert!(!d.submit(2, Write, 7..=7));
     }
 
     #[test]
@@ -228,9 +317,9 @@ mod tests {
         // Release ordering allows non-dependent ops to proceed even while a
         // dependent chain is queued.
         let mut d = DependencyTracker::new();
-        assert!(d.submit(1u32, Write, vec![1]));
-        assert!(!d.submit(2, Write, vec![1]), "dependent: queued");
-        assert!(d.submit(3, Write, vec![2]), "independent: dispatches immediately");
+        assert!(d.submit(1u32, Write, 1..=1));
+        assert!(!d.submit(2, Write, 1..=1), "dependent: queued");
+        assert!(d.submit(3, Write, 2..=2), "independent: dispatches immediately");
         assert_eq!(d.inflight_len(), 2);
         assert_eq!(d.pending_len(), 1);
     }

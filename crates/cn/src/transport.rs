@@ -183,46 +183,49 @@ pub enum AtomicKind {
 }
 
 impl Blueprint {
-    fn build(&self, req_id: ReqId, retry_of: Option<ReqId>, pid: Pid) -> Vec<ClioPacket> {
-        let single = |body: RequestBody| {
-            vec![ClioPacket::Request {
-                // Trace and srtt echo are stamped post-build by
-                // `Transport::annotate`.
-                header: ReqHeader {
-                    req_id,
-                    retry_of,
-                    pid,
-                    pkt_index: 0,
-                    pkt_count: 1,
-                    trace: None,
-                    srtt_echo_ns: None,
-                },
-                body,
-            }]
-        };
-        match self {
-            Blueprint::Read { va, len } => single(RequestBody::Read { va: *va, len: *len }),
-            Blueprint::Write { va, data } => split_write(req_id, retry_of, pid, *va, data.clone()),
-            Blueprint::Atomic { va, op } => single(match op {
+    /// The request's body when it travels as one packet: everything except
+    /// a write larger than one MTU fragment.
+    fn single_body(&self) -> Option<RequestBody> {
+        Some(match self {
+            Blueprint::Read { va, len } => RequestBody::Read { va: *va, len: *len },
+            Blueprint::Write { va, data } if data.len() <= MAX_WRITE_FRAG_PAYLOAD => {
+                RequestBody::WriteFrag { va: *va, data: data.clone() }
+            }
+            Blueprint::Write { .. } => return None,
+            Blueprint::Atomic { va, op } => match op {
                 AtomicKind::Tas => RequestBody::AtomicTas { va: *va },
                 AtomicKind::Store(v) => RequestBody::AtomicStore { va: *va, value: *v },
                 AtomicKind::Cas { expected, new } => {
                     RequestBody::AtomicCas { va: *va, expected: *expected, new: *new }
                 }
                 AtomicKind::Faa(d) => RequestBody::AtomicFaa { va: *va, delta: *d },
-            }),
-            Blueprint::Fence => single(RequestBody::Fence),
+            },
+            Blueprint::Fence => RequestBody::Fence,
             Blueprint::Alloc { size, perm, fixed_va } => {
-                single(RequestBody::Alloc { size: *size, perm: *perm, fixed_va: *fixed_va })
+                RequestBody::Alloc { size: *size, perm: *perm, fixed_va: *fixed_va }
             }
-            Blueprint::Free { va, size } => single(RequestBody::Free { va: *va, size: *size }),
-            Blueprint::CreateAs => single(RequestBody::CreateAs),
-            Blueprint::DestroyAs => single(RequestBody::DestroyAs),
-            Blueprint::Offload { offload, opcode, arg } => single(RequestBody::OffloadCall {
-                offload: *offload,
-                opcode: *opcode,
-                arg: arg.clone(),
-            }),
+            Blueprint::Free { va, size } => RequestBody::Free { va: *va, size: *size },
+            Blueprint::CreateAs => RequestBody::CreateAs,
+            Blueprint::DestroyAs => RequestBody::DestroyAs,
+            Blueprint::Offload { offload, opcode, arg } => {
+                RequestBody::OffloadCall { offload: *offload, opcode: *opcode, arg: arg.clone() }
+            }
+        })
+    }
+
+    /// Builds the request's packets into `out` (cleared first). Trace and
+    /// srtt echo are stamped post-build by `Transport::annotate`.
+    fn build(&self, req_id: ReqId, retry_of: Option<ReqId>, pid: Pid, out: &mut Vec<ClioPacket>) {
+        out.clear();
+        match (self.single_body(), self) {
+            (Some(body), _) => {
+                let header = ReqHeader { retry_of, ..ReqHeader::single(req_id, pid) };
+                out.push(ClioPacket::Request { header, body });
+            }
+            (None, Blueprint::Write { va, data }) => {
+                out.extend(split_write(req_id, retry_of, pid, *va, data.clone()));
+            }
+            (None, _) => unreachable!("only large writes span packets"),
         }
     }
 
@@ -415,6 +418,20 @@ struct QueuedSend {
     trace: Option<TraceCtx>,
 }
 
+/// The packing state one pump reuses across calls, so a lone request costs
+/// no allocation on its way into a frame.
+#[derive(Debug)]
+struct PackScratch {
+    /// The batch frame under assembly.
+    batch: BatchBuilder,
+    /// Trace contexts of the requests currently packed in `batch`, in push
+    /// order: their NIC-serialization spans are stitched when the shared
+    /// frame actually leaves (`flush_batch`).
+    traces: Vec<Option<TraceCtx>>,
+    /// The packets of a request that travels outside the batch.
+    packets: Vec<ClioPacket>,
+}
+
 /// A deliberately planted transport bug, used **only** by the model
 /// checker's self-test: `clio_mc` must demonstrate it can catch a window
 /// leak before its clean-search result means anything. Production code
@@ -540,6 +557,8 @@ pub struct Transport {
     retry_doorbells: IdSet<Mac>,
     /// Reused by [`Self::kick_all`] to visit the queues in `Mac` order.
     kick_scratch: Vec<Mac>,
+    /// Taken by a pump for its duration (built on first use).
+    pack: Option<PackScratch>,
     /// Retries performed (for stats).
     pub retry_count: Counter,
     /// Multi-request batch frames sent (for stats).
@@ -588,6 +607,7 @@ impl Transport {
             retry_queues: IdMap::default(),
             retry_doorbells: IdSet::default(),
             kick_scratch: Vec::new(),
+            pack: None,
             retry_count: Counter::new(),
             batch_frames: Counter::new(),
             batched_ops: Counter::new(),
@@ -875,9 +895,9 @@ impl Transport {
     /// batching enabled it is queued and the (load-adaptive) doorbell
     /// coalesces every submission sharing a pump into shared frames.
     ///
-    /// Returns completions produced synchronously: with the circuit
-    /// breaker toward `target` open, the request fails fast here with
-    /// [`ClioError::Unreachable`] instead of waiting out a retry budget.
+    /// Completions produced synchronously are appended to `done`: with the
+    /// circuit breaker toward `target` open, the request fails fast here
+    /// with [`ClioError::Unreachable`] instead of waiting out a retry budget.
     #[allow(clippy::too_many_arguments)] // the op's full identity travels together
     pub fn send(
         &mut self,
@@ -888,14 +908,13 @@ impl Transport {
         pid: Pid,
         blueprint: Blueprint,
         trace: Option<TraceCtx>,
-    ) -> Vec<XferDone> {
-        let mut done = Vec::new();
+        done: &mut Vec<XferDone>,
+    ) {
         self.note_submission(target, ctx.now());
         self.tracer.stitch(trace, self.track, Stage::Submit, ctx.now());
         let q = QueuedSend { token, pid, blueprint, enqueued_at: ctx.now(), trace };
         self.queues.entry(target).or_default().push_back(q);
-        self.kick(ctx, nic, target, &mut done);
-        done
+        self.kick(ctx, nic, target, done);
     }
 
     /// Submits an explicit vector of requests (the scatter/gather path):
@@ -907,8 +926,8 @@ impl Transport {
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         requests: Vec<(XferToken, Mac, Pid, Blueprint, Option<TraceCtx>)>,
-    ) -> Vec<XferDone> {
-        let mut done = Vec::new();
+        done: &mut Vec<XferDone>,
+    ) {
         let now = ctx.now();
         let mut targets: Vec<Mac> = Vec::new();
         for (token, target, pid, blueprint, trace) in requests {
@@ -924,9 +943,8 @@ impl Transport {
             if let Some(ev) = self.doorbells.remove(&target) {
                 ctx.cancel(ev);
             }
-            self.pump(ctx, nic, target, &mut done);
+            self.pump(ctx, nic, target, done);
         }
-        done
     }
 
     /// Feeds the per-MN inter-submission-gap estimate (EWMA, α = 1/4) that
@@ -1064,12 +1082,7 @@ impl Transport {
             }
             return;
         }
-        let mut batch =
-            BatchBuilder::new(self.cfg.batch_max_ops as usize, self.cfg.batch_max_bytes as usize);
-        // Trace contexts of the requests currently packed in `batch`, in
-        // push order: their NIC-serialization spans are stitched when the
-        // shared frame actually leaves (flush_batch).
-        let mut batch_traces: Vec<Option<TraceCtx>> = Vec::new();
+        let mut pack = self.take_pack();
         loop {
             let now = ctx.now();
             let Some(queue) = self.queues.get_mut(&target) else { break };
@@ -1103,8 +1116,7 @@ impl Transport {
                 self.transmit_batched(
                     ctx,
                     nic,
-                    &mut batch,
-                    &mut batch_traces,
+                    &mut pack,
                     q.token,
                     target,
                     q.pid,
@@ -1116,10 +1128,11 @@ impl Transport {
             } else {
                 // Flush first so the MN still sees requests in send order
                 // (fences must not overtake the batch in front of them).
-                self.flush_batch(ctx, nic, target, &mut batch, &mut batch_traces);
+                self.flush_batch(ctx, nic, target, &mut pack);
                 self.transmit(
                     ctx,
                     nic,
+                    &mut pack.packets,
                     q.token,
                     target,
                     q.pid,
@@ -1132,19 +1145,62 @@ impl Transport {
                 );
             }
         }
-        self.flush_batch(ctx, nic, target, &mut batch, &mut batch_traces);
+        self.flush_batch(ctx, nic, target, &mut pack);
+        self.pack = Some(pack);
     }
 
-    /// Registers a batchable request as outstanding and adds its single
-    /// packet to `batch`, flushing first when a budget would be busted. A
-    /// request too large to share even an empty batch ships alone.
+    /// The pump's packing state: the one a previous pump left, or a fresh
+    /// one the first time.
+    fn take_pack(&mut self) -> PackScratch {
+        self.pack.take().unwrap_or_else(|| PackScratch {
+            batch: BatchBuilder::new(
+                self.cfg.batch_max_ops as usize,
+                self.cfg.batch_max_bytes as usize,
+            ),
+            traces: Vec::new(),
+            packets: Vec::new(),
+        })
+    }
+
+    /// Adds one single-packet request to the batch under assembly, flushing
+    /// first when a budget would be busted. A request too large to share
+    /// even an empty batch ships alone. Returns how many wire frames left.
+    #[allow(clippy::too_many_arguments)] // a request's header fields travel together
+    fn pack_single(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        nic: &mut NicPort,
+        pack: &mut PackScratch,
+        send_start: SimTime,
+        target: Mac,
+        mut header: ReqHeader,
+        body: RequestBody,
+    ) -> u64 {
+        header.srtt_echo_ns = self.srtt_echo(target);
+        let trace = header.trace;
+        let entry_wire = codec::request_wire_len(&body);
+        let flushed = !pack.batch.fits(entry_wire) && self.flush_batch(ctx, nic, target, pack);
+        if pack.batch.fits(entry_wire) {
+            pack.batch.push(header, body);
+            pack.traces.push(trace);
+            return flushed as u64;
+        }
+        let wire = (entry_wire + ETH_OVERHEAD_BYTES) as u32;
+        let pkt = ClioPacket::Request { header, body };
+        let tx_end = nic.send_at(ctx, send_start, target, wire, Message::new(pkt));
+        self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
+        self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
+        flushed as u64 + 1
+    }
+
+    /// Registers a batchable request as outstanding and packs its single
+    /// packet (see [`Self::pack_single`]).
     #[allow(clippy::too_many_arguments)] // internal sibling of `transmit`
     fn transmit_batched(
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
-        batch: &mut BatchBuilder,
-        batch_traces: &mut Vec<Option<TraceCtx>>,
+        pack: &mut PackScratch,
         token: XferToken,
         target: Mac,
         pid: Pid,
@@ -1154,27 +1210,10 @@ impl Transport {
         trace: Option<TraceCtx>,
     ) {
         let req_id = self.fresh_id();
-        let mut packets = blueprint.build(req_id, None, pid);
-        debug_assert_eq!(packets.len(), 1, "batchable requests are single-packet");
-        self.annotate(&mut packets, target, trace);
-        let pkt = packets.pop().expect("single packet");
-        let entry_wire = codec::wire_len(&pkt);
-        if !batch.fits(entry_wire) {
-            self.flush_batch(ctx, nic, target, batch, batch_traces);
-        }
-        if batch.fits(entry_wire) {
-            let ClioPacket::Request { header, body } = pkt else {
-                unreachable!("blueprints build request packets")
-            };
-            batch.push(header, body);
-            batch_traces.push(trace);
-        } else {
-            let wire = (entry_wire + ETH_OVERHEAD_BYTES) as u32;
-            let send_start = ctx.now() + self.cfg.send_overhead;
-            let tx_end = nic.send_at(ctx, send_start, target, wire, Message::new(pkt));
-            self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
-            self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
-        }
+        let body = blueprint.single_body().expect("batchable requests are single-packet");
+        let header = ReqHeader { trace, ..ReqHeader::single(req_id, pid) };
+        let send_start = ctx.now() + self.cfg.send_overhead;
+        self.pack_single(ctx, nic, pack, send_start, target, header, body);
         let timer = ctx.schedule(
             blueprint.timeout(self.cfg.request_timeout),
             Message::new(TransportTimer::Timeout(req_id)),
@@ -1207,12 +1246,11 @@ impl Transport {
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         target: Mac,
-        batch: &mut BatchBuilder,
-        batch_traces: &mut Vec<Option<TraceCtx>>,
+        pack: &mut PackScratch,
     ) -> bool {
-        let ops = batch.len() as u64;
-        let Some(pkt) = batch.take() else {
-            batch_traces.clear();
+        let ops = pack.batch.len() as u64;
+        let Some(pkt) = pack.batch.take() else {
+            pack.traces.clear();
             return false;
         };
         if ops > 1 {
@@ -1222,7 +1260,7 @@ impl Transport {
         let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
         let send_start = ctx.now() + self.cfg.send_overhead;
         let tx_end = nic.send_at(ctx, send_start, target, wire, Message::new(pkt));
-        for trace in batch_traces.drain(..) {
+        for trace in pack.traces.drain(..) {
             self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
             self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
         }
@@ -1235,11 +1273,7 @@ impl Transport {
     /// reserved header bits (zero wire bytes); the echo is always encoded,
     /// tracing on or off, so the wire image never depends on observability.
     fn annotate(&self, packets: &mut [ClioPacket], target: Mac, trace: Option<TraceCtx>) {
-        let echo = self
-            .cwnds
-            .get(&target)
-            .and_then(CongestionWindow::srtt)
-            .map(|s| s.as_nanos().min(u32::MAX as u64) as u32);
+        let echo = self.srtt_echo(target);
         for pkt in packets {
             if let ClioPacket::Request { header, .. } = pkt {
                 header.trace = trace;
@@ -1248,11 +1282,21 @@ impl Transport {
         }
     }
 
+    /// The CN's current smoothed RTT toward `target`, as echoed in request
+    /// headers (saturating at `u32::MAX` ns; `None` before the first sample).
+    fn srtt_echo(&self, target: Mac) -> Option<u32> {
+        self.cwnds
+            .get(&target)
+            .and_then(CongestionWindow::srtt)
+            .map(|s| s.as_nanos().min(u32::MAX as u64) as u32)
+    }
+
     #[allow(clippy::too_many_arguments)] // internal send/retry core
     fn transmit(
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
+        packets: &mut Vec<ClioPacket>,
         token: XferToken,
         target: Mac,
         pid: Pid,
@@ -1265,14 +1309,13 @@ impl Transport {
     ) {
         let req_id = self.fresh_id();
         let retry_of = retry_of.filter(|_| blueprint.is_non_idempotent());
-        let mut packets = blueprint.build(req_id, retry_of, pid);
-        self.annotate(&mut packets, target, trace);
+        blueprint.build(req_id, retry_of, pid, packets);
+        self.annotate(packets, target, trace);
         let send_start = ctx.now() + self.cfg.send_overhead;
         let mut tx_end = send_start;
-        for pkt in &packets {
-            let wire = (codec::wire_len(pkt) + ETH_OVERHEAD_BYTES) as u32;
-            tx_end =
-                tx_end.max(nic.send_at(ctx, send_start, target, wire, Message::new(pkt.clone())));
+        for pkt in packets.drain(..) {
+            let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
+            tx_end = tx_end.max(nic.send_at(ctx, send_start, target, wire, Message::new(pkt)));
         }
         self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
         self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
@@ -1280,6 +1323,7 @@ impl Transport {
             blueprint.timeout(self.cfg.request_timeout),
             Message::new(TransportTimer::Timeout(req_id)),
         );
+        let expected_bytes = blueprint.expected_response_bytes();
         self.outstanding.insert(
             req_id,
             Outstanding {
@@ -1287,7 +1331,7 @@ impl Transport {
                 target,
                 pid,
                 blueprint,
-                expected_bytes: 0, // filled below
+                expected_bytes,
                 origin: req_id,
                 attempt_sent_at: ctx.now(),
                 first_sent_at,
@@ -1297,8 +1341,6 @@ impl Transport {
                 trace,
             },
         );
-        let bytes = self.outstanding[&req_id].blueprint.expected_response_bytes();
-        self.outstanding.get_mut(&req_id).expect("just inserted").expected_bytes = bytes;
     }
 
     fn release_windows(&mut self, now: SimTime, o: &Outstanding, rtt: Option<SimDuration>) {
@@ -1363,9 +1405,8 @@ impl Transport {
         found
     }
 
-    /// Handles a frame payload (a [`ClioPacket`]) delivered to this CN.
-    /// Returns completions to surface and the MACs whose queues may now
-    /// drain (the caller should keep forwarding frames in).
+    /// Handles a frame payload (a [`ClioPacket`]) delivered to this CN,
+    /// appending the completions to surface to `done`.
     ///
     /// # Invariants
     ///
@@ -1384,13 +1425,13 @@ impl Transport {
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         pkt: ClioPacket,
-    ) -> Vec<XferDone> {
-        let mut done = Vec::new();
+        done: &mut Vec<XferDone>,
+    ) {
         match pkt {
             ClioPacket::Response { header, body } => {
-                if self.handle_response(ctx, header, body, &mut done) {
+                if self.handle_response(ctx, header, body, done) {
                     // A completion freed window space: drain every queue.
-                    self.kick_all(ctx, nic, &mut done);
+                    self.kick_all(ctx, nic, done);
                 }
             }
             ClioPacket::BatchResp { responses } => {
@@ -1399,20 +1440,20 @@ impl Transport {
                 // arrived in its own frame; only the framing was shared.
                 let mut completed = false;
                 for (header, body) in responses {
-                    completed |= self.handle_response(ctx, header, body, &mut done);
+                    completed |= self.handle_response(ctx, header, body, done);
                 }
                 if completed {
                     // One drain for the whole frame: the first kick arms
                     // the doorbells, further passes would no-op.
-                    self.kick_all(ctx, nic, &mut done);
+                    self.kick_all(ctx, nic, done);
                 }
             }
             ClioPacket::Nack { req_id } => {
-                if self.handle_nack(ctx, req_id, &mut done) {
+                if self.handle_nack(ctx, req_id, done) {
                     // The failure freed window space just like a
                     // completion: drain queued requests now instead of
                     // stalling them until an unrelated completion.
-                    self.kick_all(ctx, nic, &mut done);
+                    self.kick_all(ctx, nic, done);
                 }
             }
             ClioPacket::BatchNack { req_ids } => {
@@ -1424,16 +1465,15 @@ impl Transport {
                 // direction per corrupted frame.
                 let mut failed = false;
                 for req_id in req_ids {
-                    failed |= self.handle_nack(ctx, req_id, &mut done);
+                    failed |= self.handle_nack(ctx, req_id, done);
                 }
                 if failed {
-                    self.kick_all(ctx, nic, &mut done);
+                    self.kick_all(ctx, nic, done);
                 }
             }
             // CNs never receive requests (batched or not).
             ClioPacket::Request { .. } | ClioPacket::Batch { .. } => {}
         }
-        done
     }
 
     /// Handles one link-layer NACK — shared by plain `Nack` frames and
@@ -1613,68 +1653,47 @@ impl Transport {
             }
             return;
         }
-        let mut batch =
-            BatchBuilder::new(self.cfg.batch_max_ops as usize, self.cfg.batch_max_bytes as usize);
-        let mut batch_traces: Vec<Option<TraceCtx>> = Vec::new();
+        let mut pack = self.take_pack();
         let send_start = ctx.now() + self.cfg.send_overhead;
         for (req_id, retry_of) in entries {
             // A retry can only vanish between queue and pump if its own
             // timer fired first; the timeout path re-queues it.
             let Some(o) = self.outstanding.get(&req_id) else { continue };
-            let trace = o.trace;
+            let (trace, pid) = (o.trace, o.pid);
             self.tracer.stitch(trace, self.track, Stage::RetryDoorbell, ctx.now());
-            let mut packets = o.blueprint.build(req_id, retry_of, o.pid);
-            let batchable = self.batching() && packets.len() == 1 && o.blueprint.is_batchable();
-            self.annotate(&mut packets, target, trace);
-            if batchable {
-                let pkt = packets.pop().expect("single packet");
-                let entry_wire = codec::wire_len(&pkt);
-                if !batch.fits(entry_wire)
-                    && self.flush_batch(ctx, nic, target, &mut batch, &mut batch_traces)
-                {
-                    self.retry_frames.inc();
-                }
-                if batch.fits(entry_wire) {
-                    let ClioPacket::Request { header, body } = pkt else {
-                        unreachable!("blueprints build request packets")
-                    };
-                    batch.push(header, body);
-                    batch_traces.push(trace);
-                } else {
-                    let wire = (entry_wire + ETH_OVERHEAD_BYTES) as u32;
-                    let tx_end = nic.send_at(ctx, send_start, target, wire, Message::new(pkt));
-                    self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
-                    self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
-                    self.retry_frames.inc();
-                }
+            let single = o.blueprint.single_body().filter(|_| o.blueprint.is_batchable());
+            if let (Some(body), true) = (single, self.batching()) {
+                let header = ReqHeader { retry_of, trace, ..ReqHeader::single(req_id, pid) };
+                let frames =
+                    self.pack_single(ctx, nic, &mut pack, send_start, target, header, body);
+                self.retry_frames.add(frames);
             } else {
                 // Multi-packet or unbatchable retries flush the batch ahead
                 // of them (send order) and travel alone.
-                if self.flush_batch(ctx, nic, target, &mut batch, &mut batch_traces) {
+                o.blueprint.build(req_id, retry_of, pid, &mut pack.packets);
+                if self.flush_batch(ctx, nic, target, &mut pack) {
                     self.retry_frames.inc();
                 }
+                self.annotate(&mut pack.packets, target, trace);
                 let mut tx_end = send_start;
-                for pkt in &packets {
-                    let wire = (codec::wire_len(pkt) + ETH_OVERHEAD_BYTES) as u32;
-                    tx_end = tx_end.max(nic.send_at(
-                        ctx,
-                        send_start,
-                        target,
-                        wire,
-                        Message::new(pkt.clone()),
-                    ));
+                for pkt in pack.packets.drain(..) {
+                    let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
+                    tx_end =
+                        tx_end.max(nic.send_at(ctx, send_start, target, wire, Message::new(pkt)));
                     self.retry_frames.inc();
                 }
                 self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
                 self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
             }
         }
-        if self.flush_batch(ctx, nic, target, &mut batch, &mut batch_traces) {
+        if self.flush_batch(ctx, nic, target, &mut pack) {
             self.retry_frames.inc();
         }
+        self.pack = Some(pack);
     }
 
-    /// Handles a transport timer routed back by the host actor.
+    /// Handles a transport timer routed back by the host actor, appending
+    /// the completions it produces to `done`.
     ///
     /// # Invariants
     ///
@@ -1692,12 +1711,12 @@ impl Transport {
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         timer: TransportTimer,
-    ) -> Vec<XferDone> {
-        let mut done = Vec::new();
+        done: &mut Vec<XferDone>,
+    ) {
         match timer {
             TransportTimer::Timeout(req_id) => {
                 let Some(mut o) = self.outstanding.remove(&req_id) else {
-                    return done; // completed already
+                    return; // completed already
                 };
                 o.timer = None;
                 self.retry_count.inc();
@@ -1718,7 +1737,7 @@ impl Transport {
                         result: Err(ClioError::Unreachable { mn: o.target }),
                         rtt: now.since(o.first_sent_at),
                     });
-                    self.kick_all(ctx, nic, &mut done);
+                    self.kick_all(ctx, nic, done);
                 } else if o.retries > self.cfg.max_retries {
                     self.release_windows(now, &o, None);
                     done.push(XferDone {
@@ -1730,7 +1749,7 @@ impl Transport {
                         }),
                         rtt: now.since(o.first_sent_at),
                     });
-                    self.kick_all(ctx, nic, &mut done);
+                    self.kick_all(ctx, nic, done);
                 } else {
                     o.trace = self.tracer.retry(o.trace, now);
                     // Timeout is a congestion signal; shrink but keep the
@@ -1742,8 +1761,8 @@ impl Transport {
                     self.queue_retransmit(ctx, o, req_id);
                 }
             }
-            TransportTimer::Pump(mac) => self.pump(ctx, nic, mac, &mut done),
-            TransportTimer::RetryPump(mac) => self.retry_pump(ctx, nic, mac, &mut done),
+            TransportTimer::Pump(mac) => self.pump(ctx, nic, mac, done),
+            TransportTimer::RetryPump(mac) => self.retry_pump(ctx, nic, mac, done),
             TransportTimer::BreakerProbe(mac) => {
                 if let Some(h) = self.health.get_mut(&mac) {
                     if h.state == BreakerState::Open {
@@ -1751,7 +1770,7 @@ impl Transport {
                         // gauge stays up — the peer is not healthy until a
                         // probe actually completes.
                         h.state = BreakerState::HalfOpen;
-                        self.kick(ctx, nic, mac, &mut done);
+                        self.kick(ctx, nic, mac, done);
                     }
                 }
             }
@@ -1769,10 +1788,9 @@ impl Transport {
                         trace: o.trace,
                     });
                     self.conflict_generations.insert(o.token, o.conflict_retries + 1);
-                    self.kick(ctx, nic, target, &mut done);
+                    self.kick(ctx, nic, target, done);
                 }
             }
         }
-        done
     }
 }

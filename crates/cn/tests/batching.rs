@@ -38,31 +38,27 @@ impl Actor for CnHost {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         let msg = match msg.downcast::<Submit>() {
             Ok(s) => {
-                let (_tok, comps) = self.clib.submit(ctx, &mut self.nic, s.thread, s.op);
-                self.completions.extend(comps);
+                self.clib.submit(ctx, &mut self.nic, s.thread, s.op, &mut self.completions);
                 return;
             }
             Err(m) => m,
         };
         let msg = match msg.downcast::<SubmitV>() {
             Ok(s) => {
-                let (_toks, comps) = self.clib.submit_many(ctx, &mut self.nic, s.thread, s.ops);
-                self.completions.extend(comps);
+                self.clib.submit_many(ctx, &mut self.nic, s.thread, s.ops, &mut self.completions);
                 return;
             }
             Err(m) => m,
         };
         let msg = match msg.downcast::<Frame>() {
             Ok(f) => {
-                let comps = self.clib.on_frame(ctx, &mut self.nic, f);
-                self.completions.extend(comps);
+                self.clib.on_frame(ctx, &mut self.nic, f, &mut self.completions);
                 return;
             }
             Err(m) => m,
         };
-        let (comps, leftover) = self.clib.on_timer(ctx, &mut self.nic, msg);
+        let leftover = self.clib.on_timer(ctx, &mut self.nic, msg, &mut self.completions);
         assert!(leftover.is_none(), "unexpected message at CN host");
-        self.completions.extend(comps);
     }
 }
 

@@ -35,7 +35,8 @@ impl Actor for CnHost {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         let msg = match msg.downcast::<Submit>() {
             Ok(s) => {
-                let (_tok, comps) = self.clib.submit(ctx, &mut self.nic, s.thread, s.op);
+                let mut comps = Vec::new();
+                self.clib.submit(ctx, &mut self.nic, s.thread, s.op, &mut comps);
                 self.absorb(comps);
                 return;
             }
@@ -43,13 +44,15 @@ impl Actor for CnHost {
         };
         let msg = match msg.downcast::<Frame>() {
             Ok(f) => {
-                let comps = self.clib.on_frame(ctx, &mut self.nic, f);
+                let mut comps = Vec::new();
+                self.clib.on_frame(ctx, &mut self.nic, f, &mut comps);
                 self.absorb(comps);
                 return;
             }
             Err(m) => m,
         };
-        let (comps, leftover) = self.clib.on_timer(ctx, &mut self.nic, msg);
+        let mut comps = Vec::new();
+        let leftover = self.clib.on_timer(ctx, &mut self.nic, msg, &mut comps);
         assert!(leftover.is_none(), "unexpected message at CN host");
         self.absorb(comps);
     }

@@ -74,7 +74,9 @@ impl Actor for Host {
         let msg = match msg.downcast::<Go>() {
             Ok(go) => {
                 for (i, bp) in go.ops.into_iter().enumerate() {
-                    let done = self.transport.send(
+                    // Synchronous completions (breaker fail-fast) surface
+                    // from `send` itself.
+                    self.transport.send(
                         ctx,
                         &mut self.nic,
                         XferToken(go.base + i as u64),
@@ -82,10 +84,8 @@ impl Actor for Host {
                         clio_proto::Pid(7),
                         bp,
                         None,
+                        &mut self.done,
                     );
-                    // Synchronous completions (breaker fail-fast) surface
-                    // from `send` itself.
-                    self.done.extend(done);
                 }
                 return;
             }
@@ -94,13 +94,13 @@ impl Actor for Host {
         let msg = match msg.downcast::<Frame>() {
             Ok(f) => {
                 let pkt = f.payload.downcast::<ClioPacket>().expect("clio packet");
-                self.done.extend(self.transport.on_packet(ctx, &mut self.nic, pkt));
+                self.transport.on_packet(ctx, &mut self.nic, pkt, &mut self.done);
                 return;
             }
             Err(m) => m,
         };
         let timer = msg.downcast::<TransportTimer>().expect("transport timer");
-        self.done.extend(self.transport.on_timer(ctx, &mut self.nic, timer));
+        self.transport.on_timer(ctx, &mut self.nic, timer, &mut self.done);
     }
 }
 

@@ -169,11 +169,18 @@ struct TimerEntry {
     waker: Option<Waker>,
 }
 
+/// A spawned task: its future (taken out while it is being polled) and the
+/// one waker every poll of it reuses.
+struct Task {
+    fut: Option<BoxedTask>,
+    waker: Waker,
+}
+
 struct ExecInner {
     /// False until `on_start`: pre-start spawns queue instead of polling
     /// inline (no budget/gauges yet, and nothing can race them).
     running: bool,
-    tasks: IdMap<TaskId, BoxedTask>,
+    tasks: IdMap<TaskId, Task>,
     next_task: TaskId,
     live_tasks: usize,
     submit_q: VecDeque<Submission>,
@@ -236,19 +243,23 @@ impl ExecShared {
 }
 
 /// Polls task `tid` once with its own waker; drops it when it finishes.
-/// The future is taken out of the map for the duration of the poll, so
+/// The future is taken out of its entry for the duration of the poll, so
 /// tasks can spawn (and inline-poll) other tasks reentrantly.
 fn poll_one(shared: &Rc<ExecShared>, tid: TaskId) {
-    let fut = shared.inner.borrow_mut().tasks.remove(&tid);
-    let Some(mut fut) = fut else { return }; // finished earlier; spurious wake
-    let waker = Waker::from(Arc::new(TaskWaker { ready: shared.ready.clone(), task: tid }));
+    let taken = {
+        let mut inner = shared.inner.borrow_mut();
+        inner.tasks.get_mut(&tid).and_then(|t| Some((t.fut.take()?, t.waker.clone())))
+    };
+    let Some((mut fut, waker)) = taken else { return }; // finished earlier; spurious wake
     let mut cx = Context::from_waker(&waker);
     match fut.as_mut().poll(&mut cx) {
         Poll::Pending => {
-            shared.inner.borrow_mut().tasks.insert(tid, fut);
+            let mut inner = shared.inner.borrow_mut();
+            inner.tasks.get_mut(&tid).expect("a polled task stays registered").fut = Some(fut);
         }
         Poll::Ready(()) => {
             let mut inner = shared.inner.borrow_mut();
+            inner.tasks.remove(&tid);
             inner.live_tasks -= 1;
             inner.bump_gauge(|g| &g.tasks, -1);
         }
@@ -508,7 +519,9 @@ impl ProcHandle {
             let mut inner = self.shared.inner.borrow_mut();
             inner.next_task += 1;
             let tid = inner.next_task;
-            inner.tasks.insert(tid, Box::pin(fut));
+            let waker =
+                Waker::from(Arc::new(TaskWaker { ready: self.shared.ready.clone(), task: tid }));
+            inner.tasks.insert(tid, Task { fut: Some(Box::pin(fut)), waker });
             inner.live_tasks += 1;
             inner.bump_gauge(|g| &g.tasks, 1);
             (tid, inner.running)

@@ -310,6 +310,9 @@ struct NodeCore {
     pending_placements: IdMap<u64, AppToken>,
     pending_routes: IdMap<u64, AppToken>,
     events: VecDeque<(usize, DriverEvent)>,
+    /// Completions CLib calls append to, drained into `events` by
+    /// [`NodeCore::enqueue_clib_completions`] (one buffer, reused).
+    comps: Vec<Completion>,
     max_moved_retries: u32,
     /// Arrival-time override consumed by the next [`ClientApi`] issue call.
     next_arrival: Option<SimTime>,
@@ -358,12 +361,13 @@ impl NodeCore {
                     // Only the first sub-submission carries the arrival
                     // attribution; the rest start at `now`.
                     self.clib.set_queued_since(queued_since.take());
-                    let (t, comps) = self.clib.submit(ctx, &mut self.nic, thread, spec.to_op(mac));
+                    let op = spec.to_op(mac);
+                    let t = self.clib.submit(ctx, &mut self.nic, thread, op, &mut self.comps);
                     self.token_map.insert(t, token);
                     if let Some(w) = waker.clone() {
                         self.clib.register_waker(t, w);
                     }
-                    self.enqueue_clib_completions(ctx, comps);
+                    self.enqueue_clib_completions(ctx);
                 }
             }
             spec => {
@@ -401,7 +405,7 @@ impl NodeCore {
                 let queued_since = host_op.queued_since.take();
                 let waker = host_op.waker.clone();
                 self.clib.set_queued_since(queued_since);
-                let (t, comps) = self.clib.submit(ctx, &mut self.nic, thread, op);
+                let t = self.clib.submit(ctx, &mut self.nic, thread, op, &mut self.comps);
                 self.token_map.insert(t, token);
                 if let Some(host_op) = self.app_ops.get_mut(&token) {
                     host_op.clib_token = Some(t);
@@ -409,7 +413,7 @@ impl NodeCore {
                 if let Some(w) = waker {
                     self.clib.register_waker(t, w);
                 }
-                self.enqueue_clib_completions(ctx, comps);
+                self.enqueue_clib_completions(ctx);
             }
         }
     }
@@ -455,7 +459,7 @@ impl NodeCore {
             }
         }
         self.clib.set_queued_since(queued_since);
-        let (clib_tokens, comps) = self.clib.submit_many(ctx, &mut self.nic, thread, ops);
+        let clib_tokens = self.clib.submit_many(ctx, &mut self.nic, thread, ops, &mut self.comps);
         for (t, app) in clib_tokens.into_iter().zip(routed) {
             self.token_map.insert(t, app);
             if let Some(host_op) = self.app_ops.get_mut(&app) {
@@ -466,13 +470,15 @@ impl NodeCore {
                 }
             }
         }
-        self.enqueue_clib_completions(ctx, comps);
+        self.enqueue_clib_completions(ctx);
     }
 
-    /// Converts CLib completions into driver events, handling Moved
-    /// re-routing, alloc notifications and fence fan-in.
-    fn enqueue_clib_completions(&mut self, ctx: &mut Ctx<'_>, comps: Vec<Completion>) {
-        for c in comps {
+    /// Converts the CLib completions buffered in `comps` into driver
+    /// events, handling Moved re-routing, alloc notifications and fence
+    /// fan-in.
+    fn enqueue_clib_completions(&mut self, ctx: &mut Ctx<'_>) {
+        let mut comps = std::mem::take(&mut self.comps);
+        for c in comps.drain(..) {
             let Some(app_token) = self.token_map.remove(&c.token) else { continue };
             let Some(host_op) = self.app_ops.get_mut(&app_token) else { continue };
 
@@ -519,6 +525,7 @@ impl NodeCore {
                 }),
             ));
         }
+        self.comps = comps;
     }
 }
 
@@ -730,11 +737,10 @@ impl ClientApi<'_, '_> {
                 }),
             ));
         } else {
-            let mut comps = Vec::new();
             for t in clib_tokens {
-                comps.extend(self.core.clib.cancel(self.ctx, &mut self.core.nic, t));
+                self.core.clib.cancel(self.ctx, &mut self.core.nic, t, &mut self.core.comps);
             }
-            self.core.enqueue_clib_completions(self.ctx, comps);
+            self.core.enqueue_clib_completions(self.ctx);
         }
         true
     }
@@ -801,6 +807,7 @@ impl ComputeNode {
                 pending_placements: IdMap::default(),
                 pending_routes: IdMap::default(),
                 events: VecDeque::new(),
+                comps: Vec::new(),
                 max_moved_retries: 8,
                 next_arrival: None,
                 runtime_budget: DEFAULT_INFLIGHT_BUDGET,
@@ -915,8 +922,8 @@ impl Actor for ComputeNode {
         };
         let msg = match msg.downcast::<Frame>() {
             Ok(frame) => {
-                let comps = self.core.clib.on_frame(ctx, &mut self.core.nic, frame);
-                self.core.enqueue_clib_completions(ctx, comps);
+                self.core.clib.on_frame(ctx, &mut self.core.nic, frame, &mut self.core.comps);
+                self.core.enqueue_clib_completions(ctx);
                 self.pump_events(ctx);
                 return;
             }
@@ -947,7 +954,8 @@ impl Actor for ComputeNode {
                         let queued_since = host_op.queued_since.take();
                         let waker = host_op.waker.clone();
                         self.core.clib.set_queued_since(queued_since);
-                        let (t, comps) = self.core.clib.submit(ctx, &mut self.core.nic, thread, op);
+                        let core = &mut self.core;
+                        let t = core.clib.submit(ctx, &mut core.nic, thread, op, &mut core.comps);
                         self.core.token_map.insert(t, token);
                         if let Some(host_op) = self.core.app_ops.get_mut(&token) {
                             host_op.clib_token = Some(t);
@@ -955,7 +963,7 @@ impl Actor for ComputeNode {
                         if let Some(w) = waker {
                             self.core.clib.register_waker(t, w);
                         }
-                        self.core.enqueue_clib_completions(ctx, comps);
+                        self.core.enqueue_clib_completions(ctx);
                         self.pump_events(ctx);
                     }
                 }
@@ -1014,11 +1022,11 @@ impl Actor for ComputeNode {
             Err(m) => m,
         };
         // Anything else is a CLib timer.
-        let (comps, leftover) = self.core.clib.on_timer(ctx, &mut self.core.nic, msg);
+        let leftover = self.core.clib.on_timer(ctx, &mut self.core.nic, msg, &mut self.core.comps);
         if let Some(m) = leftover {
             panic!("ComputeNode {} got unexpected message {m:?}", self.name);
         }
-        self.core.enqueue_clib_completions(ctx, comps);
+        self.core.enqueue_clib_completions(ctx);
         self.pump_events(ctx);
     }
 }

@@ -57,12 +57,7 @@ impl DedupBuffer {
     /// Panics if `capacity_entries == 0`.
     pub fn new(capacity_entries: usize) -> Self {
         assert!(capacity_entries > 0, "dedup buffer must have capacity");
-        DedupBuffer {
-            order: VecDeque::new(),
-            records: IdMap::default(),
-            capacity_entries,
-            hits: 0,
-        }
+        DedupBuffer { order: VecDeque::new(), records: IdMap::default(), capacity_entries, hits: 0 }
     }
 
     /// Capacity in entries.

@@ -59,25 +59,32 @@ impl PhysMemory {
     /// read as zero.
     pub fn read(&self, pa: u64, len: usize) -> Bytes {
         let mut out = BytesMut::zeroed(len);
+        self.read_into(pa, &mut out);
+        out.freeze()
+    }
+
+    /// Fills `out` (which must arrive zeroed) with the bytes at physical
+    /// address `pa`; unmaterialized ranges are left as they are.
+    pub fn read_into(&self, pa: u64, out: &mut [u8]) {
         let mut addr = pa;
         let mut filled = 0usize;
-        while filled < len {
+        while filled < out.len() {
             let idx = addr / CHUNK;
             let off = (addr % CHUNK) as usize;
-            let n = (len - filled).min(CHUNK as usize - off);
+            let n = (out.len() - filled).min(CHUNK as usize - off);
             if let Some(chunk) = self.chunks.get(&idx) {
                 out[filled..filled + n].copy_from_slice(&chunk[off..off + n]);
             }
             addr += n as u64;
             filled += n;
         }
-        out.freeze()
     }
 
     /// Reads the 8-byte little-endian word at `pa` (atomics).
     pub fn read_u64(&self, pa: u64) -> u64 {
-        let b = self.read(pa, 8);
-        u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+        let mut word = [0u8; 8];
+        self.read_into(pa, &mut word);
+        u64::from_le_bytes(word)
     }
 
     /// Writes the 8-byte little-endian word at `pa` (atomics).

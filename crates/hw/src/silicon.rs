@@ -177,6 +177,10 @@ pub struct Silicon {
     /// bracket ends) — the frame's tail crosses the MAC once, and charging
     /// the tail rather than the head keeps completion order intact.
     egress_frame: bool,
+    /// The `(physical address, length)` segments of the access being
+    /// executed, refilled by [`Silicon::translate_range`] (one buffer,
+    /// reused across accesses).
+    segs: Vec<(u64, u64)>,
     stats: SiliconMetrics,
 }
 
@@ -195,6 +199,7 @@ impl Silicon {
             internal_access: false,
             ingress_frame: None,
             egress_frame: false,
+            segs: Vec::new(),
             stats: SiliconMetrics::default(),
             cfg,
         }
@@ -364,9 +369,9 @@ impl Silicon {
     }
 
     /// Translates every page a `[va, va+len)` access touches, accumulating
-    /// timing into the scratch state. Returns
-    /// `(segments, time_after_translate)` where each segment is
-    /// `(physical_address, length)`.
+    /// timing into the scratch state. Leaves the access's
+    /// `(physical_address, length)` segments in `self.segs` and returns the
+    /// time after translation.
     fn translate_range(
         &mut self,
         mut t: SimTime,
@@ -375,11 +380,11 @@ impl Silicon {
         len: u64,
         access: Perm,
         st: &mut TranslateScratch<'_>,
-    ) -> Result<(Vec<(u64, u64)>, SimTime), Status> {
+    ) -> Result<SimTime, Status> {
         let TranslateScratch { b, page_fault, all_hits } = st;
         let (b, page_fault, all_hits) = (&mut **b, &mut **page_fault, &mut **all_hits);
         let page = self.cfg.page_size;
-        let mut segs = Vec::new();
+        self.segs.clear();
         let mut addr = va;
         let end = va.checked_add(len).ok_or(Status::InvalidAddr)?;
         loop {
@@ -400,13 +405,13 @@ impl Silicon {
                 self.mem.zero_range(new_ppn * page, page);
             }
             let seg_len = (page - addr % page).min(end - addr);
-            segs.push((tr.ppn * page + addr % page, seg_len));
+            self.segs.push((tr.ppn * page + addr % page, seg_len));
             addr += seg_len;
             if addr >= end {
                 break;
             }
         }
-        Ok((segs, t))
+        Ok(t)
     }
 
     /// Fast-path read: translate, fetch from DRAM via the DMA engine, and
@@ -431,16 +436,18 @@ impl Silicon {
                 Perm::READ,
                 &mut TranslateScratch { b: &mut b, page_fault: &mut fault, all_hits: &mut hits },
             )
-            .map(|(segs, mut t)| {
+            .map(|mut t| {
                 // One interconnect crossing to issue, one for data return.
                 b.interconnect += self.cfg.interconnect_latency * 2;
                 t += self.cfg.interconnect_latency;
-                let mut data = bytes::BytesMut::with_capacity(len as usize);
+                let mut data = bytes::BytesMut::zeroed(len as usize);
                 let mut dram_done = t;
-                for &(pa, seg_len) in &segs {
+                let mut off = 0usize;
+                for &(pa, seg_len) in &self.segs {
                     let r = self.dram.access(t, seg_len);
                     dram_done = dram_done.max(r.end);
-                    data.extend_from_slice(&self.mem.read(pa, seg_len as usize));
+                    self.mem.read_into(pa, &mut data[off..off + seg_len as usize]);
+                    off += seg_len as usize;
                 }
                 b.data_dram += dram_done.since(t);
                 // The non-pipelined DMA engine serializes response payloads.
@@ -490,12 +497,12 @@ impl Silicon {
                 Perm::WRITE,
                 &mut TranslateScratch { b: &mut b, page_fault: &mut fault, all_hits: &mut hits },
             )
-            .map(|(segs, mut t)| {
+            .map(|mut t| {
                 b.interconnect += self.cfg.interconnect_latency;
                 t += self.cfg.interconnect_latency;
                 let mut dram_done = t;
                 let mut off = 0usize;
-                for &(pa, seg_len) in &segs {
+                for &(pa, seg_len) in &self.segs {
                     let r = self.dram.access(t, seg_len);
                     dram_done = dram_done.max(r.end);
                     self.mem.write(pa, &data[off..off + seg_len as usize]);
@@ -544,8 +551,8 @@ impl Silicon {
                 Perm::RW,
                 &mut TranslateScratch { b: &mut b, page_fault: &mut fault, all_hits: &mut hits },
             )
-            .map(|(segs, t_done)| {
-                let (pa, _) = segs[0];
+            .map(|t_done| {
+                let (pa, _) = self.segs[0];
                 // The atomic unit blocks later atomics until this completes:
                 // a read-modify-write of one DRAM word.
                 let service = self.dram.latency() * 2;

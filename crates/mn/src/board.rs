@@ -87,8 +87,8 @@ use clio_hw::dedup::DedupRecord;
 use clio_hw::silicon::{AccessTiming, AtomicOp, Silicon};
 use clio_net::{BoardPower, Frame, Mac, NicPort};
 use clio_proto::{
-    codec, split_read_response, ClioPacket, NackBatchBuilder, Pid, ReqHeader, ReqId, RequestBody,
-    RespBatchBuilder, RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES,
+    codec, read_response_fragments, ClioPacket, NackBatchBuilder, Pid, ReqHeader, ReqId,
+    RequestBody, RespBatchBuilder, RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES,
 };
 use clio_sim::{Actor, ActorId, Ctx, EventId, IdMap, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Counter, Gauge, Registry};
@@ -231,6 +231,16 @@ struct EgressEntry {
     trace: Option<TraceCtx>,
 }
 
+/// What one egress pump reuses across calls, so a lone response costs no
+/// allocation on its way into a frame.
+#[derive(Debug)]
+struct EgressScratch {
+    /// The response batch under assembly.
+    batch: RespBatchBuilder,
+    /// Frames ready to leave: `(ready time, frame, ops inside, traces)`.
+    shipped: Vec<(SimTime, ClioPacket, u64, Vec<TraceCtx>)>,
+}
+
 /// Self-addressed timer draining one destination's egress queue.
 #[derive(Debug, Clone, Copy)]
 struct EgressDoorbell {
@@ -269,8 +279,12 @@ pub struct CBoard {
     fence_until: SimTime,
     last_completion: SimTime,
     writes: WriteTracker,
-    /// Per-destination egress queue, ordered by `ready`.
+    /// Per-destination egress queue, ordered by `ready`. A drained queue
+    /// stays (empty) so its buffer is reused; idle destinations are dropped
+    /// by [`Self::prune_egress_history`].
     egress: IdMap<Mac, VecDeque<EgressEntry>>,
+    /// Taken by [`Self::pump_egress`] for its duration (built on first use).
+    egress_scratch: Option<EgressScratch>,
     /// The scheduled doorbell per destination: `(fire time, event)`.
     egress_doorbells: IdMap<Mac, (SimTime, EventId)>,
     /// Last response-ready time per destination (feeds the adaptive hold).
@@ -324,6 +338,7 @@ impl CBoard {
             last_completion: SimTime::ZERO,
             writes: WriteTracker::default(),
             egress: IdMap::default(),
+            egress_scratch: None,
             egress_doorbells: IdMap::default(),
             egress_last_ready: IdMap::default(),
             egress_gap_ewma: IdMap::default(),
@@ -468,6 +483,7 @@ impl CBoard {
         let mut egress: Vec<u64> = self
             .egress
             .iter()
+            .filter(|(_, q)| !q.is_empty()) // a drained queue is no state
             .map(|(dst, q)| {
                 let mut e = fnv_mix(0xcbf2_9ce4_8422_2325, dst.0 as u64);
                 for entry in q {
@@ -640,12 +656,16 @@ impl CBoard {
         let gap_ewma = &mut self.egress_gap_ewma;
         let turnaround_ewma = &mut self.egress_turnaround_ewma;
         let peer_srtt = &mut self.peer_srtt;
+        let egress = &mut self.egress;
         last_ready.retain(|dst, &mut last| {
             let keep = now.since(last) <= MAX_IDLE;
             if !keep {
                 gap_ewma.remove(dst);
                 turnaround_ewma.remove(dst);
                 peer_srtt.remove(dst);
+                if egress.get(dst).is_some_and(VecDeque::is_empty) {
+                    egress.remove(dst);
+                }
             }
             keep
         });
@@ -709,14 +729,17 @@ impl CBoard {
         let now = ctx.now();
         let horizon = now + self.egress_budget(dst);
         let Some(queue) = self.egress.get_mut(&dst) else { return };
-        let mut batch = RespBatchBuilder::new(
-            self.cfg.resp_batch_max_ops as usize,
-            self.cfg.resp_batch_max_bytes as usize,
-        );
+        let EgressScratch { mut batch, mut shipped } =
+            self.egress_scratch.take().unwrap_or_else(|| EgressScratch {
+                batch: RespBatchBuilder::new(
+                    self.cfg.resp_batch_max_ops as usize,
+                    self.cfg.resp_batch_max_bytes as usize,
+                ),
+                shipped: Vec::new(),
+            });
         // The frame under assembly leaves when its slowest member is ready.
         let mut frame_ready = now;
         let mut batch_traces: Vec<TraceCtx> = Vec::new();
-        let mut shipped: Vec<(SimTime, ClioPacket, u64, Vec<TraceCtx>)> = Vec::new();
         let flush = |batch: &mut RespBatchBuilder,
                      traces: &mut Vec<TraceCtx>,
                      frame_ready: SimTime,
@@ -769,10 +792,8 @@ impl CBoard {
             let at = head.ready;
             let ev = ctx.schedule(at.since(now), Message::new(EgressDoorbell { dst }));
             self.egress_doorbells.insert(dst, (at, ev));
-        } else {
-            self.egress.remove(&dst);
         }
-        for (at, pkt, ops, traces) in shipped {
+        for (at, pkt, ops, traces) in shipped.drain(..) {
             self.stats.tx_frames.inc();
             if ops > 1 {
                 self.stats.batched_responses.add(ops);
@@ -790,6 +811,7 @@ impl CBoard {
                 self.tracer.stitch(Some(tr), self.track, Stage::NicSerialize, tx_end);
             }
         }
+        self.egress_scratch = Some(EgressScratch { batch, shipped });
     }
 
     fn respond_status(
@@ -929,9 +951,9 @@ impl CBoard {
                 self.tile_breakdown(header.trace, &timing);
                 match res {
                     Ok(data) => {
-                        let pkts = split_read_response(header.req_id, Status::Ok, data);
-                        let last = pkts.len().saturating_sub(1);
-                        for (i, pkt) in pkts.into_iter().enumerate() {
+                        let pkts = read_response_fragments(header.req_id, Status::Ok, data);
+                        let last = pkts.len() - 1;
+                        for (i, pkt) in pkts.enumerate() {
                             // Only the final fragment carries the trace: the
                             // CN closes its wire span at reassembly
                             // completion, and the last fragment's NIC

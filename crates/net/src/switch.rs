@@ -211,13 +211,14 @@ impl Actor for Switch {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-        let msg = match msg.downcast::<LinkCommand>() {
+        let mut msg = match msg.downcast::<LinkCommand>() {
             Ok(cmd) => return self.apply_link_command(cmd),
             Err(other) => other,
         };
-        let mut frame = match msg.downcast::<Frame>() {
-            Ok(f) => f,
-            Err(other) => panic!("switch received non-frame message: {other:?}"),
+        // The frame is edited in place and the original boxed message is
+        // forwarded: a hop costs no allocation.
+        let Some(frame) = msg.downcast_mut::<Frame>() else {
+            panic!("switch received non-frame message: {msg:?}");
         };
         // A down ingress link: the frame never reached the crossbar.
         if let Some(src_port) = self.ports.get_mut(&frame.src) {
@@ -270,7 +271,7 @@ impl Actor for Switch {
             deliver_at += SimDuration::from_nanos(extra);
         }
         let endpoint = port.endpoint;
-        ctx.send_at(endpoint, deliver_at, Message::new(frame));
+        ctx.send_at(endpoint, deliver_at, msg);
     }
 }
 

@@ -51,8 +51,9 @@ mod types;
 
 pub use batch::{BatchBuilder, NackBatchBuilder, RespBatchBuilder};
 pub use mtu::{
-    split_read_response, split_write, Reassembler, CLIO_REQ_HEADER_BYTES, CLIO_RESP_HEADER_BYTES,
-    ETH_OVERHEAD_BYTES, MAX_READ_FRAG_PAYLOAD, MAX_WRITE_FRAG_PAYLOAD, MTU_BYTES,
+    read_response_fragments, split_read_response, split_write, Reassembler, CLIO_REQ_HEADER_BYTES,
+    CLIO_RESP_HEADER_BYTES, ETH_OVERHEAD_BYTES, MAX_READ_FRAG_PAYLOAD, MAX_WRITE_FRAG_PAYLOAD,
+    MTU_BYTES,
 };
 pub use packet::{ClioPacket, ReqHeader, RequestBody, RespHeader, ResponseBody};
 pub use types::{Perm, Pid, ReqId, Status};

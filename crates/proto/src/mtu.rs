@@ -76,18 +76,27 @@ pub fn split_write(
 
 /// Splits read-response `data` into MTU-sized response packets.
 pub fn split_read_response(req_id: ReqId, status: Status, data: Bytes) -> Vec<ClioPacket> {
+    read_response_fragments(req_id, status, data).collect()
+}
+
+/// The MTU-sized response packets of read-response `data`, in offset order,
+/// produced one at a time (the board queues each for egress as it comes, so
+/// a single-fragment read builds no list).
+pub fn read_response_fragments(
+    req_id: ReqId,
+    status: Status,
+    data: Bytes,
+) -> impl ExactSizeIterator<Item = ClioPacket> {
     let count = data.len().div_ceil(MAX_READ_FRAG_PAYLOAD).max(1);
     assert!(count <= u16::MAX as usize, "response too large to fragment");
-    let mut pkts = Vec::with_capacity(count);
-    for i in 0..count {
+    (0..count).map(move |i| {
         let lo = i * MAX_READ_FRAG_PAYLOAD;
         let hi = ((i + 1) * MAX_READ_FRAG_PAYLOAD).min(data.len());
-        pkts.push(ClioPacket::Response {
+        ClioPacket::Response {
             header: RespHeader { req_id, status, pkt_index: i as u16, pkt_count: count as u16 },
             body: ResponseBody::DataFrag { offset: lo as u32, data: data.slice(lo..hi) },
-        });
-    }
-    pkts
+        }
+    })
 }
 
 #[derive(Debug, Default)]

@@ -680,7 +680,11 @@ mod tests {
         }
         sim.run_until_idle();
         assert_eq!(sim.actor::<Recorder>(r).seen.len(), 100);
-        assert_eq!(sim.now(), SimTime::from_nanos(100_000), "no cancelled timer advanced the clock");
+        assert_eq!(
+            sim.now(),
+            SimTime::from_nanos(100_000),
+            "no cancelled timer advanced the clock"
+        );
     }
 
     #[test]

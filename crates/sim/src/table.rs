@@ -97,7 +97,8 @@ mod tests {
         // consecutive ids, slot- and page-strided addresses, and request
         // ids carrying one of a few CN prefixes above a running counter.
         let build = BuildHasherDefault::<IdHasher>::default();
-        let shapes: [(&str, fn(u64) -> u64); 4] = [
+        type Shape = (&'static str, fn(u64) -> u64);
+        let shapes: [Shape; 4] = [
             ("consecutive", |i| i),
             ("64 B slots", |i| (1 << 20) + i * 64),
             ("4 KiB pages", |i| (1 << 20) + i * 4096),

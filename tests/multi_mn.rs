@@ -32,6 +32,8 @@ const CHUNK: u64 = 2 << 10;
 type RangeLog = Rc<RefCell<Vec<(&'static str, Pid, u64, u64)>>>;
 /// `(cn, bytes read back)` per task.
 type ReadLog = Rc<RefCell<Vec<(usize, Vec<u8>)>>>;
+/// `(cn, task, op index, completion time in ns)` per completed op.
+type OpLog = Rc<RefCell<Vec<(usize, u64, u64, u64)>>>;
 
 /// Writes `len` bytes at `va` as 2 KiB chunks, chunk `c` filled with
 /// `fill(c)`.
@@ -312,8 +314,7 @@ fn multi_mn_schedule_is_identical_across_eight_builds_in_one_process() {
         cfg.mns = 2;
         cfg.seed = 0xBEEF;
         let mut cluster = Cluster::build(&cfg);
-        // (cn, task, op index, completion time in ns)
-        let log: Rc<RefCell<Vec<(usize, u64, u64, u64)>>> = Rc::new(RefCell::new(vec![]));
+        let log: OpLog = Rc::new(RefCell::new(vec![]));
         let bases: Rc<RefCell<Vec<(usize, Pid, u64)>>> = Rc::new(RefCell::new(vec![]));
         for cn in 0..4usize {
             let pid = Pid(300 + cn as u64);
