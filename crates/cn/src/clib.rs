@@ -172,7 +172,7 @@ pub enum Op {
 }
 
 /// The value delivered by a successful completion.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CompletionValue {
     /// Read data or offload reply.
     Data(Bytes),

@@ -4,7 +4,7 @@ use clio_net::Mac;
 use clio_proto::Status;
 
 /// Errors surfaced to applications by CLib.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClioError {
     /// The memory node reported a failure status.
     Remote(Status),

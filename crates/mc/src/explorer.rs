@@ -42,6 +42,7 @@
 //! earlier visit.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use clio_cn::transport::McMutation;
 use clio_net::Frame;
@@ -356,33 +357,30 @@ impl Run {
     /// completions. Absolute times are excluded (see the module docs on
     /// pruning).
     fn state_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         // Crash count is part of the logical state: a post-blip state with
         // a cold dedup buffer is checked against a different (relaxed)
         // quiescent spec than its crash-free twin, so they must not prune
         // into one node.
-        h = mix(h, self.crashes as u64);
-        h = mix(h, self.scenario.host().clib().transport().fingerprint());
-        h = mix(h, self.scenario.host().clib().in_flight() as u64);
+        h.write_u64(self.crashes as u64);
+        h.write_u64(self.scenario.host().clib().transport().fingerprint());
+        h.write_u64(self.scenario.host().clib().in_flight() as u64);
         for fp in self.scenario.board_fingerprints() {
-            h = mix(h, fp);
+            h.write_u64(fp);
         }
+        // Packets and completions hash field by field through their `Hash`
+        // impls: every field their `Debug` form shows, without rendering it.
         for c in self.scenario.wire().pending() {
-            h = mix(h, c.frame.src.0 as u64);
-            h = mix(h, c.frame.dst.0 as u64);
-            h = mix(h, c.frame.corrupted as u64);
-            // ClioPacket has no Hash impl; its Debug form is a faithful,
-            // deterministic rendering of the packet content, so hash that.
+            (c.frame.src, c.frame.dst, c.frame.corrupted).hash(&mut h);
             match c.frame.payload.downcast_ref::<ClioPacket>() {
-                Some(pkt) => h = mix_str(h, &format!("{pkt:?}")),
-                None => h = mix(h, u64::MAX),
+                Some(pkt) => pkt.hash(&mut h),
+                None => h.write_u64(u64::MAX),
             }
         }
         for comp in self.scenario.host().completions() {
-            h = mix(h, comp.token.0);
-            h = mix_str(h, &format!("{:?}", comp.result));
+            (comp.token, &comp.result).hash(&mut h);
         }
-        h
+        h.finish()
     }
 
     /// Final checks at quiescence: completion-count, observational
@@ -499,22 +497,19 @@ impl Run {
     }
 }
 
-/// FNV-1a step over one `u64`.
-fn mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+/// FNV-1a as a [`Hasher`], so state hashes through `Hash` impls.
+struct Fnv(u64);
 
-/// FNV-1a over a string's bytes.
-fn mix_str(mut h: u64, s: &str) -> u64 {
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
     }
-    h
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
 }
 
 /// Runs the fault-free, unbatched baseline to completion and returns its

@@ -84,7 +84,7 @@ impl RespHeader {
 /// [`AtomicStore`]: RequestBody::AtomicStore
 /// [`AtomicCas`]: RequestBody::AtomicCas
 /// [`AtomicFaa`]: RequestBody::AtomicFaa
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RequestBody {
     /// Read `len` bytes starting at `va`.
     Read {
@@ -206,7 +206,7 @@ impl RequestBody {
 }
 
 /// The payload of a response packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ResponseBody {
     /// One fragment of read data; `offset` is relative to the request's
     /// start address.
@@ -247,7 +247,7 @@ impl ResponseBody {
 }
 
 /// Any packet that crosses the wire between a CN and an MN.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ClioPacket {
     /// CN → MN request.
     Request {
