@@ -242,23 +242,30 @@ impl ExecShared {
     }
 }
 
-/// Polls task `tid` once with its own waker; drops it when it finishes.
-/// The future is taken out of its entry for the duration of the poll, so
-/// tasks can spawn (and inline-poll) other tasks reentrantly.
+/// Polls registered task `tid` once. The future is taken out of its entry
+/// for the duration of the poll, so tasks can spawn (and inline-poll) other
+/// tasks reentrantly.
 fn poll_one(shared: &Rc<ExecShared>, tid: TaskId) {
     let taken = {
         let mut inner = shared.inner.borrow_mut();
         inner.tasks.get_mut(&tid).and_then(|t| Some((t.fut.take()?, t.waker.clone())))
     };
-    let Some((mut fut, waker)) = taken else { return }; // finished earlier; spurious wake
+    let Some((fut, waker)) = taken else { return }; // finished earlier; spurious wake
+    poll_task(shared, tid, fut, waker);
+}
+
+/// Polls `fut` once with its task's waker: still pending, it is (re)filed
+/// under `tid`; finished, the task is retired. A freshly spawned task comes
+/// here unregistered, so one that finishes at once never touches the table.
+fn poll_task(shared: &Rc<ExecShared>, tid: TaskId, mut fut: BoxedTask, waker: Waker) {
     let mut cx = Context::from_waker(&waker);
-    match fut.as_mut().poll(&mut cx) {
+    let poll = fut.as_mut().poll(&mut cx);
+    let mut inner = shared.inner.borrow_mut();
+    match poll {
         Poll::Pending => {
-            let mut inner = shared.inner.borrow_mut();
-            inner.tasks.get_mut(&tid).expect("a polled task stays registered").fut = Some(fut);
+            inner.tasks.entry(tid).or_insert(Task { fut: None, waker }).fut = Some(fut);
         }
         Poll::Ready(()) => {
-            let mut inner = shared.inner.borrow_mut();
             inner.tasks.remove(&tid);
             inner.live_tasks -= 1;
             inner.bump_gauge(|g| &g.tasks, -1);
@@ -518,17 +525,17 @@ impl ProcHandle {
         let (tid, running) = {
             let mut inner = self.shared.inner.borrow_mut();
             inner.next_task += 1;
-            let tid = inner.next_task;
-            let waker =
-                Waker::from(Arc::new(TaskWaker { ready: self.shared.ready.clone(), task: tid }));
-            inner.tasks.insert(tid, Task { fut: Some(Box::pin(fut)), waker });
             inner.live_tasks += 1;
             inner.bump_gauge(|g| &g.tasks, 1);
-            (tid, inner.running)
+            (inner.next_task, inner.running)
         };
+        let waker =
+            Waker::from(Arc::new(TaskWaker { ready: self.shared.ready.clone(), task: tid }));
+        let fut: BoxedTask = Box::pin(fut);
         if running {
-            poll_one(&self.shared, tid);
+            poll_task(&self.shared, tid, fut, waker);
         } else {
+            self.shared.inner.borrow_mut().tasks.insert(tid, Task { fut: Some(fut), waker });
             self.shared.ready.lock().expect("executor ready queue").push_back(tid);
         }
     }

@@ -121,4 +121,24 @@ if [ "$fail" -ne 0 ]; then
   echo "docs/ARCHITECTURE.md failure-model section is stale (see above)"
   exit 1
 fi
+# Simulator-performance tour: the section must exist, and the names it
+# leans on — the id tables, the queue's moving parts, the two gate tests —
+# must still exist in the sources.
+grep -q '^## Simulator performance' "$DOC" || { echo "missing '## Simulator performance' section"; fail=1; }
+for t in IdMap IdSet IdHasher EventId pop_due kick_all read_response_fragments \
+         alloc_budget digest_pins; do
+  if ! grep -qw "$t" "$DOC"; then
+    echo "simulator-performance docs missing term: $t"
+    fail=1
+  fi
+  if ! grep -rqw --include='*.rs' "$t" crates 2>/dev/null \
+     && [ ! -e "crates/core/tests/$t.rs" ]; then
+    echo "simulator-performance term not in sources: $t"
+    fail=1
+  fi
+done
+if [ "$fail" -ne 0 ]; then
+  echo "docs/ARCHITECTURE.md simulator-performance section is stale (see above)"
+  exit 1
+fi
 echo "docs link check: OK"
