@@ -23,32 +23,26 @@ pub enum AccessClass {
     Write,
 }
 
-/// One tracked operation: what it does to which pages. An access touches a
-/// contiguous page range, so the range *is* the page list — no per-op
-/// allocation.
-#[derive(Debug, Clone)]
-struct Tracked {
-    class: AccessClass,
-    /// First and last virtual page number touched (unused for barriers).
-    vpns: (u64, u64),
-    /// Barrier ops conflict with everything.
-    barrier: bool,
+/// One tracked operation. An access touches a contiguous page range, so
+/// the range *is* the page list — no per-op allocation.
+#[derive(Debug, Clone, Copy)]
+enum Tracked {
+    /// Conflicts with everything.
+    Barrier,
+    /// Reads or mutates the pages `first..=last`.
+    Access { class: AccessClass, first: u64, last: u64 },
 }
 
 impl Tracked {
-    /// The pages a non-barrier op touches.
-    fn pages(&self) -> RangeInclusive<u64> {
-        self.vpns.0..=self.vpns.1
-    }
-
     fn conflicts_with(&self, other: &Tracked) -> bool {
-        if self.barrier || other.barrier {
-            return true;
+        use Tracked::Access;
+        match (self, other) {
+            (
+                Access { class: a, first: f1, last: l1 },
+                Access { class: b, first: f2, last: l2 },
+            ) => (*a == AccessClass::Write || *b == AccessClass::Write) && f1 <= l2 && f2 <= l1,
+            _ => true,
         }
-        if self.class == AccessClass::Read && other.class == AccessClass::Read {
-            return false;
-        }
-        self.vpns.0 <= other.vpns.1 && other.vpns.0 <= self.vpns.1
     }
 }
 
@@ -143,42 +137,48 @@ impl<T: Copy + Eq + Hash> DependencyTracker<T> {
     /// may be sent now; otherwise it is queued and will be released by
     /// [`complete`](Self::complete).
     pub fn submit(&mut self, token: T, class: AccessClass, vpns: RangeInclusive<u64>) -> bool {
-        self.submit_inner(token, Tracked { class, vpns: vpns.into_inner(), barrier: false })
+        let (first, last) = vpns.into_inner();
+        self.submit_inner(token, Tracked::Access { class, first, last })
     }
 
     /// Submits a barrier (`rrelease`/`rfence`): it waits for everything
     /// before it, and everything after waits for it.
     pub fn submit_barrier(&mut self, token: T) -> bool {
-        self.submit_inner(token, Tracked { class: AccessClass::Write, vpns: (0, 0), barrier: true })
+        self.submit_inner(token, Tracked::Barrier)
     }
 
     /// Whether `t` conflicts with an op in flight (or, `with_waiting`, with
     /// any tracked op).
     fn blocked(&self, t: &Tracked, with_waiting: bool) -> bool {
-        let waiting = if with_waiting { self.pending.len() } else { 0 };
-        if t.barrier {
-            return self.inflight.len() + waiting > 0;
+        let (waiting, wait_barriers) =
+            if with_waiting { (self.pending.len(), self.wait_barriers) } else { (0, 0) };
+        match *t {
+            Tracked::Barrier => self.inflight.len() + waiting > 0,
+            Tracked::Access { class, first, last } => {
+                self.fly_barriers + wait_barriers > 0
+                    || (first..=last)
+                        .any(|p| self.pages.get(&p).is_some_and(|u| u.blocks(class, with_waiting)))
+            }
         }
-        let barriers = self.fly_barriers + if with_waiting { self.wait_barriers } else { 0 };
-        barriers > 0
-            || t.pages()
-                .any(|p| self.pages.get(&p).is_some_and(|u| u.blocks(t.class, with_waiting)))
     }
 
     /// Moves `t`'s page/barrier counts by one: `add` or remove, on the
     /// in-flight or the waiting side.
     fn count(&mut self, t: &Tracked, inflight: bool, add: bool) {
-        if t.barrier {
-            let n = if inflight { &mut self.fly_barriers } else { &mut self.wait_barriers };
-            *n = if add { *n + 1 } else { *n - 1 };
-            return;
-        }
-        for p in t.pages() {
-            let used = self.pages.entry(p).or_default();
-            let n = used.slot(t.class, inflight);
-            *n = if add { *n + 1 } else { *n - 1 };
-            if !add && used.is_unused() {
-                self.pages.remove(&p);
+        match *t {
+            Tracked::Barrier => {
+                let n = if inflight { &mut self.fly_barriers } else { &mut self.wait_barriers };
+                *n = if add { *n + 1 } else { *n - 1 };
+            }
+            Tracked::Access { class, first, last } => {
+                for p in first..=last {
+                    let used = self.pages.entry(p).or_default();
+                    let n = used.slot(class, inflight);
+                    *n = if add { *n + 1 } else { *n - 1 };
+                    if !add && used.is_unused() {
+                        self.pages.remove(&p);
+                    }
+                }
             }
         }
     }
@@ -206,9 +206,9 @@ impl<T: Copy + Eq + Hash> DependencyTracker<T> {
         // conflicts, preserving FIFO among conflicting ops.
         let mut i = 0;
         while i < self.pending.len() {
-            let candidate = &self.pending[i].1;
-            let blocked = self.blocked(candidate, false)
-                || self.pending.iter().take(i).any(|(_, o)| o.conflicts_with(candidate));
+            let candidate = self.pending[i].1;
+            let blocked = self.blocked(&candidate, false)
+                || self.pending.iter().take(i).any(|(_, o)| o.conflicts_with(&candidate));
             if blocked {
                 i += 1;
                 continue;

@@ -10,7 +10,6 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use clio_core::{Cluster, ClusterConfig};
-use clio_mn::CBoardConfig;
 use clio_proto::{Perm, Pid};
 use clio_sim::{SimDuration, SimRng};
 
@@ -49,7 +48,6 @@ const PAGE: u64 = 4096;
 /// `len`-byte ops (2 reads : 1 write) on one CN against one MN.
 fn allocs_per_op(tasks: u64, len: u64) -> f64 {
     let mut cfg = ClusterConfig::test_small();
-    cfg.board = CBoardConfig::test_small();
     cfg.board.hw.phys_mem_bytes = 64 << 20;
     let mut cluster = Cluster::build(&cfg);
     let (ops, stop) = (Rc::new(Cell::new(0u64)), Rc::new(Cell::new(false)));
