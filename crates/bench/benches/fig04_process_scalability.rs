@@ -8,7 +8,7 @@
 //! saturation).
 
 use clio_baselines::rdma::{RdmaNic, RnicParams, Verb};
-use clio_bench::drivers::{AccessMix, MemDriver};
+use clio_bench::drivers::{AccessMix, MemLoad};
 use clio_bench::setup::bench_cluster;
 use clio_bench::FigureReport;
 use clio_proto::Pid;
@@ -21,19 +21,19 @@ const OPS_PER_PROC: u64 = 12;
 fn clio_point(procs: u64) -> f64 {
     let mut cluster = bench_cluster(1, 1, 40_000 + procs);
     let page = 4096;
+    let mut recs = Vec::new();
     for p in 0..procs {
-        let mut d = MemDriver::new(16, AccessMix::Reads, OPS_PER_PROC, 1, 1, page, false, 100 + p);
+        let mut d = MemLoad::new(16, AccessMix::Reads, OPS_PER_PROC, 1, 1, page, false, 100 + p);
         // Constant light aggregate load: ~N x 20us think.
         d.think = SimDuration::from_micros(procs * 20);
-        cluster.add_driver(0, Pid(1000 + p), Box::new(d));
+        recs.push(d.spawn(&mut cluster, 0, Pid(1000 + p)));
     }
     cluster.start();
     cluster.run_until_idle();
     let mut total = 0f64;
     let mut n = 0u64;
-    for i in 0..procs as usize {
-        let d: &MemDriver = cluster.cn(0).driver(i);
-        let s = d.recorder.latency();
+    for rec in recs {
+        let s = rec.borrow().latency();
         total += s.mean_ns * s.count as f64;
         n += s.count;
     }

@@ -8,7 +8,7 @@
 //! span is aliased onto a small physical memory.
 
 use clio_baselines::rdma::{RdmaNic, RnicParams, Verb};
-use clio_bench::drivers::{AccessMix, RangeDriver};
+use clio_bench::drivers::{AccessMix, RangeLoad};
 use clio_bench::setup::alias_ptes;
 use clio_bench::FigureReport;
 use clio_core::{Cluster, ClusterConfig};
@@ -40,15 +40,15 @@ fn clio_point(log2_ptes: u32) -> f64 {
     let mut cluster = fig5_cluster(50_000 + log2_ptes as u64);
     let pid = Pid(77);
     let base_va = alias_ptes(&mut cluster, 0, pid, n);
-    cluster.add_driver(
+    let rec = RangeLoad::new(base_va, n, 4096, 16, AccessMix::Reads, OPS, true, 3).spawn(
+        &mut cluster,
         0,
         pid,
-        Box::new(RangeDriver::new(base_va, n, 4096, 16, AccessMix::Reads, OPS, true, 3)),
     );
     cluster.start();
     cluster.run_until_idle();
-    let d: &RangeDriver = cluster.cn(0).driver(0);
-    d.recorder.latency().mean_ns / 1000.0
+    let mean_ns = rec.borrow().latency().mean_ns;
+    mean_ns / 1000.0
 }
 
 /// RDMA with N PTEs (one big MR) or N MRs (metadata-cache pressure).

@@ -7,13 +7,14 @@
 //! cycles on top of a TLB miss.
 
 use clio_baselines::rdma::{RdmaNic, RnicParams, Verb};
-use clio_bench::drivers::{AccessMix, RangeDriver};
+use clio_bench::drivers::{AccessMix, RangeLoad};
 use clio_bench::setup::alias_ptes;
 use clio_bench::FigureReport;
+use clio_core::metrics::OpRecorder;
 use clio_core::{Cluster, ClusterConfig};
 use clio_hw::CBoardHwConfig;
 use clio_mn::CBoardConfig;
-use clio_proto::Pid;
+use clio_proto::{Perm, Pid};
 use clio_sim::stats::Series;
 use clio_sim::{SimDuration, SimRng, SimTime};
 
@@ -48,82 +49,43 @@ fn clio_case(hw: CBoardHwConfig, write: bool, scenario: &str) -> f64 {
             // Repeated access to one pre-faulted page.
             let mut c = cluster_with(hw, 4096, 61);
             let va = alias_ptes(&mut c, 0, Pid(5), 4);
-            c.add_driver(
-                0,
-                Pid(5),
-                Box::new(RangeDriver::new(va, 1, 4096, 16, mix, OPS, false, 1)),
-            );
+            let rec = RangeLoad::new(va, 1, 4096, 16, mix, OPS, false, 1).spawn(&mut c, 0, Pid(5));
             c.start();
             c.run_until_idle();
-            let d: &RangeDriver = c.cn(0).driver(0);
-            d.recorder.latency().mean_ns / 1000.0
+            let mean_ns = rec.borrow().latency().mean_ns;
+            mean_ns / 1000.0
         }
         "miss" => {
             // Random over many valid pages with a tiny TLB: always misses.
             let mut c = cluster_with(hw, 1, 62);
             let va = alias_ptes(&mut c, 0, Pid(5), 4096);
-            c.add_driver(
-                0,
-                Pid(5),
-                Box::new(RangeDriver::new(va, 4096, 4096, 16, mix, OPS, true, 2)),
-            );
+            let rec =
+                RangeLoad::new(va, 4096, 4096, 16, mix, OPS, true, 2).spawn(&mut c, 0, Pid(5));
             c.start();
             c.run_until_idle();
-            let d: &RangeDriver = c.cn(0).driver(0);
-            d.recorder.latency().mean_ns / 1000.0
+            let mean_ns = rec.borrow().latency().mean_ns;
+            mean_ns / 1000.0
         }
         "pgfault" => {
             // First touch of freshly allocated pages: every op faults.
-            struct FaultDriver {
-                write: bool,
-                pages: u64,
-                done: u64,
-                va: u64,
-                rec: clio_core::metrics::OpRecorder,
-            }
-            impl clio_core::ClientDriver for FaultDriver {
-                fn on_start(&mut self, api: &mut clio_core::ClientApi<'_, '_>) {
-                    api.alloc(self.pages * 4096, clio_proto::Perm::RW);
-                }
-                fn on_completion(
-                    &mut self,
-                    api: &mut clio_core::ClientApi<'_, '_>,
-                    c: clio_core::AppCompletion,
-                ) {
-                    if self.va == 0 {
-                        self.va = c.va();
-                    } else {
-                        if self.done > 4 {
-                            self.rec.record(c.completed_at, c.latency(), 16);
-                        }
-                        self.done += 1;
-                    }
-                    if self.done < self.pages {
-                        let va = self.va + self.done * 4096;
-                        if self.write {
-                            api.write(va, bytes::Bytes::from_static(&[7u8; 16]));
-                        } else {
-                            api.read(va, 16);
-                        }
-                    }
-                }
-            }
             let mut c = cluster_with(hw, 4096, 63);
-            c.add_driver(
-                0,
-                Pid(5),
-                Box::new(FaultDriver {
-                    write,
-                    pages: OPS,
-                    done: 0,
-                    va: 0,
-                    rec: clio_core::metrics::OpRecorder::new(SimTime::ZERO),
-                }),
-            );
-            c.start();
-            c.run_until_idle();
-            let d: &FaultDriver = c.cn(0).driver(0);
-            d.rec.latency().mean_ns / 1000.0
+            let rec = c.block_on(0, Pid(5), move |h| async move {
+                let mut rec = OpRecorder::new(SimTime::ZERO);
+                let base = h.ralloc(OPS * 4096, Perm::RW).await.va();
+                for page in 0..OPS {
+                    let va = base + page * 4096;
+                    let c = if write {
+                        h.rwrite(va, bytes::Bytes::from_static(&[7u8; 16])).await
+                    } else {
+                        h.rread(va, 16).await
+                    };
+                    if page > 4 {
+                        rec.record(c.completed_at, c.latency(), 16);
+                    }
+                }
+                rec
+            });
+            rec.latency().mean_ns / 1000.0
         }
         other => unreachable!("unknown scenario {other}"),
     }

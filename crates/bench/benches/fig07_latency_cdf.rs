@@ -8,7 +8,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use clio_baselines::rdma::{RdmaNic, RnicParams, Verb};
-use clio_bench::drivers::{AccessMix, RangeDriver};
+use clio_bench::drivers::{AccessMix, RangeLoad};
 use clio_bench::setup::{alias_ptes, bench_cluster};
 use clio_bench::FigureReport;
 use clio_core::exec::openloop::{ArrivalGen, ArrivalProcess};
@@ -21,11 +21,11 @@ const OPS: u64 = 30_000;
 fn clio_hist(mix: AccessMix) -> Histogram {
     let mut cluster = bench_cluster(1, 1, 70);
     let va = alias_ptes(&mut cluster, 0, Pid(3), 64);
-    cluster.add_driver(0, Pid(3), Box::new(RangeDriver::new(va, 64, 4096, 16, mix, OPS, true, 4)));
+    let rec = RangeLoad::new(va, 64, 4096, 16, mix, OPS, true, 4).spawn(&mut cluster, 0, Pid(3));
     cluster.start();
     cluster.run_until_idle();
-    let d: &RangeDriver = cluster.cn(0).driver(0);
-    d.recorder.histogram().clone()
+    let hist = rec.borrow().histogram().clone();
+    hist
 }
 
 /// Open-loop variant: 16 B reads arrive as a Poisson process at

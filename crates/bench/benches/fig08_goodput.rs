@@ -10,9 +10,9 @@
 //! `*-Batched` variants enable the transport's request batching **and** the
 //! MN's response batching, which coalesce small packets into shared frames
 //! and trim per-frame Ethernet overhead; the `-SG` variant refills its
-//! window through the explicit `read_v`/`write_v` scatter/gather API.
+//! window through the explicit `rread_v`/`rwrite_v` scatter/gather API.
 
-use clio_bench::drivers::{AccessMix, MemDriver};
+use clio_bench::drivers::{AccessMix, MemLoad};
 use clio_bench::setup::bench_cluster_tuned;
 use clio_bench::FigureReport;
 use clio_cn::CLibConfig;
@@ -47,10 +47,11 @@ fn goodput(
             };
         }
     });
+    let mut recs = Vec::new();
     for t in 0..threads {
-        let d = MemDriver::new(SIZE, mix, OPS_PER_THREAD, window, 8, 4096, false, 20 + t);
+        let d = MemLoad::new(SIZE, mix, OPS_PER_THREAD, window, 8, 4096, false, 20 + t);
         let d = if scatter_gather { d.with_scatter_gather() } else { d };
-        cluster.add_driver(0, Pid(10 + t), Box::new(d));
+        recs.push(d.spawn(&mut cluster, 0, Pid(10 + t)));
     }
     cluster.start();
     cluster.run_until_idle();
@@ -58,10 +59,9 @@ fn goodput(
     // short alloc/warm-up prologue is negligible against the run length).
     let mut bytes = 0u64;
     let mut ops = 0u64;
-    for t in 0..threads as usize {
-        let d: &MemDriver = cluster.cn(0).driver(t);
-        bytes += d.recorder.ops() * SIZE as u64;
-        ops += d.recorder.ops();
+    for rec in recs {
+        bytes += rec.borrow().ops() * SIZE as u64;
+        ops += rec.borrow().ops();
     }
     let elapsed = cluster.now().as_secs_f64();
     if elapsed == 0.0 {

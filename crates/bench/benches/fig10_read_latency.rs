@@ -9,7 +9,7 @@ use clio_baselines::clover::CloverModel;
 use clio_baselines::herd::{HerdModel, HerdParams};
 use clio_baselines::legoos::LegoOsModel;
 use clio_baselines::rdma::{RdmaNic, RnicParams, Verb};
-use clio_bench::drivers::{AccessMix, RangeDriver};
+use clio_bench::drivers::{AccessMix, RangeLoad};
 use clio_bench::setup::{alias_ptes, bench_cluster};
 use clio_bench::FigureReport;
 use clio_proto::Pid;
@@ -36,15 +36,11 @@ fn median_of(mut sample: impl FnMut(SimTime) -> SimTime) -> f64 {
 pub fn clio_latency(size: u32, mix: AccessMix) -> f64 {
     let mut cluster = bench_cluster(1, 1, 90 + size as u64);
     let va = alias_ptes(&mut cluster, 0, Pid(4), 8);
-    cluster.add_driver(
-        0,
-        Pid(4),
-        Box::new(RangeDriver::new(va, 4, 4096, size, mix, OPS, false, 6)),
-    );
+    let rec = RangeLoad::new(va, 4, 4096, size, mix, OPS, false, 6).spawn(&mut cluster, 0, Pid(4));
     cluster.start();
     cluster.run_until_idle();
-    let d: &RangeDriver = cluster.cn(0).driver(0);
-    d.recorder.latency().mean_ns / 1000.0
+    let mean_ns = rec.borrow().latency().mean_ns;
+    mean_ns / 1000.0
 }
 
 /// Mean one-sided RDMA verb latency (us) on a CX3 RNIC.

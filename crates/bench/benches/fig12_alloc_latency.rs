@@ -8,55 +8,15 @@
 
 use clio_baselines::rdma::{RdmaNic, RnicParams};
 use clio_bench::FigureReport;
-use clio_core::{AppCompletion, ClientApi, ClientDriver, Cluster, ClusterConfig};
+use clio_core::{Cluster, ClusterConfig};
 use clio_mn::CBoardConfig;
 use clio_proto::{Perm, Pid};
 use clio_sim::stats::Series;
-use clio_sim::{SimDuration, SimTime};
+use clio_sim::SimDuration;
 
 const SIZES_MB: &[u64] = &[4, 16, 64, 256, 512, 1424];
 
-/// Allocates and frees ranges of `size`, recording both latencies.
-struct AllocDriver {
-    size: u64,
-    rounds: u64,
-    state: u8,
-    va: u64,
-    issued_at: SimTime,
-    alloc_total: SimDuration,
-    free_total: SimDuration,
-    done_rounds: u64,
-}
-
-impl ClientDriver for AllocDriver {
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-        self.issued_at = api.now();
-        api.alloc(self.size, Perm::RW);
-        self.state = 1;
-    }
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-        match self.state {
-            1 => {
-                self.va = c.va();
-                self.alloc_total += c.latency();
-                self.issued_at = api.now();
-                api.free(self.va, self.size);
-                self.state = 2;
-            }
-            2 => {
-                assert!(c.result.is_ok(), "free failed: {:?}", c.result);
-                self.free_total += c.latency();
-                self.done_rounds += 1;
-                if self.done_rounds < self.rounds {
-                    api.alloc(self.size, Perm::RW);
-                    self.state = 1;
-                }
-            }
-            _ => unreachable!(),
-        }
-    }
-}
-
+/// Allocates and frees ranges of `size_mb`; mean latency of each, in ms.
 fn clio_alloc_free(size_mb: u64) -> (f64, f64) {
     // Paper-faithful 4 MB pages; enough physical memory to hold the range.
     let mut cfg = ClusterConfig::testbed();
@@ -65,27 +25,21 @@ fn clio_alloc_free(size_mb: u64) -> (f64, f64) {
     cfg.seed = 120 + size_mb;
     cfg.board = CBoardConfig::prototype();
     let mut cluster = Cluster::build(&cfg);
-    let rounds = 6;
-    cluster.add_driver(
-        0,
-        Pid(9),
-        Box::new(AllocDriver {
-            size: size_mb << 20,
-            rounds,
-            state: 0,
-            va: 0,
-            issued_at: SimTime::ZERO,
-            alloc_total: SimDuration::ZERO,
-            free_total: SimDuration::ZERO,
-            done_rounds: 0,
-        }),
-    );
-    cluster.start();
-    cluster.run_until_idle();
-    let d: &AllocDriver = cluster.cn(0).driver(0);
+    let (size, rounds) = (size_mb << 20, 6);
+    let (alloc_total, free_total) = cluster.block_on(0, Pid(9), move |h| async move {
+        let mut totals = (SimDuration::ZERO, SimDuration::ZERO);
+        for _ in 0..rounds {
+            let c = h.ralloc(size, Perm::RW).await;
+            totals.0 += c.latency();
+            let c = h.rfree(c.va(), size).await;
+            assert!(c.result.is_ok(), "free failed: {:?}", c.result);
+            totals.1 += c.latency();
+        }
+        totals
+    });
     (
-        d.alloc_total.as_nanos() as f64 / rounds as f64 / 1e6, // ms
-        d.free_total.as_nanos() as f64 / rounds as f64 / 1e6,
+        alloc_total.as_nanos() as f64 / rounds as f64 / 1e6, // ms
+        free_total.as_nanos() as f64 / rounds as f64 / 1e6,
     )
 }
 

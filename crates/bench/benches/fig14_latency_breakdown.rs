@@ -9,7 +9,7 @@
 //! end-to-end latency — the same accounting the paper's Figure 14
 //! instruments in hardware, plus the queueing the hardware counters miss.
 
-use clio_bench::drivers::{AccessMix, MemDriver};
+use clio_bench::drivers::{AccessMix, MemLoad};
 use clio_bench::FigureReport;
 use clio_core::{Cluster, ClusterConfig};
 use clio_mn::CBoardConfig;
@@ -58,24 +58,20 @@ fn run_case(size: u32, write: bool, force_miss: bool) -> Vec<OpTrace> {
     cfg.seed = 0xF14;
     cfg.board = CBoardConfig::test_small();
     cfg.board.hw.phys_mem_bytes = 64 << 20;
-    // A 1-entry TLB plus a page-cycling driver makes every access miss.
+    // A 1-entry TLB plus a page-cycling load makes every access miss.
     cfg.board.hw.tlb_entries = if force_miss { 1 } else { 4096 };
     cfg.trace_sample_every = Some(1);
     let page = cfg.board.hw.page_size;
     let mut cluster = Cluster::build(&cfg);
     let mix = if write { AccessMix::Writes } else { AccessMix::Reads };
-    cluster.add_driver(
-        0,
-        Pid(1),
-        Box::new(MemDriver::new(size, mix, OPS, 1, SPAN_PAGES, page, false, 7)),
-    );
+    MemLoad::new(size, mix, OPS, 1, SPAN_PAGES, page, false, 7).spawn(&mut cluster, 0, Pid(1));
     cluster.start();
     cluster.run_until_idle();
     let label = if write { "write" } else { "read" };
     let mut traces: Vec<OpTrace> =
         cluster.take_traces().into_iter().filter(|t| t.label == label).collect();
     traces.sort_by_key(|t| t.begin);
-    // The driver's warm-up (page-touch writes) precedes the measured
+    // The load's warm-up (page-touch writes) precedes the measured
     // window; keep only the last OPS ops of the case's kind.
     traces.split_off(traces.len().saturating_sub(OPS as usize))
 }

@@ -6,7 +6,7 @@
 
 use clio_apps::kv::ClioKv;
 use clio_apps::ycsb::{YcsbGenerator, YcsbMix};
-use clio_bench::drivers::KvDriver;
+use clio_bench::drivers::KvLoad;
 use clio_bench::setup::bench_cluster;
 use clio_bench::FigureReport;
 use clio_proto::Pid;
@@ -21,29 +21,25 @@ fn run(mix: YcsbMix, mns: usize) -> f64 {
     for (i, _) in (0..mns).enumerate() {
         cluster.install_offload(i, 1, Pid(9_000 + i as u64), Box::new(ClioKv::new(4096)));
     }
+    let mut recs = Vec::new();
     for cn in 0..CNS {
         for t in 0..DRIVERS_PER_CN {
             let seed = (cn as u64) * 100 + t;
             // Smaller values than the paper's 1 KB keep the bench quick but
             // preserve the scaling shape.
             let gen = YcsbGenerator::new(mix, 10_000, 256, seed);
-            cluster.add_driver(
-                cn,
-                Pid(100 + seed),
-                Box::new(KvDriver::new(gen, 60, OPS_PER_DRIVER, 4, 1)),
-            );
+            let load = KvLoad { gen, preload: 60, ops: OPS_PER_DRIVER, window: 4, offload_id: 1 };
+            recs.push(load.spawn(&mut cluster, cn, Pid(100 + seed)));
         }
     }
     cluster.start();
     cluster.run_until_idle();
     let mut ops = 0u64;
     let mut end = 0f64;
-    for cn in 0..CNS {
-        for t in 0..DRIVERS_PER_CN as usize {
-            let d: &KvDriver = cluster.cn(cn).driver(t);
-            assert!(d.is_done(), "driver did not finish");
-            ops += d.recorder.ops();
-        }
+    for rec in recs {
+        let rec = rec.borrow();
+        assert_eq!(rec.ops() + rec.errors(), OPS_PER_DRIVER, "client did not finish");
+        ops += rec.ops();
     }
     end = end.max(cluster.now().as_secs_f64());
     ops as f64 / end / 1e6

@@ -6,6 +6,9 @@
 //! runtime stays flat. RDMA needs one MR per client; past the RNIC's MR
 //! cache the runtime climbs (Figure 16's cliff).
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use clio_apps::image::{compress_cpu_time, rle_compress, synth_image, IMAGE_BYTES};
 use clio_baselines::rdma::{RdmaNic, RnicParams, Verb};
 use clio_bench::FigureReport;
@@ -17,9 +20,9 @@ use clio_sim::{SimRng, SimTime};
 const CLIENTS: &[u64] = &[1, 50, 100, 200, 400, 600, 800];
 const IMAGES_PER_CLIENT: u64 = 8;
 
-/// Clio path: measured with real client processes on the cluster (scaled
-/// client counts run event-driven; the blocking runtime demonstrates the
-/// same workload in `examples/image_service.rs`).
+/// Clio path: measured with real client processes on the cluster, one async
+/// task each (`examples/image_service.rs` runs the same workload with real
+/// pixels).
 fn clio_runtime(clients: u64) -> f64 {
     // Per-client work is independent; contention is at the MN ports. Use 4
     // MNs as in the testbed and divide clients across 4 CNs.
@@ -31,82 +34,33 @@ fn clio_runtime(clients: u64) -> f64 {
     cfg.seed = 160 + clients;
     let mut cluster = clio_core::Cluster::build(&cfg);
 
-    struct ImageClient {
-        images: u64,
-        done_images: u64,
-        va: u64,
-        state: u8,
-        started: SimTime,
-        finished: SimTime,
-        compressed: bytes::Bytes,
-    }
-    impl clio_core::ClientDriver for ImageClient {
-        fn on_start(&mut self, api: &mut clio_core::ClientApi<'_, '_>) {
-            self.started = api.now();
-            api.alloc(2 * IMAGE_BYTES as u64, clio_proto::Perm::RW);
-        }
-        fn on_completion(
-            &mut self,
-            api: &mut clio_core::ClientApi<'_, '_>,
-            c: clio_core::AppCompletion,
-        ) {
-            match self.state {
-                0 => {
-                    self.va = c.va();
-                    self.state = 1;
-                    api.read(self.va, IMAGE_BYTES as u32);
+    // Each client's (start, finish) times, filled in by its task.
+    let spans: Vec<Rc<Cell<(SimTime, SimTime)>>> = (0..clients).map(|_| Rc::default()).collect();
+    for (cid, span) in spans.iter().enumerate() {
+        let span = span.clone();
+        cluster.spawn(cid % 4, clio_proto::Pid(10_000 + cid as u64), move |h| async move {
+            let started = h.now();
+            let va = h.ralloc(2 * IMAGE_BYTES as u64, clio_proto::Perm::RW).await.va();
+            for _ in 0..IMAGES_PER_CLIENT {
+                let c = h.rread(va, IMAGE_BYTES as u32).await;
+                if let Err(e) = &c.result {
+                    panic!("image read failed at {}: {e}", c.completed_at);
                 }
-                1 => {
-                    // "Compress" the fetched image, charging CPU time.
-                    if let Err(e) = &c.result {
-                        panic!("image read failed at {}: {e}", c.completed_at);
-                    }
-                    let img = c.data().to_vec();
-                    let packed = rle_compress(&img);
-                    self.compressed = bytes::Bytes::from(packed);
-                    self.state = 2;
-                    api.wake_in(compress_cpu_time(IMAGE_BYTES), 0);
-                }
-                2 => {
-                    // Write-back completed.
-                    self.done_images += 1;
-                    if self.done_images >= self.images {
-                        self.finished = api.now();
-                        return;
-                    }
-                    self.state = 1;
-                    api.read(self.va, IMAGE_BYTES as u32);
-                }
-                _ => unreachable!(),
+                // "Compress" the fetched image, charging CPU time.
+                let packed = bytes::Bytes::from(rle_compress(c.data()));
+                h.sleep(compress_cpu_time(IMAGE_BYTES)).await;
+                h.rwrite(va + IMAGE_BYTES as u64, packed).await;
             }
-        }
-        fn on_wake(&mut self, api: &mut clio_core::ClientApi<'_, '_>, _tag: u64) {
-            api.write(self.va + IMAGE_BYTES as u64, self.compressed.clone());
-        }
-    }
-
-    for cid in 0..clients {
-        cluster.add_driver(
-            (cid % 4) as usize,
-            clio_proto::Pid(10_000 + cid),
-            Box::new(ImageClient {
-                images: IMAGES_PER_CLIENT,
-                done_images: 0,
-                va: 0,
-                state: 0,
-                started: SimTime::ZERO,
-                finished: SimTime::ZERO,
-                compressed: bytes::Bytes::new(),
-            }),
-        );
+            span.set((started, h.now()));
+        });
     }
     cluster.start();
     cluster.run_until_idle();
     let mut total = 0f64;
-    for cid in 0..clients {
-        let d: &ImageClient = cluster.cn((cid % 4) as usize).driver((cid / 4) as usize);
-        assert!(d.finished > d.started, "client {cid} unfinished");
-        total += d.finished.since(d.started).as_secs_f64();
+    for (cid, span) in spans.iter().enumerate() {
+        let (started, finished) = span.get();
+        assert!(finished > started, "client {cid} unfinished");
+        total += finished.since(started).as_secs_f64();
     }
     total / clients as f64
 }

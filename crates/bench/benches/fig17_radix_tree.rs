@@ -58,79 +58,26 @@ fn clio_latency(entries: u64) -> f64 {
         (heads[0], levels)
     };
 
-    struct Searcher {
-        root: u64,
-        levels: u32,
-        searches: u64,
-        done: u64,
-        digits: Vec<u64>,
-        level: usize,
-        head: u64,
-        rng: SimRng,
-        entries: u64,
-        started: SimTime,
-        total: SimDuration,
-    }
-    impl Searcher {
-        fn begin(&mut self, api: &mut clio_core::ClientApi<'_, '_>) {
-            let key = self.rng.range_u64(0, self.entries);
-            self.digits = search_digits(key, FANOUT, self.levels);
-            self.level = 0;
-            self.head = self.root;
-            self.started = api.now();
-            let mn = api.mn_macs()[0];
-            api.offload(mn, 2, 0, encode_chase(self.head, self.digits[0]));
-        }
-    }
-    impl clio_core::ClientDriver for Searcher {
-        fn on_start(&mut self, api: &mut clio_core::ClientApi<'_, '_>) {
-            self.begin(api);
-        }
-        fn on_completion(
-            &mut self,
-            api: &mut clio_core::ClientApi<'_, '_>,
-            c: clio_core::AppCompletion,
-        ) {
-            let data = c.data();
-            let value = u64::from_le_bytes(data[..8].try_into().expect("8 B"));
-            assert!(value != 0, "key must exist");
-            self.level += 1;
-            if self.level < self.levels as usize {
-                self.head = value;
-                let mn = api.mn_macs()[0];
-                let d = self.digits[self.level];
-                api.offload(mn, 2, 0, encode_chase(self.head, d));
-                return;
+    let mn = cluster.mn_macs()[0];
+    let total = cluster.block_on(0, Pid(9100), move |h| async move {
+        let mut rng = SimRng::new(7);
+        let mut total = SimDuration::ZERO;
+        for _ in 0..SEARCHES {
+            let key = rng.range_u64(0, entries);
+            let started = h.now();
+            // One pointer-chase offload call per level, each starting at
+            // the list head the previous level returned.
+            let mut head = root;
+            for digit in search_digits(key, FANOUT, levels) {
+                let c = h.roffload(mn, 2, 0, encode_chase(head, digit)).await;
+                head = u64::from_le_bytes(c.data()[..8].try_into().expect("8 B"));
+                assert!(head != 0, "key must exist");
             }
-            self.total += api.now().since(self.started);
-            self.done += 1;
-            if self.done < self.searches {
-                self.begin(api);
-            }
+            total += h.now().since(started);
         }
-    }
-    cluster.add_driver(
-        0,
-        Pid(9100),
-        Box::new(Searcher {
-            root,
-            levels,
-            searches: SEARCHES,
-            done: 0,
-            digits: vec![],
-            level: 0,
-            head: 0,
-            rng: SimRng::new(7),
-            entries,
-            started: SimTime::ZERO,
-            total: SimDuration::ZERO,
-        }),
-    );
-    cluster.start();
-    cluster.run_until_idle();
-    let d: &Searcher = cluster.cn(0).driver(0);
-    assert_eq!(d.done, SEARCHES);
-    d.total.as_nanos() as f64 / SEARCHES as f64 / 1000.0
+        total
+    });
+    total.as_nanos() as f64 / SEARCHES as f64 / 1000.0
 }
 
 /// RDMA walks node-by-node: one read RTT per visited node.

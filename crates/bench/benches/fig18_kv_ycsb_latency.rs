@@ -13,7 +13,7 @@ use clio_apps::ycsb::{YcsbGenerator, YcsbMix, YcsbOp};
 use clio_baselines::clover::CloverModel;
 use clio_baselines::herd::{HerdModel, HerdParams};
 use clio_baselines::rdma::RnicParams;
-use clio_bench::drivers::KvDriver;
+use clio_bench::drivers::KvLoad;
 use clio_bench::setup::bench_cluster;
 use clio_bench::FigureReport;
 use clio_core::exec::openloop::{ArrivalGen, ArrivalProcess};
@@ -28,20 +28,17 @@ const VALUE: usize = 1024;
 pub fn clio_kv(mix: YcsbMix) -> f64 {
     let mut cluster = bench_cluster(2, 1, 180);
     cluster.install_offload(0, 1, Pid(9000), Box::new(ClioKv::new(4096)));
+    let mut recs = Vec::new();
     for cn in 0..2 {
         let gen = YcsbGenerator::new(mix, 5_000, VALUE, 33 + cn as u64);
-        cluster.add_driver(
-            cn,
-            Pid(300 + cn as u64),
-            Box::new(KvDriver::new(gen, 50, OPS / 2, 4, 1)),
-        );
+        let load = KvLoad { gen, preload: 50, ops: OPS / 2, window: 4, offload_id: 1 };
+        recs.push(load.spawn(&mut cluster, cn, Pid(300 + cn as u64)));
     }
     cluster.start();
     cluster.run_until_idle();
     let mut mean = 0f64;
-    for cn in 0..2 {
-        let d: &KvDriver = cluster.cn(cn).driver(0);
-        mean += d.recorder.latency().mean_ns / 2.0;
+    for rec in recs {
+        mean += rec.borrow().latency().mean_ns / 2.0;
     }
     mean / 1000.0
 }
@@ -67,7 +64,7 @@ pub fn clio_kv_openloop(mix: YcsbMix, rate_per_sec: f64) -> f64 {
         let macs = macs.clone();
         cluster.spawn(cn, Pid(300 + cn as u64), move |h| async move {
             let mut gen = YcsbGenerator::new(mix, 5_000, VALUE, 33 + cn as u64);
-            // Preload sequentially (same records the closed-loop driver loads).
+            // Preload sequentially (same records the closed-loop load preloads).
             for key in 0..5_000u64 {
                 let req = KvRequest::Put {
                     key: format!("user{key:012}").into_bytes(),

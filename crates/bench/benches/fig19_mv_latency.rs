@@ -4,157 +4,93 @@
 //! Zipf object popularity. The array-based version design makes reads of
 //! any version cost the same, and latency stays flat as CNs are added.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use clio_apps::mv::{encode_append, encode_read, ClioMv, MvOpcode};
 use clio_bench::setup::bench_cluster;
 use clio_bench::FigureReport;
+use clio_core::ProcHandle;
+use clio_net::Mac;
 use clio_proto::Pid;
 use clio_sim::dist::Zipf;
 use clio_sim::stats::Series;
-use clio_sim::{SimDuration, SimRng, SimTime};
+use clio_sim::{SimDuration, SimRng};
 
 const OPS_PER_CN: u64 = 400;
 const OBJECTS: u64 = 48;
 
-enum Phase {
-    Creating(u64),
-    Seeding(u64),
-    WaitingToStart,
-    Running,
-}
+/// Per-CN totals: (read latency sum, reads, write latency sum, writes).
+type Totals = (SimDuration, u64, SimDuration, u64);
 
-struct MvClient {
-    creator: bool,
-    phase: Phase,
-    ops: u64,
-    measured: u64,
-    zipf: Option<Zipf>,
-    rng: SimRng,
-    read_total: SimDuration,
-    reads: u64,
-    write_total: SimDuration,
-    writes: u64,
-    last_was_read: bool,
-    issued: SimTime,
-}
-
-impl MvClient {
-    fn next(&mut self, api: &mut clio_core::ClientApi<'_, '_>) {
-        let mn = api.mn_macs()[0];
+/// One CN's client. The creator (CN 0) makes and seeds the objects first;
+/// the others give it 20 ms to finish, then everyone runs `OPS_PER_CN`
+/// 50/50 reads/appends over uniformly or Zipf-popular objects.
+async fn mv_client(h: ProcHandle, mn: Mac, creator: bool, zipf: Option<Zipf>, seed: u64) -> Totals {
+    let call = |opcode: MvOpcode, arg| h.roffload(mn, 3, opcode as u16, arg);
+    if creator {
         // Object ids are deterministic (0..OBJECTS): one creator assigns
         // them sequentially.
-        let id = match &self.zipf {
-            Some(z) => z.sample(&mut self.rng) as u64,
-            None => self.rng.range_u64(0, OBJECTS),
+        for _ in 0..OBJECTS {
+            let c = call(MvOpcode::Create, bytes::Bytes::new()).await;
+            assert!(c.result.is_ok(), "create failed: {:?}", c.result);
+        }
+        for id in 0..OBJECTS {
+            let c = call(MvOpcode::Append, encode_append(id, &[1; 16])).await;
+            assert!(c.result.is_ok(), "seed failed: {:?}", c.result);
+        }
+    } else {
+        // Let the creator finish setup first.
+        h.sleep(SimDuration::from_millis(20)).await;
+    }
+    let mut rng = SimRng::new(seed);
+    let mut t: Totals = (SimDuration::ZERO, 0, SimDuration::ZERO, 0);
+    for measured in 0..OPS_PER_CN {
+        let id = match &zipf {
+            Some(z) => z.sample(&mut rng) as u64,
+            None => rng.range_u64(0, OBJECTS),
         };
-        self.issued = api.now();
-        if self.rng.chance(0.5) {
-            self.last_was_read = true;
-            api.offload(mn, 3, MvOpcode::Read as u16, encode_read(id, u64::MAX));
+        let issued = h.now();
+        let read = rng.chance(0.5);
+        let c = if read {
+            call(MvOpcode::Read, encode_read(id, u64::MAX)).await
         } else {
-            self.last_was_read = false;
-            let val = [self.measured as u8; 16];
-            api.offload(mn, 3, MvOpcode::Append as u16, encode_append(id, &val));
-        }
-    }
-}
-
-impl clio_core::ClientDriver for MvClient {
-    fn on_start(&mut self, api: &mut clio_core::ClientApi<'_, '_>) {
-        if self.creator {
-            let mn = api.mn_macs()[0];
-            api.offload(mn, 3, MvOpcode::Create as u16, bytes::Bytes::new());
-        } else {
-            // Let the creator finish setup first.
-            api.wake_in(SimDuration::from_millis(20), 0);
-        }
-    }
-
-    fn on_wake(&mut self, api: &mut clio_core::ClientApi<'_, '_>, _tag: u64) {
-        self.phase = Phase::Running;
-        self.next(api);
-    }
-
-    fn on_completion(
-        &mut self,
-        api: &mut clio_core::ClientApi<'_, '_>,
-        c: clio_core::AppCompletion,
-    ) {
-        let mn = api.mn_macs()[0];
-        match self.phase {
-            Phase::Creating(n) => {
-                assert!(c.result.is_ok(), "create failed: {:?}", c.result);
-                if n + 1 < OBJECTS {
-                    self.phase = Phase::Creating(n + 1);
-                    api.offload(mn, 3, MvOpcode::Create as u16, bytes::Bytes::new());
-                } else {
-                    self.phase = Phase::Seeding(0);
-                    api.offload(mn, 3, MvOpcode::Append as u16, encode_append(0, &[1; 16]));
-                }
-            }
-            Phase::Seeding(n) => {
-                assert!(c.result.is_ok(), "seed failed: {:?}", c.result);
-                if n + 1 < OBJECTS {
-                    self.phase = Phase::Seeding(n + 1);
-                    api.offload(mn, 3, MvOpcode::Append as u16, encode_append(n + 1, &[1; 16]));
-                } else {
-                    self.phase = Phase::Running;
-                    self.next(api);
-                }
-            }
-            Phase::WaitingToStart => unreachable!("woken via on_wake"),
-            Phase::Running => {
-                if c.result.is_ok() {
-                    let lat = api.now().since(self.issued);
-                    if self.last_was_read {
-                        self.read_total += lat;
-                        self.reads += 1;
-                    } else {
-                        self.write_total += lat;
-                        self.writes += 1;
-                    }
-                }
-                self.measured += 1;
-                if self.measured < self.ops {
-                    self.next(api);
-                }
+            call(MvOpcode::Append, encode_append(id, &[measured as u8; 16])).await
+        };
+        if c.result.is_ok() {
+            let lat = h.now().since(issued);
+            if read {
+                t = (t.0 + lat, t.1 + 1, t.2, t.3);
+            } else {
+                t = (t.0, t.1, t.2 + lat, t.3 + 1);
             }
         }
     }
+    t
 }
 
 fn run(cns: usize, zipf: bool) -> (f64, f64) {
     let mut cluster = bench_cluster(cns, 1, 190 + cns as u64);
     cluster.install_offload(0, 3, Pid(9200), Box::new(ClioMv::new(4096, 16)));
-    for cn in 0..cns {
-        cluster.add_driver(
-            cn,
-            Pid(400 + cn as u64),
-            Box::new(MvClient {
-                creator: cn == 0,
-                phase: if cn == 0 { Phase::Creating(0) } else { Phase::WaitingToStart },
-                ops: OPS_PER_CN,
-                measured: 0,
-                zipf: zipf.then(|| Zipf::new(OBJECTS as usize, 0.99)),
-                rng: SimRng::new(60 + cn as u64),
-                read_total: SimDuration::ZERO,
-                reads: 0,
-                write_total: SimDuration::ZERO,
-                writes: 0,
-                last_was_read: false,
-                issued: SimTime::ZERO,
-            }),
-        );
+    let mn = cluster.mn_macs()[0];
+    let totals: Vec<Rc<Cell<Totals>>> = (0..cns).map(|_| Rc::default()).collect();
+    for (cn, out) in totals.iter().enumerate() {
+        let out = out.clone();
+        let zipf = zipf.then(|| Zipf::new(OBJECTS as usize, 0.99));
+        cluster.spawn(cn, Pid(400 + cn as u64), move |h| async move {
+            out.set(mv_client(h, mn, cn == 0, zipf, 60 + cn as u64).await);
+        });
     }
     cluster.start();
     cluster.run_until_idle();
     let (mut rt, mut rn, mut wt, mut wn) = (0f64, 0u64, 0f64, 0u64);
-    for cn in 0..cns {
-        let d: &MvClient = cluster.cn(cn).driver(0);
-        assert!(d.reads + d.writes > 0, "cn {cn} measured nothing");
-        rt += d.read_total.as_nanos() as f64;
-        rn += d.reads;
-        wt += d.write_total.as_nanos() as f64;
-        wn += d.writes;
+    for (cn, t) in totals.iter().enumerate() {
+        let (read_total, reads, write_total, writes) = t.get();
+        assert!(reads + writes > 0, "cn {cn} measured nothing");
+        rt += read_total.as_nanos() as f64;
+        rn += reads;
+        wt += write_total.as_nanos() as f64;
+        wn += writes;
     }
     (rt / rn.max(1) as f64 / 1000.0, wt / wn.max(1) as f64 / 1000.0)
 }

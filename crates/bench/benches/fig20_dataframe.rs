@@ -14,7 +14,7 @@ use clio_apps::dataframe::{
 use clio_bench::setup::bench_cluster;
 use clio_bench::FigureReport;
 use clio_sim::stats::Series;
-use clio_sim::{Bandwidth, SimDuration, SimRng, SimTime};
+use clio_sim::{Bandwidth, SimRng, SimTime};
 
 const RATIOS: &[u32] = &[80, 40, 20, 10, 5, 2];
 const ROWS: u64 = 200_000; // 1.6 MB table
@@ -26,115 +26,41 @@ const CPU_SCAN: u64 = 4; // GB/s
 /// CN CPU histogram rate over selected rows.
 const CPU_HIST: u64 = 6; // GB/s
 
-struct DfClient {
-    ratio: u32,
-    in_va: u64,
-    out_va: u64,
-    state: u8,
-    queries: u64,
-    done: u64,
-    matched: u64,
-    started: SimTime,
-    total: SimDuration,
-    table: Vec<u8>,
-}
-
-impl clio_core::ClientDriver for DfClient {
-    fn on_start(&mut self, api: &mut clio_core::ClientApi<'_, '_>) {
-        api.alloc(2 * ROWS * ROW_BYTES + (4 << 20), clio_proto::Perm::RW);
-    }
-    fn on_completion(
-        &mut self,
-        api: &mut clio_core::ClientApi<'_, '_>,
-        c: clio_core::AppCompletion,
-    ) {
-        if let Err(e) = &c.result {
-            panic!("dataframe step failed in state {} at {}: {e}", self.state, c.completed_at);
-        }
-        let mn = api.mn_macs()[0];
-        match self.state {
-            0 => {
-                let base = c.va();
-                self.in_va = base;
-                self.out_va = base + ROWS * ROW_BYTES;
-                self.state = 1;
-                api.write(self.in_va, bytes::Bytes::from(self.table.clone()));
-            }
-            1 => {
-                // Table uploaded (setup). Start the measured queries.
-                self.state = 2;
-                self.started = api.now();
-                api.offload(
-                    mn,
-                    4,
-                    DfOpcode::Select as u16,
-                    encode_select(self.in_va, ROWS, self.ratio, self.out_va),
-                );
-            }
-            2 => {
-                // Select done -> aggregate at the MN.
-                self.matched = u64::from_le_bytes(c.data()[..8].try_into().expect("8 B"));
-                self.state = 3;
-                api.offload(mn, 4, DfOpcode::Avg as u16, encode_avg(self.out_va, self.matched));
-            }
-            3 => {
-                // Aggregate done -> fetch selected rows for the histogram.
-                self.state = 4;
-                api.read(self.out_va, (self.matched * ROW_BYTES) as u32);
-            }
-            4 => {
-                // CN-side histogram (charged as compute time).
-                let rows = c.data().clone();
-                let _ = histogram(&rows);
-                self.state = 5;
-                let t = Bandwidth::from_gigabytes_per_sec(CPU_HIST)
-                    .transfer_time(self.matched * ROW_BYTES);
-                api.wake_in(t, 0);
-            }
-            _ => unreachable!(),
-        }
-    }
-    fn on_wake(&mut self, api: &mut clio_core::ClientApi<'_, '_>, _tag: u64) {
-        self.done += 1;
-        if self.done >= self.queries {
-            self.total = api.now().since(self.started);
-            return;
-        }
-        let mn = api.mn_macs()[0];
-        self.state = 2;
-        api.offload(
-            mn,
-            4,
-            DfOpcode::Select as u16,
-            encode_select(self.in_va, ROWS, self.ratio, self.out_va),
-        );
-    }
-}
-
 fn clio_runtime(ratio: u32) -> f64 {
     let mut cluster = bench_cluster(1, 1, 200 + ratio as u64);
     cluster.install_offload_shared(0, 4, Box::new(ClioDf::new()));
-    cluster.add_driver(
-        0,
-        clio_proto::Pid(500),
-        Box::new(DfClient {
-            ratio,
-            in_va: 0,
-            out_va: 0,
-            state: 0,
-            queries: QUERIES,
-            done: 0,
-            matched: 0,
-            started: SimTime::ZERO,
-            total: SimDuration::ZERO,
-            table: synth_table(ROWS, 42),
-        }),
-    );
-    cluster.start();
-    cluster.run_until_idle();
-    let d: &DfClient = cluster.cn(0).driver(0);
-    assert_eq!(d.done, QUERIES, "queries unfinished");
-    d.total.as_secs_f64()
+    let mn = cluster.mn_macs()[0];
+    let table = bytes::Bytes::from(synth_table(ROWS, 42));
+    let total = cluster.block_on(0, clio_proto::Pid(500), move |h| async move {
+        let ok = |step: &str, c: clio_core::AppCompletion| {
+            if let Err(e) = &c.result {
+                panic!("dataframe {step} failed at {}: {e}", c.completed_at);
+            }
+            c
+        };
+        let size = 2 * ROWS * ROW_BYTES + (4 << 20);
+        let in_va = ok("alloc", h.ralloc(size, clio_proto::Perm::RW).await).va();
+        let out_va = in_va + ROWS * ROW_BYTES;
+        // Table upload (setup), then the measured queries.
+        ok("upload", h.rwrite(in_va, table).await);
+        let started = h.now();
+        for _ in 0..QUERIES {
+            // Select at the MN -> aggregate at the MN -> fetch the selected
+            // rows -> CN-side histogram (charged as compute time).
+            let select = encode_select(in_va, ROWS, ratio, out_va);
+            let c = ok("select", h.roffload(mn, 4, DfOpcode::Select as u16, select).await);
+            let matched = u64::from_le_bytes(c.data()[..8].try_into().expect("8 B"));
+            let avg = encode_avg(out_va, matched);
+            ok("avg", h.roffload(mn, 4, DfOpcode::Avg as u16, avg).await);
+            let rows = ok("fetch", h.rread(out_va, (matched * ROW_BYTES) as u32).await);
+            let _ = histogram(rows.data());
+            let cpu =
+                Bandwidth::from_gigabytes_per_sec(CPU_HIST).transfer_time(matched * ROW_BYTES);
+            h.sleep(cpu).await;
+        }
+        h.now().since(started)
+    });
+    total.as_secs_f64()
 }
 
 /// RDMA baseline: fetch the whole table per query, compute at the CN.

@@ -1,7 +1,7 @@
 //! Microbenchmark: symmetric fast-path batching.
 //!
 //! An open-loop client fires bursts of 64 small async reads (the paper's
-//! issue-then-`rpoll` pattern) at one CBoard while the transport's
+//! issue-then-poll pattern) at one CBoard while the transport's
 //! `batch_max_ops` knob sweeps 1 → 32. Reported per point: wire frames per
 //! operation in **each direction** — CN→MN request frames and MN→CN
 //! response frames at the board — plus burst throughput. With
@@ -9,13 +9,13 @@
 //! 64-op burst ships in `ceil(64 / batch_max_ops)` request frames, and the
 //! board's egress doorbell collapses the response path the same way
 //! (responses completing within the egress hold share `BatchResp` frames).
-//! A scatter/gather series drives the same burst through `read_v`,
+//! A scatter/gather series drives the same burst through `rread_v`,
 //! bypassing the doorbell's same-instant heuristics entirely.
 //!
 //! `--smoke` runs a reduced sweep (CI regression gate): it still asserts
 //! the acceptance bar — ≥ 4× fewer MN→CN frames at default knobs.
 
-use clio_bench::drivers::BurstDriver;
+use clio_bench::drivers::BurstLoad;
 use clio_bench::setup::bench_cluster_tuned;
 use clio_bench::FigureReport;
 use clio_cn::CLibConfig;
@@ -49,16 +49,14 @@ fn run(size: u32, batch_max_ops: u32, bursts: u64, scatter_gather: bool) -> Poin
             board.egress_doorbell_delay = Some(clio_sim::SimDuration::ZERO);
         }
     });
-    let driver = BurstDriver::new(size, BURST, bursts, SPAN_PAGES, 4096);
-    let driver = if scatter_gather { driver.with_scatter_gather() } else { driver };
-    cluster.add_driver(0, Pid(10), Box::new(driver));
+    let load = BurstLoad::new(size, BURST, bursts, SPAN_PAGES, 4096);
+    let load = if scatter_gather { load.with_scatter_gather() } else { load };
+    let rec = load.spawn(&mut cluster, 0, Pid(10));
     cluster.start();
     cluster.run_until_idle();
     let stats = cluster.mn(0).stats();
-    let d: &BurstDriver = cluster.cn(0).driver(0);
-    assert!(d.is_done(), "driver did not finish");
     let ops = BURST * bursts;
-    assert_eq!(d.recorder.ops(), ops, "all ops must complete");
+    assert_eq!(rec.borrow().ops(), ops, "all ops must complete");
     // Subtract the prologue (1 alloc + span warm-up writes, one frame each
     // direction: they run synchronously) so frames/op reflects the
     // measured bursts only.

@@ -1,16 +1,51 @@
-//! Reusable load-generating client drivers.
+//! Reusable load-generating client programs: async tasks over
+//! [`ProcHandle`], spawned onto a cluster as one process each.
+//!
+//! A closed-loop window of W is W tasks sharing one op counter and one
+//! [`OpRecorder`]; think time is `h.sleep`; alloc → warm → measure is
+//! straight-line code. Every follow-up op is issued in the same sim event
+//! as the completion that triggers it.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use clio_core::metrics::OpRecorder;
-use clio_core::{AppCompletion, ClientApi, ClientDriver};
-use clio_net::Mac;
-use clio_proto::Perm;
+use clio_core::{AppCompletion, Cluster, OpFuture, ProcHandle};
+use clio_proto::{Perm, Pid};
 use clio_sim::{SimDuration, SimRng, SimTime};
 
 use clio_apps::kv::{partition_of, KvRequest};
 use clio_apps::ycsb::{YcsbGenerator, YcsbOp};
 
-/// What a memory-access driver does per operation.
+/// A load's results, shared between its tasks and the bench that reads
+/// them after the run.
+pub type Recorder = Rc<RefCell<OpRecorder>>;
+
+fn recorder() -> Recorder {
+    Rc::new(RefCell::new(OpRecorder::new(SimTime::ZERO)))
+}
+
+/// Files one completion of `bytes` payload under `rec`.
+fn record(rec: &Recorder, c: &AppCompletion, bytes: u64) {
+    match &c.result {
+        Ok(_) => rec.borrow_mut().record(c.completed_at, c.latency(), bytes),
+        Err(_) => rec.borrow_mut().record_error(c.completed_at),
+    }
+}
+
+/// Allocates `pages` pages, warms each (fault + TLB) with a 1-byte write,
+/// and restarts `rec`'s measurement window at the end of the warm-up.
+async fn alloc_warm(h: &ProcHandle, pages: u64, page_size: u64, rec: &Recorder) -> u64 {
+    let va = h.ralloc(pages * page_size, Perm::RW).await.va();
+    for page in 0..pages {
+        h.rwrite(va + page * page_size, Bytes::from_static(&[0u8])).await;
+    }
+    *rec.borrow_mut() = OpRecorder::new(h.now());
+    va
+}
+
+/// What a memory-access load does per operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessMix {
     /// Only reads.
@@ -23,12 +58,12 @@ pub enum AccessMix {
 
 /// A closed-loop (optionally windowed) read/write load generator.
 ///
-/// Allocates `span_pages` of remote memory, warms every page (fault +
-/// TLB), then runs `ops` operations of `size` bytes with `window`
-/// outstanding (1 = synchronous), optionally uniform-random over the span,
-/// with optional per-op think time. Latencies/goodput land in its
-/// [`OpRecorder`].
-pub struct MemDriver {
+/// Allocates `span_pages` of remote memory, warms every page, then runs
+/// `ops` operations of `size` bytes with `window` outstanding (1 =
+/// synchronous), optionally uniform-random over the span, with optional
+/// per-op think time.
+#[derive(Debug, Clone, Copy)]
+pub struct MemLoad {
     /// Operation size in bytes.
     pub size: u32,
     /// Access mix.
@@ -41,27 +76,52 @@ pub struct MemDriver {
     pub span_pages: u64,
     /// Page size (for span math).
     pub page_size: u64,
-    /// Uniform-random page selection (vs. fixed page 0).
+    /// Uniform-random page selection (vs. round-robin).
     pub random: bool,
+    /// Seed of the page-selection stream.
+    pub seed: u64,
     /// Think time inserted before each op (models light offered load).
     pub think: SimDuration,
-    /// Refill the window through the scatter/gather API (`read_v`/
-    /// `write_v`) instead of per-op submissions.
+    /// Refill the window through the scatter/gather API (`rread_v`/
+    /// `rwrite_v`) instead of per-op submissions.
     pub scatter_gather: bool,
-    /// Results.
-    pub recorder: OpRecorder,
-    // internal
-    va: u64,
-    warm_left: u64,
-    issued: u64,
-    completed: u64,
-    op_counter: u64,
-    rng: SimRng,
-    done: bool,
 }
 
-impl MemDriver {
-    /// A driver with the given shape; measurement starts after warm-up.
+/// The op stream one [`MemLoad`]'s window tasks draw from, in issue order —
+/// the single source of truth for both submit paths, so the scalar and
+/// scatter/gather series measure the same workload.
+struct MemOps {
+    load: MemLoad,
+    va: u64,
+    issued: u64,
+    rng: SimRng,
+}
+
+impl MemOps {
+    /// The next operation's target and (for a write) payload; `None` once
+    /// all `ops` are issued.
+    fn next(&mut self) -> Option<(u64, Option<Bytes>)> {
+        let MemLoad { size, mix, ops, span_pages, page_size, random, .. } = self.load;
+        if self.issued >= ops {
+            return None;
+        }
+        let page =
+            if random { self.rng.range_u64(0, span_pages) } else { self.issued % span_pages };
+        // Keep the op inside one page.
+        let max_off = page_size.saturating_sub(size as u64).max(1);
+        let va = self.va + page * page_size + self.issued * 64 % max_off;
+        self.issued += 1;
+        let write = match mix {
+            AccessMix::Reads => false,
+            AccessMix::Writes => true,
+            AccessMix::Alternate => self.issued.is_multiple_of(2),
+        };
+        Some((va, write.then(|| Bytes::from(vec![self.issued as u8; size as usize]))))
+    }
+}
+
+impl MemLoad {
+    /// A load with the given shape; measurement starts after warm-up.
     #[allow(clippy::too_many_arguments)] // a config surface, built once per bench
     pub fn new(
         size: u32,
@@ -73,7 +133,7 @@ impl MemDriver {
         random: bool,
         seed: u64,
     ) -> Self {
-        MemDriver {
+        MemLoad {
             size,
             mix,
             ops,
@@ -81,166 +141,91 @@ impl MemDriver {
             span_pages: span_pages.max(1),
             page_size,
             random,
+            seed,
             think: SimDuration::ZERO,
             scatter_gather: false,
-            recorder: OpRecorder::new(SimTime::ZERO),
-            va: 0,
-            warm_left: 0,
-            issued: 0,
-            completed: 0,
-            op_counter: 0,
-            rng: SimRng::new(seed),
-            done: false,
         }
     }
 
-    /// Switches the driver to the explicit scatter/gather submit path.
+    /// Switches the load to the explicit scatter/gather submit path.
     pub fn with_scatter_gather(mut self) -> Self {
         self.scatter_gather = true;
         self
     }
 
-    /// True when all operations completed.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    fn target_va(&mut self) -> u64 {
-        let page = if self.random {
-            self.rng.range_u64(0, self.span_pages)
-        } else {
-            self.op_counter % self.span_pages
-        };
-        // Keep the op inside one page.
-        let max_off = self.page_size.saturating_sub(self.size as u64).max(1);
-        self.va + page * self.page_size + self.op_counter * 64 % max_off
-    }
-
-    /// Picks the next operation's target and kind, advancing the op
-    /// counter — the single source of truth for both submit paths, so the
-    /// scalar and scatter/gather series measure the same workload.
-    fn next_op(&mut self) -> (u64, bool) {
-        let va = self.target_va();
-        self.op_counter += 1;
-        let write = match self.mix {
-            AccessMix::Reads => false,
-            AccessMix::Writes => true,
-            AccessMix::Alternate => self.op_counter.is_multiple_of(2),
-        };
-        self.issued += 1;
-        (va, write)
-    }
-
-    fn issue_one(&mut self, api: &mut ClientApi<'_, '_>) {
-        let (va, write) = self.next_op();
-        if write {
-            api.write(va, Bytes::from(vec![self.op_counter as u8; self.size as usize]));
-        } else {
-            api.read(va, self.size);
-        }
-    }
-
-    fn pump(&mut self, api: &mut ClientApi<'_, '_>) {
-        if !self.think.is_zero() {
-            // Think-time mode (window 1): pace ops via wake-ups.
-            if self.issued < self.ops && self.issued == self.completed {
-                api.wake_in(self.think, 1);
+    /// Spawns the load as process `pid` on compute node `cn`.
+    pub fn spawn(self, cluster: &mut Cluster, cn: usize, pid: Pid) -> Recorder {
+        let rec = recorder();
+        let out = rec.clone();
+        cluster.spawn(cn, pid, move |h| async move {
+            let va = alloc_warm(&h, self.span_pages, self.page_size, &out).await;
+            let ops = Rc::new(RefCell::new(MemOps {
+                load: self,
+                va,
+                issued: 0,
+                rng: SimRng::new(self.seed),
+            }));
+            let window = u64::from(self.window).min(self.ops);
+            // The first window: one W-entry vector per op kind in
+            // scatter/gather mode, W independent submissions otherwise.
+            let mut first: Vec<Option<OpFuture>> = (0..window).map(|_| None).collect();
+            if self.scatter_gather {
+                let (mut reads, mut writes) = (Vec::new(), Vec::new());
+                for _ in 0..window {
+                    match ops.borrow_mut().next().expect("window <= ops") {
+                        (va, Some(data)) => writes.push((va, data)),
+                        (va, None) => reads.push((va, self.size)),
+                    }
+                }
+                first = h.rread_v(reads).into_iter().chain(h.rwrite_v(writes)).map(Some).collect();
             }
-            return;
-        }
-        if self.scatter_gather {
-            self.pump_scatter_gather(api);
-            return;
-        }
-        while self.issued - self.completed < self.window as u64 && self.issued < self.ops {
-            self.issue_one(api);
-        }
+            for fut in first {
+                h.spawn(Self::window_task(h.clone(), ops.clone(), out.clone(), fut));
+            }
+        });
+        rec
     }
 
-    /// Refills the window as explicit `read_v`/`write_v` vectors (reads and
-    /// writes of one refill are grouped into at most one vector each).
-    fn pump_scatter_gather(&mut self, api: &mut ClientApi<'_, '_>) {
-        let refill = (self.window as u64)
-            .saturating_sub(self.issued - self.completed)
-            .min(self.ops - self.issued);
-        if refill == 0 {
-            return;
-        }
-        let mut reads: Vec<(u64, u32)> = Vec::new();
-        let mut writes: Vec<(u64, Bytes)> = Vec::new();
-        for _ in 0..refill {
-            let (va, write) = self.next_op();
-            if write {
-                writes.push((va, Bytes::from(vec![self.op_counter as u8; self.size as usize])));
-            } else {
-                reads.push((va, self.size));
-            }
-        }
-        if !reads.is_empty() {
-            api.read_v(&reads);
-        }
-        if !writes.is_empty() {
-            api.write_v(writes);
+    /// One slot of the window: completes `first` (if handed one), then
+    /// keeps issuing the stream's next op until it runs dry.
+    async fn window_task(
+        h: ProcHandle,
+        ops: Rc<RefCell<MemOps>>,
+        rec: Recorder,
+        mut first: Option<OpFuture>,
+    ) {
+        let MemLoad { size, think, scatter_gather, .. } = ops.borrow().load;
+        loop {
+            let fut = match first.take() {
+                Some(fut) => fut,
+                None => {
+                    if ops.borrow().issued >= ops.borrow().load.ops {
+                        break;
+                    }
+                    if !think.is_zero() {
+                        h.sleep(think).await;
+                    }
+                    let Some((va, data)) = ops.borrow_mut().next() else { break };
+                    match (data, scatter_gather) {
+                        (Some(data), false) => h.rwrite(va, data),
+                        (None, false) => h.rread(va, size),
+                        (Some(data), true) => h.rwrite_v(vec![(va, data)]).remove(0),
+                        (None, true) => h.rread_v(vec![(va, size)]).remove(0),
+                    }
+                }
+            };
+            record(&rec, &fut.await, size as u64);
         }
     }
 }
 
-impl ClientDriver for MemDriver {
-    fn name(&self) -> &str {
-        "mem-driver"
-    }
-
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-        let len = self.span_pages * self.page_size;
-        api.alloc(len, Perm::RW);
-    }
-
-    fn on_wake(&mut self, api: &mut ClientApi<'_, '_>, _tag: u64) {
-        // A think-time op comes due.
-        if self.issued < self.ops {
-            self.issue_one(api);
-        }
-    }
-
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-        if self.va == 0 {
-            // Allocation done: warm every page with a 1-byte write.
-            self.va = c.va();
-            self.warm_left = self.span_pages;
-            api.write(self.va, Bytes::from_static(&[0u8]));
-            return;
-        }
-        if self.warm_left > 0 {
-            self.warm_left -= 1;
-            if self.warm_left > 0 {
-                let page = self.span_pages - self.warm_left;
-                api.write(self.va + page * self.page_size, Bytes::from_static(&[0u8]));
-                return;
-            }
-            // Warm-up finished: start measuring now.
-            self.recorder = OpRecorder::new(api.now());
-            self.pump(api);
-            return;
-        }
-        match &c.result {
-            Ok(_) => self.recorder.record(c.completed_at, c.latency(), self.size as u64),
-            Err(_) => self.recorder.record_error(c.completed_at),
-        }
-        self.completed += 1;
-        if self.completed >= self.ops {
-            self.done = true;
-            return;
-        }
-        self.pump(api);
-    }
-}
-
-/// An open-loop burst generator: issues `burst` small async reads in one
-/// callback (the paper's issue-then-`rpoll` pattern), waits for all of them,
+/// An open-loop burst generator: issues `burst` small async reads at one
+/// instant (the paper's issue-then-poll pattern), waits for all of them,
 /// then fires the next burst. Because every request of a burst is submitted
 /// at the same virtual instant, this is the natural showcase for the
 /// transport's doorbell-coalesced request batching.
-pub struct BurstDriver {
+#[derive(Debug, Clone, Copy)]
+pub struct BurstLoad {
     /// Operation size in bytes.
     pub size: u32,
     /// Requests per burst.
@@ -251,240 +236,133 @@ pub struct BurstDriver {
     pub span_pages: u64,
     /// Page size.
     pub page_size: u64,
-    /// Submit each burst as one explicit `read_v` vector (the
+    /// Submit each burst as one explicit `rread_v` vector (the
     /// scatter/gather API) instead of per-op async submissions.
     pub scatter_gather: bool,
-    /// Results (per-op latencies land here).
-    pub recorder: OpRecorder,
-    va: u64,
-    warm_left: u64,
-    outstanding: u64,
-    bursts_done: u64,
-    done: bool,
 }
 
-impl BurstDriver {
-    /// A driver firing `bursts` bursts of `burst` reads of `size` bytes.
+impl BurstLoad {
+    /// A load firing `bursts` bursts of `burst` reads of `size` bytes.
     pub fn new(size: u32, burst: u64, bursts: u64, span_pages: u64, page_size: u64) -> Self {
-        BurstDriver {
+        let burst = burst.max(1);
+        BurstLoad {
             size,
-            burst: burst.max(1),
+            burst,
             bursts,
-            span_pages: span_pages.max(burst.max(1)),
+            span_pages: span_pages.max(burst),
             page_size,
             scatter_gather: false,
-            recorder: OpRecorder::new(SimTime::ZERO),
-            va: 0,
-            warm_left: 0,
-            outstanding: 0,
-            bursts_done: 0,
-            done: false,
         }
     }
 
-    /// Switches the driver to the explicit scatter/gather submit path.
+    /// Switches the load to the explicit scatter/gather submit path.
     pub fn with_scatter_gather(mut self) -> Self {
         self.scatter_gather = true;
         self
     }
 
-    /// True when all bursts completed.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    fn fire_burst(&mut self, api: &mut ClientApi<'_, '_>) {
-        // Distinct pages inside one burst: no intra-burst dependencies, so
-        // the whole burst dispatches (and coalesces) at one instant.
-        let base = (self.bursts_done * self.burst) % self.span_pages;
-        if self.scatter_gather {
-            let reads: Vec<(u64, u32)> = (0..self.burst)
-                .map(|i| {
-                    let page = (base + i) % self.span_pages;
-                    (self.va + page * self.page_size, self.size)
-                })
-                .collect();
-            api.read_v(&reads);
-        } else {
-            for i in 0..self.burst {
-                let page = (base + i) % self.span_pages;
-                api.read(self.va + page * self.page_size, self.size);
+    /// Spawns the load as process `pid` on compute node `cn`.
+    pub fn spawn(self, cluster: &mut Cluster, cn: usize, pid: Pid) -> Recorder {
+        let rec = recorder();
+        let out = rec.clone();
+        let BurstLoad { size, burst, bursts, span_pages, page_size, scatter_gather } = self;
+        cluster.spawn(cn, pid, move |h| async move {
+            let va = alloc_warm(&h, span_pages, page_size, &out).await;
+            for b in 0..bursts {
+                // Distinct pages inside one burst: no intra-burst
+                // dependencies, so the whole burst dispatches (and
+                // coalesces) at one instant.
+                let reads =
+                    (0..burst).map(|i| (va + (b * burst + i) % span_pages * page_size, size));
+                if scatter_gather {
+                    for fut in h.rread_v(reads.collect()) {
+                        record(&out, &fut.await, size as u64);
+                    }
+                } else {
+                    for (va, len) in reads {
+                        let (h2, out) = (h.clone(), out.clone());
+                        h.spawn(async move { record(&out, &h2.rread(va, len).await, len as u64) });
+                    }
+                    h.rrelease().await;
+                }
             }
-        }
-        self.outstanding = self.burst;
-    }
-}
-
-impl ClientDriver for BurstDriver {
-    fn name(&self) -> &str {
-        "burst-driver"
-    }
-
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-        api.alloc(self.span_pages * self.page_size, Perm::RW);
-    }
-
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-        if self.va == 0 {
-            self.va = c.va();
-            self.warm_left = self.span_pages;
-            api.write(self.va, Bytes::from_static(&[0u8]));
-            return;
-        }
-        if self.warm_left > 0 {
-            self.warm_left -= 1;
-            if self.warm_left > 0 {
-                let page = self.span_pages - self.warm_left;
-                api.write(self.va + page * self.page_size, Bytes::from_static(&[0u8]));
-                return;
-            }
-            self.recorder = OpRecorder::new(api.now());
-            self.fire_burst(api);
-            return;
-        }
-        match &c.result {
-            Ok(_) => self.recorder.record(c.completed_at, c.latency(), self.size as u64),
-            Err(_) => self.recorder.record_error(c.completed_at),
-        }
-        self.outstanding -= 1;
-        if self.outstanding > 0 {
-            return;
-        }
-        self.bursts_done += 1;
-        if self.bursts_done >= self.bursts {
-            self.done = true;
-            return;
-        }
-        self.fire_burst(api);
+        });
+        rec
     }
 }
 
 /// A YCSB client over the Clio-KV offload, partitioned across MNs.
-pub struct KvDriver {
-    gen: YcsbGenerator,
+pub struct KvLoad {
+    /// The operation stream.
+    pub gen: YcsbGenerator,
+    /// Keys to pre-load (sequentially, so every MN partition gets its
+    /// records) before measuring.
+    pub preload: u64,
     /// Operations to run.
     pub ops: u64,
     /// Outstanding window.
     pub window: u32,
     /// Offload id on every MN.
     pub offload_id: u16,
-    /// Results.
-    pub recorder: OpRecorder,
-    issued: u64,
-    completed: u64,
-    loaded: u64,
-    preload: u64,
-    done: bool,
-    value_size: u64,
 }
 
-impl KvDriver {
-    /// A driver running `ops` YCSB operations after pre-loading `preload`
-    /// keys (sequentially, so every MN partition gets its records).
-    pub fn new(gen: YcsbGenerator, preload: u64, ops: u64, window: u32, offload_id: u16) -> Self {
+impl KvLoad {
+    /// Spawns the load as process `pid` on compute node `cn`.
+    pub fn spawn(self, cluster: &mut Cluster, cn: usize, pid: Pid) -> Recorder {
+        let rec = recorder();
+        let out = rec.clone();
+        let macs = cluster.mn_macs().to_vec();
+        let KvLoad { gen, preload, ops, window, offload_id } = self;
         let value_size = gen.value_size() as u64;
-        KvDriver {
-            gen,
-            ops,
-            window: window.max(1),
-            offload_id,
-            recorder: OpRecorder::new(SimTime::ZERO),
-            issued: 0,
-            completed: 0,
-            loaded: 0,
-            preload,
-            done: false,
-            value_size,
-        }
-    }
-
-    /// True when the run finished.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    fn key_bytes(key: u64) -> Vec<u8> {
-        format!("user{key:012}").into_bytes()
-    }
-
-    fn mn_for(&self, api: &ClientApi<'_, '_>, key: &[u8]) -> Mac {
-        let mns = api.mn_macs();
-        mns[partition_of(key, mns.len())]
-    }
-
-    fn send(&mut self, api: &mut ClientApi<'_, '_>, req: &KvRequest) {
-        let key = match req {
-            KvRequest::Put { key, .. } | KvRequest::Get { key } | KvRequest::Delete { key } => {
-                key.clone()
+        cluster.spawn(cn, pid, move |h| async move {
+            let key_of = |key: u64| format!("user{key:012}").into_bytes();
+            let call = move |h: &ProcHandle, req: KvRequest| {
+                let (KvRequest::Put { key, .. }
+                | KvRequest::Get { key }
+                | KvRequest::Delete { key }) = &req;
+                let mn = macs[partition_of(key, macs.len())];
+                h.roffload(mn, offload_id, req.opcode(), req.encode())
+            };
+            for key in 0..preload {
+                let value = gen.value_for(key, 0);
+                call(&h, KvRequest::Put { key: key_of(key), value }).await;
             }
-        };
-        let mn = self.mn_for(api, &key);
-        api.offload(mn, self.offload_id, req.opcode(), req.encode());
-    }
-
-    fn issue_next(&mut self, api: &mut ClientApi<'_, '_>) {
-        let req = match self.gen.next_op() {
-            YcsbOp::Get { key } => KvRequest::Get { key: Self::key_bytes(key) },
-            YcsbOp::Set { key, value } => KvRequest::Put { key: Self::key_bytes(key), value },
-        };
-        self.send(api, &req);
-        self.issued += 1;
-    }
-
-    fn pump(&mut self, api: &mut ClientApi<'_, '_>) {
-        while self.issued - self.completed < self.window as u64 && self.issued < self.ops {
-            self.issue_next(api);
-        }
+            *out.borrow_mut() = OpRecorder::new(h.now());
+            let left = Rc::new(RefCell::new((gen, ops)));
+            for _ in 0..u64::from(window.max(1)).min(ops) {
+                let (h2, left, out, call) = (h.clone(), left.clone(), out.clone(), call.clone());
+                h.spawn(async move {
+                    loop {
+                        let op = {
+                            let (gen, left) = &mut *left.borrow_mut();
+                            if *left == 0 {
+                                break;
+                            }
+                            *left -= 1;
+                            gen.next_op()
+                        };
+                        let req = match op {
+                            YcsbOp::Get { key } => KvRequest::Get { key: key_of(key) },
+                            YcsbOp::Set { key, value } => {
+                                KvRequest::Put { key: key_of(key), value }
+                            }
+                        };
+                        record(&out, &call(&h2, req).await, value_size);
+                    }
+                });
+            }
+        });
+        rec
     }
 }
 
-impl ClientDriver for KvDriver {
-    fn name(&self) -> &str {
-        "kv-driver"
-    }
-
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-        if self.preload == 0 {
-            self.recorder = OpRecorder::new(api.now());
-            self.pump(api);
-            return;
-        }
-        let value = self.gen.value_for(0, 0);
-        let req = KvRequest::Put { key: Self::key_bytes(0), value };
-        self.send(api, &req);
-    }
-
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-        if self.loaded < self.preload {
-            self.loaded += 1;
-            if self.loaded < self.preload {
-                let key = self.loaded;
-                let value = self.gen.value_for(key, 0);
-                let req = KvRequest::Put { key: Self::key_bytes(key), value };
-                self.send(api, &req);
-                return;
-            }
-            self.recorder = OpRecorder::new(api.now());
-            self.pump(api);
-            return;
-        }
-        match &c.result {
-            Ok(_) => self.recorder.record(c.completed_at, c.latency(), self.value_size),
-            Err(_) => self.recorder.record_error(c.completed_at),
-        }
-        self.completed += 1;
-        if self.completed >= self.ops {
-            self.done = true;
-            return;
-        }
-        self.pump(api);
-    }
-}
-
-/// A driver reading/writing a **pre-existing** remote range (used by sweeps
-/// that install state directly, e.g. the Figure 5 PTE-aliasing methodology).
-pub struct RangeDriver {
-    /// Base VA of the range (must already be mapped for this driver's pid).
+/// A synchronous load reading/writing a **pre-existing** remote range (used
+/// by sweeps that install state directly, e.g. the Figure 5 PTE-aliasing
+/// methodology). The first tenth of the ops (at least 4) is warm-up,
+/// excluded from the results.
+#[derive(Debug, Clone, Copy)]
+pub struct RangeLoad {
+    /// Base VA of the range (must already be mapped for the load's pid).
     pub base: u64,
     /// Pages in the range.
     pub pages: u64,
@@ -494,20 +372,16 @@ pub struct RangeDriver {
     pub size: u32,
     /// Access mix.
     pub mix: AccessMix,
-    /// Operations to run (first `warmup` excluded from stats).
+    /// Operations to run.
     pub ops: u64,
-    /// Warm-up operations.
-    pub warmup: u64,
     /// Random page selection.
     pub random: bool,
-    /// Results.
-    pub recorder: OpRecorder,
-    done_ops: u64,
-    rng: SimRng,
+    /// Seed of the page-selection stream.
+    pub seed: u64,
 }
 
-impl RangeDriver {
-    /// A synchronous driver over `[base, base + pages*page_size)`.
+impl RangeLoad {
+    /// A synchronous load over `[base, base + pages * page_size)`.
     #[allow(clippy::too_many_arguments)] // bench config surface
     pub fn new(
         base: u64,
@@ -519,63 +393,36 @@ impl RangeDriver {
         random: bool,
         seed: u64,
     ) -> Self {
-        RangeDriver {
-            base,
-            pages: pages.max(1),
-            page_size,
-            size,
-            mix,
-            ops,
-            warmup: (ops / 10).clamp(4, ops),
-            random,
-            recorder: OpRecorder::new(SimTime::ZERO),
-            done_ops: 0,
-            rng: SimRng::new(seed),
-        }
+        RangeLoad { base, pages, page_size, size, mix, ops, random, seed }
     }
 
-    /// True when finished.
-    pub fn is_done(&self) -> bool {
-        self.done_ops >= self.ops
-    }
-
-    fn issue(&mut self, api: &mut ClientApi<'_, '_>) {
-        let page = if self.random {
-            self.rng.range_u64(0, self.pages)
-        } else {
-            self.done_ops % self.pages
-        };
-        let va = self.base + page * self.page_size;
-        let write = match self.mix {
-            AccessMix::Reads => false,
-            AccessMix::Writes => true,
-            AccessMix::Alternate => self.done_ops % 2 == 1,
-        };
-        if write {
-            api.write(va, Bytes::from(vec![self.done_ops as u8; self.size as usize]));
-        } else {
-            api.read(va, self.size);
-        }
-    }
-}
-
-impl ClientDriver for RangeDriver {
-    fn name(&self) -> &str {
-        "range-driver"
-    }
-
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-        self.issue(api);
-    }
-
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-        assert!(c.result.is_ok(), "range op failed: {:?}", c.result);
-        if self.done_ops >= self.warmup {
-            self.recorder.record(c.completed_at, c.latency(), self.size as u64);
-        }
-        self.done_ops += 1;
-        if self.done_ops < self.ops {
-            self.issue(api);
-        }
+    /// Spawns the load as process `pid` on compute node `cn`.
+    pub fn spawn(self, cluster: &mut Cluster, cn: usize, pid: Pid) -> Recorder {
+        let rec = recorder();
+        let out = rec.clone();
+        let RangeLoad { base, pages, page_size, size, mix, ops, random, seed } = self;
+        let (pages, warmup) = (pages.max(1), (ops / 10).clamp(4, ops));
+        cluster.spawn(cn, pid, move |h| async move {
+            let mut rng = SimRng::new(seed);
+            for i in 0..ops {
+                let page = if random { rng.range_u64(0, pages) } else { i % pages };
+                let va = base + page * page_size;
+                let write = match mix {
+                    AccessMix::Reads => false,
+                    AccessMix::Writes => true,
+                    AccessMix::Alternate => i % 2 == 1,
+                };
+                let c = if write {
+                    h.rwrite(va, Bytes::from(vec![i as u8; size as usize])).await
+                } else {
+                    h.rread(va, size).await
+                };
+                assert!(c.result.is_ok(), "range op failed: {:?}", c.result);
+                if i >= warmup {
+                    out.borrow_mut().record(c.completed_at, c.latency(), size as u64);
+                }
+            }
+        });
+        rec
     }
 }

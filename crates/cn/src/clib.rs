@@ -1,7 +1,7 @@
 //! CLib's user-facing request layer (paper §3.1 API, §4.5 ordering).
 //!
 //! A [`CLib`] instance lives inside a compute-node host actor, next to the
-//! NIC. Applications (or the blocking runtime in `clio-core`) submit [`Op`]s
+//! NIC. Applications (through the executor in `clio-core`) submit [`Op`]s
 //! tagged with a [`ThreadId`]; CLib enforces the paper's intra-thread
 //! ordering rules before handing requests to the [`Transport`]:
 //!
@@ -225,9 +225,6 @@ pub struct CLib {
     transport: Transport,
     trackers: IdMap<ThreadId, DependencyTracker<OpToken>>,
     ops: IdMap<OpToken, PendingOp>,
-    /// Per-op wakers fired exactly once when the op completes — the
-    /// poll-free completion path used by the async executor.
-    wakers: IdMap<OpToken, std::task::Waker>,
     /// Arrival-time override for the next submission call: ops admitted
     /// while this is set begin their trace (and report `issued_at`) at the
     /// earlier arrival time, with the gap stitched as a
@@ -253,7 +250,6 @@ impl CLib {
             page_size,
             trackers: IdMap::default(),
             ops: IdMap::default(),
-            wakers: IdMap::default(),
             queued_since: None,
             next_token: 1,
             xfer_done: Vec::new(),
@@ -319,19 +315,6 @@ impl CLib {
     /// backpressure wait. Cleared after the next submission call.
     pub fn set_queued_since(&mut self, at: Option<SimTime>) {
         self.queued_since = at;
-    }
-
-    /// Registers a waker fired when `token` completes — the poll-free
-    /// completion path: instead of scanning for finished ops, an executor
-    /// parks a task waker here and CLib wakes it when the op finishes.
-    /// At most one waker per op (later
-    /// registrations replace earlier ones); a token that is not pending
-    /// (already completed, or never existed) is ignored — its completion
-    /// has already been handed to the host.
-    pub fn register_waker(&mut self, token: OpToken, waker: std::task::Waker) {
-        if self.ops.contains_key(&token) {
-            self.wakers.insert(token, waker);
-        }
     }
 
     /// The underlying transport, read-only — the model checker fingerprints
@@ -625,7 +608,7 @@ impl CLib {
 
     /// Cancels a still-pending op (its deadline elapsed): withdraws every
     /// transport attempt, ends the op's trace with a [`Stage::Cancelled`]
-    /// span, wakes any parked waker, and releases the thread's dependents.
+    /// span, and releases the thread's dependents.
     /// Appends the resulting completions — the cancelled op's
     /// [`ClioError::DeadlineExceeded`] failure plus anything dependents
     /// produced synchronously. A token no longer pending (the completion
@@ -640,9 +623,6 @@ impl CLib {
     ) {
         let Some(pending) = self.ops.remove(&token) else { return };
         self.transport.cancel(ctx, XferToken(token.0));
-        if let Some(waker) = self.wakers.remove(&token) {
-            waker.wake();
-        }
         self.completed_count.inc();
         self.tracer.stitch(pending.trace, self.track, Stage::Cancelled, ctx.now());
         self.tracer.finish(pending.trace, self.track, ctx.now());
@@ -684,12 +664,6 @@ impl CLib {
         }
 
         let pending = self.ops.remove(&token).expect("checked above");
-        // Poll-free completion path: wake the executor task (if any) parked
-        // on this op. Fires only on real completion — the lock-spin early
-        // return above keeps the waker armed across TAS retries.
-        if let Some(waker) = self.wakers.remove(&token) {
-            waker.wake();
-        }
         let value = done.result.map(|v| match (&pending.op, v) {
             (_, XferValue::Data(d)) => CompletionValue::Data(d),
             (_, XferValue::Va(va)) => CompletionValue::Va(va),

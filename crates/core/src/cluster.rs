@@ -1,5 +1,9 @@
 //! Cluster assembly: CNs + CBoards + switch + controller.
 
+use std::cell::Cell;
+use std::future::Future;
+use std::rc::Rc;
+
 use clio_cn::CLibConfig;
 use clio_mn::{CBoard, CBoardConfig, Offload};
 use clio_net::{ChaosSchedule, Mac, Network, NetworkConfig};
@@ -9,7 +13,8 @@ use clio_trace::metrics::Registry;
 use clio_trace::{OpTrace, Tracer, Track};
 
 use crate::controller::Controller;
-use crate::node::{ClientDriver, ComputeNode, StartClients};
+use crate::exec::ProcHandle;
+use crate::node::{ComputeNode, StartClients};
 
 /// Deployment shape and component configurations.
 #[derive(Debug, Clone)]
@@ -38,7 +43,7 @@ pub struct ClusterConfig {
     /// entirely — op headers and wire timing are identical either way, so
     /// a traced run's `Simulation::digest` matches the untraced one.
     pub trace_sample_every: Option<u64>,
-    /// Per-process in-flight submission budget for executor drivers: once
+    /// Per-process in-flight submission budget for the executors: once
     /// this many ops are outstanding, further submissions park (surfaced as
     /// `cn<i>.runtime.parked`) until window credit frees.
     pub runtime_inflight_budget: usize,
@@ -235,36 +240,50 @@ impl Cluster {
         &self.mn_macs
     }
 
-    /// Registers a driver as process `pid` on compute node `cn`. Returns the
-    /// driver's index on that CN.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`start`](Self::start) or with a bad index.
-    pub fn add_driver(&mut self, cn: usize, pid: Pid, driver: Box<dyn ClientDriver>) -> usize {
-        assert!(!self.started, "add drivers before starting the cluster");
-        self.sim.actor_mut::<ComputeNode>(self.cns[cn]).add_driver(pid, driver)
-    }
-
     /// Spawns an async client program as process `pid` on compute node
-    /// `cn`: builds a fresh [`ExecDriver`](crate::exec::ExecDriver), seeds
-    /// it with the task `f` returns, and registers it. The task starts at
-    /// [`start`](Self::start); clone the [`ProcHandle`](crate::exec::ProcHandle)
-    /// it receives to spawn further tasks. Returns the driver's index on
-    /// that CN.
+    /// `cn`: registers a fresh [`ExecDriver`](crate::exec::ExecDriver) and
+    /// seeds it with the task `f` returns. The task starts at
+    /// [`start`](Self::start); clone the [`ProcHandle`] it receives to spawn
+    /// further tasks. Returns the executor's index on that CN.
     ///
     /// # Panics
     ///
     /// Panics if called after [`start`](Self::start) or with a bad index.
     pub fn spawn<F, Fut>(&mut self, cn: usize, pid: Pid, f: F) -> usize
     where
-        F: FnOnce(crate::exec::ProcHandle) -> Fut,
-        Fut: std::future::Future<Output = ()> + 'static,
+        F: FnOnce(ProcHandle) -> Fut,
+        Fut: Future<Output = ()> + 'static,
     {
-        let driver = crate::exec::ExecDriver::new();
-        let handle = driver.handle();
+        assert!(!self.started, "spawn processes before starting the cluster");
+        let (idx, handle) = self.sim.actor_mut::<ComputeNode>(self.cns[cn]).add_process(pid);
         handle.spawn(f(handle.clone()));
-        self.add_driver(cn, pid, Box::new(driver))
+        idx
+    }
+
+    /// Runs one program to completion and returns what it returns:
+    /// [`spawn`](Self::spawn) + [`start`](Self::start) +
+    /// [`run_until_idle`](Self::run_until_idle). Processes spawned before
+    /// the call run alongside it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cluster went idle before the program finished (it
+    /// awaits something that never happens), or under `spawn`'s conditions.
+    pub fn block_on<F, Fut, T>(&mut self, cn: usize, pid: Pid, f: F) -> T
+    where
+        F: FnOnce(ProcHandle) -> Fut,
+        Fut: Future<Output = T> + 'static,
+        T: 'static,
+    {
+        let out = Rc::new(Cell::new(None));
+        let sink = out.clone();
+        self.spawn(cn, pid, |h| {
+            let program = f(h);
+            async move { sink.set(Some(program.await)) }
+        });
+        self.start();
+        self.run_until_idle();
+        out.take().expect("cluster went idle before the program finished")
     }
 
     /// Installs an offload module on memory node `mn`.
@@ -300,7 +319,7 @@ impl Cluster {
         });
     }
 
-    /// Starts every registered driver.
+    /// Starts every spawned process.
     pub fn start(&mut self) {
         self.started = true;
         for &cn in &self.cns {
@@ -323,7 +342,7 @@ impl Cluster {
         self.sim.now()
     }
 
-    /// Borrows a compute node (stats, driver state).
+    /// Borrows a compute node (stats, executor state).
     pub fn cn(&self, i: usize) -> &ComputeNode {
         self.sim.actor::<ComputeNode>(self.cns[i])
     }

@@ -1,8 +1,7 @@
 //! # Deterministic async executor for client programs
 //!
-//! The third way to program a [`Cluster`](crate::Cluster), between raw
-//! event-driven [`ClientDriver`]s and the OS-thread blocking runtime:
-//! cooperative tasks whose remote operations are real `Future`s —
+//! The one way to program a [`Cluster`](crate::Cluster): cooperative tasks
+//! whose remote operations are real `Future`s —
 //!
 //! ```ignore
 //! cluster.spawn(0, pid, |h| async move {
@@ -12,9 +11,11 @@
 //! });
 //! ```
 //!
-//! One [`ExecDriver`] hosts any number of tasks on a compute node; tasks
-//! run *inside* the simulation's event loop (no OS threads on the hot
-//! path), so a single simulated CN sustains tens of thousands of
+//! `.await` is the paper's synchronous call; `h.spawn(..)` followed by
+//! `h.rrelease().await` is its issue-then-`rpoll` pattern. One
+//! [`ExecDriver`] per client process hosts any number of tasks on a compute
+//! node; tasks run *inside* the simulation's event loop (no OS threads
+//! anywhere), so a single simulated CN sustains tens of thousands of
 //! concurrent outstanding ops. Determinism is absolute: tasks are only
 //! polled from sim callbacks, ready/submission queues are FIFO, and every
 //! wake-up is carried by a sim event — same program + same seed ⇒ the
@@ -23,13 +24,12 @@
 //! ## Waker path
 //!
 //! Awaiting an [`OpFuture`] reserves one unit of the process's in-flight
-//! budget and queues a submission; the driver flushes queued submissions
-//! through [`ClientApi`] in program order. Each issued op carries the
-//! task's [`Waker`] down into CLib ([`ClientApi::register_waker`]), so the
-//! completion path — CLib `finish()` — wakes the exact task that awaits
-//! it, with no `rpoll` scanning anywhere. Ops that die before reaching
-//! CLib (fail-fast routing errors) are caught by a fallback wake when the
-//! driver receives the completion event.
+//! budget and queues a submission; the executor flushes queued submissions
+//! to its compute node in program order. There is one completion wake:
+//! when the node delivers an op's completion, the executor stores the
+//! result in the op's slot and wakes the task that awaits it — once, with
+//! the result already deliverable, so a completed op costs one poll. No
+//! layer below the executor holds a waker.
 //!
 //! ## Backpressure
 //!
@@ -70,7 +70,7 @@ use clio_net::Mac;
 use clio_proto::Perm;
 use clio_sim::{IdMap, SimDuration, SimTime};
 
-use crate::node::{AppCompletion, AppToken, ClientApi, ClientDriver, RuntimeGauges, POKE_TAG};
+use crate::node::{AppCompletion, AppToken, NodeApi, OpSpec, RuntimeGauges, POKE_TAG};
 
 pub mod openloop;
 
@@ -94,18 +94,22 @@ impl Wake for TaskWaker {
 }
 
 /// One outstanding op's mailbox, shared between its [`OpFuture`], the
-/// driver's token → slot map, and any [`CancelHandle`]s.
+/// executor's token → slot map, and any [`CancelHandle`]s.
 struct OpSlot {
+    /// When the op arrived (its future was created, or the back-dated time
+    /// set by [`OpFuture::arriving_at`]): what every completion of it
+    /// reports as `issued_at`, whether the node or a cancellation made it.
+    arrival: SimTime,
     result: Option<AppCompletion>,
     waker: Option<Waker>,
-    /// The host token, known once the driver flushes the submission;
-    /// cancellation after this point goes through [`ClientApi::cancel`].
+    /// The host token, known once the executor flushes the submission;
+    /// cancellation after this point goes through [`NodeApi::cancel`].
     token: Option<AppToken>,
     /// Set by [`CancelHandle::cancel`] / an expired deadline; a queued
     /// submission carrying this flag is resolved locally instead of issued.
     cancel_requested: bool,
     /// True while the op sits in the executor's submit queue (budget
-    /// debited, not yet handed to the node API).
+    /// debited, not yet handed to the node).
     in_submit_q: bool,
     /// Set by [`release_credit`] when a freed in-flight credit is handed to
     /// this (parked) op: the credit is already counted, so the next poll
@@ -114,8 +118,9 @@ struct OpSlot {
 }
 
 impl OpSlot {
-    fn new() -> Rc<RefCell<OpSlot>> {
+    fn new(arrival: SimTime) -> Rc<RefCell<OpSlot>> {
         Rc::new(RefCell::new(OpSlot {
+            arrival,
             result: None,
             waker: None,
             token: None,
@@ -125,43 +130,38 @@ impl OpSlot {
         }))
     }
 
-    fn armed(waker: Waker) -> Rc<RefCell<OpSlot>> {
-        let slot = Self::new();
-        slot.borrow_mut().waker = Some(waker);
-        slot
+    /// Resolves a never-issued op as cancelled at `now`, returning the
+    /// waker of the task awaiting it (if any).
+    fn resolve_cancelled(&mut self, now: SimTime) -> Option<Waker> {
+        self.result = Some(AppCompletion {
+            token: AppToken(0),
+            result: Err(ClioError::DeadlineExceeded),
+            issued_at: self.arrival,
+            completed_at: now,
+        });
+        self.waker.take()
     }
 }
 
-/// A remote op awaiting submission (mirrors [`ClientApi`]'s issue methods;
-/// `pid` is implied by the hosting driver).
-#[derive(Debug, Clone)]
-enum OpRequest {
-    Read { va: u64, len: u32 },
-    Write { va: u64, data: Bytes },
-    Alloc { size: u64, perm: Perm },
-    Free { va: u64, size: u64 },
-    Lock { va: u64 },
-    Unlock { va: u64 },
-    Faa { va: u64, delta: u64 },
-    Cas { va: u64, expected: u64, new: u64 },
-    Fence,
-    Release,
-    Offload { mn: Mac, offload: u16, opcode: u16, arg: Bytes },
-}
-
-#[derive(Debug, Clone)]
-enum VecRequest {
-    Read(Vec<(u64, u32)>),
-    Write(Vec<(u64, Bytes)>),
-}
-
-/// Work queued by task polls, flushed through [`ClientApi`] in FIFO
-/// (program) order by the driver.
+/// Work queued by task polls, flushed to the compute node in FIFO
+/// (program) order.
 enum Submission {
-    Op { req: OpRequest, arrival: SimTime, slot: Rc<RefCell<OpSlot>>, waker: Waker },
-    Vec { req: VecRequest, arrival: SimTime, slots: Vec<Rc<RefCell<OpSlot>>>, waker: Waker },
-    Timer { tag: u64, dur: SimDuration },
-    Cancel { token: AppToken },
+    Op {
+        spec: OpSpec,
+        slot: Rc<RefCell<OpSlot>>,
+    },
+    /// A scatter/gather vector: one slot per entry, in order.
+    Vec {
+        specs: Vec<OpSpec>,
+        slots: Vec<Rc<RefCell<OpSlot>>>,
+    },
+    Timer {
+        tag: u64,
+        dur: SimDuration,
+    },
+    Cancel {
+        token: AppToken,
+    },
 }
 
 struct TimerEntry {
@@ -273,24 +273,16 @@ fn poll_task(shared: &Rc<ExecShared>, tid: TaskId, mut fut: BoxedTask, waker: Wa
     }
 }
 
-/// The cooperative executor, hosted on a compute node as one
-/// [`ClientDriver`]. Build one per simulated process with
-/// [`Cluster::spawn`](crate::Cluster::spawn) (or construct directly and
-/// [`add_driver`](crate::Cluster::add_driver) it to seed multiple root
-/// tasks).
+/// The cooperative executor of one client process, hosted on a compute
+/// node. [`Cluster::spawn`](crate::Cluster::spawn) builds one per simulated
+/// process and seeds it with a root task.
 pub struct ExecDriver {
     shared: Rc<ExecShared>,
 }
 
-impl Default for ExecDriver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ExecDriver {
     /// A fresh executor with no tasks.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ExecDriver {
             shared: Rc::new(ExecShared {
                 ready: Arc::new(Mutex::new(VecDeque::new())),
@@ -317,7 +309,7 @@ impl ExecDriver {
     }
 
     /// A handle for spawning tasks and issuing ops on this executor.
-    pub fn handle(&self) -> ProcHandle {
+    pub(crate) fn handle(&self) -> ProcHandle {
         ProcHandle { shared: self.shared.clone() }
     }
 
@@ -331,30 +323,22 @@ impl ExecDriver {
         self.shared.inner.borrow().live_tasks
     }
 
-    /// Issues every queued submission through the node API, in program
-    /// order, registering the awaiting task's waker with each op.
-    fn flush(&mut self, api: &mut ClientApi<'_, '_>) {
+    /// Issues every queued submission to the node, in program order.
+    fn flush(&self, api: &mut NodeApi<'_, '_>) {
         loop {
             let sub = self.shared.inner.borrow_mut().submit_q.pop_front();
             let Some(sub) = sub else { break };
             match sub {
-                Submission::Op { req, arrival, slot, waker } => {
+                Submission::Op { spec, slot } => {
                     if slot.borrow().cancel_requested {
                         // The deadline fired before the submission reached
-                        // the node API: resolve locally and refund the
-                        // budget slot without ever issuing the op.
-                        let now = api.now();
+                        // the node: resolve locally and refund the budget
+                        // slot without ever issuing the op.
                         let unparked = release_credit(&mut self.shared.inner.borrow_mut());
                         let slot_waker = {
                             let mut s = slot.borrow_mut();
                             s.in_submit_q = false;
-                            s.result = Some(AppCompletion {
-                                token: AppToken(0),
-                                result: Err(ClioError::DeadlineExceeded),
-                                issued_at: arrival,
-                                completed_at: now,
-                            });
-                            s.waker.take()
+                            s.resolve_cancelled(api.now())
                         };
                         if let Some(w) = slot_waker {
                             w.wake();
@@ -364,70 +348,55 @@ impl ExecDriver {
                         }
                         continue;
                     }
-                    api.arrive_at(arrival);
-                    let token = match req {
-                        OpRequest::Read { va, len } => api.read(va, len),
-                        OpRequest::Write { va, data } => api.write(va, data),
-                        OpRequest::Alloc { size, perm } => api.alloc(size, perm),
-                        OpRequest::Free { va, size } => api.free(va, size),
-                        OpRequest::Lock { va } => api.lock(va),
-                        OpRequest::Unlock { va } => api.unlock(va),
-                        OpRequest::Faa { va, delta } => api.faa(va, delta),
-                        OpRequest::Cas { va, expected, new } => api.cas(va, expected, new),
-                        OpRequest::Fence => api.fence(),
-                        OpRequest::Release => api.release(),
-                        OpRequest::Offload { mn, offload, opcode, arg } => {
-                            api.offload(mn, offload, opcode, arg)
-                        }
-                    };
-                    api.register_waker(token, waker);
-                    {
-                        let mut s = slot.borrow_mut();
-                        s.in_submit_q = false;
-                        s.token = Some(token);
-                    }
-                    self.shared.inner.borrow_mut().op_slots.insert(token, slot);
+                    let arrival = slot.borrow().arrival;
+                    let token = api.issue(spec, arrival);
+                    self.issued(token, slot);
                 }
-                Submission::Vec { req, arrival, slots, waker } => {
-                    api.arrive_at(arrival);
-                    let tokens = match req {
-                        VecRequest::Read(reads) => api.read_v(&reads),
-                        VecRequest::Write(writes) => api.write_v(writes),
-                    };
-                    for (token, slot) in tokens.into_iter().zip(slots) {
-                        api.register_waker(token, waker.clone());
-                        self.shared.inner.borrow_mut().op_slots.insert(token, slot);
+                Submission::Vec { specs, slots } => {
+                    let arrival = slots[0].borrow().arrival;
+                    for (token, slot) in api.issue_vec(specs, arrival).into_iter().zip(slots) {
+                        self.issued(token, slot);
                     }
                 }
                 Submission::Timer { tag, dur } => api.wake_in(dur, tag),
-                Submission::Cancel { token } => {
-                    api.cancel(token);
-                }
+                Submission::Cancel { token } => api.cancel(token),
             }
+        }
+    }
+
+    /// Files an op the node just accepted under its token. A cancellation
+    /// requested while it sat in the submit queue (only vector entries get
+    /// here with one) goes through the node now that a token exists.
+    fn issued(&self, token: AppToken, slot: Rc<RefCell<OpSlot>>) {
+        let cancel = {
+            let mut s = slot.borrow_mut();
+            s.in_submit_q = false;
+            s.token = Some(token);
+            s.cancel_requested
+        };
+        let mut inner = self.shared.inner.borrow_mut();
+        inner.op_slots.insert(token, slot);
+        if cancel {
+            inner.submit_q.push_back(Submission::Cancel { token });
         }
     }
 
     /// Runs the executor to quiescence: flush submissions, poll every
     /// ready task, repeat until both queues drain.
-    fn drain(&mut self, api: &mut ClientApi<'_, '_>) {
+    fn drain(&self, api: &mut NodeApi<'_, '_>) {
         self.shared.now.set(api.now());
         loop {
             self.flush(api);
             match self.shared.pop_ready() {
-                Some(tid) => poll_one(&self.shared.clone(), tid),
+                Some(tid) => poll_one(&self.shared, tid),
                 None if self.shared.inner.borrow().submit_q.is_empty() => break,
                 None => continue,
             }
         }
     }
-}
 
-impl ClientDriver for ExecDriver {
-    fn name(&self) -> &str {
-        "exec"
-    }
-
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
+    /// Called once when the cluster starts: tasks spawned so far run.
+    pub(crate) fn on_start(&self, api: &mut NodeApi<'_, '_>) {
         {
             let mut inner = self.shared.inner.borrow_mut();
             inner.running = true;
@@ -439,7 +408,10 @@ impl ClientDriver for ExecDriver {
         self.drain(api);
     }
 
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, completion: AppCompletion) {
+    /// Called for every completed op this executor issued — the one
+    /// completion wake: the result goes into the op's slot first, then the
+    /// awaiting task (if any) is woken and polled in this same sim event.
+    pub(crate) fn on_completion(&self, api: &mut NodeApi<'_, '_>, completion: AppCompletion) {
         let (slot_waker, unparked) = {
             let mut inner = self.shared.inner.borrow_mut();
             match inner.op_slots.remove(&completion.token) {
@@ -455,8 +427,6 @@ impl ClientDriver for ExecDriver {
                 None => (None, None),
             }
         };
-        // Fallback wake: covers ops that failed before reaching CLib (the
-        // CLib-registered waker is the primary path).
         if let Some(w) = slot_waker {
             w.wake();
         }
@@ -466,7 +436,9 @@ impl ClientDriver for ExecDriver {
         self.drain(api);
     }
 
-    fn on_wake(&mut self, api: &mut ClientApi<'_, '_>, tag: u64) {
+    /// Called when a timer armed through [`NodeApi::wake_in`] fires (a
+    /// task's sleep came due), or with [`POKE_TAG`] for an outside poke.
+    pub(crate) fn on_wake(&self, api: &mut NodeApi<'_, '_>, tag: u64) {
         if tag == POKE_TAG {
             let waiters = {
                 let mut inner = self.shared.inner.borrow_mut();
@@ -500,7 +472,7 @@ impl ClientDriver for ExecDriver {
 }
 
 /// A cloneable handle onto one executor: spawn tasks, issue awaitable
-/// remote ops, sleep in virtual time. The async mirror of [`ClientApi`].
+/// remote ops, sleep in virtual time — the paper's client API (§3.1).
 #[derive(Clone)]
 pub struct ProcHandle {
     shared: Rc<ExecShared>,
@@ -540,12 +512,36 @@ impl ProcHandle {
         }
     }
 
-    fn op(&self, req: OpRequest) -> OpFuture {
+    fn op(&self, spec: OpSpec) -> OpFuture {
         OpFuture {
             shared: self.shared.clone(),
-            slot: OpSlot::new(),
-            state: OpState::Start { req: Some(req), arrival: self.now() },
+            slot: OpSlot::new(self.now()),
+            state: OpState::Start(Some(spec)),
         }
+    }
+
+    /// Queues `specs` as one scatter/gather submission, *now* (not at first
+    /// poll: the vector is one unit however its entries are awaited). A
+    /// batch debits the budget (later scalar ops park) but never parks
+    /// itself, even if it alone exceeds the budget.
+    fn op_v(&self, specs: Vec<OpSpec>) -> Vec<OpFuture> {
+        if specs.is_empty() {
+            return Vec::new();
+        }
+        let n = specs.len();
+        let slots: Vec<_> = (0..n).map(|_| OpSlot::new(self.now())).collect();
+        let mut inner = self.shared.inner.borrow_mut();
+        inner.inflight += n;
+        inner.peak_inflight = inner.peak_inflight.max(inner.inflight as u64);
+        inner.bump_gauge(|g| &g.inflight, n as i64);
+        for slot in &slots {
+            slot.borrow_mut().in_submit_q = true;
+        }
+        inner.submit_q.push_back(Submission::Vec { specs, slots: slots.clone() });
+        slots
+            .into_iter()
+            .map(|slot| OpFuture { shared: self.shared.clone(), slot, state: OpState::Queued })
+            .collect()
     }
 
     /// Bounds `op` by a deadline: if it has not completed after `deadline`
@@ -560,74 +556,71 @@ impl ProcHandle {
 
     /// `ralloc`: allocate remote memory (await yields a VA completion).
     pub fn ralloc(&self, size: u64, perm: Perm) -> OpFuture {
-        self.op(OpRequest::Alloc { size, perm })
+        self.op(OpSpec::Alloc { size, perm })
     }
 
     /// `rfree`.
     pub fn rfree(&self, va: u64, size: u64) -> OpFuture {
-        self.op(OpRequest::Free { va, size })
+        self.op(OpSpec::Free { va, size })
     }
 
     /// `rread`: await yields the data completion.
     pub fn rread(&self, va: u64, len: u32) -> OpFuture {
-        self.op(OpRequest::Read { va, len })
+        self.op(OpSpec::Read { va, len })
     }
 
     /// `rwrite`.
     pub fn rwrite(&self, va: u64, data: Bytes) -> OpFuture {
-        self.op(OpRequest::Write { va, data })
+        self.op(OpSpec::Write { va, data })
     }
 
     /// `rlock` (resolves when acquired).
     pub fn rlock(&self, va: u64) -> OpFuture {
-        self.op(OpRequest::Lock { va })
+        self.op(OpSpec::Lock { va })
     }
 
     /// `runlock`.
     pub fn runlock(&self, va: u64) -> OpFuture {
-        self.op(OpRequest::Unlock { va })
+        self.op(OpSpec::Unlock { va })
     }
 
     /// Fetch-and-add on a remote 8-byte word.
     pub fn rfaa(&self, va: u64, delta: u64) -> OpFuture {
-        self.op(OpRequest::Faa { va, delta })
+        self.op(OpSpec::Faa { va, delta })
     }
 
     /// Compare-and-swap on a remote 8-byte word.
     pub fn rcas(&self, va: u64, expected: u64, new: u64) -> OpFuture {
-        self.op(OpRequest::Cas { va, expected, new })
+        self.op(OpSpec::Cas { va, expected, new })
     }
 
     /// `rfence`: fences this process's requests on every MN.
     pub fn rfence(&self) -> OpFuture {
-        self.op(OpRequest::Fence)
+        self.op(OpSpec::Fence)
     }
 
     /// `rrelease`: local barrier over this process's outstanding ops.
     pub fn rrelease(&self) -> OpFuture {
-        self.op(OpRequest::Release)
+        self.op(OpSpec::Release)
     }
 
     /// Invokes an offload installed on `mn`.
     pub fn roffload(&self, mn: Mac, offload: u16, opcode: u16, arg: Bytes) -> OpFuture {
-        self.op(OpRequest::Offload { mn, offload, opcode, arg })
+        self.op(OpSpec::Offload { mn, offload, opcode, arg })
     }
 
-    /// `rread_v`: scatter/gather read as one batch submission; await
-    /// yields one completion per entry, in order.
-    pub fn rread_v(&self, reads: Vec<(u64, u32)>) -> VecOpFuture {
-        VecOpFuture {
-            shared: self.shared.clone(),
-            state: VecOpState::Start { req: Some(VecRequest::Read(reads)), arrival: self.now() },
-        }
+    /// `rread_v`: scatter/gather read. The whole vector is submitted as
+    /// one unit at this call — it coalesces into batch frames regardless of
+    /// doorbell timing — and each entry completes independently: one
+    /// already-issued future per entry, in order, to await in any order
+    /// (or from different tasks).
+    pub fn rread_v(&self, reads: Vec<(u64, u32)>) -> Vec<OpFuture> {
+        self.op_v(reads.into_iter().map(|(va, len)| OpSpec::Read { va, len }).collect())
     }
 
     /// `rwrite_v`: scatter/gather write, the mirror of [`rread_v`](Self::rread_v).
-    pub fn rwrite_v(&self, writes: Vec<(u64, Bytes)>) -> VecOpFuture {
-        VecOpFuture {
-            shared: self.shared.clone(),
-            state: VecOpState::Start { req: Some(VecRequest::Write(writes)), arrival: self.now() },
-        }
+    pub fn rwrite_v(&self, writes: Vec<(u64, Bytes)>) -> Vec<OpFuture> {
+        self.op_v(writes.into_iter().map(|(va, data)| OpSpec::Write { va, data }).collect())
     }
 
     /// Sleeps for `dur` of virtual time.
@@ -637,21 +630,23 @@ impl ProcHandle {
 
     /// Resolves on the next [`PokeDriver`](crate::node::PokeDriver)
     /// delivered to this executor (level-triggered: pokes arriving while
-    /// nobody awaits are not lost). The blocking-shim servicer's doorbell.
+    /// nobody awaits are not lost) — how a harness injects a stimulus into
+    /// a running program.
     pub fn next_poke(&self) -> PokeFuture {
         PokeFuture { shared: self.shared.clone() }
     }
 }
 
 enum OpState {
-    Start { req: Option<OpRequest>, arrival: SimTime },
+    /// Not yet polled: the op to submit.
+    Start(Option<OpSpec>),
     Queued,
     Done,
 }
 
 /// An awaitable remote op. Resolves to the full [`AppCompletion`] (value,
-/// issue/completion timestamps) when CLib's completion path wakes the
-/// awaiting task.
+/// issue/completion timestamps) when the executor delivers its completion
+/// and wakes the awaiting task.
 pub struct OpFuture {
     shared: Rc<ExecShared>,
     slot: Rc<RefCell<OpSlot>>,
@@ -664,9 +659,9 @@ impl OpFuture {
     /// with the wait until actual submission attributed to the
     /// `SubmitQueued` stage. Open-loop generators use this so measured
     /// latency includes queueing delay.
-    pub fn arriving_at(mut self, at: SimTime) -> Self {
-        if let OpState::Start { arrival, .. } = &mut self.state {
-            *arrival = at;
+    pub fn arriving_at(self, at: SimTime) -> Self {
+        if let OpState::Start(_) = self.state {
+            self.slot.borrow_mut().arrival = at;
         }
         self
     }
@@ -691,7 +686,7 @@ impl Future for OpFuture {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<AppCompletion> {
         let this = self.get_mut();
         match &mut this.state {
-            OpState::Start { req, arrival } => {
+            OpState::Start(spec) => {
                 if let Some(c) = this.slot.borrow_mut().result.take() {
                     // Cancelled before it was ever submitted.
                     this.state = OpState::Done;
@@ -726,10 +721,8 @@ impl Future for OpFuture {
                     s.in_submit_q = true;
                 }
                 inner.submit_q.push_back(Submission::Op {
-                    req: req.take().expect("op submitted once"),
-                    arrival: *arrival,
+                    spec: spec.take().expect("op submitted once"),
                     slot: this.slot.clone(),
-                    waker: cx.waker().clone(),
                 });
                 drop(inner);
                 this.state = OpState::Queued;
@@ -757,9 +750,9 @@ impl Future for OpFuture {
 /// Requests cancellation of the op behind `slot`. Three cases, by how far
 /// the op has travelled:
 ///
-/// * **issued** (token known) — queue a `Submission::Cancel`; the node API
+/// * **issued** (token known) — queue a `Submission::Cancel`; the node
 ///   cancels it through CLib and the completion flows back normally.
-/// * **in the submit queue** — mark the slot; the driver's flush resolves
+/// * **in the submit queue** — mark the slot; the executor's flush resolves
 ///   it locally instead of issuing (refunding the budget slot).
 /// * **parked / not yet polled** — resolve locally now, pulling the op out
 ///   of the park queue so a later credit handoff doesn't wake a dead
@@ -793,15 +786,8 @@ fn request_cancel(shared: &Rc<ExecShared>, slot: &Rc<RefCell<OpSlot>>) {
     } else {
         None
     };
-    let waker = slot.borrow_mut().waker.take();
     drop(inner);
-    let now = shared.now.get();
-    slot.borrow_mut().result = Some(AppCompletion {
-        token: AppToken(0),
-        result: Err(ClioError::DeadlineExceeded),
-        issued_at: now,
-        completed_at: now,
-    });
+    let waker = slot.borrow_mut().resolve_cancelled(shared.now.get());
     if let Some(w) = waker {
         w.wake();
     }
@@ -856,76 +842,6 @@ impl Future for DeadlineFuture {
             }
         }
         Poll::Pending
-    }
-}
-
-enum VecOpState {
-    Start { req: Option<VecRequest>, arrival: SimTime },
-    Queued { slots: Vec<Rc<RefCell<OpSlot>>> },
-    Done,
-}
-
-/// An awaitable scatter/gather batch; resolves to per-entry completions
-/// in submission order once every entry finishes.
-pub struct VecOpFuture {
-    shared: Rc<ExecShared>,
-    state: VecOpState,
-}
-
-impl Future for VecOpFuture {
-    type Output = Vec<AppCompletion>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Vec<AppCompletion>> {
-        let this = self.get_mut();
-        match &mut this.state {
-            VecOpState::Start { req, arrival } => {
-                let req = req.take().expect("batch submitted once");
-                let n = match &req {
-                    VecRequest::Read(v) => v.len(),
-                    VecRequest::Write(v) => v.len(),
-                };
-                if n == 0 {
-                    this.state = VecOpState::Done;
-                    return Poll::Ready(Vec::new());
-                }
-                let mut inner = this.shared.inner.borrow_mut();
-                // A batch is one atomic submission: it debits the budget
-                // (later scalar ops park) but never parks itself, even if
-                // n alone exceeds the budget.
-                inner.inflight += n;
-                inner.peak_inflight = inner.peak_inflight.max(inner.inflight as u64);
-                inner.bump_gauge(|g| &g.inflight, n as i64);
-                let slots: Vec<_> = (0..n).map(|_| OpSlot::armed(cx.waker().clone())).collect();
-                inner.submit_q.push_back(Submission::Vec {
-                    req,
-                    arrival: *arrival,
-                    slots: slots.clone(),
-                    waker: cx.waker().clone(),
-                });
-                drop(inner);
-                this.state = VecOpState::Queued { slots };
-                Poll::Pending
-            }
-            VecOpState::Queued { slots } => {
-                if slots.iter().all(|s| s.borrow().result.is_some()) {
-                    let out = slots
-                        .iter()
-                        .map(|s| s.borrow_mut().result.take().expect("checked above"))
-                        .collect();
-                    this.state = VecOpState::Done;
-                    Poll::Ready(out)
-                } else {
-                    for s in slots.iter() {
-                        let mut s = s.borrow_mut();
-                        if s.result.is_none() {
-                            s.waker = Some(cx.waker().clone());
-                        }
-                    }
-                    Poll::Pending
-                }
-            }
-            VecOpState::Done => panic!("VecOpFuture polled after completion"),
-        }
     }
 }
 
@@ -1031,9 +947,12 @@ mod tests {
             assert_eq!((a.data().as_ref(), b.data().as_ref()), (&b"a"[..], &b"b"[..]));
 
             h.sleep(SimDuration::from_micros(3)).await;
-            let batch = h.rread_v(vec![(va, 4), (va + 64, 1)]).await;
+            let mut batch = h.rread_v(vec![(va, 4), (va + 64, 1)]);
             assert_eq!(batch.len(), 2);
-            assert_eq!(batch[0].data().as_ref(), b"exec");
+            // Entries complete independently: await them in any order.
+            assert_eq!(batch.pop().unwrap().await.data().as_ref(), b"a");
+            assert_eq!(batch.pop().unwrap().await.data().as_ref(), b"exec");
+            assert!(h.rread_v(Vec::new()).is_empty() && h.rwrite_v(Vec::new()).is_empty());
             flag.set(true);
         });
         cluster.start();
@@ -1136,12 +1055,18 @@ mod tests {
         let mut cluster = Cluster::build(&cfg);
         let outcome = Rc::new(RefCell::new(Vec::new()));
         let sink = outcome.clone();
+        let b_times = Rc::new(Cell::new(None));
+        let times = b_times.clone();
         cluster.spawn(0, Pid(7), move |h| async move {
             let va = h.ralloc(4096, Perm::RW).await.va();
             let fut_a = h.rwrite(va, Bytes::from_static(b"a"));
-            let fut_b = h.rwrite(va + 64, Bytes::from_static(b"b"));
+            // B is back-dated (an open-loop arrival 700 ns ago): however it
+            // ends, its completion reports that arrival, so the time spent
+            // parked counts as latency.
+            let arrived = h.now() - SimDuration::from_nanos(700);
+            let fut_b = h.rwrite(va + 64, Bytes::from_static(b"b")).arriving_at(arrived);
             let cancel_b = fut_b.cancel_handle();
-            let (s1, s2) = (sink.clone(), sink.clone());
+            let (s1, s2, t) = (sink.clone(), sink.clone(), times.clone());
             // A takes the only budget slot; B parks behind it.
             h.spawn(async move {
                 let c = fut_a.await;
@@ -1149,6 +1074,7 @@ mod tests {
             });
             h.spawn(async move {
                 let c = fut_b.await;
+                t.set(Some((arrived, c.issued_at, c.latency())));
                 s2.borrow_mut().push(("b", c.result));
             });
             cancel_b.cancel();
@@ -1162,8 +1088,13 @@ mod tests {
         let get = |k| results.iter().find(|(n, _)| *n == k).map(|(_, r)| r.clone()).unwrap();
         assert!(get("a").is_ok(), "the admitted write completes normally");
         assert_eq!(get("b"), Err(clio_cn::ClioError::DeadlineExceeded));
+        // Cancelled while parked, B still reports its arrival — like an op
+        // cancelled in the submit queue, not a zero-latency op issued "now".
+        let (arrived, issued_at, latency) = b_times.get().expect("b completed");
+        assert_eq!(issued_at, arrived);
+        assert_eq!(latency, SimDuration::from_nanos(700));
         let reg = cluster.registry();
-        // B never reached the node API, so the node-level counter stays 0
+        // B never reached the node, so the node-level counter stays 0
         // and no unpark credit was wasted on the dead submitter.
         assert_eq!(reg.counter("cn0.runtime.deadline_exceeded_total"), Some(0));
         assert_eq!(reg.gauge("cn0.runtime.inflight"), Some(0));

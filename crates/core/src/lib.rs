@@ -2,19 +2,13 @@
 //!
 //! Everything above the individual components: this crate builds whole
 //! deployments (compute nodes + CBoards + ToR switch + global controller)
-//! and offers two ways to program against them:
-//!
-//! * **event-driven drivers** ([`ClientDriver`]) — state machines used by
-//!   workload generators and benchmarks; thousands of client processes cost
-//!   no OS threads,
-//! * **async tasks** ([`exec`]) — a deterministic cooperative executor where
-//!   remote ops are futures (`h.rread(va, len).await`), completions wake
-//!   tasks through per-op wakers, and submission is backpressure-aware; the
-//!   [`exec::openloop`] generator drives open-loop offered load,
-//! * **the blocking runtime** ([`runtime::BlockingCluster`]) — spawn real OS
-//!   threads whose code reads like the paper's Figure 1
-//!   (`ralloc`/`rread`/`rwrite`/`rlock`/...); a thin compatibility shim
-//!   over the executor under the hood.
+//! and offers one way to program against them — **async tasks** on a
+//! deterministic cooperative executor ([`exec`]). Client code reads like
+//! the paper's Figure 1 (`ralloc`/`rread`/`rwrite`/`rlock`/...) with an
+//! `.await` where the paper blocks: remote ops are futures, each completion
+//! wakes exactly the task that awaits it, submission is backpressure-aware,
+//! and thousands of client processes cost no OS threads. The
+//! [`exec::openloop`] generator drives open-loop offered load.
 //!
 //! The [`Controller`] implements the paper's two-level distributed virtual
 //! memory management (§4.7): it places allocations across MNs (each MN owns
@@ -27,12 +21,8 @@ pub mod controller;
 pub mod exec;
 pub mod metrics;
 pub mod node;
-pub mod runtime;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use controller::Controller;
 pub use exec::{ExecDriver, OpFuture, ProcHandle};
-pub use node::{
-    AppCompletion, AppResult, AppToken, ClientApi, ClientDriver, ComputeNode, RuntimeGauges,
-};
-pub use runtime::{BlockingCluster, RemoteProcess};
+pub use node::{AppCompletion, AppResult, AppToken, ComputeNode, RuntimeGauges};

@@ -1,13 +1,13 @@
 //! The compute-node host actor and its application-facing API.
 //!
-//! A [`ComputeNode`] owns a NIC, a CLib instance and any number of
-//! [`ClientDriver`]s — event-driven client programs (workload generators,
-//! application clients, bridges for the blocking runtime). Drivers issue
-//! operations through [`ClientApi`] using only `(pid, va)`; the node resolves
-//! which memory node owns the address (slice routing plus
-//! migration-exception cache), consults the global controller for
-//! allocations and after `Moved` refusals, and transparently re-issues
-//! relocated requests — the CN half of §4.7's distributed memory support.
+//! A [`ComputeNode`] owns a NIC, a CLib instance and one
+//! [`ExecDriver`] per client process — the executors whose async tasks are
+//! the client programs (see [`crate::exec`]). Tasks issue operations using
+//! only `(pid, va)`; the node resolves which memory node owns the address
+//! (slice routing plus migration-exception cache), consults the global
+//! controller for allocations and after `Moved` refusals, and transparently
+//! re-issues relocated requests — the CN half of §4.7's distributed memory
+//! support.
 
 use std::collections::VecDeque;
 
@@ -22,12 +22,13 @@ use clio_trace::{Tracer, Track};
 use crate::controller::{
     AllocNotify, FreeNotify, PlaceAlloc, PlacementReply, RouteQuery, RouteReply, RouteUpdate,
 };
+use crate::exec::{ExecDriver, ProcHandle};
 
 /// Host-level operation handle, stable across transparent re-submissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AppToken(pub u64);
 
-/// Result type delivered to drivers.
+/// Result type delivered to client tasks.
 pub type AppResult = Result<CompletionValue, ClioError>;
 
 /// A finished application operation.
@@ -37,7 +38,7 @@ pub struct AppCompletion {
     pub token: AppToken,
     /// Outcome.
     pub result: AppResult,
-    /// When the driver issued it.
+    /// When the task issued it (its arrival, for back-dated ops).
     pub issued_at: SimTime,
     /// When it completed.
     pub completed_at: SimTime,
@@ -74,77 +75,59 @@ impl AppCompletion {
     }
 }
 
-/// An event-driven client program hosted on a compute node.
-///
-/// The [`std::any::Any`] supertrait lets harnesses read a driver's concrete
-/// state back out of the simulation via [`ComputeNode::driver`].
-pub trait ClientDriver: std::any::Any {
-    /// Name for traces.
-    fn name(&self) -> &str {
-        "client"
-    }
-
-    /// Called once when the cluster starts.
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>);
-
-    /// Called for every completed operation this driver issued.
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, completion: AppCompletion);
-
-    /// Called when a timer armed with [`ClientApi::wake_in`] fires.
-    fn on_wake(&mut self, api: &mut ClientApi<'_, '_>, tag: u64) {
-        let _ = (api, tag);
-    }
-}
-
-/// The operation spec kept host-side so requests can be transparently
-/// re-routed after migration.
+/// A client operation, as a task names it: no pid (the hosting process
+/// implies it) and no memory node (routing is this module's job). The one
+/// enumeration of the client op kinds in this crate — [`ProcHandle`]'s
+/// methods build it, the node keeps it host-side so requests can be
+/// transparently re-routed after migration, and [`OpSpec::to_op`] turns it
+/// into the CLib [`Op`] of each submission attempt.
 #[derive(Debug, Clone)]
-enum OpSpec {
-    Read { pid: Pid, va: u64, len: u32 },
-    Write { pid: Pid, va: u64, data: Bytes },
-    Alloc { pid: Pid, size: u64, perm: Perm },
-    Free { pid: Pid, va: u64, size: u64 },
-    Lock { pid: Pid, va: u64 },
-    Unlock { pid: Pid, va: u64 },
-    Faa { pid: Pid, va: u64, delta: u64 },
-    Cas { pid: Pid, va: u64, expected: u64, new: u64 },
-    Fence { pid: Pid },
+pub(crate) enum OpSpec {
+    Read { va: u64, len: u32 },
+    Write { va: u64, data: Bytes },
+    Alloc { size: u64, perm: Perm },
+    Free { va: u64, size: u64 },
+    Lock { va: u64 },
+    Unlock { va: u64 },
+    Faa { va: u64, delta: u64 },
+    Cas { va: u64, expected: u64, new: u64 },
+    Fence,
     Release,
-    Offload { pid: Pid, mn: Mac, offload: u16, opcode: u16, arg: Bytes },
+    Offload { mn: Mac, offload: u16, opcode: u16, arg: Bytes },
 }
 
 impl OpSpec {
-    /// The `(pid, va, len)` span that determines routing, if any. The
-    /// length matters: an op is routable only if *every* byte it touches
-    /// lives on one MN, so routing must consider the full span rather than
-    /// just the start address.
-    fn route_range(&self) -> Option<(Pid, u64, u64)> {
+    /// The `(va, len)` span that determines routing, if any. The length
+    /// matters: an op is routable only if *every* byte it touches lives on
+    /// one MN, so routing must consider the full span rather than just the
+    /// start address.
+    fn route_range(&self) -> Option<(u64, u64)> {
         match self {
-            OpSpec::Read { pid, va, len } => Some((*pid, *va, u64::from(*len))),
-            OpSpec::Write { pid, va, data } => Some((*pid, *va, data.len() as u64)),
-            OpSpec::Free { pid, va, size } => Some((*pid, *va, *size)),
+            OpSpec::Read { va, len } => Some((*va, u64::from(*len))),
+            OpSpec::Write { va, data } => Some((*va, data.len() as u64)),
+            OpSpec::Free { va, size } => Some((*va, *size)),
             // Lock words and atomics are 8-byte cells.
-            OpSpec::Lock { pid, va }
-            | OpSpec::Unlock { pid, va }
-            | OpSpec::Faa { pid, va, .. }
-            | OpSpec::Cas { pid, va, .. } => Some((*pid, *va, 8)),
+            OpSpec::Lock { va }
+            | OpSpec::Unlock { va }
+            | OpSpec::Faa { va, .. }
+            | OpSpec::Cas { va, .. } => Some((*va, 8)),
             _ => None,
         }
     }
 
-    fn to_op(&self, mn: Mac) -> Op {
+    fn to_op(&self, pid: Pid, mn: Mac) -> Op {
         match self.clone() {
-            OpSpec::Read { pid, va, len } => Op::Read { mn, pid, va, len },
-            OpSpec::Write { pid, va, data } => Op::Write { mn, pid, va, data },
-            OpSpec::Alloc { pid, size, perm } => Op::Alloc { mn, pid, size, perm, fixed_va: None },
-            OpSpec::Free { pid, va, size } => Op::Free { mn, pid, va, size },
-            OpSpec::Lock { pid, va } => Op::Lock { mn, pid, va },
-            OpSpec::Unlock { pid, va } => Op::Unlock { mn, pid, va },
-            OpSpec::Faa { pid, va, delta } => Op::Faa { mn, pid, va, delta },
-            OpSpec::Cas { pid, va, expected, new } => Op::Cas { mn, pid, va, expected, new },
-            OpSpec::Fence { pid } => Op::Fence { mn, pid },
+            OpSpec::Read { va, len } => Op::Read { mn, pid, va, len },
+            OpSpec::Write { va, data } => Op::Write { mn, pid, va, data },
+            OpSpec::Alloc { size, perm } => Op::Alloc { mn, pid, size, perm, fixed_va: None },
+            OpSpec::Free { va, size } => Op::Free { mn, pid, va, size },
+            OpSpec::Lock { va } => Op::Lock { mn, pid, va },
+            OpSpec::Unlock { va } => Op::Unlock { mn, pid, va },
+            OpSpec::Faa { va, delta } => Op::Faa { mn, pid, va, delta },
+            OpSpec::Cas { va, expected, new } => Op::Cas { mn, pid, va, expected, new },
+            OpSpec::Fence => Op::Fence { mn, pid },
             OpSpec::Release => Op::Release,
-            OpSpec::Offload { pid, mn: target, offload, opcode, arg } => {
+            OpSpec::Offload { mn: target, offload, opcode, arg } => {
                 Op::Offload { mn: target, pid, offload, opcode, arg }
             }
         }
@@ -170,34 +153,48 @@ enum Route {
     Unknown,
 }
 
+impl Route {
+    /// The typed error an access with this (unroutable) verdict fails with.
+    fn error(self, va: u64, len: u64) -> ClioError {
+        match self {
+            Route::Spans => ClioError::SpansOwners { va, len },
+            _ => ClioError::Remote(clio_proto::Status::InvalidAddr),
+        }
+    }
+}
+
 impl RasRouter {
     fn lookup_byte(&self, pid: Pid, va: u64) -> Option<Mac> {
+        // `va - start < len` rather than `va < start + len`: no sum to
+        // overflow, whatever range a slice or exception names.
         if let Some(&(_, _, _, mac)) = self
             .exceptions
             .iter()
-            .find(|(p, start, len, _)| *p == pid && va >= *start && va < start + len)
+            .find(|(p, start, len, _)| *p == pid && va >= *start && va - *start < *len)
         {
             return Some(mac);
         }
         self.slices
             .iter()
-            .find(|(base, span, _)| va >= *base && va < base + span)
+            .find(|(base, span, _)| va >= *base && va - *base < *span)
             .map(|&(_, _, mac)| mac)
     }
 
     /// Resolves a whole `len`-byte access. Start-VA-only resolution would
     /// silently route a boundary-straddling op to one MN; checking both
-    /// endpoints plus any interior exception catches every split.
+    /// endpoints plus any interior exception catches every split. An access
+    /// whose last byte lies past the end of the address space names no
+    /// memory at all: [`Route::Unknown`], in every build profile.
     fn lookup(&self, pid: Pid, va: u64, len: u64) -> Route {
-        let end = va + len.max(1) - 1; // inclusive last byte
+        // Inclusive last byte.
+        let Some(end) = va.checked_add(len.max(1) - 1) else { return Route::Unknown };
         let first = self.lookup_byte(pid, va);
         if self.lookup_byte(pid, end) != first {
             return Route::Spans;
         }
-        let interior_differs = self
-            .exceptions
-            .iter()
-            .any(|(p, s, l, m)| *p == pid && *s <= end && va < s + l && Some(*m) != first);
+        let interior_differs = self.exceptions.iter().any(|(p, s, l, m)| {
+            *p == pid && *s <= end && (va < *s || va - *s < *l) && Some(*m) != first
+        });
         if interior_differs {
             return Route::Spans;
         }
@@ -233,44 +230,34 @@ struct HostOp {
     /// The arrival time to attribute the first CLib submission to (a
     /// `SubmitQueued` span covers [arrival, submit]); consumed on dispatch.
     queued_since: Option<SimTime>,
-    /// The CLib token of the current submission attempt (refreshed on
-    /// transparent re-routes), so wakers can follow the op across retries.
-    clib_token: Option<OpToken>,
-    /// Completion waker registered through [`ClientApi::register_waker`];
-    /// re-armed with CLib on every re-submission.
-    waker: Option<std::task::Waker>,
 }
 
-/// Kick-off message: start all drivers (sent by `Cluster::start`).
+/// Kick-off message: start every executor (sent by `Cluster::start`).
 #[derive(Debug, Clone, Copy)]
 pub struct StartClients;
 
-/// Wakes one driver with the reserved poke tag (used by the blocking
-/// runtime to make a bridge driver drain its command queue).
+/// Pokes one executor from outside the simulation: every task awaiting
+/// [`ProcHandle::next_poke`] on it resumes. Tests use it to inject a
+/// stimulus mid-run (post it to the compute node's actor id).
 #[derive(Debug, Clone, Copy)]
 pub struct PokeDriver {
-    /// The driver index on the target compute node.
+    /// The executor's index on the target compute node.
     pub driver: usize,
 }
 
-/// The `on_wake` tag delivered by [`PokeDriver`].
+/// The timer tag that carries a [`PokeDriver`] to its executor.
 pub const POKE_TAG: u64 = u64::MAX;
 
 /// Default per-process in-flight submission budget (ops holding a window
 /// credit before the executor parks further submitters). Large enough that
-/// closed-loop drivers never park; open-loop overload tests shrink it.
+/// closed-loop programs never park; open-loop overload tests shrink it.
 pub const DEFAULT_INFLIGHT_BUDGET: usize = 65_536;
 
-/// Driver timer message.
+/// Executor timer message (a task's `sleep` coming due).
 #[derive(Debug, Clone, Copy)]
 struct Wake {
     driver: usize,
     tag: u64,
-}
-
-enum DriverEvent {
-    Completion(AppCompletion),
-    Wake(u64),
 }
 
 /// Live gauges describing the async client runtime on one compute node,
@@ -296,124 +283,118 @@ impl RuntimeGauges {
 }
 
 struct NodeCore {
-    cn_index: usize,
     nic: NicPort,
     clib: CLib,
     router: RasRouter,
     controller: ActorId,
     mn_macs: Vec<Mac>,
-    driver_pids: Vec<Pid>,
+    /// The process each hosted executor runs as (parallel to
+    /// [`ComputeNode::execs`]).
+    pids: Vec<Pid>,
     app_ops: IdMap<AppToken, HostOp>,
     token_map: IdMap<OpToken, AppToken>,
     next_app_token: u64,
     next_tag: u64,
     pending_placements: IdMap<u64, AppToken>,
     pending_routes: IdMap<u64, AppToken>,
-    events: VecDeque<(usize, DriverEvent)>,
+    /// Finished ops awaiting delivery to their executor, in completion
+    /// order (drained by [`ComputeNode::pump_events`]).
+    events: VecDeque<(usize, AppCompletion)>,
     /// Completions CLib calls append to, drained into `events` by
     /// [`NodeCore::enqueue_clib_completions`] (one buffer, reused).
     comps: Vec<Completion>,
     max_moved_retries: u32,
-    /// Arrival-time override consumed by the next [`ClientApi`] issue call.
-    next_arrival: Option<SimTime>,
-    /// Per-process in-flight submission budget executor drivers enforce.
+    /// Per-process in-flight submission budget the executors enforce.
     runtime_budget: usize,
     runtime_gauges: RuntimeGauges,
-    /// Ops resolved with `DeadlineExceeded` by [`ClientApi::cancel`].
+    /// Ops resolved with `DeadlineExceeded` by [`NodeApi::cancel`].
     deadline_exceeded: Counter,
 }
 
 impl NodeCore {
-    fn fresh_token(&mut self) -> AppToken {
-        self.next_app_token += 1;
-        AppToken(self.next_app_token)
-    }
-
     fn fresh_tag(&mut self) -> u64 {
         self.next_tag += 1;
         self.next_tag
     }
 
+    /// Registers a new host op arriving at `arrival` (clamped to "not in
+    /// the future"); the caller dispatches it.
+    fn admit(&mut self, now: SimTime, driver: usize, spec: OpSpec, arrival: SimTime) -> AppToken {
+        self.next_app_token += 1;
+        let token = AppToken(self.next_app_token);
+        let arrival = arrival.min(now);
+        self.app_ops.insert(
+            token,
+            HostOp {
+                driver,
+                spec,
+                issued_at: arrival,
+                moved_retries: 0,
+                fanout: 1,
+                queued_since: (arrival < now).then_some(arrival),
+            },
+        );
+        token
+    }
+
+    /// Completes `token` host-side with `result`, without CLib's help (it
+    /// never got there, or is parked at the controller).
+    fn fail(&mut self, now: SimTime, token: AppToken, result: AppResult) {
+        let Some(host_op) = self.app_ops.remove(&token) else { return };
+        self.events.push_back((
+            host_op.driver,
+            AppCompletion { token, result, issued_at: host_op.issued_at, completed_at: now },
+        ));
+    }
+
+    /// Hands the stored op for `token` to CLib, addressed to `mn`.
+    fn submit(&mut self, ctx: &mut Ctx<'_>, token: AppToken, mn: Mac) {
+        let Some(host_op) = self.app_ops.get_mut(&token) else { return };
+        let thread = ThreadId(host_op.driver as u64);
+        let op = host_op.spec.to_op(self.pids[host_op.driver], mn);
+        // Only the first submission of an op carries its arrival
+        // attribution; re-routes and later fence legs start at `now`.
+        self.clib.set_queued_since(host_op.queued_since.take());
+        let t = self.clib.submit(ctx, &mut self.nic, thread, op, &mut self.comps);
+        self.token_map.insert(t, token);
+        self.enqueue_clib_completions(ctx);
+    }
+
     /// Issues (or re-issues) the stored op for `token`.
     fn dispatch(&mut self, ctx: &mut Ctx<'_>, token: AppToken) {
         let Some(host_op) = self.app_ops.get_mut(&token) else { return };
-        let driver = host_op.driver;
-        let thread = ThreadId(driver as u64);
+        let pid = self.pids[host_op.driver];
         match &host_op.spec {
-            OpSpec::Alloc { pid, size, .. } => {
+            OpSpec::Alloc { size, .. } => {
                 // Placement is the controller's call.
-                let tag = {
-                    let (pid, size) = (*pid, *size);
-                    let tag = self.fresh_tag();
-                    let msg = PlaceAlloc { pid, size, reply_to: ctx.self_id(), tag };
-                    ctx.send(self.controller, SimDuration::from_micros(1), Message::new(msg));
-                    tag
-                };
+                let size = *size;
+                let tag = self.fresh_tag();
+                let msg = PlaceAlloc { pid, size, reply_to: ctx.self_id(), tag };
+                ctx.send(self.controller, SimDuration::from_micros(1), Message::new(msg));
                 self.pending_placements.insert(tag, token);
             }
-            OpSpec::Fence { .. } => {
+            OpSpec::Fence => {
                 // Fence every MN the process might touch.
-                let spec = host_op.spec.clone();
                 host_op.fanout = self.mn_macs.len() as u32;
-                let mut queued_since = host_op.queued_since.take();
-                let waker = host_op.waker.clone();
                 for mac in self.mn_macs.clone() {
-                    // Only the first sub-submission carries the arrival
-                    // attribution; the rest start at `now`.
-                    self.clib.set_queued_since(queued_since.take());
-                    let op = spec.to_op(mac);
-                    let t = self.clib.submit(ctx, &mut self.nic, thread, op, &mut self.comps);
-                    self.token_map.insert(t, token);
-                    if let Some(w) = waker.clone() {
-                        self.clib.register_waker(t, w);
-                    }
-                    self.enqueue_clib_completions(ctx);
+                    self.submit(ctx, token, mac);
                 }
             }
             spec => {
                 let mn = match spec.route_range() {
-                    Some((pid, va, len)) => match self.router.lookup(pid, va, len) {
+                    Some((va, len)) => match self.router.lookup(pid, va, len) {
                         Route::Owned(m) => m,
-                        verdict => {
-                            // Unroutable: fail fast with a typed error —
-                            // spanning accesses must never be guessed onto
-                            // the start VA's owner.
-                            let result = match verdict {
-                                Route::Spans => Err(ClioError::SpansOwners { va, len }),
-                                _ => Err(ClioError::Remote(clio_proto::Status::InvalidAddr)),
-                            };
-                            let issued_at = host_op.issued_at;
-                            self.events.push_back((
-                                driver,
-                                DriverEvent::Completion(AppCompletion {
-                                    token,
-                                    result,
-                                    issued_at,
-                                    completed_at: ctx.now(),
-                                }),
-                            ));
-                            self.app_ops.remove(&token);
-                            return;
-                        }
+                        // Unroutable: fail fast with a typed error —
+                        // spanning accesses must never be guessed onto the
+                        // start VA's owner.
+                        verdict => return self.fail(ctx.now(), token, Err(verdict.error(va, len))),
                     },
                     None => match spec {
                         OpSpec::Offload { mn, .. } => *mn,
                         _ => self.mn_macs.first().copied().expect("at least one MN"),
                     },
                 };
-                let op = spec.to_op(mn);
-                let queued_since = host_op.queued_since.take();
-                let waker = host_op.waker.clone();
-                self.clib.set_queued_since(queued_since);
-                let t = self.clib.submit(ctx, &mut self.nic, thread, op, &mut self.comps);
-                self.token_map.insert(t, token);
-                if let Some(host_op) = self.app_ops.get_mut(&token) {
-                    host_op.clib_token = Some(t);
-                }
-                if let Some(w) = waker {
-                    self.clib.register_waker(t, w);
-                }
-                self.enqueue_clib_completions(ctx);
+                self.submit(ctx, token, mn);
             }
         }
     }
@@ -422,9 +403,9 @@ impl NodeCore {
     /// scatter/gather submission: every op is routed individually, then the
     /// whole batch is handed to CLib's `submit_many`, which bypasses the
     /// transport doorbell's same-instant heuristics. Unroutable entries
-    /// fail fast with `InvalidAddr` without sinking the rest.
+    /// fail fast with a typed error without sinking the rest.
     fn dispatch_vec(&mut self, ctx: &mut Ctx<'_>, driver: usize, tokens: &[AppToken]) {
-        let thread = ThreadId(driver as u64);
+        let (thread, pid) = (ThreadId(driver as u64), self.pids[driver]);
         let mut ops = Vec::with_capacity(tokens.len());
         let mut routed = Vec::with_capacity(tokens.len());
         let mut queued_since = None;
@@ -433,47 +414,22 @@ impl NodeCore {
             if let Some(a) = host_op.queued_since.take() {
                 queued_since.get_or_insert(a);
             }
-            let (pid, va, len) = host_op.spec.route_range().expect("vector ops address memory");
+            let (va, len) = host_op.spec.route_range().expect("vector ops address memory");
             match self.router.lookup(pid, va, len) {
                 Route::Owned(mn) => {
-                    ops.push(host_op.spec.to_op(mn));
+                    ops.push(host_op.spec.to_op(pid, mn));
                     routed.push(token);
                 }
-                verdict => {
-                    let result = match verdict {
-                        Route::Spans => Err(ClioError::SpansOwners { va, len }),
-                        _ => Err(ClioError::Remote(clio_proto::Status::InvalidAddr)),
-                    };
-                    let issued_at = host_op.issued_at;
-                    self.events.push_back((
-                        driver,
-                        DriverEvent::Completion(AppCompletion {
-                            token,
-                            result,
-                            issued_at,
-                            completed_at: ctx.now(),
-                        }),
-                    ));
-                    self.app_ops.remove(&token);
-                }
+                verdict => self.fail(ctx.now(), token, Err(verdict.error(va, len))),
             }
         }
         self.clib.set_queued_since(queued_since);
         let clib_tokens = self.clib.submit_many(ctx, &mut self.nic, thread, ops, &mut self.comps);
-        for (t, app) in clib_tokens.into_iter().zip(routed) {
-            self.token_map.insert(t, app);
-            if let Some(host_op) = self.app_ops.get_mut(&app) {
-                host_op.clib_token = Some(t);
-                let waker = host_op.waker.clone();
-                if let Some(w) = waker {
-                    self.clib.register_waker(t, w);
-                }
-            }
-        }
+        self.token_map.extend(clib_tokens.into_iter().zip(routed));
         self.enqueue_clib_completions(ctx);
     }
 
-    /// Converts the CLib completions buffered in `comps` into driver
+    /// Converts the CLib completions buffered in `comps` into executor
     /// events, handling Moved re-routing, alloc notifications and fence
     /// fan-in.
     fn enqueue_clib_completions(&mut self, ctx: &mut Ctx<'_>) {
@@ -481,11 +437,12 @@ impl NodeCore {
         for c in comps.drain(..) {
             let Some(app_token) = self.token_map.remove(&c.token) else { continue };
             let Some(host_op) = self.app_ops.get_mut(&app_token) else { continue };
+            let pid = self.pids[host_op.driver];
 
             // Transparent re-route on Moved.
             if c.result == Err(ClioError::Moved) && host_op.moved_retries < self.max_moved_retries {
                 host_op.moved_retries += 1;
-                if let Some((pid, va, len)) = host_op.spec.route_range() {
+                if let Some((va, len)) = host_op.spec.route_range() {
                     let tag = self.fresh_tag();
                     self.pending_routes.insert(tag, app_token);
                     let q = RouteQuery { pid, va, len, reply_to: ctx.self_id(), tag };
@@ -502,206 +459,73 @@ impl NodeCore {
 
             let host_op = self.app_ops.remove(&app_token).expect("present");
             // Successful allocations are reported to the controller.
-            if let (OpSpec::Alloc { pid, size, .. }, Ok(CompletionValue::Va(va))) =
+            if let (OpSpec::Alloc { size, .. }, Ok(CompletionValue::Va(va))) =
                 (&host_op.spec, &c.result)
             {
-                let Route::Owned(mn) = self.router.lookup(*pid, *va, *size) else {
+                let Route::Owned(mn) = self.router.lookup(pid, *va, *size) else {
                     panic!("allocated range must be routable to one MN")
                 };
-                let n = AllocNotify { pid: *pid, va: *va, len: *size, mn };
+                let n = AllocNotify { pid, va: *va, len: *size, mn };
                 ctx.send(self.controller, SimDuration::from_micros(1), Message::new(n));
             }
-            if let (OpSpec::Free { pid, va, .. }, Ok(_)) = (&host_op.spec, &c.result) {
-                let n = FreeNotify { pid: *pid, va: *va };
+            if let (OpSpec::Free { va, .. }, Ok(_)) = (&host_op.spec, &c.result) {
+                let n = FreeNotify { pid, va: *va };
                 ctx.send(self.controller, SimDuration::from_micros(1), Message::new(n));
             }
             self.events.push_back((
                 host_op.driver,
-                DriverEvent::Completion(AppCompletion {
+                AppCompletion {
                     token: app_token,
                     result: c.result,
                     issued_at: host_op.issued_at,
                     completed_at: c.completed_at,
-                }),
+                },
             ));
         }
         self.comps = comps;
     }
 }
 
-/// The API drivers program against.
-pub struct ClientApi<'a, 'b> {
+/// What one executor may ask of its node while it runs: the submission
+/// side of [`ExecDriver`]'s flush.
+pub(crate) struct NodeApi<'a, 'b> {
     core: &'a mut NodeCore,
     ctx: &'a mut Ctx<'b>,
     driver: usize,
 }
 
-impl ClientApi<'_, '_> {
+impl NodeApi<'_, '_> {
     /// Current virtual time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.ctx.now()
     }
 
-    /// This driver's process id.
-    pub fn pid(&self) -> Pid {
-        self.core.driver_pids[self.driver]
-    }
-
-    /// This compute node's index in the cluster.
-    pub fn cn_index(&self) -> usize {
-        self.core.cn_index
-    }
-
-    /// The memory nodes of the cluster (for offload targeting).
-    pub fn mn_macs(&self) -> &[Mac] {
-        &self.core.mn_macs
-    }
-
-    fn issue(&mut self, spec: OpSpec) -> AppToken {
-        let token = self.core.fresh_token();
-        let now = self.ctx.now();
-        let arrival = self.core.next_arrival.take().map_or(now, |a| a.min(now));
-        self.core.app_ops.insert(
-            token,
-            HostOp {
-                driver: self.driver,
-                spec,
-                issued_at: arrival,
-                moved_retries: 0,
-                fanout: 1,
-                queued_since: (arrival < now).then_some(arrival),
-                clib_token: None,
-                waker: None,
-            },
-        );
+    /// Issues one op that arrived at `arrival`: its `issued_at` (and trace
+    /// origin) is the arrival, and any wait until now — open-loop load, or
+    /// a park behind the in-flight budget — is attributed to the
+    /// `SubmitQueued` stage.
+    pub(crate) fn issue(&mut self, spec: OpSpec, arrival: SimTime) -> AppToken {
+        let token = self.core.admit(self.ctx.now(), self.driver, spec, arrival);
         self.core.dispatch(self.ctx, token);
         token
     }
 
-    /// `ralloc`: allocate remote virtual memory (placed by the controller).
-    pub fn alloc(&mut self, size: u64, perm: Perm) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Alloc { pid, size, perm })
-    }
-
-    /// `rfree`.
-    pub fn free(&mut self, va: u64, size: u64) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Free { pid, va, size })
-    }
-
-    /// `rread`.
-    pub fn read(&mut self, va: u64, len: u32) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Read { pid, va, len })
-    }
-
-    /// `rwrite`.
-    pub fn write(&mut self, va: u64, data: Bytes) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Write { pid, va, data })
-    }
-
-    /// `rread_v`: scatter/gather read — submits the whole vector to the
-    /// transport as one unit, so the reads coalesce into batch frames
-    /// regardless of doorbell timing. Returns one token per entry, in
-    /// order; each completes independently.
-    pub fn read_v(&mut self, reads: &[(u64, u32)]) -> Vec<AppToken> {
-        let pid = self.pid();
-        let specs = reads.iter().map(|&(va, len)| OpSpec::Read { pid, va, len }).collect();
-        self.issue_vec(specs)
-    }
-
-    /// `rwrite_v`: scatter/gather write, the mirror of
-    /// [`read_v`](Self::read_v).
-    pub fn write_v(&mut self, writes: Vec<(u64, Bytes)>) -> Vec<AppToken> {
-        let pid = self.pid();
-        let specs = writes.into_iter().map(|(va, data)| OpSpec::Write { pid, va, data }).collect();
-        self.issue_vec(specs)
-    }
-
-    fn issue_vec(&mut self, specs: Vec<OpSpec>) -> Vec<AppToken> {
-        let driver = self.driver;
-        let now = self.ctx.now();
-        let arrival = self.core.next_arrival.take().map_or(now, |a| a.min(now));
-        let tokens: Vec<AppToken> = specs
-            .into_iter()
-            .map(|spec| {
-                let token = self.core.fresh_token();
-                self.core.app_ops.insert(
-                    token,
-                    HostOp {
-                        driver,
-                        spec,
-                        issued_at: arrival,
-                        moved_retries: 0,
-                        fanout: 1,
-                        queued_since: (arrival < now).then_some(arrival),
-                        clib_token: None,
-                        waker: None,
-                    },
-                );
-                token
-            })
-            .collect();
+    /// Issues reads/writes as one scatter/gather submission — the whole
+    /// vector reaches the transport as one unit, so the ops coalesce into
+    /// batch frames regardless of doorbell timing. Returns one token per
+    /// entry, in order; each completes independently.
+    pub(crate) fn issue_vec(&mut self, specs: Vec<OpSpec>, arrival: SimTime) -> Vec<AppToken> {
+        let (now, driver) = (self.ctx.now(), self.driver);
+        let tokens: Vec<AppToken> =
+            specs.into_iter().map(|spec| self.core.admit(now, driver, spec, arrival)).collect();
         self.core.dispatch_vec(self.ctx, driver, &tokens);
         tokens
     }
 
-    /// `rlock` (completes when acquired).
-    pub fn lock(&mut self, va: u64) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Lock { pid, va })
-    }
-
-    /// `runlock`.
-    pub fn unlock(&mut self, va: u64) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Unlock { pid, va })
-    }
-
-    /// Fetch-and-add on a remote 8-byte word.
-    pub fn faa(&mut self, va: u64, delta: u64) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Faa { pid, va, delta })
-    }
-
-    /// Compare-and-swap on a remote 8-byte word.
-    pub fn cas(&mut self, va: u64, expected: u64, new: u64) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Cas { pid, va, expected, new })
-    }
-
-    /// `rfence`: fences this process's requests on every MN.
-    pub fn fence(&mut self) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Fence { pid })
-    }
-
-    /// `rrelease`: local barrier over this driver's async operations.
-    pub fn release(&mut self) -> AppToken {
-        self.issue(OpSpec::Release)
-    }
-
-    /// Invokes an offload installed on `mn`.
-    pub fn offload(&mut self, mn: Mac, offload: u16, opcode: u16, arg: Bytes) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Offload { pid, mn, offload, opcode, arg })
-    }
-
-    /// Arms a timer delivering [`ClientDriver::on_wake`] with `tag`.
-    pub fn wake_in(&mut self, delay: SimDuration, tag: u64) {
+    /// Arms a timer delivering [`ExecDriver::on_wake`] with `tag`.
+    pub(crate) fn wake_in(&mut self, delay: SimDuration, tag: u64) {
         let driver = self.driver;
         self.ctx.schedule(delay, Message::new(Wake { driver, tag }));
-    }
-
-    /// Declares the arrival time of the *next* issued op (open-loop load or
-    /// an op parked behind the in-flight budget). The op's `issued_at` (and
-    /// its trace origin) becomes `at`; the wait until actual submission is
-    /// attributed to the `SubmitQueued` stage. Clamped to `now`; consumed by
-    /// the next `issue`/`issue_vec` call.
-    pub fn arrive_at(&mut self, at: SimTime) {
-        self.core.next_arrival = Some(at);
     }
 
     /// Cancels an outstanding op: it completes now with
@@ -709,12 +533,12 @@ impl ClientApi<'_, '_> {
     /// released (no congestion signal — abandonment is not loss), and a
     /// `Cancelled` stage ends its trace. Sub-submissions of a fanned-out
     /// fence are all cancelled; an op still parked at the controller
-    /// (placement or route query) is failed directly. Returns `false` (and
-    /// does nothing) if the op already completed — cancellation is
-    /// best-effort and never un-completes a finished op.
-    pub fn cancel(&mut self, token: AppToken) -> bool {
+    /// (placement or route query) is failed directly. Does nothing if the
+    /// op already completed — cancellation is best-effort and never
+    /// un-completes a finished op.
+    pub(crate) fn cancel(&mut self, token: AppToken) {
         if !self.core.app_ops.contains_key(&token) {
-            return false;
+            return;
         }
         self.core.deadline_exceeded.inc();
         let mut clib_tokens: Vec<OpToken> =
@@ -726,45 +550,22 @@ impl ClientApi<'_, '_> {
             // Drop the pending request and fail the op host-side.
             self.core.pending_placements.retain(|_, t| *t != token);
             self.core.pending_routes.retain(|_, t| *t != token);
-            let host_op = self.core.app_ops.remove(&token).expect("checked above");
-            self.core.events.push_back((
-                host_op.driver,
-                DriverEvent::Completion(AppCompletion {
-                    token,
-                    result: Err(ClioError::DeadlineExceeded),
-                    issued_at: host_op.issued_at,
-                    completed_at: self.ctx.now(),
-                }),
-            ));
+            self.core.fail(self.ctx.now(), token, Err(ClioError::DeadlineExceeded));
         } else {
             for t in clib_tokens {
                 self.core.clib.cancel(self.ctx, &mut self.core.nic, t, &mut self.core.comps);
             }
             self.core.enqueue_clib_completions(self.ctx);
         }
-        true
-    }
-
-    /// Registers a completion waker for an outstanding op: it fires when the
-    /// op completes (following it across transparent re-routes). The
-    /// executor's per-op wake path — no-op if the op already completed.
-    pub fn register_waker(&mut self, token: AppToken, waker: std::task::Waker) {
-        if let Some(host_op) = self.core.app_ops.get_mut(&token) {
-            host_op.waker = Some(waker.clone());
-            let clib_token = host_op.clib_token;
-            if let Some(t) = clib_token {
-                self.core.clib.register_waker(t, waker);
-            }
-        }
     }
 
     /// This node's shared runtime gauges (in-flight / parked / tasks).
-    pub fn runtime_gauges(&self) -> RuntimeGauges {
+    pub(crate) fn runtime_gauges(&self) -> RuntimeGauges {
         self.core.runtime_gauges.clone()
     }
 
-    /// The per-process in-flight submission budget executor drivers enforce.
-    pub fn inflight_budget(&self) -> usize {
+    /// The per-process in-flight submission budget executors enforce.
+    pub(crate) fn inflight_budget(&self) -> usize {
         self.core.runtime_budget
     }
 }
@@ -773,7 +574,8 @@ impl ClientApi<'_, '_> {
 pub struct ComputeNode {
     name: String,
     core: NodeCore,
-    drivers: Vec<Option<Box<dyn ClientDriver>>>,
+    /// One executor per client process, by registration index.
+    execs: Vec<ExecDriver>,
 }
 
 impl ComputeNode {
@@ -793,13 +595,12 @@ impl ComputeNode {
         ComputeNode {
             name: name.into(),
             core: NodeCore {
-                cn_index,
                 clib: CLib::new(clib_cfg, cn_index as u64 + 1, page_size),
                 nic,
                 router: RasRouter { slices, exceptions: Vec::new() },
                 controller,
                 mn_macs,
-                driver_pids: Vec::new(),
+                pids: Vec::new(),
                 app_ops: IdMap::default(),
                 token_map: IdMap::default(),
                 next_app_token: 0,
@@ -809,20 +610,22 @@ impl ComputeNode {
                 events: VecDeque::new(),
                 comps: Vec::new(),
                 max_moved_retries: 8,
-                next_arrival: None,
                 runtime_budget: DEFAULT_INFLIGHT_BUDGET,
                 runtime_gauges: RuntimeGauges::default(),
                 deadline_exceeded: Counter::default(),
             },
-            drivers: Vec::new(),
+            execs: Vec::new(),
         }
     }
 
-    /// Registers a driver running as process `pid`. Returns its index.
-    pub fn add_driver(&mut self, pid: Pid, driver: Box<dyn ClientDriver>) -> usize {
-        self.core.driver_pids.push(pid);
-        self.drivers.push(Some(driver));
-        self.drivers.len() - 1
+    /// Registers a fresh executor running as process `pid`. Returns its
+    /// index on this node and the handle that spawns its tasks.
+    pub fn add_process(&mut self, pid: Pid) -> (usize, ProcHandle) {
+        let exec = ExecDriver::new();
+        let handle = exec.handle();
+        self.core.pids.push(pid);
+        self.execs.push(exec);
+        (self.execs.len() - 1, handle)
     }
 
     /// The CLib instance (stats inspection).
@@ -852,7 +655,7 @@ impl ComputeNode {
     }
 
     /// Overrides the per-process in-flight submission budget (backpressure
-    /// window) enforced by executor drivers on this node.
+    /// window) enforced by the executors on this node.
     pub fn set_runtime_budget(&mut self, budget: usize) {
         self.core.runtime_budget = budget.max(1);
     }
@@ -872,29 +675,24 @@ impl ComputeNode {
         }
     }
 
-    /// Borrows a driver's concrete state (harvesting measurements).
+    /// Borrows the executor registered at `idx` (harvesting measurements).
+    /// Generic so call sites can name the type —
+    /// `cn.driver::<ExecDriver>(idx)` — though [`ExecDriver`] is the only
+    /// one a node hosts.
     ///
     /// # Panics
     ///
-    /// Panics on index/type mismatch.
-    pub fn driver<D: ClientDriver>(&self, idx: usize) -> &D {
-        let d = self.drivers[idx].as_ref().expect("driver is executing");
-        let any: &dyn std::any::Any = d.as_ref();
-        any.downcast_ref::<D>().expect("driver type mismatch")
+    /// Panics on a bad index or if `D` is not [`ExecDriver`].
+    pub fn driver<D: std::any::Any>(&self, idx: usize) -> &D {
+        let any: &dyn std::any::Any = &self.execs[idx];
+        any.downcast_ref::<D>().expect("compute nodes host ExecDriver only")
     }
 
-    /// Drains queued driver events, letting drivers issue follow-up ops.
+    /// Delivers queued completions, letting tasks issue follow-up ops.
     fn pump_events(&mut self, ctx: &mut Ctx<'_>) {
-        while let Some((idx, ev)) = self.core.events.pop_front() {
-            let Some(mut driver) = self.drivers[idx].take() else { continue };
-            {
-                let mut api = ClientApi { core: &mut self.core, ctx, driver: idx };
-                match ev {
-                    DriverEvent::Completion(c) => driver.on_completion(&mut api, c),
-                    DriverEvent::Wake(tag) => driver.on_wake(&mut api, tag),
-                }
-            }
-            self.drivers[idx] = Some(driver);
+        while let Some((idx, c)) = self.core.events.pop_front() {
+            let mut api = NodeApi { core: &mut self.core, ctx, driver: idx };
+            self.execs[idx].on_completion(&mut api, c);
         }
     }
 }
@@ -907,13 +705,8 @@ impl Actor for ComputeNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         let msg = match msg.downcast::<StartClients>() {
             Ok(_) => {
-                for idx in 0..self.drivers.len() {
-                    let Some(mut driver) = self.drivers[idx].take() else { continue };
-                    {
-                        let mut api = ClientApi { core: &mut self.core, ctx, driver: idx };
-                        driver.on_start(&mut api);
-                    }
-                    self.drivers[idx] = Some(driver);
+                for (idx, exec) in self.execs.iter().enumerate() {
+                    exec.on_start(&mut NodeApi { core: &mut self.core, ctx, driver: idx });
                 }
                 self.pump_events(ctx);
                 return;
@@ -929,17 +722,14 @@ impl Actor for ComputeNode {
             }
             Err(m) => m,
         };
-        let msg = match msg.downcast::<Wake>() {
-            Ok(w) => {
-                self.core.events.push_back((w.driver, DriverEvent::Wake(w.tag)));
-                self.pump_events(ctx);
-                return;
-            }
-            Err(m) => m,
+        let wake = match msg.downcast::<Wake>() {
+            Ok(w) => Ok(w),
+            Err(m) => m.downcast::<PokeDriver>().map(|p| Wake { driver: p.driver, tag: POKE_TAG }),
         };
-        let msg = match msg.downcast::<PokeDriver>() {
-            Ok(p) => {
-                self.core.events.push_back((p.driver, DriverEvent::Wake(POKE_TAG)));
+        let msg = match wake {
+            Ok(w) => {
+                let mut api = NodeApi { core: &mut self.core, ctx, driver: w.driver };
+                self.execs[w.driver].on_wake(&mut api, w.tag);
                 self.pump_events(ctx);
                 return;
             }
@@ -948,24 +738,8 @@ impl Actor for ComputeNode {
         let msg = match msg.downcast::<PlacementReply>() {
             Ok(p) => {
                 if let Some(token) = self.core.pending_placements.remove(&p.tag) {
-                    if let Some(host_op) = self.core.app_ops.get_mut(&token) {
-                        let thread = ThreadId(host_op.driver as u64);
-                        let op = host_op.spec.to_op(p.mn);
-                        let queued_since = host_op.queued_since.take();
-                        let waker = host_op.waker.clone();
-                        self.core.clib.set_queued_since(queued_since);
-                        let core = &mut self.core;
-                        let t = core.clib.submit(ctx, &mut core.nic, thread, op, &mut core.comps);
-                        self.core.token_map.insert(t, token);
-                        if let Some(host_op) = self.core.app_ops.get_mut(&token) {
-                            host_op.clib_token = Some(t);
-                        }
-                        if let Some(w) = waker {
-                            self.core.clib.register_waker(t, w);
-                        }
-                        self.core.enqueue_clib_completions(ctx);
-                        self.pump_events(ctx);
-                    }
+                    self.core.submit(ctx, token, p.mn);
+                    self.pump_events(ctx);
                 }
                 return;
             }
@@ -974,34 +748,29 @@ impl Actor for ComputeNode {
         let msg = match msg.downcast::<RouteReply>() {
             Ok(r) => {
                 if let Some(token) = self.core.pending_routes.remove(&r.tag) {
-                    match (r.mn, self.core.app_ops.get(&token)) {
-                        (Some(mac), Some(host_op)) => {
-                            if let Some((pid, va, len)) = host_op.spec.route_range() {
+                    let core = &mut self.core;
+                    let op = core.app_ops.get(&token);
+                    let op = op.map(|op| (core.pids[op.driver], op.spec.route_range()));
+                    match (r.mn, op) {
+                        (Some(mac), Some((pid, range))) => {
+                            if let Some((va, len)) = range {
                                 // Cache an access-sized exception; the
                                 // controller's RouteUpdate broadcast widens
                                 // it to the whole migrated range.
-                                self.core.router.add_exception(pid, va, len.max(1), mac);
+                                core.router.add_exception(pid, va, len.max(1), mac);
                             }
-                            self.core.dispatch(ctx, token);
+                            core.dispatch(ctx, token);
                         }
-                        (None, Some(host_op)) => {
+                        (None, Some((_, range))) => {
                             // The controller either lost track of the range
                             // or reports it straddling two owners.
-                            let result = match host_op.spec.route_range() {
-                                Some((_, va, len)) if r.spans => {
+                            let result = match range {
+                                Some((va, len)) if r.spans => {
                                     Err(ClioError::SpansOwners { va, len })
                                 }
                                 _ => Err(ClioError::Moved),
                             };
-                            let ev = DriverEvent::Completion(AppCompletion {
-                                token,
-                                result,
-                                issued_at: host_op.issued_at,
-                                completed_at: ctx.now(),
-                            });
-                            let driver = host_op.driver;
-                            self.core.app_ops.remove(&token);
-                            self.core.events.push_back((driver, ev));
+                            core.fail(ctx.now(), token, result);
                         }
                         _ => {}
                     }
@@ -1028,5 +797,48 @@ impl Actor for ComputeNode {
         }
         self.core.enqueue_clib_completions(ctx);
         self.pump_events(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Cluster, ClusterConfig};
+    use clio_proto::Status;
+
+    /// Regression: the router computed an access's last byte as an
+    /// unchecked `va + len - 1`, so an access reaching past the end of the
+    /// address space panicked in debug builds and was refused in release
+    /// builds only because the wrapped sum happened to miss every slice.
+    /// It names no memory: `InvalidAddr`, in both profiles, on every
+    /// submit path.
+    #[test]
+    fn access_past_the_end_of_the_address_space_is_invalid_addr() {
+        let mut cluster = Cluster::build(&ClusterConfig::test_small());
+        let results = cluster.block_on(0, Pid(1), |h| async move {
+            let mut results = vec![
+                h.rread(u64::MAX - 3, 16).await.result,
+                h.rwrite(u64::MAX, Bytes::from_static(b"xy")).await.result,
+                h.rfaa(u64::MAX - 6, 1).await.result,
+            ];
+            for entry in h.rread_v(vec![(u64::MAX - 3, 16)]) {
+                results.push(entry.await.result);
+            }
+            results
+        });
+        assert_eq!(results, vec![Err(ClioError::Remote(Status::InvalidAddr)); 4]);
+    }
+
+    /// A slice or exception may itself end at the top of the address space:
+    /// its bytes still resolve, and an access overflowing past them does not.
+    #[test]
+    fn router_ranges_may_touch_the_top_of_the_address_space() {
+        let top = u64::MAX - 4095;
+        let mut router = RasRouter { slices: vec![(top, 4096, Mac(1))], exceptions: Vec::new() };
+        assert_eq!(router.lookup(Pid(1), u64::MAX - 15, 16), Route::Owned(Mac(1)));
+        assert_eq!(router.lookup(Pid(1), u64::MAX - 14, 16), Route::Unknown);
+        router.add_exception(Pid(1), u64::MAX - 63, 64, Mac(2));
+        assert_eq!(router.lookup(Pid(1), u64::MAX, 1), Route::Owned(Mac(2)));
+        assert_eq!(router.lookup(Pid(1), top, 4096), Route::Spans);
     }
 }

@@ -1,65 +1,29 @@
-//! Full-system integration: clusters with event-driven drivers, the
-//! blocking runtime, cross-CN sharing, multi-MN placement and
-//! pressure-triggered migration.
+//! Full-system integration: clusters programmed with async tasks —
+//! cross-CN sharing, multi-MN placement and pressure-triggered migration.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use bytes::Bytes;
-use clio_core::runtime::BlockingCluster;
-use clio_core::{AppCompletion, ClientApi, ClientDriver, Cluster, ClusterConfig};
-use clio_proto::Perm;
+use clio_core::{Cluster, ClusterConfig, ProcHandle};
+use clio_proto::{Perm, Pid};
 use clio_sim::SimDuration;
 
-/// Driver that allocates, writes a pattern, reads it back, and checks it.
-struct WriteReadClient {
-    va: u64,
-    phase: u8,
-    pattern: Vec<u8>,
-    verified: bool,
-    read_latency: Option<SimDuration>,
-}
-
-impl WriteReadClient {
-    fn new(pattern: Vec<u8>) -> Self {
-        WriteReadClient { va: 0, phase: 0, pattern, verified: false, read_latency: None }
-    }
-}
-
-impl ClientDriver for WriteReadClient {
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-        api.alloc(self.pattern.len() as u64, Perm::RW);
-    }
-
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-        match self.phase {
-            0 => {
-                self.va = c.va();
-                self.phase = 1;
-                api.write(self.va, Bytes::from(self.pattern.clone()));
-            }
-            1 => {
-                assert!(c.result.is_ok(), "write failed: {:?}", c.result);
-                self.phase = 2;
-                api.read(self.va, self.pattern.len() as u32);
-            }
-            2 => {
-                assert_eq!(&c.data()[..], &self.pattern[..]);
-                self.read_latency = Some(c.latency());
-                self.verified = true;
-                self.phase = 3;
-            }
-            _ => {}
-        }
-    }
+/// Allocates, writes `pattern`, reads it back and checks it; returns the
+/// read's latency.
+async fn write_read(h: ProcHandle, pattern: Vec<u8>) -> SimDuration {
+    let va = h.ralloc(pattern.len() as u64, Perm::RW).await.va();
+    let c = h.rwrite(va, Bytes::from(pattern.clone())).await;
+    assert!(c.result.is_ok(), "write failed: {:?}", c.result);
+    let c = h.rread(va, pattern.len() as u32).await;
+    assert_eq!(&c.data()[..], &pattern[..]);
+    c.latency()
 }
 
 #[test]
-fn driver_roundtrip_on_small_cluster() {
+fn task_roundtrip_on_small_cluster() {
     let mut cluster = Cluster::build(&ClusterConfig::test_small());
-    cluster.add_driver(0, clio_proto::Pid(1), Box::new(WriteReadClient::new(vec![7u8; 3000])));
-    cluster.start();
-    cluster.run_until_idle();
-    let d: &WriteReadClient = cluster.cn(0).driver(0);
-    assert!(d.verified, "client never verified its data");
-    let lat = d.read_latency.expect("read measured");
+    let lat = cluster.block_on(0, Pid(1), |h| write_read(h, vec![7u8; 3000]));
     assert!(lat < SimDuration::from_micros(20), "3 KB read latency {lat}");
 }
 
@@ -69,22 +33,17 @@ fn many_processes_on_many_cns_and_mns() {
     cfg.cns = 3;
     cfg.mns = 2;
     let mut cluster = Cluster::build(&cfg);
+    let verified = Rc::new(Cell::new(0u64));
     for i in 0..12u64 {
-        let cn = (i % 3) as usize;
-        cluster.add_driver(
-            cn,
-            clio_proto::Pid(100 + i),
-            Box::new(WriteReadClient::new(vec![i as u8; 512])),
-        );
+        let verified = verified.clone();
+        cluster.spawn((i % 3) as usize, Pid(100 + i), move |h| async move {
+            write_read(h, vec![i as u8; 512]).await;
+            verified.set(verified.get() + 1);
+        });
     }
     cluster.start();
     cluster.run_until_idle();
-    for i in 0..12u64 {
-        let cn = (i % 3) as usize;
-        let idx = (i / 3) as usize;
-        let d: &WriteReadClient = cluster.cn(cn).driver(idx);
-        assert!(d.verified, "client {i} failed");
-    }
+    assert_eq!(verified.get(), 12, "every client must verify its data");
     // Placement used both MNs (the controller balances by free memory).
     let used0 = cluster.mn(0).slow_path().palloc().used_pages();
     let used1 = cluster.mn(1).slow_path().palloc().used_pages();
@@ -92,114 +51,108 @@ fn many_processes_on_many_cns_and_mns() {
 }
 
 #[test]
-fn blocking_runtime_figure1_style() {
-    let mut bc = BlockingCluster::new(&ClusterConfig::test_small());
-    // The paper's Figure 1, nearly verbatim.
-    bc.spawn(0, 42, |p| {
-        let remote_addr = p.ralloc(4096).expect("ralloc");
-        let lock = p.ralloc(4096).expect("ralloc lock page");
+fn figure1_style_program() {
+    let mut cluster = Cluster::build(&ClusterConfig::test_small());
+    // The paper's Figure 1, nearly verbatim: the two async writes are
+    // spawned (issue) and `rrelease` is the poll for both.
+    cluster.block_on(0, Pid(42), |h| async move {
+        let remote_addr = h.ralloc(4096, Perm::RW).await.va();
+        let lock = h.ralloc(4096, Perm::RW).await.va();
 
-        p.rlock(lock).expect("rlock");
-        let e0 = p.rwrite_async(remote_addr, b"hello ");
-        let e1 = p.rwrite_async(remote_addr + 6, b"world");
-        p.runlock(lock).expect("runlock");
-        p.rpoll(&[e0, e1]).expect("rpoll");
+        h.rlock(lock).await.result.expect("rlock");
+        for (off, text) in [(0, &b"hello "[..]), (6, &b"world"[..])] {
+            let h2 = h.clone();
+            h.spawn(async move {
+                h2.rwrite(remote_addr + off, Bytes::from_static(text))
+                    .await
+                    .result
+                    .expect("rwrite");
+            });
+        }
+        h.runlock(lock).await.result.expect("runlock");
+        h.rrelease().await.result.expect("rrelease");
 
-        let back = p.rread(remote_addr, 11).expect("rread");
-        assert_eq!(&back[..], b"hello world");
+        let back = h.rread(remote_addr, 11).await;
+        assert_eq!(&back.data()[..], b"hello world");
 
-        p.compute(SimDuration::from_micros(50));
-        p.rfree(remote_addr, 4096).expect("rfree");
+        h.sleep(SimDuration::from_micros(50)).await;
+        h.rfree(remote_addr, 4096).await.result.expect("rfree");
     });
-    bc.run();
 }
 
 #[test]
-fn blocking_runtime_scatter_gather() {
-    let mut bc = BlockingCluster::new(&ClusterConfig::test_small());
-    bc.spawn(0, 42, |p| {
-        let va = p.ralloc(16 << 10).expect("ralloc");
-        // Blocking scatter/gather write: one explicit vector, one call.
-        let writes: Vec<(u64, Vec<u8>)> =
-            (0..16u64).map(|i| (va + i * 1024, vec![i as u8 + 1; 64])).collect();
-        let write_refs: Vec<(u64, &[u8])> =
-            writes.iter().map(|(a, d)| (*a, d.as_slice())).collect();
-        p.rwrite_v(&write_refs).expect("rwrite_v");
-        // Blocking scatter/gather read returns results in request order.
-        let reads: Vec<(u64, u32)> = (0..16u64).map(|i| (va + i * 1024, 64)).collect();
-        let data = p.rread_v(&reads).expect("rread_v");
-        assert_eq!(data.len(), 16);
-        for (i, d) in data.iter().enumerate() {
-            assert!(d.iter().all(|&b| b == i as u8 + 1), "entry {i} wrong data");
+fn scatter_gather_vectors() {
+    let mut cluster = Cluster::build(&ClusterConfig::test_small());
+    cluster.block_on(0, Pid(42), |h| async move {
+        let va = h.ralloc(16 << 10, Perm::RW).await.va();
+        // Scatter/gather write: one explicit vector, one submission.
+        let writes = (0..16u64).map(|i| (va + i * 1024, Bytes::from(vec![i as u8 + 1; 64])));
+        for w in h.rwrite_v(writes.collect()) {
+            w.await.result.expect("rwrite_v");
         }
-        // Async variants hand back one handle per entry for rpoll.
-        let handles = p.rread_v_async(&reads);
-        assert_eq!(handles.len(), 16);
-        let polled = p.rpoll(&handles).expect("rpoll over vector handles");
-        assert_eq!(polled.len(), 16);
+        // Scatter/gather read hands back one future per entry, in request
+        // order; entries complete independently.
+        let reads: Vec<(u64, u32)> = (0..16u64).map(|i| (va + i * 1024, 64)).collect();
+        let futs = h.rread_v(reads.clone());
+        assert_eq!(futs.len(), 16);
+        for (i, f) in futs.into_iter().enumerate() {
+            let c = f.await;
+            assert!(c.data().iter().all(|&b| b == i as u8 + 1), "entry {i} wrong data");
+        }
+        // Issue a vector, do something else, collect it with `rrelease`.
+        let abandoned = h.rread_v(reads.clone());
+        h.rrelease().await.result.expect("rrelease");
+        for f in abandoned {
+            f.await.result.expect("completed before the release did");
+        }
         // Single-entry and empty vectors degenerate cleanly.
-        let one = p.rread_v(&reads[..1]).expect("single-entry rread_v");
-        assert_eq!(one.len(), 1);
-        assert!(p.rread_v(&[]).expect("empty rread_v").is_empty());
-        assert!(p.rwrite_v(&[]).is_ok());
+        assert_eq!(h.rread_v(reads[..1].to_vec()).len(), 1);
+        assert!(h.rread_v(Vec::new()).is_empty());
+        assert!(h.rwrite_v(Vec::new()).is_empty());
     });
-    bc.run();
     // The vector reached the wire coalesced: the CN transport shipped
     // multi-request frames.
-    assert!(bc.cluster.cn(0).clib().batched_ops() >= 16, "vector ops did not batch");
+    assert!(cluster.cn(0).clib().batched_ops() >= 16, "vector ops did not batch");
 }
 
 #[test]
-fn blocking_runtime_rpoll_accepts_duplicate_handles() {
-    let mut bc = BlockingCluster::new(&ClusterConfig::test_small());
-    bc.spawn(0, 42, |p| {
-        let va = p.ralloc(4096).expect("ralloc");
-        let w = p.rwrite_async(va, b"dup");
-        let r = p.rread_async(va + 1024, 4);
-        // The same handle may appear several times in one poll; each
-        // occurrence yields that operation's result (regression: this used
-        // to panic in the runtime's ready-map bookkeeping).
-        let results = p.rpoll(&[w, r, w, w]).expect("rpoll with duplicates");
-        assert_eq!(results.len(), 4);
-        assert_eq!(results[0], results[2]);
-        assert_eq!(results[0], results[3]);
-        let back = p.rread(va, 3).expect("rread");
-        assert_eq!(&back[..], b"dup");
-    });
-    bc.run();
-}
-
-#[test]
-fn blocking_runtime_two_threads_share_a_lock() {
-    let mut bc = BlockingCluster::new(&ClusterConfig::test_small());
-    // Thread 1 allocates a counter + lock and publishes the addresses via a
-    // std channel (host-side coordination, like argv in the paper).
-    let (addr_tx, addr_rx) = std::sync::mpsc::channel::<(u64, u64)>();
-    bc.spawn(0, 7, move |p| {
-        let counter = p.ralloc(4096).expect("alloc");
+fn two_threads_share_a_lock() {
+    let mut cluster = Cluster::build(&ClusterConfig::test_small());
+    // Two threads of one process (same pid, one RAS) increment a counter
+    // under a remote lock. The first allocates and publishes the addresses
+    // host-side (like argv in the paper).
+    let addrs = Rc::new(Cell::new(None));
+    let publish = addrs.clone();
+    cluster.spawn(0, Pid(7), |h| async move {
+        let counter = h.ralloc(4096, Perm::RW).await.va();
         let lock = counter + 8;
-        addr_tx.send((counter, lock)).expect("publish");
+        publish.set(Some((counter, lock)));
         for _ in 0..5 {
-            p.rlock(lock).expect("lock");
-            let v = p.rfaa(counter, 1).expect("faa");
-            let _ = v;
-            p.runlock(lock).expect("unlock");
+            h.rlock(lock).await.result.expect("lock");
+            h.rfaa(counter, 1).await.result.expect("faa");
+            h.runlock(lock).await.result.expect("unlock");
         }
     });
-    bc.spawn(0, 7, move |p| {
-        let (counter, lock) = addr_rx.recv().expect("addresses");
+    let seen = cluster.block_on(0, Pid(7), |h| async move {
+        let (counter, lock) = loop {
+            match addrs.get() {
+                Some(a) => break a,
+                None => h.sleep(SimDuration::from_micros(1)).await,
+            }
+        };
         for _ in 0..5 {
-            p.rlock(lock).expect("lock");
-            p.rfaa(counter, 1).expect("faa");
-            p.runlock(lock).expect("unlock");
+            h.rlock(lock).await.result.expect("lock");
+            h.rfaa(counter, 1).await.result.expect("faa");
+            h.runlock(lock).await.result.expect("unlock");
         }
-        // Both threads done: counter must be exactly 10 (5 + 5), though we
-        // may read it before the other thread's last increment -- so fence
-        // and read at the end is only >= our own 5.
-        let v = p.rfaa(counter, 0).expect("read");
-        assert!(v >= 5, "counter lost updates: {v}");
+        // We may read the counter before the other thread's last
+        // increment, so only our own 5 are certain.
+        h.rfaa(counter, 0).await.result.expect("read")
     });
-    bc.run();
+    match seen {
+        clio_cn::CompletionValue::Old(v) => assert!((5..=10).contains(&v), "lost updates: {v}"),
+        other => panic!("faa returned {other:?}"),
+    }
 }
 
 #[test]
@@ -211,54 +164,34 @@ fn pressure_triggers_transparent_migration() {
     cfg.board.hw.pt_slack = 8;
     cfg.board.hw.async_buffer_pages = 2;
     cfg.pressure_threshold = 0.5;
-    let mut bc = BlockingCluster::new(&cfg);
-    bc.spawn(0, 9, |p| {
+    let mut cluster = Cluster::build(&cfg);
+    cluster.block_on(0, Pid(9), |h| async move {
         // Two ranges; touching the second drives utilization over 50%,
         // so the controller migrates the first (coldest) range away.
-        let a = p.ralloc(4 * 4096).expect("alloc a");
-        let b = p.ralloc(8 * 4096).expect("alloc b");
-        p.rwrite(a, b"range-a data").expect("write a");
+        let a = h.ralloc(4 * 4096, Perm::RW).await.va();
+        let b = h.ralloc(8 * 4096, Perm::RW).await.va();
+        h.rwrite(a, Bytes::from_static(b"range-a data")).await.result.expect("write a");
         for i in 0..8u64 {
-            p.rwrite(b + i * 4096, &[i as u8; 64]).expect("write b");
+            h.rwrite(b + i * 4096, Bytes::from(vec![i as u8; 64])).await.result.expect("write b");
         }
         // Give the migration time to run, then access the moved range:
-        // the runtime re-routes transparently after the Moved refusal.
-        p.compute(SimDuration::from_millis(50));
-        let back = p.rread(a, 12).expect("read after migration");
-        assert_eq!(&back[..], b"range-a data");
+        // the node re-routes transparently after the Moved refusal.
+        h.sleep(SimDuration::from_millis(50)).await;
+        let back = h.rread(a, 12).await;
+        assert_eq!(&back.data()[..], b"range-a data");
     });
-    bc.run();
-    let ctrl = bc.cluster.sim.actor::<clio_core::Controller>(bc.cluster.controller_id());
-    let (started, completed) = ctrl.migration_stats();
+    let (started, completed) = cluster.controller().migration_stats();
     assert!(started >= 1, "no migration started");
     assert_eq!(started, completed, "migrations must complete");
 }
 
-/// A closed-loop driver issuing `n` sequential reads (for scalability
-/// sanity: many drivers at once).
-struct ClosedLoop {
-    va: u64,
-    remaining: u32,
-    done: bool,
-}
-
-impl ClientDriver for ClosedLoop {
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-        api.alloc(4096, Perm::RW);
-    }
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-        if self.va == 0 {
-            self.va = c.va();
-            api.write(self.va, Bytes::from_static(&[1u8; 64]));
-            return;
-        }
-        assert!(c.result.is_ok());
-        if self.remaining == 0 {
-            self.done = true;
-            return;
-        }
-        self.remaining -= 1;
-        api.read(self.va, 64);
+/// `n` sequential reads after an alloc and a seed write (for scalability
+/// sanity: many processes at once).
+async fn closed_loop(h: ProcHandle, n: u32) {
+    let va = h.ralloc(4096, Perm::RW).await.va();
+    h.rwrite(va, Bytes::from_static(&[1u8; 64])).await.result.expect("seed");
+    for _ in 0..n {
+        assert!(h.rread(va, 64).await.result.is_ok());
     }
 }
 
@@ -267,19 +200,17 @@ fn hundred_concurrent_processes() {
     let mut cfg = ClusterConfig::test_small();
     cfg.cns = 2;
     let mut cluster = Cluster::build(&cfg);
+    let done = Rc::new(Cell::new(0u32));
     for i in 0..100u64 {
-        cluster.add_driver(
-            (i % 2) as usize,
-            clio_proto::Pid(1000 + i),
-            Box::new(ClosedLoop { va: 0, remaining: 20, done: false }),
-        );
+        let done = done.clone();
+        cluster.spawn((i % 2) as usize, Pid(1000 + i), move |h| async move {
+            closed_loop(h, 20).await;
+            done.set(done.get() + 1);
+        });
     }
     cluster.start();
     cluster.run_until_idle();
-    for i in 0..100u64 {
-        let d: &ClosedLoop = cluster.cn((i % 2) as usize).driver((i / 2) as usize);
-        assert!(d.done, "process {i} did not finish");
-    }
+    assert_eq!(done.get(), 100, "every process must finish");
 }
 
 #[test]
@@ -289,78 +220,11 @@ fn deterministic_across_runs() {
         cfg.seed = seed;
         let mut cluster = Cluster::build(&cfg);
         for i in 0..10u64 {
-            cluster.add_driver(
-                0,
-                clio_proto::Pid(i),
-                Box::new(ClosedLoop { va: 0, remaining: 5, done: false }),
-            );
+            cluster.spawn(0, Pid(i), |h| closed_loop(h, 5));
         }
         cluster.start();
         cluster.run_until_idle();
         (cluster.sim.digest(), cluster.sim.events_dispatched(), cluster.now())
     };
     assert_eq!(digest(1), digest(1), "same seed must replay identically");
-}
-
-#[test]
-fn rpoll_with_foreign_handle_fails_fast() {
-    // A handle leaked from one process to another must be rejected with
-    // `InvalidHandle` immediately — not stall the polling thread forever
-    // waiting on a seq that will never complete in its bridge.
-    let mut bc = BlockingCluster::new(&ClusterConfig::test_small());
-    let (handle_tx, handle_rx) = std::sync::mpsc::channel();
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    bc.spawn(0, 1, move |p| {
-        let va = p.ralloc(4096).expect("ralloc");
-        let h = p.rwrite_async(va, b"mine");
-        handle_tx.send(h).expect("handle channel");
-        // Keep our own side honest: polling our own handle still works.
-        done_rx.recv().expect("peer finished");
-        assert_eq!(p.rpoll(&[h]).expect("own handle polls fine").len(), 1);
-    });
-    bc.spawn(0, 2, move |p| {
-        let foreign = handle_rx.recv().expect("handle channel");
-        let err = p.rpoll(&[foreign]).expect_err("foreign handle must be rejected");
-        assert_eq!(err, clio_cn::ClioError::InvalidHandle);
-        // A mix of valid and foreign handles is rejected as a whole.
-        let va = p.ralloc(4096).expect("ralloc");
-        let mine = p.rwrite_async(va, b"ok");
-        let err = p.rpoll(&[mine, foreign]).expect_err("mixed poll must be rejected");
-        assert_eq!(err, clio_cn::ClioError::InvalidHandle);
-        assert_eq!(p.rpoll(&[mine]).expect("own handle").len(), 1);
-        done_tx.send(()).expect("done channel");
-    });
-    bc.run();
-}
-
-#[test]
-fn unpolled_async_results_do_not_accumulate() {
-    // Regression for the async-handle leak: a process that issues thousands
-    // of async ops and never polls them must not retain a result per op for
-    // its whole life. `rrelease` (and process exit) drop abandoned results,
-    // so the retained backlog is bounded by the gap between releases.
-    const BATCH: usize = 256;
-    const BATCHES: usize = 16;
-    let mut bc = BlockingCluster::new(&ClusterConfig::test_small());
-    bc.spawn(0, 9, |p| {
-        let va = p.ralloc(1 << 20).expect("ralloc");
-        let mut stale = None;
-        for _ in 0..BATCHES {
-            for i in 0..BATCH as u64 {
-                let h = p.rwrite_async(va + (i % 64) * 4096, b"fire-and-forget");
-                stale.get_or_insert(h);
-            }
-            p.rrelease().expect("rrelease");
-        }
-        // A handle abandoned before a release is gone, not silently pending.
-        let err = p.rpoll(&[stale.unwrap()]).expect_err("released handle must be invalid");
-        assert_eq!(err, clio_cn::ClioError::InvalidHandle);
-    });
-    bc.run();
-    let issued = BATCH * BATCHES;
-    let high_water = bc.async_backlog_high_water(0);
-    assert!(
-        high_water <= BATCH + 2,
-        "async results leaked: high water {high_water} for {issued} never-polled ops"
-    );
 }

@@ -6,7 +6,7 @@
 //! unified registry snapshots/resets every metric in one window.
 
 use bytes::Bytes;
-use clio_core::{AppCompletion, ClientApi, ClientDriver, Cluster, ClusterConfig};
+use clio_core::{Cluster, ClusterConfig, ProcHandle};
 use clio_net::FaultInjector;
 use clio_proto::{Perm, Pid};
 use clio_trace::export::{perfetto_json, validate_chrome_trace};
@@ -19,47 +19,13 @@ const BURST: usize = 64;
 /// single scatter/gather vector — the doorbell coalesces them into batch
 /// frames, so the burst exercises batching, egress coalescing and
 /// multi-op frames end to end.
-struct BurstClient {
-    va: u64,
-    phase: u8,
-    pending: usize,
-    done: bool,
-}
-
-impl BurstClient {
-    fn new() -> Self {
-        BurstClient { va: 0, phase: 0, pending: 0, done: false }
-    }
-}
-
-impl ClientDriver for BurstClient {
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-        api.alloc((BURST as u64) * 64, Perm::RW);
-    }
-
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-        match self.phase {
-            0 => {
-                self.va = c.va();
-                self.phase = 1;
-                api.write(self.va, Bytes::from(vec![0xAB; BURST * 64]));
-            }
-            1 => {
-                assert!(c.result.is_ok(), "seed write failed: {:?}", c.result);
-                self.phase = 2;
-                let reads: Vec<(u64, u32)> =
-                    (0..BURST as u64).map(|i| (self.va + i * 64, 64)).collect();
-                self.pending = api.read_v(&reads).len();
-            }
-            2 => {
-                assert!(c.result.is_ok(), "burst read failed: {:?}", c.result);
-                self.pending -= 1;
-                if self.pending == 0 {
-                    self.done = true;
-                }
-            }
-            _ => {}
-        }
+async fn burst_client(h: ProcHandle) {
+    let va = h.ralloc((BURST as u64) * 64, Perm::RW).await.va();
+    let c = h.rwrite(va, Bytes::from(vec![0xAB; BURST * 64])).await;
+    assert!(c.result.is_ok(), "seed write failed: {:?}", c.result);
+    for read in h.rread_v((0..BURST as u64).map(|i| (va + i * 64, 64)).collect()) {
+        let c = read.await;
+        assert!(c.result.is_ok(), "burst read failed: {:?}", c.result);
     }
 }
 
@@ -67,11 +33,7 @@ impl ClientDriver for BurstClient {
 fn run_burst(sample_every: u64) -> (Cluster, Vec<OpTrace>) {
     let cfg = ClusterConfig::test_small().with_tracing(sample_every);
     let mut cluster = Cluster::build(&cfg);
-    cluster.add_driver(0, Pid(1), Box::new(BurstClient::new()));
-    cluster.start();
-    cluster.run_until_idle();
-    let d: &BurstClient = cluster.cn(0).driver(0);
-    assert!(d.done, "burst never completed");
+    cluster.block_on(0, Pid(1), burst_client);
     let traces = cluster.take_traces();
     (cluster, traces)
 }
@@ -124,9 +86,7 @@ fn tracing_disabled_is_zero_overhead() {
             cfg = cfg.with_tracing(1);
         }
         let mut cluster = Cluster::build(&cfg);
-        cluster.add_driver(0, Pid(1), Box::new(BurstClient::new()));
-        cluster.start();
-        cluster.run_until_idle();
+        cluster.block_on(0, Pid(1), burst_client);
         let stats = cluster.mn(0).stats();
         (
             cluster.sim.digest(),
@@ -164,11 +124,8 @@ fn corrupted_then_retried_op_links_retry_to_origin_attempt() {
         mn_mac,
         FaultInjector { corrupt_next: 1, ..FaultInjector::none() },
     );
-    cluster.add_driver(0, Pid(1), Box::new(BurstClient::new()));
-    cluster.start();
-    cluster.run_until_idle();
-    let d: &BurstClient = cluster.cn(0).driver(0);
-    assert!(d.done, "burst never completed despite retry budget");
+    // (`block_on` panics unless the burst completes despite the retry.)
+    cluster.block_on(0, Pid(1), burst_client);
     assert!(cluster.cn(0).clib().retry_count() > 0, "corruption forced no retry");
 
     let traces = cluster.take_traces();
@@ -233,7 +190,8 @@ fn registry_snapshot_and_reset_cover_every_metric() {
     assert_eq!(cluster.mn(0).stats().rx_frames, 0, "component kept pre-reset state");
 }
 
-/// One random closed-loop workload shape for the well-formedness property.
+/// One random closed-loop workload shape for the well-formedness property
+/// (`drivers` = concurrent client processes).
 #[derive(Debug, Clone)]
 struct Workload {
     seed: u64,
@@ -255,36 +213,20 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
     )
 }
 
-/// Closed-loop read/write mix driver for the property: alloc, seed write,
-/// then `n` alternating reads/writes.
-struct MixClient {
-    va: u64,
-    remaining: u32,
-    done: bool,
-}
-
-impl ClientDriver for MixClient {
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-        api.alloc(4096, Perm::RW);
-    }
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-        if self.va == 0 {
-            self.va = c.va();
-            api.write(self.va, Bytes::from_static(&[7u8; 128]));
-            return;
-        }
+/// Closed-loop read/write mix for the property: alloc, seed write, then
+/// `n` alternating reads/writes.
+async fn mix_client(h: ProcHandle, n: u32) {
+    let va = h.ralloc(4096, Perm::RW).await.va();
+    let mut c = h.rwrite(va, Bytes::from_static(&[7u8; 128])).await;
+    for remaining in (0..n).rev() {
         assert!(c.result.is_ok(), "op failed: {:?}", c.result);
-        if self.remaining == 0 {
-            self.done = true;
-            return;
-        }
-        self.remaining -= 1;
-        if self.remaining.is_multiple_of(2) {
-            api.read(self.va, 128);
+        c = if remaining.is_multiple_of(2) {
+            h.rread(va, 128).await
         } else {
-            api.write(self.va + 256, Bytes::from_static(&[9u8; 64]));
-        }
+            h.rwrite(va + 256, Bytes::from_static(&[9u8; 64])).await
+        };
     }
+    assert!(c.result.is_ok(), "op failed: {:?}", c.result);
 }
 
 proptest! {
@@ -312,19 +254,17 @@ proptest! {
                 FaultInjector { corrupt_prob: w.corrupt_prob, ..FaultInjector::none() },
             );
         }
+        let done = std::rc::Rc::new(std::cell::Cell::new(0));
         for i in 0..w.drivers {
-            cluster.add_driver(
-                0,
-                Pid(10 + i as u64),
-                Box::new(MixClient { va: 0, remaining: w.ops_per_driver, done: false }),
-            );
+            let (done, n) = (done.clone(), w.ops_per_driver);
+            cluster.spawn(0, Pid(10 + i as u64), move |h| async move {
+                mix_client(h, n).await;
+                done.set(done.get() + 1);
+            });
         }
         cluster.start();
         cluster.run_until_idle();
-        for i in 0..w.drivers {
-            let d: &MixClient = cluster.cn(0).driver(i);
-            prop_assert!(d.done, "driver {i} never finished");
-        }
+        prop_assert_eq!(done.get(), w.drivers, "a client never finished");
         let traces = cluster.take_traces();
         prop_assert!(
             traces.len() as u32 >= w.drivers as u32 * (w.ops_per_driver + 2),

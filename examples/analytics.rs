@@ -5,12 +5,13 @@
 //!
 //! Run with: `cargo run --release --example analytics`
 
+use bytes::Bytes;
 use clio_apps::dataframe::{
     avg_local, encode_avg, encode_select, histogram, select_local, synth_table, ClioDf, DfOpcode,
     ROW_BYTES,
 };
-use clio_core::runtime::BlockingCluster;
-use clio_core::ClusterConfig;
+use clio_core::{Cluster, ClusterConfig};
+use clio_proto::{Perm, Pid};
 
 const ROWS: u64 = 50_000;
 const OFFLOAD_ID: u16 = 4;
@@ -18,37 +19,37 @@ const OFFLOAD_ID: u16 = 4;
 fn main() {
     let mut cfg = ClusterConfig::test_small();
     cfg.board.hw.phys_mem_bytes = 64 << 20;
-    let mut cluster = BlockingCluster::new(&cfg);
-    cluster.cluster.install_offload_shared(0, OFFLOAD_ID, Box::new(ClioDf::new()));
+    let mut cluster = Cluster::build(&cfg);
+    cluster.install_offload_shared(0, OFFLOAD_ID, Box::new(ClioDf::new()));
+    let mn = cluster.mn_macs()[0];
 
-    cluster.spawn(0, 11, |p| {
+    cluster.block_on(0, Pid(11), |h| async move {
         let table = synth_table(ROWS, 7);
-        let in_va = p.ralloc(ROWS * ROW_BYTES).expect("ralloc in");
-        let out_va = p.ralloc(ROWS * ROW_BYTES).expect("ralloc out");
-        p.rwrite(in_va, &table).expect("upload table");
+        let in_va = h.ralloc(ROWS * ROW_BYTES, Perm::RW).await.va();
+        let out_va = h.ralloc(ROWS * ROW_BYTES, Perm::RW).await.va();
+        h.rwrite(in_va, Bytes::from(table.clone())).await.result.expect("upload table");
         println!("uploaded {ROWS} rows ({} KB)", table.len() / 1024);
+
+        // An offload call returning one little-endian u64.
+        let call = |opcode: DfOpcode, arg: Bytes| {
+            let h = h.clone();
+            async move {
+                let reply = h.roffload(mn, OFFLOAD_ID, opcode as u16, arg).await;
+                u64::from_le_bytes(reply.data()[..8].try_into().expect("8 B"))
+            }
+        };
 
         for threshold in [60u32, 10] {
             // select at the MN: only matching rows are materialized.
-            let reply = p
-                .offload_call(
-                    0,
-                    OFFLOAD_ID,
-                    DfOpcode::Select as u16,
-                    &encode_select(in_va, ROWS, threshold, out_va),
-                )
-                .expect("select");
-            let matched = u64::from_le_bytes(reply[..8].try_into().expect("8 B"));
+            let select = encode_select(in_va, ROWS, threshold, out_va);
+            let matched = call(DfOpcode::Select, select).await;
 
             // avg at the MN.
-            let reply = p
-                .offload_call(0, OFFLOAD_ID, DfOpcode::Avg as u16, &encode_avg(out_va, matched))
-                .expect("avg");
-            let mean_x1000 = u64::from_le_bytes(reply[..8].try_into().expect("8 B"));
+            let mean_x1000 = call(DfOpcode::Avg, encode_avg(out_va, matched)).await;
 
             // histogram at the CN over just the selected rows.
-            let rows = p.rread(out_va, (matched * ROW_BYTES) as u32).expect("fetch selected");
-            let hist = histogram(&rows);
+            let rows = h.rread(out_va, (matched * ROW_BYTES) as u32).await;
+            let hist = histogram(rows.data());
 
             // Verify against a local reference computation.
             let expect = select_local(&table, threshold);
@@ -65,6 +66,5 @@ fn main() {
         }
     });
 
-    cluster.run();
-    println!("done at {}", cluster.cluster.now());
+    println!("done at {}", cluster.now());
 }

@@ -5,92 +5,19 @@
 //! Run with: `cargo run --release --example kv_store`
 
 use clio_apps::kv::{partition_of, ClioKv, KvRequest, KvResponse};
-use clio_core::{AppCompletion, ClientApi, ClientDriver, Cluster, ClusterConfig};
+use clio_core::{Cluster, ClusterConfig};
 use clio_mn::CBoardConfig;
-use clio_proto::Pid;
+use clio_proto::{Pid, Status};
 
 const KEYS: u64 = 200;
 const OFFLOAD_ID: u16 = 1;
 
-/// Loads KEYS records, reads them all back, deletes the odd ones, and
-/// verifies membership.
-struct KvClient {
-    phase: u8,
-    cursor: u64,
-    verified: u64,
-    deleted: u64,
+fn key(i: u64) -> Vec<u8> {
+    format!("user{i:06}").into_bytes()
 }
 
-impl KvClient {
-    fn key(i: u64) -> Vec<u8> {
-        format!("user{i:06}").into_bytes()
-    }
-    fn value(i: u64) -> Vec<u8> {
-        format!("value-for-{i}").into_bytes()
-    }
-    fn send(&self, api: &mut ClientApi<'_, '_>, req: &KvRequest) {
-        let key = match req {
-            KvRequest::Put { key, .. } | KvRequest::Get { key } | KvRequest::Delete { key } => key,
-        };
-        let mn = api.mn_macs()[partition_of(key, api.mn_macs().len())];
-        api.offload(mn, OFFLOAD_ID, req.opcode(), req.encode());
-    }
-}
-
-impl ClientDriver for KvClient {
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-        self.send(api, &KvRequest::Put { key: Self::key(0), value: Self::value(0) });
-    }
-
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-        let data = match &c.result {
-            Ok(clio_cn::CompletionValue::Data(d)) => d.clone(),
-            Ok(_) => bytes::Bytes::new(),
-            Err(e) => panic!("kv op failed: {e}"),
-        };
-        match self.phase {
-            0 => {
-                // Loading.
-                self.cursor += 1;
-                if self.cursor < KEYS {
-                    let (k, v) = (Self::key(self.cursor), Self::value(self.cursor));
-                    self.send(api, &KvRequest::Put { key: k, value: v });
-                } else {
-                    self.phase = 1;
-                    self.cursor = 0;
-                    self.send(api, &KvRequest::Get { key: Self::key(0) });
-                }
-            }
-            1 => {
-                // Read-back verification.
-                let resp = KvResponse::decode(clio_proto::Status::Ok, data);
-                match resp {
-                    KvResponse::Value(v) => assert_eq!(&v[..], &Self::value(self.cursor)[..]),
-                    other => panic!("expected value for key {}: {other:?}", self.cursor),
-                }
-                self.verified += 1;
-                self.cursor += 1;
-                if self.cursor < KEYS {
-                    self.send(api, &KvRequest::Get { key: Self::key(self.cursor) });
-                } else {
-                    self.phase = 2;
-                    self.cursor = 1;
-                    self.send(api, &KvRequest::Delete { key: Self::key(1) });
-                }
-            }
-            2 => {
-                // Delete the odd keys.
-                self.deleted += 1;
-                self.cursor += 2;
-                if self.cursor < KEYS {
-                    self.send(api, &KvRequest::Delete { key: Self::key(self.cursor) });
-                } else {
-                    self.phase = 3;
-                }
-            }
-            _ => {}
-        }
-    }
+fn value(i: u64) -> Vec<u8> {
+    format!("value-for-{i}").into_bytes()
 }
 
 fn main() {
@@ -102,21 +29,50 @@ fn main() {
     for mn in 0..2 {
         cluster.install_offload(mn, OFFLOAD_ID, Pid(9000 + mn as u64), Box::new(ClioKv::new(1024)));
     }
-    cluster.add_driver(
-        0,
-        Pid(1),
-        Box::new(KvClient { phase: 0, cursor: 0, verified: 0, deleted: 0 }),
-    );
-    cluster.start();
-    cluster.run_until_idle();
+    let macs = cluster.mn_macs().to_vec();
 
-    let client: &KvClient = cluster.cn(0).driver(0);
+    // Loads KEYS records, reads them all back, deletes the odd ones.
+    let (verified, deleted) = cluster.block_on(0, Pid(1), |h| async move {
+        // The load balancer: a key's partition picks its memory node.
+        let call = |req: KvRequest| {
+            let (KvRequest::Put { key, .. } | KvRequest::Get { key } | KvRequest::Delete { key }) =
+                &req;
+            let mn = macs[partition_of(key, macs.len())];
+            let reply = h.roffload(mn, OFFLOAD_ID, req.opcode(), req.encode());
+            async move {
+                match reply.await.result {
+                    Ok(clio_cn::CompletionValue::Data(d)) => d,
+                    Ok(_) => bytes::Bytes::new(),
+                    Err(e) => panic!("kv op failed: {e}"),
+                }
+            }
+        };
+        for i in 0..KEYS {
+            call(KvRequest::Put { key: key(i), value: value(i) }).await;
+        }
+        let mut verified = 0;
+        for i in 0..KEYS {
+            let data = call(KvRequest::Get { key: key(i) }).await;
+            match KvResponse::decode(Status::Ok, data) {
+                KvResponse::Value(v) => assert_eq!(&v[..], &value(i)[..]),
+                other => panic!("expected value for key {i}: {other:?}"),
+            }
+            verified += 1;
+        }
+        let mut deleted = 0;
+        for i in (1..KEYS).step_by(2) {
+            call(KvRequest::Delete { key: key(i) }).await;
+            deleted += 1;
+        }
+        (verified, deleted)
+    });
+
     println!("loaded {KEYS} records across 2 memory nodes");
-    println!("verified {} reads, deleted {} records", client.verified, client.deleted);
+    println!("verified {verified} reads, deleted {deleted} records");
     for mn in 0..2 {
         let stats = cluster.mn(mn).stats();
         println!("mn{mn}: {} offload calls served", stats.offload_calls);
     }
-    assert_eq!(client.verified, KEYS);
+    assert_eq!(verified, KEYS);
     println!("done at virtual time {}", cluster.now());
 }

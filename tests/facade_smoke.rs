@@ -1,9 +1,9 @@
 //! Smoke test of the `clio` facade: every re-exported module resolves to
 //! the right crate, and a trivial end-to-end op (alloc → write → read)
-//! succeeds through `clio::system::runtime::BlockingCluster`.
+//! succeeds through `clio::system::Cluster`.
 
-use clio::system::runtime::BlockingCluster;
-use clio::system::ClusterConfig;
+use clio::proto::{Perm, Pid};
+use clio::system::{Cluster, ClusterConfig};
 
 /// Each facade module path resolves and names the type the underlying crate
 /// exports (a compile-time check; the `let` bindings keep it honest about
@@ -26,14 +26,13 @@ fn facade_reexports_resolve() {
 /// and frees it — the smallest possible whole-stack round trip.
 #[test]
 fn alloc_write_read_roundtrip() {
-    let mut cluster = BlockingCluster::new(&ClusterConfig::test_small());
-    cluster.spawn(0, 1, |p| {
-        let va = p.ralloc(4096).expect("ralloc");
-        p.rwrite(va, &[0xAB; 64]).expect("rwrite");
-        let back = p.rread(va, 64).expect("rread");
-        assert_eq!(back.len(), 64);
-        assert!(back.iter().all(|&b| b == 0xAB), "readback mismatch");
-        p.rfree(va, 4096).expect("rfree");
+    let mut cluster = Cluster::build(&ClusterConfig::test_small());
+    cluster.block_on(0, Pid(1), |h| async move {
+        let va = h.ralloc(4096, Perm::RW).await.va();
+        h.rwrite(va, bytes::Bytes::from_static(&[0xAB; 64])).await.result.expect("rwrite");
+        let back = h.rread(va, 64).await;
+        assert_eq!(back.data().len(), 64);
+        assert!(back.data().iter().all(|&b| b == 0xAB), "readback mismatch");
+        h.rfree(va, 4096).await.result.expect("rfree");
     });
-    cluster.run();
 }

@@ -2,103 +2,76 @@
 //! (CLib → transport → fabric → CBoard → offloads → controller) in one
 //! process, exercised the way a downstream user would.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use bytes::Bytes;
 use clio::apps::kv::{partition_of, ClioKv, KvRequest, KvResponse};
-use clio::cn::CompletionValue;
 use clio::mn::CBoardConfig;
-use clio::proto::{Pid, Status};
+use clio::proto::{Perm, Pid, Status};
 use clio::sim::SimDuration;
-use clio::system::node::{PokeDriver, POKE_TAG};
-use clio::system::runtime::BlockingCluster;
-use clio::system::{AppCompletion, ClientApi, ClientDriver, Cluster, ClusterConfig};
+use clio::system::node::PokeDriver;
+use clio::system::{Cluster, ClusterConfig};
 
 #[test]
-fn blocking_api_roundtrip_with_locks_and_async() {
-    let mut cluster = BlockingCluster::new(&ClusterConfig::test_small());
-    cluster.spawn(0, 1, |p| {
-        let buf = p.ralloc(16 << 10).expect("ralloc");
-        let lock = p.ralloc(8).expect("lock page");
+fn api_roundtrip_with_locks_and_async() {
+    let mut cluster = Cluster::build(&ClusterConfig::test_small());
+    cluster.block_on(0, Pid(1), |h| async move {
+        let buf = h.ralloc(16 << 10, Perm::RW).await.va();
+        let lock = h.ralloc(8, Perm::RW).await.va();
 
-        p.rlock(lock).expect("rlock");
-        let handles: Vec<_> =
-            (0..4).map(|i| p.rwrite_async(buf + i * 4096, &[i as u8 + 1; 128])).collect();
-        p.runlock(lock).expect("runlock");
-        p.rpoll(&handles).expect("rpoll");
-        p.rfence().expect("rfence");
+        h.rlock(lock).await.result.expect("rlock");
+        // Four async writes: spawn is the issue, `rrelease` the poll.
+        for i in 0..4u64 {
+            let h2 = h.clone();
+            h.spawn(async move {
+                let data = Bytes::from(vec![i as u8 + 1; 128]);
+                h2.rwrite(buf + i * 4096, data).await.result.expect("rwrite");
+            });
+        }
+        h.runlock(lock).await.result.expect("runlock");
+        h.rrelease().await.result.expect("rrelease");
+        h.rfence().await.result.expect("rfence");
 
         for i in 0..4u64 {
-            let back = p.rread(buf + i * 4096, 128).expect("rread");
-            assert!(back.iter().all(|&b| b == i as u8 + 1));
+            let back = h.rread(buf + i * 4096, 128).await;
+            assert!(back.data().iter().all(|&b| b == i as u8 + 1));
         }
-        p.rfree(buf, 16 << 10).expect("rfree");
-        assert!(p.rread(buf, 8).is_err(), "freed memory must not read");
+        h.rfree(buf, 16 << 10).await.result.expect("rfree");
+        assert!(h.rread(buf, 8).await.result.is_err(), "freed memory must not read");
     });
-    cluster.run();
 }
 
 #[test]
 fn kv_store_across_partitioned_mns() {
-    struct Loader {
-        n: u64,
-        done: u64,
-        phase: u8,
-        hits: u64,
-    }
-    impl Loader {
-        fn send(&self, api: &mut ClientApi<'_, '_>, req: &KvRequest) {
-            let key = match req {
-                KvRequest::Put { key, .. } | KvRequest::Get { key } | KvRequest::Delete { key } => {
-                    key
-                }
-            };
-            let mn = api.mn_macs()[partition_of(key, api.mn_macs().len())];
-            api.offload(mn, 1, req.opcode(), req.encode());
-        }
-    }
-    impl ClientDriver for Loader {
-        fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-            self.send(api, &KvRequest::Put { key: b"k000".to_vec(), value: b"v000".to_vec() });
-        }
-        fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-            assert!(c.result.is_ok(), "kv op failed: {:?}", c.result);
-            self.done += 1;
-            if self.phase == 0 {
-                if self.done < self.n {
-                    let k = format!("k{:03}", self.done).into_bytes();
-                    let v = format!("v{:03}", self.done).into_bytes();
-                    self.send(api, &KvRequest::Put { key: k, value: v });
-                } else {
-                    self.phase = 1;
-                    self.done = 0;
-                    self.send(api, &KvRequest::Get { key: b"k000".to_vec() });
-                }
-            } else {
-                if let Ok(CompletionValue::Data(d)) = &c.result {
-                    let expect = format!("v{:03}", self.done - 1);
-                    assert_eq!(
-                        KvResponse::decode(Status::Ok, d.clone()),
-                        KvResponse::Value(bytes::Bytes::from(expect.into_bytes()))
-                    );
-                    self.hits += 1;
-                }
-                if self.done < self.n {
-                    let k = format!("k{:03}", self.done).into_bytes();
-                    self.send(api, &KvRequest::Get { key: k });
-                }
-            }
-        }
-    }
-
     let mut cfg = ClusterConfig::test_small();
     cfg.mns = 3;
     let mut cluster = Cluster::build(&cfg);
     for mn in 0..3 {
         cluster.install_offload(mn, 1, Pid(9000 + mn as u64), Box::new(ClioKv::new(512)));
     }
-    cluster.add_driver(0, Pid(5), Box::new(Loader { n: 60, done: 0, phase: 0, hits: 0 }));
-    cluster.start();
-    cluster.run_until_idle();
-    let l: &Loader = cluster.cn(0).driver(0);
-    assert_eq!(l.hits, 60, "all keys must be found across partitions");
+    let macs = cluster.mn_macs().to_vec();
+    let hits = cluster.block_on(0, Pid(5), |h| async move {
+        let call = |key: Vec<u8>, req: KvRequest| {
+            let mn = macs[partition_of(&key, macs.len())];
+            h.roffload(mn, 1, req.opcode(), req.encode())
+        };
+        for i in 0..60 {
+            let (k, v) = (format!("k{i:03}").into_bytes(), format!("v{i:03}").into_bytes());
+            let c = call(k.clone(), KvRequest::Put { key: k, value: v }).await;
+            assert!(c.result.is_ok(), "kv put failed: {:?}", c.result);
+        }
+        let mut hits = 0;
+        for i in 0..60 {
+            let k = format!("k{i:03}").into_bytes();
+            let c = call(k.clone(), KvRequest::Get { key: k }).await;
+            let expect = Bytes::from(format!("v{i:03}").into_bytes());
+            assert_eq!(KvResponse::decode(Status::Ok, c.data().clone()), KvResponse::Value(expect));
+            hits += 1;
+        }
+        hits
+    });
+    assert_eq!(hits, 60, "all keys must be found across partitions");
     // Every MN served some traffic.
     for mn in 0..3 {
         assert!(cluster.mn(mn).stats().offload_calls > 0, "mn{mn} idle");
@@ -109,25 +82,11 @@ fn kv_store_across_partitioned_mns() {
 fn lossy_network_preserves_correctness_end_to_end() {
     let mut cfg = ClusterConfig::test_small();
     cfg.board = CBoardConfig::test_small();
-    let mut cluster = BlockingCluster::new(&cfg);
-    // 10% loss + 5% corruption toward the MN after setup.
-    let mn_mac = cluster.cluster.mn_macs()[0];
-    let (tx, rx) = std::sync::mpsc::channel::<u64>();
-    cluster.spawn(0, 3, move |p| {
-        let buf = p.ralloc(64 << 10).expect("ralloc");
-        tx.send(buf).expect("publish");
-        for i in 0..40u64 {
-            p.rwrite(buf + i * 512, &[i as u8; 512]).expect("write survives loss");
-        }
-        for i in 0..40u64 {
-            let b = p.rread(buf + i * 512, 512).expect("read survives loss");
-            assert!(b.iter().all(|&x| x == i as u8), "data corrupted at {i}");
-        }
-    });
-    let _ = rx;
-    // Inject faults once the cluster exists (before running).
-    cluster.cluster.net.set_faults(
-        &mut cluster.cluster.sim,
+    let mut cluster = Cluster::build(&cfg);
+    // 10% loss + 5% corruption toward the MN, from the first frame on.
+    let mn_mac = cluster.mn_macs()[0];
+    cluster.net.set_faults(
+        &mut cluster.sim,
         mn_mac,
         clio::net::FaultInjector {
             loss_prob: 0.10,
@@ -136,8 +95,19 @@ fn lossy_network_preserves_correctness_end_to_end() {
             ..clio::net::FaultInjector::none()
         },
     );
-    cluster.run();
-    let retries = cluster.cn_of_bridge(0).clib().retry_count();
+    cluster.block_on(0, Pid(3), |h| async move {
+        let buf = h.ralloc(64 << 10, Perm::RW).await.va();
+        for i in 0..40u64 {
+            let c = h.rwrite(buf + i * 512, Bytes::from(vec![i as u8; 512])).await;
+            c.result.expect("write survives loss");
+        }
+        for i in 0..40u64 {
+            let c = h.rread(buf + i * 512, 512).await;
+            let b = c.result.as_ref().map(|_| c.data()).expect("read survives loss");
+            assert!(b.iter().all(|&x| x == i as u8), "data corrupted at {i}");
+        }
+    });
+    let retries = cluster.cn(0).clib().retry_count();
     assert!(retries > 0, "faults should have caused retries (got {retries})");
 }
 
@@ -154,35 +124,17 @@ fn incast_corruption_storm_recovers_with_coalesced_frames() {
     const READS: u64 = 64;
     const OP: u64 = 64; // bytes per read; 64 x 64 B = one 4 KiB page
 
-    /// Allocates + initializes a page on start, then waits for a poke to
-    /// fire its 64-read burst through the scatter/gather API.
-    struct IncastReader {
-        va: u64,
-        burst_fired: bool,
-        data: Vec<(u64, bytes::Bytes)>,
-    }
-    impl ClientDriver for IncastReader {
-        fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-            api.alloc(READS * OP, clio::proto::Perm::RW);
-        }
-        fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-            if self.va == 0 {
-                self.va = c.va();
-                let pattern: Vec<u8> = (0..READS * OP).map(|i| (i / OP) as u8).collect();
-                api.write(self.va, bytes::Bytes::from(pattern));
-                return;
-            }
-            if self.burst_fired {
-                self.data.push((c.token.0, c.data().clone()));
-            }
-        }
-        fn on_wake(&mut self, api: &mut ClientApi<'_, '_>, tag: u64) {
-            if tag == POKE_TAG && !self.burst_fired {
-                self.burst_fired = true;
-                let reads: Vec<(u64, u32)> =
-                    (0..READS).map(|i| (self.va + i * OP, OP as u32)).collect();
-                api.read_v(&reads);
-            }
+    /// Allocates + initializes a page, then waits for a poke to fire its
+    /// 64-read burst through the scatter/gather API. Returns the data each
+    /// read (in entry order) brought back.
+    async fn incast_reader(h: clio::system::ProcHandle, out: Rc<RefCell<Vec<Bytes>>>) {
+        let va = h.ralloc(READS * OP, Perm::RW).await.va();
+        let pattern: Vec<u8> = (0..READS * OP).map(|i| (i / OP) as u8).collect();
+        h.rwrite(va, Bytes::from(pattern)).await.result.expect("pattern write");
+        h.next_poke().await;
+        for read in h.rread_v((0..READS).map(|i| (va + i * OP, OP as u32)).collect()) {
+            let data = read.await.data().clone();
+            out.borrow_mut().push(data);
         }
     }
 
@@ -195,12 +147,10 @@ fn incast_corruption_storm_recovers_with_coalesced_frames() {
         cfg.clib.cwnd_init = 128.0;
         cfg.clib.cwnd_max = 256.0;
         let mut cluster = Cluster::build(&cfg);
-        for cn in 0..CNS {
-            cluster.add_driver(
-                cn,
-                Pid(100 + cn as u64),
-                Box::new(IncastReader { va: 0, burst_fired: false, data: vec![] }),
-            );
+        let outs: Vec<Rc<RefCell<Vec<Bytes>>>> = (0..CNS).map(|_| Rc::default()).collect();
+        for (cn, out) in outs.iter().enumerate() {
+            let out = out.clone();
+            cluster.spawn(cn, Pid(100 + cn as u64), |h| incast_reader(h, out));
         }
         // Phase 1 (fault-free): allocations + pattern writes drain.
         cluster.start();
@@ -228,15 +178,12 @@ fn incast_corruption_storm_recovers_with_coalesced_frames() {
         }
         cluster.run_until_idle();
 
-        let mut per_cn: Vec<Vec<bytes::Bytes>> = Vec::new();
+        let mut per_cn: Vec<Vec<Bytes>> = Vec::new();
         let mut per_cn_rx_frames: Vec<u64> = Vec::new();
-        for cn in 0..CNS {
-            let d: &IncastReader = cluster.cn(cn).driver(0);
-            assert!(d.burst_fired, "cn{cn} never fired its burst");
-            let mut data = d.data.clone();
+        for (cn, out) in outs.iter().enumerate() {
+            let data = out.borrow().clone();
             assert_eq!(data.len() as u64, READS, "cn{cn}: a read never completed");
-            data.sort_by_key(|(t, _)| *t);
-            per_cn.push(data.into_iter().map(|(_, b)| b).collect());
+            per_cn.push(data);
             // Frames delivered to this CN (responses + NACKs), per port.
             let mac = cluster.cn(cn).mac();
             per_cn_rx_frames.push(cluster.net.port_stats(&cluster.sim, mac).tx_frames);
@@ -308,30 +255,17 @@ fn deterministic_full_cluster_replay() {
         cfg.mns = 2;
         cfg.seed = 77;
         let mut cluster = Cluster::build(&cfg);
-        struct Worker {
-            left: u32,
-            va: u64,
-        }
-        impl ClientDriver for Worker {
-            fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-                api.alloc(8192, clio::proto::Perm::RW);
-            }
-            fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-                if self.va == 0 {
-                    self.va = c.va();
-                }
-                if self.left > 0 {
-                    self.left -= 1;
-                    if self.left.is_multiple_of(2) {
-                        api.read(self.va, 64);
+        for i in 0..6u64 {
+            cluster.spawn(0, Pid(i), |h| async move {
+                let va = h.ralloc(8192, Perm::RW).await.va();
+                for left in (0..30u32).rev() {
+                    if left.is_multiple_of(2) {
+                        h.rread(va, 64).await;
                     } else {
-                        api.write(self.va, bytes::Bytes::from(vec![1u8; 64]));
+                        h.rwrite(va, Bytes::from(vec![1u8; 64])).await;
                     }
                 }
-            }
-        }
-        for i in 0..6u64 {
-            cluster.add_driver(0, Pid(i), Box::new(Worker { left: 30, va: 0 }));
+            });
         }
         cluster.start();
         cluster.run_until_idle();
