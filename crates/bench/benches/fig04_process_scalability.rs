@@ -23,7 +23,7 @@ fn clio_point(procs: u64) -> f64 {
     let page = 4096;
     let mut recs = Vec::new();
     for p in 0..procs {
-        let mut d = MemLoad::new(16, AccessMix::Reads, OPS_PER_PROC, 1, 1, page, false, 100 + p);
+        let mut d = MemLoad::new(16, AccessMix::Reads, OPS_PER_PROC, 1, 1, page);
         // Constant light aggregate load: ~N x 20us think.
         d.think = SimDuration::from_micros(procs * 20);
         recs.push(d.spawn(&mut cluster, 0, Pid(1000 + p)));

@@ -40,11 +40,16 @@ fn clio_point(log2_ptes: u32) -> f64 {
     let mut cluster = fig5_cluster(50_000 + log2_ptes as u64);
     let pid = Pid(77);
     let base_va = alias_ptes(&mut cluster, 0, pid, n);
-    let rec = RangeLoad::new(base_va, n, 4096, 16, AccessMix::Reads, OPS, true, 3).spawn(
-        &mut cluster,
-        0,
-        pid,
-    );
+    let load = RangeLoad {
+        base: base_va,
+        pages: n,
+        page_size: 4096,
+        size: 16,
+        mix: AccessMix::Reads,
+        ops: OPS,
+        random: Some(3),
+    };
+    let rec = load.spawn(&mut cluster, 0, pid);
     cluster.start();
     cluster.run_until_idle();
     let mean_ns = rec.borrow().latency().mean_ns;

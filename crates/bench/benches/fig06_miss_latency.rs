@@ -49,7 +49,16 @@ fn clio_case(hw: CBoardHwConfig, write: bool, scenario: &str) -> f64 {
             // Repeated access to one pre-faulted page.
             let mut c = cluster_with(hw, 4096, 61);
             let va = alias_ptes(&mut c, 0, Pid(5), 4);
-            let rec = RangeLoad::new(va, 1, 4096, 16, mix, OPS, false, 1).spawn(&mut c, 0, Pid(5));
+            let load = RangeLoad {
+                base: va,
+                pages: 1,
+                page_size: 4096,
+                size: 16,
+                mix,
+                ops: OPS,
+                random: None,
+            };
+            let rec = load.spawn(&mut c, 0, Pid(5));
             c.start();
             c.run_until_idle();
             let mean_ns = rec.borrow().latency().mean_ns;
@@ -59,8 +68,10 @@ fn clio_case(hw: CBoardHwConfig, write: bool, scenario: &str) -> f64 {
             // Random over many valid pages with a tiny TLB: always misses.
             let mut c = cluster_with(hw, 1, 62);
             let va = alias_ptes(&mut c, 0, Pid(5), 4096);
-            let rec =
-                RangeLoad::new(va, 4096, 4096, 16, mix, OPS, true, 2).spawn(&mut c, 0, Pid(5));
+            let (pages, random) = (4096, Some(2));
+            let load =
+                RangeLoad { base: va, pages, page_size: 4096, size: 16, mix, ops: OPS, random };
+            let rec = load.spawn(&mut c, 0, Pid(5));
             c.start();
             c.run_until_idle();
             let mean_ns = rec.borrow().latency().mean_ns;

@@ -21,7 +21,16 @@ const OPS: u64 = 30_000;
 fn clio_hist(mix: AccessMix) -> Histogram {
     let mut cluster = bench_cluster(1, 1, 70);
     let va = alias_ptes(&mut cluster, 0, Pid(3), 64);
-    let rec = RangeLoad::new(va, 64, 4096, 16, mix, OPS, true, 4).spawn(&mut cluster, 0, Pid(3));
+    let load = RangeLoad {
+        base: va,
+        pages: 64,
+        page_size: 4096,
+        size: 16,
+        mix,
+        ops: OPS,
+        random: Some(4),
+    };
+    let rec = load.spawn(&mut cluster, 0, Pid(3));
     cluster.start();
     cluster.run_until_idle();
     let hist = rec.borrow().histogram().clone();

@@ -49,8 +49,8 @@ fn goodput(
     });
     let mut recs = Vec::new();
     for t in 0..threads {
-        let d = MemLoad::new(SIZE, mix, OPS_PER_THREAD, window, 8, 4096, false, 20 + t);
-        let d = if scatter_gather { d.with_scatter_gather() } else { d };
+        let mut d = MemLoad::new(SIZE, mix, OPS_PER_THREAD, window, 8, 4096);
+        d.scatter_gather = scatter_gather;
         recs.push(d.spawn(&mut cluster, 0, Pid(10 + t)));
     }
     cluster.start();

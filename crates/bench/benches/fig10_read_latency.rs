@@ -36,7 +36,8 @@ fn median_of(mut sample: impl FnMut(SimTime) -> SimTime) -> f64 {
 pub fn clio_latency(size: u32, mix: AccessMix) -> f64 {
     let mut cluster = bench_cluster(1, 1, 90 + size as u64);
     let va = alias_ptes(&mut cluster, 0, Pid(4), 8);
-    let rec = RangeLoad::new(va, 4, 4096, size, mix, OPS, false, 6).spawn(&mut cluster, 0, Pid(4));
+    let load = RangeLoad { base: va, pages: 4, page_size: 4096, size, mix, ops: OPS, random: None };
+    let rec = load.spawn(&mut cluster, 0, Pid(4));
     cluster.start();
     cluster.run_until_idle();
     let mean_ns = rec.borrow().latency().mean_ns;

@@ -64,7 +64,7 @@ fn run_case(size: u32, write: bool, force_miss: bool) -> Vec<OpTrace> {
     let page = cfg.board.hw.page_size;
     let mut cluster = Cluster::build(&cfg);
     let mix = if write { AccessMix::Writes } else { AccessMix::Reads };
-    MemLoad::new(size, mix, OPS, 1, SPAN_PAGES, page, false, 7).spawn(&mut cluster, 0, Pid(1));
+    MemLoad::new(size, mix, OPS, 1, SPAN_PAGES, page).spawn(&mut cluster, 0, Pid(1));
     cluster.start();
     cluster.run_until_idle();
     let label = if write { "write" } else { "read" };

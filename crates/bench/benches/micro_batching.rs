@@ -15,7 +15,7 @@
 //! `--smoke` runs a reduced sweep (CI regression gate): it still asserts
 //! the acceptance bar — ≥ 4× fewer MN→CN frames at default knobs.
 
-use clio_bench::drivers::BurstLoad;
+use clio_bench::drivers::{alloc_warm, record, spawn_recorded};
 use clio_bench::setup::bench_cluster_tuned;
 use clio_bench::FigureReport;
 use clio_cn::CLibConfig;
@@ -49,9 +49,28 @@ fn run(size: u32, batch_max_ops: u32, bursts: u64, scatter_gather: bool) -> Poin
             board.egress_doorbell_delay = Some(clio_sim::SimDuration::ZERO);
         }
     });
-    let load = BurstLoad::new(size, BURST, bursts, SPAN_PAGES, 4096);
-    let load = if scatter_gather { load.with_scatter_gather() } else { load };
-    let rec = load.spawn(&mut cluster, 0, Pid(10));
+    // The burst generator: issues BURST small async reads at one instant
+    // (the paper's issue-then-poll pattern), waits for all of them, then
+    // fires the next burst.
+    let rec = spawn_recorded(&mut cluster, 0, Pid(10), move |h, rec| async move {
+        let va = alloc_warm(&h, SPAN_PAGES, 4096, &rec).await;
+        for b in 0..bursts {
+            // Distinct pages inside one burst: no intra-burst dependencies,
+            // so the whole burst dispatches (and coalesces) at one instant.
+            let reads = (0..BURST).map(|i| (va + (b * BURST + i) % SPAN_PAGES * 4096, size));
+            if scatter_gather {
+                for fut in h.rread_v(reads.collect()) {
+                    record(&rec, &fut.await, size as u64);
+                }
+            } else {
+                for (va, len) in reads {
+                    let (h2, rec) = (h.clone(), rec.clone());
+                    h.spawn(async move { record(&rec, &h2.rread(va, len).await, len as u64) });
+                }
+                h.rrelease().await;
+            }
+        }
+    });
     cluster.start();
     cluster.run_until_idle();
     let stats = cluster.mn(0).stats();

@@ -6,7 +6,8 @@
 //! straight-line code. Every follow-up op is issued in the same sim event
 //! as the completion that triggers it.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -22,12 +23,21 @@ use clio_apps::ycsb::{YcsbGenerator, YcsbOp};
 /// them after the run.
 pub type Recorder = Rc<RefCell<OpRecorder>>;
 
-fn recorder() -> Recorder {
-    Rc::new(RefCell::new(OpRecorder::new(SimTime::ZERO)))
+/// Spawns `program` as process `pid` on compute node `cn`, handing it a
+/// fresh recorder to fill; returns that recorder.
+pub fn spawn_recorded<Fut: Future<Output = ()> + 'static>(
+    cluster: &mut Cluster,
+    cn: usize,
+    pid: Pid,
+    program: impl FnOnce(ProcHandle, Recorder) -> Fut,
+) -> Recorder {
+    let rec = Rc::new(RefCell::new(OpRecorder::new(SimTime::ZERO)));
+    cluster.spawn(cn, pid, |h| program(h, rec.clone()));
+    rec
 }
 
 /// Files one completion of `bytes` payload under `rec`.
-fn record(rec: &Recorder, c: &AppCompletion, bytes: u64) {
+pub fn record(rec: &Recorder, c: &AppCompletion, bytes: u64) {
     match &c.result {
         Ok(_) => rec.borrow_mut().record(c.completed_at, c.latency(), bytes),
         Err(_) => rec.borrow_mut().record_error(c.completed_at),
@@ -36,7 +46,7 @@ fn record(rec: &Recorder, c: &AppCompletion, bytes: u64) {
 
 /// Allocates `pages` pages, warms each (fault + TLB) with a 1-byte write,
 /// and restarts `rec`'s measurement window at the end of the warm-up.
-async fn alloc_warm(h: &ProcHandle, pages: u64, page_size: u64, rec: &Recorder) -> u64 {
+pub async fn alloc_warm(h: &ProcHandle, pages: u64, page_size: u64, rec: &Recorder) -> u64 {
     let va = h.ralloc(pages * page_size, Perm::RW).await.va();
     for page in 0..pages {
         h.rwrite(va + page * page_size, Bytes::from_static(&[0u8])).await;
@@ -52,16 +62,13 @@ pub enum AccessMix {
     Reads,
     /// Only writes.
     Writes,
-    /// Read/write alternating.
-    Alternate,
 }
 
 /// A closed-loop (optionally windowed) read/write load generator.
 ///
 /// Allocates `span_pages` of remote memory, warms every page, then runs
-/// `ops` operations of `size` bytes with `window` outstanding (1 =
-/// synchronous), optionally uniform-random over the span, with optional
-/// per-op think time.
+/// `ops` operations of `size` bytes round-robin over the pages with
+/// `window` outstanding (1 = synchronous).
 #[derive(Debug, Clone, Copy)]
 pub struct MemLoad {
     /// Operation size in bytes.
@@ -76,10 +83,6 @@ pub struct MemLoad {
     pub span_pages: u64,
     /// Page size (for span math).
     pub page_size: u64,
-    /// Uniform-random page selection (vs. round-robin).
-    pub random: bool,
-    /// Seed of the page-selection stream.
-    pub seed: u64,
     /// Think time inserted before each op (models light offered load).
     pub think: SimDuration,
     /// Refill the window through the scatter/gather API (`rread_v`/
@@ -87,42 +90,8 @@ pub struct MemLoad {
     pub scatter_gather: bool,
 }
 
-/// The op stream one [`MemLoad`]'s window tasks draw from, in issue order —
-/// the single source of truth for both submit paths, so the scalar and
-/// scatter/gather series measure the same workload.
-struct MemOps {
-    load: MemLoad,
-    va: u64,
-    issued: u64,
-    rng: SimRng,
-}
-
-impl MemOps {
-    /// The next operation's target and (for a write) payload; `None` once
-    /// all `ops` are issued.
-    fn next(&mut self) -> Option<(u64, Option<Bytes>)> {
-        let MemLoad { size, mix, ops, span_pages, page_size, random, .. } = self.load;
-        if self.issued >= ops {
-            return None;
-        }
-        let page =
-            if random { self.rng.range_u64(0, span_pages) } else { self.issued % span_pages };
-        // Keep the op inside one page.
-        let max_off = page_size.saturating_sub(size as u64).max(1);
-        let va = self.va + page * page_size + self.issued * 64 % max_off;
-        self.issued += 1;
-        let write = match mix {
-            AccessMix::Reads => false,
-            AccessMix::Writes => true,
-            AccessMix::Alternate => self.issued.is_multiple_of(2),
-        };
-        Some((va, write.then(|| Bytes::from(vec![self.issued as u8; size as usize]))))
-    }
-}
-
 impl MemLoad {
-    /// A load with the given shape; measurement starts after warm-up.
-    #[allow(clippy::too_many_arguments)] // a config surface, built once per bench
+    /// A load with the given shape, no think time, per-op submissions.
     pub fn new(
         size: u32,
         mix: AccessMix,
@@ -130,164 +99,82 @@ impl MemLoad {
         window: u32,
         span_pages: u64,
         page_size: u64,
-        random: bool,
-        seed: u64,
     ) -> Self {
-        MemLoad {
-            size,
-            mix,
-            ops,
-            window: window.max(1),
-            span_pages: span_pages.max(1),
-            page_size,
-            random,
-            seed,
-            think: SimDuration::ZERO,
-            scatter_gather: false,
-        }
+        let (think, scatter_gather) = (SimDuration::ZERO, false);
+        MemLoad { size, mix, ops, window, span_pages, page_size, think, scatter_gather }
     }
 
-    /// Switches the load to the explicit scatter/gather submit path.
-    pub fn with_scatter_gather(mut self) -> Self {
-        self.scatter_gather = true;
-        self
+    /// Claims the next op of the stream all window tasks share (`issued`
+    /// counts the claims): its target in the region at `va` and, for a
+    /// write, its payload. `None` once all `ops` are claimed.
+    fn next_op(&self, va: u64, issued: &Cell<u64>) -> Option<(u64, Option<Bytes>)> {
+        let i = issued.get();
+        if i >= self.ops {
+            return None;
+        }
+        issued.set(i + 1);
+        // Keep the op inside one page.
+        let max_off = self.page_size.saturating_sub(self.size as u64).max(1);
+        let at = va + i % self.span_pages * self.page_size + i * 64 % max_off;
+        let write = self.mix == AccessMix::Writes;
+        Some((at, write.then(|| Bytes::from(vec![(i + 1) as u8; self.size as usize]))))
     }
 
     /// Spawns the load as process `pid` on compute node `cn`.
     pub fn spawn(self, cluster: &mut Cluster, cn: usize, pid: Pid) -> Recorder {
-        let rec = recorder();
-        let out = rec.clone();
-        cluster.spawn(cn, pid, move |h| async move {
-            let va = alloc_warm(&h, self.span_pages, self.page_size, &out).await;
-            let ops = Rc::new(RefCell::new(MemOps {
-                load: self,
-                va,
-                issued: 0,
-                rng: SimRng::new(self.seed),
-            }));
+        spawn_recorded(cluster, cn, pid, move |h, rec| async move {
+            let va = alloc_warm(&h, self.span_pages, self.page_size, &rec).await;
+            let issued = Rc::new(Cell::new(0));
             let window = u64::from(self.window).min(self.ops);
-            // The first window: one W-entry vector per op kind in
-            // scatter/gather mode, W independent submissions otherwise.
-            let mut first: Vec<Option<OpFuture>> = (0..window).map(|_| None).collect();
-            if self.scatter_gather {
-                let (mut reads, mut writes) = (Vec::new(), Vec::new());
-                for _ in 0..window {
-                    match ops.borrow_mut().next().expect("window <= ops") {
-                        (va, Some(data)) => writes.push((va, data)),
-                        (va, None) => reads.push((va, self.size)),
+            // The first window: one W-entry vector in scatter/gather mode,
+            // W independent submissions (each task's own) otherwise.
+            let first: Vec<Option<OpFuture>> = if self.scatter_gather {
+                let ops = (0..window).map(|_| self.next_op(va, &issued).expect("window <= ops"));
+                let futs = match self.mix {
+                    AccessMix::Reads => h.rread_v(ops.map(|(at, _)| (at, self.size)).collect()),
+                    AccessMix::Writes => {
+                        h.rwrite_v(ops.map(|(at, d)| (at, d.expect("a write has data"))).collect())
                     }
-                }
-                first = h.rread_v(reads).into_iter().chain(h.rwrite_v(writes)).map(Some).collect();
-            }
+                };
+                futs.into_iter().map(Some).collect()
+            } else {
+                (0..window).map(|_| None).collect()
+            };
             for fut in first {
-                h.spawn(Self::window_task(h.clone(), ops.clone(), out.clone(), fut));
+                h.spawn(self.window_task(h.clone(), va, issued.clone(), rec.clone(), fut));
             }
-        });
-        rec
+        })
     }
 
     /// One slot of the window: completes `first` (if handed one), then
-    /// keeps issuing the stream's next op until it runs dry.
+    /// keeps claiming and issuing the stream's next op until it runs dry.
     async fn window_task(
+        self,
         h: ProcHandle,
-        ops: Rc<RefCell<MemOps>>,
+        va: u64,
+        issued: Rc<Cell<u64>>,
         rec: Recorder,
         mut first: Option<OpFuture>,
     ) {
-        let MemLoad { size, think, scatter_gather, .. } = ops.borrow().load;
         loop {
             let fut = match first.take() {
                 Some(fut) => fut,
+                None if issued.get() >= self.ops => break,
                 None => {
-                    if ops.borrow().issued >= ops.borrow().load.ops {
-                        break;
+                    if !self.think.is_zero() {
+                        h.sleep(self.think).await;
                     }
-                    if !think.is_zero() {
-                        h.sleep(think).await;
-                    }
-                    let Some((va, data)) = ops.borrow_mut().next() else { break };
-                    match (data, scatter_gather) {
-                        (Some(data), false) => h.rwrite(va, data),
-                        (None, false) => h.rread(va, size),
-                        (Some(data), true) => h.rwrite_v(vec![(va, data)]).remove(0),
-                        (None, true) => h.rread_v(vec![(va, size)]).remove(0),
+                    let Some((at, data)) = self.next_op(va, &issued) else { break };
+                    match (data, self.scatter_gather) {
+                        (Some(data), false) => h.rwrite(at, data),
+                        (None, false) => h.rread(at, self.size),
+                        (Some(data), true) => h.rwrite_v(vec![(at, data)]).remove(0),
+                        (None, true) => h.rread_v(vec![(at, self.size)]).remove(0),
                     }
                 }
             };
-            record(&rec, &fut.await, size as u64);
+            record(&rec, &fut.await, self.size as u64);
         }
-    }
-}
-
-/// An open-loop burst generator: issues `burst` small async reads at one
-/// instant (the paper's issue-then-poll pattern), waits for all of them,
-/// then fires the next burst. Because every request of a burst is submitted
-/// at the same virtual instant, this is the natural showcase for the
-/// transport's doorbell-coalesced request batching.
-#[derive(Debug, Clone, Copy)]
-pub struct BurstLoad {
-    /// Operation size in bytes.
-    pub size: u32,
-    /// Requests per burst.
-    pub burst: u64,
-    /// Bursts to run after warm-up.
-    pub bursts: u64,
-    /// Pages of remote memory spanned (each burst walks distinct pages).
-    pub span_pages: u64,
-    /// Page size.
-    pub page_size: u64,
-    /// Submit each burst as one explicit `rread_v` vector (the
-    /// scatter/gather API) instead of per-op async submissions.
-    pub scatter_gather: bool,
-}
-
-impl BurstLoad {
-    /// A load firing `bursts` bursts of `burst` reads of `size` bytes.
-    pub fn new(size: u32, burst: u64, bursts: u64, span_pages: u64, page_size: u64) -> Self {
-        let burst = burst.max(1);
-        BurstLoad {
-            size,
-            burst,
-            bursts,
-            span_pages: span_pages.max(burst),
-            page_size,
-            scatter_gather: false,
-        }
-    }
-
-    /// Switches the load to the explicit scatter/gather submit path.
-    pub fn with_scatter_gather(mut self) -> Self {
-        self.scatter_gather = true;
-        self
-    }
-
-    /// Spawns the load as process `pid` on compute node `cn`.
-    pub fn spawn(self, cluster: &mut Cluster, cn: usize, pid: Pid) -> Recorder {
-        let rec = recorder();
-        let out = rec.clone();
-        let BurstLoad { size, burst, bursts, span_pages, page_size, scatter_gather } = self;
-        cluster.spawn(cn, pid, move |h| async move {
-            let va = alloc_warm(&h, span_pages, page_size, &out).await;
-            for b in 0..bursts {
-                // Distinct pages inside one burst: no intra-burst
-                // dependencies, so the whole burst dispatches (and
-                // coalesces) at one instant.
-                let reads =
-                    (0..burst).map(|i| (va + (b * burst + i) % span_pages * page_size, size));
-                if scatter_gather {
-                    for fut in h.rread_v(reads.collect()) {
-                        record(&out, &fut.await, size as u64);
-                    }
-                } else {
-                    for (va, len) in reads {
-                        let (h2, out) = (h.clone(), out.clone());
-                        h.spawn(async move { record(&out, &h2.rread(va, len).await, len as u64) });
-                    }
-                    h.rrelease().await;
-                }
-            }
-        });
-        rec
     }
 }
 
@@ -309,12 +196,10 @@ pub struct KvLoad {
 impl KvLoad {
     /// Spawns the load as process `pid` on compute node `cn`.
     pub fn spawn(self, cluster: &mut Cluster, cn: usize, pid: Pid) -> Recorder {
-        let rec = recorder();
-        let out = rec.clone();
         let macs = cluster.mn_macs().to_vec();
         let KvLoad { gen, preload, ops, window, offload_id } = self;
         let value_size = gen.value_size() as u64;
-        cluster.spawn(cn, pid, move |h| async move {
+        spawn_recorded(cluster, cn, pid, move |h, rec| async move {
             let key_of = |key: u64| format!("user{key:012}").into_bytes();
             let call = move |h: &ProcHandle, req: KvRequest| {
                 let (KvRequest::Put { key, .. }
@@ -327,32 +212,32 @@ impl KvLoad {
                 let value = gen.value_for(key, 0);
                 call(&h, KvRequest::Put { key: key_of(key), value }).await;
             }
-            *out.borrow_mut() = OpRecorder::new(h.now());
-            let left = Rc::new(RefCell::new((gen, ops)));
+            *rec.borrow_mut() = OpRecorder::new(h.now());
+            // The window's tasks share the op stream and its budget.
+            let stream = Rc::new(RefCell::new((gen, ops)));
             for _ in 0..u64::from(window.max(1)).min(ops) {
-                let (h2, left, out, call) = (h.clone(), left.clone(), out.clone(), call.clone());
+                let (h2, stream, rec, call) =
+                    (h.clone(), stream.clone(), rec.clone(), call.clone());
                 h.spawn(async move {
                     loop {
-                        let op = {
-                            let (gen, left) = &mut *left.borrow_mut();
+                        let req = {
+                            let (gen, left) = &mut *stream.borrow_mut();
                             if *left == 0 {
                                 break;
                             }
                             *left -= 1;
-                            gen.next_op()
-                        };
-                        let req = match op {
-                            YcsbOp::Get { key } => KvRequest::Get { key: key_of(key) },
-                            YcsbOp::Set { key, value } => {
-                                KvRequest::Put { key: key_of(key), value }
+                            match gen.next_op() {
+                                YcsbOp::Get { key } => KvRequest::Get { key: key_of(key) },
+                                YcsbOp::Set { key, value } => {
+                                    KvRequest::Put { key: key_of(key), value }
+                                }
                             }
                         };
-                        record(&out, &call(&h2, req).await, value_size);
+                        record(&rec, &call(&h2, req).await, value_size);
                     }
                 });
             }
-        });
-        rec
+        })
     }
 }
 
@@ -374,55 +259,32 @@ pub struct RangeLoad {
     pub mix: AccessMix,
     /// Operations to run.
     pub ops: u64,
-    /// Random page selection.
-    pub random: bool,
-    /// Seed of the page-selection stream.
-    pub seed: u64,
+    /// `Some(seed)`: uniform-random page selection from that seed; `None`:
+    /// round-robin.
+    pub random: Option<u64>,
 }
 
 impl RangeLoad {
-    /// A synchronous load over `[base, base + pages * page_size)`.
-    #[allow(clippy::too_many_arguments)] // bench config surface
-    pub fn new(
-        base: u64,
-        pages: u64,
-        page_size: u64,
-        size: u32,
-        mix: AccessMix,
-        ops: u64,
-        random: bool,
-        seed: u64,
-    ) -> Self {
-        RangeLoad { base, pages, page_size, size, mix, ops, random, seed }
-    }
-
     /// Spawns the load as process `pid` on compute node `cn`.
     pub fn spawn(self, cluster: &mut Cluster, cn: usize, pid: Pid) -> Recorder {
-        let rec = recorder();
-        let out = rec.clone();
-        let RangeLoad { base, pages, page_size, size, mix, ops, random, seed } = self;
-        let (pages, warmup) = (pages.max(1), (ops / 10).clamp(4, ops));
-        cluster.spawn(cn, pid, move |h| async move {
-            let mut rng = SimRng::new(seed);
+        let RangeLoad { base, pages, page_size, size, mix, ops, random } = self;
+        let warmup = (ops / 10).clamp(4, ops);
+        spawn_recorded(cluster, cn, pid, move |h, rec| async move {
+            let mut rng = random.map(SimRng::new);
             for i in 0..ops {
-                let page = if random { rng.range_u64(0, pages) } else { i % pages };
+                let page = rng.as_mut().map_or(i % pages, |rng| rng.range_u64(0, pages));
                 let va = base + page * page_size;
-                let write = match mix {
-                    AccessMix::Reads => false,
-                    AccessMix::Writes => true,
-                    AccessMix::Alternate => i % 2 == 1,
-                };
-                let c = if write {
-                    h.rwrite(va, Bytes::from(vec![i as u8; size as usize])).await
-                } else {
-                    h.rread(va, size).await
+                let c = match mix {
+                    AccessMix::Reads => h.rread(va, size).await,
+                    AccessMix::Writes => {
+                        h.rwrite(va, Bytes::from(vec![i as u8; size as usize])).await
+                    }
                 };
                 assert!(c.result.is_ok(), "range op failed: {:?}", c.result);
                 if i >= warmup {
-                    out.borrow_mut().record(c.completed_at, c.latency(), size as u64);
+                    rec.borrow_mut().record(c.completed_at, c.latency(), size as u64);
                 }
             }
-        });
-        rec
+        })
     }
 }

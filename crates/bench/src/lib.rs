@@ -5,8 +5,8 @@
 //! so `cargo bench --workspace` reprints the whole evaluation; the
 //! `figures` binary runs them selectively. Shared machinery lives here:
 //!
-//! * [`drivers`] — reusable event-driven client drivers (closed-loop and
-//!   windowed load generators, KV/YCSB clients),
+//! * [`drivers`] — reusable load-generating client programs, as async
+//!   tasks (closed-loop and windowed load generators, KV/YCSB clients),
 //! * [`setup`] — cluster construction shortcuts and direct-install helpers
 //!   (PTE aliasing for the Figure 5 stress test),
 //! * [`report`] — paper-style table printing.

@@ -136,7 +136,7 @@ impl OpSlot {
         self.result = Some(AppCompletion {
             token: AppToken(0),
             result: Err(ClioError::DeadlineExceeded),
-            issued_at: self.arrival,
+            issued_at: self.arrival.min(now),
             completed_at: now,
         });
         self.waker.take()
@@ -192,7 +192,7 @@ struct ExecInner {
     peak_inflight: u64,
     budget: usize,
     /// CN-shared gauges (`None` until `on_start`); updated by delta so
-    /// several drivers on one node aggregate correctly.
+    /// several executors on one node aggregate correctly.
     gauges: Option<RuntimeGauges>,
     op_slots: IdMap<AppToken, Rc<RefCell<OpSlot>>>,
     timers: IdMap<u64, TimerEntry>,
@@ -231,7 +231,7 @@ fn release_credit(inner: &mut ExecInner) -> Option<Waker> {
 struct ExecShared {
     ready: Arc<Mutex<VecDeque<TaskId>>>,
     inner: RefCell<ExecInner>,
-    /// Virtual time mirror, refreshed on every driver callback so futures
+    /// Virtual time mirror, refreshed on every executor callback so futures
     /// can timestamp without a `Ctx`.
     now: Cell<SimTime>,
 }
@@ -658,7 +658,8 @@ impl OpFuture {
     /// future"): its `issued_at`, latency, and trace origin start there,
     /// with the wait until actual submission attributed to the
     /// `SubmitQueued` stage. Open-loop generators use this so measured
-    /// latency includes queueing delay.
+    /// latency includes queueing delay. No effect once the op is submitted
+    /// (first poll; for a vector entry, the `rread_v`/`rwrite_v` call).
     pub fn arriving_at(self, at: SimTime) -> Self {
         if let OpState::Start(_) = self.state {
             self.slot.borrow_mut().arrival = at;
@@ -895,7 +896,7 @@ impl Future for SleepFuture {
     }
 }
 
-/// Resolves when this executor receives a driver poke (see
+/// Resolves when this executor receives a poke (see
 /// [`ProcHandle::next_poke`]).
 pub struct PokeFuture {
     shared: Rc<ExecShared>,
@@ -1099,6 +1100,25 @@ mod tests {
         assert_eq!(reg.counter("cn0.runtime.deadline_exceeded_total"), Some(0));
         assert_eq!(reg.gauge("cn0.runtime.inflight"), Some(0));
         assert_eq!(reg.gauge("cn0.runtime.parked"), Some(0));
+    }
+
+    #[test]
+    fn vector_entry_cancelled_before_the_flush_is_cancelled_at_the_node() {
+        let mut cluster = Cluster::build(&ClusterConfig::test_small());
+        let results = cluster.block_on(0, Pid(7), |h| async move {
+            let va = h.ralloc(4096, Perm::RW).await.va();
+            // The vector is queued by the call; cancelling an entry before
+            // the executor flushes it must not lose the request.
+            let mut entries = h.rread_v(vec![(va, 8), (va + 64, 8)]);
+            entries[1].cancel_handle().cancel();
+            let (second, first) = (entries.pop().unwrap().await, entries.pop().unwrap().await);
+            (first.result, second.result)
+        });
+        assert!(results.0.is_ok(), "the untouched entry completes: {:?}", results.0);
+        assert_eq!(results.1, Err(clio_cn::ClioError::DeadlineExceeded));
+        let reg = cluster.registry();
+        assert_eq!(reg.counter("cn0.runtime.deadline_exceeded_total"), Some(1));
+        assert_eq!(reg.gauge("cn0.runtime.inflight"), Some(0), "both credits released");
     }
 
     /// Regression (issue 10): one task flooding the submit queue must not

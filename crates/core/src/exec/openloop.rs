@@ -1,6 +1,6 @@
 //! Seeded open-loop arrival schedules.
 //!
-//! Closed-loop drivers issue the next op when the previous one returns,
+//! Closed-loop clients issue the next op when the previous one returns,
 //! so offered load collapses to match service rate and queueing never
 //! shows up in the numbers. An open-loop client issues on its *own*
 //! schedule — requests keep arriving whether or not earlier ones

@@ -1,4 +1,4 @@
-//! Measurement helpers shared by drivers and benchmarks.
+//! Measurement helpers shared by client programs and benchmarks.
 
 use clio_sim::stats::{Histogram, LatencySummary, RateMeter};
 use clio_sim::{SimDuration, SimTime};

@@ -262,7 +262,7 @@ struct Wake {
 
 /// Live gauges describing the async client runtime on one compute node,
 /// registered as `cn<i>.runtime.inflight` / `.parked` / `.tasks`. Shared
-/// (clone-handle) between the node and every executor driver it hosts, so
+/// (clone-handle) between the node and every executor it hosts, so
 /// values aggregate across a CN's processes.
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeGauges {

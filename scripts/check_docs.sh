@@ -87,7 +87,7 @@ fi
 # the real runtime surface, and those names must still exist in the
 # sources — the quickstart leans on them.
 grep -q '^## Client runtime' "$DOC" || { echo "missing '## Client runtime' section"; fail=1; }
-for t in ExecDriver ProcHandle ArrivalGen runtime_inflight_budget SubmitQueued InvalidHandle; do
+for t in ExecDriver ProcHandle ArrivalGen runtime_inflight_budget SubmitQueued block_on; do
   if ! grep -qw "$t" "$DOC"; then
     echo "client-runtime docs missing term: $t"
     fail=1
