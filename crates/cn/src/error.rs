@@ -44,7 +44,10 @@ pub enum ClioError {
         len: u64,
     },
     /// An async handle was polled by a process that did not issue it (or
-    /// after its issuing process released it).
+    /// after its issuing process released it). **Unconstructed:** the
+    /// handle-based runtime that returned it is gone (ops are futures now);
+    /// the variant stays only until `benchmark/`, which matches this enum
+    /// exhaustively, can drop its arm in the same change.
     InvalidHandle,
 }
 

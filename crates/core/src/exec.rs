@@ -12,7 +12,7 @@
 //! ```
 //!
 //! `.await` is the paper's synchronous call; `h.spawn(..)` followed by
-//! `h.rrelease().await` is its issue-then-`rpoll` pattern. One
+//! `h.rrelease().await` is its issue-then-poll pattern. One
 //! [`ExecDriver`] per client process hosts any number of tasks on a compute
 //! node; tasks run *inside* the simulation's event loop (no OS threads
 //! anywhere), so a single simulated CN sustains tens of thousands of
@@ -144,24 +144,13 @@ impl OpSlot {
 }
 
 /// Work queued by task polls, flushed to the compute node in FIFO
-/// (program) order.
+/// (program) order. `Vec` is a scatter/gather vector: one slot per entry,
+/// in order.
 enum Submission {
-    Op {
-        spec: OpSpec,
-        slot: Rc<RefCell<OpSlot>>,
-    },
-    /// A scatter/gather vector: one slot per entry, in order.
-    Vec {
-        specs: Vec<OpSpec>,
-        slots: Vec<Rc<RefCell<OpSlot>>>,
-    },
-    Timer {
-        tag: u64,
-        dur: SimDuration,
-    },
-    Cancel {
-        token: AppToken,
-    },
+    Op { spec: OpSpec, slot: Rc<RefCell<OpSlot>> },
+    Vec { specs: Vec<OpSpec>, slots: Vec<Rc<RefCell<OpSlot>>> },
+    Timer { tag: u64, dur: SimDuration },
+    Cancel { token: AppToken },
 }
 
 struct TimerEntry {

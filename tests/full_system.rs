@@ -52,19 +52,20 @@ fn kv_store_across_partitioned_mns() {
     }
     let macs = cluster.mn_macs().to_vec();
     let hits = cluster.block_on(0, Pid(5), |h| async move {
-        let call = |key: Vec<u8>, req: KvRequest| {
-            let mn = macs[partition_of(&key, macs.len())];
+        let call = |req: KvRequest| {
+            let (KvRequest::Put { key, .. } | KvRequest::Get { key } | KvRequest::Delete { key }) =
+                &req;
+            let mn = macs[partition_of(key, macs.len())];
             h.roffload(mn, 1, req.opcode(), req.encode())
         };
         for i in 0..60 {
-            let (k, v) = (format!("k{i:03}").into_bytes(), format!("v{i:03}").into_bytes());
-            let c = call(k.clone(), KvRequest::Put { key: k, value: v }).await;
+            let (key, value) = (format!("k{i:03}").into_bytes(), format!("v{i:03}").into_bytes());
+            let c = call(KvRequest::Put { key, value }).await;
             assert!(c.result.is_ok(), "kv put failed: {:?}", c.result);
         }
         let mut hits = 0;
         for i in 0..60 {
-            let k = format!("k{i:03}").into_bytes();
-            let c = call(k.clone(), KvRequest::Get { key: k }).await;
+            let c = call(KvRequest::Get { key: format!("k{i:03}").into_bytes() }).await;
             let expect = Bytes::from(format!("v{i:03}").into_bytes());
             assert_eq!(KvResponse::decode(Status::Ok, c.data().clone()), KvResponse::Value(expect));
             hits += 1;
