@@ -95,7 +95,7 @@ pub fn avg_local(rows: &[u8]) -> u64 {
 /// The select/aggregate offload module. The FPGA scans at one row per
 /// cycle-ish (charged via `compute`), reading and writing through the
 /// translated fast path in bursts.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ClioDf {
     selects: u64,
     avgs: u64,
@@ -176,6 +176,10 @@ impl ClioDf {
 }
 
 impl Offload for ClioDf {
+    fn clone_box(&self) -> Box<dyn Offload> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &str {
         "clio-df"
     }

@@ -142,7 +142,7 @@ fn fingerprint(key: &[u8]) -> u64 {
 /// Records and slots are bump-allocated from arena chunks `ralloc`ed on
 /// demand — mirroring how the paper's implementation calls `ralloc` for new
 /// slots and data.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ClioKv {
     buckets: u64,
     table_va: u64,
@@ -356,6 +356,10 @@ impl ClioKv {
 }
 
 impl Offload for ClioKv {
+    fn clone_box(&self) -> Box<dyn Offload> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &str {
         "clio-kv"
     }

@@ -30,7 +30,7 @@ pub enum MvOpcode {
 const MAX_VERSIONS: u64 = 64;
 
 /// Clio-MV offload state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ClioMv {
     value_size: u64,
     max_objects: u64,
@@ -169,6 +169,10 @@ impl ClioMv {
 }
 
 impl Offload for ClioMv {
+    fn clone_box(&self) -> Box<dyn Offload> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &str {
         "clio-mv"
     }

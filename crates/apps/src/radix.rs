@@ -30,7 +30,7 @@ pub fn encode_node(key: u64, value: u64, next: u64) -> [u8; 24] {
 
 /// The pointer-chasing offload: walk a linked list, compare keys, return
 /// the value of the first match (or 0).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PointerChase {
     chases: u64,
     nodes_walked: u64,
@@ -66,6 +66,10 @@ pub fn decode_chase(status: Status, data: &[u8]) -> Option<u64> {
 }
 
 impl Offload for PointerChase {
+    fn clone_box(&self) -> Box<dyn Offload> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &str {
         "pointer-chase"
     }

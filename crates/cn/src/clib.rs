@@ -199,7 +199,7 @@ pub struct Completion {
     pub completed_at: SimTime,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PendingOp {
     thread: ThreadId,
     op: Op,
@@ -218,7 +218,7 @@ pub struct LockRetry {
 }
 
 /// The compute-node library instance (one per CN host actor).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CLib {
     cfg: CLibConfig,
     page_size: u64,
@@ -266,6 +266,18 @@ impl CLib {
         self.tracer = tracer.clone();
         self.track = track;
         self.transport.set_tracer(tracer, track);
+    }
+
+    /// An independent copy of the library as it stands: ordering state,
+    /// pending ops and the transport with its windows, queues and armed
+    /// timers. The copy counts into metric cells of its own — a plain
+    /// `clone()` would keep bumping this CLib's. Only the [`Tracer`] handle
+    /// stays shared: a tracer collects for a whole run.
+    pub fn fork(&self) -> CLib {
+        let mut copy = self.clone();
+        copy.completed_count = self.completed_count.detached();
+        copy.transport.detach_metrics();
+        copy
     }
 
     /// Registers this CLib's and its transport's counters into `registry`

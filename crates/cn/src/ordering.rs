@@ -95,7 +95,7 @@ impl PageUse {
 /// Tracked ops are indexed by page, so admitting an op costs O(pages it
 /// touches) however many ops are in flight — every task of an executor
 /// shares one thread id, so "in flight" is the whole process's window.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DependencyTracker<T> {
     inflight: IdMap<T, Tracked>,
     pending: VecDeque<(T, Tracked)>,

@@ -379,13 +379,13 @@ enum BreakerState {
 /// Liveness bookkeeping toward one MN. Only attempt-level timeouts count
 /// against a board: a NACK (corruption) proves the board is alive and
 /// resets the streak just like a response does.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct PeerHealth {
     consecutive_timeouts: u32,
     state: BreakerState,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Outstanding {
     token: XferToken,
     target: Mac,
@@ -409,7 +409,7 @@ struct Outstanding {
     trace: Option<TraceCtx>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct QueuedSend {
     token: XferToken,
     pid: Pid,
@@ -420,7 +420,7 @@ struct QueuedSend {
 
 /// The packing state one pump reuses across calls, so a lone request costs
 /// no allocation on its way into a frame.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PackScratch {
     /// The batch frame under assembly.
     batch: BatchBuilder,
@@ -534,7 +534,7 @@ fn blueprint_digest(bp: &Blueprint) -> u64 {
 /// everything); [`Transport::check_invariants`] verifies the first
 /// mechanically and the `clio_mc` model checker enforces all four over
 /// every bounded fault interleaving.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Transport {
     cfg: CLibConfig,
     next_req: u64,
@@ -627,6 +627,21 @@ impl Transport {
     pub fn set_tracer(&mut self, tracer: Tracer, track: Track) {
         self.tracer = tracer;
         self.track = track;
+    }
+
+    /// Gives this transport counters of its own (same values). A `clone()`
+    /// copies all protocol state — including the [`EventId`]s of armed
+    /// timers, which stay valid in a
+    /// [`Simulation::fork`](clio_sim::Simulation::fork) taken at the same
+    /// instant — but, like cloning a metric handle, keeps counting into the
+    /// original's cells; an independent copy is a clone followed by this.
+    pub fn detach_metrics(&mut self) {
+        self.retry_count = self.retry_count.detached();
+        self.batch_frames = self.batch_frames.detached();
+        self.batched_ops = self.batched_ops.detached();
+        self.retry_frames = self.retry_frames.detached();
+        self.circuit_open_total = self.circuit_open_total.detached();
+        self.peer_health = self.peer_health.detached();
     }
 
     /// Registers the transport's counters into `registry` under

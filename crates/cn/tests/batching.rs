@@ -14,12 +14,14 @@ use clio_net::{FaultInjector, Frame, Mac, Network, NetworkConfig};
 use clio_proto::{Perm, Pid};
 use clio_sim::{Actor, ActorId, Bandwidth, Ctx, Message, SimDuration, Simulation};
 
+#[derive(Clone)]
 struct Submit {
     thread: ThreadId,
     op: Op,
 }
 
 /// Scatter/gather submission: the whole vector in one `submit_many`.
+#[derive(Clone)]
 struct SubmitV {
     thread: ThreadId,
     ops: Vec<Op>,

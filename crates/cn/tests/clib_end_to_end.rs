@@ -10,6 +10,7 @@ use clio_proto::{Perm, Pid};
 use clio_sim::{Actor, ActorId, Bandwidth, Ctx, Message, SimDuration, Simulation};
 
 /// Instruction to a CN host to submit an op.
+#[derive(Clone)]
 struct Submit {
     thread: ThreadId,
     op: Op,
@@ -390,8 +391,13 @@ fn remote_fence_orders_mn_side() {
 #[test]
 fn offload_call_via_clib() {
     use clio_mn::{Offload, OffloadEnv, OffloadReply};
+    #[derive(Clone)]
     struct Echo;
     impl Offload for Echo {
+        fn clone_box(&self) -> Box<dyn Offload> {
+            Box::new(self.clone())
+        }
+
         fn name(&self) -> &str {
             "echo"
         }

@@ -47,10 +47,12 @@ fn arb_op() -> impl Strategy<Value = TestOp> {
     })
 }
 
+#[derive(Clone)]
 struct Submit {
     op: Op,
 }
 
+#[derive(Clone)]
 struct SubmitV {
     ops: Vec<Op>,
 }

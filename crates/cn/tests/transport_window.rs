@@ -54,6 +54,7 @@ impl Fate {
 
 /// Kick-off message carrying the workload; tokens are numbered from
 /// `base` so a test can post several bursts without token collisions.
+#[derive(Clone)]
 struct Go {
     ops: Vec<Blueprint>,
     base: u64,

@@ -30,7 +30,7 @@ pub enum DedupRecord {
 }
 
 /// FIFO dedup buffer with O(1) lookup.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DedupBuffer {
     order: VecDeque<ReqId>,
     records: IdMap<ReqId, DedupRecord>,

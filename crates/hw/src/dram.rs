@@ -12,7 +12,7 @@ use clio_sim::resource::{BandwidthResource, Reservation};
 use clio_sim::{Bandwidth, SimDuration, SimTime};
 
 /// The DRAM behind one CBoard's memory controller.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DramModel {
     bus: BandwidthResource,
     accesses: u64,

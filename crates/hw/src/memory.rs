@@ -13,7 +13,7 @@ use clio_sim::IdMap;
 const CHUNK: u64 = 4096;
 
 /// Byte-addressable physical memory of one memory node.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PhysMemory {
     chunks: IdMap<u64, Box<[u8]>>,
     resident_bytes: u64,

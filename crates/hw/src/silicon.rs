@@ -138,13 +138,25 @@ pub struct SiliconStats {
 /// The live counter handles behind [`SiliconStats`]. Shared with any
 /// [`Registry`] the board is registered into, so a registry snapshot and
 /// [`Silicon::stats`] always agree.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct SiliconMetrics {
     reads: Counter,
     writes: Counter,
     atomics: Counter,
     read_bytes: Counter,
     write_bytes: Counter,
+}
+
+impl SiliconMetrics {
+    fn detached(&self) -> Self {
+        SiliconMetrics {
+            reads: self.reads.detached(),
+            writes: self.writes.detached(),
+            atomics: self.atomics.detached(),
+            read_bytes: self.read_bytes.detached(),
+            write_bytes: self.write_bytes.detached(),
+        }
+    }
 }
 
 /// Out-params shared by the per-page translation walk.
@@ -155,7 +167,7 @@ struct TranslateScratch<'a> {
 }
 
 /// The CBoard datapath: functional state plus shared timing resources.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Silicon {
     cfg: CBoardHwConfig,
     vm: VmUnit,
@@ -239,6 +251,14 @@ impl Silicon {
     /// Raw physical memory, read-only.
     pub fn mem(&self) -> &PhysMemory {
         &self.mem
+    }
+
+    /// Gives this datapath counters of its own (same values). A `clone()`
+    /// copies all functional and timing state but, like cloning a metric
+    /// handle, keeps counting into the original's cells; an independent
+    /// copy is a clone followed by this.
+    pub fn detach_metrics(&mut self) {
+        self.stats = self.stats.detached();
     }
 
     /// Request counters (a point-in-time snapshot of the live metrics).

@@ -30,7 +30,7 @@ struct Node {
 const NIL: usize = usize::MAX;
 
 /// Fixed-capacity LRU TLB.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tlb {
     map: IdMap<(Pid, u64), usize>,
     slab: Vec<Node>,

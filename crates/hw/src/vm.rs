@@ -56,7 +56,7 @@ pub struct VmStats {
 }
 
 /// TLB + page table + fault handler, assembled.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct VmUnit {
     tlb: Tlb,
     pt: HashPageTable,

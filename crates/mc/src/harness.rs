@@ -79,6 +79,7 @@ pub enum Framing {
 }
 
 /// Submission message for the CN host actor.
+#[derive(Clone)]
 struct Submit {
     op: Op,
 }

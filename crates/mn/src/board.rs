@@ -143,7 +143,7 @@ pub struct BoardStats {
 /// The board's live counters: shared [`Counter`] handles so a metrics
 /// [`Registry`] observes every increment without a copy step.
 /// [`CBoard::stats`] snapshots them into the plain [`BoardStats`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct BoardMetrics {
     rx_frames: Counter,
     batched_requests: Counter,
@@ -162,7 +162,29 @@ struct BoardMetrics {
     dropped_while_down: Counter,
 }
 
-#[derive(Debug)]
+impl BoardMetrics {
+    fn detached(&self) -> Self {
+        BoardMetrics {
+            rx_frames: self.rx_frames.detached(),
+            batched_requests: self.batched_requests.detached(),
+            rx_packets: self.rx_packets.detached(),
+            tx_packets: self.tx_packets.detached(),
+            tx_frames: self.tx_frames.detached(),
+            batched_responses: self.batched_responses.detached(),
+            nacks: self.nacks.detached(),
+            nack_frames: self.nack_frames.detached(),
+            dedup_replays: self.dedup_replays.detached(),
+            slow_ops: self.slow_ops.detached(),
+            offload_calls: self.offload_calls.detached(),
+            conflicts: self.conflicts.detached(),
+            moved: self.moved.detached(),
+            board_restarts: self.board_restarts.detached(),
+            dropped_while_down: self.dropped_while_down.detached(),
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
 struct PendingWrite {
     remaining: u16,
     done: SimTime,
@@ -177,7 +199,7 @@ struct PendingWrite {
 
 /// TTL-bounded tracker for multi-packet writes (the "slim layer for handling
 /// corner-case requests" of §4.4 — bounded by in-flight data, not clients).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct WriteTracker {
     pending: IdMap<ReqId, PendingWrite>,
     order: VecDeque<(SimTime, ReqId)>,
@@ -204,6 +226,7 @@ impl WriteTracker {
     }
 }
 
+#[derive(Clone)]
 struct InstalledOffload {
     /// The offload's own protection domain, or `None` to execute in the
     /// calling process's RAS (how Clio-DF shares the user's address space,
@@ -220,7 +243,7 @@ impl std::fmt::Debug for InstalledOffload {
 
 /// One packet awaiting egress: `ready` is the board timestamp at which the
 /// datapath finishes producing it (the earliest it may leave the NIC).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct EgressEntry {
     ready: SimTime,
     pkt: ClioPacket,
@@ -233,7 +256,7 @@ struct EgressEntry {
 
 /// What one egress pump reuses across calls, so a lone response costs no
 /// allocation on its way into a frame.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct EgressScratch {
     /// The response batch under assembly.
     batch: RespBatchBuilder,
@@ -247,14 +270,14 @@ struct EgressDoorbell {
     dst: Mac,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct OutMigration {
     dst: Mac,
     len: u64,
     vpns: Vec<u64>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct InMigration {
     received_vpns: Vec<u64>,
 }
@@ -267,7 +290,7 @@ struct InMigration {
 const PRESSURE_REARM_FRACTION: f64 = 0.875;
 
 /// The memory-node device actor.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CBoard {
     name: String,
     cfg: CBoardConfig,
@@ -418,6 +441,22 @@ impl CBoard {
     pub fn set_tracer(&mut self, tracer: Tracer, track: Track) {
         self.tracer = tracer;
         self.track = track;
+    }
+
+    /// An independent copy of the board as it stands: protocol and timing
+    /// state, silicon (page tables, DRAM contents, dedup buffer), installed
+    /// offloads (through [`Offload::clone_box`]) and pending-doorbell
+    /// [`EventId`]s, which stay valid in a
+    /// [`Simulation::fork`](clio_sim::Simulation::fork) taken at the same
+    /// instant. The copy counts into metric cells of its own — a plain
+    /// `clone()` would keep bumping this board's. Only the [`Tracer`]
+    /// handle stays shared: a tracer collects for a whole run.
+    pub fn fork(&self) -> CBoard {
+        let mut copy = self.clone();
+        copy.stats = self.stats.detached();
+        copy.peer_srtt_ns = self.peer_srtt_ns.detached();
+        copy.silicon.detach_metrics();
+        copy
     }
 
     /// Shares the board's live counters (and the fast-path silicon's) with

@@ -53,6 +53,17 @@ pub trait Offload: 'static {
 
     /// Handles one offload invocation.
     fn on_call(&mut self, env: &mut OffloadEnv<'_>, opcode: u16, arg: Bytes) -> OffloadReply;
+
+    /// A boxed copy of the module and its state, so that copying a board
+    /// ([`CBoard::fork`](crate::CBoard::fork)) copies what is installed on
+    /// it. For a `Clone` module: `Box::new(self.clone())`.
+    fn clone_box(&self) -> Box<dyn Offload>;
+}
+
+impl Clone for Box<dyn Offload> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
 }
 
 /// The virtual-memory and timing interface an offload executes against.

@@ -41,7 +41,7 @@ struct Region {
 /// Sized by in-progress/completed migrations, not by clients — the lookup is
 /// a short scan because concurrent migrations are rare (§4.7: migration
 /// "happens rarely").
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RegionTable {
     regions: Vec<Region>,
 }

@@ -6,7 +6,7 @@
 //! here — only page faults (via the async buffer) and migration do.
 
 /// Free-list allocator over the MN's physical pages.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PhysAllocator {
     free: Vec<u64>,
     total_pages: u64,

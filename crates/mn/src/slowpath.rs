@@ -49,7 +49,7 @@ pub struct FreeOutcome {
 }
 
 /// The ARM-side software state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SlowPath {
     valloc: VaAllocator,
     palloc: PhysAllocator,

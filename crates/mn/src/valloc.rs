@@ -41,7 +41,7 @@ pub struct VaAllocation {
 }
 
 /// Per-process allocation state.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct ProcSpace {
     /// start -> range, non-overlapping, page aligned.
     ranges: BTreeMap<u64, VaRange>,
@@ -84,7 +84,7 @@ impl ProcSpace {
 }
 
 /// The VA allocator for every process on one MN.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct VaAllocator {
     page_size: u64,
     retry_limit: u32,

@@ -23,8 +23,10 @@ struct RawClient {
 }
 
 /// Message asking the client to transmit a packet now.
+#[derive(Clone)]
 struct SendNow(ClioPacket);
 /// Message asking the client to transmit a whole write (pre-split).
+#[derive(Clone)]
 struct SendWrite {
     req_id: ReqId,
     retry_of: Option<ReqId>,
@@ -440,10 +442,15 @@ fn free_then_access_is_invalid() {
 }
 
 /// An offload that stores a value on create and echoes computed data.
+#[derive(Clone)]
 struct CounterOffload {
     slot: Option<u64>,
 }
 impl Offload for CounterOffload {
+    fn clone_box(&self) -> Box<dyn Offload> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &str {
         "counter"
     }

@@ -22,7 +22,7 @@ impl fmt::Display for Mac {
 /// A frame whose `corrupted` flag is set arrives, but its link-layer
 /// integrity check fails at the receiver (Clio MNs answer these with a NACK,
 /// §4.4).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Frame {
     /// Source attachment point.
     pub src: Mac,

@@ -13,7 +13,7 @@ use crate::frame::{Frame, Mac};
 /// rate plus the propagation delay to the switch. Receive-side frames are
 /// delivered by the switch directly to the host actor as
 /// [`Frame`] messages.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NicPort {
     mac: Mac,
     rate: Bandwidth,

@@ -22,7 +22,7 @@ use crate::frame::{Frame, Mac};
 
 /// A captured in-flight frame: the capture sequence number (monotonic per
 /// wire, stable across replays of the same schedule) plus the frame itself.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CapturedFrame {
     /// Monotonic capture sequence number (order the wire saw the frames).
     pub seq: u64,
@@ -37,7 +37,7 @@ pub struct CapturedFrame {
 /// to the pending list in capture order. The scheduler inspects
 /// [`pending`](Self::pending), mutates fates via [`corrupt`](Self::corrupt),
 /// and removes frames via [`take`](Self::take) to deliver or drop them.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct VirtualWire {
     endpoints: IdMap<Mac, ActorId>,
     pending: Vec<CapturedFrame>,

@@ -25,7 +25,7 @@ use crate::types::ReqId;
 /// `take` yields a plain [`ClioPacket::Request`] when only one entry
 /// accumulated, so a lone request's wire image is byte-identical to the
 /// unbatched protocol and batching is a pure overlay.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BatchBuilder {
     entries: Vec<(ReqHeader, RequestBody)>,
     wire: usize,
@@ -103,7 +103,7 @@ impl BatchBuilder {
 /// `take` yields a plain [`ClioPacket::Response`] when only one entry
 /// accumulated, so a lone response's wire image is byte-identical to the
 /// unbatched protocol and response batching is a pure overlay.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RespBatchBuilder {
     entries: Vec<(RespHeader, ResponseBody)>,
     wire: usize,
@@ -180,7 +180,7 @@ impl RespBatchBuilder {
 /// `take` yields a plain [`ClioPacket::Nack`] when only one id accumulated,
 /// so a lone NACK's wire image is byte-identical to the unbatched protocol
 /// and NACK coalescing is a pure overlay.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NackBatchBuilder {
     req_ids: Vec<ReqId>,
     max_ops: usize,

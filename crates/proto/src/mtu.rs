@@ -99,7 +99,7 @@ pub fn read_response_fragments(
     })
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Partial {
     expected: u16,
     got: Vec<Option<(u32, Bytes)>>,
@@ -111,7 +111,7 @@ struct Partial {
 /// Fragments may arrive in any order and duplicates are ignored. When the
 /// last fragment of a request arrives, [`accept`](Reassembler::accept)
 /// returns the full contiguous payload.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Reassembler {
     /// Sorted by request id. A CN's ids only grow, so new partials append
     /// and lookups are a binary search over the few reads in flight — no

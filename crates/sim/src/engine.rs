@@ -61,6 +61,7 @@ struct Key {
 }
 
 /// One slab entry: the payload of a pending event, or vacant.
+#[derive(Clone)]
 struct Slot {
     /// Sequence number of the event held here; [`VACANT`] when free. A heap
     /// key or an [`EventId`] whose `seq` differs names an event that was
@@ -95,6 +96,10 @@ struct Due {
 ///   timers deepen the heap by at most one level.
 /// * Cancelling an id whose event is gone finds a vacant or re-issued slot
 ///   and changes nothing.
+/// * A clone is the same queue: same slots, same free-list order, same
+///   `next_seq`, so every [`EventId`] issued before the copy names the same
+///   event in both, and both hand out the same ids from there on.
+#[derive(Clone)]
 struct SimCore {
     now: SimTime,
     queue: BinaryHeap<Reverse<Key>>,
@@ -278,6 +283,28 @@ impl Simulation {
         id
     }
 
+    /// Copies the simulation at this instant: clock, pending events (each
+    /// message through its own `Clone`), cancelled-event bookkeeping, RNG
+    /// state, digest and event count. The two then run independently, and
+    /// given the same inputs, identically.
+    ///
+    /// The engine cannot copy a `dyn Actor`, so the caller — which knows
+    /// the concrete types it registered — passes the copies in `actors`,
+    /// in [`ActorId`] order. [`EventId`]s held inside those copies stay
+    /// valid in the fork (and only act on the fork).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `actors` does not hold one actor per registered actor.
+    pub fn fork(&self, actors: Vec<Box<dyn Actor>>) -> Simulation {
+        assert_eq!(actors.len(), self.actors.len(), "fork needs a copy of every actor");
+        Simulation {
+            core: self.core.clone(),
+            actors: actors.into_iter().map(Some).collect(),
+            names: self.names.clone(),
+        }
+    }
+
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.core.now
@@ -457,6 +484,7 @@ mod tests {
     use super::*;
 
     /// Records the payloads and times at which it receives u64 messages.
+    #[derive(Clone)]
     struct Recorder {
         seen: Vec<(SimTime, u64)>,
     }
@@ -685,6 +713,58 @@ mod tests {
             SimTime::from_nanos(100_000),
             "no cancelled timer advanced the clock"
         );
+    }
+
+    #[test]
+    fn fork_copies_live_and_cancelled_timers_and_keeps_event_ids_valid() {
+        // Eight timers, one cancelled (a dead heap key and a free slot),
+        // two delivered (two more free slots): the state a fork must copy.
+        let build = || {
+            let mut sim = Simulation::new(1);
+            let r = sim.add_actor(Recorder { seen: vec![] });
+            let ids: Vec<EventId> = (0..8u64)
+                .map(|i| sim.post_in(r, SimDuration::from_nanos(10 + i), Message::new(i)))
+                .collect();
+            sim.cancel(ids[2]);
+            sim.run_until(SimTime::from_nanos(11));
+            (sim, r, ids)
+        };
+        let finish = |mut sim: Simulation, r: ActorId| {
+            sim.run_until_idle();
+            let seen = sim.actor::<Recorder>(r).seen.clone();
+            (seen, sim.digest(), sim.events_dispatched(), sim.now())
+        };
+        let (mut parent, r, ids) = build();
+        let copy = parent.actor::<Recorder>(r).clone();
+        let mut fork = parent.fork(vec![Box::new(copy)]);
+        assert_eq!(fork.digest(), parent.digest());
+        assert_eq!(fork.peek_next_event_time(), parent.peek_next_event_time());
+
+        // Same free-list order: both recycle the same slot under the same id.
+        let late = SimDuration::from_nanos(100);
+        assert_eq!(
+            fork.post_in(r, late, Message::new(99u64)),
+            parent.post_in(r, late, Message::new(99u64))
+        );
+        // An id issued before the fork cancels in the copy, and only there.
+        fork.cancel(ids[5]);
+        fork.cancel(ids[2]); // cancelled before the fork: still a no-op
+
+        // Each ran on exactly as a never-forked simulation given the same
+        // inputs does: same deliveries, digest, event count and clock.
+        let (mut reference, r2, ids2) = build();
+        reference.post_in(r2, late, Message::new(99u64));
+        let parent = finish(parent, r);
+        assert_eq!(parent, finish(reference, r2));
+        let payloads = |seen: &[(SimTime, u64)]| seen.iter().map(|&(_, v)| v).collect::<Vec<_>>();
+        assert_eq!(payloads(&parent.0), [0, 1, 3, 4, 5, 6, 7, 99]);
+
+        let (mut reference, r2, _) = build();
+        reference.post_in(r2, late, Message::new(99u64));
+        reference.cancel(ids2[5]);
+        let fork = finish(fork, r);
+        assert_eq!(fork, finish(reference, r2));
+        assert_eq!(payloads(&fork.0), [0, 1, 3, 4, 6, 7, 99]);
     }
 
     #[test]

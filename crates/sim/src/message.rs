@@ -3,31 +3,54 @@
 use std::any::Any;
 use std::fmt;
 
+/// What a [`Message`] needs of the value it wraps, erased behind one vtable:
+/// the downcast (through the [`Any`] supertrait), a deep copy, and the type
+/// name the event digest folds in.
+trait Payload: Any {
+    fn clone_box(&self) -> Box<dyn Payload>;
+    fn type_name(&self) -> &'static str;
+}
+
+impl<T: Clone + 'static> Payload for T {
+    fn clone_box(&self) -> Box<dyn Payload> {
+        Box::new(self.clone())
+    }
+
+    fn type_name(&self) -> &'static str {
+        std::any::type_name::<T>()
+    }
+}
+
 /// A type-erased message delivered to an [`Actor`](crate::Actor).
 ///
 /// Each crate defines its own concrete message types (network frames, DRAM
 /// completions, timer ticks, ...) and wraps them in a `Message` to cross the
 /// actor boundary; the receiver downcasts back to the concrete type. The
 /// original type name is retained for debugging.
-pub struct Message {
-    payload: Box<dyn Any>,
-    type_name: &'static str,
-}
+///
+/// A message is `Clone` (the wrapped type's own `Clone`, captured when the
+/// message is built), so a pending event queue can be copied whole — see
+/// [`Simulation::fork`](crate::Simulation::fork).
+pub struct Message(Box<dyn Payload>);
 
 impl Message {
     /// Wraps a concrete value into a type-erased message.
-    pub fn new<T: 'static>(value: T) -> Self {
-        Message { payload: Box::new(value), type_name: std::any::type_name::<T>() }
+    pub fn new<T: Clone + 'static>(value: T) -> Self {
+        Message(Box::new(value))
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        &*self.0
     }
 
     /// The `std::any::type_name` of the wrapped value (for tracing/debugging).
     pub fn type_name(&self) -> &'static str {
-        self.type_name
+        (*self.0).type_name()
     }
 
     /// Returns `true` if the wrapped value is a `T`.
     pub fn is<T: 'static>(&self) -> bool {
-        self.payload.is::<T>()
+        self.as_any().is::<T>()
     }
 
     /// Attempts to take the wrapped value out as a `T`.
@@ -37,27 +60,34 @@ impl Message {
     /// Returns the message unchanged if the wrapped value is not a `T`, so
     /// that dispatch code can try the next candidate type.
     pub fn downcast<T: 'static>(self) -> Result<T, Message> {
-        let type_name = self.type_name;
-        match self.payload.downcast::<T>() {
-            Ok(v) => Ok(*v),
-            Err(payload) => Err(Message { payload, type_name }),
+        if !self.is::<T>() {
+            return Err(self);
         }
+        let any: Box<dyn Any> = self.0;
+        Ok(*any.downcast::<T>().expect("type checked above"))
     }
 
     /// Borrows the wrapped value as a `T`, if it is one.
     pub fn downcast_ref<T: 'static>(&self) -> Option<&T> {
-        self.payload.downcast_ref::<T>()
+        self.as_any().downcast_ref::<T>()
     }
 
     /// Mutably borrows the wrapped value as a `T`, if it is one.
     pub fn downcast_mut<T: 'static>(&mut self) -> Option<&mut T> {
-        self.payload.downcast_mut::<T>()
+        let any: &mut dyn Any = &mut *self.0;
+        any.downcast_mut::<T>()
+    }
+}
+
+impl Clone for Message {
+    fn clone(&self) -> Self {
+        Message((*self.0).clone_box())
     }
 }
 
 impl fmt::Debug for Message {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Message").field("type", &self.type_name).finish()
+        f.debug_struct("Message").field("type", &self.type_name()).finish()
     }
 }
 
@@ -65,7 +95,7 @@ impl fmt::Debug for Message {
 mod tests {
     use super::*;
 
-    #[derive(Debug, PartialEq)]
+    #[derive(Debug, Clone, PartialEq)]
     struct Ping(u32);
 
     #[test]
@@ -83,6 +113,21 @@ mod tests {
         let mut m = Message::new(Ping(1));
         m.downcast_mut::<Ping>().unwrap().0 = 9;
         assert_eq!(m.downcast::<Ping>().unwrap(), Ping(9));
+    }
+
+    #[test]
+    fn clone_copies_the_value_and_aliases_nothing() {
+        let mut m = Message::new(vec![1u8, 2]);
+        let c = m.clone();
+        m.downcast_mut::<Vec<u8>>().unwrap().push(3);
+        assert_eq!(c.type_name(), m.type_name());
+        assert_eq!(c.downcast::<Vec<u8>>().unwrap(), vec![1, 2]);
+        assert_eq!(m.downcast::<Vec<u8>>().unwrap(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_message_is_one_fat_pointer() {
+        assert_eq!(std::mem::size_of::<Message>(), 16);
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! component address the *same* cell, there is no snapshot/reset drift: a
 //! reset is immediately visible to the component, and a snapshot always
 //! reflects the component's latest increments.
+//!
+//! `clone()` on a handle therefore *shares* the cell. A copy of a component
+//! that must count on its own (a forked simulation) takes `detached()`
+//! handles instead: new cells holding the current values.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -44,6 +48,12 @@ impl Counter {
     pub fn reset(&self) {
         self.0.set(0);
     }
+
+    /// A counter of its own holding the current value: unlike `clone()`,
+    /// shares nothing with `self`.
+    pub fn detached(&self) -> Self {
+        Counter(Rc::new(Cell::new(self.get())))
+    }
 }
 
 /// A last-writer-wins gauge handle.
@@ -69,6 +79,12 @@ impl Gauge {
     /// Zeroes the gauge (shared across all clones).
     pub fn reset(&self) {
         self.0.set(0);
+    }
+
+    /// A gauge of its own holding the current value: unlike `clone()`,
+    /// shares nothing with `self`.
+    pub fn detached(&self) -> Self {
+        Gauge(Rc::new(Cell::new(self.get())))
     }
 }
 
@@ -105,6 +121,12 @@ impl HistogramHandle {
     /// Clears all samples (shared across all clones).
     pub fn reset(&self) {
         *self.0.borrow_mut() = Histogram::new();
+    }
+
+    /// A histogram of its own holding the current samples: unlike
+    /// `clone()`, shares nothing with `self`.
+    pub fn detached(&self) -> Self {
+        HistogramHandle(Rc::new(RefCell::new(self.0.borrow().clone())))
     }
 }
 
@@ -241,6 +263,20 @@ mod tests {
         // Post-reset increments are visible again.
         c.inc();
         assert_eq!(reg.counter("a"), Some(1));
+    }
+
+    #[test]
+    fn detached_handles_keep_the_value_and_share_nothing() {
+        let (c, g, h) = (Counter::new(), Gauge::new(), HistogramHandle::new());
+        c.add(3);
+        g.set(7);
+        h.record(9);
+        let (c2, g2, h2) = (c.detached(), g.detached(), h.detached());
+        c2.inc();
+        g2.set(8);
+        h2.record(10);
+        assert_eq!((c.get(), g.get(), h.count()), (3, 7, 1));
+        assert_eq!((c2.get(), g2.get(), h2.count()), (4, 8, 2));
     }
 
     #[test]
