@@ -16,22 +16,42 @@ use clio_sim::SimDuration;
 
 use McAction::{Corrupt, Deliver, Drop, Duplicate, FireTimer};
 
-/// CI-sized clean search: the full schedule tree to depth 6 with two
-/// injected faults. Must be exhaustive (not truncated), sizeable (the
-/// acceptance floor is 10 k distinct states), and violation-free.
-#[test]
-fn bounded_search_of_the_real_transport_is_clean() {
-    let cfg = McConfig { max_depth: 6, ..McConfig::default() };
-    let report = explore(&cfg);
+/// Runs a search that must be exhaustive and clean, and returns its
+/// `(nodes, distinct_states, quiescent_runs)`.
+fn counts(cfg: &McConfig) -> (u64, usize, u64) {
+    let report = explore(cfg);
     assert!(!report.truncated, "search hit the node cap; not exhaustive");
-    assert!(
-        report.distinct_states >= 10_000,
-        "only {} distinct states — scenario degenerated?",
-        report.distinct_states
-    );
-    assert!(report.quiescent_runs > 0, "no schedule reached quiescence");
     if let Some(v) = report.violation {
         panic!("{v}");
+    }
+    (report.nodes, report.distinct_states, report.quiescent_runs)
+}
+
+/// The search tree, pinned exactly: `(nodes, distinct states, quiescent
+/// runs)` of four bounded searches of the real transport. Any change to
+/// how a node is reached (fork), fingerprinted (`state_hash`,
+/// `Transport::fingerprint`, `CBoard::fingerprint`) or pruned alters at
+/// least one of these numbers and fails here by name; a change that is
+/// meant to alter the tree re-pins them and says why.
+#[test]
+fn search_tree_is_pinned_exactly() {
+    let base = McConfig::default();
+    let pins = [
+        ("depth 5 / 2 faults", McConfig { max_depth: 5, ..base.clone() }, (10_407, 6_823, 3)),
+        ("depth 7 / 2 faults", McConfig { max_depth: 7, ..base.clone() }, (172_202, 107_523, 9)),
+        (
+            "depth 6 / 2 faults / 1 crash",
+            McConfig { max_depth: 6, crash_budget: 1, ..base.clone() },
+            (70_125, 41_344, 14),
+        ),
+        (
+            "two boards, depth 6 / 2 faults",
+            McConfig { max_depth: 6, mns: 2, ..base.clone() },
+            (141_520, 85_826, 6),
+        ),
+    ];
+    for (name, cfg, want) in pins {
+        assert_eq!(counts(&cfg), want, "{name}: (nodes, distinct states, quiescent runs)");
     }
 }
 
