@@ -20,6 +20,18 @@
 //! Firing a timer (jumping the simulation to its next far-future event,
 //! e.g. a retransmission timeout) is free but consumes depth.
 //!
+//! # Search cost
+//!
+//! The search owns a live run per node on its path: a child is a fork of
+//! its parent's run ([`Scenario::fork`] — simulation, wire, boards and CN
+//! copied whole, nothing shared) plus one applied action, and the last
+//! child takes the parent's run itself. A node therefore costs one copy
+//! and one action whatever its depth, and the search is O(nodes).
+//! [`replay`] is the from-scratch path: it rebuilds the scenario and
+//! applies a whole schedule, which is how a [`Violation`] is reproduced
+//! and narrated, and what the fork is tested against
+//! (`tests/fork_equivalence.rs`).
+//!
 //! # Invariants checked
 //!
 //! After every settle: the transport's window-accounting invariants
@@ -45,9 +57,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use clio_cn::transport::McMutation;
-use clio_net::Frame;
 use clio_proto::ClioPacket;
-use clio_sim::{IdMap, IdSet, Message, SimDuration};
+use clio_sim::{IdMap, IdSet, SimDuration};
 
 use crate::harness::{Framing, Outcome, Scenario};
 
@@ -138,7 +149,7 @@ impl Default for McConfig {
         McConfig {
             // Depth 9 is the shortest bound that rediscovers the
             // retry-chain dedup bug this checker caught during development
-            // (see `crates/cn/tests/mc_regressions.rs`): ~90 s in release,
+            // (see `crates/cn/tests/mc_regressions.rs`): ~12 s in release,
             // ~1.1 M distinct states.
             max_depth: 9,
             fault_budget: 2,
@@ -182,7 +193,8 @@ impl fmt::Display for Violation {
 pub struct McReport {
     /// Distinct logical states visited (after pruning).
     pub distinct_states: usize,
-    /// Search-tree nodes expanded (prefix replays executed).
+    /// Search-tree nodes visited: one forked run and one applied action
+    /// each, pruned or not.
     pub nodes: u64,
     /// Runs that reached quiescence and passed the final equivalence
     /// checks.
@@ -194,9 +206,24 @@ pub struct McReport {
     pub truncated: bool,
 }
 
+/// One thing the explorer may do at a decision point, and what it costs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Choice {
+    /// The action.
+    pub action: McAction,
+    /// Faults it draws from [`McConfig::fault_budget`] (a delivery costs
+    /// one only when it overtakes an older frame to the same destination).
+    pub faults: u32,
+    /// Power-blips it draws from [`McConfig::crash_budget`].
+    pub crashes: u32,
+}
+
 /// One partially- or fully-executed schedule: the live simulation plus the
-/// bookkeeping the invariant checks need.
-struct Run {
+/// bookkeeping the invariant checks need. [`explore`] walks a tree of
+/// these; the type is public so that a test can walk the same tree, one
+/// [`fork`](Run::fork) and one [`apply`](Run::apply) per node, and compare
+/// each node with a from-scratch run of its schedule.
+pub struct Run {
     scenario: Scenario,
     horizon: SimDuration,
     /// Request ids observed on the wire, for the freshness invariant.
@@ -211,13 +238,15 @@ struct Run {
     /// Board power-blips applied so far (selects the relaxed at-least-once
     /// outcome check at quiescence).
     crashes: u32,
-    /// Narration of the applied actions.
-    trace: Vec<String>,
 }
 
 impl Run {
     /// Builds the scenario and settles to the first decision point.
-    fn start(cfg: &McConfig) -> Result<Run, String> {
+    ///
+    /// # Errors
+    ///
+    /// The message of an invariant violated before any action.
+    pub fn start(cfg: &McConfig) -> Result<Run, String> {
         let scenario = Scenario::new_with(Framing::Batched, cfg.mutation, cfg.max_retries, cfg.mns);
         let mut run = Run {
             scenario,
@@ -226,59 +255,102 @@ impl Run {
             synthetic: IdSet::default(),
             scanned_up_to: 0,
             crashes: 0,
-            trace: Vec::new(),
         };
         run.settle_and_check()?;
         Ok(run)
     }
 
-    /// Applies one action, settles, and checks the per-state invariants.
-    /// `Err` carries the violation message.
-    fn apply(&mut self, action: McAction) -> Result<(), String> {
-        match action {
-            McAction::Deliver(i) => {
-                self.trace.push(format!("Deliver({i}): {}", self.describe(i)));
-                self.scenario.deliver(i);
+    /// An independent copy of the run at this decision point (see
+    /// [`Scenario::fork`]): applying an action to it is the same as
+    /// replaying the whole schedule plus that action from scratch.
+    pub fn fork(&self) -> Run {
+        Run {
+            scenario: self.scenario.fork(),
+            horizon: self.horizon,
+            seen_req_ids: self.seen_req_ids.clone(),
+            synthetic: self.synthetic.clone(),
+            scanned_up_to: self.scanned_up_to,
+            crashes: self.crashes,
+        }
+    }
+
+    /// The scenario as it stands.
+    pub fn scenario(&self) -> &Scenario {
+        &self.scenario
+    }
+
+    /// Every action available at this decision point, in the order the
+    /// search tries them: per pending frame deliver / corrupt (unless it
+    /// already is) / drop / duplicate, then the timer if one is pending,
+    /// then the board power-blip.
+    pub fn choices(&mut self) -> Vec<Choice> {
+        let choice = |action, faults, crashes| Choice { action, faults, crashes };
+        let mut choices = Vec::new();
+        let wire = self.scenario.wire();
+        for (i, captured) in wire.pending().iter().enumerate() {
+            choices.push(choice(McAction::Deliver(i), wire.delivery_reorders(i) as u32, 0));
+            if !captured.frame.corrupted {
+                choices.push(choice(McAction::Corrupt(i), 1, 0));
             }
+            choices.push(choice(McAction::Drop(i), 1, 0));
+            choices.push(choice(McAction::Duplicate(i), 1, 0));
+        }
+        if self.scenario.sim.peek_next_event_time().is_some() {
+            choices.push(choice(McAction::FireTimer, 0, 0));
+        }
+        choices.push(choice(McAction::CrashBoard, 0, 1));
+        choices
+    }
+
+    /// Applies one action, settles, and checks the per-state invariants.
+    ///
+    /// # Errors
+    ///
+    /// The message of the invariant the action violated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the action names a frame that is not pending.
+    pub fn apply(&mut self, action: McAction) -> Result<(), String> {
+        match action {
+            McAction::Deliver(i) => self.scenario.deliver(i),
             McAction::Corrupt(i) => {
-                self.trace.push(format!("Corrupt({i}): {}", self.describe(i)));
                 self.scenario.wire_mut().corrupt(i);
                 self.scenario.deliver(i);
             }
             McAction::Drop(i) => {
-                self.trace.push(format!("Drop({i}): {}", self.describe(i)));
                 self.scenario.wire_mut().take(i);
             }
             McAction::Duplicate(i) => {
-                self.trace.push(format!("Duplicate({i}): {}", self.describe(i)));
-                let wire = self.scenario.wire();
-                let src_frame = &wire.pending()[i].frame;
-                let pkt = src_frame
-                    .payload
-                    .downcast_ref::<ClioPacket>()
-                    .expect("wire carries ClioPackets")
-                    .clone();
-                let mut copy = Frame::new(
-                    src_frame.src,
-                    src_frame.dst,
-                    src_frame.wire_bytes,
-                    Message::new(pkt),
-                );
-                copy.corrupted = src_frame.corrupted;
+                let copy = self.scenario.wire().pending()[i].frame.clone();
                 let seq = self.scenario.wire_mut().inject(copy);
                 self.synthetic.insert(seq);
             }
             McAction::FireTimer => {
-                self.trace.push("FireTimer: run next event past the horizon".into());
                 self.scenario.sim.step();
             }
             McAction::CrashBoard => {
-                self.trace.push("CrashBoard: power-blip the board (volatile state lost)".into());
                 self.crashes += 1;
                 self.scenario.power_blip();
             }
         }
         self.settle_and_check()
+    }
+
+    /// What `action` is about to do to this run, in one line (which frame,
+    /// what it carries, where it goes). Only [`replay`] narrates; the
+    /// search applies actions without rendering anything.
+    fn narrate(&self, action: McAction) -> String {
+        match action {
+            McAction::Deliver(i)
+            | McAction::Corrupt(i)
+            | McAction::Drop(i)
+            | McAction::Duplicate(i) => format!("{action}: {}", self.describe(i)),
+            McAction::FireTimer => format!("{action}: run next event past the horizon"),
+            McAction::CrashBoard => {
+                format!("{action}: power-blip the board (volatile state lost)")
+            }
+        }
     }
 
     /// Runs every event within the (sliding) settle horizon, then checks
@@ -356,7 +428,7 @@ impl Run {
     /// Fingerprint of the logical state: transport + board + wire +
     /// completions. Absolute times are excluded (see the module docs on
     /// pruning).
-    fn state_hash(&self) -> u64 {
+    pub fn state_hash(&self) -> u64 {
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         // Crash count is part of the logical state: a post-blip state with
         // a cold dedup buffer is checked against a different (relaxed)
@@ -548,27 +620,26 @@ pub fn baseline_outcome(cfg: &McConfig) -> Outcome {
 /// along the way, and — if the run reaches quiescence — the final
 /// equivalence checks against the baseline. `Ok(())` means the schedule
 /// completes without violation (it need not reach quiescence).
+///
+/// This is the from-scratch reproducer of a [`Violation`], and the one
+/// place a schedule is narrated: the search itself ([`explore`]) forks live
+/// runs and renders nothing.
 pub fn replay(cfg: &McConfig, schedule: &[McAction]) -> Result<(), Violation> {
     let baseline = baseline_outcome(cfg);
-    let violation = |run: &Run, message: String, schedule: &[McAction]| Violation {
-        message,
-        schedule: schedule.to_vec(),
-        trace: run.trace.clone(),
-    };
+    let mut trace = Vec::with_capacity(schedule.len());
     let mut run = match Run::start(cfg) {
         Ok(r) => r,
-        Err(msg) => {
-            return Err(Violation { message: msg, schedule: vec![], trace: vec![] });
-        }
+        Err(message) => return Err(Violation { message, schedule: vec![], trace }),
     };
     for (i, &a) in schedule.iter().enumerate() {
-        if let Err(msg) = run.apply(a) {
-            return Err(violation(&run, msg, &schedule[..=i]));
+        trace.push(run.narrate(a));
+        if let Err(message) = run.apply(a) {
+            return Err(Violation { message, schedule: schedule[..=i].to_vec(), trace });
         }
     }
     if run.scenario.quiescent() {
-        if let Err(msg) = run.check_quiescent(&baseline) {
-            return Err(violation(&run, msg, schedule));
+        if let Err(message) = run.check_quiescent(&baseline) {
+            return Err(Violation { message, schedule: schedule.to_vec(), trace });
         }
     }
     Ok(())
@@ -599,7 +670,25 @@ pub fn explore(cfg: &McConfig) -> McReport {
         truncated: false,
     };
     let mut schedule = Vec::new();
-    let violation = dfs(&mut search, &mut schedule, 0, 0);
+    let found = match Run::start(cfg) {
+        Ok(root) => visit(&mut search, root, None, &mut schedule, 0, 0),
+        Err(message) => Some(message),
+    };
+    let violation = found.map(|message| {
+        // The search carries no narration: replaying the schedule from
+        // scratch tells the story, and cross-checks the forked run.
+        match replay(cfg, &schedule) {
+            Err(v) if v.message == message => v,
+            other => Violation {
+                message: format!(
+                    "{message} [the forked search and a from-scratch replay disagree: replay                      gave {:?}]",
+                    other.err().map(|v| v.message)
+                ),
+                schedule: schedule.clone(),
+                trace: vec![],
+            },
+        }
+    });
     McReport {
         distinct_states: search.visited.len(),
         nodes: search.nodes,
@@ -609,33 +698,31 @@ pub fn explore(cfg: &McConfig) -> McReport {
     }
 }
 
-/// Expands the node reached by `schedule` (replaying it from scratch —
-/// the simulation is not cloneable, and replays are cheap at these
-/// depths), then recurses into every affordable action.
-fn dfs(
+/// Visits one search node: `run` is the live run of the parent node (or of
+/// the root, with `action == None`), owned by this call, and `action` the
+/// step that leads here. Expands the node and recurses into every
+/// affordable action — each child gets a [`Run::fork`] of this node's run
+/// plus one `apply`, the last child takes the run itself — so a node costs
+/// one copy and one action however deep it sits.
+///
+/// Returns the message of the first violation found; `schedule` is then
+/// left holding the actions that reach it.
+fn visit(
     search: &mut Search<'_>,
+    mut run: Run,
+    action: Option<McAction>,
     schedule: &mut Vec<McAction>,
     faults_used: u32,
     crashes_used: u32,
-) -> Option<Violation> {
+) -> Option<String> {
     if search.nodes >= search.cfg.max_nodes {
         search.truncated = true;
         return None;
     }
     search.nodes += 1;
-    let mut run = match Run::start(search.cfg) {
-        Ok(r) => r,
-        Err(msg) => {
-            return Some(Violation { message: msg, schedule: schedule.clone(), trace: vec![] })
-        }
-    };
-    for (i, &a) in schedule.iter().enumerate() {
-        if let Err(msg) = run.apply(a) {
-            return Some(Violation {
-                message: msg,
-                schedule: schedule[..=i].to_vec(),
-                trace: run.trace.clone(),
-            });
+    if let Some(action) = action {
+        if let Err(message) = run.apply(action) {
+            return Some(message);
         }
     }
 
@@ -653,12 +740,8 @@ fn dfs(
     }
 
     if run.scenario.quiescent() {
-        if let Err(msg) = run.check_quiescent(&search.baseline) {
-            return Some(Violation {
-                message: msg,
-                schedule: schedule.clone(),
-                trace: run.trace.clone(),
-            });
+        if let Err(message) = run.check_quiescent(&search.baseline) {
+            return Some(message);
         }
         search.quiescent_runs += 1;
         return None;
@@ -667,50 +750,38 @@ fn dfs(
     let pending_frames = run.scenario.wire().len();
     let timer_pending = run.scenario.sim.peek_next_event_time().is_some();
     if pending_frames == 0 && !timer_pending && run.scenario.host().clib().in_flight() > 0 {
-        return Some(Violation {
-            message: format!(
-                "deadlock: {} ops in flight but no frame, timer, or event pending",
-                run.scenario.host().clib().in_flight()
-            ),
-            schedule: schedule.clone(),
-            trace: run.trace.clone(),
-        });
+        return Some(format!(
+            "deadlock: {} ops in flight but no frame, timer, or event pending",
+            run.scenario.host().clib().in_flight()
+        ));
     }
     if depth >= search.cfg.max_depth {
         return None;
     }
 
-    // Enumerate children. The run itself cannot be reused across children
-    // (each child mutates it), so collect the action list first. Each
-    // entry carries its (fault cost, crash cost).
-    let mut actions: Vec<(McAction, u32, u32)> = Vec::new();
-    for i in 0..pending_frames {
-        let reorders = run.scenario.wire().delivery_reorders(i);
-        actions.push((McAction::Deliver(i), reorders as u32, 0));
-        if !run.scenario.wire().pending()[i].frame.corrupted {
-            actions.push((McAction::Corrupt(i), 1, 0));
+    let mut affordable = run.choices();
+    affordable.retain(|c| {
+        faults_used + c.faults <= search.cfg.fault_budget
+            && crashes_used + c.crashes <= search.cfg.crash_budget
+    });
+    let last = affordable.len().saturating_sub(1);
+    let mut parent = Some(run);
+    for (i, c) in affordable.into_iter().enumerate() {
+        let child = if i == last { parent.take() } else { parent.as_ref().map(Run::fork) };
+        let child = child.expect("the parent run lives until its last child");
+        schedule.push(c.action);
+        let found = visit(
+            search,
+            child,
+            Some(c.action),
+            schedule,
+            faults_used + c.faults,
+            crashes_used + c.crashes,
+        );
+        if found.is_some() {
+            return found;
         }
-        actions.push((McAction::Drop(i), 1, 0));
-        actions.push((McAction::Duplicate(i), 1, 0));
-    }
-    if timer_pending {
-        actions.push((McAction::FireTimer, 0, 0));
-    }
-    actions.push((McAction::CrashBoard, 0, 1));
-    drop(run);
-
-    for (action, cost, crash_cost) in actions {
-        if faults_used + cost > search.cfg.fault_budget
-            || crashes_used + crash_cost > search.cfg.crash_budget
-        {
-            continue;
-        }
-        schedule.push(action);
-        let v = dfs(search, schedule, faults_used + cost, crashes_used + crash_cost);
         schedule.pop();
-        if v.is_some() {
-            return v;
-        }
     }
     None
 }

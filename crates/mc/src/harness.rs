@@ -15,11 +15,16 @@
 //! silicon (page tables, page contents), so the wire carries *only* the
 //! two fast-path operations under test and the explorer's bounded depth is
 //! spent where it matters.
+//!
+//! A scenario can be copied at any decision point ([`Scenario::fork`]);
+//! the explorer does so at every search node, which is why the boards are
+//! sized to the scenario rather than to `test_small`.
 
 use bytes::Bytes;
 use clio_cn::transport::McMutation;
 use clio_cn::{CLib, CLibConfig, ClioError, Completion, CompletionValue, Op, ThreadId};
 use clio_hw::pagetable::Pte;
+use clio_hw::CBoardHwConfig;
 use clio_mn::{CBoard, CBoardConfig};
 use clio_net::{BoardPower, Frame, Mac, NicPort, VirtualWire};
 use clio_proto::{Perm, Pid};
@@ -27,7 +32,7 @@ use clio_sim::{Actor, ActorId, Bandwidth, Ctx, Message, SimDuration, SimTime, Si
 
 /// Protection domain the scenario's operations run in.
 pub const PID: Pid = Pid(7);
-/// Page size of the scenario board (`CBoardConfig::test_small`).
+/// Page size of the scenario board (`CBoardHwConfig::test_small`).
 pub const PAGE: u64 = 4096;
 /// Virtual address of the page the read targets.
 pub const VA_READ: u64 = 16 * PAGE;
@@ -67,6 +72,19 @@ pub fn read_seed(i: usize) -> u8 {
     READ_SEED.wrapping_add(i as u8)
 }
 
+/// The scenario board's hardware: `CBoardHwConfig::test_small` with the
+/// memory cut to what the scenario touches — two seeded pages plus the
+/// 8-page async free-page buffer fit in 32 pages with room to spare. The
+/// explorer copies every board at every search node, and a copy costs in
+/// proportion to the page-table buckets and free-page list, which scale
+/// with physical memory: at `test_small`'s 8 MiB, copying a board is
+/// dearer than building one. The protocol under test never sees the
+/// difference (same page size, TLB and timing; the pinned search counts
+/// are the same at either size).
+fn board_hw() -> CBoardHwConfig {
+    CBoardHwConfig { phys_mem_bytes: 32 * PAGE, ..CBoardHwConfig::test_small() }
+}
+
 /// Which framing policy the scenario runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Framing {
@@ -102,6 +120,18 @@ impl McCnHost {
     /// Completions collected so far, in completion order.
     pub fn completions(&self) -> &[Completion] {
         &self.completions
+    }
+}
+
+impl McCnHost {
+    /// An independent copy of the host: NIC timing, the CLib with its
+    /// transport, and the completions collected so far.
+    fn fork(&self) -> McCnHost {
+        McCnHost {
+            nic: self.nic.clone(),
+            clib: self.clib.fork(),
+            completions: self.completions.clone(),
+        }
     }
 }
 
@@ -168,11 +198,10 @@ impl Scenario {
         let mut boards = Vec::with_capacity(mns);
         for i in 0..mns {
             let board_cfg = match framing {
-                Framing::Batched => CBoardConfig::test_small(),
-                Framing::Unbatched => CBoardConfig {
-                    hw: CBoardConfig::test_small().hw,
-                    ..CBoardConfig::prototype_unbatched()
-                },
+                Framing::Batched => CBoardConfig { hw: board_hw(), ..CBoardConfig::prototype() },
+                Framing::Unbatched => {
+                    CBoardConfig { hw: board_hw(), ..CBoardConfig::prototype_unbatched() }
+                }
             };
             let mac = mn_mac(i);
             let bport =
@@ -224,6 +253,29 @@ impl Scenario {
             }
         }
         Scenario { sim, wire, cn, boards }
+    }
+
+    /// An independent copy of the scenario at this instant: the simulation
+    /// (clock, pending events and timers, digest) plus a copy of the wire
+    /// with every captured frame, of each board ([`CBoard::fork`]) and of
+    /// the CN host ([`CLib::fork`]). Nothing is shared with `self` — not
+    /// even metric cells — so running either leaves the other untouched,
+    /// and the copy behaves exactly as a scenario rebuilt and replayed to
+    /// this point would.
+    pub fn fork(&self) -> Scenario {
+        // Actor-id order, as `new_with` registered them: wire, boards, CN.
+        let mut actors: Vec<Box<dyn Actor>> = Vec::with_capacity(self.boards.len() + 2);
+        actors.push(Box::new(self.wire().clone()));
+        for i in 0..self.boards.len() {
+            actors.push(Box::new(self.cboard_at(i).fork()));
+        }
+        actors.push(Box::new(self.host().fork()));
+        Scenario {
+            sim: self.sim.fork(actors),
+            wire: self.wire,
+            cn: self.cn,
+            boards: self.boards.clone(),
+        }
     }
 
     /// The wire, read-only.

@@ -15,7 +15,9 @@
 //!   replaced by an explorer-chosen schedule,
 //! * [`explorer`] — depth-first search over [`McAction`] schedules
 //!   (deliver / reorder / corrupt / drop / duplicate / fire-timer), with
-//!   state-fingerprint pruning and per-state invariant checks,
+//!   state-fingerprint pruning and per-state invariant checks; each search
+//!   node forks the live simulation of its parent ([`Scenario::fork`]), so
+//!   the search costs one copy and one action per node,
 //! * counterexamples — a failing search returns the exact [`Violation`]
 //!   schedule, replayable with [`replay`] as a deterministic regression
 //!   test,
@@ -51,5 +53,7 @@
 pub mod explorer;
 pub mod harness;
 
-pub use explorer::{baseline_outcome, explore, replay, McAction, McConfig, McReport, Violation};
+pub use explorer::{
+    baseline_outcome, explore, replay, Choice, McAction, McConfig, McReport, Run, Violation,
+};
 pub use harness::{Framing, McCnHost, Outcome, Scenario};

@@ -27,32 +27,35 @@ fn counts(cfg: &McConfig) -> (u64, usize, u64) {
     (report.nodes, report.distinct_states, report.quiescent_runs)
 }
 
-/// The search tree, pinned exactly: `(nodes, distinct states, quiescent
-/// runs)` of four bounded searches of the real transport. Any change to
-/// how a node is reached (fork), fingerprinted (`state_hash`,
-/// `Transport::fingerprint`, `CBoard::fingerprint`) or pruned alters at
-/// least one of these numbers and fails here by name; a change that is
-/// meant to alter the tree re-pins them and says why.
+// The search tree, pinned exactly: `(nodes, distinct states, quiescent
+// runs)` of four bounded searches of the real transport. Any change to how
+// a node is reached (fork), fingerprinted (`Run::state_hash`,
+// `Transport::fingerprint`, `CBoard::fingerprint`) or pruned alters at
+// least one of these numbers and fails here by name; a change that is
+// meant to alter the tree re-pins them and says why.
+
 #[test]
-fn search_tree_is_pinned_exactly() {
-    let base = McConfig::default();
-    let pins = [
-        ("depth 5 / 2 faults", McConfig { max_depth: 5, ..base.clone() }, (10_407, 6_823, 3)),
-        ("depth 7 / 2 faults", McConfig { max_depth: 7, ..base.clone() }, (172_202, 107_523, 9)),
-        (
-            "depth 6 / 2 faults / 1 crash",
-            McConfig { max_depth: 6, crash_budget: 1, ..base.clone() },
-            (70_125, 41_344, 14),
-        ),
-        (
-            "two boards, depth 6 / 2 faults",
-            McConfig { max_depth: 6, mns: 2, ..base.clone() },
-            (141_520, 85_826, 6),
-        ),
-    ];
-    for (name, cfg, want) in pins {
-        assert_eq!(counts(&cfg), want, "{name}: (nodes, distinct states, quiescent runs)");
-    }
+fn pinned_depth_5_two_faults() {
+    let cfg = McConfig { max_depth: 5, ..McConfig::default() };
+    assert_eq!(counts(&cfg), (10_407, 6_823, 3));
+}
+
+#[test]
+fn pinned_depth_7_two_faults() {
+    let cfg = McConfig { max_depth: 7, ..McConfig::default() };
+    assert_eq!(counts(&cfg), (172_202, 107_523, 9));
+}
+
+#[test]
+fn pinned_depth_6_one_crash() {
+    let cfg = McConfig { max_depth: 6, crash_budget: 1, ..McConfig::default() };
+    assert_eq!(counts(&cfg), (70_125, 41_344, 14));
+}
+
+#[test]
+fn pinned_two_boards_depth_6() {
+    let cfg = McConfig { max_depth: 6, mns: 2, ..McConfig::default() };
+    assert_eq!(counts(&cfg), (141_520, 85_826, 6));
 }
 
 /// Every fault type on one deterministic schedule: the batch is

@@ -247,7 +247,6 @@ impl Ctx<'_> {
 pub struct Simulation {
     core: SimCore,
     actors: Vec<Option<Box<dyn Actor>>>,
-    names: Vec<String>,
 }
 
 impl Simulation {
@@ -266,7 +265,6 @@ impl Simulation {
                 events_dispatched: 0,
             },
             actors: Vec::new(),
-            names: Vec::new(),
         }
     }
 
@@ -278,7 +276,6 @@ impl Simulation {
     /// Registers a boxed actor and returns its id.
     pub fn add_boxed_actor(&mut self, actor: Box<dyn Actor>) -> ActorId {
         let id = ActorId(self.actors.len() as u32);
-        self.names.push(actor.name().to_owned());
         self.actors.push(Some(actor));
         id
     }
@@ -298,11 +295,7 @@ impl Simulation {
     /// Panics if `actors` does not hold one actor per registered actor.
     pub fn fork(&self, actors: Vec<Box<dyn Actor>>) -> Simulation {
         assert_eq!(actors.len(), self.actors.len(), "fork needs a copy of every actor");
-        Simulation {
-            core: self.core.clone(),
-            actors: actors.into_iter().map(Some).collect(),
-            names: self.names.clone(),
-        }
+        Simulation { core: self.core.clone(), actors: actors.into_iter().map(Some).collect() }
     }
 
     /// The current virtual time.
@@ -461,9 +454,13 @@ impl Simulation {
         self.actors.len()
     }
 
-    /// The registered name of an actor.
+    /// The name of a registered actor ([`Actor::name`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not registered or the actor is currently executing.
     pub fn actor_name(&self, id: ActorId) -> &str {
-        &self.names[id.index()]
+        self.actors[id.index()].as_ref().expect("actor is executing").name()
     }
 }
 
