@@ -49,9 +49,15 @@
 //! States are fingerprinted over **logical** protocol state only
 //! (transport + board fingerprints, wire contents, completions) — absolute
 //! times and EWMAs are excluded, so runs that differ only in when things
-//! happened collapse into one state. A state is re-explored only if
-//! reached with strictly more depth or fault budget remaining than every
-//! earlier visit.
+//! happened collapse into one state. A visit is pruned only if an earlier
+//! visit of the same state **dominates** it — used no more actions *and*
+//! no more faults, so everything reachable from here within the bounds was
+//! reachable from there. Per state the search keeps the fewest actions seen
+//! at each fault count (the Pareto frontier of its visits), never a merged
+//! pair: two incomparable visits (3 actions / 2 faults, then 5 / 0) do not
+//! add up to a (3, 0) visit that never happened, and a later (4, 1) visit,
+//! which neither dominates, is explored. The crash count needs no such
+//! care: it is part of the state.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -112,7 +118,7 @@ pub struct McConfig {
     /// Maximum schedule length (actions per run).
     pub max_depth: usize,
     /// Maximum injected faults per run (reorders + corruptions + drops +
-    /// duplications).
+    /// duplications). At most [`McConfig::MAX_FAULT_BUDGET`].
     pub fault_budget: u32,
     /// Maximum board power-blips ([`McAction::CrashBoard`]) per run.
     /// Separate from `fault_budget` because a crash changes the *spec*
@@ -142,6 +148,12 @@ pub struct McConfig {
     /// retries, and dedup with frames to several boards interleaving on
     /// the shared wire.
     pub mns: usize,
+}
+
+impl McConfig {
+    /// Largest supported [`fault_budget`](McConfig::fault_budget): the
+    /// search keeps one byte per fault count for every visited state.
+    pub const MAX_FAULT_BUDGET: u32 = 7;
 }
 
 impl Default for McConfig {
@@ -645,13 +657,34 @@ pub fn replay(cfg: &McConfig, schedule: &[McAction]) -> Result<(), Violation> {
     Ok(())
 }
 
+/// The visits of one state: the fewest actions used at each fault count,
+/// [`UNSEEN`] where no visit used exactly that many faults.
+type Frontier = [u8; McConfig::MAX_FAULT_BUDGET as usize + 1];
+
+/// [`Frontier`] entry of a fault count no visit has used.
+const UNSEEN: u8 = u8::MAX;
+
+/// The [`Frontier`] of a state before its first visit.
+const UNVISITED: Frontier = [UNSEEN; McConfig::MAX_FAULT_BUDGET as usize + 1];
+
+/// Records a visit that used `depth` actions and `faults` faults, unless an
+/// earlier visit dominates it (no more actions and no more faults), in
+/// which case nothing is recorded and the visit is to be pruned.
+fn admit(frontier: &mut Frontier, depth: usize, faults: u32) -> bool {
+    let faults = faults as usize;
+    if frontier[..=faults].iter().any(|&d| d as usize <= depth) {
+        return false;
+    }
+    frontier[faults] = depth as u8;
+    true
+}
+
 /// Search bookkeeping shared across the recursion.
 struct Search<'a> {
     cfg: &'a McConfig,
     baseline: Outcome,
-    /// state hash → (fewest actions used, fewest faults used) over all
-    /// visits.
-    visited: IdMap<u64, (usize, u32)>,
+    /// state hash → its visits so far.
+    visited: IdMap<u64, Frontier>,
     nodes: u64,
     quiescent_runs: u64,
     truncated: bool,
@@ -660,7 +693,14 @@ struct Search<'a> {
 /// Explores every schedule within the configured bounds. Returns the
 /// search statistics and the first violation found (the search stops at
 /// it).
+///
+/// # Panics
+///
+/// Panics if `cfg.fault_budget` exceeds [`McConfig::MAX_FAULT_BUDGET`] or
+/// `cfg.max_depth` does not fit the per-state bookkeeping (254 actions).
 pub fn explore(cfg: &McConfig) -> McReport {
+    assert!(cfg.fault_budget <= McConfig::MAX_FAULT_BUDGET, "fault budget above the supported 7");
+    assert!(cfg.max_depth < UNSEEN as usize, "depth bound above the supported 254");
     let mut search = Search {
         cfg,
         baseline: baseline_outcome(cfg),
@@ -726,17 +766,12 @@ fn visit(
         }
     }
 
-    // Prune: skip unless this visit has strictly more depth or fault
-    // budget remaining than every earlier visit of the same state.
-    let h = run.state_hash();
+    // Prune: skip if an earlier visit of this state used no more actions
+    // and no more faults (see the module docs).
     let depth = schedule.len();
-    if let Some(&(d, f)) = search.visited.get(&h) {
-        if depth >= d && faults_used >= f {
-            return None;
-        }
-        search.visited.insert(h, (depth.min(d), faults_used.min(f)));
-    } else {
-        search.visited.insert(h, (depth, faults_used));
+    let frontier = search.visited.entry(run.state_hash()).or_insert(UNVISITED);
+    if !admit(frontier, depth, faults_used) {
+        return None;
     }
 
     if run.scenario.quiescent() {
@@ -784,4 +819,25 @@ fn visit(
         schedule.pop();
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The rule the search used to apply kept `(min depth, min faults)` per
+    /// state, so the first two visits below merged into a (3, 0) pair no
+    /// visit ever had and the third was pruned, though neither dominates it.
+    #[test]
+    fn only_a_dominating_visit_prunes() {
+        let mut f = UNVISITED;
+        assert!(admit(&mut f, 3, 2));
+        assert!(admit(&mut f, 5, 0), "fewer faults: not dominated by (3, 2)");
+        assert!(admit(&mut f, 4, 1), "dominated by neither (3, 2) nor (5, 0)");
+        assert!(!admit(&mut f, 3, 2), "an equal visit is dominated");
+        assert!(!admit(&mut f, 4, 2), "(3, 2) used fewer actions and no more faults");
+        assert!(!admit(&mut f, 6, 1), "(5, 0) and (4, 1) both dominate");
+        assert!(admit(&mut f, 2, 2), "fewer actions than any visit so far");
+        assert!(admit(&mut f, 4, 0), "fewer actions than the other fault-free visit");
+    }
 }
