@@ -467,6 +467,27 @@ impl Run {
         h.finish()
     }
 
+    /// Whether the run is over. A run that reached quiescence must pass
+    /// the final checks ([`Self::check_quiescent`]) and is then over
+    /// (`Ok(true)`); one with ops in flight but no frame, timer or event
+    /// left to move them is a deadlock; any other run goes on (`Ok(false)`).
+    fn check_if_over(&mut self, baseline: &Outcome) -> Result<bool, String> {
+        if self.scenario.quiescent() {
+            self.check_quiescent(baseline)?;
+            return Ok(true);
+        }
+        let in_flight = self.scenario.host().clib().in_flight();
+        if self.scenario.wire().is_empty()
+            && self.scenario.sim.peek_next_event_time().is_none()
+            && in_flight > 0
+        {
+            return Err(format!(
+                "deadlock: {in_flight} ops in flight but no frame, timer, or event pending"
+            ));
+        }
+        Ok(false)
+    }
+
     /// Final checks at quiescence: completion-count, observational
     /// equivalence with the baseline, and drained windows.
     fn check_quiescent(&mut self, baseline: &Outcome) -> Result<(), String> {
@@ -631,7 +652,8 @@ pub fn baseline_outcome(cfg: &McConfig) -> Outcome {
 /// Replays `schedule` from the initial state, checking every invariant
 /// along the way, and — if the run reaches quiescence — the final
 /// equivalence checks against the baseline. `Ok(())` means the schedule
-/// completes without violation (it need not reach quiescence).
+/// completes without violation (it need not reach quiescence, but it must
+/// not end in a deadlock).
 ///
 /// This is the from-scratch reproducer of a [`Violation`], and the one
 /// place a schedule is narrated: the search itself ([`explore`]) forks live
@@ -649,12 +671,10 @@ pub fn replay(cfg: &McConfig, schedule: &[McAction]) -> Result<(), Violation> {
             return Err(Violation { message, schedule: schedule[..=i].to_vec(), trace });
         }
     }
-    if run.scenario.quiescent() {
-        if let Err(message) = run.check_quiescent(&baseline) {
-            return Err(Violation { message, schedule: schedule.to_vec(), trace });
-        }
+    match run.check_if_over(&baseline) {
+        Ok(_) => Ok(()),
+        Err(message) => Err(Violation { message, schedule: schedule.to_vec(), trace }),
     }
-    Ok(())
 }
 
 /// The visits of one state: the fewest actions used at each fault count,
@@ -711,23 +731,21 @@ pub fn explore(cfg: &McConfig) -> McReport {
     };
     let mut schedule = Vec::new();
     let found = match Run::start(cfg) {
-        Ok(root) => visit(&mut search, root, None, &mut schedule, 0, 0),
+        Ok(root) => dfs(&mut search, root, &mut schedule, 0, 0),
         Err(message) => Some(message),
     };
-    let violation = found.map(|message| {
-        // The search carries no narration: replaying the schedule from
-        // scratch tells the story, and cross-checks the forked run.
-        match replay(cfg, &schedule) {
-            Err(v) if v.message == message => v,
-            other => Violation {
-                message: format!(
-                    "{message} [the forked search and a from-scratch replay disagree: replay                      gave {:?}]",
-                    other.err().map(|v| v.message)
-                ),
-                schedule: schedule.clone(),
-                trace: vec![],
-            },
-        }
+    // The search carries no narration: replaying the schedule from scratch
+    // tells the story, and cross-checks the forked run.
+    let violation = found.map(|message| match replay(cfg, &schedule) {
+        Err(v) if v.message == message => v,
+        other => Violation {
+            message: format!(
+                "{message} [a from-scratch replay disagrees with the forked search: it gave {:?}]",
+                other.err().map(|v| v.message)
+            ),
+            schedule: schedule.clone(),
+            trace: vec![],
+        },
     });
     McReport {
         distinct_states: search.visited.len(),
@@ -738,19 +756,19 @@ pub fn explore(cfg: &McConfig) -> McReport {
     }
 }
 
-/// Visits one search node: `run` is the live run of the parent node (or of
-/// the root, with `action == None`), owned by this call, and `action` the
-/// step that leads here. Expands the node and recurses into every
-/// affordable action — each child gets a [`Run::fork`] of this node's run
-/// plus one `apply`, the last child takes the run itself — so a node costs
-/// one copy and one action however deep it sits.
+/// Visits the search node `schedule` leads to. `run`, owned by this call,
+/// is the live run of the parent node, to which the last action of
+/// `schedule` is yet to be applied (for the root, the started run and an
+/// empty schedule). Expands the node and recurses into every affordable
+/// action — each child gets a [`Run::fork`] of this node's run, the last
+/// child the run itself — so a node costs one copy and one action however
+/// deep it sits.
 ///
 /// Returns the message of the first violation found; `schedule` is then
 /// left holding the actions that reach it.
-fn visit(
+fn dfs(
     search: &mut Search<'_>,
     mut run: Run,
-    action: Option<McAction>,
     schedule: &mut Vec<McAction>,
     faults_used: u32,
     crashes_used: u32,
@@ -760,7 +778,7 @@ fn visit(
         return None;
     }
     search.nodes += 1;
-    if let Some(action) = action {
+    if let Some(&action) = schedule.last() {
         if let Err(message) = run.apply(action) {
             return Some(message);
         }
@@ -774,21 +792,13 @@ fn visit(
         return None;
     }
 
-    if run.scenario.quiescent() {
-        if let Err(message) = run.check_quiescent(&search.baseline) {
-            return Some(message);
+    match run.check_if_over(&search.baseline) {
+        Err(message) => return Some(message),
+        Ok(true) => {
+            search.quiescent_runs += 1;
+            return None;
         }
-        search.quiescent_runs += 1;
-        return None;
-    }
-
-    let pending_frames = run.scenario.wire().len();
-    let timer_pending = run.scenario.sim.peek_next_event_time().is_some();
-    if pending_frames == 0 && !timer_pending && run.scenario.host().clib().in_flight() > 0 {
-        return Some(format!(
-            "deadlock: {} ops in flight but no frame, timer, or event pending",
-            run.scenario.host().clib().in_flight()
-        ));
+        Ok(false) => {}
     }
     if depth >= search.cfg.max_depth {
         return None;
@@ -805,14 +815,7 @@ fn visit(
         let child = if i == last { parent.take() } else { parent.as_ref().map(Run::fork) };
         let child = child.expect("the parent run lives until its last child");
         schedule.push(c.action);
-        let found = visit(
-            search,
-            child,
-            Some(c.action),
-            schedule,
-            faults_used + c.faults,
-            crashes_used + c.crashes,
-        );
+        let found = dfs(search, child, schedule, faults_used + c.faults, crashes_used + c.crashes);
         if found.is_some() {
             return found;
         }
