@@ -21,7 +21,7 @@ use bytes::Bytes;
 use clio_net::{Frame, Mac, NicPort};
 use clio_proto::{Perm, Pid};
 use clio_sim::{Ctx, IdMap, Message, SimDuration, SimTime};
-use clio_trace::metrics::{Counter, Registry};
+use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
 use crate::config::CLibConfig;
@@ -217,7 +217,22 @@ pub struct LockRetry {
     token: OpToken,
 }
 
+clio_trace::counters! {
+    /// CLib counters.
+    pub struct ClibStats: "clib" {
+        /// Operations completed (success or failure).
+        completed,
+    }
+}
+
 /// The compute-node library instance (one per CN host actor).
+///
+/// `clone()` is an independent copy of the library as it stands: ordering
+/// state, pending ops, counters and the transport with its windows, queues
+/// and armed timers, whose [`EventId`](clio_sim::EventId)s stay valid in a
+/// [`Simulation::fork`](clio_sim::Simulation::fork) taken at the same
+/// instant. Only the [`Tracer`] handle stays shared: a tracer collects for
+/// a whole run.
 #[derive(Debug, Clone)]
 pub struct CLib {
     cfg: CLibConfig,
@@ -233,8 +248,7 @@ pub struct CLib {
     next_token: u64,
     /// Reused buffer the transport reports finished transfers into.
     xfer_done: Vec<XferDone>,
-    /// Latency histogram source: completions carry issue/finish times.
-    completed_count: Counter,
+    stats: ClibStats,
     tracer: Tracer,
     track: Track,
 }
@@ -253,7 +267,7 @@ impl CLib {
             queued_since: None,
             next_token: 1,
             xfer_done: Vec::new(),
-            completed_count: Counter::new(),
+            stats: ClibStats::default(),
             tracer: Tracer::disabled(),
             track: Track::Cn(0),
         }
@@ -268,49 +282,30 @@ impl CLib {
         self.transport.set_tracer(tracer, track);
     }
 
-    /// An independent copy of the library as it stands: ordering state,
-    /// pending ops and the transport with its windows, queues and armed
-    /// timers. The copy counts into metric cells of its own — a plain
-    /// `clone()` would keep bumping this CLib's. Only the [`Tracer`] handle
-    /// stays shared: a tracer collects for a whole run.
-    pub fn fork(&self) -> CLib {
-        let mut copy = self.clone();
-        copy.completed_count = self.completed_count.detached();
-        copy.transport.detach_metrics();
-        copy
-    }
-
-    /// Registers this CLib's and its transport's counters into `registry`
-    /// under `<prefix>.*`.
-    pub fn register_metrics(&self, registry: &mut Registry, prefix: &str) {
-        registry.register_counter(format!("{prefix}.clib.completed"), self.completed_count.clone());
-        self.transport.register_metrics(registry, prefix);
-    }
-
     /// Total operations completed (success or failure).
     pub fn completed_count(&self) -> u64 {
-        self.completed_count.get()
+        self.stats.completed
     }
 
     /// Transport-level retry count.
     pub fn retry_count(&self) -> u64 {
-        self.transport.retry_count.get()
+        self.transport.stats().retries
     }
 
     /// Multi-request batch frames the transport has sent.
     pub fn batch_frames(&self) -> u64 {
-        self.transport.batch_frames.get()
+        self.transport.stats().batch_frames
     }
 
     /// Requests that traveled inside a multi-request batch frame.
     pub fn batched_ops(&self) -> u64 {
-        self.transport.batched_ops.get()
+        self.transport.stats().batched_ops
     }
 
     /// Wire frames the retry doorbell has shipped (coalesced retries share
     /// one frame).
     pub fn retry_frames(&self) -> u64 {
-        self.transport.retry_frames.get()
+        self.transport.stats().retry_frames
     }
 
     /// Operations in flight across all threads.
@@ -635,7 +630,7 @@ impl CLib {
     ) {
         let Some(pending) = self.ops.remove(&token) else { return };
         self.transport.cancel(ctx, XferToken(token.0));
-        self.completed_count.inc();
+        self.stats.completed += 1;
         self.tracer.stitch(pending.trace, self.track, Stage::Cancelled, ctx.now());
         self.tracer.finish(pending.trace, self.track, ctx.now());
         completions.push(Completion {
@@ -684,7 +679,7 @@ impl CLib {
             (_, XferValue::Old(o)) => CompletionValue::Old(o),
             (_, XferValue::Done) => CompletionValue::Done,
         });
-        self.completed_count.inc();
+        self.stats.completed += 1;
         self.tracer.finish(pending.trace, self.track, ctx.now());
         completions.push(Completion {
             token,
@@ -701,6 +696,18 @@ impl CLib {
                 self.dispatch(ctx, nic, t, completions);
             }
         }
+    }
+}
+
+/// `clib.*`, then the transport's `transport.*`.
+impl Metrics for CLib {
+    fn counters(&self, f: &mut Visit<'_>) {
+        self.stats.each(f);
+        self.transport.counters(f);
+    }
+
+    fn gauges(&self, f: &mut Visit<'_>) {
+        self.transport.gauges(f);
     }
 }
 

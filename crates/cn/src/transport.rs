@@ -94,7 +94,7 @@ use clio_proto::{
     RequestBody, RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES, MAX_WRITE_FRAG_PAYLOAD,
 };
 use clio_sim::{Ctx, EventId, IdMap, IdSet, Message, SimDuration, SimTime};
-use clio_trace::metrics::{Counter, Gauge, Registry};
+use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
 use crate::config::CLibConfig;
@@ -524,6 +524,24 @@ fn blueprint_digest(bp: &Blueprint) -> u64 {
     h
 }
 
+clio_trace::counters! {
+    /// Transport counters.
+    pub struct TransportStats: "transport" {
+        /// Retries performed.
+        retries,
+        /// Multi-request batch frames sent.
+        batch_frames,
+        /// Requests that traveled inside a multi-request batch frame.
+        batched_ops,
+        /// Wire frames shipped by the retry doorbell (coalesced or not). With
+        /// NACK coalescing, a corrupted 16-entry batch should cost one retry
+        /// frame here, not sixteen.
+        retry_frames,
+        /// Breaker trips (Closed/HalfOpen -> Open transitions).
+        circuit_open_total,
+    }
+}
+
 /// Per-CN transport instance (shared by all processes on the CN, like the
 /// kernel-bypass driver in §5).
 ///
@@ -559,24 +577,10 @@ pub struct Transport {
     kick_scratch: Vec<Mac>,
     /// Taken by a pump for its duration (built on first use).
     pack: Option<PackScratch>,
-    /// Retries performed (for stats).
-    pub retry_count: Counter,
-    /// Multi-request batch frames sent (for stats).
-    pub batch_frames: Counter,
-    /// Requests that traveled inside a multi-request batch frame.
-    pub batched_ops: Counter,
-    /// Wire frames shipped by the retry doorbell (coalesced or not). With
-    /// NACK coalescing, a corrupted 16-entry batch should cost one retry
-    /// frame here, not sixteen.
-    pub retry_frames: Counter,
+    stats: TransportStats,
     /// Per-MN circuit-breaker state (empty while the breaker is disabled,
     /// i.e. `breaker_threshold == 0`).
     health: IdMap<Mac, PeerHealth>,
-    /// Breaker trips (Closed/HalfOpen -> Open transitions).
-    pub circuit_open_total: Counter,
-    /// Number of MNs currently presumed unhealthy (breaker Open or
-    /// HalfOpen); clears only on a confirmed success.
-    pub peer_health: Gauge,
     /// Planted bug for the model checker's self-test (see [`McMutation`]).
     mutation: McMutation,
     /// Stage-span recorder (disabled by default; see
@@ -585,6 +589,16 @@ pub struct Transport {
     tracer: Tracer,
     /// The Perfetto track CN-side spans land on.
     track: Track,
+}
+
+impl Metrics for Transport {
+    fn counters(&self, f: &mut Visit<'_>) {
+        self.stats.each(f);
+    }
+
+    fn gauges(&self, f: &mut Visit<'_>) {
+        f("transport.peer_health", self.peer_health());
+    }
 }
 
 impl Transport {
@@ -608,13 +622,8 @@ impl Transport {
             retry_doorbells: IdSet::default(),
             kick_scratch: Vec::new(),
             pack: None,
-            retry_count: Counter::new(),
-            batch_frames: Counter::new(),
-            batched_ops: Counter::new(),
-            retry_frames: Counter::new(),
+            stats: TransportStats::default(),
             health: IdMap::default(),
-            circuit_open_total: Counter::new(),
-            peer_health: Gauge::new(),
             mutation: McMutation::None,
             tracer: Tracer::disabled(),
             track: Track::Cn(0),
@@ -629,42 +638,15 @@ impl Transport {
         self.track = track;
     }
 
-    /// Gives this transport counters of its own (same values). A `clone()`
-    /// copies all protocol state — including the [`EventId`]s of armed
-    /// timers, which stay valid in a
-    /// [`Simulation::fork`](clio_sim::Simulation::fork) taken at the same
-    /// instant — but, like cloning a metric handle, keeps counting into the
-    /// original's cells; an independent copy is a clone followed by this.
-    pub fn detach_metrics(&mut self) {
-        self.retry_count = self.retry_count.detached();
-        self.batch_frames = self.batch_frames.detached();
-        self.batched_ops = self.batched_ops.detached();
-        self.retry_frames = self.retry_frames.detached();
-        self.circuit_open_total = self.circuit_open_total.detached();
-        self.peer_health = self.peer_health.detached();
+    /// Transport counters.
+    pub fn stats(&self) -> TransportStats {
+        self.stats
     }
 
-    /// Registers the transport's counters into `registry` under
-    /// `<prefix>.transport.*`. The registry shares the live handles, so
-    /// snapshots and resets stay in lockstep with the public fields.
-    pub fn register_metrics(&self, registry: &mut Registry, prefix: &str) {
-        registry.register_counter(format!("{prefix}.transport.retries"), self.retry_count.clone());
-        registry.register_counter(
-            format!("{prefix}.transport.batch_frames"),
-            self.batch_frames.clone(),
-        );
-        registry
-            .register_counter(format!("{prefix}.transport.batched_ops"), self.batched_ops.clone());
-        registry.register_counter(
-            format!("{prefix}.transport.retry_frames"),
-            self.retry_frames.clone(),
-        );
-        registry.register_counter(
-            format!("{prefix}.transport.circuit_open_total"),
-            self.circuit_open_total.clone(),
-        );
-        registry
-            .register_gauge(format!("{prefix}.transport.peer_health"), self.peer_health.clone());
+    /// Number of MNs currently presumed unhealthy (breaker Open or
+    /// HalfOpen); a peer leaves the count only on a confirmed success.
+    pub fn peer_health(&self) -> u64 {
+        self.health.values().filter(|h| h.state != BreakerState::Closed).count() as u64
     }
 
     /// Plants (or clears) a deliberate bug for the model checker's
@@ -847,13 +829,6 @@ impl Transport {
         self.health.get(&mn).is_some_and(|h| h.state == BreakerState::Open)
     }
 
-    /// Recounts the unhealthy-peer gauge (breaker Open or HalfOpen).
-    fn refresh_peer_health_gauge(&self) {
-        let unhealthy =
-            self.health.values().filter(|h| h.state != BreakerState::Closed).count() as u64;
-        self.peer_health.set(unhealthy);
-    }
-
     /// Records one attempt-level timeout toward `mn`. Trips the breaker —
     /// Closed at the configured streak, HalfOpen on any timeout — emitting
     /// a `board_down` trace event and scheduling the half-open probe with
@@ -875,8 +850,7 @@ impl Transport {
         };
         if trip {
             h.state = BreakerState::Open;
-            self.circuit_open_total.inc();
-            self.refresh_peer_health_gauge();
+            self.stats.circuit_open_total += 1;
             self.tracer.event(self.track, "board_down", ctx.now());
             let backoff = self.cfg.breaker_probe_backoff;
             let jitter_ns = (ctx.rng().f64() * (backoff.as_nanos() as f64 / 4.0)) as u64;
@@ -899,7 +873,6 @@ impl Transport {
             h.consecutive_timeouts = 0;
             h.state = BreakerState::Closed;
             if was_unhealthy {
-                self.refresh_peer_health_gauge();
                 self.tracer.event(self.track, "board_up", now);
             }
         }
@@ -1269,8 +1242,8 @@ impl Transport {
             return false;
         };
         if ops > 1 {
-            self.batch_frames.inc();
-            self.batched_ops.add(ops);
+            self.stats.batch_frames += 1;
+            self.stats.batched_ops += ops;
         }
         let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
         let send_start = ctx.now() + self.cfg.send_overhead;
@@ -1503,7 +1476,7 @@ impl Transport {
         if let Some(t) = o.timer.take() {
             ctx.cancel(t);
         }
-        self.retry_count.inc();
+        self.stats.retries += 1;
         o.retries += 1;
         // A NACK proves the board is alive (it decoded and answered the
         // frame), so it feeds the breaker as a success signal.
@@ -1681,13 +1654,13 @@ impl Transport {
                 let header = ReqHeader { retry_of, trace, ..ReqHeader::single(req_id, pid) };
                 let frames =
                     self.pack_single(ctx, nic, &mut pack, send_start, target, header, body);
-                self.retry_frames.add(frames);
+                self.stats.retry_frames += frames;
             } else {
                 // Multi-packet or unbatchable retries flush the batch ahead
                 // of them (send order) and travel alone.
                 o.blueprint.build(req_id, retry_of, pid, &mut pack.packets);
                 if self.flush_batch(ctx, nic, target, &mut pack) {
-                    self.retry_frames.inc();
+                    self.stats.retry_frames += 1;
                 }
                 self.annotate(&mut pack.packets, target, trace);
                 let mut tx_end = send_start;
@@ -1695,14 +1668,14 @@ impl Transport {
                     let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
                     tx_end =
                         tx_end.max(nic.send_at(ctx, send_start, target, wire, Message::new(pkt)));
-                    self.retry_frames.inc();
+                    self.stats.retry_frames += 1;
                 }
                 self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
                 self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
             }
         }
         if self.flush_batch(ctx, nic, target, &mut pack) {
-            self.retry_frames.inc();
+            self.stats.retry_frames += 1;
         }
         self.pack = Some(pack);
     }
@@ -1734,7 +1707,7 @@ impl Transport {
                     return; // completed already
                 };
                 o.timer = None;
-                self.retry_count.inc();
+                self.stats.retries += 1;
                 o.retries += 1;
                 let now = ctx.now();
                 // The lost attempt left no response to attribute; the wait

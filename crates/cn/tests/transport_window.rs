@@ -395,7 +395,7 @@ fn total_loss_burst_exhausts_retries_exactly_and_leaks_nothing() {
     // Exactly one timer fired per attempt: any orphaned Timeout event
     // surviving its request would inflate this count.
     assert_eq!(
-        host.transport.retry_count.get(),
+        host.transport.stats().retries,
         n as u64 * (max_retries + 1) as u64,
         "timer fired for a request no longer outstanding"
     );
@@ -460,8 +460,8 @@ fn tripped_breaker_fails_fast_under_quarter_retry_budget() {
     // The trip is observable. By idle the probe backoff has elapsed and
     // the breaker sits HalfOpen (no traffic confirmed recovery), which the
     // unhealthy-peer gauge still counts.
-    assert_eq!(host.transport.peer_health.get(), 1, "unhealthy-peer gauge");
-    assert!(host.transport.circuit_open_total.get() >= 1, "trip counter");
+    assert_eq!(host.transport.peer_health(), 1, "unhealthy-peer gauge");
+    assert!(host.transport.stats().circuit_open_total >= 1, "trip counter");
     assert_eq!(host.transport.in_flight(), 0, "outstanding not drained");
     assert_eq!(host.transport.queued(), 0, "send queue not drained");
     assert_eq!(host.transport.incast_in_flight(), 0, "incast bytes leaked");

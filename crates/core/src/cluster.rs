@@ -92,7 +92,6 @@ pub struct Cluster {
     mn_macs: Vec<Mac>,
     started: bool,
     tracer: Tracer,
-    registry: Registry,
 }
 
 impl Cluster {
@@ -160,36 +159,23 @@ impl Cluster {
             cns.push(id);
         }
 
-        // Observability wiring: one tracer + one registry span the whole
-        // deployment, injected post-build so constructors stay unchanged.
+        // Observability wiring: one tracer spans the whole deployment,
+        // injected post-build so constructors stay unchanged.
         let tracer = match cfg.trace_sample_every {
             Some(n) => Tracer::enabled(n),
             None => Tracer::disabled(),
         };
-        let mut registry = Registry::new();
         for (i, &cn) in cns.iter().enumerate() {
             let node = sim.actor_mut::<ComputeNode>(cn);
             node.set_tracer(tracer.clone(), Track::Cn(i as u32));
             node.set_runtime_budget(cfg.runtime_inflight_budget);
-            node.register_metrics(&mut registry, &format!("cn{i}"));
         }
         for (i, &mn) in mns.iter().enumerate() {
             let board = sim.actor_mut::<CBoard>(mn);
             board.set_tracer(tracer.clone(), Track::Mn(i as u32));
-            board.register_metrics(&mut registry, &format!("mn{i}"));
         }
 
-        Cluster {
-            sim,
-            net,
-            controller: controller_id,
-            cns,
-            mns,
-            mn_macs,
-            started: false,
-            tracer,
-            registry,
-        }
+        Cluster { sim, net, controller: controller_id, cns, mns, mn_macs, started: false, tracer }
     }
 
     /// The cluster-wide span collector (disabled unless
@@ -204,15 +190,19 @@ impl Cluster {
         self.tracer.take_finished()
     }
 
-    /// The unified metrics registry: every CN's CLib/transport counters and
-    /// every MN's board/silicon counters, live, under `cn<i>.*` / `mn<i>.*`.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Mutable registry access (snapshot-then-reset windows).
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
+    /// The unified metrics registry: a view that walks every CN's
+    /// CLib/transport/runtime metrics and every MN's board/silicon/VM/TLB
+    /// counters as they are now, under `cn<i>.*` / `mn<i>.*`. A measurement
+    /// window is the difference of two snapshots.
+    pub fn registry(&self) -> Registry<'_> {
+        let mut registry = Registry::default();
+        for i in 0..self.cns.len() {
+            registry.add(format!("cn{i}"), self.cn(i));
+        }
+        for i in 0..self.mns.len() {
+            registry.add(format!("mn{i}"), self.mn(i));
+        }
+        registry
     }
 
     /// The controller actor id.

@@ -70,7 +70,7 @@ use clio_net::Mac;
 use clio_proto::Perm;
 use clio_sim::{IdMap, SimDuration, SimTime};
 
-use crate::node::{AppCompletion, AppToken, NodeApi, OpSpec, RuntimeGauges, POKE_TAG};
+use crate::node::{AppCompletion, AppToken, NodeApi, OpSpec, POKE_TAG};
 
 pub mod openloop;
 
@@ -167,7 +167,7 @@ struct Task {
 
 struct ExecInner {
     /// False until `on_start`: pre-start spawns queue instead of polling
-    /// inline (no budget/gauges yet, and nothing can race them).
+    /// inline (no budget yet, and nothing can race them).
     running: bool,
     tasks: IdMap<TaskId, Task>,
     next_task: TaskId,
@@ -180,23 +180,12 @@ struct ExecInner {
     inflight: usize,
     peak_inflight: u64,
     budget: usize,
-    /// CN-shared gauges (`None` until `on_start`); updated by delta so
-    /// several executors on one node aggregate correctly.
-    gauges: Option<RuntimeGauges>,
     op_slots: IdMap<AppToken, Rc<RefCell<OpSlot>>>,
     timers: IdMap<u64, TimerEntry>,
     next_timer_tag: u64,
     /// Pokes delivered while nobody awaited one (level-triggered count).
     poke_pending: u64,
     poke_waiters: Vec<Waker>,
-}
-
-impl ExecInner {
-    fn bump_gauge(&self, pick: impl Fn(&RuntimeGauges) -> &clio_trace::metrics::Gauge, d: i64) {
-        if let Some(g) = &self.gauges {
-            RuntimeGauges::bump(pick(g), d);
-        }
-    }
 }
 
 /// Releases one in-flight credit. If a submitter is parked, the credit is
@@ -208,12 +197,9 @@ impl ExecInner {
 /// of starving it.
 fn release_credit(inner: &mut ExecInner) -> Option<Waker> {
     inner.inflight -= 1;
-    inner.bump_gauge(|g| &g.inflight, -1);
     let (slot, waker) = inner.parked.pop_front()?;
-    inner.bump_gauge(|g| &g.parked, -1);
     slot.borrow_mut().admitted = true;
     inner.inflight += 1;
-    inner.bump_gauge(|g| &g.inflight, 1);
     Some(waker)
 }
 
@@ -257,7 +243,6 @@ fn poll_task(shared: &Rc<ExecShared>, tid: TaskId, mut fut: BoxedTask, waker: Wa
         Poll::Ready(()) => {
             inner.tasks.remove(&tid);
             inner.live_tasks -= 1;
-            inner.bump_gauge(|g| &g.tasks, -1);
         }
     }
 }
@@ -285,7 +270,6 @@ impl ExecDriver {
                     inflight: 0,
                     peak_inflight: 0,
                     budget: usize::MAX,
-                    gauges: None,
                     op_slots: IdMap::default(),
                     timers: IdMap::default(),
                     next_timer_tag: 0,
@@ -310,6 +294,13 @@ impl ExecDriver {
     /// Tasks spawned and not yet finished.
     pub fn live_tasks(&self) -> usize {
         self.shared.inner.borrow().live_tasks
+    }
+
+    /// What the `runtime.*` gauges sum over a node's executors: `(ops
+    /// holding an in-flight credit, submitters parked for one, live tasks)`.
+    pub(crate) fn load(&self) -> (usize, usize, usize) {
+        let inner = self.shared.inner.borrow();
+        (inner.inflight, inner.parked.len(), inner.live_tasks)
     }
 
     /// Issues every queued submission to the node, in program order.
@@ -390,9 +381,6 @@ impl ExecDriver {
             let mut inner = self.shared.inner.borrow_mut();
             inner.running = true;
             inner.budget = api.inflight_budget();
-            let gauges = api.runtime_gauges();
-            RuntimeGauges::bump(&gauges.tasks, inner.live_tasks as i64);
-            inner.gauges = Some(gauges);
         }
         self.drain(api);
     }
@@ -487,7 +475,6 @@ impl ProcHandle {
             let mut inner = self.shared.inner.borrow_mut();
             inner.next_task += 1;
             inner.live_tasks += 1;
-            inner.bump_gauge(|g| &g.tasks, 1);
             (inner.next_task, inner.running)
         };
         let waker =
@@ -522,7 +509,6 @@ impl ProcHandle {
         let mut inner = self.shared.inner.borrow_mut();
         inner.inflight += n;
         inner.peak_inflight = inner.peak_inflight.max(inner.inflight as u64);
-        inner.bump_gauge(|g| &g.inflight, n as i64);
         for slot in &slots {
             slot.borrow_mut().in_submit_q = true;
         }
@@ -696,13 +682,11 @@ impl Future for OpFuture {
                             entry.1 = cx.waker().clone(); // re-polled while parked
                         } else {
                             inner.parked.push_back((this.slot.clone(), cx.waker().clone()));
-                            inner.bump_gauge(|g| &g.parked, 1);
                         }
                         this.slot.borrow_mut().waker = Some(cx.waker().clone());
                         return Poll::Pending;
                     }
                     inner.inflight += 1;
-                    inner.bump_gauge(|g| &g.inflight, 1);
                 }
                 inner.peak_inflight = inner.peak_inflight.max(inner.inflight as u64);
                 {
@@ -765,12 +749,7 @@ fn request_cancel(shared: &Rc<ExecShared>, slot: &Rc<RefCell<OpSlot>>) {
     if in_submit_q {
         return; // flush() resolves it when the submission surfaces
     }
-    let before = inner.parked.len();
     inner.parked.retain(|(s, _)| !Rc::ptr_eq(s, slot));
-    let removed = (before - inner.parked.len()) as i64;
-    if removed > 0 {
-        inner.bump_gauge(|g| &g.parked, -removed);
-    }
     let handoff = if std::mem::take(&mut slot.borrow_mut().admitted) {
         release_credit(&mut inner)
     } else {

@@ -25,4 +25,4 @@ pub mod node;
 pub use cluster::{Cluster, ClusterConfig};
 pub use controller::Controller;
 pub use exec::{ExecDriver, OpFuture, ProcHandle};
-pub use node::{AppCompletion, AppResult, AppToken, ComputeNode, RuntimeGauges};
+pub use node::{AppCompletion, AppResult, AppToken, ComputeNode};

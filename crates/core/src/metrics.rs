@@ -1,14 +1,20 @@
 //! Measurement helpers shared by client programs and benchmarks.
 
-use clio_sim::stats::{Histogram, LatencySummary, RateMeter};
-use clio_sim::{SimDuration, SimTime};
+use clio_sim::stats::{Histogram, LatencySummary};
+use clio_sim::{Bandwidth, SimDuration, SimTime};
 
 /// Collects per-operation latency plus goodput over a measurement window,
 /// with warm-up exclusion — the standard recorder for every figure bench.
 #[derive(Debug, Clone)]
 pub struct OpRecorder {
     hist: Histogram,
-    meter: RateMeter,
+    /// Payload bytes of the measured ops.
+    bytes: u64,
+    /// Ops measured.
+    ops: u64,
+    /// Completion time of the latest measured op (the window runs from
+    /// `warmup_until` to here).
+    last_event: SimTime,
     warmup_until: SimTime,
     errors: u64,
 }
@@ -18,7 +24,9 @@ impl OpRecorder {
     pub fn new(warmup_until: SimTime) -> Self {
         OpRecorder {
             hist: Histogram::new(),
-            meter: RateMeter::new(warmup_until),
+            bytes: 0,
+            ops: 0,
+            last_event: warmup_until,
             warmup_until,
             errors: 0,
         }
@@ -31,7 +39,14 @@ impl OpRecorder {
             return;
         }
         self.hist.record_duration(latency);
-        self.meter.record(completed, payload_bytes);
+        self.bytes += payload_bytes;
+        self.ops += 1;
+        self.last_event = self.last_event.max(completed);
+    }
+
+    /// The measured window: end of warm-up to the last measured completion.
+    fn window(&self) -> SimDuration {
+        self.last_event.since(self.warmup_until)
     }
 
     /// Records a failed op finishing at `completed`. Pre-warm-up failures
@@ -61,17 +76,22 @@ impl OpRecorder {
 
     /// Goodput in Gbps over the measured window.
     pub fn goodput_gbps(&self) -> f64 {
-        self.meter.goodput_gbps()
+        Bandwidth::from_transfer(self.bytes, self.window()) / 1e9
     }
 
     /// Million operations per second over the measured window.
     pub fn miops(&self) -> f64 {
-        self.meter.miops()
+        let window = self.window();
+        if window.is_zero() {
+            0.0
+        } else {
+            self.ops as f64 / window.as_secs_f64() / 1e6
+        }
     }
 
     /// Operations measured (post warm-up).
     pub fn ops(&self) -> u64 {
-        self.meter.ops()
+        self.ops
     }
 }
 
@@ -88,6 +108,38 @@ mod tests {
         r.record(SimTime::from_nanos(1500), SimDuration::from_nanos(10), 100);
         assert_eq!(r.ops(), 1);
         assert_eq!(r.latency().count, 1);
+    }
+
+    #[test]
+    fn recorder_computes_goodput() {
+        let t0 = SimTime::ZERO;
+        let mut r = OpRecorder::new(t0);
+        let lat = SimDuration::from_nanos(10);
+        r.record(t0 + SimDuration::from_micros(1), lat, 1250);
+        r.record(t0 + SimDuration::from_micros(2), lat, 1250);
+        // 2500 B over 2 us = 10 Gbps, 2 ops over 2 us = 1 MIOPS.
+        assert!((r.goodput_gbps() - 10.0).abs() < 0.01, "{}", r.goodput_gbps());
+        assert_eq!(r.ops(), 2);
+        assert!((r.miops() - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn window_starts_where_warmup_ends() {
+        let warm = SimTime::ZERO + SimDuration::from_secs(1);
+        let mut r = OpRecorder::new(warm);
+        let lat = SimDuration::from_nanos(10);
+        r.record(SimTime::ZERO + SimDuration::from_millis(500), lat, 1 << 30);
+        // 125 MB in the second after warm-up = 1 Gbps; the warm-up bytes
+        // and the warm-up second count for nothing.
+        r.record(warm + SimDuration::from_secs(1), lat, 125_000_000);
+        assert!((r.goodput_gbps() - 1.0).abs() < 0.01, "{}", r.goodput_gbps());
+    }
+
+    #[test]
+    fn empty_recorder_reports_zero() {
+        let r = OpRecorder::new(SimTime::ZERO);
+        assert_eq!(r.goodput_gbps(), 0.0);
+        assert_eq!(r.miops(), 0.0);
     }
 
     #[test]

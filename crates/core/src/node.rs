@@ -16,7 +16,7 @@ use clio_cn::{CLib, CLibConfig, ClioError, Completion, CompletionValue, Op, OpTo
 use clio_net::{Frame, Mac, NicPort};
 use clio_proto::{Perm, Pid};
 use clio_sim::{Actor, ActorId, Ctx, IdMap, Message, SimDuration, SimTime};
-use clio_trace::metrics::{Counter, Gauge, Registry};
+use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Tracer, Track};
 
 use crate::controller::{
@@ -260,28 +260,6 @@ struct Wake {
     tag: u64,
 }
 
-/// Live gauges describing the async client runtime on one compute node,
-/// registered as `cn<i>.runtime.inflight` / `.parked` / `.tasks`. Shared
-/// (clone-handle) between the node and every executor it hosts, so
-/// values aggregate across a CN's processes.
-#[derive(Debug, Clone, Default)]
-pub struct RuntimeGauges {
-    /// Operations submitted (or holding a submission credit) and not yet
-    /// completed.
-    pub inflight: Gauge,
-    /// Submitters parked because the in-flight budget is exhausted.
-    pub parked: Gauge,
-    /// Live executor tasks.
-    pub tasks: Gauge,
-}
-
-impl RuntimeGauges {
-    /// Adds `d` to a gauge (single-threaded, so read-modify-write is fine).
-    pub(crate) fn bump(g: &Gauge, d: i64) {
-        g.set(g.get().saturating_add_signed(d));
-    }
-}
-
 struct NodeCore {
     nic: NicPort,
     clib: CLib,
@@ -306,9 +284,8 @@ struct NodeCore {
     max_moved_retries: u32,
     /// Per-process in-flight submission budget the executors enforce.
     runtime_budget: usize,
-    runtime_gauges: RuntimeGauges,
     /// Ops resolved with `DeadlineExceeded` by [`NodeApi::cancel`].
-    deadline_exceeded: Counter,
+    deadline_exceeded: u64,
 }
 
 impl NodeCore {
@@ -540,7 +517,7 @@ impl NodeApi<'_, '_> {
         if !self.core.app_ops.contains_key(&token) {
             return;
         }
-        self.core.deadline_exceeded.inc();
+        self.core.deadline_exceeded += 1;
         let mut clib_tokens: Vec<OpToken> =
             self.core.token_map.iter().filter(|(_, a)| **a == token).map(|(t, _)| *t).collect();
         // Each cancel can dispatch dependents: visit in submission order.
@@ -557,11 +534,6 @@ impl NodeApi<'_, '_> {
             }
             self.core.enqueue_clib_completions(self.ctx);
         }
-    }
-
-    /// This node's shared runtime gauges (in-flight / parked / tasks).
-    pub(crate) fn runtime_gauges(&self) -> RuntimeGauges {
-        self.core.runtime_gauges.clone()
     }
 
     /// The per-process in-flight submission budget executors enforce.
@@ -611,8 +583,7 @@ impl ComputeNode {
                 comps: Vec::new(),
                 max_moved_retries: 8,
                 runtime_budget: DEFAULT_INFLIGHT_BUDGET,
-                runtime_gauges: RuntimeGauges::default(),
-                deadline_exceeded: Counter::default(),
+                deadline_exceeded: 0,
             },
             execs: Vec::new(),
         }
@@ -637,21 +608,6 @@ impl ComputeNode {
     /// subsequent ops stitch their host-side stages onto `track`.
     pub fn set_tracer(&mut self, tracer: Tracer, track: Track) {
         self.core.clib.set_tracer(tracer, track);
-    }
-
-    /// Shares the node's live CLib/transport counters with `registry`
-    /// under `<prefix>.clib.*` / `<prefix>.transport.*`, plus the async
-    /// runtime gauges under `<prefix>.runtime.*`.
-    pub fn register_metrics(&self, registry: &mut Registry, prefix: &str) {
-        self.core.clib.register_metrics(registry, prefix);
-        let g = &self.core.runtime_gauges;
-        registry.register_gauge(format!("{prefix}.runtime.inflight"), g.inflight.clone());
-        registry.register_gauge(format!("{prefix}.runtime.parked"), g.parked.clone());
-        registry.register_gauge(format!("{prefix}.runtime.tasks"), g.tasks.clone());
-        registry.register_counter(
-            format!("{prefix}.runtime.deadline_exceeded_total"),
-            self.core.deadline_exceeded.clone(),
-        );
     }
 
     /// Overrides the per-process in-flight submission budget (backpressure
@@ -694,6 +650,31 @@ impl ComputeNode {
             let mut api = NodeApi { core: &mut self.core, ctx, driver: idx };
             self.execs[idx].on_completion(&mut api, c);
         }
+    }
+}
+
+/// The CLib's `clib.*` / `transport.*`, then the async runtime's
+/// `runtime.*`.
+impl Metrics for ComputeNode {
+    fn counters(&self, f: &mut Visit<'_>) {
+        self.core.clib.counters(f);
+        f("runtime.deadline_exceeded_total", self.core.deadline_exceeded);
+    }
+
+    /// The runtime gauges are sums over the node's executors of the state
+    /// each one admits, parks and retires tasks by.
+    fn gauges(&self, f: &mut Visit<'_>) {
+        self.core.clib.gauges(f);
+        let (mut inflight, mut parked, mut tasks) = (0, 0, 0);
+        for exec in &self.execs {
+            let (i, p, t) = exec.load();
+            inflight += i;
+            parked += p;
+            tasks += t;
+        }
+        f("runtime.inflight", inflight as u64);
+        f("runtime.parked", parked as u64);
+        f("runtime.tasks", tasks as u64);
     }
 }
 

@@ -3,10 +3,11 @@
 //! and NACK-retried alike); a corrupted-then-retried op's trace links the
 //! retry back to the failed attempt; tracing disabled is provably
 //! zero-overhead (identical digest, frames and completions); and the
-//! unified registry snapshots/resets every metric in one window.
+//! unified registry walks exactly the pinned name set, its gauges equal to
+//! the executor state they are computed from at every step.
 
 use bytes::Bytes;
-use clio_core::{Cluster, ClusterConfig, ProcHandle};
+use clio_core::{Cluster, ClusterConfig, ExecDriver, ProcHandle};
 use clio_net::FaultInjector;
 use clio_proto::{Perm, Pid};
 use clio_trace::export::{perfetto_json, validate_chrome_trace};
@@ -152,23 +153,64 @@ fn corrupted_then_retried_op_links_retry_to_origin_attempt() {
     }
 }
 
+/// Every counter a 1 CN x 1 MN cluster's registry yields, sorted. The names
+/// are an interface: `benchmark/src/layers.rs` looks counters up by name,
+/// and `scripts/check_docs.sh` holds the names ARCHITECTURE quotes to this
+/// list and [`GAUGE_NAMES`].
+const COUNTER_NAMES: &[&str] = &[
+    "cn0.clib.completed",
+    "cn0.runtime.deadline_exceeded_total",
+    "cn0.transport.batch_frames",
+    "cn0.transport.batched_ops",
+    "cn0.transport.circuit_open_total",
+    "cn0.transport.retries",
+    "cn0.transport.retry_frames",
+    "mn0.board.batched_requests",
+    "mn0.board.batched_responses",
+    "mn0.board.board_restarts",
+    "mn0.board.conflicts",
+    "mn0.board.dedup_replays",
+    "mn0.board.dropped_while_down",
+    "mn0.board.moved",
+    "mn0.board.nack_frames",
+    "mn0.board.nacks",
+    "mn0.board.offload_calls",
+    "mn0.board.rx_frames",
+    "mn0.board.rx_packets",
+    "mn0.board.slow_ops",
+    "mn0.board.tx_frames",
+    "mn0.board.tx_packets",
+    "mn0.silicon.atomics",
+    "mn0.silicon.read_bytes",
+    "mn0.silicon.reads",
+    "mn0.silicon.write_bytes",
+    "mn0.silicon.writes",
+    "mn0.tlb.hits",
+    "mn0.tlb.misses",
+    "mn0.vm.fault_stalls",
+    "mn0.vm.invalid",
+    "mn0.vm.page_faults",
+    "mn0.vm.perm_denied",
+    "mn0.vm.translations",
+];
+
+/// Every gauge of the same cluster, sorted.
+const GAUGE_NAMES: &[&str] = &[
+    "cn0.runtime.inflight",
+    "cn0.runtime.parked",
+    "cn0.runtime.tasks",
+    "cn0.transport.peer_health",
+    "mn0.board.peer_srtt_ns",
+];
+
 #[test]
-fn registry_snapshot_and_reset_cover_every_metric() {
-    let (mut cluster, _traces) = run_burst(1);
+fn registry_yields_exactly_the_pinned_names() {
+    let (cluster, _traces) = run_burst(1);
     let snap = cluster.registry().snapshot();
-    assert!(!snap.counters.is_empty(), "registry registered no counters");
-    assert!(snap.counters.contains_key("cn0.clib.completed"));
-    assert!(snap.counters.contains_key("cn0.transport.batch_frames"));
-    assert!(snap.counters.contains_key("mn0.board.rx_frames"));
-    assert!(snap.counters.contains_key("mn0.silicon.reads"));
-    assert!(snap.gauges.contains_key("mn0.board.peer_srtt_ns"));
-    // The failure-model metrics are registered even on a healthy run, so a
+    assert_eq!(snap.counters.keys().collect::<Vec<_>>(), COUNTER_NAMES);
+    assert_eq!(snap.gauges.keys().collect::<Vec<_>>(), GAUGE_NAMES);
+    // The failure-model metrics are there on a healthy run too, so a
     // dashboard can alert on them without waiting for the first outage.
-    assert!(snap.gauges.contains_key("cn0.transport.peer_health"));
-    assert!(snap.counters.contains_key("cn0.transport.circuit_open_total"));
-    assert!(snap.counters.contains_key("cn0.runtime.deadline_exceeded_total"));
-    assert!(snap.counters.contains_key("mn0.board.board_restarts"));
-    assert!(snap.counters.contains_key("mn0.board.dropped_while_down"));
     // Healthy cluster: no peer unhealthy, breaker never tripped, no board
     // ever power-cycled.
     assert_eq!(snap.gauges["cn0.transport.peer_health"], 0, "no peer should be unhealthy");
@@ -179,15 +221,21 @@ fn registry_snapshot_and_reset_cover_every_metric() {
     // The MN learned the CN's srtt from the request headers' echo.
     assert!(snap.gauges["mn0.board.peer_srtt_ns"] > 0, "srtt echo never landed");
 
-    // One reset zeroes every metric of every kind, with no drift.
-    cluster.registry_mut().reset();
-    let zeroed = cluster.registry().snapshot();
-    assert!(zeroed.counters.values().all(|&v| v == 0), "counter survived reset");
-    assert!(zeroed.gauges.values().all(|&v| v == 0), "gauge survived reset");
-    assert!(zeroed.histograms.values().all(|h| h.count == 0), "histogram survived reset");
-    // And the live component handles observe the same reset: board stats
-    // read back zero through the snapshot struct too.
-    assert_eq!(cluster.mn(0).stats().rx_frames, 0, "component kept pre-reset state");
+    // A walked value is the component's own field: one per group.
+    let (clib, board) = (cluster.cn(0).clib(), cluster.mn(0));
+    let vm = board.silicon().vm();
+    assert_eq!(snap.counters["cn0.clib.completed"], clib.completed_count());
+    assert_eq!(snap.counters["cn0.transport.batched_ops"], clib.batched_ops());
+    assert_eq!(snap.counters["mn0.board.rx_frames"], board.stats().rx_frames);
+    assert_eq!(snap.counters["mn0.silicon.reads"], board.silicon().stats().reads);
+    assert_eq!(snap.counters["mn0.vm.translations"], vm.stats().translations);
+    assert_eq!(snap.counters["mn0.tlb.hits"], vm.tlb().hits());
+    assert!(clib.batched_ops() > 0 && vm.tlb().hits() > 0, "the burst exercised neither");
+    // Single-name reads walk the same values.
+    let reg = cluster.registry();
+    assert_eq!(reg.counter("mn0.board.rx_frames"), Some(board.stats().rx_frames));
+    assert_eq!(reg.gauge("mn0.board.peer_srtt_ns"), Some(snap.gauges["mn0.board.peer_srtt_ns"]));
+    assert_eq!(reg.counter("mn0.board.peer_srtt_ns"), None, "a gauge is not a counter");
 }
 
 /// One random closed-loop workload shape for the well-formedness property
@@ -280,32 +328,47 @@ proptest! {
     }
 }
 
+/// Eight concurrent 64 B writes to pages of their own, from as many tasks.
+async fn fan_out_writes(h: ProcHandle) {
+    let va = h.ralloc(1 << 16, Perm::RW).await.va();
+    for i in 0..8u64 {
+        let h2 = h.clone();
+        h.spawn(async move {
+            h2.rwrite(va + i * 4096, Bytes::from(vec![i as u8; 64])).await.result.unwrap();
+        });
+    }
+}
+
+/// Spawns [`fan_out_writes`] as process `pid` on node `cn`: the executor's
+/// index there, and a handle to read its in-flight count through.
+fn spawn_fan_out(cluster: &mut Cluster, cn: usize, pid: u64) -> (usize, ProcHandle) {
+    let mut handle = None;
+    let idx = cluster.spawn(cn, Pid(pid), |h| {
+        handle = Some(h.clone());
+        fan_out_writes(h)
+    });
+    (idx, handle.expect("spawn calls the closure"))
+}
+
 #[test]
-fn runtime_gauges_register_snapshot_and_reset() {
+fn runtime_gauges_equal_executor_state_at_every_step() {
     // The executor's submission state is observable through the unified
     // registry: `cn<i>.runtime.inflight` saturates at the configured
     // budget, `parked` counts submitters waiting for window credit, and
-    // `tasks` counts live tasks — all draining to zero at idle and all
-    // covered by snapshot/reset like every other metric.
+    // `tasks` counts live tasks. The walk computes them from the
+    // executor's own fields, so they agree with it at every step and drain
+    // to zero at idle.
     let mut cfg = ClusterConfig::test_small();
     cfg.runtime_inflight_budget = 2;
     let mut cluster = Cluster::build(&cfg);
-    cluster.spawn(0, Pid(3), |h| async move {
-        let va = match h.ralloc(1 << 16, Perm::RW).await.result.unwrap() {
-            clio_cn::CompletionValue::Va(va) => va,
-            other => panic!("alloc returned {other:?}"),
-        };
-        for i in 0..8u64 {
-            let h2 = h.clone();
-            h.spawn(async move {
-                h2.rwrite(va + i * 4096, Bytes::from(vec![i as u8; 64])).await.result.unwrap();
-            });
-        }
-    });
+    let (exec, handle) = spawn_fan_out(&mut cluster, 0, 3);
     cluster.start();
     let (mut max_inflight, mut max_parked, mut max_tasks) = (0, 0, 0);
     loop {
         let snap = cluster.registry().snapshot();
+        let live_tasks = cluster.cn(0).driver::<ExecDriver>(exec).live_tasks();
+        assert_eq!(snap.gauges["cn0.runtime.tasks"], live_tasks as u64);
+        assert_eq!(snap.gauges["cn0.runtime.inflight"], handle.inflight() as u64);
         max_inflight = max_inflight.max(snap.gauges["cn0.runtime.inflight"]);
         max_parked = max_parked.max(snap.gauges["cn0.runtime.parked"]);
         max_tasks = max_tasks.max(snap.gauges["cn0.runtime.tasks"]);
@@ -322,12 +385,88 @@ fn runtime_gauges_register_snapshot_and_reset() {
     assert_eq!(end.gauges["cn0.runtime.inflight"], 0, "inflight leaked");
     assert_eq!(end.gauges["cn0.runtime.parked"], 0, "parked leaked");
     assert_eq!(end.gauges["cn0.runtime.tasks"], 0, "tasks leaked");
+}
 
-    // And reset covers them like any other registry metric.
-    cluster.registry_mut().reset();
-    let zeroed = cluster.registry().snapshot();
-    assert!(zeroed.gauges.contains_key("cn0.runtime.inflight"));
-    assert!(zeroed.gauges.contains_key("cn0.runtime.parked"));
-    assert!(zeroed.gauges.contains_key("cn0.runtime.tasks"));
-    assert!(zeroed.gauges.values().all(|&v| v == 0), "gauge survived reset");
+#[test]
+fn every_node_has_its_prefix_and_runtime_gauges_sum_over_its_processes() {
+    let mut cfg = ClusterConfig::test_small();
+    (cfg.cns, cfg.mns) = (2, 2);
+    cfg.runtime_inflight_budget = 2;
+    let mut cluster = Cluster::build(&cfg);
+    // Two processes on cn0 (each with a budget of its own), one on cn1.
+    let execs = [(0, 3), (0, 4), (1, 5)].map(|(cn, pid)| {
+        let (idx, handle) = spawn_fan_out(&mut cluster, cn, pid);
+        (cn, idx, handle)
+    });
+
+    // Every node yields the pinned names under its own prefix.
+    let snap = cluster.registry().snapshot();
+    let both = |names: &[&str]| {
+        let mut all: Vec<String> =
+            names.iter().flat_map(|n| [n.to_string(), n.replacen("0.", "1.", 1)]).collect();
+        all.sort();
+        all
+    };
+    assert_eq!(snap.counters.keys().cloned().collect::<Vec<_>>(), both(COUNTER_NAMES));
+    assert_eq!(snap.gauges.keys().cloned().collect::<Vec<_>>(), both(GAUGE_NAMES));
+
+    cluster.start();
+    let mut max_inflight = [0, 0];
+    loop {
+        let snap = cluster.registry().snapshot();
+        for (cn, max) in max_inflight.iter_mut().enumerate() {
+            let mine = || execs.iter().filter(move |e| e.0 == cn);
+            let tasks: usize =
+                mine().map(|e| cluster.cn(cn).driver::<ExecDriver>(e.1).live_tasks()).sum();
+            let inflight: usize = mine().map(|e| e.2.inflight()).sum();
+            assert_eq!(snap.gauges[&format!("cn{cn}.runtime.tasks")], tasks as u64);
+            assert_eq!(snap.gauges[&format!("cn{cn}.runtime.inflight")], inflight as u64);
+            *max = (*max).max(inflight);
+        }
+        if !cluster.sim.step() {
+            break;
+        }
+    }
+    assert_eq!(max_inflight, [4, 2], "two budgets of 2 on cn0, one on cn1");
+}
+
+#[test]
+fn counters_only_grow_so_a_window_is_the_difference_of_two_snapshots() {
+    // 64 sequential writes under 15 % frame corruption: retries, NACKs and
+    // dedup replays all move. No counter ever steps back, and the window
+    // between any instant and the end holds exactly the ops finished in it.
+    let mut cluster = Cluster::build(&ClusterConfig::test_small());
+    let mn_mac = cluster.mn_macs()[0];
+    cluster.net.set_faults(
+        &mut cluster.sim,
+        mn_mac,
+        FaultInjector { corrupt_prob: 0.15, ..FaultInjector::none() },
+    );
+    let finished = std::rc::Rc::new(std::cell::Cell::new(0u64));
+    let count = finished.clone();
+    cluster.spawn(0, Pid(1), |h| async move {
+        let va = h.ralloc(4096, Perm::RW).await.va();
+        count.set(count.get() + 1);
+        for i in 0..64u64 {
+            h.rwrite(va + i * 8, Bytes::from_static(&[7u8; 8])).await.result.unwrap();
+            count.set(count.get() + 1);
+        }
+    });
+    cluster.start();
+    let mut windows = Vec::new();
+    let mut prev = cluster.registry().snapshot();
+    while cluster.sim.step() {
+        let snap = cluster.registry().snapshot();
+        for (name, v) in &snap.counters {
+            assert!(*v >= prev.counters[name], "{name} stepped back");
+        }
+        windows.push((snap.counters["cn0.clib.completed"], finished.get()));
+        prev = snap;
+    }
+    assert!(prev.counters["cn0.transport.retries"] > 0, "corruption forced no retry");
+    let (completed_end, finished_end) = (prev.counters["cn0.clib.completed"], finished.get());
+    assert_eq!(finished_end, 65);
+    for (completed, finished) in windows {
+        assert_eq!(completed_end - completed, finished_end - finished);
+    }
 }

@@ -16,7 +16,7 @@ use bytes::Bytes;
 use clio_proto::{Perm, Pid, Status};
 use clio_sim::resource::{PipelineGate, SerialResource};
 use clio_sim::{Cycles, SimDuration, SimTime};
-use clio_trace::metrics::{Counter, Registry};
+use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::Stage;
 
 use crate::config::CBoardHwConfig;
@@ -119,43 +119,19 @@ impl AccessTiming {
     }
 }
 
-/// Counters exposed for the harness: a plain snapshot of the board's
-/// live [`Counter`] metrics, taken by [`Silicon::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SiliconStats {
-    /// Fast-path read requests served.
-    pub reads: u64,
-    /// Fast-path write fragments served.
-    pub writes: u64,
-    /// Atomics served.
-    pub atomics: u64,
-    /// Payload bytes read.
-    pub read_bytes: u64,
-    /// Payload bytes written.
-    pub write_bytes: u64,
-}
-
-/// The live counter handles behind [`SiliconStats`]. Shared with any
-/// [`Registry`] the board is registered into, so a registry snapshot and
-/// [`Silicon::stats`] always agree.
-#[derive(Debug, Clone, Default)]
-struct SiliconMetrics {
-    reads: Counter,
-    writes: Counter,
-    atomics: Counter,
-    read_bytes: Counter,
-    write_bytes: Counter,
-}
-
-impl SiliconMetrics {
-    fn detached(&self) -> Self {
-        SiliconMetrics {
-            reads: self.reads.detached(),
-            writes: self.writes.detached(),
-            atomics: self.atomics.detached(),
-            read_bytes: self.read_bytes.detached(),
-            write_bytes: self.write_bytes.detached(),
-        }
+clio_trace::counters! {
+    /// Fast-path request counters.
+    pub struct SiliconStats: "silicon" {
+        /// Fast-path read requests served.
+        reads,
+        /// Fast-path write fragments served.
+        writes,
+        /// Atomics served.
+        atomics,
+        /// Payload bytes read.
+        read_bytes,
+        /// Payload bytes written.
+        write_bytes,
     }
 }
 
@@ -193,7 +169,18 @@ pub struct Silicon {
     /// executed, refilled by [`Silicon::translate_range`] (one buffer,
     /// reused across accesses).
     segs: Vec<(u64, u64)>,
-    stats: SiliconMetrics,
+    stats: SiliconStats,
+}
+
+/// `silicon.*`, the VM unit's `vm.*` and the TLB's `tlb.hits` /
+/// `tlb.misses`.
+impl Metrics for Silicon {
+    fn counters(&self, f: &mut Visit<'_>) {
+        self.stats.each(f);
+        self.vm.stats().each(f);
+        f("tlb.hits", self.vm.tlb().hits());
+        f("tlb.misses", self.vm.tlb().misses());
+    }
 }
 
 impl Silicon {
@@ -212,7 +199,7 @@ impl Silicon {
             ingress_frame: None,
             egress_frame: false,
             segs: Vec::new(),
-            stats: SiliconMetrics::default(),
+            stats: SiliconStats::default(),
             cfg,
         }
     }
@@ -253,40 +240,9 @@ impl Silicon {
         &self.mem
     }
 
-    /// Gives this datapath counters of its own (same values). A `clone()`
-    /// copies all functional and timing state but, like cloning a metric
-    /// handle, keeps counting into the original's cells; an independent
-    /// copy is a clone followed by this.
-    pub fn detach_metrics(&mut self) {
-        self.stats = self.stats.detached();
-    }
-
-    /// Request counters (a point-in-time snapshot of the live metrics).
+    /// Request counters.
     pub fn stats(&self) -> SiliconStats {
-        SiliconStats {
-            reads: self.stats.reads.get(),
-            writes: self.stats.writes.get(),
-            atomics: self.stats.atomics.get(),
-            read_bytes: self.stats.read_bytes.get(),
-            write_bytes: self.stats.write_bytes.get(),
-        }
-    }
-
-    /// Registers the board's counters into `registry` under
-    /// `<prefix>.silicon.*`. The registry shares the live handles, so its
-    /// snapshots and resets stay in lockstep with [`stats`](Self::stats).
-    pub fn register_metrics(&self, registry: &mut Registry, prefix: &str) {
-        registry.register_counter(format!("{prefix}.silicon.reads"), self.stats.reads.clone());
-        registry.register_counter(format!("{prefix}.silicon.writes"), self.stats.writes.clone());
-        registry.register_counter(format!("{prefix}.silicon.atomics"), self.stats.atomics.clone());
-        registry.register_counter(
-            format!("{prefix}.silicon.read_bytes"),
-            self.stats.read_bytes.clone(),
-        );
-        registry.register_counter(
-            format!("{prefix}.silicon.write_bytes"),
-            self.stats.write_bytes.clone(),
-        );
+        self.stats
     }
 
     fn cycles(&self, c: Cycles) -> SimDuration {
@@ -476,8 +432,8 @@ impl Silicon {
                 let dma = self.dma.reserve(dram_done, occupancy);
                 b.dma += dma.end.since(dram_done);
                 t = dma.end + self.cfg.interconnect_latency;
-                self.stats.reads.inc();
-                self.stats.read_bytes.add(len as u64);
+                self.stats.reads += 1;
+                self.stats.read_bytes += len as u64;
                 (data.freeze(), t)
             });
         let (result, t_end) = match result {
@@ -529,8 +485,8 @@ impl Silicon {
                     off += seg_len as usize;
                 }
                 b.data_dram += dram_done.since(t);
-                self.stats.writes.inc();
-                self.stats.write_bytes.add(data.len() as u64);
+                self.stats.writes += 1;
+                self.stats.write_bytes += data.len() as u64;
                 dram_done
             });
         let (result, t_end) = match result {
@@ -593,7 +549,7 @@ impl Silicon {
                     AtomicOp::Faa(d) => old.wrapping_add(d),
                 };
                 self.mem.write_u64(pa, new);
-                self.stats.atomics.inc();
+                self.stats.atomics += 1;
                 (old, unit.end + self.cfg.interconnect_latency)
             });
         let (result, t_end) = match result {
@@ -817,17 +773,29 @@ mod tests {
     }
 
     #[test]
-    fn registry_sees_live_counters() {
+    fn walk_sees_live_counters() {
         let mut s = board();
         map(&mut s, 1, 0, Perm::RW);
-        let mut reg = Registry::new();
-        s.register_metrics(&mut reg, "mn0");
         s.write(t0(), Pid(1), 0, b"abcd").0.expect("w");
         s.read(t0(), Pid(1), 0, 4).0.expect("r");
-        assert_eq!(reg.counter("mn0.silicon.writes"), Some(1));
-        assert_eq!(reg.counter("mn0.silicon.read_bytes"), Some(4));
-        reg.reset();
-        assert_eq!(s.stats().writes, 0, "reset must reach the board's own handles");
+        let mut seen = std::collections::BTreeMap::new();
+        s.counters(&mut |name, v| assert!(seen.insert(name, v).is_none(), "{name} twice"));
+        assert_eq!(seen["silicon.writes"], 1);
+        assert_eq!(seen["silicon.read_bytes"], 4);
+        assert_eq!(seen["vm.translations"], s.vm().stats().translations);
+        assert_eq!(seen["tlb.hits"] + seen["tlb.misses"], 2);
+    }
+
+    #[test]
+    fn a_clone_counts_and_stores_on_its_own() {
+        let mut s = board();
+        map(&mut s, 1, 0, Perm::RW);
+        s.write(t0(), Pid(1), 0, b"abcd").0.expect("w");
+        let mut copy = s.clone();
+        copy.write(t0(), Pid(1), 0, b"wxyz").0.expect("w");
+        assert_eq!((s.stats().writes, copy.stats().writes), (1, 2));
+        assert_eq!(s.read(t0(), Pid(1), 0, 4).0.expect("r").as_ref(), b"abcd");
+        assert_eq!(copy.read(t0(), Pid(1), 0, 4).0.expect("r").as_ref(), b"wxyz");
     }
 
     #[test]

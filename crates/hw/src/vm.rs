@@ -40,19 +40,20 @@ pub struct Translation {
     pub faulted: Option<u64>,
 }
 
-/// Aggregate VM-unit statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VmStats {
-    /// Successful translations.
-    pub translations: u64,
-    /// Page faults taken (first-touch allocations).
-    pub page_faults: u64,
-    /// Accesses to unmapped addresses.
-    pub invalid: u64,
-    /// Permission violations.
-    pub perm_denied: u64,
-    /// Faults that found the async buffer empty (ARM refill fell behind).
-    pub fault_stalls: u64,
+clio_trace::counters! {
+    /// Aggregate VM-unit statistics.
+    pub struct VmStats: "vm" {
+        /// Successful translations.
+        translations,
+        /// Page faults taken (first-touch allocations).
+        page_faults,
+        /// Accesses to unmapped addresses.
+        invalid,
+        /// Permission violations.
+        perm_denied,
+        /// Faults that found the async buffer empty (ARM refill fell behind).
+        fault_stalls,
+    }
 }
 
 /// TLB + page table + fault handler, assembled.

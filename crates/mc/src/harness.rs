@@ -104,6 +104,7 @@ struct Submit {
 
 /// The CN host actor under test: owns the NIC and the real [`CLib`]
 /// (ordering + transport), collects completions.
+#[derive(Clone)]
 pub struct McCnHost {
     nic: NicPort,
     clib: CLib,
@@ -120,18 +121,6 @@ impl McCnHost {
     /// Completions collected so far, in completion order.
     pub fn completions(&self) -> &[Completion] {
         &self.completions
-    }
-}
-
-impl McCnHost {
-    /// An independent copy of the host: NIC timing, the CLib with its
-    /// transport, and the completions collected so far.
-    fn fork(&self) -> McCnHost {
-        McCnHost {
-            nic: self.nic.clone(),
-            clib: self.clib.fork(),
-            completions: self.completions.clone(),
-        }
     }
 }
 
@@ -257,19 +246,18 @@ impl Scenario {
 
     /// An independent copy of the scenario at this instant: the simulation
     /// (clock, pending events and timers, digest) plus a copy of the wire
-    /// with every captured frame, of each board ([`CBoard::fork`]) and of
-    /// the CN host ([`CLib::fork`]). Nothing is shared with `self` — not
-    /// even metric cells — so running either leaves the other untouched,
-    /// and the copy behaves exactly as a scenario rebuilt and replayed to
-    /// this point would.
+    /// with every captured frame, of each board and of the CN host.
+    /// Nothing is shared with `self`, so running either leaves the other
+    /// untouched, and the copy behaves exactly as a scenario rebuilt and
+    /// replayed to this point would.
     pub fn fork(&self) -> Scenario {
         // Actor-id order, as `new_with` registered them: wire, boards, CN.
         let mut actors: Vec<Box<dyn Actor>> = Vec::with_capacity(self.boards.len() + 2);
         actors.push(Box::new(self.wire().clone()));
         for i in 0..self.boards.len() {
-            actors.push(Box::new(self.cboard_at(i).fork()));
+            actors.push(Box::new(self.cboard_at(i).clone()));
         }
-        actors.push(Box::new(self.host().fork()));
+        actors.push(Box::new(self.host().clone()));
         Scenario {
             sim: self.sim.fork(actors),
             wire: self.wire,

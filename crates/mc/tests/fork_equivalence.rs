@@ -7,9 +7,8 @@
 //!    scratch and driven through the node's whole schedule: same logical
 //!    state hash, same event digest, same event count, same virtual clock.
 //! 2. **A fork aliases nothing.** Running the fork leaves the run it was
-//!    taken from untouched — wire contents, pending timers, board and
-//!    transport counters (whose handles are shared cells that a derived
-//!    `Clone` would keep sharing), completions.
+//!    taken from untouched — wire contents, pending timers, every board
+//!    and CN metric, completions.
 
 use clio_mc::{McAction, McConfig, Run};
 use clio_trace::metrics::Registry;
@@ -23,15 +22,15 @@ fn observed(run: &Run) -> (u64, u64, u64, u64) {
 
 /// The parts of a run a sibling fork could reach through a shared pointer:
 /// the engine's queue (pending and cancelled events), every captured frame,
-/// and every metric cell of the boards and the CN — all of them, by way of
-/// the same `register_metrics` a cluster uses.
+/// and every metric of the boards and the CN — all of them, by way of the
+/// same walks a cluster's registry runs.
 fn aliasable(run: &Run) -> String {
     let sc = run.scenario();
-    let mut registry = Registry::new();
+    let mut registry = Registry::default();
     for i in 0..sc.boards.len() {
-        sc.cboard_at(i).register_metrics(&mut registry, &format!("mn{i}"));
+        registry.add(format!("mn{i}"), sc.cboard_at(i));
     }
-    sc.host().clib().register_metrics(&mut registry, "cn0");
+    registry.add("cn0", sc.host().clib());
     let metrics = registry.snapshot();
     let frames: Vec<String> = sc
         .wire()

@@ -91,7 +91,7 @@ use clio_proto::{
     RequestBody, RespBatchBuilder, RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES,
 };
 use clio_sim::{Actor, ActorId, Ctx, EventId, IdMap, Message, SimDuration, SimTime};
-use clio_trace::metrics::{Counter, Gauge, Registry};
+use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
 use crate::config::CBoardConfig;
@@ -101,86 +101,43 @@ use crate::migrate::{
 };
 use crate::slowpath::SlowPath;
 
-/// Aggregate board statistics for harness reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BoardStats {
-    /// Wire frames carrying requests received (a batch frame counts once).
-    pub rx_frames: u64,
-    /// Requests that arrived coalesced inside batch frames.
-    pub batched_requests: u64,
-    /// Request packets received.
-    pub rx_packets: u64,
-    /// Response packets sent (entries inside batch frames count
-    /// individually).
-    pub tx_packets: u64,
-    /// Wire frames sent by the egress queue (a `BatchResp` frame counts
-    /// once).
-    pub tx_frames: u64,
-    /// Responses that left coalesced inside `BatchResp` frames.
-    pub batched_responses: u64,
-    /// Link-layer NACKs sent for corrupted frames (one per corrupted
-    /// request, however they were framed).
-    pub nacks: u64,
-    /// Wire frames that carried NACKs (a `BatchNack` frame counts once, so
-    /// `nacks / nack_frames` is the error path's coalescing factor).
-    pub nack_frames: u64,
-    /// Retries answered from the dedup buffer without re-execution.
-    pub dedup_replays: u64,
-    /// Slow-path operations served.
-    pub slow_ops: u64,
-    /// Extend-path calls served.
-    pub offload_calls: u64,
-    /// Requests refused because their region was migrating.
-    pub conflicts: u64,
-    /// Requests answered with `Moved`.
-    pub moved: u64,
-    /// Power cycles completed: `BoardPower::Restart` messages handled.
-    pub board_restarts: u64,
-    /// Frames and doorbells dropped because the board was powered off.
-    pub dropped_while_down: u64,
-}
-
-/// The board's live counters: shared [`Counter`] handles so a metrics
-/// [`Registry`] observes every increment without a copy step.
-/// [`CBoard::stats`] snapshots them into the plain [`BoardStats`].
-#[derive(Debug, Clone, Default)]
-struct BoardMetrics {
-    rx_frames: Counter,
-    batched_requests: Counter,
-    rx_packets: Counter,
-    tx_packets: Counter,
-    tx_frames: Counter,
-    batched_responses: Counter,
-    nacks: Counter,
-    nack_frames: Counter,
-    dedup_replays: Counter,
-    slow_ops: Counter,
-    offload_calls: Counter,
-    conflicts: Counter,
-    moved: Counter,
-    board_restarts: Counter,
-    dropped_while_down: Counter,
-}
-
-impl BoardMetrics {
-    fn detached(&self) -> Self {
-        BoardMetrics {
-            rx_frames: self.rx_frames.detached(),
-            batched_requests: self.batched_requests.detached(),
-            rx_packets: self.rx_packets.detached(),
-            tx_packets: self.tx_packets.detached(),
-            tx_frames: self.tx_frames.detached(),
-            batched_responses: self.batched_responses.detached(),
-            nacks: self.nacks.detached(),
-            nack_frames: self.nack_frames.detached(),
-            dedup_replays: self.dedup_replays.detached(),
-            slow_ops: self.slow_ops.detached(),
-            offload_calls: self.offload_calls.detached(),
-            conflicts: self.conflicts.detached(),
-            moved: self.moved.detached(),
-            board_restarts: self.board_restarts.detached(),
-            dropped_while_down: self.dropped_while_down.detached(),
-        }
+clio_trace::counters! {
+    /// Aggregate board statistics.
+    pub struct BoardStats: "board" {
+        /// Wire frames carrying requests received (a batch frame counts once).
+        rx_frames,
+        /// Requests that arrived coalesced inside batch frames.
+        batched_requests,
+        /// Request packets received.
+        rx_packets,
+        /// Response packets sent (entries inside batch frames count
+        /// individually).
+        tx_packets,
+        /// Wire frames sent by the egress queue (a `BatchResp` frame counts
+        /// once).
+        tx_frames,
+        /// Responses that left coalesced inside `BatchResp` frames.
+        batched_responses,
+        /// Link-layer NACKs sent for corrupted frames (one per corrupted
+        /// request, however they were framed).
+        nacks,
+        /// Wire frames that carried NACKs (a `BatchNack` frame counts once, so
+        /// `nacks / nack_frames` is the error path's coalescing factor).
+        nack_frames,
+        /// Retries answered from the dedup buffer without re-execution.
+        dedup_replays,
+        /// Slow-path operations served.
+        slow_ops,
+        /// Extend-path calls served.
+        offload_calls,
+        /// Requests refused because their region was migrating.
+        conflicts,
+        /// Requests answered with `Moved`.
+        moved,
+        /// Power cycles completed: `BoardPower::Restart` messages handled.
+        board_restarts,
+        /// Frames and doorbells dropped because the board was powered off.
+        dropped_while_down,
     }
 }
 
@@ -290,6 +247,14 @@ struct InMigration {
 const PRESSURE_REARM_FRACTION: f64 = 0.875;
 
 /// The memory-node device actor.
+///
+/// `clone()` is an independent copy of the board as it stands: protocol and
+/// timing state, counters, silicon (page tables, DRAM contents, dedup
+/// buffer), installed offloads (through [`Offload::clone_box`]) and
+/// pending-doorbell [`EventId`]s, which stay valid in a
+/// [`Simulation::fork`](clio_sim::Simulation::fork) taken at the same
+/// instant. Only the [`Tracer`] handle stays shared: a tracer collects for
+/// a whole run.
 #[derive(Debug, Clone)]
 pub struct CBoard {
     name: String,
@@ -324,7 +289,7 @@ pub struct CBoard {
     controller: Option<ActorId>,
     pressure_threshold: f64,
     pressure_reported: bool,
-    stats: BoardMetrics,
+    stats: BoardStats,
     /// Span collector (disabled by default; the cluster injects a live one).
     tracer: Tracer,
     /// The Perfetto track this board's spans land on.
@@ -338,7 +303,7 @@ pub struct CBoard {
     /// of the board-local turnaround EWMA.
     peer_srtt: IdMap<Mac, u32>,
     /// Most recent echoed srtt (ns), exported for harness observability.
-    peer_srtt_ns: Gauge,
+    peer_srtt_ns: u64,
     /// Power state: a crashed board (`BoardPower::Crash`) drops all traffic
     /// and has lost its volatile state until `BoardPower::Restart`.
     alive: bool,
@@ -372,12 +337,12 @@ impl CBoard {
             controller: None,
             pressure_threshold: 0.9,
             pressure_reported: false,
-            stats: BoardMetrics::default(),
+            stats: BoardStats::default(),
             tracer: Tracer::disabled(),
             track: Track::Mn(0),
             cur_trace: None,
             peer_srtt: IdMap::default(),
-            peer_srtt_ns: Gauge::default(),
+            peer_srtt_ns: 0,
             alive: true,
         };
         board.refill_async_buffer();
@@ -410,25 +375,9 @@ impl CBoard {
         self.pressure_threshold = pressure_threshold;
     }
 
-    /// Board statistics (a point-in-time snapshot of the live counters).
+    /// Board statistics.
     pub fn stats(&self) -> BoardStats {
-        BoardStats {
-            rx_frames: self.stats.rx_frames.get(),
-            batched_requests: self.stats.batched_requests.get(),
-            rx_packets: self.stats.rx_packets.get(),
-            tx_packets: self.stats.tx_packets.get(),
-            tx_frames: self.stats.tx_frames.get(),
-            batched_responses: self.stats.batched_responses.get(),
-            nacks: self.stats.nacks.get(),
-            nack_frames: self.stats.nack_frames.get(),
-            dedup_replays: self.stats.dedup_replays.get(),
-            slow_ops: self.stats.slow_ops.get(),
-            offload_calls: self.stats.offload_calls.get(),
-            conflicts: self.stats.conflicts.get(),
-            moved: self.stats.moved.get(),
-            board_restarts: self.stats.board_restarts.get(),
-            dropped_while_down: self.stats.dropped_while_down.get(),
-        }
+        self.stats
     }
 
     /// Whether the board is powered on (a crashed board drops all traffic).
@@ -441,55 +390,6 @@ impl CBoard {
     pub fn set_tracer(&mut self, tracer: Tracer, track: Track) {
         self.tracer = tracer;
         self.track = track;
-    }
-
-    /// An independent copy of the board as it stands: protocol and timing
-    /// state, silicon (page tables, DRAM contents, dedup buffer), installed
-    /// offloads (through [`Offload::clone_box`]) and pending-doorbell
-    /// [`EventId`]s, which stay valid in a
-    /// [`Simulation::fork`](clio_sim::Simulation::fork) taken at the same
-    /// instant. The copy counts into metric cells of its own — a plain
-    /// `clone()` would keep bumping this board's. Only the [`Tracer`]
-    /// handle stays shared: a tracer collects for a whole run.
-    pub fn fork(&self) -> CBoard {
-        let mut copy = self.clone();
-        copy.stats = self.stats.detached();
-        copy.peer_srtt_ns = self.peer_srtt_ns.detached();
-        copy.silicon.detach_metrics();
-        copy
-    }
-
-    /// Shares the board's live counters (and the fast-path silicon's) with
-    /// `registry` under `<prefix>.board.*` / `<prefix>.silicon.*`.
-    pub fn register_metrics(&self, registry: &mut Registry, prefix: &str) {
-        let m = &self.stats;
-        registry.register_counter(format!("{prefix}.board.rx_frames"), m.rx_frames.clone());
-        registry.register_counter(
-            format!("{prefix}.board.batched_requests"),
-            m.batched_requests.clone(),
-        );
-        registry.register_counter(format!("{prefix}.board.rx_packets"), m.rx_packets.clone());
-        registry.register_counter(format!("{prefix}.board.tx_packets"), m.tx_packets.clone());
-        registry.register_counter(format!("{prefix}.board.tx_frames"), m.tx_frames.clone());
-        registry.register_counter(
-            format!("{prefix}.board.batched_responses"),
-            m.batched_responses.clone(),
-        );
-        registry.register_counter(format!("{prefix}.board.nacks"), m.nacks.clone());
-        registry.register_counter(format!("{prefix}.board.nack_frames"), m.nack_frames.clone());
-        registry.register_counter(format!("{prefix}.board.dedup_replays"), m.dedup_replays.clone());
-        registry.register_counter(format!("{prefix}.board.slow_ops"), m.slow_ops.clone());
-        registry.register_counter(format!("{prefix}.board.offload_calls"), m.offload_calls.clone());
-        registry.register_counter(format!("{prefix}.board.conflicts"), m.conflicts.clone());
-        registry.register_counter(format!("{prefix}.board.moved"), m.moved.clone());
-        registry
-            .register_counter(format!("{prefix}.board.board_restarts"), m.board_restarts.clone());
-        registry.register_counter(
-            format!("{prefix}.board.dropped_while_down"),
-            m.dropped_while_down.clone(),
-        );
-        registry.register_gauge(format!("{prefix}.board.peer_srtt_ns"), self.peer_srtt_ns.clone());
-        self.silicon.register_metrics(registry, prefix);
     }
 
     /// A hash of the board's **logical** protocol state, for model-checker
@@ -602,7 +502,7 @@ impl CBoard {
         self.egress_gap_ewma.clear();
         self.egress_turnaround_ewma.clear();
         self.peer_srtt.clear();
-        self.peer_srtt_ns.set(0);
+        self.peer_srtt_ns = 0;
         self.silicon.dedup_mut().clear();
         self.fence_until = SimTime::ZERO;
         self.last_completion = SimTime::ZERO;
@@ -617,7 +517,7 @@ impl CBoard {
             return;
         }
         self.alive = true;
-        self.stats.board_restarts.inc();
+        self.stats.board_restarts += 1;
     }
 
     /// Queues a packet for egress toward `dst`, ready (fully produced by the
@@ -627,11 +527,11 @@ impl CBoard {
     /// NIC.
     fn respond(&mut self, ctx: &mut Ctx<'_>, at: SimTime, dst: Mac, pkt: ClioPacket) {
         let trace = self.cur_trace.take();
-        self.stats.tx_packets.add(match &pkt {
+        self.stats.tx_packets += match &pkt {
             // A coalesced NACK frame carries one logical NACK per entry.
             ClioPacket::BatchNack { req_ids } => req_ids.len() as u64,
             _ => 1,
-        });
+        };
         let ready = at.max(ctx.now());
         // NACK frames and multi-fragment responses never batch with
         // responses, so holding them buys nothing and only delays
@@ -833,12 +733,12 @@ impl CBoard {
             self.egress_doorbells.insert(dst, (at, ev));
         }
         for (at, pkt, ops, traces) in shipped.drain(..) {
-            self.stats.tx_frames.inc();
+            self.stats.tx_frames += 1;
             if ops > 1 {
-                self.stats.batched_responses.add(ops);
+                self.stats.batched_responses += ops;
             }
             if matches!(&pkt, ClioPacket::Nack { .. } | ClioPacket::BatchNack { .. }) {
-                self.stats.nack_frames.inc();
+                self.stats.nack_frames += 1;
             }
             let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
             let ship = at.max(now);
@@ -923,11 +823,11 @@ impl CBoard {
     fn region_refusal(&mut self, pid: Pid, va: u64) -> Option<Status> {
         match self.regions.phase_of(pid, va)? {
             RegionPhase::Migrating => {
-                self.stats.conflicts.inc();
+                self.stats.conflicts += 1;
                 Some(Status::Conflict)
             }
             RegionPhase::Moved { .. } => {
-                self.stats.moved.inc();
+                self.stats.moved += 1;
                 Some(Status::Moved)
             }
         }
@@ -969,7 +869,7 @@ impl CBoard {
         // hold budget on the signal the CN's own doorbell budget uses.
         if let Some(echo) = header.srtt_echo_ns {
             self.peer_srtt.insert(src, echo);
-            self.peer_srtt_ns.set(echo as u64);
+            self.peer_srtt_ns = echo as u64;
         }
         // Fences block all later requests (§4.5 T3): nothing starts before
         // the barrier.
@@ -1019,7 +919,7 @@ impl CBoard {
                     return;
                 }
                 if let Some(rec) = self.dedup_hit(&header) {
-                    self.stats.dedup_replays.inc();
+                    self.stats.dedup_replays += 1;
                     // Keep the retry chain alive: a retry of THIS retry must
                     // also find a record.
                     self.record_dedup(&header, rec);
@@ -1072,7 +972,7 @@ impl CBoard {
             RequestBody::CreateAs => {
                 let service = self.slow.create_as(pid);
                 let at = self.slow_path_completion(now, service);
-                self.stats.slow_ops.inc();
+                self.stats.slow_ops += 1;
                 self.tracer.stitch(header.trace, self.track, Stage::SlowPath, at);
                 self.respond_status(ctx, at, src, header.req_id, Status::Ok, ResponseBody::Done);
             }
@@ -1088,7 +988,7 @@ impl CBoard {
                 }
                 self.slow.palloc_mut().free_many(freed);
                 let at = self.slow_path_completion(now, service);
-                self.stats.slow_ops.inc();
+                self.stats.slow_ops += 1;
                 self.tracer.stitch(header.trace, self.track, Stage::SlowPath, at);
                 self.respond_status(ctx, at, src, header.req_id, Status::Ok, ResponseBody::Done);
             }
@@ -1203,7 +1103,7 @@ impl CBoard {
             return;
         }
         if let Some(rec) = self.dedup_hit(&header) {
-            self.stats.dedup_replays.inc();
+            self.stats.dedup_replays += 1;
             self.record_dedup(&header, rec);
             let at = ctx.now() + self.control_latency();
             self.tracer.stitch(header.trace, self.track, Stage::Control, at);
@@ -1263,7 +1163,7 @@ impl CBoard {
         fixed_va: Option<u64>,
     ) {
         let now = ctx.now();
-        self.stats.slow_ops.inc();
+        self.stats.slow_ops += 1;
         if !self.slow.has_pid(header.pid) {
             // Implicit address-space creation on first allocation keeps the
             // client API simple (CreateAs remains available explicitly).
@@ -1298,7 +1198,7 @@ impl CBoard {
 
     fn run_slow_free(&mut self, ctx: &mut Ctx<'_>, src: Mac, header: ReqHeader, va: u64) {
         let now = ctx.now();
-        self.stats.slow_ops.inc();
+        self.stats.slow_ops += 1;
         match self.slow.free(header.pid, va) {
             Ok(out) => {
                 let mut freed = Vec::new();
@@ -1346,7 +1246,7 @@ impl CBoard {
             );
             return;
         };
-        self.stats.offload_calls.inc();
+        self.stats.offload_calls += 1;
         self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
         let hw = &self.cfg.hw;
         let begin = start + hw.mac_phy_latency + hw.clock.cycles(hw.parse_cycles);
@@ -1546,6 +1446,18 @@ fn fnv_fold(mut h: u64, tag: u64, elems: &[u64]) -> u64 {
     h
 }
 
+/// `board.*`, then the datapath's `silicon.*` / `vm.*` / `tlb.*`.
+impl Metrics for CBoard {
+    fn counters(&self, f: &mut Visit<'_>) {
+        self.stats.each(f);
+        self.silicon.counters(f);
+    }
+
+    fn gauges(&self, f: &mut Visit<'_>) {
+        f("board.peer_srtt_ns", self.peer_srtt_ns);
+    }
+}
+
 impl Actor for CBoard {
     fn name(&self) -> &str {
         &self.name
@@ -1569,7 +1481,7 @@ impl Actor for CBoard {
             // Powered off: every frame, doorbell and migration message is
             // dropped on the floor. The CN's timeout machinery sees the
             // silence; nothing is NACKed (a dead board can't NACK).
-            self.stats.dropped_while_down.inc();
+            self.stats.dropped_while_down += 1;
             return;
         }
         let msg = match msg.downcast::<MigrateCommand>() {
@@ -1608,13 +1520,13 @@ impl Actor for CBoard {
             match frame.payload.downcast_ref::<ClioPacket>() {
                 Some(ClioPacket::Request { header, .. }) => {
                     let req_id = header.req_id;
-                    self.stats.nacks.inc();
+                    self.stats.nacks += 1;
                     let at = ctx.now() + self.control_latency();
                     self.respond(ctx, at, src, ClioPacket::Nack { req_id });
                 }
                 Some(ClioPacket::Batch { requests }) => {
                     let at = ctx.now() + self.control_latency();
-                    self.stats.nacks.add(requests.len() as u64);
+                    self.stats.nacks += requests.len() as u64;
                     if self.cfg.resp_batch_max_ops > 1 {
                         let mut batch = NackBatchBuilder::new(
                             self.cfg.resp_batch_max_ops as usize,
@@ -1664,8 +1576,8 @@ impl Actor for CBoard {
         };
         match payload {
             ClioPacket::Request { header, body } => {
-                self.stats.rx_frames.inc();
-                self.stats.rx_packets.inc();
+                self.stats.rx_frames += 1;
+                self.stats.rx_packets += 1;
                 self.handle_request(ctx, src, header, body);
             }
             ClioPacket::Batch { requests } => {
@@ -1682,9 +1594,9 @@ impl Actor for CBoard {
                 // through the MAC — charging the tail preserves completion
                 // order). The documented approximation is that a batch
                 // frame's responses coalesce into one reply frame.
-                self.stats.rx_frames.inc();
-                self.stats.rx_packets.add(requests.len() as u64);
-                self.stats.batched_requests.add(requests.len() as u64);
+                self.stats.rx_frames += 1;
+                self.stats.rx_packets += requests.len() as u64;
+                self.stats.batched_requests += requests.len() as u64;
                 self.silicon.begin_ingress_frame();
                 if self.cfg.resp_batch_max_ops > 1 {
                     self.silicon.begin_egress_frame();

@@ -54,9 +54,9 @@ pub trait Offload: 'static {
     /// Handles one offload invocation.
     fn on_call(&mut self, env: &mut OffloadEnv<'_>, opcode: u16, arg: Bytes) -> OffloadReply;
 
-    /// A boxed copy of the module and its state, so that copying a board
-    /// ([`CBoard::fork`](crate::CBoard::fork)) copies what is installed on
-    /// it. For a `Clone` module: `Box::new(self.clone())`.
+    /// A boxed copy of the module and its state, so that cloning a
+    /// [`CBoard`](crate::CBoard) copies what is installed on it. For a
+    /// `Clone` module: `Box::new(self.clone())`.
     fn clone_box(&self) -> Box<dyn Offload>;
 }
 

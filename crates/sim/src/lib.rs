@@ -15,7 +15,7 @@
 //! * deterministic integer-keyed tables ([`IdMap`], [`IdSet`]) for simulator
 //!   state ([`table`]),
 //! * a statistics toolkit: log-bucketed latency histograms with percentiles,
-//!   counters, rate meters and time series ([`stats`]).
+//!   and time series ([`stats`]).
 //!
 //! Everything is single-threaded and deterministic: running the same
 //! simulation with the same seed produces the identical event sequence, which

@@ -1,9 +1,7 @@
-//! Measurement toolkit: latency histograms, counters, rates and time series.
+//! Measurement toolkit: latency histograms and time series.
 
-mod counter;
 mod histogram;
 mod series;
 
-pub use counter::{Counter, RateMeter};
 pub use histogram::{Histogram, LatencySummary};
 pub use series::{render_table, Series};

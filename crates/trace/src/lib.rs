@@ -10,9 +10,9 @@
 //!   where span `i` ended — so the sum of stage durations provably equals
 //!   the op's end-to-end latency ([`check_trace`] verifies this on every
 //!   trace).
-//! * **Metrics registry** ([`metrics`]): shared-handle counters, gauges and
-//!   histograms with one snapshot/reset surface, replacing per-component
-//!   ad-hoc stats structs.
+//! * **Metrics registry** ([`metrics`]): a component's counters are plain
+//!   fields declared once ([`counters!`]); the registry is a borrowing view
+//!   that walks them, with gauges computed from live state.
 //! * **Perfetto export** ([`export`]): any set of finished traces renders
 //!   as Chrome trace-event JSON loadable in `ui.perfetto.dev` — one track
 //!   per actor, one slice per stage, retries linked as flows.

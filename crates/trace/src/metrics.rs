@@ -1,213 +1,137 @@
-//! Unified metrics: shared-handle counters/gauges/histograms and the
-//! [`Registry`] that snapshots and resets them all uniformly.
+//! Unified metrics: a component's counters are plain fields, and the
+//! [`Registry`] is a walk over them.
 //!
-//! Components own the handles (cheap `Rc` clones) and bump them inline;
-//! registering a handle under a name gives the registry shared access for
-//! [`Registry::snapshot`] and [`Registry::reset`]. Because registry and
-//! component address the *same* cell, there is no snapshot/reset drift: a
-//! reset is immediately visible to the component, and a snapshot always
-//! reflects the component's latest increments.
-//!
-//! `clone()` on a handle therefore *shares* the cell. A copy of a component
-//! that must count on its own (a forked simulation) takes `detached()`
-//! handles instead: new cells holding the current values.
+//! * **A group is declared once.** [`counters!`](crate::counters) turns one
+//!   field list into a plain `*Stats` struct of `pub u64`s (the live state:
+//!   the owner bumps `self.stats.rx_frames += 1`) and its `each`, which
+//!   yields every field as `"<group>.<field>"`.
+//! * **A snapshot is a walk.** A node implements [`Metrics`] by chaining
+//!   the `each` of the groups it owns; a [`Registry`] borrows the nodes and
+//!   runs their walks under a prefix (`mn0.board.rx_frames`). Nothing is
+//!   registered ahead of time and no cell is shared, so a `clone()` of a
+//!   component counts on its own.
+//! * **Gauges are computed** by the walk from state the component already
+//!   keeps, so they cannot drift from it.
+//! * **A window is two snapshots**: counters only grow; subtract.
 
-use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
-use clio_sim::stats::{Histogram, LatencySummary};
-use clio_sim::SimDuration;
+/// Declares one group of counters: a `Copy` struct of `pub u64` fields,
+/// all zero by `Default`, plus `each`, which yields every field under the
+/// name `"<group>.<field>"`. The field list here is the only place the
+/// group's counters are enumerated.
+///
+/// ```
+/// clio_trace::counters! {
+///     /// Door statistics.
+///     pub struct DoorStats: "door" {
+///         /// Times opened.
+///         opened,
+///         /// Times slammed.
+///         slammed,
+///     }
+/// }
+/// let mut s = DoorStats::default();
+/// s.opened += 2;
+/// let mut seen = Vec::new();
+/// s.each(&mut |name, v| seen.push((name, v)));
+/// assert_eq!(seen, [("door.opened", 2), ("door.slammed", 0)]);
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident : $group:literal {
+            $( $(#[$fmeta:meta])* $field:ident ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $( $(#[$fmeta])* pub $field: u64, )*
+        }
 
-/// A monotonically increasing counter handle.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Rc<Cell<u64>>);
-
-impl Counter {
-    /// A fresh zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.set(self.0.get() + n);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-
-    /// Zeroes the counter (shared across all clones).
-    pub fn reset(&self) {
-        self.0.set(0);
-    }
-
-    /// A counter of its own holding the current value: unlike `clone()`,
-    /// shares nothing with `self`.
-    pub fn detached(&self) -> Self {
-        Counter(Rc::new(Cell::new(self.get())))
-    }
+        impl $name {
+            /// Calls `f` with every counter of the group, in declaration
+            /// order, as `("<group>.<field>", value)`.
+            pub fn each(&self, f: &mut $crate::metrics::Visit<'_>) {
+                $( f(concat!($group, ".", stringify!($field)), self.$field); )*
+            }
+        }
+    };
 }
 
-/// A last-writer-wins gauge handle.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Rc<Cell<u64>>);
+/// What a walk calls with each `("<group>.<name>", value)`.
+pub type Visit<'a> = dyn FnMut(&'static str, u64) + 'a;
 
-impl Gauge {
-    /// A fresh zeroed gauge.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// A node whose metrics can be walked: the groups it owns, and those of
+/// the components inside it.
+pub trait Metrics {
+    /// Yields every counter (monotonic since the node was built).
+    fn counters(&self, f: &mut Visit<'_>);
 
-    /// Sets the current value.
-    pub fn set(&self, v: u64) {
-        self.0.set(v);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-
-    /// Zeroes the gauge (shared across all clones).
-    pub fn reset(&self) {
-        self.0.set(0);
-    }
-
-    /// A gauge of its own holding the current value: unlike `clone()`,
-    /// shares nothing with `self`.
-    pub fn detached(&self) -> Self {
-        Gauge(Rc::new(Cell::new(self.get())))
-    }
+    /// Yields every gauge (a current level), computed from live state.
+    /// A node without gauges keeps this default.
+    fn gauges(&self, _f: &mut Visit<'_>) {}
 }
 
-/// A shared-handle latency histogram.
-#[derive(Debug, Clone, Default)]
-pub struct HistogramHandle(Rc<RefCell<Histogram>>);
-
-impl HistogramHandle {
-    /// A fresh empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one value (typically nanoseconds).
-    pub fn record(&self, v: u64) {
-        self.0.borrow_mut().record(v);
-    }
-
-    /// Records a duration in nanoseconds.
-    pub fn record_duration(&self, d: SimDuration) {
-        self.0.borrow_mut().record_duration(d);
-    }
-
-    /// A point-in-time summary.
-    pub fn summary(&self) -> LatencySummary {
-        self.0.borrow().summary()
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.0.borrow().count()
-    }
-
-    /// Clears all samples (shared across all clones).
-    pub fn reset(&self) {
-        *self.0.borrow_mut() = Histogram::new();
-    }
-
-    /// A histogram of its own holding the current samples: unlike
-    /// `clone()`, shares nothing with `self`.
-    pub fn detached(&self) -> Self {
-        HistogramHandle(Rc::new(RefCell::new(self.0.borrow().clone())))
-    }
-}
-
-/// A name-keyed collection of metric handles with a single snapshot/reset
-/// surface. Names are dot-separated by convention (`cn0.transport.retries`).
-#[derive(Debug, Clone, Default)]
-pub struct Registry {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, HistogramHandle>,
-}
-
-/// A plain-data copy of every registered metric at one instant.
-#[derive(Debug, Clone, Default)]
+/// A plain-data copy of every metric at one instant.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, u64>,
-    /// Histogram summaries by name.
-    pub histograms: BTreeMap<String, LatencySummary>,
 }
 
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// A borrowing view over a set of nodes: every read walks the nodes as
+/// they are now. Names are `<prefix>.<group>.<name>`
+/// (`cn0.transport.retries`).
+#[derive(Default)]
+pub struct Registry<'a> {
+    nodes: Vec<(String, &'a dyn Metrics)>,
+}
 
-    /// Registers a counter handle under `name` (re-registering a name
-    /// replaces the old handle).
-    pub fn register_counter(&mut self, name: impl Into<String>, c: Counter) {
-        self.counters.insert(name.into(), c);
-    }
-
-    /// Registers a gauge handle under `name`.
-    pub fn register_gauge(&mut self, name: impl Into<String>, g: Gauge) {
-        self.gauges.insert(name.into(), g);
-    }
-
-    /// Registers a histogram handle under `name`.
-    pub fn register_histogram(&mut self, name: impl Into<String>, h: HistogramHandle) {
-        self.histograms.insert(name.into(), h);
-    }
-
-    /// A registered counter's current value (`None` if unknown).
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).map(Counter::get)
-    }
-
-    /// A registered gauge's current value (`None` if unknown).
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).map(Gauge::get)
+impl<'a> Registry<'a> {
+    /// Adds `node`, its metrics named under `prefix` (which holds no dot).
+    pub fn add(&mut self, prefix: impl Into<String>, node: &'a dyn Metrics) {
+        self.nodes.push((prefix.into(), node));
     }
 
     /// Copies every metric's current value.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: self.counters.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
-            gauges: self.gauges.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
-            histograms: self.histograms.iter().map(|(k, v)| (k.clone(), v.summary())).collect(),
+        let mut snap = Snapshot::default();
+        for (prefix, node) in &self.nodes {
+            node.counters(&mut |name, v| {
+                snap.counters.insert(format!("{prefix}.{name}"), v);
+            });
+            node.gauges(&mut |name, v| {
+                snap.gauges.insert(format!("{prefix}.{name}"), v);
+            });
         }
+        snap
     }
 
-    /// Zeroes **every** registered metric — counters, gauges, and
-    /// histograms alike — through the shared handles, so components see the
-    /// reset immediately and no metric is left carrying pre-reset state.
-    pub fn reset(&self) {
-        self.counters.values().for_each(Counter::reset);
-        self.gauges.values().for_each(Gauge::reset);
-        self.histograms.values().for_each(HistogramHandle::reset);
+    /// A counter's current value (`None` if no node yields `name`).
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.find(name, |node, f| node.counters(f))
     }
 
-    /// Number of registered metrics (all kinds).
-    pub fn len(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.histograms.len()
+    /// A gauge's current value (`None` if no node yields `name`).
+    pub fn gauge(&self, name: &str) -> Option<u64> {
+        self.find(name, |node, f| node.gauges(f))
     }
 
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    fn find(&self, name: &str, walk: impl Fn(&dyn Metrics, &mut Visit<'_>)) -> Option<u64> {
+        let (prefix, rest) = name.split_once('.')?;
+        let (_, node) = self.nodes.iter().find(|(p, _)| p == prefix)?;
+        let mut found = None;
+        walk(*node, &mut |n, v| {
+            if n == rest {
+                found = Some(v);
+            }
+        });
+        found
     }
 }
 
@@ -215,77 +139,52 @@ impl Registry {
 mod tests {
     use super::*;
 
+    counters! {
+        /// A test group.
+        struct LinkStats: "link" {
+            /// Frames sent.
+            tx,
+            /// Frames received.
+            rx,
+        }
+    }
+
+    #[derive(Clone, Default)]
+    struct Node {
+        stats: LinkStats,
+        queue: Vec<u8>,
+    }
+
+    impl Metrics for Node {
+        fn counters(&self, f: &mut Visit<'_>) {
+            self.stats.each(f);
+        }
+        fn gauges(&self, f: &mut Visit<'_>) {
+            f("link.queued", self.queue.len() as u64);
+        }
+    }
+
     #[test]
-    fn handles_share_state_with_registry() {
-        let mut reg = Registry::new();
-        let c = Counter::new();
-        let g = Gauge::new();
-        let h = HistogramHandle::new();
-        reg.register_counter("cn0.retries", c.clone());
-        reg.register_gauge("mn0.srtt_echo_ns", g.clone());
-        reg.register_histogram("cn0.rtt", h.clone());
-        c.add(3);
-        g.set(1200);
-        h.record(500);
+    fn registry_walks_live_state_under_prefixes() {
+        let mut a = Node::default();
+        let mut b = a.clone();
+        a.stats.tx += 3;
+        a.queue.push(0);
+        b.stats.rx += 1;
+        let mut reg = Registry::default();
+        reg.add("cn0", &a);
+        reg.add("cn1", &b);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters["cn0.retries"], 3);
-        assert_eq!(snap.gauges["mn0.srtt_echo_ns"], 1200);
-        assert_eq!(snap.histograms["cn0.rtt"].count, 1);
-        assert_eq!(reg.counter("cn0.retries"), Some(3));
-        assert_eq!(reg.counter("nope"), None);
-    }
-
-    #[test]
-    fn reset_zeroes_every_metric_uniformly() {
-        // Regression for the stats-reset drift: every metric kind must
-        // observe one reset, through the same shared cells the component
-        // increments.
-        let mut reg = Registry::new();
-        let c = Counter::new();
-        let g = Gauge::new();
-        let h = HistogramHandle::new();
-        reg.register_counter("a", c.clone());
-        reg.register_gauge("b", g.clone());
-        reg.register_histogram("c", h.clone());
-        c.inc();
-        g.set(7);
-        h.record(9);
-        reg.reset();
-        // The registry sees zeroes...
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["a"], 0);
-        assert_eq!(snap.gauges["b"], 0);
-        assert_eq!(snap.histograms["c"].count, 0);
-        // ...and so do the component-held handles (same cells).
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
-        assert_eq!(h.count(), 0);
-        // Post-reset increments are visible again.
-        c.inc();
-        assert_eq!(reg.counter("a"), Some(1));
-    }
-
-    #[test]
-    fn detached_handles_keep_the_value_and_share_nothing() {
-        let (c, g, h) = (Counter::new(), Gauge::new(), HistogramHandle::new());
-        c.add(3);
-        g.set(7);
-        h.record(9);
-        let (c2, g2, h2) = (c.detached(), g.detached(), h.detached());
-        c2.inc();
-        g2.set(8);
-        h2.record(10);
-        assert_eq!((c.get(), g.get(), h.count()), (3, 7, 1));
-        assert_eq!((c2.get(), g2.get(), h2.count()), (4, 8, 2));
-    }
-
-    #[test]
-    fn registry_len_counts_all_kinds() {
-        let mut reg = Registry::new();
-        assert!(reg.is_empty());
-        reg.register_counter("a", Counter::new());
-        reg.register_gauge("b", Gauge::new());
-        assert_eq!(reg.len(), 2);
-        assert!(!reg.is_empty());
+        let names: Vec<&str> = snap.counters.keys().map(String::as_str).collect();
+        assert_eq!(names, ["cn0.link.rx", "cn0.link.tx", "cn1.link.rx", "cn1.link.tx"]);
+        assert_eq!(snap.counters["cn0.link.tx"], 3);
+        assert_eq!(snap.counters["cn1.link.tx"], 0, "a clone counts on its own");
+        assert_eq!(snap.gauges["cn0.link.queued"], 1);
+        assert_eq!(reg.counter("cn1.link.rx"), Some(1));
+        assert_eq!(reg.gauge("cn1.link.queued"), Some(0));
+        // Unknown node, unknown name, and a counter asked for as a gauge.
+        assert_eq!(reg.counter("cn2.link.rx"), None);
+        assert_eq!(reg.counter("cn0.link.nope"), None);
+        assert_eq!(reg.gauge("cn0.link.tx"), None);
     }
 }

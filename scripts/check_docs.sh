@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Grep-based docs link check: every backticked crate, path, type, config
-# knob, or env var referenced in docs/ARCHITECTURE.md must still exist in
-# the tree. Fails listing the stale references, so the architecture tour
+# knob, env var or metric name referenced in docs/ARCHITECTURE.md must
+# still exist in the tree. Fails listing the stale references, so the architecture tour
 # cannot silently rot as the code moves.
 set -u
 cd "$(dirname "$0")/.."
 
 DOC="docs/ARCHITECTURE.md"
 [ -f "$DOC" ] || { echo "missing $DOC"; exit 1; }
+
+# The registry's pinned name lists (COUNTER_NAMES / GAUGE_NAMES).
+NAMES="crates/core/tests/trace_smoke.rs"
 
 fail=0
 declare -A checked
@@ -20,6 +23,17 @@ while IFS= read -r tok; do
   [ -n "$tok" ] || continue
   [ -n "${checked[$tok]:-}" ] && continue
   checked[$tok]=1
+
+  # Metric names (`cn0.transport.retries`, `mn<i>.board.nacks`): the
+  # `layer.name` must be one the registry yields, i.e. appear in the name
+  # lists pinned by the name-set test.
+  if [[ "$tok" =~ ^(cn|mn)(0|\<i\>)\.([a-z_]+\.[a-z_]+)$ ]]; then
+    if ! grep -qF "\"${BASH_REMATCH[1]}0.${BASH_REMATCH[3]}\"" "$NAMES"; then
+      echo "stale metric name: \`$tok\` (not pinned in $NAMES)"
+      fail=1
+    fi
+    continue
+  fi
 
   # Skip prose-ish tokens: spaces, shell lines, comparisons.
   case "$tok" in
@@ -63,6 +77,31 @@ done <<< "$tokens"
 
 if [ "$fail" -ne 0 ]; then
   echo "docs/ARCHITECTURE.md references things that no longer exist (see above)"
+  exit 1
+fi
+
+# Metric name table: each row `| `cn<i>.group` | counters | gauges |` must
+# list exactly the pinned names of that group — every pinned name in its
+# row, and every bare lowercase token of a row pinned.
+for full in $(grep -oE '"(cn|mn)0\.[a-z_]+\.[a-z_]+"' "$NAMES" | tr -d '"'); do
+  node="${full%%0.*}"; rest="${full#*.}"; group="${rest%%.*}"; name="${rest#*.}"
+  if ! grep "^| \`$node<i>\.$group\` |" "$DOC" | grep -q "\`$name\`"; then
+    echo "metric name table is missing $node<i>.$group.$name"
+    fail=1
+  fi
+done
+while IFS= read -r row; do
+  [[ "$row" =~ ^\|\ \`(cn|mn)\<i\>\.([a-z_]+)\`\ \| ]] || continue
+  node="${BASH_REMATCH[1]}"; group="${BASH_REMATCH[2]}"
+  for name in $(echo "${row#*|*|}" | grep -o '`[a-z_]*`' | tr -d '`'); do
+    if ! grep -qF "\"${node}0.$group.$name\"" "$NAMES"; then
+      echo "metric name table lists $node<i>.$group.$name, which is not pinned in $NAMES"
+      fail=1
+    fi
+  done
+done < "$DOC"
+if [ "$fail" -ne 0 ]; then
+  echo "docs/ARCHITECTURE.md metric names do not match the registry's pinned name set"
   exit 1
 fi
 
