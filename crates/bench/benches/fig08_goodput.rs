@@ -16,7 +16,6 @@ use clio_bench::drivers::{AccessMix, MemLoad};
 use clio_bench::setup::bench_cluster_tuned;
 use clio_bench::FigureReport;
 use clio_cn::CLibConfig;
-use clio_mn::CBoardConfig;
 use clio_proto::Pid;
 use clio_sim::stats::Series;
 
@@ -40,11 +39,7 @@ fn goodput(
 ) -> Run {
     let mut cluster = bench_cluster_tuned(1, 1, 80 + threads, clib, |board| {
         if !resp_batched {
-            *board = CBoardConfig {
-                resp_batch_max_ops: 1,
-                egress_doorbell_delay: Some(clio_sim::SimDuration::ZERO),
-                ..board.clone()
-            };
+            board.resp_batch_max_ops = 1;
         }
     });
     let mut recs = Vec::new();

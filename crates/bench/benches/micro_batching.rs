@@ -42,12 +42,8 @@ fn run(size: u32, batch_max_ops: u32, bursts: u64, scatter_gather: bool) -> Poin
     };
     // Response batching follows the request knob so the `1` point
     // reproduces the fully-unbatched wire in both directions.
-    let resp_ops = batch_max_ops;
     let mut cluster = bench_cluster_tuned(1, 1, 7 + size as u64, clib, |board| {
-        board.resp_batch_max_ops = resp_ops;
-        if resp_ops == 1 {
-            board.egress_doorbell_delay = Some(clio_sim::SimDuration::ZERO);
-        }
+        board.resp_batch_max_ops = batch_max_ops;
     });
     // The burst generator: issues BURST small async reads at one instant
     // (the paper's issue-then-poll pattern), waits for all of them, then

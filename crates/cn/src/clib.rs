@@ -629,7 +629,9 @@ impl CLib {
         completions: &mut Vec<Completion>,
     ) {
         let Some(pending) = self.ops.remove(&token) else { return };
-        self.transport.cancel(ctx, XferToken(token.0));
+        self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
+            t.cancel(ctx, nic, XferToken(token.0), done);
+        });
         self.stats.completed += 1;
         self.tracer.stitch(pending.trace, self.track, Stage::Cancelled, ctx.now());
         self.tracer.finish(pending.trace, self.track, ctx.now());

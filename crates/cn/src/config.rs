@@ -43,35 +43,13 @@ pub struct CLibConfig {
     /// Incast window: maximum outstanding expected response bytes per CN.
     pub iwnd_bytes: u64,
     /// Maximum small requests coalesced into one wire frame toward an MN
-    /// (doorbell coalescing). `1` disables batching entirely and restores
-    /// the one-frame-per-request wire behavior (the escape hatch that keeps
-    /// pre-batching figures reproducible).
+    /// (doorbell coalescing), under the link MTU. `1` disables batching
+    /// entirely — no doorbell, no hold — and restores the
+    /// one-frame-per-request wire behavior (the escape hatch that keeps
+    /// pre-batching figures reproducible). Above `1` the doorbell's hold is
+    /// not configured but measured: see [`clio_net::Doorbell`] for the rule
+    /// and [`Self::DOORBELL_DERIVED_CAP`] for its one CN-side constant.
     pub batch_max_ops: u32,
-    /// Maximum encoded bytes of a batch frame (clamped to the MTU). Small
-    /// values bound the serialization delay a batched request can add in
-    /// front of its peers.
-    pub batch_max_bytes: u32,
-    /// Latency budget for the load-adaptive doorbell hold.
-    ///
-    /// `None` (the default) derives the budget from the congestion window's
-    /// measured RTT: the hold may reach at most `srtt / 4` (EWMA-smoothed,
-    /// capped by [`Self::DOORBELL_DERIVED_CAP`]), so the latency cost of
-    /// coalescing self-calibrates to the deployment instead of needing
-    /// hand-tuning — on a 10 µs-RTT fabric a ~2.5 µs hold is invisible,
-    /// while on a 2 µs fabric the same static 2.5 µs would dominate. Before
-    /// the first RTT sample the budget falls back to
-    /// [`Self::DOORBELL_FALLBACK_DELAY`] (zero: never hold blind), and a
-    /// `CongestionWindow::reset` returns to that fallback.
-    ///
-    /// `Some(budget)` is an explicit static override: `Some(ZERO)` keeps
-    /// the zero-delay doorbell where only same-instant submissions
-    /// coalesce; a positive budget lets the doorbell wait for
-    /// near-simultaneous submissions — e.g. several closed-loop threads —
-    /// holding at most `min(budget, observed inter-submission gap × free
-    /// batch slots)`, and firing immediately when a full batch is queued,
-    /// so an idle transport never waits and a busy one never waits longer
-    /// than the budget.
-    pub doorbell_max_delay: Option<SimDuration>,
     /// Consecutive attempt-level timeouts toward one MN before its circuit
     /// breaker trips and further ops to it fail fast with
     /// `ClioError::Unreachable` instead of each burning the full retry
@@ -86,16 +64,11 @@ pub struct CLibConfig {
 }
 
 impl CLibConfig {
-    /// Hard cap on the RTT-derived doorbell budget: even on a
-    /// pathologically slow fabric the doorbell never holds a request longer
-    /// than this (a third of the default 12 µs target RTT).
+    /// Hard cap on the doorbell's latency budget (`srtt / 4` toward the MN,
+    /// zero before the first RTT sample): even on a pathologically slow
+    /// fabric the doorbell never holds a request longer than this (a third
+    /// of the default 12 µs target RTT).
     pub const DOORBELL_DERIVED_CAP: SimDuration = SimDuration::from_micros(4);
-
-    /// Budget the RTT-derived doorbell uses before the first RTT sample
-    /// (and after a congestion-window reset): zero — the transport never
-    /// holds requests on a fabric it has not measured yet, which is exactly
-    /// the pre-derivation static default.
-    pub const DOORBELL_FALLBACK_DELAY: SimDuration = SimDuration::ZERO;
 
     /// Paper-calibrated defaults.
     pub fn prototype() -> Self {
@@ -115,8 +88,6 @@ impl CLibConfig {
             target_rtt: SimDuration::from_micros(12),
             iwnd_bytes: 512 << 10,
             batch_max_ops: 16,
-            batch_max_bytes: clio_proto::MTU_BYTES as u32,
-            doorbell_max_delay: None,
             breaker_threshold: 0,
             breaker_probe_backoff: SimDuration::from_micros(200),
         }
@@ -147,9 +118,6 @@ mod tests {
         assert!(c.max_retries > 0);
         assert!(c.request_timeout > c.target_rtt);
         assert!(c.batch_max_ops > 1, "batching is on by default");
-        assert!(c.batch_max_bytes as usize <= clio_proto::MTU_BYTES);
-        assert!(c.doorbell_max_delay.is_none(), "RTT-derived doorbell budget is the default");
-        assert!(CLibConfig::DOORBELL_FALLBACK_DELAY.is_zero(), "never hold before calibration");
         assert!(CLibConfig::DOORBELL_DERIVED_CAP < c.target_rtt, "cap stays well under the RTT");
         assert_eq!(CLibConfig::prototype_unbatched().batch_max_ops, 1);
         assert_eq!(c.breaker_threshold, 0, "breaker is opt-in; prototype retries to exhaustion");

@@ -68,7 +68,7 @@ impl CongestionWindow {
     /// The smoothed RTT of data-plane responses toward this MN (EWMA,
     /// α = 1/8), or `None` before the first sample or after a
     /// [`reset`](Self::reset). The transport derives its doorbell latency
-    /// budget from this when no static budget is configured.
+    /// budget from this.
     pub fn srtt(&self) -> Option<SimDuration> {
         self.srtt_ns.map(|ns| SimDuration::from_nanos(ns as u64))
     }

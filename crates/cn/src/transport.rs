@@ -15,25 +15,20 @@
 //! immediately; when the doorbell fires, every queued request drains
 //! through a single pump. The pump packs admitted small same-MN requests
 //! (single-packet reads, writes, and atomics) into [`ClioPacket::Batch`]
-//! frames under the `batch_max_ops`/`batch_max_bytes`/MTU budgets, saving
-//! one Ethernet framing overhead per coalesced request. Each batched
-//! request keeps its own request id, congestion/incast window slot, retry
-//! timer, and blueprint: timeouts, NACK retries (`retry_of` dedup), and
-//! completions are indistinguishable from the unbatched wire protocol. A
-//! lone admitted request is framed as a plain `Request`, byte-identical to
+//! frames under the `batch_max_ops`/MTU budgets, saving one Ethernet
+//! framing overhead per coalesced request. Each batched request keeps its
+//! own request id, congestion/incast window slot, retry timer, and
+//! blueprint: timeouts, NACK retries (`retry_of` dedup), and completions
+//! are indistinguishable from the unbatched wire protocol. A lone admitted
+//! request is framed as a plain `Request`, byte-identical to
 //! `batch_max_ops = 1`.
 //!
-//! The doorbell's delay is **load-adaptive**, bounded by a latency budget
-//! that is itself **RTT-derived** by default: with
-//! `CLibConfig::doorbell_max_delay = None` the budget is `srtt / 4` of the
-//! congestion window's EWMA-smoothed RTT toward that MN (capped by
-//! `CLibConfig::DOORBELL_DERIVED_CAP`, zero before the first RTT sample),
-//! so the hold self-calibrates: always a small fraction of what the
-//! application already waits per request. A `Some(budget)` config is an
-//! explicit static override. Within the budget the doorbell holds for the
-//! observed inter-submission gap times the free batch slots, and fires
-//! immediately when a full batch is queued or the transport has no
-//! recent-traffic history.
+//! How long the doorbell holds is not configured but measured — the rule
+//! is [`clio_net::Doorbell`]'s, shared with the MN's egress doorbell. The
+//! transport supplies what is its own: the signal (the congestion window's
+//! smoothed RTT toward that MN, so the budget is `srtt / 4`, zero before
+//! the first sample) and the cap (`CLibConfig::DOORBELL_DERIVED_CAP`). The
+//! doorbell fires immediately when a full batch is queued.
 //!
 //! Retransmissions re-coalesce too: retries queued in the same pump — e.g.
 //! several timers for one MN expiring at the same instant after a lost
@@ -48,11 +43,21 @@
 //! hands the transport an explicit op vector (CLib's `rread_v`/`rwrite_v`
 //! scatter/gather API) which is queued and pumped as one unit.
 //!
+//! # Structure
+//!
+//! Per-MN state is one `Peer` record in one table (send queue, congestion
+//! window, doorbell, retry queue, breaker). Every attempt — first send,
+//! batched send, retransmission — enters `outstanding` through `register`
+//! and reaches the wire through `ship` (a first send does both in its
+//! pump; a retransmission registers when it is queued and ships when the
+//! retry doorbell fires, one event later). Window slots are handed back
+//! in `release`, nowhere else.
+//!
 //! # Invariants
 //!
 //! The following hold at every event boundary (between any two messages
-//! the host actor delivers to the transport) and are checked exhaustively
-//! by the `clio_mc` bounded model checker via
+//! the host actor delivers to the transport). The first four are checked
+//! exhaustively by the `clio_mc` bounded model checker via
 //! [`Transport::check_invariants`], plus sampled by the proptests in
 //! `tests/equivalence.rs` and `tests/transport_window.rs`:
 //!
@@ -81,19 +86,32 @@
 //!    and no frame or timer is in flight, `in_flight`, `queued`,
 //!    `parked` and `incast_in_flight` are all zero: no orphaned window
 //!    slots, queued sends, or parked conflicts survive.
+//! 5. **Release, then drain.** Window space is released in one function,
+//!    and every public entry point ([`on_packet`], [`on_timer`],
+//!    [`cancel`]) drains the send queues before returning iff slots were
+//!    released during it — a queued send owns no timer, so a release
+//!    nobody follows up would strand it (the regression test
+//!    `cancel_drains_the_sends_queued_behind_the_freed_slot` in
+//!    `tests/transport_window.rs`). A retry keeps its slots and triggers
+//!    no drain; neither does a pump undoing its own `try_acquire`.
 //!
 //! [`send`]: Transport::send
 //! [`send_many`]: Transport::send_many
+//! [`on_packet`]: Transport::on_packet
+//! [`on_timer`]: Transport::on_timer
+//! [`cancel`]: Transport::cancel
 
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use clio_net::{Mac, NicPort};
+use clio_net::{Doorbell, Mac, NicPort};
 use clio_proto::{
     codec, split_write, BatchBuilder, ClioPacket, Perm, Pid, Reassembler, ReqHeader, ReqId,
     RequestBody, RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES, MAX_WRITE_FRAG_PAYLOAD,
+    MTU_BYTES,
 };
-use clio_sim::{Ctx, EventId, IdMap, IdSet, Message, SimDuration, SimTime};
+use clio_sim::table::{fnv_fold, fnv_mix};
+use clio_sim::{Ctx, EventId, IdMap, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
@@ -376,13 +394,58 @@ enum BreakerState {
     HalfOpen,
 }
 
-/// Liveness bookkeeping toward one MN. Only attempt-level timeouts count
-/// against a board: a NACK (corruption) proves the board is alive and
-/// resets the streak just like a response does.
-#[derive(Debug, Clone, Default)]
-struct PeerHealth {
+/// Everything the transport keeps about one memory node, in one record:
+/// created by the first send toward the MN and kept for the transport's
+/// life (the set of MNs a CN talks to is small and fixed).
+#[derive(Debug, Clone)]
+struct Peer {
+    /// Sends waiting for window space, in submission order.
+    queue: VecDeque<QueuedSend>,
+    cwnd: CongestionWindow,
+    /// The request doorbell: the inter-submission gap estimate that sizes
+    /// its hold, and the armed `Pump` timer.
+    doorbell: Doorbell,
+    /// Retransmissions queued for coalescing: `(new id, retry_of)`.
+    retries: Vec<(ReqId, Option<ReqId>)>,
+    /// Whether the zero-delay `RetryPump` that ships `retries` is scheduled.
+    retry_armed: bool,
+    /// Attempt-level timeouts since the last proof of life. Only timeouts
+    /// count against a board: a NACK (corruption) proves the board is alive
+    /// and resets the streak just like a response does. Stays zero while
+    /// the breaker is disabled (`breaker_threshold == 0`).
     consecutive_timeouts: u32,
-    state: BreakerState,
+    breaker: BreakerState,
+}
+
+impl Peer {
+    fn new(cfg: &CLibConfig) -> Self {
+        Peer {
+            queue: VecDeque::new(),
+            cwnd: CongestionWindow::new(cfg),
+            doorbell: Doorbell::default(),
+            retries: Vec::new(),
+            retry_armed: false,
+            consecutive_timeouts: 0,
+            breaker: BreakerState::Closed,
+        }
+    }
+
+    /// True when the circuit breaker is open (ops fail fast).
+    fn open(&self) -> bool {
+        self.breaker == BreakerState::Open
+    }
+
+    /// The request doorbell's latency budget: the shared rule over the
+    /// congestion window's smoothed RTT.
+    fn doorbell_budget(&self) -> SimDuration {
+        Doorbell::budget(self.cwnd.srtt(), CLibConfig::DOORBELL_DERIVED_CAP)
+    }
+
+    /// The smoothed RTT as echoed in request headers (saturating at
+    /// `u32::MAX` ns; `None` before the first sample).
+    fn srtt_echo(&self) -> Option<u32> {
+        self.cwnd.srtt().map(|s| s.as_nanos().min(u32::MAX as u64) as u32)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -399,6 +462,7 @@ struct Outstanding {
     /// would leave the MN's dedup record (keyed by the ids it has actually
     /// seen) unreachable and a non-idempotent op would re-execute.
     origin: ReqId,
+    /// Stamped, with `timer`, by [`Transport::register`] for each attempt.
     attempt_sent_at: SimTime,
     first_sent_at: SimTime,
     retries: u32,
@@ -418,10 +482,28 @@ struct QueuedSend {
     trace: Option<TraceCtx>,
 }
 
-/// The packing state one pump reuses across calls, so a lone request costs
+/// What a finished attempt tells the congestion controller as its window
+/// slots are handed back ([`Transport::release`]).
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    /// Answered (success, remote error or `Conflict`) after this RTT.
+    Answered(SimDuration),
+    /// Given up on after unanswered or NACKed attempts.
+    Lost,
+    /// Abandoned — cancellation, breaker fail-fast — rather than answered
+    /// or lost: the abandonment says nothing about the fabric.
+    Abandoned,
+}
+
+/// One pump's packing state, reused across pumps so a lone request costs
 /// no allocation on its way into a frame.
 #[derive(Debug, Clone)]
 struct PackScratch {
+    /// Where this pump's frames go.
+    target: Mac,
+    /// The smoothed RTT toward `target` every request header echoes (the
+    /// MN derives its egress doorbell budget from it).
+    echo: Option<u32>,
     /// The batch frame under assembly.
     batch: BatchBuilder,
     /// Trace contexts of the requests currently packed in `batch`, in push
@@ -441,32 +523,12 @@ pub enum McMutation {
     /// The correct transport (the default).
     #[default]
     None,
-    /// Skips `Transport::release_windows` when a NACK exhausts the retry
-    /// budget: the failed request's congestion-window slot and incast
-    /// bytes are never returned, violating invariant 1 (window
-    /// accounting) immediately and invariant 4 (quiescence drains
-    /// everything) at the end of the run.
+    /// Skips `Transport::release` when a NACK exhausts the retry budget:
+    /// the failed request's congestion-window slot and incast bytes are
+    /// never returned, violating invariant 1 (window accounting)
+    /// immediately and invariant 4 (quiescence drains everything) at the
+    /// end of the run.
     LeakWindowOnNack,
-}
-
-/// FNV-1a step over one `u64`.
-fn fnv_mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Folds a **sorted** list of element digests into `h` under a section tag,
-/// so differently-keyed sections with equal content still hash apart.
-fn fnv_fold(mut h: u64, tag: u64, elems: &[u64]) -> u64 {
-    h = fnv_mix(h, tag);
-    h = fnv_mix(h, elems.len() as u64);
-    for &e in elems {
-        h = fnv_mix(h, e);
-    }
-    h
 }
 
 /// Content digest of a blueprint (shape + addresses + payload bytes).
@@ -547,40 +609,32 @@ clio_trace::counters! {
 ///
 /// # Invariants
 ///
-/// See the [module docs](self) for the four transport invariants (window
+/// See the [module docs](self) for the five transport invariants (window
 /// accounting, request-id freshness, single completion, quiescence drains
-/// everything); [`Transport::check_invariants`] verifies the first
-/// mechanically and the `clio_mc` model checker enforces all four over
-/// every bounded fault interleaving.
+/// everything, released windows drain the queues);
+/// [`Transport::check_invariants`] verifies the first mechanically and the
+/// `clio_mc` model checker enforces the first four over every bounded
+/// fault interleaving.
 #[derive(Debug, Clone)]
 pub struct Transport {
     cfg: CLibConfig,
     next_req: u64,
     outstanding: IdMap<ReqId, Outstanding>,
     parked_conflicts: IdMap<XferToken, Outstanding>,
-    queues: IdMap<Mac, VecDeque<QueuedSend>>,
     conflict_generations: IdMap<XferToken, u32>,
-    cwnds: IdMap<Mac, CongestionWindow>,
+    /// The one per-MN table: send queue, congestion window, doorbell, retry
+    /// queue and breaker of every MN this CN has sent to.
+    peers: IdMap<Mac, Peer>,
     iwnd: IncastWindow,
     reassembler: Reassembler,
-    /// MNs with a doorbell (pump) event already scheduled.
-    doorbells: IdMap<Mac, EventId>,
-    /// Last submission time per MN (feeds the adaptive doorbell).
-    last_submit: IdMap<Mac, SimTime>,
-    /// EWMA of the inter-submission gap per MN, in nanoseconds.
-    submit_gap_ewma: IdMap<Mac, f64>,
-    /// Retransmissions queued for coalescing: `(new id, retry_of)`.
-    retry_queues: IdMap<Mac, Vec<(ReqId, Option<ReqId>)>>,
-    /// MNs with a zero-delay retry doorbell already scheduled.
-    retry_doorbells: IdSet<Mac>,
-    /// Reused by [`Self::kick_all`] to visit the queues in `Mac` order.
+    /// Set by [`Self::release`]; every public entry point drains the send
+    /// queues before returning iff it is set ([`Self::drain_released`]).
+    released: bool,
+    /// Reused by [`Self::drain_released`] to visit the peers in `Mac` order.
     kick_scratch: Vec<Mac>,
     /// Taken by a pump for its duration (built on first use).
     pack: Option<PackScratch>,
     stats: TransportStats,
-    /// Per-MN circuit-breaker state (empty while the breaker is disabled,
-    /// i.e. `breaker_threshold == 0`).
-    health: IdMap<Mac, PeerHealth>,
     /// Planted bug for the model checker's self-test (see [`McMutation`]).
     mutation: McMutation,
     /// Stage-span recorder (disabled by default; see
@@ -611,19 +665,13 @@ impl Transport {
             next_req: cn_id << 40,
             outstanding: IdMap::default(),
             parked_conflicts: IdMap::default(),
-            queues: IdMap::default(),
             conflict_generations: IdMap::default(),
-            cwnds: IdMap::default(),
+            peers: IdMap::default(),
             reassembler: Reassembler::new(),
-            doorbells: IdMap::default(),
-            last_submit: IdMap::default(),
-            submit_gap_ewma: IdMap::default(),
-            retry_queues: IdMap::default(),
-            retry_doorbells: IdSet::default(),
+            released: false,
             kick_scratch: Vec::new(),
             pack: None,
             stats: TransportStats::default(),
-            health: IdMap::default(),
             mutation: McMutation::None,
             tracer: Tracer::disabled(),
             track: Track::Cn(0),
@@ -646,7 +694,7 @@ impl Transport {
     /// Number of MNs currently presumed unhealthy (breaker Open or
     /// HalfOpen); a peer leaves the count only on a confirmed success.
     pub fn peer_health(&self) -> u64 {
-        self.health.values().filter(|h| h.state != BreakerState::Closed).count() as u64
+        self.peers.values().filter(|p| p.breaker != BreakerState::Closed).count() as u64
     }
 
     /// Plants (or clears) a deliberate bug for the model checker's
@@ -667,7 +715,7 @@ impl Transport {
 
     /// Requests queued for window space.
     pub fn queued(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
+        self.peers.values().map(|p| p.queue.len()).sum()
     }
 
     /// Requests parked awaiting a conflict-retry backoff.
@@ -702,17 +750,13 @@ impl Transport {
                 expected
             ));
         }
-        let mut per_mn: IdMap<Mac, u64> = IdMap::default();
-        for o in self.outstanding.values() {
-            *per_mn.entry(o.target).or_insert(0) += 1;
-        }
-        for (mac, cwnd) in &self.cwnds {
-            let want = per_mn.get(mac).copied().unwrap_or(0);
-            if cwnd.outstanding() != want {
+        for (mac, peer) in &self.peers {
+            let want = self.outstanding.values().filter(|o| o.target == *mac).count() as u64;
+            if peer.cwnd.outstanding() != want {
                 return Err(format!(
                     "congestion window toward {mac} holds {} slots but {} requests \
                      are outstanding (leaked or double-released cwnd slots)",
-                    cwnd.outstanding(),
+                    peer.cwnd.outstanding(),
                     want
                 ));
             }
@@ -728,10 +772,11 @@ impl Transport {
         Ok(())
     }
 
-    /// An order-insensitive FNV-1a digest of the transport's **logical**
-    /// state: outstanding requests (id, token, target, retry counts,
-    /// expected bytes, blueprint shape), queued and parked sends, retry
-    /// queues, window slot/byte counts, and the id counter.
+    /// An FNV-1a digest of the transport's **logical** state, independent
+    /// of table layout: outstanding requests (id, token, target, retry
+    /// counts, expected bytes, blueprint shape), parked conflicts, every
+    /// peer's queued sends, queued retransmissions, window slot count and
+    /// breaker state, the incast byte count and the id counter.
     ///
     /// Absolute times (timer deadlines, RTT/gap EWMAs, fractional window
     /// sizes) are deliberately **excluded**: the model checker prunes
@@ -756,59 +801,30 @@ impl Transport {
             .collect();
         outstanding.sort_unstable();
         h = fnv_fold(h, 1, &outstanding);
-        let mut queued: Vec<u64> = self
-            .queues
-            .iter()
-            .flat_map(|(mac, q)| {
-                q.iter().enumerate().map(move |(i, s)| {
-                    let mut e = fnv_mix(0xcbf2_9ce4_8422_2325, mac.0 as u64);
-                    e = fnv_mix(e, i as u64); // queue order matters
-                    e = fnv_mix(e, s.token.0);
-                    fnv_mix(e, blueprint_digest(&s.blueprint))
-                })
-            })
-            .collect();
-        queued.sort_unstable();
-        h = fnv_fold(h, 2, &queued);
         let mut parked: Vec<u64> = self
             .parked_conflicts
             .iter()
             .map(|(t, o)| fnv_mix(fnv_mix(0xcbf2_9ce4_8422_2325, t.0), o.conflict_retries as u64))
             .collect();
         parked.sort_unstable();
-        h = fnv_fold(h, 3, &parked);
-        let mut retries: Vec<u64> = self
-            .retry_queues
-            .iter()
-            .flat_map(|(mac, q)| {
-                q.iter().map(move |(id, retry_of)| {
-                    let mut e = fnv_mix(0xcbf2_9ce4_8422_2325, mac.0 as u64);
-                    e = fnv_mix(e, id.0);
-                    fnv_mix(e, retry_of.map_or(0, |r| r.0))
-                })
-            })
-            .collect();
-        retries.sort_unstable();
-        h = fnv_fold(h, 4, &retries);
-        let mut windows: Vec<u64> = self
-            .cwnds
-            .iter()
-            .map(|(mac, w)| fnv_mix(fnv_mix(0xcbf2_9ce4_8422_2325, mac.0 as u64), w.outstanding()))
-            .collect();
-        windows.sort_unstable();
-        h = fnv_fold(h, 5, &windows);
-        let mut health: Vec<u64> = self
-            .health
-            .iter()
-            .filter(|(_, ph)| ph.state != BreakerState::Closed || ph.consecutive_timeouts != 0)
-            .map(|(mac, ph)| {
-                let mut e = fnv_mix(0xcbf2_9ce4_8422_2325, mac.0 as u64);
-                e = fnv_mix(e, ph.state as u64);
-                fnv_mix(e, ph.consecutive_timeouts as u64)
-            })
-            .collect();
-        health.sort_unstable();
-        h = fnv_fold(h, 6, &health);
+        h = fnv_fold(h, 2, &parked);
+        // One pass over the peers in `Mac` order; queues hash in queue order.
+        let mut peers: Vec<(&Mac, &Peer)> = self.peers.iter().collect();
+        peers.sort_unstable_by_key(|(mac, _)| **mac);
+        for (mac, p) in peers {
+            h = fnv_mix(h, mac.0 as u64);
+            h = fnv_mix(h, p.queue.len() as u64);
+            for s in &p.queue {
+                h = fnv_mix(fnv_mix(h, s.token.0), blueprint_digest(&s.blueprint));
+            }
+            h = fnv_mix(h, p.retries.len() as u64);
+            for (id, retry_of) in &p.retries {
+                h = fnv_mix(fnv_mix(h, id.0), retry_of.map_or(0, |r| r.0));
+            }
+            h = fnv_mix(h, p.cwnd.outstanding());
+            h = fnv_mix(h, p.breaker as u64);
+            h = fnv_mix(h, p.consecutive_timeouts as u64);
+        }
         h = fnv_mix(h, self.iwnd.in_flight());
         h = fnv_mix(h, self.next_req);
         h
@@ -818,15 +834,15 @@ impl Transport {
         self.cfg.batch_max_ops > 1
     }
 
-    /// The congestion window toward `mn` (created on first use).
-    pub fn cwnd(&mut self, mn: Mac) -> &mut CongestionWindow {
+    /// The record of `mn`, created on first use.
+    fn peer(&mut self, mn: Mac) -> &mut Peer {
         let cfg = &self.cfg;
-        self.cwnds.entry(mn).or_insert_with(|| CongestionWindow::new(cfg))
+        self.peers.entry(mn).or_insert_with(|| Peer::new(cfg))
     }
 
-    /// True when the circuit breaker toward `mn` is open (ops fail fast).
-    pub fn peer_open(&self, mn: Mac) -> bool {
-        self.health.get(&mn).is_some_and(|h| h.state == BreakerState::Open)
+    /// The congestion window toward `mn` (created on first use).
+    pub fn cwnd(&mut self, mn: Mac) -> &mut CongestionWindow {
+        &mut self.peer(mn).cwnd
     }
 
     /// Records one attempt-level timeout toward `mn`. Trips the breaker —
@@ -837,19 +853,19 @@ impl Transport {
     /// jitter draw only happens on a trip, so disabled runs consume no
     /// randomness.
     fn note_peer_timeout(&mut self, ctx: &mut Ctx<'_>, mn: Mac) {
-        if self.cfg.breaker_threshold == 0 {
+        let threshold = self.cfg.breaker_threshold;
+        if threshold == 0 {
             return;
         }
-        let threshold = self.cfg.breaker_threshold;
-        let h = self.health.entry(mn).or_default();
-        h.consecutive_timeouts += 1;
-        let trip = match h.state {
-            BreakerState::Closed => h.consecutive_timeouts >= threshold,
+        let peer = self.peer(mn);
+        peer.consecutive_timeouts += 1;
+        let trip = match peer.breaker {
+            BreakerState::Closed => peer.consecutive_timeouts >= threshold,
             BreakerState::HalfOpen => true,
             BreakerState::Open => false,
         };
         if trip {
-            h.state = BreakerState::Open;
+            peer.breaker = BreakerState::Open;
             self.stats.circuit_open_total += 1;
             self.tracer.event(self.track, "board_down", ctx.now());
             let backoff = self.cfg.breaker_probe_backoff;
@@ -868,13 +884,12 @@ impl Transport {
         if self.cfg.breaker_threshold == 0 {
             return;
         }
-        if let Some(h) = self.health.get_mut(&mn) {
-            let was_unhealthy = h.state != BreakerState::Closed;
-            h.consecutive_timeouts = 0;
-            h.state = BreakerState::Closed;
-            if was_unhealthy {
-                self.tracer.event(self.track, "board_up", now);
-            }
+        let peer = self.peer(mn);
+        let was_unhealthy = peer.breaker != BreakerState::Closed;
+        peer.consecutive_timeouts = 0;
+        peer.breaker = BreakerState::Closed;
+        if was_unhealthy {
+            self.tracer.event(self.track, "board_up", now);
         }
     }
 
@@ -898,10 +913,7 @@ impl Transport {
         trace: Option<TraceCtx>,
         done: &mut Vec<XferDone>,
     ) {
-        self.note_submission(target, ctx.now());
-        self.tracer.stitch(trace, self.track, Stage::Submit, ctx.now());
-        let q = QueuedSend { token, pid, blueprint, enqueued_at: ctx.now(), trace };
-        self.queues.entry(target).or_default().push_back(q);
+        self.enqueue(ctx.now(), token, target, pid, blueprint, trace);
         self.kick(ctx, nic, target, done);
     }
 
@@ -916,83 +928,51 @@ impl Transport {
         requests: Vec<(XferToken, Mac, Pid, Blueprint, Option<TraceCtx>)>,
         done: &mut Vec<XferDone>,
     ) {
-        let now = ctx.now();
         let mut targets: Vec<Mac> = Vec::new();
         for (token, target, pid, blueprint, trace) in requests {
-            self.note_submission(target, now);
-            self.tracer.stitch(trace, self.track, Stage::Submit, now);
-            let q = QueuedSend { token, pid, blueprint, enqueued_at: now, trace };
-            self.queues.entry(target).or_default().push_back(q);
+            self.enqueue(ctx.now(), token, target, pid, blueprint, trace);
             if !targets.contains(&target) {
                 targets.push(target);
             }
         }
         for target in targets {
-            if let Some(ev) = self.doorbells.remove(&target) {
-                ctx.cancel(ev);
-            }
+            self.peer(target).doorbell.cancel(ctx);
             self.pump(ctx, nic, target, done);
         }
     }
 
-    /// Feeds the per-MN inter-submission-gap estimate (EWMA, α = 1/4) that
-    /// sizes the adaptive doorbell hold.
-    fn note_submission(&mut self, target: Mac, now: SimTime) {
-        if let Some(prev) = self.last_submit.insert(target, now) {
-            let gap = now.since(prev).as_nanos() as f64;
-            let ewma = self.submit_gap_ewma.entry(target).or_insert(gap);
-            *ewma = 0.75 * *ewma + 0.25 * gap;
-        }
+    /// Puts one submission on its MN's send queue, feeding the doorbell's
+    /// inter-submission gap estimate.
+    fn enqueue(
+        &mut self,
+        now: SimTime,
+        token: XferToken,
+        target: Mac,
+        pid: Pid,
+        blueprint: Blueprint,
+        trace: Option<TraceCtx>,
+    ) {
+        self.tracer.stitch(trace, self.track, Stage::Submit, now);
+        let peer = self.peer(target);
+        peer.doorbell.observe(now);
+        peer.queue.push_back(QueuedSend { token, pid, blueprint, enqueued_at: now, trace });
     }
 
-    /// The doorbell's latency budget toward `target`: the static override
-    /// when one is configured, otherwise a quarter of the congestion
-    /// window's smoothed RTT — capped by
-    /// [`CLibConfig::DOORBELL_DERIVED_CAP`], and
-    /// [`CLibConfig::DOORBELL_FALLBACK_DELAY`] (zero) before the first RTT
+    /// The doorbell's latency budget toward `target`: a quarter of the
+    /// congestion window's smoothed RTT, capped by
+    /// [`CLibConfig::DOORBELL_DERIVED_CAP`], and zero before the first RTT
     /// sample or after a window reset, so the transport never holds
-    /// requests on an unmeasured fabric.
+    /// requests on an unmeasured fabric ([`Doorbell::budget`]).
     pub fn doorbell_budget(&self, target: Mac) -> SimDuration {
-        match self.cfg.doorbell_max_delay {
-            Some(budget) => budget,
-            None => self
-                .cwnds
-                .get(&target)
-                .and_then(CongestionWindow::srtt)
-                .map(|srtt| (srtt / 4).min(CLibConfig::DOORBELL_DERIVED_CAP))
-                .unwrap_or(CLibConfig::DOORBELL_FALLBACK_DELAY),
-        }
-    }
-
-    /// How long the doorbell toward `target` may hold before pumping: zero
-    /// without a latency budget, recent-traffic history, or a full batch;
-    /// otherwise the time the observed submission rate needs to fill the
-    /// remaining batch slots, capped by the budget.
-    fn doorbell_delay(&self, target: Mac) -> SimDuration {
-        let budget = self.doorbell_budget(target);
-        if budget.is_zero() {
-            return SimDuration::ZERO;
-        }
-        let queued = self.queues.get(&target).map_or(0, VecDeque::len);
-        let slots = (self.cfg.batch_max_ops as usize).saturating_sub(queued);
-        if slots == 0 {
-            return SimDuration::ZERO;
-        }
-        match self.submit_gap_ewma.get(&target) {
-            // Hold only when submissions come faster than the budget —
-            // waiting out a sparse stream delays the lone request for
-            // nothing (mirrors the MN's egress_hold guard).
-            Some(&gap) if gap > 0.0 && gap < budget.as_nanos() as f64 => {
-                SimDuration::from_nanos((gap * slots as f64) as u64).min(budget)
-            }
-            _ => SimDuration::ZERO,
-        }
+        self.peers.get(&target).map_or(SimDuration::ZERO, Peer::doorbell_budget)
     }
 
     /// Makes queued requests toward `target` progress: immediately when
-    /// batching is off, via the coalescing doorbell when on. A doorbell
-    /// already scheduled is left in place unless a full batch is waiting,
-    /// in which case it is re-rung to fire now.
+    /// batching is off (or the breaker is open: no hold for a dead board),
+    /// via the coalescing doorbell when on. A doorbell already armed is
+    /// left in place unless a full batch is waiting, in which case it is
+    /// re-rung to fire now; otherwise it is armed after the load-adaptive
+    /// hold ([`Doorbell::hold`]) the free batch slots call for.
     fn kick(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1000,42 +980,39 @@ impl Transport {
         target: Mac,
         done: &mut Vec<XferDone>,
     ) {
-        if self.peer_open(target) {
-            // Fail fast synchronously: no doorbell hold for a dead board.
-            if let Some(ev) = self.doorbells.remove(&target) {
-                ctx.cancel(ev);
-            }
+        let batching = self.batching();
+        let max_ops = self.cfg.batch_max_ops as usize;
+        let peer = self.peer(target);
+        let open = peer.open();
+        if open {
+            peer.doorbell.cancel(ctx);
+        }
+        if open || !batching {
             self.pump(ctx, nic, target, done);
             return;
         }
-        if !self.batching() {
-            self.pump(ctx, nic, target, done);
+        let slots = max_ops.saturating_sub(peer.queue.len());
+        if slots > 0 && peer.doorbell.armed().is_some() {
             return;
         }
-        let full =
-            self.queues.get(&target).map_or(0, VecDeque::len) >= self.cfg.batch_max_ops as usize;
-        if let Some(&ev) = self.doorbells.get(&target) {
-            if full {
-                ctx.cancel(ev);
-                let now_ev =
-                    ctx.schedule(SimDuration::ZERO, Message::new(TransportTimer::Pump(target)));
-                self.doorbells.insert(target, now_ev);
-            }
-            return;
-        }
-        let delay = if full { SimDuration::ZERO } else { self.doorbell_delay(target) };
-        let ev = ctx.schedule(delay, Message::new(TransportTimer::Pump(target)));
-        self.doorbells.insert(target, ev);
+        let at = ctx.now() + peer.doorbell.hold(peer.doorbell_budget(), slots);
+        peer.doorbell.arm(ctx, at, Message::new(TransportTimer::Pump(target)));
     }
 
-    /// Kicks every queue (after a completion/failure freed window space),
-    /// in `Mac` order: each kick may arm a same-instant `Pump` timer, so the
-    /// visiting order decides NIC serialization order and must be a function
-    /// of the simulation alone, never of table layout.
-    fn kick_all(&mut self, ctx: &mut Ctx<'_>, nic: &mut NicPort, done: &mut Vec<XferDone>) {
+    /// Kicks every peer, in `Mac` order, iff the entry point now returning
+    /// released window slots ([`Self::release`]): a completion, failure or
+    /// cancellation freed space that queued sends — toward any MN, the
+    /// incast window is shared — may now take. Each kick may arm a
+    /// same-instant `Pump` timer, so the visiting order decides NIC
+    /// serialization order and must be a function of the simulation alone,
+    /// never of table layout.
+    fn drain_released(&mut self, ctx: &mut Ctx<'_>, nic: &mut NicPort, done: &mut Vec<XferDone>) {
+        if !std::mem::take(&mut self.released) {
+            return;
+        }
         let mut macs = std::mem::take(&mut self.kick_scratch);
         macs.clear();
-        macs.extend(self.queues.keys().copied());
+        macs.extend(self.peers.keys().copied());
         macs.sort_unstable();
         for &m in &macs {
             self.kick(ctx, nic, m, done);
@@ -1055,175 +1032,144 @@ impl Transport {
         target: Mac,
         done: &mut Vec<XferDone>,
     ) {
-        self.doorbells.remove(&target);
-        if self.peer_open(target) {
-            if let Some(mut queue) = self.queues.remove(&target) {
-                let now = ctx.now();
-                for q in queue.drain(..) {
-                    self.conflict_generations.remove(&q.token);
-                    done.push(XferDone {
-                        token: q.token,
-                        result: Err(ClioError::Unreachable { mn: target }),
-                        rtt: now.since(q.enqueued_at),
-                    });
-                }
+        let now = ctx.now();
+        let Some(peer) = self.peers.get_mut(&target) else { return };
+        peer.doorbell.disarm();
+        if peer.open() {
+            for q in peer.queue.drain(..) {
+                self.conflict_generations.remove(&q.token);
+                done.push(XferDone {
+                    token: q.token,
+                    result: Err(ClioError::Unreachable { mn: target }),
+                    rtt: now.since(q.enqueued_at),
+                });
             }
             return;
         }
-        let mut pack = self.take_pack();
+        let mut pack = self.take_pack(target);
         loop {
-            let now = ctx.now();
-            let Some(queue) = self.queues.get_mut(&target) else { break };
-            let Some(head) = queue.front() else { break };
-            let bytes = head.blueprint.expected_response_bytes();
-            let cwnd = self.cwnds.entry(target).or_insert_with(|| CongestionWindow::new(&self.cfg));
-            if !cwnd.try_acquire(now) {
+            let peer = self.peers.get_mut(&target).expect("looked up above");
+            let Some(head) = peer.queue.front() else { break };
+            let expected_bytes = head.blueprint.expected_response_bytes();
+            if !peer.cwnd.try_acquire(now) {
                 // Paced sub-1 windows need a wake-up; full windows are
                 // pumped by the next completion.
-                let at = cwnd.next_opportunity(now);
+                let at = peer.cwnd.next_opportunity(now);
                 if at > now {
-                    let ev =
-                        ctx.schedule(at.since(now), Message::new(TransportTimer::Pump(target)));
-                    self.doorbells.insert(target, ev);
+                    peer.doorbell.arm(ctx, at, Message::new(TransportTimer::Pump(target)));
                 }
                 break;
             }
-            if !self.iwnd.try_acquire(bytes) {
-                self.cwnds.get_mut(&target).expect("just used").on_release();
+            if !self.iwnd.try_acquire(expected_bytes) {
+                peer.cwnd.on_release();
                 break;
             }
-            let q = self
-                .queues
-                .get_mut(&target)
-                .expect("checked above")
-                .pop_front()
-                .expect("checked above");
-            let conflict_gen = self.conflict_generations.remove(&q.token).unwrap_or(0);
+            let q = peer.queue.pop_front().expect("peeked above");
+            let conflict_retries = self.conflict_generations.remove(&q.token).unwrap_or(0);
             self.tracer.stitch(q.trace, self.track, Stage::DoorbellHold, now);
-            if self.batching() && q.blueprint.is_batchable() {
-                self.transmit_batched(
-                    ctx,
-                    nic,
-                    &mut pack,
-                    q.token,
+            let req_id = self.fresh_id();
+            self.ship(ctx, nic, &mut pack, req_id, None, q.pid, &q.blueprint, q.trace);
+            self.register(
+                ctx,
+                req_id,
+                Outstanding {
+                    token: q.token,
                     target,
-                    q.pid,
-                    q.blueprint,
-                    conflict_gen,
-                    q.enqueued_at,
-                    q.trace,
-                );
-            } else {
-                // Flush first so the MN still sees requests in send order
-                // (fences must not overtake the batch in front of them).
-                self.flush_batch(ctx, nic, target, &mut pack);
-                self.transmit(
-                    ctx,
-                    nic,
-                    &mut pack.packets,
-                    q.token,
-                    target,
-                    q.pid,
-                    q.blueprint,
-                    None,
-                    0,
-                    conflict_gen,
-                    q.enqueued_at,
-                    q.trace,
-                );
-            }
+                    pid: q.pid,
+                    blueprint: q.blueprint,
+                    expected_bytes,
+                    origin: req_id,
+                    attempt_sent_at: now,
+                    first_sent_at: q.enqueued_at,
+                    retries: 0,
+                    conflict_retries,
+                    timer: None,
+                    trace: q.trace,
+                },
+            );
         }
-        self.flush_batch(ctx, nic, target, &mut pack);
+        self.flush_batch(ctx, nic, &mut pack);
         self.pack = Some(pack);
     }
 
-    /// The pump's packing state: the one a previous pump left, or a fresh
-    /// one the first time.
-    fn take_pack(&mut self) -> PackScratch {
-        self.pack.take().unwrap_or_else(|| PackScratch {
-            batch: BatchBuilder::new(
-                self.cfg.batch_max_ops as usize,
-                self.cfg.batch_max_bytes as usize,
-            ),
+    /// The packing state for a pump toward `target`: the one a previous
+    /// pump left (empty), or a fresh one the first time.
+    fn take_pack(&mut self, target: Mac) -> PackScratch {
+        let echo = self.peers.get(&target).and_then(Peer::srtt_echo);
+        let batch_max_ops = self.cfg.batch_max_ops as usize;
+        let mut pack = self.pack.take().unwrap_or_else(|| PackScratch {
+            target,
+            echo,
+            batch: BatchBuilder::new(batch_max_ops, MTU_BYTES),
             traces: Vec::new(),
             packets: Vec::new(),
-        })
+        });
+        (pack.target, pack.echo) = (target, echo);
+        pack
     }
 
-    /// Adds one single-packet request to the batch under assembly, flushing
-    /// first when a budget would be busted. A request too large to share
-    /// even an empty batch ships alone. Returns how many wire frames left.
+    /// Puts one attempt — first send or retransmission — on the wire. A
+    /// batchable single-packet request joins the frame under assembly,
+    /// flushing it first when a budget would be busted; anything else
+    /// (multi-packet, slow-path, fence, or everything with batching off)
+    /// flushes that frame so the MN still sees requests in send order
+    /// (fences must not overtake the batch in front of them) and travels
+    /// alone. Every request header carries the op's trace context (reserved
+    /// header bits, zero wire bytes) and the srtt echo (always encoded,
+    /// tracing on or off, so the wire image never depends on
+    /// observability). Returns how many wire frames left.
     #[allow(clippy::too_many_arguments)] // a request's header fields travel together
-    fn pack_single(
+    fn ship(
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         pack: &mut PackScratch,
-        send_start: SimTime,
-        target: Mac,
-        mut header: ReqHeader,
-        body: RequestBody,
+        req_id: ReqId,
+        retry_of: Option<ReqId>,
+        pid: Pid,
+        blueprint: &Blueprint,
+        trace: Option<TraceCtx>,
     ) -> u64 {
-        header.srtt_echo_ns = self.srtt_echo(target);
-        let trace = header.trace;
-        let entry_wire = codec::request_wire_len(&body);
-        let flushed = !pack.batch.fits(entry_wire) && self.flush_batch(ctx, nic, target, pack);
-        if pack.batch.fits(entry_wire) {
-            pack.batch.push(header, body);
-            pack.traces.push(trace);
-            return flushed as u64;
+        let send_start = ctx.now() + self.cfg.send_overhead;
+        let mut frames = 0;
+        let joins = self.batching() && blueprint.is_batchable();
+        if let Some(body) = joins.then(|| blueprint.single_body()).flatten() {
+            let header = ReqHeader {
+                retry_of,
+                trace,
+                srtt_echo_ns: pack.echo,
+                ..ReqHeader::single(req_id, pid)
+            };
+            let entry_wire = codec::request_wire_len(&body);
+            if !pack.batch.fits(entry_wire) {
+                frames += self.flush_batch(ctx, nic, pack) as u64;
+            }
+            if pack.batch.fits(entry_wire) {
+                pack.batch.push(header, body);
+                pack.traces.push(trace);
+                return frames;
+            }
+            // Too large to share even an empty frame: ships alone.
+            pack.packets.push(ClioPacket::Request { header, body });
+        } else {
+            frames += self.flush_batch(ctx, nic, pack) as u64;
+            blueprint.build(req_id, retry_of, pid, &mut pack.packets);
+            for pkt in &mut pack.packets {
+                if let ClioPacket::Request { header, .. } = pkt {
+                    header.trace = trace;
+                    header.srtt_echo_ns = pack.echo;
+                }
+            }
         }
-        let wire = (entry_wire + ETH_OVERHEAD_BYTES) as u32;
-        let pkt = ClioPacket::Request { header, body };
-        let tx_end = nic.send_at(ctx, send_start, target, wire, Message::new(pkt));
+        let mut tx_end = send_start;
+        for pkt in pack.packets.drain(..) {
+            let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
+            tx_end = tx_end.max(nic.send_at(ctx, send_start, pack.target, wire, Message::new(pkt)));
+            frames += 1;
+        }
         self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
         self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
-        flushed as u64 + 1
-    }
-
-    /// Registers a batchable request as outstanding and packs its single
-    /// packet (see [`Self::pack_single`]).
-    #[allow(clippy::too_many_arguments)] // internal sibling of `transmit`
-    fn transmit_batched(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
-        pack: &mut PackScratch,
-        token: XferToken,
-        target: Mac,
-        pid: Pid,
-        blueprint: Blueprint,
-        conflict_retries: u32,
-        first_sent_at: SimTime,
-        trace: Option<TraceCtx>,
-    ) {
-        let req_id = self.fresh_id();
-        let body = blueprint.single_body().expect("batchable requests are single-packet");
-        let header = ReqHeader { trace, ..ReqHeader::single(req_id, pid) };
-        let send_start = ctx.now() + self.cfg.send_overhead;
-        self.pack_single(ctx, nic, pack, send_start, target, header, body);
-        let timer = ctx.schedule(
-            blueprint.timeout(self.cfg.request_timeout),
-            Message::new(TransportTimer::Timeout(req_id)),
-        );
-        let expected_bytes = blueprint.expected_response_bytes();
-        self.outstanding.insert(
-            req_id,
-            Outstanding {
-                token,
-                target,
-                pid,
-                blueprint,
-                expected_bytes,
-                origin: req_id,
-                attempt_sent_at: ctx.now(),
-                first_sent_at,
-                retries: 0,
-                conflict_retries,
-                timer: Some(timer),
-                trace,
-            },
-        );
+        frames
     }
 
     /// Ships the accumulated batch (if any) as one wire frame, stitching
@@ -1233,7 +1179,6 @@ impl Transport {
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
-        target: Mac,
         pack: &mut PackScratch,
     ) -> bool {
         let ops = pack.batch.len() as u64;
@@ -1247,7 +1192,7 @@ impl Transport {
         }
         let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
         let send_start = ctx.now() + self.cfg.send_overhead;
-        let tx_end = nic.send_at(ctx, send_start, target, wire, Message::new(pkt));
+        let tx_end = nic.send_at(ctx, send_start, pack.target, wire, Message::new(pkt));
         for trace in pack.traces.drain(..) {
             self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
             self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
@@ -1255,115 +1200,55 @@ impl Transport {
         true
     }
 
-    /// Stamps freshly built request packets with the op's trace context and
-    /// the CN's current smoothed RTT toward `target` (the srtt echo the MN
-    /// derives its egress doorbell budget from). The trace rides in
-    /// reserved header bits (zero wire bytes); the echo is always encoded,
-    /// tracing on or off, so the wire image never depends on observability.
-    fn annotate(&self, packets: &mut [ClioPacket], target: Mac, trace: Option<TraceCtx>) {
-        let echo = self.srtt_echo(target);
-        for pkt in packets {
-            if let ClioPacket::Request { header, .. } = pkt {
-                header.trace = trace;
-                header.srtt_echo_ns = echo;
-            }
-        }
-    }
-
-    /// The CN's current smoothed RTT toward `target`, as echoed in request
-    /// headers (saturating at `u32::MAX` ns; `None` before the first sample).
-    fn srtt_echo(&self, target: Mac) -> Option<u32> {
-        self.cwnds
-            .get(&target)
-            .and_then(CongestionWindow::srtt)
-            .map(|s| s.as_nanos().min(u32::MAX as u64) as u32)
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal send/retry core
-    fn transmit(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
-        packets: &mut Vec<ClioPacket>,
-        token: XferToken,
-        target: Mac,
-        pid: Pid,
-        blueprint: Blueprint,
-        retry_of: Option<ReqId>,
-        retries: u32,
-        conflict_retries: u32,
-        first_sent_at: SimTime,
-        trace: Option<TraceCtx>,
-    ) {
-        let req_id = self.fresh_id();
-        let retry_of = retry_of.filter(|_| blueprint.is_non_idempotent());
-        blueprint.build(req_id, retry_of, pid, packets);
-        self.annotate(packets, target, trace);
-        let send_start = ctx.now() + self.cfg.send_overhead;
-        let mut tx_end = send_start;
-        for pkt in packets.drain(..) {
-            let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
-            tx_end = tx_end.max(nic.send_at(ctx, send_start, target, wire, Message::new(pkt)));
-        }
-        self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
-        self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
-        let timer = ctx.schedule(
-            blueprint.timeout(self.cfg.request_timeout),
+    /// Records one attempt as outstanding under `req_id`: stamps its send
+    /// time and arms its retransmission timer. The only way into
+    /// `outstanding` — a first send registers as it ships, a retransmission
+    /// when it is queued (it keeps its window slots and must stay visible
+    /// to `cancel` and the invariant checks until the retry doorbell ships
+    /// it).
+    fn register(&mut self, ctx: &mut Ctx<'_>, req_id: ReqId, mut o: Outstanding) {
+        o.attempt_sent_at = ctx.now();
+        o.timer = Some(ctx.schedule(
+            o.blueprint.timeout(self.cfg.request_timeout),
             Message::new(TransportTimer::Timeout(req_id)),
-        );
-        let expected_bytes = blueprint.expected_response_bytes();
-        self.outstanding.insert(
-            req_id,
-            Outstanding {
-                token,
-                target,
-                pid,
-                blueprint,
-                expected_bytes,
-                origin: req_id,
-                attempt_sent_at: ctx.now(),
-                first_sent_at,
-                retries,
-                conflict_retries,
-                timer: Some(timer),
-                trace,
-            },
-        );
+        ));
+        self.outstanding.insert(req_id, o);
     }
 
-    fn release_windows(&mut self, now: SimTime, o: &Outstanding, rtt: Option<SimDuration>) {
-        let cwnd = self.cwnds.entry(o.target).or_insert_with(|| CongestionWindow::new(&self.cfg));
-        let moved_bytes = o.expected_bytes + o.blueprint.payload_bytes();
-        match rtt {
-            Some(rtt) if o.blueprint.is_congestion_signal() => {
-                cwnd.on_response_sized(now, rtt, moved_bytes)
+    /// Hands a finished attempt's window slots back — the only place an
+    /// outstanding request gives them up — and notes that space was freed,
+    /// so the entry point now running drains the send queues before it
+    /// returns ([`Self::drain_released`]). A retry that keeps its slots
+    /// never comes here.
+    fn release(&mut self, now: SimTime, o: &Outstanding, outcome: Outcome) {
+        let cwnd = &mut self.peer(o.target).cwnd;
+        match outcome {
+            Outcome::Answered(rtt) if o.blueprint.is_congestion_signal() => {
+                cwnd.on_response_sized(now, rtt, o.expected_bytes + o.blueprint.payload_bytes())
             }
-            Some(_) => cwnd.on_release(),
-            None if o.blueprint.is_congestion_signal() => cwnd.on_timeout(now),
-            None => cwnd.on_release(),
+            Outcome::Lost if o.blueprint.is_congestion_signal() => cwnd.on_timeout(now),
+            _ => cwnd.on_release(),
         }
         self.iwnd.release(o.expected_bytes);
-    }
-
-    /// Releases an outstanding request's window slots without feeding the
-    /// congestion controller any signal — used when the request is being
-    /// abandoned (cancellation, breaker fail-fast) rather than answered or
-    /// lost: the abandonment says nothing about the fabric.
-    fn release_windows_neutral(&mut self, o: &Outstanding) {
-        let cfg = &self.cfg;
-        self.cwnds.entry(o.target).or_insert_with(|| CongestionWindow::new(cfg)).on_release();
-        self.iwnd.release(o.expected_bytes);
+        self.released = true;
     }
 
     /// Cancels every attempt of `token` still owned by the transport:
-    /// in-flight requests (timer cancelled, window slots released
-    /// neutrally, reassembly state dropped), queued sends, queued
-    /// retransmissions, and parked conflicts. Returns whether anything was
-    /// actually cancelled; the caller owns reporting the op's completion
-    /// (e.g. `DeadlineExceeded`) upward. A response or NACK for a
-    /// cancelled id arriving later is dropped by the outstanding-id lookup
-    /// like any stale frame.
-    pub fn cancel(&mut self, ctx: &mut Ctx<'_>, token: XferToken) -> bool {
+    /// in-flight requests (timer cancelled, window slots released without a
+    /// congestion signal, reassembly state dropped), queued sends, queued
+    /// retransmissions, and parked conflicts — then lets the sends queued
+    /// behind the freed slots go. Returns whether anything was actually
+    /// cancelled; the caller owns reporting the op's completion (e.g.
+    /// `DeadlineExceeded`) upward. A response or NACK for a cancelled id
+    /// arriving later is dropped by the outstanding-id lookup like any
+    /// stale frame.
+    pub fn cancel(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        nic: &mut NicPort,
+        token: XferToken,
+        done: &mut Vec<XferDone>,
+    ) -> bool {
         let mut found = false;
         let mut ids: Vec<ReqId> =
             self.outstanding.iter().filter(|(_, o)| o.token == token).map(|(id, _)| *id).collect();
@@ -1373,23 +1258,22 @@ impl Transport {
             if let Some(t) = o.timer.take() {
                 ctx.cancel(t);
             }
-            self.release_windows_neutral(&o);
+            self.release(ctx.now(), &o, Outcome::Abandoned);
             self.reassembler.forget(id);
             found = true;
         }
-        // Retry-queue entries for ids that no longer exist must not be
-        // rebuilt by the retry pump.
         let outstanding = &self.outstanding;
-        for q in self.retry_queues.values_mut() {
-            q.retain(|(id, _)| outstanding.contains_key(id));
-        }
-        for q in self.queues.values_mut() {
-            let before = q.len();
-            q.retain(|s| s.token != token);
-            found |= q.len() != before;
+        for peer in self.peers.values_mut() {
+            // Retry-queue entries for ids that no longer exist must not be
+            // rebuilt by the retry pump.
+            peer.retries.retain(|(id, _)| outstanding.contains_key(id));
+            let before = peer.queue.len();
+            peer.queue.retain(|s| s.token != token);
+            found |= peer.queue.len() != before;
         }
         found |= self.parked_conflicts.remove(&token).is_some();
         self.conflict_generations.remove(&token);
+        self.drain_released(ctx, nic, done);
         found
     }
 
@@ -1408,6 +1292,13 @@ impl Transport {
     ///   the request to a fresh id (`retry_of` set for non-idempotent
     ///   ops); past the budget it releases the slots and reports
     ///   `TimedOut`.
+    /// * Batch frames are unbatched at ingress: every entry completes or
+    ///   retries exactly as if it had arrived in its own frame, and the
+    ///   whole frame shares one queue drain (the first kick arms the
+    ///   doorbells, further passes would no-op). The retries of one
+    ///   `BatchNack` are queued in this same event, so the retry doorbell
+    ///   re-coalesces them — recovery stays at one frame per direction per
+    ///   corrupted frame.
     pub fn on_packet(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1416,62 +1307,31 @@ impl Transport {
         done: &mut Vec<XferDone>,
     ) {
         match pkt {
-            ClioPacket::Response { header, body } => {
-                if self.handle_response(ctx, header, body, done) {
-                    // A completion freed window space: drain every queue.
-                    self.kick_all(ctx, nic, done);
-                }
-            }
+            ClioPacket::Response { header, body } => self.handle_response(ctx, header, body, done),
             ClioPacket::BatchResp { responses } => {
-                // Unbatch at ingress: every entry completes (ids, RTTs,
-                // window releases, conflict parking) exactly as if it had
-                // arrived in its own frame; only the framing was shared.
-                let mut completed = false;
                 for (header, body) in responses {
-                    completed |= self.handle_response(ctx, header, body, done);
-                }
-                if completed {
-                    // One drain for the whole frame: the first kick arms
-                    // the doorbells, further passes would no-op.
-                    self.kick_all(ctx, nic, done);
+                    self.handle_response(ctx, header, body, done);
                 }
             }
-            ClioPacket::Nack { req_id } => {
-                if self.handle_nack(ctx, req_id, done) {
-                    // The failure freed window space just like a
-                    // completion: drain queued requests now instead of
-                    // stalling them until an unrelated completion.
-                    self.kick_all(ctx, nic, done);
-                }
-            }
+            ClioPacket::Nack { req_id } => self.handle_nack(ctx, req_id, done),
             ClioPacket::BatchNack { req_ids } => {
-                // Unbatch the coalesced NACKs of one corrupted batch frame:
-                // each entry retries exactly as if its NACK had arrived
-                // alone, and because every retry is queued in this same
-                // event, the retry doorbell re-coalesces them into shared
-                // `Batch` frames — recovery stays at one frame per
-                // direction per corrupted frame.
-                let mut failed = false;
                 for req_id in req_ids {
-                    failed |= self.handle_nack(ctx, req_id, done);
-                }
-                if failed {
-                    self.kick_all(ctx, nic, done);
+                    self.handle_nack(ctx, req_id, done);
                 }
             }
             // CNs never receive requests (batched or not).
             ClioPacket::Request { .. } | ClioPacket::Batch { .. } => {}
         }
+        self.drain_released(ctx, nic, done);
     }
 
     /// Handles one link-layer NACK — shared by plain `Nack` frames and
     /// unbatched `BatchNack` entries. The corrupted request is retried
-    /// immediately (no congestion signal; corruption is not loss). Returns
-    /// whether the entry *failed* the request (exhausted retries) and so
-    /// freed window space the caller should re-drain.
-    fn handle_nack(&mut self, ctx: &mut Ctx<'_>, req_id: ReqId, done: &mut Vec<XferDone>) -> bool {
+    /// immediately (no congestion signal; corruption is not loss); past
+    /// the retry budget it fails and its window slots are released.
+    fn handle_nack(&mut self, ctx: &mut Ctx<'_>, req_id: ReqId, done: &mut Vec<XferDone>) {
         let Some(mut o) = self.outstanding.remove(&req_id) else {
-            return false; // stale/duplicate NACK
+            return; // stale/duplicate NACK
         };
         if let Some(t) = o.timer.take() {
             ctx.cancel(t);
@@ -1487,8 +1347,11 @@ impl Transport {
         // timeline gap-free.
         self.tracer.stitch(o.trace, self.track, Stage::NackTurnaround, ctx.now());
         if o.retries > self.cfg.max_retries {
-            if self.mutation != McMutation::LeakWindowOnNack {
-                self.release_windows(ctx.now(), &o, None);
+            if self.mutation == McMutation::LeakWindowOnNack {
+                // The planted bug leaks the slots; the failure still drains.
+                self.released = true;
+            } else {
+                self.release(ctx.now(), &o, Outcome::Lost);
             }
             done.push(XferDone {
                 token: o.token,
@@ -1499,36 +1362,31 @@ impl Transport {
                 }),
                 rtt: ctx.now().since(o.first_sent_at),
             });
-            true
         } else {
             o.trace = self.tracer.retry(o.trace, ctx.now());
-            // Window slot stays held: this is the same logical request.
-            // Hand the slot bookkeeping over by not releasing and queueing
-            // the retransmission.
+            // Window slots stay held: this is the same logical request.
             self.queue_retransmit(ctx, o, req_id);
-            false
         }
     }
 
     /// Completes one response entry — shared by plain `Response` frames and
-    /// unbatched `BatchResp` entries. Returns whether the entry finished a
-    /// request (and so freed window space the caller should re-drain).
+    /// unbatched `BatchResp` entries.
     fn handle_response(
         &mut self,
         ctx: &mut Ctx<'_>,
         header: RespHeader,
         body: ResponseBody,
         done: &mut Vec<XferDone>,
-    ) -> bool {
+    ) {
         if !self.outstanding.contains_key(&header.req_id) {
-            return false; // stale/duplicate response
+            return; // stale/duplicate response
         }
         // Multi-packet read responses finish on the last fragment.
         let value = match body {
             ResponseBody::DataFrag { offset, data } => {
                 match self.reassembler.accept(header, offset, data) {
                     Some(full) => XferValue::Data(full),
-                    None => return false,
+                    None => return,
                 }
             }
             ResponseBody::Done => XferValue::Done,
@@ -1547,8 +1405,7 @@ impl Transport {
         // covers the whole reassembly window, attributed once on
         // completion of the final fragment.
         self.tracer.stitch(o.trace, Track::Wire, Stage::Wire, now);
-        let rtt = now.since(o.attempt_sent_at);
-        self.release_windows(now, &o, Some(rtt));
+        self.release(now, &o, Outcome::Answered(now.since(o.attempt_sent_at)));
         match header.status {
             Status::Ok => {
                 done.push(XferDone {
@@ -1580,7 +1437,6 @@ impl Transport {
                 });
             }
         }
-        true
     }
 
     /// Re-registers a timed-out/NACKed request under a fresh id and queues
@@ -1597,16 +1453,12 @@ impl Transport {
     fn queue_retransmit(&mut self, ctx: &mut Ctx<'_>, o: Outstanding, prev_id: ReqId) {
         let new_id = self.fresh_id();
         let retry_of = o.blueprint.is_non_idempotent().then_some(o.origin);
-        let timer = ctx.schedule(
-            o.blueprint.timeout(self.cfg.request_timeout),
-            Message::new(TransportTimer::Timeout(new_id)),
-        );
-        self.reassembler.forget(prev_id);
         let target = o.target;
-        self.outstanding
-            .insert(new_id, Outstanding { attempt_sent_at: ctx.now(), timer: Some(timer), ..o });
-        self.retry_queues.entry(target).or_default().push((new_id, retry_of));
-        if self.retry_doorbells.insert(target) {
+        self.register(ctx, new_id, o);
+        self.reassembler.forget(prev_id);
+        let peer = self.peer(target);
+        peer.retries.push((new_id, retry_of));
+        if !std::mem::replace(&mut peer.retry_armed, true) {
             ctx.schedule(SimDuration::ZERO, Message::new(TransportTimer::RetryPump(target)));
         }
     }
@@ -1614,8 +1466,8 @@ impl Transport {
     /// Ships queued retransmissions toward `target`, packing batchable
     /// single-packet retries into shared frames. With the breaker open
     /// (tripped between queueing and this pump by a same-instant timer),
-    /// the queued retries fail fast instead: slots released neutrally,
-    /// `Unreachable` reported.
+    /// the queued retries fail fast instead: slots released without a
+    /// congestion signal, `Unreachable` reported.
     fn retry_pump(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1623,16 +1475,18 @@ impl Transport {
         target: Mac,
         done: &mut Vec<XferDone>,
     ) {
-        self.retry_doorbells.remove(&target);
-        let Some(entries) = self.retry_queues.remove(&target) else { return };
-        if self.peer_open(target) {
+        let peer = self.peer(target);
+        peer.retry_armed = false;
+        let open = peer.open();
+        let entries = std::mem::take(&mut peer.retries);
+        if open {
             let now = ctx.now();
             for (req_id, _) in entries {
                 let Some(mut o) = self.outstanding.remove(&req_id) else { continue };
                 if let Some(t) = o.timer.take() {
                     ctx.cancel(t);
                 }
-                self.release_windows_neutral(&o);
+                self.release(now, &o, Outcome::Abandoned);
                 done.push(XferDone {
                     token: o.token,
                     result: Err(ClioError::Unreachable { mn: target }),
@@ -1641,40 +1495,17 @@ impl Transport {
             }
             return;
         }
-        let mut pack = self.take_pack();
-        let send_start = ctx.now() + self.cfg.send_overhead;
+        let mut pack = self.take_pack(target);
         for (req_id, retry_of) in entries {
             // A retry can only vanish between queue and pump if its own
             // timer fired first; the timeout path re-queues it.
             let Some(o) = self.outstanding.get(&req_id) else { continue };
-            let (trace, pid) = (o.trace, o.pid);
+            let (pid, trace, blueprint) = (o.pid, o.trace, o.blueprint.clone());
             self.tracer.stitch(trace, self.track, Stage::RetryDoorbell, ctx.now());
-            let single = o.blueprint.single_body().filter(|_| o.blueprint.is_batchable());
-            if let (Some(body), true) = (single, self.batching()) {
-                let header = ReqHeader { retry_of, trace, ..ReqHeader::single(req_id, pid) };
-                let frames =
-                    self.pack_single(ctx, nic, &mut pack, send_start, target, header, body);
-                self.stats.retry_frames += frames;
-            } else {
-                // Multi-packet or unbatchable retries flush the batch ahead
-                // of them (send order) and travel alone.
-                o.blueprint.build(req_id, retry_of, pid, &mut pack.packets);
-                if self.flush_batch(ctx, nic, target, &mut pack) {
-                    self.stats.retry_frames += 1;
-                }
-                self.annotate(&mut pack.packets, target, trace);
-                let mut tx_end = send_start;
-                for pkt in pack.packets.drain(..) {
-                    let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
-                    tx_end =
-                        tx_end.max(nic.send_at(ctx, send_start, target, wire, Message::new(pkt)));
-                    self.stats.retry_frames += 1;
-                }
-                self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
-                self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
-            }
+            self.stats.retry_frames +=
+                self.ship(ctx, nic, &mut pack, req_id, retry_of, pid, &blueprint, trace);
         }
-        if self.flush_batch(ctx, nic, target, &mut pack) {
+        if self.flush_batch(ctx, nic, &mut pack) {
             self.stats.retry_frames += 1;
         }
         self.pack = Some(pack);
@@ -1702,64 +1533,17 @@ impl Transport {
         done: &mut Vec<XferDone>,
     ) {
         match timer {
-            TransportTimer::Timeout(req_id) => {
-                let Some(mut o) = self.outstanding.remove(&req_id) else {
-                    return; // completed already
-                };
-                o.timer = None;
-                self.stats.retries += 1;
-                o.retries += 1;
-                let now = ctx.now();
-                // The lost attempt left no response to attribute; the wait
-                // span from its last stitch to the timer firing absorbs the
-                // whole silent interval.
-                self.tracer.stitch(o.trace, self.track, Stage::TimeoutWait, now);
-                self.note_peer_timeout(ctx, o.target);
-                if self.peer_open(o.target) {
-                    // The breaker just tripped (or was already open): give
-                    // up on this op now instead of burning more retries
-                    // against a board presumed dead.
-                    self.release_windows(now, &o, None);
-                    done.push(XferDone {
-                        token: o.token,
-                        result: Err(ClioError::Unreachable { mn: o.target }),
-                        rtt: now.since(o.first_sent_at),
-                    });
-                    self.kick_all(ctx, nic, done);
-                } else if o.retries > self.cfg.max_retries {
-                    self.release_windows(now, &o, None);
-                    done.push(XferDone {
-                        token: o.token,
-                        result: Err(ClioError::TimedOut {
-                            op: o.blueprint.kind(),
-                            mn: o.target,
-                            attempts: o.retries,
-                        }),
-                        rtt: now.since(o.first_sent_at),
-                    });
-                    self.kick_all(ctx, nic, done);
-                } else {
-                    o.trace = self.tracer.retry(o.trace, now);
-                    // Timeout is a congestion signal; shrink but keep the
-                    // slot for the retransmission (same logical request).
-                    let cfg = &self.cfg;
-                    let cwnd =
-                        self.cwnds.entry(o.target).or_insert_with(|| CongestionWindow::new(cfg));
-                    cwnd.on_congestion(now);
-                    self.queue_retransmit(ctx, o, req_id);
-                }
-            }
+            TransportTimer::Timeout(req_id) => self.on_timeout(ctx, req_id, done),
             TransportTimer::Pump(mac) => self.pump(ctx, nic, mac, done),
             TransportTimer::RetryPump(mac) => self.retry_pump(ctx, nic, mac, done),
             TransportTimer::BreakerProbe(mac) => {
-                if let Some(h) = self.health.get_mut(&mac) {
-                    if h.state == BreakerState::Open {
-                        // Half-open: queued ops flow again as probes. The
-                        // gauge stays up — the peer is not healthy until a
-                        // probe actually completes.
-                        h.state = BreakerState::HalfOpen;
-                        self.kick(ctx, nic, mac, done);
-                    }
+                let peer = self.peer(mac);
+                if peer.breaker == BreakerState::Open {
+                    // Half-open: queued ops flow again as probes. The
+                    // gauge stays up — the peer is not healthy until a
+                    // probe actually completes.
+                    peer.breaker = BreakerState::HalfOpen;
+                    self.kick(ctx, nic, mac, done);
                 }
             }
             TransportTimer::ConflictRetry(token) => {
@@ -1768,7 +1552,7 @@ impl Transport {
                     // logical request) so window accounting stays uniform.
                     let target = o.target;
                     self.tracer.stitch(o.trace, self.track, Stage::ConflictBackoff, ctx.now());
-                    self.queues.entry(target).or_default().push_front(QueuedSend {
+                    self.peer(target).queue.push_front(QueuedSend {
                         token: o.token,
                         pid: o.pid,
                         blueprint: o.blueprint,
@@ -1780,5 +1564,41 @@ impl Transport {
                 }
             }
         }
+        self.drain_released(ctx, nic, done);
+    }
+
+    /// A request's retransmission timer fired: retry it under a fresh id,
+    /// or — retry budget exhausted, or the breaker toward its MN open —
+    /// fail it and release its window slots.
+    fn on_timeout(&mut self, ctx: &mut Ctx<'_>, req_id: ReqId, done: &mut Vec<XferDone>) {
+        let Some(mut o) = self.outstanding.remove(&req_id) else {
+            return; // completed already
+        };
+        o.timer = None;
+        self.stats.retries += 1;
+        o.retries += 1;
+        let now = ctx.now();
+        // The lost attempt left no response to attribute; the wait span
+        // from its last stitch to the timer firing absorbs the whole
+        // silent interval.
+        self.tracer.stitch(o.trace, self.track, Stage::TimeoutWait, now);
+        self.note_peer_timeout(ctx, o.target);
+        // With the breaker open (just tripped, or already open) the op is
+        // given up on now instead of burning more retries against a board
+        // presumed dead.
+        let error = if self.peer(o.target).open() {
+            ClioError::Unreachable { mn: o.target }
+        } else if o.retries > self.cfg.max_retries {
+            ClioError::TimedOut { op: o.blueprint.kind(), mn: o.target, attempts: o.retries }
+        } else {
+            o.trace = self.tracer.retry(o.trace, now);
+            // Timeout is a congestion signal; shrink but keep the slot for
+            // the retransmission (same logical request).
+            self.peer(o.target).cwnd.on_congestion(now);
+            self.queue_retransmit(ctx, o, req_id);
+            return;
+        };
+        self.release(now, &o, Outcome::Lost);
+        done.push(XferDone { token: o.token, result: Err(error), rtt: now.since(o.first_sent_at) });
     }
 }

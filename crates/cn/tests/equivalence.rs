@@ -155,13 +155,9 @@ enum Mode {
 fn run_mode(ops: &[TestOp], mode: Mode) -> (Vec<Result<CompletionValue, ClioError>>, Vec<Bytes>) {
     let (clib_cfg, board_cfg) = match mode {
         Mode::Unbatched => (CLibConfig::prototype_unbatched(), CBoardConfig::prototype_unbatched()),
-        Mode::Batched | Mode::ScatterGather => (
-            CLibConfig {
-                doorbell_max_delay: Some(SimDuration::from_micros(2)),
-                ..CLibConfig::prototype()
-            },
-            CBoardConfig::test_small(),
-        ),
+        Mode::Batched | Mode::ScatterGather => {
+            (CLibConfig::prototype(), CBoardConfig::test_small())
+        }
     };
     let board_cfg = CBoardConfig { hw: CBoardConfig::test_small().hw, ..board_cfg };
     let mut r = rig(clib_cfg, board_cfg);

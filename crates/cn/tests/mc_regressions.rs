@@ -44,7 +44,7 @@ fn lost_intermediate_retry_does_not_reexecute_an_atomic() {
 }
 
 /// The checker's planted-bug self-test, pinned: with the
-/// `LeakWindowOnNack` mutation (skip `release_windows` when a NACK
+/// `LeakWindowOnNack` mutation (skip `Transport::release` when a NACK
 /// exhausts the retry budget) this schedule leaks the failed op's incast
 /// window slots. It must still fire — and the identical schedule against
 /// the unmutated transport must be clean — or the checker has lost its

@@ -10,11 +10,12 @@
 //! when several entries of one batch frame draw the NACK fate, their NACKs
 //! travel coalesced as a `BatchNack`, covering the batched error path too.
 //!
-//! Also pins the RTT-derived doorbell budget: `doorbell_max_delay = None`
-//! derives the hold budget from the congestion window's smoothed RTT
-//! (≤ srtt/4), never exceeds the static cap, falls back to the static
-//! default (zero) before the first RTT sample, and forgets the derivation
-//! on `CongestionWindow::reset`.
+//! Also pins the doorbell budget end to end through
+//! `Transport::doorbell_budget` (the rule's clauses are unit-tested beside
+//! `clio_net::Doorbell`): derived from the congestion window's smoothed RTT
+//! (≤ srtt/4), never above the cap, zero before the first RTT sample, and
+//! forgotten on `CongestionWindow::reset`. And the release-then-drain rule:
+//! a cancelled op must not strand the sends queued behind its window slot.
 
 use bytes::Bytes;
 use clio_cn::config::CLibConfig;
@@ -60,6 +61,10 @@ struct Go {
     base: u64,
 }
 
+/// Withdraws every attempt of one token, as a deadline's canceller would.
+#[derive(Clone)]
+struct Cancel(XferToken);
+
 /// CN host driving a bare `Transport`.
 struct Host {
     nic: NicPort,
@@ -88,6 +93,13 @@ impl Actor for Host {
                         &mut self.done,
                     );
                 }
+                return;
+            }
+            Err(m) => m,
+        };
+        let msg = match msg.downcast::<Cancel>() {
+            Ok(Cancel(token)) => {
+                self.transport.cancel(ctx, &mut self.nic, token, &mut self.done);
                 return;
             }
             Err(m) => m,
@@ -212,6 +224,16 @@ fn blueprint_of(kind: u8) -> Blueprint {
     }
 }
 
+/// A bare transport wired to a scripted MN; returns the CN host's id.
+fn rig(cfg: CLibConfig, seed: u64, script: Vec<Fate>) -> (Simulation, ActorId) {
+    let mut sim = Simulation::new(seed);
+    let mn_id = sim.add_actor(ScriptedMn { cn: None, script, next: 0 });
+    let nic = NicPort::new(CN_MAC, Bandwidth::from_gbps(40), mn_id, SimDuration::from_nanos(50));
+    let cn_id = sim.add_actor(Host { nic, transport: Transport::new(cfg, 1), done: vec![] });
+    sim.actor_mut::<ScriptedMn>(mn_id).cn = Some(cn_id);
+    (sim, cn_id)
+}
+
 fn run_case(op_kinds: &[u8], script: &[u8], batch_max_ops: u32, seed: u64) {
     let cfg = CLibConfig {
         // Tight windows so the queue, pacing, and incast paths all engage.
@@ -225,16 +247,8 @@ fn run_case(op_kinds: &[u8], script: &[u8], batch_max_ops: u32, seed: u64) {
         batch_max_ops,
         ..CLibConfig::prototype()
     };
-    let mut sim = Simulation::new(seed);
-    // The CN's id is only known after creation; wired up below.
-    let mn_id = sim.add_actor(ScriptedMn {
-        cn: None,
-        script: script.iter().map(|&b| Fate::from_byte(b)).collect(),
-        next: 0,
-    });
-    let nic = NicPort::new(CN_MAC, Bandwidth::from_gbps(40), mn_id, SimDuration::from_nanos(50));
-    let cn_id = sim.add_actor(Host { nic, transport: Transport::new(cfg, 1), done: vec![] });
-    sim.actor_mut::<ScriptedMn>(mn_id).cn = Some(cn_id);
+    let script = script.iter().map(|&b| Fate::from_byte(b)).collect();
+    let (mut sim, cn_id) = rig(cfg, seed, script);
 
     let ops: Vec<Blueprint> = op_kinds.iter().map(|&k| blueprint_of(k)).collect();
     let n = ops.len();
@@ -268,7 +282,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// RTT-derived doorbell budget (doorbell_max_delay = None)
+// RTT-derived doorbell budget
 // ---------------------------------------------------------------------
 
 use clio_sim::{SimDuration as D, SimTime};
@@ -277,11 +291,9 @@ use clio_sim::{SimDuration as D, SimTime};
 /// and checks every clause of the derivation contract.
 #[test]
 fn rtt_derived_budget_caps_falls_back_and_resets() {
-    let cfg = CLibConfig { doorbell_max_delay: None, ..CLibConfig::prototype() };
-    let mut t = Transport::new(cfg, 1);
+    let mut t = Transport::new(CLibConfig::prototype(), 1);
 
-    // Before any RTT sample: the static default (zero) — never hold blind.
-    assert_eq!(t.doorbell_budget(MN_MAC), CLibConfig::DOORBELL_FALLBACK_DELAY);
+    // Before any RTT sample: zero — never hold blind.
     assert_eq!(t.doorbell_budget(MN_MAC), D::ZERO);
 
     // One 8 µs response: srtt = 8 µs, budget = srtt/4 = 2 µs (< cap).
@@ -302,34 +314,18 @@ fn rtt_derived_budget_caps_falls_back_and_resets() {
     assert!(srtt / 4 > CLibConfig::DOORBELL_DERIVED_CAP, "srtt grew past the cap threshold");
     assert_eq!(t.doorbell_budget(MN_MAC), CLibConfig::DOORBELL_DERIVED_CAP);
 
-    // A window reset forgets the derivation: back to the fallback.
+    // A window reset forgets the derivation: back to zero.
     t.cwnd(MN_MAC).reset();
     assert_eq!(t.cwnd(MN_MAC).srtt(), None);
-    assert_eq!(t.doorbell_budget(MN_MAC), CLibConfig::DOORBELL_FALLBACK_DELAY);
-}
-
-#[test]
-fn static_budget_overrides_derivation() {
-    let cfg = CLibConfig { doorbell_max_delay: Some(D::from_micros(1)), ..CLibConfig::prototype() };
-    let mut t = Transport::new(cfg, 1);
-    assert_eq!(t.doorbell_budget(MN_MAC), D::from_micros(1), "override before warm-up");
-    let now = SimTime::from_nanos(1000);
-    assert!(t.cwnd(MN_MAC).try_acquire(now));
-    t.cwnd(MN_MAC).on_response(now, D::from_micros(100));
-    assert_eq!(t.doorbell_budget(MN_MAC), D::from_micros(1), "override after warm-up too");
+    assert_eq!(t.doorbell_budget(MN_MAC), D::ZERO);
 }
 
 /// End to end: after real traffic against the scripted MN (all-Ok fates)
-/// with no static delay configured, the hold budget is derived from the
-/// measured RTT and stays at or under srtt/4.
+/// the hold budget is derived from the measured RTT and stays at or under
+/// srtt/4.
 #[test]
 fn doorbell_budget_derives_from_measured_rtt_after_warmup() {
-    let cfg = CLibConfig { doorbell_max_delay: None, ..CLibConfig::prototype() };
-    let mut sim = Simulation::new(11);
-    let mn_id = sim.add_actor(ScriptedMn { cn: None, script: vec![], next: 0 });
-    let nic = NicPort::new(CN_MAC, Bandwidth::from_gbps(40), mn_id, SimDuration::from_nanos(50));
-    let cn_id = sim.add_actor(Host { nic, transport: Transport::new(cfg, 1), done: vec![] });
-    sim.actor_mut::<ScriptedMn>(mn_id).cn = Some(cn_id);
+    let (mut sim, cn_id) = rig(CLibConfig::prototype(), 11, vec![]);
     let ops: Vec<Blueprint> = (0..24).map(|k| blueprint_of(k as u8)).collect();
     sim.post(cn_id, Message::new(Go { ops, base: 0 }));
     sim.run_until_idle();
@@ -349,14 +345,40 @@ fn doorbell_budget_derives_from_measured_rtt_after_warmup() {
 
 use clio_cn::ClioError;
 
-fn lossy_rig(cfg: CLibConfig, seed: u64) -> (Simulation, clio_sim::ActorId) {
-    let mut sim = Simulation::new(seed);
+fn lossy_rig(cfg: CLibConfig, seed: u64) -> (Simulation, ActorId) {
     // Every request is silently dropped: `loss_prob = 1.0` toward this MN.
-    let mn_id = sim.add_actor(ScriptedMn { cn: None, script: vec![Fate::Drop; 4096], next: 0 });
-    let nic = NicPort::new(CN_MAC, Bandwidth::from_gbps(40), mn_id, SimDuration::from_nanos(50));
-    let cn_id = sim.add_actor(Host { nic, transport: Transport::new(cfg, 1), done: vec![] });
-    sim.actor_mut::<ScriptedMn>(mn_id).cn = Some(cn_id);
-    (sim, cn_id)
+    rig(cfg, seed, vec![Fate::Drop; 4096])
+}
+
+/// Regression: `cancel` releases the cancelled attempts' window slots, and
+/// like every release it must drain the send queues before returning. With
+/// a window of one, op 1 waits behind op 0; cancelling op 0 mid-flight
+/// frees the slot, but op 0's late response is dropped as stale and a
+/// queued send owns no timer — so without the drain nothing would ever
+/// revisit op 1 and an op *without* a deadline would hang forever behind
+/// one *with* a deadline. Batching on and off alike.
+#[test]
+fn cancel_drains_the_sends_queued_behind_the_freed_slot() {
+    for batch_max_ops in [1, 16] {
+        let cfg =
+            CLibConfig { cwnd_init: 1.0, cwnd_max: 1.0, batch_max_ops, ..CLibConfig::prototype() };
+        let (mut sim, cn_id) = rig(cfg, 3, vec![]); // every request answered Ok after 1 µs
+        sim.post(cn_id, Message::new(Go { ops: vec![blueprint_of(0), blueprint_of(0)], base: 0 }));
+        sim.post_in(cn_id, SimDuration::from_nanos(500), Message::new(Cancel(XferToken(0))));
+        sim.run_until_idle();
+
+        let host = sim.actor_mut::<Host>(cn_id);
+        // The canceller owns reporting op 0; the transport reports op 1.
+        assert_eq!(host.done.len(), 1, "batch_max_ops={batch_max_ops}: op 1 never completed");
+        assert_eq!(host.done[0].token, XferToken(1));
+        assert!(host.done[0].result.is_ok(), "op 1 failed: {:?}", host.done[0].result);
+        assert_eq!(host.transport.in_flight(), 0, "outstanding not drained");
+        assert_eq!(host.transport.queued(), 0, "op 1 stranded in the send queue");
+        assert_eq!(host.transport.parked(), 0, "conflict parking not drained");
+        assert_eq!(host.transport.incast_in_flight(), 0, "incast bytes leaked");
+        assert_eq!(host.transport.cwnd(MN_MAC).outstanding(), 0, "cwnd slots leaked");
+        host.transport.check_invariants().expect("window accounting after cancel");
+    }
 }
 
 /// Retry-timer hygiene: a burst into total loss must exhaust each op's

@@ -103,7 +103,7 @@ fn delivered_duplicate_batch_is_deduplicated() {
 }
 
 /// The self-test that gives the clean result meaning: a transport with a
-/// planted window leak (skipping `release_windows` when a NACK exhausts
+/// planted window leak (skipping `Transport::release` when a NACK exhausts
 /// the retry budget) must be caught, and the printed counterexample must
 /// replay to a violation under the same configuration.
 #[test]

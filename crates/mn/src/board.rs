@@ -26,34 +26,35 @@
 //! through a per-destination **egress queue** ordered by completion time,
 //! drained by a doorbell that fires at the earliest pending completion.
 //! When the doorbell fires, single-packet responses whose completion times
-//! fall within `CBoardConfig::egress_doorbell_delay` of the fire time are
-//! packed into `ClioPacket::BatchResp` frames under the
-//! `resp_batch_max_ops`/`resp_batch_max_bytes`/MTU budgets; coalescing
-//! never sends data before the datapath produced it (a frame leaves the
-//! NIC no earlier than its slowest member's completion). The doorbell's
-//! hold is **load-adaptive**: with no recent traffic, or completions
-//! arriving farther apart than the budget, it fires at the response's own
-//! completion time (zero added latency — the common case for synchronous
-//! clients); under sustained concurrent load it waits up to the budget so
-//! pipelined completions merge, which is the documented latency/goodput
-//! trade. The hold's budget is **derived** by default
-//! (`egress_doorbell_delay = None`): a quarter of the destination's
-//! measured request-turnaround EWMA, capped at
-//! `CBoardConfig::EGRESS_DERIVED_CAP` — the MN mirror of the CN's
-//! RTT-derived doorbell budget. Multi-fragment read responses and NACK
-//! frames are never batched *with responses* or held (§4.4 wants NACK
-//! retries immediate); they flush the frame being assembled so
-//! per-destination send order is preserved — but the NACKs of one
-//! corrupted batch frame already travel coalesced as a single `BatchNack`.
-//! This is the egress mirror of the CN's request batching: the `tx_frames`
-//! stat counts wire frames, `tx_packets` counts the packets inside them.
+//! fall within the doorbell's latency budget of the fire time are packed
+//! into `ClioPacket::BatchResp` frames under the `resp_batch_max_ops`/MTU
+//! budgets; coalescing never sends data before the datapath produced it (a
+//! frame leaves the NIC no earlier than its slowest member's completion).
+//! How long the doorbell holds is not configured but measured — the rule
+//! is [`clio_net::Doorbell`]'s, shared with the CN's request doorbell:
+//! with no recent traffic, or completions arriving farther apart than the
+//! budget, it fires at the response's own completion time (zero added
+//! latency — the common case for synchronous clients); under sustained
+//! concurrent load it waits up to the budget so pipelined completions
+//! merge, which is the documented latency/goodput trade. The board
+//! supplies what is its own: the signal (the smoothed RTT the destination
+//! CN echoes in its request headers, else the board-measured request
+//! turnaround) and the cap (`CBoardConfig::EGRESS_DERIVED_CAP`); with
+//! `resp_batch_max_ops = 1` the budget is zero — no hold, no reach-ahead.
+//! Multi-fragment read responses and NACK frames are never batched *with
+//! responses* or held (§4.4 wants NACK retries immediate); they flush the
+//! frame being assembled so per-destination send order is preserved — but
+//! the NACKs of one corrupted batch frame already travel coalesced as a
+//! single `BatchNack`. The `tx_frames` stat counts wire frames,
+//! `tx_packets` counts the packets inside them.
 //!
 //! The board holds exactly the bounded state the paper allows it (§4.5): the
 //! retry-dedup buffer, in-flight synchronization state (one fence barrier +
-//! the atomic unit), a TTL-bounded tracker for multi-packet writes, and the
-//! egress queue above (bounded by in-flight requests plus a pruned
-//! gap-history working set of recently active destinations). It
-//! is connectionless: every response is routed by the source MAC of the
+//! the atomic unit), a TTL-bounded tracker for multi-packet writes, and one
+//! `Egress` record per recently active destination (its queue, bounded by
+//! in-flight requests, its doorbell and its RTT estimates), pruned once
+//! idle — bounded by active destinations, not by every client ever seen.
+//! It is connectionless: every response is routed by the source MAC of the
 //! request frame.
 //!
 //! # Invariants
@@ -85,12 +86,13 @@ use std::collections::VecDeque;
 use bytes::Bytes;
 use clio_hw::dedup::DedupRecord;
 use clio_hw::silicon::{AccessTiming, AtomicOp, Silicon};
-use clio_net::{BoardPower, Frame, Mac, NicPort};
+use clio_net::{BoardPower, Doorbell, Ewma, Frame, Mac, NicPort};
 use clio_proto::{
-    codec, read_response_fragments, ClioPacket, NackBatchBuilder, Pid, ReqHeader, ReqId,
-    RequestBody, RespBatchBuilder, RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES,
+    codec, read_response_fragments, ClioPacket, Packer, Pid, ReqHeader, ReqId, RequestBody,
+    RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES, MTU_BYTES,
 };
-use clio_sim::{Actor, ActorId, Ctx, EventId, IdMap, Message, SimDuration, SimTime};
+use clio_sim::table::{fnv_fold, fnv_mix};
+use clio_sim::{Actor, ActorId, Ctx, IdMap, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
@@ -211,12 +213,49 @@ struct EgressEntry {
     trace: Option<TraceCtx>,
 }
 
+/// Everything the board keeps about one destination, in one record:
+/// created by the first request from that MAC, dropped once idle
+/// ([`CBoard::prune_idle_egress`]) and on a crash.
+#[derive(Debug, Clone, Default)]
+struct Egress {
+    /// Packets awaiting egress, ordered by `ready`. A drained queue stays
+    /// (empty) so its buffer is reused.
+    queue: VecDeque<EgressEntry>,
+    /// The egress doorbell: the response inter-completion gap estimate
+    /// that sizes its hold, and the armed [`EgressDoorbell`] timer.
+    doorbell: Doorbell,
+    /// Request turnaround (arrival → response ready), in ns: the
+    /// board-visible component of this CN's RTT, and the doorbell budget's
+    /// signal until the CN echoes its own.
+    turnaround: Ewma,
+    /// Last CN-measured smoothed RTT (ns) echoed in a request header: when
+    /// present, the egress doorbell budget uses the *same* signal as the
+    /// CN's request doorbell budget instead of the turnaround estimate.
+    peer_srtt: Option<u32>,
+}
+
+impl Egress {
+    /// The egress doorbell's latency budget — how long a response may be
+    /// held and how far ahead a frame may reach for members: the shared
+    /// rule ([`Doorbell::budget`]) over the echoed srtt, else the
+    /// turnaround estimate. Zero with response batching off: nothing to
+    /// hold for.
+    fn budget(&self, cfg: &CBoardConfig) -> SimDuration {
+        if cfg.resp_batch_max_ops <= 1 {
+            return SimDuration::ZERO;
+        }
+        let signal_ns =
+            self.peer_srtt.map(u64::from).or_else(|| self.turnaround.get().map(|t| t as u64));
+        Doorbell::budget(signal_ns.map(SimDuration::from_nanos), CBoardConfig::EGRESS_DERIVED_CAP)
+    }
+}
+
 /// What one egress pump reuses across calls, so a lone response costs no
 /// allocation on its way into a frame.
 #[derive(Debug, Clone)]
 struct EgressScratch {
     /// The response batch under assembly.
-    batch: RespBatchBuilder,
+    batch: Packer<(RespHeader, ResponseBody)>,
     /// Frames ready to leave: `(ready time, frame, ops inside, traces)`.
     shipped: Vec<(SimTime, ClioPacket, u64, Vec<TraceCtx>)>,
 }
@@ -251,7 +290,7 @@ const PRESSURE_REARM_FRACTION: f64 = 0.875;
 /// `clone()` is an independent copy of the board as it stands: protocol and
 /// timing state, counters, silicon (page tables, DRAM contents, dedup
 /// buffer), installed offloads (through [`Offload::clone_box`]) and
-/// pending-doorbell [`EventId`]s, which stay valid in a
+/// pending-doorbell [`EventId`](clio_sim::EventId)s, which stay valid in a
 /// [`Simulation::fork`](clio_sim::Simulation::fork) taken at the same
 /// instant. Only the [`Tracer`] handle stays shared: a tracer collects for
 /// a whole run.
@@ -267,22 +306,11 @@ pub struct CBoard {
     fence_until: SimTime,
     last_completion: SimTime,
     writes: WriteTracker,
-    /// Per-destination egress queue, ordered by `ready`. A drained queue
-    /// stays (empty) so its buffer is reused; idle destinations are dropped
-    /// by [`Self::prune_egress_history`].
-    egress: IdMap<Mac, VecDeque<EgressEntry>>,
+    /// The one per-destination table: egress queue, doorbell and RTT
+    /// estimates of every recently active CN.
+    egress: IdMap<Mac, Egress>,
     /// Taken by [`Self::pump_egress`] for its duration (built on first use).
     egress_scratch: Option<EgressScratch>,
-    /// The scheduled doorbell per destination: `(fire time, event)`.
-    egress_doorbells: IdMap<Mac, (SimTime, EventId)>,
-    /// Last response-ready time per destination (feeds the adaptive hold).
-    egress_last_ready: IdMap<Mac, SimTime>,
-    /// EWMA of the response inter-completion gap per destination, in ns.
-    egress_gap_ewma: IdMap<Mac, f64>,
-    /// EWMA of the request turnaround (arrival → response ready) per
-    /// destination, in ns: the board-visible component of that CN's RTT,
-    /// from which the derived egress hold budget is computed.
-    egress_turnaround_ewma: IdMap<Mac, f64>,
     regions: RegionTable,
     out_migrations: IdMap<(Pid, u64), OutMigration>,
     in_migrations: IdMap<(Pid, u64), InMigration>,
@@ -297,11 +325,6 @@ pub struct CBoard {
     /// Trace of the request currently executing, consumed by [`Self::respond`]
     /// so the response's egress spans attach to the right op.
     cur_trace: Option<TraceCtx>,
-    /// Last CN-measured smoothed RTT echoed in a request header, per
-    /// destination: when present, the derived egress hold budget uses the
-    /// *same* signal as the CN's doorbell budget (srtt / 4, capped) instead
-    /// of the board-local turnaround EWMA.
-    peer_srtt: IdMap<Mac, u32>,
     /// Most recent echoed srtt (ns), exported for harness observability.
     peer_srtt_ns: u64,
     /// Power state: a crashed board (`BoardPower::Crash`) drops all traffic
@@ -327,10 +350,6 @@ impl CBoard {
             writes: WriteTracker::default(),
             egress: IdMap::default(),
             egress_scratch: None,
-            egress_doorbells: IdMap::default(),
-            egress_last_ready: IdMap::default(),
-            egress_gap_ewma: IdMap::default(),
-            egress_turnaround_ewma: IdMap::default(),
             regions: RegionTable::new(),
             out_migrations: IdMap::default(),
             in_migrations: IdMap::default(),
@@ -341,7 +360,6 @@ impl CBoard {
             tracer: Tracer::disabled(),
             track: Track::Mn(0),
             cur_trace: None,
-            peer_srtt: IdMap::default(),
             peer_srtt_ns: 0,
             alive: true,
         };
@@ -422,10 +440,10 @@ impl CBoard {
         let mut egress: Vec<u64> = self
             .egress
             .iter()
-            .filter(|(_, q)| !q.is_empty()) // a drained queue is no state
-            .map(|(dst, q)| {
+            .filter(|(_, egress)| !egress.queue.is_empty()) // a drained queue is no state
+            .map(|(dst, egress)| {
                 let mut e = fnv_mix(0xcbf2_9ce4_8422_2325, dst.0 as u64);
-                for entry in q {
+                for entry in &egress.queue {
                     let tag = match &entry.pkt {
                         ClioPacket::Request { .. } => 1,
                         ClioPacket::Batch { .. } => 2,
@@ -494,14 +512,10 @@ impl CBoard {
         self.alive = false;
         self.writes.pending.clear();
         self.writes.order.clear();
-        self.egress.clear();
-        for (_, (_, event)) in self.egress_doorbells.drain() {
-            ctx.cancel(event);
+        for egress in self.egress.values_mut() {
+            egress.doorbell.cancel(ctx);
         }
-        self.egress_last_ready.clear();
-        self.egress_gap_ewma.clear();
-        self.egress_turnaround_ewma.clear();
-        self.peer_srtt.clear();
+        self.egress.clear();
         self.peer_srtt_ns = 0;
         self.silicon.dedup_mut().clear();
         self.fence_until = SimTime::ZERO;
@@ -539,147 +553,76 @@ impl CBoard {
         // doorbell fires at their own ready time. (A `BatchNack` is already
         // the coalesced form of a whole corrupted frame's NACKs.)
         let holdable = matches!(&pkt, ClioPacket::Response { header, .. } if header.pkt_count <= 1);
-        // Track the request turnaround (EWMA, α = 1/4): how long this
-        // destination's requests spend on the board before their response
-        // is ready — the board-visible share of the RTT its CN measures,
-        // and the signal the derived egress hold budget is computed from.
-        // Sampled for holdable responses only: NACKs ready after bare
-        // control latency (exactly during a corruption storm) and repeated
-        // read fragments would otherwise drag the estimate — and with it
-        // the derived budget — toward zero when coalescing matters most.
+        let egress = self.egress.entry(dst).or_default();
+        // Track the request turnaround: how long this destination's
+        // requests spend on the board before their response is ready — the
+        // board-visible share of the RTT its CN measures. Sampled for
+        // holdable responses only: NACKs ready after bare control latency
+        // (exactly during a corruption storm) and repeated read fragments
+        // would otherwise drag the estimate — and with it the doorbell
+        // budget — toward zero when coalescing matters most.
         if holdable {
-            let turnaround = ready.since(ctx.now()).as_nanos() as f64;
-            let tewma = self.egress_turnaround_ewma.entry(dst).or_insert(turnaround);
-            *tewma = 0.75 * *tewma + 0.25 * turnaround;
+            egress.turnaround.observe(ready.since(ctx.now()).as_nanos() as f64);
         }
-        // Track the response inter-completion gap (EWMA, α = 1/4): the
-        // adaptive hold below only engages when completions come faster
-        // than the latency budget, i.e. when waiting will actually pay.
-        if let Some(prev) = self.egress_last_ready.insert(dst, ready) {
-            let gap = ready.since(prev.min(ready)).as_nanos() as f64;
-            let ewma = self.egress_gap_ewma.entry(dst).or_insert(gap);
-            *ewma = 0.75 * *ewma + 0.25 * gap;
-        }
-        self.prune_egress_history(ctx.now());
-        let queue = self.egress.entry(dst).or_default();
+        // Feed the response inter-completion gap: the hold below only
+        // engages when completions come faster than the latency budget,
+        // i.e. when waiting will actually pay.
+        egress.doorbell.observe(ready);
         // Completion times arrive mostly in order; insert from the back to
         // keep the queue sorted by `ready`.
-        let pos = queue.iter().rposition(|e| e.ready <= ready).map_or(0, |i| i + 1);
-        queue.insert(pos, EgressEntry { ready, pkt, trace });
-        let queued = queue.len();
-        let fire = if holdable { ready + self.egress_hold(dst, queued) } else { ready };
-        match self.egress_doorbells.get(&dst) {
-            Some(&(fire_at, _)) if fire_at <= fire => {}
-            prior => {
-                if let Some(&(_, ev)) = prior {
-                    ctx.cancel(ev);
-                }
-                let ev = ctx.schedule(fire.since(ctx.now()), Message::new(EgressDoorbell { dst }));
-                self.egress_doorbells.insert(dst, (fire, ev));
-            }
+        let pos = egress.queue.iter().rposition(|e| e.ready <= ready).map_or(0, |i| i + 1);
+        egress.queue.insert(pos, EgressEntry { ready, pkt, trace });
+        let fire = if holdable {
+            let slots = (self.cfg.resp_batch_max_ops as usize).saturating_sub(egress.queue.len());
+            ready + egress.doorbell.hold(egress.budget(&self.cfg), slots)
+        } else {
+            ready
+        };
+        // An earlier (or equal) doorbell already covers this packet.
+        if egress.doorbell.armed().is_none_or(|armed| armed > fire) {
+            egress.doorbell.arm(ctx, fire, Message::new(EgressDoorbell { dst }));
         }
+        self.prune_idle_egress(ctx.now());
     }
 
-    /// Keeps the per-destination gap-history maps bounded: once they exceed
-    /// a small working set, destinations idle for well over any plausible
-    /// hold window are forgotten (their next response simply starts a fresh
-    /// estimate). Egress queues and doorbells already vanish when drained,
-    /// so this keeps the board's *total* egress state bounded by active
-    /// destinations, not by every client ever seen.
-    fn prune_egress_history(&mut self, now: SimTime) {
+    /// Keeps the per-destination table bounded: once it exceeds a small
+    /// working set, destinations idle for well over any plausible hold
+    /// window are forgotten (their next request simply starts a fresh
+    /// record) — unless packets are still queued or a doorbell is armed for
+    /// them. The board's egress state is thus bounded by *active*
+    /// destinations, not by every client ever seen (§4.5's bounded-MN-state
+    /// principle).
+    fn prune_idle_egress(&mut self, now: SimTime) {
         const MAX_IDLE: SimDuration = SimDuration::from_millis(10);
-        if self.egress_last_ready.len() <= 64 {
+        if self.egress.len() <= 64 {
             return;
         }
-        let last_ready = &mut self.egress_last_ready;
-        let gap_ewma = &mut self.egress_gap_ewma;
-        let turnaround_ewma = &mut self.egress_turnaround_ewma;
-        let peer_srtt = &mut self.peer_srtt;
-        let egress = &mut self.egress;
-        last_ready.retain(|dst, &mut last| {
-            let keep = now.since(last) <= MAX_IDLE;
-            if !keep {
-                gap_ewma.remove(dst);
-                turnaround_ewma.remove(dst);
-                peer_srtt.remove(dst);
-                if egress.get(dst).is_some_and(VecDeque::is_empty) {
-                    egress.remove(dst);
-                }
-            }
-            keep
+        self.egress.retain(|_, e| {
+            !e.queue.is_empty()
+                || e.doorbell.armed().is_some()
+                || e.doorbell.last_observed().is_some_and(|last| now.since(last) <= MAX_IDLE)
         });
-    }
-
-    /// The egress doorbell's latency budget toward `dst`: the static
-    /// override when one is configured; otherwise a quarter of the CN's
-    /// **echoed** smoothed RTT when this destination has echoed one in a
-    /// request header (so both ends of the link derive their doorbell
-    /// budgets from the same signal), falling back to a quarter of the
-    /// destination's board-measured request turnaround — both capped by
-    /// [`CBoardConfig::EGRESS_DERIVED_CAP`], and
-    /// [`CBoardConfig::EGRESS_FALLBACK_DELAY`] (zero) before the first
-    /// sample, so an uncalibrated destination's responses are never held.
-    fn egress_budget(&self, dst: Mac) -> SimDuration {
-        match self.cfg.egress_doorbell_delay {
-            Some(budget) => budget,
-            None => {
-                if let Some(&srtt) = self.peer_srtt.get(&dst) {
-                    return (SimDuration::from_nanos(srtt as u64) / 4)
-                        .min(CBoardConfig::EGRESS_DERIVED_CAP);
-                }
-                self.egress_turnaround_ewma
-                    .get(&dst)
-                    .map(|&t| {
-                        (SimDuration::from_nanos(t as u64) / 4)
-                            .min(CBoardConfig::EGRESS_DERIVED_CAP)
-                    })
-                    .unwrap_or(CBoardConfig::EGRESS_FALLBACK_DELAY)
-            }
-        }
-    }
-
-    /// The load-adaptive egress hold (the MN mirror of the CN's doorbell
-    /// delay): zero without a budget, with a full frame already queued, or
-    /// when responses complete farther apart than the budget (a hold would
-    /// buy nothing); otherwise the time the observed completion rate needs
-    /// to fill the frame's free slots, capped by the budget.
-    fn egress_hold(&self, dst: Mac, queued: usize) -> SimDuration {
-        let budget = self.egress_budget(dst);
-        if budget.is_zero() || self.cfg.resp_batch_max_ops <= 1 {
-            return SimDuration::ZERO;
-        }
-        let slots = (self.cfg.resp_batch_max_ops as usize).saturating_sub(queued);
-        if slots == 0 {
-            return SimDuration::ZERO;
-        }
-        match self.egress_gap_ewma.get(&dst) {
-            Some(&gap) if gap > 0.0 && gap < budget.as_nanos() as f64 => {
-                SimDuration::from_nanos((gap * slots as f64) as u64).min(budget)
-            }
-            _ => SimDuration::ZERO,
-        }
     }
 
     /// Drains `dst`'s egress queue: packs eligible single-packet responses
     /// into `BatchResp` frames, ships everything else alone, and re-arms the
     /// doorbell for entries still in flight inside the datapath.
     fn pump_egress(&mut self, ctx: &mut Ctx<'_>, dst: Mac) {
-        self.egress_doorbells.remove(&dst);
         let now = ctx.now();
-        let horizon = now + self.egress_budget(dst);
-        let Some(queue) = self.egress.get_mut(&dst) else { return };
+        let Some(egress) = self.egress.get_mut(&dst) else { return };
+        egress.doorbell.disarm();
+        // Reach ahead for members as far as a response may be held.
+        let horizon = now + egress.budget(&self.cfg);
+        let queue = &mut egress.queue;
         let EgressScratch { mut batch, mut shipped } =
             self.egress_scratch.take().unwrap_or_else(|| EgressScratch {
-                batch: RespBatchBuilder::new(
-                    self.cfg.resp_batch_max_ops as usize,
-                    self.cfg.resp_batch_max_bytes as usize,
-                ),
+                batch: Packer::new(self.cfg.resp_batch_max_ops as usize, MTU_BYTES),
                 shipped: Vec::new(),
             });
         // The frame under assembly leaves when its slowest member is ready.
         let mut frame_ready = now;
         let mut batch_traces: Vec<TraceCtx> = Vec::new();
-        let flush = |batch: &mut RespBatchBuilder,
+        let flush = |batch: &mut Packer<(RespHeader, ResponseBody)>,
                      traces: &mut Vec<TraceCtx>,
                      frame_ready: SimTime,
                      out: &mut Vec<_>| {
@@ -728,9 +671,7 @@ impl CBoard {
         }
         flush(&mut batch, &mut batch_traces, frame_ready, &mut shipped);
         if let Some(head) = queue.front() {
-            let at = head.ready;
-            let ev = ctx.schedule(at.since(now), Message::new(EgressDoorbell { dst }));
-            self.egress_doorbells.insert(dst, (at, ev));
+            egress.doorbell.arm(ctx, head.ready, Message::new(EgressDoorbell { dst }));
         }
         for (at, pkt, ops, traces) in shipped.drain(..) {
             self.stats.tx_frames += 1;
@@ -868,7 +809,7 @@ impl CBoard {
         // An echoed CN srtt re-anchors this destination's derived egress
         // hold budget on the signal the CN's own doorbell budget uses.
         if let Some(echo) = header.srtt_echo_ns {
-            self.peer_srtt.insert(src, echo);
+            self.egress.entry(src).or_default().peer_srtt = Some(echo);
             self.peer_srtt_ns = echo as u64;
         }
         // Fences block all later requests (§4.5 T3): nothing starts before
@@ -1426,26 +1367,6 @@ impl CBoard {
     }
 }
 
-/// FNV-1a step over one `u64`.
-fn fnv_mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Folds a **sorted** list of element digests into `h` under a section tag,
-/// so differently-keyed sections with equal content still hash apart.
-fn fnv_fold(mut h: u64, tag: u64, elems: &[u64]) -> u64 {
-    h = fnv_mix(h, tag);
-    h = fnv_mix(h, elems.len() as u64);
-    for &e in elems {
-        h = fnv_mix(h, e);
-    }
-    h
-}
-
 /// `board.*`, then the datapath's `silicon.*` / `vm.*` / `tlb.*`.
 impl Metrics for CBoard {
     fn counters(&self, f: &mut Visit<'_>) {
@@ -1513,10 +1434,11 @@ impl Actor for CBoard {
             // corrupted batch frame NACKs every request it carried — each
             // is an independent logical request the CN retries on its own —
             // but the NACKs ship **coalesced**: the whole frame's ids pack
-            // into `BatchNack` frames under the egress batch budgets, so a
+            // into `BatchNack` frames under the egress op budget, so a
             // corrupted 16-entry batch costs one recovery frame, not
-            // sixteen. With response batching disabled the board keeps the
-            // pre-coalescing wire behavior: one `Nack` frame per entry.
+            // sixteen. With response batching disabled (`resp_batch_max_ops
+            // = 1`) every take yields a plain `Nack`: the pre-coalescing
+            // wire behavior, one frame per entry.
             match frame.payload.downcast_ref::<ClioPacket>() {
                 Some(ClioPacket::Request { header, .. }) => {
                     let req_id = header.req_id;
@@ -1527,37 +1449,18 @@ impl Actor for CBoard {
                 Some(ClioPacket::Batch { requests }) => {
                     let at = ctx.now() + self.control_latency();
                     self.stats.nacks += requests.len() as u64;
-                    if self.cfg.resp_batch_max_ops > 1 {
-                        let mut batch = NackBatchBuilder::new(
-                            self.cfg.resp_batch_max_ops as usize,
-                            self.cfg.resp_batch_max_bytes as usize,
-                        );
-                        for (header, _) in requests {
-                            if !batch.fits() {
-                                if let Some(pkt) = batch.take() {
-                                    self.respond(ctx, at, src, pkt);
-                                }
-                            }
-                            if batch.fits() {
-                                batch.push(header.req_id);
-                            } else {
-                                // A byte budget below even one coalesced
-                                // entry: fall back to a plain NACK frame.
-                                self.respond(
-                                    ctx,
-                                    at,
-                                    src,
-                                    ClioPacket::Nack { req_id: header.req_id },
-                                );
+                    let mut batch =
+                        Packer::<ReqId>::new(self.cfg.resp_batch_max_ops as usize, MTU_BYTES);
+                    for (header, _) in requests {
+                        if !batch.fits(codec::NACK_ENTRY_BYTES) {
+                            if let Some(pkt) = batch.take() {
+                                self.respond(ctx, at, src, pkt);
                             }
                         }
-                        if let Some(pkt) = batch.take() {
-                            self.respond(ctx, at, src, pkt);
-                        }
-                    } else {
-                        for (header, _) in requests {
-                            self.respond(ctx, at, src, ClioPacket::Nack { req_id: header.req_id });
-                        }
+                        batch.push(header.req_id);
+                    }
+                    if let Some(pkt) = batch.take() {
+                        self.respond(ctx, at, src, pkt);
                     }
                 }
                 _ => {}
@@ -1617,5 +1520,101 @@ impl Actor for CBoard {
             | ClioPacket::Nack { .. }
             | ClioPacket::BatchNack { .. } => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clio_proto::Perm;
+    use clio_sim::{Bandwidth, Simulation};
+
+    const BOARD: Mac = Mac(1000);
+
+    /// Stands in for the switch: swallows what the board sends.
+    struct Sink;
+    impl Actor for Sink {
+        fn on_message(&mut self, _: &mut Ctx<'_>, _: Message) {}
+    }
+
+    fn rig() -> (Simulation, ActorId) {
+        let mut sim = Simulation::new(1);
+        let sink = sim.add_actor(Sink);
+        let nic = NicPort::new(BOARD, Bandwidth::from_gbps(10), sink, SimDuration::ZERO);
+        let board = sim.add_actor(CBoard::new("mn0", CBoardConfig::test_small(), nic));
+        (sim, board)
+    }
+
+    /// Delivers one request frame from `src` to the board, now.
+    fn request(sim: &mut Simulation, board: ActorId, src: u32, id: u64, body: RequestBody) {
+        let pkt = ClioPacket::Request { header: ReqHeader::single(ReqId(id), Pid(1)), body };
+        sim.post(board, Message::new(Frame::new(Mac(src), BOARD, 64, Message::new(pkt))));
+    }
+
+    fn read(sim: &mut Simulation, board: ActorId, src: u32) {
+        request(sim, board, src, src as u64, RequestBody::Read { va: 0, len: 8 });
+    }
+
+    fn destinations(sim: &Simulation, board: ActorId) -> Vec<u32> {
+        let mut macs: Vec<u32> = sim.actor::<CBoard>(board).egress.keys().map(|m| m.0).collect();
+        macs.sort_unstable();
+        macs
+    }
+
+    /// The module doc's bounded-state claim (§4.5): per-destination state
+    /// is kept for active destinations, not for every client ever seen —
+    /// but never dropped from under a queued packet or an armed doorbell.
+    #[test]
+    fn egress_state_is_bounded_by_active_destinations() {
+        let (mut sim, board) = rig();
+        // Destination 7 keeps slow-path responses pending for well over the
+        // idle horizon: each impossible allocation burns the ARM's full
+        // retry budget (~1.5 ms), twenty of them over two workers ~15 ms.
+        for i in 0..20 {
+            let body = RequestBody::Alloc { size: 1 << 60, perm: Perm::RW, fixed_va: None };
+            request(&mut sim, board, 7, 100 + i, body);
+        }
+        // One read from each of 80 sources; 7's own read completes in about
+        // a microsecond and is the last arrival its doorbell observes.
+        for src in 0..80 {
+            read(&mut sim, board, src);
+        }
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(11));
+        assert_eq!(destinations(&sim, board), (0..80).collect::<Vec<_>>(), "none idle yet");
+        let pending = &sim.actor::<CBoard>(board).egress[&Mac(7)];
+        assert!(!pending.queue.is_empty() && pending.doorbell.armed().is_some());
+        let idle = sim.now().since(pending.doorbell.last_observed().expect("7 was answered"));
+        assert!(idle > SimDuration::from_millis(10), "7 looks idle by its last arrival: {idle}");
+
+        // Past the 10 ms idle horizon an 81st source shows up: the 79 idle
+        // destinations go; the active one and the one with packets queued
+        // behind an armed doorbell stay.
+        read(&mut sim, board, 80);
+        sim.run_for(SimDuration::from_micros(10));
+        assert_eq!(destinations(&sim, board), vec![7, 80]);
+        sim.run_until_idle();
+        let b = sim.actor::<CBoard>(board);
+        assert!(b.egress.values().all(|e| e.queue.is_empty() && e.doorbell.armed().is_none()));
+        assert_eq!(b.stats().tx_packets, 20 + 81, "every request was answered");
+    }
+
+    /// A crash loses all per-destination state, and no doorbell armed
+    /// before it survives to ring at the dead board.
+    #[test]
+    fn crash_empties_the_egress_table_and_cancels_armed_doorbells() {
+        let (mut sim, board) = rig();
+        for src in 0..8 {
+            read(&mut sim, board, src);
+        }
+        sim.post(board, Message::new(BoardPower::Crash));
+        // Deliver the eight frames and the crash, nothing later.
+        sim.run_until(SimTime::ZERO);
+        let b = sim.actor::<CBoard>(board);
+        assert!(b.egress.is_empty(), "volatile per-destination state survived the crash");
+        assert_eq!(b.stats().tx_packets, 8, "eight responses were queued behind doorbells");
+        sim.run_until_idle();
+        let b = sim.actor::<CBoard>(board);
+        assert_eq!(b.stats().tx_frames, 0, "a queued response left a dead board");
+        assert_eq!(b.stats().dropped_while_down, 0, "an armed doorbell rang at the dead board");
     }
 }

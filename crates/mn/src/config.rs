@@ -69,46 +69,23 @@ pub struct CBoardConfig {
     /// whole space (single-MN deployments).
     pub va_window: Option<(u64, u64)>,
     /// Maximum small responses coalesced into one `BatchResp` wire frame
-    /// toward a CN (the board's egress mirror of the CN's request
-    /// batching). `1` disables response batching: every response pays its
-    /// own frame, the pre-batching wire behavior.
+    /// toward a CN, under the link MTU (the board's egress counterpart of
+    /// the CN's request batching). `1` disables response batching: every
+    /// response pays its own frame at exactly its own completion time — no
+    /// hold, no reach-ahead — the pre-batching wire behavior. Above `1` the
+    /// egress doorbell's budget (how long a response may be held, and how
+    /// far ahead a frame may reach for members) is not configured but
+    /// measured per destination: see [`clio_net::Doorbell`] for the rule
+    /// and [`Self::EGRESS_DERIVED_CAP`] for its one MN-side constant.
     pub resp_batch_max_ops: u32,
-    /// Maximum encoded bytes of a response-batch frame (clamped to the
-    /// MTU).
-    pub resp_batch_max_bytes: u32,
-    /// Latency budget for the egress doorbell's load-adaptive hold, and
-    /// the reach-ahead window for frame packing: a response becoming ready
-    /// within this span of an earlier one may share its frame, which
-    /// leaves no earlier than its slowest member's completion. The hold
-    /// engages only when responses complete faster than the budget
-    /// (otherwise waiting buys nothing), so an isolated response — the
-    /// synchronous-client case — ships at exactly its own completion time,
-    /// while sustained concurrent load pays at most the budget in exchange
-    /// for per-frame overhead.
-    ///
-    /// `None` (the default) derives the budget per destination from the
-    /// board's measured request turnaround (EWMA of time-on-board, the
-    /// board-visible component of the RTT the CN's congestion window
-    /// measures): hold ≤ turnaround / 4, capped by
-    /// [`Self::EGRESS_DERIVED_CAP`] and falling back to
-    /// [`Self::EGRESS_FALLBACK_DELAY`] before the first sample — the MN
-    /// mirror of the CN's RTT-derived doorbell budget, so neither end needs
-    /// hand-tuned latency budgets. `Some(budget)` is an explicit static
-    /// override; `Some(ZERO)` restricts coalescing to responses completing
-    /// at exactly the same board timestamp.
-    pub egress_doorbell_delay: Option<SimDuration>,
 }
 
 impl CBoardConfig {
-    /// Hard cap on the turnaround-derived egress hold: matches the old
-    /// static default of 2 µs, so derivation can only *lower* the latency
-    /// cost of response coalescing relative to the hand-tuned budget.
+    /// Hard cap on the egress doorbell's latency budget toward one CN (a
+    /// quarter of the srtt that CN echoes in its request headers, else of
+    /// the board-measured request turnaround; zero before the first
+    /// sample): response coalescing never costs a response more than this.
     pub const EGRESS_DERIVED_CAP: SimDuration = SimDuration::from_micros(2);
-
-    /// Budget the derived egress hold uses for a destination whose
-    /// turnaround the board has not measured yet: zero — never hold a
-    /// response for a client the board knows nothing about.
-    pub const EGRESS_FALLBACK_DELAY: SimDuration = SimDuration::ZERO;
 
     /// The paper's prototype board.
     pub fn prototype() -> Self {
@@ -119,8 +96,6 @@ impl CBoardConfig {
             request_timeout: SimDuration::from_micros(50),
             va_window: None,
             resp_batch_max_ops: 16,
-            resp_batch_max_bytes: clio_proto::MTU_BYTES as u32,
-            egress_doorbell_delay: None,
         }
     }
 
@@ -132,11 +107,7 @@ impl CBoardConfig {
     /// Prototype board with response batching disabled (one frame per
     /// response, the pre-batching wire behavior).
     pub fn prototype_unbatched() -> Self {
-        CBoardConfig {
-            resp_batch_max_ops: 1,
-            egress_doorbell_delay: Some(SimDuration::ZERO),
-            ..Self::prototype()
-        }
+        CBoardConfig { resp_batch_max_ops: 1, ..Self::prototype() }
     }
 }
 
@@ -160,12 +131,7 @@ mod tests {
         t.hw.validate();
         assert!(t.hw.phys_mem_bytes < c.hw.phys_mem_bytes);
         assert!(c.resp_batch_max_ops > 1, "response batching is on by default");
-        assert!(c.resp_batch_max_bytes as usize <= clio_proto::MTU_BYTES);
-        assert!(c.egress_doorbell_delay.is_none(), "derived egress hold is the default");
         assert!(!CBoardConfig::EGRESS_DERIVED_CAP.is_zero());
-        assert!(CBoardConfig::EGRESS_FALLBACK_DELAY.is_zero(), "never hold before calibration");
-        let u = CBoardConfig::prototype_unbatched();
-        assert_eq!(u.resp_batch_max_ops, 1);
-        assert_eq!(u.egress_doorbell_delay, Some(SimDuration::ZERO));
+        assert_eq!(CBoardConfig::prototype_unbatched().resp_batch_max_ops, 1);
     }
 }

@@ -36,11 +36,16 @@
 //! own seed and installed as pre-posted messages, so the whole fault
 //! timeline replays exactly (same seed ⇒ same digest).
 //!
+//! Endpoints that coalesce small packets into shared frames (CLib's request
+//! path, the CBoard's egress path) put a [`Doorbell`] in front of their
+//! [`NicPort`]: the one load-adaptive hold rule both ends of a link use.
+//!
 //! Frames carry a type-erased payload ([`clio_sim::Message`]) plus an
 //! explicit wire size, so upper layers (clio-proto packets, RDMA verbs, ...)
 //! share one fabric.
 
 mod chaos;
+mod doorbell;
 mod frame;
 mod nic;
 mod switch;
@@ -48,6 +53,7 @@ mod topology;
 mod wire;
 
 pub use chaos::{BoardPower, ChaosAction, ChaosSchedule, LinkCommand, StormConfig};
+pub use doorbell::{Doorbell, Ewma};
 pub use frame::{Frame, Mac};
 pub use nic::NicPort;
 pub use switch::{FaultInjector, PortStats, QueueDiscipline, Switch, SwitchConfig};

@@ -48,10 +48,7 @@ impl NicPort {
         wire_bytes: u32,
         payload: Message,
     ) -> SimTime {
-        let tx = self.tx.reserve(ctx.now(), self.rate.transfer_time(wire_bytes as u64));
-        let frame = Frame::new(self.mac, dst, wire_bytes, payload);
-        ctx.send_at(self.switch, tx.end + self.propagation_delay, Message::new(frame));
-        tx.end
+        self.send_at(ctx, ctx.now(), dst, wire_bytes, payload)
     }
 
     /// Like [`send`](Self::send) but the frame enters the NIC at `earliest`

@@ -19,12 +19,13 @@
 //!   corrupted frames (§4.4) — a single [`Nack`], or one [`BatchNack`]
 //!   covering every entry of a corrupted batch frame.
 //! * Small same-destination packets may be **coalesced** in both
-//!   directions: requests into one [`Batch`] frame ([`BatchBuilder`]),
-//!   responses into one [`BatchResp`] frame ([`RespBatchBuilder`]), and the
-//!   NACKs of one corrupted batch into a [`BatchNack`] frame
-//!   ([`NackBatchBuilder`]), packed under MTU/op/byte budgets. Every entry
-//!   keeps its own header, so execution, dedup, completion matching and
-//!   window accounting remain per logical request.
+//!   directions: requests into one [`Batch`] frame, responses into one
+//!   [`BatchResp`] frame, and the NACKs of one corrupted batch into a
+//!   [`BatchNack`] frame — all by the one [`Packer`], generic over its
+//!   [`BatchEntry`] ([`BatchBuilder`] names the request instance), under
+//!   MTU/op/byte budgets. Every entry keeps its own header, so execution,
+//!   dedup, completion matching and window accounting remain per logical
+//!   request.
 //!
 //! [`Batch`]: ClioPacket::Batch
 //! [`BatchResp`]: ClioPacket::BatchResp
@@ -49,7 +50,7 @@ mod mtu;
 mod packet;
 mod types;
 
-pub use batch::{BatchBuilder, NackBatchBuilder, RespBatchBuilder};
+pub use batch::{BatchBuilder, BatchEntry, Packer};
 pub use mtu::{
     read_response_fragments, split_read_response, split_write, Reassembler, CLIO_REQ_HEADER_BYTES,
     CLIO_RESP_HEADER_BYTES, ETH_OVERHEAD_BYTES, MAX_READ_FRAG_PAYLOAD, MAX_WRITE_FRAG_PAYLOAD,

@@ -85,6 +85,28 @@ impl Hasher for IdHasher {
     }
 }
 
+/// FNV-1a step over one `u64` — the mixing step of the components' logical
+/// state fingerprints (`Transport::fingerprint`, `CBoard::fingerprint`),
+/// which hash table *contents* and so must not depend on table layout.
+pub fn fnv_mix(mut h: u64, v: u64) -> u64 {
+    for b in v.to_le_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Folds a **sorted** list of element digests into `h` under a section tag,
+/// so differently-keyed sections with equal content still hash apart.
+pub fn fnv_fold(mut h: u64, tag: u64, elems: &[u64]) -> u64 {
+    h = fnv_mix(h, tag);
+    h = fnv_mix(h, elems.len() as u64);
+    for &e in elems {
+        h = fnv_mix(h, e);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

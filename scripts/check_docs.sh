@@ -164,7 +164,7 @@ fi
 # leans on — the id tables, the queue's moving parts, the two gate tests —
 # must still exist in the sources.
 grep -q '^## Simulator performance' "$DOC" || { echo "missing '## Simulator performance' section"; fail=1; }
-for t in IdMap IdSet IdHasher EventId pop_due kick_all read_response_fragments \
+for t in IdMap IdSet IdHasher EventId pop_due drain_released read_response_fragments \
          alloc_budget digest_pins; do
   if ! grep -qw "$t" "$DOC"; then
     echo "simulator-performance docs missing term: $t"
