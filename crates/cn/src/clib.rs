@@ -28,28 +28,21 @@ use crate::config::CLibConfig;
 use crate::error::ClioError;
 use crate::ordering::{AccessClass, DependencyTracker};
 use crate::transport::{
-    AtomicKind, Blueprint, Transport, TransportTimer, XferDone, XferToken, XferValue,
+    AtomicKind, Blueprint, CompletionValue, OpToken, Transport, TransportTimer, XferDone,
 };
 
 /// Identifies an application thread for intra-thread ordering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ThreadId(pub u64);
 
-/// Handle for one submitted operation (returned by [`CLib::submit`], echoed
-/// in its [`Completion`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct OpToken(pub u64);
-
-/// An operation submitted to CLib. `mn` is the memory node that owns the
-/// addressed region (routing is the cluster layer's job).
+/// A client operation — the one enumeration of Clio's call set (§3.1) above
+/// the wire. It names *what* to do; who asks (thread, pid), which memory
+/// node serves it and when it arrived are arguments of
+/// [`CLib::submit`], the same for every kind.
 #[derive(Debug, Clone)]
 pub enum Op {
     /// `rread`: read `len` bytes at `va`.
     Read {
-        /// Owning memory node.
-        mn: Mac,
-        /// Protection domain.
-        pid: Pid,
         /// Start address.
         va: u64,
         /// Bytes to read.
@@ -57,10 +50,6 @@ pub enum Op {
     },
     /// `rwrite`: write `data` at `va`.
     Write {
-        /// Owning memory node.
-        mn: Mac,
-        /// Protection domain.
-        pid: Pid,
         /// Start address.
         va: u64,
         /// Payload.
@@ -68,23 +57,13 @@ pub enum Op {
     },
     /// `ralloc`: allocate remote virtual memory.
     Alloc {
-        /// Memory node to allocate on.
-        mn: Mac,
-        /// Protection domain.
-        pid: Pid,
         /// Bytes requested.
         size: u64,
         /// Permissions.
         perm: Perm,
-        /// Optional fixed placement.
-        fixed_va: Option<u64>,
     },
     /// `rfree`.
     Free {
-        /// Owning memory node.
-        mn: Mac,
-        /// Protection domain.
-        pid: Pid,
         /// Range start.
         va: u64,
         /// Range length.
@@ -92,28 +71,16 @@ pub enum Op {
     },
     /// `rlock`: spin until the 8-byte word at `va` transitions 0 → 1.
     Lock {
-        /// Owning memory node.
-        mn: Mac,
-        /// Protection domain.
-        pid: Pid,
         /// Lock word address.
         va: u64,
     },
     /// `runlock`: store 0 into the lock word.
     Unlock {
-        /// Owning memory node.
-        mn: Mac,
-        /// Protection domain.
-        pid: Pid,
         /// Lock word address.
         va: u64,
     },
     /// Fetch-and-add.
     Faa {
-        /// Owning memory node.
-        mn: Mac,
-        /// Protection domain.
-        pid: Pid,
         /// Word address.
         va: u64,
         /// Addend.
@@ -121,10 +88,6 @@ pub enum Op {
     },
     /// Compare-and-swap.
     Cas {
-        /// Owning memory node.
-        mn: Mac,
-        /// Protection domain.
-        pid: Pid,
         /// Word address.
         va: u64,
         /// Expected value.
@@ -133,35 +96,16 @@ pub enum Op {
         new: u64,
     },
     /// `rfence`: local barrier plus MN-side fence.
-    Fence {
-        /// Memory node to fence.
-        mn: Mac,
-        /// Protection domain.
-        pid: Pid,
-    },
+    Fence,
     /// `rrelease`: local barrier only — completes when every earlier op of
     /// the thread has completed.
     Release,
     /// Explicit address-space creation.
-    CreateAs {
-        /// Memory node.
-        mn: Mac,
-        /// Protection domain.
-        pid: Pid,
-    },
+    CreateAs,
     /// Address-space teardown.
-    DestroyAs {
-        /// Memory node.
-        mn: Mac,
-        /// Protection domain.
-        pid: Pid,
-    },
+    DestroyAs,
     /// Extend-path offload call.
     Offload {
-        /// Memory node hosting the offload.
-        mn: Mac,
-        /// Calling process.
-        pid: Pid,
         /// Installed offload id.
         offload: u16,
         /// Offload opcode.
@@ -171,17 +115,21 @@ pub enum Op {
     },
 }
 
-/// The value delivered by a successful completion.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum CompletionValue {
-    /// Read data or offload reply.
-    Data(Bytes),
-    /// Plain success.
-    Done,
-    /// Allocated virtual address.
-    Va(u64),
-    /// Atomic old value.
-    Old(u64),
+impl Op {
+    /// The `(va, len)` span the op addresses, if it addresses memory:
+    /// what dependency tracking orders and what the cluster layer routes
+    /// by. A lock word or atomic cell is 8 bytes.
+    pub fn span(&self) -> Option<(u64, u64)> {
+        match self {
+            Op::Read { va, len } => Some((*va, u64::from(*len))),
+            Op::Write { va, data } => Some((*va, data.len() as u64)),
+            Op::Free { va, size } => Some((*va, *size)),
+            Op::Lock { va } | Op::Unlock { va } | Op::Faa { va, .. } | Op::Cas { va, .. } => {
+                Some((*va, 8))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// A finished operation.
@@ -202,6 +150,9 @@ pub struct Completion {
 #[derive(Debug, Clone)]
 struct PendingOp {
     thread: ThreadId,
+    /// The memory node serving the op.
+    mn: Mac,
+    pid: Pid,
     op: Op,
     issued_at: SimTime,
     /// Observability context, begun at admission so the trace's end-to-end
@@ -240,11 +191,6 @@ pub struct CLib {
     transport: Transport,
     trackers: IdMap<ThreadId, DependencyTracker<OpToken>>,
     ops: IdMap<OpToken, PendingOp>,
-    /// Arrival-time override for the next submission call: ops admitted
-    /// while this is set begin their trace (and report `issued_at`) at the
-    /// earlier arrival time, with the gap stitched as a
-    /// [`Stage::SubmitQueued`] backpressure span.
-    queued_since: Option<SimTime>,
     next_token: u64,
     /// Reused buffer the transport reports finished transfers into.
     xfer_done: Vec<XferDone>,
@@ -264,7 +210,6 @@ impl CLib {
             page_size,
             trackers: IdMap::default(),
             ops: IdMap::default(),
-            queued_since: None,
             next_token: 1,
             xfer_done: Vec::new(),
             stats: ClibStats::default(),
@@ -313,17 +258,6 @@ impl CLib {
         self.ops.len()
     }
 
-    /// Sets the arrival time the next [`submit`](Self::submit)/
-    /// [`submit_many`](Self::submit_many) call attributes its ops to. When
-    /// the arrival predates the submission instant (the op waited under a
-    /// runtime in-flight budget), the gap becomes a
-    /// [`Stage::SubmitQueued`] span at the head of the op's trace and
-    /// `issued_at` reports the arrival, so end-to-end latency includes the
-    /// backpressure wait. Cleared after the next submission call.
-    pub fn set_queued_since(&mut self, at: Option<SimTime>) {
-        self.queued_since = at;
-    }
-
     /// The underlying transport, read-only — the model checker fingerprints
     /// and invariant-checks the transport through this.
     pub fn transport(&self) -> &Transport {
@@ -344,80 +278,80 @@ impl CLib {
 
     /// How `op` accesses which pages; `None` for barriers.
     fn classify(&self, op: &Op) -> Option<(AccessClass, RangeInclusive<u64>)> {
-        match op {
-            Op::Read { va, len, .. } => Some((AccessClass::Read, self.vpns_of(*va, *len as u64))),
-            Op::Write { va, data, .. } => {
-                Some((AccessClass::Write, self.vpns_of(*va, data.len() as u64)))
-            }
-            Op::Lock { va, .. }
-            | Op::Unlock { va, .. }
-            | Op::Faa { va, .. }
-            | Op::Cas { va, .. } => Some((AccessClass::Write, self.vpns_of(*va, 8))),
-            Op::Free { va, size, .. } => Some((AccessClass::Write, self.vpns_of(*va, *size))),
-            // Metadata and synchronization ops act as barriers (§3.1:
-            // "potentially conflicting operations execute synchronously in
-            // the program order").
-            Op::Alloc { .. }
-            | Op::Fence { .. }
-            | Op::Release
-            | Op::CreateAs { .. }
-            | Op::DestroyAs { .. }
-            | Op::Offload { .. } => None,
-        }
+        // Metadata and synchronization ops address no span and act as
+        // barriers (§3.1: "potentially conflicting operations execute
+        // synchronously in the program order").
+        let (va, len) = op.span()?;
+        let class = match op {
+            Op::Read { .. } => AccessClass::Read,
+            _ => AccessClass::Write,
+        };
+        Some((class, self.vpns_of(va, len)))
     }
 
-    /// Submits an operation on behalf of `thread`. The returned token is
-    /// echoed in the eventual [`Completion`]; completions produced
-    /// synchronously are appended to `completions`.
+    /// Submits an operation on behalf of `thread`, running as `pid`, to be
+    /// served by memory node `mn` (routing is the cluster layer's job).
+    /// `arrival` is when the op arrived at the caller, clamped to now: when
+    /// it predates the submission instant (the op waited under a runtime
+    /// in-flight budget, or an open-loop generator back-dated it), the gap
+    /// becomes a [`Stage::SubmitQueued`] span at the head of the op's trace
+    /// and `issued_at` reports the arrival, so end-to-end latency includes
+    /// the wait. The returned token is echoed in the eventual
+    /// [`Completion`]; completions produced synchronously are appended to
+    /// `completions`.
+    #[allow(clippy::too_many_arguments)] // the op's full context travels with it
     pub fn submit(
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         thread: ThreadId,
+        mn: Mac,
+        pid: Pid,
+        arrival: SimTime,
         op: Op,
         completions: &mut Vec<Completion>,
     ) -> OpToken {
-        let (token, dispatch) = self.admit(ctx, thread, op);
-        self.queued_since = None;
+        let (token, dispatch) = self.admit(ctx, thread, mn, pid, arrival, op);
         if dispatch {
             self.dispatch(ctx, nic, token, completions);
         }
         token
     }
 
-    /// Submits an explicit vector of operations on behalf of `thread` — the
-    /// scatter/gather path behind `rread_v`/`rwrite_v`. Every operation
-    /// passes the same per-thread dependency tracking as
+    /// Submits an explicit vector of operations, each with the memory node
+    /// serving it, on behalf of `thread` — the scatter/gather path behind
+    /// `rread_v`/`rwrite_v`. The vector shares one `arrival`. Every
+    /// operation passes the same per-thread dependency tracking as
     /// [`submit`](Self::submit); all immediately-dispatchable entries are
     /// then handed to the transport as one unit, bypassing the doorbell's
     /// same-instant/adaptive-delay heuristics, so they coalesce into batch
     /// frames regardless of submission timing. Entries held back by
     /// dependencies dispatch later, exactly as sequentially-submitted ops
     /// would.
+    #[allow(clippy::too_many_arguments)] // as `submit`
     pub fn submit_many(
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         thread: ThreadId,
-        ops: Vec<Op>,
+        pid: Pid,
+        arrival: SimTime,
+        ops: Vec<(Mac, Op)>,
         completions: &mut Vec<Completion>,
     ) -> Vec<OpToken> {
         let mut tokens = Vec::with_capacity(ops.len());
         let mut sends = Vec::new();
-        for op in ops {
-            let (token, dispatch) = self.admit(ctx, thread, op);
+        for (mn, op) in ops {
+            let (token, dispatch) = self.admit(ctx, thread, mn, pid, arrival, op);
             tokens.push(token);
             if dispatch {
-                match self.blueprint_of(token) {
-                    Some((target, pid, blueprint)) => {
-                        let trace = self.ops.get(&token).and_then(|p| p.trace);
-                        sends.push((XferToken(token.0), target, pid, blueprint, trace));
-                    }
+                let pending = &self.ops[&token];
+                match blueprint_of(&pending.op) {
+                    Some(blueprint) => sends.push((token, mn, pid, blueprint, pending.trace)),
                     None => self.finish_release(ctx, nic, token, completions),
                 }
             }
         }
-        self.queued_since = None;
         self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
             t.send_many(ctx, nic, sends, done)
         });
@@ -445,13 +379,19 @@ impl CLib {
 
     /// Registers an op with its thread's dependency tracker. Returns its
     /// token and whether it may dispatch now.
-    fn admit(&mut self, ctx: &mut Ctx<'_>, thread: ThreadId, op: Op) -> (OpToken, bool) {
+    fn admit(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        thread: ThreadId,
+        mn: Mac,
+        pid: Pid,
+        arrival: SimTime,
+        op: Op,
+    ) -> (OpToken, bool) {
         let token = OpToken(self.next_token);
         self.next_token += 1;
         let access = self.classify(&op);
-        // Ops held back by a runtime in-flight budget are attributed to
-        // their arrival time; the wait surfaces as a SubmitQueued span.
-        let arrival = self.queued_since.unwrap_or_else(|| ctx.now()).min(ctx.now());
+        let arrival = arrival.min(ctx.now());
         // Releases are purely local barriers and never reach the wire, so
         // they get no trace timeline.
         let trace = if matches!(op, Op::Release) {
@@ -463,55 +403,13 @@ impl CLib {
             }
             trace
         };
-        self.ops.insert(token, PendingOp { thread, op, issued_at: arrival, trace });
+        self.ops.insert(token, PendingOp { thread, mn, pid, op, issued_at: arrival, trace });
         let tracker = self.trackers.entry(thread).or_default();
         let dispatch = match access {
             Some((class, vpns)) => tracker.submit(token, class, vpns),
             None => tracker.submit_barrier(token),
         };
         (token, dispatch)
-    }
-
-    /// The transport target/blueprint of a pending op; `None` for
-    /// [`Op::Release`], which never reaches the wire.
-    fn blueprint_of(&self, token: OpToken) -> Option<(Mac, Pid, Blueprint)> {
-        let pending = self.ops.get(&token)?;
-        Some(match &pending.op {
-            Op::Read { mn, pid, va, len } => (*mn, *pid, Blueprint::Read { va: *va, len: *len }),
-            Op::Write { mn, pid, va, data } => {
-                (*mn, *pid, Blueprint::Write { va: *va, data: data.clone() })
-            }
-            Op::Alloc { mn, pid, size, perm, fixed_va } => {
-                (*mn, *pid, Blueprint::Alloc { size: *size, perm: *perm, fixed_va: *fixed_va })
-            }
-            Op::Free { mn, pid, va, size } => (*mn, *pid, Blueprint::Free { va: *va, size: *size }),
-            Op::Lock { mn, pid, va } => {
-                (*mn, *pid, Blueprint::Atomic { va: *va, op: AtomicKind::Tas })
-            }
-            Op::Unlock { mn, pid, va } => {
-                (*mn, *pid, Blueprint::Atomic { va: *va, op: AtomicKind::Store(0) })
-            }
-            Op::Faa { mn, pid, va, delta } => {
-                (*mn, *pid, Blueprint::Atomic { va: *va, op: AtomicKind::Faa(*delta) })
-            }
-            Op::Cas { mn, pid, va, expected, new } => (
-                *mn,
-                *pid,
-                Blueprint::Atomic {
-                    va: *va,
-                    op: AtomicKind::Cas { expected: *expected, new: *new },
-                },
-            ),
-            Op::Fence { mn, pid } => (*mn, *pid, Blueprint::Fence),
-            Op::CreateAs { mn, pid } => (*mn, *pid, Blueprint::CreateAs),
-            Op::DestroyAs { mn, pid } => (*mn, *pid, Blueprint::DestroyAs),
-            Op::Offload { mn, pid, offload, opcode, arg } => (
-                *mn,
-                *pid,
-                Blueprint::Offload { offload: *offload, opcode: *opcode, arg: arg.clone() },
-            ),
-            Op::Release => return None,
-        })
     }
 
     /// Completes a dispatched [`Op::Release`]: a purely local barrier that
@@ -523,14 +421,12 @@ impl CLib {
         token: OpToken,
         completions: &mut Vec<Completion>,
     ) {
-        let done = XferDone {
-            token: XferToken(token.0),
-            result: Ok(XferValue::Done),
-            rtt: SimDuration::ZERO,
-        };
+        let done = XferDone { token, result: Ok(CompletionValue::Done), rtt: SimDuration::ZERO };
         self.finish(ctx, nic, done, completions);
     }
 
+    /// Hands a pending op to the transport (a lock's every TAS attempt
+    /// comes through here); a token no longer pending is ignored.
     fn dispatch(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -538,18 +434,14 @@ impl CLib {
         token: OpToken,
         completions: &mut Vec<Completion>,
     ) {
-        if !self.ops.contains_key(&token) {
-            return;
-        }
-        match self.blueprint_of(token) {
-            Some((target, pid, blueprint)) => {
-                let trace = self.ops.get(&token).and_then(|p| p.trace);
-                // The send can complete synchronously (circuit breaker open
-                // -> fail fast with `Unreachable`).
-                self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
-                    t.send(ctx, nic, XferToken(token.0), target, pid, blueprint, trace, done)
-                });
-            }
+        let Some(pending) = self.ops.get(&token) else { return };
+        let (mn, pid, trace) = (pending.mn, pending.pid, pending.trace);
+        match blueprint_of(&pending.op) {
+            // The send can complete synchronously (circuit breaker open ->
+            // fail fast with `Unreachable`).
+            Some(blueprint) => self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
+                t.send(ctx, nic, token, mn, pid, blueprint, trace, done)
+            }),
             None => self.finish_release(ctx, nic, token, completions),
         }
     }
@@ -597,16 +489,7 @@ impl CLib {
         match msg.downcast::<LockRetry>() {
             Ok(LockRetry { token }) => {
                 // Re-issue the TAS for a still-pending lock.
-                let args = self.ops.get(&token).and_then(|p| match p.op {
-                    Op::Lock { mn, pid, va } => Some((mn, pid, va, p.trace)),
-                    _ => None,
-                });
-                if let Some((mn, pid, va, trace)) = args {
-                    let tas = Blueprint::Atomic { va, op: AtomicKind::Tas };
-                    self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
-                        t.send(ctx, nic, XferToken(token.0), mn, pid, tas, trace, done)
-                    });
-                }
+                self.dispatch(ctx, nic, token, completions);
                 None
             }
             Err(m) => Some(m),
@@ -630,26 +513,12 @@ impl CLib {
     ) {
         let Some(pending) = self.ops.remove(&token) else { return };
         self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
-            t.cancel(ctx, nic, XferToken(token.0), done);
+            t.cancel(ctx, nic, token, done);
         });
-        self.stats.completed += 1;
         self.tracer.stitch(pending.trace, self.track, Stage::Cancelled, ctx.now());
-        self.tracer.finish(pending.trace, self.track, ctx.now());
-        completions.push(Completion {
-            token,
-            thread: pending.thread,
-            result: Err(ClioError::DeadlineExceeded),
-            issued_at: pending.issued_at,
-            completed_at: ctx.now(),
-        });
         // The cancelled op still orders its thread: dependents it was
         // blocking dispatch now, exactly as on a normal failure.
-        if let Some(tracker) = self.trackers.get_mut(&pending.thread) {
-            let released = tracker.complete(token);
-            for t in released {
-                self.dispatch(ctx, nic, t, completions);
-            }
-        }
+        self.complete(ctx, nic, token, pending, Err(ClioError::DeadlineExceeded), completions);
     }
 
     /// Processes one finished transfer: lock spinning, ordering release,
@@ -661,11 +530,11 @@ impl CLib {
         done: XferDone,
         completions: &mut Vec<Completion>,
     ) {
-        let token = OpToken(done.token.0);
+        let token = done.token;
         let Some(pending) = self.ops.get(&token) else { return };
 
         // Lock spinning: TAS returned 1 -> not acquired; back off and retry.
-        if let (Op::Lock { .. }, Ok(XferValue::Old(old))) = (&pending.op, &done.result) {
+        if let (Op::Lock { .. }, Ok(CompletionValue::Old(old))) = (&pending.op, &done.result) {
             if *old != 0 {
                 ctx.schedule(self.cfg.lock_backoff, Message::new(LockRetry { token }));
                 return;
@@ -673,25 +542,34 @@ impl CLib {
         }
 
         let pending = self.ops.remove(&token).expect("checked above");
-        let value = done.result.map(|v| match (&pending.op, v) {
-            (_, XferValue::Data(d)) => CompletionValue::Data(d),
-            (_, XferValue::Va(va)) => CompletionValue::Va(va),
-            // Locks/unlocks surface as Done; raw atomics surface the value.
-            (Op::Lock { .. } | Op::Unlock { .. }, XferValue::Old(_)) => CompletionValue::Done,
-            (_, XferValue::Old(o)) => CompletionValue::Old(o),
-            (_, XferValue::Done) => CompletionValue::Done,
-        });
+        // Locks/unlocks surface as Done; raw atomics surface the value.
+        let result = match (&pending.op, done.result) {
+            (Op::Lock { .. } | Op::Unlock { .. }, Ok(_)) => Ok(CompletionValue::Done),
+            (_, result) => result,
+        };
+        self.complete(ctx, nic, token, pending, result, completions);
+    }
+
+    /// Retires an op already taken out of `ops`: ends its trace, reports
+    /// `result`, and releases the thread's dependents in program order.
+    fn complete(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        nic: &mut NicPort,
+        token: OpToken,
+        pending: PendingOp,
+        result: Result<CompletionValue, ClioError>,
+        completions: &mut Vec<Completion>,
+    ) {
         self.stats.completed += 1;
         self.tracer.finish(pending.trace, self.track, ctx.now());
         completions.push(Completion {
             token,
             thread: pending.thread,
-            result: value,
+            result,
             issued_at: pending.issued_at,
             completed_at: ctx.now(),
         });
-
-        // Release dependents in program order.
         if let Some(tracker) = self.trackers.get_mut(&pending.thread) {
             let released = tracker.complete(token);
             for t in released {
@@ -713,6 +591,31 @@ impl Metrics for CLib {
     }
 }
 
+/// The transport blueprint of `op`'s kind; `None` for [`Op::Release`],
+/// which never reaches the wire.
+fn blueprint_of(op: &Op) -> Option<Blueprint> {
+    let atomic = |va: &u64, op| Blueprint::Atomic { va: *va, op };
+    Some(match op {
+        Op::Read { va, len } => Blueprint::Read { va: *va, len: *len },
+        Op::Write { va, data } => Blueprint::Write { va: *va, data: data.clone() },
+        Op::Alloc { size, perm } => Blueprint::Alloc { size: *size, perm: *perm },
+        Op::Free { va, size } => Blueprint::Free { va: *va, size: *size },
+        Op::Lock { va } => atomic(va, AtomicKind::Tas),
+        Op::Unlock { va } => atomic(va, AtomicKind::Store(0)),
+        Op::Faa { va, delta } => atomic(va, AtomicKind::Faa(*delta)),
+        Op::Cas { va, expected, new } => {
+            atomic(va, AtomicKind::Cas { expected: *expected, new: *new })
+        }
+        Op::Fence => Blueprint::Fence,
+        Op::CreateAs => Blueprint::CreateAs,
+        Op::DestroyAs => Blueprint::DestroyAs,
+        Op::Offload { offload, opcode, arg } => {
+            Blueprint::Offload { offload: *offload, opcode: *opcode, arg: arg.clone() }
+        }
+        Op::Release => return None,
+    })
+}
+
 fn op_kind_dbg(op: &Op) -> &'static str {
     match op {
         Op::Read { .. } => "read",
@@ -723,10 +626,10 @@ fn op_kind_dbg(op: &Op) -> &'static str {
         Op::Unlock { .. } => "unlock",
         Op::Faa { .. } => "faa",
         Op::Cas { .. } => "cas",
-        Op::Fence { .. } => "fence",
+        Op::Fence => "fence",
         Op::Release => "release",
-        Op::CreateAs { .. } => "createas",
-        Op::DestroyAs { .. } => "destroyas",
+        Op::CreateAs => "createas",
+        Op::DestroyAs => "destroyas",
         Op::Offload { .. } => "offload",
     }
 }
@@ -738,10 +641,10 @@ mod tests {
     #[test]
     fn classify_ops() {
         let clib = CLib::new(CLibConfig::default(), 1, 4096);
-        let read = clib.classify(&Op::Read { mn: Mac(1), pid: Pid(1), va: 4000, len: 200 });
+        let read = clib.classify(&Op::Read { va: 4000, len: 200 });
         assert_eq!(read, Some((AccessClass::Read, 0..=1)), "crosses a page boundary");
         assert_eq!(clib.classify(&Op::Release), None, "release is a barrier");
-        let faa = clib.classify(&Op::Faa { mn: Mac(1), pid: Pid(1), va: 8, delta: 1 });
+        let faa = clib.classify(&Op::Faa { va: 8, delta: 1 });
         assert_eq!(faa, Some((AccessClass::Write, 0..=0)));
     }
 

@@ -12,7 +12,11 @@ pub struct CLibConfig {
     /// Software cost to build and post a request (ordering check, header
     /// build, doorbell).
     pub send_overhead: SimDuration,
-    /// Software cost to receive and deliver a completion.
+    /// Software cost to receive and deliver a completion. Known gap: it is
+    /// added only to `XferDone::rtt`, which nothing above the transport
+    /// reads — `Completion::completed_at` is the delivery instant, so no
+    /// reported latency includes these 100 ns of the paper's ~250 ns CLib
+    /// cost (ROADMAP "Known gaps"; charging it moves every pinned latency).
     pub recv_overhead: SimDuration,
     /// Retry timeout: a request unanswered for this long is retried with a
     /// fresh id (§4.5 T4). Must match the MN's dedup-buffer sizing.

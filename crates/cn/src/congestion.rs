@@ -5,7 +5,8 @@
 //! response bytes* in flight, exploiting the fact that the CN knows each
 //! request's response size in advance. Like Swift, the congestion window may
 //! fall below one request, in which case sends are paced — a window of 0.1
-//! means one request per 10 target-RTTs.
+//! means one request per 10 target-RTTs. Beside them, the per-MN circuit
+//! [`Breaker`] decides when a silent board is presumed dead.
 
 use clio_sim::{SimDuration, SimTime};
 
@@ -211,6 +212,95 @@ impl IncastWindow {
     }
 }
 
+/// Where a [`Breaker`] stands. `Closed` is normal operation; `Open` fails
+/// ops fast with `ClioError::Unreachable`; `HalfOpen` lets queued ops
+/// through as probes — one proof of life closes the breaker, one more
+/// timeout re-opens it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BreakerState {
+    /// Normal operation: ops flow, timeouts are counted.
+    Closed,
+    /// Presumed dead: ops fail fast until a probe succeeds.
+    Open,
+    /// Probing: the next completed op decides open vs closed.
+    HalfOpen,
+}
+
+/// The circuit breaker toward one memory node: its state and the streak of
+/// attempt-level timeouts since the last proof of life. It owns the
+/// transitions and reports what happened; the transport owns what follows
+/// from them (counters, trace events, the probe timer). Only timeouts count
+/// against a board: a NACK (corruption) proves the board is alive and
+/// resets the streak just like a response does.
+#[derive(Debug, Clone)]
+pub struct Breaker {
+    /// Consecutive timeouts that trip a `Closed` breaker; zero disables it.
+    threshold: u32,
+    state: BreakerState,
+    streak: u32,
+}
+
+impl Breaker {
+    /// A closed breaker tripping after `threshold` consecutive timeouts
+    /// (never, when `threshold` is zero).
+    pub fn new(threshold: u32) -> Self {
+        Breaker { threshold, state: BreakerState::Closed, streak: 0 }
+    }
+
+    /// The current state.
+    pub fn state(&self) -> BreakerState {
+        self.state
+    }
+
+    /// Timeouts since the last proof of life (stays zero while disabled).
+    pub fn streak(&self) -> u32 {
+        self.streak
+    }
+
+    /// True while ops fail fast.
+    pub fn is_open(&self) -> bool {
+        self.state == BreakerState::Open
+    }
+
+    /// Counts one attempt-level timeout. Returns whether it tripped the
+    /// breaker: `Closed` trips at the threshold, `HalfOpen` on any timeout,
+    /// `Open` has nothing left to trip.
+    pub fn on_timeout(&mut self) -> bool {
+        if self.threshold == 0 {
+            return false;
+        }
+        self.streak += 1;
+        let trip = match self.state {
+            BreakerState::Closed => self.streak >= self.threshold,
+            BreakerState::HalfOpen => true,
+            BreakerState::Open => false,
+        };
+        if trip {
+            self.state = BreakerState::Open;
+        }
+        trip
+    }
+
+    /// Records proof of life (a response or a NACK): resets the streak and
+    /// closes the breaker. Returns whether the peer was presumed unhealthy.
+    pub fn on_alive(&mut self) -> bool {
+        let was_unhealthy = self.state != BreakerState::Closed;
+        self.state = BreakerState::Closed;
+        self.streak = 0;
+        was_unhealthy
+    }
+
+    /// The probe back-off elapsed: an `Open` breaker moves to `HalfOpen`
+    /// (queued ops flow again as probes). Returns whether it moved.
+    pub fn on_probe(&mut self) -> bool {
+        let moved = self.is_open();
+        if moved {
+            self.state = BreakerState::HalfOpen;
+        }
+        moved
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,5 +442,82 @@ mod tests {
             }
         }
         assert!(w.window() >= 0.5);
+    }
+
+    /// A breaker with `threshold`, driven by `timeouts` consecutive timeouts.
+    fn breaker_after(threshold: u32, timeouts: u32) -> Breaker {
+        let mut b = Breaker::new(threshold);
+        for _ in 0..timeouts {
+            b.on_timeout();
+        }
+        b
+    }
+
+    #[test]
+    fn breaker_threshold_zero_never_counts_or_trips() {
+        let mut b = Breaker::new(0);
+        for _ in 0..100 {
+            assert!(!b.on_timeout());
+        }
+        assert_eq!((b.state(), b.streak()), (BreakerState::Closed, 0));
+        assert!(!b.on_alive(), "never unhealthy");
+        assert!(!b.on_probe(), "never open, so nothing to probe");
+    }
+
+    #[test]
+    fn breaker_closed_trips_exactly_at_the_streak() {
+        let mut b = Breaker::new(3);
+        assert!(!b.on_timeout());
+        assert!(!b.on_timeout());
+        assert_eq!((b.state(), b.streak()), (BreakerState::Closed, 2));
+        assert!(b.on_timeout(), "the third consecutive timeout trips");
+        assert_eq!((b.state(), b.streak()), (BreakerState::Open, 3));
+        assert!(b.is_open());
+    }
+
+    #[test]
+    fn breaker_half_open_trips_on_any_timeout() {
+        let mut b = breaker_after(3, 3);
+        assert!(b.on_probe());
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert!(b.on_timeout(), "one failed probe re-opens");
+        assert!(b.is_open());
+    }
+
+    #[test]
+    fn breaker_open_ignores_further_timeouts() {
+        let mut b = breaker_after(2, 2);
+        assert!(!b.on_timeout(), "already open: no second trip, no second probe timer");
+        assert_eq!((b.state(), b.streak()), (BreakerState::Open, 3), "the streak still counts");
+    }
+
+    #[test]
+    fn breaker_proof_of_life_resets_the_streak_and_closes_from_any_state() {
+        let mut closed = breaker_after(3, 2);
+        assert!(!closed.on_alive(), "was healthy");
+        assert_eq!((closed.state(), closed.streak()), (BreakerState::Closed, 0));
+        assert!(!closed.on_timeout() && !closed.on_timeout(), "the streak restarted");
+
+        let mut open = breaker_after(3, 3);
+        assert!(open.on_alive(), "was presumed dead");
+        assert_eq!((open.state(), open.streak()), (BreakerState::Closed, 0));
+
+        let mut half_open = breaker_after(3, 3);
+        half_open.on_probe();
+        assert!(half_open.on_alive(), "not healthy until a probe completes");
+        assert_eq!((half_open.state(), half_open.streak()), (BreakerState::Closed, 0));
+    }
+
+    #[test]
+    fn breaker_probe_moves_open_to_half_open_and_nothing_else() {
+        let mut closed = breaker_after(3, 2);
+        assert!(!closed.on_probe());
+        assert_eq!((closed.state(), closed.streak()), (BreakerState::Closed, 2));
+
+        let mut open = breaker_after(3, 3);
+        assert!(open.on_probe());
+        assert_eq!((open.state(), open.streak()), (BreakerState::HalfOpen, 3));
+        assert!(!open.on_probe(), "a stale second probe timer finds it half-open already");
+        assert_eq!(open.state(), BreakerState::HalfOpen);
     }
 }

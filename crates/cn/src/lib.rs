@@ -28,7 +28,7 @@ pub mod error;
 pub mod ordering;
 pub mod transport;
 
-pub use clib::{CLib, Completion, CompletionValue, Op, OpToken, ThreadId};
+pub use clib::{CLib, Completion, Op, ThreadId};
 pub use config::CLibConfig;
 pub use error::ClioError;
-pub use transport::McMutation;
+pub use transport::{CompletionValue, McMutation, OpToken};

@@ -50,8 +50,9 @@
 //! batched send, retransmission — enters `outstanding` through `register`
 //! and reaches the wire through `ship` (a first send does both in its
 //! pump; a retransmission registers when it is queued and ships when the
-//! retry doorbell fires, one event later). Window slots are handed back
-//! in `release`, nowhere else.
+//! retry doorbell fires, one event later) and leaves it through `take`.
+//! Window slots are handed back in `release`, a failure is reported by
+//! `fail`, nowhere else.
 //!
 //! # Invariants
 //!
@@ -116,12 +117,15 @@ use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
 use crate::config::CLibConfig;
-use crate::congestion::{CongestionWindow, IncastWindow};
+use crate::congestion::{Breaker, BreakerState, CongestionWindow, IncastWindow};
 use crate::error::ClioError;
 
-/// Caller-side handle for one in-flight request.
+/// Handle for one submitted operation: returned by
+/// [`CLib::submit`](crate::CLib::submit), carried by every attempt the
+/// transport makes for it, echoed in its [`XferDone`] and its
+/// [`Completion`](crate::Completion).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct XferToken(pub u64);
+pub struct OpToken(pub u64);
 
 /// How to (re)build the packets of a request — the CN-side retransmission
 /// state (§4.4 "maintain transport logic, state, and data buffers only at
@@ -157,8 +161,6 @@ pub enum Blueprint {
         size: u64,
         /// Permissions.
         perm: Perm,
-        /// Optional fixed placement.
-        fixed_va: Option<u64>,
     },
     /// Slow-path free.
     Free {
@@ -219,8 +221,9 @@ impl Blueprint {
                 AtomicKind::Faa(d) => RequestBody::AtomicFaa { va: *va, delta: *d },
             },
             Blueprint::Fence => RequestBody::Fence,
-            Blueprint::Alloc { size, perm, fixed_va } => {
-                RequestBody::Alloc { size: *size, perm: *perm, fixed_va: *fixed_va }
+            // The MN places every allocation: no client names a fixed VA.
+            Blueprint::Alloc { size, perm } => {
+                RequestBody::Alloc { size: *size, perm: *perm, fixed_va: None }
             }
             Blueprint::Free { va, size } => RequestBody::Free { va: *va, size: *size },
             Blueprint::CreateAs => RequestBody::CreateAs,
@@ -338,14 +341,14 @@ impl Blueprint {
     }
 }
 
-/// The value delivered on success.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum XferValue {
-    /// Read data / offload reply payload.
+/// The value delivered by a successful completion.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum CompletionValue {
+    /// Read data or offload reply.
     Data(Bytes),
-    /// Plain acknowledgment.
+    /// Plain success.
     Done,
-    /// Allocation result.
+    /// Allocated virtual address.
     Va(u64),
     /// Atomic old value.
     Old(u64),
@@ -355,9 +358,9 @@ pub enum XferValue {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XferDone {
     /// The request's token.
-    pub token: XferToken,
+    pub token: OpToken,
     /// Result.
-    pub result: Result<XferValue, ClioError>,
+    pub result: Result<CompletionValue, ClioError>,
     /// Measured request RTT (first send to completion).
     pub rtt: SimDuration,
 }
@@ -373,25 +376,10 @@ pub enum TransportTimer {
     /// Queued retransmissions toward an MN may now coalesce and ship.
     RetryPump(Mac),
     /// Re-issue a request refused with `Conflict`.
-    ConflictRetry(XferToken),
+    ConflictRetry(OpToken),
     /// An open circuit breaker toward an MN may move to half-open and let
     /// a probe through.
     BreakerProbe(Mac),
-}
-
-/// Circuit-breaker state toward one MN (§ failure model). `Closed` is
-/// normal operation; `Open` fails ops fast with `ClioError::Unreachable`;
-/// `HalfOpen` lets queued ops through as probes — one success closes the
-/// breaker, one more timeout re-opens it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum BreakerState {
-    /// Normal operation: ops flow, timeouts are counted.
-    #[default]
-    Closed,
-    /// Presumed dead: ops fail fast until a probe succeeds.
-    Open,
-    /// Probing: the next completed op decides open vs closed.
-    HalfOpen,
 }
 
 /// Everything the transport keeps about one memory node, in one record:
@@ -409,12 +397,7 @@ struct Peer {
     retries: Vec<(ReqId, Option<ReqId>)>,
     /// Whether the zero-delay `RetryPump` that ships `retries` is scheduled.
     retry_armed: bool,
-    /// Attempt-level timeouts since the last proof of life. Only timeouts
-    /// count against a board: a NACK (corruption) proves the board is alive
-    /// and resets the streak just like a response does. Stays zero while
-    /// the breaker is disabled (`breaker_threshold == 0`).
-    consecutive_timeouts: u32,
-    breaker: BreakerState,
+    breaker: Breaker,
 }
 
 impl Peer {
@@ -425,14 +408,8 @@ impl Peer {
             doorbell: Doorbell::default(),
             retries: Vec::new(),
             retry_armed: false,
-            consecutive_timeouts: 0,
-            breaker: BreakerState::Closed,
+            breaker: Breaker::new(cfg.breaker_threshold),
         }
-    }
-
-    /// True when the circuit breaker is open (ops fail fast).
-    fn open(&self) -> bool {
-        self.breaker == BreakerState::Open
     }
 
     /// The request doorbell's latency budget: the shared rule over the
@@ -450,7 +427,7 @@ impl Peer {
 
 #[derive(Debug, Clone)]
 struct Outstanding {
-    token: XferToken,
+    token: OpToken,
     target: Mac,
     pid: Pid,
     blueprint: Blueprint,
@@ -475,10 +452,13 @@ struct Outstanding {
 
 #[derive(Debug, Clone)]
 struct QueuedSend {
-    token: XferToken,
+    token: OpToken,
     pid: Pid,
     blueprint: Blueprint,
     enqueued_at: SimTime,
+    /// `Conflict` refusals this op has already backed off from (zero for a
+    /// first send; carried through every park-and-rejoin).
+    conflict_retries: u32,
     trace: Option<TraceCtx>,
 }
 
@@ -531,6 +511,19 @@ pub enum McMutation {
     LeakWindowOnNack,
 }
 
+/// Reports `token` failed with `error` — the one place an `Err` [`XferDone`]
+/// is built. The RTT runs from the op's first send (for a send still
+/// queued, from when it was enqueued).
+fn fail(
+    done: &mut Vec<XferDone>,
+    now: SimTime,
+    token: OpToken,
+    first_sent_at: SimTime,
+    error: ClioError,
+) {
+    done.push(XferDone { token, result: Err(error), rtt: now.since(first_sent_at) });
+}
+
 /// Content digest of a blueprint (shape + addresses + payload bytes).
 fn blueprint_digest(bp: &Blueprint) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -564,10 +557,9 @@ fn blueprint_digest(bp: &Blueprint) -> u64 {
             );
         }
         Blueprint::Fence => h = fnv_mix(h, 4),
-        Blueprint::Alloc { size, fixed_va, .. } => {
+        Blueprint::Alloc { size, .. } => {
             h = fnv_mix(h, 5);
             h = fnv_mix(h, *size);
-            h = fnv_mix(h, fixed_va.map_or(u64::MAX, |v| v));
         }
         Blueprint::Free { va, size } => {
             h = fnv_mix(h, 6);
@@ -620,8 +612,7 @@ pub struct Transport {
     cfg: CLibConfig,
     next_req: u64,
     outstanding: IdMap<ReqId, Outstanding>,
-    parked_conflicts: IdMap<XferToken, Outstanding>,
-    conflict_generations: IdMap<XferToken, u32>,
+    parked_conflicts: IdMap<OpToken, Outstanding>,
     /// The one per-MN table: send queue, congestion window, doorbell, retry
     /// queue and breaker of every MN this CN has sent to.
     peers: IdMap<Mac, Peer>,
@@ -665,7 +656,6 @@ impl Transport {
             next_req: cn_id << 40,
             outstanding: IdMap::default(),
             parked_conflicts: IdMap::default(),
-            conflict_generations: IdMap::default(),
             peers: IdMap::default(),
             reassembler: Reassembler::new(),
             released: false,
@@ -694,7 +684,7 @@ impl Transport {
     /// Number of MNs currently presumed unhealthy (breaker Open or
     /// HalfOpen); a peer leaves the count only on a confirmed success.
     pub fn peer_health(&self) -> u64 {
-        self.peers.values().filter(|p| p.breaker != BreakerState::Closed).count() as u64
+        self.peers.values().filter(|p| p.breaker.state() != BreakerState::Closed).count() as u64
     }
 
     /// Plants (or clears) a deliberate bug for the model checker's
@@ -822,8 +812,8 @@ impl Transport {
                 h = fnv_mix(fnv_mix(h, id.0), retry_of.map_or(0, |r| r.0));
             }
             h = fnv_mix(h, p.cwnd.outstanding());
-            h = fnv_mix(h, p.breaker as u64);
-            h = fnv_mix(h, p.consecutive_timeouts as u64);
+            h = fnv_mix(h, p.breaker.state() as u64);
+            h = fnv_mix(h, p.breaker.streak() as u64);
         }
         h = fnv_mix(h, self.iwnd.in_flight());
         h = fnv_mix(h, self.next_req);
@@ -845,27 +835,14 @@ impl Transport {
         &mut self.peer(mn).cwnd
     }
 
-    /// Records one attempt-level timeout toward `mn`. Trips the breaker —
-    /// Closed at the configured streak, HalfOpen on any timeout — emitting
-    /// a `board_down` trace event and scheduling the half-open probe with
-    /// seeded jitter (up to a quarter of the backoff) so recovering CNs do
-    /// not probe in lockstep. No-op while the breaker is disabled; the
-    /// jitter draw only happens on a trip, so disabled runs consume no
+    /// Records one attempt-level timeout toward `mn`. A trip of the
+    /// [`Breaker`] emits a `board_down` trace event and schedules the
+    /// half-open probe with seeded jitter (up to a quarter of the backoff)
+    /// so recovering CNs do not probe in lockstep. The jitter draw only
+    /// happens on a trip, so runs with the breaker disabled consume no
     /// randomness.
     fn note_peer_timeout(&mut self, ctx: &mut Ctx<'_>, mn: Mac) {
-        let threshold = self.cfg.breaker_threshold;
-        if threshold == 0 {
-            return;
-        }
-        let peer = self.peer(mn);
-        peer.consecutive_timeouts += 1;
-        let trip = match peer.breaker {
-            BreakerState::Closed => peer.consecutive_timeouts >= threshold,
-            BreakerState::HalfOpen => true,
-            BreakerState::Open => false,
-        };
-        if trip {
-            peer.breaker = BreakerState::Open;
+        if self.peer(mn).breaker.on_timeout() {
             self.stats.circuit_open_total += 1;
             self.tracer.event(self.track, "board_down", ctx.now());
             let backoff = self.cfg.breaker_probe_backoff;
@@ -877,18 +854,12 @@ impl Transport {
         }
     }
 
-    /// Records proof of life from `mn` (a response or a NACK): resets the
-    /// timeout streak and closes the breaker, emitting `board_up` when the
-    /// peer was previously presumed unhealthy.
+    /// Records proof of life from `mn` (a response or a NACK), emitting
+    /// `board_up` when the peer was previously presumed unhealthy.
     fn note_peer_success(&mut self, now: SimTime, mn: Mac) {
-        if self.cfg.breaker_threshold == 0 {
-            return;
-        }
-        let peer = self.peer(mn);
-        let was_unhealthy = peer.breaker != BreakerState::Closed;
-        peer.consecutive_timeouts = 0;
-        peer.breaker = BreakerState::Closed;
-        if was_unhealthy {
+        // Every response comes through here: with the breaker disabled,
+        // skip the peer lookup (it measured 4 % of a lone op's host cost).
+        if self.cfg.breaker_threshold != 0 && self.peer(mn).breaker.on_alive() {
             self.tracer.event(self.track, "board_up", now);
         }
     }
@@ -906,7 +877,7 @@ impl Transport {
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
-        token: XferToken,
+        token: OpToken,
         target: Mac,
         pid: Pid,
         blueprint: Blueprint,
@@ -925,7 +896,7 @@ impl Transport {
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
-        requests: Vec<(XferToken, Mac, Pid, Blueprint, Option<TraceCtx>)>,
+        requests: Vec<(OpToken, Mac, Pid, Blueprint, Option<TraceCtx>)>,
         done: &mut Vec<XferDone>,
     ) {
         let mut targets: Vec<Mac> = Vec::new();
@@ -946,7 +917,7 @@ impl Transport {
     fn enqueue(
         &mut self,
         now: SimTime,
-        token: XferToken,
+        token: OpToken,
         target: Mac,
         pid: Pid,
         blueprint: Blueprint,
@@ -955,7 +926,14 @@ impl Transport {
         self.tracer.stitch(trace, self.track, Stage::Submit, now);
         let peer = self.peer(target);
         peer.doorbell.observe(now);
-        peer.queue.push_back(QueuedSend { token, pid, blueprint, enqueued_at: now, trace });
+        peer.queue.push_back(QueuedSend {
+            token,
+            pid,
+            blueprint,
+            enqueued_at: now,
+            conflict_retries: 0,
+            trace,
+        });
     }
 
     /// The doorbell's latency budget toward `target`: a quarter of the
@@ -983,7 +961,7 @@ impl Transport {
         let batching = self.batching();
         let max_ops = self.cfg.batch_max_ops as usize;
         let peer = self.peer(target);
-        let open = peer.open();
+        let open = peer.breaker.is_open();
         if open {
             peer.doorbell.cancel(ctx);
         }
@@ -1035,14 +1013,9 @@ impl Transport {
         let now = ctx.now();
         let Some(peer) = self.peers.get_mut(&target) else { return };
         peer.doorbell.disarm();
-        if peer.open() {
+        if peer.breaker.is_open() {
             for q in peer.queue.drain(..) {
-                self.conflict_generations.remove(&q.token);
-                done.push(XferDone {
-                    token: q.token,
-                    result: Err(ClioError::Unreachable { mn: target }),
-                    rtt: now.since(q.enqueued_at),
-                });
+                fail(done, now, q.token, q.enqueued_at, ClioError::Unreachable { mn: target });
             }
             return;
         }
@@ -1065,7 +1038,6 @@ impl Transport {
                 break;
             }
             let q = peer.queue.pop_front().expect("peeked above");
-            let conflict_retries = self.conflict_generations.remove(&q.token).unwrap_or(0);
             self.tracer.stitch(q.trace, self.track, Stage::DoorbellHold, now);
             let req_id = self.fresh_id();
             self.ship(ctx, nic, &mut pack, req_id, None, q.pid, &q.blueprint, q.trace);
@@ -1082,7 +1054,7 @@ impl Transport {
                     attempt_sent_at: now,
                     first_sent_at: q.enqueued_at,
                     retries: 0,
-                    conflict_retries,
+                    conflict_retries: q.conflict_retries,
                     timer: None,
                     trace: q.trace,
                 },
@@ -1215,6 +1187,18 @@ impl Transport {
         self.outstanding.insert(req_id, o);
     }
 
+    /// Takes the attempt registered under `req_id` out of `outstanding` and
+    /// cancels its retransmission timer — the only way out of the table.
+    /// `None` for an id no longer outstanding: a stale or duplicate frame,
+    /// or a timer that lost the race with its response.
+    fn take(&mut self, ctx: &mut Ctx<'_>, req_id: ReqId) -> Option<Outstanding> {
+        let mut o = self.outstanding.remove(&req_id)?;
+        if let Some(t) = o.timer.take() {
+            ctx.cancel(t);
+        }
+        Some(o)
+    }
+
     /// Hands a finished attempt's window slots back — the only place an
     /// outstanding request gives them up — and notes that space was freed,
     /// so the entry point now running drains the send queues before it
@@ -1237,44 +1221,34 @@ impl Transport {
     /// in-flight requests (timer cancelled, window slots released without a
     /// congestion signal, reassembly state dropped), queued sends, queued
     /// retransmissions, and parked conflicts — then lets the sends queued
-    /// behind the freed slots go. Returns whether anything was actually
-    /// cancelled; the caller owns reporting the op's completion (e.g.
-    /// `DeadlineExceeded`) upward. A response or NACK for a cancelled id
-    /// arriving later is dropped by the outstanding-id lookup like any
-    /// stale frame.
+    /// behind the freed slots go. The caller owns reporting the op's
+    /// completion (e.g. `DeadlineExceeded`) upward. A response or NACK for
+    /// a cancelled id arriving later is dropped by the outstanding-id
+    /// lookup like any stale frame.
     pub fn cancel(
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
-        token: XferToken,
+        token: OpToken,
         done: &mut Vec<XferDone>,
-    ) -> bool {
-        let mut found = false;
+    ) {
         let mut ids: Vec<ReqId> =
             self.outstanding.iter().filter(|(_, o)| o.token == token).map(|(id, _)| *id).collect();
         ids.sort_unstable(); // release attempts oldest-first, whatever the table's layout
         for id in ids {
-            let mut o = self.outstanding.remove(&id).expect("collected above");
-            if let Some(t) = o.timer.take() {
-                ctx.cancel(t);
-            }
+            let o = self.take(ctx, id).expect("collected above");
             self.release(ctx.now(), &o, Outcome::Abandoned);
             self.reassembler.forget(id);
-            found = true;
         }
         let outstanding = &self.outstanding;
         for peer in self.peers.values_mut() {
             // Retry-queue entries for ids that no longer exist must not be
             // rebuilt by the retry pump.
             peer.retries.retain(|(id, _)| outstanding.contains_key(id));
-            let before = peer.queue.len();
             peer.queue.retain(|s| s.token != token);
-            found |= peer.queue.len() != before;
         }
-        found |= self.parked_conflicts.remove(&token).is_some();
-        self.conflict_generations.remove(&token);
+        self.parked_conflicts.remove(&token);
         self.drain_released(ctx, nic, done);
-        found
     }
 
     /// Handles a frame payload (a [`ClioPacket`]) delivered to this CN,
@@ -1330,12 +1304,9 @@ impl Transport {
     /// immediately (no congestion signal; corruption is not loss); past
     /// the retry budget it fails and its window slots are released.
     fn handle_nack(&mut self, ctx: &mut Ctx<'_>, req_id: ReqId, done: &mut Vec<XferDone>) {
-        let Some(mut o) = self.outstanding.remove(&req_id) else {
+        let Some(mut o) = self.take(ctx, req_id) else {
             return; // stale/duplicate NACK
         };
-        if let Some(t) = o.timer.take() {
-            ctx.cancel(t);
-        }
         self.stats.retries += 1;
         o.retries += 1;
         // A NACK proves the board is alive (it decoded and answered the
@@ -1353,15 +1324,9 @@ impl Transport {
             } else {
                 self.release(ctx.now(), &o, Outcome::Lost);
             }
-            done.push(XferDone {
-                token: o.token,
-                result: Err(ClioError::TimedOut {
-                    op: o.blueprint.kind(),
-                    mn: o.target,
-                    attempts: o.retries,
-                }),
-                rtt: ctx.now().since(o.first_sent_at),
-            });
+            let error =
+                ClioError::TimedOut { op: o.blueprint.kind(), mn: o.target, attempts: o.retries };
+            fail(done, ctx.now(), o.token, o.first_sent_at, error);
         } else {
             o.trace = self.tracer.retry(o.trace, ctx.now());
             // Window slots stay held: this is the same logical request.
@@ -1385,19 +1350,16 @@ impl Transport {
         let value = match body {
             ResponseBody::DataFrag { offset, data } => {
                 match self.reassembler.accept(header, offset, data) {
-                    Some(full) => XferValue::Data(full),
+                    Some(full) => CompletionValue::Data(full),
                     None => return,
                 }
             }
-            ResponseBody::Done => XferValue::Done,
-            ResponseBody::Alloced { va } => XferValue::Va(va),
-            ResponseBody::AtomicOld { old } => XferValue::Old(old),
-            ResponseBody::OffloadReply { data } => XferValue::Data(data),
+            ResponseBody::Done => CompletionValue::Done,
+            ResponseBody::Alloced { va } => CompletionValue::Va(va),
+            ResponseBody::AtomicOld { old } => CompletionValue::Old(old),
+            ResponseBody::OffloadReply { data } => CompletionValue::Data(data),
         };
-        let o = self.outstanding.remove(&header.req_id).expect("checked");
-        if let Some(t) = o.timer {
-            ctx.cancel(t);
-        }
+        let o = self.take(ctx, header.req_id).expect("checked");
         let now = ctx.now();
         self.note_peer_success(now, o.target);
         // Response wire time: from the MN's last stitch (egress NIC
@@ -1417,11 +1379,8 @@ impl Transport {
             Status::Conflict => {
                 // Region mid-migration: back off and re-issue.
                 if o.conflict_retries >= self.cfg.max_conflict_retries {
-                    done.push(XferDone {
-                        token: o.token,
-                        result: Err(ClioError::Remote(Status::Conflict)),
-                        rtt: now.since(o.first_sent_at),
-                    });
+                    let error = ClioError::Remote(Status::Conflict);
+                    fail(done, now, o.token, o.first_sent_at, error);
                 } else {
                     let backoff =
                         self.cfg.conflict_backoff * (1 + o.conflict_retries.min(16) as u64);
@@ -1429,13 +1388,7 @@ impl Transport {
                     self.parked_conflicts.insert(o.token, o);
                 }
             }
-            status => {
-                done.push(XferDone {
-                    token: o.token,
-                    result: Err(ClioError::from(status)),
-                    rtt: now.since(o.first_sent_at),
-                });
-            }
+            status => fail(done, now, o.token, o.first_sent_at, ClioError::from(status)),
         }
     }
 
@@ -1477,21 +1430,14 @@ impl Transport {
     ) {
         let peer = self.peer(target);
         peer.retry_armed = false;
-        let open = peer.open();
+        let open = peer.breaker.is_open();
         let entries = std::mem::take(&mut peer.retries);
         if open {
             let now = ctx.now();
             for (req_id, _) in entries {
-                let Some(mut o) = self.outstanding.remove(&req_id) else { continue };
-                if let Some(t) = o.timer.take() {
-                    ctx.cancel(t);
-                }
+                let Some(o) = self.take(ctx, req_id) else { continue };
                 self.release(now, &o, Outcome::Abandoned);
-                done.push(XferDone {
-                    token: o.token,
-                    result: Err(ClioError::Unreachable { mn: target }),
-                    rtt: now.since(o.first_sent_at),
-                });
+                fail(done, now, o.token, o.first_sent_at, ClioError::Unreachable { mn: target });
             }
             return;
         }
@@ -1537,12 +1483,10 @@ impl Transport {
             TransportTimer::Pump(mac) => self.pump(ctx, nic, mac, done),
             TransportTimer::RetryPump(mac) => self.retry_pump(ctx, nic, mac, done),
             TransportTimer::BreakerProbe(mac) => {
-                let peer = self.peer(mac);
-                if peer.breaker == BreakerState::Open {
-                    // Half-open: queued ops flow again as probes. The
-                    // gauge stays up — the peer is not healthy until a
-                    // probe actually completes.
-                    peer.breaker = BreakerState::HalfOpen;
+                // Half-open: queued ops flow again as probes. The gauge
+                // stays up — the peer is not healthy until a probe
+                // actually completes.
+                if self.peer(mac).breaker.on_probe() {
                     self.kick(ctx, nic, mac, done);
                 }
             }
@@ -1557,9 +1501,9 @@ impl Transport {
                         pid: o.pid,
                         blueprint: o.blueprint,
                         enqueued_at: o.first_sent_at,
+                        conflict_retries: o.conflict_retries + 1,
                         trace: o.trace,
                     });
-                    self.conflict_generations.insert(o.token, o.conflict_retries + 1);
                     self.kick(ctx, nic, target, done);
                 }
             }
@@ -1571,10 +1515,10 @@ impl Transport {
     /// or — retry budget exhausted, or the breaker toward its MN open —
     /// fail it and release its window slots.
     fn on_timeout(&mut self, ctx: &mut Ctx<'_>, req_id: ReqId, done: &mut Vec<XferDone>) {
-        let Some(mut o) = self.outstanding.remove(&req_id) else {
+        // (Cancelling the timer that is firing is a no-op.)
+        let Some(mut o) = self.take(ctx, req_id) else {
             return; // completed already
         };
-        o.timer = None;
         self.stats.retries += 1;
         o.retries += 1;
         let now = ctx.now();
@@ -1586,7 +1530,7 @@ impl Transport {
         // With the breaker open (just tripped, or already open) the op is
         // given up on now instead of burning more retries against a board
         // presumed dead.
-        let error = if self.peer(o.target).open() {
+        let error = if self.peer(o.target).breaker.is_open() {
             ClioError::Unreachable { mn: o.target }
         } else if o.retries > self.cfg.max_retries {
             ClioError::TimedOut { op: o.blueprint.kind(), mn: o.target, attempts: o.retries }
@@ -1599,6 +1543,6 @@ impl Transport {
             return;
         };
         self.release(now, &o, Outcome::Lost);
-        done.push(XferDone { token: o.token, result: Err(error), rtt: now.since(o.first_sent_at) });
+        fail(done, now, o.token, o.first_sent_at, error);
     }
 }

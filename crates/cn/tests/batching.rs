@@ -30,8 +30,13 @@ struct SubmitV {
 struct CnHost {
     nic: clio_net::NicPort,
     clib: CLib,
+    /// The one board every op of the rig is addressed to.
+    mn: Mac,
     completions: Vec<Completion>,
 }
+
+/// The one process every op of the rig runs as.
+const PID: Pid = Pid(7);
 
 impl Actor for CnHost {
     fn name(&self) -> &str {
@@ -40,14 +45,17 @@ impl Actor for CnHost {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         let msg = match msg.downcast::<Submit>() {
             Ok(s) => {
-                self.clib.submit(ctx, &mut self.nic, s.thread, s.op, &mut self.completions);
+                let (nic, mn, done) = (&mut self.nic, self.mn, &mut self.completions);
+                self.clib.submit(ctx, nic, s.thread, mn, PID, ctx.now(), s.op, done);
                 return;
             }
             Err(m) => m,
         };
         let msg = match msg.downcast::<SubmitV>() {
             Ok(s) => {
-                self.clib.submit_many(ctx, &mut self.nic, s.thread, s.ops, &mut self.completions);
+                let ops = s.ops.into_iter().map(|op| (self.mn, op)).collect();
+                let (nic, done) = (&mut self.nic, &mut self.completions);
+                self.clib.submit_many(ctx, nic, s.thread, PID, ctx.now(), ops, done);
                 return;
             }
             Err(m) => m,
@@ -87,6 +95,7 @@ fn rig_full(clib_cfg: CLibConfig, board_cfg: CBoardConfig) -> Rig {
     let cn = sim.add_actor(CnHost {
         nic: cport,
         clib: CLib::new(clib_cfg, 1, page),
+        mn: board_mac,
         completions: vec![],
     });
     net.attach(&mut sim, cmac, cn);
@@ -120,11 +129,8 @@ impl Rig {
         self.sim.actor::<CBoard>(self.board).stats().tx_frames
     }
 
-    fn alloc(&mut self, pid: u64, size: u64) -> u64 {
-        self.submit(
-            0,
-            Op::Alloc { mn: self.board_mac, pid: Pid(pid), size, perm: Perm::RW, fixed_va: None },
-        );
+    fn alloc(&mut self, size: u64) -> u64 {
+        self.submit(0, Op::Alloc { size, perm: Perm::RW });
         match &self.completions().last().expect("completion").result {
             Ok(CompletionValue::Va(va)) => *va,
             other => panic!("alloc failed: {other:?}"),
@@ -149,16 +155,11 @@ fn burst_read_run(batch_max_ops: u32) -> (u64, Vec<Bytes>) {
         ..CLibConfig::prototype()
     };
     let mut r = rig(clib_cfg);
-    let va = r.alloc(7, PAGES * PAGE);
+    let va = r.alloc(PAGES * PAGE);
     for p in 0..PAGES {
         r.submit(
             0,
-            Op::Write {
-                mn: r.board_mac,
-                pid: Pid(7),
-                va: va + p * PAGE,
-                data: Bytes::from(vec![p as u8 + 1; OP_LEN as usize]),
-            },
+            Op::Write { va: va + p * PAGE, data: Bytes::from(vec![p as u8 + 1; OP_LEN as usize]) },
         );
     }
     let frames_before = r.rx_frames();
@@ -166,10 +167,7 @@ fn burst_read_run(batch_max_ops: u32) -> (u64, Vec<Bytes>) {
     // One burst of independent small reads (distinct pages: no ordering
     // dependencies), all submitted at the same virtual instant.
     for p in 0..PAGES {
-        r.submit_nowait(
-            0,
-            Op::Read { mn: r.board_mac, pid: Pid(7), va: va + p * PAGE, len: OP_LEN },
-        );
+        r.submit_nowait(0, Op::Read { va: va + p * PAGE, len: OP_LEN });
     }
     r.sim.run_until_idle();
     let frames = r.rx_frames() - frames_before;
@@ -205,7 +203,7 @@ fn batched_requests_keep_retry_and_dedup_semantics_under_corruption() {
     // Generous retry budget: at 30% frame corruption a request may need
     // several NACK retries, and this test asserts zero failures.
     let mut r = rig(CLibConfig { cwnd_init: 32.0, max_retries: 16, ..CLibConfig::prototype() });
-    let va = r.alloc(7, PAGES * PAGE);
+    let va = r.alloc(PAGES * PAGE);
     // Corrupt frames toward the board: whole batch frames get NACKed, and
     // every inner request must be retried under `retry_of` so the dedup
     // buffer suppresses double execution of the writes. Several bursts make
@@ -220,8 +218,6 @@ fn batched_requests_keep_retry_and_dedup_semantics_under_corruption() {
             r.submit_nowait(
                 0,
                 Op::Write {
-                    mn: r.board_mac,
-                    pid: Pid(7),
                     va: va + p * PAGE,
                     data: Bytes::from(vec![(round * PAGES + p) as u8; 32]),
                 },
@@ -231,7 +227,7 @@ fn batched_requests_keep_retry_and_dedup_semantics_under_corruption() {
     }
     r.net.set_faults(&mut r.sim, r.board_mac, FaultInjector::none());
     for p in 0..PAGES {
-        r.submit(0, Op::Read { mn: r.board_mac, pid: Pid(7), va: va + p * PAGE, len: 32 });
+        r.submit(0, Op::Read { va: va + p * PAGE, len: 32 });
         match &r.completions().last().expect("completion").result {
             Ok(CompletionValue::Data(d)) => {
                 assert!(d.iter().all(|&b| b == (3 * PAGES + p) as u8), "page {p} corrupted")
@@ -252,16 +248,11 @@ fn batched_requests_keep_retry_and_dedup_semantics_under_corruption() {
 fn staggered_burst_run(clib_cfg: CLibConfig, board_cfg: CBoardConfig) -> (u64, u64, Vec<Bytes>) {
     const OPS: u64 = 64;
     let mut r = rig_full(clib_cfg, board_cfg);
-    let va = r.alloc(7, OPS * PAGE);
+    let va = r.alloc(OPS * PAGE);
     for p in 0..OPS {
         r.submit(
             0,
-            Op::Write {
-                mn: r.board_mac,
-                pid: Pid(7),
-                va: va + p * PAGE,
-                data: Bytes::from(vec![p as u8 + 1; OP_LEN as usize]),
-            },
+            Op::Write { va: va + p * PAGE, data: Bytes::from(vec![p as u8 + 1; OP_LEN as usize]) },
         );
     }
     let (rx0, tx0) = (r.rx_frames(), r.tx_frames());
@@ -272,7 +263,7 @@ fn staggered_burst_run(clib_cfg: CLibConfig, board_cfg: CBoardConfig) -> (u64, u
             SimDuration::from_nanos(50 * p),
             Message::new(Submit {
                 thread: ThreadId(p), // independent threads: no ordering edges
-                op: Op::Read { mn: r.board_mac, pid: Pid(7), va: va + p * PAGE, len: OP_LEN },
+                op: Op::Read { va: va + p * PAGE, len: OP_LEN },
             }),
         );
     }
@@ -326,23 +317,16 @@ fn scatter_gather_vector_coalesces_without_doorbell_heuristics() {
     // driver submitting from separate events; the explicit vector must
     // still batch because it reaches the transport as one unit.
     let mut r = rig(CLibConfig { cwnd_init: 64.0, ..CLibConfig::prototype() });
-    let va = r.alloc(7, PAGES * PAGE);
+    let va = r.alloc(PAGES * PAGE);
     for p in 0..PAGES {
         r.submit(
             0,
-            Op::Write {
-                mn: r.board_mac,
-                pid: Pid(7),
-                va: va + p * PAGE,
-                data: Bytes::from(vec![p as u8 + 1; OP_LEN as usize]),
-            },
+            Op::Write { va: va + p * PAGE, data: Bytes::from(vec![p as u8 + 1; OP_LEN as usize]) },
         );
     }
     let rx0 = r.rx_frames();
     let comps_before = r.completions().len();
-    let ops: Vec<Op> = (0..PAGES)
-        .map(|p| Op::Read { mn: r.board_mac, pid: Pid(7), va: va + p * PAGE, len: OP_LEN })
-        .collect();
+    let ops: Vec<Op> = (0..PAGES).map(|p| Op::Read { va: va + p * PAGE, len: OP_LEN }).collect();
     r.sim.post(r.cn, Message::new(SubmitV { thread: ThreadId(0), ops }));
     r.sim.run_until_idle();
     let frames = r.rx_frames() - rx0;
@@ -363,17 +347,9 @@ fn same_instant_timeouts_recoalesce_retries_into_batch_frames() {
     // together, and the simultaneous timer expiries must re-coalesce the
     // retries through the batch builder instead of shipping each alone.
     let mut r = rig(CLibConfig { cwnd_init: 32.0, max_retries: 8, ..CLibConfig::prototype() });
-    let va = r.alloc(7, 8 * PAGE);
+    let va = r.alloc(8 * PAGE);
     for p in 0..8 {
-        r.submit(
-            0,
-            Op::Write {
-                mn: r.board_mac,
-                pid: Pid(7),
-                va: va + p * PAGE,
-                data: Bytes::from(vec![p as u8 + 1; 16]),
-            },
-        );
+        r.submit(0, Op::Write { va: va + p * PAGE, data: Bytes::from(vec![p as u8 + 1; 16]) });
     }
     r.net.set_faults(
         &mut r.sim,
@@ -381,7 +357,7 @@ fn same_instant_timeouts_recoalesce_retries_into_batch_frames() {
         FaultInjector { loss_prob: 1.0, ..FaultInjector::none() },
     );
     for p in 0..8u64 {
-        r.submit_nowait(0, Op::Read { mn: r.board_mac, pid: Pid(7), va: va + p * PAGE, len: 16 });
+        r.submit_nowait(0, Op::Read { va: va + p * PAGE, len: 16 });
     }
     // Let the burst ship and its timers expire once, then heal the link.
     r.sim.run_for(SimDuration::from_micros(40));
@@ -416,16 +392,11 @@ fn corrupted_64_op_burst_recovers_in_ceil_frames_per_direction() {
     // ceil(n / batch_max_ops) frames per direction.
     const OPS: u64 = 64;
     let mut r = rig(CLibConfig { cwnd_init: 128.0, cwnd_max: 256.0, ..CLibConfig::prototype() });
-    let va = r.alloc(7, OPS * PAGE);
+    let va = r.alloc(OPS * PAGE);
     for p in 0..OPS {
         r.submit(
             0,
-            Op::Write {
-                mn: r.board_mac,
-                pid: Pid(7),
-                va: va + p * PAGE,
-                data: Bytes::from(vec![p as u8 + 1; OP_LEN as usize]),
-            },
+            Op::Write { va: va + p * PAGE, data: Bytes::from(vec![p as u8 + 1; OP_LEN as usize]) },
         );
     }
     let stats0 = r.sim.actor::<CBoard>(r.board).stats();
@@ -437,10 +408,7 @@ fn corrupted_64_op_burst_recovers_in_ceil_frames_per_direction() {
         FaultInjector { corrupt_next: 4, ..FaultInjector::none() },
     );
     for p in 0..OPS {
-        r.submit_nowait(
-            0,
-            Op::Read { mn: r.board_mac, pid: Pid(7), va: va + p * PAGE, len: OP_LEN },
-        );
+        r.submit_nowait(0, Op::Read { va: va + p * PAGE, len: OP_LEN });
     }
     r.sim.run_until_idle();
 
@@ -486,14 +454,14 @@ fn nack_retry_exhaustion_pumps_queued_requests() {
     let clib_cfg =
         CLibConfig { batch_max_ops: 1, cwnd_init: 1.0, cwnd_max: 1.0, ..CLibConfig::prototype() };
     let mut r = rig(clib_cfg);
-    let va = r.alloc(7, 2 * PAGE);
+    let va = r.alloc(2 * PAGE);
     r.net.set_faults(
         &mut r.sim,
         r.board_mac,
         FaultInjector { corrupt_prob: 1.0, ..FaultInjector::none() },
     );
-    r.submit_nowait(0, Op::Read { mn: r.board_mac, pid: Pid(7), va, len: 8 });
-    r.submit_nowait(0, Op::Read { mn: r.board_mac, pid: Pid(7), va: va + PAGE, len: 8 });
+    r.submit_nowait(0, Op::Read { va, len: 8 });
+    r.submit_nowait(0, Op::Read { va: va + PAGE, len: 8 });
     r.sim.run_until_idle();
     let comps: Vec<_> = r
         .completions()

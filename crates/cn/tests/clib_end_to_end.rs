@@ -20,8 +20,13 @@ struct Submit {
 struct CnHost {
     nic: NicPort,
     clib: CLib,
+    /// The one board every op of the rig is addressed to.
+    mn: Mac,
     completions: Vec<Completion>,
 }
+
+/// The one process every op of the rig runs as.
+const PID: Pid = Pid(7);
 
 impl CnHost {
     fn absorb(&mut self, mut c: Vec<Completion>) {
@@ -37,7 +42,8 @@ impl Actor for CnHost {
         let msg = match msg.downcast::<Submit>() {
             Ok(s) => {
                 let mut comps = Vec::new();
-                self.clib.submit(ctx, &mut self.nic, s.thread, s.op, &mut comps);
+                let (nic, mn) = (&mut self.nic, self.mn);
+                self.clib.submit(ctx, nic, s.thread, mn, PID, ctx.now(), s.op, &mut comps);
                 self.absorb(comps);
                 return;
             }
@@ -82,6 +88,7 @@ fn rig_with(cfg: CBoardConfig, clib_cfg: CLibConfig) -> Rig {
     let cn = sim.add_actor(CnHost {
         nic: cport,
         clib: CLib::new(clib_cfg, 1, page),
+        mn: board_mac,
         completions: vec![],
     });
     net.attach(&mut sim, cmac, cn);
@@ -114,11 +121,8 @@ impl Rig {
         }
     }
 
-    fn alloc(&mut self, pid: u64, size: u64) -> u64 {
-        self.submit(
-            0,
-            Op::Alloc { mn: self.board_mac, pid: Pid(pid), size, perm: Perm::RW, fixed_va: None },
-        );
+    fn alloc(&mut self, size: u64) -> u64 {
+        self.submit(0, Op::Alloc { size, perm: Perm::RW });
         match self.last_ok() {
             CompletionValue::Va(va) => *va,
             other => panic!("expected va, got {other:?}"),
@@ -129,12 +133,9 @@ impl Rig {
 #[test]
 fn clib_alloc_write_read_roundtrip() {
     let mut r = rig();
-    let va = r.alloc(7, 8192);
-    r.submit(
-        0,
-        Op::Write { mn: r.board_mac, pid: Pid(7), va, data: Bytes::from_static(b"through clib") },
-    );
-    r.submit(0, Op::Read { mn: r.board_mac, pid: Pid(7), va, len: 12 });
+    let va = r.alloc(8192);
+    r.submit(0, Op::Write { va, data: Bytes::from_static(b"through clib") });
+    r.submit(0, Op::Read { va, len: 12 });
     match r.last_ok() {
         CompletionValue::Data(d) => assert_eq!(&d[..], b"through clib"),
         other => panic!("expected data, got {other:?}"),
@@ -151,18 +152,12 @@ fn clib_alloc_write_read_roundtrip() {
 #[test]
 fn dependent_async_ops_execute_in_order() {
     let mut r = rig();
-    let va = r.alloc(7, 4096);
+    let va = r.alloc(4096);
     // Submit a dependent chain without draining the simulator in between:
     // write A, overwrite B (WAW), read (RAW) — all to the same page.
-    r.submit_nowait(
-        0,
-        Op::Write { mn: r.board_mac, pid: Pid(7), va, data: Bytes::from_static(b"AAAA") },
-    );
-    r.submit_nowait(
-        0,
-        Op::Write { mn: r.board_mac, pid: Pid(7), va, data: Bytes::from_static(b"BBBB") },
-    );
-    r.submit_nowait(0, Op::Read { mn: r.board_mac, pid: Pid(7), va, len: 4 });
+    r.submit_nowait(0, Op::Write { va, data: Bytes::from_static(b"AAAA") });
+    r.submit_nowait(0, Op::Write { va, data: Bytes::from_static(b"BBBB") });
+    r.submit_nowait(0, Op::Read { va, len: 4 });
     r.sim.run_until_idle();
     match r.last_ok() {
         CompletionValue::Data(d) => assert_eq!(&d[..], b"BBBB", "read saw the last write"),
@@ -178,22 +173,13 @@ fn dependent_async_ops_execute_in_order() {
 #[test]
 fn independent_async_ops_overlap() {
     let mut r = rig();
-    let va = r.alloc(7, 64 << 10);
+    let va = r.alloc(64 << 10);
     // Warm both pages.
-    r.submit(0, Op::Write { mn: r.board_mac, pid: Pid(7), va, data: Bytes::from(vec![0u8; 1]) });
-    r.submit(
-        0,
-        Op::Write { mn: r.board_mac, pid: Pid(7), va: va + 8192, data: Bytes::from(vec![0u8; 1]) },
-    );
+    r.submit(0, Op::Write { va, data: Bytes::from(vec![0u8; 1]) });
+    r.submit(0, Op::Write { va: va + 8192, data: Bytes::from(vec![0u8; 1]) });
     let t0 = r.sim.now();
-    r.submit_nowait(
-        0,
-        Op::Write { mn: r.board_mac, pid: Pid(7), va, data: Bytes::from(vec![1u8; 64]) },
-    );
-    r.submit_nowait(
-        0,
-        Op::Write { mn: r.board_mac, pid: Pid(7), va: va + 8192, data: Bytes::from(vec![2u8; 64]) },
-    );
+    r.submit_nowait(0, Op::Write { va, data: Bytes::from(vec![1u8; 64]) });
+    r.submit_nowait(0, Op::Write { va: va + 8192, data: Bytes::from(vec![2u8; 64]) });
     r.sim.run_until_idle();
     let finish_times: Vec<_> = r
         .completions()
@@ -212,11 +198,8 @@ fn independent_async_ops_overlap() {
 #[test]
 fn release_completes_after_all_inflight() {
     let mut r = rig();
-    let va = r.alloc(7, 4096);
-    r.submit_nowait(
-        0,
-        Op::Write { mn: r.board_mac, pid: Pid(7), va, data: Bytes::from(vec![9u8; 2000]) },
-    );
+    let va = r.alloc(4096);
+    r.submit_nowait(0, Op::Write { va, data: Bytes::from(vec![9u8; 2000]) });
     r.submit_nowait(0, Op::Release);
     r.sim.run_until_idle();
     let comps = r.completions();
@@ -229,7 +212,7 @@ fn release_completes_after_all_inflight() {
 #[test]
 fn loss_is_recovered_by_request_level_retry() {
     let mut r = rig_with(CBoardConfig::test_small(), CLibConfig::default());
-    let va = r.alloc(7, 8192);
+    let va = r.alloc(8192);
     // 20% loss toward the board.
     r.net.set_faults(
         &mut r.sim,
@@ -237,18 +220,10 @@ fn loss_is_recovered_by_request_level_retry() {
         FaultInjector { loss_prob: 0.2, ..FaultInjector::none() },
     );
     for i in 0..50u64 {
-        r.submit(
-            0,
-            Op::Write {
-                mn: r.board_mac,
-                pid: Pid(7),
-                va: va + (i % 8) * 64,
-                data: Bytes::from(vec![i as u8; 64]),
-            },
-        );
+        r.submit(0, Op::Write { va: va + (i % 8) * 64, data: Bytes::from(vec![i as u8; 64]) });
     }
     r.net.set_faults(&mut r.sim, r.board_mac, FaultInjector::none());
-    r.submit(0, Op::Read { mn: r.board_mac, pid: Pid(7), va: va + 64, len: 64 });
+    r.submit(0, Op::Read { va: va + 64, len: 64 });
     match r.last_ok() {
         CompletionValue::Data(d) => assert!(d.iter().all(|&b| b == d[0])),
         other => panic!("expected data, got {other:?}"),
@@ -262,17 +237,14 @@ fn loss_is_recovered_by_request_level_retry() {
 #[test]
 fn corruption_is_recovered_via_nack() {
     let mut r = rig();
-    let va = r.alloc(7, 4096);
+    let va = r.alloc(4096);
     r.net.set_faults(
         &mut r.sim,
         r.board_mac,
         FaultInjector { corrupt_prob: 0.3, ..FaultInjector::none() },
     );
     for i in 0..20u64 {
-        r.submit(
-            0,
-            Op::Write { mn: r.board_mac, pid: Pid(7), va, data: Bytes::from(vec![i as u8; 32]) },
-        );
+        r.submit(0, Op::Write { va, data: Bytes::from(vec![i as u8; 32]) });
     }
     let host = r.sim.actor::<CnHost>(r.cn);
     let failures = host.completions.iter().filter(|c| c.result.is_err()).count();
@@ -283,13 +255,13 @@ fn corruption_is_recovered_via_nack() {
 #[test]
 fn total_blackout_times_out_with_error() {
     let mut r = rig();
-    let va = r.alloc(7, 4096);
+    let va = r.alloc(4096);
     r.net.set_faults(
         &mut r.sim,
         r.board_mac,
         FaultInjector { loss_prob: 1.0, ..FaultInjector::none() },
     );
-    r.submit(0, Op::Read { mn: r.board_mac, pid: Pid(7), va, len: 8 });
+    r.submit(0, Op::Read { va, len: 8 });
     let c = r.completions().last().expect("completion");
     let Err(ClioError::TimedOut { op, mn, attempts }) = c.result else {
         panic!("expected TimedOut, got {:?}", c.result);
@@ -322,6 +294,7 @@ fn locks_provide_mutual_exclusion_across_cns() {
         let host = sim.add_actor(CnHost {
             nic: port,
             clib: CLib::new(CLibConfig::default(), cn_id + 1, page),
+            mn: bmac,
             completions: vec![],
         });
         net.attach(&mut sim, mac, host);
@@ -331,10 +304,7 @@ fn locks_provide_mutual_exclusion_across_cns() {
     // Host 0 allocates the lock page (shared RAS => same Pid).
     sim.post(
         hosts[0],
-        Message::new(Submit {
-            thread: ThreadId(0),
-            op: Op::Alloc { mn: bmac, pid: Pid(7), size: 4096, perm: Perm::RW, fixed_va: None },
-        }),
+        Message::new(Submit { thread: ThreadId(0), op: Op::Alloc { size: 4096, perm: Perm::RW } }),
     );
     sim.run_until_idle();
     let va = match &sim.actor::<CnHost>(hosts[0]).completions.last().unwrap().result {
@@ -344,18 +314,12 @@ fn locks_provide_mutual_exclusion_across_cns() {
 
     // Both hosts grab the lock; host 0 wins (posted first) and releases
     // 300 µs later; host 1 must not acquire before that.
-    sim.post(
-        hosts[0],
-        Message::new(Submit { thread: ThreadId(0), op: Op::Lock { mn: bmac, pid: Pid(7), va } }),
-    );
-    sim.post(
-        hosts[1],
-        Message::new(Submit { thread: ThreadId(0), op: Op::Lock { mn: bmac, pid: Pid(7), va } }),
-    );
+    sim.post(hosts[0], Message::new(Submit { thread: ThreadId(0), op: Op::Lock { va } }));
+    sim.post(hosts[1], Message::new(Submit { thread: ThreadId(0), op: Op::Lock { va } }));
     sim.post_in(
         hosts[0],
         SimDuration::from_micros(300),
-        Message::new(Submit { thread: ThreadId(1), op: Op::Unlock { mn: bmac, pid: Pid(7), va } }),
+        Message::new(Submit { thread: ThreadId(1), op: Op::Unlock { va } }),
     );
     sim.run_until_idle();
 
@@ -375,12 +339,9 @@ fn locks_provide_mutual_exclusion_across_cns() {
 #[test]
 fn remote_fence_orders_mn_side() {
     let mut r = rig();
-    let va = r.alloc(7, 32 << 10);
-    r.submit_nowait(
-        0,
-        Op::Write { mn: r.board_mac, pid: Pid(7), va, data: Bytes::from(vec![5u8; 16 << 10]) },
-    );
-    r.submit_nowait(0, Op::Fence { mn: r.board_mac, pid: Pid(7) });
+    let va = r.alloc(32 << 10);
+    r.submit_nowait(0, Op::Write { va, data: Bytes::from(vec![5u8; 16 << 10]) });
+    r.submit_nowait(0, Op::Fence);
     r.sim.run_until_idle();
     let comps = r.completions();
     let n = comps.len();
@@ -408,16 +369,7 @@ fn offload_call_via_clib() {
     }
     let mut r = rig();
     r.sim.actor_mut::<CBoard>(r.board).install_offload(4, Pid(500), Box::new(Echo));
-    r.submit(
-        0,
-        Op::Offload {
-            mn: r.board_mac,
-            pid: Pid(7),
-            offload: 4,
-            opcode: 0,
-            arg: Bytes::from_static(b"ping"),
-        },
-    );
+    r.submit(0, Op::Offload { offload: 4, opcode: 0, arg: Bytes::from_static(b"ping") });
     match r.last_ok() {
         CompletionValue::Data(d) => assert_eq!(&d[..], b"ping"),
         other => panic!("expected data, got {other:?}"),

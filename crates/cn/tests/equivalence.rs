@@ -60,6 +60,8 @@ struct SubmitV {
 struct CnHost {
     nic: clio_net::NicPort,
     clib: CLib,
+    /// The one board every op of the rig is addressed to.
+    mn: Mac,
     completions: Vec<Completion>,
 }
 
@@ -70,20 +72,17 @@ impl Actor for CnHost {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         let msg = match msg.downcast::<Submit>() {
             Ok(s) => {
-                self.clib.submit(ctx, &mut self.nic, ThreadId(0), s.op, &mut self.completions);
+                let (nic, mn, done) = (&mut self.nic, self.mn, &mut self.completions);
+                self.clib.submit(ctx, nic, ThreadId(0), mn, Pid(PID), ctx.now(), s.op, done);
                 return;
             }
             Err(m) => m,
         };
         let msg = match msg.downcast::<SubmitV>() {
             Ok(s) => {
-                self.clib.submit_many(
-                    ctx,
-                    &mut self.nic,
-                    ThreadId(0),
-                    s.ops,
-                    &mut self.completions,
-                );
+                let ops = s.ops.into_iter().map(|op| (self.mn, op)).collect();
+                let (nic, done) = (&mut self.nic, &mut self.completions);
+                self.clib.submit_many(ctx, nic, ThreadId(0), Pid(PID), ctx.now(), ops, done);
                 return;
             }
             Err(m) => m,
@@ -102,7 +101,6 @@ impl Actor for CnHost {
 
 struct Rig {
     sim: Simulation,
-    board_mac: Mac,
     cn: ActorId,
 }
 
@@ -119,23 +117,21 @@ fn rig(clib_cfg: CLibConfig, board_cfg: CBoardConfig) -> Rig {
     let cn = sim.add_actor(CnHost {
         nic: cport,
         clib: CLib::new(clib_cfg, 1, page),
+        mn: board_mac,
         completions: vec![],
     });
     net.attach(&mut sim, cmac, cn);
-    Rig { sim, board_mac, cn }
+    Rig { sim, cn }
 }
 
-fn to_op(op: TestOp, mn: Mac, va: u64) -> Op {
-    let pid = Pid(PID);
+fn to_op(op: TestOp, va: u64) -> Op {
     match op {
-        TestOp::Read { page } => Op::Read { mn, pid, va: va + page * PAGE, len: 24 },
+        TestOp::Read { page } => Op::Read { va: va + page * PAGE, len: 24 },
         TestOp::Write { page, val } => {
-            Op::Write { mn, pid, va: va + page * PAGE, data: Bytes::from(vec![val; 16]) }
+            Op::Write { va: va + page * PAGE, data: Bytes::from(vec![val; 16]) }
         }
-        TestOp::Faa { page, delta } => Op::Faa { mn, pid, va: va + page * PAGE, delta },
-        TestOp::Cas { page, expected, new } => {
-            Op::Cas { mn, pid, va: va + page * PAGE, expected, new }
-        }
+        TestOp::Faa { page, delta } => Op::Faa { va: va + page * PAGE, delta },
+        TestOp::Cas { page, expected, new } => Op::Cas { va: va + page * PAGE, expected, new },
     }
 }
 
@@ -161,15 +157,9 @@ fn run_mode(ops: &[TestOp], mode: Mode) -> (Vec<Result<CompletionValue, ClioErro
     };
     let board_cfg = CBoardConfig { hw: CBoardConfig::test_small().hw, ..board_cfg };
     let mut r = rig(clib_cfg, board_cfg);
-    let mn = r.board_mac;
 
     // Prologue: allocate and deterministically initialize every page.
-    r.sim.post(
-        r.cn,
-        Message::new(Submit {
-            op: Op::Alloc { mn, pid: Pid(PID), size: PAGES * PAGE, perm: Perm::RW, fixed_va: None },
-        }),
-    );
+    r.sim.post(r.cn, Message::new(Submit { op: Op::Alloc { size: PAGES * PAGE, perm: Perm::RW } }));
     r.sim.run_until_idle();
     let va = match &r.sim.actor::<CnHost>(r.cn).completions.last().expect("alloc").result {
         Ok(CompletionValue::Va(va)) => *va,
@@ -179,12 +169,7 @@ fn run_mode(ops: &[TestOp], mode: Mode) -> (Vec<Result<CompletionValue, ClioErro
         r.sim.post(
             r.cn,
             Message::new(Submit {
-                op: Op::Write {
-                    mn,
-                    pid: Pid(PID),
-                    va: va + p * PAGE,
-                    data: Bytes::from(vec![p as u8; 24]),
-                },
+                op: Op::Write { va: va + p * PAGE, data: Bytes::from(vec![p as u8; 24]) },
             }),
         );
         r.sim.run_until_idle();
@@ -193,7 +178,7 @@ fn run_mode(ops: &[TestOp], mode: Mode) -> (Vec<Result<CompletionValue, ClioErro
 
     match mode {
         Mode::ScatterGather => {
-            let vec_ops: Vec<Op> = ops.iter().map(|&o| to_op(o, mn, va)).collect();
+            let vec_ops: Vec<Op> = ops.iter().map(|&o| to_op(o, va)).collect();
             r.sim.post(r.cn, Message::new(SubmitV { ops: vec_ops }));
         }
         _ => {
@@ -201,7 +186,7 @@ fn run_mode(ops: &[TestOp], mode: Mode) -> (Vec<Result<CompletionValue, ClioErro
                 r.sim.post_in(
                     r.cn,
                     SimDuration::from_nanos(100 * i as u64),
-                    Message::new(Submit { op: to_op(op, mn, va) }),
+                    Message::new(Submit { op: to_op(op, va) }),
                 );
             }
         }
@@ -217,10 +202,7 @@ fn run_mode(ops: &[TestOp], mode: Mode) -> (Vec<Result<CompletionValue, ClioErro
     // Epilogue: read back every page synchronously.
     let mut pages = Vec::new();
     for p in 0..PAGES {
-        r.sim.post(
-            r.cn,
-            Message::new(Submit { op: Op::Read { mn, pid: Pid(PID), va: va + p * PAGE, len: 24 } }),
-        );
+        r.sim.post(r.cn, Message::new(Submit { op: Op::Read { va: va + p * PAGE, len: 24 } }));
         r.sim.run_until_idle();
         match &r.sim.actor::<CnHost>(r.cn).completions.last().expect("read").result {
             Ok(CompletionValue::Data(d)) => pages.push(d.clone()),
@@ -358,24 +340,14 @@ fn run_corrupted(
     let cn = sim.add_actor(CnHost {
         nic: cport,
         clib: CLib::new(clib_cfg, 1, page),
+        mn: board_mac,
         completions: vec![],
     });
     sim.actor_mut::<CorruptProxy>(proxy).cn = Some(cn);
     sim.actor_mut::<CorruptProxy>(proxy).board = Some(board);
 
     // Fault-free prologue: allocate and initialize every page.
-    sim.post(
-        cn,
-        Message::new(Submit {
-            op: Op::Alloc {
-                mn: board_mac,
-                pid: Pid(PID),
-                size: PAGES * PAGE,
-                perm: Perm::RW,
-                fixed_va: None,
-            },
-        }),
-    );
+    sim.post(cn, Message::new(Submit { op: Op::Alloc { size: PAGES * PAGE, perm: Perm::RW } }));
     sim.run_until_idle();
     let va = match &sim.actor::<CnHost>(cn).completions.last().expect("alloc").result {
         Ok(CompletionValue::Va(va)) => *va,
@@ -385,12 +357,7 @@ fn run_corrupted(
         sim.post(
             cn,
             Message::new(Submit {
-                op: Op::Write {
-                    mn: board_mac,
-                    pid: Pid(PID),
-                    va: va + p * PAGE,
-                    data: Bytes::from(vec![p as u8; 24]),
-                },
+                op: Op::Write { va: va + p * PAGE, data: Bytes::from(vec![p as u8; 24]) },
             }),
         );
         sim.run_until_idle();
@@ -404,7 +371,7 @@ fn run_corrupted(
         sim.post_in(
             cn,
             SimDuration::from_nanos(20 * i as u64),
-            Message::new(Submit { op: to_op(op, board_mac, va) }),
+            Message::new(Submit { op: to_op(op, va) }),
         );
     }
     sim.run_until_idle();
@@ -420,12 +387,7 @@ fn run_corrupted(
     sim.actor_mut::<CorruptProxy>(proxy).armed = false;
     let mut pages = Vec::new();
     for p in 0..PAGES {
-        sim.post(
-            cn,
-            Message::new(Submit {
-                op: Op::Read { mn: board_mac, pid: Pid(PID), va: va + p * PAGE, len: 24 },
-            }),
-        );
+        sim.post(cn, Message::new(Submit { op: Op::Read { va: va + p * PAGE, len: 24 } }));
         sim.run_until_idle();
         match &sim.actor::<CnHost>(cn).completions.last().expect("read").result {
             Ok(CompletionValue::Data(d)) => pages.push(d.clone()),

@@ -8,16 +8,16 @@ use clio_cn::ordering::{AccessClass, DependencyTracker};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
-struct OpSpec {
+struct Access {
     write: bool,
     vpn: u64,
 }
 
-fn arb_op() -> impl Strategy<Value = OpSpec> {
-    (any::<bool>(), 0u64..6).prop_map(|(write, vpn)| OpSpec { write, vpn })
+fn arb_op() -> impl Strategy<Value = Access> {
+    (any::<bool>(), 0u64..6).prop_map(|(write, vpn)| Access { write, vpn })
 }
 
-fn conflicts(a: &OpSpec, b: &OpSpec) -> bool {
+fn conflicts(a: &Access, b: &Access) -> bool {
     a.vpn == b.vpn && (a.write || b.write)
 }
 
@@ -37,10 +37,10 @@ proptest! {
         let mut tracker: DependencyTracker<u32> = DependencyTracker::new();
         let mut inflight: Vec<u32> = Vec::new();
         let mut dispatched_order: Vec<u32> = Vec::new();
-        let specs: Vec<OpSpec> = ops.clone();
+        let specs: Vec<Access> = ops.clone();
         let mut completion_iter = completions.into_iter();
 
-        let check_inflight = |inflight: &[u32], specs: &[OpSpec]| {
+        let check_inflight = |inflight: &[u32], specs: &[Access]| {
             for (i, &a) in inflight.iter().enumerate() {
                 for &b in &inflight[i + 1..] {
                     assert!(

@@ -19,7 +19,8 @@
 
 use bytes::Bytes;
 use clio_cn::config::CLibConfig;
-use clio_cn::transport::{AtomicKind, Blueprint, Transport, TransportTimer, XferDone, XferToken};
+use clio_cn::transport::{AtomicKind, Blueprint, Transport, TransportTimer, XferDone};
+use clio_cn::OpToken;
 use clio_net::{Frame, Mac, NicPort};
 use clio_proto::{
     codec, ClioPacket, ReqHeader, ReqId, RequestBody, RespHeader, ResponseBody, Status,
@@ -63,7 +64,7 @@ struct Go {
 
 /// Withdraws every attempt of one token, as a deadline's canceller would.
 #[derive(Clone)]
-struct Cancel(XferToken);
+struct Cancel(OpToken);
 
 /// CN host driving a bare `Transport`.
 struct Host {
@@ -85,7 +86,7 @@ impl Actor for Host {
                     self.transport.send(
                         ctx,
                         &mut self.nic,
-                        XferToken(go.base + i as u64),
+                        OpToken(go.base + i as u64),
                         MN_MAC,
                         clio_proto::Pid(7),
                         bp,
@@ -364,13 +365,13 @@ fn cancel_drains_the_sends_queued_behind_the_freed_slot() {
             CLibConfig { cwnd_init: 1.0, cwnd_max: 1.0, batch_max_ops, ..CLibConfig::prototype() };
         let (mut sim, cn_id) = rig(cfg, 3, vec![]); // every request answered Ok after 1 µs
         sim.post(cn_id, Message::new(Go { ops: vec![blueprint_of(0), blueprint_of(0)], base: 0 }));
-        sim.post_in(cn_id, SimDuration::from_nanos(500), Message::new(Cancel(XferToken(0))));
+        sim.post_in(cn_id, SimDuration::from_nanos(500), Message::new(Cancel(OpToken(0))));
         sim.run_until_idle();
 
         let host = sim.actor_mut::<Host>(cn_id);
         // The canceller owns reporting op 0; the transport reports op 1.
         assert_eq!(host.done.len(), 1, "batch_max_ops={batch_max_ops}: op 1 never completed");
-        assert_eq!(host.done[0].token, XferToken(1));
+        assert_eq!(host.done[0].token, OpToken(1));
         assert!(host.done[0].result.is_ok(), "op 1 failed: {:?}", host.done[0].result);
         assert_eq!(host.transport.in_flight(), 0, "outstanding not drained");
         assert_eq!(host.transport.queued(), 0, "op 1 stranded in the send queue");
@@ -472,7 +473,7 @@ fn tripped_breaker_fails_fast_under_quarter_retry_budget() {
     }
     // The op submitted after the trip fails fast: its observed latency is
     // under a quarter of what the full retry budget would have cost.
-    let fast = host.done.iter().find(|d| d.token == XferToken(1)).expect("op 1 completed");
+    let fast = host.done.iter().find(|d| d.token == OpToken(1)).expect("op 1 completed");
     let full_budget = request_timeout * (max_retries + 1) as u64;
     assert!(
         fast.rtt < full_budget / 4,

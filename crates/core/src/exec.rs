@@ -65,12 +65,12 @@ use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
 use bytes::Bytes;
-use clio_cn::ClioError;
+use clio_cn::{ClioError, Op};
 use clio_net::Mac;
 use clio_proto::Perm;
 use clio_sim::{IdMap, SimDuration, SimTime};
 
-use crate::node::{AppCompletion, AppToken, NodeApi, OpSpec, POKE_TAG};
+use crate::node::{AppCompletion, AppToken, NodeApi, POKE_TAG};
 
 pub mod openloop;
 
@@ -147,8 +147,8 @@ impl OpSlot {
 /// (program) order. `Vec` is a scatter/gather vector: one slot per entry,
 /// in order.
 enum Submission {
-    Op { spec: OpSpec, slot: Rc<RefCell<OpSlot>> },
-    Vec { specs: Vec<OpSpec>, slots: Vec<Rc<RefCell<OpSlot>>> },
+    Op { op: Op, named_mn: Option<Mac>, slot: Rc<RefCell<OpSlot>> },
+    Vec { ops: Vec<Op>, slots: Vec<Rc<RefCell<OpSlot>>> },
     Timer { tag: u64, dur: SimDuration },
     Cancel { token: AppToken },
 }
@@ -309,7 +309,7 @@ impl ExecDriver {
             let sub = self.shared.inner.borrow_mut().submit_q.pop_front();
             let Some(sub) = sub else { break };
             match sub {
-                Submission::Op { spec, slot } => {
+                Submission::Op { op, named_mn, slot } => {
                     if slot.borrow().cancel_requested {
                         // The deadline fired before the submission reached
                         // the node: resolve locally and refund the budget
@@ -329,12 +329,12 @@ impl ExecDriver {
                         continue;
                     }
                     let arrival = slot.borrow().arrival;
-                    let token = api.issue(spec, arrival);
+                    let token = api.issue(op, named_mn, arrival);
                     self.issued(token, slot);
                 }
-                Submission::Vec { specs, slots } => {
+                Submission::Vec { ops, slots } => {
                     let arrival = slots[0].borrow().arrival;
-                    for (token, slot) in api.issue_vec(specs, arrival).into_iter().zip(slots) {
+                    for (token, slot) in api.issue_vec(ops, arrival).into_iter().zip(slots) {
                         self.issued(token, slot);
                     }
                 }
@@ -488,23 +488,25 @@ impl ProcHandle {
         }
     }
 
-    fn op(&self, spec: OpSpec) -> OpFuture {
+    /// An op for the node to route — or, with `named_mn`, to send where the
+    /// task says (`roffload`).
+    fn op(&self, op: Op, named_mn: Option<Mac>) -> OpFuture {
         OpFuture {
             shared: self.shared.clone(),
             slot: OpSlot::new(self.now()),
-            state: OpState::Start(Some(spec)),
+            state: OpState::Start(Some((op, named_mn))),
         }
     }
 
-    /// Queues `specs` as one scatter/gather submission, *now* (not at first
+    /// Queues `ops` as one scatter/gather submission, *now* (not at first
     /// poll: the vector is one unit however its entries are awaited). A
     /// batch debits the budget (later scalar ops park) but never parks
     /// itself, even if it alone exceeds the budget.
-    fn op_v(&self, specs: Vec<OpSpec>) -> Vec<OpFuture> {
-        if specs.is_empty() {
+    fn op_v(&self, ops: Vec<Op>) -> Vec<OpFuture> {
+        if ops.is_empty() {
             return Vec::new();
         }
-        let n = specs.len();
+        let n = ops.len();
         let slots: Vec<_> = (0..n).map(|_| OpSlot::new(self.now())).collect();
         let mut inner = self.shared.inner.borrow_mut();
         inner.inflight += n;
@@ -512,7 +514,7 @@ impl ProcHandle {
         for slot in &slots {
             slot.borrow_mut().in_submit_q = true;
         }
-        inner.submit_q.push_back(Submission::Vec { specs, slots: slots.clone() });
+        inner.submit_q.push_back(Submission::Vec { ops, slots: slots.clone() });
         slots
             .into_iter()
             .map(|slot| OpFuture { shared: self.shared.clone(), slot, state: OpState::Queued })
@@ -531,57 +533,57 @@ impl ProcHandle {
 
     /// `ralloc`: allocate remote memory (await yields a VA completion).
     pub fn ralloc(&self, size: u64, perm: Perm) -> OpFuture {
-        self.op(OpSpec::Alloc { size, perm })
+        self.op(Op::Alloc { size, perm }, None)
     }
 
     /// `rfree`.
     pub fn rfree(&self, va: u64, size: u64) -> OpFuture {
-        self.op(OpSpec::Free { va, size })
+        self.op(Op::Free { va, size }, None)
     }
 
     /// `rread`: await yields the data completion.
     pub fn rread(&self, va: u64, len: u32) -> OpFuture {
-        self.op(OpSpec::Read { va, len })
+        self.op(Op::Read { va, len }, None)
     }
 
     /// `rwrite`.
     pub fn rwrite(&self, va: u64, data: Bytes) -> OpFuture {
-        self.op(OpSpec::Write { va, data })
+        self.op(Op::Write { va, data }, None)
     }
 
     /// `rlock` (resolves when acquired).
     pub fn rlock(&self, va: u64) -> OpFuture {
-        self.op(OpSpec::Lock { va })
+        self.op(Op::Lock { va }, None)
     }
 
     /// `runlock`.
     pub fn runlock(&self, va: u64) -> OpFuture {
-        self.op(OpSpec::Unlock { va })
+        self.op(Op::Unlock { va }, None)
     }
 
     /// Fetch-and-add on a remote 8-byte word.
     pub fn rfaa(&self, va: u64, delta: u64) -> OpFuture {
-        self.op(OpSpec::Faa { va, delta })
+        self.op(Op::Faa { va, delta }, None)
     }
 
     /// Compare-and-swap on a remote 8-byte word.
     pub fn rcas(&self, va: u64, expected: u64, new: u64) -> OpFuture {
-        self.op(OpSpec::Cas { va, expected, new })
+        self.op(Op::Cas { va, expected, new }, None)
     }
 
     /// `rfence`: fences this process's requests on every MN.
     pub fn rfence(&self) -> OpFuture {
-        self.op(OpSpec::Fence)
+        self.op(Op::Fence, None)
     }
 
     /// `rrelease`: local barrier over this process's outstanding ops.
     pub fn rrelease(&self) -> OpFuture {
-        self.op(OpSpec::Release)
+        self.op(Op::Release, None)
     }
 
     /// Invokes an offload installed on `mn`.
     pub fn roffload(&self, mn: Mac, offload: u16, opcode: u16, arg: Bytes) -> OpFuture {
-        self.op(OpSpec::Offload { mn, offload, opcode, arg })
+        self.op(Op::Offload { offload, opcode, arg }, Some(mn))
     }
 
     /// `rread_v`: scatter/gather read. The whole vector is submitted as
@@ -590,12 +592,12 @@ impl ProcHandle {
     /// already-issued future per entry, in order, to await in any order
     /// (or from different tasks).
     pub fn rread_v(&self, reads: Vec<(u64, u32)>) -> Vec<OpFuture> {
-        self.op_v(reads.into_iter().map(|(va, len)| OpSpec::Read { va, len }).collect())
+        self.op_v(reads.into_iter().map(|(va, len)| Op::Read { va, len }).collect())
     }
 
     /// `rwrite_v`: scatter/gather write, the mirror of [`rread_v`](Self::rread_v).
     pub fn rwrite_v(&self, writes: Vec<(u64, Bytes)>) -> Vec<OpFuture> {
-        self.op_v(writes.into_iter().map(|(va, data)| OpSpec::Write { va, data }).collect())
+        self.op_v(writes.into_iter().map(|(va, data)| Op::Write { va, data }).collect())
     }
 
     /// Sleeps for `dur` of virtual time.
@@ -613,8 +615,8 @@ impl ProcHandle {
 }
 
 enum OpState {
-    /// Not yet polled: the op to submit.
-    Start(Option<OpSpec>),
+    /// Not yet polled: the op to submit, and the MN its task named (if any).
+    Start(Option<(Op, Option<Mac>)>),
     Queued,
     Done,
 }
@@ -662,7 +664,7 @@ impl Future for OpFuture {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<AppCompletion> {
         let this = self.get_mut();
         match &mut this.state {
-            OpState::Start(spec) => {
+            OpState::Start(op) => {
                 if let Some(c) = this.slot.borrow_mut().result.take() {
                     // Cancelled before it was ever submitted.
                     this.state = OpState::Done;
@@ -694,10 +696,8 @@ impl Future for OpFuture {
                     s.waker = Some(cx.waker().clone());
                     s.in_submit_q = true;
                 }
-                inner.submit_q.push_back(Submission::Op {
-                    spec: spec.take().expect("op submitted once"),
-                    slot: this.slot.clone(),
-                });
+                let (op, named_mn) = op.take().expect("op submitted once");
+                inner.submit_q.push_back(Submission::Op { op, named_mn, slot: this.slot.clone() });
                 drop(inner);
                 this.state = OpState::Queued;
                 Poll::Pending

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use bytes::Bytes;
 use clio_cn::{CLib, CLibConfig, ClioError, Completion, CompletionValue, Op, OpToken, ThreadId};
 use clio_net::{Frame, Mac, NicPort};
-use clio_proto::{Perm, Pid};
+use clio_proto::Pid;
 use clio_sim::{Actor, ActorId, Ctx, IdMap, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Tracer, Track};
@@ -71,65 +71,6 @@ impl AppCompletion {
         match &self.result {
             Ok(CompletionValue::Va(va)) => *va,
             other => panic!("expected va completion, got {other:?}"),
-        }
-    }
-}
-
-/// A client operation, as a task names it: no pid (the hosting process
-/// implies it) and no memory node (routing is this module's job). The one
-/// enumeration of the client op kinds in this crate — [`ProcHandle`]'s
-/// methods build it, the node keeps it host-side so requests can be
-/// transparently re-routed after migration, and [`OpSpec::to_op`] turns it
-/// into the CLib [`Op`] of each submission attempt.
-#[derive(Debug, Clone)]
-pub(crate) enum OpSpec {
-    Read { va: u64, len: u32 },
-    Write { va: u64, data: Bytes },
-    Alloc { size: u64, perm: Perm },
-    Free { va: u64, size: u64 },
-    Lock { va: u64 },
-    Unlock { va: u64 },
-    Faa { va: u64, delta: u64 },
-    Cas { va: u64, expected: u64, new: u64 },
-    Fence,
-    Release,
-    Offload { mn: Mac, offload: u16, opcode: u16, arg: Bytes },
-}
-
-impl OpSpec {
-    /// The `(va, len)` span that determines routing, if any. The length
-    /// matters: an op is routable only if *every* byte it touches lives on
-    /// one MN, so routing must consider the full span rather than just the
-    /// start address.
-    fn route_range(&self) -> Option<(u64, u64)> {
-        match self {
-            OpSpec::Read { va, len } => Some((*va, u64::from(*len))),
-            OpSpec::Write { va, data } => Some((*va, data.len() as u64)),
-            OpSpec::Free { va, size } => Some((*va, *size)),
-            // Lock words and atomics are 8-byte cells.
-            OpSpec::Lock { va }
-            | OpSpec::Unlock { va }
-            | OpSpec::Faa { va, .. }
-            | OpSpec::Cas { va, .. } => Some((*va, 8)),
-            _ => None,
-        }
-    }
-
-    fn to_op(&self, pid: Pid, mn: Mac) -> Op {
-        match self.clone() {
-            OpSpec::Read { va, len } => Op::Read { mn, pid, va, len },
-            OpSpec::Write { va, data } => Op::Write { mn, pid, va, data },
-            OpSpec::Alloc { size, perm } => Op::Alloc { mn, pid, size, perm, fixed_va: None },
-            OpSpec::Free { va, size } => Op::Free { mn, pid, va, size },
-            OpSpec::Lock { va } => Op::Lock { mn, pid, va },
-            OpSpec::Unlock { va } => Op::Unlock { mn, pid, va },
-            OpSpec::Faa { va, delta } => Op::Faa { mn, pid, va, delta },
-            OpSpec::Cas { va, expected, new } => Op::Cas { mn, pid, va, expected, new },
-            OpSpec::Fence => Op::Fence { mn, pid },
-            OpSpec::Release => Op::Release,
-            OpSpec::Offload { mn: target, offload, opcode, arg } => {
-                Op::Offload { mn: target, pid, offload, opcode, arg }
-            }
         }
     }
 }
@@ -213,20 +154,32 @@ impl RasRouter {
     /// overlapping the migrated range is stale, so drop the lot and install
     /// one exception covering the whole range at its new owner.
     fn apply_update(&mut self, pid: Pid, start: u64, len: u64, mac: Mac) {
-        let end = start + len;
-        self.exceptions.retain(|(p, s, l, _)| !(*p == pid && *s < end && start < s + l));
+        // Two ranges overlap iff one starts inside the other — no end sums
+        // to overflow, as in `lookup_byte`.
+        self.exceptions.retain(|(p, s, l, _)| {
+            !(*p == pid && (*s >= start && *s - start < len || start >= *s && start - *s < *l))
+        });
         self.exceptions.push((pid, start, len, mac));
     }
 }
 
+/// One client op as the node keeps it host-side — no pid (the hosting
+/// process implies it) and no memory node (routing is this module's job,
+/// per submission) — so it can be transparently re-routed after migration.
 #[derive(Debug)]
 struct HostOp {
     driver: usize,
-    spec: OpSpec,
+    op: Op,
+    /// The MN the task itself named (`roffload`); every other kind is
+    /// routed.
+    named_mn: Option<Mac>,
     issued_at: SimTime,
     moved_retries: u32,
     /// Outstanding sub-operations (only >1 for multi-MN fences).
     fanout: u32,
+    /// The first failure among a fence's legs, delivered when the last leg
+    /// lands: a fence that missed an MN did not fence.
+    leg_error: Option<ClioError>,
     /// The arrival time to attribute the first CLib submission to (a
     /// `SubmitQueued` span covers [arrival, submit]); consumed on dispatch.
     queued_since: Option<SimTime>,
@@ -296,7 +249,14 @@ impl NodeCore {
 
     /// Registers a new host op arriving at `arrival` (clamped to "not in
     /// the future"); the caller dispatches it.
-    fn admit(&mut self, now: SimTime, driver: usize, spec: OpSpec, arrival: SimTime) -> AppToken {
+    fn admit(
+        &mut self,
+        now: SimTime,
+        driver: usize,
+        op: Op,
+        named_mn: Option<Mac>,
+        arrival: SimTime,
+    ) -> AppToken {
         self.next_app_token += 1;
         let token = AppToken(self.next_app_token);
         let arrival = arrival.min(now);
@@ -304,10 +264,12 @@ impl NodeCore {
             token,
             HostOp {
                 driver,
-                spec,
+                op,
+                named_mn,
                 issued_at: arrival,
                 moved_retries: 0,
                 fanout: 1,
+                leg_error: None,
                 queued_since: (arrival < now).then_some(arrival),
             },
         );
@@ -327,12 +289,12 @@ impl NodeCore {
     /// Hands the stored op for `token` to CLib, addressed to `mn`.
     fn submit(&mut self, ctx: &mut Ctx<'_>, token: AppToken, mn: Mac) {
         let Some(host_op) = self.app_ops.get_mut(&token) else { return };
-        let thread = ThreadId(host_op.driver as u64);
-        let op = host_op.spec.to_op(self.pids[host_op.driver], mn);
+        let (thread, pid) = (ThreadId(host_op.driver as u64), self.pids[host_op.driver]);
         // Only the first submission of an op carries its arrival
         // attribution; re-routes and later fence legs start at `now`.
-        self.clib.set_queued_since(host_op.queued_since.take());
-        let t = self.clib.submit(ctx, &mut self.nic, thread, op, &mut self.comps);
+        let arrival = host_op.queued_since.take().unwrap_or(ctx.now());
+        let op = host_op.op.clone();
+        let t = self.clib.submit(ctx, &mut self.nic, thread, mn, pid, arrival, op, &mut self.comps);
         self.token_map.insert(t, token);
         self.enqueue_clib_completions(ctx);
     }
@@ -341,8 +303,8 @@ impl NodeCore {
     fn dispatch(&mut self, ctx: &mut Ctx<'_>, token: AppToken) {
         let Some(host_op) = self.app_ops.get_mut(&token) else { return };
         let pid = self.pids[host_op.driver];
-        match &host_op.spec {
-            OpSpec::Alloc { size, .. } => {
+        match &host_op.op {
+            Op::Alloc { size, .. } => {
                 // Placement is the controller's call.
                 let size = *size;
                 let tag = self.fresh_tag();
@@ -350,15 +312,15 @@ impl NodeCore {
                 ctx.send(self.controller, SimDuration::from_micros(1), Message::new(msg));
                 self.pending_placements.insert(tag, token);
             }
-            OpSpec::Fence => {
+            Op::Fence => {
                 // Fence every MN the process might touch.
                 host_op.fanout = self.mn_macs.len() as u32;
                 for mac in self.mn_macs.clone() {
                     self.submit(ctx, token, mac);
                 }
             }
-            spec => {
-                let mn = match spec.route_range() {
+            op => {
+                let mn = match op.span() {
                     Some((va, len)) => match self.router.lookup(pid, va, len) {
                         Route::Owned(m) => m,
                         // Unroutable: fail fast with a typed error —
@@ -366,10 +328,9 @@ impl NodeCore {
                         // start VA's owner.
                         verdict => return self.fail(ctx.now(), token, Err(verdict.error(va, len))),
                     },
-                    None => match spec {
-                        OpSpec::Offload { mn, .. } => *mn,
-                        _ => self.mn_macs.first().copied().expect("at least one MN"),
-                    },
+                    None => {
+                        host_op.named_mn.or(self.mn_macs.first().copied()).expect("at least one MN")
+                    }
                 };
                 self.submit(ctx, token, mn);
             }
@@ -391,17 +352,18 @@ impl NodeCore {
             if let Some(a) = host_op.queued_since.take() {
                 queued_since.get_or_insert(a);
             }
-            let (va, len) = host_op.spec.route_range().expect("vector ops address memory");
+            let (va, len) = host_op.op.span().expect("vector ops address memory");
             match self.router.lookup(pid, va, len) {
                 Route::Owned(mn) => {
-                    ops.push(host_op.spec.to_op(pid, mn));
+                    ops.push((mn, host_op.op.clone()));
                     routed.push(token);
                 }
                 verdict => self.fail(ctx.now(), token, Err(verdict.error(va, len))),
             }
         }
-        self.clib.set_queued_since(queued_since);
-        let clib_tokens = self.clib.submit_many(ctx, &mut self.nic, thread, ops, &mut self.comps);
+        let arrival = queued_since.unwrap_or(ctx.now());
+        let clib_tokens =
+            self.clib.submit_many(ctx, &mut self.nic, thread, pid, arrival, ops, &mut self.comps);
         self.token_map.extend(clib_tokens.into_iter().zip(routed));
         self.enqueue_clib_completions(ctx);
     }
@@ -419,7 +381,7 @@ impl NodeCore {
             // Transparent re-route on Moved.
             if c.result == Err(ClioError::Moved) && host_op.moved_retries < self.max_moved_retries {
                 host_op.moved_retries += 1;
-                if let Some((va, len)) = host_op.spec.route_range() {
+                if let Some((va, len)) = host_op.op.span() {
                     let tag = self.fresh_tag();
                     self.pending_routes.insert(tag, app_token);
                     let q = RouteQuery { pid, va, len, reply_to: ctx.self_id(), tag };
@@ -428,24 +390,27 @@ impl NodeCore {
                 }
             }
 
-            // Fence fan-in: deliver only the last sub-completion.
+            // Fence fan-in: deliver when the last leg lands, with the first
+            // failure any leg met.
             if host_op.fanout > 1 {
                 host_op.fanout -= 1;
+                if let Err(e) = c.result {
+                    host_op.leg_error.get_or_insert(e);
+                }
                 continue;
             }
 
             let host_op = self.app_ops.remove(&app_token).expect("present");
+            let result = host_op.leg_error.map_or(c.result, Err);
             // Successful allocations are reported to the controller.
-            if let (OpSpec::Alloc { size, .. }, Ok(CompletionValue::Va(va))) =
-                (&host_op.spec, &c.result)
-            {
+            if let (Op::Alloc { size, .. }, Ok(CompletionValue::Va(va))) = (&host_op.op, &result) {
                 let Route::Owned(mn) = self.router.lookup(pid, *va, *size) else {
                     panic!("allocated range must be routable to one MN")
                 };
                 let n = AllocNotify { pid, va: *va, len: *size, mn };
                 ctx.send(self.controller, SimDuration::from_micros(1), Message::new(n));
             }
-            if let (OpSpec::Free { va, .. }, Ok(_)) = (&host_op.spec, &c.result) {
+            if let (Op::Free { va, .. }, Ok(_)) = (&host_op.op, &result) {
                 let n = FreeNotify { pid, va: *va };
                 ctx.send(self.controller, SimDuration::from_micros(1), Message::new(n));
             }
@@ -453,7 +418,7 @@ impl NodeCore {
                 host_op.driver,
                 AppCompletion {
                     token: app_token,
-                    result: c.result,
+                    result,
                     issued_at: host_op.issued_at,
                     completed_at: c.completed_at,
                 },
@@ -481,8 +446,8 @@ impl NodeApi<'_, '_> {
     /// origin) is the arrival, and any wait until now — open-loop load, or
     /// a park behind the in-flight budget — is attributed to the
     /// `SubmitQueued` stage.
-    pub(crate) fn issue(&mut self, spec: OpSpec, arrival: SimTime) -> AppToken {
-        let token = self.core.admit(self.ctx.now(), self.driver, spec, arrival);
+    pub(crate) fn issue(&mut self, op: Op, named_mn: Option<Mac>, arrival: SimTime) -> AppToken {
+        let token = self.core.admit(self.ctx.now(), self.driver, op, named_mn, arrival);
         self.core.dispatch(self.ctx, token);
         token
     }
@@ -491,10 +456,10 @@ impl NodeApi<'_, '_> {
     /// vector reaches the transport as one unit, so the ops coalesce into
     /// batch frames regardless of doorbell timing. Returns one token per
     /// entry, in order; each completes independently.
-    pub(crate) fn issue_vec(&mut self, specs: Vec<OpSpec>, arrival: SimTime) -> Vec<AppToken> {
+    pub(crate) fn issue_vec(&mut self, ops: Vec<Op>, arrival: SimTime) -> Vec<AppToken> {
         let (now, driver) = (self.ctx.now(), self.driver);
         let tokens: Vec<AppToken> =
-            specs.into_iter().map(|spec| self.core.admit(now, driver, spec, arrival)).collect();
+            ops.into_iter().map(|op| self.core.admit(now, driver, op, None, arrival)).collect();
         self.core.dispatch_vec(self.ctx, driver, &tokens);
         tokens
     }
@@ -731,7 +696,7 @@ impl Actor for ComputeNode {
                 if let Some(token) = self.core.pending_routes.remove(&r.tag) {
                     let core = &mut self.core;
                     let op = core.app_ops.get(&token);
-                    let op = op.map(|op| (core.pids[op.driver], op.spec.route_range()));
+                    let op = op.map(|op| (core.pids[op.driver], op.op.span()));
                     match (r.mn, op) {
                         (Some(mac), Some((pid, range))) => {
                             if let Some((va, len)) = range {
@@ -821,5 +786,7 @@ mod tests {
         router.add_exception(Pid(1), u64::MAX - 63, 64, Mac(2));
         assert_eq!(router.lookup(Pid(1), u64::MAX, 1), Route::Owned(Mac(2)));
         assert_eq!(router.lookup(Pid(1), top, 4096), Route::Spans);
+        router.apply_update(Pid(1), u64::MAX - 63, 64, Mac(3));
+        assert_eq!(router.lookup(Pid(1), u64::MAX, 1), Route::Owned(Mac(3)));
     }
 }

@@ -99,6 +99,7 @@ pub enum Framing {
 /// Submission message for the CN host actor.
 #[derive(Clone)]
 struct Submit {
+    mn: Mac,
     op: Op,
 }
 
@@ -132,7 +133,8 @@ impl Actor for McCnHost {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         let msg = match msg.downcast::<Submit>() {
             Ok(s) => {
-                self.clib.submit(ctx, &mut self.nic, ThreadId(0), s.op, &mut self.completions);
+                let (nic, done) = (&mut self.nic, &mut self.completions);
+                self.clib.submit(ctx, nic, ThreadId(0), s.mn, PID, ctx.now(), s.op, done);
                 return;
             }
             Err(m) => m,
@@ -216,29 +218,17 @@ impl Scenario {
         if mns == 1 {
             // Both ops at the same instant: the doorbell coalesces them
             // into one Batch frame under the batched framing.
-            sim.post(
-                cn,
-                Message::new(Submit {
-                    op: Op::Read { mn: MN_MAC, pid: PID, va: VA_READ, len: READ_LEN },
-                }),
-            );
-            sim.post(
-                cn,
-                Message::new(Submit {
-                    op: Op::Faa { mn: MN_MAC, pid: PID, va: VA_FAA, delta: FAA_DELTA },
-                }),
-            );
+            let read = Op::Read { va: VA_READ, len: READ_LEN };
+            sim.post(cn, Message::new(Submit { mn: MN_MAC, op: read }));
+            let faa = Op::Faa { va: VA_FAA, delta: FAA_DELTA };
+            sim.post(cn, Message::new(Submit { mn: MN_MAC, op: faa }));
         } else {
             // One read per board, all at the same instant: each board gets
             // its own frame (batching is per destination), so the wire
             // holds concurrently-in-flight traffic to every board.
             for i in 0..mns {
-                sim.post(
-                    cn,
-                    Message::new(Submit {
-                        op: Op::Read { mn: mn_mac(i), pid: PID, va: va_read(i), len: READ_LEN },
-                    }),
-                );
+                let read = Op::Read { va: va_read(i), len: READ_LEN };
+                sim.post(cn, Message::new(Submit { mn: mn_mac(i), op: read }));
             }
         }
         Scenario { sim, wire, cn, boards }

@@ -322,9 +322,6 @@ pub struct CBoard {
     tracer: Tracer,
     /// The Perfetto track this board's spans land on.
     track: Track,
-    /// Trace of the request currently executing, consumed by [`Self::respond`]
-    /// so the response's egress spans attach to the right op.
-    cur_trace: Option<TraceCtx>,
     /// Most recent echoed srtt (ns), exported for harness observability.
     peer_srtt_ns: u64,
     /// Power state: a crashed board (`BoardPower::Crash`) drops all traffic
@@ -359,7 +356,6 @@ impl CBoard {
             stats: BoardStats::default(),
             tracer: Tracer::disabled(),
             track: Track::Mn(0),
-            cur_trace: None,
             peer_srtt_ns: 0,
             alive: true,
         };
@@ -484,11 +480,6 @@ impl CBoard {
         &self.slow
     }
 
-    /// Mutable slow path (benches drive allocator sweeps directly).
-    pub fn slow_path_mut(&mut self) -> &mut SlowPath {
-        &mut self.slow
-    }
-
     fn refill_async_buffer(&mut self) {
         let demand = self.silicon.vm().async_buffer().refill_demand();
         if demand > 0 {
@@ -520,7 +511,6 @@ impl CBoard {
         self.silicon.dedup_mut().clear();
         self.fence_until = SimTime::ZERO;
         self.last_completion = SimTime::ZERO;
-        self.cur_trace = None;
     }
 
     /// Powers the board back on (`BoardPower::Restart`) with cold volatile
@@ -538,9 +528,17 @@ impl CBoard {
     /// datapath) at `at`. All board sends — responses, read fragments,
     /// NACKs — pass through here so the egress doorbell can coalesce them
     /// and `tx_frames`/`batched_responses` reflect what actually hits the
-    /// NIC.
-    fn respond(&mut self, ctx: &mut Ctx<'_>, at: SimTime, dst: Mac, pkt: ClioPacket) {
-        let trace = self.cur_trace.take();
+    /// NIC. `trace` is the op whose egress spans the packet closes: `None`
+    /// for NACKs (a corrupted header is untrustworthy) and for every read
+    /// fragment but the last.
+    fn respond(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        at: SimTime,
+        dst: Mac,
+        pkt: ClioPacket,
+        trace: Option<TraceCtx>,
+    ) {
         self.stats.tx_packets += match &pkt {
             // A coalesced NACK frame carries one logical NACK per entry.
             ClioPacket::BatchNack { req_ids } => req_ids.len() as u64,
@@ -694,17 +692,39 @@ impl CBoard {
         self.egress_scratch = Some(EgressScratch { batch, shipped });
     }
 
-    fn respond_status(
+    /// Answers the request under `header` with a single-packet response
+    /// ready at `at` — the one place a reply is built: closes the op's
+    /// board-resident timeline with a `stage` span ending at `at`, then
+    /// queues the response carrying the request's trace.
+    #[allow(clippy::too_many_arguments)] // a response's fields travel together
+    fn reply(
         &mut self,
         ctx: &mut Ctx<'_>,
+        src: Mac,
+        header: &ReqHeader,
         at: SimTime,
-        dst: Mac,
-        req_id: ReqId,
+        stage: Stage,
         status: Status,
         body: ResponseBody,
     ) {
-        let pkt = ClioPacket::Response { header: RespHeader::single(req_id, status), body };
-        self.respond(ctx, at, dst, pkt);
+        self.tracer.stitch(header.trace, self.track, stage, at);
+        let pkt = ClioPacket::Response { header: RespHeader::single(header.req_id, status), body };
+        self.respond(ctx, at, src, pkt, header.trace);
+    }
+
+    /// Answers without touching the datapath — a region refusal, a dedup
+    /// replay, an unknown offload — after bare `control_latency` (`Control`
+    /// span).
+    fn reply_control(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        src: Mac,
+        header: &ReqHeader,
+        status: Status,
+        body: ResponseBody,
+    ) {
+        let at = ctx.now() + self.control_latency();
+        self.reply(ctx, src, header, at, Stage::Control, status, body);
     }
 
     /// The small fixed cost of generating a non-data response (parse +
@@ -714,6 +734,14 @@ impl CBoard {
         hw.mac_phy_latency * 2
             + hw.clock.cycles(hw.parse_cycles)
             + hw.clock.cycles(hw.response_cycles)
+    }
+
+    /// Removes the PTEs of `vpns` and hands the physical pages behind the
+    /// valid ones back to the allocator.
+    fn unmap(&mut self, pid: Pid, vpns: &[u64]) {
+        let vm = self.silicon.vm_mut();
+        let freed = vpns.iter().filter_map(|&vpn| vm.remove_pte(pid, vpn)).filter(|pte| pte.valid);
+        self.slow.palloc_mut().free_many(freed.map(|pte| pte.ppn));
     }
 
     fn note_completion(&mut self, done: SimTime) {
@@ -776,9 +804,9 @@ impl CBoard {
 
     /// Tiles the op's board-resident time with the datapath's measured
     /// stage attribution ([`clio_hw::silicon::Breakdown::stage_components`]
-    /// sums to the access's total exactly), then closes with an
-    /// `ExecuteTail` span to `done` that absorbs any residue — e.g. the
-    /// first pass of a stall-retried access, whose timing the second
+    /// sums to the access's total exactly). The answer then closes with an
+    /// `ExecuteTail` span to `timing.done` that absorbs any residue — e.g.
+    /// the first pass of a stall-retried access, whose timing the second
     /// pass's breakdown does not cover.
     fn tile_breakdown(&self, trace: Option<TraceCtx>, timing: &AccessTiming) {
         if trace.is_none() {
@@ -789,7 +817,6 @@ impl CBoard {
             t += d;
             self.tracer.stitch(trace, self.track, stage, t);
         }
-        self.tracer.stitch(trace, self.track, Stage::ExecuteTail, timing.done);
     }
 
     fn handle_request(
@@ -805,7 +832,6 @@ impl CBoard {
         // advances the same op's wire span (the cursor makes overlapping
         // fragment flights collapse instead of double-counting).
         self.tracer.stitch(header.trace, Track::Wire, Stage::Wire, now);
-        self.cur_trace = header.trace;
         // An echoed CN srtt re-anchors this destination's derived egress
         // hold budget on the signal the CN's own doorbell budget uses.
         if let Some(echo) = header.srtt_echo_ns {
@@ -820,17 +846,17 @@ impl CBoard {
         match body {
             RequestBody::Read { va, len } => {
                 if let Some(status) = self.region_refusal(pid, va) {
-                    let at = now + self.control_latency();
-                    self.tracer.stitch(header.trace, self.track, Stage::Control, at);
-                    self.respond_status(ctx, at, src, header.req_id, status, ResponseBody::Done);
-                    return;
+                    return self.reply_control(ctx, src, &header, status, ResponseBody::Done);
                 }
                 self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
-                let (res, timing) = self.read_with_stall_retry(start, pid, va, len);
+                let (res, timing) =
+                    self.with_stall_retry(start, |silicon, at| silicon.read(at, pid, va, len));
                 self.note_completion(timing.done);
                 self.tile_breakdown(header.trace, &timing);
+                let tail = Stage::ExecuteTail;
                 match res {
                     Ok(data) => {
+                        self.tracer.stitch(header.trace, self.track, tail, timing.done);
                         let pkts = read_response_fragments(header.req_id, Status::Ok, data);
                         let last = pkts.len() - 1;
                         for (i, pkt) in pkts.enumerate() {
@@ -838,47 +864,31 @@ impl CBoard {
                             // CN closes its wire span at reassembly
                             // completion, and the last fragment's NIC
                             // serialization is the op's egress tail.
-                            self.cur_trace = if i == last { header.trace } else { None };
-                            self.respond(ctx, timing.done, src, pkt);
+                            let trace = header.trace.filter(|_| i == last);
+                            self.respond(ctx, timing.done, src, pkt, trace);
                         }
                     }
-                    Err(status) => self.respond_status(
-                        ctx,
-                        timing.done,
-                        src,
-                        header.req_id,
-                        status,
-                        ResponseBody::Done,
-                    ),
+                    Err(status) => {
+                        let body = ResponseBody::Done;
+                        self.reply(ctx, src, &header, timing.done, tail, status, body)
+                    }
                 }
             }
             RequestBody::WriteFrag { va, data } => {
                 if let Some(status) = self.region_refusal(pid, va) {
-                    let at = now + self.control_latency();
-                    self.tracer.stitch(header.trace, self.track, Stage::Control, at);
-                    self.respond_status(ctx, at, src, header.req_id, status, ResponseBody::Done);
-                    return;
+                    return self.reply_control(ctx, src, &header, status, ResponseBody::Done);
                 }
                 if let Some(rec) = self.dedup_hit(&header) {
                     self.stats.dedup_replays += 1;
                     // Keep the retry chain alive: a retry of THIS retry must
                     // also find a record.
                     self.record_dedup(&header, rec);
-                    let at = now + self.control_latency();
-                    self.tracer.stitch(header.trace, self.track, Stage::Control, at);
                     debug_assert!(matches!(rec, DedupRecord::Write));
-                    self.respond_status(
-                        ctx,
-                        at,
-                        src,
-                        header.req_id,
-                        Status::Ok,
-                        ResponseBody::Done,
-                    );
-                    return;
+                    return self.reply_control(ctx, src, &header, Status::Ok, ResponseBody::Done);
                 }
                 self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
-                let (res, timing) = self.write_with_stall_retry(start, pid, va, &data);
+                let (res, timing) =
+                    self.with_stall_retry(start, |silicon, at| silicon.write(at, pid, va, &data));
                 self.note_completion(timing.done);
                 if header.pkt_count <= 1 {
                     self.tile_breakdown(header.trace, &timing);
@@ -903,35 +913,47 @@ impl CBoard {
                 self.fence_until = self.fence_until.max(barrier);
                 let at = barrier.max(now) + self.control_latency();
                 self.tracer.stitch(header.trace, self.track, Stage::FenceHold, barrier);
-                self.tracer.stitch(header.trace, self.track, Stage::Control, at);
-                self.respond_status(ctx, at, src, header.req_id, Status::Ok, ResponseBody::Done);
+                self.reply(ctx, src, &header, at, Stage::Control, Status::Ok, ResponseBody::Done);
             }
             RequestBody::Alloc { size, perm, fixed_va } => {
-                self.run_slow_alloc(ctx, src, header, size, perm, fixed_va)
+                if !self.slow.has_pid(pid) {
+                    // Implicit address-space creation on first allocation
+                    // keeps the client API simple (CreateAs remains
+                    // available explicitly).
+                    self.slow.create_as(pid);
+                }
+                let (service, status, body) = match self.slow.alloc(pid, size, perm, fixed_va) {
+                    Ok(out) => {
+                        for pte in &out.ptes {
+                            self.silicon
+                                .vm_mut()
+                                .install_pte(*pte)
+                                .expect("allocator pre-checked bucket capacity");
+                        }
+                        (out.service, Status::Ok, ResponseBody::Alloced { va: out.range.start })
+                    }
+                    Err((status, service)) => (service, status, ResponseBody::Done),
+                };
+                self.reply_slow(ctx, src, &header, service, status, body);
             }
-            RequestBody::Free { va, size: _ } => self.run_slow_free(ctx, src, header, va),
+            RequestBody::Free { va, size: _ } => {
+                let (service, status) = match self.slow.free(pid, va) {
+                    Ok(out) => {
+                        self.unmap(pid, &out.vpns);
+                        (out.service, Status::Ok)
+                    }
+                    Err((status, service)) => (service, status),
+                };
+                self.reply_slow(ctx, src, &header, service, status, ResponseBody::Done);
+            }
             RequestBody::CreateAs => {
                 let service = self.slow.create_as(pid);
-                let at = self.slow_path_completion(now, service);
-                self.stats.slow_ops += 1;
-                self.tracer.stitch(header.trace, self.track, Stage::SlowPath, at);
-                self.respond_status(ctx, at, src, header.req_id, Status::Ok, ResponseBody::Done);
+                self.reply_slow(ctx, src, &header, service, Status::Ok, ResponseBody::Done);
             }
             RequestBody::DestroyAs => {
                 let (vpns, service) = self.slow.destroy_as(pid);
-                let mut freed = Vec::new();
-                for vpn in vpns {
-                    if let Some(pte) = self.silicon.vm_mut().remove_pte(pid, vpn) {
-                        if pte.valid {
-                            freed.push(pte.ppn);
-                        }
-                    }
-                }
-                self.slow.palloc_mut().free_many(freed);
-                let at = self.slow_path_completion(now, service);
-                self.stats.slow_ops += 1;
-                self.tracer.stitch(header.trace, self.track, Stage::SlowPath, at);
-                self.respond_status(ctx, at, src, header.req_id, Status::Ok, ResponseBody::Done);
+                self.unmap(pid, &vpns);
+                self.reply_slow(ctx, src, &header, service, Status::Ok, ResponseBody::Done);
             }
             RequestBody::OffloadCall { offload, opcode, arg } => {
                 self.run_offload(ctx, src, header, start, offload, opcode, arg)
@@ -941,38 +963,19 @@ impl CBoard {
         self.check_pressure(ctx);
     }
 
-    /// Executes a read, retrying once after an async-buffer refill if the
-    /// fault handler stalled on an empty buffer.
-    fn read_with_stall_retry(
+    /// Executes a datapath access, retrying once after an async-buffer
+    /// refill if the fault handler stalled on an empty buffer.
+    fn with_stall_retry<T>(
         &mut self,
         start: SimTime,
-        pid: Pid,
-        va: u64,
-        len: u32,
-    ) -> (Result<Bytes, Status>, AccessTiming) {
-        let (res, t) = self.silicon.read(start, pid, va, len);
-        if res.as_ref().err() == Some(&Status::OutOfPhysicalMemory) {
-            self.refill_async_buffer();
-            let (res2, t2) = self.silicon.read(t.done, pid, va, len);
-            return (res2, t2);
+        mut access: impl FnMut(&mut Silicon, SimTime) -> (Result<T, Status>, AccessTiming),
+    ) -> (Result<T, Status>, AccessTiming) {
+        let (res, t) = access(&mut self.silicon, start);
+        if res.as_ref().err() != Some(&Status::OutOfPhysicalMemory) {
+            return (res, t);
         }
-        (res, t)
-    }
-
-    fn write_with_stall_retry(
-        &mut self,
-        start: SimTime,
-        pid: Pid,
-        va: u64,
-        data: &[u8],
-    ) -> (Result<(), Status>, AccessTiming) {
-        let (res, t) = self.silicon.write(start, pid, va, data);
-        if res.as_ref().err() == Some(&Status::OutOfPhysicalMemory) {
-            self.refill_async_buffer();
-            let (res2, t2) = self.silicon.write(t.done, pid, va, data);
-            return (res2, t2);
-        }
-        (res, t)
+        self.refill_async_buffer();
+        access(&mut self.silicon, t.done)
     }
 
     /// Tracks fragment completion of a (possibly multi-packet) write and
@@ -1017,14 +1020,12 @@ impl CBoard {
                     DedupRecord::Write,
                 );
             }
-            if header.pkt_count > 1 {
-                // A multi-packet write's fragments interleave on the
-                // datapath, so per-stage attribution is not well defined;
-                // one `Execute` span covers the whole occupancy (the
-                // fragments' wire spans were stitched as they arrived).
-                self.tracer.stitch(header.trace, self.track, Stage::Execute, p.done);
-            }
-            self.respond_status(ctx, p.done, p.src, header.req_id, status, ResponseBody::Done);
+            // A multi-packet write's fragments interleave on the datapath,
+            // so per-stage attribution is not well defined; one `Execute`
+            // span covers the whole occupancy (the fragments' wire spans
+            // were stitched as they arrived).
+            let stage = if header.pkt_count > 1 { Stage::Execute } else { Stage::ExecuteTail };
+            self.reply(ctx, p.src, &header, p.done, stage, status, ResponseBody::Done);
         }
     }
 
@@ -1038,129 +1039,50 @@ impl CBoard {
         op: AtomicOp,
     ) {
         if let Some(status) = self.region_refusal(header.pid, va) {
-            let at = ctx.now() + self.control_latency();
-            self.tracer.stitch(header.trace, self.track, Stage::Control, at);
-            self.respond_status(ctx, at, src, header.req_id, status, ResponseBody::Done);
-            return;
+            return self.reply_control(ctx, src, &header, status, ResponseBody::Done);
         }
         if let Some(rec) = self.dedup_hit(&header) {
             self.stats.dedup_replays += 1;
             self.record_dedup(&header, rec);
-            let at = ctx.now() + self.control_latency();
-            self.tracer.stitch(header.trace, self.track, Stage::Control, at);
             let old = match rec {
                 DedupRecord::Atomic { old } => old,
                 DedupRecord::Write => 0,
             };
-            self.respond_status(
-                ctx,
-                at,
-                src,
-                header.req_id,
-                Status::Ok,
-                ResponseBody::AtomicOld { old },
-            );
-            return;
+            let body = ResponseBody::AtomicOld { old };
+            return self.reply_control(ctx, src, &header, Status::Ok, body);
         }
         self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
         let (res, t) = self.silicon.atomic(start, header.pid, va, op);
-        let done = t.done;
-        self.note_completion(done);
+        self.note_completion(t.done);
         self.tile_breakdown(header.trace, &t);
-        match res {
+        let (status, body) = match res {
             Ok(old) => {
                 self.record_dedup(&header, DedupRecord::Atomic { old });
-                self.respond_status(
-                    ctx,
-                    done,
-                    src,
-                    header.req_id,
-                    Status::Ok,
-                    ResponseBody::AtomicOld { old },
-                );
+                (Status::Ok, ResponseBody::AtomicOld { old })
             }
-            Err(status) => {
-                self.respond_status(ctx, done, src, header.req_id, status, ResponseBody::Done)
-            }
-        }
+            Err(status) => (status, ResponseBody::Done),
+        };
+        self.reply(ctx, src, &header, t.done, Stage::ExecuteTail, status, body);
     }
 
-    /// ARM completion time for a slow-path op arriving now: MAC ingress,
-    /// crossing, worker queueing + service, crossing back, MAC egress.
-    fn slow_path_completion(&mut self, now: SimTime, service: SimDuration) -> SimTime {
-        let hw = &self.cfg.hw;
-        let at_arm = now + hw.mac_phy_latency + self.slow.crossing_delay();
-        let served = self.slow.workers_mut().reserve(at_arm, service);
-        served.end + self.slow.crossing_delay() + hw.mac_phy_latency
-    }
-
-    fn run_slow_alloc(
+    /// Answers a slow-path op arriving now once the ARM has served it
+    /// (`SlowPath` span): MAC ingress, crossing, worker queueing +
+    /// `service`, crossing back, MAC egress.
+    fn reply_slow(
         &mut self,
         ctx: &mut Ctx<'_>,
         src: Mac,
-        header: ReqHeader,
-        size: u64,
-        perm: clio_proto::Perm,
-        fixed_va: Option<u64>,
+        header: &ReqHeader,
+        service: SimDuration,
+        status: Status,
+        body: ResponseBody,
     ) {
-        let now = ctx.now();
         self.stats.slow_ops += 1;
-        if !self.slow.has_pid(header.pid) {
-            // Implicit address-space creation on first allocation keeps the
-            // client API simple (CreateAs remains available explicitly).
-            self.slow.create_as(header.pid);
-        }
-        match self.slow.alloc(header.pid, size, perm, fixed_va) {
-            Ok(out) => {
-                for pte in &out.ptes {
-                    self.silicon
-                        .vm_mut()
-                        .install_pte(*pte)
-                        .expect("allocator pre-checked bucket capacity");
-                }
-                let at = self.slow_path_completion(now, out.service);
-                self.tracer.stitch(header.trace, self.track, Stage::SlowPath, at);
-                self.respond_status(
-                    ctx,
-                    at,
-                    src,
-                    header.req_id,
-                    Status::Ok,
-                    ResponseBody::Alloced { va: out.range.start },
-                );
-            }
-            Err((status, service)) => {
-                let at = self.slow_path_completion(now, service);
-                self.tracer.stitch(header.trace, self.track, Stage::SlowPath, at);
-                self.respond_status(ctx, at, src, header.req_id, status, ResponseBody::Done);
-            }
-        }
-    }
-
-    fn run_slow_free(&mut self, ctx: &mut Ctx<'_>, src: Mac, header: ReqHeader, va: u64) {
-        let now = ctx.now();
-        self.stats.slow_ops += 1;
-        match self.slow.free(header.pid, va) {
-            Ok(out) => {
-                let mut freed = Vec::new();
-                for &vpn in &out.vpns {
-                    if let Some(pte) = self.silicon.vm_mut().remove_pte(header.pid, vpn) {
-                        if pte.valid {
-                            freed.push(pte.ppn);
-                        }
-                    }
-                }
-                self.slow.palloc_mut().free_many(freed);
-                let at = self.slow_path_completion(now, out.service);
-                self.tracer.stitch(header.trace, self.track, Stage::SlowPath, at);
-                self.respond_status(ctx, at, src, header.req_id, Status::Ok, ResponseBody::Done);
-            }
-            Err((status, service)) => {
-                let at = self.slow_path_completion(now, service);
-                self.tracer.stitch(header.trace, self.track, Stage::SlowPath, at);
-                self.respond_status(ctx, at, src, header.req_id, status, ResponseBody::Done);
-            }
-        }
+        let hw = &self.cfg.hw;
+        let at_arm = ctx.now() + hw.mac_phy_latency + self.slow.crossing_delay();
+        let served = self.slow.workers_mut().reserve(at_arm, service);
+        let at = served.end + self.slow.crossing_delay() + hw.mac_phy_latency;
+        self.reply(ctx, src, header, at, Stage::SlowPath, status, body);
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the wire-format fields
@@ -1175,17 +1097,7 @@ impl CBoard {
         arg: Bytes,
     ) {
         let Some(mut installed) = self.offloads.remove(&offload) else {
-            let at = ctx.now() + self.control_latency();
-            self.tracer.stitch(header.trace, self.track, Stage::Control, at);
-            self.respond_status(
-                ctx,
-                at,
-                src,
-                header.req_id,
-                Status::Unsupported,
-                ResponseBody::Done,
-            );
-            return;
+            return self.reply_control(ctx, src, &header, Status::Unsupported, ResponseBody::Done);
         };
         self.stats.offload_calls += 1;
         self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
@@ -1203,16 +1115,8 @@ impl CBoard {
         let done = env_done + hw.clock.cycles(hw.response_cycles) + hw.mac_phy_latency;
         self.offloads.insert(offload, installed);
         self.note_completion(done);
-        self.tracer.stitch(header.trace, self.track, Stage::Execute, done);
-        self.respond(
-            ctx,
-            done,
-            src,
-            ClioPacket::Response {
-                header: RespHeader::single(header.req_id, reply.status),
-                body: ResponseBody::OffloadReply { data: reply.data },
-            },
-        );
+        let body = ResponseBody::OffloadReply { data: reply.data };
+        self.reply(ctx, src, &header, done, Stage::Execute, reply.status, body);
     }
 
     // ------------------------------------------------------------------
@@ -1346,15 +1250,7 @@ impl CBoard {
                 let Some(out) = self.out_migrations.remove(&(pid, start)) else { return };
                 self.regions.complete(pid, start, out.dst);
                 // Free local pages and PTEs.
-                let mut freed = Vec::new();
-                for vpn in &out.vpns {
-                    if let Some(pte) = self.silicon.vm_mut().remove_pte(pid, *vpn) {
-                        if pte.valid {
-                            freed.push(pte.ppn);
-                        }
-                    }
-                }
-                self.slow.palloc_mut().free_many(freed);
+                self.unmap(pid, &out.vpns);
                 if let Some(controller) = self.controller {
                     ctx.send(
                         controller,
@@ -1429,7 +1325,6 @@ impl Actor for CBoard {
             // spans — its header (and trace context) is untrustworthy. The
             // CN's `NackTurnaround` span absorbs the wire + board time, so
             // the op's trace still tiles exactly.
-            self.cur_trace = None;
             // Link-layer integrity failure: NACK the request (§4.4). A
             // corrupted batch frame NACKs every request it carried — each
             // is an independent logical request the CN retries on its own —
@@ -1439,28 +1334,27 @@ impl Actor for CBoard {
             // sixteen. With response batching disabled (`resp_batch_max_ops
             // = 1`) every take yields a plain `Nack`: the pre-coalescing
             // wire behavior, one frame per entry.
+            let at = ctx.now() + self.control_latency();
             match frame.payload.downcast_ref::<ClioPacket>() {
                 Some(ClioPacket::Request { header, .. }) => {
                     let req_id = header.req_id;
                     self.stats.nacks += 1;
-                    let at = ctx.now() + self.control_latency();
-                    self.respond(ctx, at, src, ClioPacket::Nack { req_id });
+                    self.respond(ctx, at, src, ClioPacket::Nack { req_id }, None);
                 }
                 Some(ClioPacket::Batch { requests }) => {
-                    let at = ctx.now() + self.control_latency();
                     self.stats.nacks += requests.len() as u64;
                     let mut batch =
                         Packer::<ReqId>::new(self.cfg.resp_batch_max_ops as usize, MTU_BYTES);
                     for (header, _) in requests {
                         if !batch.fits(codec::NACK_ENTRY_BYTES) {
                             if let Some(pkt) = batch.take() {
-                                self.respond(ctx, at, src, pkt);
+                                self.respond(ctx, at, src, pkt, None);
                             }
                         }
                         batch.push(header.req_id);
                     }
                     if let Some(pkt) = batch.take() {
-                        self.respond(ctx, at, src, pkt);
+                        self.respond(ctx, at, src, pkt, None);
                     }
                 }
                 _ => {}

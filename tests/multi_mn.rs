@@ -379,3 +379,48 @@ fn multi_mn_schedule_is_identical_across_eight_builds_in_one_process() {
         assert_eq!(moved, None, "build {build}: first diverging (cn, task, op, completed_at)");
     }
 }
+
+/// An `rfence` fences every MN, one leg after another (each leg is a
+/// barrier on the same CLib thread, so they run in `mn_macs` order). A
+/// fence that missed a board did not fence: the first failed leg's error
+/// is what the task sees, not whatever the last leg happened to report.
+///
+/// Regression: the node discarded every leg's completion but the last,
+/// *including its `Err`* — with mn0 unreachable and mn1 healthy the fence
+/// reported `Ok(Done)`.
+#[test]
+fn rfence_reports_the_leg_that_failed_not_the_one_that_landed_last() {
+    use clio::cn::{ClioError, CompletionValue};
+    use clio::net::{ChaosAction, ChaosSchedule};
+
+    let mut cfg = ClusterConfig::test_small();
+    cfg.mns = 2;
+    cfg.clib.breaker_threshold = 1;
+    cfg.clib.breaker_probe_backoff = SimDuration::from_millis(50);
+    let mut cluster = Cluster::build(&cfg);
+    let (mn0, mn1) = (cluster.mn_macs()[0], cluster.mn_macs()[1]);
+    cluster.apply_chaos(
+        &ChaosSchedule::new().at(SimDuration::from_micros(200), ChaosAction::LinkDown(mn0)),
+    );
+
+    let pid = Pid(1);
+    let (vas, reads, fence) = cluster.block_on(0, pid, |h| async move {
+        // Most-free-bytes placement: the first page lands on mn0, and once
+        // it is touched the second lands on mn1.
+        let mut vas = Vec::new();
+        for fill in [0xA0u8, 0xB1] {
+            let va = h.ralloc(PAGE, Perm::RW).await.va();
+            h.rwrite(va, Bytes::from(vec![fill; PAGE as usize])).await;
+            vas.push(va);
+        }
+        h.sleep(SimTime::from_nanos(400_000).since(h.now())).await;
+        let reads = vec![h.rread(vas[0], 8).await.result, h.rread(vas[1], 8).await.result];
+        (vas, reads, h.rfence().await.result)
+    });
+
+    let owners: Vec<_> = vas.iter().map(|&va| cluster.cn(0).route_of(pid, va, PAGE)).collect();
+    assert_eq!(owners, [Some(mn0), Some(mn1)], "one page on each board");
+    assert_eq!(reads[0], Err(ClioError::Unreachable { mn: mn0 }), "mn0 is cut off");
+    assert_eq!(reads[1], Ok(CompletionValue::Data(Bytes::from(vec![0xB1; 8]))), "mn1 serves");
+    assert_eq!(fence, Err(ClioError::Unreachable { mn: mn0 }), "mn0 was never fenced");
+}
