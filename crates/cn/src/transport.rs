@@ -111,7 +111,7 @@ use clio_proto::{
     RequestBody, RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES, MAX_WRITE_FRAG_PAYLOAD,
     MTU_BYTES,
 };
-use clio_sim::table::{fnv_fold, fnv_mix};
+use clio_sim::table::{mix, mix_bytes, mix_section, MIX_SEED};
 use clio_sim::{Ctx, EventId, IdMap, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
@@ -526,53 +526,46 @@ fn fail(
 
 /// Content digest of a blueprint (shape + addresses + payload bytes).
 fn blueprint_digest(bp: &Blueprint) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = MIX_SEED;
     match bp {
         Blueprint::Read { va, len } => {
-            h = fnv_mix(h, 1);
-            h = fnv_mix(h, *va);
-            h = fnv_mix(h, *len as u64);
+            h = mix(h, 1);
+            h = mix(h, *va);
+            h = mix(h, *len as u64);
         }
         Blueprint::Write { va, data } => {
-            h = fnv_mix(h, 2);
-            h = fnv_mix(h, *va);
-            h = fnv_mix(h, data.len() as u64);
-            for chunk in data.chunks(8) {
-                let mut v = [0u8; 8];
-                v[..chunk.len()].copy_from_slice(chunk);
-                h = fnv_mix(h, u64::from_le_bytes(v));
-            }
+            h = mix(h, 2);
+            h = mix(h, *va);
+            h = mix(h, data.len() as u64);
+            h = mix_bytes(h, data);
         }
         Blueprint::Atomic { va, op } => {
-            h = fnv_mix(h, 3);
-            h = fnv_mix(h, *va);
-            h = fnv_mix(
-                h,
-                match op {
-                    AtomicKind::Tas => 1,
-                    AtomicKind::Store(v) => fnv_mix(2, *v),
-                    AtomicKind::Cas { expected, new } => fnv_mix(fnv_mix(3, *expected), *new),
-                    AtomicKind::Faa(d) => fnv_mix(4, *d),
-                },
-            );
+            h = mix(h, 3);
+            h = mix(h, *va);
+            h = match op {
+                AtomicKind::Tas => mix(h, 1),
+                AtomicKind::Store(v) => mix(mix(h, 2), *v),
+                AtomicKind::Cas { expected, new } => mix(mix(mix(h, 3), *expected), *new),
+                AtomicKind::Faa(d) => mix(mix(h, 4), *d),
+            };
         }
-        Blueprint::Fence => h = fnv_mix(h, 4),
+        Blueprint::Fence => h = mix(h, 4),
         Blueprint::Alloc { size, .. } => {
-            h = fnv_mix(h, 5);
-            h = fnv_mix(h, *size);
+            h = mix(h, 5);
+            h = mix(h, *size);
         }
         Blueprint::Free { va, size } => {
-            h = fnv_mix(h, 6);
-            h = fnv_mix(h, *va);
-            h = fnv_mix(h, *size);
+            h = mix(h, 6);
+            h = mix(h, *va);
+            h = mix(h, *size);
         }
-        Blueprint::CreateAs => h = fnv_mix(h, 7),
-        Blueprint::DestroyAs => h = fnv_mix(h, 8),
+        Blueprint::CreateAs => h = mix(h, 7),
+        Blueprint::DestroyAs => h = mix(h, 8),
         Blueprint::Offload { offload, opcode, arg } => {
-            h = fnv_mix(h, 9);
-            h = fnv_mix(h, *offload as u64);
-            h = fnv_mix(h, *opcode as u64);
-            h = fnv_mix(h, arg.len() as u64);
+            h = mix(h, 9);
+            h = mix(h, *offload as u64);
+            h = mix(h, *opcode as u64);
+            h = mix(h, arg.len() as u64);
         }
     }
     h
@@ -762,7 +755,7 @@ impl Transport {
         Ok(())
     }
 
-    /// An FNV-1a digest of the transport's **logical** state, independent
+    /// A digest of the transport's **logical** state, independent
     /// of table layout: outstanding requests (id, token, target, retry
     /// counts, expected bytes, blueprint shape), parked conflicts, every
     /// peer's queued sends, queued retransmissions, window slot count and
@@ -775,48 +768,48 @@ impl Transport {
     /// states with equal fingerprints can differ in timing, never in
     /// protocol-visible structure.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = MIX_SEED;
         let mut outstanding: Vec<u64> = self
             .outstanding
             .iter()
             .map(|(id, o)| {
-                let mut e = fnv_mix(0xcbf2_9ce4_8422_2325, id.0);
-                e = fnv_mix(e, o.token.0);
-                e = fnv_mix(e, o.target.0 as u64);
-                e = fnv_mix(e, o.retries as u64);
-                e = fnv_mix(e, o.conflict_retries as u64);
-                e = fnv_mix(e, o.expected_bytes);
-                fnv_mix(e, blueprint_digest(&o.blueprint))
+                let mut e = mix(MIX_SEED, id.0);
+                e = mix(e, o.token.0);
+                e = mix(e, o.target.0 as u64);
+                e = mix(e, o.retries as u64);
+                e = mix(e, o.conflict_retries as u64);
+                e = mix(e, o.expected_bytes);
+                mix(e, blueprint_digest(&o.blueprint))
             })
             .collect();
         outstanding.sort_unstable();
-        h = fnv_fold(h, 1, &outstanding);
+        h = mix_section(h, 1, &outstanding);
         let mut parked: Vec<u64> = self
             .parked_conflicts
             .iter()
-            .map(|(t, o)| fnv_mix(fnv_mix(0xcbf2_9ce4_8422_2325, t.0), o.conflict_retries as u64))
+            .map(|(t, o)| mix(mix(MIX_SEED, t.0), o.conflict_retries as u64))
             .collect();
         parked.sort_unstable();
-        h = fnv_fold(h, 2, &parked);
+        h = mix_section(h, 2, &parked);
         // One pass over the peers in `Mac` order; queues hash in queue order.
         let mut peers: Vec<(&Mac, &Peer)> = self.peers.iter().collect();
         peers.sort_unstable_by_key(|(mac, _)| **mac);
         for (mac, p) in peers {
-            h = fnv_mix(h, mac.0 as u64);
-            h = fnv_mix(h, p.queue.len() as u64);
+            h = mix(h, mac.0 as u64);
+            h = mix(h, p.queue.len() as u64);
             for s in &p.queue {
-                h = fnv_mix(fnv_mix(h, s.token.0), blueprint_digest(&s.blueprint));
+                h = mix(mix(h, s.token.0), blueprint_digest(&s.blueprint));
             }
-            h = fnv_mix(h, p.retries.len() as u64);
+            h = mix(h, p.retries.len() as u64);
             for (id, retry_of) in &p.retries {
-                h = fnv_mix(fnv_mix(h, id.0), retry_of.map_or(0, |r| r.0));
+                h = mix(mix(h, id.0), retry_of.map_or(0, |r| r.0));
             }
-            h = fnv_mix(h, p.cwnd.outstanding());
-            h = fnv_mix(h, p.breaker.state() as u64);
-            h = fnv_mix(h, p.breaker.streak() as u64);
+            h = mix(h, p.cwnd.outstanding());
+            h = mix(h, p.breaker.state() as u64);
+            h = mix(h, p.breaker.streak() as u64);
         }
-        h = fnv_mix(h, self.iwnd.in_flight());
-        h = fnv_mix(h, self.next_req);
+        h = mix(h, self.iwnd.in_flight());
+        h = mix(h, self.next_req);
         h
     }
 

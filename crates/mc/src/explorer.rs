@@ -64,6 +64,7 @@ use std::hash::{Hash, Hasher};
 
 use clio_cn::transport::McMutation;
 use clio_proto::ClioPacket;
+use clio_sim::table::{mix, mix_bytes, MIX_SEED};
 use clio_sim::{IdMap, IdSet, SimDuration};
 
 use crate::harness::{Framing, Outcome, Scenario};
@@ -441,7 +442,7 @@ impl Run {
     /// completions. Absolute times are excluded (see the module docs on
     /// pruning).
     pub fn state_hash(&self) -> u64 {
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = StateHasher(MIX_SEED);
         // Crash count is part of the logical state: a post-blip state with
         // a cold dedup buffer is checked against a different (relaxed)
         // quiescent spec than its crash-free twin, so they must not prune
@@ -602,18 +603,38 @@ impl Run {
     }
 }
 
-/// FNV-1a as a [`Hasher`], so state hashes through `Hash` impls.
-struct Fnv(u64);
+/// The state hash as a [`Hasher`], so packets and completions hash through
+/// their `Hash` impls: an integer write folds one word, a byte write its
+/// 8-byte words plus the tail ([`mix`], [`mix_bytes`]).
+struct StateHasher(u64);
 
-impl Hasher for Fnv {
+impl Hasher for StateHasher {
     fn finish(&self) -> u64 {
         self.0
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0 = mix_bytes(self.0, bytes);
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.0 = mix(self.0, v.into());
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.0 = mix(self.0, v.into());
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = mix(self.0, v.into());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = mix(self.0, v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.0 = mix(self.0, v as u64);
     }
 }
 

@@ -91,7 +91,7 @@ use clio_proto::{
     codec, read_response_fragments, ClioPacket, Packer, Pid, ReqHeader, ReqId, RequestBody,
     RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES, MTU_BYTES,
 };
-use clio_sim::table::{fnv_fold, fnv_mix};
+use clio_sim::table::{mix, mix_section, MIX_SEED};
 use clio_sim::{Actor, ActorId, Ctx, IdMap, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
@@ -418,27 +418,27 @@ impl CBoard {
     /// safety properties the checker enforces, and folding timestamps in
     /// would make every state unique and pruning useless.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
+        let mut h = MIX_SEED;
         let mut writes: Vec<u64> = self
             .writes
             .pending
             .iter()
             .map(|(id, w)| {
-                let mut e = fnv_mix(0xcbf2_9ce4_8422_2325, id.0);
-                e = fnv_mix(e, w.remaining as u64);
-                e = fnv_mix(e, w.src.0 as u64);
-                e = fnv_mix(e, w.retry_of.map_or(0, |r| r.0 ^ 1));
-                fnv_mix(e, w.failed.is_some() as u64)
+                let mut e = mix(MIX_SEED, id.0);
+                e = mix(e, w.remaining as u64);
+                e = mix(e, w.src.0 as u64);
+                e = mix(e, w.retry_of.map_or(0, |r| r.0 ^ 1));
+                mix(e, w.failed.is_some() as u64)
             })
             .collect();
         writes.sort_unstable();
-        h = fnv_fold(h, 1, &writes);
+        h = mix_section(h, 1, &writes);
         let mut egress: Vec<u64> = self
             .egress
             .iter()
             .filter(|(_, egress)| !egress.queue.is_empty()) // a drained queue is no state
             .map(|(dst, egress)| {
-                let mut e = fnv_mix(0xcbf2_9ce4_8422_2325, dst.0 as u64);
+                let mut e = mix(MIX_SEED, dst.0 as u64);
                 for entry in &egress.queue {
                     let tag = match &entry.pkt {
                         ClioPacket::Request { .. } => 1,
@@ -448,18 +448,18 @@ impl CBoard {
                         ClioPacket::Nack { .. } => 5,
                         ClioPacket::BatchNack { .. } => 6,
                     };
-                    e = fnv_mix(e, tag);
-                    e = fnv_mix(e, entry.pkt.req_id().0);
+                    e = mix(e, tag);
+                    e = mix(e, entry.pkt.req_id().0);
                 }
                 e
             })
             .collect();
         egress.sort_unstable();
-        h = fnv_fold(h, 2, &egress);
-        h = fnv_mix(h, self.silicon.dedup().len() as u64);
-        h = fnv_mix(h, self.out_migrations.len() as u64);
-        h = fnv_mix(h, self.in_migrations.len() as u64);
-        h = fnv_mix(h, self.alive as u64);
+        h = mix_section(h, 2, &egress);
+        h = mix(h, self.silicon.dedup().len() as u64);
+        h = mix(h, self.out_migrations.len() as u64);
+        h = mix(h, self.in_migrations.len() as u64);
+        h = mix(h, self.alive as u64);
         h
     }
 

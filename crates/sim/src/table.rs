@@ -85,24 +85,56 @@ impl Hasher for IdHasher {
     }
 }
 
-/// FNV-1a step over one `u64` — the mixing step of the components' logical
-/// state fingerprints (`Transport::fingerprint`, `CBoard::fingerprint`),
-/// which hash table *contents* and so must not depend on table layout.
-pub fn fnv_mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// Where a content hash starts (the fractional digits of π: any odd,
+/// bit-balanced constant serves; zero would not, as `mix(0, 0) == 0`).
+pub const MIX_SEED: u64 = 0x243F_6A88_85A3_08D3;
+
+/// Multiplier of [`mix`]: odd, with both halves bit-balanced, so every
+/// input bit reaches both halves of the 128-bit product.
+const MIX_K: u64 = 0xA076_1D64_78BD_642F;
+
+/// Folds one word into a running content hash — the one mixing step behind
+/// the engine's event digest, the components' logical-state fingerprints
+/// (`Transport::fingerprint`, `CBoard::fingerprint`) and the model
+/// checker's state hash. It multiplies `h ^ word` by a fixed odd constant
+/// into 128 bits and xors the product's two halves: one multiply per word,
+/// and any single flipped input bit changes about half the result bits
+/// (the checker prunes on this hash, so one step must avalanche). Unlike
+/// [`IdHasher`]'s fold it is not meant for table indexing; it is meant to
+/// tell contents apart.
+#[inline]
+pub fn mix(h: u64, word: u64) -> u64 {
+    let p = u128::from(h ^ word) * u128::from(MIX_K);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
+/// Folds `bytes` into `h` as little-endian 8-byte words, the last one
+/// zero-padded. The length is not folded: a caller whose inputs may differ
+/// only by trailing zero bytes folds it too.
+#[inline]
+pub fn mix_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = mix(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut w = [0u8; 8];
+        w[..tail.len()].copy_from_slice(tail);
+        h = mix(h, u64::from_le_bytes(w));
     }
     h
 }
 
 /// Folds a **sorted** list of element digests into `h` under a section tag,
-/// so differently-keyed sections with equal content still hash apart.
-pub fn fnv_fold(mut h: u64, tag: u64, elems: &[u64]) -> u64 {
-    h = fnv_mix(h, tag);
-    h = fnv_mix(h, elems.len() as u64);
+/// so differently-keyed sections with equal content still hash apart. The
+/// fingerprints hash table *contents* this way, independent of table
+/// layout.
+pub fn mix_section(mut h: u64, tag: u64, elems: &[u64]) -> u64 {
+    h = mix(h, tag);
+    h = mix(h, elems.len() as u64);
     for &e in elems {
-        h = fnv_mix(h, e);
+        h = mix(h, e);
     }
     h
 }
@@ -137,6 +169,33 @@ mod tests {
             assert!(low.len() > 400, "{shape}: {} of 1024 low buckets", low.len());
             assert!(high.len() > 64, "{shape}: {} of 128 control bytes", high.len());
         }
+    }
+
+    #[test]
+    fn one_flipped_bit_changes_a_quarter_of_the_mix() {
+        // Fixed pseudo-random (h, word) pairs; every single-bit flip of the
+        // word must move at least 16 of the 64 result bits. (A step that
+        // fails this, e.g. `(h ^ w) * K` then `h ^ (h >> 29)`, moves 2 bits
+        // for bit 63.)
+        let mut rng = crate::SimRng::new(0x5EED);
+        let mut fewest = 64;
+        for _ in 0..4096 {
+            let (h, w) = (rng.u64(), rng.u64());
+            let base = mix(h, w);
+            for bit in 0..64 {
+                fewest = fewest.min((base ^ mix(h, w ^ (1 << bit))).count_ones());
+            }
+        }
+        assert!(fewest >= 16, "a one-bit flip changed only {fewest} result bits");
+    }
+
+    #[test]
+    fn mix_bytes_folds_words_and_the_tail() {
+        let eight = *b"clio_sim";
+        assert_eq!(mix_bytes(MIX_SEED, &eight), mix(MIX_SEED, u64::from_le_bytes(eight)));
+        assert_ne!(mix_bytes(MIX_SEED, b"clio_sim::A"), mix_bytes(MIX_SEED, b"clio_sim::B"));
+        assert_ne!(mix_bytes(MIX_SEED, b"clio_sim"), mix_bytes(MIX_SEED, b"clio_sim::"));
+        assert_eq!(mix_bytes(MIX_SEED, b""), MIX_SEED);
     }
 
     #[test]
