@@ -5,6 +5,7 @@ use std::collections::BinaryHeap;
 
 use crate::message::Message;
 use crate::rng::SimRng;
+use crate::table::{mix, mix_bytes, MIX_SEED};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies an actor registered with a [`Simulation`].
@@ -261,7 +262,7 @@ impl Simulation {
                 dead: 0,
                 next_seq: 0,
                 rng: SimRng::new(seed),
-                digest: 0xcbf2_9ce4_8422_2325, // FNV offset basis
+                digest: MIX_SEED,
                 events_dispatched: 0,
             },
             actors: Vec::new(),
@@ -308,8 +309,10 @@ impl Simulation {
         self.core.events_dispatched
     }
 
-    /// An order-sensitive FNV-1a digest over `(time, destination, message
-    /// type)` of every dispatched event. Two runs with identical seeds and
+    /// An order-sensitive digest over `(time, destination, message type
+    /// name)` of every dispatched event, folded with
+    /// [`mix`](crate::table::mix): the time and the destination one word
+    /// each, the name 8 bytes per step. Two runs with identical seeds and
     /// identical actor logic produce identical digests; used by determinism
     /// tests.
     pub fn digest(&self) -> u64 {
@@ -403,17 +406,10 @@ impl Simulation {
         debug_assert!(ev.at >= self.core.now, "time went backwards");
         self.core.now = ev.at;
         self.core.events_dispatched += 1;
-        // FNV-1a over (time, dst, type name) for the determinism digest.
-        let mut h = self.core.digest;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        mix(&ev.at.as_nanos().to_le_bytes());
-        mix(&(ev.dst.0 as u64).to_le_bytes());
-        mix(ev.msg.type_name().as_bytes());
-        self.core.digest = h;
+        // The determinism digest: time, destination, then the type name,
+        // one word per step.
+        let h = mix(mix(self.core.digest, ev.at.as_nanos()), ev.dst.0 as u64);
+        self.core.digest = mix_bytes(h, ev.msg.type_name().as_bytes());
 
         let slot = ev.dst.index();
         let mut actor = self.actors[slot]
@@ -578,6 +574,40 @@ mod tests {
             sim.digest()
         };
         assert_eq!(run(3), run(3));
+    }
+
+    /// Two payload types whose names have equal length and share far more
+    /// than their first 8 bytes (`clio_sim::engine::tests::Ping…`).
+    #[derive(Clone)]
+    struct PingAlpha;
+    #[derive(Clone)]
+    struct PingOmega;
+
+    struct Sink;
+    impl Actor for Sink {
+        fn on_message(&mut self, _: &mut Ctx<'_>, _: Message) {}
+    }
+
+    #[test]
+    fn the_digest_tells_apart_time_destination_and_message_type() {
+        assert_eq!(
+            std::any::type_name::<PingAlpha>().len(),
+            std::any::type_name::<PingOmega>().len()
+        );
+        let one_event = |delay: u64, dst: u32, msg: Message| {
+            let mut sim = Simulation::new(1);
+            sim.add_actor(Sink);
+            sim.add_actor(Sink);
+            sim.post_in(ActorId(dst), SimDuration::from_nanos(delay), msg);
+            sim.run_until_idle();
+            assert_eq!(sim.events_dispatched(), 1);
+            sim.digest()
+        };
+        let base = one_event(5, 0, Message::new(PingAlpha));
+        assert_eq!(base, one_event(5, 0, Message::new(PingAlpha)), "not deterministic");
+        assert_ne!(base, one_event(6, 0, Message::new(PingAlpha)), "time not folded");
+        assert_ne!(base, one_event(5, 1, Message::new(PingAlpha)), "destination not folded");
+        assert_ne!(base, one_event(5, 0, Message::new(PingOmega)), "type name not folded");
     }
 
     #[test]
