@@ -5,6 +5,12 @@
 //! materialized lazily in 4 KB chunks: simulating a 2 GB board — or a 4 TB
 //! ASIC — only costs host memory proportional to the bytes actually touched.
 //! Untouched memory reads as zero, like freshly faulted pages.
+//!
+//! A clone shares every chunk with the memory it was taken from and copies
+//! a chunk only when one side writes it (`Rc::make_mut`), so copying a
+//! board costs a table of pointers, not its DRAM.
+
+use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
 use clio_sim::IdMap;
@@ -12,10 +18,13 @@ use clio_sim::IdMap;
 /// Host-memory chunk granularity.
 const CHUNK: u64 = 4096;
 
+/// One materialized chunk.
+type Chunk = [u8; CHUNK as usize];
+
 /// Byte-addressable physical memory of one memory node.
 #[derive(Debug, Clone, Default)]
 pub struct PhysMemory {
-    chunks: IdMap<u64, Box<[u8]>>,
+    chunks: IdMap<u64, Rc<Chunk>>,
     resident_bytes: u64,
 }
 
@@ -30,15 +39,13 @@ impl PhysMemory {
         self.resident_bytes
     }
 
-    fn chunk_mut(&mut self, index: u64) -> &mut [u8] {
+    /// Chunk `index`, materialized if it was not, and unshared.
+    fn chunk_mut(&mut self, index: u64) -> &mut Chunk {
         let resident = &mut self.resident_bytes;
-        self.chunks
-            .entry(index)
-            .or_insert_with(|| {
-                *resident += CHUNK;
-                vec![0u8; CHUNK as usize].into_boxed_slice()
-            })
-            .as_mut()
+        Rc::make_mut(self.chunks.entry(index).or_insert_with(|| {
+            *resident += CHUNK;
+            Rc::new([0; CHUNK as usize])
+        }))
     }
 
     /// Writes `data` at physical address `pa`.
@@ -112,7 +119,7 @@ impl PhysMemory {
             } else if let Some(chunk) = self.chunks.get_mut(&idx) {
                 let lo = pa.max(chunk_start) - chunk_start;
                 let hi = (pa + len).min(chunk_end) - chunk_start;
-                chunk[lo as usize..hi as usize].fill(0);
+                Rc::make_mut(chunk)[lo as usize..hi as usize].fill(0);
             }
         }
     }
@@ -167,6 +174,38 @@ mod tests {
         assert_eq!(m.read(0, 1)[0], 1, "untouched data survives");
         assert_eq!(m.read(2 * CHUNK, 1)[0], 1);
         m.zero_range(0, 0); // no-op
+    }
+
+    #[test]
+    fn a_clone_shares_no_chunk_it_writes() {
+        // Three chunks of distinct bytes, then a clone; each write below
+        // lands on one side only, and the other side must not see it.
+        let mut parent = PhysMemory::new();
+        for i in 0..3u8 {
+            parent.write(u64::from(i) * CHUNK, &[i + 1; CHUNK as usize]);
+        }
+        let snapshot = |m: &PhysMemory| (m.read(0, 3 * CHUNK as usize), m.resident_bytes());
+        type Write = fn(&mut PhysMemory);
+        let writes: [(&str, Write); 5] = [
+            ("write", |m| m.write(10, b"child")),
+            ("write to a fresh chunk", |m| m.write(5 * CHUNK, b"new")),
+            ("write_u64", |m| m.write_u64(CHUNK + 8, u64::MAX)),
+            ("zero_range part", |m| m.zero_range(2 * CHUNK + 1, 100)),
+            ("zero_range whole", |m| m.zero_range(CHUNK, CHUNK)),
+        ];
+        for (name, write) in writes {
+            // The clone writes: the original keeps its bytes.
+            let before = snapshot(&parent);
+            let mut child = parent.clone();
+            write(&mut child);
+            assert_ne!(snapshot(&child), before, "{name} changed nothing");
+            assert_eq!(snapshot(&parent), before, "{name} in a clone reached the original");
+            // The original writes: the clone keeps its bytes.
+            let mut original = parent.clone();
+            let copy = original.clone();
+            write(&mut original);
+            assert_eq!(snapshot(&copy), before, "{name} in the original reached a clone");
+        }
     }
 
     #[test]
