@@ -10,6 +10,13 @@
 //! allocator refuses to hand out ranges whose pages would overflow a bucket
 //! (see `clio_mn::valloc`); [`HashPageTable::can_insert_all`] is the check it
 //! uses.
+//!
+//! A clone shares its buckets with the table it was taken from until one
+//! side changes an entry (`insert`, `remove` or `lookup_mut` make them
+//! unique), so copying a board does not copy its page tables; lookups and
+//! TLB-miss walks stay read-only.
+
+use std::rc::Rc;
 
 use clio_proto::{Perm, Pid};
 use clio_sim::IdMap;
@@ -64,7 +71,9 @@ impl std::error::Error for PageTableError {}
 /// The flat hash page table.
 #[derive(Debug, Clone)]
 pub struct HashPageTable {
-    buckets: Vec<Vec<Pte>>, // each inner Vec holds at most `slots_per_bucket`
+    /// Each inner `Vec` holds at most `slots_per_bucket` entries; shared
+    /// with clones until written.
+    buckets: Rc<Vec<Vec<Pte>>>,
     slots_per_bucket: usize,
     occupied: usize,
 }
@@ -77,7 +86,7 @@ impl HashPageTable {
     /// Panics if either dimension is zero.
     pub fn new(buckets: usize, slots_per_bucket: usize) -> Self {
         assert!(buckets > 0 && slots_per_bucket > 0, "degenerate page table");
-        HashPageTable { buckets: vec![Vec::new(); buckets], slots_per_bucket, occupied: 0 }
+        HashPageTable { buckets: Rc::new(vec![Vec::new(); buckets]), slots_per_bucket, occupied: 0 }
     }
 
     /// Number of buckets.
@@ -115,10 +124,16 @@ impl HashPageTable {
         self.buckets[self.bucket_index(pid, vpn)].iter().find(|p| p.pid == pid && p.vpn == vpn)
     }
 
+    /// The slot of `(pid, vpn)`: its bucket and its position there.
+    fn position(&self, pid: Pid, vpn: u64) -> (usize, Option<usize>) {
+        let b = self.bucket_index(pid, vpn);
+        (b, self.buckets[b].iter().position(|p| p.pid == pid && p.vpn == vpn))
+    }
+
     /// Mutable lookup (fast path marks entries valid on page faults).
     pub fn lookup_mut(&mut self, pid: Pid, vpn: u64) -> Option<&mut Pte> {
-        let b = self.bucket_index(pid, vpn);
-        self.buckets[b].iter_mut().find(|p| p.pid == pid && p.vpn == vpn)
+        let (b, Some(i)) = self.position(pid, vpn) else { return None };
+        Some(&mut Rc::make_mut(&mut self.buckets)[b][i])
     }
 
     /// Inserts a new PTE.
@@ -128,26 +143,23 @@ impl HashPageTable {
     /// [`PageTableError::BucketOverflow`] if the bucket is full,
     /// [`PageTableError::Duplicate`] if the mapping already exists.
     pub fn insert(&mut self, pte: Pte) -> Result<(), PageTableError> {
-        let b = self.bucket_index(pte.pid, pte.vpn);
-        let bucket = &mut self.buckets[b];
-        if bucket.iter().any(|p| p.pid == pte.pid && p.vpn == pte.vpn) {
+        let (b, found) = self.position(pte.pid, pte.vpn);
+        if found.is_some() {
             return Err(PageTableError::Duplicate);
         }
-        if bucket.len() >= self.slots_per_bucket {
+        if self.buckets[b].len() >= self.slots_per_bucket {
             return Err(PageTableError::BucketOverflow { bucket: b });
         }
-        bucket.push(pte);
+        Rc::make_mut(&mut self.buckets)[b].push(pte);
         self.occupied += 1;
         Ok(())
     }
 
     /// Removes and returns the PTE for `(pid, vpn)`.
     pub fn remove(&mut self, pid: Pid, vpn: u64) -> Option<Pte> {
-        let b = self.bucket_index(pid, vpn);
-        let bucket = &mut self.buckets[b];
-        let idx = bucket.iter().position(|p| p.pid == pid && p.vpn == vpn)?;
+        let (b, Some(i)) = self.position(pid, vpn) else { return None };
         self.occupied -= 1;
-        Some(bucket.swap_remove(idx))
+        Some(Rc::make_mut(&mut self.buckets)[b].swap_remove(i))
     }
 
     /// The allocation-time overflow check (§4.2): would inserting all of
@@ -271,6 +283,38 @@ mod tests {
         let e = pt.lookup(Pid(1), 5).unwrap();
         assert!(e.valid);
         assert_eq!(e.ppn, 99);
+    }
+
+    #[test]
+    fn a_clone_shares_no_entry_it_changes() {
+        let mut parent = HashPageTable::new(16, 4);
+        for vpn in 0..8 {
+            parent.insert(pte(1, vpn)).unwrap();
+        }
+        let entries = |pt: &HashPageTable| {
+            let mut all: Vec<Pte> = pt.iter().copied().collect();
+            all.sort_by_key(|p| (p.pid, p.vpn));
+            (all, pt.len())
+        };
+        type Change = fn(&mut HashPageTable);
+        let changes: [(&str, Change); 3] = [
+            ("insert", |pt| pt.insert(pte(2, 3)).unwrap()),
+            ("remove", |pt| assert!(pt.remove(Pid(1), 5).is_some())),
+            ("lookup_mut", |pt| pt.lookup_mut(Pid(1), 2).unwrap().valid = true),
+        ];
+        for (name, change) in changes {
+            // The clone changes an entry: the original keeps its entries.
+            let before = entries(&parent);
+            let mut child = parent.clone();
+            change(&mut child);
+            assert_ne!(entries(&child), before, "{name} changed nothing");
+            assert_eq!(entries(&parent), before, "{name} in a clone reached the original");
+            // The original changes an entry: the clone keeps its entries.
+            let mut original = parent.clone();
+            let copy = original.clone();
+            change(&mut original);
+            assert_eq!(entries(&copy), before, "{name} in the original reached a clone");
+        }
     }
 
     #[test]
