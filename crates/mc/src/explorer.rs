@@ -46,10 +46,14 @@
 //!
 //! # Pruning
 //!
-//! States are fingerprinted over **logical** protocol state only
-//! (transport + board fingerprints, wire contents, completions) — absolute
-//! times and EWMAs are excluded, so runs that differ only in when things
-//! happened collapse into one state. A visit is pruned only if an earlier
+//! States are fingerprinted over **logical** protocol state (transport +
+//! board fingerprints, wire contents, completions) **and the memory the
+//! final checks read** (each board's read page, the fetch-and-add cell) —
+//! absolute times and EWMAs are excluded, so runs that differ only in when
+//! things happened collapse into one state. The memory is there because a
+//! crash run's verdict depends on it: after a power-blip the fetch-and-add
+//! may re-execute, and two visits that differ only in how often it did
+//! must not prune into one. A visit is pruned only if an earlier
 //! visit of the same state **dominates** it — used no more actions *and*
 //! no more faults, so everything reachable from here within the bounds was
 //! reachable from there. Per state the search keeps the fewest actions seen
@@ -439,8 +443,8 @@ impl Run {
     }
 
     /// Fingerprint of the logical state: transport + board + wire +
-    /// completions. Absolute times are excluded (see the module docs on
-    /// pruning).
+    /// completions + the memory the final checks judge. Absolute times are
+    /// excluded (see the module docs on pruning).
     pub fn state_hash(&self) -> u64 {
         let mut h = StateHasher(MIX_SEED);
         // Crash count is part of the logical state: a post-blip state with
@@ -465,6 +469,9 @@ impl Run {
         for comp in self.scenario.host().completions() {
             (comp.token, &comp.result).hash(&mut h);
         }
+        // The memory the final checks judge: a crash lets the FAA execute
+        // again, which changes the cell and nothing else.
+        self.scenario.judged_memory(|_, bytes| h.write(bytes));
         h.finish()
     }
 

@@ -316,31 +316,52 @@ impl Scenario {
     }
 
     /// Extracts the observable outcome of a finished run: per-op results
-    /// in token order, plus the final contents of every touched page read
-    /// back directly from silicon (no protocol traffic).
-    pub fn outcome(&mut self) -> Outcome {
+    /// in token order, plus the final contents of every touched page
+    /// ([`Scenario::judged_memory`]).
+    pub fn outcome(&self) -> Outcome {
         let mut results: Vec<(u64, Result<CompletionValue, ClioError>)> =
             self.host().completions().iter().map(|c| (c.token.0, c.result.clone())).collect();
         results.sort_by_key(|(t, _)| *t);
-        let now = self.sim.now();
-        let boards = self.boards.clone();
-        let single = boards.len() == 1;
-        let mut read_pages = Vec::with_capacity(boards.len());
+        let mut read_pages = Vec::with_capacity(self.boards.len());
         let mut faa_cell = None;
-        for (i, id) in boards.iter().enumerate() {
-            let silicon = self.sim.actor_mut::<CBoard>(*id).silicon_mut();
-            let was = silicon.set_internal_access(true);
-            let (page, _) = silicon.read(now, PID, va_read(i), READ_LEN);
-            read_pages.push(page.expect("read page readable"));
-            if single {
-                let (cell, _) = silicon.read(now, PID, VA_FAA, 8);
-                let mut le = [0u8; 8];
-                le.copy_from_slice(&cell.expect("faa cell readable"));
-                faa_cell = Some(u64::from_le_bytes(le));
-            }
-            silicon.set_internal_access(was);
-        }
+        self.judged_memory(|va, bytes| match va {
+            VA_FAA => faa_cell = Some(u64::from_le_bytes(bytes.try_into().expect("8-byte cell"))),
+            _ => read_pages.push(Bytes::copy_from_slice(bytes)),
+        });
         Outcome { results, read_pages, faa_cell }
+    }
+
+    /// Calls `f(va, bytes)` with each memory range the final checks judge,
+    /// in a fixed order: every board's read-page slice, in board order,
+    /// then — single-board scenario only — the fetch-and-add cell. The
+    /// bytes come straight from each board's page table and DRAM: no
+    /// translation, TLB, timing or counter state is touched, and nothing is
+    /// allocated, so the explorer folds them into every state hash.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a judged page is unmapped or was never faulted in (the
+    /// scenario seeds every one of them before the run).
+    pub fn judged_memory(&self, mut f: impl FnMut(u64, &[u8])) {
+        let mut read_page = [0u8; READ_LEN as usize];
+        for i in 0..self.boards.len() {
+            self.read_seeded(i, va_read(i), &mut read_page);
+            f(va_read(i), &read_page);
+        }
+        if self.boards.len() == 1 {
+            let mut cell = [0u8; 8];
+            self.read_seeded(0, VA_FAA, &mut cell);
+            f(VA_FAA, &cell);
+        }
+    }
+
+    /// Reads `out.len()` bytes at `va` of board `i` through its page table.
+    fn read_seeded(&self, i: usize, va: u64, out: &mut [u8]) {
+        let silicon = self.cboard_at(i).silicon();
+        let pte = silicon.vm().page_table().lookup(PID, va / PAGE).expect("seeded page mapped");
+        assert!(pte.valid, "seeded page {va:#x} has no physical page");
+        out.fill(0);
+        silicon.mem().read_into(pte.ppn * PAGE + va % PAGE, out);
     }
 }
 
