@@ -471,7 +471,7 @@ impl Run {
         }
         // The memory the final checks judge: a crash lets the FAA execute
         // again, which changes the cell and nothing else.
-        self.scenario.judged_memory(|_, bytes| h.write(bytes));
+        self.scenario.judged_memory(|_, _, bytes| h.write(bytes));
         h.finish()
     }
 

@@ -324,15 +324,15 @@ impl Scenario {
         results.sort_by_key(|(t, _)| *t);
         let mut read_pages = Vec::with_capacity(self.boards.len());
         let mut faa_cell = None;
-        self.judged_memory(|va, bytes| match va {
+        self.judged_memory(|_, va, bytes| match va {
             VA_FAA => faa_cell = Some(u64::from_le_bytes(bytes.try_into().expect("8-byte cell"))),
             _ => read_pages.push(Bytes::copy_from_slice(bytes)),
         });
         Outcome { results, read_pages, faa_cell }
     }
 
-    /// Calls `f(va, bytes)` with each memory range the final checks judge,
-    /// in a fixed order: every board's read-page slice, in board order,
+    /// Calls `f(board, va, bytes)` with each memory range the final checks
+    /// judge, in a fixed order: every board's read-page slice, in board order,
     /// then — single-board scenario only — the fetch-and-add cell. The
     /// bytes come straight from each board's page table and DRAM: no
     /// translation, TLB, timing or counter state is touched, and nothing is
@@ -342,16 +342,16 @@ impl Scenario {
     ///
     /// Panics if a judged page is unmapped or was never faulted in (the
     /// scenario seeds every one of them before the run).
-    pub fn judged_memory(&self, mut f: impl FnMut(u64, &[u8])) {
+    pub fn judged_memory(&self, mut f: impl FnMut(usize, u64, &[u8])) {
         let mut read_page = [0u8; READ_LEN as usize];
         for i in 0..self.boards.len() {
             self.read_seeded(i, va_read(i), &mut read_page);
-            f(va_read(i), &read_page);
+            f(i, va_read(i), &read_page);
         }
         if self.boards.len() == 1 {
             let mut cell = [0u8; 8];
             self.read_seeded(0, VA_FAA, &mut cell);
-            f(VA_FAA, &cell);
+            f(0, VA_FAA, &cell);
         }
     }
 

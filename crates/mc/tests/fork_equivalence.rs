@@ -8,8 +8,11 @@
 //!    state hash, same event digest, same event count, same virtual clock.
 //! 2. **A fork aliases nothing.** Running the fork leaves the run it was
 //!    taken from untouched — wire contents, pending timers, every board
-//!    and CN metric, completions.
+//!    and CN metric, completions, and every seeded page's PTE and bytes
+//!    (DRAM and page tables are shared until written, so these are where a
+//!    copy-on-write mistake would show).
 
+use clio_mc::harness::{PAGE, PID};
 use clio_mc::{McAction, McConfig, Run};
 use clio_trace::metrics::Registry;
 
@@ -22,8 +25,9 @@ fn observed(run: &Run) -> (u64, u64, u64, u64) {
 
 /// The parts of a run a sibling fork could reach through a shared pointer:
 /// the engine's queue (pending and cancelled events), every captured frame,
-/// and every metric of the boards and the CN — all of them, by way of the
-/// same walks a cluster's registry runs.
+/// every metric of the boards and the CN — all of them, by way of the same
+/// walks a cluster's registry runs — and each board's seeded pages: their
+/// PTEs and the bytes the final checks judge.
 fn aliasable(run: &Run) -> String {
     let sc = run.scenario();
     let mut registry = Registry::default();
@@ -38,8 +42,13 @@ fn aliasable(run: &Run) -> String {
         .iter()
         .map(|c| format!("{} {:?} {:?}", c.seq, c.frame, c.frame.payload.type_name()))
         .collect();
+    let mut pages = Vec::new();
+    sc.judged_memory(|board, va, bytes| {
+        let pt = sc.cboard_at(board).silicon().vm().page_table();
+        pages.push(format!("mn{board} {va:#x} {:?} {bytes:?}", pt.lookup(PID, va / PAGE)));
+    });
     format!(
-        "{:?} | {frames:?} | {:?} {:?} | board0 {:?} | {} completions | hash {:x}",
+        "{:?} | {frames:?} | {:?} {:?} | board0 {:?} | {} completions | {pages:?} | hash {:x}",
         sc.sim,
         metrics.counters,
         metrics.gauges,
