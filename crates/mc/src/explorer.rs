@@ -24,9 +24,10 @@
 //!
 //! The search owns a live run per node on its path: a child is a fork of
 //! its parent's run ([`Scenario::fork`] — simulation, wire, boards and CN
-//! copied whole, nothing shared) plus one applied action, and the last
-//! child takes the parent's run itself. A node therefore costs one copy
-//! and one action whatever its depth, and the search is O(nodes).
+//! copied, DRAM and page tables shared until written) plus one applied
+//! action, and the last child takes the parent's run itself. A node
+//! therefore costs one copy and one action whatever its depth, and the
+//! search is O(nodes).
 //! [`replay`] is the from-scratch path: it rebuilds the scenario and
 //! applies a whole schedule, which is how a [`Violation`] is reproduced
 //! and narrated, and what the fork is tested against

@@ -236,10 +236,11 @@ impl Scenario {
 
     /// An independent copy of the scenario at this instant: the simulation
     /// (clock, pending events and timers, digest) plus a copy of the wire
-    /// with every captured frame, of each board and of the CN host.
-    /// Nothing is shared with `self`, so running either leaves the other
-    /// untouched, and the copy behaves exactly as a scenario rebuilt and
-    /// replayed to this point would.
+    /// with every captured frame, of each board and of the CN host. Each
+    /// board's DRAM chunks and page tables are shared with `self` until
+    /// either side writes them (copy-on-write); nothing else is shared. So
+    /// running either leaves the other untouched, and the copy behaves
+    /// exactly as a scenario rebuilt and replayed to this point would.
     pub fn fork(&self) -> Scenario {
         // Actor-id order, as `new_with` registered them: wire, boards, CN.
         let mut actors: Vec<Box<dyn Actor>> = Vec::with_capacity(self.boards.len() + 2);
