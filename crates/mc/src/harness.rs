@@ -76,11 +76,11 @@ pub fn read_seed(i: usize) -> u8 {
 /// memory cut to what the scenario touches — two seeded pages plus the
 /// 8-page async free-page buffer fit in 32 pages with room to spare. The
 /// explorer copies every board at every search node, and a copy costs in
-/// proportion to the page-table buckets and free-page list, which scale
-/// with physical memory: at `test_small`'s 8 MiB, copying a board is
-/// dearer than building one. The protocol under test never sees the
-/// difference (same page size, TLB and timing; the pinned search counts
-/// are the same at either size).
+/// proportion to the free-page list, which scales with physical memory
+/// (the page tables are shared until written), so the boards are sized to
+/// the scenario. The protocol under test never sees the difference (same
+/// page size, TLB and timing; the pinned search counts are the same at
+/// either size).
 fn board_hw() -> CBoardHwConfig {
     CBoardHwConfig { phys_mem_bytes: 32 * PAGE, ..CBoardHwConfig::test_small() }
 }
