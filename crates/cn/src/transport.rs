@@ -755,11 +755,11 @@ impl Transport {
         Ok(())
     }
 
-    /// A digest of the transport's **logical** state, independent
-    /// of table layout: outstanding requests (id, token, target, retry
-    /// counts, expected bytes, blueprint shape), parked conflicts, every
-    /// peer's queued sends, queued retransmissions, window slot count and
-    /// breaker state, the incast byte count and the id counter.
+    /// A digest of the transport's **logical** state, independent of table
+    /// layout: outstanding requests (id, token, target, retry counts,
+    /// expected bytes, blueprint shape), parked conflicts, every peer's
+    /// queued sends, queued retransmissions, window slot count and breaker
+    /// state, the incast byte count and the id counter.
     ///
     /// Absolute times (timer deadlines, RTT/gap EWMAs, fractional window
     /// sizes) are deliberately **excluded**: the model checker prunes

@@ -4,9 +4,9 @@
 //! vector the engine produced before any hot-path optimisation. A host-side
 //! speed-up must leave every constant below untouched; a change that moves
 //! one has changed the modeled system, not just the simulator. The one
-//! exception is a change to the digest's *definition* (the word-at-a-time
-//! fold replaced a byte-wise one): it moves only the digests, and the event
-//! counts and latency vectors carry the proof across it.
+//! exception is a change to the digest's *definition*: it moves only the
+//! digests, and the event counts and latency vectors carry the proof across
+//! it.
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -53,10 +53,9 @@ fn pinned_depth_7_two_faults() {
 /// the relaxed at-least-once spec (the dedup buffer is volatile, so a
 /// post-crash retry may re-execute the FAA once per blip, never more).
 ///
-/// The state hash folds the memory the final checks judge: two visits that
-/// differ only in how often a crash let the FAA re-execute are distinct
-/// states, so this tree is larger than it was when the hash omitted DRAM
-/// (70,289 nodes / 41,344 states, which pruned such visits into one).
+/// The state hash folds the memory the final checks judge, so two visits
+/// that differ only in how often a crash let the FAA re-execute are
+/// distinct states and neither prunes the other.
 #[test]
 fn pinned_depth_6_one_crash() {
     let cfg = McConfig { max_depth: 6, crash_budget: 1, ..McConfig::default() };
