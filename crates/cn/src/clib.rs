@@ -17,120 +17,21 @@
 
 use std::ops::RangeInclusive;
 
-use bytes::Bytes;
 use clio_net::{Frame, Mac, NicPort};
-use clio_proto::{Perm, Pid};
+use clio_proto::Pid;
 use clio_sim::{Ctx, IdMap, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
 use crate::config::CLibConfig;
 use crate::error::ClioError;
+use crate::op::Op;
 use crate::ordering::{AccessClass, DependencyTracker};
-use crate::transport::{
-    AtomicKind, Blueprint, CompletionValue, OpToken, Transport, TransportTimer, XferDone,
-};
+use crate::transport::{CompletionValue, OpToken, Transport, TransportTimer, XferDone};
 
 /// Identifies an application thread for intra-thread ordering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ThreadId(pub u64);
-
-/// A client operation — the one enumeration of Clio's call set (§3.1) above
-/// the wire. It names *what* to do; who asks (thread, pid), which memory
-/// node serves it and when it arrived are arguments of
-/// [`CLib::submit`], the same for every kind.
-#[derive(Debug, Clone)]
-pub enum Op {
-    /// `rread`: read `len` bytes at `va`.
-    Read {
-        /// Start address.
-        va: u64,
-        /// Bytes to read.
-        len: u32,
-    },
-    /// `rwrite`: write `data` at `va`.
-    Write {
-        /// Start address.
-        va: u64,
-        /// Payload.
-        data: Bytes,
-    },
-    /// `ralloc`: allocate remote virtual memory.
-    Alloc {
-        /// Bytes requested.
-        size: u64,
-        /// Permissions.
-        perm: Perm,
-    },
-    /// `rfree`.
-    Free {
-        /// Range start.
-        va: u64,
-        /// Range length.
-        size: u64,
-    },
-    /// `rlock`: spin until the 8-byte word at `va` transitions 0 → 1.
-    Lock {
-        /// Lock word address.
-        va: u64,
-    },
-    /// `runlock`: store 0 into the lock word.
-    Unlock {
-        /// Lock word address.
-        va: u64,
-    },
-    /// Fetch-and-add.
-    Faa {
-        /// Word address.
-        va: u64,
-        /// Addend.
-        delta: u64,
-    },
-    /// Compare-and-swap.
-    Cas {
-        /// Word address.
-        va: u64,
-        /// Expected value.
-        expected: u64,
-        /// Replacement value.
-        new: u64,
-    },
-    /// `rfence`: local barrier plus MN-side fence.
-    Fence,
-    /// `rrelease`: local barrier only — completes when every earlier op of
-    /// the thread has completed.
-    Release,
-    /// Explicit address-space creation.
-    CreateAs,
-    /// Address-space teardown.
-    DestroyAs,
-    /// Extend-path offload call.
-    Offload {
-        /// Installed offload id.
-        offload: u16,
-        /// Offload opcode.
-        opcode: u16,
-        /// Argument bytes.
-        arg: Bytes,
-    },
-}
-
-impl Op {
-    /// The `(va, len)` span the op addresses, if it addresses memory:
-    /// what dependency tracking orders and what the cluster layer routes
-    /// by. A lock word or atomic cell is 8 bytes.
-    pub fn span(&self) -> Option<(u64, u64)> {
-        match self {
-            Op::Read { va, len } => Some((*va, u64::from(*len))),
-            Op::Write { va, data } => Some((*va, data.len() as u64)),
-            Op::Free { va, size } => Some((*va, *size)),
-            Op::Lock { va } | Op::Unlock { va } | Op::Faa { va, .. } | Op::Cas { va, .. } => {
-                Some((*va, 8))
-            }
-            _ => None,
-        }
-    }
-}
 
 /// A finished operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -346,9 +247,9 @@ impl CLib {
             tokens.push(token);
             if dispatch {
                 let pending = &self.ops[&token];
-                match blueprint_of(&pending.op) {
-                    Some(blueprint) => sends.push((token, mn, pid, blueprint, pending.trace)),
-                    None => self.finish_release(ctx, nic, token, completions),
+                match &pending.op {
+                    Op::Release => self.finish_release(ctx, nic, token, completions),
+                    op => sends.push((token, mn, pid, op.clone(), pending.trace)),
                 }
             }
         }
@@ -397,7 +298,7 @@ impl CLib {
         let trace = if matches!(op, Op::Release) {
             None
         } else {
-            let trace = self.tracer.begin(op_kind_dbg(&op), arrival);
+            let trace = self.tracer.begin(op.kind(), arrival);
             if arrival < ctx.now() {
                 self.tracer.stitch(trace, self.track, Stage::SubmitQueued, ctx.now());
             }
@@ -436,13 +337,16 @@ impl CLib {
     ) {
         let Some(pending) = self.ops.get(&token) else { return };
         let (mn, pid, trace) = (pending.mn, pending.pid, pending.trace);
-        match blueprint_of(&pending.op) {
+        match &pending.op {
+            Op::Release => self.finish_release(ctx, nic, token, completions),
             // The send can complete synchronously (circuit breaker open ->
             // fail fast with `Unreachable`).
-            Some(blueprint) => self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
-                t.send(ctx, nic, token, mn, pid, blueprint, trace, done)
-            }),
-            None => self.finish_release(ctx, nic, token, completions),
+            op => {
+                let op = op.clone();
+                self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
+                    t.send(ctx, nic, token, mn, pid, op, trace, done)
+                })
+            }
         }
     }
 
@@ -588,49 +492,6 @@ impl Metrics for CLib {
 
     fn gauges(&self, f: &mut Visit<'_>) {
         self.transport.gauges(f);
-    }
-}
-
-/// The transport blueprint of `op`'s kind; `None` for [`Op::Release`],
-/// which never reaches the wire.
-fn blueprint_of(op: &Op) -> Option<Blueprint> {
-    let atomic = |va: &u64, op| Blueprint::Atomic { va: *va, op };
-    Some(match op {
-        Op::Read { va, len } => Blueprint::Read { va: *va, len: *len },
-        Op::Write { va, data } => Blueprint::Write { va: *va, data: data.clone() },
-        Op::Alloc { size, perm } => Blueprint::Alloc { size: *size, perm: *perm },
-        Op::Free { va, size } => Blueprint::Free { va: *va, size: *size },
-        Op::Lock { va } => atomic(va, AtomicKind::Tas),
-        Op::Unlock { va } => atomic(va, AtomicKind::Store(0)),
-        Op::Faa { va, delta } => atomic(va, AtomicKind::Faa(*delta)),
-        Op::Cas { va, expected, new } => {
-            atomic(va, AtomicKind::Cas { expected: *expected, new: *new })
-        }
-        Op::Fence => Blueprint::Fence,
-        Op::CreateAs => Blueprint::CreateAs,
-        Op::DestroyAs => Blueprint::DestroyAs,
-        Op::Offload { offload, opcode, arg } => {
-            Blueprint::Offload { offload: *offload, opcode: *opcode, arg: arg.clone() }
-        }
-        Op::Release => return None,
-    })
-}
-
-fn op_kind_dbg(op: &Op) -> &'static str {
-    match op {
-        Op::Read { .. } => "read",
-        Op::Write { .. } => "write",
-        Op::Alloc { .. } => "alloc",
-        Op::Free { .. } => "free",
-        Op::Lock { .. } => "lock",
-        Op::Unlock { .. } => "unlock",
-        Op::Faa { .. } => "faa",
-        Op::Cas { .. } => "cas",
-        Op::Fence => "fence",
-        Op::Release => "release",
-        Op::CreateAs => "createas",
-        Op::DestroyAs => "destroyas",
-        Op::Offload { .. } => "offload",
     }
 }
 

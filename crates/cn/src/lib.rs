@@ -5,7 +5,8 @@
 //! incast windows, packet reassembly, dependency ordering — lives here, so
 //! the memory node can stay connectionless and (almost) stateless.
 //!
-//! Layers, top to bottom (§5 "CLib Implementation"):
+//! One [`Op`] record carries a request through every layer, top to bottom
+//! (§5 "CLib Implementation"):
 //!
 //! * [`clib::CLib`] — the user-facing request layer: per-thread dependency
 //!   checking and ordering of address-conflicting requests (WAW/RAW/WAR at
@@ -25,10 +26,12 @@ pub mod clib;
 pub mod config;
 pub mod congestion;
 pub mod error;
+pub mod op;
 pub mod ordering;
 pub mod transport;
 
-pub use clib::{CLib, Completion, Op, ThreadId};
+pub use clib::{CLib, Completion, ThreadId};
 pub use config::CLibConfig;
 pub use error::ClioError;
+pub use op::Op;
 pub use transport::{CompletionValue, McMutation, OpToken};

@@ -1,8 +1,8 @@
 //! The connectionless reliable transport (paper §4.4–4.5).
 //!
 //! Everything a conventional reliable transport keeps at *both* ends lives
-//! only here, at the CN: the retransmission buffer (request blueprints), the
-//! request-id space, timeout timers, congestion windows and the incast
+//! only here, at the CN: the retransmission buffer (each request's
+//! [`Op`], rebuilt into packets per attempt), the request-id space, timeout timers, congestion windows and the incast
 //! window. Reliability is lifted to the **memory-request level**: any lost,
 //! corrupted (NACKed) or unanswered packet causes the whole request to be
 //! retried under a fresh id carrying `retry_of`, which the MN's dedup buffer
@@ -17,8 +17,8 @@
 //! (single-packet reads, writes, and atomics) into [`ClioPacket::Batch`]
 //! frames under the `batch_max_ops`/MTU budgets, saving one Ethernet
 //! framing overhead per coalesced request. Each batched request keeps its
-//! own request id, congestion/incast window slot, retry timer, and
-//! blueprint: timeouts, NACK retries (`retry_of` dedup), and completions
+//! own request id, congestion/incast window slot, retry timer, and op:
+//! timeouts, NACK retries (`retry_of` dedup), and completions
 //! are indistinguishable from the unbatched wire protocol. A lone admitted
 //! request is framed as a plain `Request`, byte-identical to
 //! `batch_max_ops = 1`.
@@ -103,15 +103,15 @@
 //! [`cancel`]: Transport::cancel
 
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 
 use bytes::Bytes;
 use clio_net::{Doorbell, Mac, NicPort};
 use clio_proto::{
-    codec, split_write, BatchBuilder, ClioPacket, Perm, Pid, Reassembler, ReqHeader, ReqId,
-    RequestBody, RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES, MAX_WRITE_FRAG_PAYLOAD,
-    MTU_BYTES,
+    codec, BatchBuilder, ClioPacket, Pid, Reassembler, ReqHeader, ReqId, RespHeader, ResponseBody,
+    Status, ETH_OVERHEAD_BYTES, MTU_BYTES,
 };
-use clio_sim::table::{mix, mix_bytes, mix_section, MIX_SEED};
+use clio_sim::table::{mix, mix_section, MixHasher, MIX_SEED};
 use clio_sim::{Ctx, EventId, IdMap, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
@@ -119,6 +119,7 @@ use clio_trace::{Stage, TraceCtx, Tracer, Track};
 use crate::config::CLibConfig;
 use crate::congestion::{Breaker, BreakerState, CongestionWindow, IncastWindow};
 use crate::error::ClioError;
+use crate::op::Op;
 
 /// Handle for one submitted operation: returned by
 /// [`CLib::submit`](crate::CLib::submit), carried by every attempt the
@@ -126,220 +127,6 @@ use crate::error::ClioError;
 /// [`Completion`](crate::Completion).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpToken(pub u64);
-
-/// How to (re)build the packets of a request — the CN-side retransmission
-/// state (§4.4 "maintain transport logic, state, and data buffers only at
-/// CNs").
-#[derive(Debug, Clone)]
-pub enum Blueprint {
-    /// `rread`.
-    Read {
-        /// Start address.
-        va: u64,
-        /// Bytes to read.
-        len: u32,
-    },
-    /// `rwrite` (split over MTU packets on build).
-    Write {
-        /// Start address.
-        va: u64,
-        /// Payload.
-        data: Bytes,
-    },
-    /// One 8-byte atomic.
-    Atomic {
-        /// Word address.
-        va: u64,
-        /// Operation.
-        op: AtomicKind,
-    },
-    /// Remote fence.
-    Fence,
-    /// Slow-path allocation.
-    Alloc {
-        /// Requested bytes.
-        size: u64,
-        /// Permissions.
-        perm: Perm,
-    },
-    /// Slow-path free.
-    Free {
-        /// Range start.
-        va: u64,
-        /// Range length.
-        size: u64,
-    },
-    /// Address-space creation.
-    CreateAs,
-    /// Address-space teardown.
-    DestroyAs,
-    /// Extend-path invocation.
-    Offload {
-        /// Installed offload id.
-        offload: u16,
-        /// Offload-defined opcode.
-        opcode: u16,
-        /// Argument bytes.
-        arg: Bytes,
-    },
-}
-
-/// Atomic operation kinds carried by [`Blueprint::Atomic`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AtomicKind {
-    /// Test-and-set to 1.
-    Tas,
-    /// Store a value.
-    Store(u64),
-    /// Compare-and-swap.
-    Cas {
-        /// Expected value.
-        expected: u64,
-        /// New value.
-        new: u64,
-    },
-    /// Fetch-and-add.
-    Faa(u64),
-}
-
-impl Blueprint {
-    /// The request's body when it travels as one packet: everything except
-    /// a write larger than one MTU fragment.
-    fn single_body(&self) -> Option<RequestBody> {
-        Some(match self {
-            Blueprint::Read { va, len } => RequestBody::Read { va: *va, len: *len },
-            Blueprint::Write { va, data } if data.len() <= MAX_WRITE_FRAG_PAYLOAD => {
-                RequestBody::WriteFrag { va: *va, data: data.clone() }
-            }
-            Blueprint::Write { .. } => return None,
-            Blueprint::Atomic { va, op } => match op {
-                AtomicKind::Tas => RequestBody::AtomicTas { va: *va },
-                AtomicKind::Store(v) => RequestBody::AtomicStore { va: *va, value: *v },
-                AtomicKind::Cas { expected, new } => {
-                    RequestBody::AtomicCas { va: *va, expected: *expected, new: *new }
-                }
-                AtomicKind::Faa(d) => RequestBody::AtomicFaa { va: *va, delta: *d },
-            },
-            Blueprint::Fence => RequestBody::Fence,
-            // The MN places every allocation: no client names a fixed VA.
-            Blueprint::Alloc { size, perm } => {
-                RequestBody::Alloc { size: *size, perm: *perm, fixed_va: None }
-            }
-            Blueprint::Free { va, size } => RequestBody::Free { va: *va, size: *size },
-            Blueprint::CreateAs => RequestBody::CreateAs,
-            Blueprint::DestroyAs => RequestBody::DestroyAs,
-            Blueprint::Offload { offload, opcode, arg } => {
-                RequestBody::OffloadCall { offload: *offload, opcode: *opcode, arg: arg.clone() }
-            }
-        })
-    }
-
-    /// Builds the request's packets into `out` (cleared first). Trace and
-    /// srtt echo are stamped post-build by `Transport::annotate`.
-    fn build(&self, req_id: ReqId, retry_of: Option<ReqId>, pid: Pid, out: &mut Vec<ClioPacket>) {
-        out.clear();
-        match (self.single_body(), self) {
-            (Some(body), _) => {
-                let header = ReqHeader { retry_of, ..ReqHeader::single(req_id, pid) };
-                out.push(ClioPacket::Request { header, body });
-            }
-            (None, Blueprint::Write { va, data }) => {
-                out.extend(split_write(req_id, retry_of, pid, *va, data.clone()));
-            }
-            (None, _) => unreachable!("only large writes span packets"),
-        }
-    }
-
-    /// Expected response payload bytes (drives the incast window).
-    fn expected_response_bytes(&self) -> u64 {
-        match self {
-            Blueprint::Read { len, .. } => *len as u64 + 64,
-            Blueprint::Offload { .. } => 256,
-            _ => 64,
-        }
-    }
-
-    /// Request payload bytes (large writes take long to even transmit).
-    fn payload_bytes(&self) -> u64 {
-        match self {
-            Blueprint::Write { data, .. } => data.len() as u64,
-            Blueprint::Offload { arg, .. } => arg.len() as u64,
-            _ => 0,
-        }
-    }
-
-    /// The retry timeout: the base (multiplied for slow-path ops) plus a
-    /// conservative 20 ns/byte (≈0.4 Gbps) allowance for the bytes this
-    /// request moves in either direction, so multi-MTU transfers are not
-    /// spuriously retried even under congestion (the congestion window's
-    /// per-byte target of 10 ns/byte keeps queueing below this).
-    fn timeout(&self, base: SimDuration) -> SimDuration {
-        let transfer =
-            SimDuration::from_nanos((self.payload_bytes() + self.expected_response_bytes()) * 20);
-        base * self.timeout_multiplier() + transfer
-    }
-
-    /// True if a retry must carry `retry_of` for MN-side deduplication.
-    fn is_non_idempotent(&self) -> bool {
-        matches!(self, Blueprint::Write { .. } | Blueprint::Atomic { .. })
-    }
-
-    /// True for requests eligible to share a batch frame: data-plane
-    /// operations that encode as exactly one packet. Slow-path, fence, and
-    /// extend-path requests always travel alone.
-    fn is_batchable(&self) -> bool {
-        match self {
-            Blueprint::Read { .. } | Blueprint::Atomic { .. } => true,
-            Blueprint::Write { data, .. } => data.len() <= MAX_WRITE_FRAG_PAYLOAD,
-            _ => false,
-        }
-    }
-
-    /// True for data-plane operations whose RTT is a valid congestion
-    /// signal. Slow-path and extend-path operations embed ARM/software
-    /// service time in their RTTs, so they must not drive the delay-based
-    /// window (they still consume and release window slots).
-    fn is_congestion_signal(&self) -> bool {
-        matches!(
-            self,
-            Blueprint::Read { .. }
-                | Blueprint::Write { .. }
-                | Blueprint::Atomic { .. }
-                | Blueprint::Fence
-        )
-    }
-
-    /// Short kind name surfaced in error context (`ClioError::TimedOut`).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Blueprint::Read { .. } => "read",
-            Blueprint::Write { .. } => "write",
-            Blueprint::Atomic { .. } => "atomic",
-            Blueprint::Fence => "fence",
-            Blueprint::Alloc { .. } => "alloc",
-            Blueprint::Free { .. } => "free",
-            Blueprint::CreateAs => "create_as",
-            Blueprint::DestroyAs => "destroy_as",
-            Blueprint::Offload { .. } => "offload",
-        }
-    }
-
-    /// Slow-path and extend-path operations inherently take tens of
-    /// microseconds to milliseconds (ARM crossing, software service,
-    /// offload chains), so their retry timers are much longer than the
-    /// fast-path timeout that sizes the dedup buffer.
-    fn timeout_multiplier(&self) -> u64 {
-        match self {
-            Blueprint::Alloc { .. }
-            | Blueprint::Free { .. }
-            | Blueprint::CreateAs
-            | Blueprint::DestroyAs => 100,
-            Blueprint::Offload { .. } => 400,
-            Blueprint::Fence => 20,
-            _ => 1,
-        }
-    }
-}
 
 /// The value delivered by a successful completion.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -430,7 +217,7 @@ struct Outstanding {
     token: OpToken,
     target: Mac,
     pid: Pid,
-    blueprint: Blueprint,
+    op: Op,
     expected_bytes: u64,
     /// Id of the request's FIRST attempt — the root of the `retry_of`
     /// chain. Every retry's `retry_of` points here, never at an
@@ -454,7 +241,7 @@ struct Outstanding {
 struct QueuedSend {
     token: OpToken,
     pid: Pid,
-    blueprint: Blueprint,
+    op: Op,
     enqueued_at: SimTime,
     /// `Conflict` refusals this op has already backed off from (zero for a
     /// first send; carried through every park-and-rejoin).
@@ -511,6 +298,13 @@ pub enum McMutation {
     LeakWindowOnNack,
 }
 
+/// Content digest of an op: every field, through its derived `Hash`.
+fn digest(op: &Op) -> u64 {
+    let mut h = MixHasher::default();
+    op.hash(&mut h);
+    h.finish()
+}
+
 /// Reports `token` failed with `error` — the one place an `Err` [`XferDone`]
 /// is built. The RTT runs from the op's first send (for a send still
 /// queued, from when it was enqueued).
@@ -522,53 +316,6 @@ fn fail(
     error: ClioError,
 ) {
     done.push(XferDone { token, result: Err(error), rtt: now.since(first_sent_at) });
-}
-
-/// Content digest of a blueprint (shape + addresses + payload bytes).
-fn blueprint_digest(bp: &Blueprint) -> u64 {
-    let mut h = MIX_SEED;
-    match bp {
-        Blueprint::Read { va, len } => {
-            h = mix(h, 1);
-            h = mix(h, *va);
-            h = mix(h, *len as u64);
-        }
-        Blueprint::Write { va, data } => {
-            h = mix(h, 2);
-            h = mix(h, *va);
-            h = mix(h, data.len() as u64);
-            h = mix_bytes(h, data);
-        }
-        Blueprint::Atomic { va, op } => {
-            h = mix(h, 3);
-            h = mix(h, *va);
-            h = match op {
-                AtomicKind::Tas => mix(h, 1),
-                AtomicKind::Store(v) => mix(mix(h, 2), *v),
-                AtomicKind::Cas { expected, new } => mix(mix(mix(h, 3), *expected), *new),
-                AtomicKind::Faa(d) => mix(mix(h, 4), *d),
-            };
-        }
-        Blueprint::Fence => h = mix(h, 4),
-        Blueprint::Alloc { size, .. } => {
-            h = mix(h, 5);
-            h = mix(h, *size);
-        }
-        Blueprint::Free { va, size } => {
-            h = mix(h, 6);
-            h = mix(h, *va);
-            h = mix(h, *size);
-        }
-        Blueprint::CreateAs => h = mix(h, 7),
-        Blueprint::DestroyAs => h = mix(h, 8),
-        Blueprint::Offload { offload, opcode, arg } => {
-            h = mix(h, 9);
-            h = mix(h, *offload as u64);
-            h = mix(h, *opcode as u64);
-            h = mix(h, arg.len() as u64);
-        }
-    }
-    h
 }
 
 clio_trace::counters! {
@@ -757,7 +504,7 @@ impl Transport {
 
     /// A digest of the transport's **logical** state, independent of table
     /// layout: outstanding requests (id, token, target, retry counts,
-    /// expected bytes, blueprint shape), parked conflicts, every peer's
+    /// expected bytes, op), parked conflicts, every peer's
     /// queued sends, queued retransmissions, window slot count and breaker
     /// state, the incast byte count and the id counter.
     ///
@@ -779,7 +526,7 @@ impl Transport {
                 e = mix(e, o.retries as u64);
                 e = mix(e, o.conflict_retries as u64);
                 e = mix(e, o.expected_bytes);
-                mix(e, blueprint_digest(&o.blueprint))
+                mix(e, digest(&o.op))
             })
             .collect();
         outstanding.sort_unstable();
@@ -798,7 +545,7 @@ impl Transport {
             h = mix(h, mac.0 as u64);
             h = mix(h, p.queue.len() as u64);
             for s in &p.queue {
-                h = mix(mix(h, s.token.0), blueprint_digest(&s.blueprint));
+                h = mix(mix(h, s.token.0), digest(&s.op));
             }
             h = mix(h, p.retries.len() as u64);
             for (id, retry_of) in &p.retries {
@@ -873,11 +620,11 @@ impl Transport {
         token: OpToken,
         target: Mac,
         pid: Pid,
-        blueprint: Blueprint,
+        op: Op,
         trace: Option<TraceCtx>,
         done: &mut Vec<XferDone>,
     ) {
-        self.enqueue(ctx.now(), token, target, pid, blueprint, trace);
+        self.enqueue(ctx.now(), token, target, pid, op, trace);
         self.kick(ctx, nic, target, done);
     }
 
@@ -889,12 +636,12 @@ impl Transport {
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
-        requests: Vec<(OpToken, Mac, Pid, Blueprint, Option<TraceCtx>)>,
+        requests: Vec<(OpToken, Mac, Pid, Op, Option<TraceCtx>)>,
         done: &mut Vec<XferDone>,
     ) {
         let mut targets: Vec<Mac> = Vec::new();
-        for (token, target, pid, blueprint, trace) in requests {
-            self.enqueue(ctx.now(), token, target, pid, blueprint, trace);
+        for (token, target, pid, op, trace) in requests {
+            self.enqueue(ctx.now(), token, target, pid, op, trace);
             if !targets.contains(&target) {
                 targets.push(target);
             }
@@ -913,7 +660,7 @@ impl Transport {
         token: OpToken,
         target: Mac,
         pid: Pid,
-        blueprint: Blueprint,
+        op: Op,
         trace: Option<TraceCtx>,
     ) {
         self.tracer.stitch(trace, self.track, Stage::Submit, now);
@@ -922,7 +669,7 @@ impl Transport {
         peer.queue.push_back(QueuedSend {
             token,
             pid,
-            blueprint,
+            op,
             enqueued_at: now,
             conflict_retries: 0,
             trace,
@@ -1016,7 +763,7 @@ impl Transport {
         loop {
             let peer = self.peers.get_mut(&target).expect("looked up above");
             let Some(head) = peer.queue.front() else { break };
-            let expected_bytes = head.blueprint.expected_response_bytes();
+            let expected_bytes = head.op.expected_response_bytes();
             if !peer.cwnd.try_acquire(now) {
                 // Paced sub-1 windows need a wake-up; full windows are
                 // pumped by the next completion.
@@ -1033,7 +780,7 @@ impl Transport {
             let q = peer.queue.pop_front().expect("peeked above");
             self.tracer.stitch(q.trace, self.track, Stage::DoorbellHold, now);
             let req_id = self.fresh_id();
-            self.ship(ctx, nic, &mut pack, req_id, None, q.pid, &q.blueprint, q.trace);
+            self.ship(ctx, nic, &mut pack, req_id, None, q.pid, &q.op, q.trace);
             self.register(
                 ctx,
                 req_id,
@@ -1041,7 +788,7 @@ impl Transport {
                     token: q.token,
                     target,
                     pid: q.pid,
-                    blueprint: q.blueprint,
+                    op: q.op,
                     expected_bytes,
                     origin: req_id,
                     attempt_sent_at: now,
@@ -1092,13 +839,13 @@ impl Transport {
         req_id: ReqId,
         retry_of: Option<ReqId>,
         pid: Pid,
-        blueprint: &Blueprint,
+        op: &Op,
         trace: Option<TraceCtx>,
     ) -> u64 {
         let send_start = ctx.now() + self.cfg.send_overhead;
         let mut frames = 0;
-        let joins = self.batching() && blueprint.is_batchable();
-        if let Some(body) = joins.then(|| blueprint.single_body()).flatten() {
+        let joins = self.batching() && op.is_batchable();
+        if let Some(body) = joins.then(|| op.single_body()).flatten() {
             let header = ReqHeader {
                 retry_of,
                 trace,
@@ -1118,7 +865,7 @@ impl Transport {
             pack.packets.push(ClioPacket::Request { header, body });
         } else {
             frames += self.flush_batch(ctx, nic, pack) as u64;
-            blueprint.build(req_id, retry_of, pid, &mut pack.packets);
+            op.build(req_id, retry_of, pid, &mut pack.packets);
             for pkt in &mut pack.packets {
                 if let ClioPacket::Request { header, .. } = pkt {
                     header.trace = trace;
@@ -1174,7 +921,7 @@ impl Transport {
     fn register(&mut self, ctx: &mut Ctx<'_>, req_id: ReqId, mut o: Outstanding) {
         o.attempt_sent_at = ctx.now();
         o.timer = Some(ctx.schedule(
-            o.blueprint.timeout(self.cfg.request_timeout),
+            o.op.timeout(self.cfg.request_timeout),
             Message::new(TransportTimer::Timeout(req_id)),
         ));
         self.outstanding.insert(req_id, o);
@@ -1200,10 +947,10 @@ impl Transport {
     fn release(&mut self, now: SimTime, o: &Outstanding, outcome: Outcome) {
         let cwnd = &mut self.peer(o.target).cwnd;
         match outcome {
-            Outcome::Answered(rtt) if o.blueprint.is_congestion_signal() => {
-                cwnd.on_response_sized(now, rtt, o.expected_bytes + o.blueprint.payload_bytes())
+            Outcome::Answered(rtt) if o.op.is_congestion_signal() => {
+                cwnd.on_response_sized(now, rtt, o.expected_bytes + o.op.payload_bytes())
             }
-            Outcome::Lost if o.blueprint.is_congestion_signal() => cwnd.on_timeout(now),
+            Outcome::Lost if o.op.is_congestion_signal() => cwnd.on_timeout(now),
             _ => cwnd.on_release(),
         }
         self.iwnd.release(o.expected_bytes);
@@ -1317,8 +1064,7 @@ impl Transport {
             } else {
                 self.release(ctx.now(), &o, Outcome::Lost);
             }
-            let error =
-                ClioError::TimedOut { op: o.blueprint.kind(), mn: o.target, attempts: o.retries };
+            let error = ClioError::TimedOut { op: o.op.kind(), mn: o.target, attempts: o.retries };
             fail(done, ctx.now(), o.token, o.first_sent_at, error);
         } else {
             o.trace = self.tracer.retry(o.trace, ctx.now());
@@ -1398,7 +1144,7 @@ impl Transport {
     /// `crates/cn/tests/mc_regressions.rs`.)
     fn queue_retransmit(&mut self, ctx: &mut Ctx<'_>, o: Outstanding, prev_id: ReqId) {
         let new_id = self.fresh_id();
-        let retry_of = o.blueprint.is_non_idempotent().then_some(o.origin);
+        let retry_of = o.op.is_non_idempotent().then_some(o.origin);
         let target = o.target;
         self.register(ctx, new_id, o);
         self.reassembler.forget(prev_id);
@@ -1439,10 +1185,10 @@ impl Transport {
             // A retry can only vanish between queue and pump if its own
             // timer fired first; the timeout path re-queues it.
             let Some(o) = self.outstanding.get(&req_id) else { continue };
-            let (pid, trace, blueprint) = (o.pid, o.trace, o.blueprint.clone());
+            let (pid, trace, op) = (o.pid, o.trace, o.op.clone());
             self.tracer.stitch(trace, self.track, Stage::RetryDoorbell, ctx.now());
             self.stats.retry_frames +=
-                self.ship(ctx, nic, &mut pack, req_id, retry_of, pid, &blueprint, trace);
+                self.ship(ctx, nic, &mut pack, req_id, retry_of, pid, &op, trace);
         }
         if self.flush_batch(ctx, nic, &mut pack) {
             self.stats.retry_frames += 1;
@@ -1492,7 +1238,7 @@ impl Transport {
                     self.peer(target).queue.push_front(QueuedSend {
                         token: o.token,
                         pid: o.pid,
-                        blueprint: o.blueprint,
+                        op: o.op,
                         enqueued_at: o.first_sent_at,
                         conflict_retries: o.conflict_retries + 1,
                         trace: o.trace,
@@ -1526,7 +1272,7 @@ impl Transport {
         let error = if self.peer(o.target).breaker.is_open() {
             ClioError::Unreachable { mn: o.target }
         } else if o.retries > self.cfg.max_retries {
-            ClioError::TimedOut { op: o.blueprint.kind(), mn: o.target, attempts: o.retries }
+            ClioError::TimedOut { op: o.op.kind(), mn: o.target, attempts: o.retries }
         } else {
             o.trace = self.tracer.retry(o.trace, now);
             // Timeout is a congestion signal; shrink but keep the slot for
@@ -1537,5 +1283,27 @@ impl Transport {
         };
         self.release(now, &o, Outcome::Lost);
         fail(done, now, o.token, o.first_sent_at, error);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clio_proto::Perm;
+
+    /// The fingerprint folds every field of a queued op: ops that differ
+    /// only in an alloc's permissions, or only in the bytes of an offload's
+    /// equal-length argument, are different states.
+    #[test]
+    fn fingerprint_tells_apart_ops_that_differ_in_any_field() {
+        let fingerprint = |op: Op| {
+            let mut t = Transport::new(CLibConfig::default(), 1);
+            t.enqueue(SimTime::ZERO, OpToken(1), Mac(2), Pid(1), op, None);
+            t.fingerprint()
+        };
+        let alloc = |perm| Op::Alloc { size: 4096, perm };
+        assert_ne!(fingerprint(alloc(Perm::RW)), fingerprint(alloc(Perm::READ)));
+        let offload = |arg| Op::Offload { offload: 1, opcode: 2, arg: Bytes::from_static(arg) };
+        assert_ne!(fingerprint(offload(b"arg0")), fingerprint(offload(b"arg1")));
     }
 }

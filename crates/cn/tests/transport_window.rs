@@ -19,8 +19,8 @@
 
 use bytes::Bytes;
 use clio_cn::config::CLibConfig;
-use clio_cn::transport::{AtomicKind, Blueprint, Transport, TransportTimer, XferDone};
-use clio_cn::OpToken;
+use clio_cn::transport::{Transport, TransportTimer, XferDone};
+use clio_cn::{Op, OpToken};
 use clio_net::{Frame, Mac, NicPort};
 use clio_proto::{
     codec, ClioPacket, ReqHeader, ReqId, RequestBody, RespHeader, ResponseBody, Status,
@@ -58,7 +58,7 @@ impl Fate {
 /// `base` so a test can post several bursts without token collisions.
 #[derive(Clone)]
 struct Go {
-    ops: Vec<Blueprint>,
+    ops: Vec<Op>,
     base: u64,
 }
 
@@ -80,7 +80,7 @@ impl Actor for Host {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         let msg = match msg.downcast::<Go>() {
             Ok(go) => {
-                for (i, bp) in go.ops.into_iter().enumerate() {
+                for (i, op) in go.ops.into_iter().enumerate() {
                     // Synchronous completions (breaker fail-fast) surface
                     // from `send` itself.
                     self.transport.send(
@@ -89,7 +89,7 @@ impl Actor for Host {
                         OpToken(go.base + i as u64),
                         MN_MAC,
                         clio_proto::Pid(7),
-                        bp,
+                        op,
                         None,
                         &mut self.done,
                     );
@@ -217,11 +217,11 @@ impl Actor for ScriptedMn {
     }
 }
 
-fn blueprint_of(kind: u8) -> Blueprint {
+fn op_of(kind: u8) -> Op {
     match kind % 3 {
-        0 => Blueprint::Read { va: 0x1000 + kind as u64 * 64, len: 8 },
-        1 => Blueprint::Write { va: 0x2000 + kind as u64 * 64, data: Bytes::from(vec![kind; 8]) },
-        _ => Blueprint::Atomic { va: 0x3000 + kind as u64 * 8, op: AtomicKind::Faa(1) },
+        0 => Op::Read { va: 0x1000 + kind as u64 * 64, len: 8 },
+        1 => Op::Write { va: 0x2000 + kind as u64 * 64, data: Bytes::from(vec![kind; 8]) },
+        _ => Op::Faa { va: 0x3000 + kind as u64 * 8, delta: 1 },
     }
 }
 
@@ -251,7 +251,7 @@ fn run_case(op_kinds: &[u8], script: &[u8], batch_max_ops: u32, seed: u64) {
     let script = script.iter().map(|&b| Fate::from_byte(b)).collect();
     let (mut sim, cn_id) = rig(cfg, seed, script);
 
-    let ops: Vec<Blueprint> = op_kinds.iter().map(|&k| blueprint_of(k)).collect();
+    let ops: Vec<Op> = op_kinds.iter().map(|&k| op_of(k)).collect();
     let n = ops.len();
     sim.post(cn_id, Message::new(Go { ops, base: 0 }));
     sim.run_until_idle();
@@ -327,7 +327,7 @@ fn rtt_derived_budget_caps_falls_back_and_resets() {
 #[test]
 fn doorbell_budget_derives_from_measured_rtt_after_warmup() {
     let (mut sim, cn_id) = rig(CLibConfig::prototype(), 11, vec![]);
-    let ops: Vec<Blueprint> = (0..24).map(|k| blueprint_of(k as u8)).collect();
+    let ops: Vec<Op> = (0..24).map(|k| op_of(k as u8)).collect();
     sim.post(cn_id, Message::new(Go { ops, base: 0 }));
     sim.run_until_idle();
     let host = sim.actor_mut::<Host>(cn_id);
@@ -364,7 +364,7 @@ fn cancel_drains_the_sends_queued_behind_the_freed_slot() {
         let cfg =
             CLibConfig { cwnd_init: 1.0, cwnd_max: 1.0, batch_max_ops, ..CLibConfig::prototype() };
         let (mut sim, cn_id) = rig(cfg, 3, vec![]); // every request answered Ok after 1 µs
-        sim.post(cn_id, Message::new(Go { ops: vec![blueprint_of(0), blueprint_of(0)], base: 0 }));
+        sim.post(cn_id, Message::new(Go { ops: vec![op_of(0), op_of(0)], base: 0 }));
         sim.post_in(cn_id, SimDuration::from_nanos(500), Message::new(Cancel(OpToken(0))));
         sim.run_until_idle();
 
@@ -397,8 +397,8 @@ fn total_loss_burst_exhausts_retries_exactly_and_leaks_nothing() {
     let max_retries = cfg.max_retries;
     let (mut sim, cn_id) = lossy_rig(cfg, 77);
     let n = 12usize;
-    let ops: Vec<Blueprint> = (0..n).map(|k| blueprint_of(k as u8)).collect();
-    sim.post(cn_id, Message::new(Go { ops, base: 0 }));
+    let ops: Vec<Op> = (0..n).map(|k| op_of(k as u8)).collect();
+    sim.post(cn_id, Message::new(Go { ops: ops.clone(), base: 0 }));
     sim.run_until_idle();
 
     let end = sim.now();
@@ -408,6 +408,7 @@ fn total_loss_burst_exhausts_retries_exactly_and_leaks_nothing() {
         let Err(ClioError::TimedOut { op, mn, attempts }) = &d.result else {
             panic!("total loss must end in TimedOut, got {:?}", d.result);
         };
+        assert_eq!(*op, ops[d.token.0 as usize].kind(), "TimedOut names the op's kind");
         assert_eq!(*mn, MN_MAC);
         assert_eq!(
             *attempts,
@@ -453,12 +454,12 @@ fn tripped_breaker_fails_fast_under_quarter_retry_budget() {
     let request_timeout = cfg.request_timeout;
     let (mut sim, cn_id) = lossy_rig(cfg, 5);
     // Op 0 burns the consecutive-timeout streak and trips the breaker.
-    sim.post(cn_id, Message::new(Go { ops: vec![blueprint_of(0)], base: 0 }));
+    sim.post(cn_id, Message::new(Go { ops: vec![op_of(0)], base: 0 }));
     // Op 1 arrives later, against a breaker already open.
     sim.post_in(
         cn_id,
         SimDuration::from_micros(200),
-        Message::new(Go { ops: vec![blueprint_of(0)], base: 1 }),
+        Message::new(Go { ops: vec![op_of(0)], base: 1 }),
     );
     sim.run_until_idle();
 

@@ -69,7 +69,7 @@ use std::hash::{Hash, Hasher};
 
 use clio_cn::transport::McMutation;
 use clio_proto::ClioPacket;
-use clio_sim::table::{mix, mix_bytes, MIX_SEED};
+use clio_sim::table::MixHasher;
 use clio_sim::{IdMap, IdSet, SimDuration};
 
 use crate::harness::{Framing, Outcome, Scenario};
@@ -447,7 +447,7 @@ impl Run {
     /// completions + the memory the final checks judge. Absolute times are
     /// excluded (see the module docs on pruning).
     pub fn state_hash(&self) -> u64 {
-        let mut h = StateHasher(MIX_SEED);
+        let mut h = MixHasher::default();
         // Crash count is part of the logical state: a post-blip state with
         // a cold dedup buffer is checked against a different (relaxed)
         // quiescent spec than its crash-free twin, so they must not prune
@@ -608,41 +608,6 @@ impl Run {
             ));
         }
         Ok(())
-    }
-}
-
-/// The state hash as a [`Hasher`], so packets and completions hash through
-/// their `Hash` impls: an integer write folds one word, a byte write its
-/// 8-byte words plus the tail ([`mix`], [`mix_bytes`]).
-struct StateHasher(u64);
-
-impl Hasher for StateHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        self.0 = mix_bytes(self.0, bytes);
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.0 = mix(self.0, v.into());
-    }
-
-    fn write_u16(&mut self, v: u16) {
-        self.0 = mix(self.0, v.into());
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.0 = mix(self.0, v.into());
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = mix(self.0, v);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.0 = mix(self.0, v as u64);
     }
 }
 

@@ -95,8 +95,8 @@ const MIX_K: u64 = 0xA076_1D64_78BD_642F;
 
 /// Folds one word into a running content hash — the one mixing step behind
 /// the engine's event digest, the components' logical-state fingerprints
-/// (`Transport::fingerprint`, `CBoard::fingerprint`) and the model
-/// checker's state hash. It multiplies `h ^ word` by a fixed odd constant
+/// (`Transport::fingerprint`, `CBoard::fingerprint`) and, through
+/// [`MixHasher`], the model checker's state hash. It multiplies `h ^ word` by a fixed odd constant
 /// into 128 bits and xors the product's two halves: one multiply per word,
 /// and any single flipped input bit changes about half the result bits
 /// (the checker prunes on this hash, so one step must avalanche). Unlike
@@ -137,6 +137,50 @@ pub fn mix_section(mut h: u64, tag: u64, elems: &[u64]) -> u64 {
         h = mix(h, e);
     }
     h
+}
+
+/// [`mix`] as a [`Hasher`], starting at [`MIX_SEED`], so a value folds in
+/// through its derived `Hash`: an integer write folds one word, a byte
+/// write its 8-byte words plus the tail ([`mix_bytes`]). The model
+/// checker's state hash and the ops in `Transport::fingerprint` hash this
+/// way.
+#[derive(Debug, Clone, Copy)]
+pub struct MixHasher(u64);
+
+impl Default for MixHasher {
+    fn default() -> Self {
+        MixHasher(MIX_SEED)
+    }
+}
+
+impl Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = mix_bytes(self.0, bytes);
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.0 = mix(self.0, v.into());
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.0 = mix(self.0, v.into());
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = mix(self.0, v.into());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = mix(self.0, v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.0 = mix(self.0, v as u64);
+    }
 }
 
 #[cfg(test)]
