@@ -108,6 +108,17 @@ pub struct FreeNotify {
     pub va: u64,
 }
 
+/// Notification from a CN: a placement it asked for holds no range — the
+/// allocation failed, or was cancelled while the controller placed it — so
+/// the charge [`PlaceAlloc`] made is taken back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlacementRefund {
+    /// The node the placement charged.
+    pub mn: Mac,
+    /// The bytes it charged.
+    pub size: u64,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct TrackedRange {
     pid: Pid,
@@ -198,6 +209,14 @@ impl Controller {
     /// `(started, completed)` migration counters.
     pub fn migration_stats(&self) -> (u64, u64) {
         (self.migrations_started, self.migrations_completed)
+    }
+
+    /// Takes `bytes` of placement charge off the MN at `mac` (a free, a
+    /// refund, or a range migrating away).
+    fn debit(&mut self, mac: Mac, bytes: u64) {
+        if let Some(m) = self.mns.iter_mut().find(|m| m.mac == mac) {
+            m.placed_bytes = m.placed_bytes.saturating_sub(bytes);
+        }
     }
 
     /// Placement policy: most free (physical minus placed) bytes first;
@@ -303,13 +322,11 @@ impl Controller {
         // ranges and the skew compounds with every migration. A completion
         // for an untracked range (freed mid-migration) or a same-node
         // "move" changes no accounting.
-        if src.is_some() && src != Some(done.dst) {
+        if let Some(src) = src.filter(|&src| src != done.dst) {
             if let Some(m) = self.mns.iter_mut().find(|m| m.mac == done.dst) {
                 m.placed_bytes += done.len;
             }
-            if let Some(m) = self.mns.iter_mut().find(|m| Some(m.mac) == src) {
-                m.placed_bytes = m.placed_bytes.saturating_sub(done.len);
-            }
+            self.debit(src, done.len);
         }
         // Invalidate every CN's cached route for the moved range so the
         // fast path re-targets the new owner without a `Moved` round-trip.
@@ -380,12 +397,16 @@ impl Actor for Controller {
                 // same conservation rule as migration: placement charges
                 // move with the range and vanish with it).
                 if let Some(r) = self.ranges.iter().find(|r| r.pid == n.pid && r.va == n.va) {
-                    let (owner, len) = (r.owner, r.len);
-                    if let Some(m) = self.mns.iter_mut().find(|m| m.mac == owner) {
-                        m.placed_bytes = m.placed_bytes.saturating_sub(len);
-                    }
+                    self.debit(r.owner, r.len);
                 }
                 self.ranges.retain(|r| !(r.pid == n.pid && r.va == n.va));
+                return;
+            }
+            Err(m) => m,
+        };
+        let msg = match msg.downcast::<PlacementRefund>() {
+            Ok(r) => {
+                self.debit(r.mn, r.size);
                 return;
             }
             Err(m) => m,

@@ -20,7 +20,8 @@ use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Tracer, Track};
 
 use crate::controller::{
-    AllocNotify, FreeNotify, PlaceAlloc, PlacementReply, RouteQuery, RouteReply, RouteUpdate,
+    AllocNotify, FreeNotify, PlaceAlloc, PlacementRefund, PlacementReply, RouteQuery, RouteReply,
+    RouteUpdate,
 };
 use crate::exec::{ExecDriver, ProcHandle};
 
@@ -170,8 +171,9 @@ impl RasRouter {
 struct HostOp {
     driver: usize,
     op: Op,
-    /// The MN the task itself named (`roffload`); every other kind is
-    /// routed.
+    /// The MN the op goes to without routing: the one the task named
+    /// (`roffload`), or the one the controller placed an `ralloc` on.
+    /// Every other kind is routed.
     named_mn: Option<Mac>,
     issued_at: SimTime,
     moved_retries: u32,
@@ -226,7 +228,9 @@ struct NodeCore {
     token_map: IdMap<OpToken, AppToken>,
     next_app_token: u64,
     next_tag: u64,
-    pending_placements: IdMap<u64, AppToken>,
+    /// Placements asked of the controller, by tag: the op and its size,
+    /// kept past a cancellation so the reply's charge can be refunded.
+    pending_placements: IdMap<u64, (AppToken, u64)>,
     pending_routes: IdMap<u64, AppToken>,
     /// Finished ops awaiting delivery to their executor, in completion
     /// order (drained by [`ComputeNode::pump_events`]).
@@ -286,6 +290,13 @@ impl NodeCore {
         ));
     }
 
+    /// Gives back the `size` bytes the controller charged `mn` for an
+    /// allocation that holds no range: it failed, or was cancelled.
+    fn refund_placement(&self, ctx: &mut Ctx<'_>, mn: Mac, size: u64) {
+        let refund = PlacementRefund { mn, size };
+        ctx.send(self.controller, SimDuration::from_micros(1), Message::new(refund));
+    }
+
     /// Hands the stored op for `token` to CLib, addressed to `mn`.
     fn submit(&mut self, ctx: &mut Ctx<'_>, token: AppToken, mn: Mac) {
         let Some(host_op) = self.app_ops.get_mut(&token) else { return };
@@ -310,7 +321,7 @@ impl NodeCore {
                 let tag = self.fresh_tag();
                 let msg = PlaceAlloc { pid, size, reply_to: ctx.self_id(), tag };
                 ctx.send(self.controller, SimDuration::from_micros(1), Message::new(msg));
-                self.pending_placements.insert(tag, token);
+                self.pending_placements.insert(tag, (token, size));
             }
             Op::Fence => {
                 // Fence every MN the process might touch.
@@ -410,6 +421,10 @@ impl NodeCore {
                 let n = AllocNotify { pid, va: *va, len: *size, mn };
                 ctx.send(self.controller, SimDuration::from_micros(1), Message::new(n));
             }
+            if let (Op::Alloc { size, .. }, Err(_)) = (&host_op.op, &result) {
+                let mn = host_op.named_mn.expect("a submitted alloc was placed");
+                self.refund_placement(ctx, mn, *size);
+            }
             if let (Op::Free { va, .. }, Ok(_)) = (&host_op.op, &result) {
                 let n = FreeNotify { pid, va: *va };
                 ctx.send(self.controller, SimDuration::from_micros(1), Message::new(n));
@@ -489,8 +504,8 @@ impl NodeApi<'_, '_> {
         clib_tokens.sort_unstable();
         if clib_tokens.is_empty() {
             // Never reached CLib: the op is waiting on a controller reply.
-            // Drop the pending request and fail the op host-side.
-            self.core.pending_placements.retain(|_, t| *t != token);
+            // Drop a pending route query and fail the op host-side; a
+            // pending placement stays, so its reply can refund the charge.
             self.core.pending_routes.retain(|_, t| *t != token);
             self.core.fail(self.ctx.now(), token, Err(ClioError::DeadlineExceeded));
         } else {
@@ -683,9 +698,16 @@ impl Actor for ComputeNode {
         };
         let msg = match msg.downcast::<PlacementReply>() {
             Ok(p) => {
-                if let Some(token) = self.core.pending_placements.remove(&p.tag) {
-                    self.core.submit(ctx, token, p.mn);
-                    self.pump_events(ctx);
+                if let Some((token, size)) = self.core.pending_placements.remove(&p.tag) {
+                    match self.core.app_ops.get_mut(&token) {
+                        Some(host_op) => {
+                            host_op.named_mn = Some(p.mn);
+                            self.core.submit(ctx, token, p.mn);
+                            self.pump_events(ctx);
+                        }
+                        // Cancelled while the controller placed it.
+                        None => self.core.refund_placement(ctx, p.mn, size),
+                    }
                 }
                 return;
             }

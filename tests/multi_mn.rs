@@ -424,3 +424,55 @@ fn rfence_reports_the_leg_that_failed_not_the_one_that_landed_last() {
     assert_eq!(reads[1], Ok(CompletionValue::Data(Bytes::from(vec![0xB1; 8]))), "mn1 serves");
     assert_eq!(fence, Err(ClioError::Unreachable { mn: mn0 }), "mn0 was never fenced");
 }
+
+/// Σ `placed_bytes` over the cluster's MNs.
+fn placed_total(cluster: &Cluster) -> u64 {
+    let ctrl = cluster.controller();
+    cluster.mn_macs().iter().map(|&mac| ctrl.placed_bytes_of(mac)).sum()
+}
+
+/// The controller charges an MN's `placed_bytes` when it places an alloc.
+/// One the board then refuses holds no range, so its charge comes back:
+/// Σ `placed_bytes` equals the live allocations, and the next placement
+/// still goes by free memory (a tie, so to mn0).
+///
+/// Regression: the charge stayed. A failed `ralloc(1 << 60)` left mn0
+/// charged 2^60 bytes, and every later placement avoided mn0.
+#[test]
+fn a_failed_ralloc_gives_back_its_placement_charge() {
+    use clio::cn::ClioError;
+    use clio::proto::Status;
+
+    let mut cfg = ClusterConfig::test_small();
+    cfg.mns = 2;
+    let mut cluster = Cluster::build(&cfg);
+    let (failed, va) = cluster.block_on(0, Pid(1), |h| async move {
+        let failed = h.ralloc(1 << 60, Perm::RW).await.result;
+        (failed, h.ralloc(2 * PAGE, Perm::RW).await.va())
+    });
+    cluster.run_until_idle();
+
+    assert_eq!(failed, Err(ClioError::Remote(Status::OutOfVirtualMemory)));
+    assert_eq!(placed_total(&cluster), 2 * PAGE, "only the live allocation is charged");
+    let mn0 = cluster.mn_macs()[0];
+    assert_eq!(cluster.cn(0).route_of(Pid(1), va, 2 * PAGE), Some(mn0), "placement skewed");
+}
+
+/// An `ralloc` whose deadline expires while the controller places it is
+/// cancelled before it reaches a board: the placement reply that arrives
+/// afterwards gives the charge back.
+#[test]
+fn an_ralloc_cancelled_during_placement_gives_back_its_charge() {
+    use clio::cn::ClioError;
+
+    let mut cfg = ClusterConfig::test_small();
+    cfg.mns = 2;
+    let mut cluster = Cluster::build(&cfg);
+    let result = cluster.block_on(0, Pid(1), |h| async move {
+        h.ralloc(2 * PAGE, Perm::RW).with_deadline(SimDuration::from_micros(1)).await.result
+    });
+    cluster.run_until_idle();
+
+    assert_eq!(result, Err(ClioError::DeadlineExceeded));
+    assert_eq!(placed_total(&cluster), 0, "a cancelled placement stays charged");
+}
