@@ -1,6 +1,8 @@
 //! Allocation budget of the op fast path: steady-state heap allocations per
 //! completed op, counted by a wrapping `#[global_allocator]`, must stay
-//! under the ceilings below so the budget cannot silently regress. The
+//! under the ceilings below so the budget cannot silently regress. Each
+//! ceiling is the measured use rounded up, plus one (9.37 → 11 lone, 4.67 →
+//! 6 batched); lower it whenever a change removes an allocation. The
 //! counter is per thread, so the two tests do not see each other (or the
 //! harness).
 
@@ -92,11 +94,11 @@ fn allocs_per_op(tasks: u64, len: u64) -> f64 {
 #[test]
 fn single_task_16b_loop_stays_within_budget() {
     let per_op = allocs_per_op(1, 16);
-    assert!(per_op <= 14.0, "{per_op:.2} allocs/op on the lone-op path (budget 14)");
+    assert!(per_op <= 11.0, "{per_op:.2} allocs/op on the lone-op path (budget 11)");
 }
 
 #[test]
 fn batched_64_task_64b_loop_stays_within_budget() {
     let per_op = allocs_per_op(64, 64);
-    assert!(per_op <= 8.0, "{per_op:.2} allocs/op on the batched path (budget 8)");
+    assert!(per_op <= 6.0, "{per_op:.2} allocs/op on the batched path (budget 6)");
 }
