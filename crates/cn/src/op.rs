@@ -256,7 +256,7 @@ impl Op {
     /// service time in their RTTs, so they must not drive the delay-based
     /// window (they still consume and release window slots).
     pub(crate) fn is_congestion_signal(&self) -> bool {
-        !matches!(self, Op::Alloc { .. } | Op::Free { .. } | Op::Offload { .. } | Op::Release)
+        !matches!(self, Op::Alloc { .. } | Op::Free { .. } | Op::Offload { .. })
     }
 }
 
@@ -340,13 +340,5 @@ mod tests {
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), ops.len(), "{kinds:?}");
-    }
-
-    #[test]
-    fn lock_and_unlock_are_a_test_and_set_and_a_store_of_zero() {
-        let lock = Op::Lock { va: 64 }.single_body();
-        assert_eq!(lock, Some(RequestBody::AtomicTas { va: 64 }));
-        let unlock = Op::Unlock { va: 64 }.single_body();
-        assert_eq!(unlock, Some(RequestBody::AtomicStore { va: 64, value: 0 }));
     }
 }

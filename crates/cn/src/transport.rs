@@ -1,12 +1,13 @@
 //! The connectionless reliable transport (paper §4.4–4.5).
 //!
 //! Everything a conventional reliable transport keeps at *both* ends lives
-//! only here, at the CN: the retransmission buffer (each request's
-//! [`Op`], rebuilt into packets per attempt), the request-id space, timeout timers, congestion windows and the incast
-//! window. Reliability is lifted to the **memory-request level**: any lost,
-//! corrupted (NACKed) or unanswered packet causes the whole request to be
-//! retried under a fresh id carrying `retry_of`, which the MN's dedup buffer
-//! uses to suppress double execution of non-idempotent operations.
+//! only here, at the CN: the retransmission buffer (each request's [`Op`],
+//! rebuilt into packets per attempt), the request-id space, timeout timers,
+//! congestion windows and the incast window. Reliability is lifted to the
+//! **memory-request level**: any lost, corrupted (NACKed) or unanswered
+//! packet causes the whole request to be retried under a fresh id carrying
+//! `retry_of`, which the MN's dedup buffer uses to suppress double
+//! execution of non-idempotent operations.
 //!
 //! # Request batching (doorbell coalescing)
 //!
@@ -18,8 +19,8 @@
 //! frames under the `batch_max_ops`/MTU budgets, saving one Ethernet
 //! framing overhead per coalesced request. Each batched request keeps its
 //! own request id, congestion/incast window slot, retry timer, and op:
-//! timeouts, NACK retries (`retry_of` dedup), and completions
-//! are indistinguishable from the unbatched wire protocol. A lone admitted
+//! timeouts, NACK retries (`retry_of` dedup), and completions are
+//! indistinguishable from the unbatched wire protocol. A lone admitted
 //! request is framed as a plain `Request`, byte-identical to
 //! `batch_max_ops = 1`.
 //!
@@ -504,9 +505,9 @@ impl Transport {
 
     /// A digest of the transport's **logical** state, independent of table
     /// layout: outstanding requests (id, token, target, retry counts,
-    /// expected bytes, op), parked conflicts, every peer's
-    /// queued sends, queued retransmissions, window slot count and breaker
-    /// state, the incast byte count and the id counter.
+    /// expected bytes, every field of the op), parked conflicts, every
+    /// peer's queued sends, queued retransmissions, window slot count and
+    /// breaker state, the incast byte count and the id counter.
     ///
     /// Absolute times (timer deadlines, RTT/gap EWMAs, fractional window
     /// sizes) are deliberately **excluded**: the model checker prunes

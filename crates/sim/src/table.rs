@@ -96,12 +96,12 @@ const MIX_K: u64 = 0xA076_1D64_78BD_642F;
 /// Folds one word into a running content hash — the one mixing step behind
 /// the engine's event digest, the components' logical-state fingerprints
 /// (`Transport::fingerprint`, `CBoard::fingerprint`) and, through
-/// [`MixHasher`], the model checker's state hash. It multiplies `h ^ word` by a fixed odd constant
-/// into 128 bits and xors the product's two halves: one multiply per word,
-/// and any single flipped input bit changes about half the result bits
-/// (the checker prunes on this hash, so one step must avalanche). Unlike
-/// [`IdHasher`]'s fold it is not meant for table indexing; it is meant to
-/// tell contents apart.
+/// [`MixHasher`], the model checker's state hash. It multiplies `h ^ word`
+/// by a fixed odd constant into 128 bits and xors the product's two halves:
+/// one multiply per word, and any single flipped input bit changes about
+/// half the result bits (the checker prunes on this hash, so one step must
+/// avalanche). Unlike [`IdHasher`]'s fold it is not meant for table
+/// indexing; it is meant to tell contents apart.
 #[inline]
 pub fn mix(h: u64, word: u64) -> u64 {
     let p = u128::from(h ^ word) * u128::from(MIX_K);
