@@ -23,11 +23,15 @@
 //! # Search cost
 //!
 //! The search owns a live run per node on its path: a child is a fork of
-//! its parent's run ([`Scenario::fork`] — simulation, wire, boards and CN
-//! copied, DRAM and page tables shared until written) plus one applied
-//! action, and the last child takes the parent's run itself. A node
-//! therefore costs one copy and one action whatever its depth, and the
-//! search is O(nodes).
+//! its parent's run ([`Scenario::fork`] — the engine's queue copied, each
+//! actor shared until it handles a message) plus one applied action, and
+//! the last child takes the parent's run itself. A node therefore costs one
+//! fork, one action and a copy of each actor the action reaches (the wire
+//! for a drop, the board and the wire for a delivery to the board),
+//! whatever its depth, and the search is O(nodes). The state hash reads the
+//! board and transport fingerprints from a cache that the actor's next
+//! change clears, so an actor the action did not reach is not
+//! fingerprinted again either.
 //! [`replay`] is the from-scratch path: it rebuilds the scenario and
 //! applies a whole schedule, which is how a [`Violation`] is reproduced
 //! and narrated, and what the fork is tested against
@@ -386,7 +390,7 @@ impl Run {
 
     /// Scans newly captured frames for transport-issued request-id reuse.
     fn scan_freshness(&mut self) -> Result<(), String> {
-        let wire = self.scenario.sim.actor::<clio_net::VirtualWire>(self.scenario.wire);
+        let wire = self.scenario.wire();
         let mut fresh: Vec<u64> = Vec::new();
         for c in wire.pending() {
             if c.seq < self.scanned_up_to || self.synthetic.contains(&c.seq) {
@@ -453,10 +457,10 @@ impl Run {
         // quiescent spec than its crash-free twin, so they must not prune
         // into one node.
         h.write_u64(self.crashes as u64);
-        h.write_u64(self.scenario.host().clib().transport().fingerprint());
+        h.write_u64(self.scenario.transport_fingerprint());
         h.write_u64(self.scenario.host().clib().in_flight() as u64);
-        for fp in self.scenario.board_fingerprints() {
-            h.write_u64(fp);
+        for i in 0..self.scenario.boards.len() {
+            h.write_u64(self.scenario.board_fingerprint(i));
         }
         // Packets and completions hash field by field through their `Hash`
         // impls: every field their `Debug` form shows, without rendering it.

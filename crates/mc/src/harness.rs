@@ -17,8 +17,15 @@
 //! spent where it matters.
 //!
 //! A scenario can be copied at any decision point ([`Scenario::fork`]);
-//! the explorer does so at every search node, which is why the boards are
-//! sized to the scenario rather than to `test_small`.
+//! the explorer does so at every search node. Each actor sits behind a
+//! copy-on-write pointer (`Shared`), so a copy takes one pointer per actor
+//! and an actor is deep-copied only when it handles a message in one of the
+//! copies: a node pays for the actors its action reaches, not for every
+//! actor present. A board that is reached is copied whole, which is why the
+//! boards are sized to the scenario rather than to `test_small`.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use clio_cn::transport::McMutation;
@@ -74,13 +81,13 @@ pub fn read_seed(i: usize) -> u8 {
 
 /// The scenario board's hardware: `CBoardHwConfig::test_small` with the
 /// memory cut to what the scenario touches — two seeded pages plus the
-/// 8-page async free-page buffer fit in 32 pages with room to spare. The
-/// explorer copies every board at every search node, and a copy costs in
-/// proportion to the free-page list, which scales with physical memory
-/// (the page tables are shared until written), so the boards are sized to
-/// the scenario. The protocol under test never sees the difference (same
-/// page size, TLB and timing; the pinned search counts are the same at
-/// either size).
+/// 8-page async free-page buffer fit in 32 pages with room to spare. A
+/// search node copies every board its action reaches (a frame delivered to
+/// it, a timer it armed, a power-blip), and a copy costs in proportion to
+/// the free-page list, which scales with physical memory (the page tables
+/// are shared until written), so the boards are sized to the scenario.
+/// The protocol under test never sees the difference (same page size, TLB
+/// and timing; the pinned search counts are the same at either size).
 fn board_hw() -> CBoardHwConfig {
     CBoardHwConfig { phys_mem_bytes: 32 * PAGE, ..CBoardHwConfig::test_small() }
 }
@@ -151,6 +158,50 @@ impl Actor for McCnHost {
     }
 }
 
+/// A scenario actor, shared with the scenario's forks until it changes,
+/// plus its logical fingerprint, cached until it changes.
+///
+/// A clone copies the pointer and the cache. Every mutable access — each
+/// message the actor handles ([`Actor::on_message`]) and
+/// [`Scenario::wire_mut`] — goes through [`Shared::get_mut`], which clears
+/// the cache and makes the actor unique with `Rc::make_mut`: the first
+/// change on either side of a fork copies the actor there and only there.
+#[derive(Clone)]
+struct Shared<A> {
+    actor: Rc<A>,
+    fingerprint: Cell<Option<u64>>,
+}
+
+impl<A: Clone> Shared<A> {
+    fn new(actor: A) -> Self {
+        Shared { actor: Rc::new(actor), fingerprint: Cell::new(None) }
+    }
+
+    /// The actor, unique to this copy, with the cached fingerprint dropped.
+    fn get_mut(&mut self) -> &mut A {
+        self.fingerprint.set(None);
+        Rc::make_mut(&mut self.actor)
+    }
+
+    /// `of(actor)`, computed once per state of the actor. Each actor's
+    /// fingerprint must always be read through the same `of`.
+    fn fingerprint(&self, of: impl FnOnce(&A) -> u64) -> u64 {
+        let fp = self.fingerprint.get().unwrap_or_else(|| of(&self.actor));
+        self.fingerprint.set(Some(fp));
+        fp
+    }
+}
+
+impl<A: Actor + Clone> Actor for Shared<A> {
+    fn name(&self) -> &str {
+        self.actor.name()
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+        self.get_mut().on_message(ctx, msg);
+    }
+}
+
 /// One scenario instance: the simulation plus the actor ids the explorer
 /// steers.
 pub struct Scenario {
@@ -184,7 +235,7 @@ impl Scenario {
     pub fn new_with(framing: Framing, mutation: McMutation, max_retries: u32, mns: usize) -> Self {
         assert!(mns >= 1, "scenario needs at least one memory board");
         let mut sim = Simulation::new(1);
-        let wire = sim.add_actor(VirtualWire::new());
+        let wire = sim.add_actor(Shared::new(VirtualWire::new()));
 
         let mut boards = Vec::with_capacity(mns);
         for i in 0..mns {
@@ -199,8 +250,8 @@ impl Scenario {
                 NicPort::new(mac, Bandwidth::from_gbps(10), wire, SimDuration::from_nanos(5));
             let mut board = CBoard::new(format!("mc-mn{i}"), board_cfg, bport);
             seed_board(&mut board, i, mns);
-            let board = sim.add_actor(board);
-            sim.actor_mut::<VirtualWire>(wire).attach(mac, board);
+            let board = sim.add_actor(Shared::new(board));
+            sim.actor_mut::<Shared<VirtualWire>>(wire).get_mut().attach(mac, board);
             boards.push(board);
         }
 
@@ -212,8 +263,8 @@ impl Scenario {
             NicPort::new(CN_MAC, Bandwidth::from_gbps(40), wire, SimDuration::from_nanos(5));
         let mut clib = CLib::new(clib_cfg, 1, PAGE);
         clib.transport_mut().set_mc_mutation(mutation);
-        let cn = sim.add_actor(McCnHost { nic: cport, clib, completions: vec![] });
-        sim.actor_mut::<VirtualWire>(wire).attach(CN_MAC, cn);
+        let cn = sim.add_actor(Shared::new(McCnHost { nic: cport, clib, completions: vec![] }));
+        sim.actor_mut::<Shared<VirtualWire>>(wire).get_mut().attach(CN_MAC, cn);
 
         if mns == 1 {
             // Both ops at the same instant: the doorbell coalesces them
@@ -235,20 +286,21 @@ impl Scenario {
     }
 
     /// An independent copy of the scenario at this instant: the simulation
-    /// (clock, pending events and timers, digest) plus a copy of the wire
-    /// with every captured frame, of each board and of the CN host. Each
-    /// board's DRAM chunks and page tables are shared with `self` until
-    /// either side writes them (copy-on-write); nothing else is shared. So
-    /// running either leaves the other untouched, and the copy behaves
-    /// exactly as a scenario rebuilt and replayed to this point would.
+    /// (clock, pending events and timers, digest) plus the wire, each board
+    /// and the CN host. The actors are shared with `self` until one of them
+    /// changes on either side, which copies it there (copy-on-write); so
+    /// are the wire's captured frames, and each board's DRAM chunks and
+    /// page tables below that. So running either leaves the other
+    /// untouched, and the copy behaves exactly as a scenario rebuilt and
+    /// replayed to this point would.
     pub fn fork(&self) -> Scenario {
         // Actor-id order, as `new_with` registered them: wire, boards, CN.
         let mut actors: Vec<Box<dyn Actor>> = Vec::with_capacity(self.boards.len() + 2);
-        actors.push(Box::new(self.wire().clone()));
-        for i in 0..self.boards.len() {
-            actors.push(Box::new(self.cboard_at(i).clone()));
+        actors.push(Box::new(self.shared::<VirtualWire>(self.wire).clone()));
+        for &board in &self.boards {
+            actors.push(Box::new(self.shared::<CBoard>(board).clone()));
         }
-        actors.push(Box::new(self.host().clone()));
+        actors.push(Box::new(self.shared::<McCnHost>(self.cn).clone()));
         Scenario {
             sim: self.sim.fork(actors),
             wire: self.wire,
@@ -257,20 +309,25 @@ impl Scenario {
         }
     }
 
+    /// Actor `id`, as the scenario holds it.
+    fn shared<A: Actor + Clone>(&self, id: ActorId) -> &Shared<A> {
+        self.sim.actor::<Shared<A>>(id)
+    }
+
     /// The wire, read-only.
     pub fn wire(&self) -> &VirtualWire {
-        self.sim.actor::<VirtualWire>(self.wire)
+        &self.shared::<VirtualWire>(self.wire).actor
     }
 
     /// The wire, mutable (the explorer corrupts/takes/injects through
-    /// this).
+    /// this); a wire shared with a fork is copied first.
     pub fn wire_mut(&mut self) -> &mut VirtualWire {
-        self.sim.actor_mut::<VirtualWire>(self.wire)
+        self.sim.actor_mut::<Shared<VirtualWire>>(self.wire).get_mut()
     }
 
     /// The CN host, read-only.
     pub fn host(&self) -> &McCnHost {
-        self.sim.actor::<McCnHost>(self.cn)
+        &self.shared::<McCnHost>(self.cn).actor
     }
 
     /// Board 0, read-only.
@@ -280,13 +337,24 @@ impl Scenario {
 
     /// Board `i`, read-only.
     pub fn cboard_at(&self, i: usize) -> &CBoard {
-        self.sim.actor::<CBoard>(self.boards[i])
+        &self.shared::<CBoard>(self.boards[i]).actor
     }
 
-    /// Logical fingerprint of every board, in board order (the explorer
-    /// folds these into its state hash).
+    /// Logical fingerprint of every board, in board order.
     pub fn board_fingerprints(&self) -> Vec<u64> {
-        (0..self.boards.len()).map(|i| self.cboard_at(i).fingerprint()).collect()
+        (0..self.boards.len()).map(|i| self.board_fingerprint(i)).collect()
+    }
+
+    /// Board `i`'s [`CBoard::fingerprint`], computed once per board state
+    /// (the explorer folds it into every state hash).
+    pub(crate) fn board_fingerprint(&self, i: usize) -> u64 {
+        self.shared::<CBoard>(self.boards[i]).fingerprint(CBoard::fingerprint)
+    }
+
+    /// The CN transport's fingerprint, computed once per CN state (the
+    /// explorer folds it into every state hash).
+    pub(crate) fn transport_fingerprint(&self) -> u64 {
+        self.shared::<McCnHost>(self.cn).fingerprint(|host| host.clib.transport().fingerprint())
     }
 
     /// Power-blips board 0: posts a [`BoardPower::Crash`] immediately
@@ -403,4 +471,44 @@ fn seed_board(board: &mut CBoard, index: usize, mns: usize) {
         silicon.write(SimTime::ZERO, PID, *va, data).0.expect("seed page");
     }
     silicon.set_internal_access(was);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{McAction, McConfig, Run};
+
+    /// Whether each of `fork`'s actors still shares its state with
+    /// `parent`'s: the wire, every board in board order, the CN.
+    fn shared_with(parent: &Scenario, fork: &Scenario) -> (bool, Vec<bool>, bool) {
+        fn same<A: Actor + Clone>(a: &Scenario, b: &Scenario, id: ActorId) -> bool {
+            Rc::ptr_eq(&a.shared::<A>(id).actor, &b.shared::<A>(id).actor)
+        }
+        (
+            same::<VirtualWire>(parent, fork, parent.wire),
+            parent.boards.iter().map(|&board| same::<CBoard>(parent, fork, board)).collect(),
+            same::<McCnHost>(parent, fork, parent.cn),
+        )
+    }
+
+    #[test]
+    fn a_fork_copies_only_the_actors_its_action_reaches() {
+        let parent = Run::start(&McConfig::default()).expect("clean start");
+        let fork = parent.fork();
+        assert_eq!(shared_with(parent.scenario(), fork.scenario()), (true, vec![true], true));
+
+        // A drop changes the wire and nothing else.
+        let mut dropped = parent.fork();
+        dropped.apply(McAction::Drop(0)).expect("clean drop");
+        assert_eq!(shared_with(parent.scenario(), dropped.scenario()), (false, vec![true], true));
+
+        // Delivering the batch runs the board, whose response lands on the
+        // wire; the CN's retransmit timers lie beyond the settle horizon.
+        let mut delivered = parent.fork();
+        delivered.apply(McAction::Deliver(0)).expect("clean delivery");
+        assert_eq!(
+            shared_with(parent.scenario(), delivered.scenario()),
+            (false, vec![false], true)
+        );
+    }
 }

@@ -15,6 +15,14 @@
 //! frame out ([`VirtualWire::take`]) and posting it to the destination
 //! actor is the scheduler's job, which keeps every delivery an explicit,
 //! replayable decision.
+//!
+//! Captured frames are shared between clones of a wire (the checker copies
+//! the wire at every search node) until one side changes them: a clone
+//! copies one pointer per frame, [`take`](VirtualWire::take) copies a frame
+//! only if another clone still holds it, and
+//! [`corrupt`](VirtualWire::corrupt) writes through `Rc::make_mut`.
+
+use std::rc::Rc;
 
 use clio_sim::{Actor, ActorId, Ctx, IdMap, Message};
 
@@ -40,7 +48,7 @@ pub struct CapturedFrame {
 #[derive(Debug, Clone, Default)]
 pub struct VirtualWire {
     endpoints: IdMap<Mac, ActorId>,
-    pending: Vec<CapturedFrame>,
+    pending: Vec<Rc<CapturedFrame>>,
     next_seq: u64,
     /// Frames captured over the wire's lifetime (delivered or not).
     captured: u64,
@@ -64,7 +72,7 @@ impl VirtualWire {
     }
 
     /// The captured frames still in flight, in capture order.
-    pub fn pending(&self) -> &[CapturedFrame] {
+    pub fn pending(&self) -> &[Rc<CapturedFrame>] {
         &self.pending
     }
 
@@ -91,7 +99,7 @@ impl VirtualWire {
     ///
     /// Panics if `index` is out of bounds.
     pub fn take(&mut self, index: usize) -> Frame {
-        self.pending.remove(index).frame
+        Rc::unwrap_or_clone(self.pending.remove(index)).frame
     }
 
     /// Injects a frame directly into the pending list — an
@@ -103,7 +111,7 @@ impl VirtualWire {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.captured += 1;
-        self.pending.push(CapturedFrame { seq, frame });
+        self.pending.push(Rc::new(CapturedFrame { seq, frame }));
         seq
     }
 
@@ -114,7 +122,7 @@ impl VirtualWire {
     ///
     /// Panics if `index` is out of bounds.
     pub fn corrupt(&mut self, index: usize) {
-        self.pending[index].frame.corrupted = true;
+        Rc::make_mut(&mut self.pending[index]).frame.corrupted = true;
     }
 
     /// True if a pending frame older than `index` shares its destination —
@@ -139,7 +147,7 @@ impl Actor for VirtualWire {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.captured += 1;
-        self.pending.push(CapturedFrame { seq, frame });
+        self.pending.push(Rc::new(CapturedFrame { seq, frame }));
     }
 }
 
@@ -211,5 +219,32 @@ mod tests {
         let wire = sim.actor::<VirtualWire>(wire_id);
         assert_eq!(wire.len(), 1, "the Mac(3) frame is still in flight");
         assert_eq!(wire.captured(), 3);
+    }
+
+    /// `(seq, corrupted, payload)` of each pending frame.
+    fn frames(wire: &VirtualWire) -> Vec<(u64, bool, u32)> {
+        let payload = |c: &CapturedFrame| *c.frame.payload.downcast_ref::<u32>().expect("u32");
+        wire.pending().iter().map(|c| (c.seq, c.frame.corrupted, payload(c))).collect()
+    }
+
+    #[test]
+    fn a_clone_shares_frames_until_either_side_changes_them() {
+        let mut wire = VirtualWire::new();
+        for (dst, payload) in [(2, 7u32), (3, 8), (2, 9)] {
+            wire.inject(Frame::new(Mac(1), Mac(dst), 100, Message::new(payload)));
+        }
+        let before = frames(&wire);
+        assert_eq!(before, vec![(0, false, 7), (1, false, 8), (2, false, 9)]);
+
+        let mut copy = wire.clone();
+        copy.corrupt(0);
+        let taken = copy.take(1);
+        assert_eq!(taken.payload.downcast_ref::<u32>(), Some(&8));
+        assert_eq!(frames(&copy), vec![(0, true, 7), (2, false, 9)]);
+        assert_eq!(frames(&wire), before, "the copy's corrupt and take reached the original");
+        assert!(Rc::ptr_eq(&wire.pending()[2], &copy.pending()[1]), "an untouched frame is shared");
+
+        wire.corrupt(2);
+        assert_eq!(frames(&copy), vec![(0, true, 7), (2, false, 9)]);
     }
 }

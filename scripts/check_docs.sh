@@ -180,4 +180,15 @@ if [ "$fail" -ne 0 ]; then
   echo "docs/ARCHITECTURE.md simulator-performance section is stale (see above)"
   exit 1
 fi
+# Checker-fork tour: "What a fork copies" explains the copy-on-write actor
+# wrapper by name, so the section must name it and the harness must still
+# hold its actors in it.
+sed -n '/^### The checker: one fork per search node/,/^### /p' "$DOC" | grep -qw 'Shared' \
+  || { echo "checker-fork docs do not name \`Shared\`"; fail=1; }
+grep -q '^struct Shared<' crates/mc/src/harness.rs \
+  || { echo "crates/mc/src/harness.rs no longer defines \`Shared\`"; fail=1; }
+if [ "$fail" -ne 0 ]; then
+  echo "docs/ARCHITECTURE.md checker-fork section is stale (see above)"
+  exit 1
+fi
 echo "docs link check: OK"
