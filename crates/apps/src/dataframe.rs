@@ -96,10 +96,7 @@ pub fn avg_local(rows: &[u8]) -> u64 {
 /// cycle-ish (charged via `compute`), reading and writing through the
 /// translated fast path in bursts.
 #[derive(Debug, Clone, Default)]
-pub struct ClioDf {
-    selects: u64,
-    avgs: u64,
-}
+pub struct ClioDf;
 
 /// Rows processed per DRAM burst by the offload.
 const BURST_ROWS: u64 = 512;
@@ -107,12 +104,7 @@ const BURST_ROWS: u64 = 512;
 impl ClioDf {
     /// A fresh module.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `(selects, avgs)` served.
-    pub fn op_counts(&self) -> (u64, u64) {
-        (self.selects, self.avgs)
+        ClioDf
     }
 
     fn select(
@@ -123,7 +115,6 @@ impl ClioDf {
         threshold: u32,
         out_va: u64,
     ) -> OffloadReply {
-        self.selects += 1;
         let mut matched = 0u64;
         let mut out_cursor = out_va;
         let mut row = 0u64;
@@ -155,7 +146,6 @@ impl ClioDf {
     }
 
     fn avg(&mut self, env: &mut OffloadEnv<'_>, va: u64, rows: u64) -> OffloadReply {
-        self.avgs += 1;
         let mut sum = 0u64;
         let mut row = 0u64;
         while row < rows {

@@ -150,9 +150,6 @@ pub struct ClioKv {
     arena_used: u64,
     arena_cap: u64,
     arena_chunk: u64,
-    puts: u64,
-    gets: u64,
-    deletes: u64,
 }
 
 impl ClioKv {
@@ -166,15 +163,7 @@ impl ClioKv {
             arena_used: 0,
             arena_cap: 0,
             arena_chunk: 1 << 20,
-            puts: 0,
-            gets: 0,
-            deletes: 0,
         }
-    }
-
-    /// `(puts, gets, deletes)` served.
-    pub fn op_counts(&self) -> (u64, u64, u64) {
-        (self.puts, self.gets, self.deletes)
     }
 
     fn ensure_init(&mut self, env: &mut OffloadEnv<'_>) -> Result<(), Status> {
@@ -262,7 +251,6 @@ impl ClioKv {
     }
 
     fn put(&mut self, env: &mut OffloadEnv<'_>, key: &[u8], value: &[u8]) -> OffloadReply {
-        self.puts += 1;
         let result = (|| -> Result<(), Status> {
             let record_va = self.write_record(env, key, value)?;
             let fp = fingerprint(key);
@@ -308,7 +296,6 @@ impl ClioKv {
     }
 
     fn get(&mut self, env: &mut OffloadEnv<'_>, key: &[u8]) -> OffloadReply {
-        self.gets += 1;
         match self.find(env, key) {
             Ok((Some((slot_va, idx)), _)) => {
                 let eva = match env.read_u64(slot_va + 16 + idx as u64 * 16 + 8) {
@@ -326,7 +313,6 @@ impl ClioKv {
     }
 
     fn delete(&mut self, env: &mut OffloadEnv<'_>, key: &[u8]) -> OffloadReply {
-        self.deletes += 1;
         match self.find(env, key) {
             Ok((Some((slot_va, idx)), _)) => {
                 let res = (|| -> Result<(), Status> {
@@ -486,8 +472,6 @@ mod tests {
             let v = format!("value-{i}");
             assert_eq!(h.get(k.as_bytes()), KvResponse::Value(Bytes::from(v.into_bytes())), "{k}");
         }
-        let (p, g, _) = h.kv.op_counts();
-        assert_eq!((p, g), (200, 200));
     }
 
     #[test]

@@ -38,30 +38,13 @@ pub struct ClioMv {
     map_va: u64,
     free_list: Vec<u64>,
     next_unused: u64,
-    creates: u64,
-    appends: u64,
-    reads: u64,
 }
 
 impl ClioMv {
     /// A store for up to `max_objects` objects of `value_size`-byte
     /// versions.
     pub fn new(max_objects: u64, value_size: u64) -> Self {
-        ClioMv {
-            value_size,
-            max_objects,
-            map_va: 0,
-            free_list: Vec::new(),
-            next_unused: 0,
-            creates: 0,
-            appends: 0,
-            reads: 0,
-        }
-    }
-
-    /// `(creates, appends, reads)` served.
-    pub fn op_counts(&self) -> (u64, u64, u64) {
-        (self.creates, self.appends, self.reads)
+        ClioMv { value_size, max_objects, map_va: 0, free_list: Vec::new(), next_unused: 0 }
     }
 
     fn ensure_init(&mut self, env: &mut OffloadEnv<'_>) -> Result<(), Status> {
@@ -72,7 +55,6 @@ impl ClioMv {
     }
 
     fn create(&mut self, env: &mut OffloadEnv<'_>) -> OffloadReply {
-        self.creates += 1;
         let id = match self.free_list.pop() {
             Some(id) => id,
             None => {
@@ -114,7 +96,6 @@ impl ClioMv {
     }
 
     fn append(&mut self, env: &mut OffloadEnv<'_>, id: u64, value: &[u8]) -> OffloadReply {
-        self.appends += 1;
         let r = (|| -> Result<u64, Status> {
             let (arr, latest) = self.object(env, id)?;
             let version = latest + 1;
@@ -138,7 +119,6 @@ impl ClioMv {
     }
 
     fn read(&mut self, env: &mut OffloadEnv<'_>, id: u64, version: u64) -> OffloadReply {
-        self.reads += 1;
         let r = (|| -> Result<Bytes, Status> {
             let (arr, latest) = self.object(env, id)?;
             let version = if version == u64::MAX { latest } else { version };
@@ -217,13 +197,6 @@ pub fn encode_read(id: u64, version: u64) -> Bytes {
     let mut b = BytesMut::with_capacity(16);
     b.put_u64_le(id);
     b.put_u64_le(version);
-    b.freeze()
-}
-
-/// Encodes a delete argument.
-pub fn encode_delete(id: u64) -> Bytes {
-    let mut b = BytesMut::with_capacity(8);
-    b.put_u64_le(id);
     b.freeze()
 }
 
@@ -307,7 +280,10 @@ mod tests {
     fn delete_recycles_ids() {
         let mut h = Harness::new();
         let a = h.create();
-        assert_eq!(h.call(MvOpcode::Delete, encode_delete(a)).status, Status::Ok);
+        assert_eq!(
+            h.call(MvOpcode::Delete, Bytes::copy_from_slice(&a.to_le_bytes())).status,
+            Status::Ok
+        );
         assert_eq!(h.call(MvOpcode::Read, encode_read(a, 1)).status, Status::InvalidAddr);
         let b = h.create();
         assert_eq!(b, a, "freed id is reused");

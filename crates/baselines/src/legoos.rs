@@ -91,11 +91,6 @@ impl LegoOsModel {
         }
         done
     }
-
-    /// Peak goodput of the node (for the Figure 9/§7.1 comparison).
-    pub fn peak_goodput(&self) -> Bandwidth {
-        self.params.throughput_ceiling
-    }
 }
 
 #[cfg(test)]

@@ -290,11 +290,6 @@ impl RdmaNic {
         }
         (r.end + cost.jitter, cost)
     }
-
-    /// Pre-faults a page (what pinned registration does at setup time).
-    pub fn prefault(&mut self, vpn: u64) {
-        self.faulted_pages.insert((Pid(2), vpn));
-    }
 }
 
 #[cfg(test)]

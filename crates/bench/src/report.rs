@@ -46,13 +46,6 @@ impl FigureReport {
         self.metrics.push((name.into(), value));
     }
 
-    /// Convenience for the workhorse metric: wire frames per operation.
-    /// `direction` is e.g. `"req"` (CN→MN) or `"resp"` (MN→CN).
-    pub fn frames_per_op(&mut self, label: &str, direction: &str, frames: u64, ops: u64) {
-        let v = if ops == 0 { 0.0 } else { frames as f64 / ops as f64 };
-        self.metric(format!("frames/op [{direction}] {label}"), v);
-    }
-
     /// Adds a note.
     pub fn note(&mut self, n: impl Into<String>) {
         self.notes.push(n.into());
@@ -102,8 +95,8 @@ mod tests {
     #[test]
     fn render_includes_metrics() {
         let mut r = FigureReport::new("figYY", "Metrics", "x");
-        r.frames_per_op("64-op burst", "resp", 4, 64);
-        r.frames_per_op("empty", "req", 1, 0);
+        r.metric("frames/op [resp] 64-op burst", 4.0 / 64.0);
+        r.metric("frames/op [req] empty", 0.0);
         r.metric("goodput Gbps", 9.4);
         let text = r.render();
         assert!(text.contains("metric: frames/op [resp] 64-op burst = 0.0625"));

@@ -42,16 +42,6 @@ pub fn bench_cluster_tuned(
     Cluster::build(&cfg)
 }
 
-/// A cluster with fully paper-faithful board parameters (4 MB pages, 2 GB
-/// nodes) for figures that depend on the prototype's exact geometry.
-pub fn prototype_cluster(cns: usize, mns: usize, seed: u64) -> Cluster {
-    let mut cfg = ClusterConfig::testbed();
-    cfg.cns = cns;
-    cfg.mns = mns;
-    cfg.seed = seed;
-    Cluster::build(&cfg)
-}
-
 /// Directly installs `n` valid PTEs for `pid` on memory node `mn`,
 /// aliasing all of them onto the node's first few physical pages — the
 /// paper's Figure 5 methodology ("we map a large range of VAs to a small

@@ -128,32 +128,6 @@ impl CLib {
         self.transport.set_tracer(tracer, track);
     }
 
-    /// Total operations completed (success or failure).
-    pub fn completed_count(&self) -> u64 {
-        self.stats.completed
-    }
-
-    /// Transport-level retry count.
-    pub fn retry_count(&self) -> u64 {
-        self.transport.stats().retries
-    }
-
-    /// Multi-request batch frames the transport has sent.
-    pub fn batch_frames(&self) -> u64 {
-        self.transport.stats().batch_frames
-    }
-
-    /// Requests that traveled inside a multi-request batch frame.
-    pub fn batched_ops(&self) -> u64 {
-        self.transport.stats().batched_ops
-    }
-
-    /// Wire frames the retry doorbell has shipped (coalesced retries share
-    /// one frame).
-    pub fn retry_frames(&self) -> u64 {
-        self.transport.stats().retry_frames
-    }
-
     /// Operations in flight across all threads.
     pub fn in_flight(&self) -> usize {
         self.ops.len()
@@ -172,9 +146,11 @@ impl CLib {
     }
 
     /// The pages `[va, va + len)` touches (a zero-length access still names
-    /// its page).
+    /// its page). A span ending past the top of the address space touches
+    /// every page up to the last; the board rejects it as `InvalidAddr`.
     fn vpns_of(&self, va: u64, len: u64) -> RangeInclusive<u64> {
-        va / self.page_size..=(va + len.max(1) - 1) / self.page_size
+        let last = va.saturating_add(len.max(1) - 1);
+        va / self.page_size..=last / self.page_size
     }
 
     /// How `op` accesses which pages; `None` for barriers.
@@ -514,5 +490,6 @@ mod tests {
         let clib = CLib::new(CLibConfig::default(), 1, 4096);
         assert_eq!(clib.vpns_of(8192, 0), 2..=2);
         assert_eq!(clib.vpns_of(4095, 2), 0..=1);
+        assert_eq!(clib.vpns_of(u64::MAX - 3, 16), u64::MAX / 4096..=u64::MAX / 4096);
     }
 }

@@ -237,8 +237,9 @@ fn batched_requests_keep_retry_and_dedup_semantics_under_corruption() {
     }
     let host = r.sim.actor::<CnHost>(r.cn);
     assert!(host.completions.iter().all(|c| c.result.is_ok()), "an op failed");
-    assert!(host.clib.retry_count() > 0, "corruption should have forced retries");
-    assert!(host.clib.batched_ops() > 0, "the burst should actually have batched");
+    let sent = host.clib.transport().stats();
+    assert!(sent.retries > 0, "corruption should have forced retries");
+    assert!(sent.batched_ops > 0, "the burst should actually have batched");
 }
 
 /// Runs a 64-op "closed-loop" burst — submissions staggered 50 ns apart,
@@ -362,21 +363,18 @@ fn same_instant_timeouts_recoalesce_retries_into_batch_frames() {
     // Let the burst ship and its timers expire once, then heal the link.
     r.sim.run_for(SimDuration::from_micros(40));
     let frames_before_retry = {
-        let host = r.sim.actor::<CnHost>(r.cn);
-        (host.clib.batch_frames(), host.clib.batched_ops())
+        let sent = r.sim.actor::<CnHost>(r.cn).clib.transport().stats();
+        (sent.batch_frames, sent.batched_ops)
     };
     assert_eq!(frames_before_retry, (1, 8), "the initial burst shipped as one batch frame");
     r.net.set_faults(&mut r.sim, r.board_mac, FaultInjector::none());
     r.sim.run_until_idle();
     let host = r.sim.actor::<CnHost>(r.cn);
     assert!(host.completions.iter().all(|c| c.result.is_ok()), "an op failed");
-    assert!(host.clib.retry_count() >= 8, "every read should have retried");
-    assert!(
-        host.clib.batched_ops() >= 16,
-        "retries must re-coalesce: {} batched ops",
-        host.clib.batched_ops()
-    );
-    let retry_frames = host.clib.batch_frames() - 1;
+    let sent = host.clib.transport().stats();
+    assert!(sent.retries >= 8, "every read should have retried");
+    assert!(sent.batched_ops >= 16, "retries must re-coalesce: {} batched ops", sent.batched_ops);
+    let retry_frames = sent.batch_frames - 1;
     assert!(
         retry_frames <= 2,
         "8 same-instant retries should share 1-2 frames, got {retry_frames}"
@@ -432,12 +430,12 @@ fn corrupted_64_op_burst_recovers_in_ceil_frames_per_direction() {
         nack_frames <= ceil_frames,
         "NACKs must coalesce: {nack_frames} NACK frames > ceil(64/16) = {ceil_frames}"
     );
-    let host = r.sim.actor::<CnHost>(r.cn);
-    assert_eq!(host.clib.retry_count(), OPS, "each read retried exactly once");
+    let sent = r.sim.actor::<CnHost>(r.cn).clib.transport().stats();
+    assert_eq!(sent.retries, OPS, "each read retried exactly once");
     assert!(
-        host.clib.retry_frames() <= ceil_frames,
+        sent.retry_frames <= ceil_frames,
         "retries must coalesce: {} retry frames > {ceil_frames}",
-        host.clib.retry_frames()
+        sent.retry_frames
     );
     // Per direction: 4 original + <=4 retry frames in, <=4 NACK frames plus
     // the (batched) responses out.

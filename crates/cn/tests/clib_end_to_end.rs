@@ -6,7 +6,7 @@ use bytes::Bytes;
 use clio_cn::{CLib, CLibConfig, ClioError, Completion, CompletionValue, Op, OpToken, ThreadId};
 use clio_mn::{CBoard, CBoardConfig};
 use clio_net::{FaultInjector, Frame, Mac, Network, NetworkConfig, NicPort};
-use clio_proto::{Perm, Pid};
+use clio_proto::{Perm, Pid, Status};
 use clio_sim::{Actor, ActorId, Bandwidth, Ctx, Message, SimDuration, Simulation};
 
 /// Instruction to a CN host to submit an op.
@@ -149,6 +149,18 @@ fn clib_alloc_write_read_roundtrip() {
     );
 }
 
+/// A span ending past the top of the address space reaches the board,
+/// which names no such memory; CLib's page bookkeeping must not overflow on
+/// the way there.
+#[test]
+fn a_read_ending_past_the_top_of_the_address_space_is_invalid_addr() {
+    let mut r = rig();
+    r.alloc(4096);
+    r.submit(0, Op::Read { va: u64::MAX - 3, len: 16 });
+    let last = r.completions().last().expect("completion");
+    assert_eq!(last.result, Err(ClioError::Remote(Status::InvalidAddr)));
+}
+
 #[test]
 fn dependent_async_ops_execute_in_order() {
     let mut r = rig();
@@ -229,7 +241,7 @@ fn loss_is_recovered_by_request_level_retry() {
         other => panic!("expected data, got {other:?}"),
     }
     let host = r.sim.actor::<CnHost>(r.cn);
-    assert!(host.clib.retry_count() > 0, "losses should have forced retries");
+    assert!(host.clib.transport().stats().retries > 0, "losses should have forced retries");
     let failures = host.completions.iter().filter(|c| c.result.is_err()).count();
     assert_eq!(failures, 0, "all ops must eventually succeed");
 }
@@ -249,7 +261,10 @@ fn corruption_is_recovered_via_nack() {
     let host = r.sim.actor::<CnHost>(r.cn);
     let failures = host.completions.iter().filter(|c| c.result.is_err()).count();
     assert_eq!(failures, 0);
-    assert!(host.clib.retry_count() > 0, "corruption should have triggered NACK retries");
+    assert!(
+        host.clib.transport().stats().retries > 0,
+        "corruption should have triggered NACK retries"
+    );
 }
 
 #[test]

@@ -16,6 +16,9 @@ use crate::controller::Controller;
 use crate::exec::ProcHandle;
 use crate::node::{ComputeNode, StartClients};
 
+/// RAS bytes owned by each MN (its VA slice span).
+const MN_SLICE_SPAN: u64 = 1 << 40;
+
 /// Deployment shape and component configurations.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -29,12 +32,8 @@ pub struct ClusterConfig {
     pub board: CBoardConfig,
     /// CLib configuration for every CN.
     pub clib: CLibConfig,
-    /// Fabric configuration.
-    pub network: NetworkConfig,
     /// CN NIC rate (testbed: 40 Gbps ConnectX-3).
     pub cn_nic_rate: Bandwidth,
-    /// RAS bytes owned by each MN (its VA slice span).
-    pub mn_slice_span: u64,
     /// Physical-memory utilization at which boards report pressure.
     pub pressure_threshold: f64,
     /// Cross-layer op tracing: `Some(n)` records per-stage latency spans
@@ -58,9 +57,7 @@ impl ClusterConfig {
             mns: 4,
             board: CBoardConfig::prototype(),
             clib: CLibConfig::prototype(),
-            network: NetworkConfig::default(),
             cn_nic_rate: Bandwidth::from_gbps(40),
-            mn_slice_span: 1 << 40,
             pressure_threshold: 0.9,
             trace_sample_every: None,
             runtime_inflight_budget: crate::node::DEFAULT_INFLIGHT_BUDGET,
@@ -103,7 +100,7 @@ impl Cluster {
     pub fn build(cfg: &ClusterConfig) -> Self {
         assert!(cfg.cns > 0 && cfg.mns > 0, "cluster needs at least one CN and MN");
         let mut sim = Simulation::new(cfg.seed);
-        let mut net = Network::new(&mut sim, cfg.network);
+        let mut net = Network::new(&mut sim, NetworkConfig::default());
         let mut controller = Controller::new();
 
         // Memory nodes, each owning a disjoint RAS slice.
@@ -111,29 +108,22 @@ impl Cluster {
         let mut mn_macs = Vec::new();
         let mut slices = Vec::new();
         for i in 0..cfg.mns {
-            let slice_base = (1u64 << 20).max((i as u64) * cfg.mn_slice_span + (1 << 20));
+            let slice_base = (1u64 << 20).max((i as u64) * MN_SLICE_SPAN + (1 << 20));
             let mut board_cfg = cfg.board.clone();
-            board_cfg.va_window = Some((slice_base, cfg.mn_slice_span - (2 << 20)));
+            board_cfg.va_window = Some((slice_base, MN_SLICE_SPAN - (2 << 20)));
             let port = net.create_port(cfg.board.port_rate);
             let mac = port.mac();
             let board = CBoard::new(format!("mn{i}"), board_cfg, port);
             let id = sim.add_actor(board);
             net.attach(&mut sim, mac, id);
-            controller.register_mn(
-                mac,
-                id,
-                slice_base,
-                cfg.mn_slice_span,
-                cfg.board.hw.phys_mem_bytes,
-            );
-            slices.push((slice_base, cfg.mn_slice_span, mac));
+            controller.register_mn(mac, id, slice_base, MN_SLICE_SPAN, cfg.board.hw.phys_mem_bytes);
+            slices.push((slice_base, MN_SLICE_SPAN, mac));
             mns.push(id);
             mn_macs.push(mac);
         }
 
         let controller_id = sim.add_actor(controller);
-        for (i, &mn) in mns.iter().enumerate() {
-            let _ = i;
+        for &mn in &mns {
             sim.actor_mut::<CBoard>(mn).set_controller(controller_id, cfg.pressure_threshold);
         }
 

@@ -182,16 +182,6 @@ impl Controller {
         self.cns.push(actor);
     }
 
-    /// The RAS slice `(base, span)` owned by the MN at `mac`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mac` is not registered.
-    pub fn slice_of(&self, mac: Mac) -> (u64, u64) {
-        let m = self.mns.iter().find(|m| m.mac == mac).expect("unregistered MN");
-        (m.slice_base, m.slice_span)
-    }
-
     /// Bytes currently placed on (charged against) the MN at `mac`.
     ///
     /// # Panics

@@ -51,7 +51,7 @@
 //!
 //! ## Open-loop load
 //!
-//! [`openloop`] generates seeded Poisson/uniform arrival schedules;
+//! [`openloop`] generates seeded Poisson arrival schedules;
 //! [`OpFuture::arriving_at`] back-dates an op to its generated arrival so
 //! latency measurements include queueing delay, the way an open-loop
 //! client would experience it.
@@ -528,7 +528,9 @@ impl ProcHandle {
     /// that completes first resolves normally; cancellation never
     /// un-completes a finished op.
     pub fn with_deadline(&self, op: OpFuture, deadline: SimDuration) -> DeadlineFuture {
-        op.with_deadline(deadline)
+        let sleep =
+            SleepFuture { shared: self.shared.clone(), state: SleepState::Start { dur: deadline } };
+        DeadlineFuture { op, sleep, expired: false }
     }
 
     /// `ralloc`: allocate remote memory (await yields a VA completion).
@@ -642,13 +644,6 @@ impl OpFuture {
             self.slot.borrow_mut().arrival = at;
         }
         self
-    }
-
-    /// Bounds this op by a deadline (see [`ProcHandle::with_deadline`]).
-    pub fn with_deadline(self, deadline: SimDuration) -> DeadlineFuture {
-        let sleep =
-            SleepFuture { shared: self.shared.clone(), state: SleepState::Start { dur: deadline } };
-        DeadlineFuture { op: self, sleep, expired: false }
     }
 
     /// A handle that can cancel this op from another task (or after the
@@ -783,9 +778,9 @@ impl CancelHandle {
 }
 
 /// An [`OpFuture`] bounded by a deadline (built by
-/// [`ProcHandle::with_deadline`] / [`OpFuture::with_deadline`]). Resolves
-/// with the op's own completion, or — once the deadline passes — with a
-/// completion carrying [`ClioError::DeadlineExceeded`].
+/// [`ProcHandle::with_deadline`]). Resolves with the op's own completion,
+/// or — once the deadline passes — with a completion carrying
+/// [`ClioError::DeadlineExceeded`].
 pub struct DeadlineFuture {
     op: OpFuture,
     sleep: SleepFuture,

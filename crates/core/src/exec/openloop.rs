@@ -25,46 +25,18 @@
 use clio_sim::dist::ExpInterarrival;
 use clio_sim::{SimDuration, SimRng, SimTime};
 
-/// The stochastic process generating inter-arrival gaps.
+/// The process generating inter-arrival gaps: Poisson arrivals, i.e.
+/// exponential gaps with a given mean rate.
 #[derive(Debug, Clone, Copy)]
-pub enum ArrivalProcess {
-    /// Poisson arrivals: exponential gaps with the given mean rate.
-    Poisson {
-        /// Offered load, in ops per second of virtual time.
-        rate_per_sec: f64,
-    },
-    /// Uniform gaps in `[min, max]`.
-    Uniform {
-        /// Shortest gap.
-        min: SimDuration,
-        /// Longest gap.
-        max: SimDuration,
-    },
-    /// A fixed gap (deterministic arrivals, paced like a rate limiter).
-    Constant {
-        /// The gap.
-        gap: SimDuration,
-    },
+pub struct ArrivalProcess {
+    /// Offered load, in ops per second of virtual time.
+    rate_per_sec: f64,
 }
 
 impl ArrivalProcess {
     /// Poisson arrivals at `rate_per_sec` ops/s.
     pub fn poisson(rate_per_sec: f64) -> Self {
-        ArrivalProcess::Poisson { rate_per_sec }
-    }
-
-    /// The mean offered rate, in ops per second.
-    pub fn mean_rate_per_sec(&self) -> f64 {
-        let mean_gap = match self {
-            ArrivalProcess::Poisson { rate_per_sec } => return *rate_per_sec,
-            ArrivalProcess::Uniform { min, max } => (min.as_secs_f64() + max.as_secs_f64()) / 2.0,
-            ArrivalProcess::Constant { gap } => gap.as_secs_f64(),
-        };
-        if mean_gap > 0.0 {
-            1.0 / mean_gap
-        } else {
-            f64::INFINITY
-        }
+        ArrivalProcess { rate_per_sec }
     }
 }
 
@@ -72,38 +44,19 @@ impl ArrivalProcess {
 /// with the same `(process, seed)` yields the same sequence).
 #[derive(Debug, Clone)]
 pub struct ArrivalGen {
-    process: ArrivalProcess,
-    exp: Option<ExpInterarrival>,
+    exp: ExpInterarrival,
     rng: SimRng,
 }
 
 impl ArrivalGen {
     /// Builds a generator for `process` from `seed`.
     pub fn new(process: ArrivalProcess, seed: u64) -> Self {
-        let exp = match process {
-            ArrivalProcess::Poisson { rate_per_sec } => {
-                Some(ExpInterarrival::from_rate(rate_per_sec))
-            }
-            _ => None,
-        };
-        ArrivalGen { process, exp, rng: SimRng::new(seed) }
+        ArrivalGen { exp: ExpInterarrival::from_rate(process.rate_per_sec), rng: SimRng::new(seed) }
     }
 
     /// The next inter-arrival gap.
     pub fn next_gap(&mut self) -> SimDuration {
-        match self.process {
-            ArrivalProcess::Poisson { .. } => {
-                self.exp.as_ref().expect("poisson generator").sample(&mut self.rng)
-            }
-            ArrivalProcess::Uniform { min, max } => {
-                if max <= min {
-                    min
-                } else {
-                    SimDuration::from_nanos(self.rng.range_u64(min.as_nanos(), max.as_nanos() + 1))
-                }
-            }
-            ArrivalProcess::Constant { gap } => gap,
-        }
+        self.exp.sample(&mut self.rng)
     }
 
     /// Advances `from` by the next gap: the next absolute arrival.
@@ -128,23 +81,18 @@ mod tests {
         assert!((mean_ns - 1000.0).abs() < 50.0, "mean gap {mean_ns} ns off target");
     }
 
+    /// The exact gap stream behind `openloop_tasks` and every open-loop
+    /// figure: a change to how a generator draws its gaps must not move it.
     #[test]
-    fn uniform_gaps_stay_in_bounds() {
-        let (min, max) = (SimDuration::from_nanos(100), SimDuration::from_nanos(200));
-        let mut g = ArrivalGen::new(ArrivalProcess::Uniform { min, max }, 7);
-        for _ in 0..1000 {
-            let gap = g.next_gap();
-            assert!(gap >= min && gap <= max, "gap {gap:?} out of bounds");
-        }
-    }
-
-    #[test]
-    fn constant_process_is_a_rate_limiter() {
-        let gap = SimDuration::from_micros(5);
-        let mut g = ArrivalGen::new(ArrivalProcess::Constant { gap }, 0);
-        let t = g.next_arrival(SimTime::ZERO);
-        assert_eq!(t, SimTime::from_nanos(5_000));
-        assert_eq!(g.next_gap(), gap);
-        assert!(g.process.mean_rate_per_sec() > 199_999.0);
+    fn the_gap_stream_is_pinned() {
+        let mut g = ArrivalGen::new(ArrivalProcess::poisson(7.5e6), 42);
+        let gaps: Vec<u64> = (0..16).map(|_| g.next_gap().as_nanos()).collect();
+        assert_eq!(
+            gaps,
+            [170, 142, 435, 19, 202, 30, 144, 64, 211, 94, 89, 87, 54, 212, 302, 93],
+            "first 16 gaps of poisson(7.5e6), seed 42"
+        );
+        let from = SimTime::from_nanos(1_000);
+        assert_eq!(g.clone().next_arrival(from), from + g.next_gap());
     }
 }

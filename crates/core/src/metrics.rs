@@ -79,16 +79,6 @@ impl OpRecorder {
         Bandwidth::from_transfer(self.bytes, self.window()) / 1e9
     }
 
-    /// Million operations per second over the measured window.
-    pub fn miops(&self) -> f64 {
-        let window = self.window();
-        if window.is_zero() {
-            0.0
-        } else {
-            self.ops as f64 / window.as_secs_f64() / 1e6
-        }
-    }
-
     /// Operations measured (post warm-up).
     pub fn ops(&self) -> u64 {
         self.ops
@@ -117,10 +107,9 @@ mod tests {
         let lat = SimDuration::from_nanos(10);
         r.record(t0 + SimDuration::from_micros(1), lat, 1250);
         r.record(t0 + SimDuration::from_micros(2), lat, 1250);
-        // 2500 B over 2 us = 10 Gbps, 2 ops over 2 us = 1 MIOPS.
+        // 2500 B over 2 us = 10 Gbps.
         assert!((r.goodput_gbps() - 10.0).abs() < 0.01, "{}", r.goodput_gbps());
         assert_eq!(r.ops(), 2);
-        assert!((r.miops() - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -139,7 +128,7 @@ mod tests {
     fn empty_recorder_reports_zero() {
         let r = OpRecorder::new(SimTime::ZERO);
         assert_eq!(r.goodput_gbps(), 0.0);
-        assert_eq!(r.miops(), 0.0);
+        assert_eq!(r.ops(), 0);
     }
 
     #[test]

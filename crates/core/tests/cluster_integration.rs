@@ -112,7 +112,7 @@ fn scatter_gather_vectors() {
     });
     // The vector reached the wire coalesced: the CN transport shipped
     // multi-request frames.
-    assert!(cluster.cn(0).clib().batched_ops() >= 16, "vector ops did not batch");
+    assert!(cluster.cn(0).clib().transport().stats().batched_ops >= 16, "vector ops did not batch");
 }
 
 #[test]

@@ -8,10 +8,11 @@
 
 use bytes::Bytes;
 use clio_core::{Cluster, ClusterConfig, ExecDriver, ProcHandle};
-use clio_net::FaultInjector;
+use clio_net::{ChaosAction, ChaosSchedule, FaultInjector};
 use clio_proto::{Perm, Pid};
-use clio_trace::export::{perfetto_json, validate_chrome_trace};
-use clio_trace::{check_trace, OpTrace, Stage};
+use clio_sim::{SimDuration, SimTime};
+use clio_trace::export::{perfetto_json, perfetto_json_with_events, validate_chrome_trace};
+use clio_trace::{check_trace, OpTrace, Stage, Track};
 use proptest::prelude::*;
 
 const BURST: usize = 64;
@@ -65,6 +66,43 @@ fn burst_traces_tile_exactly_and_export_valid_perfetto_json() {
     assert!(stats.lanes >= 3, "expected cn + wire + mn lanes, got {}", stats.lanes);
 }
 
+/// The circuit breaker brackets an outage with trace events: the MN's link
+/// goes dark, the first timeout trips the breaker (`board_down`), and once
+/// the link is back a probe's response closes it (`board_up`), both on the
+/// CN's track and both exported as valid Chrome-trace instants.
+#[test]
+fn breaker_events_bracket_a_link_outage_end_to_end() {
+    let mut cfg = ClusterConfig::test_small().with_tracing(1);
+    cfg.clib.breaker_threshold = 1;
+    let mut cluster = Cluster::build(&cfg);
+    let mn = cluster.mn_macs()[0];
+    cluster.apply_chaos(
+        &ChaosSchedule::new()
+            .at(SimDuration::from_micros(50), ChaosAction::LinkDown(mn))
+            .at(SimDuration::from_micros(300), ChaosAction::LinkUp(mn)),
+    );
+    let (during, after) = cluster.block_on(0, Pid(1), |h| async move {
+        let va = h.ralloc(4096, Perm::RW).await.va();
+        h.sleep(SimTime::from_nanos(60_000).since(h.now())).await;
+        let during = h.rread(va, 8).await.result;
+        h.sleep(SimTime::from_nanos(1_000_000).since(h.now())).await;
+        (during, h.rread(va, 8).await.result)
+    });
+    assert!(during.is_err(), "a read during the outage succeeded");
+    assert!(after.is_ok(), "the read after the outage failed: {after:?}");
+
+    let events = cluster.tracer().events();
+    let names: Vec<&str> = events.iter().map(|e| e.name).collect();
+    assert_eq!(names, ["board_down", "board_up"]);
+    assert!(events.iter().all(|e| e.track == Track::Cn(0)), "{events:?}");
+    assert!(events[0].at < events[1].at);
+
+    let json = perfetto_json_with_events(&cluster.take_traces(), &events);
+    let stats =
+        validate_chrome_trace(&json).expect("exported JSON with breaker events must validate");
+    assert_eq!(stats.instants, 2, "each breaker event exports as one instant");
+}
+
 #[test]
 fn sampling_traces_a_subset() {
     let (_cluster, traces) = run_burst(8);
@@ -95,7 +133,7 @@ fn tracing_disabled_is_zero_overhead() {
             cluster.now(),
             stats.rx_frames,
             stats.tx_frames,
-            cluster.cn(0).clib().completed_count(),
+            cluster.registry().counter("cn0.clib.completed"),
             cluster.take_traces().len(),
         )
     };
@@ -127,7 +165,7 @@ fn corrupted_then_retried_op_links_retry_to_origin_attempt() {
     );
     // (`block_on` panics unless the burst completes despite the retry.)
     cluster.block_on(0, Pid(1), burst_client);
-    assert!(cluster.cn(0).clib().retry_count() > 0, "corruption forced no retry");
+    assert!(cluster.cn(0).clib().transport().stats().retries > 0, "corruption forced no retry");
 
     let traces = cluster.take_traces();
     let retried: Vec<&OpTrace> = traces.iter().filter(|t| !t.links.is_empty()).collect();
@@ -224,13 +262,13 @@ fn registry_yields_exactly_the_pinned_names() {
     // A walked value is the component's own field: one per group.
     let (clib, board) = (cluster.cn(0).clib(), cluster.mn(0));
     let vm = board.silicon().vm();
-    assert_eq!(snap.counters["cn0.clib.completed"], clib.completed_count());
-    assert_eq!(snap.counters["cn0.transport.batched_ops"], clib.batched_ops());
+    let batched_ops = clib.transport().stats().batched_ops;
+    assert_eq!(snap.counters["cn0.transport.batched_ops"], batched_ops);
     assert_eq!(snap.counters["mn0.board.rx_frames"], board.stats().rx_frames);
     assert_eq!(snap.counters["mn0.silicon.reads"], board.silicon().stats().reads);
     assert_eq!(snap.counters["mn0.vm.translations"], vm.stats().translations);
     assert_eq!(snap.counters["mn0.tlb.hits"], vm.tlb().hits());
-    assert!(clib.batched_ops() > 0 && vm.tlb().hits() > 0, "the burst exercised neither");
+    assert!(batched_ops > 0 && vm.tlb().hits() > 0, "the burst exercised neither");
     // Single-name reads walk the same values.
     let reg = cluster.registry();
     assert_eq!(reg.counter("mn0.board.rx_frames"), Some(board.stats().rx_frames));

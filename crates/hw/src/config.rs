@@ -134,11 +134,6 @@ impl CBoardHwConfig {
         va / self.page_size
     }
 
-    /// Offset of `va` within its page.
-    pub fn page_offset(&self, va: u64) -> u64 {
-        va % self.page_size
-    }
-
     /// Duration of one pipeline flit (the II=1 admission interval).
     pub fn flit_time(&self) -> SimDuration {
         self.clock.cycles(Cycles(1))
@@ -203,7 +198,6 @@ mod tests {
         let c = CBoardHwConfig::test_small();
         assert_eq!(c.vpn(0), 0);
         assert_eq!(c.vpn(4096), 1);
-        assert_eq!(c.page_offset(4097), 1);
         assert_eq!(c.flits(1), 1);
         assert_eq!(c.flits(64), 1);
         assert_eq!(c.flits(65), 2);

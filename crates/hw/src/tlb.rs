@@ -180,17 +180,6 @@ impl Tlb {
             None => false,
         }
     }
-
-    /// Drops every translation belonging to `pid` (address-space teardown).
-    pub fn invalidate_pid(&mut self, pid: Pid) -> usize {
-        let keys: Vec<(Pid, u64)> = self.map.keys().filter(|(p, _)| *p == pid).copied().collect();
-        for k in &keys {
-            let idx = self.map.remove(k).expect("key just listed");
-            self.unlink(idx);
-            self.free.push(idx);
-        }
-        keys.len()
-    }
 }
 
 #[cfg(test)]
@@ -247,10 +236,10 @@ mod tests {
         assert!(t.invalidate(Pid(1), 2));
         assert!(!t.invalidate(Pid(1), 2));
         assert_eq!(t.len(), 7);
-        assert_eq!(t.invalidate_pid(Pid(2)), 4);
-        assert_eq!(t.len(), 3);
+        assert!(t.invalidate(Pid(2), 0));
+        assert_eq!(t.len(), 6);
         assert!(t.peek(Pid(2), 0).is_none());
-        assert!(t.peek(Pid(1), 0).is_some());
+        assert!(t.peek(Pid(1), 0).is_some(), "an invalidate leaves other pids' entries");
     }
 
     #[test]

@@ -168,22 +168,6 @@ impl VmUnit {
         self.pt.remove(pid, vpn)
     }
 
-    /// Slow-path hook: removes every mapping of `pid` (address-space
-    /// teardown), returning the valid PPNs that are now free.
-    pub fn remove_pid(&mut self, pid: Pid) -> Vec<u64> {
-        self.tlb.invalidate_pid(pid);
-        let vpns: Vec<u64> = self.pt.iter_pid(pid).map(|p| p.vpn).collect();
-        let mut freed = Vec::new();
-        for vpn in vpns {
-            if let Some(pte) = self.pt.remove(pid, vpn) {
-                if pte.valid {
-                    freed.push(pte.ppn);
-                }
-            }
-        }
-        freed
-    }
-
     /// The allocation-time overflow check used by the VA allocator.
     pub fn can_insert_all<I: IntoIterator<Item = (Pid, u64)>>(&self, pages: I) -> bool {
         self.pt.can_insert_all(pages)
@@ -307,19 +291,6 @@ mod tests {
         let (r, t) = vm.translate(t0(), &mut dram, Pid(1), 4, Perm::READ);
         assert_eq!(r, Err(Status::InvalidAddr));
         assert!(!t.tlb_hit, "stale TLB entry must not serve");
-    }
-
-    #[test]
-    fn remove_pid_returns_valid_pages_only() {
-        let (mut vm, mut dram, _) = setup();
-        vm.async_buffer_mut().push(11);
-        for vpn in 0..3 {
-            install(&mut vm, 1, vpn, Perm::RW);
-        }
-        vm.translate(t0(), &mut dram, Pid(1), 0, Perm::WRITE).0.expect("fault");
-        let freed = vm.remove_pid(Pid(1));
-        assert_eq!(freed, vec![11], "only the faulted page had physical memory");
-        assert!(vm.page_table().is_empty());
     }
 
     #[test]

@@ -340,11 +340,6 @@ impl Scenario {
         &self.shared::<CBoard>(self.boards[i]).actor
     }
 
-    /// Logical fingerprint of every board, in board order.
-    pub fn board_fingerprints(&self) -> Vec<u64> {
-        (0..self.boards.len()).map(|i| self.board_fingerprint(i)).collect()
-    }
-
     /// Board `i`'s [`CBoard::fingerprint`], computed once per board state
     /// (the explorer folds it into every state hash).
     pub(crate) fn board_fingerprint(&self, i: usize) -> u64 {

@@ -156,6 +156,10 @@ struct PendingWrite {
     expires: SimTime,
 }
 
+/// The retry windows a multi-packet write's state outlives its transfer
+/// time by: 8 × the CNs' 50 µs request timeout.
+const WRITE_RETRY_WINDOWS: SimDuration = SimDuration::from_micros(8 * 50);
+
 /// TTL-bounded tracker for multi-packet writes (the "slim layer for handling
 /// corner-case requests" of §4.4 — bounded by in-flight data, not clients).
 #[derive(Debug, Clone, Default)]
@@ -994,8 +998,8 @@ impl CBoard {
             self.writes.order.push_back((now, header.req_id));
             // TTL covers the whole transfer at a conservative 10 ns/byte
             // plus several retry windows.
-            let ttl = self.cfg.request_timeout * 8
-                + SimDuration::from_nanos(header.pkt_count as u64 * 1500 * 10);
+            let ttl =
+                WRITE_RETRY_WINDOWS + SimDuration::from_nanos(header.pkt_count as u64 * 1500 * 10);
             PendingWrite {
                 remaining: header.pkt_count,
                 done,

@@ -60,9 +60,6 @@ pub struct CBoardConfig {
     pub arm: ArmConfig,
     /// Network port rate (the prototype's SFP+ ports are 10 Gbps).
     pub port_rate: Bandwidth,
-    /// Retry timeout the CNs use; the board keeps multi-packet write state
-    /// for a small multiple of this before discarding it.
-    pub request_timeout: SimDuration,
     /// The `(base, span)` slice of the remote address space this MN's VA
     /// allocator manages. When a RAS spans multiple MNs, the global
     /// controller hands each node a disjoint slice (§4.7). `None` = the
@@ -93,7 +90,6 @@ impl CBoardConfig {
             hw: CBoardHwConfig::prototype(),
             arm: ArmConfig::default(),
             port_rate: Bandwidth::from_gbps(10),
-            request_timeout: SimDuration::from_micros(50),
             va_window: None,
             resp_batch_max_ops: 16,
         }

@@ -105,11 +105,6 @@ impl SlowPath {
         &self.shadow
     }
 
-    /// VA allocator statistics `(allocs, retries)`.
-    pub fn valloc_stats(&self) -> (u64, u64) {
-        self.valloc.stats()
-    }
-
     /// Creates a process address space (idempotent).
     pub fn create_as(&mut self, pid: Pid) -> SimDuration {
         self.valloc.create_pid(pid);
@@ -241,15 +236,6 @@ impl SlowPath {
         }
         let service = self.cfg.palloc_base + self.cfg.palloc_per_page * assignments.len() as u64;
         Ok((assignments, service))
-    }
-
-    /// Marks a shadow PTE valid (keeps the mirror in sync after a hardware
-    /// page fault).
-    pub fn shadow_mark_valid(&mut self, pid: Pid, vpn: u64, ppn: u64) {
-        if let Some(pte) = self.shadow.lookup_mut(pid, vpn) {
-            pte.valid = true;
-            pte.ppn = ppn;
-        }
     }
 
     /// Installs a fully-formed PTE in the shadow table (migration ingest).

@@ -91,8 +91,6 @@ pub struct VaAllocator {
     base: u64,
     limit: u64,
     procs: BTreeMap<Pid, ProcSpace>,
-    total_retries: u64,
-    total_allocs: u64,
 }
 
 impl VaAllocator {
@@ -115,15 +113,7 @@ impl VaAllocator {
         assert!(page_size.is_power_of_two(), "page size must be a power of two");
         assert!(span >= page_size, "window must hold at least one page");
         let base = base.max(VA_BASE).next_multiple_of(page_size);
-        VaAllocator {
-            page_size,
-            retry_limit,
-            base,
-            limit: base + span,
-            procs: BTreeMap::new(),
-            total_retries: 0,
-            total_allocs: 0,
-        }
+        VaAllocator { page_size, retry_limit, base, limit: base + span, procs: BTreeMap::new() }
     }
 
     /// Registers a process address space (idempotent).
@@ -176,7 +166,6 @@ impl VaAllocator {
             if va >= self.base && va + len <= self.limit && fits(va, proc) {
                 let range = VaRange { start: va, len, perm };
                 proc.ranges.insert(va, range);
-                self.total_allocs += 1;
                 return Ok(VaAllocation { range, retries: 0 });
             }
             // Fall through: find a new range (paper §4.2 "Limitation").
@@ -200,8 +189,6 @@ impl VaAllocator {
                 let range = VaRange { start, len, perm };
                 proc.ranges.insert(start, range);
                 proc.cursor = start + len;
-                self.total_allocs += 1;
-                self.total_retries += retries as u64;
                 return Ok(VaAllocation { range, retries });
             }
             retries += 1;
@@ -242,13 +229,6 @@ impl VaAllocator {
         proc.ranges.remove(&va).ok_or(Status::InvalidAddr)
     }
 
-    /// The range containing `va`, if any.
-    pub fn range_of(&self, pid: Pid, va: u64) -> Option<VaRange> {
-        let proc = self.procs.get(&pid)?;
-        let (_, r) = proc.ranges.range(..=va).next_back()?;
-        (va < r.start + r.len).then_some(*r)
-    }
-
     /// VPNs covered by a range.
     pub fn vpns(&self, range: VaRange) -> impl Iterator<Item = u64> {
         let page = self.page_size;
@@ -258,11 +238,6 @@ impl VaAllocator {
     /// Page size in bytes.
     pub fn page_size(&self) -> u64 {
         self.page_size
-    }
-
-    /// Lifetime (allocations, retries) — Figure 13's raw data.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.total_allocs, self.total_retries)
     }
 }
 
@@ -308,18 +283,8 @@ mod tests {
         va.create_pid(Pid(1));
         let a = va.alloc(&shadow, Pid(1), 4096, Perm::RW, None).unwrap().range;
         va.free(Pid(1), a.start).expect("free");
-        assert!(va.range_of(Pid(1), a.start).is_none());
         // Freeing twice fails.
         assert_eq!(va.free(Pid(1), a.start), Err(Status::InvalidAddr));
-    }
-
-    #[test]
-    fn range_of_finds_interior_addresses() {
-        let (mut va, shadow) = small();
-        va.create_pid(Pid(1));
-        let r = va.alloc(&shadow, Pid(1), 3 * 4096, Perm::READ, None).unwrap().range;
-        assert_eq!(va.range_of(Pid(1), r.start + 5000), Some(r));
-        assert_eq!(va.range_of(Pid(1), r.start + r.len), None);
     }
 
     #[test]
@@ -347,8 +312,6 @@ mod tests {
         sync_insert(&mut shadow, Pid(1), &va, b.range);
         let err = va.alloc(&shadow, Pid(1), 4096, Perm::RW, None).unwrap_err();
         assert_eq!(err, Status::OutOfVirtualMemory);
-        let (allocs, _retries) = va.stats();
-        assert_eq!(allocs, 2);
     }
 
     #[test]

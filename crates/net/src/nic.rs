@@ -67,11 +67,6 @@ impl NicPort {
         ctx.send_at(self.switch, tx.end + self.propagation_delay, Message::new(frame));
         tx.end
     }
-
-    /// When the transmit queue drains (for backpressure-aware senders).
-    pub fn tx_free_at(&self) -> SimTime {
-        self.tx.free_at()
-    }
 }
 
 #[cfg(test)]

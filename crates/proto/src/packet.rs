@@ -178,23 +178,6 @@ impl RequestBody {
         )
     }
 
-    /// True if the request is dispatched to the software slow path
-    /// (metadata operations, §3.2).
-    pub fn is_slow_path(&self) -> bool {
-        matches!(
-            self,
-            RequestBody::Alloc { .. }
-                | RequestBody::Free { .. }
-                | RequestBody::CreateAs
-                | RequestBody::DestroyAs
-        )
-    }
-
-    /// True if the request is dispatched to the extend path.
-    pub fn is_extend_path(&self) -> bool {
-        matches!(self, RequestBody::OffloadCall { .. })
-    }
-
     /// Payload bytes carried by this body (data for writes/offload args).
     pub fn payload_len(&self) -> usize {
         match self {
@@ -325,18 +308,6 @@ impl ClioPacket {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn path_classification() {
-        assert!(RequestBody::Alloc { size: 1, perm: Perm::RW, fixed_va: None }.is_slow_path());
-        assert!(RequestBody::Free { va: 0, size: 1 }.is_slow_path());
-        assert!(RequestBody::CreateAs.is_slow_path());
-        assert!(!RequestBody::Read { va: 0, len: 1 }.is_slow_path());
-        assert!(
-            RequestBody::OffloadCall { offload: 0, opcode: 0, arg: Bytes::new() }.is_extend_path()
-        );
-        assert!(!RequestBody::Fence.is_extend_path());
-    }
 
     #[test]
     fn non_idempotent_ops_flagged() {

@@ -39,8 +39,6 @@ impl fmt::Display for ReqId {
 pub struct Perm(u8);
 
 impl Perm {
-    /// No access.
-    pub const NONE: Perm = Perm(0);
     /// Read permission.
     pub const READ: Perm = Perm(1);
     /// Write permission.
@@ -51,11 +49,6 @@ impl Perm {
     /// True if all permissions in `other` are present in `self`.
     pub fn allows(self, other: Perm) -> bool {
         self.0 & other.0 == other.0
-    }
-
-    /// Union of two permission sets.
-    pub fn union(self, other: Perm) -> Perm {
-        Perm(self.0 | other.0)
     }
 
     /// The raw bits (wire encoding).
@@ -168,9 +161,8 @@ mod tests {
         assert!(Perm::RW.allows(Perm::WRITE));
         assert!(Perm::RW.allows(Perm::RW));
         assert!(!Perm::READ.allows(Perm::WRITE));
-        assert!(!Perm::NONE.allows(Perm::READ));
-        assert!(Perm::READ.union(Perm::WRITE) == Perm::RW);
-        assert!(Perm::NONE.allows(Perm::NONE));
+        assert!(!Perm::default().allows(Perm::READ));
+        assert!(Perm::default().allows(Perm::default()));
     }
 
     #[test]

@@ -444,20 +444,6 @@ impl Simulation {
         let deadline = self.core.now + d;
         self.run_until(deadline);
     }
-
-    /// The number of registered actors.
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
-    /// The name of a registered actor ([`Actor::name`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not registered or the actor is currently executing.
-    pub fn actor_name(&self, id: ActorId) -> &str {
-        self.actors[id.index()].as_ref().expect("actor is executing").name()
-    }
 }
 
 impl std::fmt::Debug for Simulation {

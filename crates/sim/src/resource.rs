@@ -64,11 +64,6 @@ impl SerialResource {
     pub fn free_at(&self) -> SimTime {
         self.free_at
     }
-
-    /// True if the resource is idle at `now`.
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.free_at <= now
-    }
 }
 
 /// A throughput gate that admits one item per fixed interval — models a fully

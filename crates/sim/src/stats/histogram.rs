@@ -134,28 +134,6 @@ impl Histogram {
         self.max
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (i, &c) in other.buckets.iter().enumerate() {
-            self.buckets[i] += c;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
     /// A compact summary (count/mean/p50/p99/max) for reporting.
     pub fn summary(&self) -> LatencySummary {
         LatencySummary {
@@ -166,24 +144,6 @@ impl Histogram {
             p99_ns: self.percentile(99.0),
             max_ns: self.max,
         }
-    }
-
-    /// Iterates `(value_upper_bound, cumulative_fraction)` pairs — the CDF,
-    /// as used by Figure 7.
-    pub fn cdf(&self) -> Vec<(u64, f64)> {
-        let mut out = Vec::new();
-        if self.count == 0 {
-            return out;
-        }
-        let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            seen += c;
-            out.push((bucket_upper(idx).min(self.max), seen as f64 / self.count as f64));
-        }
-        out
     }
 }
 
@@ -273,35 +233,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(10);
-        b.record(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), 10);
-        assert_eq!(a.max(), 1_000_000);
-    }
-
-    #[test]
     fn empty_histogram_is_safe() {
         let h = Histogram::new();
         assert!(h.is_empty());
         assert_eq!(h.percentile(99.0), 0);
         assert_eq!(h.mean(), 0.0);
-        assert!(h.cdf().is_empty());
-    }
-
-    #[test]
-    fn cdf_ends_at_one() {
-        let mut h = Histogram::new();
-        for v in [5u64, 50, 500, 5000] {
-            h.record(v);
-        }
-        let cdf = h.cdf();
-        assert_eq!(cdf.last().unwrap().1, 1.0);
-        assert!(cdf.windows(2).all(|w| w[0].1 <= w[1].1 && w[0].0 <= w[1].0));
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl Series {
         &self.points
     }
 
-    /// The y value recorded for a given x, if any (exact match).
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points.iter().find(|(px, _)| *px == x).map(|(_, y)| *y)
-    }
-
     /// Number of points.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -78,8 +73,8 @@ pub fn render_table(x_label: &str, series: &[Series]) -> String {
     for x in xs {
         write!(out, "{x:>14.2}").expect("write to string");
         for s in series {
-            match s.y_at(x) {
-                Some(y) => write!(out, " {y:>16.3}").expect("write to string"),
+            match s.points.iter().find(|(px, _)| *px == x) {
+                Some((_, y)) => write!(out, " {y:>16.3}").expect("write to string"),
                 None => write!(out, " {:>16}", "-").expect("write to string"),
             }
         }
@@ -98,8 +93,7 @@ mod tests {
         s.push(1.0, 2.5);
         s.push(2.0, 2.6);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.y_at(2.0), Some(2.6));
-        assert_eq!(s.y_at(3.0), None);
+        assert_eq!(s.points(), &[(1.0, 2.5), (2.0, 2.6)]);
         assert!(!s.is_empty());
         assert_eq!(s.name(), "clio");
     }

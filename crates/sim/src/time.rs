@@ -101,11 +101,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Total microseconds, as a float (for reporting).
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Total seconds, as a float (for reporting).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -259,11 +254,6 @@ impl Frequency {
         Self::from_hz(ghz * 1_000_000_000)
     }
 
-    /// The frequency in hertz.
-    pub fn as_hz(self) -> u64 {
-        self.hz
-    }
-
     /// The duration of `n` cycles at this frequency (rounded to ns, at least
     /// 1 ns for a non-zero cycle count so events always make progress).
     pub fn cycles(self, n: Cycles) -> SimDuration {
@@ -337,11 +327,6 @@ impl Bandwidth {
     /// Constructs a bandwidth from gigabits per second.
     pub fn from_gbps(gbps: u64) -> Self {
         Self::from_bps(gbps * 1_000_000_000)
-    }
-
-    /// Constructs a bandwidth from megabits per second.
-    pub fn from_mbps(mbps: u64) -> Self {
-        Self::from_bps(mbps * 1_000_000)
     }
 
     /// Constructs a bandwidth from gigabytes per second.
@@ -431,7 +416,7 @@ mod tests {
         assert_eq!(bw.transfer_time(0), SimDuration::ZERO);
         // 64 B at 100 Gbps = 5.12 ns -> rounds up to 6.
         assert_eq!(bw.transfer_time(64).as_nanos(), 6);
-        let slow = Bandwidth::from_mbps(1);
+        let slow = Bandwidth::from_bps(1_000_000);
         assert_eq!(slow.transfer_time(125_000), SimDuration::from_secs(1));
     }
 

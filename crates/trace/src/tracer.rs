@@ -66,11 +66,6 @@ impl Tracer {
         }))))
     }
 
-    /// True when this handle records anything at all.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Starts a trace for an op submitted at `at`. Returns `None` when
     /// disabled or when sampling skips this op; the context otherwise
     /// travels with the op through every layer.
@@ -150,11 +145,6 @@ impl Tracer {
         self.0.as_ref().map(|s| std::mem::take(&mut s.borrow_mut().finished)).unwrap_or_default()
     }
 
-    /// Traces begun but not yet finished.
-    pub fn active_count(&self) -> usize {
-        self.0.as_ref().map(|s| s.borrow().active.len()).unwrap_or(0)
-    }
-
     /// Records a point-in-time system event on `track` (no-op when
     /// disabled). Events skip per-op sampling: a board going down is a
     /// system fact, not a latency sample.
@@ -167,12 +157,6 @@ impl Tracer {
     /// Clones the recorded system events (empty when disabled).
     pub fn events(&self) -> Vec<TraceEvent> {
         self.0.as_ref().map(|s| s.borrow().events.clone()).unwrap_or_default()
-    }
-
-    /// Removes and returns the recorded system events (empty when
-    /// disabled).
-    pub fn take_events(&self) -> Vec<TraceEvent> {
-        self.0.as_ref().map(|s| std::mem::take(&mut s.borrow_mut().events)).unwrap_or_default()
     }
 }
 
@@ -188,13 +172,13 @@ mod tests {
     #[test]
     fn disabled_tracer_is_inert() {
         let tr = Tracer::disabled();
-        assert!(!tr.is_enabled());
         assert_eq!(tr.begin("read", t(0)), None);
         tr.stitch(None, Track::Cn(0), Stage::Submit, t(10));
         assert_eq!(tr.retry(None, t(5)), None);
         tr.finish(None, Track::Cn(0), t(10));
         assert!(tr.finished().is_empty());
-        assert_eq!(tr.active_count(), 0);
+        tr.event(Track::Cn(0), "board_down", t(10));
+        assert!(tr.events().is_empty());
     }
 
     #[test]

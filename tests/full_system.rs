@@ -108,7 +108,7 @@ fn lossy_network_preserves_correctness_end_to_end() {
             assert!(b.iter().all(|&x| x == i as u8), "data corrupted at {i}");
         }
     });
-    let retries = cluster.cn(0).clib().retry_count();
+    let retries = cluster.cn(0).clib().transport().stats().retries;
     assert!(retries > 0, "faults should have caused retries (got {retries})");
 }
 
@@ -159,7 +159,10 @@ fn incast_corruption_storm_recovers_with_coalesced_frames() {
 
         let mn_mac = cluster.mn_macs()[0];
         let stats0 = cluster.mn(0).stats();
-        let retries0: u64 = (0..CNS).map(|i| cluster.cn(i).clib().retry_frames()).sum();
+        let retry_frames = |cluster: &Cluster| -> u64 {
+            (0..CNS).map(|i| cluster.cn(i).clib().transport().stats().retry_frames).sum()
+        };
+        let retries0 = retry_frames(&cluster);
         if corrupt {
             // Corrupt exactly the first wave: 8 CNs x ceil(64/16) frames.
             let frames = CNS as u32 * (READS as u32).div_ceil(cfg.clib.batch_max_ops);
@@ -190,14 +193,12 @@ fn incast_corruption_storm_recovers_with_coalesced_frames() {
             per_cn_rx_frames.push(cluster.net.port_stats(&cluster.sim, mac).tx_frames);
         }
         let stats = cluster.mn(0).stats();
-        let retry_frames: u64 =
-            (0..CNS).map(|i| cluster.cn(i).clib().retry_frames()).sum::<u64>() - retries0;
         (
             per_cn,
             stats.rx_frames - stats0.rx_frames,
             stats.nacks - stats0.nacks,
             stats.nack_frames - stats0.nack_frames,
-            retry_frames,
+            retry_frames(&cluster) - retries0,
             per_cn_rx_frames,
         )
     };

@@ -469,7 +469,7 @@ fn an_ralloc_cancelled_during_placement_gives_back_its_charge() {
     cfg.mns = 2;
     let mut cluster = Cluster::build(&cfg);
     let result = cluster.block_on(0, Pid(1), |h| async move {
-        h.ralloc(2 * PAGE, Perm::RW).with_deadline(SimDuration::from_micros(1)).await.result
+        h.with_deadline(h.ralloc(2 * PAGE, Perm::RW), SimDuration::from_micros(1)).await.result
     });
     cluster.run_until_idle();
 
