@@ -6,9 +6,10 @@
 //! ASIC — only costs host memory proportional to the bytes actually touched.
 //! Untouched memory reads as zero, like freshly faulted pages.
 //!
-//! A clone shares every chunk with the memory it was taken from and copies
-//! a chunk only when one side writes it (`Rc::make_mut`), so copying a
-//! board costs a table of pointers, not its DRAM.
+//! A clone shares the chunk table and every chunk with the memory it was
+//! taken from, and copies the table and then the chunk only when one side
+//! writes (`Rc::make_mut`), so copying a board costs one pointer here until
+//! the copy's DRAM is written, and a table of pointers after that.
 
 use std::rc::Rc;
 
@@ -24,7 +25,7 @@ type Chunk = [u8; CHUNK as usize];
 /// Byte-addressable physical memory of one memory node.
 #[derive(Debug, Clone, Default)]
 pub struct PhysMemory {
-    chunks: IdMap<u64, Rc<Chunk>>,
+    chunks: Rc<IdMap<u64, Rc<Chunk>>>,
     resident_bytes: u64,
 }
 
@@ -42,7 +43,7 @@ impl PhysMemory {
     /// Chunk `index`, materialized if it was not, and unshared.
     fn chunk_mut(&mut self, index: u64) -> &mut Chunk {
         let resident = &mut self.resident_bytes;
-        Rc::make_mut(self.chunks.entry(index).or_insert_with(|| {
+        Rc::make_mut(Rc::make_mut(&mut self.chunks).entry(index).or_insert_with(|| {
             *resident += CHUNK;
             Rc::new([0; CHUNK as usize])
         }))
@@ -108,15 +109,16 @@ impl PhysMemory {
         }
         let first = pa / CHUNK;
         let last = (pa + len - 1) / CHUNK;
+        let chunks = Rc::make_mut(&mut self.chunks);
         for idx in first..=last {
             let chunk_start = idx * CHUNK;
             let chunk_end = chunk_start + CHUNK;
             if pa <= chunk_start && chunk_end <= pa + len {
                 // Whole chunk: drop the allocation.
-                if self.chunks.remove(&idx).is_some() {
+                if chunks.remove(&idx).is_some() {
                     self.resident_bytes -= CHUNK;
                 }
-            } else if let Some(chunk) = self.chunks.get_mut(&idx) {
+            } else if let Some(chunk) = chunks.get_mut(&idx) {
                 let lo = pa.max(chunk_start) - chunk_start;
                 let hi = (pa + len).min(chunk_end) - chunk_start;
                 Rc::make_mut(chunk)[lo as usize..hi as usize].fill(0);

@@ -7,6 +7,8 @@
 //! buffer). Both the functional outcome and the stage timing are returned
 //! explicitly.
 
+use std::rc::Rc;
+
 use clio_proto::{Perm, Pid, Status};
 use clio_sim::{Cycles, SimDuration, SimTime};
 
@@ -61,7 +63,9 @@ clio_trace::counters! {
 pub struct VmUnit {
     tlb: Tlb,
     pt: HashPageTable,
-    async_buf: AsyncPageBuffer,
+    /// Written only by a page fault and the ARM's refill: shared between
+    /// clones of the unit until one side writes it (`Rc::make_mut`).
+    async_buf: Rc<AsyncPageBuffer>,
     tlb_lookup_cycles: Cycles,
     page_fault_cycles: Cycles,
     stats: VmStats,
@@ -74,7 +78,7 @@ impl VmUnit {
         VmUnit {
             tlb: Tlb::new(cfg.tlb_entries),
             pt: HashPageTable::new(cfg.pt_buckets(), cfg.pt_slots_per_bucket),
-            async_buf: AsyncPageBuffer::new(cfg.async_buffer_pages),
+            async_buf: Rc::new(AsyncPageBuffer::new(cfg.async_buffer_pages)),
             tlb_lookup_cycles: cfg.tlb_lookup_cycles,
             page_fault_cycles: cfg.page_fault_cycles,
             stats: VmStats::default(),
@@ -131,7 +135,7 @@ impl VmUnit {
             // Hardware page fault: pop a pre-allocated physical page.
             timing.page_fault = true;
             timing.cycles += self.page_fault_cycles;
-            let Some(new_ppn) = self.async_buf.pop() else {
+            let Some(new_ppn) = Rc::make_mut(&mut self.async_buf).pop() else {
                 self.stats.fault_stalls += 1;
                 return (Err(Status::OutOfPhysicalMemory), timing);
             };
@@ -180,7 +184,7 @@ impl VmUnit {
 
     /// The async free-page buffer (the ARM refill loop drives this).
     pub fn async_buffer_mut(&mut self) -> &mut AsyncPageBuffer {
-        &mut self.async_buf
+        Rc::make_mut(&mut self.async_buf)
     }
 
     /// The async free-page buffer, read-only.

@@ -28,10 +28,12 @@
 //! the last child takes the parent's run itself. A node therefore costs one
 //! fork, one action and a copy of each actor the action reaches (the wire
 //! for a drop, the board and the wire for a delivery to the board),
-//! whatever its depth, and the search is O(nodes). The state hash reads the
-//! board and transport fingerprints from a cache that the actor's next
-//! change clears, so an actor the action did not reach is not
-//! fingerprinted again either.
+//! whatever its depth, and the search is O(nodes). The state hash reads each
+//! actor's part (the CN's transport and completions, each board's protocol
+//! state and judged memory) from a cache that the actor's next change
+//! clears, and each pending frame's packet hash from the frame, which
+//! computes it once and shares it with every fork holding the frame; so a
+//! node hashes only what its action changed.
 //! [`replay`] is the from-scratch path: it rebuilds the scenario and
 //! applies a whole schedule, which is how a [`Violation`] is reproduced
 //! and narrated, and what the fork is tested against
@@ -70,8 +72,10 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 
 use clio_cn::transport::McMutation;
+use clio_net::CapturedFrame;
 use clio_proto::ClioPacket;
 use clio_sim::table::MixHasher;
 use clio_sim::{IdMap, IdSet, SimDuration};
@@ -249,11 +253,12 @@ pub struct Run {
     scenario: Scenario,
     horizon: SimDuration,
     /// Request ids observed on the wire, for the freshness invariant.
-    seen_req_ids: IdSet<u64>,
+    /// Shared with the run's forks until either side inserts.
+    seen_req_ids: Rc<IdSet<u64>>,
     /// Capture seqs of explorer-injected duplicates (exempt from the
     /// freshness check: the network may repeat ids, the transport may
-    /// not).
-    synthetic: IdSet<u64>,
+    /// not). Shared with the run's forks until either side inserts.
+    synthetic: Rc<IdSet<u64>>,
     /// Freshness-scan watermark: frames with `seq` below this were
     /// scanned.
     scanned_up_to: u64,
@@ -273,8 +278,8 @@ impl Run {
         let mut run = Run {
             scenario,
             horizon: cfg.settle_horizon,
-            seen_req_ids: IdSet::default(),
-            synthetic: IdSet::default(),
+            seen_req_ids: Rc::default(),
+            synthetic: Rc::default(),
             scanned_up_to: 0,
             crashes: 0,
         };
@@ -289,8 +294,8 @@ impl Run {
         Run {
             scenario: self.scenario.fork(),
             horizon: self.horizon,
-            seen_req_ids: self.seen_req_ids.clone(),
-            synthetic: self.synthetic.clone(),
+            seen_req_ids: Rc::clone(&self.seen_req_ids),
+            synthetic: Rc::clone(&self.synthetic),
             scanned_up_to: self.scanned_up_to,
             crashes: self.crashes,
         }
@@ -346,7 +351,7 @@ impl Run {
             McAction::Duplicate(i) => {
                 let copy = self.scenario.wire().pending()[i].frame.clone();
                 let seq = self.scenario.wire_mut().inject(copy);
-                self.synthetic.insert(seq);
+                Rc::make_mut(&mut self.synthetic).insert(seq);
             }
             McAction::FireTimer => {
                 self.scenario.sim.step();
@@ -406,8 +411,12 @@ impl Run {
             }
         }
         self.scanned_up_to = wire.captured();
+        if fresh.is_empty() {
+            return Ok(());
+        }
+        let seen = Rc::make_mut(&mut self.seen_req_ids);
         for id in fresh {
-            if !self.seen_req_ids.insert(id) {
+            if !seen.insert(id) {
                 return Err(format!(
                     "request-id freshness violated: the transport put request id {id} on the \
                      wire twice (retries must use fresh ids)"
@@ -450,6 +459,12 @@ impl Run {
     /// Fingerprint of the logical state: transport + board + wire +
     /// completions + the memory the final checks judge. Absolute times are
     /// excluded (see the module docs on pruning).
+    ///
+    /// Each part is computed once and then read from a cache: the CN's
+    /// fingerprint (transport, ops in flight, completions) and each
+    /// board's (protocol state and judged memory) until that actor next
+    /// handles a message, and each pending frame's packet hash for the
+    /// frame's lifetime. So a node hashes only what its action changed.
     pub fn state_hash(&self) -> u64 {
         let mut h = MixHasher::default();
         // Crash count is part of the logical state: a post-blip state with
@@ -457,26 +472,16 @@ impl Run {
         // quiescent spec than its crash-free twin, so they must not prune
         // into one node.
         h.write_u64(self.crashes as u64);
-        h.write_u64(self.scenario.transport_fingerprint());
-        h.write_u64(self.scenario.host().clib().in_flight() as u64);
+        h.write_u64(self.scenario.host_fingerprint());
+        // The board's part covers the memory the final checks judge: a
+        // crash lets the FAA execute again, which changes the cell and
+        // nothing else.
         for i in 0..self.scenario.boards.len() {
             h.write_u64(self.scenario.board_fingerprint(i));
         }
-        // Packets and completions hash field by field through their `Hash`
-        // impls: every field their `Debug` form shows, without rendering it.
         for c in self.scenario.wire().pending() {
-            (c.frame.src, c.frame.dst, c.frame.corrupted).hash(&mut h);
-            match c.frame.payload.downcast_ref::<ClioPacket>() {
-                Some(pkt) => pkt.hash(&mut h),
-                None => h.write_u64(u64::MAX),
-            }
+            fold_frame(&mut h, c);
         }
-        for comp in self.scenario.host().completions() {
-            (comp.token, &comp.result).hash(&mut h);
-        }
-        // The memory the final checks judge: a crash lets the FAA execute
-        // again, which changes the cell and nothing else.
-        self.scenario.judged_memory(|_, _, bytes| h.write(bytes));
         h.finish()
     }
 
@@ -613,6 +618,23 @@ impl Run {
         }
         Ok(())
     }
+}
+
+/// Folds one pending frame into a state hash: its endpoints and
+/// corruption flag, then its packet's hash, which the frame keeps
+/// ([`CapturedFrame::payload_hash`]). The packet hashes field by field
+/// through its `Hash` impl: every field its `Debug` form shows, without
+/// rendering it.
+fn fold_frame(h: &mut MixHasher, c: &CapturedFrame) {
+    (c.frame.src, c.frame.dst, c.frame.corrupted).hash(h);
+    h.write_u64(c.payload_hash(|payload| {
+        let mut p = MixHasher::default();
+        match payload.downcast_ref::<ClioPacket>() {
+            Some(pkt) => pkt.hash(&mut p),
+            None => p.write_u64(u64::MAX),
+        }
+        p.finish()
+    }));
 }
 
 /// Runs the fault-free, unbatched baseline to completion and returns its
@@ -825,6 +847,42 @@ fn dfs(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pending frame `i`'s part of `run`'s state hash.
+    fn frame_hash(run: &Run, i: usize) -> u64 {
+        let mut h = MixHasher::default();
+        fold_frame(&mut h, &run.scenario().wire().pending()[i]);
+        h.finish()
+    }
+
+    /// A frame's packet is hashed once and the value is shared by every
+    /// fork holding the frame, so each way a fork can change a shared frame
+    /// must leave the value right on both sides. (`fork_equivalence` checks
+    /// the same tree-wide: a replayed run starts with cold caches.)
+    #[test]
+    fn a_shared_frames_hash_cannot_go_stale() {
+        let cfg = McConfig::default();
+        let parent = Run::start(&cfg).expect("clean start");
+        let batch = frame_hash(&parent, 0);
+        let cold = Run::start(&cfg).expect("clean start");
+        assert_eq!(frame_hash(&cold, 0), batch, "a stored value differs from a fresh one");
+
+        let mut corrupted = parent.fork();
+        corrupted.scenario.wire_mut().corrupt(0);
+        assert_ne!(frame_hash(&corrupted, 0), batch, "corruption did not reach the hash");
+        assert_eq!(frame_hash(&parent, 0), batch, "corrupting a fork's copy reached the parent");
+
+        let mut duplicated = parent.fork();
+        duplicated.apply(McAction::Duplicate(0)).expect("clean duplicate");
+        let wire = duplicated.scenario().wire();
+        assert_ne!(wire.pending()[0].seq, wire.pending()[1].seq);
+        assert_eq!(frame_hash(&duplicated, 1), batch, "a duplicate hashes apart from its original");
+
+        let mut delivered = parent.fork();
+        delivered.apply(McAction::Deliver(0)).expect("clean delivery");
+        assert_eq!(frame_hash(&parent, 0), batch, "taking a fork's frame changed the parent's");
+        assert_eq!(parent.state_hash(), cold.state_hash());
+    }
 
     /// The rule the search used to apply kept `(min depth, min faults)` per
     /// state, so the first two visits below merged into a (3, 0) pair no

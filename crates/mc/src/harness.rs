@@ -21,10 +21,13 @@
 //! copy-on-write pointer (`Shared`), so a copy takes one pointer per actor
 //! and an actor is deep-copied only when it handles a message in one of the
 //! copies: a node pays for the actors its action reaches, not for every
-//! actor present. A board that is reached is copied whole, which is why the
-//! boards are sized to the scenario rather than to `test_small`.
+//! actor present. A board that is reached is copied except for what it
+//! shares until written (DRAM, page tables, slow path), and the boards are
+//! sized to the scenario rather than to `test_small` so that a copy of the
+//! slow path, when one is made, stays small.
 
 use std::cell::Cell;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -35,6 +38,7 @@ use clio_hw::CBoardHwConfig;
 use clio_mn::{CBoard, CBoardConfig};
 use clio_net::{BoardPower, Frame, Mac, NicPort, VirtualWire};
 use clio_proto::{Perm, Pid};
+use clio_sim::table::MixHasher;
 use clio_sim::{Actor, ActorId, Bandwidth, Ctx, Message, SimDuration, SimTime, Simulation};
 
 /// Protection domain the scenario's operations run in.
@@ -83,11 +87,12 @@ pub fn read_seed(i: usize) -> u8 {
 /// memory cut to what the scenario touches — two seeded pages plus the
 /// 8-page async free-page buffer fit in 32 pages with room to spare. A
 /// search node copies every board its action reaches (a frame delivered to
-/// it, a timer it armed, a power-blip), and a copy costs in proportion to
-/// the free-page list, which scales with physical memory (the page tables
-/// are shared until written), so the boards are sized to the scenario.
-/// The protocol under test never sees the difference (same page size, TLB
-/// and timing; the pinned search counts are the same at either size).
+/// it, a timer it armed, a power-blip), and the slow path's free-page list,
+/// which scales with physical memory, is copied with it whenever the board
+/// refills its async buffer (the page tables and DRAM are shared until
+/// written), so the boards are sized to the scenario. The protocol under
+/// test never sees the difference (same page size, TLB and timing; the
+/// pinned search counts are the same at either size).
 fn board_hw() -> CBoardHwConfig {
     CBoardHwConfig { phys_mem_bytes: 32 * PAGE, ..CBoardHwConfig::test_small() }
 }
@@ -340,16 +345,38 @@ impl Scenario {
         &self.shared::<CBoard>(self.boards[i]).actor
     }
 
-    /// Board `i`'s [`CBoard::fingerprint`], computed once per board state
-    /// (the explorer folds it into every state hash).
+    /// Board `i`'s [`CBoard::fingerprint`] and the bytes of its judged
+    /// memory ([`Scenario::judged_memory`]), computed once per board state
+    /// (the explorer folds it into every state hash). Only the board
+    /// writes its memory, so the cache is cleared whenever the bytes move.
     pub(crate) fn board_fingerprint(&self, i: usize) -> u64 {
-        self.shared::<CBoard>(self.boards[i]).fingerprint(CBoard::fingerprint)
+        let mns = self.boards.len();
+        self.shared::<CBoard>(self.boards[i]).fingerprint(|board| {
+            let mut h = MixHasher::default();
+            h.write_u64(board.fingerprint());
+            judged_ranges(i, mns, |va, out| {
+                read_seeded(board, va, out);
+                h.write(out);
+            });
+            h.finish()
+        })
     }
 
-    /// The CN transport's fingerprint, computed once per CN state (the
-    /// explorer folds it into every state hash).
-    pub(crate) fn transport_fingerprint(&self) -> u64 {
-        self.shared::<McCnHost>(self.cn).fingerprint(|host| host.clib.transport().fingerprint())
+    /// The CN's fingerprint, computed once per CN state (the explorer folds
+    /// it into every state hash): the transport's, the ops in flight, and
+    /// every completion so far.
+    pub(crate) fn host_fingerprint(&self) -> u64 {
+        self.shared::<McCnHost>(self.cn).fingerprint(|host| {
+            let mut h = MixHasher::default();
+            h.write_u64(host.clib.transport().fingerprint());
+            h.write_u64(host.clib.in_flight() as u64);
+            // Field by field through their `Hash` impls: every field their
+            // `Debug` form shows, without rendering it.
+            for comp in &host.completions {
+                (comp.token, &comp.result).hash(&mut h);
+            }
+            h.finish()
+        })
     }
 
     /// Power-blips board 0: posts a [`BoardPower::Crash`] immediately
@@ -400,33 +427,42 @@ impl Scenario {
     /// then — single-board scenario only — the fetch-and-add cell. The
     /// bytes come straight from each board's page table and DRAM: no
     /// translation, TLB, timing or counter state is touched, and nothing is
-    /// allocated, so the explorer folds them into every state hash.
+    /// allocated. Each board's cached fingerprint folds the same ranges, so
+    /// the explorer's state hash covers them.
     ///
     /// # Panics
     ///
     /// Panics if a judged page is unmapped or was never faulted in (the
     /// scenario seeds every one of them before the run).
     pub fn judged_memory(&self, mut f: impl FnMut(usize, u64, &[u8])) {
-        let mut read_page = [0u8; READ_LEN as usize];
-        for i in 0..self.boards.len() {
-            self.read_seeded(i, va_read(i), &mut read_page);
-            f(i, va_read(i), &read_page);
-        }
-        if self.boards.len() == 1 {
-            let mut cell = [0u8; 8];
-            self.read_seeded(0, VA_FAA, &mut cell);
-            f(0, VA_FAA, &cell);
+        let mns = self.boards.len();
+        for i in 0..mns {
+            let board = self.cboard_at(i);
+            judged_ranges(i, mns, |va, out| {
+                read_seeded(board, va, out);
+                f(i, va, out);
+            });
         }
     }
+}
 
-    /// Reads `out.len()` bytes at `va` of board `i` through its page table.
-    fn read_seeded(&self, i: usize, va: u64, out: &mut [u8]) {
-        let silicon = self.cboard_at(i).silicon();
-        let pte = silicon.vm().page_table().lookup(PID, va / PAGE).expect("seeded page mapped");
-        assert!(pte.valid, "seeded page {va:#x} has no physical page");
-        out.fill(0);
-        silicon.mem().read_into(pte.ppn * PAGE + va % PAGE, out);
+/// Calls `f(va, buffer)` with each range of board `i` (of `mns`) the final
+/// checks judge, in order, and a zeroed buffer of the range's length: the
+/// board's read-page slice, then — single-board scenario only — the
+/// fetch-and-add cell.
+fn judged_ranges(i: usize, mns: usize, mut f: impl FnMut(u64, &mut [u8])) {
+    f(va_read(i), &mut [0u8; READ_LEN as usize]);
+    if mns == 1 {
+        f(VA_FAA, &mut [0u8; 8]);
     }
+}
+
+/// Reads `out.len()` bytes at `va` of `board` through its page table.
+fn read_seeded(board: &CBoard, va: u64, out: &mut [u8]) {
+    let silicon = board.silicon();
+    let pte = silicon.vm().page_table().lookup(PID, va / PAGE).expect("seeded page mapped");
+    assert!(pte.valid, "seeded page {va:#x} has no physical page");
+    silicon.mem().read_into(pte.ppn * PAGE + va % PAGE, out);
 }
 
 /// The observable outcome of a finished run: what the application saw plus

@@ -82,6 +82,7 @@
 //!    buffer are TTL- and capacity-bounded.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use clio_hw::dedup::DedupRecord;
@@ -296,14 +297,19 @@ const PRESSURE_REARM_FRACTION: f64 = 0.875;
 /// buffer), installed offloads (through [`Offload::clone_box`]) and
 /// pending-doorbell [`EventId`](clio_sim::EventId)s, which stay valid in a
 /// [`Simulation::fork`](clio_sim::Simulation::fork) taken at the same
-/// instant. Only the [`Tracer`] handle stays shared: a tracer collects for
-/// a whole run.
+/// instant. The slow path, DRAM and page tables are shared with the copy
+/// until either side writes them (`Rc::make_mut`), which the other side
+/// never sees; only the [`Tracer`] handle stays shared for good: a tracer
+/// collects for a whole run.
 #[derive(Debug, Clone)]
 pub struct CBoard {
-    name: String,
+    name: Rc<str>,
     cfg: CBoardConfig,
     silicon: Silicon,
-    slow: SlowPath,
+    /// The ARM-side slow path, which a fast-path request only reads: shared
+    /// between clones of the board until one side writes it
+    /// ([`Self::slow_mut`]), so copying the board copies a pointer here.
+    slow: Rc<SlowPath>,
     nic: NicPort,
     offloads: IdMap<u16, InstalledOffload>,
     // Synchronization state (§4.5 T3): one global barrier + completions.
@@ -340,10 +346,10 @@ impl CBoard {
         let silicon = Silicon::new(cfg.hw.clone());
         let slow = SlowPath::new(&cfg);
         let mut board = CBoard {
-            name: name.into(),
+            name: name.into().into(),
             cfg,
             silicon,
-            slow,
+            slow: Rc::new(slow),
             nic,
             offloads: IdMap::default(),
             fence_until: SimTime::ZERO,
@@ -375,7 +381,7 @@ impl CBoard {
     /// Installs a computation offload under `id`, creating its address
     /// space.
     pub fn install_offload(&mut self, id: u16, pid: Pid, module: Box<dyn Offload>) {
-        self.slow.create_as(pid);
+        self.slow_mut().create_as(pid);
         self.offloads.insert(id, InstalledOffload { pid: Some(pid), module });
     }
 
@@ -484,10 +490,16 @@ impl CBoard {
         &self.slow
     }
 
+    /// The slow path, unique to this board (copied first if a clone still
+    /// shares it).
+    fn slow_mut(&mut self) -> &mut SlowPath {
+        Rc::make_mut(&mut self.slow)
+    }
+
     fn refill_async_buffer(&mut self) {
         let demand = self.silicon.vm().async_buffer().refill_demand();
         if demand > 0 {
-            let (pages, _service) = self.slow.refill_pages(demand);
+            let (pages, _service) = self.slow_mut().refill_pages(demand);
             for p in pages {
                 self.silicon.vm_mut().async_buffer_mut().push(p);
             }
@@ -745,7 +757,7 @@ impl CBoard {
     fn unmap(&mut self, pid: Pid, vpns: &[u64]) {
         let vm = self.silicon.vm_mut();
         let freed = vpns.iter().filter_map(|&vpn| vm.remove_pte(pid, vpn)).filter(|pte| pte.valid);
-        self.slow.palloc_mut().free_many(freed.map(|pte| pte.ppn));
+        Rc::make_mut(&mut self.slow).palloc_mut().free_many(freed.map(|pte| pte.ppn));
     }
 
     fn note_completion(&mut self, done: SimTime) {
@@ -924,9 +936,10 @@ impl CBoard {
                     // Implicit address-space creation on first allocation
                     // keeps the client API simple (CreateAs remains
                     // available explicitly).
-                    self.slow.create_as(pid);
+                    self.slow_mut().create_as(pid);
                 }
-                let (service, status, body) = match self.slow.alloc(pid, size, perm, fixed_va) {
+                let (service, status, body) = match self.slow_mut().alloc(pid, size, perm, fixed_va)
+                {
                     Ok(out) => {
                         for pte in &out.ptes {
                             self.silicon
@@ -941,7 +954,7 @@ impl CBoard {
                 self.reply_slow(ctx, src, &header, service, status, body);
             }
             RequestBody::Free { va, size: _ } => {
-                let (service, status) = match self.slow.free(pid, va) {
+                let (service, status) = match self.slow_mut().free(pid, va) {
                     Ok(out) => {
                         self.unmap(pid, &out.vpns);
                         (out.service, Status::Ok)
@@ -951,11 +964,11 @@ impl CBoard {
                 self.reply_slow(ctx, src, &header, service, status, ResponseBody::Done);
             }
             RequestBody::CreateAs => {
-                let service = self.slow.create_as(pid);
+                let service = self.slow_mut().create_as(pid);
                 self.reply_slow(ctx, src, &header, service, Status::Ok, ResponseBody::Done);
             }
             RequestBody::DestroyAs => {
-                let (vpns, service) = self.slow.destroy_as(pid);
+                let (vpns, service) = self.slow_mut().destroy_as(pid);
                 self.unmap(pid, &vpns);
                 self.reply_slow(ctx, src, &header, service, Status::Ok, ResponseBody::Done);
             }
@@ -1084,7 +1097,7 @@ impl CBoard {
         self.stats.slow_ops += 1;
         let hw = &self.cfg.hw;
         let at_arm = ctx.now() + hw.mac_phy_latency + self.slow.crossing_delay();
-        let served = self.slow.workers_mut().reserve(at_arm, service);
+        let served = Rc::make_mut(&mut self.slow).workers_mut().reserve(at_arm, service);
         let at = served.end + self.slow.crossing_delay() + hw.mac_phy_latency;
         self.reply(ctx, src, header, at, Stage::SlowPath, status, body);
     }
@@ -1111,7 +1124,8 @@ impl CBoard {
         // their path (§4.6).
         let env_pid = installed.pid.unwrap_or(header.pid);
         self.silicon.set_internal_access(true);
-        let mut env = OffloadEnv::new(&mut self.silicon, &mut self.slow, env_pid, begin);
+        let mut env =
+            OffloadEnv::new(&mut self.silicon, Rc::make_mut(&mut self.slow), env_pid, begin);
         let reply = installed.module.on_call(&mut env, opcode, arg);
         let env_done = env.now();
         let _ = env; // end the borrow of silicon/slow
@@ -1171,8 +1185,10 @@ impl CBoard {
     fn handle_migration(&mut self, ctx: &mut Ctx<'_>, src: Mac, msg: MigrationMsg) {
         match msg {
             MigrationMsg::Offer { pid, start, len, perm } => {
-                let accepted =
-                    self.slow.adopt_range(pid, crate::valloc::VaRange { start, len, perm }).is_ok();
+                let accepted = self
+                    .slow_mut()
+                    .adopt_range(pid, crate::valloc::VaRange { start, len, perm })
+                    .is_ok();
                 if accepted {
                     self.in_migrations.insert((pid, start), InMigration { received_vpns: vec![] });
                 }
@@ -1214,16 +1230,16 @@ impl CBoard {
                 self.send_migration(ctx, t, dst, MigrationMsg::Commit { pid, start, len });
             }
             MigrationMsg::PageData { pid, vpn, perm, data } => {
-                let Some(ppn) = self.slow.palloc_mut().alloc() else {
+                let Some(ppn) = self.slow_mut().palloc_mut().alloc() else {
                     // The controller chose an overloaded destination; the
                     // page is dropped and the commit will expose the gap.
                     return;
                 };
                 let pte = clio_hw::pagetable::Pte { pid, vpn, ppn, perm, valid: true };
-                if self.slow.shadow_install(pte).is_err()
+                if self.slow_mut().shadow_install(pte).is_err()
                     || self.silicon.vm_mut().install_pte(pte).is_err()
                 {
-                    self.slow.palloc_mut().free(ppn);
+                    self.slow_mut().palloc_mut().free(ppn);
                     return;
                 }
                 let page = self.cfg.hw.page_size;
@@ -1242,7 +1258,7 @@ impl CBoard {
                 for vpn in start / page..(start + len) / page {
                     if self.silicon.vm().page_table().lookup(pid, vpn).is_none() {
                         let pte = clio_hw::pagetable::Pte { pid, vpn, ppn: 0, perm, valid: false };
-                        let _ = self.slow.shadow_install(pte);
+                        let _ = self.slow_mut().shadow_install(pte);
                         let _ = self.silicon.vm_mut().install_pte(pte);
                     }
                 }

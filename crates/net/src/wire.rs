@@ -20,8 +20,13 @@
 //! the wire at every search node) until one side changes them: a clone
 //! copies one pointer per frame, [`take`](VirtualWire::take) copies a frame
 //! only if another clone still holds it, and
-//! [`corrupt`](VirtualWire::corrupt) writes through `Rc::make_mut`.
+//! [`corrupt`](VirtualWire::corrupt) writes through `Rc::make_mut`. A
+//! captured frame also carries a slot for a hash of its payload
+//! ([`CapturedFrame::payload_hash`]): the scheduler fills it on first use,
+//! and every clone sharing the frame reads it from there, so a frame's
+//! payload is hashed once however many clones of the wire hold it.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use clio_sim::{Actor, ActorId, Ctx, IdMap, Message};
@@ -29,13 +34,34 @@ use clio_sim::{Actor, ActorId, Ctx, IdMap, Message};
 use crate::frame::{Frame, Mac};
 
 /// A captured in-flight frame: the capture sequence number (monotonic per
-/// wire, stable across replays of the same schedule) plus the frame itself.
+/// wire, stable across replays of the same schedule), the frame itself, and
+/// the cached hash of its payload.
 #[derive(Debug, Clone)]
 pub struct CapturedFrame {
     /// Monotonic capture sequence number (order the wire saw the frames).
     pub seq: u64,
     /// The captured frame, unmodified.
     pub frame: Frame,
+    payload_hash: Cell<Option<u64>>,
+}
+
+impl CapturedFrame {
+    fn new(seq: u64, frame: Frame) -> Rc<Self> {
+        Rc::new(CapturedFrame { seq, frame, payload_hash: Cell::new(None) })
+    }
+
+    /// `of(payload)`, computed on the first call and kept with the frame:
+    /// the wire never reads the value, and the payload never changes while
+    /// the frame is captured, so every later call, on this wire or on a
+    /// clone sharing the frame, returns the stored value. Each caller must
+    /// always pass the same `of`. The value covers the payload only: `src`,
+    /// `dst` and `corrupted` are the caller's to fold beside it, which is
+    /// why [`VirtualWire::corrupt`] leaves it valid.
+    pub fn payload_hash(&self, of: impl FnOnce(&Message) -> u64) -> u64 {
+        let hash = self.payload_hash.get().unwrap_or_else(|| of(&self.frame.payload));
+        self.payload_hash.set(Some(hash));
+        hash
+    }
 }
 
 /// A capture-everything wire whose deliveries are driven externally.
@@ -49,9 +75,9 @@ pub struct CapturedFrame {
 pub struct VirtualWire {
     endpoints: IdMap<Mac, ActorId>,
     pending: Vec<Rc<CapturedFrame>>,
+    /// The next capture's `seq`: also the frames captured over the wire's
+    /// lifetime (delivered or not).
     next_seq: u64,
-    /// Frames captured over the wire's lifetime (delivered or not).
-    captured: u64,
 }
 
 impl VirtualWire {
@@ -88,7 +114,7 @@ impl VirtualWire {
 
     /// Total frames captured over the wire's lifetime.
     pub fn captured(&self) -> u64 {
-        self.captured
+        self.next_seq
     }
 
     /// Removes and returns the pending frame at `index` (capture order).
@@ -110,8 +136,7 @@ impl VirtualWire {
     pub fn inject(&mut self, frame: Frame) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.captured += 1;
-        self.pending.push(Rc::new(CapturedFrame { seq, frame }));
+        self.pending.push(CapturedFrame::new(seq, frame));
         seq
     }
 
@@ -143,11 +168,7 @@ impl Actor for VirtualWire {
     }
 
     fn on_message(&mut self, _ctx: &mut Ctx<'_>, msg: Message) {
-        let frame = msg.downcast::<Frame>().expect("VirtualWire only carries frames");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.captured += 1;
-        self.pending.push(Rc::new(CapturedFrame { seq, frame }));
+        self.inject(msg.downcast::<Frame>().expect("VirtualWire only carries frames"));
     }
 }
 
@@ -246,5 +267,39 @@ mod tests {
 
         wire.corrupt(2);
         assert_eq!(frames(&copy), vec![(0, true, 7), (2, false, 9)]);
+    }
+
+    #[test]
+    fn a_payload_is_hashed_once_and_clones_share_the_value() {
+        let mut wire = VirtualWire::new();
+        for (dst, payload) in [(2, 7u32), (3, 8)] {
+            wire.inject(Frame::new(Mac(1), Mac(dst), 100, Message::new(payload)));
+        }
+        let calls = Cell::new(0);
+        let hash = |c: &CapturedFrame| {
+            c.payload_hash(|payload| {
+                calls.set(calls.get() + 1);
+                u64::from(*payload.downcast_ref::<u32>().expect("u32"))
+            })
+        };
+        let mut copy = wire.clone();
+        assert_eq!(hash(&wire.pending()[0]), 7);
+        assert_eq!(hash(&copy.pending()[0]), 7);
+        assert_eq!(calls.get(), 1, "the clone read the value the original stored");
+
+        // A corrupted copy keeps the value (it covers the payload only); a
+        // frame taken from one clone leaves the other's frame and value.
+        copy.corrupt(0);
+        assert_eq!(hash(&copy.pending()[0]), 7);
+        assert_eq!(hash(&wire.pending()[1]), 8);
+        copy.take(1);
+        assert_eq!(hash(&wire.pending()[1]), 8);
+        assert_eq!(calls.get(), 2);
+
+        // A re-injected frame starts with an empty slot.
+        let again = wire.pending()[1].frame.clone();
+        wire.inject(again);
+        assert_eq!(hash(&wire.pending()[2]), 8);
+        assert_eq!(calls.get(), 3);
     }
 }

@@ -191,4 +191,13 @@ if [ "$fail" -ne 0 ]; then
   echo "docs/ARCHITECTURE.md checker-fork section is stale (see above)"
   exit 1
 fi
+# Re-measuring: the A/B script perf changes report with must exist, and
+# the section that tells how to compare two commits must name it.
+sed -n '/^### Re-measuring/,/^## /p' "$DOC" | grep -q 'scripts/ab\.sh' \
+  || { echo "the Re-measuring docs do not name scripts/ab.sh"; fail=1; }
+[ -x scripts/ab.sh ] || { echo "scripts/ab.sh is missing or not executable"; fail=1; }
+if [ "$fail" -ne 0 ]; then
+  echo "docs/ARCHITECTURE.md re-measuring section is stale (see above)"
+  exit 1
+fi
 echo "docs link check: OK"
