@@ -136,15 +136,15 @@ const LOSSY: Shape = Shape {
 
 #[test]
 fn sync_single_task_is_pinned() {
-    assert_eq!(run(SYNC), (16857651724633293400, 2411, 400, 978820, 17676053580367467073));
+    assert_eq!(run(SYNC), (2628473973683920460, 2411, 400, 978820, 17676053580367467073));
 }
 
 #[test]
 fn batched_two_cn_is_pinned() {
-    assert_eq!(run(BATCHED), (2614134489005982570, 2429, 3072, 88192770, 5499410146114811135));
+    assert_eq!(run(BATCHED), (12814830670969210395, 2429, 3072, 88192770, 5499410146114811135));
 }
 
 #[test]
 fn lossy_four_cn_is_pinned() {
-    assert_eq!(run(LOSSY), (4036829522390880348, 2519, 2560, 33323420, 15032253356085892095));
+    assert_eq!(run(LOSSY), (9929237141541031584, 2519, 2560, 33323420, 15032253356085892095));
 }

@@ -16,6 +16,10 @@ use clio_sim::SimDuration;
 /// below): it moves only if an op's modeled latency does.
 const FINAL_NANOS: u64 = 217_998;
 
+/// The probe's `Simulation::digest` and `events_dispatched`. The count moves
+/// only with the modeled schedule; the digest also with its definition.
+const DIGEST_AND_EVENTS: (u64, u64) = (6_025_932_880_226_846_974, 421);
+
 /// The rendezvous runtime the constant was recorded on stepped the
 /// simulation between a thread's calls, so the controller's 1 µs
 /// `AllocNotify` hop elapsed before the first write was issued. A task
@@ -50,4 +54,5 @@ fn sync_program_keeps_its_schedule_and_is_deterministic() {
     let b = probe_run();
     assert_eq!(a, b, "a sync program must be digest-deterministic");
     assert_eq!(a.2, FINAL_NANOS, "op-level schedule moved");
+    assert_eq!((a.0, a.1), DIGEST_AND_EVENTS, "event stream moved");
 }

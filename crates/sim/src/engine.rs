@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 
 use crate::message::Message;
 use crate::rng::SimRng;
-use crate::table::{mix, mix_bytes, MIX_SEED};
+use crate::table::{mix, MIX_SEED};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies an actor registered with a [`Simulation`].
@@ -309,12 +309,11 @@ impl Simulation {
         self.core.events_dispatched
     }
 
-    /// An order-sensitive digest over `(time, destination, message type
-    /// name)` of every dispatched event, folded with
-    /// [`mix`](crate::table::mix): the time and the destination one word
-    /// each, the name 8 bytes per step. Two runs with identical seeds and
-    /// identical actor logic produce identical digests; used by determinism
-    /// tests.
+    /// An order-sensitive digest over `(time, destination, message type)`
+    /// of every dispatched event, folded with [`mix`](crate::table::mix) one
+    /// word each: the type as [`mix_bytes`](crate::table::mix_bytes) of its
+    /// name from [`MIX_SEED`]. Two runs with identical seeds and identical
+    /// actor logic produce identical digests; used by determinism tests.
     pub fn digest(&self) -> u64 {
         self.core.digest
     }
@@ -406,10 +405,10 @@ impl Simulation {
         debug_assert!(ev.at >= self.core.now, "time went backwards");
         self.core.now = ev.at;
         self.core.events_dispatched += 1;
-        // The determinism digest: time, destination, then the type name,
-        // one word per step.
+        // The determinism digest: time, destination, then the type's hash,
+        // one word each.
         let h = mix(mix(self.core.digest, ev.at.as_nanos()), ev.dst.0 as u64);
-        self.core.digest = mix_bytes(h, ev.msg.type_name().as_bytes());
+        self.core.digest = mix(h, ev.msg.type_hash());
 
         let slot = ev.dst.index();
         let mut actor = self.actors[slot]

@@ -3,12 +3,15 @@
 use std::any::Any;
 use std::fmt;
 
+use crate::table::{mix_bytes, MIX_SEED};
+
 /// What a [`Message`] needs of the value it wraps, erased behind one vtable:
-/// the downcast (through the [`Any`] supertrait), a deep copy, and the type
-/// name the event digest folds in.
+/// the downcast (through the [`Any`] supertrait), a deep copy, the type name
+/// (for debugging) and the type's hash the event digest folds in.
 trait Payload: Any {
     fn clone_box(&self) -> Box<dyn Payload>;
     fn type_name(&self) -> &'static str;
+    fn type_hash(&self) -> u64;
 }
 
 impl<T: Clone + 'static> Payload for T {
@@ -18,6 +21,12 @@ impl<T: Clone + 'static> Payload for T {
 
     fn type_name(&self) -> &'static str {
         std::any::type_name::<T>()
+    }
+
+    fn type_hash(&self) -> u64 {
+        // The name is a constant of each monomorphised copy, so the fold
+        // over it is too.
+        mix_bytes(MIX_SEED, std::any::type_name::<T>().as_bytes())
     }
 }
 
@@ -46,6 +55,13 @@ impl Message {
     /// The `std::any::type_name` of the wrapped value (for tracing/debugging).
     pub fn type_name(&self) -> &'static str {
         (*self.0).type_name()
+    }
+
+    /// [`mix_bytes`] of the wrapped value's [`type_name`](Self::type_name)
+    /// from [`MIX_SEED`]: one word per message type, which the event digest
+    /// folds.
+    pub(crate) fn type_hash(&self) -> u64 {
+        (*self.0).type_hash()
     }
 
     /// Returns `true` if the wrapped value is a `T`.
