@@ -1,12 +1,15 @@
 //! Behaviour pins for simulator-performance work: three small clusters
 //! shaped like the benchmark's workloads, each pinned to the exact
-//! `Simulation::digest`, `events_dispatched` and sorted completion-latency
-//! vector the engine produced before any hot-path optimisation. A host-side
-//! speed-up must leave every constant below untouched; a change that moves
-//! one has changed the modeled system, not just the simulator. The one
-//! exception is a change to the digest's *definition*: it moves only the
-//! digests, and the event counts and latency vectors carry the proof across
-//! it.
+//! `Simulation::digest`, `events_dispatched`, `events_scheduled`,
+//! `events_cancelled` and sorted completion-latency vector the engine
+//! produced before any hot-path optimisation. A host-side speed-up must
+//! leave every constant below untouched; a change that moves one has changed
+//! the modeled system, not just the simulator. The one exception is a
+//! change to the digest's *definition*: it moves only the digests, and the
+//! event counts and latency vectors carry the proof across it. The
+//! scheduled and cancelled counts are fixed by what the actors ask of the
+//! queue, not by how the queue keeps its events, so a new queue proves with
+//! them that it was asked for exactly what the old one was.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -35,9 +38,10 @@ struct Shape {
     max_retries: u32,
 }
 
-/// What a scenario is pinned to: digest, events dispatched, and the sorted
-/// latency vector as (count, sum, FNV-1a over the sorted nanosecond values).
-type Pin = (u64, u64, usize, u64, u64);
+/// What a scenario is pinned to: digest, events dispatched, scheduled and
+/// cancelled, and the sorted latency vector as (count, sum, FNV-1a over the
+/// sorted nanosecond values).
+type Pin = (u64, u64, u64, u64, usize, u64, u64);
 
 async fn task(h: ProcHandle, shape: Shape, base: u64, mut rng: SimRng, lat: Rc<RefCell<Vec<u64>>>) {
     let (lo, hi) = shape.op_bytes;
@@ -88,7 +92,9 @@ fn run(shape: Shape) -> Pin {
     let fnv = lat.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
         v.to_le_bytes().iter().fold(h, |h, b| (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01B3))
     });
-    (cluster.sim.digest(), cluster.sim.events_dispatched(), lat.len(), lat.iter().sum(), fnv)
+    let sim = &cluster.sim;
+    let events = (sim.events_dispatched(), sim.events_scheduled(), sim.events_cancelled());
+    (sim.digest(), events.0, events.1, events.2, lat.len(), lat.iter().sum(), fnv)
 }
 
 /// `sync_small`'s shape: one task, window 1, 8–24 B ops, lone frames.
@@ -136,15 +142,24 @@ const LOSSY: Shape = Shape {
 
 #[test]
 fn sync_single_task_is_pinned() {
-    assert_eq!(run(SYNC), (2628473973683920460, 2411, 400, 978820, 17676053580367467073));
+    assert_eq!(
+        run(SYNC),
+        (2628473973683920460, 2411, 2812, 401, 400, 978820, 17676053580367467073)
+    );
 }
 
 #[test]
 fn batched_two_cn_is_pinned() {
-    assert_eq!(run(BATCHED), (12814830670969210395, 2429, 3072, 88192770, 5499410146114811135));
+    assert_eq!(
+        run(BATCHED),
+        (12814830670969210395, 2429, 8546, 6117, 3072, 88192770, 5499410146114811135)
+    );
 }
 
 #[test]
 fn lossy_four_cn_is_pinned() {
-    assert_eq!(run(LOSSY), (9929237141541031584, 2519, 2560, 33323420, 15032253356085892095));
+    assert_eq!(
+        run(LOSSY),
+        (9929237141541031584, 2519, 5232, 2713, 2560, 33323420, 15032253356085892095)
+    );
 }

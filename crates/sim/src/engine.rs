@@ -110,6 +110,8 @@ struct SimCore {
     next_seq: u64,
     rng: SimRng,
     digest: u64,
+    events_scheduled: u64,
+    events_cancelled: u64,
     events_dispatched: u64,
 }
 
@@ -123,6 +125,7 @@ impl SimCore {
     ) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.events_scheduled += 1;
         let filled = Slot { seq, src, dst, msg: Some(msg) };
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -151,6 +154,7 @@ impl SimCore {
             return; // delivered or cancelled already
         }
         self.vacate(id.slot);
+        self.events_cancelled += 1;
         self.dead += 1;
         if self.dead > 32 && self.dead * 2 > self.queue.len() {
             let slots = &self.slots;
@@ -263,6 +267,8 @@ impl Simulation {
                 next_seq: 0,
                 rng: SimRng::new(seed),
                 digest: MIX_SEED,
+                events_scheduled: 0,
+                events_cancelled: 0,
                 events_dispatched: 0,
             },
             actors: Vec::new(),
@@ -283,7 +289,7 @@ impl Simulation {
 
     /// Copies the simulation at this instant: clock, pending events (each
     /// message through its own `Clone`), cancelled-event bookkeeping, RNG
-    /// state, digest and event count. The two then run independently, and
+    /// state, digest and event counts. The two then run independently, and
     /// given the same inputs, identically.
     ///
     /// The engine cannot copy a `dyn Actor`, so the caller — which knows
@@ -307,6 +313,17 @@ impl Simulation {
     /// Number of events dispatched so far.
     pub fn events_dispatched(&self) -> u64 {
         self.core.events_dispatched
+    }
+
+    /// Number of events scheduled so far: sent, posted or armed as timers.
+    pub fn events_scheduled(&self) -> u64 {
+        self.core.events_scheduled
+    }
+
+    /// Number of events cancelled before delivery. A cancel that finds its
+    /// event already delivered or cancelled is not counted.
+    pub fn events_cancelled(&self) -> u64 {
+        self.core.events_cancelled
     }
 
     /// An order-sensitive digest over `(time, destination, message type)`
@@ -777,6 +794,27 @@ mod tests {
         let fork = finish(fork, r);
         assert_eq!(fork, finish(reference, r2));
         assert_eq!(payloads(&fork.0), [0, 1, 3, 4, 6, 7, 99]);
+    }
+
+    #[test]
+    fn the_queue_counts_what_it_is_asked_to_do_and_a_fork_copies_the_counts() {
+        let mut sim = Simulation::new(1);
+        let r = sim.add_actor(Recorder { seen: vec![] });
+        let ids: Vec<EventId> = (0..4u64)
+            .map(|i| sim.post_in(r, SimDuration::from_nanos(10 * i), Message::new(i)))
+            .collect();
+        sim.cancel(ids[3]);
+        sim.cancel(ids[3]); // already cancelled: not counted again
+        sim.run_until(SimTime::from_nanos(10));
+        sim.cancel(ids[0]); // delivered: not counted
+        let counts =
+            |s: &Simulation| (s.events_scheduled(), s.events_cancelled(), s.events_dispatched());
+        assert_eq!(counts(&sim), (4, 1, 2));
+        let copy = sim.actor::<Recorder>(r).clone();
+        let mut fork = sim.fork(vec![Box::new(copy)]);
+        assert_eq!(counts(&fork), (4, 1, 2));
+        fork.cancel(ids[2]);
+        assert_eq!((counts(&fork), counts(&sim)), ((4, 2, 2), (4, 1, 2)));
     }
 
     #[test]
