@@ -1,7 +1,7 @@
 //! The discrete-event simulation engine: event queue, actors and dispatch.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::message::Message;
 use crate::rng::SimRng;
@@ -52,7 +52,7 @@ pub trait Actor: std::any::Any {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message);
 }
 
-/// What the heap orders: earliest time first, FIFO (sequence order) among
+/// What the queue orders: earliest time first, FIFO (sequence order) among
 /// simultaneous events. 24 bytes, so sifts move keys, never payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
@@ -64,12 +64,14 @@ struct Key {
 /// One slab entry: the payload of a pending event, or vacant.
 #[derive(Clone)]
 struct Slot {
-    /// Sequence number of the event held here; [`VACANT`] when free. A heap
-    /// key or an [`EventId`] whose `seq` differs names an event that was
+    /// Sequence number of the event held here; [`VACANT`] when free. A key
+    /// or an [`EventId`] whose `seq` differs names an event that was
     /// already delivered or cancelled.
     seq: u64,
     src: Option<ActorId>,
     dst: ActorId,
+    /// Whether the event's key is in the lane (else in the heap).
+    in_lane: bool,
     msg: Option<Message>,
 }
 
@@ -88,13 +90,17 @@ struct Due {
 ///
 /// # Event-queue invariants
 ///
-/// * Every pending event owns exactly one slot and one heap key carrying
-///   the slot's `seq`; delivery and cancellation vacate the slot at once
+/// * Every pending event owns exactly one slot and one key carrying the
+///   slot's `seq`; delivery and cancellation vacate the slot at once
 ///   (dropping the message) and recycle it.
-/// * A heap key is *dead* iff its slot's `seq` differs from its own. `dead`
-///   counts them; they are skipped when they surface and swept by
-///   [`SimCore::cancel`] before they outnumber the live keys, so cancelled
-///   timers deepen the heap by at most one level.
+/// * A key goes to the *lane*, a FIFO, when its `at` is no earlier than the
+///   lane's last key's, and to the heap otherwise; the lane is therefore
+///   sorted by `(at, seq)`, and a pop takes the smaller of the two fronts.
+///   Constant-delay timers and same-instant events land in the lane, where
+///   queueing one is a push at the back.
+/// * A key is *dead* iff its slot's `seq` differs from its own. `lane_dead`
+///   and `heap_dead` count them; they are skipped when they surface and
+///   swept before they outnumber the live keys of their structure.
 /// * Cancelling an id whose event is gone finds a vacant or re-issued slot
 ///   and changes nothing.
 /// * A clone is the same queue: same slots, same free-list order, same
@@ -103,10 +109,12 @@ struct Due {
 #[derive(Clone)]
 struct SimCore {
     now: SimTime,
-    queue: BinaryHeap<Reverse<Key>>,
+    lane: VecDeque<Key>,
+    heap: BinaryHeap<Reverse<Key>>,
     slots: Vec<Slot>,
     free: Vec<u32>,
-    dead: usize,
+    lane_dead: usize,
+    heap_dead: usize,
     next_seq: u64,
     rng: SimRng,
     digest: u64,
@@ -126,7 +134,8 @@ impl SimCore {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.events_scheduled += 1;
-        let filled = Slot { seq, src, dst, msg: Some(msg) };
+        let in_lane = self.lane.back().is_none_or(|last| at >= last.at);
+        let filled = Slot { seq, src, dst, in_lane, msg: Some(msg) };
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = filled;
@@ -137,8 +146,32 @@ impl SimCore {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.queue.push(Reverse(Key { at, seq, slot }));
+        let key = Key { at, seq, slot };
+        if in_lane {
+            self.lane.push_back(key);
+        } else {
+            self.heap.push(Reverse(key));
+        }
         EventId { seq, slot }
+    }
+
+    fn is_live(&self, key: &Key) -> bool {
+        self.slots[key.slot as usize].seq == key.seq
+    }
+
+    /// Events still pending.
+    fn pending(&self) -> usize {
+        self.queued() - self.dead()
+    }
+
+    /// Keys whose event was cancelled, still queued.
+    fn dead(&self) -> usize {
+        self.lane_dead + self.heap_dead
+    }
+
+    /// Keys queued, live or dead.
+    fn queued(&self) -> usize {
+        self.lane.len() + self.heap.len()
     }
 
     /// Vacates `slot`, returning what it held.
@@ -150,40 +183,81 @@ impl SimCore {
     }
 
     fn cancel(&mut self, id: EventId) {
-        if self.slots.get(id.slot as usize).is_none_or(|s| s.seq != id.seq) {
+        let Some(s) = self.slots.get(id.slot as usize).filter(|s| s.seq == id.seq) else {
             return; // delivered or cancelled already
-        }
+        };
+        let in_lane = s.in_lane;
         self.vacate(id.slot);
         self.events_cancelled += 1;
-        self.dead += 1;
-        if self.dead > 32 && self.dead * 2 > self.queue.len() {
-            let slots = &self.slots;
-            self.queue.retain(|Reverse(k)| slots[k.slot as usize].seq == k.seq);
-            self.dead = 0;
+        if in_lane {
+            self.lane_dead += 1;
+            self.sweep_lane();
+        } else {
+            self.heap_dead += 1;
+            if self.heap_dead > 32 && self.heap_dead * 2 > self.heap.len() {
+                let slots = &self.slots;
+                self.heap.retain(|Reverse(k)| slots[k.slot as usize].seq == k.seq);
+                self.heap_dead = 0;
+            }
         }
     }
 
-    /// Pops the earliest live event if it is due by `deadline`, discarding
-    /// dead keys that surface on the way.
-    fn pop_due(&mut self, deadline: SimTime) -> Option<Due> {
-        loop {
-            let Reverse(key) = *self.queue.peek()?;
-            let live = self.slots[key.slot as usize].seq == key.seq;
-            if live && key.at > deadline {
-                return None;
-            }
-            self.queue.pop();
-            if !live {
-                self.dead -= 1;
-                continue;
-            }
-            let (src, dst) = {
-                let s = &self.slots[key.slot as usize];
-                (s.src, s.dst)
-            };
-            let msg = self.vacate(key.slot).expect("live slot holds its message");
-            return Some(Due { at: key.at, src, dst, msg });
+    /// Drops the lane's dead keys once they outnumber its live ones (and
+    /// 32). Called whenever the lane loses a live key, so dead keys never
+    /// exceed live ones + 32.
+    fn sweep_lane(&mut self) {
+        if self.lane_dead > 32 && self.lane_dead * 2 > self.lane.len() {
+            let slots = &self.slots;
+            self.lane.retain(|k| slots[k.slot as usize].seq == k.seq);
+            self.lane_dead = 0;
         }
+    }
+
+    /// The earliest pending key and whether it is the lane's, discarding
+    /// dead keys that surface on the way.
+    fn front(&mut self) -> Option<(Key, bool)> {
+        while let Some(key) = self.lane.front().copied() {
+            if self.is_live(&key) {
+                break;
+            }
+            self.lane.pop_front();
+            self.lane_dead -= 1;
+        }
+        while let Some(&Reverse(key)) = self.heap.peek() {
+            if self.is_live(&key) {
+                break;
+            }
+            self.heap.pop();
+            self.heap_dead -= 1;
+        }
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(&lane), Some(&Reverse(heap))) => {
+                Some(if lane < heap { (lane, true) } else { (heap, false) })
+            }
+            (Some(&lane), None) => Some((lane, true)),
+            (None, Some(&Reverse(heap))) => Some((heap, false)),
+            (None, None) => None,
+        }
+    }
+
+    /// Pops the earliest pending event if it is due by `deadline`.
+    fn pop_due(&mut self, deadline: SimTime) -> Option<Due> {
+        let (key, in_lane) = self.front()?;
+        if key.at > deadline {
+            return None;
+        }
+        if in_lane {
+            self.lane.pop_front();
+            self.sweep_lane();
+        } else {
+            self.heap.pop();
+        }
+        let (src, dst) = {
+            let s = &self.slots[key.slot as usize];
+            (s.src, s.dst)
+        };
+        let msg = self.vacate(key.slot).expect("live slot holds its message");
+        Some(Due { at: key.at, src, dst, msg })
     }
 }
 
@@ -260,10 +334,12 @@ impl Simulation {
         Simulation {
             core: SimCore {
                 now: SimTime::ZERO,
-                queue: BinaryHeap::new(),
+                lane: VecDeque::new(),
+                heap: BinaryHeap::new(),
                 slots: Vec::new(),
                 free: Vec::new(),
-                dead: 0,
+                lane_dead: 0,
+                heap_dead: 0,
                 next_seq: 0,
                 rng: SimRng::new(seed),
                 digest: MIX_SEED,
@@ -393,14 +469,7 @@ impl Simulation {
     /// (doorbells, NIC serialization, datapath completions) have drained
     /// and only long timers or explorer-controlled deliveries remain.
     pub fn peek_next_event_time(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse(key)) = self.core.queue.peek() {
-            if self.core.slots[key.slot as usize].seq == key.seq {
-                return Some(key.at);
-            }
-            self.core.queue.pop();
-            self.core.dead -= 1;
-        }
-        None
+        self.core.front().map(|(key, _)| key.at)
     }
 
     /// Delivers the next pending event. Returns `false` if the queue is empty.
@@ -467,8 +536,8 @@ impl std::fmt::Debug for Simulation {
         f.debug_struct("Simulation")
             .field("now", &self.core.now)
             .field("actors", &self.actors.len())
-            .field("pending_events", &(self.core.queue.len() - self.core.dead))
-            .field("cancelled_pending", &self.core.dead)
+            .field("pending_events", &self.core.pending())
+            .field("cancelled_pending", &self.core.dead())
             .field("events_dispatched", &self.core.events_dispatched)
             .finish()
     }
@@ -675,7 +744,7 @@ mod tests {
         for id in ids {
             sim.cancel(id); // documented no-op: the event is long gone
         }
-        assert_eq!((sim.core.queue.len(), sim.core.dead), (0, 0), "residual cancel state");
+        assert_eq!((sim.core.queued(), sim.core.dead()), (0, 0), "residual cancel state");
         assert_eq!(sim.core.free.len(), sim.core.slots.len(), "a slot is still held");
         // The stale cancels must not have poisoned the recycled slots.
         sim.post_in(r, SimDuration::from_nanos(1), Message::new(7u64));
@@ -696,7 +765,7 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.actor::<Recorder>(r).seen, vec![(SimTime::from_nanos(20), 2)]);
         sim.cancel(new); // delivered: no-op
-        assert_eq!((sim.core.queue.len(), sim.core.dead), (0, 0));
+        assert_eq!((sim.core.queued(), sim.core.dead()), (0, 0));
     }
 
     #[test]
@@ -733,7 +802,7 @@ mod tests {
         for i in 0..10_000u64 {
             let t = sim.post_in(r, SimDuration::from_micros(500), Message::new(i));
             sim.cancel(t);
-            assert!(sim.core.dead * 2 <= sim.core.queue.len().max(64), "dead keys pile up");
+            assert!(sim.core.dead() <= sim.core.pending() + 32, "dead keys pile up");
         }
         sim.run_until_idle();
         assert_eq!(sim.actor::<Recorder>(r).seen.len(), 100);
