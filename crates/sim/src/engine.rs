@@ -1,7 +1,6 @@
 //! The discrete-event simulation engine: event queue, actors and dispatch.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::message::Message;
 use crate::rng::SimRng;
@@ -53,12 +52,23 @@ pub trait Actor: std::any::Any {
 }
 
 /// What the queue orders: earliest time first, FIFO (sequence order) among
-/// simultaneous events. 24 bytes, so sifts move keys, never payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// simultaneous events. 24 bytes, so sifts move keys, never payloads. The
+/// slot index is a full word so that a key has no padding: a sift reading
+/// back a key just pushed then reads only bytes the push wrote, which the
+/// CPU forwards from its store buffer instead of stalling.
+#[derive(Debug, Clone, Copy)]
 struct Key {
     at: SimTime,
     seq: u64,
-    slot: u32,
+    slot: u64,
+}
+
+impl Key {
+    /// `(at, seq)` as one number, so that ordering two keys is one
+    /// branch-free compare.
+    fn rank(&self) -> u128 {
+        u128::from(self.at.as_nanos()) << 64 | u128::from(self.seq)
+    }
 }
 
 /// One slab entry: the payload of a pending event, or vacant.
@@ -70,13 +80,16 @@ struct Slot {
     seq: u64,
     src: Option<ActorId>,
     dst: ActorId,
-    /// Whether the event's key is in the lane (else in the heap).
-    in_lane: bool,
+    /// Where the event's key is: its index in the heap, or [`IN_LANE`].
+    pos: u32,
     msg: Option<Message>,
 }
 
 /// `Slot::seq` of a free slot (never issued: `next_seq` counts up from 0).
 const VACANT: u64 = u64::MAX;
+
+/// `Slot::pos` of an event whose key is in the lane.
+const IN_LANE: u32 = u32::MAX;
 
 /// A popped event on its way to its actor.
 struct Due {
@@ -98,9 +111,13 @@ struct Due {
 ///   sorted by `(at, seq)`, and a pop takes the smaller of the two fronts.
 ///   Constant-delay timers and same-instant events land in the lane, where
 ///   queueing one is a push at the back.
-/// * A key is *dead* iff its slot's `seq` differs from its own. `lane_dead`
-///   and `heap_dead` count them; they are skipped when they surface and
-///   swept before they outnumber the live keys of their structure.
+/// * The heap holds live keys only. Each slot records its key's heap index
+///   (`pos`), which every sift keeps current, so a cancel takes the key out
+///   with one sift.
+/// * A lane key is *dead* iff its slot's `seq` differs from its own.
+///   `lane_dead` counts them; they are skipped when they surface and swept
+///   whenever they outnumber the lane's live keys and 32, so the queue never
+///   holds more dead keys than live events + 32.
 /// * Cancelling an id whose event is gone finds a vacant or re-issued slot
 ///   and changes nothing.
 /// * A clone is the same queue: same slots, same free-list order, same
@@ -110,11 +127,11 @@ struct Due {
 struct SimCore {
     now: SimTime,
     lane: VecDeque<Key>,
-    heap: BinaryHeap<Reverse<Key>>,
+    /// A binary min-heap; `slots[key.slot].pos` is each key's index.
+    heap: Vec<Key>,
     slots: Vec<Slot>,
     free: Vec<u32>,
     lane_dead: usize,
-    heap_dead: usize,
     next_seq: u64,
     rng: SimRng,
     digest: u64,
@@ -134,8 +151,7 @@ impl SimCore {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.events_scheduled += 1;
-        let in_lane = self.lane.back().is_none_or(|last| at >= last.at);
-        let filled = Slot { seq, src, dst, in_lane, msg: Some(msg) };
+        let filled = Slot { seq, src, dst, pos: IN_LANE, msg: Some(msg) };
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = filled;
@@ -146,11 +162,12 @@ impl SimCore {
                 (self.slots.len() - 1) as u32
             }
         };
-        let key = Key { at, seq, slot };
-        if in_lane {
+        let key = Key { at, seq, slot: slot.into() };
+        if self.lane.back().is_none_or(|last| at >= last.at) {
             self.lane.push_back(key);
         } else {
-            self.heap.push(Reverse(key));
+            self.heap.push(key);
+            self.sift_up(self.heap.len() - 1);
         }
         EventId { seq, slot }
     }
@@ -164,9 +181,9 @@ impl SimCore {
         self.queued() - self.dead()
     }
 
-    /// Keys whose event was cancelled, still queued.
+    /// Keys whose event was cancelled, still queued (in the lane).
     fn dead(&self) -> usize {
-        self.lane_dead + self.heap_dead
+        self.lane_dead
     }
 
     /// Keys queued, live or dead.
@@ -186,19 +203,14 @@ impl SimCore {
         let Some(s) = self.slots.get(id.slot as usize).filter(|s| s.seq == id.seq) else {
             return; // delivered or cancelled already
         };
-        let in_lane = s.in_lane;
+        let pos = s.pos;
         self.vacate(id.slot);
         self.events_cancelled += 1;
-        if in_lane {
+        if pos == IN_LANE {
             self.lane_dead += 1;
             self.sweep_lane();
         } else {
-            self.heap_dead += 1;
-            if self.heap_dead > 32 && self.heap_dead * 2 > self.heap.len() {
-                let slots = &self.slots;
-                self.heap.retain(|Reverse(k)| slots[k.slot as usize].seq == k.seq);
-                self.heap_dead = 0;
-            }
+            self.heap_remove(pos as usize);
         }
     }
 
@@ -213,8 +225,65 @@ impl SimCore {
         }
     }
 
+    /// Puts `key` at heap index `i` and records the index in its slot.
+    fn place(&mut self, i: usize, key: Key) {
+        self.heap[i] = key;
+        self.slots[key.slot as usize].pos = i as u32;
+    }
+
+    /// Moves the key at heap index `i` up past every later parent.
+    fn sift_up(&mut self, mut i: usize) {
+        let key = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let above = self.heap[parent];
+            if above.rank() < key.rank() {
+                break;
+            }
+            self.place(i, above);
+            i = parent;
+        }
+        self.place(i, key);
+    }
+
+    /// Moves the key at heap index `i` down past every earlier child.
+    fn sift_down(&mut self, mut i: usize) {
+        let key = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n {
+                child += usize::from(self.heap[child + 1].rank() < self.heap[child].rank());
+            }
+            let below = self.heap[child];
+            if key.rank() < below.rank() {
+                break;
+            }
+            self.place(i, below);
+            i = child;
+        }
+        self.place(i, key);
+    }
+
+    /// Takes the key at heap index `i` out: the last key fills the hole and
+    /// sifts whichever way restores the order.
+    fn heap_remove(&mut self, i: usize) {
+        let last = self.heap.pop().expect("the heap holds the key");
+        if i < self.heap.len() {
+            self.heap[i] = last;
+            if i > 0 && last.rank() < self.heap[(i - 1) / 2].rank() {
+                self.sift_up(i);
+            } else {
+                self.sift_down(i);
+            }
+        }
+    }
+
     /// The earliest pending key and whether it is the lane's, discarding
-    /// dead keys that surface on the way.
+    /// dead lane keys that surface on the way.
     fn front(&mut self) -> Option<(Key, bool)> {
         while let Some(key) = self.lane.front().copied() {
             if self.is_live(&key) {
@@ -223,19 +292,12 @@ impl SimCore {
             self.lane.pop_front();
             self.lane_dead -= 1;
         }
-        while let Some(&Reverse(key)) = self.heap.peek() {
-            if self.is_live(&key) {
-                break;
-            }
-            self.heap.pop();
-            self.heap_dead -= 1;
-        }
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(&lane), Some(&Reverse(heap))) => {
-                Some(if lane < heap { (lane, true) } else { (heap, false) })
+        match (self.lane.front(), self.heap.first()) {
+            (Some(&lane), Some(&heap)) => {
+                Some(if lane.rank() < heap.rank() { (lane, true) } else { (heap, false) })
             }
             (Some(&lane), None) => Some((lane, true)),
-            (None, Some(&Reverse(heap))) => Some((heap, false)),
+            (None, Some(&heap)) => Some((heap, false)),
             (None, None) => None,
         }
     }
@@ -250,13 +312,13 @@ impl SimCore {
             self.lane.pop_front();
             self.sweep_lane();
         } else {
-            self.heap.pop();
+            self.heap_remove(0);
         }
         let (src, dst) = {
             let s = &self.slots[key.slot as usize];
             (s.src, s.dst)
         };
-        let msg = self.vacate(key.slot).expect("live slot holds its message");
+        let msg = self.vacate(key.slot as u32).expect("live slot holds its message");
         Some(Due { at: key.at, src, dst, msg })
     }
 }
@@ -335,11 +397,10 @@ impl Simulation {
             core: SimCore {
                 now: SimTime::ZERO,
                 lane: VecDeque::new(),
-                heap: BinaryHeap::new(),
+                heap: Vec::new(),
                 slots: Vec::new(),
                 free: Vec::new(),
                 lane_dead: 0,
-                heap_dead: 0,
                 next_seq: 0,
                 rng: SimRng::new(seed),
                 digest: MIX_SEED,
@@ -815,7 +876,7 @@ mod tests {
 
     #[test]
     fn fork_copies_live_and_cancelled_timers_and_keeps_event_ids_valid() {
-        // Eight timers, one cancelled (a dead heap key and a free slot),
+        // Eight timers, one cancelled (a dead lane key and a free slot),
         // two delivered (two more free slots): the state a fork must copy.
         let build = || {
             let mut sim = Simulation::new(1);
