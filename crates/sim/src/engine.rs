@@ -965,3 +965,279 @@ mod tests {
         assert_eq!(sim.now().as_nanos(), 10000);
     }
 }
+
+#[cfg(test)]
+mod queue_model {
+    //! The event queue against a model. Random interleavings of `schedule`
+    //! (zero delays, equal times, monotone and non-monotone `at`), `cancel` (of
+    //! live, delivered, stale and already-cancelled ids), `run_until`, `step`,
+    //! `peek_next_event_time` and `fork` must deliver exactly what a
+    //! `BTreeMap<(at, seq), _>` delivers, in the parent and in every fork, and
+    //! the queue must never hold more dead keys than live ones + 32.
+    //!
+    //! Cases are drawn from [`SimRng`] seeds (this crate does not depend on the
+    //! vendored proptest). A failing case is cut to its shortest failing prefix
+    //! and reported with its seed.
+
+    use std::collections::BTreeMap;
+
+    use super::*;
+
+    /// Records every `u64` it receives with the time it arrived.
+    #[derive(Clone)]
+    struct Log(Vec<(SimTime, u64)>);
+
+    impl Actor for Log {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            self.0.push((ctx.now(), msg.downcast::<u64>().expect("u64")));
+        }
+    }
+
+    /// When a scheduled event is due.
+    #[derive(Debug, Clone, Copy)]
+    enum When {
+        /// Now.
+        Zero,
+        /// At the same instant as a pending event (the `n`-th, cyclically).
+        SameAs(u64),
+        /// Far ahead at a constant delay, as retransmit timers are: monotone.
+        Late,
+        /// A little ahead: interleaves with everything else.
+        Near(u64),
+    }
+
+    /// One operation, applied to the twin `on` (taken modulo the twin count).
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Schedule {
+            on: usize,
+            when: When,
+        },
+        /// Cancel the latest id, or the `n`-th ever issued (cyclically).
+        Cancel {
+            on: usize,
+            latest: bool,
+            n: u64,
+        },
+        RunUntil {
+            on: usize,
+            ahead: u64,
+        },
+        Step {
+            on: usize,
+        },
+        Peek {
+            on: usize,
+        },
+        /// Arm `n` timers at the late delay, cancelling each at once, as a
+        /// transport does whose requests all complete in time.
+        Churn {
+            on: usize,
+            n: u64,
+        },
+        Fork {
+            on: usize,
+        },
+    }
+
+    const LATE: u64 = 1_000;
+    const MAX_TWINS: usize = 4;
+
+    fn draw(rng: &mut SimRng, len: usize) -> Vec<Op> {
+        (0..len)
+            .map(|_| {
+                let on = rng.range_u64(0, MAX_TWINS as u64) as usize;
+                match rng.range_u64(0, 100) {
+                    0..45 => {
+                        let when = match rng.range_u64(0, 100) {
+                            0..10 => When::Zero,
+                            10..35 => When::SameAs(rng.u64()),
+                            35..60 => When::Late,
+                            _ => When::Near(rng.range_u64(0, 40)),
+                        };
+                        Op::Schedule { on, when }
+                    }
+                    45..72 => Op::Cancel { on, latest: rng.chance(0.5), n: rng.u64() },
+                    72..82 => Op::RunUntil { on, ahead: rng.range_u64(0, 60) },
+                    82..92 => Op::Step { on },
+                    92..95 => Op::Peek { on },
+                    95..98 => Op::Churn { on, n: rng.range_u64(1, 48) },
+                    _ => Op::Fork { on },
+                }
+            })
+            .collect()
+    }
+
+    /// A simulation and the model it must agree with.
+    struct Twin {
+        sim: Simulation,
+        log: ActorId,
+        /// Pending events by `(at, seq)`; the value is the payload sent.
+        model: BTreeMap<(SimTime, u64), u64>,
+        /// Every id issued, with the model key it names.
+        ids: Vec<(EventId, (SimTime, u64))>,
+        next_seq: u64,
+        now: SimTime,
+        /// What the model says was delivered, in order.
+        delivered: Vec<(SimTime, u64)>,
+    }
+
+    impl Twin {
+        fn new() -> Twin {
+            let mut sim = Simulation::new(1);
+            let log = sim.add_actor(Log(Vec::new()));
+            Twin {
+                sim,
+                log,
+                model: BTreeMap::new(),
+                ids: Vec::new(),
+                next_seq: 0,
+                now: SimTime::ZERO,
+                delivered: Vec::new(),
+            }
+        }
+
+        fn fork(&self) -> Twin {
+            let log = self.sim.actor::<Log>(self.log).clone();
+            Twin {
+                sim: self.sim.fork(vec![Box::new(log)]),
+                log: self.log,
+                model: self.model.clone(),
+                ids: self.ids.clone(),
+                next_seq: self.next_seq,
+                now: self.now,
+                delivered: self.delivered.clone(),
+            }
+        }
+
+        /// The model's `step`: deliver the earliest pending event.
+        fn model_pop(&mut self) {
+            if let Some(((at, _), v)) = self.model.pop_first() {
+                self.now = at;
+                self.delivered.push((at, v));
+            }
+        }
+
+        fn apply(&mut self, op: Op) -> Result<(), String> {
+            match op {
+                Op::Schedule { when, .. } => {
+                    let at = match when {
+                        When::Zero => self.now,
+                        When::SameAs(n) if !self.model.is_empty() => {
+                            let i = (n % self.model.len() as u64) as usize;
+                            self.model.keys().nth(i).expect("in range").0
+                        }
+                        When::SameAs(_) => self.now,
+                        When::Late => self.now + SimDuration::from_nanos(LATE),
+                        When::Near(d) => self.now + SimDuration::from_nanos(d),
+                    };
+                    let seq = self.next_seq;
+                    self.next_seq += 1;
+                    let id = self.sim.post_in(self.log, at - self.now, Message::new(seq));
+                    self.model.insert((at, seq), seq);
+                    self.ids.push((id, (at, seq)));
+                }
+                Op::Cancel { latest, n, .. } => {
+                    if self.ids.is_empty() {
+                        return Ok(());
+                    }
+                    let i = if latest {
+                        self.ids.len() - 1
+                    } else {
+                        (n % self.ids.len() as u64) as usize
+                    };
+                    let (id, key) = self.ids[i];
+                    self.sim.cancel(id);
+                    self.model.remove(&key);
+                }
+                Op::RunUntil { ahead, .. } => {
+                    let deadline = self.now + SimDuration::from_nanos(ahead);
+                    self.sim.run_until(deadline);
+                    while self.model.first_key_value().is_some_and(|(&(at, _), _)| at <= deadline) {
+                        self.model_pop();
+                    }
+                    self.now = deadline;
+                }
+                Op::Step { .. } => {
+                    if self.sim.step() == self.model.is_empty() {
+                        return Err(format!("step disagrees on whether {:?} is idle", self.model));
+                    }
+                    self.model_pop();
+                }
+                Op::Peek { .. } => {
+                    let next = self.model.first_key_value().map(|(&(at, _), _)| at);
+                    let peeked = self.sim.peek_next_event_time();
+                    if peeked != next {
+                        return Err(format!("peeked {peeked:?}, model {next:?}"));
+                    }
+                }
+                Op::Churn { on, n } => {
+                    for _ in 0..n {
+                        self.apply(Op::Schedule { on, when: When::Late })?;
+                        self.apply(Op::Cancel { on, latest: true, n: 0 })?;
+                    }
+                }
+                Op::Fork { .. } => unreachable!("forks are made by the caller"),
+            }
+            Ok(())
+        }
+
+        fn check(&self) -> Result<(), String> {
+            let seen = &self.sim.actor::<Log>(self.log).0;
+            if *seen != self.delivered {
+                return Err(format!("delivered {seen:?}, model {:?}", self.delivered));
+            }
+            if self.sim.now() != self.now {
+                return Err(format!("clock {:?}, model {:?}", self.sim.now(), self.now));
+            }
+            let core = &self.sim.core;
+            if core.pending() != self.model.len() {
+                return Err(format!("{} pending, model {}", core.pending(), self.model.len()));
+            }
+            if core.dead() > core.pending() + 32 {
+                return Err(format!("{} dead keys for {} live ones", core.dead(), core.pending()));
+            }
+            Ok(())
+        }
+    }
+
+    /// Runs `ops` from a fresh simulation, checking every twin after each one.
+    fn run(ops: &[Op]) -> Result<(), String> {
+        let mut twins = vec![Twin::new()];
+        for (i, &op) in ops.iter().enumerate() {
+            match op {
+                Op::Fork { on } => {
+                    if twins.len() < MAX_TWINS {
+                        let fork = twins[on % twins.len()].fork();
+                        twins.push(fork);
+                    }
+                }
+                Op::Schedule { on, .. }
+                | Op::Cancel { on, .. }
+                | Op::RunUntil { on, .. }
+                | Op::Step { on }
+                | Op::Peek { on }
+                | Op::Churn { on, .. } => {
+                    let n = twins.len();
+                    twins[on % n].apply(op).map_err(|e| format!("op {i} ({op:?}): {e}"))?;
+                }
+            }
+            for (t, twin) in twins.iter().enumerate() {
+                twin.check().map_err(|e| format!("after op {i} ({op:?}), twin {t}: {e}"))?;
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn the_queue_delivers_what_a_sorted_map_model_delivers() {
+        for seed in 0..400 {
+            let ops = draw(&mut SimRng::new(seed), 240);
+            if run(&ops).is_err() {
+                let shortest = (1..=ops.len()).find(|&n| run(&ops[..n]).is_err()).expect("fails");
+                let err = run(&ops[..shortest]).unwrap_err();
+                panic!("seed {seed}, {shortest} ops: {err}\n{:#?}", &ops[..shortest]);
+            }
+        }
+    }
+}
