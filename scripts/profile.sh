@@ -5,13 +5,17 @@
 # samples whose stack holds the anchor frame.
 #
 #   scripts/profile.sh [--workload W] [--seconds S] [--anchor FRAME]
+#                      [--tree FRAME] [--min PCT]
 #
 #   --workload  a BENCHMARK.json workload (default sync_small)
 #   --seconds   the run's --seconds (default 5)
 #   --anchor    keep samples with a frame whose name contains FRAME, e.g.
 #               clio_mc::explorer::explore (the checker) or
-#               clio_sim::engine::Simulation::step (the data path);
-#               default: every sample
+#               clio_benchmark::workloads::Instance::run_round (the data
+#               path); default: every sample
+#   --tree      instead of the three tables, print the callee tree under
+#               the frame whose name contains FRAME
+#   --min       --tree: leave out call paths below PCT % (default 1)
 #
 # Builds the benchmark with frame pointers and line tables into
 # target/profile (its own target directory, so the benchmark's build is
@@ -22,13 +26,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-workload=sync_small seconds=5 anchor=""
+workload=sync_small seconds=5 anchor="" tree=()
 while [ $# -gt 0 ]; do
   case "$1" in
     --workload) workload="$2"; shift 2 ;;
     --seconds) seconds="$2"; shift 2 ;;
     --anchor) anchor="$2"; shift 2 ;;
-    *) echo "usage: scripts/profile.sh [--workload W] [--seconds S] [--anchor FRAME]" >&2; exit 2 ;;
+    --tree|--min) tree+=("$1" "$2"); shift 2 ;;
+    *) echo "usage: scripts/profile.sh [--workload W] [--seconds S] [--anchor FRAME] [--tree FRAME] [--min PCT]" >&2; exit 2 ;;
   esac
 done
 
@@ -44,4 +49,4 @@ exe="$target/release/clio_benchmark"
 CLIO_PROFILE_OUT="$out/samples" LD_PRELOAD="$out/shim.so" \
   "$exe" --workload "$workload" --seed 7 --seconds "$seconds" --trace 0 >"$out/run.json"
 python3 scripts/profile_report.py "$out/samples" "$(readlink -f "$exe")" --anchor "$anchor" \
-  | tee "$out/report.txt"
+  ${tree[@]+"${tree[@]}"} | tee "$out/report.txt"

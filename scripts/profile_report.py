@@ -6,11 +6,18 @@ the samples whose stack holds the anchor frame:
   inclusive %  every function on the sample's stack, once per sample;
   inlined %    the innermost function inlined at the sampled address.
 
+With --tree FRAME it prints instead the callee tree under FRAME, top down:
+per line the inclusive and self share of a call path, as % of the anchored
+samples, indented by depth; paths below --min % are left out. A sample
+counts under the outermost frame matching FRAME, and a function calling
+itself directly is one level.
+
 A sample taken outside the profiled executable (libc's malloc or memcpy, the
 vdso) is charged to its first caller inside it: libc is stripped of its
 local symbols, so its own addresses would land on an unrelated exported one.
 
     profile_report.py SAMPLES EXECUTABLE [--anchor FRAME] [--top N]
+                      [--tree FRAME [--min PCT]]
 
 Needs `nm` and `addr2line` (binutils) on PATH.
 """
@@ -88,12 +95,51 @@ def innermost_inlined(exe, vaddrs):
     return found
 
 
+class Node:
+    def __init__(self):
+        self.total, self.own, self.children = 0, 0, collections.defaultdict(Node)
+
+
+def print_tree(kept, frame, min_pct):
+    """The callee tree under `frame` over `kept` (self vaddr, functions
+    innermost first), as % of all of `kept`."""
+    roots = collections.defaultdict(Node)
+    for _, funcs in kept:
+        outer = max((i for i, f in enumerate(funcs) if frame in f), default=None)
+        if outer is None:
+            continue
+        path = []  # outermost first, direct self-calls folded
+        for f in reversed(funcs[: outer + 1]):
+            if not path or path[-1] != f:
+                path.append(f)
+        node = roots[path[0]]
+        node.total += 1
+        for f in path[1:]:
+            node = node.children[f]
+            node.total += 1
+        node.own += 1
+    if not roots:
+        sys.exit(f"no anchored sample has a frame matching {frame!r}")
+
+    def show(name, node, depth):
+        print(f"{100 * node.total / len(kept):6.1f} {100 * node.own / len(kept):6.1f}  {'  ' * depth}{name}")
+        for child, sub in sorted(node.children.items(), key=lambda kv: -kv[1].total):
+            if 100 * sub.total / len(kept) >= min_pct:
+                show(child, sub, depth + 1)
+
+    print(f"callee tree under {frame!r}: inclusive %, self %; paths under {min_pct} % left out")
+    for name, node in sorted(roots.items(), key=lambda kv: -kv[1].total):
+        show(name, node, 0)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("samples")
     ap.add_argument("exe")
     ap.add_argument("--anchor", default="", help="count only samples with a frame containing this")
     ap.add_argument("--top", type=int, default=25)
+    ap.add_argument("--tree", help="print the callee tree under the outermost frame containing this")
+    ap.add_argument("--min", type=float, default=1.0, help="--tree: leave out paths below this %%")
     args = ap.parse_args()
 
     segments = read_maps(args.samples + ".maps", args.exe)
@@ -122,6 +168,12 @@ def main():
     if not kept:
         sys.exit(f"none of {total} samples has a frame matching {args.anchor!r}")
 
+    anchor = f"under {args.anchor!r}" if args.anchor else "in all"
+    print(f"{len(kept)} samples {anchor} ({total} taken, one per 100 us of wall time)")
+    if args.tree:
+        print_tree(kept, args.tree, args.min)
+        return
+
     inlined = innermost_inlined(args.exe, sorted({v for v, _ in kept}))
     self_, inclusive, inner = collections.Counter(), collections.Counter(), collections.Counter()
     for v, funcs in kept:
@@ -129,8 +181,6 @@ def main():
         inclusive.update(set(funcs))
         inner[inlined.get(v, funcs[0])] += 1
 
-    anchor = f"under {args.anchor!r}" if args.anchor else "in all"
-    print(f"{len(kept)} samples {anchor} ({total} taken, one per 100 us of wall time)")
     for title, counts in (("self", self_), ("inclusive", inclusive), ("innermost inlined", inner)):
         print(f"\n{title} %")
         for name, n in counts.most_common(args.top):
