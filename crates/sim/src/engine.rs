@@ -113,8 +113,8 @@ struct Due {
 /// * A key goes to the *lane*, a FIFO, when its `at` is no earlier than the
 ///   lane's last key's, and to the heap otherwise; the lane is therefore
 ///   sorted by `(at, seq)`, and a pop takes the smaller of the two fronts.
-///   Constant-delay timers and same-instant events land in the lane, where
-///   queueing one is a push at the back.
+///   Constant-delay timers land in the lane, where queueing one is a push
+///   at the back.
 /// * The heap holds live keys only. Each slot records its key's heap index
 ///   (`pos`), which every sift keeps current, so a cancel takes the key out
 ///   with one sift.
@@ -186,12 +186,7 @@ impl SimCore {
 
     /// Events still pending.
     fn pending(&self) -> usize {
-        self.queued() - self.dead()
-    }
-
-    /// Keys whose event was cancelled, still queued (in the lane).
-    fn dead(&self) -> usize {
-        self.lane_dead
+        self.queued() - self.lane_dead
     }
 
     /// Keys queued, live or dead.
@@ -607,7 +602,7 @@ impl std::fmt::Debug for Simulation {
             .field("now", &self.core.now)
             .field("actors", &self.actors.len())
             .field("pending_events", &self.core.pending())
-            .field("cancelled_pending", &self.core.dead())
+            .field("cancelled_pending", &self.core.lane_dead)
             .field("events_dispatched", &self.core.events_dispatched)
             .finish()
     }
@@ -814,7 +809,7 @@ mod tests {
         for id in ids {
             sim.cancel(id); // documented no-op: the event is long gone
         }
-        assert_eq!((sim.core.queued(), sim.core.dead()), (0, 0), "residual cancel state");
+        assert_eq!((sim.core.queued(), sim.core.lane_dead), (0, 0), "residual cancel state");
         assert!(sim.core.slots.iter().all(|s| s.seq == VACANT), "a slot is still held");
         // The stale cancels must not have poisoned the recycled slots.
         sim.post_in(r, SimDuration::from_nanos(1), Message::new(7u64));
@@ -835,7 +830,7 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.actor::<Recorder>(r).seen, vec![(SimTime::from_nanos(20), 2)]);
         sim.cancel(new); // delivered: no-op
-        assert_eq!((sim.core.queued(), sim.core.dead()), (0, 0));
+        assert_eq!((sim.core.queued(), sim.core.lane_dead), (0, 0));
     }
 
     #[test]
@@ -872,7 +867,7 @@ mod tests {
         for i in 0..10_000u64 {
             let t = sim.post_in(r, SimDuration::from_micros(500), Message::new(i));
             sim.cancel(t);
-            assert!(sim.core.dead() <= sim.core.pending() + 32, "dead keys pile up");
+            assert!(sim.core.lane_dead <= sim.core.pending() + 32, "dead keys pile up");
         }
         sim.run_until_idle();
         assert_eq!(sim.actor::<Recorder>(r).seen.len(), 100);
@@ -1194,8 +1189,12 @@ mod queue_model {
             if core.pending() != self.model.len() {
                 return Err(format!("{} pending, model {}", core.pending(), self.model.len()));
             }
-            if core.dead() > core.pending() + 32 {
-                return Err(format!("{} dead keys for {} live ones", core.dead(), core.pending()));
+            if core.lane_dead > core.pending() + 32 {
+                return Err(format!(
+                    "{} dead keys for {} live ones",
+                    core.lane_dead,
+                    core.pending()
+                ));
             }
             Ok(())
         }
