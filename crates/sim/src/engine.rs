@@ -81,7 +81,6 @@ struct Slot {
     src: Option<ActorId>,
     dst: ActorId,
     /// Where the event's key is: its index in the heap, or [`IN_LANE`].
-    /// In a free slot, the next free slot, or [`NO_SLOT`].
     pos: u32,
     msg: Option<Message>,
 }
@@ -91,9 +90,6 @@ const VACANT: u64 = u64::MAX;
 
 /// `Slot::pos` of an event whose key is in the lane.
 const IN_LANE: u32 = u32::MAX;
-
-/// The end of the free-slot list.
-const NO_SLOT: u32 = u32::MAX;
 
 /// A popped event on its way to its actor.
 struct Due {
@@ -134,9 +130,7 @@ struct SimCore {
     /// A binary min-heap; `slots[key.slot].pos` is each key's index.
     heap: Vec<Key>,
     slots: Vec<Slot>,
-    /// The most recently vacated slot, head of a list threaded through
-    /// the free slots' `pos`.
-    free: u32,
+    free: Vec<u32>,
     lane_dead: usize,
     next_seq: u64,
     rng: SimRng,
@@ -158,16 +152,14 @@ impl SimCore {
         self.next_seq += 1;
         self.events_scheduled += 1;
         let filled = Slot { seq, src, dst, pos: IN_LANE, msg: Some(msg) };
-        let slot = match self.free {
-            NO_SLOT => {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = filled;
+                slot
+            }
+            None => {
                 self.slots.push(filled);
                 (self.slots.len() - 1) as u32
-            }
-            slot => {
-                let s = &mut self.slots[slot as usize];
-                self.free = s.pos;
-                *s = filled;
-                slot
             }
         };
         let key = Key { at, seq, slot: slot.into() };
@@ -198,8 +190,7 @@ impl SimCore {
     fn vacate(&mut self, slot: u32) -> Option<Message> {
         let s = &mut self.slots[slot as usize];
         s.seq = VACANT;
-        s.pos = self.free;
-        self.free = slot;
+        self.free.push(slot);
         s.msg.take()
     }
 
@@ -403,7 +394,7 @@ impl Simulation {
                 lane: VecDeque::new(),
                 heap: Vec::new(),
                 slots: Vec::new(),
-                free: NO_SLOT,
+                free: Vec::new(),
                 lane_dead: 0,
                 next_seq: 0,
                 rng: SimRng::new(seed),
@@ -810,7 +801,7 @@ mod tests {
             sim.cancel(id); // documented no-op: the event is long gone
         }
         assert_eq!((sim.core.queued(), sim.core.lane_dead), (0, 0), "residual cancel state");
-        assert!(sim.core.slots.iter().all(|s| s.seq == VACANT), "a slot is still held");
+        assert_eq!(sim.core.free.len(), sim.core.slots.len(), "a slot is still held");
         // The stale cancels must not have poisoned the recycled slots.
         sim.post_in(r, SimDuration::from_nanos(1), Message::new(7u64));
         sim.run_until_idle();
