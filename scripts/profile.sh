@@ -5,7 +5,7 @@
 # samples whose stack holds the anchor frame.
 #
 #   scripts/profile.sh [--workload W] [--seconds S] [--anchor FRAME]
-#                      [--tree FRAME] [--min PCT]
+#                      [--tree FRAME]
 #
 #   --workload  a BENCHMARK.json workload (default sync_small)
 #   --seconds   the run's --seconds (default 5)
@@ -14,8 +14,8 @@
 #               clio_benchmark::workloads::Instance::run_round (the data
 #               path); default: every sample
 #   --tree      instead of the three tables, print the callee tree under
-#               the frame whose name contains FRAME
-#   --min       --tree: leave out call paths below PCT % (default 1)
+#               the frame whose name contains FRAME (call paths under 1 %
+#               of the anchored samples left out)
 #
 # Builds the benchmark with frame pointers and line tables into
 # target/profile (its own target directory, so the benchmark's build is
@@ -32,8 +32,8 @@ while [ $# -gt 0 ]; do
     --workload) workload="$2"; shift 2 ;;
     --seconds) seconds="$2"; shift 2 ;;
     --anchor) anchor="$2"; shift 2 ;;
-    --tree|--min) tree+=("$1" "$2"); shift 2 ;;
-    *) echo "usage: scripts/profile.sh [--workload W] [--seconds S] [--anchor FRAME] [--tree FRAME] [--min PCT]" >&2; exit 2 ;;
+    --tree) tree=(--tree "$2"); shift 2 ;;
+    *) echo "usage: scripts/profile.sh [--workload W] [--seconds S] [--anchor FRAME] [--tree FRAME]" >&2; exit 2 ;;
   esac
 done
 

@@ -8,16 +8,15 @@ the samples whose stack holds the anchor frame:
 
 With --tree FRAME it prints instead the callee tree under FRAME, top down:
 per line the inclusive and self share of a call path, as % of the anchored
-samples, indented by depth; paths below --min % are left out. A sample
-counts under the outermost frame matching FRAME, and a function calling
-itself directly is one level.
+samples, indented by depth; paths below 1 % are left out. A sample counts
+under the outermost frame matching FRAME, and a function calling itself
+directly is one level.
 
 A sample taken outside the profiled executable (libc's malloc or memcpy, the
 vdso) is charged to its first caller inside it: libc is stripped of its
 local symbols, so its own addresses would land on an unrelated exported one.
 
-    profile_report.py SAMPLES EXECUTABLE [--anchor FRAME] [--top N]
-                      [--tree FRAME [--min PCT]]
+    profile_report.py SAMPLES EXECUTABLE [--anchor FRAME] [--top N] [--tree FRAME]
 
 Needs `nm` and `addr2line` (binutils) on PATH.
 """
@@ -100,7 +99,11 @@ class Node:
         self.total, self.own, self.children = 0, 0, collections.defaultdict(Node)
 
 
-def print_tree(kept, frame, min_pct):
+# --tree leaves out call paths below this share of the anchored samples, in %.
+TREE_MIN_PCT = 1.0
+
+
+def print_tree(kept, frame):
     """The callee tree under `frame` over `kept` (self vaddr, functions
     innermost first), as % of all of `kept`."""
     roots = collections.defaultdict(Node)
@@ -124,10 +127,10 @@ def print_tree(kept, frame, min_pct):
     def show(name, node, depth):
         print(f"{100 * node.total / len(kept):6.1f} {100 * node.own / len(kept):6.1f}  {'  ' * depth}{name}")
         for child, sub in sorted(node.children.items(), key=lambda kv: -kv[1].total):
-            if 100 * sub.total / len(kept) >= min_pct:
+            if 100 * sub.total / len(kept) >= TREE_MIN_PCT:
                 show(child, sub, depth + 1)
 
-    print(f"callee tree under {frame!r}: inclusive %, self %; paths under {min_pct} % left out")
+    print(f"callee tree under {frame!r}: inclusive %, self %; paths under {TREE_MIN_PCT:g} % left out")
     for name, node in sorted(roots.items(), key=lambda kv: -kv[1].total):
         show(name, node, 0)
 
@@ -139,7 +142,6 @@ def main():
     ap.add_argument("--anchor", default="", help="count only samples with a frame containing this")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--tree", help="print the callee tree under the outermost frame containing this")
-    ap.add_argument("--min", type=float, default=1.0, help="--tree: leave out paths below this %%")
     args = ap.parse_args()
 
     segments = read_maps(args.samples + ".maps", args.exe)
@@ -171,7 +173,7 @@ def main():
     anchor = f"under {args.anchor!r}" if args.anchor else "in all"
     print(f"{len(kept)} samples {anchor} ({total} taken, one per 100 us of wall time)")
     if args.tree:
-        print_tree(kept, args.tree, args.min)
+        print_tree(kept, args.tree)
         return
 
     inlined = innermost_inlined(args.exe, sorted({v for v, _ in kept}))
