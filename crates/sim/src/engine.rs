@@ -1,7 +1,5 @@
 //! The discrete-event simulation engine: event queue, actors and dispatch.
 
-use std::collections::VecDeque;
-
 use crate::message::Message;
 use crate::rng::SimRng;
 use crate::table::{mix, MIX_SEED};
@@ -74,22 +72,19 @@ impl Key {
 /// One slab entry: the payload of a pending event, or vacant.
 #[derive(Clone)]
 struct Slot {
-    /// Sequence number of the event held here; [`VACANT`] when free. A key
-    /// or an [`EventId`] whose `seq` differs names an event that was
-    /// already delivered or cancelled.
+    /// Sequence number of the event held here; [`VACANT`] when free. An
+    /// [`EventId`] whose `seq` differs names an event that was already
+    /// delivered or cancelled.
     seq: u64,
     src: Option<ActorId>,
     dst: ActorId,
-    /// Where the event's key is: its index in the heap, or [`IN_LANE`].
+    /// The index of the event's key in the heap.
     pos: u32,
     msg: Option<Message>,
 }
 
 /// `Slot::seq` of a free slot (never issued: `next_seq` counts up from 0).
 const VACANT: u64 = u64::MAX;
-
-/// `Slot::pos` of an event whose key is in the lane.
-const IN_LANE: u32 = u32::MAX;
 
 /// A popped event on its way to its actor.
 struct Due {
@@ -103,21 +98,12 @@ struct Due {
 ///
 /// # Event-queue invariants
 ///
-/// * Every pending event owns exactly one slot and one key carrying the
-///   slot's `seq`; delivery and cancellation vacate the slot at once
+/// * Every pending event owns exactly one slot and one heap key carrying
+///   the slot's `seq`; delivery and cancellation vacate the slot at once
 ///   (dropping the message) and recycle it.
-/// * A key goes to the *lane*, a FIFO, when its `at` is no earlier than the
-///   lane's last key's, and to the heap otherwise; the lane is therefore
-///   sorted by `(at, seq)`, and a pop takes the smaller of the two fronts.
-///   Constant-delay timers land in the lane, where queueing one is a push
-///   at the back.
 /// * The heap holds live keys only. Each slot records its key's heap index
 ///   (`pos`), which every sift keeps current, so a cancel takes the key out
 ///   with one sift.
-/// * A lane key is *dead* iff its slot's `seq` differs from its own.
-///   `lane_dead` counts them; they are skipped when they surface and swept
-///   whenever they outnumber the lane's live keys and 32, so the queue never
-///   holds more dead keys than live events + 32.
 /// * Cancelling an id whose event is gone finds a vacant or re-issued slot
 ///   and changes nothing.
 /// * A clone is the same queue: same slots, same free-list order, same
@@ -126,12 +112,10 @@ struct Due {
 #[derive(Clone)]
 struct SimCore {
     now: SimTime,
-    lane: VecDeque<Key>,
     /// A binary min-heap; `slots[key.slot].pos` is each key's index.
     heap: Vec<Key>,
     slots: Vec<Slot>,
     free: Vec<u32>,
-    lane_dead: usize,
     next_seq: u64,
     rng: SimRng,
     digest: u64,
@@ -151,7 +135,7 @@ impl SimCore {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.events_scheduled += 1;
-        let filled = Slot { seq, src, dst, pos: IN_LANE, msg: Some(msg) };
+        let filled = Slot { seq, src, dst, pos: 0, msg: Some(msg) };
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = filled;
@@ -162,28 +146,9 @@ impl SimCore {
                 (self.slots.len() - 1) as u32
             }
         };
-        let key = Key { at, seq, slot: slot.into() };
-        if self.lane.back().is_none_or(|last| at >= last.at) {
-            self.lane.push_back(key);
-        } else {
-            self.heap.push(key);
-            self.sift_up(self.heap.len() - 1);
-        }
+        self.heap.push(Key { at, seq, slot: slot.into() });
+        self.sift_up(self.heap.len() - 1);
         EventId { seq, slot }
-    }
-
-    fn is_live(&self, key: &Key) -> bool {
-        self.slots[key.slot as usize].seq == key.seq
-    }
-
-    /// Events still pending.
-    fn pending(&self) -> usize {
-        self.queued() - self.lane_dead
-    }
-
-    /// Keys queued, live or dead.
-    fn queued(&self) -> usize {
-        self.lane.len() + self.heap.len()
     }
 
     /// Vacates `slot`, returning what it held.
@@ -201,23 +166,7 @@ impl SimCore {
         let pos = s.pos;
         self.vacate(id.slot);
         self.events_cancelled += 1;
-        if pos == IN_LANE {
-            self.lane_dead += 1;
-            self.sweep_lane();
-        } else {
-            self.heap_remove(pos as usize);
-        }
-    }
-
-    /// Drops the lane's dead keys once they outnumber its live ones (and
-    /// 32). Called whenever the lane loses a live key, so dead keys never
-    /// exceed live ones + 32.
-    fn sweep_lane(&mut self) {
-        if self.lane_dead > 32 && self.lane_dead * 2 > self.lane.len() {
-            let slots = &self.slots;
-            self.lane.retain(|k| slots[k.slot as usize].seq == k.seq);
-            self.lane_dead = 0;
-        }
+        self.heap_remove(pos as usize);
     }
 
     /// Puts `key` at heap index `i` and records the index in its slot.
@@ -277,38 +226,13 @@ impl SimCore {
         }
     }
 
-    /// The earliest pending key and whether it is the lane's, discarding
-    /// dead lane keys that surface on the way.
-    fn front(&mut self) -> Option<(Key, bool)> {
-        while let Some(key) = self.lane.front().copied() {
-            if self.is_live(&key) {
-                break;
-            }
-            self.lane.pop_front();
-            self.lane_dead -= 1;
-        }
-        match (self.lane.front(), self.heap.first()) {
-            (Some(&lane), Some(&heap)) => {
-                Some(if lane.rank() < heap.rank() { (lane, true) } else { (heap, false) })
-            }
-            (Some(&lane), None) => Some((lane, true)),
-            (None, Some(&heap)) => Some((heap, false)),
-            (None, None) => None,
-        }
-    }
-
     /// Pops the earliest pending event if it is due by `deadline`.
     fn pop_due(&mut self, deadline: SimTime) -> Option<Due> {
-        let (key, in_lane) = self.front()?;
+        let key = *self.heap.first()?;
         if key.at > deadline {
             return None;
         }
-        if in_lane {
-            self.lane.pop_front();
-            self.sweep_lane();
-        } else {
-            self.heap_remove(0);
-        }
+        self.heap_remove(0);
         let (src, dst) = {
             let s = &self.slots[key.slot as usize];
             (s.src, s.dst)
@@ -391,11 +315,9 @@ impl Simulation {
         Simulation {
             core: SimCore {
                 now: SimTime::ZERO,
-                lane: VecDeque::new(),
                 heap: Vec::new(),
                 slots: Vec::new(),
                 free: Vec::new(),
-                lane_dead: 0,
                 next_seq: 0,
                 rng: SimRng::new(seed),
                 digest: MIX_SEED,
@@ -420,8 +342,8 @@ impl Simulation {
     }
 
     /// Copies the simulation at this instant: clock, pending events (each
-    /// message through its own `Clone`), cancelled-event bookkeeping, RNG
-    /// state, digest and event counts. The two then run independently, and
+    /// message through its own `Clone`), the free-slot list, RNG state,
+    /// digest and event counts. The two then run independently, and
     /// given the same inputs, identically.
     ///
     /// The engine cannot copy a `dyn Actor`, so the caller — which knows
@@ -517,15 +439,13 @@ impl Simulation {
     /// The delivery time of the next pending (non-cancelled) event, or
     /// `None` when the simulation is quiescent.
     ///
-    /// Cancelled events sitting at the head of the queue are discarded as a
-    /// side effect (exactly as [`step`](Self::step) would skip them), which
-    /// is why this takes `&mut self`. This is the settle/decision hook the
-    /// model checker builds on: "run until the next event is further than a
-    /// horizon away" identifies the points where all internal cascades
-    /// (doorbells, NIC serialization, datapath completions) have drained
-    /// and only long timers or explorer-controlled deliveries remain.
-    pub fn peek_next_event_time(&mut self) -> Option<SimTime> {
-        self.core.front().map(|(key, _)| key.at)
+    /// This is the settle/decision hook the model checker builds on: "run
+    /// until the next event is further than a horizon away" identifies the
+    /// points where all internal cascades (doorbells, NIC serialization,
+    /// datapath completions) have drained and only long timers or
+    /// explorer-controlled deliveries remain.
+    pub fn peek_next_event_time(&self) -> Option<SimTime> {
+        self.core.heap.first().map(|key| key.at)
     }
 
     /// Delivers the next pending event. Returns `false` if the queue is empty.
@@ -592,8 +512,7 @@ impl std::fmt::Debug for Simulation {
         f.debug_struct("Simulation")
             .field("now", &self.core.now)
             .field("actors", &self.actors.len())
-            .field("pending_events", &self.core.pending())
-            .field("cancelled_pending", &self.core.lane_dead)
+            .field("pending_events", &self.core.heap.len())
             .field("events_dispatched", &self.core.events_dispatched)
             .finish()
     }
@@ -800,7 +719,7 @@ mod tests {
         for id in ids {
             sim.cancel(id); // documented no-op: the event is long gone
         }
-        assert_eq!((sim.core.queued(), sim.core.lane_dead), (0, 0), "residual cancel state");
+        assert!(sim.core.heap.is_empty(), "residual cancel state");
         assert_eq!(sim.core.free.len(), sim.core.slots.len(), "a slot is still held");
         // The stale cancels must not have poisoned the recycled slots.
         sim.post_in(r, SimDuration::from_nanos(1), Message::new(7u64));
@@ -821,7 +740,8 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.actor::<Recorder>(r).seen, vec![(SimTime::from_nanos(20), 2)]);
         sim.cancel(new); // delivered: no-op
-        assert_eq!((sim.core.queued(), sim.core.lane_dead), (0, 0));
+        assert!(sim.core.heap.is_empty());
+        assert_eq!(sim.core.free.len(), 1);
     }
 
     #[test]
@@ -839,7 +759,7 @@ mod tests {
                 expect.push((SimTime::from_nanos(10), i));
             }
             // Cancel in bursts while posting, so recycled slots sit among
-            // live same-time events and the dead-key sweep runs mid-stream.
+            // live same-time events and keys leave the middle of the heap.
             if i % 50 == 49 {
                 doomed.drain(..).for_each(|id| sim.cancel(id));
             }
@@ -858,7 +778,7 @@ mod tests {
         for i in 0..10_000u64 {
             let t = sim.post_in(r, SimDuration::from_micros(500), Message::new(i));
             sim.cancel(t);
-            assert!(sim.core.lane_dead <= sim.core.pending() + 32, "dead keys pile up");
+            assert_eq!(sim.core.heap.len(), 100, "a cancelled timer left a key behind");
         }
         sim.run_until_idle();
         assert_eq!(sim.actor::<Recorder>(r).seen.len(), 100);
@@ -871,8 +791,8 @@ mod tests {
 
     #[test]
     fn fork_copies_live_and_cancelled_timers_and_keeps_event_ids_valid() {
-        // Eight timers, one cancelled (a dead lane key and a free slot),
-        // two delivered (two more free slots): the state a fork must copy.
+        // Eight timers, one cancelled (a free slot, its key gone from the
+        // heap), two delivered (two more free slots): the state a fork must copy.
         let build = || {
             let mut sim = Simulation::new(1);
             let r = sim.add_actor(Recorder { seen: vec![] });
@@ -959,7 +879,8 @@ mod queue_model {
     //! live, delivered, stale and already-cancelled ids), `run_until`, `step`,
     //! `peek_next_event_time` and `fork` must deliver exactly what a
     //! `BTreeMap<(at, seq), _>` delivers, in the parent and in every fork, and
-    //! the queue must never hold more dead keys than live ones + 32.
+    //! the heap must hold exactly the model's keys, each at the index its
+    //! slot records.
     //!
     //! Cases are drawn from [`SimRng`] seeds (this crate does not depend on the
     //! vendored proptest). A failing case is cut to its shortest failing prefix
@@ -1177,15 +1098,17 @@ mod queue_model {
                 return Err(format!("clock {:?}, model {:?}", self.sim.now(), self.now));
             }
             let core = &self.sim.core;
-            if core.pending() != self.model.len() {
-                return Err(format!("{} pending, model {}", core.pending(), self.model.len()));
+            if core.heap.len() != self.model.len() {
+                return Err(format!("{} keys, model {}", core.heap.len(), self.model.len()));
             }
-            if core.lane_dead > core.pending() + 32 {
-                return Err(format!(
-                    "{} dead keys for {} live ones",
-                    core.lane_dead,
-                    core.pending()
-                ));
+            for (i, key) in core.heap.iter().enumerate() {
+                let slot = &core.slots[key.slot as usize];
+                if (slot.seq, slot.pos as usize) != (key.seq, i) {
+                    return Err(format!(
+                        "key {key:?} at {i}: its slot has seq {}, pos {}",
+                        slot.seq, slot.pos
+                    ));
+                }
             }
             Ok(())
         }
