@@ -1,8 +1,11 @@
 //! Behaviour pins for simulator-performance work: three small clusters
-//! shaped like the benchmark's workloads, each pinned to the exact
-//! `Simulation::digest`, `events_dispatched`, `events_scheduled`,
-//! `events_cancelled` and sorted completion-latency vector the engine
-//! produced before any hot-path optimisation. A host-side speed-up must
+//! shaped like the benchmark's workloads, and one two-MN cluster that
+//! takes the routing, fence and migration paths they never reach, each
+//! pinned to the exact `Simulation::digest`, `events_dispatched`,
+//! `events_scheduled`, `events_cancelled` and sorted completion-latency
+//! vector the engine produced before any hot-path optimisation (the
+//! two-MN one: before the compute node's op tables moved into CLib). A
+//! host-side speed-up or a refactor must
 //! leave every constant below untouched; a change that moves one has changed
 //! the modeled system, not just the simulator. The one exception is a
 //! change to the digest's *definition*: it moves only the digests, and the
@@ -87,14 +90,8 @@ fn run(shape: Shape) -> Pin {
     }
     cluster.start();
     cluster.run_until_idle();
-    let mut lat = lat.borrow().clone();
-    lat.sort_unstable();
-    let fnv = lat.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
-        v.to_le_bytes().iter().fold(h, |h, b| (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01B3))
-    });
-    let sim = &cluster.sim;
-    let events = (sim.events_dispatched(), sim.events_scheduled(), sim.events_cancelled());
-    (sim.digest(), events.0, events.1, events.2, lat.len(), lat.iter().sum(), fnv)
+    let pin = pin(&cluster, &lat.borrow());
+    pin
 }
 
 /// `sync_small`'s shape: one task, window 1, 8–24 B ops, lone frames.
@@ -139,6 +136,106 @@ const LOSSY: Shape = Shape {
     }),
     max_retries: 8,
 };
+
+/// Two MNs, the paths no single-MN shape reaches: placement on both boards,
+/// a pressure migration whose old owner answers reads `Moved` until the
+/// route update lands, a two-MN `rfence`, and an `ralloc` cancelled while
+/// the controller places it. Returns the pin and mn0's `Moved` count.
+fn run_two_mn() -> (Pin, u64) {
+    const CHUNK: u64 = 2 << 10;
+    const VICTIM: u64 = 16 << 10;
+    let mut cfg = ClusterConfig::test_small();
+    (cfg.cns, cfg.mns, cfg.seed) = (2, 2, 17);
+    // 2048 pages per board: touching ~103 of mn0's crosses the bar.
+    cfg.pressure_threshold = 0.05;
+    let mut cluster = Cluster::build(&cfg);
+    let lat = Rc::new(RefCell::new(Vec::new()));
+    let record = |lat: &Rc<RefCell<Vec<u64>>>, c: &clio_core::AppCompletion| {
+        lat.borrow_mut().push(c.latency().as_nanos());
+    };
+
+    let l = lat.clone();
+    cluster.spawn(0, Pid(100), move |h| async move {
+        // Most-free-bytes placement: victim -> mn0, pad -> mn1, filler ->
+        // mn0. The victim is mn0's oldest range, so it is what migrates.
+        let victim = h.ralloc(VICTIM, Perm::RW).await.va();
+        let pad = h.ralloc(1 << 20, Perm::RW).await;
+        let filler = h.ralloc(512 << 10, Perm::RW).await.va();
+        record(&l, &pad);
+        for c in 0..VICTIM / CHUNK {
+            let w = h.rwrite(victim + c * CHUNK, Bytes::from(vec![c as u8; CHUNK as usize]));
+            assert!(w.await.result.is_ok());
+        }
+        // Readers keep the victim busy through the migration, so some of
+        // their reads reach the old owner after it gave the range up.
+        let stop = Rc::new(std::cell::Cell::new(false));
+        for r in 0..4u64 {
+            let (h2, l2, stop) = (h.clone(), l.clone(), stop.clone());
+            h.spawn(async move {
+                let mut i = r;
+                while !stop.get() {
+                    let c = h2.rread(victim + (i % 8) * CHUNK + 64 * r, 64).await;
+                    assert_eq!(c.data()[0], (i % 8) as u8, "victim chunk {} moved", i % 8);
+                    record(&l2, &c);
+                    i += 1;
+                }
+            });
+        }
+        for page in 0..128u64 {
+            let w = h.rwrite(filler + page * PAGE, Bytes::from_static(b"touch!!!")).await;
+            record(&l, &w);
+        }
+        h.sleep(SimDuration::from_micros(200)).await;
+        stop.set(true);
+        let fence = h.rfence().await;
+        assert!(fence.result.is_ok(), "fence failed: {:?}", fence.result);
+        record(&l, &fence);
+    });
+
+    let l = lat.clone();
+    cluster.spawn(1, Pid(101), move |h| async move {
+        let cancelled = h.with_deadline(h.ralloc(2 * PAGE, Perm::RW), SimDuration::from_micros(1));
+        let cancelled = cancelled.await;
+        assert_eq!(cancelled.result, Err(clio_cn::ClioError::DeadlineExceeded));
+        record(&l, &cancelled);
+        let va = h.ralloc(2 * PAGE, Perm::RW).await.va();
+        for i in 0..16u64 {
+            record(&l, &h.rwrite(va + i * 512, Bytes::from(vec![i as u8; 64])).await);
+        }
+        let fence = h.rfence().await;
+        assert!(fence.result.is_ok(), "fence failed: {:?}", fence.result);
+        record(&l, &fence);
+    });
+    cluster.start();
+    cluster.run_until_idle();
+    let ctrl = cluster.controller();
+    assert_eq!(ctrl.migration_stats(), (1, 1), "one committed migration");
+    for &mn in cluster.mn_macs() {
+        assert!(ctrl.placed_bytes_of(mn) > 0, "nothing placed on {mn}");
+    }
+    let moved = cluster.registry().counter("mn0.board.moved").expect("board counter");
+    let pin = pin(&cluster, &lat.borrow());
+    (pin, moved)
+}
+
+/// The pin of a finished run whose completion latencies are `lat`.
+fn pin(cluster: &Cluster, lat: &[u64]) -> Pin {
+    let mut lat = lat.to_vec();
+    lat.sort_unstable();
+    let fnv = lat.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+        v.to_le_bytes().iter().fold(h, |h, b| (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01B3))
+    });
+    let sim = &cluster.sim;
+    let events = (sim.events_dispatched(), sim.events_scheduled(), sim.events_cancelled());
+    (sim.digest(), events.0, events.1, events.2, lat.len(), lat.iter().sum(), fnv)
+}
+
+#[test]
+fn two_mn_migration_fence_and_cancelled_placement_is_pinned() {
+    let (pin, moved) = run_two_mn();
+    assert!(moved > 0, "no read reached the old owner after the migration");
+    assert_eq!(pin, (4768034052828125800, 1571, 2327, 756, 736, 3336840, 7178601127068172519));
+}
 
 #[test]
 fn sync_single_task_is_pinned() {
