@@ -412,7 +412,11 @@ impl NodeCore {
             }
 
             let host_op = self.app_ops.remove(&app_token).expect("present");
-            let result = host_op.leg_error.map_or(c.result, Err);
+            // A cancelled fence is cancelled, whatever an earlier leg met.
+            let result = match c.result {
+                Err(ClioError::DeadlineExceeded) => c.result,
+                result => host_op.leg_error.map_or(result, Err),
+            };
             // Successful allocations are reported to the controller.
             if let (Op::Alloc { size, .. }, Ok(CompletionValue::Va(va))) = (&host_op.op, &result) {
                 let Route::Owned(mn) = self.router.lookup(pid, *va, *size) else {

@@ -425,6 +425,43 @@ fn rfence_reports_the_leg_that_failed_not_the_one_that_landed_last() {
     assert_eq!(fence, Err(ClioError::Unreachable { mn: mn0 }), "mn0 was never fenced");
 }
 
+/// A fence cancelled by its deadline completes with `DeadlineExceeded`,
+/// like every other cancelled op, even when a leg failed before the
+/// deadline: the leg's error would tell the task the fence ran to its end.
+///
+/// Regression: the fence reported the failed leg's `Unreachable` while
+/// `runtime.deadline_exceeded_total` counted it as cancelled.
+#[test]
+fn a_cancelled_rfence_reports_deadline_exceeded_not_a_failed_leg() {
+    use clio::cn::ClioError;
+    use clio::net::{ChaosAction, ChaosSchedule};
+
+    let mut cfg = ClusterConfig::test_small();
+    cfg.mns = 2;
+    cfg.clib.breaker_threshold = 1;
+    cfg.clib.breaker_probe_backoff = SimDuration::from_millis(50);
+    let mut cluster = Cluster::build(&cfg);
+    let mn0 = cluster.mn_macs()[0];
+    cluster.apply_chaos(
+        &ChaosSchedule::new().at(SimDuration::from_micros(100), ChaosAction::LinkDown(mn0)),
+    );
+
+    let (read, fence) = cluster.block_on(0, Pid(1), |h| async move {
+        // The first page lands on mn0; a read after the link went dark
+        // trips mn0's breaker, so the fence's mn0 leg fails at once and
+        // its mn1 leg is still in flight when the deadline expires.
+        let va = h.ralloc(PAGE, Perm::RW).await.va();
+        h.sleep(SimTime::from_nanos(150_000).since(h.now())).await;
+        let read = h.rread(va, 8).await.result;
+        (read, h.with_deadline(h.rfence(), SimDuration::from_micros(1)).await.result)
+    });
+
+    assert_eq!(read, Err(ClioError::Unreachable { mn: mn0 }), "mn0 is cut off");
+    assert_eq!(fence, Err(ClioError::DeadlineExceeded));
+    let deadline_exceeded = cluster.registry().counter("cn0.runtime.deadline_exceeded_total");
+    assert_eq!(deadline_exceeded, Some(1));
+}
+
 /// Σ `placed_bytes` over the cluster's MNs.
 fn placed_total(cluster: &Cluster) -> u64 {
     let ctrl = cluster.controller();
