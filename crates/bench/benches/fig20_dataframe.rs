@@ -32,7 +32,7 @@ fn clio_runtime(ratio: u32) -> f64 {
     let mn = cluster.mn_macs()[0];
     let table = bytes::Bytes::from(synth_table(ROWS, 42));
     let total = cluster.block_on(0, clio_proto::Pid(500), move |h| async move {
-        let ok = |step: &str, c: clio_core::AppCompletion| {
+        let ok = |step: &str, c: clio_cn::Completion| {
             if let Err(e) = &c.result {
                 panic!("dataframe {step} failed at {}: {e}", c.completed_at);
             }

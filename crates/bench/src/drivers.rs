@@ -11,8 +11,9 @@ use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
+use clio_cn::Completion;
 use clio_core::metrics::OpRecorder;
-use clio_core::{AppCompletion, Cluster, OpFuture, ProcHandle};
+use clio_core::{Cluster, OpFuture, ProcHandle};
 use clio_proto::{Perm, Pid};
 use clio_sim::{SimDuration, SimRng, SimTime};
 
@@ -37,7 +38,7 @@ pub fn spawn_recorded<Fut: Future<Output = ()> + 'static>(
 }
 
 /// Files one completion of `bytes` payload under `rec`.
-pub fn record(rec: &Recorder, c: &AppCompletion, bytes: u64) {
+pub fn record(rec: &Recorder, c: &Completion, bytes: u64) {
     match &c.result {
         Ok(_) => rec.borrow_mut().record(c.completed_at, c.latency(), bytes),
         Err(_) => rec.borrow_mut().record_error(c.completed_at),

@@ -1,4 +1,5 @@
-//! CLib's user-facing request layer (paper §3.1 API, §4.5 ordering).
+//! CLib's user-facing request layer (paper §3.1 API, §4.5 ordering, §4.7
+//! distributed memory).
 //!
 //! A [`CLib`] instance lives inside a compute-node host actor, next to the
 //! NIC. Applications (through the executor in `clio-core`) submit [`Op`]s
@@ -8,15 +9,21 @@
 //! * dependent (WAW/RAW/WAR) operations of one thread never overlap,
 //!   tracked at page granularity,
 //! * [`Op::Release`] (`rrelease`) waits for all of the thread's in-flight
-//!   operations; [`Op::Fence`] additionally fences at the memory node,
+//!   operations; [`Op::Fence`] additionally fences at every memory node,
+//!   one leg after another,
 //! * `rlock` spins on MN-side test-and-set with local backoff; `runlock`
 //!   stores 0 (§4.5 T3).
 //!
-//! Completions are returned from [`CLib::on_frame`]/[`CLib::on_timer`] for
-//! the host to deliver to the issuing application.
+//! CLib routes every op not submitted to a named memory node
+//! ([`crate::route`]) and asks its host for what needs the global
+//! controller ([`Notice`]). An op has one token and one record here,
+//! whatever legs or re-routes it takes. Completions are returned from
+//! [`CLib::on_frame`]/[`CLib::on_timer`] for the host to deliver to the
+//! issuing application.
 
 use std::ops::RangeInclusive;
 
+use bytes::Bytes;
 use clio_net::{Frame, Mac, NicPort};
 use clio_proto::Pid;
 use clio_sim::{Ctx, IdMap, Message, SimDuration, SimTime};
@@ -27,7 +34,12 @@ use crate::config::CLibConfig;
 use crate::error::ClioError;
 use crate::op::Op;
 use crate::ordering::{AccessClass, DependencyTracker};
+use crate::route::{RasRouter, Route};
 use crate::transport::{CompletionValue, OpToken, Transport, TransportTimer, XferDone};
+
+/// How many times one op is re-routed after `Moved` refusals before the
+/// refusal is its result.
+const MAX_MOVED_RETRIES: u32 = 8;
 
 /// Identifies an application thread for intra-thread ordering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,24 +54,87 @@ pub struct Completion {
     pub thread: ThreadId,
     /// Outcome.
     pub result: Result<CompletionValue, ClioError>,
-    /// Submission time (for end-to-end latency measurements).
+    /// When the op arrived: what its end-to-end latency runs from.
     pub issued_at: SimTime,
     /// Completion time.
     pub completed_at: SimTime,
 }
 
+impl Completion {
+    /// End-to-end latency.
+    pub fn latency(&self) -> SimDuration {
+        self.completed_at.since(self.issued_at)
+    }
+
+    /// Unwraps read/offload data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operation failed or returned no data.
+    pub fn data(&self) -> &Bytes {
+        match &self.result {
+            Ok(CompletionValue::Data(d)) => d,
+            other => panic!("expected data completion, got {other:?}"),
+        }
+    }
+
+    /// Unwraps an allocation's virtual address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operation failed or was not an allocation.
+    pub fn va(&self) -> u64 {
+        match &self.result {
+            Ok(CompletionValue::Va(va)) => *va,
+            other => panic!("expected va completion, got {other:?}"),
+        }
+    }
+}
+
+/// What CLib needs the global controller for (§4.7), in the order it
+/// arose; the host drains them with [`CLib::notices`] after every call.
+/// Only ops CLib routes itself (submitted without a named MN) raise them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Notice {
+    /// `Place(token, pid, size)`: the `ralloc` held as `token` needs an MN
+    /// for `size` bytes of `pid`'s; the host answers with [`CLib::place`].
+    Place(OpToken, Pid, u64),
+    /// `Reroute(token, pid, va, len)`: the access held as `token` was
+    /// refused `Moved`; the host asks who owns `[va, va + len)` of `pid`'s
+    /// now and answers with [`CLib::place`].
+    Reroute(OpToken, Pid, u64, u64),
+    /// `Allocated(pid, mn, size, va)`: an `ralloc` placed on `mn` finished.
+    /// It holds `[va, va + size)` there, or (`va` is `None`: it failed or
+    /// was cancelled) nothing, and its placement charge comes back.
+    Allocated(Pid, Mac, u64, Option<u64>),
+    /// `Freed(pid, va)`: an `rfree` of `pid`'s range at `va` succeeded.
+    Freed(Pid, u64),
+}
+
+/// The one record of an op between its submission and its completion.
 #[derive(Debug, Clone)]
 struct PendingOp {
     thread: ThreadId,
-    /// The memory node serving the op.
-    mn: Mac,
+    /// The memory node serving the op (a fence: the leg in flight); `None`
+    /// while CLib holds it unplaced, outside the tracker and the trace.
+    mn: Option<Mac>,
     pid: Pid,
     op: Op,
+    /// The op's arrival, reported by its completion however it travels.
     issued_at: SimTime,
-    /// Observability context, begun at admission so the trace's end-to-end
-    /// span equals the completion's `completed_at - issued_at`. Survives
-    /// lock-spin re-issues: every TAS attempt extends the same op timeline.
+    /// The arrival, while it predates the op's first admission: where its
+    /// trace begins (an `ralloc` is admitted once it is placed).
+    queued_since: Option<SimTime>,
+    /// Observability context, begun at admission; lock-spin re-issues and
+    /// fence legs extend it, a re-route begins a new one.
     trace: Option<TraceCtx>,
+    /// No MN was named: a fence fences every MN, a `Moved` refusal
+    /// re-routes, an alloc or free reaches the controller's books.
+    routed: bool,
+    /// `Moved` re-routes so far.
+    moved: u32,
+    /// A fence's first failed leg: a fence that missed an MN did not fence.
+    leg_error: Option<ClioError>,
 }
 
 /// Timer message for lock-acquisition backoff; hosts route it to
@@ -90,9 +165,11 @@ pub struct CLib {
     cfg: CLibConfig,
     page_size: u64,
     transport: Transport,
+    router: RasRouter,
     trackers: IdMap<ThreadId, DependencyTracker<OpToken>>,
     ops: IdMap<OpToken, PendingOp>,
     next_token: u64,
+    notices: Vec<Notice>,
     /// Reused buffer the transport reports finished transfers into.
     xfer_done: Vec<XferDone>,
     stats: ClibStats,
@@ -103,15 +180,19 @@ pub struct CLib {
 impl CLib {
     /// Creates a CLib for a CN. `cn_id` seeds the CN-unique request-id
     /// space; `page_size` must match the MNs' page size for dependency
-    /// tracking granularity.
-    pub fn new(cfg: CLibConfig, cn_id: u64, page_size: u64) -> Self {
+    /// tracking granularity. Ops submitted without a named MN are routed
+    /// over `slices` (base, span, owner MAC per MN, in MN order; a fence
+    /// fences every MN in this order); with none, every op names its MN.
+    pub fn new(cfg: CLibConfig, cn_id: u64, page_size: u64, slices: Vec<(u64, u64, Mac)>) -> Self {
         CLib {
             transport: Transport::new(cfg, cn_id),
             cfg,
             page_size,
+            router: RasRouter::new(slices),
             trackers: IdMap::default(),
             ops: IdMap::default(),
             next_token: 1,
+            notices: Vec::new(),
             xfer_done: Vec::new(),
             stats: ClibStats::default(),
             tracer: Tracer::disabled(),
@@ -128,7 +209,8 @@ impl CLib {
         self.transport.set_tracer(tracer, track);
     }
 
-    /// Operations in flight across all threads.
+    /// Operations not yet completed across all threads, held unplaced ones
+    /// included.
     pub fn in_flight(&self) -> usize {
         self.ops.len()
     }
@@ -143,6 +225,27 @@ impl CLib {
     /// [`McMutation`](crate::transport::McMutation)s through this.
     pub fn transport_mut(&mut self) -> &mut Transport {
         &mut self.transport
+    }
+
+    /// The MN a `len`-byte access at `(pid, va)` routes to right now —
+    /// `None` when the address is unknown or the access spans owners.
+    pub fn route_of(&self, pid: Pid, va: u64, len: u64) -> Option<Mac> {
+        match self.router.lookup(pid, va, len) {
+            Route::Owned(mac) => Some(mac),
+            _ => None,
+        }
+    }
+
+    /// Applies a committed migration the controller broadcast: `[start,
+    /// start + len)` of `pid` now lives on `mn`, so the next access targets
+    /// it directly instead of eating a `Moved` refusal.
+    pub fn apply_route_update(&mut self, pid: Pid, start: u64, len: u64, mn: Mac) {
+        self.router.apply_update(pid, start, len, mn);
+    }
+
+    /// The controller conversation raised since the last drain, in order.
+    pub fn notices(&mut self) -> std::vec::Drain<'_, Notice> {
+        self.notices.drain(..)
     }
 
     /// The pages `[va, va + len)` touches (a zero-length access still names
@@ -167,7 +270,10 @@ impl CLib {
     }
 
     /// Submits an operation on behalf of `thread`, running as `pid`, to be
-    /// served by memory node `mn` (routing is the cluster layer's job).
+    /// served by memory node `mn` — or, without one, where CLib routes it:
+    /// its span's owner, every MN for a fence, the controller's placement
+    /// for an `ralloc` ([`Notice::Place`]); an access no single MN serves
+    /// completes at once with its typed error.
     /// `arrival` is when the op arrived at the caller, clamped to now: when
     /// it predates the submission instant (the op waited under a runtime
     /// in-flight budget, or an open-loop generator back-dated it), the gap
@@ -182,50 +288,55 @@ impl CLib {
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         thread: ThreadId,
-        mn: Mac,
+        mn: Option<Mac>,
         pid: Pid,
         arrival: SimTime,
         op: Op,
         completions: &mut Vec<Completion>,
     ) -> OpToken {
-        let (token, dispatch) = self.admit(ctx, thread, mn, pid, arrival, op);
+        let (token, dispatch) = self.enter(ctx.now(), thread, mn, pid, arrival, op, completions);
         if dispatch {
             self.dispatch(ctx, nic, token, completions);
         }
         token
     }
 
-    /// Submits an explicit vector of operations, each with the memory node
-    /// serving it, on behalf of `thread` — the scatter/gather path behind
-    /// `rread_v`/`rwrite_v`. The vector shares one `arrival`. Every
-    /// operation passes the same per-thread dependency tracking as
-    /// [`submit`](Self::submit); all immediately-dispatchable entries are
-    /// then handed to the transport as one unit, bypassing the doorbell's
-    /// same-instant/adaptive-delay heuristics, so they coalesce into batch
-    /// frames regardless of submission timing. Entries held back by
-    /// dependencies dispatch later, exactly as sequentially-submitted ops
-    /// would.
+    /// Submits an explicit vector of operations, all served by `mn` or
+    /// each routed as [`submit`](Self::submit) routes, on behalf of
+    /// `thread` — the scatter/gather path behind `rread_v`/`rwrite_v`. The
+    /// vector shares one `arrival`. Every operation passes the same
+    /// per-thread dependency tracking as [`submit`](Self::submit); all
+    /// immediately-dispatchable entries are then handed to the transport
+    /// as one unit, bypassing the doorbell's same-instant/adaptive-delay
+    /// heuristics, so they coalesce into batch frames regardless of
+    /// submission timing. Entries held back by dependencies dispatch later,
+    /// exactly as sequentially-submitted ops would.
     #[allow(clippy::too_many_arguments)] // as `submit`
     pub fn submit_many(
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         thread: ThreadId,
+        mn: Option<Mac>,
         pid: Pid,
         arrival: SimTime,
-        ops: Vec<(Mac, Op)>,
+        ops: Vec<Op>,
         completions: &mut Vec<Completion>,
     ) -> Vec<OpToken> {
         let mut tokens = Vec::with_capacity(ops.len());
         let mut sends = Vec::new();
-        for (mn, op) in ops {
-            let (token, dispatch) = self.admit(ctx, thread, mn, pid, arrival, op);
+        for op in ops {
+            let (token, dispatch) =
+                self.enter(ctx.now(), thread, mn, pid, arrival, op, completions);
             tokens.push(token);
             if dispatch {
                 let pending = &self.ops[&token];
                 match &pending.op {
-                    Op::Release => self.finish_release(ctx, nic, token, completions),
-                    op => sends.push((token, mn, pid, op.clone(), pending.trace)),
+                    Op::Release => self.dispatch(ctx, nic, token, completions),
+                    op => {
+                        let target = pending.mn.expect("a dispatched op is placed");
+                        sends.push((token, target, pid, op.clone(), pending.trace));
+                    }
                 }
             }
         }
@@ -233,6 +344,47 @@ impl CLib {
             t.send_many(ctx, nic, sends, done)
         });
         tokens
+    }
+
+    /// Answers a [`Notice`] with the controller's `route` for the held op
+    /// `token`: an `ralloc`'s MN, or a refused access's owner now (cached,
+    /// then routed again). The op joins its thread's order at the tail with
+    /// a new trace, or completes with the error of a verdict no single MN
+    /// serves. False, doing nothing, if the op was cancelled meanwhile.
+    pub fn place(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        nic: &mut NicPort,
+        token: OpToken,
+        route: Route,
+        completions: &mut Vec<Completion>,
+    ) -> bool {
+        let Some(mut pending) = self.ops.remove(&token) else { return false };
+        debug_assert!(pending.mn.is_none(), "only a held op is placed");
+        let (now, pid) = (ctx.now(), pending.pid);
+        let placed = match (pending.op.span(), route) {
+            (Some((va, len)), Route::Owned(mac)) => {
+                self.router.add_exception(pid, va, len.max(1), mac);
+                match self.router.lookup(pid, va, len) {
+                    Route::Owned(mn) => Ok(mn),
+                    verdict => Err(verdict.error(va, len)),
+                }
+            }
+            (None, Route::Owned(mn)) => Ok(mn),
+            (Some((va, len)), Route::Spans) => Err(ClioError::SpansOwners { va, len }),
+            // The controller lost track of the range.
+            _ => Err(ClioError::Moved),
+        };
+        match placed {
+            Ok(mn) => {
+                pending.mn = Some(mn);
+                if self.admit(now, token, pending) {
+                    self.dispatch(ctx, nic, token, completions);
+                }
+            }
+            Err(e) => self.report(now, token, &pending, Err(e), completions),
+        }
+        true
     }
 
     /// Runs `f` against the transport with the reusable done-buffer, then
@@ -254,56 +406,87 @@ impl CLib {
         self.xfer_done = done;
     }
 
-    /// Registers an op with its thread's dependency tracker. Returns its
-    /// token and whether it may dispatch now.
-    fn admit(
+    /// Gives a fresh op its token and routes it. An op with an MN is
+    /// admitted (returns whether it may dispatch now); an `ralloc` to place
+    /// is held for the controller; an unroutable access completes at once.
+    #[allow(clippy::too_many_arguments)] // as `submit`
+    fn enter(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        now: SimTime,
         thread: ThreadId,
-        mn: Mac,
+        mn: Option<Mac>,
         pid: Pid,
         arrival: SimTime,
         op: Op,
+        completions: &mut Vec<Completion>,
     ) -> (OpToken, bool) {
         let token = OpToken(self.next_token);
         self.next_token += 1;
-        let access = self.classify(&op);
-        let arrival = arrival.min(ctx.now());
+        let target = match (mn, op.span()) {
+            (Some(mn), _) => Ok(Some(mn)),
+            (None, Some((va, len))) => match self.router.lookup(pid, va, len) {
+                Route::Owned(mn) => Ok(Some(mn)),
+                // Unroutable: fail fast with a typed error — spanning
+                // accesses must never be guessed onto the start VA's owner.
+                verdict => Err(verdict.error(va, len)),
+            },
+            (None, None) if matches!(op, Op::Alloc { .. }) => Ok(None),
+            (None, None) => Ok(Some(self.router.first().expect("CLib routes over slices"))),
+        };
+        let arrival = arrival.min(now);
+        let mut pending = PendingOp {
+            thread,
+            mn: None,
+            pid,
+            op,
+            issued_at: arrival,
+            queued_since: (arrival < now).then_some(arrival),
+            trace: None,
+            routed: mn.is_none(),
+            moved: 0,
+            leg_error: None,
+        };
+        match target {
+            Ok(Some(mn)) => {
+                pending.mn = Some(mn);
+                return (token, self.admit(now, token, pending));
+            }
+            Ok(None) => {
+                let Op::Alloc { size, .. } = pending.op else { unreachable!("only an alloc") };
+                self.notices.push(Notice::Place(token, pid, size));
+                self.ops.insert(token, pending);
+            }
+            Err(e) => self.report(now, token, &pending, Err(e), completions),
+        }
+        (token, false)
+    }
+
+    /// Admits a placed op under `token`: begins its trace — at its arrival
+    /// on its first admission, with a `SubmitQueued` span covering any wait
+    /// until now, and at now on a re-route — and registers it with its
+    /// thread's dependency tracker. Returns whether it may dispatch now.
+    fn admit(&mut self, now: SimTime, token: OpToken, mut pending: PendingOp) -> bool {
+        let access = self.classify(&pending.op);
+        let arrival = pending.queued_since.take().unwrap_or(now);
         // Releases are purely local barriers and never reach the wire, so
         // they get no trace timeline.
-        let trace = if matches!(op, Op::Release) {
-            None
-        } else {
-            let trace = self.tracer.begin(op.kind(), arrival);
-            if arrival < ctx.now() {
-                self.tracer.stitch(trace, self.track, Stage::SubmitQueued, ctx.now());
+        if !matches!(pending.op, Op::Release) {
+            pending.trace = self.tracer.begin(pending.op.kind(), arrival);
+            if arrival < now {
+                self.tracer.stitch(pending.trace, self.track, Stage::SubmitQueued, now);
             }
-            trace
-        };
-        self.ops.insert(token, PendingOp { thread, mn, pid, op, issued_at: arrival, trace });
-        let tracker = self.trackers.entry(thread).or_default();
-        let dispatch = match access {
+        }
+        let tracker = self.trackers.entry(pending.thread).or_default();
+        self.ops.insert(token, pending);
+        match access {
             Some((class, vpns)) => tracker.submit(token, class, vpns),
             None => tracker.submit_barrier(token),
-        };
-        (token, dispatch)
+        }
     }
 
-    /// Completes a dispatched [`Op::Release`]: a purely local barrier that
-    /// finishes as soon as its thread drained.
-    fn finish_release(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
-        token: OpToken,
-        completions: &mut Vec<Completion>,
-    ) {
-        let done = XferDone { token, result: Ok(CompletionValue::Done), rtt: SimDuration::ZERO };
-        self.finish(ctx, nic, done, completions);
-    }
-
-    /// Hands a pending op to the transport (a lock's every TAS attempt
-    /// comes through here); a token no longer pending is ignored.
+    /// Hands a pending op to the transport (a lock's every TAS attempt and
+    /// a fence's every leg come through here); a token no longer pending is
+    /// ignored.
     fn dispatch(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -312,9 +495,16 @@ impl CLib {
         completions: &mut Vec<Completion>,
     ) {
         let Some(pending) = self.ops.get(&token) else { return };
-        let (mn, pid, trace) = (pending.mn, pending.pid, pending.trace);
+        let (mn, pid, trace) =
+            (pending.mn.expect("a dispatched op is placed"), pending.pid, pending.trace);
         match &pending.op {
-            Op::Release => self.finish_release(ctx, nic, token, completions),
+            // A purely local barrier: it finishes as soon as its thread
+            // drained.
+            Op::Release => {
+                let done =
+                    XferDone { token, result: Ok(CompletionValue::Done), rtt: SimDuration::ZERO };
+                self.finish(ctx, nic, done, completions);
+            }
             // The send can complete synchronously (circuit breaker open ->
             // fail fast with `Unreachable`).
             op => {
@@ -376,22 +566,24 @@ impl CLib {
         }
     }
 
-    /// Cancels a still-pending op (its deadline elapsed): withdraws every
-    /// transport attempt, ends the op's trace with a [`Stage::Cancelled`]
-    /// span, and releases the thread's dependents.
-    /// Appends the resulting completions — the cancelled op's
-    /// [`ClioError::DeadlineExceeded`] failure plus anything dependents
-    /// produced synchronously. A token no longer pending (the completion
-    /// won the race) appends nothing; the caller must treat the op as
-    /// completed normally.
+    /// Cancels a still-pending op (its deadline elapsed): withdraws its
+    /// transfer, ends its trace with a [`Stage::Cancelled`] span, and
+    /// releases the thread's dependents; a held op just goes. Appends the
+    /// cancelled op's [`ClioError::DeadlineExceeded`] completion plus any
+    /// its dependents produced synchronously. False, appending nothing, for
+    /// a token no longer pending (the completion won the race).
     pub fn cancel(
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         token: OpToken,
         completions: &mut Vec<Completion>,
-    ) {
-        let Some(pending) = self.ops.remove(&token) else { return };
+    ) -> bool {
+        let Some(pending) = self.ops.remove(&token) else { return false };
+        if pending.mn.is_none() {
+            self.report(ctx.now(), token, &pending, Err(ClioError::DeadlineExceeded), completions);
+            return true;
+        }
         self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
             t.cancel(ctx, nic, token, done);
         });
@@ -399,10 +591,11 @@ impl CLib {
         // The cancelled op still orders its thread: dependents it was
         // blocking dispatch now, exactly as on a normal failure.
         self.complete(ctx, nic, token, pending, Err(ClioError::DeadlineExceeded), completions);
+        true
     }
 
-    /// Processes one finished transfer: lock spinning, ordering release,
-    /// completion delivery.
+    /// Processes one finished transfer: lock spinning, fence legs, `Moved`
+    /// re-routes, ordering release, completion delivery.
     fn finish(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -411,27 +604,57 @@ impl CLib {
         completions: &mut Vec<Completion>,
     ) {
         let token = done.token;
-        let Some(pending) = self.ops.get(&token) else { return };
+        let Some(pending) = self.ops.get_mut(&token) else { return };
 
-        // Lock spinning: TAS returned 1 -> not acquired; back off and retry.
-        if let (Op::Lock { .. }, Ok(CompletionValue::Old(old))) = (&pending.op, &done.result) {
-            if *old != 0 {
+        match (&pending.op, &done.result) {
+            // Lock spinning: TAS returned 1 -> not acquired; back off and retry.
+            (Op::Lock { .. }, Ok(CompletionValue::Old(old))) if *old != 0 => {
                 ctx.schedule(self.cfg.lock_backoff, Message::new(LockRetry { token }));
                 return;
             }
+            // A routed fence's legs run one after another, in slice order,
+            // under its one token and barrier.
+            (Op::Fence, result) if pending.routed => {
+                let current = pending.mn.expect("a fence leg ran");
+                if let Some(next) = self.router.after(current) {
+                    if let Err(e) = result {
+                        pending.leg_error.get_or_insert(*e);
+                    }
+                    pending.mn = Some(next);
+                    self.dispatch(ctx, nic, token, completions);
+                    return;
+                }
+            }
+            // The range moved: the op leaves its thread's order and its
+            // trace ends, and CLib holds it while the host asks the
+            // controller where the range went.
+            (op, Err(ClioError::Moved)) if pending.routed && pending.moved < MAX_MOVED_RETRIES => {
+                if let Some((va, len)) = op.span() {
+                    pending.moved += 1;
+                    pending.mn = None;
+                    let (thread, pid, trace) = (pending.thread, pending.pid, pending.trace.take());
+                    self.notices.push(Notice::Reroute(token, pid, va, len));
+                    self.tracer.finish(trace, self.track, ctx.now());
+                    self.release(ctx, nic, thread, token, completions);
+                    return;
+                }
+            }
+            _ => {}
         }
 
         let pending = self.ops.remove(&token).expect("checked above");
-        // Locks/unlocks surface as Done; raw atomics surface the value.
+        // Locks/unlocks surface as Done; raw atomics surface the value; a
+        // fence reports its first failed leg.
         let result = match (&pending.op, done.result) {
             (Op::Lock { .. } | Op::Unlock { .. }, Ok(_)) => Ok(CompletionValue::Done),
-            (_, result) => result,
+            (_, result) => pending.leg_error.map_or(result, Err),
         };
         self.complete(ctx, nic, token, pending, result, completions);
     }
 
-    /// Retires an op already taken out of `ops`: ends its trace, reports
-    /// `result`, and releases the thread's dependents in program order.
+    /// Retires a placed op already taken out of `ops`: ends its trace,
+    /// reports `result`, and releases the thread's dependents in program
+    /// order.
     fn complete(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -441,16 +664,58 @@ impl CLib {
         result: Result<CompletionValue, ClioError>,
         completions: &mut Vec<Completion>,
     ) {
+        let now = ctx.now();
+        self.tracer.finish(pending.trace, self.track, now);
+        if let (true, Some(mn)) = (pending.routed, pending.mn) {
+            // The controller's books follow every routed alloc and free.
+            let pid = pending.pid;
+            let notice = match (&pending.op, &result) {
+                (&Op::Alloc { size, .. }, &Ok(CompletionValue::Va(va))) => {
+                    let Route::Owned(mn) = self.router.lookup(pid, va, size) else {
+                        panic!("allocated range must be routable to one MN")
+                    };
+                    Some(Notice::Allocated(pid, mn, size, Some(va)))
+                }
+                (&Op::Alloc { size, .. }, Err(_)) => Some(Notice::Allocated(pid, mn, size, None)),
+                (&Op::Free { va, .. }, Ok(_)) => Some(Notice::Freed(pid, va)),
+                _ => None,
+            };
+            self.notices.extend(notice);
+        }
+        self.report(now, token, &pending, result, completions);
+        self.release(ctx, nic, pending.thread, token, completions);
+    }
+
+    /// Reports `token`'s completion with `result`.
+    fn report(
+        &mut self,
+        now: SimTime,
+        token: OpToken,
+        pending: &PendingOp,
+        result: Result<CompletionValue, ClioError>,
+        completions: &mut Vec<Completion>,
+    ) {
         self.stats.completed += 1;
-        self.tracer.finish(pending.trace, self.track, ctx.now());
         completions.push(Completion {
             token,
             thread: pending.thread,
             result,
             issued_at: pending.issued_at,
-            completed_at: ctx.now(),
+            completed_at: now,
         });
-        if let Some(tracker) = self.trackers.get_mut(&pending.thread) {
+    }
+
+    /// Takes `token` out of its thread's order and dispatches the
+    /// dependents that frees, in program order.
+    fn release(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        nic: &mut NicPort,
+        thread: ThreadId,
+        token: OpToken,
+        completions: &mut Vec<Completion>,
+    ) {
+        if let Some(tracker) = self.trackers.get_mut(&thread) {
             let released = tracker.complete(token);
             for t in released {
                 self.dispatch(ctx, nic, t, completions);
@@ -477,7 +742,7 @@ mod tests {
 
     #[test]
     fn classify_ops() {
-        let clib = CLib::new(CLibConfig::default(), 1, 4096);
+        let clib = CLib::new(CLibConfig::default(), 1, 4096, Vec::new());
         let read = clib.classify(&Op::Read { va: 4000, len: 200 });
         assert_eq!(read, Some((AccessClass::Read, 0..=1)), "crosses a page boundary");
         assert_eq!(clib.classify(&Op::Release), None, "release is a barrier");
@@ -487,7 +752,7 @@ mod tests {
 
     #[test]
     fn vpn_of_zero_len() {
-        let clib = CLib::new(CLibConfig::default(), 1, 4096);
+        let clib = CLib::new(CLibConfig::default(), 1, 4096, Vec::new());
         assert_eq!(clib.vpns_of(8192, 0), 2..=2);
         assert_eq!(clib.vpns_of(4095, 2), 0..=1);
         assert_eq!(clib.vpns_of(u64::MAX - 3, 16), u64::MAX / 4096..=u64::MAX / 4096);

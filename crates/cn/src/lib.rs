@@ -10,7 +10,8 @@
 //!
 //! * [`clib::CLib`] — the user-facing request layer: per-thread dependency
 //!   checking and ordering of address-conflicting requests (WAW/RAW/WAR at
-//!   page granularity, release semantics, fences), lock spinning,
+//!   page granularity, release semantics, fences), lock spinning, and the
+//!   choice of memory node ([`route`]) with its `Moved` re-route,
 //! * [`transport`] — the connectionless reliable transport: request-response
 //!   matching, whole-request retry with fresh ids, NACK handling, timeout
 //!   management,
@@ -28,10 +29,12 @@ pub mod congestion;
 pub mod error;
 pub mod op;
 pub mod ordering;
+pub mod route;
 pub mod transport;
 
-pub use clib::{CLib, Completion, ThreadId};
+pub use clib::{CLib, Completion, Notice, ThreadId};
 pub use config::CLibConfig;
 pub use error::ClioError;
 pub use op::Op;
+pub use route::Route;
 pub use transport::{CompletionValue, McMutation, OpToken};

@@ -46,16 +46,15 @@ impl Actor for CnHost {
         let msg = match msg.downcast::<Submit>() {
             Ok(s) => {
                 let (nic, mn, done) = (&mut self.nic, self.mn, &mut self.completions);
-                self.clib.submit(ctx, nic, s.thread, mn, PID, ctx.now(), s.op, done);
+                self.clib.submit(ctx, nic, s.thread, Some(mn), PID, ctx.now(), s.op, done);
                 return;
             }
             Err(m) => m,
         };
         let msg = match msg.downcast::<SubmitV>() {
             Ok(s) => {
-                let ops = s.ops.into_iter().map(|op| (self.mn, op)).collect();
-                let (nic, done) = (&mut self.nic, &mut self.completions);
-                self.clib.submit_many(ctx, nic, s.thread, PID, ctx.now(), ops, done);
+                let (nic, mn, done) = (&mut self.nic, Some(self.mn), &mut self.completions);
+                self.clib.submit_many(ctx, nic, s.thread, mn, PID, ctx.now(), s.ops, done);
                 return;
             }
             Err(m) => m,
@@ -94,7 +93,7 @@ fn rig_full(clib_cfg: CLibConfig, board_cfg: CBoardConfig) -> Rig {
     let cmac = cport.mac();
     let cn = sim.add_actor(CnHost {
         nic: cport,
-        clib: CLib::new(clib_cfg, 1, page),
+        clib: CLib::new(clib_cfg, 1, page, Vec::new()),
         mn: board_mac,
         completions: vec![],
     });

@@ -43,7 +43,7 @@ impl Actor for CnHost {
             Ok(s) => {
                 let mut comps = Vec::new();
                 let (nic, mn) = (&mut self.nic, self.mn);
-                self.clib.submit(ctx, nic, s.thread, mn, PID, ctx.now(), s.op, &mut comps);
+                self.clib.submit(ctx, nic, s.thread, Some(mn), PID, ctx.now(), s.op, &mut comps);
                 self.absorb(comps);
                 return;
             }
@@ -87,7 +87,7 @@ fn rig_with(cfg: CBoardConfig, clib_cfg: CLibConfig) -> Rig {
     let cmac = cport.mac();
     let cn = sim.add_actor(CnHost {
         nic: cport,
-        clib: CLib::new(clib_cfg, 1, page),
+        clib: CLib::new(clib_cfg, 1, page, Vec::new()),
         mn: board_mac,
         completions: vec![],
     });
@@ -308,7 +308,7 @@ fn locks_provide_mutual_exclusion_across_cns() {
         let mac = port.mac();
         let host = sim.add_actor(CnHost {
             nic: port,
-            clib: CLib::new(CLibConfig::default(), cn_id + 1, page),
+            clib: CLib::new(CLibConfig::default(), cn_id + 1, page, Vec::new()),
             mn: bmac,
             completions: vec![],
         });

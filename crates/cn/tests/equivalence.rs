@@ -73,16 +73,15 @@ impl Actor for CnHost {
         let msg = match msg.downcast::<Submit>() {
             Ok(s) => {
                 let (nic, mn, done) = (&mut self.nic, self.mn, &mut self.completions);
-                self.clib.submit(ctx, nic, ThreadId(0), mn, Pid(PID), ctx.now(), s.op, done);
+                self.clib.submit(ctx, nic, ThreadId(0), Some(mn), Pid(PID), ctx.now(), s.op, done);
                 return;
             }
             Err(m) => m,
         };
         let msg = match msg.downcast::<SubmitV>() {
             Ok(s) => {
-                let ops = s.ops.into_iter().map(|op| (self.mn, op)).collect();
-                let (nic, done) = (&mut self.nic, &mut self.completions);
-                self.clib.submit_many(ctx, nic, ThreadId(0), Pid(PID), ctx.now(), ops, done);
+                let (nic, mn, done) = (&mut self.nic, Some(self.mn), &mut self.completions);
+                self.clib.submit_many(ctx, nic, ThreadId(0), mn, Pid(PID), ctx.now(), s.ops, done);
                 return;
             }
             Err(m) => m,
@@ -116,7 +115,7 @@ fn rig(clib_cfg: CLibConfig, board_cfg: CBoardConfig) -> Rig {
     let cmac = cport.mac();
     let cn = sim.add_actor(CnHost {
         nic: cport,
-        clib: CLib::new(clib_cfg, 1, page),
+        clib: CLib::new(clib_cfg, 1, page, Vec::new()),
         mn: board_mac,
         completions: vec![],
     });
@@ -339,7 +338,7 @@ fn run_corrupted(
     let cport = NicPort::new(cn_mac, Bandwidth::from_gbps(40), proxy, SimDuration::from_nanos(50));
     let cn = sim.add_actor(CnHost {
         nic: cport,
-        clib: CLib::new(clib_cfg, 1, page),
+        clib: CLib::new(clib_cfg, 1, page, Vec::new()),
         mn: board_mac,
         completions: vec![],
     });

@@ -141,7 +141,6 @@ impl Cluster {
                 cfg.board.hw.page_size,
                 controller_id,
                 slices.clone(),
-                mn_macs.clone(),
             );
             let id = sim.add_actor(node);
             net.attach(&mut sim, mac, id);

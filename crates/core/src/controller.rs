@@ -14,6 +14,7 @@
 //!   moves its least-recently-allocated region to the least-pressured node
 //!   and invalidates CN routing.
 
+use clio_cn::Route;
 use clio_mn::migrate::{MigrateCommand, MigrationComplete, PressureReport};
 use clio_net::Mac;
 use clio_proto::Pid;
@@ -60,11 +61,10 @@ pub struct RouteQuery {
 /// Reply to [`RouteQuery`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteReply {
-    /// Current owner of the whole access (`None` if unknown or split).
-    pub mn: Option<Mac>,
-    /// True when the access straddles two owners: no single MN can serve
-    /// it, and the CN must fail it fast rather than guess.
-    pub spans: bool,
+    /// The current owner of the whole access; [`Route::Spans`] when it
+    /// straddles two owners (the CN must fail it fast rather than guess),
+    /// [`Route::Unknown`] when no owner is known.
+    pub route: Route,
     /// Echoed tag.
     pub tag: u64,
 }
@@ -236,16 +236,12 @@ impl Controller {
             .map(|m| m.mac)
     }
 
-    /// Resolves the owner of a whole `len`-byte access. Returns
-    /// `(owner, spans)`: `spans` is true (and `owner` is `None`) when the
-    /// access straddles two owners — checking only the start VA would
+    /// Resolves the owner of a whole `len`-byte access: [`Route::Spans`]
+    /// when it straddles two owners — checking only the start VA would
     /// silently route the whole op to one MN and corrupt the other's half.
-    fn owner_of_range(&self, pid: Pid, va: u64, len: u64) -> (Option<Mac>, bool) {
+    fn owner_of_range(&self, pid: Pid, va: u64, len: u64) -> Route {
         let end = va + len.max(1) - 1; // inclusive last byte
         let first = self.owner_of(pid, va);
-        if self.owner_of(pid, end) != first {
-            return (None, true);
-        }
         // Endpoints agreeing is not enough: a sub-range migrated away from
         // the middle of the access leaves both ends on the old owner while
         // interior bytes route elsewhere.
@@ -253,10 +249,10 @@ impl Controller {
             .ranges
             .iter()
             .any(|r| r.pid == pid && r.va <= end && va < r.va + r.len && Some(r.owner) != first);
-        if interior_differs {
-            (None, true)
-        } else {
-            (first, false)
+        match first {
+            _ if interior_differs || self.owner_of(pid, end) != first => Route::Spans,
+            Some(mac) => Route::Owned(mac),
+            None => Route::Unknown,
         }
     }
 
@@ -357,11 +353,11 @@ impl Actor for Controller {
         };
         let msg = match msg.downcast::<RouteQuery>() {
             Ok(q) => {
-                let (mn, spans) = self.owner_of_range(q.pid, q.va, q.len);
+                let route = self.owner_of_range(q.pid, q.va, q.len);
                 ctx.send(
                     q.reply_to,
                     self.rpc_latency,
-                    Message::new(RouteReply { mn, spans, tag: q.tag }),
+                    Message::new(RouteReply { route, tag: q.tag }),
                 );
                 return;
             }
@@ -502,9 +498,9 @@ mod tests {
         );
         sim.run_until_idle();
         let routes = &sim.actor::<Sink>(sink).routes;
-        assert_eq!(routes[0], RouteReply { mn: Some(Mac(10)), spans: false, tag: 1 });
-        assert_eq!(routes[1], RouteReply { mn: Some(Mac(20)), spans: false, tag: 2 });
-        assert_eq!(routes[2], RouteReply { mn: None, spans: false, tag: 3 });
+        assert_eq!(routes[0], RouteReply { route: Route::Owned(Mac(10)), tag: 1 });
+        assert_eq!(routes[1], RouteReply { route: Route::Owned(Mac(20)), tag: 2 });
+        assert_eq!(routes[2], RouteReply { route: Route::Unknown, tag: 3 });
     }
 
     /// Regression (issue 10): an access straddling two owners must answer
@@ -545,8 +541,8 @@ mod tests {
         );
         sim.run_until_idle();
         let routes = &sim.actor::<Sink>(sink).routes;
-        assert_eq!(routes[0], RouteReply { mn: None, spans: true, tag: 1 });
-        assert_eq!(routes[1], RouteReply { mn: None, spans: true, tag: 2 });
+        assert_eq!(routes[0], RouteReply { route: Route::Spans, tag: 1 });
+        assert_eq!(routes[1], RouteReply { route: Route::Spans, tag: 2 });
     }
 
     #[test]

@@ -65,12 +65,12 @@ use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
 use bytes::Bytes;
-use clio_cn::{ClioError, Op};
+use clio_cn::{ClioError, Completion, Op, OpToken, ThreadId};
 use clio_net::Mac;
 use clio_proto::Perm;
 use clio_sim::{IdMap, SimDuration, SimTime};
 
-use crate::node::{AppCompletion, AppToken, NodeApi, POKE_TAG};
+use crate::node::{NodeApi, POKE_TAG};
 
 pub mod openloop;
 
@@ -100,11 +100,11 @@ struct OpSlot {
     /// set by [`OpFuture::arriving_at`]): what every completion of it
     /// reports as `issued_at`, whether the node or a cancellation made it.
     arrival: SimTime,
-    result: Option<AppCompletion>,
+    result: Option<Completion>,
     waker: Option<Waker>,
-    /// The host token, known once the executor flushes the submission;
+    /// The op's token, known once the executor flushes the submission;
     /// cancellation after this point goes through [`NodeApi::cancel`].
-    token: Option<AppToken>,
+    token: Option<OpToken>,
     /// Set by [`CancelHandle::cancel`] / an expired deadline; a queued
     /// submission carrying this flag is resolved locally instead of issued.
     cancel_requested: bool,
@@ -130,11 +130,12 @@ impl OpSlot {
         }))
     }
 
-    /// Resolves a never-issued op as cancelled at `now`, returning the
-    /// waker of the task awaiting it (if any).
-    fn resolve_cancelled(&mut self, now: SimTime) -> Option<Waker> {
-        self.result = Some(AppCompletion {
-            token: AppToken(0),
+    /// Resolves a never-issued op of `thread` as cancelled at `now`,
+    /// returning the waker of the task awaiting it (if any).
+    fn resolve_cancelled(&mut self, thread: ThreadId, now: SimTime) -> Option<Waker> {
+        self.result = Some(Completion {
+            token: OpToken(0),
+            thread,
             result: Err(ClioError::DeadlineExceeded),
             issued_at: self.arrival.min(now),
             completed_at: now,
@@ -150,7 +151,7 @@ enum Submission {
     Op { op: Op, named_mn: Option<Mac>, slot: Rc<RefCell<OpSlot>> },
     Vec { ops: Vec<Op>, slots: Vec<Rc<RefCell<OpSlot>>> },
     Timer { tag: u64, dur: SimDuration },
-    Cancel { token: AppToken },
+    Cancel { token: OpToken },
 }
 
 struct TimerEntry {
@@ -180,7 +181,7 @@ struct ExecInner {
     inflight: usize,
     peak_inflight: u64,
     budget: usize,
-    op_slots: IdMap<AppToken, Rc<RefCell<OpSlot>>>,
+    op_slots: IdMap<OpToken, Rc<RefCell<OpSlot>>>,
     timers: IdMap<u64, TimerEntry>,
     next_timer_tag: u64,
     /// Pokes delivered while nobody awaited one (level-triggered count).
@@ -204,6 +205,8 @@ fn release_credit(inner: &mut ExecInner) -> Option<Waker> {
 }
 
 struct ExecShared {
+    /// The CLib thread this executor's ops are ordered under.
+    thread: ThreadId,
     ready: Arc<Mutex<VecDeque<TaskId>>>,
     inner: RefCell<ExecInner>,
     /// Virtual time mirror, refreshed on every executor callback so futures
@@ -255,10 +258,11 @@ pub struct ExecDriver {
 }
 
 impl ExecDriver {
-    /// A fresh executor with no tasks.
-    pub(crate) fn new() -> Self {
+    /// A fresh executor with no tasks, submitting as `thread`.
+    pub(crate) fn new(thread: ThreadId) -> Self {
         ExecDriver {
             shared: Rc::new(ExecShared {
+                thread,
                 ready: Arc::new(Mutex::new(VecDeque::new())),
                 inner: RefCell::new(ExecInner {
                     running: false,
@@ -318,7 +322,7 @@ impl ExecDriver {
                         let slot_waker = {
                             let mut s = slot.borrow_mut();
                             s.in_submit_q = false;
-                            s.resolve_cancelled(api.now())
+                            s.resolve_cancelled(self.shared.thread, api.now())
                         };
                         if let Some(w) = slot_waker {
                             w.wake();
@@ -347,7 +351,7 @@ impl ExecDriver {
     /// Files an op the node just accepted under its token. A cancellation
     /// requested while it sat in the submit queue (only vector entries get
     /// here with one) goes through the node now that a token exists.
-    fn issued(&self, token: AppToken, slot: Rc<RefCell<OpSlot>>) {
+    fn issued(&self, token: OpToken, slot: Rc<RefCell<OpSlot>>) {
         let cancel = {
             let mut s = slot.borrow_mut();
             s.in_submit_q = false;
@@ -388,7 +392,7 @@ impl ExecDriver {
     /// Called for every completed op this executor issued — the one
     /// completion wake: the result goes into the op's slot first, then the
     /// awaiting task (if any) is woken and polled in this same sim event.
-    pub(crate) fn on_completion(&self, api: &mut NodeApi<'_, '_>, completion: AppCompletion) {
+    pub(crate) fn on_completion(&self, api: &mut NodeApi<'_, '_>, completion: Completion) {
         let (slot_waker, unparked) = {
             let mut inner = self.shared.inner.borrow_mut();
             match inner.op_slots.remove(&completion.token) {
@@ -488,7 +492,7 @@ impl ProcHandle {
         }
     }
 
-    /// An op for the node to route — or, with `named_mn`, to send where the
+    /// An op for CLib to route — or, with `named_mn`, to send where the
     /// task says (`roffload`).
     fn op(&self, op: Op, named_mn: Option<Mac>) -> OpFuture {
         OpFuture {
@@ -623,7 +627,7 @@ enum OpState {
     Done,
 }
 
-/// An awaitable remote op. Resolves to the full [`AppCompletion`] (value,
+/// An awaitable remote op. Resolves to the full [`Completion`] (value,
 /// issue/completion timestamps) when the executor delivers its completion
 /// and wakes the awaiting task.
 pub struct OpFuture {
@@ -654,9 +658,9 @@ impl OpFuture {
 }
 
 impl Future for OpFuture {
-    type Output = AppCompletion;
+    type Output = Completion;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<AppCompletion> {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Completion> {
         let this = self.get_mut();
         match &mut this.state {
             OpState::Start(op) => {
@@ -751,7 +755,7 @@ fn request_cancel(shared: &Rc<ExecShared>, slot: &Rc<RefCell<OpSlot>>) {
         None
     };
     drop(inner);
-    let waker = slot.borrow_mut().resolve_cancelled(shared.now.get());
+    let waker = slot.borrow_mut().resolve_cancelled(shared.thread, shared.now.get());
     if let Some(w) = waker {
         w.wake();
     }
@@ -788,9 +792,9 @@ pub struct DeadlineFuture {
 }
 
 impl Future for DeadlineFuture {
-    type Output = AppCompletion;
+    type Output = Completion;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<AppCompletion> {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Completion> {
         let this = self.get_mut();
         if let Poll::Ready(c) = Pin::new(&mut this.op).poll(cx) {
             return Poll::Ready(c);

@@ -25,4 +25,8 @@ pub mod node;
 pub use cluster::{Cluster, ClusterConfig};
 pub use controller::Controller;
 pub use exec::{ExecDriver, OpFuture, ProcHandle};
-pub use node::{AppCompletion, AppResult, AppToken, ComputeNode};
+pub use node::ComputeNode;
+
+/// The completion an awaited op resolves to, under the name `benchmark/`
+/// imports it by.
+pub use clio_cn::Completion as AppCompletion;

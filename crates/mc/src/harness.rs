@@ -146,7 +146,7 @@ impl Actor for McCnHost {
         let msg = match msg.downcast::<Submit>() {
             Ok(s) => {
                 let (nic, done) = (&mut self.nic, &mut self.completions);
-                self.clib.submit(ctx, nic, ThreadId(0), s.mn, PID, ctx.now(), s.op, done);
+                self.clib.submit(ctx, nic, ThreadId(0), Some(s.mn), PID, ctx.now(), s.op, done);
                 return;
             }
             Err(m) => m,
@@ -266,7 +266,7 @@ impl Scenario {
         };
         let cport =
             NicPort::new(CN_MAC, Bandwidth::from_gbps(40), wire, SimDuration::from_nanos(5));
-        let mut clib = CLib::new(clib_cfg, 1, PAGE);
+        let mut clib = CLib::new(clib_cfg, 1, PAGE, Vec::new());
         clib.transport_mut().set_mc_mutation(mutation);
         let cn = sim.add_actor(Shared::new(McCnHost { nic: cport, clib, completions: vec![] }));
         sim.actor_mut::<Shared<VirtualWire>>(wire).get_mut().attach(CN_MAC, cn);

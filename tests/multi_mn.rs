@@ -180,7 +180,7 @@ fn pressure_triggered_migration_keeps_reads_correct_under_traffic() {
     // new owner — including CNs that never touched the victim.
     for cn in 0..4 {
         assert_eq!(
-            cluster.cn(cn).route_of(vpid, vva, vlen),
+            cluster.cn(cn).clib().route_of(vpid, vva, vlen),
             Some(mn_macs[1]),
             "cn{cn} still routes the victim to the old owner"
         );
@@ -264,7 +264,7 @@ fn multi_mn_smoke_matches_single_mn_baseline_and_is_digest_stable() {
         if let Some((pid, va, dst)) = moved {
             assert_eq!(cluster.controller().owner_of(pid, va), Some(dst));
             for cn in 0..4 {
-                assert_eq!(cluster.cn(cn).route_of(pid, va, LEN), Some(dst));
+                assert_eq!(cluster.cn(cn).clib().route_of(pid, va, LEN), Some(dst));
             }
             assert_eq!(cluster.controller().migration_stats().1, 1);
         }
@@ -358,7 +358,9 @@ fn multi_mn_schedule_is_identical_across_eight_builds_in_one_process() {
                 .borrow()
                 .iter()
                 .filter(|(c, ..)| *c == cn)
-                .map(|&(_, pid, va)| cluster.cn(cn).route_of(pid, va, LEN).expect("routable"))
+                .map(|&(_, pid, va)| {
+                    cluster.cn(cn).clib().route_of(pid, va, LEN).expect("routable")
+                })
                 .collect();
             owners.sort_unstable();
             owners.dedup();
@@ -418,7 +420,8 @@ fn rfence_reports_the_leg_that_failed_not_the_one_that_landed_last() {
         (vas, reads, h.rfence().await.result)
     });
 
-    let owners: Vec<_> = vas.iter().map(|&va| cluster.cn(0).route_of(pid, va, PAGE)).collect();
+    let owners: Vec<_> =
+        vas.iter().map(|&va| cluster.cn(0).clib().route_of(pid, va, PAGE)).collect();
     assert_eq!(owners, [Some(mn0), Some(mn1)], "one page on each board");
     assert_eq!(reads[0], Err(ClioError::Unreachable { mn: mn0 }), "mn0 is cut off");
     assert_eq!(reads[1], Ok(CompletionValue::Data(Bytes::from(vec![0xB1; 8]))), "mn1 serves");
@@ -492,7 +495,7 @@ fn a_failed_ralloc_gives_back_its_placement_charge() {
     assert_eq!(failed, Err(ClioError::Remote(Status::OutOfVirtualMemory)));
     assert_eq!(placed_total(&cluster), 2 * PAGE, "only the live allocation is charged");
     let mn0 = cluster.mn_macs()[0];
-    assert_eq!(cluster.cn(0).route_of(Pid(1), va, 2 * PAGE), Some(mn0), "placement skewed");
+    assert_eq!(cluster.cn(0).clib().route_of(Pid(1), va, 2 * PAGE), Some(mn0), "placement skewed");
 }
 
 /// An `ralloc` whose deadline expires while the controller places it is
