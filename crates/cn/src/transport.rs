@@ -59,8 +59,9 @@
 //!
 //! The following hold at every event boundary (between any two messages
 //! the host actor delivers to the transport). The first four are checked
-//! exhaustively by the `clio_mc` bounded model checker via
-//! [`Transport::check_invariants`], plus sampled by the proptests in
+//! exhaustively by the `clio_mc` bounded model checker (1 and the first
+//! half of 3 at every settled state, via [`Transport::check_invariants`]),
+//! plus sampled by the proptests in
 //! `tests/equivalence.rs` and `tests/transport_window.rs`:
 //!
 //! 1. **Window accounting.** The incast window's in-flight byte count
@@ -79,11 +80,14 @@
 //!    guaranteed to be in the MN's dedup buffer if the original executed.
 //!    (The model checker caught the predecessor-linked variant of this
 //!    re-executing an atomic; see `tests/mc_regressions.rs`.)
-//! 3. **Single completion.** Each submitted token completes exactly once
-//!    (success, remote error, or `TimedOut` after `max_retries`
-//!    exhausted attempts), regardless of how many duplicates, stale
-//!    responses or stale NACKs arrive afterwards — those are dropped by
-//!    the outstanding-id lookup.
+//! 3. **One live transfer per token, completed once.** A token has at
+//!    most one transfer outstanding, queued or parked at a time (a fence's
+//!    legs and an op's re-routes reuse its token, one after another, which
+//!    is why `parked_conflicts` can be keyed by token), and each transfer
+//!    completes exactly once (success, remote error, or `TimedOut` after
+//!    `max_retries` exhausted attempts), regardless of how many
+//!    duplicates, stale responses or stale NACKs arrive afterwards — those
+//!    are dropped by the outstanding-id lookup.
 //! 4. **Quiescence drains everything.** Once every token has completed
 //!    and no frame or timer is in flight, `in_flight`, `queued`,
 //!    `parked` and `incast_in_flight` are all zero: no orphaned window
@@ -113,7 +117,7 @@ use clio_proto::{
     Status, ETH_OVERHEAD_BYTES, MTU_BYTES,
 };
 use clio_sim::table::{mix, mix_section, MixHasher, MIX_SEED};
-use clio_sim::{Ctx, EventId, IdMap, Message, SimDuration, SimTime};
+use clio_sim::{Ctx, EventId, IdMap, IdSet, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
@@ -466,7 +470,7 @@ impl Transport {
     ///   requests (parked conflicts and queued sends hold no bytes),
     /// * each MN's congestion window holds exactly one slot per
     ///   outstanding request toward it,
-    /// * no token is simultaneously parked and outstanding.
+    /// * no token has two live transfers (outstanding, queued or parked).
     ///
     /// Returns a human-readable description of the first violation. Called
     /// by the `clio_mc` explorer at every settled state; cheap enough for
@@ -492,11 +496,13 @@ impl Transport {
                 ));
             }
         }
-        for token in self.parked_conflicts.keys() {
-            if self.outstanding.values().any(|o| o.token == *token) {
+        let mut live = IdSet::default();
+        let queued = self.peers.values().flat_map(|p| p.queue.iter().map(|q| q.token));
+        let parked = self.parked_conflicts.keys().copied();
+        for token in self.outstanding.values().map(|o| o.token).chain(queued).chain(parked) {
+            if !live.insert(token) {
                 return Err(format!(
-                    "token {token:?} is parked awaiting a conflict retry AND still \
-                     outstanding (double-registered request)"
+                    "token {token:?} has two live transfers (outstanding, queued or parked)"
                 ));
             }
         }
@@ -1306,5 +1312,19 @@ mod tests {
         assert_ne!(fingerprint(alloc(Perm::RW)), fingerprint(alloc(Perm::READ)));
         let offload = |arg| Op::Offload { offload: 1, opcode: 2, arg: Bytes::from_static(arg) };
         assert_ne!(fingerprint(offload(b"arg0")), fingerprint(offload(b"arg1")));
+    }
+
+    /// A token's second live transfer — a fence leg or re-route sent while
+    /// the previous one is still queued — is an invariant violation.
+    #[test]
+    fn check_invariants_catches_a_token_with_two_live_transfers() {
+        let mut t = Transport::new(CLibConfig::default(), 1);
+        let read = Op::Read { va: 0, len: 8 };
+        t.enqueue(SimTime::ZERO, OpToken(1), Mac(2), Pid(1), read.clone(), None);
+        t.enqueue(SimTime::ZERO, OpToken(2), Mac(3), Pid(1), read.clone(), None);
+        assert_eq!(t.check_invariants(), Ok(()));
+        t.enqueue(SimTime::ZERO, OpToken(1), Mac(3), Pid(1), read, None);
+        let err = t.check_invariants().expect_err("token 1 is queued twice");
+        assert!(err.contains("OpToken(1)"), "{err}");
     }
 }
