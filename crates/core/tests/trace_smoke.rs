@@ -1,10 +1,11 @@
 //! Observability end-to-end: a traced 64-op burst exports valid Perfetto
 //! JSON; stage spans tile every completed op exactly (batched, unbatched
 //! and NACK-retried alike); a corrupted-then-retried op's trace links the
-//! retry back to the failed attempt; tracing disabled is provably
-//! zero-overhead (identical digest, frames and completions); and the
-//! unified registry walks exactly the pinned name set, its gauges equal to
-//! the executor state they are computed from at every step.
+//! retry back to the failed attempt; a two-MN fence's legs are one trace;
+//! tracing disabled is provably zero-overhead (identical digest, frames
+//! and completions); and the unified registry walks exactly the pinned
+//! name set, its gauges equal to the executor state they are computed from
+//! at every step.
 
 use bytes::Bytes;
 use clio_core::{Cluster, ClusterConfig, ExecDriver, ProcHandle};
@@ -188,6 +189,30 @@ fn corrupted_then_retried_op_links_retry_to_origin_attempt() {
                 > clio_sim::SimDuration::ZERO,
             "retried op recorded no recovery wait"
         );
+    }
+}
+
+/// A fence on a two-MN cluster fences both boards, one leg after the
+/// other, as one op: one trace whose spans visit both boards' tracks and
+/// tile its whole latency.
+#[test]
+fn a_two_mn_rfence_is_one_trace_that_tiles_exactly() {
+    let mut cfg = ClusterConfig::test_small().with_tracing(1);
+    cfg.mns = 2;
+    let mut cluster = Cluster::build(&cfg);
+    let latency = cluster.block_on(0, Pid(1), |h| async move {
+        let c = h.rfence().await;
+        assert!(c.result.is_ok(), "fence failed: {:?}", c.result);
+        c.latency()
+    });
+    let traces = cluster.take_traces();
+    let fences: Vec<&OpTrace> = traces.iter().filter(|t| t.label == "fence").collect();
+    assert_eq!(fences.len(), 1, "one fence, one trace: {traces:?}");
+    let fence = fences[0];
+    check_trace(fence).expect("a fence's legs tile one timeline");
+    assert_eq!(fence.e2e(), latency, "the trace spans the fence's whole latency");
+    for mn in [Track::Mn(0), Track::Mn(1)] {
+        assert!(fence.spans.iter().any(|s| s.track == mn), "no leg reached {mn:?}");
     }
 }
 
