@@ -175,7 +175,7 @@ fn pressure_triggers_transparent_migration() {
             h.rwrite(b + i * 4096, Bytes::from(vec![i as u8; 64])).await.result.expect("write b");
         }
         // Give the migration time to run, then access the moved range:
-        // the node re-routes transparently after the Moved refusal.
+        // CLib re-routes it transparently after a Moved refusal.
         h.sleep(SimDuration::from_millis(50)).await;
         let back = h.rread(a, 12).await;
         assert_eq!(&back.data()[..], b"range-a data");

@@ -1,7 +1,7 @@
 //! Deterministic id-keyed tables.
 //!
 //! Nearly every table on the simulator's per-op path is keyed by a
-//! sequential integer newtype (`ReqId`, `OpToken`, `AppToken`, task ids) or
+//! sequential integer newtype (`ReqId`, `OpToken`, task ids) or
 //! by one of a handful of `Mac`s. None of those keys comes from outside the
 //! program, so `std`'s SipHash + per-process `RandomState` buys nothing and
 //! costs a keyed hash per probe. [`IdMap`] / [`IdSet`] are the standard

@@ -382,12 +382,13 @@ fn multi_mn_schedule_is_identical_across_eight_builds_in_one_process() {
     }
 }
 
-/// An `rfence` fences every MN, one leg after another (each leg is a
-/// barrier on the same CLib thread, so they run in `mn_macs` order). A
-/// fence that missed a board did not fence: the first failed leg's error
-/// is what the task sees, not whatever the last leg happened to report.
+/// An `rfence` fences every MN, one leg after another: CLib sends each leg
+/// under the fence's one token when the previous one lands, in slice
+/// (`mn_macs`) order. A fence that missed a board did not fence: the first
+/// failed leg's error is what the task sees, not whatever the last leg
+/// happened to report.
 ///
-/// Regression: the node discarded every leg's completion but the last,
+/// Regression: every leg's completion but the last was discarded,
 /// *including its `Err`* — with mn0 unreachable and mn1 healthy the fence
 /// reported `Ok(Done)`.
 #[test]
