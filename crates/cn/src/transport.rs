@@ -117,7 +117,7 @@ use clio_proto::{
     Status, ETH_OVERHEAD_BYTES, MTU_BYTES,
 };
 use clio_sim::table::{mix, mix_section, MixHasher, MIX_SEED};
-use clio_sim::{Ctx, EventId, IdMap, IdSet, Message, SimDuration, SimTime};
+use clio_sim::{Ctx, EventId, IdMap, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
@@ -496,11 +496,14 @@ impl Transport {
                 ));
             }
         }
-        let mut live = IdSet::default();
-        let queued = self.peers.values().flat_map(|p| p.queue.iter().map(|q| q.token));
-        let parked = self.parked_conflicts.keys().copied();
-        for token in self.outstanding.values().map(|o| o.token).chain(queued).chain(parked) {
-            if !live.insert(token) {
+        // Pairwise, allocating nothing: the checker calls this per state.
+        let live = || {
+            let queued = self.peers.values().flat_map(|p| p.queue.iter().map(|q| q.token));
+            let parked = self.parked_conflicts.keys().copied();
+            self.outstanding.values().map(|o| o.token).chain(queued).chain(parked)
+        };
+        for (i, token) in live().enumerate() {
+            if live().skip(i + 1).any(|t| t == token) {
                 return Err(format!(
                     "token {token:?} has two live transfers (outstanding, queued or parked)"
                 ));
