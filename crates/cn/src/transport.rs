@@ -81,13 +81,12 @@
 //!    (The model checker caught the predecessor-linked variant of this
 //!    re-executing an atomic; see `tests/mc_regressions.rs`.)
 //! 3. **One live transfer per token, completed once.** A token has at
-//!    most one transfer outstanding, queued or parked at a time (a fence's
-//!    legs and an op's re-routes reuse its token, one after another, which
-//!    is why `parked_conflicts` can be keyed by token), and each transfer
-//!    completes exactly once (success, remote error, or `TimedOut` after
-//!    `max_retries` exhausted attempts), regardless of how many
-//!    duplicates, stale responses or stale NACKs arrive afterwards — those
-//!    are dropped by the outstanding-id lookup.
+//!    most one transfer outstanding, queued or parked (a fence's legs and
+//!    an op's re-routes reuse it one after another, and `parked_conflicts`
+//!    is keyed by it), and each completes exactly once (success, remote
+//!    error, or `TimedOut` after `max_retries` exhausted attempts) however
+//!    many duplicates, stale responses or stale NACKs arrive afterwards —
+//!    the outstanding-id lookup drops those.
 //! 4. **Quiescence drains everything.** Once every token has completed
 //!    and no frame or timer is in flight, `in_flight`, `queued`,
 //!    `parked` and `incast_in_flight` are all zero: no orphaned window

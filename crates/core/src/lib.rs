@@ -27,6 +27,5 @@ pub use controller::Controller;
 pub use exec::{ExecDriver, OpFuture, ProcHandle};
 pub use node::ComputeNode;
 
-/// The completion an awaited op resolves to, under the name `benchmark/`
-/// imports it by.
+/// An awaited op's completion, under the name `benchmark/` imports.
 pub use clio_cn::Completion as AppCompletion;
