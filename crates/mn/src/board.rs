@@ -99,9 +99,7 @@ use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
 use crate::config::CBoardConfig;
 use crate::extend::{Offload, OffloadEnv};
-use crate::migrate::{
-    MigrateCommand, MigrationComplete, MigrationMsg, PressureReport, RegionPhase, RegionTable,
-};
+use crate::migrate::{Effect, MigrateCommand, MigrationMsg, Migrations, PressureReport};
 use crate::slowpath::SlowPath;
 
 clio_trace::counters! {
@@ -271,18 +269,6 @@ struct EgressDoorbell {
     dst: Mac,
 }
 
-#[derive(Debug, Clone)]
-struct OutMigration {
-    dst: Mac,
-    len: u64,
-    vpns: Vec<u64>,
-}
-
-#[derive(Debug, Clone)]
-struct InMigration {
-    received_vpns: Vec<u64>,
-}
-
 /// Fraction of the pressure threshold utilization must fall below before
 /// the one-report-per-excursion latch re-arms. The band keeps a board that
 /// hovers at the threshold from flapping: without it, shedding one small
@@ -321,9 +307,8 @@ pub struct CBoard {
     egress: IdMap<Mac, Egress>,
     /// Taken by [`Self::pump_egress`] for its duration (built on first use).
     egress_scratch: Option<EgressScratch>,
-    regions: RegionTable,
-    out_migrations: IdMap<(Pid, u64), OutMigration>,
-    in_migrations: IdMap<(Pid, u64), InMigration>,
+    /// Every range this board is sending, has sent, or is receiving.
+    migrations: Migrations,
     controller: Option<ActorId>,
     pressure_threshold: f64,
     pressure_reported: bool,
@@ -357,9 +342,7 @@ impl CBoard {
             writes: WriteTracker::default(),
             egress: IdMap::default(),
             egress_scratch: None,
-            regions: RegionTable::new(),
-            out_migrations: IdMap::default(),
-            in_migrations: IdMap::default(),
+            migrations: Migrations::default(),
             controller: None,
             pressure_threshold: 0.9,
             pressure_reported: false,
@@ -467,8 +450,9 @@ impl CBoard {
         egress.sort_unstable();
         h = mix_section(h, 2, &egress);
         h = mix(h, self.silicon.dedup().len() as u64);
-        h = mix(h, self.out_migrations.len() as u64);
-        h = mix(h, self.in_migrations.len() as u64);
+        let (outgoing, incoming) = self.migrations.in_progress();
+        h = mix(h, outgoing);
+        h = mix(h, incoming);
         h = mix(h, self.alive as u64);
         h
     }
@@ -764,14 +748,22 @@ impl CBoard {
         self.last_completion = self.last_completion.max(done);
     }
 
+    /// Sends `msg` to the controller, if one is registered.
+    fn notify(&self, ctx: &mut Ctx<'_>, msg: Message) {
+        if let Some(controller) = self.controller {
+            ctx.send(controller, SimDuration::from_micros(1), msg);
+        }
+    }
+
     fn check_pressure(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(controller) = self.controller else { return };
+        if self.controller.is_none() {
+            return;
+        }
         let util = self.slow.palloc().utilization();
         if util >= self.pressure_threshold && !self.pressure_reported {
             self.pressure_reported = true;
-            ctx.send(
-                controller,
-                SimDuration::from_micros(1),
+            self.notify(
+                ctx,
                 Message::new(PressureReport { mac: self.nic.mac(), utilization: util }),
             );
         } else if util < self.pressure_threshold * PRESSURE_REARM_FRACTION {
@@ -806,16 +798,12 @@ impl CBoard {
     }
 
     fn region_refusal(&mut self, pid: Pid, va: u64) -> Option<Status> {
-        match self.regions.phase_of(pid, va)? {
-            RegionPhase::Migrating => {
-                self.stats.conflicts += 1;
-                Some(Status::Conflict)
-            }
-            RegionPhase::Moved { .. } => {
-                self.stats.moved += 1;
-                Some(Status::Moved)
-            }
+        let status = self.migrations.refusal(pid, va)?;
+        match status {
+            Status::Conflict => self.stats.conflicts += 1,
+            _ => self.stats.moved += 1,
         }
+        Some(status)
     }
 
     /// Tiles the op's board-resident time with the datapath's measured
@@ -1149,135 +1137,13 @@ impl CBoard {
         self.nic.send_at(ctx, at, dst, wire, Message::new(msg));
     }
 
-    fn start_migration(&mut self, ctx: &mut Ctx<'_>, cmd: MigrateCommand) {
-        let page = self.cfg.hw.page_size;
-        let vpns: Vec<u64> = self
-            .silicon
-            .vm()
-            .page_table()
-            .iter_pid(cmd.pid)
-            .filter(|p| {
-                let va = p.vpn * page;
-                va >= cmd.start && va < cmd.start + cmd.len
-            })
-            .map(|p| p.vpn)
-            .collect();
-        let perm = self
-            .silicon
-            .vm()
-            .page_table()
-            .iter_pid(cmd.pid)
-            .next()
-            .map(|p| p.perm)
-            .unwrap_or(clio_proto::Perm::RW);
-        self.regions.begin(cmd.pid, cmd.start, cmd.len);
-        self.out_migrations
-            .insert((cmd.pid, cmd.start), OutMigration { dst: cmd.dst, len: cmd.len, vpns });
-        let at = ctx.now() + SimDuration::from_micros(1);
-        self.send_migration(
-            ctx,
-            at,
-            cmd.dst,
-            MigrationMsg::Offer { pid: cmd.pid, start: cmd.start, len: cmd.len, perm },
-        );
-    }
-
-    fn handle_migration(&mut self, ctx: &mut Ctx<'_>, src: Mac, msg: MigrationMsg) {
-        match msg {
-            MigrationMsg::Offer { pid, start, len, perm } => {
-                let accepted = self
-                    .slow_mut()
-                    .adopt_range(pid, crate::valloc::VaRange { start, len, perm })
-                    .is_ok();
-                if accepted {
-                    self.in_migrations.insert((pid, start), InMigration { received_vpns: vec![] });
-                }
-                let at = ctx.now() + SimDuration::from_micros(1);
-                self.send_migration(
-                    ctx,
-                    at,
-                    src,
-                    MigrationMsg::OfferReply { pid, start, accepted },
-                );
-            }
-            MigrationMsg::OfferReply { pid, start, accepted } => {
-                let Some(out) = self.out_migrations.get(&(pid, start)) else { return };
-                if !accepted {
-                    self.regions.abort(pid, start);
-                    self.out_migrations.remove(&(pid, start));
-                    return;
-                }
-                let (dst, len, vpns) = (out.dst, out.len, out.vpns.clone());
-                let page = self.cfg.hw.page_size;
-                let mut t = ctx.now();
-                for vpn in vpns {
-                    let Some(pte) = self.silicon.vm().page_table().lookup(pid, vpn).copied() else {
-                        continue;
-                    };
-                    if !pte.valid {
-                        continue; // never-touched pages carry no data
-                    }
-                    let (data, read_done) =
-                        self.silicon.read_phys(t, pte.ppn * page, page as usize);
-                    t = read_done;
-                    self.send_migration(
-                        ctx,
-                        t,
-                        dst,
-                        MigrationMsg::PageData { pid, vpn, perm: pte.perm, data },
-                    );
-                }
-                self.send_migration(ctx, t, dst, MigrationMsg::Commit { pid, start, len });
-            }
-            MigrationMsg::PageData { pid, vpn, perm, data } => {
-                let Some(ppn) = self.slow_mut().palloc_mut().alloc() else {
-                    // The controller chose an overloaded destination; the
-                    // page is dropped and the commit will expose the gap.
-                    return;
-                };
-                let pte = clio_hw::pagetable::Pte { pid, vpn, ppn, perm, valid: true };
-                if self.slow_mut().shadow_install(pte).is_err()
-                    || self.silicon.vm_mut().install_pte(pte).is_err()
-                {
-                    self.slow_mut().palloc_mut().free(ppn);
-                    return;
-                }
-                let page = self.cfg.hw.page_size;
-                let now = ctx.now();
-                self.silicon.write_phys(now, ppn * page, &data);
-                if let Some(m) =
-                    self.in_migrations.iter_mut().find_map(|((p, _), m)| (*p == pid).then_some(m))
-                {
-                    m.received_vpns.push(vpn);
-                }
-            }
-            MigrationMsg::Commit { pid, start, len } => {
-                // Install invalid PTEs for pages that never held data.
-                let page = self.cfg.hw.page_size;
-                let perm = clio_proto::Perm::RW;
-                for vpn in start / page..(start + len) / page {
-                    if self.silicon.vm().page_table().lookup(pid, vpn).is_none() {
-                        let pte = clio_hw::pagetable::Pte { pid, vpn, ppn: 0, perm, valid: false };
-                        let _ = self.slow_mut().shadow_install(pte);
-                        let _ = self.silicon.vm_mut().install_pte(pte);
-                    }
-                }
-                self.in_migrations.remove(&(pid, start));
-                let at = ctx.now() + SimDuration::from_micros(1);
-                self.send_migration(ctx, at, src, MigrationMsg::Done { pid, start });
-            }
-            MigrationMsg::Done { pid, start } => {
-                let Some(out) = self.out_migrations.remove(&(pid, start)) else { return };
-                self.regions.complete(pid, start, out.dst);
-                // Free local pages and PTEs.
-                self.unmap(pid, &out.vpns);
-                if let Some(controller) = self.controller {
-                    ctx.send(
-                        controller,
-                        SimDuration::from_micros(1),
-                        Message::new(MigrationComplete { pid, start, len: out.len, dst: out.dst }),
-                    );
-                }
+    /// Carries out what the migration machine asked for, in order.
+    fn execute(&mut self, ctx: &mut Ctx<'_>, effects: Vec<Effect>) {
+        for effect in effects {
+            match effect {
+                Effect::Send { at, dst, msg } => self.send_migration(ctx, at, dst, msg),
+                Effect::Unmap { pid, vpns } => self.unmap(pid, &vpns),
+                Effect::Complete(done) => self.notify(ctx, Message::new(done)),
             }
         }
     }
@@ -1323,8 +1189,9 @@ impl Actor for CBoard {
         }
         let msg = match msg.downcast::<MigrateCommand>() {
             Ok(cmd) => {
-                self.start_migration(ctx, cmd);
-                return;
+                let mut effects = Vec::new();
+                self.migrations.start(&self.silicon, ctx.now(), cmd, &mut effects);
+                return self.execute(ctx, effects);
             }
             Err(m) => m,
         };
@@ -1385,8 +1252,11 @@ impl Actor for CBoard {
             Ok(pkt) => pkt,
             Err(other) => match other.downcast::<MigrationMsg>() {
                 Ok(m) => {
-                    self.handle_migration(ctx, src, m);
-                    return;
+                    let mut effects = Vec::new();
+                    let slow = Rc::make_mut(&mut self.slow);
+                    let now = ctx.now();
+                    self.migrations.receive(&mut self.silicon, slow, now, src, m, &mut effects);
+                    return self.execute(ctx, effects);
                 }
                 Err(o) => panic!("CBoard {} got unexpected frame payload {o:?}", self.name),
             },

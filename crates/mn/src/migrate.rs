@@ -8,92 +8,217 @@
 //! owner answers [`Status::Moved`] so CLib refreshes its routing via the
 //! global controller.
 //!
-//! [`Status::Conflict`]: clio_proto::Status::Conflict
-//! [`Status::Moved`]: clio_proto::Status::Moved
+//! [`Migrations`] is the whole protocol on one board: one record per range
+//! the board is sending, has sent, or is receiving. It works on the board's
+//! [`Silicon`] and [`SlowPath`] directly and returns everything else it
+//! needs done — sends, unmaps, controller notices — as [`Effect`]s, which
+//! the board executes in order.
 
 use bytes::Bytes;
+use clio_hw::pagetable::Pte;
+use clio_hw::silicon::Silicon;
 use clio_net::Mac;
-use clio_proto::{Perm, Pid};
+use clio_proto::{Perm, Pid, Status};
+use clio_sim::{SimDuration, SimTime};
 
-/// Phase of a region on its (previous) owner node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegionPhase {
-    /// Data is streaming out; requests are paused (retried by CLib).
-    Migrating,
-    /// The region now lives on another node.
-    Moved {
-        /// The new owner's network address.
-        to: Mac,
-    },
+use crate::slowpath::SlowPath;
+use crate::valloc::VaRange;
+
+/// How long a board takes to answer a control message of the protocol.
+const TURNAROUND: SimDuration = SimDuration::from_micros(1);
+
+/// Where one range stands on this board.
+#[derive(Debug, Clone)]
+enum Phase {
+    /// Streaming to `dst`; requests are paused (retried by CLib). `vpns`
+    /// are the range's mapped pages when the command came.
+    Out { dst: Mac, vpns: Vec<u64> },
+    /// The range now lives on another node.
+    Moved,
+    /// Being received: the VA range is reserved and pages install as they
+    /// arrive.
+    In,
 }
 
-/// One tracked region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Region {
+/// One range this board is sending, has sent, or is receiving.
+#[derive(Debug, Clone)]
+struct Record {
     pid: Pid,
     start: u64,
     len: u64,
-    phase: RegionPhase,
+    phase: Phase,
 }
 
-/// Region table consulted by the fast path before executing a request.
+/// What the machine needs the board to do for it, in order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Effect {
+    /// Send `msg` to the board at `dst`, leaving the NIC no earlier than `at`.
+    Send {
+        /// When the message is ready.
+        at: SimTime,
+        /// The peer board.
+        dst: Mac,
+        /// The message.
+        msg: MigrationMsg,
+    },
+    /// Remove the PTEs of `vpns` and free the pages behind them.
+    Unmap {
+        /// Owning process.
+        pid: Pid,
+        /// The pages that moved away.
+        vpns: Vec<u64>,
+    },
+    /// Tell the controller the range landed.
+    Complete(MigrationComplete),
+}
+
+/// The migration protocol on one board (sans I/O): one record per range.
 ///
-/// Sized by in-progress/completed migrations, not by clients — the lookup is
-/// a short scan because concurrent migrations are rare (§4.7: migration
-/// "happens rarely").
+/// The fast path asks only [`Migrations::refusal`]; the table is sized by
+/// migrations, not by clients, and is a short scan because migration
+/// "happens rarely" (§4.7).
 #[derive(Debug, Clone, Default)]
-pub struct RegionTable {
-    regions: Vec<Region>,
+pub struct Migrations {
+    ranges: Vec<Record>,
 }
 
-impl RegionTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
+impl Migrations {
+    /// How the fast path must answer an access to `(pid, va)`: `Conflict`
+    /// while its range streams out, `Moved` once it has left, `None` to
+    /// serve it.
+    pub fn refusal(&self, pid: Pid, va: u64) -> Option<Status> {
+        self.ranges.iter().find_map(|r| match r.phase {
+            _ if r.pid != pid || va < r.start || va >= r.start + r.len => None,
+            Phase::Out { .. } => Some(Status::Conflict),
+            Phase::Moved => Some(Status::Moved),
+            Phase::In => None,
+        })
     }
 
-    /// The phase of the region containing `(pid, va)`, if it is migrating
-    /// or moved.
-    pub fn phase_of(&self, pid: Pid, va: u64) -> Option<RegionPhase> {
-        self.regions
-            .iter()
-            .find(|r| r.pid == pid && va >= r.start && va < r.start + r.len)
-            .map(|r| r.phase)
+    /// `(outgoing, incoming)` migrations in progress.
+    pub fn in_progress(&self) -> (u64, u64) {
+        let (mut outgoing, mut incoming) = (0, 0);
+        for r in &self.ranges {
+            match r.phase {
+                Phase::Out { .. } => outgoing += 1,
+                Phase::In => incoming += 1,
+                Phase::Moved => {}
+            }
+        }
+        (outgoing, incoming)
     }
 
-    /// Marks a region as migrating.
-    pub fn begin(&mut self, pid: Pid, start: u64, len: u64) {
-        self.regions.push(Region { pid, start, len, phase: RegionPhase::Migrating });
+    /// The index of the record of `(pid, start)` in the phase `phase` picks.
+    fn find(&self, pid: Pid, start: u64, phase: fn(&Phase) -> bool) -> Option<usize> {
+        self.ranges.iter().position(|r| r.pid == pid && r.start == start && phase(&r.phase))
     }
 
-    /// Marks a migrating region as moved to `to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region was not previously marked migrating.
-    pub fn complete(&mut self, pid: Pid, start: u64, to: Mac) {
-        let r = self
-            .regions
-            .iter_mut()
-            .find(|r| r.pid == pid && r.start == start && r.phase == RegionPhase::Migrating)
-            .expect("completing a migration that never began");
-        r.phase = RegionPhase::Moved { to };
+    /// Starts moving the range `cmd` names: it is refused from now on, and
+    /// the destination is offered it.
+    pub fn start(
+        &mut self,
+        silicon: &Silicon,
+        now: SimTime,
+        cmd: MigrateCommand,
+        out: &mut Vec<Effect>,
+    ) {
+        let MigrateCommand { pid, start, len, dst } = cmd;
+        let page = silicon.config().page_size;
+        let table = silicon.vm().page_table();
+        let vpns: Vec<u64> = table
+            .iter_pid(pid)
+            .filter(|p| (start..start + len).contains(&(p.vpn * page)))
+            .map(|p| p.vpn)
+            .collect();
+        let perm = table.iter_pid(pid).next().map_or(Perm::RW, |p| p.perm);
+        self.ranges.push(Record { pid, start, len, phase: Phase::Out { dst, vpns } });
+        let msg = MigrationMsg::Offer { pid, start, len, perm };
+        out.push(Effect::Send { at: now + TURNAROUND, dst, msg });
     }
 
-    /// Aborts a migration (e.g. the destination refused the range).
-    pub fn abort(&mut self, pid: Pid, start: u64) {
-        self.regions
-            .retain(|r| !(r.pid == pid && r.start == start && r.phase == RegionPhase::Migrating));
-    }
-
-    /// Number of tracked regions.
-    pub fn len(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// True if no regions are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
+    /// Handles one message from the peer board at `src`, arriving `now`.
+    pub fn receive(
+        &mut self,
+        silicon: &mut Silicon,
+        slow: &mut SlowPath,
+        now: SimTime,
+        src: Mac,
+        msg: MigrationMsg,
+        out: &mut Vec<Effect>,
+    ) {
+        let page = silicon.config().page_size;
+        let send = |at, dst, msg| Effect::Send { at, dst, msg };
+        match msg {
+            MigrationMsg::Offer { pid, start, len, perm } => {
+                let accepted = slow.adopt_range(pid, VaRange { start, len, perm }).is_ok();
+                if accepted {
+                    self.ranges.push(Record { pid, start, len, phase: Phase::In });
+                }
+                let reply = MigrationMsg::OfferReply { pid, start, accepted };
+                out.push(send(now + TURNAROUND, src, reply));
+            }
+            MigrationMsg::OfferReply { pid, start, accepted } => {
+                let out_phase = |p: &Phase| matches!(p, Phase::Out { .. });
+                let Some(i) = self.find(pid, start, out_phase) else { return };
+                if !accepted {
+                    self.ranges.remove(i);
+                    return;
+                }
+                let Record { len, phase: Phase::Out { dst, ref vpns }, .. } = self.ranges[i] else {
+                    unreachable!("found in phase Out")
+                };
+                let mut t = now;
+                for &vpn in vpns {
+                    // Never-touched pages carry no data.
+                    let Some(&pte) = silicon.vm().page_table().lookup(pid, vpn) else { continue };
+                    if !pte.valid {
+                        continue;
+                    }
+                    let (data, read_done) = silicon.read_phys(t, pte.ppn * page, page as usize);
+                    t = read_done;
+                    out.push(send(
+                        t,
+                        dst,
+                        MigrationMsg::PageData { pid, vpn, perm: pte.perm, data },
+                    ));
+                }
+                out.push(send(t, dst, MigrationMsg::Commit { pid, start, len }));
+            }
+            MigrationMsg::PageData { pid, vpn, perm, data } => {
+                // An overloaded destination drops the page, and the commit
+                // exposes the gap.
+                let Some(ppn) = slow.palloc_mut().alloc() else { return };
+                let pte = Pte { pid, vpn, ppn, perm, valid: true };
+                if slow.shadow_install(pte).is_err() || silicon.vm_mut().install_pte(pte).is_err() {
+                    slow.palloc_mut().free(ppn);
+                    return;
+                }
+                silicon.write_phys(now, ppn * page, &data);
+            }
+            MigrationMsg::Commit { pid, start, len } => {
+                let Some(i) = self.find(pid, start, |p| matches!(p, Phase::In)) else { return };
+                self.ranges.remove(i);
+                // Pages that never held data arrive as holes.
+                for vpn in start / page..(start + len) / page {
+                    if silicon.vm().page_table().lookup(pid, vpn).is_none() {
+                        let pte = Pte { pid, vpn, ppn: 0, perm: Perm::RW, valid: false };
+                        let _ = slow.shadow_install(pte);
+                        let _ = silicon.vm_mut().install_pte(pte);
+                    }
+                }
+                out.push(send(now + TURNAROUND, src, MigrationMsg::Done { pid, start }));
+            }
+            MigrationMsg::Done { pid, start } => {
+                let out_phase = |p: &Phase| matches!(p, Phase::Out { .. });
+                let Some(i) = self.find(pid, start, out_phase) else { return };
+                let r = &mut self.ranges[i];
+                let Phase::Out { dst, vpns } = std::mem::replace(&mut r.phase, Phase::Moved) else {
+                    unreachable!("found in phase Out")
+                };
+                out.push(Effect::Unmap { pid, vpns });
+                out.push(Effect::Complete(MigrationComplete { pid, start, len: r.len, dst }));
+            }
+        }
     }
 }
 
@@ -191,34 +316,230 @@ pub struct MigrationComplete {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CBoardConfig;
 
-    #[test]
-    fn region_lifecycle() {
-        let mut t = RegionTable::new();
-        assert!(t.is_empty());
-        t.begin(Pid(1), 0x1000, 0x2000);
-        assert_eq!(t.phase_of(Pid(1), 0x1000), Some(RegionPhase::Migrating));
-        assert_eq!(t.phase_of(Pid(1), 0x2fff), Some(RegionPhase::Migrating));
-        assert_eq!(t.phase_of(Pid(1), 0x3000), None);
-        assert_eq!(t.phase_of(Pid(2), 0x1000), None);
-        t.complete(Pid(1), 0x1000, Mac(9));
-        assert_eq!(t.phase_of(Pid(1), 0x1500), Some(RegionPhase::Moved { to: Mac(9) }));
-        assert_eq!(t.len(), 1);
+    const PAGE: u64 = 4 << 10;
+    const PID: Pid = Pid(7);
+
+    /// One board's migration machine with the silicon and slow path it
+    /// works on.
+    struct Board {
+        mac: Mac,
+        m: Migrations,
+        silicon: Silicon,
+        slow: SlowPath,
     }
 
-    #[test]
-    fn abort_clears_migrating_state() {
-        let mut t = RegionTable::new();
-        t.begin(Pid(1), 0, 4096);
-        t.abort(Pid(1), 0);
-        assert!(t.is_empty());
-        assert_eq!(t.phase_of(Pid(1), 0), None);
+    impl Board {
+        fn new(mac: u32) -> Self {
+            let cfg = CBoardConfig::test_small();
+            assert_eq!(cfg.hw.page_size, PAGE);
+            let (silicon, slow) = (Silicon::new(cfg.hw.clone()), SlowPath::new(&cfg));
+            Board { mac: Mac(mac), m: Migrations::default(), silicon, slow }
+        }
+
+        /// Allocates `pages` pages of `perm` for [`PID`], as the board's
+        /// `Alloc` does.
+        fn alloc(&mut self, pages: u64, perm: Perm) -> u64 {
+            self.slow.create_as(PID);
+            let a = self.slow.alloc(PID, pages * PAGE, perm, None).expect("alloc");
+            for pte in a.ptes {
+                self.silicon.vm_mut().install_pte(pte).expect("pte");
+            }
+            a.range.start
+        }
+
+        /// Writes through the fast path, faulting pages in.
+        fn write(&mut self, va: u64, data: &[u8]) {
+            let demand = self.silicon.vm().async_buffer().refill_demand();
+            for ppn in self.slow.refill_pages(demand).0 {
+                self.silicon.vm_mut().async_buffer_mut().push(ppn);
+            }
+            self.silicon.write(SimTime::ZERO, PID, va, data).0.expect("write");
+        }
+
+        fn pte(&self, va: u64) -> Option<Pte> {
+            self.silicon.vm().page_table().lookup(PID, va / PAGE).copied()
+        }
+
+        fn command(&mut self, start: u64, pages: u64, dst: Mac) -> Vec<Effect> {
+            let mut out = Vec::new();
+            let cmd = MigrateCommand { pid: PID, start, len: pages * PAGE, dst };
+            self.m.start(&self.silicon, SimTime::ZERO, cmd, &mut out);
+            out
+        }
+
+        fn receive(&mut self, now: SimTime, src: Mac, msg: MigrationMsg) -> Vec<Effect> {
+            let mut out = Vec::new();
+            self.m.receive(&mut self.silicon, &mut self.slow, now, src, msg, &mut out);
+            out
+        }
     }
 
+    /// Runs the protocol between `boards` to quiescence: delivers the
+    /// earliest pending `Send` to the other board until none is left, and
+    /// returns every other effect with the index of the board that asked
+    /// for it.
+    fn shuttle(boards: &mut [Board; 2], from: usize, effects: Vec<Effect>) -> Vec<(usize, Effect)> {
+        let mut pending: Vec<(usize, Effect)> = effects.into_iter().map(|e| (from, e)).collect();
+        let mut rest = Vec::new();
+        while !pending.is_empty() {
+            let at = |e: &Effect| match e {
+                Effect::Send { at, .. } => *at,
+                _ => SimTime::ZERO,
+            };
+            let next = (0..pending.len()).min_by_key(|&i| at(&pending[i].1)).expect("non-empty");
+            match pending.remove(next) {
+                (from, Effect::Send { at, dst, msg }) => {
+                    let to = 1 - from;
+                    assert_eq!(dst, boards[to].mac, "sent to a board that is not the peer");
+                    let src = boards[from].mac;
+                    pending.extend(boards[to].receive(at, src, msg).into_iter().map(|e| (to, e)));
+                }
+                other => rest.push(other),
+            }
+        }
+        rest
+    }
+
+    fn pair() -> [Board; 2] {
+        [Board::new(1), Board::new(2)]
+    }
+
+    /// A whole `Offer…Done`: the written pages arrive with their bytes, the
+    /// untouched ones as holes, and the source is told to unmap the range
+    /// and report it landed.
     #[test]
-    #[should_panic(expected = "never began")]
-    fn completing_unknown_region_panics() {
-        let mut t = RegionTable::new();
-        t.complete(Pid(1), 0, Mac(1));
+    fn offer_to_done_moves_the_written_bytes_and_keeps_the_holes() {
+        let mut boards = pair();
+        let va = boards[0].alloc(4, Perm::RW);
+        boards[0].write(va, b"page zero");
+        boards[0].write(va + 2 * PAGE + 100, b"page two");
+        let dst = boards[1].mac;
+        let start = boards[0].command(va, 4, dst);
+        let mut rest = shuttle(&mut boards, 0, start);
+
+        let [src, dst_board] = &mut boards;
+        let read = |b: &mut Board, va, len| b.silicon.read(SimTime::ZERO, PID, va, len).0;
+        assert_eq!(read(dst_board, va, 9).as_deref(), Ok(&b"page zero"[..]));
+        assert_eq!(read(dst_board, va + 2 * PAGE + 100, 8).as_deref(), Ok(&b"page two"[..]));
+        for hole in [va + PAGE, va + 3 * PAGE] {
+            let pte = dst_board.pte(hole).expect("a hole is mapped");
+            assert!(!pte.valid, "an untouched page arrived with a frame");
+        }
+        assert_eq!(dst_board.slow.shadow().len(), 4, "the shadow table mirrors every page");
+
+        if let Some((_, Effect::Unmap { vpns, .. })) = rest.first_mut() {
+            vpns.sort_unstable();
+        }
+        let vpns = (va / PAGE..va / PAGE + 4).collect();
+        let len = 4 * PAGE;
+        assert_eq!(
+            rest,
+            [
+                (0, Effect::Unmap { pid: PID, vpns }),
+                (0, Effect::Complete(MigrationComplete { pid: PID, start: va, len, dst })),
+            ]
+        );
+        assert_eq!((src.m.in_progress(), dst_board.m.in_progress()), ((0, 0), (0, 0)));
+    }
+
+    /// The fast path's answer in each phase: `Conflict` on every byte of a
+    /// range while it streams out, `Moved` once it has landed, nothing for
+    /// the range being received, bytes outside it or another process.
+    #[test]
+    fn refusal_follows_the_phase() {
+        let mut boards = pair();
+        let va = boards[0].alloc(2, Perm::RW);
+        let len = 2 * PAGE;
+        let dst = boards[1].mac;
+        let offer = boards[0].command(va, 2, dst);
+        let refusals = |m: &Migrations| {
+            [va, va + len - 1, va + len, va - 1].map(|a| m.refusal(PID, a)).to_vec()
+        };
+        let out = Some(Status::Conflict);
+        assert_eq!(refusals(&boards[0].m), [out, out, None, None]);
+        assert_eq!(boards[0].m.refusal(Pid(8), va), None, "another process's range");
+        assert_eq!(boards[0].m.in_progress(), (1, 0));
+
+        let [Effect::Send { at, msg, .. }] = &offer[..] else { panic!("one offer: {offer:?}") };
+        let reply = boards[1].receive(*at, boards[0].mac, msg.clone());
+        assert_eq!(refusals(&boards[1].m), [None; 4], "the destination serves what it receives");
+        assert_eq!(boards[1].m.in_progress(), (0, 1));
+
+        shuttle(&mut boards, 1, reply);
+        let moved = Some(Status::Moved);
+        assert_eq!(refusals(&boards[0].m), [moved, moved, None, None]);
+        assert_eq!(refusals(&boards[1].m), [None; 4]);
+        assert_eq!((boards[0].m.in_progress(), boards[1].m.in_progress()), ((0, 0), (0, 0)));
+    }
+
+    /// A destination that already holds part of the range refuses the
+    /// offer, and the source drops its record: the range is served again.
+    #[test]
+    fn a_refused_offer_drops_the_record() {
+        let mut boards = pair();
+        let va = boards[0].alloc(2, Perm::RW);
+        assert_eq!(boards[1].alloc(1, Perm::RW), va, "the destination holds the first page");
+        let dst = boards[1].mac;
+        let offer = boards[0].command(va, 2, dst);
+        let rest = shuttle(&mut boards, 0, offer);
+
+        assert_eq!(rest, []);
+        assert_eq!(boards[0].m.refusal(PID, va), None, "an aborted range is served again");
+        assert_eq!((boards[0].m.in_progress(), boards[1].m.in_progress()), ((0, 0), (0, 0)));
+        assert!(boards[0].pte(va).is_some(), "an aborted range keeps its pages");
+    }
+
+    /// A message for a range the board holds no record of changes nothing.
+    #[test]
+    fn messages_for_unknown_ranges_are_ignored() {
+        let mut b = Board::new(1);
+        let va = b.alloc(1, Perm::RW);
+        let src = Mac(2);
+        let now = SimTime::ZERO;
+        let reply = MigrationMsg::OfferReply { pid: PID, start: va, accepted: true };
+        assert_eq!(b.receive(now, src, reply), []);
+        assert_eq!(b.receive(now, src, MigrationMsg::Done { pid: PID, start: va }), []);
+        assert_eq!(b.m.refusal(PID, va), None);
+        assert_eq!(b.m.in_progress(), (0, 0));
+    }
+
+    /// Two ranges of one process move at once: their pages interleave on
+    /// the wire, and each commit installs its own range's holes and ends
+    /// only its own record.
+    #[test]
+    fn concurrent_ranges_of_one_pid_commit_their_own_pages() {
+        let mut boards = pair();
+        let a = boards[0].alloc(3, Perm::RW);
+        let b = boards[0].alloc(3, Perm::RW);
+        for (i, va) in [(1u8, a), (2, b)] {
+            boards[0].write(va, &[i; 64]);
+            boards[0].write(va + 2 * PAGE, &[i + 10; 64]);
+        }
+        let dst = boards[1].mac;
+        let mut offers = boards[0].command(a, 3, dst);
+        offers.extend(boards[0].command(b, 3, dst));
+        assert_eq!(boards[0].m.in_progress(), (2, 0));
+        let rest = shuttle(&mut boards, 0, offers);
+
+        let done: Vec<u64> = rest
+            .iter()
+            .filter_map(|(_, e)| match e {
+                Effect::Complete(c) => Some(c.start),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(done, [a, b], "each range reports its own landing");
+        let dst_board = &mut boards[1];
+        for (i, va) in [(1u8, a), (2, b)] {
+            let read = |b: &mut Board, va| b.silicon.read(SimTime::ZERO, PID, va, 64).0;
+            assert_eq!(read(dst_board, va).as_deref(), Ok(&[i; 64][..]));
+            assert_eq!(read(dst_board, va + 2 * PAGE).as_deref(), Ok(&[i + 10; 64][..]));
+            assert!(!dst_board.pte(va + PAGE).expect("hole").valid);
+        }
+        assert_eq!((boards[0].m.in_progress(), boards[1].m.in_progress()), ((0, 0), (0, 0)));
+        assert_eq!(boards[0].m.refusal(PID, a), Some(Status::Moved));
+        assert_eq!(boards[0].m.refusal(PID, b + 3 * PAGE - 1), Some(Status::Moved));
     }
 }
