@@ -46,6 +46,7 @@ struct Record {
     pid: Pid,
     start: u64,
     len: u64,
+    perm: Perm,
     phase: Phase,
 }
 
@@ -130,8 +131,9 @@ impl Migrations {
             .filter(|p| (start..start + len).contains(&(p.vpn * page)))
             .map(|p| p.vpn)
             .collect();
-        let perm = table.iter_pid(pid).next().map_or(Perm::RW, |p| p.perm);
-        self.ranges.push(Record { pid, start, len, phase: Phase::Out { dst, vpns } });
+        // One allocation, one permission: the range's first page has it.
+        let perm = table.lookup(pid, start / page).map_or(Perm::RW, |p| p.perm);
+        self.ranges.push(Record { pid, start, len, perm, phase: Phase::Out { dst, vpns } });
         let msg = MigrationMsg::Offer { pid, start, len, perm };
         out.push(Effect::Send { at: now + TURNAROUND, dst, msg });
     }
@@ -152,7 +154,7 @@ impl Migrations {
             MigrationMsg::Offer { pid, start, len, perm } => {
                 let accepted = slow.adopt_range(pid, VaRange { start, len, perm }).is_ok();
                 if accepted {
-                    self.ranges.push(Record { pid, start, len, phase: Phase::In });
+                    self.ranges.push(Record { pid, start, len, perm, phase: Phase::In });
                 }
                 let reply = MigrationMsg::OfferReply { pid, start, accepted };
                 out.push(send(now + TURNAROUND, src, reply));
@@ -197,11 +199,12 @@ impl Migrations {
             }
             MigrationMsg::Commit { pid, start, len } => {
                 let Some(i) = self.find(pid, start, |p| matches!(p, Phase::In)) else { return };
-                self.ranges.remove(i);
-                // Pages that never held data arrive as holes.
+                let perm = self.ranges.remove(i).perm;
+                // Pages that never held data arrive as holes of the range's
+                // permission.
                 for vpn in start / page..(start + len) / page {
                     if silicon.vm().page_table().lookup(pid, vpn).is_none() {
-                        let pte = Pte { pid, vpn, ppn: 0, perm: Perm::RW, valid: false };
+                        let pte = Pte { pid, vpn, ppn: 0, perm, valid: false };
                         let _ = slow.shadow_install(pte);
                         let _ = silicon.vm_mut().install_pte(pte);
                     }

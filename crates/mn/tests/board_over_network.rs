@@ -635,94 +635,77 @@ fn crash_clears_volatile_state_and_redundant_restart_is_noop() {
     assert_eq!(&got[..], b"again", "cold dedup buffer no longer suppresses the retry");
 }
 
-#[test]
-fn migration_moves_data_and_redirects_clients() {
-    // Two boards, one client.
-    let mut sim = Simulation::new(7);
-    let mut net = Network::new(&mut sim, NetworkConfig::default());
-    let cfg = CBoardConfig::test_small();
+/// A [`Rig`] with a second board on the same switch: its `(id, mac)`.
+fn two_board_rig() -> (Rig, ActorId, Mac) {
+    let mut r = rig();
+    let port = r.net.create_port(clio_sim::Bandwidth::from_gbps(10));
+    let mac = port.mac();
+    let id = r.sim.add_actor(CBoard::new("mn1", CBoardConfig::test_small(), port));
+    r.net.attach(&mut r.sim, mac, id);
+    (r, id, mac)
+}
 
-    let p0 = net.create_port(clio_sim::Bandwidth::from_gbps(10));
-    let m0 = p0.mac();
-    let b0 = sim.add_actor(CBoard::new("mn0", cfg.clone(), p0));
-    net.attach(&mut sim, m0, b0);
-
-    let p1 = net.create_port(clio_sim::Bandwidth::from_gbps(10));
-    let m1 = p1.mac();
-    let b1 = sim.add_actor(CBoard::new("mn1", cfg, p1));
-    net.attach(&mut sim, m1, b1);
-
-    let pc = net.create_port(clio_sim::Bandwidth::from_gbps(40));
-    let mc = pc.mac();
-    let client = sim.add_actor(RawClient {
-        nic: pc,
-        board: m0,
-        responses: vec![],
-        reassembler: Reassembler::new(),
-        reads: vec![],
-    });
-    net.attach(&mut sim, mc, client);
-
-    // Allocate and write on board 0.
-    sim.post(
-        client,
-        Message::new(SendNow(ClioPacket::Request {
-            header: ReqHeader::single(ReqId(1), Pid(7)),
-            body: RequestBody::Alloc { size: 8192, perm: Perm::RW, fixed_va: None },
-        })),
-    );
-    sim.run_until_idle();
-    let va = {
-        let c = sim.actor::<RawClient>(client);
-        match &c.responses.last().unwrap().1 {
-            ClioPacket::Response { body: ResponseBody::Alloced { va }, .. } => *va,
-            other => panic!("unexpected {other:?}"),
-        }
-    };
-    sim.post(
-        client,
-        Message::new(SendWrite {
-            req_id: ReqId(2),
-            retry_of: None,
-            pid: Pid(7),
-            va,
-            data: Bytes::from_static(b"migrate me!"),
-        }),
-    );
-    sim.run_until_idle();
-
-    // Controller command: move the region to board 1.
-    sim.post(b0, Message::new(MigrateCommand { pid: Pid(7), start: va, len: 8192, dst: m1 }));
-    sim.run_until_idle();
-
-    // Old owner redirects.
-    sim.post(
-        client,
-        Message::new(SendNow(ClioPacket::Request {
-            header: ReqHeader::single(ReqId(3), Pid(7)),
-            body: RequestBody::Read { va, len: 11 },
-        })),
-    );
-    sim.run_until_idle();
-    {
-        let c = sim.actor::<RawClient>(client);
-        match &c.responses.last().unwrap().1 {
-            ClioPacket::Response { header, .. } => assert_eq!(header.status, Status::Moved),
-            other => panic!("unexpected {other:?}"),
+impl Rig {
+    fn status_of(&self, id: u64) -> Status {
+        match self.response_for(id) {
+            Some(ClioPacket::Response { header, .. }) => header.status,
+            other => panic!("no response to {id}: {other:?}"),
         }
     }
 
+    /// Moves pid 7's `[start, start + len)` from the first board to `dst`
+    /// and points the client at `dst`.
+    fn migrate(&mut self, start: u64, len: u64, dst: Mac) {
+        self.sim.post(self.board_id, Message::new(MigrateCommand { pid: Pid(7), start, len, dst }));
+        self.sim.run_until_idle();
+        self.sim.actor_mut::<RawClient>(self.client_id).board = dst;
+    }
+}
+
+fn write(req_id: u64, va: u64, data: &'static [u8]) -> Message {
+    let data = Bytes::from_static(data);
+    Message::new(SendWrite { req_id: ReqId(req_id), retry_of: None, pid: Pid(7), va, data })
+}
+
+#[test]
+fn migration_moves_data_and_redirects_clients() {
+    let (mut r, _, mn1) = two_board_rig();
+    let va = r.alloc(1, 7, 8192, Perm::RW);
+    r.send(write(2, va, b"migrate me!"));
+    r.migrate(va, 8192, mn1);
+
+    // Old owner redirects.
+    r.sim.actor_mut::<RawClient>(r.client_id).board = r.board_mac;
+    r.send(req(3, 7, RequestBody::Read { va, len: 11 }));
+    assert_eq!(r.status_of(3), Status::Moved);
+
     // New owner serves the data.
-    sim.actor_mut::<RawClient>(client).board = m1;
-    sim.post(
-        client,
-        Message::new(SendNow(ClioPacket::Request {
-            header: ReqHeader::single(ReqId(4), Pid(7)),
-            body: RequestBody::Read { va, len: 11 },
-        })),
-    );
-    sim.run_until_idle();
-    let c = sim.actor::<RawClient>(client);
-    let (_, got) = c.reads.last().expect("read from new owner");
+    r.sim.actor_mut::<RawClient>(r.client_id).board = mn1;
+    r.send(req(4, 7, RequestBody::Read { va, len: 11 }));
+    let (_, got) = r.sim.actor::<RawClient>(r.client_id).reads.last().expect("read from new owner");
     assert_eq!(&got[..], b"migrate me!");
+}
+
+/// A migrated range keeps its permission: the destination refuses a write
+/// to a read-only page, whether it held data or not, as the source did.
+///
+/// Regression: the source offered the permission of the process's first
+/// page-table entry, whatever range that was, and the destination installed
+/// every page that never held data read-write.
+#[test]
+fn a_migrated_read_only_range_stays_read_only() {
+    let (mut r, _, mn1) = two_board_rig();
+    r.alloc(1, 7, 8192, Perm::RW);
+    let va = r.alloc(2, 7, 2 * 4096, Perm::READ);
+    // Reading faults the first page in; the second stays untouched.
+    r.send(req(3, 7, RequestBody::Read { va, len: 8 }));
+    r.send(write(4, va + 4096, b"x"));
+    let before = r.status_of(4);
+    assert_eq!(before, Status::PermDenied);
+
+    r.migrate(va, 2 * 4096, mn1);
+    r.send(write(5, va, b"x"));
+    r.send(write(6, va + 4096, b"x"));
+    assert_eq!(r.status_of(5), before, "the page that held data turned writable");
+    assert_eq!(r.status_of(6), before, "the page that never held data turned writable");
 }
