@@ -180,11 +180,13 @@ impl Cluster {
     }
 
     /// The unified metrics registry: a view that walks every CN's
-    /// CLib/transport/runtime metrics and every MN's board/silicon/VM/TLB
-    /// counters as they are now, under `cn<i>.*` / `mn<i>.*`. A measurement
-    /// window is the difference of two snapshots.
+    /// CLib/transport/runtime metrics, every MN's board/silicon/VM/TLB
+    /// counters and the controller's migration counters as they are now,
+    /// under `cn<i>.*` / `mn<i>.*` / `controller.*`. A measurement window is
+    /// the difference of two snapshots.
     pub fn registry(&self) -> Registry<'_> {
         let mut registry = Registry::default();
+        registry.add("controller", self.controller());
         for i in 0..self.cns.len() {
             registry.add(format!("cn{i}"), self.cn(i));
         }

@@ -19,6 +19,17 @@ use clio_mn::migrate::{MigrateCommand, MigrationComplete, PressureReport};
 use clio_net::Mac;
 use clio_proto::Pid;
 use clio_sim::{Actor, ActorId, Ctx, Message, SimDuration, SimTime};
+use clio_trace::metrics::{Metrics, Visit};
+
+clio_trace::counters! {
+    /// The controller's migration statistics.
+    pub struct MigrationStats: "migration" {
+        /// `MigrateCommand`s issued.
+        started,
+        /// Migrations that landed (`MigrationComplete`s received).
+        completed,
+    }
+}
 
 /// Management RPC: where should this allocation go?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,8 +157,7 @@ pub struct Controller {
     cns: Vec<ActorId>,
     ranges: Vec<TrackedRange>,
     rpc_latency: SimDuration,
-    migrations_started: u64,
-    migrations_completed: u64,
+    stats: MigrationStats,
 }
 
 impl Controller {
@@ -159,8 +169,7 @@ impl Controller {
             cns: Vec::new(),
             ranges: Vec::new(),
             rpc_latency: SimDuration::from_micros(2),
-            migrations_started: 0,
-            migrations_completed: 0,
+            stats: MigrationStats::default(),
         }
     }
 
@@ -194,11 +203,6 @@ impl Controller {
     /// Registered memory nodes, in registration order.
     pub fn mn_macs(&self) -> Vec<Mac> {
         self.mns.iter().map(|m| m.mac).collect()
-    }
-
-    /// `(started, completed)` migration counters.
-    pub fn migration_stats(&self) -> (u64, u64) {
-        (self.migrations_started, self.migrations_completed)
     }
 
     /// Takes `bytes` of placement charge off the MN at `mac` (a free, a
@@ -288,13 +292,13 @@ impl Controller {
             .actor;
         let victim = &mut self.ranges[victim_idx];
         victim.migrating = true;
-        self.migrations_started += 1;
+        self.stats.started += 1;
         let cmd = MigrateCommand { pid: victim.pid, start: victim.va, len: victim.len, dst };
         ctx.send(src_actor, self.rpc_latency, Message::new(cmd));
     }
 
     fn handle_complete(&mut self, ctx: &mut Ctx<'_>, done: MigrationComplete) {
-        self.migrations_completed += 1;
+        self.stats.completed += 1;
         let mut src: Option<Mac> = None;
         for r in &mut self.ranges {
             if r.pid == done.pid && r.va == done.start {
@@ -321,6 +325,13 @@ impl Controller {
                 RouteUpdate { pid: done.pid, start: done.start, len: done.len, mn: done.dst };
             ctx.send(cn, self.rpc_latency, Message::new(update));
         }
+    }
+}
+
+/// `migration.*`.
+impl Metrics for Controller {
+    fn counters(&self, f: &mut Visit<'_>) {
+        self.stats.each(f);
     }
 }
 
@@ -415,6 +426,14 @@ impl Actor for Controller {
 mod tests {
     use super::*;
     use clio_sim::Simulation;
+    use clio_trace::metrics::Registry;
+
+    /// The controller's `migration.<name>` counter, read through a registry.
+    fn migration_counter(sim: &Simulation, ctrl: ActorId, name: &str) -> Option<u64> {
+        let mut registry = Registry::default();
+        registry.add("controller", sim.actor::<Controller>(ctrl));
+        registry.counter(&format!("controller.migration.{name}"))
+    }
 
     /// Sink that records placement/route replies.
     struct Sink {
@@ -583,7 +602,8 @@ mod tests {
             }),
         );
         sim.run_until_idle();
-        assert_eq!(sim.actor::<Controller>(ctrl).migration_stats(), (1, 1));
+        let counts = ["started", "completed"].map(|n| migration_counter(&sim, ctrl, n));
+        assert_eq!(counts, [Some(1), Some(1)]);
     }
 
     /// Regression (issue 10): migration completion must debit the source

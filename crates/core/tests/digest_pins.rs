@@ -208,8 +208,10 @@ fn run_two_mn() -> (Pin, u64) {
     });
     cluster.start();
     cluster.run_until_idle();
+    let migrations = ["started", "completed"]
+        .map(|n| cluster.registry().counter(&format!("controller.migration.{n}")));
+    assert_eq!(migrations, [Some(1), Some(1)], "one committed migration");
     let ctrl = cluster.controller();
-    assert_eq!(ctrl.migration_stats(), (1, 1), "one committed migration");
     for &mn in cluster.mn_macs() {
         assert!(ctrl.placed_bytes_of(mn) > 0, "nothing placed on {mn}");
     }

@@ -165,8 +165,10 @@ fn pressure_triggered_migration_keeps_reads_correct_under_traffic() {
     // Exactly one migration: mn0 reported pressure once (the latch holds
     // while it stays above threshold) and the victim moved to mn1, which
     // stays far below the bar.
+    let migrations = ["started", "completed"]
+        .map(|n| cluster.registry().counter(&format!("controller.migration.{n}")));
+    assert_eq!(migrations, [Some(1), Some(1)], "expected one committed migration");
     let ctrl = cluster.controller();
-    assert_eq!(ctrl.migration_stats(), (1, 1), "expected one committed migration");
 
     let ranges = ranges.borrow();
     assert_eq!(ranges.len(), 6, "an allocation never completed");
@@ -266,7 +268,7 @@ fn multi_mn_smoke_matches_single_mn_baseline_and_is_digest_stable() {
             for cn in 0..4 {
                 assert_eq!(cluster.cn(cn).clib().route_of(pid, va, LEN), Some(dst));
             }
-            assert_eq!(cluster.controller().migration_stats().1, 1);
+            assert_eq!(cluster.registry().counter("controller.migration.completed"), Some(1));
         }
         for cn in 0..4 {
             assert_eq!(cluster.cn(cn).clib().in_flight(), 0, "cn{cn} window did not drain");
