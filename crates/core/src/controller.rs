@@ -15,7 +15,7 @@
 //!   and invalidates CN routing.
 
 use clio_cn::Route;
-use clio_mn::migrate::{MigrateCommand, MigrationComplete, PressureReport};
+use clio_mn::migrate::{MigrateCommand, MigrationAborted, MigrationComplete, PressureReport};
 use clio_net::Mac;
 use clio_proto::Pid;
 use clio_sim::{Actor, ActorId, Ctx, Message, SimDuration, SimTime};
@@ -28,6 +28,8 @@ clio_trace::counters! {
         started,
         /// Migrations that landed (`MigrationComplete`s received).
         completed,
+        /// Migrations called off (`MigrationAborted`s received).
+        aborted,
     }
 }
 
@@ -326,6 +328,17 @@ impl Controller {
             ctx.send(cn, self.rpc_latency, Message::new(update));
         }
     }
+
+    /// A range that did not move stays with its owner and may be picked
+    /// again.
+    fn handle_abort(&mut self, abort: MigrationAborted) {
+        self.stats.aborted += 1;
+        for r in &mut self.ranges {
+            if r.pid == abort.pid && r.va == abort.start {
+                r.migrating = false;
+            }
+        }
+    }
 }
 
 /// `migration.*`.
@@ -411,6 +424,13 @@ impl Actor for Controller {
         let msg = match msg.downcast::<PressureReport>() {
             Ok(r) => {
                 self.handle_pressure(ctx, r);
+                return;
+            }
+            Err(m) => m,
+        };
+        let msg = match msg.downcast::<MigrationAborted>() {
+            Ok(abort) => {
+                self.handle_abort(abort);
                 return;
             }
             Err(m) => m,
@@ -604,6 +624,43 @@ mod tests {
         sim.run_until_idle();
         let counts = ["started", "completed"].map(|n| migration_counter(&sim, ctrl, n));
         assert_eq!(counts, [Some(1), Some(1)]);
+    }
+
+    /// A migration the destination refused is reported, and the range it
+    /// named is a candidate again: the next pressure report picks it.
+    ///
+    /// Regression: the range stayed `migrating`, so victim selection
+    /// skipped it for good.
+    #[test]
+    fn an_aborted_migration_frees_its_range_for_the_next_pick() {
+        let mut sim = Simulation::new(5);
+        struct BoardStub {
+            cmds: Vec<MigrateCommand>,
+        }
+        impl Actor for BoardStub {
+            fn on_message(&mut self, _ctx: &mut Ctx<'_>, msg: Message) {
+                self.cmds.push(msg.downcast::<MigrateCommand>().expect("cmd"));
+            }
+        }
+        let board = sim.add_actor(BoardStub { cmds: vec![] });
+        let mut c = Controller::new();
+        c.register_mn(Mac(10), board, 1 << 30, 1 << 30, 1 << 30);
+        c.register_mn(Mac(20), board, 2 << 30, 1 << 30, 8 << 30);
+        let ctrl = sim.add_actor(c);
+        let range = AllocNotify { pid: Pid(3), va: 1 << 30, len: 8192, mn: Mac(10) };
+        let pressure = PressureReport { mac: Mac(10), utilization: 0.95 };
+        sim.post(ctrl, Message::new(range));
+        sim.post(ctrl, Message::new(pressure));
+        sim.run_until_idle();
+        sim.post(ctrl, Message::new(MigrationAborted { pid: Pid(3), start: 1 << 30 }));
+        sim.post(ctrl, Message::new(pressure));
+        sim.run_until_idle();
+
+        let cmds = &sim.actor::<BoardStub>(board).cmds;
+        assert_eq!(cmds.len(), 2, "the aborted range was never picked again");
+        assert_eq!(cmds[0], cmds[1]);
+        let counts = ["started", "completed", "aborted"].map(|n| migration_counter(&sim, ctrl, n));
+        assert_eq!(counts, [Some(2), Some(0), Some(1)]);
     }
 
     /// Regression (issue 10): migration completion must debit the source

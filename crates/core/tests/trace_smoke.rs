@@ -228,6 +228,7 @@ const COUNTER_NAMES: &[&str] = &[
     "cn0.transport.circuit_open_total",
     "cn0.transport.retries",
     "cn0.transport.retry_frames",
+    "controller.migration.aborted",
     "controller.migration.completed",
     "controller.migration.started",
     "mn0.board.batched_requests",

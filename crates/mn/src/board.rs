@@ -1144,6 +1144,7 @@ impl CBoard {
                 Effect::Send { at, dst, msg } => self.send_migration(ctx, at, dst, msg),
                 Effect::Unmap { pid, vpns } => self.unmap(pid, &vpns),
                 Effect::Complete(done) => self.notify(ctx, Message::new(done)),
+                Effect::Abort(abort) => self.notify(ctx, Message::new(abort)),
             }
         }
     }

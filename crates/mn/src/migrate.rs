@@ -71,6 +71,8 @@ pub enum Effect {
     },
     /// Tell the controller the range landed.
     Complete(MigrationComplete),
+    /// Tell the controller the range stays where it is.
+    Abort(MigrationAborted),
 }
 
 /// The migration protocol on one board (sans I/O): one record per range.
@@ -164,7 +166,7 @@ impl Migrations {
                 let Some(i) = self.find(pid, start, out_phase) else { return };
                 if !accepted {
                     self.ranges.remove(i);
-                    return;
+                    return out.push(Effect::Abort(MigrationAborted { pid, start }));
                 }
                 let Record { len, phase: Phase::Out { dst, ref vpns }, .. } = self.ranges[i] else {
                     unreachable!("found in phase Out")
@@ -301,6 +303,16 @@ pub struct PressureReport {
     pub mac: Mac,
     /// Its current physical-memory utilization in `[0, 1]`.
     pub utilization: f64,
+}
+
+/// Notification to the controller that a migration was called off because
+/// the destination refused the range: the source still owns it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MigrationAborted {
+    /// Owning process.
+    pub pid: Pid,
+    /// Region start.
+    pub start: u64,
 }
 
 /// Notification to the controller that a migration finished.
@@ -478,9 +490,10 @@ mod tests {
     }
 
     /// A destination that already holds part of the range refuses the
-    /// offer, and the source drops its record: the range is served again.
+    /// offer: the source drops its record, so the range is served again,
+    /// and tells the controller.
     #[test]
-    fn a_refused_offer_drops_the_record() {
+    fn a_refused_offer_is_dropped_and_reported() {
         let mut boards = pair();
         let va = boards[0].alloc(2, Perm::RW);
         assert_eq!(boards[1].alloc(1, Perm::RW), va, "the destination holds the first page");
@@ -488,7 +501,7 @@ mod tests {
         let offer = boards[0].command(va, 2, dst);
         let rest = shuttle(&mut boards, 0, offer);
 
-        assert_eq!(rest, []);
+        assert_eq!(rest, [(0, Effect::Abort(MigrationAborted { pid: PID, start: va }))]);
         assert_eq!(boards[0].m.refusal(PID, va), None, "an aborted range is served again");
         assert_eq!((boards[0].m.in_progress(), boards[1].m.in_progress()), ((0, 0), (0, 0)));
         assert!(boards[0].pte(va).is_some(), "an aborted range keeps its pages");
