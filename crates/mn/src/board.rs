@@ -57,6 +57,14 @@
 //! It is connectionless: every response is routed by the source MAC of the
 //! request frame.
 //!
+//! Migration state (§4.7) does not live in the board's own fields: every
+//! range the board is sending, has sent or is receiving is one record in
+//! its one [`Migrations`] (`crate::migrate`). The board dispatches
+//! `MigrateCommand`s and `MigrationMsg` frames to it, sizes the frames
+//! (`send_migration`), executes the [`Effect`]s it returns, runs the
+//! pressure latch, and counts the fast path's `conflicts` and `moved`
+//! from [`Migrations::refusal`].
+//!
 //! # Invariants
 //!
 //! The board-side half of the transport contract, checked exhaustively by

@@ -12,7 +12,47 @@
 //! the board is sending, has sent, or is receiving. It works on the board's
 //! [`Silicon`] and [`SlowPath`] directly and returns everything else it
 //! needs done — sends, unmaps, controller notices — as [`Effect`]s, which
-//! the board executes in order.
+//! the board executes in order. The exchange:
+//!
+//! ```text
+//! source                                   destination
+//! MigrateCommand: record Out ── Offer ──────→ VA range adopted: record In
+//!                            ←─ OfferReply ── (or refused: no record)
+//! refused: record dropped, Abort notice
+//! accepted: each valid page  ── PageData ───→ installed with its bytes
+//!                            ── Commit ─────→ holes installed, record dropped
+//! record Moved, Unmap and    ←─ Done ────────
+//!   Complete notice
+//! ```
+//!
+//! # Invariants
+//!
+//! Each is enforced by the test it names (`tests::` is this module's).
+//!
+//! 1. **One record per range.** A range has one record on a board: `Out`
+//!    from its command until `Done`, then `Moved`; `In` from an accepted
+//!    `Offer` until its `Commit`. Concurrent ranges, one process's too, are
+//!    told apart by `(pid, start)` and commit only their own pages
+//!    (`tests::concurrent_ranges_of_one_pid_commit_their_own_pages`).
+//! 2. **The fast path's answer follows the phase.** `Conflict` on every
+//!    byte of an `Out` range, `Moved` once it has landed; a range being
+//!    received, an aborted one, bytes outside a range and other processes
+//!    are served (`tests::refusal_follows_the_phase`,
+//!    `tests::a_refused_offer_is_dropped_and_reported`).
+//! 3. **Bytes, holes and permission arrive intact.** Every page valid at
+//!    the source arrives with its bytes; every other page of the range
+//!    arrives as a hole; both keep the range's permission
+//!    (`tests::offer_to_done_moves_the_written_bytes_and_keeps_the_holes`,
+//!    `board_over_network.rs`'s `a_migrated_read_only_range_stays_read_only`).
+//! 4. **Every answered offer reaches the controller.** A `Done` yields a
+//!    `Complete` notice, a refusal an `Abort` notice (the same two tests as
+//!    3 and 2). A lost message still strands its range: the protocol has
+//!    no retransmit or timeout yet.
+//! 5. **A message for a range without a record changes nothing**
+//!    (`tests::messages_for_unknown_ranges_are_ignored`).
+//! 6. **The board adds no order of its own.** It runs the effects in the
+//!    order they come, so the two-MN shape of `digest_pins.rs` and
+//!    `tests/multi_mn.rs` pin every send's time and order.
 
 use bytes::Bytes;
 use clio_hw::pagetable::Pte;
@@ -516,14 +556,17 @@ mod tests {
         let now = SimTime::ZERO;
         let reply = MigrationMsg::OfferReply { pid: PID, start: va, accepted: true };
         assert_eq!(b.receive(now, src, reply), []);
+        let commit = MigrationMsg::Commit { pid: PID, start: va + PAGE, len: PAGE };
+        assert_eq!(b.receive(now, src, commit), []);
+        assert_eq!(b.pte(va + PAGE), None, "a commit without an offer installed a hole");
         assert_eq!(b.receive(now, src, MigrationMsg::Done { pid: PID, start: va }), []);
         assert_eq!(b.m.refusal(PID, va), None);
         assert_eq!(b.m.in_progress(), (0, 0));
     }
 
-    /// Two ranges of one process move at once: their pages interleave on
-    /// the wire, and each commit installs its own range's holes and ends
-    /// only its own record.
+    /// Two ranges of one process move at once: both are being received
+    /// when the first commits, and each commit installs its own range's
+    /// holes and ends only its own record.
     #[test]
     fn concurrent_ranges_of_one_pid_commit_their_own_pages() {
         let mut boards = pair();
@@ -537,7 +580,14 @@ mod tests {
         let mut offers = boards[0].command(a, 3, dst);
         offers.extend(boards[0].command(b, 3, dst));
         assert_eq!(boards[0].m.in_progress(), (2, 0));
-        let rest = shuttle(&mut boards, 0, offers);
+        let src = boards[0].mac;
+        let mut replies = Vec::new();
+        for offer in offers {
+            let Effect::Send { at, msg, .. } = offer else { panic!("not a send: {offer:?}") };
+            replies.extend(boards[1].receive(at, src, msg));
+        }
+        assert_eq!(boards[1].m.in_progress(), (0, 2));
+        let rest = shuttle(&mut boards, 1, replies);
 
         let done: Vec<u64> = rest
             .iter()

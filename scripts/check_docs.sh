@@ -191,6 +191,17 @@ if [ "$fail" -ne 0 ]; then
   echo "docs/ARCHITECTURE.md checker-fork section is stale (see above)"
   exit 1
 fi
+# Migration tour: "Cluster & sharding" explains the migration protocol by
+# its one machine, so the section must name it and migrate.rs must still
+# define it.
+sed -n '/^## Cluster & sharding/,/^## /p' "$DOC" | grep -qw 'Migrations' \
+  || { echo "cluster docs do not name \`Migrations\`"; fail=1; }
+grep -q '^pub struct Migrations' crates/mn/src/migrate.rs \
+  || { echo "crates/mn/src/migrate.rs no longer defines \`Migrations\`"; fail=1; }
+if [ "$fail" -ne 0 ]; then
+  echo "docs/ARCHITECTURE.md cluster section is stale (see above)"
+  exit 1
+fi
 # Re-measuring: the A/B script perf changes report with must exist, and
 # the section that tells how to compare two commits must name it.
 sed -n '/^### Re-measuring/,/^## /p' "$DOC" | grep -q 'scripts/ab\.sh' \
