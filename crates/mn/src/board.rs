@@ -756,22 +756,14 @@ impl CBoard {
         self.last_completion = self.last_completion.max(done);
     }
 
-    /// Sends `msg` to the controller, if one is registered.
-    fn notify(&self, ctx: &mut Ctx<'_>, msg: Message) {
-        if let Some(controller) = self.controller {
-            ctx.send(controller, SimDuration::from_micros(1), msg);
-        }
-    }
-
     fn check_pressure(&mut self, ctx: &mut Ctx<'_>) {
-        if self.controller.is_none() {
-            return;
-        }
+        let Some(controller) = self.controller else { return };
         let util = self.slow.palloc().utilization();
         if util >= self.pressure_threshold && !self.pressure_reported {
             self.pressure_reported = true;
-            self.notify(
-                ctx,
+            ctx.send(
+                controller,
+                SimDuration::from_micros(1),
                 Message::new(PressureReport { mac: self.nic.mac(), utilization: util }),
             );
         } else if util < self.pressure_threshold * PRESSURE_REARM_FRACTION {
@@ -1143,6 +1135,13 @@ impl CBoard {
             _ => 64,
         } + ETH_OVERHEAD_BYTES) as u32;
         self.nic.send_at(ctx, at, dst, wire, Message::new(msg));
+    }
+
+    /// Sends `msg` to the controller, if one is registered.
+    fn notify(&self, ctx: &mut Ctx<'_>, msg: Message) {
+        if let Some(controller) = self.controller {
+            ctx.send(controller, SimDuration::from_micros(1), msg);
+        }
     }
 
     /// Carries out what the migration machine asked for, in order.

@@ -220,11 +220,8 @@ impl Migrations {
                     }
                     let (data, read_done) = silicon.read_phys(t, pte.ppn * page, page as usize);
                     t = read_done;
-                    out.push(send(
-                        t,
-                        dst,
-                        MigrationMsg::PageData { pid, vpn, perm: pte.perm, data },
-                    ));
+                    let msg = MigrationMsg::PageData { pid, vpn, perm: pte.perm, data };
+                    out.push(send(t, dst, msg));
                 }
                 out.push(send(t, dst, MigrationMsg::Commit { pid, start, len }));
             }
