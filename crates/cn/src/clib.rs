@@ -14,6 +14,11 @@
 //! * `rlock` spins on MN-side test-and-set with local backoff; `runlock`
 //!   stores 0 (§4.5 T3).
 //!
+//! [`CLib::finish`] decides every re-issue of an op — a lock spin, a
+//! fence's next leg, a backoff after a `Conflict` refusal (the range is
+//! migrating, §4.7), a re-route after `Moved` — and each one re-enters
+//! the transport through [`Transport::send`], like a first submission.
+//!
 //! CLib routes every op not submitted to a named memory node
 //! ([`crate::route`]) and asks its host for what needs the global
 //! controller ([`Notice`]). An op has one token and one record here,
@@ -25,7 +30,7 @@ use std::ops::RangeInclusive;
 
 use bytes::Bytes;
 use clio_net::{Frame, Mac, NicPort};
-use clio_proto::Pid;
+use clio_proto::{Pid, Status};
 use clio_sim::{Ctx, IdMap, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
@@ -133,6 +138,8 @@ struct PendingOp {
     routed: bool,
     /// `Moved` re-routes so far.
     moved: u32,
+    /// `Conflict` refusals backed off from so far.
+    conflicts: u32,
     /// A fence's first failed leg: a fence that missed an MN did not fence.
     leg_error: Option<ClioError>,
 }
@@ -141,6 +148,13 @@ struct PendingOp {
 /// [`CLib::on_timer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockRetry {
+    token: OpToken,
+}
+
+/// Timer message ending a `Conflict` backoff; hosts route it to
+/// [`CLib::on_timer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConflictRetry {
     token: OpToken,
 }
 
@@ -444,6 +458,7 @@ impl CLib {
             trace: None,
             routed: mn.is_none(),
             moved: 0,
+            conflicts: 0,
             leg_error: None,
         };
         match target {
@@ -484,9 +499,9 @@ impl CLib {
         }
     }
 
-    /// Hands a pending op to the transport (a lock's every TAS attempt and
-    /// a fence's every leg come through here); a token no longer pending is
-    /// ignored.
+    /// Hands a pending op to the transport (a lock's every TAS attempt, a
+    /// fence's every leg and every re-issue after a `Conflict` come through
+    /// here); a token no longer pending is ignored.
     fn dispatch(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -556,9 +571,19 @@ impl CLib {
             }
             Err(m) => m,
         };
-        match msg.downcast::<LockRetry>() {
+        let msg = match msg.downcast::<LockRetry>() {
             Ok(LockRetry { token }) => {
                 // Re-issue the TAS for a still-pending lock.
+                self.dispatch(ctx, nic, token, completions);
+                return None;
+            }
+            Err(m) => m,
+        };
+        match msg.downcast::<ConflictRetry>() {
+            Ok(ConflictRetry { token }) => {
+                // Re-issue a still-pending op after its backoff.
+                let trace = self.ops.get(&token)?.trace;
+                self.tracer.stitch(trace, self.track, Stage::ConflictBackoff, ctx.now());
                 self.dispatch(ctx, nic, token, completions);
                 None
             }
@@ -594,8 +619,9 @@ impl CLib {
         true
     }
 
-    /// Processes one finished transfer: lock spinning, fence legs, `Moved`
-    /// re-routes, ordering release, completion delivery.
+    /// Processes one finished transfer: lock spinning, `Conflict` backoff,
+    /// fence legs, `Moved` re-routes — every re-issue is decided here — then
+    /// ordering release and completion delivery.
     fn finish(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -610,6 +636,17 @@ impl CLib {
             // Lock spinning: TAS returned 1 -> not acquired; back off and retry.
             (Op::Lock { .. }, Ok(CompletionValue::Old(old))) if *old != 0 => {
                 ctx.schedule(self.cfg.lock_backoff, Message::new(LockRetry { token }));
+                return;
+            }
+            // The range is migrating: back off (longer after each refusal)
+            // and re-issue, still in the thread's order; past the budget
+            // the refusal is the op's result.
+            (_, Err(ClioError::Remote(Status::Conflict)))
+                if pending.conflicts < self.cfg.max_conflict_retries =>
+            {
+                let backoff = self.cfg.conflict_backoff * (1 + pending.conflicts.min(16) as u64);
+                pending.conflicts += 1;
+                ctx.schedule(backoff, Message::new(ConflictRetry { token }));
                 return;
             }
             // A routed fence's legs run one after another, in slice order,

@@ -68,9 +68,7 @@
 //!    equals the sum of `expected_bytes` over all outstanding requests,
 //!    and each MN's congestion window holds exactly one slot per
 //!    outstanding request toward that MN. Retries keep the slots of the
-//!    requests they replace; parked conflicts hold **no** window slots
-//!    (both windows are released before parking and re-acquired when the
-//!    request rejoins the send queue).
+//!    requests they replace; queued sends hold none.
 //! 2. **Request-id freshness.** Every transmission — first attempt or
 //!    retry — uses a fresh id from a strictly monotonic per-CN counter;
 //!    no id is ever reused on the wire. Retries of non-idempotent
@@ -81,16 +79,17 @@
 //!    (The model checker caught the predecessor-linked variant of this
 //!    re-executing an atomic; see `tests/mc_regressions.rs`.)
 //! 3. **One live transfer per token, completed once.** A token has at
-//!    most one transfer outstanding, queued or parked (a fence's legs and
-//!    an op's re-routes reuse it one after another, and `parked_conflicts`
-//!    is keyed by it), and each completes exactly once (success, remote
-//!    error, or `TimedOut` after `max_retries` exhausted attempts) however
-//!    many duplicates, stale responses or stale NACKs arrive afterwards —
-//!    the outstanding-id lookup drops those.
+//!    most one transfer outstanding or queued (CLib re-issues it one
+//!    transfer after another: a fence's legs, lock spins, `Conflict`
+//!    backoffs and `Moved` re-routes), and each completes exactly once
+//!    (success, remote error — `Conflict` included — or `TimedOut` after
+//!    `max_retries` exhausted attempts) however many duplicates, stale
+//!    responses or stale NACKs arrive afterwards — the outstanding-id
+//!    lookup drops those.
 //! 4. **Quiescence drains everything.** Once every token has completed
-//!    and no frame or timer is in flight, `in_flight`, `queued`,
-//!    `parked` and `incast_in_flight` are all zero: no orphaned window
-//!    slots, queued sends, or parked conflicts survive.
+//!    and no frame or timer is in flight, `in_flight`, `queued` and
+//!    `incast_in_flight` are all zero: no orphaned window slots or queued
+//!    sends survive.
 //! 5. **Release, then drain.** Window space is released in one function,
 //!    and every public entry point ([`on_packet`], [`on_timer`],
 //!    [`cancel`]) drains the send queues before returning iff slots were
@@ -166,8 +165,6 @@ pub enum TransportTimer {
     Pump(Mac),
     /// Queued retransmissions toward an MN may now coalesce and ship.
     RetryPump(Mac),
-    /// Re-issue a request refused with `Conflict`.
-    ConflictRetry(OpToken),
     /// An open circuit breaker toward an MN may move to half-open and let
     /// a probe through.
     BreakerProbe(Mac),
@@ -234,7 +231,6 @@ struct Outstanding {
     attempt_sent_at: SimTime,
     first_sent_at: SimTime,
     retries: u32,
-    conflict_retries: u32,
     timer: Option<EventId>,
     /// Observability context for this op (attempt number advances on every
     /// retry). `None` when tracing is disabled or the op was not sampled.
@@ -247,9 +243,6 @@ struct QueuedSend {
     pid: Pid,
     op: Op,
     enqueued_at: SimTime,
-    /// `Conflict` refusals this op has already backed off from (zero for a
-    /// first send; carried through every park-and-rejoin).
-    conflict_retries: u32,
     trace: Option<TraceCtx>,
 }
 
@@ -257,7 +250,7 @@ struct QueuedSend {
 /// slots are handed back ([`Transport::release`]).
 #[derive(Debug, Clone, Copy)]
 enum Outcome {
-    /// Answered (success, remote error or `Conflict`) after this RTT.
+    /// Answered (success or remote error) after this RTT.
     Answered(SimDuration),
     /// Given up on after unanswered or NACKed attempts.
     Lost,
@@ -356,7 +349,6 @@ pub struct Transport {
     cfg: CLibConfig,
     next_req: u64,
     outstanding: IdMap<ReqId, Outstanding>,
-    parked_conflicts: IdMap<OpToken, Outstanding>,
     /// The one per-MN table: send queue, congestion window, doorbell, retry
     /// queue and breaker of every MN this CN has sent to.
     peers: IdMap<Mac, Peer>,
@@ -399,7 +391,6 @@ impl Transport {
             cfg,
             next_req: cn_id << 40,
             outstanding: IdMap::default(),
-            parked_conflicts: IdMap::default(),
             peers: IdMap::default(),
             reassembler: Reassembler::new(),
             released: false,
@@ -452,11 +443,6 @@ impl Transport {
         self.peers.values().map(|p| p.queue.len()).sum()
     }
 
-    /// Requests parked awaiting a conflict-retry backoff.
-    pub fn parked(&self) -> usize {
-        self.parked_conflicts.len()
-    }
-
     /// Expected response bytes currently held by the incast window.
     pub fn incast_in_flight(&self) -> u64 {
         self.iwnd.in_flight()
@@ -466,10 +452,10 @@ impl Transport {
     /// [module docs](self)) that must hold at every event boundary:
     ///
     /// * incast in-flight bytes == Σ `expected_bytes` over outstanding
-    ///   requests (parked conflicts and queued sends hold no bytes),
+    ///   requests (queued sends hold no bytes),
     /// * each MN's congestion window holds exactly one slot per
     ///   outstanding request toward it,
-    /// * no token has two live transfers (outstanding, queued or parked).
+    /// * no token has two live transfers (outstanding or queued).
     ///
     /// Returns a human-readable description of the first violation. Called
     /// by the `clio_mc` explorer at every settled state; cheap enough for
@@ -498,13 +484,12 @@ impl Transport {
         // Pairwise, allocating nothing: the checker calls this per state.
         let live = || {
             let queued = self.peers.values().flat_map(|p| p.queue.iter().map(|q| q.token));
-            let parked = self.parked_conflicts.keys().copied();
-            self.outstanding.values().map(|o| o.token).chain(queued).chain(parked)
+            self.outstanding.values().map(|o| o.token).chain(queued)
         };
         for (i, token) in live().enumerate() {
             if live().skip(i + 1).any(|t| t == token) {
                 return Err(format!(
-                    "token {token:?} has two live transfers (outstanding, queued or parked)"
+                    "token {token:?} has two live transfers (outstanding or queued)"
                 ));
             }
         }
@@ -513,8 +498,7 @@ impl Transport {
 
     /// A digest of the transport's **logical** state, independent of table
     /// layout: outstanding requests (id, token, target, retry counts,
-    /// expected bytes, every field of the op), parked conflicts, every
-    /// peer's queued sends, queued retransmissions, window slot count and
+    /// expected bytes, every field of the op), every peer's queued sends, queued retransmissions, window slot count and
     /// breaker state, the incast byte count and the id counter.
     ///
     /// Absolute times (timer deadlines, RTT/gap EWMAs, fractional window
@@ -533,20 +517,12 @@ impl Transport {
                 e = mix(e, o.token.0);
                 e = mix(e, o.target.0 as u64);
                 e = mix(e, o.retries as u64);
-                e = mix(e, o.conflict_retries as u64);
                 e = mix(e, o.expected_bytes);
                 mix(e, digest(&o.op))
             })
             .collect();
         outstanding.sort_unstable();
         h = mix_section(h, 1, &outstanding);
-        let mut parked: Vec<u64> = self
-            .parked_conflicts
-            .iter()
-            .map(|(t, o)| mix(mix(MIX_SEED, t.0), o.conflict_retries as u64))
-            .collect();
-        parked.sort_unstable();
-        h = mix_section(h, 2, &parked);
         // One pass over the peers in `Mac` order; queues hash in queue order.
         let mut peers: Vec<(&Mac, &Peer)> = self.peers.iter().collect();
         peers.sort_unstable_by_key(|(mac, _)| **mac);
@@ -675,14 +651,7 @@ impl Transport {
         self.tracer.stitch(trace, self.track, Stage::Submit, now);
         let peer = self.peer(target);
         peer.doorbell.observe(now);
-        peer.queue.push_back(QueuedSend {
-            token,
-            pid,
-            op,
-            enqueued_at: now,
-            conflict_retries: 0,
-            trace,
-        });
+        peer.queue.push_back(QueuedSend { token, pid, op, enqueued_at: now, trace });
     }
 
     /// The doorbell's latency budget toward `target`: a quarter of the
@@ -803,7 +772,6 @@ impl Transport {
                     attempt_sent_at: now,
                     first_sent_at: q.enqueued_at,
                     retries: 0,
-                    conflict_retries: q.conflict_retries,
                     timer: None,
                     trace: q.trace,
                 },
@@ -969,7 +937,7 @@ impl Transport {
     /// Cancels every attempt of `token` still owned by the transport:
     /// in-flight requests (timer cancelled, window slots released without a
     /// congestion signal, reassembly state dropped), queued sends, queued
-    /// retransmissions, and parked conflicts — then lets the sends queued
+    /// and queued retransmissions — then lets the sends queued
     /// behind the freed slots go. The caller owns reporting the op's
     /// completion (e.g. `DeadlineExceeded`) upward. A response or NACK for
     /// a cancelled id arriving later is dropped by the outstanding-id
@@ -996,7 +964,6 @@ impl Transport {
             peer.retries.retain(|(id, _)| outstanding.contains_key(id));
             peer.queue.retain(|s| s.token != token);
         }
-        self.parked_conflicts.remove(&token);
         self.drain_released(ctx, nic, done);
     }
 
@@ -1008,9 +975,9 @@ impl Transport {
     /// * A response or NACK whose id is not outstanding (stale duplicate,
     ///   or a late original overtaken by its own retry) is dropped without
     ///   touching windows — double releases are structurally impossible.
-    /// * Completing entries release both window slots exactly once;
-    ///   `Conflict` responses release windows **before** parking, so a
-    ///   parked request holds no window state.
+    /// * Completing entries release both window slots exactly once,
+    ///   whatever their status: a `Conflict` refusal completes like any
+    ///   other remote error (CLib decides whether to re-issue it).
     /// * A NACK within the retry budget keeps both window slots and moves
     ///   the request to a fresh id (`retry_of` set for non-idempotent
     ///   ops); past the budget it releases the slots and reports
@@ -1124,18 +1091,6 @@ impl Transport {
                     rtt: now.since(o.first_sent_at) + self.cfg.recv_overhead,
                 });
             }
-            Status::Conflict => {
-                // Region mid-migration: back off and re-issue.
-                if o.conflict_retries >= self.cfg.max_conflict_retries {
-                    let error = ClioError::Remote(Status::Conflict);
-                    fail(done, now, o.token, o.first_sent_at, error);
-                } else {
-                    let backoff =
-                        self.cfg.conflict_backoff * (1 + o.conflict_retries.min(16) as u64);
-                    ctx.schedule(backoff, Message::new(TransportTimer::ConflictRetry(o.token)));
-                    self.parked_conflicts.insert(o.token, o);
-                }
-            }
             status => fail(done, now, o.token, o.first_sent_at, ClioError::from(status)),
         }
     }
@@ -1216,9 +1171,8 @@ impl Transport {
     ///   (timeout = congestion) but keeps both window slots for the
     ///   retransmission, which is the same logical request under a fresh
     ///   id; past the budget it releases the slots and reports `TimedOut`.
-    /// * `ConflictRetry` moves a parked request (which holds no window
-    ///   slots) to the **front** of its send queue, so it re-acquires
-    ///   windows through the same admission path as a first send.
+    /// * A `Pump` or `BreakerProbe` admits queued sends only through the
+    ///   window checks a first send passes; nothing rejoins a queue here.
     pub fn on_timer(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1236,23 +1190,6 @@ impl Transport {
                 // actually completes.
                 if self.peer(mac).breaker.on_probe() {
                     self.kick(ctx, nic, mac, done);
-                }
-            }
-            TransportTimer::ConflictRetry(token) => {
-                if let Some(o) = self.parked_conflicts.remove(&token) {
-                    // Rejoin the send queue (at the front: it is the oldest
-                    // logical request) so window accounting stays uniform.
-                    let target = o.target;
-                    self.tracer.stitch(o.trace, self.track, Stage::ConflictBackoff, ctx.now());
-                    self.peer(target).queue.push_front(QueuedSend {
-                        token: o.token,
-                        pid: o.pid,
-                        op: o.op,
-                        enqueued_at: o.first_sent_at,
-                        conflict_retries: o.conflict_retries + 1,
-                        trace: o.trace,
-                    });
-                    self.kick(ctx, nic, target, done);
                 }
             }
         }

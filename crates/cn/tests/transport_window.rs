@@ -1,7 +1,8 @@
 //! Property test: transport window accounting is conserved.
 //!
 //! A scripted memory node answers each request with an arbitrary
-//! (proptest-chosen) fate — success, remote error, `Conflict` refusal,
+//! (proptest-chosen) fate — success, remote error (`PermDenied`, or a
+//! `Conflict` refusal, which the transport completes like any other),
 //! link-layer NACK, or silence (forcing a timeout) — and the test asserts
 //! that once every submitted request has completed or failed, all three
 //! window accounts drain to zero: transport `outstanding`, the congestion
@@ -243,8 +244,6 @@ fn run_case(op_kinds: &[u8], script: &[u8], batch_max_ops: u32, seed: u64) {
         iwnd_bytes: 256,
         request_timeout: SimDuration::from_micros(20),
         max_retries: 2,
-        conflict_backoff: SimDuration::from_micros(10),
-        max_conflict_retries: 1,
         batch_max_ops,
         ..CLibConfig::prototype()
     };
@@ -263,7 +262,6 @@ fn run_case(op_kinds: &[u8], script: &[u8], batch_max_ops: u32, seed: u64) {
     assert_eq!(tokens, (0..n as u64).collect::<Vec<_>>(), "token set mismatch");
     assert_eq!(host.transport.in_flight(), 0, "outstanding not drained");
     assert_eq!(host.transport.queued(), 0, "send queue not drained");
-    assert_eq!(host.transport.parked(), 0, "conflict parking not drained");
     assert_eq!(host.transport.incast_in_flight(), 0, "incast bytes leaked");
     assert_eq!(host.transport.cwnd(MN_MAC).outstanding(), 0, "cwnd slots leaked");
 }
@@ -375,7 +373,6 @@ fn cancel_drains_the_sends_queued_behind_the_freed_slot() {
         assert!(host.done[0].result.is_ok(), "op 1 failed: {:?}", host.done[0].result);
         assert_eq!(host.transport.in_flight(), 0, "outstanding not drained");
         assert_eq!(host.transport.queued(), 0, "op 1 stranded in the send queue");
-        assert_eq!(host.transport.parked(), 0, "conflict parking not drained");
         assert_eq!(host.transport.incast_in_flight(), 0, "incast bytes leaked");
         assert_eq!(host.transport.cwnd(MN_MAC).outstanding(), 0, "cwnd slots leaked");
         host.transport.check_invariants().expect("window accounting after cancel");
@@ -425,7 +422,6 @@ fn total_loss_burst_exhausts_retries_exactly_and_leaks_nothing() {
     );
     assert_eq!(host.transport.in_flight(), 0, "outstanding not drained");
     assert_eq!(host.transport.queued(), 0, "send queue not drained");
-    assert_eq!(host.transport.parked(), 0, "conflict parking not drained");
     assert_eq!(host.transport.incast_in_flight(), 0, "incast bytes leaked");
     host.transport.check_invariants().expect("window accounting after total loss");
     // Bounded by the retry budget (generous slack for window pacing):
