@@ -1,13 +1,17 @@
 //! CLib ↔ CBoard integration: the full CN software stack against a real
 //! memory node over the simulated fabric, including loss/corruption retries,
-//! ordering, and lock-based mutual exclusion across compute nodes.
+//! ordering, and lock-based mutual exclusion across compute nodes. The
+//! `Conflict` policy (CLib backs off and re-issues a refused op) runs
+//! against a scripted board that refuses the first requests it sees.
 
 use bytes::Bytes;
 use clio_cn::{CLib, CLibConfig, ClioError, Completion, CompletionValue, Op, OpToken, ThreadId};
 use clio_mn::{CBoard, CBoardConfig};
 use clio_net::{FaultInjector, Frame, Mac, Network, NetworkConfig, NicPort};
-use clio_proto::{Perm, Pid, Status};
-use clio_sim::{Actor, ActorId, Bandwidth, Ctx, Message, SimDuration, Simulation};
+use clio_proto::{
+    codec, ClioPacket, Perm, Pid, RequestBody, RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES,
+};
+use clio_sim::{Actor, ActorId, Bandwidth, Ctx, Message, SimDuration, SimTime, Simulation};
 
 /// Instruction to a CN host to submit an op.
 #[derive(Clone)]
@@ -15,6 +19,10 @@ struct Submit {
     thread: ThreadId,
     op: Op,
 }
+
+/// Instruction to a CN host to cancel a pending op, as a deadline would.
+#[derive(Clone)]
+struct Cancel(OpToken);
 
 /// A CN host actor embedding CLib.
 struct CnHost {
@@ -44,6 +52,15 @@ impl Actor for CnHost {
                 let mut comps = Vec::new();
                 let (nic, mn) = (&mut self.nic, self.mn);
                 self.clib.submit(ctx, nic, s.thread, Some(mn), PID, ctx.now(), s.op, &mut comps);
+                self.absorb(comps);
+                return;
+            }
+            Err(m) => m,
+        };
+        let msg = match msg.downcast::<Cancel>() {
+            Ok(Cancel(token)) => {
+                let mut comps = Vec::new();
+                assert!(self.clib.cancel(ctx, &mut self.nic, token, &mut comps), "not pending");
                 self.absorb(comps);
                 return;
             }
@@ -389,4 +406,175 @@ fn offload_call_via_clib() {
         CompletionValue::Data(d) => assert_eq!(&d[..], b"ping"),
         other => panic!("expected data, got {other:?}"),
     }
+}
+
+// ---------------------------------------------------------------------
+// The `Conflict` policy, against a scripted board
+// ---------------------------------------------------------------------
+
+const SCRIPTED_CN: Mac = Mac(1);
+const SCRIPTED_MN: Mac = Mac(2);
+
+/// A board that refuses the first `refusals` requests it receives with
+/// `Conflict` (as a board migrating the range would) and serves every
+/// later one with `Ok`. It doubles as the CN NIC's switch, so frames
+/// arrive here directly; it logs each request's arrival.
+struct ScriptedBoard {
+    cn: Option<ActorId>,
+    refusals: usize,
+    seen: Vec<(SimTime, RequestBody)>,
+}
+
+impl Actor for ScriptedBoard {
+    fn name(&self) -> &str {
+        "scripted-board"
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+        let frame = msg.downcast::<Frame>().expect("frame");
+        let ClioPacket::Request { header, body } =
+            frame.payload.downcast::<ClioPacket>().expect("clio packet")
+        else {
+            panic!("one request per frame expected")
+        };
+        let (status, resp) = if self.seen.len() < self.refusals {
+            (Status::Conflict, ResponseBody::Done)
+        } else {
+            match &body {
+                RequestBody::Read { len, .. } => (
+                    Status::Ok,
+                    ResponseBody::DataFrag { offset: 0, data: Bytes::from(vec![0; *len as usize]) },
+                ),
+                _ => (Status::Ok, ResponseBody::Done),
+            }
+        };
+        self.seen.push((ctx.now(), body));
+        let pkt =
+            ClioPacket::Response { header: RespHeader::single(header.req_id, status), body: resp };
+        let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
+        let reply = Frame::new(SCRIPTED_MN, SCRIPTED_CN, wire, Message::new(pkt));
+        ctx.send(self.cn.expect("wired up"), SimDuration::from_micros(1), Message::new(reply));
+    }
+}
+
+/// A CLib host wired to a board that refuses its first `refusals`
+/// requests; returns the host's and the board's ids.
+fn scripted_rig(refusals: usize, cfg: CLibConfig) -> (Simulation, ActorId, ActorId) {
+    let mut sim = Simulation::new(5);
+    let board = sim.add_actor(ScriptedBoard { cn: None, refusals, seen: Vec::new() });
+    let nic =
+        NicPort::new(SCRIPTED_CN, Bandwidth::from_gbps(40), board, SimDuration::from_nanos(50));
+    let cn = sim.add_actor(CnHost {
+        nic,
+        clib: CLib::new(cfg, 1, 4096, Vec::new()),
+        mn: SCRIPTED_MN,
+        completions: vec![],
+    });
+    sim.actor_mut::<ScriptedBoard>(board).cn = Some(cn);
+    (sim, cn, board)
+}
+
+fn write(va: u64, fill: u8) -> Op {
+    Op::Write { va, data: Bytes::from(vec![fill; 8]) }
+}
+
+/// The backoffs before the first `k` re-issues: `conflict_backoff × (1 +
+/// min(n, 16))` after the n-th refusal.
+fn backoff_sum(cfg: &CLibConfig, k: u64) -> SimDuration {
+    (0..k).map(|n| cfg.conflict_backoff * (1 + n.min(16))).fold(SimDuration::ZERO, |a, b| a + b)
+}
+
+/// A refused op backs off once per refusal and then completes `Ok`, no
+/// earlier than the backoffs add up to. While it backs off CLib holds it
+/// and the transport holds nothing.
+#[test]
+fn a_conflict_refused_op_backs_off_and_completes_once_served() {
+    const K: usize = 3;
+    let cfg = CLibConfig::default();
+    let (mut sim, cn, board) = scripted_rig(K, cfg);
+    sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
+    // The first refusal lands within a few µs; the first backoff is 100 µs.
+    sim.run_for(cfg.conflict_backoff / 2);
+    assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), 1, "refused once so far");
+    let host = sim.actor::<CnHost>(cn);
+    assert_eq!(host.clib.transport().in_flight(), 0, "the transport holds a backing-off op");
+    assert_eq!(host.clib.transport().queued(), 0);
+    assert_eq!(host.clib.in_flight(), 1, "CLib holds the op while it backs off");
+    assert!(host.completions.is_empty());
+
+    sim.run_until_idle();
+    assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), K + 1, "one request per attempt");
+    let host = sim.actor::<CnHost>(cn);
+    let [c] = &host.completions[..] else { panic!("one completion: {:?}", host.completions) };
+    assert_eq!(c.result, Ok(CompletionValue::Done));
+    assert!(c.latency() >= backoff_sum(&cfg, K as u64), "completed after {}", c.latency());
+    assert_eq!(host.clib.in_flight(), 0);
+    host.clib.transport().check_invariants().expect("window accounting");
+}
+
+/// Past `max_conflict_retries` backoffs the refusal is the op's result.
+#[test]
+fn a_conflict_past_the_budget_is_the_result() {
+    const K: usize = 3;
+    let cfg = CLibConfig { max_conflict_retries: K as u32 - 1, ..CLibConfig::default() };
+    let (mut sim, cn, board) = scripted_rig(K, cfg);
+    sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
+    sim.run_until_idle();
+    assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), K, "no attempt past the budget");
+    let host = sim.actor::<CnHost>(cn);
+    let [c] = &host.completions[..] else { panic!("one completion: {:?}", host.completions) };
+    assert_eq!(c.result, Err(ClioError::Remote(Status::Conflict)));
+    assert!(c.latency() >= backoff_sum(&cfg, K as u64 - 1), "completed after {}", c.latency());
+    assert_eq!(host.clib.in_flight(), 0);
+}
+
+/// A backing-off op keeps its place in its thread's order: a same-page
+/// write the thread submits meanwhile waits for it, reaches the board
+/// after the refused op's last attempt, and completes after it.
+#[test]
+fn a_same_page_write_waits_for_the_backing_off_op() {
+    const K: usize = 2;
+    let cfg = CLibConfig::default();
+    let (mut sim, cn, board) = scripted_rig(K, cfg);
+    sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
+    sim.post_in(
+        cn,
+        cfg.conflict_backoff / 2,
+        Message::new(Submit { thread: ThreadId(0), op: write(0x1008, 2) }),
+    );
+    sim.run_until_idle();
+    let seen: Vec<u8> = sim
+        .actor::<ScriptedBoard>(board)
+        .seen
+        .iter()
+        .map(|(_, body)| match body {
+            RequestBody::WriteFrag { data, .. } => data[0],
+            other => panic!("board got {other:?}"),
+        })
+        .collect();
+    assert_eq!(seen, [1, 1, 1, 2], "the later write overtook the refused one");
+    let host = sim.actor::<CnHost>(cn);
+    let [first, second] = &host.completions[..] else {
+        panic!("two completions: {:?}", host.completions)
+    };
+    assert_eq!((first.token, second.token), (OpToken(1), OpToken(2)));
+    assert!(first.result.is_ok() && second.result.is_ok());
+    assert!(second.completed_at > first.completed_at);
+}
+
+/// A cancel during the backoff ends the op with `DeadlineExceeded`, and
+/// the backoff's end re-issues nothing.
+#[test]
+fn a_cancel_during_the_backoff_ends_the_op_and_sends_nothing_more() {
+    let cfg = CLibConfig::default();
+    let (mut sim, cn, board) = scripted_rig(1, cfg);
+    sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
+    sim.post_in(cn, cfg.conflict_backoff / 2, Message::new(Cancel(OpToken(1))));
+    sim.run_until_idle();
+    assert!(sim.now() >= SimTime::ZERO + cfg.conflict_backoff, "the backoff timer still ran");
+    assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), 1, "re-issued after the cancel");
+    let host = sim.actor::<CnHost>(cn);
+    let [c] = &host.completions[..] else { panic!("one completion: {:?}", host.completions) };
+    assert_eq!(c.result, Err(ClioError::DeadlineExceeded));
+    assert_eq!(host.clib.in_flight(), 0);
+    assert_eq!(host.clib.transport().in_flight(), 0);
 }
