@@ -224,7 +224,7 @@ impl Op {
     }
 
     /// True if a retry must carry `retry_of` for MN-side deduplication:
-    /// writes and atomics, the requests the MN deduplicates.
+    /// writes, atomics, allocs and frees, the requests the MN deduplicates.
     pub(crate) fn is_non_idempotent(&self) -> bool {
         matches!(
             self,
@@ -233,6 +233,8 @@ impl Op {
                 | Op::Unlock { .. }
                 | Op::Faa { .. }
                 | Op::Cas { .. }
+                | Op::Alloc { .. }
+                | Op::Free { .. }
         )
     }
 

@@ -229,3 +229,65 @@ fn deterministic_across_runs() {
     };
     assert_eq!(digest(1), digest(1), "same seed must replay identically");
 }
+
+/// Slow-path retries are deduplicated like data-path ones: with a fifth of
+/// the frames toward the CN lost, an `ralloc` or `rfree` whose response is
+/// lost is retried, and the retry must be answered from the board's
+/// record instead of running again — a second alloc would leak a range the
+/// CN never hears of, a second free would report `InvalidAddr` for a range
+/// the first attempt freed. Three rounds of 100 one-page `ralloc`s, each
+/// round's ranges counted in the board's page table at a fixed instant,
+/// then freed: 300 `rfree`s in all.
+#[test]
+fn slow_path_retries_after_lost_responses_run_once() {
+    use clio_cn::ClioError;
+    use clio_net::FaultInjector;
+    use clio_proto::Status;
+    use clio_sim::SimTime;
+
+    const PID: Pid = Pid(9);
+    /// Round `r`'s allocs are done and counted before `r + 1` of these.
+    const ROUND: SimDuration = SimDuration::from_secs(1);
+    let mut cfg = ClusterConfig::test_small();
+    (cfg.cns, cfg.mns, cfg.seed) = (1, 1, 3);
+    // Four lost responses in a row exhaust the default budget, and an
+    // alloc that times out may rightly leave its range behind: give every
+    // op enough attempts that all of them succeed.
+    cfg.clib.max_retries = 8;
+    let mut cluster = Cluster::build(&cfg);
+    let cn_mac = cluster.cn(0).mac();
+    let lossy = FaultInjector { loss_prob: 0.2, ..FaultInjector::none() };
+    cluster.net.set_faults(&mut cluster.sim, cn_mac, lossy);
+    let allocated = Rc::new(Cell::new(0));
+    let invalid = Rc::new(Cell::new(0));
+    let (a, i) = (allocated.clone(), invalid.clone());
+    cluster.spawn(0, PID, move |h| async move {
+        for round in 1..=3 {
+            let mut vas = Vec::new();
+            for _ in 0..100 {
+                vas.push(h.ralloc(4096, Perm::RW).await.va());
+                a.set(a.get() + 1);
+            }
+            h.sleep((SimTime::ZERO + ROUND * round).since(h.now())).await;
+            for va in vas {
+                let c = h.rfree(va, 4096).await;
+                if c.result == Err(ClioError::Remote(Status::InvalidAddr)) {
+                    i.set(i.get() + 1);
+                }
+            }
+        }
+    });
+    cluster.start();
+    for round in 1..=3 {
+        let counted_at = SimTime::ZERO + ROUND * round - SimDuration::from_nanos(1);
+        cluster.run_for(counted_at.since(cluster.now()));
+        assert_eq!(allocated.get(), 100 * round, "round {round}: allocs still running");
+        let ranges = cluster.mn(0).slow_path().shadow().iter_pid(PID).count();
+        assert_eq!(ranges, 100, "round {round}: 100 rallocs left {ranges} one-page ranges");
+    }
+    cluster.run_until_idle();
+    assert_eq!(invalid.get(), 0, "rfrees of live ranges reported InvalidAddr");
+    assert_eq!(cluster.mn(0).slow_path().shadow().iter_pid(PID).count(), 0, "a range leaked");
+    let retried = cluster.cn(0).clib().transport().stats().retries;
+    assert!(retried > 0, "the loss never forced a retry");
+}

@@ -3,8 +3,9 @@
 //! A retried request must not execute twice: a slow (not lost) original could
 //! arrive after another client's write and a blind re-execution of the retry
 //! would undo it. The MN therefore remembers the request ids of recently
-//! executed non-idempotent operations (writes and atomics) plus the results
-//! of atomics, for long enough to cover the retry window.
+//! executed non-idempotent operations (writes, atomics, and the slow
+//! path's allocs and frees) plus the results of atomics and allocs, for
+//! long enough to cover the retry window.
 //!
 //! The buffer is sized `3 × TIMEOUT × bandwidth` (30 KB in the paper's
 //! setting): it can "remember" an operation long enough for two retries, and
@@ -20,12 +21,18 @@ use clio_sim::IdMap;
 /// What the MN remembers about an executed non-idempotent request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DedupRecord {
-    /// A write: the retry is acknowledged without re-writing.
+    /// A write or a free: the retry is acknowledged without re-executing.
     Write,
     /// An atomic: the cached old-value is re-sent as the retry's response.
     Atomic {
         /// The value the original execution returned.
         old: u64,
+    },
+    /// An alloc: the range's address is re-sent, and no second range is
+    /// allocated.
+    Alloc {
+        /// The start of the range the original execution allocated.
+        va: u64,
     },
 }
 
@@ -80,7 +87,7 @@ impl DedupBuffer {
         self.hits
     }
 
-    /// Records that `req_id` (a write or atomic) has executed, evicting the
+    /// Records that `req_id` (a non-idempotent op) has executed, evicting the
     /// oldest record if full. Re-recording an id refreshes its record but
     /// not its eviction position (ids are unique in practice).
     pub fn record(&mut self, req_id: ReqId, record: DedupRecord) {

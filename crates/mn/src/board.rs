@@ -797,6 +797,20 @@ impl CBoard {
         }
     }
 
+    /// Answers a request whose original already executed from its dedup
+    /// record, after bare `control_latency`, and records it under this
+    /// request too: a retry of THIS retry must also find a record.
+    fn replay(&mut self, ctx: &mut Ctx<'_>, src: Mac, header: &ReqHeader, rec: DedupRecord) {
+        self.stats.dedup_replays += 1;
+        self.record_dedup(header, rec);
+        let body = match rec {
+            DedupRecord::Write => ResponseBody::Done,
+            DedupRecord::Atomic { old } => ResponseBody::AtomicOld { old },
+            DedupRecord::Alloc { va } => ResponseBody::Alloced { va },
+        };
+        self.reply_control(ctx, src, header, Status::Ok, body);
+    }
+
     fn region_refusal(&mut self, pid: Pid, va: u64) -> Option<Status> {
         let status = self.migrations.refusal(pid, va)?;
         match status {
@@ -883,12 +897,7 @@ impl CBoard {
                     return self.reply_control(ctx, src, &header, status, ResponseBody::Done);
                 }
                 if let Some(rec) = self.dedup_hit(&header) {
-                    self.stats.dedup_replays += 1;
-                    // Keep the retry chain alive: a retry of THIS retry must
-                    // also find a record.
-                    self.record_dedup(&header, rec);
-                    debug_assert!(matches!(rec, DedupRecord::Write));
-                    return self.reply_control(ctx, src, &header, Status::Ok, ResponseBody::Done);
+                    return self.replay(ctx, src, &header, rec);
                 }
                 self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
                 let (res, timing) =
@@ -920,6 +929,9 @@ impl CBoard {
                 self.reply(ctx, src, &header, at, Stage::Control, Status::Ok, ResponseBody::Done);
             }
             RequestBody::Alloc { size, perm, fixed_va } => {
+                if let Some(rec) = self.dedup_hit(&header) {
+                    return self.replay(ctx, src, &header, rec);
+                }
                 if !self.slow.has_pid(pid) {
                     // Implicit address-space creation on first allocation
                     // keeps the client API simple (CreateAs remains
@@ -935,16 +947,22 @@ impl CBoard {
                                 .install_pte(*pte)
                                 .expect("allocator pre-checked bucket capacity");
                         }
-                        (out.service, Status::Ok, ResponseBody::Alloced { va: out.range.start })
+                        let va = out.range.start;
+                        self.record_dedup(&header, DedupRecord::Alloc { va });
+                        (out.service, Status::Ok, ResponseBody::Alloced { va })
                     }
                     Err((status, service)) => (service, status, ResponseBody::Done),
                 };
                 self.reply_slow(ctx, src, &header, service, status, body);
             }
             RequestBody::Free { va, size: _ } => {
+                if let Some(rec) = self.dedup_hit(&header) {
+                    return self.replay(ctx, src, &header, rec);
+                }
                 let (service, status) = match self.slow_mut().free(pid, va) {
                     Ok(out) => {
                         self.unmap(pid, &out.vpns);
+                        self.record_dedup(&header, DedupRecord::Write);
                         (out.service, Status::Ok)
                     }
                     Err((status, service)) => (service, status),
@@ -1047,14 +1065,7 @@ impl CBoard {
             return self.reply_control(ctx, src, &header, status, ResponseBody::Done);
         }
         if let Some(rec) = self.dedup_hit(&header) {
-            self.stats.dedup_replays += 1;
-            self.record_dedup(&header, rec);
-            let old = match rec {
-                DedupRecord::Atomic { old } => old,
-                DedupRecord::Write => 0,
-            };
-            let body = ResponseBody::AtomicOld { old };
-            return self.reply_control(ctx, src, &header, Status::Ok, body);
+            return self.replay(ctx, src, &header, rec);
         }
         self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
         let (res, t) = self.silicon.atomic(start, header.pid, va, op);

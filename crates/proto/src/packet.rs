@@ -166,7 +166,8 @@ pub enum RequestBody {
 
 impl RequestBody {
     /// True if the MN treats this as non-idempotent and must deduplicate
-    /// retries through the dedup buffer (writes and atomics, §4.5 T4).
+    /// retries through the dedup buffer (writes and atomics, §4.5 T4, and
+    /// the slow path's allocs and frees).
     pub fn is_non_idempotent(&self) -> bool {
         matches!(
             self,
@@ -175,6 +176,8 @@ impl RequestBody {
                 | RequestBody::AtomicStore { .. }
                 | RequestBody::AtomicCas { .. }
                 | RequestBody::AtomicFaa { .. }
+                | RequestBody::Alloc { .. }
+                | RequestBody::Free { .. }
         )
     }
 
@@ -318,6 +321,10 @@ mod tests {
         assert!(RequestBody::AtomicCas { va: 0, expected: 0, new: 1 }.is_non_idempotent());
         assert!(RequestBody::AtomicFaa { va: 0, delta: 1 }.is_non_idempotent());
         assert!(RequestBody::AtomicStore { va: 0, value: 0 }.is_non_idempotent());
+        assert!(
+            RequestBody::Alloc { size: 4096, perm: Perm::RW, fixed_va: None }.is_non_idempotent()
+        );
+        assert!(RequestBody::Free { va: 0, size: 4096 }.is_non_idempotent());
         assert!(!RequestBody::Read { va: 0, len: 8 }.is_non_idempotent());
         assert!(!RequestBody::Fence.is_non_idempotent());
     }
