@@ -70,7 +70,7 @@ use clio_net::Mac;
 use clio_proto::Perm;
 use clio_sim::{IdMap, SimDuration, SimTime};
 
-use crate::node::{NodeApi, POKE_TAG};
+use crate::node::NodeApi;
 
 pub mod openloop;
 
@@ -184,9 +184,6 @@ struct ExecInner {
     op_slots: IdMap<OpToken, Rc<RefCell<OpSlot>>>,
     timers: IdMap<u64, TimerEntry>,
     next_timer_tag: u64,
-    /// Pokes delivered while nobody awaited one (level-triggered count).
-    poke_pending: u64,
-    poke_waiters: Vec<Waker>,
 }
 
 /// Releases one in-flight credit. If a submitter is parked, the credit is
@@ -277,8 +274,6 @@ impl ExecDriver {
                     op_slots: IdMap::default(),
                     timers: IdMap::default(),
                     next_timer_tag: 0,
-                    poke_pending: 0,
-                    poke_waiters: Vec::new(),
                 }),
                 now: Cell::new(SimTime::ZERO),
             }),
@@ -418,35 +413,20 @@ impl ExecDriver {
     }
 
     /// Called when a timer armed through [`NodeApi::wake_in`] fires (a
-    /// task's sleep came due), or with [`POKE_TAG`] for an outside poke.
+    /// task's sleep came due).
     pub(crate) fn on_wake(&self, api: &mut NodeApi<'_, '_>, tag: u64) {
-        if tag == POKE_TAG {
-            let waiters = {
-                let mut inner = self.shared.inner.borrow_mut();
-                // Record the poke even when waiters exist: a woken waiter
-                // re-polls its PokeFuture, which resolves by consuming
-                // `poke_pending` — skipping the increment would leave it
-                // parked forever.
-                inner.poke_pending += 1;
-                std::mem::take(&mut inner.poke_waiters)
-            };
-            for w in waiters {
-                w.wake();
-            }
-        } else {
-            let waker = {
-                let mut inner = self.shared.inner.borrow_mut();
-                match inner.timers.get_mut(&tag) {
-                    Some(t) => {
-                        t.fired = true;
-                        t.waker.take()
-                    }
-                    None => None,
+        let waker = {
+            let mut inner = self.shared.inner.borrow_mut();
+            match inner.timers.get_mut(&tag) {
+                Some(t) => {
+                    t.fired = true;
+                    t.waker.take()
                 }
-            };
-            if let Some(w) = waker {
-                w.wake();
+                None => None,
             }
+        };
+        if let Some(w) = waker {
+            w.wake();
         }
         self.drain(api);
     }
@@ -609,14 +589,6 @@ impl ProcHandle {
     /// Sleeps for `dur` of virtual time.
     pub fn sleep(&self, dur: SimDuration) -> SleepFuture {
         SleepFuture { shared: self.shared.clone(), state: SleepState::Start { dur } }
-    }
-
-    /// Resolves on the next [`PokeDriver`](crate::node::PokeDriver)
-    /// delivered to this executor (level-triggered: pokes arriving while
-    /// nobody awaits are not lost) — how a harness injects a stimulus into
-    /// a running program.
-    pub fn next_poke(&self) -> PokeFuture {
-        PokeFuture { shared: self.shared.clone() }
     }
 }
 
@@ -835,7 +807,6 @@ impl Future for SleepFuture {
                 let mut inner = this.shared.inner.borrow_mut();
                 inner.next_timer_tag += 1;
                 let tag = inner.next_timer_tag;
-                debug_assert_ne!(tag, POKE_TAG, "timer tags never reach the poke tag");
                 inner
                     .timers
                     .insert(tag, TimerEntry { fired: false, waker: Some(cx.waker().clone()) });
@@ -859,27 +830,6 @@ impl Future for SleepFuture {
                 }
             }
             SleepState::Done => panic!("SleepFuture polled after completion"),
-        }
-    }
-}
-
-/// Resolves when this executor receives a poke (see
-/// [`ProcHandle::next_poke`]).
-pub struct PokeFuture {
-    shared: Rc<ExecShared>,
-}
-
-impl Future for PokeFuture {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut inner = self.shared.inner.borrow_mut();
-        if inner.poke_pending > 0 {
-            inner.poke_pending -= 1;
-            Poll::Ready(())
-        } else {
-            inner.poke_waiters.push(cx.waker().clone());
-            Poll::Pending
         }
     }
 }

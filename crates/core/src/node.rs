@@ -28,18 +28,6 @@ use crate::exec::{ExecDriver, ProcHandle};
 #[derive(Debug, Clone, Copy)]
 pub struct StartClients;
 
-/// Pokes one executor from outside the simulation: every task awaiting
-/// [`ProcHandle::next_poke`] on it resumes. Tests use it to inject a
-/// stimulus mid-run (post it to the compute node's actor id).
-#[derive(Debug, Clone, Copy)]
-pub struct PokeDriver {
-    /// The executor's index on the target compute node.
-    pub driver: usize,
-}
-
-/// The timer tag that carries a [`PokeDriver`] to its executor.
-pub const POKE_TAG: u64 = u64::MAX;
-
 /// Default per-process in-flight submission budget (ops holding a window
 /// credit before the executor parks further submitters). Large enough that
 /// closed-loop programs never park; open-loop overload tests shrink it.
@@ -312,11 +300,7 @@ impl Actor for ComputeNode {
             }
             Err(m) => m,
         };
-        let wake = match msg.downcast::<Wake>() {
-            Ok(w) => Ok(w),
-            Err(m) => m.downcast::<PokeDriver>().map(|p| Wake { driver: p.driver, tag: POKE_TAG }),
-        };
-        let msg = match wake {
+        let msg = match msg.downcast::<Wake>() {
             Ok(w) => {
                 let mut api = NodeApi { core, ctx, driver: w.driver };
                 self.execs[w.driver].on_wake(&mut api, w.tag);

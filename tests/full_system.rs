@@ -9,8 +9,7 @@ use bytes::Bytes;
 use clio::apps::kv::{partition_of, ClioKv, KvRequest, KvResponse};
 use clio::mn::CBoardConfig;
 use clio::proto::{Perm, Pid, Status};
-use clio::sim::SimDuration;
-use clio::system::node::PokeDriver;
+use clio::sim::{SimDuration, SimTime};
 use clio::system::{Cluster, ClusterConfig};
 
 #[test]
@@ -124,15 +123,17 @@ fn incast_corruption_storm_recovers_with_coalesced_frames() {
     const CNS: usize = 8;
     const READS: u64 = 64;
     const OP: u64 = 64; // bytes per read; 64 x 64 B = one 4 KiB page
+    /// The instant every CN fires its burst; phase 1 drains well before.
+    const FIRE: SimTime = SimTime::from_nanos(1_000_000);
 
-    /// Allocates + initializes a page, then waits for a poke to fire its
-    /// 64-read burst through the scatter/gather API. Returns the data each
-    /// read (in entry order) brought back.
+    /// Allocates + initializes a page, then sleeps until [`FIRE`] to fire
+    /// its 64-read burst through the scatter/gather API. Returns the data
+    /// each read (in entry order) brought back.
     async fn incast_reader(h: clio::system::ProcHandle, out: Rc<RefCell<Vec<Bytes>>>) {
         let va = h.ralloc(READS * OP, Perm::RW).await.va();
         let pattern: Vec<u8> = (0..READS * OP).map(|i| (i / OP) as u8).collect();
         h.rwrite(va, Bytes::from(pattern)).await.result.expect("pattern write");
-        h.next_poke().await;
+        h.sleep(FIRE.since(h.now())).await;
         for read in h.rread_v((0..READS).map(|i| (va + i * OP, OP as u32)).collect()) {
             let data = read.await.data().clone();
             out.borrow_mut().push(data);
@@ -153,9 +154,11 @@ fn incast_corruption_storm_recovers_with_coalesced_frames() {
             let out = out.clone();
             cluster.spawn(cn, Pid(100 + cn as u64), |h| incast_reader(h, out));
         }
-        // Phase 1 (fault-free): allocations + pattern writes drain.
+        // Phase 1 (fault-free): allocations + pattern writes drain, and
+        // nothing but the readers' wake-ups is left before the burst.
         cluster.start();
-        cluster.run_until_idle();
+        cluster.run_for(FIRE.since(cluster.now()) - SimDuration::from_nanos(1));
+        assert_eq!(cluster.sim.peek_next_event_time(), Some(FIRE), "phase 1 still running");
 
         let mn_mac = cluster.mn_macs()[0];
         let stats0 = cluster.mn(0).stats();
@@ -176,10 +179,6 @@ fn incast_corruption_storm_recovers_with_coalesced_frames() {
             );
         }
         // Phase 2: every CN fires its burst at the same instant (incast).
-        let cn_ids: Vec<_> = cluster.cn_ids().to_vec();
-        for cn in cn_ids {
-            cluster.sim.post(cn, clio::sim::Message::new(PokeDriver { driver: 0 }));
-        }
         cluster.run_until_idle();
 
         let mut per_cn: Vec<Vec<Bytes>> = Vec::new();

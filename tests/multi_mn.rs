@@ -22,7 +22,6 @@ use clio::mn::migrate::MigrateCommand;
 use clio::net::Mac;
 use clio::proto::{Perm, Pid};
 use clio::sim::{Message, SimDuration, SimTime};
-use clio::system::node::PokeDriver;
 use clio::system::{Cluster, ClusterConfig};
 
 const PAGE: u64 = 4 << 10;
@@ -212,6 +211,11 @@ fn pressure_triggered_migration_keeps_reads_correct_under_traffic() {
 #[test]
 fn multi_mn_smoke_matches_single_mn_baseline_and_is_digest_stable() {
     const LEN: u64 = 16 << 10;
+    /// The write phase drains before this instant; the migration runs
+    /// from it.
+    const MIGRATE: SimTime = SimTime::from_nanos(1_000_000);
+    /// The migration drains before this instant; every CN reads from it.
+    const READ: SimTime = SimTime::from_nanos(2_000_000);
 
     let run = |mns: usize, migrate: bool| {
         let mut cfg = ClusterConfig::test_small();
@@ -231,7 +235,7 @@ fn multi_mn_smoke_matches_single_mn_baseline_and_is_digest_stable() {
                 let va = p.ralloc(LEN, Perm::RW).await.va();
                 write_pattern(&p, va, LEN, fill).await;
                 vas.borrow_mut().push((cn, pid, va));
-                p.next_poke().await;
+                p.sleep(READ.since(p.now())).await;
                 let mut data = Vec::with_capacity(LEN as usize);
                 for c in 0..LEN / CHUNK {
                     data.extend_from_slice(p.rread(va + c * CHUNK, CHUNK as u32).await.data());
@@ -239,8 +243,14 @@ fn multi_mn_smoke_matches_single_mn_baseline_and_is_digest_stable() {
                 results.borrow_mut().push((cn, data));
             });
         }
+        // Up to just before an instant, asserting that nothing but the
+        // readers' wake-ups is left: the phase before it has drained.
+        let drain_before = |cluster: &mut Cluster, at: SimTime| {
+            cluster.run_for(at.since(cluster.now()) - SimDuration::from_nanos(1));
+            assert_eq!(cluster.sim.peek_next_event_time(), Some(READ), "phase still running");
+        };
         cluster.start();
-        cluster.run_until_idle();
+        drain_before(&mut cluster, MIGRATE);
 
         let moved: Option<(Pid, u64, Mac)> = if migrate {
             // Force cn0's range to the other board between the phases.
@@ -251,16 +261,12 @@ fn multi_mn_smoke_matches_single_mn_baseline_and_is_digest_stable() {
             let cmd = MigrateCommand { pid, start: va, len: LEN, dst };
             let board = cluster.mn_ids()[src_idx];
             cluster.sim.post(board, Message::new(cmd));
-            cluster.run_until_idle();
+            drain_before(&mut cluster, READ);
             Some((pid, va, dst))
         } else {
             None
         };
 
-        let cn_ids: Vec<_> = cluster.cn_ids().to_vec();
-        for id in cn_ids {
-            cluster.sim.post(id, Message::new(PokeDriver { driver: 0 }));
-        }
         cluster.run_until_idle();
 
         if let Some((pid, va, dst)) = moved {
