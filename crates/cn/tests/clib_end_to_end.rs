@@ -487,7 +487,7 @@ fn backoff_sum(cfg: &CLibConfig, k: u64) -> SimDuration {
 /// earlier than the backoffs add up to. While it backs off CLib holds it
 /// and the transport holds nothing.
 #[test]
-fn a_conflict_refused_op_backs_off_and_completes_once_served() {
+fn conflict_refused_op_backs_off_and_completes_once_served() {
     const K: usize = 3;
     let cfg = CLibConfig::default();
     let (mut sim, cn, board) = scripted_rig(K, cfg);
@@ -513,7 +513,7 @@ fn a_conflict_refused_op_backs_off_and_completes_once_served() {
 
 /// Past `max_conflict_retries` backoffs the refusal is the op's result.
 #[test]
-fn a_conflict_past_the_budget_is_the_result() {
+fn conflict_past_the_budget_is_the_result() {
     const K: usize = 3;
     let cfg = CLibConfig { max_conflict_retries: K as u32 - 1, ..CLibConfig::default() };
     let (mut sim, cn, board) = scripted_rig(K, cfg);
@@ -531,7 +531,7 @@ fn a_conflict_past_the_budget_is_the_result() {
 /// write the thread submits meanwhile waits for it, reaches the board
 /// after the refused op's last attempt, and completes after it.
 #[test]
-fn a_same_page_write_waits_for_the_backing_off_op() {
+fn conflict_backoff_keeps_a_same_page_write_behind_the_refused_op() {
     const K: usize = 2;
     let cfg = CLibConfig::default();
     let (mut sim, cn, board) = scripted_rig(K, cfg);
@@ -564,7 +564,7 @@ fn a_same_page_write_waits_for_the_backing_off_op() {
 /// A cancel during the backoff ends the op with `DeadlineExceeded`, and
 /// the backoff's end re-issues nothing.
 #[test]
-fn a_cancel_during_the_backoff_ends_the_op_and_sends_nothing_more() {
+fn conflict_backoff_cancelled_ends_the_op_and_sends_nothing_more() {
     let cfg = CLibConfig::default();
     let (mut sim, cn, board) = scripted_rig(1, cfg);
     sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));

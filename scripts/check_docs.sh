@@ -202,6 +202,19 @@ if [ "$fail" -ne 0 ]; then
   echo "docs/ARCHITECTURE.md cluster section is stale (see above)"
   exit 1
 fi
+# One refusal policy on the CN: the transport completes a `Conflict` like
+# any other status and keeps no parking of its own; CLib::finish backs off
+# and re-issues on its own timer.
+if grep -nE 'Status::Conflict|ConflictRetry|parked' crates/cn/src/transport.rs; then
+  echo "crates/cn/src/transport.rs handles Conflict refusals itself (above)"
+  fail=1
+fi
+grep -q '^pub struct ConflictRetry' crates/cn/src/clib.rs \
+  || { echo "crates/cn/src/clib.rs no longer defines CLib's \`ConflictRetry\` timer"; fail=1; }
+if [ "$fail" -ne 0 ]; then
+  echo "the Conflict policy left CLib::finish (see above)"
+  exit 1
+fi
 # Re-measuring: the A/B script perf changes report with must exist, and
 # the section that tells how to compare two commits must name it.
 sed -n '/^### Re-measuring/,/^## /p' "$DOC" | grep -q 'scripts/ab\.sh' \
