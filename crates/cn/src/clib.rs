@@ -130,8 +130,8 @@ struct PendingOp {
     /// The arrival, while it predates the op's first admission: where its
     /// trace begins (an `ralloc` is admitted once it is placed).
     queued_since: Option<SimTime>,
-    /// Observability context, begun at admission; lock-spin re-issues and
-    /// fence legs extend it, a re-route begins a new one.
+    /// Observability context, begun at admission; lock-spin and `Conflict`
+    /// re-issues and fence legs extend it, a re-route begins a new one.
     trace: Option<TraceCtx>,
     /// No MN was named: a fence fences every MN, a `Moved` refusal
     /// re-routes, an alloc or free reaches the controller's books.

@@ -497,9 +497,10 @@ impl Transport {
     }
 
     /// A digest of the transport's **logical** state, independent of table
-    /// layout: outstanding requests (id, token, target, retry counts,
-    /// expected bytes, every field of the op), every peer's queued sends, queued retransmissions, window slot count and
-    /// breaker state, the incast byte count and the id counter.
+    /// layout: outstanding requests (id, token, target, retry count,
+    /// expected bytes, every field of the op), every peer's queued sends,
+    /// queued retransmissions, window slot count and breaker state, the
+    /// incast byte count and the id counter.
     ///
     /// Absolute times (timer deadlines, RTT/gap EWMAs, fractional window
     /// sizes) are deliberately **excluded**: the model checker prunes
@@ -936,9 +937,9 @@ impl Transport {
 
     /// Cancels every attempt of `token` still owned by the transport:
     /// in-flight requests (timer cancelled, window slots released without a
-    /// congestion signal, reassembly state dropped), queued sends, queued
-    /// and queued retransmissions — then lets the sends queued
-    /// behind the freed slots go. The caller owns reporting the op's
+    /// congestion signal, reassembly state dropped), queued sends and
+    /// queued retransmissions — then lets the sends queued behind the freed
+    /// slots go. The caller owns reporting the op's
     /// completion (e.g. `DeadlineExceeded`) upward. A response or NACK for
     /// a cancelled id arriving later is dropped by the outstanding-id
     /// lookup like any stale frame.
@@ -1171,8 +1172,8 @@ impl Transport {
     ///   (timeout = congestion) but keeps both window slots for the
     ///   retransmission, which is the same logical request under a fresh
     ///   id; past the budget it releases the slots and reports `TimedOut`.
-    /// * A `Pump` or `BreakerProbe` admits queued sends only through the
-    ///   window checks a first send passes; nothing rejoins a queue here.
+    /// * `Pump` and `BreakerProbe` admit queued sends only through the
+    ///   window checks every send passes (`pump`).
     pub fn on_timer(
         &mut self,
         ctx: &mut Ctx<'_>,

@@ -4,7 +4,9 @@
 //! pinned to the exact `Simulation::digest`, `events_dispatched`,
 //! `events_scheduled`, `events_cancelled` and sorted completion-latency
 //! vector the engine produced before any hot-path optimisation (the
-//! two-MN one: before the compute node's op tables moved into CLib). A
+//! two-MN one: before the compute node's op tables moved into CLib, its
+//! digest and latencies re-pinned when an op re-issued after a `Conflict`
+//! began to join its send queue at the tail, as every submission does). A
 //! host-side speed-up or a refactor must
 //! leave every constant below untouched; a change that moves one has changed
 //! the modeled system, not just the simulator. The one exception is a
@@ -236,10 +238,6 @@ fn pin(cluster: &Cluster, lat: &[u64]) -> Pin {
 fn two_mn_migration_fence_and_cancelled_placement_is_pinned() {
     let (pin, moved) = run_two_mn();
     assert!(moved > 0, "no read reached the old owner after the migration");
-    // Re-pinned once, when `Conflict` backoff moved from the transport to
-    // CLib: a re-issued op now joins its MN's send queue at the tail, like
-    // any submission, instead of at the front. Event counts and op count
-    // held; the digest, latency sum and FNV moved.
     assert_eq!(pin, (9984039741549764642, 1571, 2327, 756, 736, 3336985, 6964423499810295260));
 }
 
