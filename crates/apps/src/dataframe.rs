@@ -206,6 +206,7 @@ impl Offload for ClioDf {
 mod tests {
     use super::*;
     use clio_hw::silicon::Silicon;
+    use clio_mn::migrate::Migrations;
     use clio_mn::slowpath::SlowPath;
     use clio_mn::CBoardConfig;
     use clio_proto::{Perm, Pid};
@@ -214,6 +215,7 @@ mod tests {
     struct Harness {
         silicon: Silicon,
         slow: SlowPath,
+        migrations: Migrations,
         df: ClioDf,
         now: SimTime,
     }
@@ -225,24 +227,28 @@ mod tests {
             let mut silicon = Silicon::new(cfg.hw.clone());
             let mut slow = SlowPath::new(&cfg);
             slow.create_as(Pid(9003));
-            let demand = silicon.vm().async_buffer().refill_demand();
-            let (pages, _) = slow.refill_pages(demand);
-            for p in pages {
-                silicon.vm_mut().async_buffer_mut().push(p);
+            slow.refill_async_buffer(&mut silicon);
+            Harness {
+                silicon,
+                slow,
+                migrations: Migrations::default(),
+                df: ClioDf::new(),
+                now: SimTime::ZERO,
             }
-            Harness { silicon, slow, df: ClioDf::new(), now: SimTime::ZERO }
         }
 
         fn env(&mut self) -> OffloadEnv<'_> {
-            OffloadEnv::new(&mut self.silicon, &mut self.slow, Pid(9003), self.now)
+            OffloadEnv::new(
+                &mut self.silicon,
+                &mut self.slow,
+                &self.migrations,
+                Pid(9003),
+                self.now,
+            )
         }
 
         fn refill(&mut self) {
-            let demand = self.silicon.vm().async_buffer().refill_demand();
-            let (pages, _) = self.slow.refill_pages(demand);
-            for p in pages {
-                self.silicon.vm_mut().async_buffer_mut().push(p);
-            }
+            self.slow.refill_async_buffer(&mut self.silicon);
         }
     }
 
@@ -262,7 +268,8 @@ mod tests {
 
         let threshold = 20; // ~20% selectivity
         let reply = {
-            let mut env = OffloadEnv::new(&mut h.silicon, &mut h.slow, Pid(9003), h.now);
+            let mut env =
+                OffloadEnv::new(&mut h.silicon, &mut h.slow, &h.migrations, Pid(9003), h.now);
             let r = h.df.on_call(
                 &mut env,
                 DfOpcode::Select as u16,
@@ -279,7 +286,8 @@ mod tests {
 
         // Aggregate over the selected rows at the MN.
         let reply = {
-            let mut env = OffloadEnv::new(&mut h.silicon, &mut h.slow, Pid(9003), h.now);
+            let mut env =
+                OffloadEnv::new(&mut h.silicon, &mut h.slow, &h.migrations, Pid(9003), h.now);
             let r = h.df.on_call(&mut env, DfOpcode::Avg as u16, encode_avg(out_va, matched));
             h.now = env.now();
             r
@@ -289,7 +297,8 @@ mod tests {
 
         // Read the selected rows back and histogram at the "CN".
         let selected = {
-            let mut env = OffloadEnv::new(&mut h.silicon, &mut h.slow, Pid(9003), h.now);
+            let mut env =
+                OffloadEnv::new(&mut h.silicon, &mut h.slow, &h.migrations, Pid(9003), h.now);
             env.read(out_va, (matched * ROW_BYTES) as u32).expect("read back")
         };
         assert_eq!(histogram(&selected), histogram(&expect));

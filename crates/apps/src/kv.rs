@@ -380,6 +380,7 @@ impl Offload for ClioKv {
 mod tests {
     use super::*;
     use clio_hw::silicon::Silicon;
+    use clio_mn::migrate::Migrations;
     use clio_mn::slowpath::SlowPath;
     use clio_mn::CBoardConfig;
     use clio_proto::Pid;
@@ -388,6 +389,7 @@ mod tests {
     struct Harness {
         silicon: Silicon,
         slow: SlowPath,
+        migrations: Migrations,
         kv: ClioKv,
         now: SimTime,
     }
@@ -398,24 +400,28 @@ mod tests {
             let mut silicon = Silicon::new(cfg.hw.clone());
             let mut slow = SlowPath::new(&cfg);
             slow.create_as(Pid(9000));
-            let demand = silicon.vm().async_buffer().refill_demand();
-            let (pages, _) = slow.refill_pages(demand);
-            for p in pages {
-                silicon.vm_mut().async_buffer_mut().push(p);
+            slow.refill_async_buffer(&mut silicon);
+            Harness {
+                silicon,
+                slow,
+                migrations: Migrations::default(),
+                kv: ClioKv::new(256),
+                now: SimTime::ZERO,
             }
-            Harness { silicon, slow, kv: ClioKv::new(256), now: SimTime::ZERO }
         }
 
         fn call(&mut self, req: &KvRequest) -> KvResponse {
-            let mut env = OffloadEnv::new(&mut self.silicon, &mut self.slow, Pid(9000), self.now);
+            let mut env = OffloadEnv::new(
+                &mut self.silicon,
+                &mut self.slow,
+                &self.migrations,
+                Pid(9000),
+                self.now,
+            );
             let reply = self.kv.on_call(&mut env, req.opcode(), req.encode());
             // Keep the fault buffer happy and advance time.
             self.now = env.now();
-            let demand = self.silicon.vm().async_buffer().refill_demand();
-            let (pages, _) = self.slow.refill_pages(demand);
-            for p in pages {
-                self.silicon.vm_mut().async_buffer_mut().push(p);
-            }
+            self.slow.refill_async_buffer(&mut self.silicon);
             KvResponse::decode(reply.status, reply.data)
         }
 

@@ -204,6 +204,7 @@ pub fn encode_read(id: u64, version: u64) -> Bytes {
 mod tests {
     use super::*;
     use clio_hw::silicon::Silicon;
+    use clio_mn::migrate::Migrations;
     use clio_mn::slowpath::SlowPath;
     use clio_mn::CBoardConfig;
     use clio_proto::Pid;
@@ -212,6 +213,7 @@ mod tests {
     struct Harness {
         silicon: Silicon,
         slow: SlowPath,
+        migrations: Migrations,
         mv: ClioMv,
         now: SimTime,
     }
@@ -222,23 +224,27 @@ mod tests {
             let mut silicon = Silicon::new(cfg.hw.clone());
             let mut slow = SlowPath::new(&cfg);
             slow.create_as(Pid(9001));
-            let demand = silicon.vm().async_buffer().refill_demand();
-            let (pages, _) = slow.refill_pages(demand);
-            for p in pages {
-                silicon.vm_mut().async_buffer_mut().push(p);
+            slow.refill_async_buffer(&mut silicon);
+            Harness {
+                silicon,
+                slow,
+                migrations: Migrations::default(),
+                mv: ClioMv::new(64, 16),
+                now: SimTime::ZERO,
             }
-            Harness { silicon, slow, mv: ClioMv::new(64, 16), now: SimTime::ZERO }
         }
 
         fn call(&mut self, opcode: MvOpcode, arg: Bytes) -> OffloadReply {
-            let mut env = OffloadEnv::new(&mut self.silicon, &mut self.slow, Pid(9001), self.now);
+            let mut env = OffloadEnv::new(
+                &mut self.silicon,
+                &mut self.slow,
+                &self.migrations,
+                Pid(9001),
+                self.now,
+            );
             let r = self.mv.on_call(&mut env, opcode as u16, arg);
             self.now = env.now();
-            let demand = self.silicon.vm().async_buffer().refill_demand();
-            let (pages, _) = self.slow.refill_pages(demand);
-            for p in pages {
-                self.silicon.vm_mut().async_buffer_mut().push(p);
-            }
+            self.slow.refill_async_buffer(&mut self.silicon);
             r
         }
 

@@ -184,6 +184,7 @@ pub fn search_digits(k: u64, fanout: u64, levels: u32) -> Vec<u64> {
 mod tests {
     use super::*;
     use clio_hw::silicon::Silicon;
+    use clio_mn::migrate::Migrations;
     use clio_mn::slowpath::SlowPath;
     use clio_mn::CBoardConfig;
     use clio_proto::{Perm, Pid};
@@ -192,6 +193,7 @@ mod tests {
     struct Harness {
         silicon: Silicon,
         slow: SlowPath,
+        migrations: Migrations,
         chase: PointerChase,
         now: SimTime,
         pid: Pid,
@@ -203,14 +205,11 @@ mod tests {
             let mut silicon = Silicon::new(cfg.hw.clone());
             let mut slow = SlowPath::new(&cfg);
             slow.create_as(Pid(9002));
-            let demand = silicon.vm().async_buffer().refill_demand();
-            let (pages, _) = slow.refill_pages(demand);
-            for p in pages {
-                silicon.vm_mut().async_buffer_mut().push(p);
-            }
+            slow.refill_async_buffer(&mut silicon);
             Harness {
                 silicon,
                 slow,
+                migrations: Migrations::default(),
                 chase: PointerChase::new(),
                 now: SimTime::ZERO,
                 pid: Pid(9002),
@@ -220,7 +219,13 @@ mod tests {
         /// Builds the tree inside the offload's own space (tests don't need
         /// the network path).
         fn build(&mut self, entries: u64, fanout: u64) -> (u64, u32) {
-            let mut env = OffloadEnv::new(&mut self.silicon, &mut self.slow, self.pid, self.now);
+            let mut env = OffloadEnv::new(
+                &mut self.silicon,
+                &mut self.slow,
+                &self.migrations,
+                self.pid,
+                self.now,
+            );
             let total = entries * fanout * NODE_BYTES * 4; // generous
             let base = env.alloc(total, Perm::RW).expect("alloc");
             let (writes, heads, levels) = build_tree(base, entries, fanout);
@@ -233,19 +238,20 @@ mod tests {
         }
 
         fn refill(&mut self) {
-            let demand = self.silicon.vm().async_buffer().refill_demand();
-            let (pages, _) = self.slow.refill_pages(demand);
-            for p in pages {
-                self.silicon.vm_mut().async_buffer_mut().push(p);
-            }
+            self.slow.refill_async_buffer(&mut self.silicon);
         }
 
         fn search(&mut self, root: u64, key: u64, fanout: u64, levels: u32) -> Option<u64> {
             let digits = search_digits(key, fanout, levels);
             let mut head = root;
             for d in digits {
-                let mut env =
-                    OffloadEnv::new(&mut self.silicon, &mut self.slow, self.pid, self.now);
+                let mut env = OffloadEnv::new(
+                    &mut self.silicon,
+                    &mut self.slow,
+                    &self.migrations,
+                    self.pid,
+                    self.now,
+                );
                 let reply = self.chase.on_call(&mut env, 0, encode_chase(head, d));
                 self.now = env.now();
                 self.refill();

@@ -313,6 +313,24 @@ mod tests {
         }
     }
 
+    /// CLib re-routes an op answered `Moved` by its span; the MN refuses a
+    /// packet by the address its body names. An op has a span exactly when
+    /// every packet it builds names an address, and each address lies in
+    /// the span: an op the MN can refuse is an op CLib can re-route.
+    #[test]
+    fn span_rule_matches_the_mn_refusal_rule_on_every_packet() {
+        for op in wire_ops() {
+            let vas: Vec<Option<u64>> = bodies(&op).iter().map(RequestBody::va).collect();
+            let named = vas.iter().all(Option::is_some);
+            assert_eq!(op.span().is_some(), named, "{} builds {vas:?}", op.kind());
+            if let Some((start, len)) = op.span() {
+                for va in vas.into_iter().flatten() {
+                    assert!((start..start + len).contains(&va), "{} names {va:#x}", op.kind());
+                }
+            }
+        }
+    }
+
     #[test]
     fn a_batchable_op_builds_exactly_one_request() {
         for op in wire_ops() {

@@ -61,9 +61,12 @@
 //! range the board is sending, has sent or is receiving is one record in
 //! its one [`Migrations`] (`crate::migrate`). The board dispatches
 //! `MigrateCommand`s and `MigrationMsg` frames to it, sizes the frames
-//! (`send_migration`), executes the [`Effect`]s it returns, runs the
-//! pressure latch, and counts the fast path's `conflicts` and `moved`
-//! from [`Migrations::refusal`].
+//! (`send_migration`), executes the [`Effect`]s it returns and runs the
+//! pressure latch. Admission asks it about every request that names an
+//! address ([`RequestBody::va`]), once, before `handle_request` dispatches
+//! to any path: [`Migrations::refusal`] answers `Conflict` or `Moved`
+//! (counted in `conflicts` and `moved`). An offload call names no address;
+//! [`OffloadEnv`] admits each of its accesses the same way.
 //!
 //! # Invariants
 //!
@@ -74,7 +77,8 @@
 //! 1. **At-most-once effects.** A retry of a non-idempotent request
 //!    (`retry_of` set) whose original already executed is answered from the
 //!    retry-dedup buffer without re-execution — the CN may retry freely and
-//!    each logical operation still takes effect at most once.
+//!    each logical operation still takes effect at most once. Admission
+//!    makes the check, after the refusal and before any path runs.
 //! 2. **Every request is answered.** Each well-formed, uncorrupted request
 //!    packet produces exactly one response packet (possibly coalesced into
 //!    a `BatchResp` frame); each corrupted frame produces a NACK per
@@ -139,9 +143,10 @@ clio_trace::counters! {
         slow_ops,
         /// Extend-path calls served.
         offload_calls,
-        /// Requests refused because their region was migrating.
+        /// Requests refused `Conflict` at admission (an offload's refused
+        /// access shows in its call's reply status instead).
         conflicts,
-        /// Requests answered with `Moved`.
+        /// Requests refused `Moved` at admission (as for `conflicts`).
         moved,
         /// Power cycles completed: `BoardPower::Restart` messages handled.
         board_restarts,
@@ -488,13 +493,11 @@ impl CBoard {
         Rc::make_mut(&mut self.slow)
     }
 
+    /// Tops up the fault handler's free-page buffer. With nothing to
+    /// refill the slow path is not written, so a clone keeps sharing it.
     fn refill_async_buffer(&mut self) {
-        let demand = self.silicon.vm().async_buffer().refill_demand();
-        if demand > 0 {
-            let (pages, _service) = self.slow_mut().refill_pages(demand);
-            for p in pages {
-                self.silicon.vm_mut().async_buffer_mut().push(p);
-            }
+        if self.silicon.vm().async_buffer().refill_demand() > 0 {
+            Rc::make_mut(&mut self.slow).refill_async_buffer(&mut self.silicon);
         }
     }
 
@@ -720,9 +723,9 @@ impl CBoard {
         self.respond(ctx, at, src, pkt, header.trace);
     }
 
-    /// Answers without touching the datapath — a region refusal, a dedup
-    /// replay, an unknown offload — after bare `control_latency` (`Control`
-    /// span).
+    /// Answers without touching the datapath — an admission refusal, a
+    /// dedup replay, an unknown offload — after bare `control_latency`
+    /// (`Control` span).
     fn reply_control(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -811,15 +814,6 @@ impl CBoard {
         self.reply_control(ctx, src, header, Status::Ok, body);
     }
 
-    fn region_refusal(&mut self, pid: Pid, va: u64) -> Option<Status> {
-        let status = self.migrations.refusal(pid, va)?;
-        match status {
-            Status::Conflict => self.stats.conflicts += 1,
-            _ => self.stats.moved += 1,
-        }
-        Some(status)
-    }
-
     /// Tiles the op's board-resident time with the datapath's measured
     /// stage attribution ([`clio_hw::silicon::Breakdown::stage_components`]
     /// sums to the access's total exactly). The answer then closes with an
@@ -861,11 +855,21 @@ impl CBoard {
         let start = now.max(self.fence_until);
         let pid = header.pid;
 
+        // Admission, once for every path: a migrating range refuses the
+        // request, then a retry whose original already ran is replayed.
+        if let Some(status) = body.va().and_then(|va| self.migrations.refusal(pid, va)) {
+            match status {
+                Status::Conflict => self.stats.conflicts += 1,
+                _ => self.stats.moved += 1,
+            }
+            return self.reply_control(ctx, src, &header, status, ResponseBody::Done);
+        }
+        if let Some(rec) = body.is_non_idempotent().then(|| self.dedup_hit(&header)).flatten() {
+            return self.replay(ctx, src, &header, rec);
+        }
+
         match body {
             RequestBody::Read { va, len } => {
-                if let Some(status) = self.region_refusal(pid, va) {
-                    return self.reply_control(ctx, src, &header, status, ResponseBody::Done);
-                }
                 self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
                 let (res, timing) =
                     self.with_stall_retry(start, |silicon, at| silicon.read(at, pid, va, len));
@@ -893,12 +897,6 @@ impl CBoard {
                 }
             }
             RequestBody::WriteFrag { va, data } => {
-                if let Some(status) = self.region_refusal(pid, va) {
-                    return self.reply_control(ctx, src, &header, status, ResponseBody::Done);
-                }
-                if let Some(rec) = self.dedup_hit(&header) {
-                    return self.replay(ctx, src, &header, rec);
-                }
                 self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
                 let (res, timing) =
                     self.with_stall_retry(start, |silicon, at| silicon.write(at, pid, va, &data));
@@ -929,9 +927,6 @@ impl CBoard {
                 self.reply(ctx, src, &header, at, Stage::Control, Status::Ok, ResponseBody::Done);
             }
             RequestBody::Alloc { size, perm, fixed_va } => {
-                if let Some(rec) = self.dedup_hit(&header) {
-                    return self.replay(ctx, src, &header, rec);
-                }
                 if !self.slow.has_pid(pid) {
                     // Implicit address-space creation on first allocation
                     // keeps the client API simple (CreateAs remains
@@ -956,9 +951,6 @@ impl CBoard {
                 self.reply_slow(ctx, src, &header, service, status, body);
             }
             RequestBody::Free { va, size: _ } => {
-                if let Some(rec) = self.dedup_hit(&header) {
-                    return self.replay(ctx, src, &header, rec);
-                }
                 let (service, status) = match self.slow_mut().free(pid, va) {
                     Ok(out) => {
                         self.unmap(pid, &out.vpns);
@@ -1061,12 +1053,6 @@ impl CBoard {
         va: u64,
         op: AtomicOp,
     ) {
-        if let Some(status) = self.region_refusal(header.pid, va) {
-            return self.reply_control(ctx, src, &header, status, ResponseBody::Done);
-        }
-        if let Some(rec) = self.dedup_hit(&header) {
-            return self.replay(ctx, src, &header, rec);
-        }
         self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
         let (res, t) = self.silicon.atomic(start, header.pid, va, op);
         self.note_completion(t.done);
@@ -1123,8 +1109,8 @@ impl CBoard {
         // their path (§4.6).
         let env_pid = installed.pid.unwrap_or(header.pid);
         self.silicon.set_internal_access(true);
-        let mut env =
-            OffloadEnv::new(&mut self.silicon, Rc::make_mut(&mut self.slow), env_pid, begin);
+        let slow = Rc::make_mut(&mut self.slow);
+        let mut env = OffloadEnv::new(&mut self.silicon, slow, &self.migrations, env_pid, begin);
         let reply = installed.module.on_call(&mut env, opcode, arg);
         let env_done = env.now();
         let _ = env; // end the borrow of silicon/slow

@@ -12,12 +12,20 @@
 //! each memory access advances it by the silicon's reported latency plus any
 //! offload compute cycles, so a call's response carries a faithful
 //! completion time.
+//!
+//! Each access is admitted like a request: the board's [`Migrations`]
+//! refuses one to a range migrating away (`Conflict`) or gone (`Moved`),
+//! and the access fails with that status, which a module returns as its
+//! call's. Offload calls are not deduplicated, so CLib re-runs a call
+//! refused `Conflict` part-way whole, as after a lost response; a `Moved`
+//! call fails, as an offload names no range for CLib to re-route.
 
 use bytes::Bytes;
-use clio_hw::silicon::{AtomicOp, Silicon};
+use clio_hw::silicon::{AccessTiming, AtomicOp, Silicon};
 use clio_proto::{Perm, Pid, Status};
 use clio_sim::{Cycles, SimDuration, SimTime};
 
+use crate::migrate::Migrations;
 use crate::slowpath::SlowPath;
 
 /// The reply an offload call produces.
@@ -70,17 +78,25 @@ impl Clone for Box<dyn Offload> {
 pub struct OffloadEnv<'a> {
     silicon: &'a mut Silicon,
     slow: &'a mut SlowPath,
+    migrations: &'a Migrations,
     pid: Pid,
     cursor: SimTime,
     fpga_cycle_time: SimDuration,
 }
 
 impl<'a> OffloadEnv<'a> {
-    /// Assembles the environment for one call. `start` is when the request
-    /// leaves the MAT for the extend path.
-    pub fn new(silicon: &'a mut Silicon, slow: &'a mut SlowPath, pid: Pid, start: SimTime) -> Self {
+    /// Assembles the environment for one call. `migrations` is the board's,
+    /// which admits every access; `start` is when the request leaves the
+    /// MAT for the extend path.
+    pub fn new(
+        silicon: &'a mut Silicon,
+        slow: &'a mut SlowPath,
+        migrations: &'a Migrations,
+        pid: Pid,
+        start: SimTime,
+    ) -> Self {
         let fpga_cycle_time = silicon.config().flit_time();
-        OffloadEnv { silicon, slow, pid, cursor: start, fpga_cycle_time }
+        OffloadEnv { silicon, slow, migrations, pid, cursor: start, fpga_cycle_time }
     }
 
     /// The offload's own PID (protection domain).
@@ -98,49 +114,54 @@ impl<'a> OffloadEnv<'a> {
         self.cursor += Cursor::cycles(self.fpga_cycle_time, c);
     }
 
-    /// Reads remote memory through the fast path. A fault that drains the
-    /// async free-page buffer triggers an inline refill and one retry, like
-    /// the board's stall-and-refill path.
+    /// Admits an access to `va` and runs it at the cursor. A fault that
+    /// drains the async free-page buffer triggers an inline refill and one
+    /// retry, like the board's stall-and-refill path.
+    fn access<T>(
+        &mut self,
+        va: u64,
+        mut run: impl FnMut(&mut Silicon, SimTime) -> (Result<T, Status>, AccessTiming),
+    ) -> Result<T, Status> {
+        self.migrations.refusal(self.pid, va).map_or(Ok(()), Err)?;
+        let (res, t) = run(self.silicon, self.cursor);
+        self.cursor = t.done;
+        if res.as_ref().err() != Some(&Status::OutOfPhysicalMemory) {
+            return res;
+        }
+        self.slow.refill_async_buffer(self.silicon);
+        let (res, t) = run(self.silicon, self.cursor);
+        self.cursor = t.done;
+        res
+    }
+
+    /// Reads remote memory through the fast path.
     ///
     /// # Errors
     ///
-    /// Propagates translation/permission failures.
+    /// Propagates migration refusals and translation/permission failures.
     pub fn read(&mut self, va: u64, len: u32) -> Result<Bytes, Status> {
-        let (res, t) = self.silicon.read(self.cursor, self.pid, va, len);
-        self.cursor = t.done;
-        if res.as_ref().err() == Some(&Status::OutOfPhysicalMemory) {
-            self.refill_async_buffer();
-            let (res2, t2) = self.silicon.read(self.cursor, self.pid, va, len);
-            self.cursor = t2.done;
-            return res2;
-        }
-        res
+        let pid = self.pid;
+        self.access(va, |silicon, at| silicon.read(at, pid, va, len))
     }
 
-    /// Writes remote memory through the fast path (with the same
-    /// fault-stall refill as [`read`](Self::read)).
+    /// Writes remote memory through the fast path.
     ///
     /// # Errors
     ///
-    /// Propagates translation/permission failures.
+    /// Propagates migration refusals and translation/permission failures.
     pub fn write(&mut self, va: u64, data: &[u8]) -> Result<(), Status> {
-        let (res, t) = self.silicon.write(self.cursor, self.pid, va, data);
-        self.cursor = t.done;
-        if res.as_ref().err() == Some(&Status::OutOfPhysicalMemory) {
-            self.refill_async_buffer();
-            let (res2, t2) = self.silicon.write(self.cursor, self.pid, va, data);
-            self.cursor = t2.done;
-            return res2;
-        }
-        res
+        let pid = self.pid;
+        self.access(va, |silicon, at| silicon.write(at, pid, va, data))
     }
 
-    /// Executes an atomic through the synchronization unit.
+    /// Executes an atomic through the synchronization unit (no stall retry,
+    /// as on the board).
     ///
     /// # Errors
     ///
-    /// Propagates translation/permission failures.
+    /// Propagates migration refusals and translation/permission failures.
     pub fn atomic(&mut self, va: u64, op: AtomicOp) -> Result<u64, Status> {
+        self.migrations.refusal(self.pid, va).map_or(Ok(()), Err)?;
         let (res, t) = self.silicon.atomic(self.cursor, self.pid, va, op);
         self.cursor = t.done;
         res
@@ -182,24 +203,12 @@ impl<'a> OffloadEnv<'a> {
                         .expect("allocator pre-checked bucket space");
                 }
                 self.cursor = self.cursor + crossing + out.service + crossing;
-                self.refill_async_buffer();
+                self.slow.refill_async_buffer(self.silicon);
                 Ok(out.range.start)
             }
             Err((status, service)) => {
                 self.cursor = self.cursor + crossing + service + crossing;
                 Err(status)
-            }
-        }
-    }
-
-    /// Keeps the fault handler's free-page buffer topped up (the board does
-    /// the same after every request).
-    fn refill_async_buffer(&mut self) {
-        let demand = self.silicon.vm().async_buffer().refill_demand();
-        if demand > 0 {
-            let (pages, _service) = self.slow.refill_pages(demand);
-            for p in pages {
-                self.silicon.vm_mut().async_buffer_mut().push(p);
             }
         }
     }
@@ -221,6 +230,19 @@ mod tests {
     struct Env {
         silicon: Silicon,
         slow: SlowPath,
+        migrations: Migrations,
+    }
+
+    impl Env {
+        fn env(&mut self) -> OffloadEnv<'_> {
+            OffloadEnv::new(
+                &mut self.silicon,
+                &mut self.slow,
+                &self.migrations,
+                Pid(900),
+                SimTime::ZERO,
+            )
+        }
     }
 
     fn setup() -> Env {
@@ -228,19 +250,14 @@ mod tests {
         let mut silicon = Silicon::new(cfg.hw.clone());
         let mut slow = SlowPath::new(&cfg);
         slow.create_as(Pid(900));
-        // Prime the async buffer.
-        let demand = silicon.vm().async_buffer().refill_demand();
-        let (pages, _) = slow.refill_pages(demand);
-        for p in pages {
-            silicon.vm_mut().async_buffer_mut().push(p);
-        }
-        Env { silicon, slow }
+        slow.refill_async_buffer(&mut silicon);
+        Env { silicon, slow, migrations: Migrations::default() }
     }
 
     #[test]
     fn offload_allocates_and_accesses_its_own_space() {
         let mut e = setup();
-        let mut env = OffloadEnv::new(&mut e.silicon, &mut e.slow, Pid(900), SimTime::ZERO);
+        let mut env = e.env();
         let va = env.alloc(8192, Perm::RW).expect("alloc");
         assert!(env.now() > SimTime::ZERO, "slow-path time charged");
         env.write(va, b"offload data").expect("write");
@@ -252,7 +269,7 @@ mod tests {
     #[test]
     fn time_cursor_monotonically_advances() {
         let mut e = setup();
-        let mut env = OffloadEnv::new(&mut e.silicon, &mut e.slow, Pid(900), SimTime::ZERO);
+        let mut env = e.env();
         let va = env.alloc(4096, Perm::RW).expect("alloc");
         let t0 = env.now();
         env.write(va, &[0u8; 64]).expect("write");
@@ -273,14 +290,14 @@ mod tests {
             e.silicon.vm_mut().install_pte(*pte).expect("install");
         }
         let client_va = out.range.start;
-        let mut env = OffloadEnv::new(&mut e.silicon, &mut e.slow, Pid(900), SimTime::ZERO);
+        let mut env = e.env();
         assert_eq!(env.read(client_va, 8).unwrap_err(), Status::InvalidAddr);
     }
 
     #[test]
     fn atomics_work_in_offload_space() {
         let mut e = setup();
-        let mut env = OffloadEnv::new(&mut e.silicon, &mut e.slow, Pid(900), SimTime::ZERO);
+        let mut env = e.env();
         let va = env.alloc(4096, Perm::RW).expect("alloc");
         assert_eq!(env.atomic(va, AtomicOp::Faa(5)).expect("faa"), 0);
         assert_eq!(env.atomic(va, AtomicOp::Faa(1)).expect("faa"), 5);

@@ -21,7 +21,8 @@
 //! refused: record dropped, Abort notice
 //! accepted: each valid page  ── PageData ───→ installed with its bytes
 //!                            ── Commit ─────→ holes installed, record dropped
-//! record Moved, Unmap and    ←─ Done ────────
+//! record Moved, shadow PTEs  ←─ Done ────────
+//!   dropped, Unmap and
 //!   Complete notice
 //! ```
 //!
@@ -34,11 +35,17 @@
 //!    `Offer` until its `Commit`. Concurrent ranges, one process's too, are
 //!    told apart by `(pid, start)` and commit only their own pages
 //!    (`tests::concurrent_ranges_of_one_pid_commit_their_own_pages`).
-//! 2. **The fast path's answer follows the phase.** `Conflict` on every
+//! 2. **Every path's answer follows the phase.** `Conflict` on every
 //!    byte of an `Out` range, `Moved` once it has landed; a range being
 //!    received, an aborted one, bytes outside a range and other processes
 //!    are served (`tests::refusal_follows_the_phase`,
-//!    `tests::a_refused_offer_is_dropped_and_reported`).
+//!    `tests::a_refused_offer_is_dropped_and_reported`). The board admits
+//!    fast-path and slow-path requests by this answer before dispatch, and
+//!    the extend path admits each offload access by it
+//!    (`board_over_network.rs`'s
+//!    `a_free_during_migration_is_refused_and_the_range_lands_whole`,
+//!    `a_free_after_migration_answers_moved`,
+//!    `an_offload_write_into_a_migrating_range_is_refused`).
 //! 3. **Bytes, holes and permission arrive intact.** Every page valid at
 //!    the source arrives with its bytes; every other page of the range
 //!    arrives as a hole; both keep the range's permission
@@ -53,6 +60,12 @@
 //! 6. **The board adds no order of its own.** It runs the effects in the
 //!    order they come, so the two-MN shape of `digest_pins.rs` and
 //!    `tests/multi_mn.rs` pin every send's time and order.
+//! 7. **The VA reservation outlives `Moved`.** At `Done` the source drops
+//!    the range's pages and shadow PTEs but keeps its VA reserved: the
+//!    range lies in the source's allocation window, so releasing it would
+//!    let the source hand out an address the destination holds, one VA
+//!    with two owners
+//!    (`tests::offer_to_done_moves_the_written_bytes_and_keeps_the_holes`).
 
 use bytes::Bytes;
 use clio_hw::pagetable::Pte;
@@ -117,18 +130,18 @@ pub enum Effect {
 
 /// The migration protocol on one board (sans I/O): one record per range.
 ///
-/// The fast path asks only [`Migrations::refusal`]; the table is sized by
-/// migrations, not by clients, and is a short scan because migration
-/// "happens rarely" (§4.7).
+/// The board's admission step and the offload environment ask only
+/// [`Migrations::refusal`]; the table is sized by migrations, not by
+/// clients, and is a short scan because migration "happens rarely" (§4.7).
 #[derive(Debug, Clone, Default)]
 pub struct Migrations {
     ranges: Vec<Record>,
 }
 
 impl Migrations {
-    /// How the fast path must answer an access to `(pid, va)`: `Conflict`
-    /// while its range streams out, `Moved` once it has left, `None` to
-    /// serve it.
+    /// How the board must answer an access to `(pid, va)`, on any path:
+    /// `Conflict` while its range streams out, `Moved` once it has left,
+    /// `None` to serve it.
     pub fn refusal(&self, pid: Pid, va: u64) -> Option<Status> {
         self.ranges.iter().find_map(|r| match r.phase {
             _ if r.pid != pid || va < r.start || va >= r.start + r.len => None,
@@ -257,6 +270,9 @@ impl Migrations {
                 let Phase::Out { dst, vpns } = std::mem::replace(&mut r.phase, Phase::Moved) else {
                     unreachable!("found in phase Out")
                 };
+                // The pages are the new owner's; the VA stays reserved here
+                // (invariant 7).
+                slow.shadow_remove(pid, start / page..(start + r.len) / page);
                 out.push(Effect::Unmap { pid, vpns });
                 out.push(Effect::Complete(MigrationComplete { pid, start, len: r.len, dst }));
             }
@@ -403,10 +419,7 @@ mod tests {
 
         /// Writes through the fast path, faulting pages in.
         fn write(&mut self, va: u64, data: &[u8]) {
-            let demand = self.silicon.vm().async_buffer().refill_demand();
-            for ppn in self.slow.refill_pages(demand).0 {
-                self.silicon.vm_mut().async_buffer_mut().push(ppn);
-            }
+            self.slow.refill_async_buffer(&mut self.silicon);
             self.silicon.write(SimTime::ZERO, PID, va, data).0.expect("write");
         }
 
@@ -460,7 +473,8 @@ mod tests {
 
     /// A whole `Offer…Done`: the written pages arrive with their bytes, the
     /// untouched ones as holes, and the source is told to unmap the range
-    /// and report it landed.
+    /// and report it landed. It drops the range's shadow PTEs and keeps its
+    /// VA reserved.
     #[test]
     fn offer_to_done_moves_the_written_bytes_and_keeps_the_holes() {
         let mut boards = pair();
@@ -494,6 +508,14 @@ mod tests {
             ]
         );
         assert_eq!((src.m.in_progress(), dst_board.m.in_progress()), ((0, 0), (0, 0)));
+
+        // The source keeps the range's VA reserved, and nothing else of it.
+        let shadowed =
+            (va / PAGE..va / PAGE + 4).filter(|&v| src.slow.shadow().lookup(PID, v).is_some());
+        assert_eq!(shadowed.count(), 0, "the source's shadow still maps moved pages");
+        let again = src.slow.alloc(PID, len, Perm::RW, Some(va)).expect("alloc").range;
+        let overlaps = again.start < va + len && va < again.start + again.len;
+        assert!(!overlaps, "the source handed out the moved range's VA again: {again:?}");
     }
 
     /// The fast path's answer in each phase: `Conflict` on every byte of a

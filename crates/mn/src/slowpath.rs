@@ -13,6 +13,7 @@
 //! [`ArmConfig`]: crate::config::ArmConfig
 
 use clio_hw::pagetable::{HashPageTable, Pte};
+use clio_hw::silicon::Silicon;
 use clio_proto::{Perm, Pid, Status};
 use clio_sim::resource::ServerPool;
 use clio_sim::SimDuration;
@@ -191,10 +192,23 @@ impl SlowPath {
     /// Functionally instant for the fast path (the ARM runs it in the
     /// background, §4.3); the returned service time is what the ARM core
     /// spends.
-    pub fn refill_pages(&mut self, demand: usize) -> (Vec<u64>, SimDuration) {
+    fn refill_pages(&mut self, demand: usize) -> (Vec<u64>, SimDuration) {
         let pages = self.palloc.alloc_many(demand);
         let service = self.cfg.palloc_base + self.cfg.palloc_per_page * pages.len() as u64;
         (pages, service)
+    }
+
+    /// Tops the fault handler's free-page buffer up from the allocator:
+    /// the board does it after every request and on a fault stall, an
+    /// offload after its allocations and on a stall of its own.
+    pub fn refill_async_buffer(&mut self, silicon: &mut Silicon) {
+        let demand = silicon.vm().async_buffer().refill_demand();
+        if demand > 0 {
+            let (pages, _service) = self.refill_pages(demand);
+            for p in pages {
+                silicon.vm_mut().async_buffer_mut().push(p);
+            }
+        }
     }
 
     /// Explicit physical allocation of a whole range (the paper's
@@ -245,6 +259,14 @@ impl SlowPath {
     /// Propagates shadow-table overflow/duplicate errors.
     pub fn shadow_install(&mut self, pte: Pte) -> Result<(), clio_hw::pagetable::PageTableError> {
         self.shadow.insert(pte)
+    }
+
+    /// Removes `pid`'s shadow PTEs of `vpns` (a range that migrated away:
+    /// its VA stays reserved, its pages are the new owner's).
+    pub fn shadow_remove(&mut self, pid: Pid, vpns: impl IntoIterator<Item = u64>) {
+        for vpn in vpns {
+            self.shadow.remove(pid, vpn);
+        }
     }
 
     /// Registers a migrated-in range with the VA allocator so future frees

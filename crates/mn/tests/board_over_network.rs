@@ -709,3 +709,106 @@ fn a_migrated_read_only_range_stays_read_only() {
     assert_eq!(r.status_of(5), before, "the page that held data turned writable");
     assert_eq!(r.status_of(6), before, "the page that never held data turned writable");
 }
+
+impl Rig {
+    /// Commands the first board to move pid 7's `[start, start + len)` to
+    /// `dst` and, in the same instant, has the client send `m` to the first
+    /// board: `m` arrives while the range streams out. Runs to quiescence,
+    /// so the move has landed on return.
+    fn migrate_during(&mut self, start: u64, len: u64, dst: Mac, m: Message) {
+        self.sim.post(self.board_id, Message::new(MigrateCommand { pid: Pid(7), start, len, dst }));
+        self.send(m);
+    }
+
+    /// The bytes the client last read, after reading `len` at `va` from
+    /// the board at `mac`.
+    fn read_from(&mut self, mac: Mac, req_id: u64, va: u64, len: u32) -> Bytes {
+        self.sim.actor_mut::<RawClient>(self.client_id).board = mac;
+        self.send(req(req_id, 7, RequestBody::Read { va, len }));
+        assert_eq!(self.status_of(req_id), Status::Ok);
+        self.sim.actor::<RawClient>(self.client_id).reads.last().expect("read").1.clone()
+    }
+}
+
+/// A `Free` that arrives while its range streams out is refused like any
+/// access, and the range lands whole.
+///
+/// Regression: the `Free` answered `Ok` and unmapped the pages, the
+/// source streamed none of them, and the new owner served zeros.
+#[test]
+fn a_free_during_migration_is_refused_and_the_range_lands_whole() {
+    let (mut r, _, mn1) = two_board_rig();
+    let va = r.alloc(1, 7, 8192, Perm::RW);
+    r.send(write(2, va, b"migrate me!"));
+    r.migrate_during(va, 8192, mn1, req(3, 7, RequestBody::Free { va, size: 8192 }));
+    assert_eq!(r.status_of(3), Status::Conflict);
+    assert_eq!(r.sim.actor::<CBoard>(r.board_id).stats().conflicts, 1);
+    assert_eq!(&r.read_from(mn1, 4, va, 11)[..], b"migrate me!");
+}
+
+/// A `Free` sent to the old owner of a moved range (a stale route) is
+/// redirected, not served.
+///
+/// Regression: the old owner still held the VA reservation and answered
+/// `Ok`, so the client believed it had freed a range the new owner holds.
+#[test]
+fn a_free_after_migration_answers_moved() {
+    let (mut r, _, mn1) = two_board_rig();
+    let va = r.alloc(1, 7, 8192, Perm::RW);
+    r.send(write(2, va, b"migrate me!"));
+    r.migrate(va, 8192, mn1);
+    r.sim.actor_mut::<RawClient>(r.client_id).board = r.board_mac;
+    r.send(req(3, 7, RequestBody::Free { va, size: 8192 }));
+    assert_eq!(r.status_of(3), Status::Moved);
+    assert_eq!(r.sim.actor::<CBoard>(r.board_id).stats().moved, 1);
+    assert_eq!(&r.read_from(mn1, 4, va, 11)[..], b"migrate me!");
+}
+
+/// An offload in the caller's address space that writes the 8-byte
+/// address its argument names.
+#[derive(Clone)]
+struct WriteAt;
+impl Offload for WriteAt {
+    fn clone_box(&self) -> Box<dyn Offload> {
+        Box::new(self.clone())
+    }
+
+    fn name(&self) -> &str {
+        "write-at"
+    }
+
+    fn on_call(&mut self, env: &mut OffloadEnv<'_>, _: u16, arg: Bytes) -> OffloadReply {
+        let va = u64::from_le_bytes(arg[..8].try_into().expect("8 bytes"));
+        match env.write(va, b"offload") {
+            Ok(()) => OffloadReply::ok(Bytes::new()),
+            Err(status) => OffloadReply::err(status),
+        }
+    }
+}
+
+/// An offload's access is admitted like a request: a shared-address-space
+/// offload writing into a range that streams out answers `Conflict`, and
+/// `Moved` once the range has landed. The refusal is the call's status;
+/// the board's `conflicts`/`moved` count refused requests, and the call
+/// itself was admitted.
+///
+/// Regression: the write landed during the move (`Ok`) and after it hit
+/// the unmapped pages (`InvalidAddr`).
+#[test]
+fn an_offload_write_into_a_migrating_range_is_refused() {
+    let (mut r, _, mn1) = two_board_rig();
+    let va = r.alloc(1, 7, 8192, Perm::RW);
+    r.send(write(2, va, b"migrate me!"));
+    r.sim.actor_mut::<CBoard>(r.board_id).install_offload_shared(1, Box::new(WriteAt));
+    let call = |id| {
+        let arg = Bytes::copy_from_slice(&va.to_le_bytes());
+        req(id, 7, RequestBody::OffloadCall { offload: 1, opcode: 0, arg })
+    };
+    r.migrate_during(va, 8192, mn1, call(3));
+    assert_eq!(r.status_of(3), Status::Conflict);
+    r.send(call(4));
+    assert_eq!(r.status_of(4), Status::Moved);
+    let stats = r.sim.actor::<CBoard>(r.board_id).stats();
+    assert_eq!((stats.conflicts, stats.moved, stats.offload_calls), (0, 0, 2));
+    assert_eq!(&r.read_from(mn1, 5, va, 11)[..], b"migrate me!");
+}

@@ -181,6 +181,23 @@ impl RequestBody {
         )
     }
 
+    /// The address the request names, if it names one: what the MN asks
+    /// its migrations about before running it (§4.7). Reads, write
+    /// fragments and atomics name the byte they start at, a free the range
+    /// it releases.
+    pub fn va(&self) -> Option<u64> {
+        match self {
+            RequestBody::Read { va, .. }
+            | RequestBody::WriteFrag { va, .. }
+            | RequestBody::AtomicTas { va }
+            | RequestBody::AtomicStore { va, .. }
+            | RequestBody::AtomicCas { va, .. }
+            | RequestBody::AtomicFaa { va, .. }
+            | RequestBody::Free { va, .. } => Some(*va),
+            _ => None,
+        }
+    }
+
     /// Payload bytes carried by this body (data for writes/offload args).
     pub fn payload_len(&self) -> usize {
         match self {

@@ -215,6 +215,23 @@ if [ "$fail" -ne 0 ]; then
   echo "the Conflict policy left CLib::finish (see above)"
   exit 1
 fi
+# One admission step on the MN: the board asks the migrations and the
+# dedup buffer from one call site each (before handle_request's dispatch),
+# and the offload environment admits its accesses through the same
+# refusal.
+for call in '.refusal(' 'dedup_hit('; do
+  sites=$(grep -vE '^[[:space:]]*//|fn dedup_hit\(' crates/mn/src/board.rs | grep -cF "$call")
+  if [ "$sites" -ne 1 ]; then
+    echo "crates/mn/src/board.rs calls $call from $sites sites, not one admission step"
+    fail=1
+  fi
+done
+grep -qF '.refusal(' crates/mn/src/extend.rs \
+  || { echo "crates/mn/src/extend.rs does not admit offload accesses (no .refusal( call)"; fail=1; }
+if [ "$fail" -ne 0 ]; then
+  echo "refusal or dedup left the MN's one admission step (see above)"
+  exit 1
+fi
 # Re-measuring: the A/B script perf changes report with must exist, and
 # the section that tells how to compare two commits must name it.
 sed -n '/^### Re-measuring/,/^## /p' "$DOC" | grep -q 'scripts/ab\.sh' \
