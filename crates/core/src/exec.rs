@@ -21,7 +21,7 @@
 //! wake-up is carried by a sim event — same program + same seed ⇒ the
 //! same virtual-time schedule and `Simulation::digest`.
 //!
-//! ## Waker path
+//! ## Wake path
 //!
 //! Awaiting an [`OpFuture`] reserves one unit of the process's in-flight
 //! budget and queues a submission; the executor flushes queued submissions
@@ -31,13 +31,27 @@
 //! the result already deliverable, so a completed op costs one poll. No
 //! layer below the executor holds a waker.
 //!
+//! A wake is a task index. The executor records the task it is polling,
+//! and a future that has to wait files that index where its wake will come
+//! from: the op's slot, the park queue, or its sleep's timer record. A
+//! wake pushes the index onto the ready queue. Tasks and timers live in
+//! generation-checked slabs, so an index that outlives its task or timer
+//! finds nothing. Tasks are polled under [`Waker::noop`]: nothing is
+//! cloned, counted or locked per wake.
+//!
+//! The rule this rests on: **a task may await only its own executor's
+//! futures** ([`OpFuture`], [`DeadlineFuture`], [`SleepFuture`]) and
+//! combinators over them. A future that keeps `cx.waker()` to wake its
+//! task later would wait forever, so a task that returns `Pending` without
+//! having filed its index panics, stating this rule.
+//!
 //! ## Backpressure
 //!
 //! Submission is backpressure-aware: once `inflight == budget`
 //! ([`ClusterConfig::runtime_inflight_budget`](crate::ClusterConfig)),
 //! further submitters *park* — they queue FIFO, and each completion hands
 //! its freed credit to the queue head directly (the head's slot is
-//! pre-admitted before any waker runs). The handoff is what makes parking
+//! pre-admitted before any task is woken). The handoff is what makes parking
 //! fair: the completing task's own continuation is woken first and polled
 //! first, so without it a task looping over sequential ops would re-take
 //! every slot it frees and starve parked peers forever. With pre-admission
@@ -61,8 +75,7 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
 use clio_cn::{ClioError, Completion, Op, OpToken, ThreadId};
@@ -74,22 +87,80 @@ use crate::node::NodeApi;
 
 pub mod openloop;
 
-type TaskId = u64;
 type BoxedTask = Pin<Box<dyn Future<Output = ()>>>;
 
-/// Wakes a task by pushing its id onto the executor's ready queue.
-///
-/// `std::task::Waker` demands `Send + Sync`, so the ready queue is the one
-/// `Arc<Mutex<_>>` in an otherwise single-threaded executor (uncontended:
-/// everything runs on the sim thread).
-struct TaskWaker {
-    ready: Arc<Mutex<VecDeque<TaskId>>>,
-    task: TaskId,
+/// What a task that returns `Pending` without filing its index broke.
+const AWAIT_RULE: &str = "a task may await only its own executor's futures \
+    (OpFuture, DeadlineFuture, SleepFuture) and combinators over them: \
+    it returned Pending without registering for a wake";
+
+/// A record's handle in a [`Slab`]: its slot, and the slot's generation
+/// when the record was made. A handle that outlives its record finds
+/// nothing, even after a new record reuses the slot.
+#[derive(Clone, Copy)]
+struct Key {
+    slot: u32,
+    gen: u32,
 }
 
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.ready.lock().expect("executor ready queue").push_back(self.task);
+impl Key {
+    /// The key as the tag a timer event carries.
+    fn tag(self) -> u64 {
+        u64::from(self.gen) << 32 | u64::from(self.slot)
+    }
+
+    fn from_tag(tag: u64) -> Key {
+        Key { slot: tag as u32, gen: (tag >> 32) as u32 }
+    }
+}
+
+/// A task's index: what a wake pushes onto the ready queue.
+type TaskId = Key;
+
+/// Records under generation-checked [`Key`]s. A removed record's slot is
+/// reused, LIFO, with its generation bumped.
+struct Slab<T> {
+    entries: Vec<(u32, Option<T>)>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab { entries: Vec::new(), free: Vec::new() }
+    }
+}
+
+impl<T> Slab<T> {
+    fn insert(&mut self, value: T) -> Key {
+        match self.free.pop() {
+            Some(slot) => {
+                let (gen, entry) = &mut self.entries[slot as usize];
+                *entry = Some(value);
+                Key { slot, gen: *gen }
+            }
+            None => {
+                self.entries.push((0, Some(value)));
+                Key { slot: (self.entries.len() - 1) as u32, gen: 0 }
+            }
+        }
+    }
+
+    fn get_mut(&mut self, key: Key) -> Option<&mut T> {
+        match self.entries.get_mut(key.slot as usize) {
+            Some((gen, entry)) if *gen == key.gen => entry.as_mut(),
+            _ => None,
+        }
+    }
+
+    fn remove(&mut self, key: Key) -> Option<T> {
+        let (gen, entry) = self.entries.get_mut(key.slot as usize)?;
+        if *gen != key.gen {
+            return None;
+        }
+        let value = entry.take()?;
+        *gen = gen.wrapping_add(1);
+        self.free.push(key.slot);
+        Some(value)
     }
 }
 
@@ -101,7 +172,8 @@ struct OpSlot {
     /// reports as `issued_at`, whether the node or a cancellation made it.
     arrival: SimTime,
     result: Option<Completion>,
-    waker: Option<Waker>,
+    /// The task awaiting the result.
+    waiter: Option<TaskId>,
     /// The op's token, known once the executor flushes the submission;
     /// cancellation after this point goes through [`NodeApi::cancel`].
     token: Option<OpToken>,
@@ -122,7 +194,7 @@ impl OpSlot {
         Rc::new(RefCell::new(OpSlot {
             arrival,
             result: None,
-            waker: None,
+            waiter: None,
             token: None,
             cancel_requested: false,
             in_submit_q: false,
@@ -131,8 +203,8 @@ impl OpSlot {
     }
 
     /// Resolves a never-issued op of `thread` as cancelled at `now`,
-    /// returning the waker of the task awaiting it (if any).
-    fn resolve_cancelled(&mut self, thread: ThreadId, now: SimTime) -> Option<Waker> {
+    /// returning the task awaiting it (if any).
+    fn resolve_cancelled(&mut self, thread: ThreadId, now: SimTime) -> Option<TaskId> {
         self.result = Some(Completion {
             token: OpToken(0),
             thread,
@@ -140,7 +212,7 @@ impl OpSlot {
             issued_at: self.arrival.min(now),
             completed_at: now,
         });
-        self.waker.take()
+        self.waiter.take()
     }
 }
 
@@ -154,94 +226,117 @@ enum Submission {
     Cancel { token: OpToken },
 }
 
+/// A sleep's timer record, from its [`SleepFuture`]'s first poll until the
+/// future completes or is dropped.
 struct TimerEntry {
     fired: bool,
-    waker: Option<Waker>,
-}
-
-/// A spawned task: its future (taken out while it is being polled) and the
-/// one waker every poll of it reuses.
-struct Task {
-    fut: Option<BoxedTask>,
-    waker: Waker,
+    sleeper: Option<TaskId>,
 }
 
 struct ExecInner {
     /// False until `on_start`: pre-start spawns queue instead of polling
     /// inline (no budget yet, and nothing can race them).
     running: bool,
-    tasks: IdMap<TaskId, Task>,
-    next_task: TaskId,
+    /// Spawned, unfinished tasks; a task's future is taken out while it is
+    /// being polled.
+    tasks: Slab<Option<BoxedTask>>,
     live_tasks: usize,
     submit_q: VecDeque<Submission>,
     /// Submitters waiting for window credit, FIFO. Each freed credit is
-    /// handed to the head ([`release_credit`]) before any waker runs, so
-    /// the completing task cannot barge back in ahead of parked peers.
-    parked: VecDeque<(Rc<RefCell<OpSlot>>, Waker)>,
+    /// handed to the head ([`release_credit`]) before any task is woken,
+    /// so the completing task cannot barge back in ahead of parked peers.
+    parked: VecDeque<(Rc<RefCell<OpSlot>>, TaskId)>,
     inflight: usize,
     peak_inflight: u64,
     budget: usize,
     op_slots: IdMap<OpToken, Rc<RefCell<OpSlot>>>,
-    timers: IdMap<u64, TimerEntry>,
-    next_timer_tag: u64,
+    timers: Slab<TimerEntry>,
 }
 
 /// Releases one in-flight credit. If a submitter is parked, the credit is
 /// transferred to the FIFO head *now* — its slot marked `admitted`, the
-/// credit kept counted — and its waker returned for the caller to wake
-/// outside the borrow. Pre-admitting before any waker runs is the fairness
-/// guarantee: the completing task's continuation is polled first, but the
-/// freed slot is already spoken for, so it parks behind the peer instead
-/// of starving it.
-fn release_credit(inner: &mut ExecInner) -> Option<Waker> {
+/// credit kept counted — and its task returned for the caller to wake
+/// outside the borrow. Pre-admitting before any task is woken is the
+/// fairness guarantee: the completing task's continuation is polled first,
+/// but the freed slot is already spoken for, so it parks behind the peer
+/// instead of starving it.
+fn release_credit(inner: &mut ExecInner) -> Option<TaskId> {
     inner.inflight -= 1;
-    let (slot, waker) = inner.parked.pop_front()?;
+    let (slot, task) = inner.parked.pop_front()?;
     slot.borrow_mut().admitted = true;
     inner.inflight += 1;
-    Some(waker)
+    Some(task)
 }
 
 struct ExecShared {
     /// The CLib thread this executor's ops are ordered under.
     thread: ThreadId,
-    ready: Arc<Mutex<VecDeque<TaskId>>>,
+    /// Woken tasks, FIFO; a task woken twice is polled twice.
+    ready: RefCell<VecDeque<TaskId>>,
     inner: RefCell<ExecInner>,
     /// Virtual time mirror, refreshed on every executor callback so futures
     /// can timestamp without a `Ctx`.
     now: Cell<SimTime>,
+    /// The task being polled, if any.
+    current: Cell<Option<TaskId>>,
+    /// Whether the task being polled has filed its index for a wake.
+    registered: Cell<bool>,
 }
 
 impl ExecShared {
-    fn pop_ready(&self) -> Option<TaskId> {
-        self.ready.lock().expect("executor ready queue").pop_front()
+    fn wake(&self, task: TaskId) {
+        self.ready.borrow_mut().push_back(task);
+    }
+
+    /// The task being polled, for a future that files it to be woken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this executor is not polling a task: the future is being
+    /// awaited by another executor's task, or outside any task.
+    fn register(&self) -> TaskId {
+        let task = self.current.get().expect(AWAIT_RULE);
+        self.registered.set(true);
+        task
     }
 }
 
-/// Polls registered task `tid` once. The future is taken out of its entry
-/// for the duration of the poll, so tasks can spawn (and inline-poll) other
-/// tasks reentrantly.
-fn poll_one(shared: &Rc<ExecShared>, tid: TaskId) {
-    let taken = {
-        let mut inner = shared.inner.borrow_mut();
-        inner.tasks.get_mut(&tid).and_then(|t| Some((t.fut.take()?, t.waker.clone())))
-    };
-    let Some((fut, waker)) = taken else { return }; // finished earlier; spurious wake
-    poll_task(shared, tid, fut, waker);
+/// Polls registered task `tid` once, unless it has finished (a stale wake).
+/// The future is taken out of its slab entry for the duration of the poll,
+/// so tasks can spawn (and inline-poll) other tasks reentrantly.
+fn poll_one(shared: &ExecShared, tid: TaskId) {
+    let fut = shared.inner.borrow_mut().tasks.get_mut(tid).and_then(Option::take);
+    if let Some(fut) = fut {
+        poll_task(shared, tid, fut);
+    }
 }
 
-/// Polls `fut` once with its task's waker: still pending, it is (re)filed
-/// under `tid`; finished, the task is retired. A freshly spawned task comes
-/// here unregistered, so one that finishes at once never touches the table.
-fn poll_task(shared: &Rc<ExecShared>, tid: TaskId, mut fut: BoxedTask, waker: Waker) {
-    let mut cx = Context::from_waker(&waker);
-    let poll = fut.as_mut().poll(&mut cx);
-    let mut inner = shared.inner.borrow_mut();
+/// Polls `fut`, task `tid`, once as the executor's current task: still
+/// pending, it goes back into its slab entry; finished, the task is retired
+/// and its slot freed. The poll nests inside another task's when that task
+/// spawns, so the outer task's state is restored afterwards.
+///
+/// # Panics
+///
+/// Panics if the task returns `Pending` without having registered for a
+/// wake (the module's await rule).
+fn poll_task(shared: &ExecShared, tid: TaskId, mut fut: BoxedTask) {
+    let outer = (shared.current.replace(Some(tid)), shared.registered.replace(false));
+    let poll = fut.as_mut().poll(&mut Context::from_waker(Waker::noop()));
+    let registered = shared.registered.replace(outer.1);
+    shared.current.set(outer.0);
     match poll {
         Poll::Pending => {
-            inner.tasks.entry(tid).or_insert(Task { fut: None, waker }).fut = Some(fut);
+            assert!(registered, "{AWAIT_RULE}");
+            let mut inner = shared.inner.borrow_mut();
+            *inner.tasks.get_mut(tid).expect("a pending task keeps its slot") = Some(fut);
         }
         Poll::Ready(()) => {
-            inner.tasks.remove(&tid);
+            // Dropped before the borrow: a finished task's futures may
+            // release executor records as they go.
+            drop(fut);
+            let mut inner = shared.inner.borrow_mut();
+            inner.tasks.remove(tid);
             inner.live_tasks -= 1;
         }
     }
@@ -260,11 +355,10 @@ impl ExecDriver {
         ExecDriver {
             shared: Rc::new(ExecShared {
                 thread,
-                ready: Arc::new(Mutex::new(VecDeque::new())),
+                ready: RefCell::new(VecDeque::new()),
                 inner: RefCell::new(ExecInner {
                     running: false,
-                    tasks: IdMap::default(),
-                    next_task: 0,
+                    tasks: Slab::default(),
                     live_tasks: 0,
                     submit_q: VecDeque::new(),
                     parked: VecDeque::new(),
@@ -272,10 +366,11 @@ impl ExecDriver {
                     peak_inflight: 0,
                     budget: usize::MAX,
                     op_slots: IdMap::default(),
-                    timers: IdMap::default(),
-                    next_timer_tag: 0,
+                    timers: Slab::default(),
                 }),
                 now: Cell::new(SimTime::ZERO),
+                current: Cell::new(None),
+                registered: Cell::new(false),
             }),
         }
     }
@@ -314,17 +409,12 @@ impl ExecDriver {
                         // the node: resolve locally and refund the budget
                         // slot without ever issuing the op.
                         let unparked = release_credit(&mut self.shared.inner.borrow_mut());
-                        let slot_waker = {
+                        let waiter = {
                             let mut s = slot.borrow_mut();
                             s.in_submit_q = false;
                             s.resolve_cancelled(self.shared.thread, api.now())
                         };
-                        if let Some(w) = slot_waker {
-                            w.wake();
-                        }
-                        if let Some(w) = unparked {
-                            w.wake();
-                        }
+                        waiter.into_iter().chain(unparked).for_each(|t| self.shared.wake(t));
                         continue;
                     }
                     let arrival = slot.borrow().arrival;
@@ -366,7 +456,8 @@ impl ExecDriver {
         self.shared.now.set(api.now());
         loop {
             self.flush(api);
-            match self.shared.pop_ready() {
+            let next = self.shared.ready.borrow_mut().pop_front();
+            match next {
                 Some(tid) => poll_one(&self.shared, tid),
                 None if self.shared.inner.borrow().submit_q.is_empty() => break,
                 None => continue,
@@ -388,45 +479,37 @@ impl ExecDriver {
     /// completion wake: the result goes into the op's slot first, then the
     /// awaiting task (if any) is woken and polled in this same sim event.
     pub(crate) fn on_completion(&self, api: &mut NodeApi<'_, '_>, completion: Completion) {
-        let (slot_waker, unparked) = {
+        let (waiter, unparked) = {
             let mut inner = self.shared.inner.borrow_mut();
             match inner.op_slots.remove(&completion.token) {
                 Some(slot) => {
-                    let slot_waker = {
+                    let waiter = {
                         let mut s = slot.borrow_mut();
                         s.result = Some(completion);
-                        s.waker.take()
+                        s.waiter.take()
                     };
-                    let unparked = release_credit(&mut inner);
-                    (slot_waker, unparked)
+                    (waiter, release_credit(&mut inner))
                 }
                 None => (None, None),
             }
         };
-        if let Some(w) = slot_waker {
-            w.wake();
-        }
-        if let Some(w) = unparked {
-            w.wake();
-        }
+        waiter.into_iter().chain(unparked).for_each(|t| self.shared.wake(t));
         self.drain(api);
     }
 
     /// Called when a timer armed through [`NodeApi::wake_in`] fires (a
-    /// task's sleep came due).
+    /// task's sleep came due). A sleep dropped before its timer fired has
+    /// released its record, so its timer wakes nobody.
     pub(crate) fn on_wake(&self, api: &mut NodeApi<'_, '_>, tag: u64) {
-        let waker = {
+        let sleeper = {
             let mut inner = self.shared.inner.borrow_mut();
-            match inner.timers.get_mut(&tag) {
-                Some(t) => {
-                    t.fired = true;
-                    t.waker.take()
-                }
-                None => None,
-            }
+            inner.timers.get_mut(Key::from_tag(tag)).and_then(|t| {
+                t.fired = true;
+                t.sleeper.take()
+            })
         };
-        if let Some(w) = waker {
-            w.wake();
+        if let Some(task) = sleeper {
+            self.shared.wake(task);
         }
         self.drain(api);
     }
@@ -455,20 +538,17 @@ impl ProcHandle {
     /// order with the spawner's subsequent ops; pre-start spawns queue and
     /// run at cluster start.
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) {
-        let (tid, running) = {
-            let mut inner = self.shared.inner.borrow_mut();
-            inner.next_task += 1;
-            inner.live_tasks += 1;
-            (inner.next_task, inner.running)
-        };
-        let waker =
-            Waker::from(Arc::new(TaskWaker { ready: self.shared.ready.clone(), task: tid }));
         let fut: BoxedTask = Box::pin(fut);
-        if running {
-            poll_task(&self.shared, tid, fut, waker);
+        let mut inner = self.shared.inner.borrow_mut();
+        inner.live_tasks += 1;
+        if inner.running {
+            let tid = inner.tasks.insert(None);
+            drop(inner);
+            poll_task(&self.shared, tid, fut);
         } else {
-            self.shared.inner.borrow_mut().tasks.insert(tid, Task { fut: Some(fut), waker });
-            self.shared.ready.lock().expect("executor ready queue").push_back(tid);
+            let tid = inner.tasks.insert(Some(fut));
+            drop(inner);
+            self.shared.wake(tid);
         }
     }
 
@@ -632,7 +712,7 @@ impl OpFuture {
 impl Future for OpFuture {
     type Output = Completion;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Completion> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Completion> {
         let this = self.get_mut();
         match &mut this.state {
             OpState::Start(op) => {
@@ -649,14 +729,12 @@ impl Future for OpFuture {
                         // barging past them): park FIFO until a completion
                         // hands this op its credit. `arrival` is untouched,
                         // so the whole park shows up as SubmitQueued.
-                        if let Some(entry) =
-                            inner.parked.iter_mut().find(|(s, _)| Rc::ptr_eq(s, &this.slot))
-                        {
-                            entry.1 = cx.waker().clone(); // re-polled while parked
-                        } else {
-                            inner.parked.push_back((this.slot.clone(), cx.waker().clone()));
+                        let task = this.shared.register();
+                        match inner.parked.iter_mut().find(|(s, _)| Rc::ptr_eq(s, &this.slot)) {
+                            Some(entry) => entry.1 = task, // re-polled while parked
+                            None => inner.parked.push_back((this.slot.clone(), task)),
                         }
-                        this.slot.borrow_mut().waker = Some(cx.waker().clone());
+                        this.slot.borrow_mut().waiter = Some(task);
                         return Poll::Pending;
                     }
                     inner.inflight += 1;
@@ -664,7 +742,7 @@ impl Future for OpFuture {
                 inner.peak_inflight = inner.peak_inflight.max(inner.inflight as u64);
                 {
                     let mut s = this.slot.borrow_mut();
-                    s.waker = Some(cx.waker().clone());
+                    s.waiter = Some(this.shared.register());
                     s.in_submit_q = true;
                 }
                 let (op, named_mn) = op.take().expect("op submitted once");
@@ -682,7 +760,7 @@ impl Future for OpFuture {
                         Poll::Ready(c)
                     }
                     None => {
-                        s.waker = Some(cx.waker().clone());
+                        s.waiter = Some(this.shared.register());
                         Poll::Pending
                     }
                 }
@@ -727,13 +805,8 @@ fn request_cancel(shared: &Rc<ExecShared>, slot: &Rc<RefCell<OpSlot>>) {
         None
     };
     drop(inner);
-    let waker = slot.borrow_mut().resolve_cancelled(shared.thread, shared.now.get());
-    if let Some(w) = waker {
-        w.wake();
-    }
-    if let Some(w) = handoff {
-        w.wake();
-    }
+    let waiter = slot.borrow_mut().resolve_cancelled(shared.thread, shared.now.get());
+    waiter.into_iter().chain(handoff).for_each(|t| shared.wake(t));
 }
 
 /// Cancels one op from outside its awaiting task (see
@@ -787,11 +860,13 @@ impl Future for DeadlineFuture {
 
 enum SleepState {
     Start { dur: SimDuration },
-    Waiting { tag: u64 },
+    Waiting { timer: Key },
     Done,
 }
 
-/// An awaitable virtual-time delay (carried by a sim timer event).
+/// An awaitable virtual-time delay (carried by a sim timer event). It
+/// completes only once its own timer has fired; dropped before that, it
+/// releases its timer record, and the timer then wakes nobody.
 pub struct SleepFuture {
     shared: Rc<ExecShared>,
     state: SleepState,
@@ -800,36 +875,41 @@ pub struct SleepFuture {
 impl Future for SleepFuture {
     type Output = ();
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        match &mut this.state {
+        let mut inner = this.shared.inner.borrow_mut();
+        match this.state {
             SleepState::Start { dur } => {
-                let mut inner = this.shared.inner.borrow_mut();
-                inner.next_timer_tag += 1;
-                let tag = inner.next_timer_tag;
-                inner
-                    .timers
-                    .insert(tag, TimerEntry { fired: false, waker: Some(cx.waker().clone()) });
-                inner.submit_q.push_back(Submission::Timer { tag, dur: *dur });
-                drop(inner);
-                this.state = SleepState::Waiting { tag };
+                let sleeper = Some(this.shared.register());
+                let timer = inner.timers.insert(TimerEntry { fired: false, sleeper });
+                inner.submit_q.push_back(Submission::Timer { tag: timer.tag(), dur });
+                this.state = SleepState::Waiting { timer };
                 Poll::Pending
             }
-            SleepState::Waiting { tag } => {
-                let mut inner = this.shared.inner.borrow_mut();
-                let entry = inner.timers.get_mut(tag).expect("armed timer");
+            SleepState::Waiting { timer } => {
+                let entry = inner.timers.get_mut(timer).expect("armed timer");
                 if entry.fired {
-                    let tag = *tag;
-                    inner.timers.remove(&tag);
-                    drop(inner);
+                    inner.timers.remove(timer);
                     this.state = SleepState::Done;
                     Poll::Ready(())
                 } else {
-                    entry.waker = Some(cx.waker().clone());
+                    entry.sleeper = Some(this.shared.register());
                     Poll::Pending
                 }
             }
             SleepState::Done => panic!("SleepFuture polled after completion"),
+        }
+    }
+}
+
+impl Drop for SleepFuture {
+    fn drop(&mut self) {
+        // No task future is dropped while the executor's state is borrowed;
+        // were one, the record would stay and its timer wake the task once.
+        if let (SleepState::Waiting { timer }, Ok(mut inner)) =
+            (&self.state, self.shared.inner.try_borrow_mut())
+        {
+            inner.timers.remove(*timer);
         }
     }
 }
@@ -1076,6 +1156,57 @@ mod tests {
         let reg = cluster.registry();
         assert_eq!(reg.gauge("cn0.runtime.inflight"), Some(0));
         assert_eq!(reg.gauge("cn0.runtime.parked"), Some(0));
+    }
+
+    #[test]
+    fn a_released_task_id_finds_no_task_after_a_spawn_reuses_its_slot() {
+        let mut cluster = Cluster::build(&ClusterConfig::test_small());
+        cluster.block_on(0, Pid(7), |h| async move {
+            let ids = Rc::new(Cell::new((None, None)));
+            let second_polls = Rc::new(Cell::new(0));
+            let (h1, ids1) = (h.clone(), ids.clone());
+            // Finishes inside its first poll, releasing its slot at once.
+            h.spawn(async move { ids1.set((h1.shared.current.get(), None)) });
+            let (h2, ids2, polls) = (h.clone(), ids.clone(), second_polls.clone());
+            h.spawn(async move {
+                polls.set(polls.get() + 1);
+                ids2.set((ids2.get().0, h2.shared.current.get()));
+                h2.sleep(SimDuration::from_micros(1)).await;
+                polls.set(polls.get() + 1);
+            });
+            let (Some(old), Some(new)) = ids.get() else { panic!("both tasks ran") };
+            assert_eq!(old.slot, new.slot, "the second spawn reuses the released slot");
+            assert_ne!(old.gen, new.gen);
+            {
+                let mut inner = h.shared.inner.borrow_mut();
+                assert!(inner.tasks.get_mut(old).is_none(), "a released id finds no task");
+                assert!(inner.tasks.get_mut(new).is_some());
+            }
+            // A stale wake polls nobody: not the task now in the slot.
+            poll_one(&h.shared, old);
+            assert_eq!(second_polls.get(), 1);
+            h.sleep(SimDuration::from_micros(2)).await;
+            assert_eq!(second_polls.get(), 2, "the live task still runs to its end");
+        });
+        assert_eq!(cluster.cn(0).driver::<ExecDriver>(0).live_tasks(), 0);
+    }
+
+    #[test]
+    fn a_deadline_that_loses_its_race_releases_its_timer() {
+        let mut cluster = Cluster::build(&ClusterConfig::test_small());
+        cluster.block_on(0, Pid(7), |h| async move {
+            let va = h.ralloc(4096, Perm::RW).await.va();
+            for _ in 0..100 {
+                let c = h.with_deadline(h.rread(va, 8), SimDuration::from_micros(500)).await;
+                assert!(c.result.is_ok(), "the read beats its deadline");
+            }
+            let timers_held =
+                || h.shared.inner.borrow().timers.entries.iter().flat_map(|e| &e.1).count();
+            assert_eq!(timers_held(), 0, "no lost race keeps a timer");
+            // Every losing deadline's timer fires in here, waking nobody.
+            h.sleep(SimDuration::from_millis(2)).await;
+            assert_eq!(timers_held(), 0);
+        });
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! asks for ([`Notice`]): placements, route queries and updates, and the
 //! allocation books.
 
-use std::collections::VecDeque;
-
 use clio_cn::{CLib, CLibConfig, Completion, Notice, Op, OpToken, Route, ThreadId};
 use clio_net::{Frame, Mac, NicPort};
 use clio_proto::Pid;
@@ -52,11 +50,12 @@ struct NodeCore {
     /// request's tag is the token of the op it is for.
     placing: IdMap<OpToken, u64>,
     /// Finished ops awaiting delivery to their executor, in completion
-    /// order (drained by [`ComputeNode::pump_events`]).
-    events: VecDeque<Completion>,
-    /// Completions CLib calls append to, drained into `events` by
-    /// [`NodeCore::absorb`] (one buffer, reused).
+    /// order: CLib calls append to it, and [`ComputeNode::pump_events`]
+    /// delivers it a batch at a time.
     comps: Vec<Completion>,
+    /// The buffer `comps` is swapped with for each batch, kept for its
+    /// capacity (always empty between batches).
+    spare: Vec<Completion>,
     /// Per-process in-flight submission budget the executors enforce.
     runtime_budget: usize,
     /// Ops resolved with `DeadlineExceeded` by [`NodeApi::cancel`].
@@ -64,10 +63,9 @@ struct NodeCore {
 }
 
 impl NodeCore {
-    /// Files what the last CLib call produced: its completions for the
-    /// executors, and the controller conversation it asked for, in order.
+    /// Sends the controller the conversation the last CLib call asked
+    /// for, in order (its completions wait in `comps`).
     fn absorb(&mut self, ctx: &mut Ctx<'_>) {
-        self.events.extend(self.comps.drain(..));
         let reply_to = ctx.self_id();
         for notice in self.clib.notices() {
             let msg = match notice {
@@ -185,8 +183,8 @@ impl ComputeNode {
                 controller,
                 pids: Vec::new(),
                 placing: IdMap::default(),
-                events: VecDeque::new(),
                 comps: Vec::new(),
+                spare: Vec::new(),
                 runtime_budget: DEFAULT_INFLIGHT_BUDGET,
                 deadline_exceeded: 0,
             },
@@ -239,12 +237,19 @@ impl ComputeNode {
         any.downcast_ref::<D>().expect("compute nodes host ExecDriver only")
     }
 
-    /// Delivers queued completions, letting tasks issue follow-up ops.
+    /// Delivers queued completions in completion order, letting tasks
+    /// issue follow-up ops. Each batch is swapped out of `comps` first, so
+    /// the completions its deliveries cause form the next batch.
     fn pump_events(&mut self, ctx: &mut Ctx<'_>) {
-        while let Some(c) = self.core.events.pop_front() {
-            let idx = c.thread.0 as usize;
-            let mut api = NodeApi { core: &mut self.core, ctx, driver: idx };
-            self.execs[idx].on_completion(&mut api, c);
+        while !self.core.comps.is_empty() {
+            let spare = std::mem::take(&mut self.core.spare);
+            let mut batch = std::mem::replace(&mut self.core.comps, spare);
+            for c in batch.drain(..) {
+                let idx = c.thread.0 as usize;
+                let mut api = NodeApi { core: &mut self.core, ctx, driver: idx };
+                self.execs[idx].on_completion(&mut api, c);
+            }
+            self.core.spare = batch;
         }
     }
 }

@@ -1,17 +1,20 @@
 //! Allocation budget of the op fast path: steady-state heap allocations per
 //! completed op, counted by a wrapping `#[global_allocator]`, must stay
-//! under the ceilings below so the budget cannot silently regress. Each
-//! ceiling is the measured use rounded up, plus one (9.37 → 11 lone, 4.67 →
-//! 6 batched); lower it whenever a change removes an allocation. The
-//! counter is per thread, so the two tests do not see each other (or the
-//! harness).
+//! under the ceilings below so the budget cannot silently regress. The
+//! closed-loop ceilings are the measured use rounded up, plus one (9.37 →
+//! 11 lone, 4.67 → 6 batched); the open-loop one is the measured use
+//! rounded up (7.83 → 8), so the per-task waker the executor once
+//! allocated (8.83) cannot come back. Lower a ceiling whenever a change
+//! removes an allocation. The counter is per thread, so the tests do not
+//! see each other (or the harness).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use clio_core::{Cluster, ClusterConfig};
+use clio_core::{Cluster, ClusterConfig, ProcHandle};
 use clio_proto::{Perm, Pid};
 use clio_sim::{SimDuration, SimRng};
 
@@ -46,37 +49,20 @@ static GLOBAL: Counting = Counting;
 
 const PAGE: u64 = 4096;
 
-/// Steady-state allocations per op of `tasks` closed-loop tasks issuing
-/// `len`-byte ops (2 reads : 1 write) on one CN against one MN.
-fn allocs_per_op(tasks: u64, len: u64) -> f64 {
+/// Steady-state allocations per completed op of the load `program`
+/// spawns on one CN against one MN. It gets the process handle, a
+/// completed-op counter to bump and a flag telling it to stop.
+fn allocs_per_op<F, Fut>(label: &str, program: F) -> f64
+where
+    F: FnOnce(ProcHandle, Rc<Cell<u64>>, Rc<Cell<bool>>) -> Fut,
+    Fut: Future<Output = ()> + 'static,
+{
     let mut cfg = ClusterConfig::test_small();
     cfg.board.hw.phys_mem_bytes = 64 << 20;
     let mut cluster = Cluster::build(&cfg);
     let (ops, stop) = (Rc::new(Cell::new(0u64)), Rc::new(Cell::new(false)));
     let (done, stopped) = (ops.clone(), stop.clone());
-    let payload = Bytes::from(vec![0xA5u8; len as usize]);
-    cluster.spawn(0, Pid(7), move |h| async move {
-        let base = h.ralloc(tasks * 4 * PAGE, Perm::RW).await.va();
-        let mut seeds = SimRng::new(1);
-        for t in 0..tasks {
-            let (h2, done, stopped, payload) =
-                (h.clone(), done.clone(), stopped.clone(), payload.clone());
-            let mut rng = seeds.fork();
-            h.spawn(async move {
-                while !stopped.get() {
-                    let va =
-                        base + (t * 4 + rng.range_u64(0, 4)) * PAGE + rng.range_u64(0, 32) * len;
-                    let c = if rng.range_u64(0, 3) < 2 {
-                        h2.rread(va, len as u32).await
-                    } else {
-                        h2.rwrite(va, payload.clone()).await
-                    };
-                    assert!(c.result.is_ok());
-                    done.set(done.get() + 1);
-                }
-            });
-        }
-    });
+    cluster.spawn(0, Pid(7), move |h| program(h, done, stopped));
     cluster.start();
     // Warm-up: page faults, TLB fills, table and scratch-buffer growth.
     cluster.run_for(SimDuration::from_millis(2));
@@ -87,18 +73,75 @@ fn allocs_per_op(tasks: u64, len: u64) -> f64 {
     cluster.run_until_idle();
     assert!(measured > 1000, "only {measured} ops in the measured window");
     let per_op = allocs as f64 / measured as f64;
-    println!("{tasks} task(s) x {len} B: {per_op:.2} allocs/op over {measured} ops");
+    println!("{label}: {per_op:.2} allocs/op over {measured} ops");
     per_op
+}
+
+/// Where the next `len`-byte op of `task` goes, somewhere in its four
+/// pages, and whether it reads (2 reads : 1 write).
+fn pick(rng: &mut SimRng, base: u64, task: u64, len: u64) -> (u64, bool) {
+    let va = base + (task * 4 + rng.range_u64(0, 4)) * PAGE + rng.range_u64(0, 32) * len;
+    (va, rng.range_u64(0, 3) < 2)
+}
+
+/// Issues one op `pick` chose and counts it done.
+async fn one_op(h: &ProcHandle, (va, read): (u64, bool), payload: Bytes, done: &Cell<u64>) {
+    let c =
+        if read { h.rread(va, payload.len() as u32).await } else { h.rwrite(va, payload).await };
+    assert!(c.result.is_ok());
+    done.set(done.get() + 1);
+}
+
+/// `tasks` closed-loop tasks issuing `len`-byte ops.
+fn closed_loop_allocs_per_op(tasks: u64, len: u64) -> f64 {
+    let label = format!("{tasks} task(s) x {len} B");
+    allocs_per_op(&label, move |h, done, stopped| async move {
+        let payload = Bytes::from(vec![0xA5u8; len as usize]);
+        let base = h.ralloc(tasks * 4 * PAGE, Perm::RW).await.va();
+        let mut seeds = SimRng::new(1);
+        for t in 0..tasks {
+            let (h2, done, stopped, payload) =
+                (h.clone(), done.clone(), stopped.clone(), payload.clone());
+            let mut rng = seeds.fork();
+            h.spawn(async move {
+                while !stopped.get() {
+                    one_op(&h2, pick(&mut rng, base, t, len), payload.clone(), &done).await;
+                }
+            });
+        }
+    })
 }
 
 #[test]
 fn single_task_16b_loop_stays_within_budget() {
-    let per_op = allocs_per_op(1, 16);
+    let per_op = closed_loop_allocs_per_op(1, 16);
     assert!(per_op <= 11.0, "{per_op:.2} allocs/op on the lone-op path (budget 11)");
 }
 
 #[test]
 fn batched_64_task_64b_loop_stays_within_budget() {
-    let per_op = allocs_per_op(64, 64);
+    let per_op = closed_loop_allocs_per_op(64, 64);
     assert!(per_op <= 6.0, "{per_op:.2} allocs/op on the batched path (budget 6)");
+}
+
+/// Open loop: a generator sleeps 200 ns and spawns one task per 64 B op,
+/// so every op pays a task's spawn, first poll and retirement.
+#[test]
+fn open_loop_task_per_64b_op_stays_within_budget() {
+    let per_op = allocs_per_op("open loop, a task per 64 B op", |h, done, stopped| async move {
+        let payload = Bytes::from(vec![0xA5u8; 64]);
+        let base = h.ralloc(64 * 4 * PAGE, Perm::RW).await.va();
+        let mut rng = SimRng::new(1);
+        for n in 0.. {
+            if stopped.get() {
+                break;
+            }
+            h.sleep(SimDuration::from_nanos(200)).await;
+            // Spread over 64 tasks' pages, as the batched case is.
+            let op = pick(&mut rng, base, n % 64, 64);
+            let (h2, done, payload) = (h.clone(), done.clone(), payload.clone());
+            h.spawn(async move { one_op(&h2, op, payload, &done).await });
+        }
+    });
+    assert!(per_op <= 8.0, "{per_op:.2} allocs/op on the open-loop path (budget 8)");
 }

@@ -5,16 +5,20 @@
 //! anywhere on the completion path (a layer below waking before the result
 //! is deliverable, a batch response waking every task it carries) shows up
 //! here as polls ≈ 2 × ops.
+//!
+//! A wake is a task index, so a task may await only its own executor's
+//! futures; one that waits on anything else panics, naming that rule.
 
 use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll};
+use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
 use clio_core::{Cluster, ClusterConfig};
 use clio_proto::{Perm, Pid};
+use clio_sim::SimDuration;
 
 /// Counts every poll of the future it wraps.
 struct CountPolls<F> {
@@ -77,4 +81,48 @@ fn closed_loop_of_64_tasks_costs_one_poll_per_op() {
     let ops = TASKS * READS_PER_TASK;
     // One first poll per task + one per completed op.
     assert!(polls.get() <= ops + TASKS, "{} polls for {ops} ops on {TASKS} tasks", polls.get());
+}
+
+/// A deadline whose op completes first leaves no wake behind: its sleep's
+/// timer still fires, but its record went with the dropped sleep, so the
+/// task is not polled for it.
+#[test]
+fn a_deadline_that_loses_its_race_leaves_no_wake_behind() {
+    const READS: u64 = 100;
+    let mut cluster = Cluster::build(&ClusterConfig::test_small());
+    let polls = Rc::new(Cell::new(0));
+    cluster.block_on(0, Pid(1), |h| {
+        count_polls(&polls, async move {
+            let va = h.ralloc(4096, Perm::RW).await.va();
+            for _ in 0..READS {
+                let read = h.rread(va, 16);
+                let c = h.with_deadline(read, SimDuration::from_micros(500)).await;
+                c.result.expect("the read beats its deadline");
+            }
+            // Every deadline's timer fires during this sleep.
+            h.sleep(SimDuration::from_millis(2)).await;
+        })
+    });
+    // First poll + alloc + one per read + the sleep.
+    assert!(polls.get() <= READS + 3, "{} polls for {READS} deadlined reads", polls.get());
+}
+
+/// A future that keeps the context's waker to wake its task later, as a
+/// foreign runtime's would.
+struct KeepsTheWaker(Option<Waker>);
+
+impl Future for KeepsTheWaker {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        self.0 = Some(cx.waker().clone());
+        Poll::Pending
+    }
+}
+
+#[test]
+#[should_panic(expected = "a task may await only its own executor's futures")]
+fn a_task_awaiting_a_foreign_future_panics_with_the_await_rule() {
+    let mut cluster = Cluster::build(&ClusterConfig::test_small());
+    cluster.block_on(0, Pid(1), |_h| KeepsTheWaker(None));
 }

@@ -55,6 +55,7 @@ impl Doorbell {
     /// The latency budget a doorbell may spend given the link's round-trip
     /// `signal`: a quarter of it, at most `cap`, and zero while there is no
     /// sample yet.
+    #[inline]
     pub fn budget(signal: Option<SimDuration>, cap: SimDuration) -> SimDuration {
         signal.map_or(SimDuration::ZERO, |rtt| (rtt / 4).min(cap))
     }
@@ -62,6 +63,7 @@ impl Doorbell {
     /// Records an arrival at `at`, feeding the gap estimate. Arrivals may
     /// be observed out of order (datapath completion times are): an earlier
     /// `at` than the last one counts as a zero gap.
+    #[inline]
     pub fn observe(&mut self, at: SimTime) {
         if let Some(prev) = self.last.replace(at) {
             self.gap.observe(at.since(prev).as_nanos() as f64);
@@ -69,6 +71,7 @@ impl Doorbell {
     }
 
     /// When the last arrival was observed (for idle pruning).
+    #[inline]
     pub fn last_observed(&self) -> Option<SimTime> {
         self.last
     }
@@ -78,6 +81,7 @@ impl Doorbell {
     /// `budget` — and zero when arrivals come no faster than the budget
     /// (waiting out a sparse stream delays the lone packet for nothing),
     /// when the frame is full, or without gap history.
+    #[inline]
     pub fn hold(&self, budget: SimDuration, slots: usize) -> SimDuration {
         match self.gap.get() {
             Some(gap) if slots > 0 && gap > 0.0 && gap < budget.as_nanos() as f64 => {
@@ -88,18 +92,21 @@ impl Doorbell {
     }
 
     /// Fire time of the armed timer, if one is armed.
+    #[inline]
     pub fn armed(&self) -> Option<SimTime> {
         self.armed.map(|(at, _)| at)
     }
 
     /// Arms the doorbell to deliver `msg` to the calling actor at `at`,
     /// cancelling the timer armed before (if any).
+    #[inline]
     pub fn arm(&mut self, ctx: &mut Ctx<'_>, at: SimTime, msg: Message) {
         self.cancel(ctx);
         self.armed = Some((at, ctx.send_at(ctx.self_id(), at, msg)));
     }
 
     /// Cancels the armed timer, if any.
+    #[inline]
     pub fn cancel(&mut self, ctx: &mut Ctx<'_>) {
         if let Some((_, event)) = self.armed.take() {
             ctx.cancel(event);
@@ -108,6 +115,7 @@ impl Doorbell {
 
     /// Forgets the armed timer without cancelling it: it is the one firing
     /// now, or its owner pumps early and lets it fire as a no-op.
+    #[inline]
     pub fn disarm(&mut self) {
         self.armed = None;
     }

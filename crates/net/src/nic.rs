@@ -30,6 +30,7 @@ impl NicPort {
     }
 
     /// This port's link-layer address.
+    #[inline]
     pub fn mac(&self) -> Mac {
         self.mac
     }
@@ -41,6 +42,7 @@ impl NicPort {
 
     /// Queues `payload` (occupying `wire_bytes` on the wire) for `dst`.
     /// Returns the time the last bit leaves the NIC.
+    #[inline]
     pub fn send(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -53,6 +55,7 @@ impl NicPort {
 
     /// Like [`send`](Self::send) but the frame enters the NIC at `earliest`
     /// (used when host-side processing finishes after `ctx.now()`).
+    #[inline]
     pub fn send_at(
         &mut self,
         ctx: &mut Ctx<'_>,

@@ -253,11 +253,13 @@ pub struct Ctx<'a> {
 
 impl Ctx<'_> {
     /// The current virtual time.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.core.now
     }
 
     /// The actor handling the current message.
+    #[inline]
     pub fn self_id(&self) -> ActorId {
         self.self_id
     }
@@ -269,6 +271,7 @@ impl Ctx<'_> {
     }
 
     /// Sends `msg` to `dst`, to be delivered after `delay`.
+    #[inline]
     pub fn send(&mut self, dst: ActorId, delay: SimDuration, msg: Message) -> EventId {
         let at = self.core.now + delay;
         self.core.schedule(Some(self.self_id), dst, at, msg)
@@ -279,23 +282,27 @@ impl Ctx<'_> {
     /// # Panics
     ///
     /// Panics if `at` is in the past.
+    #[inline]
     pub fn send_at(&mut self, dst: ActorId, at: SimTime, msg: Message) -> EventId {
         assert!(at >= self.core.now, "cannot schedule into the past");
         self.core.schedule(Some(self.self_id), dst, at, msg)
     }
 
     /// Schedules `msg` back to the current actor after `delay` (a timer).
+    #[inline]
     pub fn schedule(&mut self, delay: SimDuration, msg: Message) -> EventId {
         self.send(self.self_id, delay, msg)
     }
 
     /// Cancels a previously scheduled event. Cancelling an already-delivered
     /// or already-cancelled event is a no-op.
+    #[inline]
     pub fn cancel(&mut self, id: EventId) {
         self.core.cancel(id);
     }
 
     /// The simulation's deterministic random-number generator.
+    #[inline]
     pub fn rng(&mut self) -> &mut SimRng {
         &mut self.core.rng
     }

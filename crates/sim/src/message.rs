@@ -44,6 +44,7 @@ pub struct Message(Box<dyn Payload>);
 
 impl Message {
     /// Wraps a concrete value into a type-erased message.
+    #[inline]
     pub fn new<T: Clone + 'static>(value: T) -> Self {
         Message(Box::new(value))
     }
@@ -53,6 +54,7 @@ impl Message {
     }
 
     /// The `std::any::type_name` of the wrapped value (for tracing/debugging).
+    #[inline]
     pub fn type_name(&self) -> &'static str {
         (*self.0).type_name()
     }
@@ -60,11 +62,13 @@ impl Message {
     /// [`mix_bytes`] of the wrapped value's [`type_name`](Self::type_name)
     /// from [`MIX_SEED`]: one word per message type, which the event digest
     /// folds.
+    #[inline]
     pub(crate) fn type_hash(&self) -> u64 {
         (*self.0).type_hash()
     }
 
     /// Returns `true` if the wrapped value is a `T`.
+    #[inline]
     pub fn is<T: 'static>(&self) -> bool {
         self.as_any().is::<T>()
     }
@@ -75,6 +79,7 @@ impl Message {
     ///
     /// Returns the message unchanged if the wrapped value is not a `T`, so
     /// that dispatch code can try the next candidate type.
+    #[inline]
     pub fn downcast<T: 'static>(self) -> Result<T, Message> {
         if !self.is::<T>() {
             return Err(self);
@@ -84,11 +89,13 @@ impl Message {
     }
 
     /// Borrows the wrapped value as a `T`, if it is one.
+    #[inline]
     pub fn downcast_ref<T: 'static>(&self) -> Option<&T> {
         self.as_any().downcast_ref::<T>()
     }
 
     /// Mutably borrows the wrapped value as a `T`, if it is one.
+    #[inline]
     pub fn downcast_mut<T: 'static>(&mut self) -> Option<&mut T> {
         let any: &mut dyn Any = &mut *self.0;
         any.downcast_mut::<T>()

@@ -53,6 +53,7 @@ impl SerialResource {
     }
 
     /// Reserves `service` time for work arriving at `now`.
+    #[inline]
     pub fn reserve(&mut self, now: SimTime, service: SimDuration) -> Reservation {
         let start = now.max(self.free_at);
         let end = start + service;
@@ -87,6 +88,7 @@ impl PipelineGate {
     /// Admission time for an item of `units` intervals arriving at `now`
     /// (e.g. a request occupying `units` flits admits the next request only
     /// `units * interval` later).
+    #[inline]
     pub fn admit(&mut self, now: SimTime, units: u64) -> SimTime {
         let start = now.max(self.next_free);
         self.next_free = start + self.interval * units.max(1);
@@ -117,6 +119,7 @@ impl BandwidthResource {
 
     /// Reserves a transfer of `bytes` arriving at `now`. The returned
     /// reservation's `end` includes the fixed access latency.
+    #[inline]
     pub fn transfer(&mut self, now: SimTime, bytes: u64) -> Reservation {
         let occupancy = self.bandwidth.transfer_time(bytes);
         let r = self.bus.reserve(now, occupancy);

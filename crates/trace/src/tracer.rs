@@ -69,6 +69,7 @@ impl Tracer {
     /// Starts a trace for an op submitted at `at`. Returns `None` when
     /// disabled or when sampling skips this op; the context otherwise
     /// travels with the op through every layer.
+    #[inline]
     pub fn begin(&self, label: &'static str, at: SimTime) -> Option<TraceCtx> {
         let sink = self.0.as_ref()?;
         let mut s = sink.borrow_mut();
@@ -97,6 +98,7 @@ impl Tracer {
     /// Appends the stage span `[cursor, max(cursor, end)]` on `track` and
     /// advances the cursor; zero-width spans are skipped. No-op when
     /// disabled, unsampled, or the trace is unknown/finished.
+    #[inline]
     pub fn stitch(&self, ctx: Option<TraceCtx>, track: Track, stage: Stage, end: SimTime) {
         let (Some(sink), Some(ctx)) = (self.0.as_ref(), ctx) else { return };
         let mut s = sink.borrow_mut();
@@ -110,6 +112,7 @@ impl Tracer {
 
     /// Records a retry: links the failed attempt to its replacement and
     /// returns the bumped context the retransmission should carry.
+    #[inline]
     pub fn retry(&self, ctx: Option<TraceCtx>, at: SimTime) -> Option<TraceCtx> {
         let ctx = ctx?;
         let next = TraceCtx { id: ctx.id, attempt: ctx.attempt + 1 };
@@ -125,6 +128,7 @@ impl Tracer {
 
     /// Ends a trace at `at` (stitching a final CN [`Stage::Complete`] span
     /// over any remaining gap) and moves it to the finished set.
+    #[inline]
     pub fn finish(&self, ctx: Option<TraceCtx>, track: Track, at: SimTime) {
         self.stitch(ctx, track, Stage::Complete, at);
         let (Some(sink), Some(ctx)) = (self.0.as_ref(), ctx) else { return };
@@ -148,6 +152,7 @@ impl Tracer {
     /// Records a point-in-time system event on `track` (no-op when
     /// disabled). Events skip per-op sampling: a board going down is a
     /// system fact, not a latency sample.
+    #[inline]
     pub fn event(&self, track: Track, name: &'static str, at: SimTime) {
         if let Some(sink) = self.0.as_ref() {
             sink.borrow_mut().events.push(TraceEvent { track, name, at });

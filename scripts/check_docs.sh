@@ -232,6 +232,19 @@ if [ "$fail" -ne 0 ]; then
   echo "refusal or dedup left the MN's one admission step (see above)"
   exit 1
 fi
+# Wake by index: the executor's wake path takes no lock and counts no
+# reference. No code line of exec.rs before its tests names a Mutex, an
+# Arc, a Wake impl or the context's waker.
+if awk '/^#\[cfg\(test\)\]/ { exit }
+        !/^[[:space:]]*\/\// && /Mutex|Arc|impl Wake|\.waker\(\)/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        END { exit !hit }' crates/core/src/exec.rs; then
+  echo "crates/core/src/exec.rs wakes tasks through a Waker, an Arc or a Mutex (above)"
+  fail=1
+fi
+if [ "$fail" -ne 0 ]; then
+  echo "the executor's wake path is no longer by task index (see above)"
+  exit 1
+fi
 # Re-measuring: the A/B script perf changes report with must exist, and
 # the section that tells how to compare two commits must name it.
 sed -n '/^### Re-measuring/,/^## /p' "$DOC" | grep -q 'scripts/ab\.sh' \
