@@ -162,6 +162,11 @@ impl<T> Slab<T> {
         self.free.push(key.slot);
         Some(value)
     }
+
+    /// Records held.
+    fn len(&self) -> usize {
+        self.entries.len() - self.free.len()
+    }
 }
 
 /// One outstanding op's mailbox, shared between its [`OpFuture`], the
@@ -240,7 +245,6 @@ struct ExecInner {
     /// Spawned, unfinished tasks; a task's future is taken out while it is
     /// being polled.
     tasks: Slab<Option<BoxedTask>>,
-    live_tasks: usize,
     submit_q: VecDeque<Submission>,
     /// Submitters waiting for window credit, FIFO. Each freed credit is
     /// handed to the head ([`release_credit`]) before any task is woken,
@@ -337,7 +341,6 @@ fn poll_task(shared: &ExecShared, tid: TaskId, mut fut: BoxedTask) {
             drop(fut);
             let mut inner = shared.inner.borrow_mut();
             inner.tasks.remove(tid);
-            inner.live_tasks -= 1;
         }
     }
 }
@@ -359,7 +362,6 @@ impl ExecDriver {
                 inner: RefCell::new(ExecInner {
                     running: false,
                     tasks: Slab::default(),
-                    live_tasks: 0,
                     submit_q: VecDeque::new(),
                     parked: VecDeque::new(),
                     inflight: 0,
@@ -387,14 +389,14 @@ impl ExecDriver {
 
     /// Tasks spawned and not yet finished.
     pub fn live_tasks(&self) -> usize {
-        self.shared.inner.borrow().live_tasks
+        self.shared.inner.borrow().tasks.len()
     }
 
     /// What the `runtime.*` gauges sum over a node's executors: `(ops
     /// holding an in-flight credit, submitters parked for one, live tasks)`.
     pub(crate) fn load(&self) -> (usize, usize, usize) {
         let inner = self.shared.inner.borrow();
-        (inner.inflight, inner.parked.len(), inner.live_tasks)
+        (inner.inflight, inner.parked.len(), inner.tasks.len())
     }
 
     /// Issues every queued submission to the node, in program order.
@@ -540,7 +542,6 @@ impl ProcHandle {
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) {
         let fut: BoxedTask = Box::pin(fut);
         let mut inner = self.shared.inner.borrow_mut();
-        inner.live_tasks += 1;
         if inner.running {
             let tid = inner.tasks.insert(None);
             drop(inner);
@@ -1200,8 +1201,7 @@ mod tests {
                 let c = h.with_deadline(h.rread(va, 8), SimDuration::from_micros(500)).await;
                 assert!(c.result.is_ok(), "the read beats its deadline");
             }
-            let timers_held =
-                || h.shared.inner.borrow().timers.entries.iter().flat_map(|e| &e.1).count();
+            let timers_held = || h.shared.inner.borrow().timers.len();
             assert_eq!(timers_held(), 0, "no lost race keeps a timer");
             // Every losing deadline's timer fires in here, waking nobody.
             h.sleep(SimDuration::from_millis(2)).await;

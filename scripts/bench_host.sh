@@ -4,21 +4,19 @@
 # commit (6fb5124, the base) measured on the same box in the same
 # session, appended to BENCH_host.json as one entry.
 #
-#   scripts/bench_host.sh --pr N [--pairs P] [--seconds S] [--seed K]
+#   scripts/bench_host.sh --pr N
 #   scripts/bench_host.sh --check
 #
 #   --pr       the PR the entry is for; it must be above every PR the
 #              file already holds
-#   --pairs    alternating pairs of timed runs (default 10)
-#   --seconds  each run's --seconds (default 10)
-#   --seed     the runs' --seed (default 7)
 #   --check    only validate BENCH_host.json: every entry holds every
 #              field, and PR numbers increase
 #
 # Exports the base with `git archive` into target/bench_host/base and
 # builds both benchmarks, each into its own target directory under
-# target/bench_host/. Each pair runs both builds with `--workload
-# sync_small --trace 0`, alternating which goes first. The entry records
+# target/bench_host/. Every entry is measured the same way, so entries
+# compare: 10 alternating pairs of 10 s runs at seed 7, each run with
+# `--workload sync_small --trace 0`. The entry records
 # the PR, the commit the working tree sits on, the base, the box (nproc,
 # CPU model), and per metric the working tree's median and interquartile
 # range, the base's, and the ratio of the two medians. The JSON line of
@@ -26,14 +24,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage="usage: scripts/bench_host.sh --pr N [--pairs P] [--seconds S] [--seed K] | --check"
-pr="" pairs=10 seconds=10 seed=7 check=0
+usage="usage: scripts/bench_host.sh --pr N | --check"
+pairs=10 seconds=10 seed=7
+pr="" check=0
 while [ $# -gt 0 ]; do
   case "$1" in
     --pr) pr="$2"; shift 2 ;;
-    --pairs) pairs="$2"; shift 2 ;;
-    --seconds) seconds="$2"; shift 2 ;;
-    --seed) seed="$2"; shift 2 ;;
     --check) check=1; shift ;;
     *) echo "$usage" >&2; exit 2 ;;
   esac
