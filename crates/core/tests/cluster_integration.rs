@@ -155,6 +155,26 @@ fn two_threads_share_a_lock() {
     }
 }
 
+/// A fetch-and-add whose word crosses a page boundary is refused: the two
+/// pages' frames need not be adjacent, so the board cannot apply it as one
+/// word. Neither page is touched.
+#[test]
+fn an_atomic_across_a_page_boundary_is_refused() {
+    use clio_cn::ClioError;
+    use clio_proto::Status;
+
+    let mut cluster = Cluster::build(&ClusterConfig::test_small());
+    let page = cluster.mn(0).silicon().config().page_size;
+    let (faa, bytes) = cluster.block_on(0, Pid(7), |h| async move {
+        let va = h.ralloc(2 * page, Perm::RW).await.va();
+        let page_start = va + page - va % page;
+        let faa = h.rfaa(page_start - 4, 1).await.result;
+        (faa, h.rread(page_start - 8, 16).await.data().to_vec())
+    });
+    assert_eq!(faa, Err(ClioError::Remote(Status::InvalidAddr)));
+    assert_eq!(&bytes[..], &[0; 16]);
+}
+
 #[test]
 fn pressure_triggers_transparent_migration() {
     // Tiny MNs: the first fills up and must shed a region to the second.

@@ -17,7 +17,10 @@
 //!   permission check and fault handling in one pipeline stage,
 //! * [`silicon`] — the assembled fast-path datapath: an II=1 pipeline gate,
 //!   the DMA engine, and whole-request read/write/atomic operations with
-//!   per-stage latency breakdowns (these breakdowns *are* Figure 14).
+//!   per-stage latency breakdowns (these breakdowns *are* Figure 14), timed
+//!   from the pipeline gate through response generation. The MAC/PHY
+//!   crossings around them are charged by `clio_mn`'s board, which knows
+//!   how each request was framed.
 //!
 //! Everything here is deterministic: each operation returns both its result
 //! and an explicit [`silicon::AccessTiming`], in keeping with the paper's

@@ -7,12 +7,21 @@
 //! the paper's Figure 14 (TLB hit/miss time, DDR access, on-board
 //! interconnect, etc.).
 //!
-//! Timing model (paper §5): a request packet is admitted by the pipeline
-//! gate — one 64 B flit per 250 MHz cycle, i.e. the 128 Gbps II=1 ceiling —
-//! then flows through fixed-cycle parse/translate/respond stages, with DRAM
-//! and the (non-pipelined) read-DMA engine as shared FCFS resources.
+//! Timing model (paper §5): `Silicon` times the datapath from the pipeline
+//! gate through response generation. A request is admitted by the gate —
+//! one 64 B flit per 250 MHz cycle, i.e. the 128 Gbps II=1 ceiling — then
+//! flows through fixed-cycle parse/translate/respond stages, with DRAM and
+//! the (non-pipelined) read-DMA engine as shared FCFS resources. `read`,
+//! `write` and `atomic` take the instant the request reaches the gate and
+//! return when the response is generated. The MAC/PHY crossings are not
+//! charged here: only the board knows how a request was framed, so
+//! `clio_mn`'s `CBoard` adds each access's ingress and egress crossings
+//! around the call, and an offload's accesses, on-chip behind the
+//! match-and-action table, pay none.
 
-use bytes::Bytes;
+use std::ops::Range;
+
+use bytes::{Bytes, BytesMut};
 use clio_proto::{Perm, Pid, Status};
 use clio_sim::resource::{PipelineGate, SerialResource};
 use clio_sim::{Cycles, SimDuration, SimTime};
@@ -46,7 +55,8 @@ pub enum AtomicOp {
 /// Per-stage time attribution for one request (Figure 14's bars).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Breakdown {
-    /// MAC + PHY ingress and egress.
+    /// MAC + PHY crossings, ingress and egress. `Silicon` leaves this
+    /// zero; the board adds the crossings its framing rule charges.
     pub mac_phy: SimDuration,
     /// Waiting for pipeline admission (II backpressure).
     pub admission_wait: SimDuration,
@@ -100,9 +110,12 @@ impl Breakdown {
 /// When a request entered and left the board, with its stage attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessTiming {
-    /// Arrival at the MAC.
+    /// When the request reached the pipeline gate, as `Silicon` times it;
+    /// the board moves it back to the arrival at the MAC when it charges an
+    /// ingress crossing.
     pub arrived: SimTime,
-    /// Completion: response handed to the egress MAC.
+    /// Completion: the response generated (past the egress MAC once the
+    /// board has charged an egress crossing).
     pub done: SimTime,
     /// Stage attribution.
     pub breakdown: Breakdown,
@@ -135,13 +148,6 @@ clio_trace::counters! {
     }
 }
 
-/// Out-params shared by the per-page translation walk.
-struct TranslateScratch<'a> {
-    b: &'a mut Breakdown,
-    page_fault: &'a mut bool,
-    all_hits: &'a mut bool,
-}
-
 /// The CBoard datapath: functional state plus shared timing resources.
 #[derive(Debug, Clone)]
 pub struct Silicon {
@@ -153,18 +159,6 @@ pub struct Silicon {
     dma: SerialResource,
     atomic_unit: SerialResource,
     dedup: DedupBuffer,
-    internal_access: bool,
-    /// `Some(paid)` while executing the entries of one batched ingress
-    /// frame: the frame's MAC/PHY ingress crossing is charged to the first
-    /// entry only (`paid` flips to `true` after it), so a 16-entry batch
-    /// frame pays ingress MAC once and per-entry parse sixteen times.
-    ingress_frame: Option<bool>,
-    /// `true` while the responses being produced will leave coalesced in
-    /// one egress frame: they skip the MAC/PHY egress crossing, which is
-    /// charged to the **last** response of the batch (handled after the
-    /// bracket ends) — the frame's tail crosses the MAC once, and charging
-    /// the tail rather than the head keeps completion order intact.
-    egress_frame: bool,
     /// The `(physical address, length)` segments of the access being
     /// executed, refilled by [`Silicon::translate_range`] (one buffer,
     /// reused across accesses).
@@ -195,9 +189,6 @@ impl Silicon {
             dma: SerialResource::new(),
             atomic_unit: SerialResource::new(),
             dedup: DedupBuffer::with_byte_budget(cfg.dedup_buffer_bytes, cfg.dedup_entry_bytes),
-            internal_access: false,
-            ingress_frame: None,
-            egress_frame: false,
             segs: Vec::new(),
             stats: SiliconStats::default(),
             cfg,
@@ -249,132 +240,78 @@ impl Silicon {
         self.cfg.clock.cycles(c)
     }
 
-    /// Common front-end: MAC/PHY ingress, II-gate admission, parse cycles.
-    /// Returns (time at translate stage, partial breakdown, arrival).
-    ///
-    /// Ingress MAC/PHY is charged per **frame**, not per request: inside a
-    /// [`begin_ingress_frame`](Self::begin_ingress_frame) bracket only the
-    /// first entry pays it — the rest of the batch already crossed the MAC
-    /// in the same Ethernet frame and pays per-entry parse only.
-    fn front_end(&mut self, now: SimTime, payload_bytes: u64) -> (SimTime, Breakdown) {
-        let mac = if self.internal_access {
-            SimDuration::ZERO
-        } else {
-            match &mut self.ingress_frame {
-                Some(paid @ false) => {
-                    *paid = true;
-                    self.cfg.mac_phy_latency
-                }
-                Some(true) => SimDuration::ZERO,
-                None => self.cfg.mac_phy_latency,
+    /// The one scaffold of every fast-path access, issued at the pipeline
+    /// gate at `now`. The front end admits the request (a read request is
+    /// one flit; a write or atomic carries its payload) and parses it;
+    /// every page `[va, va + len)` touches is translated into `self.segs`;
+    /// `execute` moves the data and returns the result and when it
+    /// finished; the back end generates the response. A failed
+    /// translation skips `execute`, and the response is generated from
+    /// the translate stage's entry.
+    fn access<T>(
+        &mut self,
+        now: SimTime,
+        pid: Pid,
+        va: u64,
+        len: u64,
+        perm: Perm,
+        execute: impl FnOnce(&mut Self, SimTime, &mut Breakdown) -> (T, SimTime),
+    ) -> (Result<T, Status>, AccessTiming) {
+        let mut timing = AccessTiming {
+            arrived: now,
+            done: now,
+            breakdown: Breakdown::default(),
+            page_fault: false,
+            all_tlb_hits: true,
+        };
+        let request_bytes = if perm == Perm::READ { 0 } else { len };
+        let admitted = self.gate.admit(now, self.cfg.flits(request_bytes));
+        timing.breakdown.admission_wait = admitted.since(now);
+        timing.breakdown.pipeline_cycles = self.cycles(self.cfg.parse_cycles);
+        let translating = admitted + timing.breakdown.pipeline_cycles;
+        let (result, t) = match self.translate_range(translating, pid, va, len, perm, &mut timing) {
+            Ok(t) => {
+                let (value, t) = execute(self, t, &mut timing.breakdown);
+                (Ok(value), t)
             }
+            Err(status) => (Err(status), translating),
         };
-        let mut b = Breakdown::default();
-        let at_pipeline = now + mac;
-        b.mac_phy += mac;
-        let flits = self.cfg.flits(payload_bytes);
-        let admitted = self.gate.admit(at_pipeline, flits);
-        b.admission_wait += admitted.since(at_pipeline);
-        let parse = self.cycles(self.cfg.parse_cycles);
-        b.pipeline_cycles += parse;
-        (admitted + parse, b)
+        let respond = self.cycles(self.cfg.response_cycles);
+        timing.breakdown.pipeline_cycles += respond;
+        timing.done = t + respond;
+        (result, timing)
     }
 
-    /// Common back-end: response generation + MAC/PHY egress.
-    ///
-    /// Egress MAC/PHY mirrors the ingress rule — one crossing per wire
-    /// frame: inside a [`begin_egress_frame`](Self::begin_egress_frame)
-    /// bracket responses skip the crossing entirely; the board closes the
-    /// bracket before the batch's **last** entry, which pays the frame's
-    /// single crossing. Charging the tail (not the head) keeps the batch's
-    /// completion order intact: no entry can overtake an earlier one by
-    /// dodging a MAC charge the earlier one paid.
-    fn back_end(&mut self, t: SimTime, b: &mut Breakdown) -> SimTime {
-        let mac = if self.internal_access || self.egress_frame {
-            SimDuration::ZERO
-        } else {
-            self.cfg.mac_phy_latency
-        };
-        let resp = self.cycles(self.cfg.response_cycles);
-        b.pipeline_cycles += resp;
-        b.mac_phy += mac;
-        t + resp + mac
-    }
-
-    /// Switches the datapath between network-facing accesses (MAC/PHY
-    /// charged) and extend-path internal accesses (offloads sit behind the
-    /// MAT, on-chip — §4.6). Returns the previous mode.
-    pub fn set_internal_access(&mut self, internal: bool) -> bool {
-        std::mem::replace(&mut self.internal_access, internal)
-    }
-
-    /// Begins a batched ingress frame: until
-    /// [`end_ingress_frame`](Self::end_ingress_frame), the MAC/PHY ingress
-    /// crossing is charged to the first fast-path access only — the
-    /// remaining entries of the batch arrived in the same Ethernet frame,
-    /// so they pay per-entry parse (and egress) but not ingress MAC again.
-    /// Internal (extend-path) accesses inside the bracket stay free and do
-    /// not consume the frame's ingress charge.
-    pub fn begin_ingress_frame(&mut self) {
-        self.ingress_frame = Some(false);
-    }
-
-    /// Ends the current batched ingress frame (see
-    /// [`begin_ingress_frame`](Self::begin_ingress_frame)).
-    pub fn end_ingress_frame(&mut self) {
-        self.ingress_frame = None;
-    }
-
-    /// Begins a batched egress frame: until
-    /// [`end_egress_frame`](Self::end_egress_frame), fast-path responses
-    /// skip the MAC/PHY egress crossing — they will leave coalesced in one
-    /// `BatchResp` Ethernet frame, which crosses the MAC once. The caller
-    /// closes the bracket **before the batch's last entry**, so the last
-    /// response pays the frame's single crossing (the frame's tail through
-    /// the MAC); charging the tail keeps the batch's per-destination
-    /// completion order intact.
-    pub fn begin_egress_frame(&mut self) {
-        self.egress_frame = true;
-    }
-
-    /// Ends the current batched egress frame (see
-    /// [`begin_egress_frame`](Self::begin_egress_frame)); the next
-    /// response pays egress MAC/PHY normally.
-    pub fn end_egress_frame(&mut self) {
-        self.egress_frame = false;
-    }
-
-    /// Translates every page a `[va, va+len)` access touches, accumulating
-    /// timing into the scratch state. Leaves the access's
+    /// Translates every page a `[va, va+len)` access touches from `t`,
+    /// accumulating its cost into `timing`. Leaves the access's
     /// `(physical_address, length)` segments in `self.segs` and returns the
-    /// time after translation.
+    /// time after translation. An atomic (`perm` [`Perm::RW`]) is one
+    /// word's read-modify-write, so a word that crosses a page is refused
+    /// before either page is translated.
     fn translate_range(
         &mut self,
         mut t: SimTime,
         pid: Pid,
         va: u64,
         len: u64,
-        access: Perm,
-        st: &mut TranslateScratch<'_>,
+        perm: Perm,
+        timing: &mut AccessTiming,
     ) -> Result<SimTime, Status> {
-        let TranslateScratch { b, page_fault, all_hits } = st;
-        let (b, page_fault, all_hits) = (&mut **b, &mut **page_fault, &mut **all_hits);
         let page = self.cfg.page_size;
+        let end = va.checked_add(len).ok_or(Status::InvalidAddr)?;
+        if perm == Perm::RW && va % page > page - len {
+            return Err(Status::InvalidAddr);
+        }
         self.segs.clear();
         let mut addr = va;
-        let end = va.checked_add(len).ok_or(Status::InvalidAddr)?;
         loop {
             let vpn = addr / page;
-            let (res, timing) = self.vm.translate(t, &mut self.dram, pid, vpn, access);
-            b.tlb += self.cycles(timing.cycles);
-            b.pt_dram += timing.pt_fetch;
-            t = t + self.cycles(timing.cycles) + timing.pt_fetch;
-            if timing.page_fault {
-                *page_fault = true;
-            }
-            if !timing.tlb_hit {
-                *all_hits = false;
-            }
+            let (res, walk) = self.vm.translate(t, &mut self.dram, pid, vpn, perm);
+            timing.breakdown.tlb += self.cycles(walk.cycles);
+            timing.breakdown.pt_dram += walk.pt_fetch;
+            t = t + self.cycles(walk.cycles) + walk.pt_fetch;
+            timing.page_fault |= walk.page_fault;
+            timing.all_tlb_hits &= walk.tlb_hit;
             let tr = res?;
             if let Some(new_ppn) = tr.faulted {
                 // Fresh page: contents must read as zero.
@@ -390,6 +327,25 @@ impl Silicon {
         Ok(t)
     }
 
+    /// Streams the translated segments through DRAM, every access issued
+    /// at `t`; `copy` moves each segment's bytes, given its physical
+    /// address and its byte range within the access. Returns when the last
+    /// DRAM access ends.
+    fn stream(
+        &mut self,
+        t: SimTime,
+        mut copy: impl FnMut(&mut PhysMemory, u64, Range<usize>),
+    ) -> SimTime {
+        let mut done = t;
+        let mut off = 0;
+        for &(pa, len) in &self.segs {
+            done = done.max(self.dram.access(t, len).end);
+            copy(&mut self.mem, pa, off..off + len as usize);
+            off += len as usize;
+        }
+        done
+    }
+
     /// Fast-path read: translate, fetch from DRAM via the DMA engine, and
     /// form the response.
     pub fn read(
@@ -399,58 +355,21 @@ impl Silicon {
         va: u64,
         len: u32,
     ) -> (Result<Bytes, Status>, AccessTiming) {
-        // Read *requests* are one flit; the payload flows on the response.
-        let (t, mut b) = self.front_end(now, 0);
-        let mut fault = false;
-        let mut hits = true;
-        let result = self
-            .translate_range(
-                t,
-                pid,
-                va,
-                len as u64,
-                Perm::READ,
-                &mut TranslateScratch { b: &mut b, page_fault: &mut fault, all_hits: &mut hits },
-            )
-            .map(|mut t| {
-                // One interconnect crossing to issue, one for data return.
-                b.interconnect += self.cfg.interconnect_latency * 2;
-                t += self.cfg.interconnect_latency;
-                let mut data = bytes::BytesMut::zeroed(len as usize);
-                let mut dram_done = t;
-                let mut off = 0usize;
-                for &(pa, seg_len) in &self.segs {
-                    let r = self.dram.access(t, seg_len);
-                    dram_done = dram_done.max(r.end);
-                    self.mem.read_into(pa, &mut data[off..off + seg_len as usize]);
-                    off += seg_len as usize;
-                }
-                b.data_dram += dram_done.since(t);
-                // The non-pipelined DMA engine serializes response payloads.
-                let occupancy =
-                    self.cfg.dma_read_overhead + self.cfg.dma_bandwidth.transfer_time(len as u64);
-                let dma = self.dma.reserve(dram_done, occupancy);
-                b.dma += dma.end.since(dram_done);
-                t = dma.end + self.cfg.interconnect_latency;
-                self.stats.reads += 1;
-                self.stats.read_bytes += len as u64;
-                (data.freeze(), t)
-            });
-        let (result, t_end) = match result {
-            Ok((data, t2)) => (Ok(data), t2),
-            Err(s) => (Err(s), t),
-        };
-        let done = self.back_end(t_end, &mut b);
-        (
-            result,
-            AccessTiming {
-                arrived: now,
-                done,
-                breakdown: b,
-                page_fault: fault,
-                all_tlb_hits: hits,
-            },
-        )
+        self.access(now, pid, va, len.into(), Perm::READ, |s, t, b| {
+            // One interconnect crossing to issue, one for data return.
+            b.interconnect += s.cfg.interconnect_latency * 2;
+            let t = t + s.cfg.interconnect_latency;
+            let mut data = BytesMut::zeroed(len as usize);
+            let dram_done = s.stream(t, |mem, pa, range| mem.read_into(pa, &mut data[range]));
+            b.data_dram += dram_done.since(t);
+            // The non-pipelined DMA engine serializes response payloads.
+            let occupancy = s.cfg.dma_read_overhead + s.cfg.dma_bandwidth.transfer_time(len.into());
+            let dma = s.dma.reserve(dram_done, occupancy);
+            b.dma += dma.end.since(dram_done);
+            s.stats.reads += 1;
+            s.stats.read_bytes += u64::from(len);
+            (data.freeze(), dma.end + s.cfg.interconnect_latency)
+        })
     }
 
     /// Fast-path write of one fragment: translate and stream to DRAM.
@@ -461,53 +380,22 @@ impl Silicon {
         va: u64,
         data: &[u8],
     ) -> (Result<(), Status>, AccessTiming) {
-        let (t, mut b) = self.front_end(now, data.len() as u64);
-        let mut fault = false;
-        let mut hits = true;
-        let result = self
-            .translate_range(
-                t,
-                pid,
-                va,
-                data.len() as u64,
-                Perm::WRITE,
-                &mut TranslateScratch { b: &mut b, page_fault: &mut fault, all_hits: &mut hits },
-            )
-            .map(|mut t| {
-                b.interconnect += self.cfg.interconnect_latency;
-                t += self.cfg.interconnect_latency;
-                let mut dram_done = t;
-                let mut off = 0usize;
-                for &(pa, seg_len) in &self.segs {
-                    let r = self.dram.access(t, seg_len);
-                    dram_done = dram_done.max(r.end);
-                    self.mem.write(pa, &data[off..off + seg_len as usize]);
-                    off += seg_len as usize;
-                }
-                b.data_dram += dram_done.since(t);
-                self.stats.writes += 1;
-                self.stats.write_bytes += data.len() as u64;
-                dram_done
-            });
-        let (result, t_end) = match result {
-            Ok(t2) => (Ok(()), t2),
-            Err(s) => (Err(s), t),
-        };
-        let done = self.back_end(t_end, &mut b);
-        (
-            result,
-            AccessTiming {
-                arrived: now,
-                done,
-                breakdown: b,
-                page_fault: fault,
-                all_tlb_hits: hits,
-            },
-        )
+        let len = data.len() as u64;
+        self.access(now, pid, va, len, Perm::WRITE, |s, t, b| {
+            b.interconnect += s.cfg.interconnect_latency;
+            let t = t + s.cfg.interconnect_latency;
+            let dram_done = s.stream(t, |mem, pa, range| mem.write(pa, &data[range]));
+            b.data_dram += dram_done.since(t);
+            s.stats.writes += 1;
+            s.stats.write_bytes += len;
+            ((), dram_done)
+        })
     }
 
     /// An atomic on the 8-byte word at `va`, serialized by the
     /// synchronization unit (§4.5 T3). Returns the word's previous value.
+    /// A word that crosses a page is refused `InvalidAddr`; an unaligned
+    /// word inside one page is served.
     pub fn atomic(
         &mut self,
         now: SimTime,
@@ -515,58 +403,30 @@ impl Silicon {
         va: u64,
         op: AtomicOp,
     ) -> (Result<u64, Status>, AccessTiming) {
-        let (t, mut b) = self.front_end(now, 8);
-        let mut fault = false;
-        let mut hits = true;
-        let result = self
-            .translate_range(
-                t,
-                pid,
-                va,
-                8,
-                Perm::RW,
-                &mut TranslateScratch { b: &mut b, page_fault: &mut fault, all_hits: &mut hits },
-            )
-            .map(|t_done| {
-                let (pa, _) = self.segs[0];
-                // The atomic unit blocks later atomics until this completes:
-                // a read-modify-write of one DRAM word.
-                let service = self.dram.latency() * 2;
-                let unit = self.atomic_unit.reserve(t_done, service);
-                b.data_dram += unit.end.since(t_done);
-                b.interconnect += self.cfg.interconnect_latency;
-                let old = self.mem.read_u64(pa);
-                let new = match op {
-                    AtomicOp::Tas => 1,
-                    AtomicOp::Store(v) => v,
-                    AtomicOp::Cas { expected, new } => {
-                        if old == expected {
-                            new
-                        } else {
-                            old
-                        }
+        self.access(now, pid, va, 8, Perm::RW, |s, t, b| {
+            let (pa, _) = s.segs[0];
+            // The atomic unit blocks later atomics until this completes:
+            // a read-modify-write of one DRAM word.
+            let unit = s.atomic_unit.reserve(t, s.dram.latency() * 2);
+            b.data_dram += unit.end.since(t);
+            b.interconnect += s.cfg.interconnect_latency;
+            let old = s.mem.read_u64(pa);
+            let new = match op {
+                AtomicOp::Tas => 1,
+                AtomicOp::Store(v) => v,
+                AtomicOp::Cas { expected, new } => {
+                    if old == expected {
+                        new
+                    } else {
+                        old
                     }
-                    AtomicOp::Faa(d) => old.wrapping_add(d),
-                };
-                self.mem.write_u64(pa, new);
-                self.stats.atomics += 1;
-                (old, unit.end + self.cfg.interconnect_latency)
-            });
-        let (result, t_end) = match result {
-            Ok((old, t2)) => (Ok(old), t2),
-            Err(s) => (Err(s), t),
-        };
-        let done = self.back_end(t_end, &mut b);
-        (
-            result,
-            AccessTiming {
-                arrived: now,
-                done,
-                breakdown: b,
-                page_fault: fault,
-                all_tlb_hits: hits,
-            },
-        )
+                }
+                AtomicOp::Faa(d) => old.wrapping_add(d),
+            };
+            s.mem.write_u64(pa, new);
+            s.stats.atomics += 1;
+            (old, unit.end + s.cfg.interconnect_latency)
+        })
     }
 
     /// Physical-address read for offloads/migration (no translation; charged
@@ -725,6 +585,38 @@ mod tests {
         let (_, a) = s.atomic(t0(), Pid(1), 0, AtomicOp::Faa(1));
         let (_, b) = s.atomic(t0(), Pid(1), 0, AtomicOp::Faa(1));
         assert!(b.done > a.done);
+    }
+
+    /// A word that crosses a page spans two physical frames, which need
+    /// not be adjacent: the atomic is refused before either page is
+    /// translated, rather than writing past the first frame into whatever
+    /// follows it.
+    #[test]
+    fn an_atomic_word_that_crosses_a_page_is_refused() {
+        let mut s = board();
+        let page = s.config().page_size;
+        for (pid, vpn, ppn) in [(1, 0, 5), (1, 1, 2), (2, 0, 6)] {
+            let pte = Pte { pid: Pid(pid), vpn, ppn, perm: Perm::RW, valid: true };
+            s.vm_mut().install_pte(pte).expect("install");
+        }
+        let (res, _) = s.atomic(t0(), Pid(1), page - 4, AtomicOp::Faa(u64::MAX >> 8));
+        assert_eq!(res, Err(Status::InvalidAddr));
+        assert_eq!(s.read(t0(), Pid(2), 0, 8).0.expect("pid 2").as_ref(), [0; 8]);
+        assert_eq!(s.read(t0(), Pid(1), page - 4, 8).0.expect("pid 1").as_ref(), [0; 8]);
+
+        // Neither page of an unfaulted pair faults in.
+        map(&mut s, 3, 0, Perm::RW);
+        map(&mut s, 3, 1, Perm::RW);
+        let translations = s.vm().stats().translations;
+        let (res, t) = s.atomic(t0(), Pid(3), 2 * page - 1, AtomicOp::Tas);
+        assert_eq!(res, Err(Status::InvalidAddr));
+        assert!(!t.page_fault);
+        assert_eq!(s.vm().stats().translations, translations);
+
+        // An unaligned word inside one page is still served.
+        assert_eq!(s.atomic(t0(), Pid(1), page - 8, AtomicOp::Faa(7)).0, Ok(0));
+        assert_eq!(s.atomic(t0(), Pid(1), 3, AtomicOp::Faa(1)).0, Ok(0));
+        assert_eq!(s.read(t0(), Pid(1), page - 8, 8).0.expect("r").as_ref(), 7u64.to_le_bytes());
     }
 
     #[test]

@@ -497,11 +497,9 @@ fn seed_board(board: &mut CBoard, index: usize, mns: usize) {
             .install_pte(Pte { pid: PID, vpn: va / PAGE, ppn: 0, perm: Perm::RW, valid: false })
             .expect("install pte");
     }
-    let was = silicon.set_internal_access(true);
     for (va, data) in &pages {
         silicon.write(SimTime::ZERO, PID, *va, data).0.expect("seed page");
     }
-    silicon.set_internal_access(was);
 }
 
 #[cfg(test)]

@@ -12,13 +12,30 @@
 //! Batch frames (`ClioPacket::Batch`) are unbatched at ingress: every entry
 //! dispatches through the same match-and-action table in batch order and
 //! responds independently, so the CN's per-request reliability (retries,
-//! dedup via `retry_of`) is oblivious to how requests were framed. The
-//! frame's MAC/PHY ingress crossing is charged **once per frame** in the
-//! [`Silicon`] timing model (per-entry parse only) — a batched frame pays
-//! framing where framing happens. A corrupted batch frame NACKs every
-//! entry it carried in one coalesced `ClioPacket::BatchNack` frame (per
-//! entry only when response batching is disabled), so the error path is as
-//! frame-efficient as the fast path.
+//! dedup via `retry_of`) is oblivious to how requests were framed; only
+//! the MAC/PHY crossings below depend on it. A corrupted batch frame NACKs
+//! every entry it carried in one coalesced `ClioPacket::BatchNack` frame
+//! (per entry only when response batching is disabled), so the error path
+//! is as frame-efficient as the fast path.
+//!
+//! # MAC/PHY crossings
+//!
+//! A wire frame crosses the MAC/PHY once in each direction, and this module
+//! is the one place that charges it ([`Silicon`] times only its datapath,
+//! from the pipeline gate through response generation). A fast-path access
+//! pays by the frame rule: a lone request pays ingress and egress; a
+//! `Batch` entry pays ingress only if it is the frame's first fast-path
+//! access, and egress only if it is the frame's last entry. The frame's
+//! responses are taken to leave coalesced in one reply frame (an
+//! approximation), and charging its tail keeps completion order. With
+//! `resp_batch_max_ops = 1` they leave one by one, so every entry pays its
+//! own egress. An access that stalls on an empty async buffer runs a second
+//! pass from when the first answered; the second pass pays egress again,
+//! and ingress again only for a lone request. A control reply
+//! (`control_latency`: refusals, dedup replays, fences, NACKs), a slow-path
+//! op (`reply_slow`) and an offload call (`run_offload`) each pay one
+//! crossing each way whatever their framing; an offload's own accesses,
+//! on-chip behind the match-and-action table, pay none.
 //!
 //! # Egress queue (response batching)
 //!
@@ -280,6 +297,25 @@ struct EgressScratch {
 #[derive(Debug, Clone, Copy)]
 struct EgressDoorbell {
     dst: Mac,
+}
+
+/// The MAC/PHY crossings a request's fast-path access owes under the frame
+/// rule (module doc).
+#[derive(Debug, Clone, Copy)]
+struct Crossings {
+    /// The frame's ingress crossing is still unpaid.
+    ingress: bool,
+    /// The response pays an egress crossing.
+    egress: bool,
+    /// The request came alone in its frame, so its ingress is never spent.
+    lone: bool,
+}
+
+impl Crossings {
+    /// A request alone in its frame: both crossings.
+    fn lone() -> Self {
+        Crossings { ingress: true, egress: true, lone: true }
+    }
 }
 
 /// Fraction of the pressure threshold utilization must fall below before
@@ -837,6 +873,7 @@ impl CBoard {
         src: Mac,
         header: ReqHeader,
         body: RequestBody,
+        frame: &mut Crossings,
     ) {
         let now = ctx.now();
         // Close the op's wire span: flight time since the CN finished
@@ -871,8 +908,8 @@ impl CBoard {
         match body {
             RequestBody::Read { va, len } => {
                 self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
-                let (res, timing) =
-                    self.with_stall_retry(start, |silicon, at| silicon.read(at, pid, va, len));
+                let (res, timing) = self
+                    .with_stall_retry(start, frame, |silicon, at| silicon.read(at, pid, va, len));
                 self.note_completion(timing.done);
                 self.tile_breakdown(header.trace, &timing);
                 let tail = Stage::ExecuteTail;
@@ -898,8 +935,9 @@ impl CBoard {
             }
             RequestBody::WriteFrag { va, data } => {
                 self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
-                let (res, timing) =
-                    self.with_stall_retry(start, |silicon, at| silicon.write(at, pid, va, &data));
+                let (res, timing) = self.with_stall_retry(start, frame, |silicon, at| {
+                    silicon.write(at, pid, va, &data)
+                });
                 self.note_completion(timing.done);
                 if header.pkt_count <= 1 {
                     self.tile_breakdown(header.trace, &timing);
@@ -907,16 +945,17 @@ impl CBoard {
                 self.finish_write_fragment(ctx, src, header, res.err(), timing.done);
             }
             RequestBody::AtomicTas { va } => {
-                self.run_atomic(ctx, src, header, start, va, AtomicOp::Tas)
+                self.run_atomic(ctx, src, header, start, frame, va, AtomicOp::Tas)
             }
             RequestBody::AtomicStore { va, value } => {
-                self.run_atomic(ctx, src, header, start, va, AtomicOp::Store(value))
+                self.run_atomic(ctx, src, header, start, frame, va, AtomicOp::Store(value))
             }
             RequestBody::AtomicCas { va, expected, new } => {
-                self.run_atomic(ctx, src, header, start, va, AtomicOp::Cas { expected, new })
+                let op = AtomicOp::Cas { expected, new };
+                self.run_atomic(ctx, src, header, start, frame, va, op)
             }
             RequestBody::AtomicFaa { va, delta } => {
-                self.run_atomic(ctx, src, header, start, va, AtomicOp::Faa(delta))
+                self.run_atomic(ctx, src, header, start, frame, va, AtomicOp::Faa(delta))
             }
             RequestBody::Fence => {
                 // Block everything after us until all in-flight complete.
@@ -978,19 +1017,42 @@ impl CBoard {
         self.check_pressure(ctx);
     }
 
+    /// Runs one pass of a datapath access arriving at the MAC at `at`,
+    /// charging the crossings `frame` owes it: ingress before the pipeline
+    /// gate, egress after the response. The pass spends a frame's ingress;
+    /// a lone request's stays owed.
+    fn cross<T>(
+        &mut self,
+        at: SimTime,
+        frame: &mut Crossings,
+        access: impl FnOnce(&mut Silicon, SimTime) -> (Result<T, Status>, AccessTiming),
+    ) -> (Result<T, Status>, AccessTiming) {
+        let mac = self.cfg.hw.mac_phy_latency;
+        let ingress = if frame.ingress { mac } else { SimDuration::ZERO };
+        let egress = if frame.egress { mac } else { SimDuration::ZERO };
+        frame.ingress = frame.lone;
+        let (res, mut timing) = access(&mut self.silicon, at + ingress);
+        timing.arrived = at;
+        timing.breakdown.mac_phy = ingress + egress;
+        timing.done += egress;
+        (res, timing)
+    }
+
     /// Executes a datapath access, retrying once after an async-buffer
-    /// refill if the fault handler stalled on an empty buffer.
+    /// refill if the fault handler stalled on an empty buffer. Each pass
+    /// pays the crossings [`Self::cross`] charges.
     fn with_stall_retry<T>(
         &mut self,
         start: SimTime,
+        frame: &mut Crossings,
         mut access: impl FnMut(&mut Silicon, SimTime) -> (Result<T, Status>, AccessTiming),
     ) -> (Result<T, Status>, AccessTiming) {
-        let (res, t) = access(&mut self.silicon, start);
+        let (res, t) = self.cross(start, frame, &mut access);
         if res.as_ref().err() != Some(&Status::OutOfPhysicalMemory) {
             return (res, t);
         }
         self.refill_async_buffer();
-        access(&mut self.silicon, t.done)
+        self.cross(t.done, frame, access)
     }
 
     /// Tracks fragment completion of a (possibly multi-packet) write and
@@ -1044,17 +1106,20 @@ impl CBoard {
         }
     }
 
+    #[allow(clippy::too_many_arguments)] // the request and where it sits in its frame
     fn run_atomic(
         &mut self,
         ctx: &mut Ctx<'_>,
         src: Mac,
         header: ReqHeader,
         start: SimTime,
+        frame: &mut Crossings,
         va: u64,
         op: AtomicOp,
     ) {
         self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
-        let (res, t) = self.silicon.atomic(start, header.pid, va, op);
+        let (res, t) =
+            self.cross(start, frame, |silicon, at| silicon.atomic(at, header.pid, va, op));
         self.note_completion(t.done);
         self.tile_breakdown(header.trace, &t);
         let (status, body) = match res {
@@ -1105,16 +1170,13 @@ impl CBoard {
         self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
         let hw = &self.cfg.hw;
         let begin = start + hw.mac_phy_latency + hw.clock.cycles(hw.parse_cycles);
-        // Offload accesses are on-chip, behind the MAT: no MAC/PHY on
-        // their path (§4.6).
+        // The call crosses the MAC/PHY; its accesses, on-chip behind the
+        // MAT, pay no crossing (§4.6).
         let env_pid = installed.pid.unwrap_or(header.pid);
-        self.silicon.set_internal_access(true);
         let slow = Rc::make_mut(&mut self.slow);
         let mut env = OffloadEnv::new(&mut self.silicon, slow, &self.migrations, env_pid, begin);
         let reply = installed.module.on_call(&mut env, opcode, arg);
         let env_done = env.now();
-        let _ = env; // end the borrow of silicon/slow
-        self.silicon.set_internal_access(false);
         let done = env_done + hw.clock.cycles(hw.response_cycles) + hw.mac_phy_latency;
         self.offloads.insert(offload, installed);
         self.note_completion(done);
@@ -1270,38 +1332,21 @@ impl Actor for CBoard {
             ClioPacket::Request { header, body } => {
                 self.stats.rx_frames += 1;
                 self.stats.rx_packets += 1;
-                self.handle_request(ctx, src, header, body);
+                self.handle_request(ctx, src, header, body, &mut Crossings::lone());
             }
             ClioPacket::Batch { requests } => {
                 // Unbatch: each entry executes (and responds) exactly as if
-                // it had arrived in its own frame, in batch order — except
-                // that the frame's MAC/PHY ingress crossing is charged only
-                // once (to the first entry); the rest pay per-entry parse.
-                // When response batching is on, the entries' responses are
-                // expected to leave coalesced too (the egress doorbell packs
-                // same-destination completions), so their egress MAC is
-                // likewise charged once per frame: entries inside the egress
-                // bracket skip the crossing, and the bracket closes before
-                // the last entry, which pays it (the coalesced frame's tail
-                // through the MAC — charging the tail preserves completion
-                // order). The documented approximation is that a batch
-                // frame's responses coalesce into one reply frame.
+                // it had arrived in its own frame, in batch order, except
+                // for the frame rule's crossings (module doc).
                 self.stats.rx_frames += 1;
                 self.stats.rx_packets += requests.len() as u64;
                 self.stats.batched_requests += requests.len() as u64;
-                self.silicon.begin_ingress_frame();
-                if self.cfg.resp_batch_max_ops > 1 {
-                    self.silicon.begin_egress_frame();
-                }
+                let mut frame = Crossings { ingress: true, egress: false, lone: false };
                 let last = requests.len().saturating_sub(1);
                 for (i, (header, body)) in requests.into_iter().enumerate() {
-                    if i == last {
-                        self.silicon.end_egress_frame();
-                    }
-                    self.handle_request(ctx, src, header, body);
+                    frame.egress = i == last || self.cfg.resp_batch_max_ops <= 1;
+                    self.handle_request(ctx, src, header, body, &mut frame);
                 }
-                self.silicon.end_egress_frame();
-                self.silicon.end_ingress_frame();
             }
             // MNs only respond; stray responses/NACKs are dropped.
             ClioPacket::Response { .. }

@@ -11,7 +11,8 @@
 //! [`OffloadEnv`] is that interface. It also keeps a running *time cursor*:
 //! each memory access advances it by the silicon's reported latency plus any
 //! offload compute cycles, so a call's response carries a faithful
-//! completion time.
+//! completion time. An access is on-chip, behind the match-and-action
+//! table, so it crosses no MAC/PHY, whoever built the environment.
 //!
 //! Each access is admitted like a request: the board's [`Migrations`]
 //! refuses one to a range migrating away (`Conflict`) or gone (`Moved`),

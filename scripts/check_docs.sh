@@ -245,6 +245,21 @@ if [ "$fail" -ne 0 ]; then
   echo "the executor's wake path is no longer by task index (see above)"
   exit 1
 fi
+# One MAC/PHY rule on the MN: the board is the one module that charges a
+# crossing. No code line before the tests of a file under crates/*/src
+# reads `mac_phy_latency`, other than its definition and the board's.
+for f in $(find crates/*/src -name '*.rs' | sort); do
+  case "$f" in crates/hw/src/config.rs|crates/mn/src/board.rs) continue ;; esac
+  if awk '/^#\[cfg\(test\)\]/ { exit }
+          !/^[[:space:]]*\/\// && /mac_phy_latency/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+          END { exit !hit }' "$f"; then
+    fail=1
+  fi
+done
+if [ "$fail" -ne 0 ]; then
+  echo "a MAC/PHY crossing is charged outside crates/mn/src/board.rs (above)"
+  exit 1
+fi
 # Re-measuring: the A/B script perf changes report with must exist, and
 # the section that tells how to compare two commits must name it.
 sed -n '/^### Re-measuring/,/^## /p' "$DOC" | grep -q 'scripts/ab\.sh' \
