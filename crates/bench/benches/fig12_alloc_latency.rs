@@ -9,6 +9,7 @@
 use clio_baselines::rdma::{RdmaNic, RnicParams};
 use clio_bench::FigureReport;
 use clio_core::{Cluster, ClusterConfig};
+use clio_mn::slowpath::SlowPath;
 use clio_mn::CBoardConfig;
 use clio_proto::{Perm, Pid};
 use clio_sim::stats::Series;
@@ -47,11 +48,11 @@ fn clio_alloc_free(size_mb: u64) -> (f64, f64) {
 /// plus the ARM crossing, as the paper instruments it).
 fn clio_alloc_phys(size_mb: u64) -> f64 {
     let cfg = CBoardConfig::prototype();
-    let mut slow = clio_mn::slowpath::SlowPath::new(&cfg);
+    let mut slow = SlowPath::new(&cfg);
     slow.create_as(Pid(1));
     let out = slow.alloc(Pid(1), size_mb << 20, Perm::RW, None).expect("alloc");
     let (_, service) = slow.alloc_phys(Pid(1), out.range.start, out.range.len).expect("phys");
-    (service + cfg.arm.crossing_delay * 2).as_nanos() as f64 / 1e6
+    (service + SlowPath::CROSSING_DELAY * 2).as_nanos() as f64 / 1e6
 }
 
 fn rdma_reg(size_mb: u64, odp: bool) -> (f64, f64) {

@@ -14,7 +14,7 @@
 //! * `rlock` spins on MN-side test-and-set with local backoff; `runlock`
 //!   stores 0 (§4.5 T3).
 //!
-//! [`CLib::finish`] decides every re-issue of an op — a lock spin, a
+//! `CLib::finish` decides every re-issue of an op — a lock spin, a
 //! fence's next leg, a backoff after a `Conflict` refusal (the range is
 //! migrating, §4.7), a re-route after `Moved` — and each one re-enters
 //! the transport through [`Transport::send`], like a first submission.
@@ -516,8 +516,7 @@ impl CLib {
             // A purely local barrier: it finishes as soon as its thread
             // drained.
             Op::Release => {
-                let done =
-                    XferDone { token, result: Ok(CompletionValue::Done), rtt: SimDuration::ZERO };
+                let done = XferDone { token, result: Ok(CompletionValue::Done) };
                 self.finish(ctx, nic, done, completions);
             }
             // The send can complete synchronously (circuit breaker open ->
@@ -635,7 +634,7 @@ impl CLib {
         match (&pending.op, &done.result) {
             // Lock spinning: TAS returned 1 -> not acquired; back off and retry.
             (Op::Lock { .. }, Ok(CompletionValue::Old(old))) if *old != 0 => {
-                ctx.schedule(self.cfg.lock_backoff, Message::new(LockRetry { token }));
+                ctx.schedule(CLibConfig::LOCK_BACKOFF, Message::new(LockRetry { token }));
                 return;
             }
             // The range is migrating: back off (longer after each refusal)
@@ -644,7 +643,7 @@ impl CLib {
             (_, Err(ClioError::Remote(Status::Conflict)))
                 if pending.conflicts < self.cfg.max_conflict_retries =>
             {
-                let backoff = self.cfg.conflict_backoff * (1 + pending.conflicts.min(16) as u64);
+                let backoff = CLibConfig::CONFLICT_BACKOFF * (1 + pending.conflicts.min(16) as u64);
                 pending.conflicts += 1;
                 ctx.schedule(backoff, Message::new(ConflictRetry { token }));
                 return;

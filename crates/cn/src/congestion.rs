@@ -31,9 +31,6 @@ struct CwndParams {
     init: f64,
     max: f64,
     min: f64,
-    ai: f64,
-    md: f64,
-    target_rtt: SimDuration,
 }
 
 impl CongestionWindow {
@@ -45,14 +42,7 @@ impl CongestionWindow {
             next_paced_send: SimTime::ZERO,
             last_decrease: SimTime::ZERO,
             srtt_ns: None,
-            cfg: CwndParams {
-                init: cfg.cwnd_init,
-                max: cfg.cwnd_max,
-                min: cfg.cwnd_min,
-                ai: cfg.cwnd_ai,
-                md: cfg.cwnd_md,
-                target_rtt: cfg.target_rtt,
-            },
+            cfg: CwndParams { init: cfg.cwnd_init, max: cfg.cwnd_max, min: cfg.cwnd_min },
         }
     }
 
@@ -113,10 +103,10 @@ impl CongestionWindow {
             Some(srtt) => srtt + (sample - srtt) / 8.0,
             None => sample,
         });
-        let target = self.cfg.target_rtt + SimDuration::from_nanos(bytes * 10);
+        let target = CLibConfig::TARGET_RTT + SimDuration::from_nanos(bytes * 10);
         if rtt <= target {
             // Additive increase: +ai per window's worth of ACKs.
-            self.cwnd = (self.cwnd + self.cfg.ai / self.cwnd.max(1.0)).min(self.cfg.max);
+            self.cwnd = (self.cwnd + CLibConfig::CWND_AI / self.cwnd.max(1.0)).min(self.cfg.max);
         } else {
             self.decrease(now);
         }
@@ -150,15 +140,15 @@ impl CongestionWindow {
     fn decrease(&mut self, now: SimTime) {
         // At most one multiplicative decrease per target RTT, so a burst of
         // delayed ACKs does not collapse the window to the floor.
-        if now.since(self.last_decrease) >= self.cfg.target_rtt {
-            self.cwnd = (self.cwnd * self.cfg.md).max(self.cfg.min);
+        if now.since(self.last_decrease) >= CLibConfig::TARGET_RTT {
+            self.cwnd = (self.cwnd * CLibConfig::CWND_MD).max(self.cfg.min);
             self.last_decrease = now;
         }
     }
 
     fn update_pacing(&mut self, now: SimTime) {
         if self.cwnd < 1.0 {
-            let gap = self.cfg.target_rtt.mul_f64(1.0 / self.cwnd);
+            let gap = CLibConfig::TARGET_RTT.mul_f64(1.0 / self.cwnd);
             self.next_paced_send = now + gap;
         }
     }

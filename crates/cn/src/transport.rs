@@ -151,8 +151,6 @@ pub struct XferDone {
     pub token: OpToken,
     /// Result.
     pub result: Result<CompletionValue, ClioError>,
-    /// Measured request RTT (first send to completion).
-    pub rtt: SimDuration,
 }
 
 /// Timer messages the transport schedules on its host actor; the host must
@@ -229,7 +227,6 @@ struct Outstanding {
     origin: ReqId,
     /// Stamped, with `timer`, by [`Transport::register`] for each attempt.
     attempt_sent_at: SimTime,
-    first_sent_at: SimTime,
     retries: u32,
     timer: Option<EventId>,
     /// Observability context for this op (attempt number advances on every
@@ -242,7 +239,6 @@ struct QueuedSend {
     token: OpToken,
     pid: Pid,
     op: Op,
-    enqueued_at: SimTime,
     trace: Option<TraceCtx>,
 }
 
@@ -303,16 +299,9 @@ fn digest(op: &Op) -> u64 {
 }
 
 /// Reports `token` failed with `error` — the one place an `Err` [`XferDone`]
-/// is built. The RTT runs from the op's first send (for a send still
-/// queued, from when it was enqueued).
-fn fail(
-    done: &mut Vec<XferDone>,
-    now: SimTime,
-    token: OpToken,
-    first_sent_at: SimTime,
-    error: ClioError,
-) {
-    done.push(XferDone { token, result: Err(error), rtt: now.since(first_sent_at) });
+/// is built.
+fn fail(done: &mut Vec<XferDone>, token: OpToken, error: ClioError) {
+    done.push(XferDone { token, result: Err(error) });
 }
 
 clio_trace::counters! {
@@ -652,7 +641,7 @@ impl Transport {
         self.tracer.stitch(trace, self.track, Stage::Submit, now);
         let peer = self.peer(target);
         peer.doorbell.observe(now);
-        peer.queue.push_back(QueuedSend { token, pid, op, enqueued_at: now, trace });
+        peer.queue.push_back(QueuedSend { token, pid, op, trace });
     }
 
     /// The doorbell's latency budget toward `target`: a quarter of the
@@ -734,7 +723,7 @@ impl Transport {
         peer.doorbell.disarm();
         if peer.breaker.is_open() {
             for q in peer.queue.drain(..) {
-                fail(done, now, q.token, q.enqueued_at, ClioError::Unreachable { mn: target });
+                fail(done, q.token, ClioError::Unreachable { mn: target });
             }
             return;
         }
@@ -771,7 +760,6 @@ impl Transport {
                     expected_bytes,
                     origin: req_id,
                     attempt_sent_at: now,
-                    first_sent_at: q.enqueued_at,
                     retries: 0,
                     timer: None,
                     trace: q.trace,
@@ -820,7 +808,7 @@ impl Transport {
         op: &Op,
         trace: Option<TraceCtx>,
     ) -> u64 {
-        let send_start = ctx.now() + self.cfg.send_overhead;
+        let send_start = ctx.now() + CLibConfig::SEND_OVERHEAD;
         let mut frames = 0;
         let joins = self.batching() && op.is_batchable();
         if let Some(body) = joins.then(|| op.single_body()).flatten() {
@@ -881,7 +869,7 @@ impl Transport {
             self.stats.batched_ops += ops;
         }
         let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
-        let send_start = ctx.now() + self.cfg.send_overhead;
+        let send_start = ctx.now() + CLibConfig::SEND_OVERHEAD;
         let tx_end = nic.send_at(ctx, send_start, pack.target, wire, Message::new(pkt));
         for trace in pack.traces.drain(..) {
             self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
@@ -1042,7 +1030,7 @@ impl Transport {
                 self.release(ctx.now(), &o, Outcome::Lost);
             }
             let error = ClioError::TimedOut { op: o.op.kind(), mn: o.target, attempts: o.retries };
-            fail(done, ctx.now(), o.token, o.first_sent_at, error);
+            fail(done, o.token, error);
         } else {
             o.trace = self.tracer.retry(o.trace, ctx.now());
             // Window slots stay held: this is the same logical request.
@@ -1086,13 +1074,9 @@ impl Transport {
         self.release(now, &o, Outcome::Answered(now.since(o.attempt_sent_at)));
         match header.status {
             Status::Ok => {
-                done.push(XferDone {
-                    token: o.token,
-                    result: Ok(value),
-                    rtt: now.since(o.first_sent_at) + self.cfg.recv_overhead,
-                });
+                done.push(XferDone { token: o.token, result: Ok(value) });
             }
-            status => fail(done, now, o.token, o.first_sent_at, ClioError::from(status)),
+            status => fail(done, o.token, ClioError::from(status)),
         }
     }
 
@@ -1141,7 +1125,7 @@ impl Transport {
             for (req_id, _) in entries {
                 let Some(o) = self.take(ctx, req_id) else { continue };
                 self.release(now, &o, Outcome::Abandoned);
-                fail(done, now, o.token, o.first_sent_at, ClioError::Unreachable { mn: target });
+                fail(done, o.token, ClioError::Unreachable { mn: target });
             }
             return;
         }
@@ -1229,7 +1213,7 @@ impl Transport {
             return;
         };
         self.release(now, &o, Outcome::Lost);
-        fail(done, now, o.token, o.first_sent_at, error);
+        fail(done, o.token, error);
     }
 }
 

@@ -477,10 +477,12 @@ fn write(va: u64, fill: u8) -> Op {
     Op::Write { va, data: Bytes::from(vec![fill; 8]) }
 }
 
-/// The backoffs before the first `k` re-issues: `conflict_backoff × (1 +
+/// The backoffs before the first `k` re-issues: `CONFLICT_BACKOFF × (1 +
 /// min(n, 16))` after the n-th refusal.
-fn backoff_sum(cfg: &CLibConfig, k: u64) -> SimDuration {
-    (0..k).map(|n| cfg.conflict_backoff * (1 + n.min(16))).fold(SimDuration::ZERO, |a, b| a + b)
+fn backoff_sum(k: u64) -> SimDuration {
+    (0..k)
+        .map(|n| CLibConfig::CONFLICT_BACKOFF * (1 + n.min(16)))
+        .fold(SimDuration::ZERO, |a, b| a + b)
 }
 
 /// A refused op backs off once per refusal and then completes `Ok`, no
@@ -493,7 +495,7 @@ fn conflict_refused_op_backs_off_and_completes_once_served() {
     let (mut sim, cn, board) = scripted_rig(K, cfg);
     sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
     // The first refusal lands within a few µs; the first backoff is 100 µs.
-    sim.run_for(cfg.conflict_backoff / 2);
+    sim.run_for(CLibConfig::CONFLICT_BACKOFF / 2);
     assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), 1, "refused once so far");
     let host = sim.actor::<CnHost>(cn);
     assert_eq!(host.clib.transport().in_flight(), 0, "the transport holds a backing-off op");
@@ -506,7 +508,7 @@ fn conflict_refused_op_backs_off_and_completes_once_served() {
     let host = sim.actor::<CnHost>(cn);
     let [c] = &host.completions[..] else { panic!("one completion: {:?}", host.completions) };
     assert_eq!(c.result, Ok(CompletionValue::Done));
-    assert!(c.latency() >= backoff_sum(&cfg, K as u64), "completed after {}", c.latency());
+    assert!(c.latency() >= backoff_sum(K as u64), "completed after {}", c.latency());
     assert_eq!(host.clib.in_flight(), 0);
     host.clib.transport().check_invariants().expect("window accounting");
 }
@@ -523,7 +525,7 @@ fn conflict_past_the_budget_is_the_result() {
     let host = sim.actor::<CnHost>(cn);
     let [c] = &host.completions[..] else { panic!("one completion: {:?}", host.completions) };
     assert_eq!(c.result, Err(ClioError::Remote(Status::Conflict)));
-    assert!(c.latency() >= backoff_sum(&cfg, K as u64 - 1), "completed after {}", c.latency());
+    assert!(c.latency() >= backoff_sum(K as u64 - 1), "completed after {}", c.latency());
     assert_eq!(host.clib.in_flight(), 0);
 }
 
@@ -538,7 +540,7 @@ fn conflict_backoff_keeps_a_same_page_write_behind_the_refused_op() {
     sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
     sim.post_in(
         cn,
-        cfg.conflict_backoff / 2,
+        CLibConfig::CONFLICT_BACKOFF / 2,
         Message::new(Submit { thread: ThreadId(0), op: write(0x1008, 2) }),
     );
     sim.run_until_idle();
@@ -568,9 +570,12 @@ fn conflict_backoff_cancelled_ends_the_op_and_sends_nothing_more() {
     let cfg = CLibConfig::default();
     let (mut sim, cn, board) = scripted_rig(1, cfg);
     sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
-    sim.post_in(cn, cfg.conflict_backoff / 2, Message::new(Cancel(OpToken(1))));
+    sim.post_in(cn, CLibConfig::CONFLICT_BACKOFF / 2, Message::new(Cancel(OpToken(1))));
     sim.run_until_idle();
-    assert!(sim.now() >= SimTime::ZERO + cfg.conflict_backoff, "the backoff timer still ran");
+    assert!(
+        sim.now() >= SimTime::ZERO + CLibConfig::CONFLICT_BACKOFF,
+        "the backoff timer still ran"
+    );
     assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), 1, "re-issued after the cancel");
     let host = sim.actor::<CnHost>(cn);
     let [c] = &host.completions[..] else { panic!("one completion: {:?}", host.completions) };

@@ -72,6 +72,8 @@ struct Host {
     nic: NicPort,
     transport: Transport,
     done: Vec<XferDone>,
+    /// The instant each entry of `done` was reported, index for index.
+    done_at: Vec<SimTime>,
 }
 
 impl Actor for Host {
@@ -79,6 +81,13 @@ impl Actor for Host {
         "host"
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+        self.handle(ctx, msg);
+        self.done_at.resize(self.done.len(), ctx.now());
+    }
+}
+
+impl Host {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         let msg = match msg.downcast::<Go>() {
             Ok(go) => {
                 for (i, op) in go.ops.into_iter().enumerate() {
@@ -231,7 +240,12 @@ fn rig(cfg: CLibConfig, seed: u64, script: Vec<Fate>) -> (Simulation, ActorId) {
     let mut sim = Simulation::new(seed);
     let mn_id = sim.add_actor(ScriptedMn { cn: None, script, next: 0 });
     let nic = NicPort::new(CN_MAC, Bandwidth::from_gbps(40), mn_id, SimDuration::from_nanos(50));
-    let cn_id = sim.add_actor(Host { nic, transport: Transport::new(cfg, 1), done: vec![] });
+    let cn_id = sim.add_actor(Host {
+        nic,
+        transport: Transport::new(cfg, 1),
+        done: vec![],
+        done_at: vec![],
+    });
     sim.actor_mut::<ScriptedMn>(mn_id).cn = Some(cn_id);
     (sim, cn_id)
 }
@@ -452,11 +466,8 @@ fn tripped_breaker_fails_fast_under_quarter_retry_budget() {
     // Op 0 burns the consecutive-timeout streak and trips the breaker.
     sim.post(cn_id, Message::new(Go { ops: vec![op_of(0)], base: 0 }));
     // Op 1 arrives later, against a breaker already open.
-    sim.post_in(
-        cn_id,
-        SimDuration::from_micros(200),
-        Message::new(Go { ops: vec![op_of(0)], base: 1 }),
-    );
+    let submitted = SimDuration::from_micros(200);
+    sim.post_in(cn_id, submitted, Message::new(Go { ops: vec![op_of(0)], base: 1 }));
     sim.run_until_idle();
 
     let host = sim.actor_mut::<Host>(cn_id);
@@ -470,12 +481,12 @@ fn tripped_breaker_fails_fast_under_quarter_retry_budget() {
     }
     // The op submitted after the trip fails fast: its observed latency is
     // under a quarter of what the full retry budget would have cost.
-    let fast = host.done.iter().find(|d| d.token == OpToken(1)).expect("op 1 completed");
+    let fast = host.done.iter().position(|d| d.token == OpToken(1)).expect("op 1 completed");
+    let latency = host.done_at[fast].since(SimTime::ZERO + submitted);
     let full_budget = request_timeout * (max_retries + 1) as u64;
     assert!(
-        fast.rtt < full_budget / 4,
-        "post-trip op took {} (budget {full_budget}, wanted < a quarter)",
-        fast.rtt
+        latency < full_budget / 4,
+        "post-trip op took {latency} (budget {full_budget}, wanted < a quarter)"
     );
     // The trip is observable. By idle the probe backoff has elapsed and
     // the breaker sits HalfOpen (no traffic confirmed recovery), which the

@@ -32,8 +32,6 @@ pub struct ClusterConfig {
     pub board: CBoardConfig,
     /// CLib configuration for every CN.
     pub clib: CLibConfig,
-    /// CN NIC rate (testbed: 40 Gbps ConnectX-3).
-    pub cn_nic_rate: Bandwidth,
     /// Physical-memory utilization at which boards report pressure.
     pub pressure_threshold: f64,
     /// Cross-layer op tracing: `Some(n)` records per-stage latency spans
@@ -49,6 +47,9 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
+    /// CN NIC rate (testbed: 40 Gbps ConnectX-3).
+    pub const CN_NIC_RATE: Bandwidth = Bandwidth::from_gbps(40);
+
     /// The paper's testbed shape: 4 CNs, 4 MNs (§7 Environment).
     pub fn testbed() -> Self {
         ClusterConfig {
@@ -57,7 +58,6 @@ impl ClusterConfig {
             mns: 4,
             board: CBoardConfig::prototype(),
             clib: CLibConfig::prototype(),
-            cn_nic_rate: Bandwidth::from_gbps(40),
             pressure_threshold: 0.9,
             trace_sample_every: None,
             runtime_inflight_budget: crate::node::DEFAULT_INFLIGHT_BUDGET,
@@ -131,7 +131,7 @@ impl Cluster {
         // migrations broadcast routing-cache invalidations to all of them.
         let mut cns = Vec::new();
         for i in 0..cfg.cns {
-            let port = net.create_port(cfg.cn_nic_rate);
+            let port = net.create_port(ClusterConfig::CN_NIC_RATE);
             let mac = port.mac();
             let node = ComputeNode::new(
                 format!("cn{i}"),

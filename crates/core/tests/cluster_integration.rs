@@ -311,3 +311,45 @@ fn slow_path_retries_after_lost_responses_run_once() {
     let retried = cluster.cn(0).clib().transport().stats().retries;
     assert!(retried > 0, "the loss never forced a retry");
 }
+
+/// Fast-path atomics run at most once under sustained loss: with the
+/// paper's 30 KiB dedup buffer (§4.5 T4), a retried FAA whose response was
+/// lost is answered from the buffer instead of adding again. 64 tasks each
+/// add 1 fifty times to a counter on a page of their own while a fifth of
+/// the frames toward the CN are lost; every FAA is acknowledged and the
+/// counters sum to exactly the 3,200 FAAs.
+#[test]
+fn fast_path_faas_under_sustained_loss_run_once() {
+    use clio_net::FaultInjector;
+
+    const TASKS: u64 = 64;
+    const FAAS: u64 = 50;
+    let mut cfg = ClusterConfig::test_small();
+    (cfg.cns, cfg.mns, cfg.seed) = (1, 1, 3);
+    cfg.clib.max_retries = 8;
+    let mut cluster = Cluster::build(&cfg);
+    let cn_mac = cluster.cn(0).mac();
+    let lossy = FaultInjector { loss_prob: 0.2, ..FaultInjector::none() };
+    cluster.net.set_faults(&mut cluster.sim, cn_mac, lossy);
+    let acked = Rc::new(Cell::new(0));
+    let sum = Rc::new(Cell::new(0));
+    for _ in 0..TASKS {
+        let (acked, sum) = (acked.clone(), sum.clone());
+        cluster.spawn(0, Pid(9), move |h| async move {
+            let va = h.ralloc(4096, Perm::RW).await.va();
+            for _ in 0..FAAS {
+                if h.rfaa(va, 1).await.result.is_ok() {
+                    acked.set(acked.get() + 1);
+                }
+            }
+            let counter = h.rread(va, 8).await;
+            sum.set(sum.get() + u64::from_le_bytes(counter.data()[..].try_into().expect("8 B")));
+        });
+    }
+    cluster.start();
+    cluster.run_until_idle();
+    assert_eq!(acked.get(), TASKS * FAAS, "every FAA is acknowledged");
+    assert_eq!(sum.get(), TASKS * FAAS, "a retried FAA added twice");
+    let retried = cluster.cn(0).clib().transport().stats().retries;
+    assert!(retried > 0, "the loss never forced a retry");
+}

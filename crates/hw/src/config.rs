@@ -8,13 +8,12 @@ use clio_sim::{Bandwidth, Cycles, Frequency, SimDuration};
 /// path at 250 MHz over a 512-bit datapath (II = 1 ⇒ 128 Gbps ceiling), 2 GB
 /// of on-board DDR4 behind a board memory controller, and 4 MB huge pages.
 /// [`CBoardHwConfig::asic`] rescales the clock to the paper's 2 GHz ASIC
-/// projection (Figure 6).
+/// projection (Figure 6). The datapath width and the pipeline's cycle
+/// counts are the same on both, so they are associated constants.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CBoardHwConfig {
     /// Fast-path clock.
     pub clock: Frequency,
-    /// Datapath width in bytes; one flit is admitted per cycle (II = 1).
-    pub flit_bytes: u64,
     /// Physical memory size in bytes.
     pub phys_mem_bytes: u64,
     /// Page size in bytes (power of two; paper default 4 MB).
@@ -30,8 +29,6 @@ pub struct CBoardHwConfig {
     pub async_buffer_pages: usize,
     /// Dedup buffer capacity in bytes (3 × TIMEOUT × bandwidth, §4.5 T4).
     pub dedup_buffer_bytes: usize,
-    /// Bytes of state recorded per dedup entry.
-    pub dedup_entry_bytes: usize,
     /// Off-chip DRAM: fixed access latency through the board controller.
     pub dram_latency: SimDuration,
     /// Off-chip DRAM: sustained bandwidth.
@@ -41,15 +38,6 @@ pub struct CBoardHwConfig {
     pub interconnect_latency: SimDuration,
     /// MAC + PHY ingress or egress latency (vendor IP).
     pub mac_phy_latency: SimDuration,
-    /// Pipeline cycles: packet parse + match-and-action dispatch.
-    pub parse_cycles: Cycles,
-    /// Pipeline cycles: TLB lookup + permission check (hit path).
-    pub tlb_lookup_cycles: Cycles,
-    /// Pipeline cycles: page-fault handling (fetch pre-allocated PA,
-    /// establish PTE) — the paper's constant three cycles (§4.3).
-    pub page_fault_cycles: Cycles,
-    /// Pipeline cycles: response generation.
-    pub response_cycles: Cycles,
     /// Fixed occupancy of the request DMA engine per read request. The
     /// prototype's third-party DMA IP is **not pipelined** (§7.1, Figure 9),
     /// which is why small reads trail small writes in on-board goodput.
@@ -60,11 +48,30 @@ pub struct CBoardHwConfig {
 }
 
 impl CBoardHwConfig {
+    /// Datapath width in bytes (the 512-bit datapath); one flit is admitted
+    /// per cycle (II = 1).
+    pub const FLIT_BYTES: u64 = 64;
+
+    /// Bytes of state recorded per dedup entry.
+    pub const DEDUP_ENTRY_BYTES: usize = 32;
+
+    /// Pipeline cycles: packet parse + match-and-action dispatch.
+    pub const PARSE_CYCLES: Cycles = Cycles(6);
+
+    /// Pipeline cycles: TLB lookup + permission check (hit path).
+    pub const TLB_LOOKUP_CYCLES: Cycles = Cycles(2);
+
+    /// Pipeline cycles: page-fault handling (fetch pre-allocated PA,
+    /// establish PTE) — the paper's constant three cycles (§4.3).
+    pub const PAGE_FAULT_CYCLES: Cycles = Cycles(3);
+
+    /// Pipeline cycles: response generation.
+    pub const RESPONSE_CYCLES: Cycles = Cycles(4);
+
     /// The paper's FPGA prototype parameters.
     pub fn prototype() -> Self {
         CBoardHwConfig {
             clock: Frequency::from_mhz(250),
-            flit_bytes: 64, // 512-bit datapath
             phys_mem_bytes: 2 << 30,
             page_size: 4 << 20,
             pt_slots_per_bucket: 4,
@@ -72,15 +79,10 @@ impl CBoardHwConfig {
             tlb_entries: 4096,
             async_buffer_pages: 64,
             dedup_buffer_bytes: 30 << 10,
-            dedup_entry_bytes: 32,
             dram_latency: SimDuration::from_nanos(150),
             dram_bandwidth: Bandwidth::from_gigabytes_per_sec(16),
             interconnect_latency: SimDuration::from_nanos(60),
             mac_phy_latency: SimDuration::from_nanos(100),
-            parse_cycles: Cycles(6),
-            tlb_lookup_cycles: Cycles(2),
-            page_fault_cycles: Cycles(3),
-            response_cycles: Cycles(4),
             dma_read_overhead: SimDuration::from_nanos(15),
             dma_bandwidth: Bandwidth::from_gigabytes_per_sec(32),
         }
@@ -141,7 +143,7 @@ impl CBoardHwConfig {
 
     /// Flits occupied by a `bytes`-byte unit on the datapath.
     pub fn flits(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.flit_bytes).max(1)
+        bytes.div_ceil(Self::FLIT_BYTES).max(1)
     }
 
     /// Validates internal consistency.

@@ -18,6 +18,8 @@ use std::collections::VecDeque;
 use clio_proto::ReqId;
 use clio_sim::IdMap;
 
+use crate::config::CBoardHwConfig;
+
 /// What the MN remembers about an executed non-idempotent request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DedupRecord {
@@ -46,15 +48,15 @@ pub struct DedupBuffer {
 }
 
 impl DedupBuffer {
-    /// A buffer of `capacity_bytes / entry_bytes` entries (the paper's
-    /// sizing rule).
+    /// A buffer of `capacity_bytes` over
+    /// [`CBoardHwConfig::DEDUP_ENTRY_BYTES`] entries (the paper's sizing
+    /// rule).
     ///
     /// # Panics
     ///
     /// Panics if the resulting capacity is zero.
-    pub fn with_byte_budget(capacity_bytes: usize, entry_bytes: usize) -> Self {
-        assert!(entry_bytes > 0, "entry size must be non-zero");
-        Self::new(capacity_bytes / entry_bytes)
+    pub fn with_byte_budget(capacity_bytes: usize) -> Self {
+        Self::new(capacity_bytes / CBoardHwConfig::DEDUP_ENTRY_BYTES)
     }
 
     /// A buffer of exactly `capacity_entries` entries.
@@ -150,7 +152,7 @@ mod tests {
     #[test]
     fn byte_budget_matches_paper_sizing() {
         // 30 KB at 32 B/entry = 960 entries (§4.5: 3 × TIMEOUT × bandwidth).
-        let d = DedupBuffer::with_byte_budget(30 << 10, 32);
+        let d = DedupBuffer::with_byte_budget(30 << 10);
         assert_eq!(d.capacity(), 960);
         assert!(d.is_empty());
     }

@@ -188,7 +188,7 @@ impl Silicon {
             gate: PipelineGate::new(cfg.flit_time()),
             dma: SerialResource::new(),
             atomic_unit: SerialResource::new(),
-            dedup: DedupBuffer::with_byte_budget(cfg.dedup_buffer_bytes, cfg.dedup_entry_bytes),
+            dedup: DedupBuffer::with_byte_budget(cfg.dedup_buffer_bytes),
             segs: Vec::new(),
             stats: SiliconStats::default(),
             cfg,
@@ -267,7 +267,7 @@ impl Silicon {
         let request_bytes = if perm == Perm::READ { 0 } else { len };
         let admitted = self.gate.admit(now, self.cfg.flits(request_bytes));
         timing.breakdown.admission_wait = admitted.since(now);
-        timing.breakdown.pipeline_cycles = self.cycles(self.cfg.parse_cycles);
+        timing.breakdown.pipeline_cycles = self.cycles(CBoardHwConfig::PARSE_CYCLES);
         let translating = admitted + timing.breakdown.pipeline_cycles;
         let (result, t) = match self.translate_range(translating, pid, va, len, perm, &mut timing) {
             Ok(t) => {
@@ -276,7 +276,7 @@ impl Silicon {
             }
             Err(status) => (Err(status), translating),
         };
-        let respond = self.cycles(self.cfg.response_cycles);
+        let respond = self.cycles(CBoardHwConfig::RESPONSE_CYCLES);
         timing.breakdown.pipeline_cycles += respond;
         timing.done = t + respond;
         (result, timing)

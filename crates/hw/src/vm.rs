@@ -66,8 +66,6 @@ pub struct VmUnit {
     /// Written only by a page fault and the ARM's refill: shared between
     /// clones of the unit until one side writes it (`Rc::make_mut`).
     async_buf: Rc<AsyncPageBuffer>,
-    tlb_lookup_cycles: Cycles,
-    page_fault_cycles: Cycles,
     stats: VmStats,
 }
 
@@ -79,8 +77,6 @@ impl VmUnit {
             tlb: Tlb::new(cfg.tlb_entries),
             pt: HashPageTable::new(cfg.pt_buckets(), cfg.pt_slots_per_bucket),
             async_buf: Rc::new(AsyncPageBuffer::new(cfg.async_buffer_pages)),
-            tlb_lookup_cycles: cfg.tlb_lookup_cycles,
-            page_fault_cycles: cfg.page_fault_cycles,
             stats: VmStats::default(),
         }
     }
@@ -104,7 +100,8 @@ impl VmUnit {
         vpn: u64,
         access: Perm,
     ) -> (Result<Translation, Status>, TranslateTiming) {
-        let mut timing = TranslateTiming { cycles: self.tlb_lookup_cycles, ..Default::default() };
+        let mut timing =
+            TranslateTiming { cycles: CBoardHwConfig::TLB_LOOKUP_CYCLES, ..Default::default() };
 
         if let Some(hit) = self.tlb.lookup(pid, vpn) {
             timing.tlb_hit = true;
@@ -134,7 +131,7 @@ impl VmUnit {
         } else {
             // Hardware page fault: pop a pre-allocated physical page.
             timing.page_fault = true;
-            timing.cycles += self.page_fault_cycles;
+            timing.cycles += CBoardHwConfig::PAGE_FAULT_CYCLES;
             let Some(new_ppn) = Rc::make_mut(&mut self.async_buf).pop() else {
                 self.stats.fault_stalls += 1;
                 return (Err(Status::OutOfPhysicalMemory), timing);

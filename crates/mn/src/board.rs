@@ -116,6 +116,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use clio_hw::dedup::DedupRecord;
 use clio_hw::silicon::{AccessTiming, AtomicOp, Silicon};
+use clio_hw::CBoardHwConfig;
 use clio_net::{BoardPower, Doorbell, Ewma, Frame, Mac, NicPort};
 use clio_proto::{
     codec, read_response_fragments, ClioPacket, Packer, Pid, ReqHeader, ReqId, RequestBody,
@@ -779,8 +780,8 @@ impl CBoard {
     fn control_latency(&self) -> SimDuration {
         let hw = &self.cfg.hw;
         hw.mac_phy_latency * 2
-            + hw.clock.cycles(hw.parse_cycles)
-            + hw.clock.cycles(hw.response_cycles)
+            + hw.clock.cycles(CBoardHwConfig::PARSE_CYCLES)
+            + hw.clock.cycles(CBoardHwConfig::RESPONSE_CYCLES)
     }
 
     /// Removes the PTEs of `vpns` and hands the physical pages behind the
@@ -1146,9 +1147,9 @@ impl CBoard {
     ) {
         self.stats.slow_ops += 1;
         let hw = &self.cfg.hw;
-        let at_arm = ctx.now() + hw.mac_phy_latency + self.slow.crossing_delay();
+        let at_arm = ctx.now() + hw.mac_phy_latency + SlowPath::CROSSING_DELAY;
         let served = Rc::make_mut(&mut self.slow).workers_mut().reserve(at_arm, service);
-        let at = served.end + self.slow.crossing_delay() + hw.mac_phy_latency;
+        let at = served.end + SlowPath::CROSSING_DELAY + hw.mac_phy_latency;
         self.reply(ctx, src, header, at, Stage::SlowPath, status, body);
     }
 
@@ -1169,7 +1170,7 @@ impl CBoard {
         self.stats.offload_calls += 1;
         self.tracer.stitch(header.trace, self.track, Stage::FenceHold, start);
         let hw = &self.cfg.hw;
-        let begin = start + hw.mac_phy_latency + hw.clock.cycles(hw.parse_cycles);
+        let begin = start + hw.mac_phy_latency + hw.clock.cycles(CBoardHwConfig::PARSE_CYCLES);
         // The call crosses the MAC/PHY; its accesses, on-chip behind the
         // MAT, pay no crossing (§4.6).
         let env_pid = installed.pid.unwrap_or(header.pid);
@@ -1177,7 +1178,7 @@ impl CBoard {
         let mut env = OffloadEnv::new(&mut self.silicon, slow, &self.migrations, env_pid, begin);
         let reply = installed.module.on_call(&mut env, opcode, arg);
         let env_done = env.now();
-        let done = env_done + hw.clock.cycles(hw.response_cycles) + hw.mac_phy_latency;
+        let done = env_done + hw.clock.cycles(CBoardHwConfig::RESPONSE_CYCLES) + hw.mac_phy_latency;
         self.offloads.insert(offload, installed);
         self.note_completion(done);
         let body = ResponseBody::OffloadReply { data: reply.data };

@@ -194,7 +194,7 @@ impl<'a> OffloadEnv<'a> {
     ///
     /// Propagates allocator failures.
     pub fn alloc(&mut self, size: u64, perm: Perm) -> Result<u64, Status> {
-        let crossing = self.slow.crossing_delay();
+        let crossing = SlowPath::CROSSING_DELAY;
         match self.slow.alloc(self.pid, size, perm, None) {
             Ok(out) => {
                 for pte in &out.ptes {

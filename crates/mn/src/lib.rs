@@ -25,5 +25,5 @@ pub mod slowpath;
 pub mod valloc;
 
 pub use board::CBoard;
-pub use config::{ArmConfig, CBoardConfig};
+pub use config::CBoardConfig;
 pub use extend::{Offload, OffloadEnv, OffloadReply};

@@ -8,9 +8,8 @@
 //!   overflow checks never cross the slow FPGA↔ARM interconnect (§5),
 //! * operations are served by a small worker pool behind a polling core,
 //! * each operation reports an explicit software **service time** derived
-//!   from [`ArmConfig`]; the board adds interconnect crossings and queueing.
-//!
-//! [`ArmConfig`]: crate::config::ArmConfig
+//!   from the [`SlowPath`] constants; the board adds interconnect crossings
+//!   and queueing.
 
 use clio_hw::pagetable::{HashPageTable, Pte};
 use clio_hw::silicon::Silicon;
@@ -50,40 +49,59 @@ pub struct FreeOutcome {
 }
 
 /// The ARM-side software state.
+///
+/// Its associated constants model the prototype's ARM SoC (§5). The
+/// FPGA↔ARM interconnect has high bandwidth but ~40 µs round-trip delay;
+/// shadow metadata in ARM-local DRAM keeps most slow-path work off that
+/// interconnect, so a single crossing per operation remains.
 #[derive(Debug, Clone)]
 pub struct SlowPath {
     valloc: VaAllocator,
     palloc: PhysAllocator,
     shadow: HashPageTable,
     workers: ServerPool,
-    crossing_delay: SimDuration,
-    cfg: crate::config::ArmConfig,
     page_size: u64,
 }
 
 impl SlowPath {
+    /// One-way FPGA↔ARM crossing latency (request posting + response ring).
+    pub const CROSSING_DELAY: SimDuration = SimDuration::from_micros(20);
+    /// Worker threads handling slow-path operations (one more core busy
+    /// polls the RX ring, per §5).
+    pub const WORKERS: usize = 2;
+    /// Fixed software cost of a VA allocation (tree search, bookkeeping).
+    pub const VALLOC_BASE: SimDuration = SimDuration::from_micros(2);
+    /// Added cost per page of a VA allocation (hash + shadow-table check).
+    pub const VALLOC_PER_PAGE: SimDuration = SimDuration::from_nanos(400);
+    /// Added cost per allocation retry (re-search + re-check, §4.2).
+    pub const VALLOC_RETRY_COST: SimDuration = SimDuration::from_micros(3);
+    /// Fixed software cost of freeing a range.
+    pub const FREE_BASE: SimDuration = SimDuration::from_micros(2);
+    /// Added cost per freed page (PTE removal + TLB shootdown message).
+    pub const FREE_PER_PAGE: SimDuration = SimDuration::from_nanos(200);
+    /// Fixed cost of an explicit physical-allocation request.
+    pub const PALLOC_BASE: SimDuration = SimDuration::from_micros(3);
+    /// Added cost per physical page reserved.
+    pub const PALLOC_PER_PAGE: SimDuration = SimDuration::from_nanos(45);
+    /// Maximum candidate ranges the VA allocator tries before reporting
+    /// virtual-memory exhaustion.
+    pub const VALLOC_RETRY_LIMIT: u32 = 512;
+
     /// Builds the slow path for a board configuration.
     pub fn new(cfg: &CBoardConfig) -> Self {
         let valloc = match cfg.va_window {
             Some((base, span)) => {
-                VaAllocator::with_window(cfg.hw.page_size, cfg.arm.valloc_retry_limit, base, span)
+                VaAllocator::with_window(cfg.hw.page_size, Self::VALLOC_RETRY_LIMIT, base, span)
             }
-            None => VaAllocator::new(cfg.hw.page_size, cfg.arm.valloc_retry_limit),
+            None => VaAllocator::new(cfg.hw.page_size, Self::VALLOC_RETRY_LIMIT),
         };
         SlowPath {
             valloc,
             palloc: PhysAllocator::new(cfg.hw.phys_pages()),
             shadow: HashPageTable::new(cfg.hw.pt_buckets(), cfg.hw.pt_slots_per_bucket),
-            workers: ServerPool::new(cfg.arm.workers),
-            crossing_delay: cfg.arm.crossing_delay,
-            cfg: cfg.arm,
+            workers: ServerPool::new(Self::WORKERS),
             page_size: cfg.hw.page_size,
         }
-    }
-
-    /// The FPGA↔ARM one-way crossing delay.
-    pub fn crossing_delay(&self) -> SimDuration {
-        self.crossing_delay
     }
 
     /// The ARM worker pool (the board reserves service time on it).
@@ -109,7 +127,7 @@ impl SlowPath {
     /// Creates a process address space (idempotent).
     pub fn create_as(&mut self, pid: Pid) -> SimDuration {
         self.valloc.create_pid(pid);
-        self.cfg.valloc_base
+        Self::VALLOC_BASE
     }
 
     /// True if `pid` has an address space on this node.
@@ -140,15 +158,15 @@ impl SlowPath {
                 for pte in &ptes {
                     self.shadow.insert(*pte).expect("shadow insert pre-checked by allocator");
                 }
-                let service = self.cfg.valloc_base
-                    + self.cfg.valloc_per_page * ptes.len() as u64
-                    + self.cfg.valloc_retry_cost * a.retries as u64;
+                let service = Self::VALLOC_BASE
+                    + Self::VALLOC_PER_PAGE * ptes.len() as u64
+                    + Self::VALLOC_RETRY_COST * a.retries as u64;
                 Ok(AllocOutcome { range: a.range, retries: a.retries, ptes, service })
             }
             Err(status) => {
                 // A failed allocation burned the full retry budget.
-                let service = self.cfg.valloc_base
-                    + self.cfg.valloc_retry_cost * self.cfg.valloc_retry_limit as u64;
+                let service =
+                    Self::VALLOC_BASE + Self::VALLOC_RETRY_COST * Self::VALLOC_RETRY_LIMIT as u64;
                 Err((status, service))
             }
         }
@@ -166,10 +184,10 @@ impl SlowPath {
                 for &vpn in &vpns {
                     self.shadow.remove(pid, vpn);
                 }
-                let service = self.cfg.free_base + self.cfg.free_per_page * vpns.len() as u64;
+                let service = Self::FREE_BASE + Self::FREE_PER_PAGE * vpns.len() as u64;
                 Ok(FreeOutcome { range, vpns, service })
             }
-            Err(status) => Err((status, self.cfg.free_base)),
+            Err(status) => Err((status, Self::FREE_BASE)),
         }
     }
 
@@ -184,7 +202,7 @@ impl SlowPath {
                 vpns.push(vpn);
             }
         }
-        let service = self.cfg.free_base + self.cfg.free_per_page * vpns.len() as u64;
+        let service = Self::FREE_BASE + Self::FREE_PER_PAGE * vpns.len() as u64;
         (vpns, service)
     }
 
@@ -194,7 +212,7 @@ impl SlowPath {
     /// spends.
     fn refill_pages(&mut self, demand: usize) -> (Vec<u64>, SimDuration) {
         let pages = self.palloc.alloc_many(demand);
-        let service = self.cfg.palloc_base + self.cfg.palloc_per_page * pages.len() as u64;
+        let service = Self::PALLOC_BASE + Self::PALLOC_PER_PAGE * pages.len() as u64;
         (pages, service)
     }
 
@@ -235,7 +253,7 @@ impl SlowPath {
                 Some(pte) if !pte.valid => {
                     let Some(ppn) = self.palloc.alloc() else {
                         self.palloc.free_many(assignments.iter().map(|&(_, p)| p));
-                        return Err((Status::OutOfPhysicalMemory, self.cfg.palloc_base));
+                        return Err((Status::OutOfPhysicalMemory, Self::PALLOC_BASE));
                     };
                     pte.valid = true;
                     pte.ppn = ppn;
@@ -244,11 +262,11 @@ impl SlowPath {
                 Some(_) => {} // already backed
                 None => {
                     self.palloc.free_many(assignments.iter().map(|&(_, p)| p));
-                    return Err((Status::InvalidAddr, self.cfg.palloc_base));
+                    return Err((Status::InvalidAddr, Self::PALLOC_BASE));
                 }
             }
         }
-        let service = self.cfg.palloc_base + self.cfg.palloc_per_page * assignments.len() as u64;
+        let service = Self::PALLOC_BASE + Self::PALLOC_PER_PAGE * assignments.len() as u64;
         Ok((assignments, service))
     }
 

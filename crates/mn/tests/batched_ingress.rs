@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use clio_hw::pagetable::Pte;
-use clio_hw::Silicon;
+use clio_hw::{CBoardHwConfig, Silicon};
 use clio_mn::migrate::Migrations;
 use clio_mn::slowpath::SlowPath;
 use clio_mn::{CBoard, CBoardConfig, Offload, OffloadEnv, OffloadReply};
@@ -188,7 +188,8 @@ fn batched_frame_charges_ingress_mac_once_and_parse_per_entry() {
         assert_eq!(p, mac, "entry {i} pays its own egress only");
     }
     assert_eq!(sum(&paid), mac * (1 + ENTRIES), "one ingress charge + 16 egress charges");
-    let parse = hw.clock.cycles(hw.parse_cycles) + hw.clock.cycles(hw.response_cycles);
+    let parse = hw.clock.cycles(CBoardHwConfig::PARSE_CYCLES)
+        + hw.clock.cycles(CBoardHwConfig::RESPONSE_CYCLES);
     for (i, t) in traces.iter().enumerate() {
         assert_eq!(t.stage_total(Stage::Parse), parse, "entry {i} pays its own parse");
     }
@@ -276,7 +277,8 @@ fn offload_accesses_pay_no_crossing() {
     let cfg = CBoardConfig::test_small();
     let hw = &cfg.hw;
     let (read, call, lone_read) = timed_read_on_a_board();
-    let pipeline = hw.clock.cycles(hw.parse_cycles) + hw.clock.cycles(hw.response_cycles);
+    let pipeline = hw.clock.cycles(CBoardHwConfig::PARSE_CYCLES)
+        + hw.clock.cycles(CBoardHwConfig::RESPONSE_CYCLES);
     let call = call.stage_total(Stage::Execute);
     assert_eq!(call, hw.mac_phy_latency * 2 + pipeline + read, "the call crosses once each way");
     // The same warm read as a lone request pays the same datapath, plus

@@ -336,13 +336,13 @@ impl Bandwidth {
     /// # Panics
     ///
     /// Panics if `bps` is zero.
-    pub fn from_bps(bps: u64) -> Self {
+    pub const fn from_bps(bps: u64) -> Self {
         assert!(bps > 0, "bandwidth must be non-zero");
         Bandwidth { bits_per_sec: bps }
     }
 
     /// Constructs a bandwidth from gigabits per second.
-    pub fn from_gbps(gbps: u64) -> Self {
+    pub const fn from_gbps(gbps: u64) -> Self {
         Self::from_bps(gbps * 1_000_000_000)
     }
 
