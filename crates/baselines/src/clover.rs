@@ -12,40 +12,36 @@
 use clio_sim::{SimDuration, SimRng, SimTime};
 
 use crate::rdma::{RdmaNic, RnicParams, Verb};
+use crate::NETWORK_ONE_WAY;
 
 /// Latency model of a Clover deployment (client library + passive MN).
 #[derive(Debug)]
 pub struct CloverModel {
     nic: RdmaNic,
-    /// One-way network latency between CN and the passive MN.
-    pub network_one_way: SimDuration,
-    /// Client-side cycles spent managing metadata per op.
-    pub client_overhead: SimDuration,
-    /// Average extra index hops per read when the cache is cold/contended.
-    pub read_index_misses: f64,
 }
 
 impl CloverModel {
+    /// Client-side cycles spent managing metadata per op (the value is the
+    /// reproduction's, as is [`Self::READ_INDEX_MISSES`]).
+    pub const CLIENT_OVERHEAD: SimDuration = SimDuration::from_nanos(350);
+
+    /// Average extra index hops per read when the cache is cold/contended.
+    pub const READ_INDEX_MISSES: f64 = 0.15;
+
     /// A Clover instance over the given RNIC generation.
     pub fn new(params: RnicParams) -> Self {
-        CloverModel {
-            nic: RdmaNic::new(params, true),
-            network_one_way: SimDuration::from_nanos(600),
-            client_overhead: SimDuration::from_nanos(350),
-            read_index_misses: 0.15,
-        }
+        CloverModel { nic: RdmaNic::new(params, true) }
     }
 
     fn rtt(&mut self, rng: &mut SimRng, now: SimTime, verb: Verb, key: u64, bytes: u64) -> SimTime {
-        let (end, _cost) =
-            self.nic.execute(rng, now + self.network_one_way, verb, 1, key % 64, key, bytes, 64);
-        end + self.network_one_way
+        let end = self.nic.execute(rng, now + NETWORK_ONE_WAY, verb, 1, key % 64, key, bytes, 64);
+        end + NETWORK_ONE_WAY
     }
 
     /// A get: index lookup (usually cached) + data fetch.
     pub fn get(&mut self, rng: &mut SimRng, now: SimTime, key: u64, value_bytes: u64) -> SimTime {
-        let mut t = now + self.client_overhead;
-        if rng.chance(self.read_index_misses) {
+        let mut t = now + Self::CLIENT_OVERHEAD;
+        if rng.chance(Self::READ_INDEX_MISSES) {
             // Chase one extra chain pointer.
             t = self.rtt(rng, t, Verb::Read, key, 64);
         }
@@ -55,15 +51,10 @@ impl CloverModel {
     /// A put: write the new block, then link it with an atomic — 2 RTTs
     /// minimum.
     pub fn put(&mut self, rng: &mut SimRng, now: SimTime, key: u64, value_bytes: u64) -> SimTime {
-        let t = now + self.client_overhead;
+        let t = now + Self::CLIENT_OVERHEAD;
         let t = self.rtt(rng, t, Verb::Write, key, value_bytes);
         // Metadata link: small atomic write to the chain.
-        self.rtt(rng, t + self.client_overhead, Verb::Write, key ^ 0xFFFF, 64)
-    }
-
-    /// The underlying NIC (stats).
-    pub fn nic(&self) -> &RdmaNic {
-        &self.nic
+        self.rtt(rng, t + Self::CLIENT_OVERHEAD, Verb::Write, key ^ 0xFFFF, 64)
     }
 }
 

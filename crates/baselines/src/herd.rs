@@ -14,23 +14,18 @@
 use clio_sim::resource::ServerPool;
 use clio_sim::{Bandwidth, SimDuration, SimRng, SimTime};
 
-/// Parameters of a HERD deployment.
+use crate::{host_jitter, NETWORK_ONE_WAY};
+
+/// What the HERD deployments differ in; what they share is a
+/// [`HerdModel`] constant.
 #[derive(Debug, Clone)]
 pub struct HerdParams {
-    /// Display name.
-    pub name: &'static str,
-    /// One-way network latency CN → server NIC.
-    pub network_one_way: SimDuration,
-    /// NIC processing per packet.
-    pub nic_overhead: SimDuration,
     /// CPU service time per KV operation.
     pub cpu_service: SimDuration,
     /// Polling cores serving requests.
     pub cores: usize,
     /// Extra chip-to-chip crossing each way (BlueField only).
     pub crossing: SimDuration,
-    /// Link bandwidth.
-    pub bandwidth: Bandwidth,
     /// Host jitter probability (GC, scheduler, ...).
     pub jitter_prob: f64,
     /// Host jitter scale.
@@ -41,13 +36,9 @@ impl HerdParams {
     /// HERD on a Xeon server (paper's HERD bars).
     pub fn on_cpu() -> Self {
         HerdParams {
-            name: "HERD",
-            network_one_way: SimDuration::from_nanos(600),
-            nic_overhead: SimDuration::from_nanos(500),
             cpu_service: SimDuration::from_nanos(400),
             cores: 8,
             crossing: SimDuration::ZERO,
-            bandwidth: Bandwidth::from_gbps(40),
             jitter_prob: 0.002,
             jitter_scale: SimDuration::from_micros(200),
         }
@@ -57,13 +48,11 @@ impl HerdParams {
     /// cores and a costly NIC-chip ↔ ARM-chip crossing in each direction.
     pub fn on_bluefield() -> Self {
         HerdParams {
-            name: "HERD-BF",
             cpu_service: SimDuration::from_micros(1),
             cores: 4,
             crossing: SimDuration::from_nanos(2300),
             jitter_prob: 0.004,
             jitter_scale: SimDuration::from_micros(400),
-            ..Self::on_cpu()
         }
     }
 }
@@ -73,40 +62,31 @@ impl HerdParams {
 pub struct HerdModel {
     params: HerdParams,
     cpu: ServerPool,
-    ops: u64,
 }
 
 impl HerdModel {
+    /// NIC processing per packet (the value is the reproduction's).
+    pub const NIC_OVERHEAD: SimDuration = SimDuration::from_nanos(500);
+
+    /// Link bandwidth (a 40 Gbps ConnectX NIC, as for RDMA).
+    pub const BANDWIDTH: Bandwidth = Bandwidth::from_gbps(40);
+
     /// Builds a server with the given parameters.
     pub fn new(params: HerdParams) -> Self {
-        HerdModel { cpu: ServerPool::new(params.cores), params, ops: 0 }
-    }
-
-    /// The configured parameters.
-    pub fn params(&self) -> &HerdParams {
-        &self.params
-    }
-
-    /// Operations served.
-    pub fn ops(&self) -> u64 {
-        self.ops
+        HerdModel { cpu: ServerPool::new(params.cores), params }
     }
 
     /// One KV request (`bytes` of payload in the larger direction);
     /// returns completion time.
     pub fn request(&mut self, rng: &mut SimRng, now: SimTime, bytes: u64) -> SimTime {
-        self.ops += 1;
         let p = &self.params;
-        let transfer = p.bandwidth.transfer_time(bytes);
+        let transfer = Self::BANDWIDTH.transfer_time(bytes);
         // Request path: wire + NIC (+ crossing onto the ARM for BF).
-        let at_cpu = now + p.network_one_way + p.nic_overhead + p.crossing + transfer;
+        let at_cpu = now + NETWORK_ONE_WAY + Self::NIC_OVERHEAD + p.crossing + transfer;
         let served = self.cpu.reserve(at_cpu, p.cpu_service);
         // Response path.
-        let mut done = served.end + p.crossing + p.nic_overhead + p.network_one_way;
-        if rng.chance(p.jitter_prob) {
-            done += p.jitter_scale.mul_f64(0.2 + rng.f64() * 1.8);
-        }
-        done
+        let done = served.end + p.crossing + Self::NIC_OVERHEAD + NETWORK_ONE_WAY;
+        done + host_jitter(rng, p.jitter_prob, p.jitter_scale)
     }
 }
 
@@ -138,6 +118,5 @@ mod tests {
             last = m.request(&mut rng, t0, 64);
         }
         assert!(last > first, "single core must queue 51 simultaneous requests");
-        assert_eq!(m.ops(), 51);
     }
 }

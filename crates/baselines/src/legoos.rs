@@ -6,90 +6,63 @@
 //! the paper measures: roughly 2× Clio's latency for small requests and a
 //! 77 Gbps throughput ceiling vs. Clio's 110+ (§7.1).
 
-use clio_sim::resource::ServerPool;
+use clio_sim::resource::{SerialResource, ServerPool};
 use clio_sim::{Bandwidth, SimDuration, SimRng, SimTime};
 
-/// Parameters of the LegoOS memory-node model.
-#[derive(Debug, Clone)]
-pub struct LegoOsParams {
-    /// One-way network latency (RDMA-based transport).
-    pub network_one_way: SimDuration,
-    /// NIC processing per message.
-    pub nic_overhead: SimDuration,
-    /// Software translation + dispatch cost per request.
-    pub sw_translation: SimDuration,
-    /// Worker threads in the memory node.
-    pub workers: usize,
-    /// Per-byte memory copy bandwidth in software.
-    pub copy_bandwidth: Bandwidth,
-    /// Aggregate throughput ceiling (§7.1: 77 Gbps peak).
-    pub throughput_ceiling: Bandwidth,
-    /// Host jitter probability.
-    pub jitter_prob: f64,
-    /// Host jitter scale.
-    pub jitter_scale: SimDuration,
-}
-
-impl Default for LegoOsParams {
-    fn default() -> Self {
-        LegoOsParams {
-            network_one_way: SimDuration::from_nanos(600),
-            nic_overhead: SimDuration::from_nanos(400),
-            sw_translation: SimDuration::from_nanos(1500),
-            workers: 8,
-            copy_bandwidth: Bandwidth::from_gigabytes_per_sec(12),
-            throughput_ceiling: Bandwidth::from_gbps(77),
-            jitter_prob: 0.002,
-            jitter_scale: SimDuration::from_micros(150),
-        }
-    }
-}
+use crate::{host_jitter, NETWORK_ONE_WAY};
 
 /// The LegoOS memory-node model.
 #[derive(Debug)]
 pub struct LegoOsModel {
-    params: LegoOsParams,
     workers: ServerPool,
-    line: clio_sim::resource::SerialResource,
-    ops: u64,
+    line: SerialResource,
 }
 
 impl LegoOsModel {
-    /// Builds a memory node with the given parameters.
-    pub fn new(params: LegoOsParams) -> Self {
-        LegoOsModel {
-            workers: ServerPool::new(params.workers),
-            line: clio_sim::resource::SerialResource::new(),
-            params,
-            ops: 0,
-        }
-    }
+    /// NIC processing per message. This and the other values but the
+    /// ceiling are the reproduction's, set so a small access takes about
+    /// twice Clio's latency (§7.1).
+    pub const NIC_OVERHEAD: SimDuration = SimDuration::from_nanos(400);
 
-    /// Default-parameter model.
-    pub fn default_model() -> Self {
-        Self::new(LegoOsParams::default())
-    }
+    /// Software translation + dispatch cost per request.
+    pub const SW_TRANSLATION: SimDuration = SimDuration::from_nanos(1500);
 
-    /// Operations served.
-    pub fn ops(&self) -> u64 {
-        self.ops
+    /// Worker threads in the memory node.
+    pub const WORKERS: usize = 8;
+
+    /// Per-byte memory copy bandwidth in software.
+    pub const COPY_BANDWIDTH: Bandwidth = Bandwidth::from_gigabytes_per_sec(12);
+
+    /// Aggregate throughput ceiling (§7.1: 77 Gbps peak).
+    pub const THROUGHPUT_CEILING: Bandwidth = Bandwidth::from_gbps(77);
+
+    /// Host jitter probability.
+    pub const JITTER_PROB: f64 = 0.002;
+
+    /// Host jitter scale.
+    pub const JITTER_SCALE: SimDuration = SimDuration::from_micros(150);
+
+    /// An idle memory node.
+    pub fn new() -> Self {
+        LegoOsModel { workers: ServerPool::new(Self::WORKERS), line: SerialResource::new() }
     }
 
     /// One remote memory access of `bytes`; returns completion time.
     pub fn access(&mut self, rng: &mut SimRng, now: SimTime, bytes: u64) -> SimTime {
-        self.ops += 1;
-        let p = &self.params;
         // The 77 Gbps ceiling: all traffic serializes through the software
         // receive path.
-        let line = self.line.reserve(now, p.throughput_ceiling.transfer_time(bytes.max(64)));
-        let at_node = line.end + p.network_one_way + p.nic_overhead;
-        let service = p.sw_translation + p.copy_bandwidth.transfer_time(bytes);
+        let line = self.line.reserve(now, Self::THROUGHPUT_CEILING.transfer_time(bytes.max(64)));
+        let at_node = line.end + NETWORK_ONE_WAY + Self::NIC_OVERHEAD;
+        let service = Self::SW_TRANSLATION + Self::COPY_BANDWIDTH.transfer_time(bytes);
         let served = self.workers.reserve(at_node, service);
-        let mut done = served.end + p.nic_overhead + p.network_one_way;
-        if rng.chance(p.jitter_prob) {
-            done += p.jitter_scale.mul_f64(0.2 + rng.f64() * 1.8);
-        }
-        done
+        let done = served.end + Self::NIC_OVERHEAD + NETWORK_ONE_WAY;
+        done + host_jitter(rng, Self::JITTER_PROB, Self::JITTER_SCALE)
+    }
+}
+
+impl Default for LegoOsModel {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -99,7 +72,7 @@ mod tests {
 
     #[test]
     fn latency_dominated_by_software_translation() {
-        let mut m = LegoOsModel::default_model();
+        let mut m = LegoOsModel::new();
         let mut rng = SimRng::new(7);
         let t0 = SimTime::ZERO;
         let lat = m.access(&mut rng, t0, 16).since(t0);
@@ -112,7 +85,7 @@ mod tests {
 
     #[test]
     fn throughput_ceiling_holds() {
-        let mut m = LegoOsModel::default_model();
+        let mut m = LegoOsModel::new();
         let mut rng = SimRng::new(7);
         let t0 = SimTime::ZERO;
         let mut done = t0;

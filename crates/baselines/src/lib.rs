@@ -19,9 +19,15 @@
 //! * [`fpga`] — the FPGA resource-utilization comparison of Figure 22,
 //! * [`capex`] — the §7.3 CapEx/power cost model.
 //!
-//! Each model exposes per-operation latency/throughput computations driven
-//! by explicit cache and queue state, so scalability figures emerge from the
-//! modeled *mechanisms* (cache thrash, host crossings), not fitted curves.
+//! Each model exposes per-operation completion times driven by explicit
+//! cache and queue state, so scalability figures emerge from the modeled
+//! *mechanisms* (cache thrash, host crossings), not fitted curves. A model
+//! keeps as a settable parameter only what a figure varies — what the two
+//! RNIC generations ([`RnicParams`]) or the HERD deployments
+//! ([`herd::HerdParams`]) differ in; every other calibration value is an
+//! associated `const` with its paper source (PAPER.md's calibration table).
+
+use clio_sim::{SimDuration, SimRng};
 
 pub mod capex;
 pub mod clover;
@@ -32,3 +38,19 @@ pub mod legoos;
 pub mod rdma;
 
 pub use rdma::{RdmaNic, RnicParams};
+
+/// One-way network latency between a compute node and a baseline's memory
+/// server, shared by the HERD, LegoOS and Clover models (the value is the
+/// reproduction's).
+pub(crate) const NETWORK_ONE_WAY: SimDuration = SimDuration::from_nanos(600);
+
+/// Host interference (GC, scheduler, interrupts) on a server-based
+/// baseline: with probability `prob`, a delay of `scale × (0.2 + U × 1.8)`
+/// for `U` uniform in [0, 1); otherwise none.
+pub(crate) fn host_jitter(rng: &mut SimRng, prob: f64, scale: SimDuration) -> SimDuration {
+    if rng.chance(prob) {
+        scale.mul_f64(0.2 + rng.f64() * 1.8)
+    } else {
+        SimDuration::ZERO
+    }
+}

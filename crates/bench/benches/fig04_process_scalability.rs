@@ -50,7 +50,7 @@ fn rdma_point(params: RnicParams, procs: u64) -> f64 {
     // Warm round, then measured rounds cycling through all QPs.
     for round in 0..4u64 {
         for qp in 0..procs {
-            let (done, _) = nic.execute(&mut rng, now, Verb::Read, qp, qp % 8, qp, 16, procs);
+            let done = nic.execute(&mut rng, now, Verb::Read, qp, qp % 8, qp, 16, procs);
             let lat = done.since(now) + wire;
             now = done + SimDuration::from_micros(20);
             if round > 0 {

@@ -59,7 +59,7 @@ fn clio_point(log2_ptes: u32) -> f64 {
 /// RDMA with N PTEs (one big MR) or N MRs (metadata-cache pressure).
 fn rdma_point(params: RnicParams, log2: u32, sweep_mrs: bool) -> Option<f64> {
     let n = 1u64 << log2;
-    if sweep_mrs && n > params.max_mrs {
+    if sweep_mrs && n > RdmaNic::MAX_MRS {
         return None; // paper: "RDMA fails to run beyond 2^18 MRs"
     }
     let mut nic = RdmaNic::new(params, true);
@@ -71,7 +71,7 @@ fn rdma_point(params: RnicParams, log2: u32, sweep_mrs: bool) -> Option<f64> {
     for i in 0..OPS {
         let x = rng.range_u64(0, n);
         let (mr, vpn) = if sweep_mrs { (x, x) } else { (0, x) };
-        let (done, _) = nic.execute(&mut rng, now, Verb::Read, 1, mr, vpn, 16, 4);
+        let done = nic.execute(&mut rng, now, Verb::Read, 1, mr, vpn, 16, 4);
         if i > 20 {
             total += done.since(now) + wire;
             cnt += 1;

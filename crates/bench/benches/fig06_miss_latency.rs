@@ -122,7 +122,7 @@ fn rdma_case(write: bool, scenario: &str) -> f64 {
         if i == 0 {
             nic.execute(&mut rng, now, verb, 1, 1, 1, 16, 4);
         }
-        let (done, _) = nic.execute(&mut rng, now, verb, qp, mr, vpn, 16, 4);
+        let done = nic.execute(&mut rng, now, verb, qp, mr, vpn, 16, 4);
         total += done.since(now) + wire;
         now = done + SimDuration::from_micros(5);
     }

@@ -71,7 +71,7 @@ fn rdma_hist(verb: Verb) -> Histogram {
     let mut h = Histogram::new();
     let mut now = SimTime::ZERO;
     for _ in 0..OPS {
-        let (done, _) = nic.execute(&mut rng, now, verb, 1, 1, 1, 16, 8);
+        let done = nic.execute(&mut rng, now, verb, 1, 1, 1, 16, 8);
         h.record((done.since(now) + wire).as_nanos());
         now = done + SimDuration::from_micros(3);
     }

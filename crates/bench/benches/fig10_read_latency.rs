@@ -50,7 +50,7 @@ pub fn rdma_latency(size: u32, verb: Verb) -> f64 {
     let mut rng = SimRng::new(2);
     let wire = SimDuration::from_nanos(1200);
     median_of(|now| {
-        let (done, _) = nic.execute(&mut rng, now, verb, 1, 1, 1, size as u64, 4);
+        let done = nic.execute(&mut rng, now, verb, 1, 1, 1, size as u64, 4);
         done + wire
     })
 }
@@ -80,7 +80,7 @@ pub fn herd_latency(size: u32, bluefield: bool) -> f64 {
 
 /// Mean LegoOS remote-access latency (us) for one op size.
 pub fn legoos_latency(size: u32) -> f64 {
-    let mut m = LegoOsModel::default_model();
+    let mut m = LegoOsModel::new();
     let mut rng = SimRng::new(5);
     median_of(|now| m.access(&mut rng, now, size as u64))
 }

@@ -87,7 +87,7 @@ fn rdma_runtime(clients: u64) -> f64 {
         let nic = &mut nics[(c % NICS) as usize];
         let per_nic_clients = clients.div_ceil(NICS);
         if is_write {
-            let (done, _) = nic.execute(
+            let done = nic.execute(
                 &mut rng,
                 t,
                 Verb::Write,
@@ -103,7 +103,7 @@ fn rdma_runtime(clients: u64) -> f64 {
                 finish[c as usize] = done;
             }
         } else {
-            let (done, _) =
+            let done =
                 nic.execute(&mut rng, t, Verb::Read, c, c, c, IMAGE_BYTES as u64, per_nic_clients);
             let compute_done = done + compress_cpu_time(IMAGE_BYTES);
             heap.push(Reverse((compute_done, c, img, true)));

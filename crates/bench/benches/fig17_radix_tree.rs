@@ -101,7 +101,7 @@ fn rdma_latency(entries: u64) -> f64 {
             let hops = 1 + rng.range_u64(0, FANOUT);
             for h in 0..hops {
                 let vpn = (s * 131 + level as u64 * 17 + h) % (entries / 8 + 1);
-                let (done, _) = nic.execute(&mut rng, now, Verb::Read, 1, 1, vpn, NODE_BYTES, 4);
+                let done = nic.execute(&mut rng, now, Verb::Read, 1, 1, vpn, NODE_BYTES, 4);
                 now = done + wire;
             }
         }

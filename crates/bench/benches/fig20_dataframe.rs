@@ -74,8 +74,7 @@ fn rdma_runtime(ratio: u32) -> f64 {
     let t0 = now;
     for _ in 0..QUERIES {
         // One big read (the NIC model serializes the transfer)...
-        let (done, _) =
-            nic.execute(&mut rng, now, clio_baselines::rdma::Verb::Read, 1, 1, 1, bytes, 4);
+        let done = nic.execute(&mut rng, now, clio_baselines::rdma::Verb::Read, 1, 1, 1, bytes, 4);
         // ...then CPU select + avg + histogram.
         let selected = select_local(&table, ratio);
         let _ = avg_local(&selected);

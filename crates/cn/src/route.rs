@@ -54,44 +54,10 @@ impl RasRouter {
         self.slices.get(i + 1).map(|&(_, _, mac)| mac)
     }
 
-    fn lookup_byte(&self, pid: Pid, va: u64) -> Option<Mac> {
-        // `va - start < len` rather than `va < start + len`: no sum to
-        // overflow, whatever range a slice or exception names.
-        if let Some(&(_, _, _, mac)) = self
-            .exceptions
-            .iter()
-            .find(|(p, start, len, _)| *p == pid && va >= *start && va - *start < *len)
-        {
-            return Some(mac);
-        }
-        self.slices
-            .iter()
-            .find(|(base, span, _)| va >= *base && va - *base < *span)
-            .map(|&(_, _, mac)| mac)
-    }
-
-    /// Resolves a whole `len`-byte access. Start-VA-only resolution would
-    /// silently route a boundary-straddling op to one MN; checking both
-    /// endpoints plus any interior exception catches every split. An access
-    /// whose last byte lies past the end of the address space names no
-    /// memory at all: [`Route::Unknown`], in every build profile.
+    /// Resolves a whole `len`-byte access against the slices and the
+    /// cached exceptions ([`resolve`]).
     pub(crate) fn lookup(&self, pid: Pid, va: u64, len: u64) -> Route {
-        // Inclusive last byte.
-        let Some(end) = va.checked_add(len.max(1) - 1) else { return Route::Unknown };
-        let first = self.lookup_byte(pid, va);
-        if self.lookup_byte(pid, end) != first {
-            return Route::Spans;
-        }
-        let interior_differs = self.exceptions.iter().any(|(p, s, l, m)| {
-            *p == pid && *s <= end && (va < *s || va - *s < *l) && Some(*m) != first
-        });
-        if interior_differs {
-            return Route::Spans;
-        }
-        match first {
-            Some(mac) => Route::Owned(mac),
-            None => Route::Unknown,
-        }
+        resolve(self.slices.iter().copied(), self.exceptions.iter().copied(), pid, va, len)
     }
 
     /// Caches the owner a route query named for one access.
@@ -105,11 +71,61 @@ impl RasRouter {
     /// exception covering the whole range at its new owner.
     pub(crate) fn apply_update(&mut self, pid: Pid, start: u64, len: u64, mac: Mac) {
         // Two ranges overlap iff one starts inside the other — no end sums
-        // to overflow, as in `lookup_byte`.
+        // to overflow, as in `owner_of_byte`.
         self.exceptions.retain(|(p, s, l, _)| {
             !(*p == pid && (*s >= start && *s - start < len || start >= *s && start - *s < *l))
         });
         self.exceptions.push((pid, start, len, mac));
+    }
+}
+
+/// The owner of the single byte at `(pid, va)`: the first of `exceptions`
+/// (pid, start, len, owner) that covers it, else the first of `slices`
+/// (base, span, owner) that does.
+pub fn owner_of_byte(
+    mut slices: impl Iterator<Item = (u64, u64, Mac)>,
+    mut exceptions: impl Iterator<Item = (Pid, u64, u64, Mac)>,
+    pid: Pid,
+    va: u64,
+) -> Option<Mac> {
+    // `va - start < len` rather than `va < start + len`: no sum to
+    // overflow, whatever range a slice or exception names.
+    if let Some((_, _, _, mac)) =
+        exceptions.find(|&(p, start, len, _)| p == pid && va >= start && va - start < len)
+    {
+        return Some(mac);
+    }
+    slices.find(|&(base, span, _)| va >= base && va - base < span).map(|(_, _, mac)| mac)
+}
+
+/// Resolves a whole `len`-byte access over `slices` and `exceptions` (as in
+/// [`owner_of_byte`]): CLib's router and the controller answer with this
+/// one rule. Start-VA-only resolution would silently route a
+/// boundary-straddling op to one MN; checking both endpoints plus any
+/// interior exception catches every split. An access whose last byte lies
+/// past the end of the address space names no memory at all:
+/// [`Route::Unknown`], in every build profile.
+pub fn resolve(
+    slices: impl Iterator<Item = (u64, u64, Mac)> + Clone,
+    mut exceptions: impl Iterator<Item = (Pid, u64, u64, Mac)> + Clone,
+    pid: Pid,
+    va: u64,
+    len: u64,
+) -> Route {
+    // Inclusive last byte.
+    let Some(end) = va.checked_add(len.max(1) - 1) else { return Route::Unknown };
+    let first = owner_of_byte(slices.clone(), exceptions.clone(), pid, va);
+    if owner_of_byte(slices, exceptions.clone(), pid, end) != first {
+        return Route::Spans;
+    }
+    let interior_differs = exceptions
+        .any(|(p, s, l, m)| p == pid && s <= end && (va < s || va - s < l) && Some(m) != first);
+    if interior_differs {
+        return Route::Spans;
+    }
+    match first {
+        Some(mac) => Route::Owned(mac),
+        None => Route::Unknown,
     }
 }
 

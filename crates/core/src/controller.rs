@@ -14,7 +14,7 @@
 //!   moves its least-recently-allocated region to the least-pressured node
 //!   and invalidates CN routing.
 
-use clio_cn::Route;
+use clio_cn::route::{self, Route};
 use clio_mn::migrate::{MigrateCommand, MigrationAborted, MigrationComplete, PressureReport};
 use clio_net::Mac;
 use clio_proto::Pid;
@@ -228,38 +228,21 @@ impl Controller {
         Some(idx)
     }
 
+    /// The MNs' RAS slices, as (base, span, owner).
+    fn slices(&self) -> impl Iterator<Item = (u64, u64, Mac)> + Clone + '_ {
+        self.mns.iter().map(|m| (m.slice_base, m.slice_span, m.mac))
+    }
+
+    /// The tracked ranges, as (pid, start, len, owner): each overrides its
+    /// slice's owner.
+    fn tracked(&self) -> impl Iterator<Item = (Pid, u64, u64, Mac)> + Clone + '_ {
+        self.ranges.iter().map(|r| (r.pid, r.va, r.len, r.owner))
+    }
+
     /// The current owner of the single byte at `(pid, va)`: a tracked
     /// range's owner, or the slice owner as the default.
     pub fn owner_of(&self, pid: Pid, va: u64) -> Option<Mac> {
-        if let Some(r) =
-            self.ranges.iter().find(|r| r.pid == pid && va >= r.va && va < r.va + r.len)
-        {
-            return Some(r.owner);
-        }
-        self.mns
-            .iter()
-            .find(|m| va >= m.slice_base && va < m.slice_base + m.slice_span)
-            .map(|m| m.mac)
-    }
-
-    /// Resolves the owner of a whole `len`-byte access: [`Route::Spans`]
-    /// when it straddles two owners — checking only the start VA would
-    /// silently route the whole op to one MN and corrupt the other's half.
-    fn owner_of_range(&self, pid: Pid, va: u64, len: u64) -> Route {
-        let end = va + len.max(1) - 1; // inclusive last byte
-        let first = self.owner_of(pid, va);
-        // Endpoints agreeing is not enough: a sub-range migrated away from
-        // the middle of the access leaves both ends on the old owner while
-        // interior bytes route elsewhere.
-        let interior_differs = self
-            .ranges
-            .iter()
-            .any(|r| r.pid == pid && r.va <= end && va < r.va + r.len && Some(r.owner) != first);
-        match first {
-            _ if interior_differs || self.owner_of(pid, end) != first => Route::Spans,
-            Some(mac) => Route::Owned(mac),
-            None => Route::Unknown,
-        }
+        route::owner_of_byte(self.slices(), self.tracked(), pid, va)
     }
 
     fn handle_pressure(&mut self, ctx: &mut Ctx<'_>, report: PressureReport) {
@@ -377,7 +360,7 @@ impl Actor for Controller {
         };
         let msg = match msg.downcast::<RouteQuery>() {
             Ok(q) => {
-                let route = self.owner_of_range(q.pid, q.va, q.len);
+                let route = route::resolve(self.slices(), self.tracked(), q.pid, q.va, q.len);
                 ctx.send(
                     q.reply_to,
                     self.rpc_latency,
@@ -582,6 +565,27 @@ mod tests {
         let routes = &sim.actor::<Sink>(sink).routes;
         assert_eq!(routes[0], RouteReply { route: Route::Spans, tag: 1 });
         assert_eq!(routes[1], RouteReply { route: Route::Spans, tag: 2 });
+    }
+
+    /// A query whose access ends on the last byte of the address space
+    /// names no MN's memory: the controller answers `Unknown`, as CLib's
+    /// router would, instead of overflowing its end sum.
+    #[test]
+    fn a_query_ending_at_the_top_of_the_address_space_is_unknown() {
+        let (mut sim, ctrl, sink) = setup();
+        sim.post(
+            ctrl,
+            Message::new(RouteQuery {
+                pid: Pid(1),
+                va: u64::MAX - 15,
+                len: 16,
+                reply_to: sink,
+                tag: 1,
+            }),
+        );
+        sim.run_until_idle();
+        let routes = &sim.actor::<Sink>(sink).routes;
+        assert_eq!(routes[..], [RouteReply { route: Route::Unknown, tag: 1 }]);
     }
 
     #[test]

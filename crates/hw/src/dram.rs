@@ -8,30 +8,32 @@
 //! resource, which is exactly why the paper bounds translation to *one*
 //! access (§4.2).
 
-use clio_sim::resource::{BandwidthResource, Reservation};
+use clio_sim::resource::{Reservation, SerialResource};
 use clio_sim::{Bandwidth, SimDuration, SimTime};
 
 /// The DRAM behind one CBoard's memory controller.
 #[derive(Debug, Clone)]
 pub struct DramModel {
-    bus: BandwidthResource,
-    accesses: u64,
-    bytes: u64,
+    latency: SimDuration,
+    bandwidth: Bandwidth,
+    bus: SerialResource,
 }
 
 impl DramModel {
     /// A DRAM with `latency` per access and `bandwidth` sustained transfer
     /// rate.
     pub fn new(latency: SimDuration, bandwidth: Bandwidth) -> Self {
-        DramModel { bus: BandwidthResource::new(bandwidth, latency), accesses: 0, bytes: 0 }
+        DramModel { latency, bandwidth, bus: SerialResource::new() }
     }
 
     /// Reserves one access moving `bytes` (read or write — the model is
-    /// symmetric). Returns when the access starts and completes.
+    /// symmetric). Returns when the access starts and completes: the bus is
+    /// held for `bytes / bandwidth`, and the fixed latency that follows
+    /// overlaps later accesses.
+    #[inline]
     pub fn access(&mut self, now: SimTime, bytes: u64) -> Reservation {
-        self.accesses += 1;
-        self.bytes += bytes;
-        self.bus.transfer(now, bytes)
+        let r = self.bus.reserve(now, self.bandwidth.transfer_time(bytes));
+        Reservation { start: r.start, end: r.end + self.latency }
     }
 
     /// A page-table bucket fetch: one fixed-size burst (64 B covers a
@@ -42,22 +44,7 @@ impl DramModel {
 
     /// The fixed per-access latency.
     pub fn latency(&self) -> SimDuration {
-        self.bus.fixed_latency()
-    }
-
-    /// The sustained bandwidth.
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.bus.bandwidth()
-    }
-
-    /// Total accesses issued.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Total bytes moved.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.latency
     }
 }
 
@@ -77,8 +64,6 @@ mod tests {
         let r = d.access(ns(0), 64);
         assert_eq!(r.start, ns(0));
         assert_eq!(r.end, ns(154));
-        assert_eq!(d.accesses(), 1);
-        assert_eq!(d.bytes(), 64);
     }
 
     #[test]

@@ -199,22 +199,21 @@ struct WriteTracker {
 }
 
 impl WriteTracker {
+    /// Drops every write whose TTL has passed, oldest first, stopping at
+    /// the first one still live.
     fn purge(&mut self, now: SimTime) {
         while let Some(&(t, id)) = self.order.front() {
-            let expired = match self.pending.get(&id) {
-                Some(p) if p.created == t => p.expires <= now,
-                // Entry already completed/replaced: drop the order record.
-                _ => true,
-            };
-            if !expired && now < SimTime::MAX {
-                break;
-            }
-            self.order.pop_front();
-            if let Some(p) = self.pending.get(&id) {
-                if p.created == t && p.expires <= now {
+            match self.pending.get(&id) {
+                Some(p) if p.created == t => {
+                    if p.expires > now {
+                        break;
+                    }
                     self.pending.remove(&id);
                 }
+                // Entry already completed/replaced: drop the order record.
+                _ => {}
             }
+            self.order.pop_front();
         }
     }
 }
@@ -1431,6 +1430,46 @@ mod tests {
         let b = sim.actor::<CBoard>(board);
         assert!(b.egress.values().all(|e| e.queue.is_empty() && e.doorbell.armed().is_none()));
         assert_eq!(b.stats().tx_packets, 20 + 81, "every request was answered");
+    }
+
+    /// Invariant 4: the write tracker is TTL-bounded. A 3-fragment write
+    /// that got one fragment is dropped once its TTL has passed and another
+    /// write's fragment arrives; a write still inside its TTL stays.
+    #[test]
+    fn write_tracker_drops_a_partial_write_past_its_ttl() {
+        let (mut sim, board) = rig();
+        // One fragment of a 3-fragment write `id`, now.
+        let fragment = |sim: &mut Simulation, id: u64| {
+            let header = ReqHeader { pkt_count: 3, ..ReqHeader::single(ReqId(id), Pid(1)) };
+            let body = RequestBody::WriteFrag { va: 0, data: Bytes::from_static(&[0; 8]) };
+            let pkt = ClioPacket::Request { header, body };
+            sim.post(board, Message::new(Frame::new(Mac(7), BOARD, 64, Message::new(pkt))));
+            sim.run_for(SimDuration::from_micros(1));
+        };
+        let tracked = |sim: &Simulation| {
+            let mut ids: Vec<u64> =
+                sim.actor::<CBoard>(board).writes.pending.keys().map(|id| id.0).collect();
+            ids.sort_unstable();
+            ids
+        };
+        let expires = |sim: &Simulation, id: u64| {
+            sim.actor::<CBoard>(board).writes.pending[&ReqId(id)].expires
+        };
+
+        fragment(&mut sim, 1);
+        let ttl = expires(&sim, 1).since(SimTime::ZERO);
+        assert!(ttl > WRITE_RETRY_WINDOWS, "ttl {ttl}");
+        // Half a TTL later write 1 is still live: write 2's fragment leaves
+        // it tracked.
+        sim.run_for(ttl / 2);
+        fragment(&mut sim, 2);
+        assert_eq!(tracked(&sim), [1, 2]);
+        // Past write 1's expiry but inside write 2's TTL, write 3's
+        // fragment purges write 1 only.
+        sim.run_until(expires(&sim, 1));
+        fragment(&mut sim, 3);
+        assert_eq!(tracked(&sim), [2, 3]);
+        assert_eq!(sim.actor::<CBoard>(board).writes.order.len(), 2);
     }
 
     /// A crash loses all per-destination state, and no doorbell armed

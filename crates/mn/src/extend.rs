@@ -112,7 +112,7 @@ impl<'a> OffloadEnv<'a> {
 
     /// Charges `c` FPGA compute cycles (comparisons, hashing, ...).
     pub fn compute(&mut self, c: Cycles) {
-        self.cursor += Cursor::cycles(self.fpga_cycle_time, c);
+        self.cursor += SimDuration::from_nanos(self.fpga_cycle_time.as_nanos().saturating_mul(c.0));
     }
 
     /// Admits an access to `va` and runs it at the cursor. A fault that
@@ -212,14 +212,6 @@ impl<'a> OffloadEnv<'a> {
                 Err(status)
             }
         }
-    }
-}
-
-/// Tiny helper so `compute` stays branch-free.
-struct Cursor;
-impl Cursor {
-    fn cycles(cycle: SimDuration, c: Cycles) -> SimDuration {
-        SimDuration::from_nanos(cycle.as_nanos().saturating_mul(c.0))
     }
 }
 

@@ -52,7 +52,7 @@ mod types;
 
 pub use batch::{BatchBuilder, BatchEntry, Packer};
 pub use mtu::{
-    read_response_fragments, split_read_response, split_write, Reassembler, CLIO_REQ_HEADER_BYTES,
+    read_response_fragments, split_write, Reassembler, CLIO_REQ_HEADER_BYTES,
     CLIO_RESP_HEADER_BYTES, ETH_OVERHEAD_BYTES, MAX_READ_FRAG_PAYLOAD, MAX_WRITE_FRAG_PAYLOAD,
     MTU_BYTES,
 };

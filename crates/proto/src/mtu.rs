@@ -74,11 +74,6 @@ pub fn split_write(
     pkts
 }
 
-/// Splits read-response `data` into MTU-sized response packets.
-pub fn split_read_response(req_id: ReqId, status: Status, data: Bytes) -> Vec<ClioPacket> {
-    read_response_fragments(req_id, status, data).collect()
-}
-
 /// The MTU-sized response packets of read-response `data`, in offset order,
 /// produced one at a time (the board queues each for egress as it comes, so
 /// a single-fragment read builds no list).
@@ -195,7 +190,7 @@ mod tests {
             assert!(wire_len(&pkt) <= MTU_BYTES, "{} > MTU", wire_len(&pkt));
             assert_eq!(encode(&pkt).len(), wire_len(&pkt));
         }
-        for pkt in split_read_response(ReqId(1), Status::Ok, data) {
+        for pkt in read_response_fragments(ReqId(1), Status::Ok, data) {
             assert!(wire_len(&pkt) <= MTU_BYTES);
         }
     }
@@ -236,7 +231,8 @@ mod tests {
     #[test]
     fn reassembly_in_any_order() {
         let data = payload(MAX_READ_FRAG_PAYLOAD * 3 + 5);
-        let mut pkts = split_read_response(ReqId(3), Status::Ok, data.clone());
+        let mut pkts: Vec<_> =
+            read_response_fragments(ReqId(3), Status::Ok, data.clone()).collect();
         pkts.reverse(); // worst-case arrival order
         let mut r = Reassembler::new();
         let mut out = None;
@@ -259,7 +255,7 @@ mod tests {
     #[test]
     fn duplicates_ignored() {
         let data = payload(MAX_READ_FRAG_PAYLOAD + 1);
-        let pkts = split_read_response(ReqId(3), Status::Ok, data.clone());
+        let pkts: Vec<_> = read_response_fragments(ReqId(3), Status::Ok, data.clone()).collect();
         assert_eq!(pkts.len(), 2);
         let frag = |i: usize| {
             let ClioPacket::Response { header, body: ResponseBody::DataFrag { offset, data } } =
@@ -288,7 +284,7 @@ mod tests {
     #[test]
     fn forget_discards_partial_state() {
         let data = payload(MAX_READ_FRAG_PAYLOAD + 1);
-        let pkts = split_read_response(ReqId(3), Status::Ok, data);
+        let pkts: Vec<_> = read_response_fragments(ReqId(3), Status::Ok, data).collect();
         let ClioPacket::Response { header, body: ResponseBody::DataFrag { offset, data } } =
             pkts[0].clone()
         else {

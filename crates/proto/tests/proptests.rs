@@ -3,8 +3,8 @@
 
 use bytes::Bytes;
 use clio_proto::{
-    codec, split_read_response, split_write, ClioPacket, Perm, Pid, Reassembler, ReqHeader, ReqId,
-    RequestBody, RespHeader, ResponseBody, Status, MTU_BYTES,
+    codec, read_response_fragments, split_write, ClioPacket, Perm, Pid, Reassembler, ReqHeader,
+    ReqId, RequestBody, RespHeader, ResponseBody, Status, MTU_BYTES,
 };
 use proptest::prelude::*;
 
@@ -156,7 +156,7 @@ proptest! {
         order_seed in any::<u64>(),
     ) {
         let payload = Bytes::from(data.clone());
-        let mut pkts = split_read_response(ReqId(9), Status::Ok, payload);
+        let mut pkts: Vec<_> = read_response_fragments(ReqId(9), Status::Ok, payload).collect();
         // Deterministic shuffle from the seed.
         let mut s = order_seed;
         for i in (1..pkts.len()).rev() {

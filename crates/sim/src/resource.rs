@@ -6,7 +6,7 @@
 //! finish time. All reservations are in arrival order (FCFS), which matches
 //! the in-order hardware queues they model.
 
-use crate::time::{Bandwidth, SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime};
 
 /// A window of reserved time on a resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,18 +15,6 @@ pub struct Reservation {
     pub start: SimTime,
     /// When the work completes.
     pub end: SimTime,
-}
-
-impl Reservation {
-    /// Queueing delay experienced before service started.
-    pub fn queue_wait(&self, arrived: SimTime) -> SimDuration {
-        self.start.since(arrived)
-    }
-
-    /// Total time from arrival to completion.
-    pub fn total(&self, arrived: SimTime) -> SimDuration {
-        self.end.since(arrived)
-    }
 }
 
 /// A single-server FCFS resource (e.g. a non-pipelined DMA engine, an atomic
@@ -101,42 +89,6 @@ impl PipelineGate {
     }
 }
 
-/// A bandwidth-limited FCFS resource (e.g. a DRAM data bus or an egress
-/// link): each transfer occupies the resource for `bytes / bandwidth`, plus a
-/// fixed per-access latency that overlaps with other transfers.
-#[derive(Debug, Clone, Copy)]
-pub struct BandwidthResource {
-    bandwidth: Bandwidth,
-    fixed_latency: SimDuration,
-    bus: SerialResource,
-}
-
-impl BandwidthResource {
-    /// A resource moving data at `bandwidth` with `fixed_latency` per access.
-    pub fn new(bandwidth: Bandwidth, fixed_latency: SimDuration) -> Self {
-        BandwidthResource { bandwidth, fixed_latency, bus: SerialResource::new() }
-    }
-
-    /// Reserves a transfer of `bytes` arriving at `now`. The returned
-    /// reservation's `end` includes the fixed access latency.
-    #[inline]
-    pub fn transfer(&mut self, now: SimTime, bytes: u64) -> Reservation {
-        let occupancy = self.bandwidth.transfer_time(bytes);
-        let r = self.bus.reserve(now, occupancy);
-        Reservation { start: r.start, end: r.end + self.fixed_latency }
-    }
-
-    /// The configured bandwidth.
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.bandwidth
-    }
-
-    /// The fixed per-access latency.
-    pub fn fixed_latency(&self) -> SimDuration {
-        self.fixed_latency
-    }
-}
-
 /// A pool of `k` identical FCFS servers (e.g. worker threads on the slow-path
 /// ARM, or RPC handler cores in the HERD baseline). Work is assigned to the
 /// earliest-available server.
@@ -200,8 +152,6 @@ mod tests {
         assert_eq!((b.start, b.end), (ns(10), ns(20)));
         // Idle gap before c: starts on arrival.
         assert_eq!((c.start, c.end), (ns(50), ns(60)));
-        assert_eq!(b.queue_wait(ns(0)), d(10));
-        assert_eq!(b.total(ns(0)), d(20));
     }
 
     #[test]
@@ -220,18 +170,6 @@ mod tests {
         let mut g = PipelineGate::new(d(4));
         assert_eq!(g.admit(ns(0), 0), ns(0));
         assert_eq!(g.admit(ns(0), 1), ns(4));
-    }
-
-    #[test]
-    fn bandwidth_resource_serializes_but_latency_overlaps() {
-        // 1 GB/s => 1 ns per byte; fixed latency 100 ns.
-        let mut r = BandwidthResource::new(Bandwidth::from_gigabytes_per_sec(1), d(100));
-        let a = r.transfer(ns(0), 1000);
-        let b = r.transfer(ns(0), 1000);
-        assert_eq!(a.end, ns(1100));
-        // b waits for the bus (1000 ns) but its fixed latency overlaps a's.
-        assert_eq!(b.start, ns(1000));
-        assert_eq!(b.end, ns(2100));
     }
 
     #[test]

@@ -347,7 +347,7 @@ impl Bandwidth {
     }
 
     /// Constructs a bandwidth from gigabytes per second.
-    pub fn from_gigabytes_per_sec(gbs: u64) -> Self {
+    pub const fn from_gigabytes_per_sec(gbs: u64) -> Self {
         Self::from_bps(gbs * 8_000_000_000)
     }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Config knobs nothing varies: every `pub` field of CLibConfig,
-# CBoardHwConfig, CBoardConfig and ClusterConfig must be set in at least
-# two places, because its default preset is one. A setting site is a
+# CBoardHwConfig, CBoardConfig, ClusterConfig and the baselines' RnicParams
+# and HerdParams must be set in at least two places, because its default
+# preset is one. A setting site is a
 # struct-literal `field:` line other than the declaration, or a `.field =`
 # assignment, in any tracked `.rs` file outside vendor/ (crates with their
 # tests and benches, tests/, examples/, src/ and benchmark/); comment lines
@@ -33,6 +34,8 @@ structs=(
   "crates/hw/src/config.rs CBoardHwConfig"
   "crates/mn/src/config.rs CBoardConfig"
   "crates/core/src/cluster.rs ClusterConfig"
+  "crates/baselines/src/rdma.rs RnicParams"
+  "crates/baselines/src/herd.rs HerdParams"
 )
 
 mapfile -t files < <(git ls-files -- '*.rs' ':!:vendor/')
