@@ -6,8 +6,8 @@
 //! process at a configured offered rate whether or not earlier ops have
 //! completed — so the measured latency includes the submission queueing the
 //! paper's goodput figures imply. Every arrival spawns one async task on
-//! the deterministic executor; the backlog is bounded only by the runtime's
-//! in-flight budget.
+//! the deterministic executor, and nothing bounds the backlog above the
+//! transport's windows.
 //!
 //! The full sweep reports p50/p99 latency and the peak outstanding backlog
 //! across offered rates, from far-below to far-above the single-CN service

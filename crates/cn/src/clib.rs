@@ -289,11 +289,10 @@ impl CLib {
     /// for an `ralloc` ([`Notice::Place`]); an access no single MN serves
     /// completes at once with its typed error.
     /// `arrival` is when the op arrived at the caller, clamped to now: when
-    /// it predates the submission instant (the op waited under a runtime
-    /// in-flight budget, or an open-loop generator back-dated it), the gap
-    /// becomes a [`Stage::SubmitQueued`] span at the head of the op's trace
-    /// and `issued_at` reports the arrival, so end-to-end latency includes
-    /// the wait. The returned token is echoed in the eventual
+    /// it predates the submission instant (an open-loop generator
+    /// back-dated it), the gap becomes a [`Stage::SubmitQueued`] span at the
+    /// head of the op's trace and `issued_at` reports the arrival, so
+    /// end-to-end latency includes the wait. The returned token is echoed in the eventual
     /// [`Completion`]; completions produced synchronously are appended to
     /// `completions`.
     #[allow(clippy::too_many_arguments)] // the op's full context travels with it
@@ -354,9 +353,7 @@ impl CLib {
                 }
             }
         }
-        self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
-            t.send_many(ctx, nic, sends, done)
-        });
+        self.transport.send_many(ctx, nic, sends);
         tokens
     }
 
@@ -402,9 +399,7 @@ impl CLib {
     }
 
     /// Runs `f` against the transport with the reusable done-buffer, then
-    /// finishes every transfer it reported, in order. A nested call (a
-    /// finished op releasing a dependent whose send completes synchronously)
-    /// finds the buffer taken and works on a fresh one.
+    /// finishes every transfer it reported, in order.
     fn with_transport(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -519,14 +514,7 @@ impl CLib {
                 let done = XferDone { token, result: Ok(CompletionValue::Done) };
                 self.finish(ctx, nic, done, completions);
             }
-            // The send can complete synchronously (circuit breaker open ->
-            // fail fast with `Unreachable`).
-            op => {
-                let op = op.clone();
-                self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
-                    t.send(ctx, nic, token, mn, pid, op, trace, done)
-                })
-            }
+            op => self.transport.send(ctx, nic, token, mn, pid, op.clone(), trace),
         }
     }
 
@@ -608,9 +596,7 @@ impl CLib {
             self.report(ctx.now(), token, &pending, Err(ClioError::DeadlineExceeded), completions);
             return true;
         }
-        self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
-            t.cancel(ctx, nic, token, done);
-        });
+        self.transport.cancel(ctx, nic, token);
         self.tracer.stitch(pending.trace, self.track, Stage::Cancelled, ctx.now());
         // The cancelled op still orders its thread: dependents it was
         // blocking dispatch now, exactly as on a normal failure.

@@ -33,17 +33,6 @@ pub struct CLibConfig {
     /// not configured but measured: see [`clio_net::Doorbell`] for the rule
     /// and [`Self::DOORBELL_DERIVED_CAP`] for its one CN-side constant.
     pub batch_max_ops: u32,
-    /// Consecutive attempt-level timeouts toward one MN before its circuit
-    /// breaker trips and further ops to it fail fast with
-    /// `ClioError::Unreachable` instead of each burning the full retry
-    /// budget. `0` disables the breaker (the paper-faithful default: Clio's
-    /// prototype always retries to exhaustion; the chaos layer turns the
-    /// breaker on explicitly).
-    pub breaker_threshold: u32,
-    /// How long an open breaker waits before moving to half-open and
-    /// letting one probe op through (a seeded jitter of up to 1/4 of this
-    /// is added so recovering CNs do not probe in lockstep).
-    pub breaker_probe_backoff: SimDuration,
 }
 
 impl CLibConfig {
@@ -88,8 +77,6 @@ impl CLibConfig {
             cwnd_min: 0.01,
             iwnd_bytes: 512 << 10,
             batch_max_ops: 16,
-            breaker_threshold: 0,
-            breaker_probe_backoff: SimDuration::from_micros(200),
         }
     }
 
@@ -123,7 +110,5 @@ mod tests {
             "cap stays well under the RTT"
         );
         assert_eq!(CLibConfig::prototype_unbatched().batch_max_ops, 1);
-        assert_eq!(c.breaker_threshold, 0, "breaker is opt-in; prototype retries to exhaustion");
-        assert!(c.breaker_probe_backoff > c.request_timeout, "probe waits out the timeout");
     }
 }

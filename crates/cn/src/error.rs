@@ -21,9 +21,11 @@ pub enum ClioError {
         /// Attempts made (first send plus retries) before giving up.
         attempts: u32,
     },
-    /// The target MN's circuit breaker is open (too many consecutive
-    /// timeouts): the op failed fast instead of burning its full retry
-    /// budget against a board presumed dead.
+    /// The target MN was presumed dead and the op failed fast.
+    /// **Unconstructed:** the circuit breaker that returned it is gone (the
+    /// transport retries to exhaustion and reports `TimedOut`, as Clio's
+    /// prototype does); the variant stays only until `benchmark/`, which
+    /// reads it, can drop it in the same change.
     Unreachable {
         /// The memory node presumed dead.
         mn: Mac,
@@ -59,7 +61,7 @@ impl std::fmt::Display for ClioError {
                 write!(f, "{op} to {mn} timed out after {attempts} attempts")
             }
             ClioError::Unreachable { mn } => {
-                write!(f, "{mn} unreachable (circuit breaker open)")
+                write!(f, "{mn} unreachable")
             }
             ClioError::DeadlineExceeded => write!(f, "deadline exceeded before completion"),
             ClioError::Moved => write!(f, "region moved to another memory node"),

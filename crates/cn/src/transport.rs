@@ -47,7 +47,7 @@
 //! # Structure
 //!
 //! Per-MN state is one `Peer` record in one table (send queue, congestion
-//! window, doorbell, retry queue, breaker). Every attempt — first send,
+//! window, doorbell, retry queue). Every attempt — first send,
 //! batched send, retransmission — enters `outstanding` through `register`
 //! and reaches the wire through `ship` (a first send does both in its
 //! pump; a retransmission registers when it is queued and ships when the
@@ -120,7 +120,7 @@ use clio_trace::metrics::{Metrics, Visit};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
 use crate::config::CLibConfig;
-use crate::congestion::{Breaker, BreakerState, CongestionWindow, IncastWindow};
+use crate::congestion::{CongestionWindow, IncastWindow};
 use crate::error::ClioError;
 use crate::op::Op;
 
@@ -163,9 +163,6 @@ pub enum TransportTimer {
     Pump(Mac),
     /// Queued retransmissions toward an MN may now coalesce and ship.
     RetryPump(Mac),
-    /// An open circuit breaker toward an MN may move to half-open and let
-    /// a probe through.
-    BreakerProbe(Mac),
 }
 
 /// Everything the transport keeps about one memory node, in one record:
@@ -183,7 +180,6 @@ struct Peer {
     retries: Vec<(ReqId, Option<ReqId>)>,
     /// Whether the zero-delay `RetryPump` that ships `retries` is scheduled.
     retry_armed: bool,
-    breaker: Breaker,
 }
 
 impl Peer {
@@ -194,7 +190,6 @@ impl Peer {
             doorbell: Doorbell::default(),
             retries: Vec::new(),
             retry_armed: false,
-            breaker: Breaker::new(cfg.breaker_threshold),
         }
     }
 
@@ -250,8 +245,8 @@ enum Outcome {
     Answered(SimDuration),
     /// Given up on after unanswered or NACKed attempts.
     Lost,
-    /// Abandoned — cancellation, breaker fail-fast — rather than answered
-    /// or lost: the abandonment says nothing about the fabric.
+    /// Cancelled rather than answered or lost: the abandonment says
+    /// nothing about the fabric.
     Abandoned,
 }
 
@@ -317,8 +312,6 @@ clio_trace::counters! {
         /// NACK coalescing, a corrupted 16-entry batch should cost one retry
         /// frame here, not sixteen.
         retry_frames,
-        /// Breaker trips (Closed/HalfOpen -> Open transitions).
-        circuit_open_total,
     }
 }
 
@@ -338,8 +331,8 @@ pub struct Transport {
     cfg: CLibConfig,
     next_req: u64,
     outstanding: IdMap<ReqId, Outstanding>,
-    /// The one per-MN table: send queue, congestion window, doorbell, retry
-    /// queue and breaker of every MN this CN has sent to.
+    /// The one per-MN table: send queue, congestion window, doorbell and
+    /// retry queue of every MN this CN has sent to.
     peers: IdMap<Mac, Peer>,
     iwnd: IncastWindow,
     reassembler: Reassembler,
@@ -364,10 +357,6 @@ pub struct Transport {
 impl Metrics for Transport {
     fn counters(&self, f: &mut Visit<'_>) {
         self.stats.each(f);
-    }
-
-    fn gauges(&self, f: &mut Visit<'_>) {
-        f("transport.peer_health", self.peer_health());
     }
 }
 
@@ -403,12 +392,6 @@ impl Transport {
     /// Transport counters.
     pub fn stats(&self) -> TransportStats {
         self.stats
-    }
-
-    /// Number of MNs currently presumed unhealthy (breaker Open or
-    /// HalfOpen); a peer leaves the count only on a confirmed success.
-    pub fn peer_health(&self) -> u64 {
-        self.peers.values().filter(|p| p.breaker.state() != BreakerState::Closed).count() as u64
     }
 
     /// Plants (or clears) a deliberate bug for the model checker's
@@ -488,8 +471,8 @@ impl Transport {
     /// A digest of the transport's **logical** state, independent of table
     /// layout: outstanding requests (id, token, target, retry count,
     /// expected bytes, every field of the op), every peer's queued sends,
-    /// queued retransmissions, window slot count and breaker state, the
-    /// incast byte count and the id counter.
+    /// queued retransmissions and window slot count, the incast byte count
+    /// and the id counter.
     ///
     /// Absolute times (timer deadlines, RTT/gap EWMAs, fractional window
     /// sizes) are deliberately **excluded**: the model checker prunes
@@ -527,8 +510,6 @@ impl Transport {
                 h = mix(mix(h, id.0), retry_of.map_or(0, |r| r.0));
             }
             h = mix(h, p.cwnd.outstanding());
-            h = mix(h, p.breaker.state() as u64);
-            h = mix(h, p.breaker.streak() as u64);
         }
         h = mix(h, self.iwnd.in_flight());
         h = mix(h, self.next_req);
@@ -550,43 +531,10 @@ impl Transport {
         &mut self.peer(mn).cwnd
     }
 
-    /// Records one attempt-level timeout toward `mn`. A trip of the
-    /// [`Breaker`] emits a `board_down` trace event and schedules the
-    /// half-open probe with seeded jitter (up to a quarter of the backoff)
-    /// so recovering CNs do not probe in lockstep. The jitter draw only
-    /// happens on a trip, so runs with the breaker disabled consume no
-    /// randomness.
-    fn note_peer_timeout(&mut self, ctx: &mut Ctx<'_>, mn: Mac) {
-        if self.peer(mn).breaker.on_timeout() {
-            self.stats.circuit_open_total += 1;
-            self.tracer.event(self.track, "board_down", ctx.now());
-            let backoff = self.cfg.breaker_probe_backoff;
-            let jitter_ns = (ctx.rng().f64() * (backoff.as_nanos() as f64 / 4.0)) as u64;
-            ctx.schedule(
-                backoff + SimDuration::from_nanos(jitter_ns),
-                Message::new(TransportTimer::BreakerProbe(mn)),
-            );
-        }
-    }
-
-    /// Records proof of life from `mn` (a response or a NACK), emitting
-    /// `board_up` when the peer was previously presumed unhealthy.
-    fn note_peer_success(&mut self, now: SimTime, mn: Mac) {
-        // Every response comes through here: with the breaker disabled,
-        // skip the peer lookup (it measured 4 % of a lone op's host cost).
-        if self.cfg.breaker_threshold != 0 && self.peer(mn).breaker.on_alive() {
-            self.tracer.event(self.track, "board_up", now);
-        }
-    }
-
     /// Submits a request. With batching disabled it is sent immediately if
     /// the congestion and incast windows allow (otherwise queued); with
     /// batching enabled it is queued and the (load-adaptive) doorbell
     /// coalesces every submission sharing a pump into shared frames.
-    ///
-    /// Completions produced synchronously are appended to `done`: with the
-    /// circuit breaker toward `target` open, the request fails fast here
-    /// with [`ClioError::Unreachable`] instead of waiting out a retry budget.
     #[allow(clippy::too_many_arguments)] // the op's full identity travels together
     pub fn send(
         &mut self,
@@ -597,10 +545,9 @@ impl Transport {
         pid: Pid,
         op: Op,
         trace: Option<TraceCtx>,
-        done: &mut Vec<XferDone>,
     ) {
         self.enqueue(ctx.now(), token, target, pid, op, trace);
-        self.kick(ctx, nic, target, done);
+        self.kick(ctx, nic, target);
     }
 
     /// Submits an explicit vector of requests (the scatter/gather path):
@@ -612,7 +559,6 @@ impl Transport {
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         requests: Vec<(OpToken, Mac, Pid, Op, Option<TraceCtx>)>,
-        done: &mut Vec<XferDone>,
     ) {
         let mut targets: Vec<Mac> = Vec::new();
         for (token, target, pid, op, trace) in requests {
@@ -623,7 +569,7 @@ impl Transport {
         }
         for target in targets {
             self.peer(target).doorbell.cancel(ctx);
-            self.pump(ctx, nic, target, done);
+            self.pump(ctx, nic, target);
         }
     }
 
@@ -654,29 +600,19 @@ impl Transport {
     }
 
     /// Makes queued requests toward `target` progress: immediately when
-    /// batching is off (or the breaker is open: no hold for a dead board),
-    /// via the coalescing doorbell when on. A doorbell already armed is
-    /// left in place unless a full batch is waiting, in which case it is
-    /// re-rung to fire now; otherwise it is armed after the load-adaptive
-    /// hold ([`Doorbell::hold`]) the free batch slots call for.
-    fn kick(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
-        target: Mac,
-        done: &mut Vec<XferDone>,
-    ) {
+    /// batching is off, via the coalescing doorbell when on. A doorbell
+    /// already armed is left in place unless a full batch is waiting, in
+    /// which case it is re-rung to fire now; otherwise it is armed after
+    /// the load-adaptive hold ([`Doorbell::hold`]) the free batch slots
+    /// call for.
+    fn kick(&mut self, ctx: &mut Ctx<'_>, nic: &mut NicPort, target: Mac) {
         let batching = self.batching();
         let max_ops = self.cfg.batch_max_ops as usize;
-        let peer = self.peer(target);
-        let open = peer.breaker.is_open();
-        if open {
-            peer.doorbell.cancel(ctx);
-        }
-        if open || !batching {
-            self.pump(ctx, nic, target, done);
+        if !batching {
+            self.pump(ctx, nic, target);
             return;
         }
+        let peer = self.peer(target);
         let slots = max_ops.saturating_sub(peer.queue.len());
         if slots > 0 && peer.doorbell.armed().is_some() {
             return;
@@ -692,7 +628,7 @@ impl Transport {
     /// same-instant `Pump` timer, so the visiting order decides NIC
     /// serialization order and must be a function of the simulation alone,
     /// never of table layout.
-    fn drain_released(&mut self, ctx: &mut Ctx<'_>, nic: &mut NicPort, done: &mut Vec<XferDone>) {
+    fn drain_released(&mut self, ctx: &mut Ctx<'_>, nic: &mut NicPort) {
         if !std::mem::take(&mut self.released) {
             return;
         }
@@ -701,32 +637,17 @@ impl Transport {
         macs.extend(self.peers.keys().copied());
         macs.sort_unstable();
         for &m in &macs {
-            self.kick(ctx, nic, m, done);
+            self.kick(ctx, nic, m);
         }
         self.kick_scratch = macs;
     }
 
     /// Tries to transmit queued requests toward `target`, coalescing small
-    /// admitted requests into batch frames. With the breaker toward
-    /// `target` open, drains the whole queue to `Unreachable` completions
-    /// instead — queued ops hold no window slots, so nothing needs
-    /// releasing.
-    fn pump(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
-        target: Mac,
-        done: &mut Vec<XferDone>,
-    ) {
+    /// admitted requests into batch frames.
+    fn pump(&mut self, ctx: &mut Ctx<'_>, nic: &mut NicPort, target: Mac) {
         let now = ctx.now();
         let Some(peer) = self.peers.get_mut(&target) else { return };
         peer.doorbell.disarm();
-        if peer.breaker.is_open() {
-            for q in peer.queue.drain(..) {
-                fail(done, q.token, ClioError::Unreachable { mn: target });
-            }
-            return;
-        }
         let mut pack = self.take_pack(target);
         loop {
             let peer = self.peers.get_mut(&target).expect("looked up above");
@@ -931,13 +852,7 @@ impl Transport {
     /// completion (e.g. `DeadlineExceeded`) upward. A response or NACK for
     /// a cancelled id arriving later is dropped by the outstanding-id
     /// lookup like any stale frame.
-    pub fn cancel(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
-        token: OpToken,
-        done: &mut Vec<XferDone>,
-    ) {
+    pub fn cancel(&mut self, ctx: &mut Ctx<'_>, nic: &mut NicPort, token: OpToken) {
         let mut ids: Vec<ReqId> =
             self.outstanding.iter().filter(|(_, o)| o.token == token).map(|(id, _)| *id).collect();
         ids.sort_unstable(); // release attempts oldest-first, whatever the table's layout
@@ -953,7 +868,7 @@ impl Transport {
             peer.retries.retain(|(id, _)| outstanding.contains_key(id));
             peer.queue.retain(|s| s.token != token);
         }
-        self.drain_released(ctx, nic, done);
+        self.drain_released(ctx, nic);
     }
 
     /// Handles a frame payload (a [`ClioPacket`]) delivered to this CN,
@@ -1001,7 +916,7 @@ impl Transport {
             // CNs never receive requests (batched or not).
             ClioPacket::Request { .. } | ClioPacket::Batch { .. } => {}
         }
-        self.drain_released(ctx, nic, done);
+        self.drain_released(ctx, nic);
     }
 
     /// Handles one link-layer NACK — shared by plain `Nack` frames and
@@ -1014,9 +929,6 @@ impl Transport {
         };
         self.stats.retries += 1;
         o.retries += 1;
-        // A NACK proves the board is alive (it decoded and answered the
-        // frame), so it feeds the breaker as a success signal.
-        self.note_peer_success(ctx.now(), o.target);
         // The corrupted attempt's wire + MN time is unattributable (the MN
         // executes nothing for it); the turnaround span from the attempt's
         // last stitch to the NACK's arrival absorbs it, keeping the op's
@@ -1065,7 +977,6 @@ impl Transport {
         };
         let o = self.take(ctx, header.req_id).expect("checked");
         let now = ctx.now();
-        self.note_peer_success(now, o.target);
         // Response wire time: from the MN's last stitch (egress NIC
         // serialization) to delivery here. For multi-fragment reads this
         // covers the whole reassembly window, attributed once on
@@ -1105,30 +1016,11 @@ impl Transport {
     }
 
     /// Ships queued retransmissions toward `target`, packing batchable
-    /// single-packet retries into shared frames. With the breaker open
-    /// (tripped between queueing and this pump by a same-instant timer),
-    /// the queued retries fail fast instead: slots released without a
-    /// congestion signal, `Unreachable` reported.
-    fn retry_pump(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
-        target: Mac,
-        done: &mut Vec<XferDone>,
-    ) {
+    /// single-packet retries into shared frames.
+    fn retry_pump(&mut self, ctx: &mut Ctx<'_>, nic: &mut NicPort, target: Mac) {
         let peer = self.peer(target);
         peer.retry_armed = false;
-        let open = peer.breaker.is_open();
         let entries = std::mem::take(&mut peer.retries);
-        if open {
-            let now = ctx.now();
-            for (req_id, _) in entries {
-                let Some(o) = self.take(ctx, req_id) else { continue };
-                self.release(now, &o, Outcome::Abandoned);
-                fail(done, o.token, ClioError::Unreachable { mn: target });
-            }
-            return;
-        }
         let mut pack = self.take_pack(target);
         for (req_id, retry_of) in entries {
             // A retry can only vanish between queue and pump if its own
@@ -1156,8 +1048,8 @@ impl Transport {
     ///   (timeout = congestion) but keeps both window slots for the
     ///   retransmission, which is the same logical request under a fresh
     ///   id; past the budget it releases the slots and reports `TimedOut`.
-    /// * `Pump` and `BreakerProbe` admit queued sends only through the
-    ///   window checks every send passes (`pump`).
+    /// * `Pump` admits queued sends only through the window checks every
+    ///   send passes (`pump`).
     pub fn on_timer(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1167,23 +1059,14 @@ impl Transport {
     ) {
         match timer {
             TransportTimer::Timeout(req_id) => self.on_timeout(ctx, req_id, done),
-            TransportTimer::Pump(mac) => self.pump(ctx, nic, mac, done),
-            TransportTimer::RetryPump(mac) => self.retry_pump(ctx, nic, mac, done),
-            TransportTimer::BreakerProbe(mac) => {
-                // Half-open: queued ops flow again as probes. The gauge
-                // stays up — the peer is not healthy until a probe
-                // actually completes.
-                if self.peer(mac).breaker.on_probe() {
-                    self.kick(ctx, nic, mac, done);
-                }
-            }
+            TransportTimer::Pump(mac) => self.pump(ctx, nic, mac),
+            TransportTimer::RetryPump(mac) => self.retry_pump(ctx, nic, mac),
         }
-        self.drain_released(ctx, nic, done);
+        self.drain_released(ctx, nic);
     }
 
     /// A request's retransmission timer fired: retry it under a fresh id,
-    /// or — retry budget exhausted, or the breaker toward its MN open —
-    /// fail it and release its window slots.
+    /// or — retry budget exhausted — fail it and release its window slots.
     fn on_timeout(&mut self, ctx: &mut Ctx<'_>, req_id: ReqId, done: &mut Vec<XferDone>) {
         // (Cancelling the timer that is firing is a no-op.)
         let Some(mut o) = self.take(ctx, req_id) else {
@@ -1196,24 +1079,17 @@ impl Transport {
         // from its last stitch to the timer firing absorbs the whole
         // silent interval.
         self.tracer.stitch(o.trace, self.track, Stage::TimeoutWait, now);
-        self.note_peer_timeout(ctx, o.target);
-        // With the breaker open (just tripped, or already open) the op is
-        // given up on now instead of burning more retries against a board
-        // presumed dead.
-        let error = if self.peer(o.target).breaker.is_open() {
-            ClioError::Unreachable { mn: o.target }
-        } else if o.retries > self.cfg.max_retries {
-            ClioError::TimedOut { op: o.op.kind(), mn: o.target, attempts: o.retries }
+        if o.retries > self.cfg.max_retries {
+            self.release(now, &o, Outcome::Lost);
+            let error = ClioError::TimedOut { op: o.op.kind(), mn: o.target, attempts: o.retries };
+            fail(done, o.token, error);
         } else {
             o.trace = self.tracer.retry(o.trace, now);
             // Timeout is a congestion signal; shrink but keep the slot for
             // the retransmission (same logical request).
             self.peer(o.target).cwnd.on_congestion(now);
             self.queue_retransmit(ctx, o, req_id);
-            return;
-        };
-        self.release(now, &o, Outcome::Lost);
-        fail(done, o.token, error);
+        }
     }
 }
 

@@ -72,8 +72,6 @@ struct Host {
     nic: NicPort,
     transport: Transport,
     done: Vec<XferDone>,
-    /// The instant each entry of `done` was reported, index for index.
-    done_at: Vec<SimTime>,
 }
 
 impl Actor for Host {
@@ -81,18 +79,9 @@ impl Actor for Host {
         "host"
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-        self.handle(ctx, msg);
-        self.done_at.resize(self.done.len(), ctx.now());
-    }
-}
-
-impl Host {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         let msg = match msg.downcast::<Go>() {
             Ok(go) => {
                 for (i, op) in go.ops.into_iter().enumerate() {
-                    // Synchronous completions (breaker fail-fast) surface
-                    // from `send` itself.
                     self.transport.send(
                         ctx,
                         &mut self.nic,
@@ -101,7 +90,6 @@ impl Host {
                         clio_proto::Pid(7),
                         op,
                         None,
-                        &mut self.done,
                     );
                 }
                 return;
@@ -110,7 +98,7 @@ impl Host {
         };
         let msg = match msg.downcast::<Cancel>() {
             Ok(Cancel(token)) => {
-                self.transport.cancel(ctx, &mut self.nic, token, &mut self.done);
+                self.transport.cancel(ctx, &mut self.nic, token);
                 return;
             }
             Err(m) => m,
@@ -240,12 +228,7 @@ fn rig(cfg: CLibConfig, seed: u64, script: Vec<Fate>) -> (Simulation, ActorId) {
     let mut sim = Simulation::new(seed);
     let mn_id = sim.add_actor(ScriptedMn { cn: None, script, next: 0 });
     let nic = NicPort::new(CN_MAC, Bandwidth::from_gbps(40), mn_id, SimDuration::from_nanos(50));
-    let cn_id = sim.add_actor(Host {
-        nic,
-        transport: Transport::new(cfg, 1),
-        done: vec![],
-        done_at: vec![],
-    });
+    let cn_id = sim.add_actor(Host { nic, transport: Transport::new(cfg, 1), done: vec![] });
     sim.actor_mut::<ScriptedMn>(mn_id).cn = Some(cn_id);
     (sim, cn_id)
 }
@@ -353,7 +336,7 @@ fn doorbell_budget_derives_from_measured_rtt_after_warmup() {
 }
 
 // ---------------------------------------------------------------------
-// Retry-timer hygiene and circuit-breaker fail-fast (§ failure model)
+// Retry-timer hygiene (§ failure model)
 // ---------------------------------------------------------------------
 
 use clio_cn::ClioError;
@@ -444,57 +427,4 @@ fn total_loss_burst_exhausts_retries_exactly_and_leaks_nothing() {
         end <= SimTime::from_nanos(1_000_000),
         "total-loss burst ran to {end}, expected well under 1 ms"
     );
-}
-
-/// A tripped circuit breaker fails subsequent ops toward the dead MN fast
-/// — synchronously at submission — which is well under a quarter of the
-/// full retry-budget latency the op would otherwise wait out
-/// (`(max_retries + 1) × request_timeout`).
-#[test]
-fn tripped_breaker_fails_fast_under_quarter_retry_budget() {
-    let cfg = CLibConfig {
-        request_timeout: SimDuration::from_micros(20),
-        max_retries: 3,
-        breaker_threshold: 2,
-        breaker_probe_backoff: SimDuration::from_millis(10),
-        batch_max_ops: 1,
-        ..CLibConfig::prototype()
-    };
-    let max_retries = cfg.max_retries;
-    let request_timeout = cfg.request_timeout;
-    let (mut sim, cn_id) = lossy_rig(cfg, 5);
-    // Op 0 burns the consecutive-timeout streak and trips the breaker.
-    sim.post(cn_id, Message::new(Go { ops: vec![op_of(0)], base: 0 }));
-    // Op 1 arrives later, against a breaker already open.
-    let submitted = SimDuration::from_micros(200);
-    sim.post_in(cn_id, submitted, Message::new(Go { ops: vec![op_of(0)], base: 1 }));
-    sim.run_until_idle();
-
-    let host = sim.actor_mut::<Host>(cn_id);
-    assert_eq!(host.done.len(), 2, "both ops must terminate");
-    for d in &host.done {
-        assert!(
-            matches!(d.result, Err(ClioError::Unreachable { mn: MN_MAC })),
-            "dead board must surface Unreachable, got {:?}",
-            d.result
-        );
-    }
-    // The op submitted after the trip fails fast: its observed latency is
-    // under a quarter of what the full retry budget would have cost.
-    let fast = host.done.iter().position(|d| d.token == OpToken(1)).expect("op 1 completed");
-    let latency = host.done_at[fast].since(SimTime::ZERO + submitted);
-    let full_budget = request_timeout * (max_retries + 1) as u64;
-    assert!(
-        latency < full_budget / 4,
-        "post-trip op took {latency} (budget {full_budget}, wanted < a quarter)"
-    );
-    // The trip is observable. By idle the probe backoff has elapsed and
-    // the breaker sits HalfOpen (no traffic confirmed recovery), which the
-    // unhealthy-peer gauge still counts.
-    assert_eq!(host.transport.peer_health(), 1, "unhealthy-peer gauge");
-    assert!(host.transport.stats().circuit_open_total >= 1, "trip counter");
-    assert_eq!(host.transport.in_flight(), 0, "outstanding not drained");
-    assert_eq!(host.transport.queued(), 0, "send queue not drained");
-    assert_eq!(host.transport.incast_in_flight(), 0, "incast bytes leaked");
-    host.transport.check_invariants().expect("window accounting after fail-fast");
 }

@@ -40,10 +40,6 @@ pub struct ClusterConfig {
     /// entirely — op headers and wire timing are identical either way, so
     /// a traced run's `Simulation::digest` matches the untraced one.
     pub trace_sample_every: Option<u64>,
-    /// Per-process in-flight submission budget for the executors: once
-    /// this many ops are outstanding, further submissions park (surfaced as
-    /// `cn<i>.runtime.parked`) until window credit frees.
-    pub runtime_inflight_budget: usize,
 }
 
 impl ClusterConfig {
@@ -60,7 +56,6 @@ impl ClusterConfig {
             clib: CLibConfig::prototype(),
             pressure_threshold: 0.9,
             trace_sample_every: None,
-            runtime_inflight_budget: crate::node::DEFAULT_INFLIGHT_BUDGET,
         }
     }
 
@@ -155,9 +150,7 @@ impl Cluster {
             None => Tracer::disabled(),
         };
         for (i, &cn) in cns.iter().enumerate() {
-            let node = sim.actor_mut::<ComputeNode>(cn);
-            node.set_tracer(tracer.clone(), Track::Cn(i as u32));
-            node.set_runtime_budget(cfg.runtime_inflight_budget);
+            sim.actor_mut::<ComputeNode>(cn).set_tracer(tracer.clone(), Track::Cn(i as u32));
         }
         for (i, &mn) in mns.iter().enumerate() {
             let board = sim.actor_mut::<CBoard>(mn);

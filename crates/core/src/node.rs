@@ -26,11 +26,6 @@ use crate::exec::{ExecDriver, ProcHandle};
 #[derive(Debug, Clone, Copy)]
 pub struct StartClients;
 
-/// Default per-process in-flight submission budget (ops holding a window
-/// credit before the executor parks further submitters). Large enough that
-/// closed-loop programs never park; open-loop overload tests shrink it.
-pub const DEFAULT_INFLIGHT_BUDGET: usize = 65_536;
-
 /// Executor timer message (a task's `sleep` coming due).
 #[derive(Debug, Clone, Copy)]
 struct Wake {
@@ -56,8 +51,6 @@ struct NodeCore {
     /// The buffer `comps` is swapped with for each batch, kept for its
     /// capacity (always empty between batches).
     spare: Vec<Completion>,
-    /// Per-process in-flight submission budget the executors enforce.
-    runtime_budget: usize,
     /// Ops resolved with `DeadlineExceeded` by [`NodeApi::cancel`].
     deadline_exceeded: u64,
 }
@@ -104,9 +97,9 @@ impl NodeApi<'_, '_> {
 
     /// Issues one op that arrived at `arrival` — to the MN the task named
     /// (`roffload`), or wherever CLib routes it: its `issued_at` (and trace
-    /// origin) is the arrival, and any wait until now — open-loop load, or
-    /// a park behind the in-flight budget — is attributed to the
-    /// `SubmitQueued` stage.
+    /// origin) is the arrival, and any wait until now — an open-loop op
+    /// back-dated by `arriving_at` — is attributed to the `SubmitQueued`
+    /// stage.
     pub(crate) fn issue(&mut self, op: Op, named_mn: Option<Mac>, arrival: SimTime) -> OpToken {
         let (core, thread) = (&mut *self.core, ThreadId(self.driver as u64));
         let pid = core.pids[self.driver];
@@ -147,11 +140,6 @@ impl NodeApi<'_, '_> {
             core.absorb(self.ctx);
         }
     }
-
-    /// The per-process in-flight submission budget executors enforce.
-    pub(crate) fn inflight_budget(&self) -> usize {
-        self.core.runtime_budget
-    }
 }
 
 /// The compute-node actor.
@@ -185,7 +173,6 @@ impl ComputeNode {
                 placing: IdMap::default(),
                 comps: Vec::new(),
                 spare: Vec::new(),
-                runtime_budget: DEFAULT_INFLIGHT_BUDGET,
                 deadline_exceeded: 0,
             },
             execs: Vec::new(),
@@ -211,12 +198,6 @@ impl ComputeNode {
     /// subsequent ops stitch their host-side stages onto `track`.
     pub fn set_tracer(&mut self, tracer: Tracer, track: Track) {
         self.core.clib.set_tracer(tracer, track);
-    }
-
-    /// Overrides the per-process in-flight submission budget (backpressure
-    /// window) enforced by the executors on this node.
-    pub fn set_runtime_budget(&mut self, budget: usize) {
-        self.core.runtime_budget = budget.max(1);
     }
 
     /// This node's link-layer address (per-port fabric stats lookups).
@@ -263,18 +244,19 @@ impl Metrics for ComputeNode {
     }
 
     /// The runtime gauges are sums over the node's executors of the state
-    /// each one admits, parks and retires tasks by.
+    /// each one counts ops and retires tasks by. `runtime.parked` is always
+    /// 0, as no submitter ever waits; the gauge stays only until
+    /// `benchmark/`, which reads it, can drop it.
     fn gauges(&self, f: &mut Visit<'_>) {
         self.core.clib.gauges(f);
-        let (mut inflight, mut parked, mut tasks) = (0, 0, 0);
+        let (mut inflight, mut tasks) = (0, 0);
         for exec in &self.execs {
-            let (i, p, t) = exec.load();
+            let (i, t) = exec.load();
             inflight += i;
-            parked += p;
             tasks += t;
         }
         f("runtime.inflight", inflight as u64);
-        f("runtime.parked", parked as u64);
+        f("runtime.parked", 0);
         f("runtime.tasks", tasks as u64);
     }
 }

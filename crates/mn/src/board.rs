@@ -544,8 +544,8 @@ impl CBoard {
     /// survives is exactly what lives in DRAM or on the ARM: committed
     /// data, page tables, and allocator state — the durability contract
     /// [`clio_net::BoardPower`] documents. While down, the board drops all
-    /// traffic silently; the CN's timeout/retry machinery (and its circuit
-    /// breaker) is what observes the outage.
+    /// traffic silently; the CN's timeout/retry machinery is what observes
+    /// the outage.
     fn crash(&mut self, ctx: &mut Ctx<'_>) {
         self.alive = false;
         self.writes.pending.clear();

@@ -16,7 +16,6 @@ use std::fmt::Write as _;
 use clio_sim::SimTime;
 
 use crate::span::{OpTrace, Track};
-use crate::tracer::TraceEvent;
 
 /// Formats a sim instant as Chrome's microsecond timestamp (3 decimals).
 fn ts_us(t: SimTime) -> String {
@@ -47,13 +46,6 @@ fn push_event(
 /// The result validates under [`validate_chrome_trace`] and loads in
 /// `ui.perfetto.dev` / `chrome://tracing`.
 pub fn perfetto_json(traces: &[OpTrace]) -> String {
-    perfetto_json_with_events(traces, &[])
-}
-
-/// Like [`perfetto_json`], additionally rendering point-in-time system
-/// events (board down/up, breaker trips) as Chrome instant (`i`) events on
-/// their track's lane 0.
-pub fn perfetto_json_with_events(traces: &[OpTrace], events: &[TraceEvent]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
     // Process metadata: one per actor track seen anywhere.
     let mut actors: BTreeMap<u64, Track> = BTreeMap::new();
@@ -61,9 +53,6 @@ pub fn perfetto_json_with_events(traces: &[OpTrace], events: &[TraceEvent]) -> S
         for s in &t.spans {
             actors.entry(s.track.tid()).or_insert(s.track);
         }
-    }
-    for e in events {
-        actors.entry(e.track.tid()).or_insert(e.track);
     }
     for (pid, track) in &actors {
         let _ = writeln!(
@@ -98,10 +87,6 @@ pub fn perfetto_json_with_events(traces: &[OpTrace], events: &[TraceEvent]) -> S
             push_event(&mut out, "retry", "retry", "s", l.at, home, t.id, &extra);
             push_event(&mut out, "retry", "retry", "f", l.at, home, t.id, &extra);
         }
-    }
-    // System events: instants pinned to lane 0 of their actor's process.
-    for e in events {
-        push_event(&mut out, e.name, "system", "i", e.at, e.track.tid(), 0, ",\"s\":\"p\"");
     }
     // Strip the trailing ",\n" and close.
     if out.ends_with(",\n") {
@@ -478,18 +463,6 @@ mod tests {
         assert_eq!(stats.flows, 2, "one retry link = one s + one f");
         assert!(stats.metadata >= 4, "process + thread names");
         assert!(stats.lanes >= 3, "two ops across three actors");
-    }
-
-    #[test]
-    fn system_events_export_as_instants() {
-        let events = vec![
-            TraceEvent { track: Track::Cn(0), name: "board_down", at: t(50) },
-            TraceEvent { track: Track::Cn(0), name: "board_up", at: t(900) },
-        ];
-        let json = perfetto_json_with_events(&sample_traces(), &events);
-        let stats = validate_chrome_trace(&json).expect("valid trace json");
-        assert_eq!(stats.instants, 2, "each system event exports as one instant");
-        assert_eq!(stats.begins, stats.ends);
     }
 
     #[test]

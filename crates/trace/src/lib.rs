@@ -28,4 +28,4 @@ mod span;
 mod tracer;
 
 pub use span::{check_trace, OpTrace, RetryLink, Span, Stage, TraceCtx, Track};
-pub use tracer::{TraceEvent, Tracer};
+pub use tracer::Tracer;

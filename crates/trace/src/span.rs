@@ -49,9 +49,9 @@ impl Track {
 /// doorbells, backoffs, admission waits — as opposed to work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Stage {
-    /// Held before CLib admission: the op had arrived (open-loop arrival or
-    /// an `.await`ing task) but the runtime's in-flight budget was exhausted,
-    /// so submission was parked until window credit freed.
+    /// Held before CLib admission: the op arrived before it was submitted —
+    /// an open-loop op back-dated to its generated arrival
+    /// (`OpFuture::arriving_at`).
     SubmitQueued,
     /// CLib software work from submit to transport hand-off, plus any wait
     /// on intra-thread dependency ordering.

@@ -7,20 +7,6 @@ use clio_sim::{IdMap, SimTime};
 
 use crate::span::{OpTrace, RetryLink, Span, Stage, TraceCtx, Track};
 
-/// A point-in-time system event on a track (e.g. a circuit breaker
-/// observing a board going down or coming back), exported as a Chrome
-/// trace instant event. Unlike spans, events belong to no op and are
-/// never sampled away.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// The track the event marks.
-    pub track: Track,
-    /// Event name ("board_down", "board_up", ...).
-    pub name: &'static str,
-    /// When it happened.
-    pub at: SimTime,
-}
-
 #[derive(Debug, Default)]
 struct TraceSink {
     next_id: u64,
@@ -28,7 +14,6 @@ struct TraceSink {
     seen: u64,
     active: IdMap<u64, OpTrace>,
     finished: Vec<OpTrace>,
-    events: Vec<TraceEvent>,
 }
 
 /// A cloneable handle every traced component holds. Disabled (the default)
@@ -62,7 +47,6 @@ impl Tracer {
             seen: 0,
             active: IdMap::default(),
             finished: Vec::new(),
-            events: Vec::new(),
         }))))
     }
 
@@ -148,21 +132,6 @@ impl Tracer {
     pub fn take_finished(&self) -> Vec<OpTrace> {
         self.0.as_ref().map(|s| std::mem::take(&mut s.borrow_mut().finished)).unwrap_or_default()
     }
-
-    /// Records a point-in-time system event on `track` (no-op when
-    /// disabled). Events skip per-op sampling: a board going down is a
-    /// system fact, not a latency sample.
-    #[inline]
-    pub fn event(&self, track: Track, name: &'static str, at: SimTime) {
-        if let Some(sink) = self.0.as_ref() {
-            sink.borrow_mut().events.push(TraceEvent { track, name, at });
-        }
-    }
-
-    /// Clones the recorded system events (empty when disabled).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.0.as_ref().map(|s| s.borrow().events.clone()).unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
@@ -182,8 +151,6 @@ mod tests {
         assert_eq!(tr.retry(None, t(5)), None);
         tr.finish(None, Track::Cn(0), t(10));
         assert!(tr.finished().is_empty());
-        tr.event(Track::Cn(0), "board_down", t(10));
-        assert!(tr.events().is_empty());
     }
 
     #[test]

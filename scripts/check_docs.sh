@@ -126,7 +126,7 @@ fi
 # the real runtime surface, and those names must still exist in the
 # sources — the quickstart leans on them.
 grep -q '^## Client runtime' "$DOC" || { echo "missing '## Client runtime' section"; fail=1; }
-for t in ExecDriver ProcHandle ArrivalGen runtime_inflight_budget SubmitQueued block_on; do
+for t in ExecDriver ProcHandle ArrivalGen SubmitQueued block_on; do
   if ! grep -qw "$t" "$DOC"; then
     echo "client-runtime docs missing term: $t"
     fail=1
@@ -141,12 +141,12 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 
-# Failure-model tour: the chaos/breaker/deadline section must exist and
+# Failure-model tour: the chaos/deadline section must exist and
 # its load-bearing names must still exist in the sources.
 grep -q '^## Failure model' "$DOC" || { echo "missing '## Failure model' section"; fail=1; }
-for t in ChaosSchedule StormConfig BoardPower FaultInjector peer_health \
-         circuit_open_total board_restarts dropped_while_down \
-         Unreachable DeadlineExceeded breaker_threshold with_deadline; do
+for t in ChaosSchedule StormConfig BoardPower FaultInjector \
+         board_restarts dropped_while_down \
+         Unreachable DeadlineExceeded with_deadline; do
   if ! grep -qw "$t" "$DOC"; then
     echo "failure-model docs missing term: $t"
     fail=1
@@ -267,6 +267,54 @@ sed -n '/^### Re-measuring/,/^## /p' "$DOC" | grep -q 'scripts/ab\.sh' \
 [ -x scripts/ab.sh ] || { echo "scripts/ab.sh is missing or not executable"; fail=1; }
 if [ "$fail" -ne 0 ]; then
   echo "docs/ARCHITECTURE.md re-measuring section is stale (see above)"
+  exit 1
+fi
+# PAPER.md's code references. Every `crates/…:N[-M]`, and a bare
+# `:N[-M]` continuing the last file named on its line, must name lines
+# that exist. In the calibration table, at least one identifier a row
+# backticks (the last `::` component) must appear in the lines it cites,
+# so a reference that drifted off its constant fails here.
+PAPER="PAPER.md"
+in_cal=0
+lineno=0
+while IFS= read -r line; do
+  lineno=$((lineno + 1))
+  case "$line" in
+    "### Calibration constants"*) in_cal=1; continue ;;
+    "#"*) in_cal=0; continue ;;
+  esac
+  file=""; cited=""; idents=()
+  while IFS= read -r tok; do
+    if [[ "$tok" =~ ^(crates/[^:]+):([0-9]+)(-([0-9]+))?$ ]]; then
+      file=${BASH_REMATCH[1]}; lo=${BASH_REMATCH[2]}; hi=${BASH_REMATCH[4]:-$lo}
+    elif [[ -n "$file" && "$tok" =~ ^:([0-9]+)(-([0-9]+))?$ ]]; then
+      lo=${BASH_REMATCH[1]}; hi=${BASH_REMATCH[3]:-$lo}
+    else
+      idents+=("${tok##*::}")
+      continue
+    fi
+    if [ ! -f "$file" ]; then
+      echo "$PAPER:$lineno: \`$tok\` cites a missing file ($file)"
+      fail=1
+    elif [ "$lo" -lt 1 ] || [ "$hi" -lt "$lo" ] || [ "$hi" -gt "$(wc -l < "$file")" ]; then
+      echo "$PAPER:$lineno: \`$tok\` cites lines $lo-$hi of $file, which has $(wc -l < "$file")"
+      fail=1
+    else
+      cited+=$(sed -n "${lo},${hi}p" "$file")$'\n'
+    fi
+  done < <(grep -o '`[^`]*`' <<<"$line" | tr -d '`')
+  [ "$in_cal" -eq 1 ] && [[ "$line" == "|"* ]] && [ -n "$cited" ] || continue
+  found=0
+  for id in "${idents[@]}"; do
+    [[ "$id" =~ ^[A-Za-z_][A-Za-z0-9_]*$ ]] && grep -qw "$id" <<<"$cited" && { found=1; break; }
+  done
+  if [ "$found" -eq 0 ]; then
+    echo "$PAPER:$lineno: no identifier the row names appears in the lines it cites"
+    fail=1
+  fi
+done < "$PAPER"
+if [ "$fail" -ne 0 ]; then
+  echo "PAPER.md cites code lines that moved or do not exist (see above)"
   exit 1
 fi
 echo "docs link check: OK"

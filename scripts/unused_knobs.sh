@@ -4,10 +4,13 @@
 # and HerdParams must be set in at least two places, because its default
 # preset is one. A setting site is a
 # struct-literal `field:` line other than the declaration, or a `.field =`
-# assignment, in any tracked `.rs` file outside vendor/ (crates with their
-# tests and benches, tests/, examples/, src/ and benchmark/); comment lines
-# do not count. A field set only by its preset is a constant: make it an
-# associated `const` of its struct. Prints `Struct::field (sites)` per
+# assignment, in the non-test code of a tracked `.rs` file outside vendor/:
+# crates' sources and benches, src/ and benchmark/, each up to its
+# `#[cfg(test)]` module, the way unused_api.sh reads them. tests/,
+# crates/*/tests/ and examples/ do not count, and neither do comment
+# lines: a knob only a test sets is one no run of the system varies. A
+# field set only by its preset is a constant: make it an associated
+# `const` of its struct, or delete it. Prints `Struct::field (sites)` per
 # offender and exits 1 if there is any.
 #
 # The match is by name, like unused_api.sh: a local, parameter or other
@@ -27,6 +30,14 @@ declare -A allow=(
   # benchmark/src/kernels.rs reads it, and benchmark/ changes only in a
   # benchmark PR.
   [pt_slots_per_bucket]=1
+  # PAPER.md's calibration table cites it (§4.5 T4: it sizes the MN's
+  # dedup buffer); tests shorten it to reach the retry path quickly.
+  [request_timeout]=1
+  # PAPER.md's calibration table cites it (§4.4: the window may fall
+  # below one packet).
+  [cwnd_min]=1
+  # ROADMAP direction 7's swarm draws it (a small incast window).
+  [iwnd_bytes]=1
 )
 
 structs=(
@@ -38,7 +49,10 @@ structs=(
   "crates/baselines/src/herd.rs HerdParams"
 )
 
-mapfile -t files < <(git ls-files -- '*.rs' ':!:vendor/')
+mapfile -t files < <(git ls-files -- '*.rs' ':!:vendor/' ':!:tests/' ':!:examples/' \
+  ':(exclude,glob)crates/*/tests/**')
+# Each file's lines up to its `#[cfg(test)]` module.
+code=$(awk 'FNR == 1 { test = 0 } /^[ \t]*#\[cfg\(test\)\]/ { test = 1 } !test' "${files[@]}")
 bad=0
 for entry in "${structs[@]}"; do
   read -r file name <<< "$entry"
@@ -51,7 +65,7 @@ for entry in "${structs[@]}"; do
   [ -n "$fields" ] || { echo "$file: no pub fields found for $name"; exit 1; }
   for f in $fields; do
     [ -n "${allow[$f]:-}" ] && continue
-    sites=$(grep -hE "(^|[^A-Za-z0-9_])$f:([^:]|\$)|\\.$f[ \t]*=([^=]|\$)" "${files[@]}" \
+    sites=$(grep -E "(^|[^A-Za-z0-9_])$f:([^:]|\$)|\\.$f[ \t]*=([^=]|\$)" <<< "$code" \
       | grep -cvE "^[ \t]*//|^[ \t]*pub $f:" || true)
     if [ "$sites" -lt 2 ]; then
       echo "$name::$f ($sites)"

@@ -6,7 +6,7 @@
 //! model end to end:
 //!
 //! * **Termination** — every submitted op completes with success or a
-//!   typed error (`TimedOut` / `Unreachable` / `DeadlineExceeded`); no op
+//!   typed error (`TimedOut` / `DeadlineExceeded`); no op
 //!   hangs, every client task runs to its end.
 //! * **Conservation** — when the cluster goes idle, every CN transport's
 //!   window accounting has drained to zero and the runtime gauges are
@@ -39,7 +39,6 @@ struct Tally {
     submitted: u64,
     ok: u64,
     timed_out: u64,
-    unreachable: u64,
     deadline_exceeded: u64,
     /// Per-CN flag set by the task's last statement.
     finished: Vec<bool>,
@@ -47,7 +46,7 @@ struct Tally {
 
 impl Tally {
     fn failed(&self) -> u64 {
-        self.timed_out + self.unreachable + self.deadline_exceeded
+        self.timed_out + self.deadline_exceeded
     }
     fn terminated(&self) -> u64 {
         self.ok + self.failed()
@@ -57,7 +56,6 @@ impl Tally {
         match result {
             Ok(_) => self.ok += 1,
             Err(ClioError::TimedOut { .. }) => self.timed_out += 1,
-            Err(ClioError::Unreachable { .. }) => self.unreachable += 1,
             Err(ClioError::DeadlineExceeded) => self.deadline_exceeded += 1,
             Err(other) => panic!("soak op failed with an unexpected error: {other:?}"),
         }

@@ -397,7 +397,7 @@ fn multi_mn_schedule_is_identical_across_eight_builds_in_one_process() {
 /// happened to report.
 ///
 /// Regression: every leg's completion but the last was discarded,
-/// *including its `Err`* — with mn0 unreachable and mn1 healthy the fence
+/// *including its `Err`* — with mn0 cut off and mn1 healthy the fence
 /// reported `Ok(Done)`.
 #[test]
 fn rfence_reports_the_leg_that_failed_not_the_one_that_landed_last() {
@@ -406,8 +406,6 @@ fn rfence_reports_the_leg_that_failed_not_the_one_that_landed_last() {
 
     let mut cfg = ClusterConfig::test_small();
     cfg.mns = 2;
-    cfg.clib.breaker_threshold = 1;
-    cfg.clib.breaker_probe_backoff = SimDuration::from_millis(50);
     let mut cluster = Cluster::build(&cfg);
     let (mn0, mn1) = (cluster.mn_macs()[0], cluster.mn_macs()[1]);
     cluster.apply_chaos(
@@ -432,16 +430,23 @@ fn rfence_reports_the_leg_that_failed_not_the_one_that_landed_last() {
     let owners: Vec<_> =
         vas.iter().map(|&va| cluster.cn(0).clib().route_of(pid, va, PAGE)).collect();
     assert_eq!(owners, [Some(mn0), Some(mn1)], "one page on each board");
-    assert_eq!(reads[0], Err(ClioError::Unreachable { mn: mn0 }), "mn0 is cut off");
+    // Every attempt toward mn0 times out: the first send and `max_retries`.
+    let attempts = cfg.clib.max_retries + 1;
+    let timed_out = |op| Err(ClioError::TimedOut { op, mn: mn0, attempts });
+    assert_eq!(reads[0], timed_out("read"), "mn0 is cut off");
     assert_eq!(reads[1], Ok(CompletionValue::Data(Bytes::from(vec![0xB1; 8]))), "mn1 serves");
-    assert_eq!(fence, Err(ClioError::Unreachable { mn: mn0 }), "mn0 was never fenced");
+    assert_eq!(fence, timed_out("fence"), "mn0 was never fenced");
 }
 
 /// A fence cancelled by its deadline completes with `DeadlineExceeded`,
 /// like every other cancelled op, even when a leg failed before the
 /// deadline: the leg's error would tell the task the fence ran to its end.
 ///
-/// Regression: the fence reported the failed leg's `Unreachable` while
+/// With no retries and both links dark, the mn0 leg fails at its first
+/// timeout and the mn1 leg goes out then, so a deadline between the two
+/// legs' timeouts fires with one leg failed and the other in flight.
+///
+/// Regression: the fence reported the failed leg's error while
 /// `runtime.deadline_exceeded_total` counted it as cancelled.
 #[test]
 fn a_cancelled_rfence_reports_deadline_exceeded_not_a_failed_leg() {
@@ -450,28 +455,27 @@ fn a_cancelled_rfence_reports_deadline_exceeded_not_a_failed_leg() {
 
     let mut cfg = ClusterConfig::test_small();
     cfg.mns = 2;
-    cfg.clib.breaker_threshold = 1;
-    cfg.clib.breaker_probe_backoff = SimDuration::from_millis(50);
+    cfg.clib.max_retries = 0;
+    // A fence leg waits out 20 request timeouts (slow MN-side drain).
+    let leg_timeout = cfg.clib.request_timeout * 20;
     let mut cluster = Cluster::build(&cfg);
-    let mn0 = cluster.mn_macs()[0];
+    let (mn0, mn1) = (cluster.mn_macs()[0], cluster.mn_macs()[1]);
+    let down = SimDuration::from_micros(100);
     cluster.apply_chaos(
-        &ChaosSchedule::new().at(SimDuration::from_micros(100), ChaosAction::LinkDown(mn0)),
+        &ChaosSchedule::new()
+            .at(down, ChaosAction::LinkDown(mn0))
+            .at(down, ChaosAction::LinkDown(mn1)),
     );
 
-    let (read, fence) = cluster.block_on(0, Pid(1), |h| async move {
-        // The first page lands on mn0; a read after the link went dark
-        // trips mn0's breaker, so the fence's mn0 leg fails at once and
-        // its mn1 leg is still in flight when the deadline expires.
-        let va = h.ralloc(PAGE, Perm::RW).await.va();
-        h.sleep(SimTime::from_nanos(150_000).since(h.now())).await;
-        let read = h.rread(va, 8).await.result;
-        (read, h.with_deadline(h.rfence(), SimDuration::from_micros(1)).await.result)
+    let fence = cluster.block_on(0, Pid(1), |h| async move {
+        h.sleep(SimDuration::from_micros(150)).await;
+        h.with_deadline(h.rfence(), leg_timeout * 3 / 2).await.result
     });
 
-    assert_eq!(read, Err(ClioError::Unreachable { mn: mn0 }), "mn0 is cut off");
     assert_eq!(fence, Err(ClioError::DeadlineExceeded));
-    let deadline_exceeded = cluster.registry().counter("cn0.runtime.deadline_exceeded_total");
-    assert_eq!(deadline_exceeded, Some(1));
+    let registry = cluster.registry();
+    assert_eq!(registry.counter("cn0.transport.retries"), Some(1), "only the mn0 leg timed out");
+    assert_eq!(registry.counter("cn0.runtime.deadline_exceeded_total"), Some(1));
 }
 
 /// Σ `placed_bytes` over the cluster's MNs.
