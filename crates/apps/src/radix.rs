@@ -99,10 +99,11 @@ impl Offload for PointerChase {
 /// `entries` keys with the given `fanout`, as writes into a contiguous
 /// remote region starting at `base_va`.
 ///
-/// Returns `(writes, levels)`: the writes to issue (`(va, bytes)`), and the
-/// per-level list-head addresses. Keys are `0..entries`; a search for key
-/// `k` chases level 0 for digit 0 of `k`, then the returned child list, and
-/// so on. The value stored at the leaf level is `k + 1` (non-zero).
+/// Returns `(writes, heads, levels)`: the writes to issue (`(va, bytes)`),
+/// the root list's head address (one entry), and the tree's depth. Keys are
+/// `0..entries`; a search for key `k` chases the root list for digit 0 of
+/// `k` (see [`search_digits`]), then the returned child list, and so on.
+/// The value stored at the leaf level is `k + 1` (non-zero).
 #[allow(clippy::type_complexity)]
 pub fn build_tree(base_va: u64, entries: u64, fanout: u64) -> (Vec<(u64, Vec<u8>)>, Vec<u64>, u32) {
     assert!(fanout >= 2, "radix fanout must be at least 2");
@@ -123,14 +124,6 @@ pub fn build_tree(base_va: u64, entries: u64, fanout: u64) -> (Vec<(u64, Vec<u8>
     // Level `levels-1` (leaves): for each prefix, a list of up to `fanout`
     // leaf nodes. We materialize only the lists reachable for keys
     // 0..entries.
-    fn digits(mut k: u64, fanout: u64, levels: u32) -> Vec<u64> {
-        let mut d = vec![0u64; levels as usize];
-        for i in (0..levels as usize).rev() {
-            d[i] = k % fanout;
-            k /= fanout;
-        }
-        d
-    }
 
     // Recursive helper materializing the list for a given prefix at `depth`.
     // Returns the list head VA.
@@ -164,7 +157,6 @@ pub fn build_tree(base_va: u64, entries: u64, fanout: u64) -> (Vec<(u64, Vec<u8>
     }
 
     let root = build_list(0, 0, levels, fanout, entries, &mut alloc_node);
-    let _ = digits; // used by tests
     (writes, vec![root], levels)
 }
 

@@ -752,10 +752,6 @@ impl Metrics for CLib {
         self.stats.each(f);
         self.transport.counters(f);
     }
-
-    fn gauges(&self, f: &mut Visit<'_>) {
-        self.transport.gauges(f);
-    }
 }
 
 #[cfg(test)]

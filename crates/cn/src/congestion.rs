@@ -27,7 +27,6 @@ pub struct CongestionWindow {
 
 #[derive(Debug, Clone, Copy)]
 struct CwndParams {
-    init: f64,
     max: f64,
     min: f64,
 }
@@ -41,7 +40,7 @@ impl CongestionWindow {
             next_paced_send: SimTime::ZERO,
             last_decrease: SimTime::ZERO,
             srtt_ns: None,
-            cfg: CwndParams { init: cfg.cwnd_init, max: cfg.cwnd_max, min: cfg.cwnd_min },
+            cfg: CwndParams { max: cfg.cwnd_max, min: cfg.cwnd_min },
         }
     }
 
@@ -56,9 +55,8 @@ impl CongestionWindow {
     }
 
     /// The smoothed RTT of data-plane responses toward this MN (EWMA,
-    /// α = 1/8), or `None` before the first sample or after a
-    /// [`reset`](Self::reset). The transport derives its doorbell latency
-    /// budget from this.
+    /// α = 1/8), or `None` before the first sample. The transport derives
+    /// its doorbell latency budget from this.
     pub fn srtt(&self) -> Option<SimDuration> {
         self.srtt_ns.map(|ns| SimDuration::from_nanos(ns as u64))
     }
@@ -150,19 +148,6 @@ impl CongestionWindow {
             let gap = CLibConfig::TARGET_RTT.mul_f64(1.0 / self.cwnd);
             self.next_paced_send = now + gap;
         }
-    }
-
-    /// Resets to the initial window (new epoch; used by tests). Clears the
-    /// decrease rate-limit stamp too, so the fresh epoch does not inherit
-    /// the old epoch's "recently decreased" suppression, and forgets the
-    /// smoothed RTT so the RTT-derived doorbell budget falls back to its
-    /// pre-warm-up default instead of holding on stale measurements.
-    pub fn reset(&mut self) {
-        self.cwnd = self.cfg.init;
-        self.outstanding = 0;
-        self.next_paced_send = SimTime::ZERO;
-        self.last_decrease = SimTime::ZERO;
-        self.srtt_ns = None;
     }
 }
 
@@ -270,25 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_decrease_rate_limit_stamp() {
-        let mut w = cwnd();
-        // A decrease at t=100 µs arms the per-RTT rate limit.
-        assert!(w.try_acquire(t(100)));
-        w.on_response(t(100), d(100));
-        let decreased = w.window();
-        assert!(decreased < 2.0, "late ACK must shrink the window");
-        // New epoch: a congestion signal right away must decrease again
-        // instead of inheriting the old epoch's rate-limit stamp.
-        w.reset();
-        assert_eq!(w.window(), 2.0);
-        assert!(w.try_acquire(t(100)));
-        w.on_response(t(100), d(100));
-        assert!(w.window() < 2.0, "fresh epoch suppressed its first decrease");
-        assert_eq!(w.outstanding(), 0);
-    }
-
-    #[test]
-    fn srtt_tracks_responses_and_clears_on_reset() {
+    fn srtt_tracks_responses() {
         let mut w = cwnd();
         assert_eq!(w.srtt(), None, "no sample before the first response");
         assert!(w.try_acquire(t(0)));
@@ -298,8 +265,6 @@ mod tests {
         w.on_response(t(36), d(16));
         // EWMA with alpha = 1/8: 8 + (16 - 8)/8 = 9 us.
         assert_eq!(w.srtt(), Some(d(9)));
-        w.reset();
-        assert_eq!(w.srtt(), None, "reset forgets the smoothed RTT");
     }
 
     #[test]

@@ -69,7 +69,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
-use clio_cn::{ClioError, Completion, Op, OpToken, ThreadId};
+use clio_cn::{Completion, Op, OpToken};
 use clio_net::Mac;
 use clio_proto::Perm;
 use clio_sim::{IdMap, SimDuration, SimTime};
@@ -160,50 +160,24 @@ impl<T> Slab<T> {
     }
 }
 
-/// One outstanding op's mailbox, shared between its [`OpFuture`], the
-/// executor's token → slot map, and any [`CancelHandle`]s.
+/// One outstanding op's mailbox, shared between its [`OpFuture`] and the
+/// executor's token → slot map.
 struct OpSlot {
     /// When the op arrived (its future was created, or the back-dated time
-    /// set by [`OpFuture::arriving_at`]): what every completion of it
-    /// reports as `issued_at`, whether the node or a cancellation made it.
+    /// set by [`OpFuture::arriving_at`]): what its completion reports as
+    /// `issued_at`.
     arrival: SimTime,
     result: Option<Completion>,
     /// The task awaiting the result.
     waiter: Option<TaskId>,
-    /// The op's token, known once the executor flushes the submission;
-    /// cancellation after this point goes through [`NodeApi::cancel`].
+    /// The op's token, known once the executor flushes the submission: what
+    /// an expired deadline cancels it by, through [`NodeApi::cancel`].
     token: Option<OpToken>,
-    /// Set by [`CancelHandle::cancel`] / an expired deadline; a queued
-    /// submission carrying this flag is resolved locally instead of issued.
-    cancel_requested: bool,
-    /// True while the op sits in the executor's submit queue (counted in
-    /// flight, not yet handed to the node).
-    in_submit_q: bool,
 }
 
 impl OpSlot {
     fn new(arrival: SimTime) -> Rc<RefCell<OpSlot>> {
-        Rc::new(RefCell::new(OpSlot {
-            arrival,
-            result: None,
-            waiter: None,
-            token: None,
-            cancel_requested: false,
-            in_submit_q: false,
-        }))
-    }
-
-    /// Resolves a never-issued op of `thread` as cancelled at `now`,
-    /// returning the task awaiting it (if any).
-    fn resolve_cancelled(&mut self, thread: ThreadId, now: SimTime) -> Option<TaskId> {
-        self.result = Some(Completion {
-            token: OpToken(0),
-            thread,
-            result: Err(ClioError::DeadlineExceeded),
-            issued_at: self.arrival.min(now),
-            completed_at: now,
-        });
-        self.waiter.take()
+        Rc::new(RefCell::new(OpSlot { arrival, result: None, waiter: None, token: None }))
     }
 }
 
@@ -240,8 +214,6 @@ struct ExecInner {
 }
 
 struct ExecShared {
-    /// The CLib thread this executor's ops are ordered under.
-    thread: ThreadId,
     /// Woken tasks, FIFO; a task woken twice is polled twice.
     ready: RefCell<VecDeque<TaskId>>,
     inner: RefCell<ExecInner>,
@@ -320,11 +292,10 @@ pub struct ExecDriver {
 }
 
 impl ExecDriver {
-    /// A fresh executor with no tasks, submitting as `thread`.
-    pub(crate) fn new(thread: ThreadId) -> Self {
+    /// A fresh executor with no tasks.
+    pub(crate) fn new() -> Self {
         ExecDriver {
             shared: Rc::new(ExecShared {
-                thread,
                 ready: RefCell::new(VecDeque::new()),
                 inner: RefCell::new(ExecInner {
                     running: false,
@@ -371,21 +342,6 @@ impl ExecDriver {
             let Some(sub) = sub else { break };
             match sub {
                 Submission::Op { op, named_mn, slot } => {
-                    if slot.borrow().cancel_requested {
-                        // The deadline fired before the submission reached
-                        // the node: resolve locally without ever issuing
-                        // the op.
-                        self.shared.inner.borrow_mut().inflight -= 1;
-                        let waiter = {
-                            let mut s = slot.borrow_mut();
-                            s.in_submit_q = false;
-                            s.resolve_cancelled(self.shared.thread, api.now())
-                        };
-                        if let Some(t) = waiter {
-                            self.shared.wake(t);
-                        }
-                        continue;
-                    }
                     let arrival = slot.borrow().arrival;
                     let token = api.issue(op, named_mn, arrival);
                     self.issued(token, slot);
@@ -402,21 +358,10 @@ impl ExecDriver {
         }
     }
 
-    /// Files an op the node just accepted under its token. A cancellation
-    /// requested while it sat in the submit queue (only vector entries get
-    /// here with one) goes through the node now that a token exists.
+    /// Files an op the node just accepted under its token.
     fn issued(&self, token: OpToken, slot: Rc<RefCell<OpSlot>>) {
-        let cancel = {
-            let mut s = slot.borrow_mut();
-            s.in_submit_q = false;
-            s.token = Some(token);
-            s.cancel_requested
-        };
-        let mut inner = self.shared.inner.borrow_mut();
-        inner.op_slots.insert(token, slot);
-        if cancel {
-            inner.submit_q.push_back(Submission::Cancel { token });
-        }
+        slot.borrow_mut().token = Some(token);
+        self.shared.inner.borrow_mut().op_slots.insert(token, slot);
     }
 
     /// Runs the executor to quiescence: flush submissions, poll every
@@ -534,9 +479,6 @@ impl ProcHandle {
         let mut inner = self.shared.inner.borrow_mut();
         inner.inflight += n;
         inner.peak_inflight = inner.peak_inflight.max(inner.inflight as u64);
-        for slot in &slots {
-            slot.borrow_mut().in_submit_q = true;
-        }
         inner.submit_q.push_back(Submission::Vec { ops, slots: slots.clone() });
         slots
             .into_iter()
@@ -545,11 +487,11 @@ impl ProcHandle {
     }
 
     /// Bounds `op` by a deadline: if it has not completed after `deadline`
-    /// of virtual time, it is cancelled — a `Cancelled` stage ends its
-    /// trace, and the future resolves with [`ClioError::DeadlineExceeded`]
-    /// in the completion's result. An op
-    /// that completes first resolves normally; cancellation never
-    /// un-completes a finished op.
+    /// of virtual time, the node cancels it — a `Cancelled` stage ends its
+    /// trace, and the future resolves with
+    /// [`ClioError::DeadlineExceeded`](clio_cn::ClioError::DeadlineExceeded)
+    /// in the completion's result. An op that completes first resolves
+    /// normally; cancellation never un-completes a finished op.
     pub fn with_deadline(&self, op: OpFuture, deadline: SimDuration) -> DeadlineFuture {
         let sleep =
             SleepFuture { shared: self.shared.clone(), state: SleepState::Start { dur: deadline } };
@@ -660,12 +602,6 @@ impl OpFuture {
         }
         self
     }
-
-    /// A handle that can cancel this op from another task (or after the
-    /// future has been moved into a combinator).
-    pub fn cancel_handle(&self) -> CancelHandle {
-        CancelHandle { shared: self.shared.clone(), slot: self.slot.clone() }
-    }
 }
 
 impl Future for OpFuture {
@@ -675,19 +611,10 @@ impl Future for OpFuture {
         let this = self.get_mut();
         match &mut this.state {
             OpState::Start(op) => {
-                if let Some(c) = this.slot.borrow_mut().result.take() {
-                    // Cancelled before it was ever submitted.
-                    this.state = OpState::Done;
-                    return Poll::Ready(c);
-                }
                 let mut inner = this.shared.inner.borrow_mut();
                 inner.inflight += 1;
                 inner.peak_inflight = inner.peak_inflight.max(inner.inflight as u64);
-                {
-                    let mut s = this.slot.borrow_mut();
-                    s.waiter = Some(this.shared.register());
-                    s.in_submit_q = true;
-                }
+                this.slot.borrow_mut().waiter = Some(this.shared.register());
                 let (op, named_mn) = op.take().expect("op submitted once");
                 inner.submit_q.push_back(Submission::Op { op, named_mn, slot: this.slot.clone() });
                 drop(inner);
@@ -713,57 +640,10 @@ impl Future for OpFuture {
     }
 }
 
-/// Requests cancellation of the op behind `slot`. Three cases, by how far
-/// the op has travelled:
-///
-/// * **issued** (token known) — queue a `Submission::Cancel`; the node
-///   cancels it through CLib and the completion flows back normally.
-/// * **in the submit queue** — mark the slot; the executor's flush resolves
-///   it locally instead of issuing (and stops counting it in flight).
-/// * **not yet polled** — resolve locally now; the op's first poll
-///   returns the cancellation without submitting.
-fn request_cancel(shared: &Rc<ExecShared>, slot: &Rc<RefCell<OpSlot>>) {
-    let (token, in_submit_q) = {
-        let mut s = slot.borrow_mut();
-        if s.result.is_some() || s.cancel_requested {
-            return;
-        }
-        s.cancel_requested = true;
-        (s.token, s.in_submit_q)
-    };
-    if let Some(token) = token {
-        shared.inner.borrow_mut().submit_q.push_back(Submission::Cancel { token });
-        return;
-    }
-    if in_submit_q {
-        return; // flush() resolves it when the submission surfaces
-    }
-    if let Some(task) = slot.borrow_mut().resolve_cancelled(shared.thread, shared.now.get()) {
-        shared.wake(task);
-    }
-}
-
-/// Cancels one op from outside its awaiting task (see
-/// [`OpFuture::cancel_handle`]). Cloneable; cancelling twice, or after the
-/// op completed, is a no-op.
-#[derive(Clone)]
-pub struct CancelHandle {
-    shared: Rc<ExecShared>,
-    slot: Rc<RefCell<OpSlot>>,
-}
-
-impl CancelHandle {
-    /// Requests cancellation: the op resolves with
-    /// [`ClioError::DeadlineExceeded`] unless it already completed.
-    pub fn cancel(&self) {
-        request_cancel(&self.shared, &self.slot);
-    }
-}
-
 /// An [`OpFuture`] bounded by a deadline (built by
 /// [`ProcHandle::with_deadline`]). Resolves with the op's own completion,
 /// or — once the deadline passes — with a completion carrying
-/// [`ClioError::DeadlineExceeded`].
+/// [`ClioError::DeadlineExceeded`](clio_cn::ClioError::DeadlineExceeded).
 pub struct DeadlineFuture {
     op: OpFuture,
     sleep: SleepFuture,
@@ -781,9 +661,13 @@ impl Future for DeadlineFuture {
         if !this.expired {
             if let Poll::Ready(()) = Pin::new(&mut this.sleep).poll(cx) {
                 this.expired = true;
-                // The op was polled above, so it is queued or issued: its
-                // cancellation completes it later, through the slot.
-                request_cancel(&this.op.shared, &this.op.slot);
+                // The op was polled before the sleep, and the submit queue
+                // is FIFO: the node issued the op before it armed the
+                // sleep's timer. Its cancel completes the op through the
+                // slot.
+                let token =
+                    this.op.slot.borrow().token.expect("issued before its deadline's timer");
+                this.op.shared.inner.borrow_mut().submit_q.push_back(Submission::Cancel { token });
             }
         }
         Poll::Pending
@@ -892,7 +776,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_cancels_op_to_downed_link_and_budget_recovers() {
+    fn deadline_cancels_op_to_downed_link_and_reads_resume() {
         use clio_net::{ChaosAction, ChaosSchedule, Mac};
 
         let mut cluster = Cluster::build(&ClusterConfig::test_small().with_tracing(1));
@@ -948,56 +832,45 @@ mod tests {
     }
 
     #[test]
-    fn cancel_handle_resolves_an_unpolled_op_without_submitting() {
+    fn a_zero_deadline_cancels_through_the_node() {
         let mut cluster = Cluster::build(&ClusterConfig::test_small());
-        let outcome = Rc::new(Cell::new(None));
-        let sink = outcome.clone();
-        cluster.spawn(0, Pid(7), move |h| async move {
+        let c = cluster.block_on(0, Pid(7), |h| async move {
             let va = h.ralloc(4096, Perm::RW).await.va();
-            h.sleep(SimDuration::from_micros(100)).await;
-            // Back-dated (an open-loop arrival 700 ns ago): its completion
-            // reports that arrival, not a zero-latency op issued "now".
-            let arrived = h.now() - SimDuration::from_nanos(700);
-            let op = h.rwrite(va, Bytes::from_static(b"b")).arriving_at(arrived);
-            let cancel = op.cancel_handle();
-            cancel.cancel();
-            cancel.cancel(); // idempotent
-            let c = op.await;
-            sink.set(Some((arrived, c.issued_at, c.latency(), c.result)));
+            // The deadline's wake is an event after the one that issues
+            // the read, so the node has a token to cancel.
+            h.with_deadline(h.rread(va, 8), SimDuration::ZERO).await
         });
-        cluster.start();
-        // The alloc has landed; the task sleeps until it builds the op.
-        cluster.run_for(SimDuration::from_micros(50));
-        let rx_packets = |c: &Cluster| c.registry().counter("mn0.board.rx_packets");
-        let before = rx_packets(&cluster);
-        cluster.run_until_idle();
-
-        let (arrived, issued_at, latency, result) = outcome.take().expect("the task finished");
-        assert_eq!(result, Err(clio_cn::ClioError::DeadlineExceeded));
-        assert_eq!((issued_at, latency), (arrived, SimDuration::from_nanos(700)));
-        assert_eq!(rx_packets(&cluster), before, "the op never reached the board");
+        assert_eq!(c.result, Err(clio_cn::ClioError::DeadlineExceeded));
+        assert_eq!(c.latency(), SimDuration::ZERO);
         let reg = cluster.registry();
-        // Nor the node: its counter counts the cancels it carried out.
-        assert_eq!(reg.counter("cn0.runtime.deadline_exceeded_total"), Some(0));
+        assert_eq!(reg.counter("cn0.runtime.deadline_exceeded_total"), Some(1));
         assert_eq!(reg.gauge("cn0.runtime.inflight"), Some(0));
     }
 
     #[test]
-    fn vector_entry_cancelled_before_the_flush_is_cancelled_at_the_node() {
+    fn a_deadline_on_a_vector_entry_cancels_it_at_the_node() {
+        use clio_net::{ChaosAction, ChaosSchedule};
+
         let mut cluster = Cluster::build(&ClusterConfig::test_small());
+        let mn = cluster.mn_macs()[0];
+        let schedule =
+            ChaosSchedule::new().at(SimDuration::from_micros(50), ChaosAction::LinkDown(mn));
+        cluster.apply_chaos(&schedule);
         let results = cluster.block_on(0, Pid(7), |h| async move {
             let va = h.ralloc(4096, Perm::RW).await.va();
-            // The vector is queued by the call; cancelling an entry before
-            // the executor flushes it must not lose the request.
+            h.sleep(SimDuration::from_micros(60)).await;
+            // The vector is queued by the call, ahead of either deadline's
+            // timer: both entries are issued before a deadline can fire.
             let mut entries = h.rread_v(vec![(va, 8), (va + 64, 8)]);
-            entries[1].cancel_handle().cancel();
-            let (second, first) = (entries.pop().unwrap().await, entries.pop().unwrap().await);
-            (first.result, second.result)
+            let deadline = SimDuration::from_micros(30);
+            let second = h.with_deadline(entries.pop().unwrap(), deadline);
+            let first = h.with_deadline(entries.pop().unwrap(), deadline);
+            (first.await.result, second.await.result)
         });
-        assert!(results.0.is_ok(), "the untouched entry completes: {:?}", results.0);
-        assert_eq!(results.1, Err(clio_cn::ClioError::DeadlineExceeded));
+        let expired = Err(clio_cn::ClioError::DeadlineExceeded);
+        assert_eq!(results, (expired.clone(), expired));
         let reg = cluster.registry();
-        assert_eq!(reg.counter("cn0.runtime.deadline_exceeded_total"), Some(1));
+        assert_eq!(reg.counter("cn0.runtime.deadline_exceeded_total"), Some(2));
         assert_eq!(reg.gauge("cn0.runtime.inflight"), Some(0), "both entries left the count");
     }
 

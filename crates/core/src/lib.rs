@@ -6,8 +6,8 @@
 //! deterministic cooperative executor ([`exec`]). Client code reads like
 //! the paper's Figure 1 (`ralloc`/`rread`/`rwrite`/`rlock`/...) with an
 //! `.await` where the paper blocks: remote ops are futures, each completion
-//! wakes exactly the task that awaits it, submission is backpressure-aware,
-//! and thousands of client processes cost no OS threads. The
+//! wakes exactly the task that awaits it, and thousands of client
+//! processes cost no OS threads. The
 //! [`exec::openloop`] generator drives open-loop offered load.
 //!
 //! The [`Controller`] implements the paper's two-level distributed virtual

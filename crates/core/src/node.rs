@@ -182,7 +182,7 @@ impl ComputeNode {
     /// Registers a fresh executor running as process `pid`. Returns its
     /// index on this node and the handle that spawns its tasks.
     pub fn add_process(&mut self, pid: Pid) -> (usize, ProcHandle) {
-        let exec = ExecDriver::new(ThreadId(self.execs.len() as u64));
+        let exec = ExecDriver::new();
         let handle = exec.handle();
         self.core.pids.push(pid);
         self.execs.push(exec);
@@ -248,7 +248,6 @@ impl Metrics for ComputeNode {
     /// 0, as no submitter ever waits; the gauge stays only until
     /// `benchmark/`, which reads it, can drop it.
     fn gauges(&self, f: &mut Visit<'_>) {
-        self.core.clib.gauges(f);
         let (mut inflight, mut tasks) = (0, 0);
         for exec in &self.execs {
             let (i, t) = exec.load();

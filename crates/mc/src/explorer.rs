@@ -149,13 +149,6 @@ pub struct McConfig {
     /// legitimately-exhausted retry budget fails the op, which the
     /// equivalence check would (correctly, but uninterestingly) flag.
     pub max_retries: u32,
-    /// Settle horizon: events closer together than this are internal
-    /// cascade, a larger gap is a decision point. Must sit between the
-    /// doorbell caps (~4 µs) and the request timeout (50 µs).
-    pub settle_horizon: SimDuration,
-    /// Hard cap on explored nodes (a safety valve, not a tuning knob; the
-    /// run reports whether it was hit).
-    pub max_nodes: u64,
     /// Memory boards in the scenario. One (the default) runs the classic
     /// read + fetch-and-add pair against a single board; two or more run
     /// one read per board, so the search covers per-destination windows,
@@ -168,6 +161,15 @@ impl McConfig {
     /// Largest supported [`fault_budget`](McConfig::fault_budget): the
     /// search keeps one byte per fault count for every visited state.
     pub const MAX_FAULT_BUDGET: u32 = 7;
+
+    /// Settle horizon: events closer together than this are internal
+    /// cascade, a larger gap is a decision point. Must sit between the
+    /// doorbell caps (~4 µs) and the request timeout (50 µs).
+    pub const SETTLE_HORIZON: SimDuration = SimDuration::from_micros(20);
+
+    /// Hard cap on explored nodes (a safety valve, not a tuning knob; the
+    /// run reports whether it was hit).
+    pub const MAX_NODES: u64 = 5_000_000;
 }
 
 impl Default for McConfig {
@@ -182,8 +184,6 @@ impl Default for McConfig {
             crash_budget: 0,
             mutation: McMutation::None,
             max_retries: 16,
-            settle_horizon: SimDuration::from_micros(20),
-            max_nodes: 5_000_000,
             mns: 1,
         }
     }
@@ -227,7 +227,7 @@ pub struct McReport {
     pub quiescent_runs: u64,
     /// The first invariant violation found, if any.
     pub violation: Option<Violation>,
-    /// True if the search stopped at [`McConfig::max_nodes`] instead of
+    /// True if the search stopped at [`McConfig::MAX_NODES`] instead of
     /// exhausting the bounded space.
     pub truncated: bool,
 }
@@ -251,7 +251,6 @@ pub struct Choice {
 /// each node with a from-scratch run of its schedule.
 pub struct Run {
     scenario: Scenario,
-    horizon: SimDuration,
     /// Request ids observed on the wire, for the freshness invariant.
     /// Shared with the run's forks until either side inserts.
     seen_req_ids: Rc<IdSet<u64>>,
@@ -277,7 +276,6 @@ impl Run {
         let scenario = Scenario::new_with(Framing::Batched, cfg.mutation, cfg.max_retries, cfg.mns);
         let mut run = Run {
             scenario,
-            horizon: cfg.settle_horizon,
             seen_req_ids: Rc::default(),
             synthetic: Rc::default(),
             scanned_up_to: 0,
@@ -293,7 +291,6 @@ impl Run {
     pub fn fork(&self) -> Run {
         Run {
             scenario: self.scenario.fork(),
-            horizon: self.horizon,
             seen_req_ids: Rc::clone(&self.seen_req_ids),
             synthetic: Rc::clone(&self.synthetic),
             scanned_up_to: self.scanned_up_to,
@@ -384,7 +381,7 @@ impl Run {
     /// the per-state invariants.
     fn settle_and_check(&mut self) -> Result<(), String> {
         while let Some(at) = self.scenario.sim.peek_next_event_time() {
-            if at > self.scenario.sim.now() + self.horizon {
+            if at > self.scenario.sim.now() + McConfig::SETTLE_HORIZON {
                 break;
             }
             self.scenario.sim.step();
@@ -646,7 +643,7 @@ pub fn baseline_outcome(cfg: &McConfig) -> Outcome {
         // Settle, then deliver everything in capture order; fire timers
         // only if somehow needed (a fault-free run should never time out).
         while let Some(at) = sc.sim.peek_next_event_time() {
-            if at > sc.sim.now() + cfg.settle_horizon {
+            if at > sc.sim.now() + McConfig::SETTLE_HORIZON {
                 break;
             }
             sc.sim.step();
@@ -793,7 +790,7 @@ fn dfs(
     faults_used: u32,
     crashes_used: u32,
 ) -> Option<String> {
-    if search.nodes >= search.cfg.max_nodes {
+    if search.nodes >= McConfig::MAX_NODES {
         search.truncated = true;
         return None;
     }

@@ -12,7 +12,6 @@
 
 use clio_cn::transport::McMutation;
 use clio_mc::{explore, replay, McAction, McConfig};
-use clio_sim::SimDuration;
 
 use McAction::{Corrupt, Deliver, Drop, Duplicate, FireTimer};
 
@@ -206,11 +205,6 @@ fn two_mn_duplicates_are_deduplicated_per_board() {
 /// delivery-order exploration and must stay clean even at larger depth.
 #[test]
 fn fault_free_delivery_orders_are_clean() {
-    let cfg = McConfig {
-        max_depth: 8,
-        fault_budget: 0,
-        settle_horizon: SimDuration::from_micros(20),
-        ..McConfig::default()
-    };
+    let cfg = McConfig { max_depth: 8, fault_budget: 0, ..McConfig::default() };
     counts(&cfg);
 }

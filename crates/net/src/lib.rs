@@ -12,9 +12,9 @@
 //! * **loss, corruption, reordering** — a per-port [`FaultInjector`] drops or
 //!   corrupts frames probabilistically and can add random jitter, which
 //!   reorders deliveries (exercising Clio's request-level retry/ordering),
-//! * **lossless vs. drop-tail operation** — the paper's testbed uses PFC
-//!   lossless Ethernet; [`QueueDiscipline`] selects between an unbounded
-//!   (PFC-style backpressure-free) queue and a bounded drop-tail queue.
+//! * **lossless operation** — the paper's testbed uses PFC lossless
+//!   Ethernet, so every egress queue is unbounded: a burst waits, it is
+//!   never dropped.
 //!
 //! For exhaustive (rather than sampled) fault exploration, [`VirtualWire`]
 //! replaces the stochastic injector with an explorer-chosen schedule: it
@@ -56,6 +56,6 @@ pub use chaos::{BoardPower, ChaosAction, ChaosSchedule, LinkCommand, StormConfig
 pub use doorbell::{Doorbell, Ewma};
 pub use frame::{Frame, Mac};
 pub use nic::NicPort;
-pub use switch::{FaultInjector, PortStats, QueueDiscipline, Switch, SwitchConfig};
+pub use switch::{FaultInjector, PortStats, Switch, SwitchConfig};
 pub use topology::{Network, NetworkConfig};
 pub use wire::{CapturedFrame, VirtualWire};

@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn nic_serializes_back_to_back_sends() {
-        use crate::switch::{FaultInjector, QueueDiscipline, Switch, SwitchConfig};
+        use crate::switch::{FaultInjector, Switch, SwitchConfig};
         let mut sim = Simulation::new(1);
         let sink = sim.add_actor(Sink { times: vec![] });
         let sw = sim.add_actor(Switch::new(SwitchConfig {
@@ -117,7 +117,6 @@ mod tests {
             Mac(1),
             sink,
             Bandwidth::from_gbps(100),
-            QueueDiscipline::Lossless,
             FaultInjector::none(),
         );
         // Host with a 10 Gbps NIC: 1250 B frames serialize in 1 us each.

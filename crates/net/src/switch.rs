@@ -6,20 +6,6 @@ use clio_sim::{Actor, ActorId, Bandwidth, Ctx, IdMap, Message, SimDuration};
 use crate::chaos::LinkCommand;
 use crate::frame::{Frame, Mac};
 
-/// Egress queue behavior for a switch port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueDiscipline {
-    /// Unbounded queue — models the paper's PFC lossless Ethernet, where
-    /// backpressure (not drops) absorbs bursts and shows up as added delay.
-    #[default]
-    Lossless,
-    /// Drop-tail queue bounded to this many bytes of backlog.
-    DropTail {
-        /// Maximum queued bytes before arriving frames are dropped.
-        capacity_bytes: u64,
-    },
-}
-
 /// Frame fault injection applied at a port's egress: probabilistic loss,
 /// corruption and jitter, plus a deterministic "corrupt the next N frames"
 /// counter for tests that need a reproducible corruption burst.
@@ -53,7 +39,10 @@ pub struct PortStats {
     pub tx_frames: u64,
     /// Wire bytes forwarded out of this port.
     pub tx_bytes: u64,
-    /// Frames dropped by drop-tail overflow.
+    /// Frames dropped by egress-queue overflow. **Always 0:** every egress
+    /// queue is unbounded, as on the paper's PFC lossless Ethernet, where a
+    /// burst waits instead of dropping; the field stays only until
+    /// `benchmark/`, which reads it, can drop it in the same change.
     pub dropped_overflow: u64,
     /// Frames dropped by fault injection.
     pub dropped_fault: u64,
@@ -91,7 +80,6 @@ struct Port {
     endpoint: ActorId,
     rate: Bandwidth,
     egress: SerialResource,
-    discipline: QueueDiscipline,
     faults: FaultInjector,
     stats: PortStats,
     link_up: bool,
@@ -115,8 +103,8 @@ impl Switch {
         Switch { config, ports: IdMap::default() }
     }
 
-    /// Attaches `endpoint` to the fabric as `mac`, with an egress port at
-    /// `rate` using `discipline` and `faults`.
+    /// Attaches `endpoint` to the fabric as `mac`, with an unbounded egress
+    /// queue at `rate` and `faults`.
     ///
     /// # Panics
     ///
@@ -126,7 +114,6 @@ impl Switch {
         mac: Mac,
         endpoint: ActorId,
         rate: Bandwidth,
-        discipline: QueueDiscipline,
         faults: FaultInjector,
     ) {
         let prev = self.ports.insert(
@@ -135,7 +122,6 @@ impl Switch {
                 endpoint,
                 rate,
                 egress: SerialResource::new(),
-                discipline,
                 faults,
                 stats: PortStats::default(),
                 link_up: true,
@@ -251,16 +237,7 @@ impl Actor for Switch {
             port.stats.corrupted += 1;
         }
 
-        // Drop-tail admission: reject if the egress backlog exceeds capacity.
         let ready = ctx.now() + self.config.forwarding_latency;
-        if let QueueDiscipline::DropTail { capacity_bytes } = port.discipline {
-            let backlog = port.egress.free_at().since(ready);
-            if backlog > port.rate.transfer_time(capacity_bytes) {
-                port.stats.dropped_overflow += 1;
-                return;
-            }
-        }
-
         let tx = port.egress.reserve(ready, port.rate.transfer_time(frame.wire_bytes as u64));
         port.stats.tx_frames += 1;
         port.stats.tx_bytes += frame.wire_bytes as u64;
@@ -291,17 +268,11 @@ mod tests {
         }
     }
 
-    fn build(discipline: QueueDiscipline, faults: FaultInjector) -> (Simulation, ActorId, ActorId) {
+    fn build(faults: FaultInjector) -> (Simulation, ActorId, ActorId) {
         let mut sim = Simulation::new(7);
         let sink = sim.add_actor(Sink { got: vec![] });
         let sw = sim.add_actor(Switch::new(SwitchConfig::default()));
-        sim.actor_mut::<Switch>(sw).register_port(
-            Mac(2),
-            sink,
-            Bandwidth::from_gbps(10),
-            discipline,
-            faults,
-        );
+        sim.actor_mut::<Switch>(sw).register_port(Mac(2), sink, Bandwidth::from_gbps(10), faults);
         (sim, sw, sink)
     }
 
@@ -311,7 +282,7 @@ mod tests {
 
     #[test]
     fn forwards_with_serialization_and_latency() {
-        let (mut sim, sw, sink) = build(QueueDiscipline::Lossless, FaultInjector::none());
+        let (mut sim, sw, sink) = build(FaultInjector::none());
         sim.post(sw, frame(1250)); // 1 us at 10 Gbps
         sim.run_until_idle();
         let got = &sim.actor::<Sink>(sink).got;
@@ -322,7 +293,7 @@ mod tests {
 
     #[test]
     fn back_to_back_frames_queue_on_egress() {
-        let (mut sim, sw, sink) = build(QueueDiscipline::Lossless, FaultInjector::none());
+        let (mut sim, sw, sink) = build(FaultInjector::none());
         sim.post(sw, frame(1250));
         sim.post(sw, frame(1250));
         sim.run_until_idle();
@@ -332,22 +303,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_tail_drops_when_backlogged() {
-        let (mut sim, sw, sink) =
-            build(QueueDiscipline::DropTail { capacity_bytes: 2500 }, FaultInjector::none());
-        for _ in 0..10 {
-            sim.post(sw, frame(1250));
-        }
-        sim.run_until_idle();
-        let delivered = sim.actor::<Sink>(sink).got.len() as u64;
-        let stats = sim.actor::<Switch>(sw).port_stats(Mac(2));
-        assert!(delivered < 10, "expected drops, got {delivered}");
-        assert_eq!(stats.dropped_overflow + delivered, 10);
-    }
-
-    #[test]
     fn lossless_never_drops() {
-        let (mut sim, sw, sink) = build(QueueDiscipline::Lossless, FaultInjector::none());
+        let (mut sim, sw, sink) = build(FaultInjector::none());
         for _ in 0..100 {
             sim.post(sw, frame(1500));
         }
@@ -360,10 +317,7 @@ mod tests {
 
     #[test]
     fn loss_injection_drops_roughly_at_rate() {
-        let (mut sim, sw, sink) = build(
-            QueueDiscipline::Lossless,
-            FaultInjector { loss_prob: 0.5, ..FaultInjector::none() },
-        );
+        let (mut sim, sw, sink) = build(FaultInjector { loss_prob: 0.5, ..FaultInjector::none() });
         for _ in 0..2000 {
             sim.post(sw, frame(100));
         }
@@ -374,10 +328,7 @@ mod tests {
 
     #[test]
     fn corrupt_next_is_deterministic_and_self_clearing() {
-        let (mut sim, sw, sink) = build(
-            QueueDiscipline::Lossless,
-            FaultInjector { corrupt_next: 2, ..FaultInjector::none() },
-        );
+        let (mut sim, sw, sink) = build(FaultInjector { corrupt_next: 2, ..FaultInjector::none() });
         for _ in 0..5 {
             sim.post(sw, frame(100));
         }
@@ -391,10 +342,8 @@ mod tests {
 
     #[test]
     fn corruption_marks_frames() {
-        let (mut sim, sw, sink) = build(
-            QueueDiscipline::Lossless,
-            FaultInjector { corrupt_prob: 1.0, ..FaultInjector::none() },
-        );
+        let (mut sim, sw, sink) =
+            build(FaultInjector { corrupt_prob: 1.0, ..FaultInjector::none() });
         sim.post(sw, frame(100));
         sim.run_until_idle();
         assert!(sim.actor::<Sink>(sink).got[0].2, "frame should be corrupted");
@@ -402,10 +351,8 @@ mod tests {
 
     #[test]
     fn jitter_can_reorder() {
-        let (mut sim, sw, sink) = build(
-            QueueDiscipline::Lossless,
-            FaultInjector { jitter: SimDuration::from_micros(100), ..FaultInjector::none() },
-        );
+        let (mut sim, sw, sink) =
+            build(FaultInjector { jitter: SimDuration::from_micros(100), ..FaultInjector::none() });
         for i in 0..50u32 {
             sim.post_in(sw, SimDuration::from_nanos(i as u64), frame(64 + i));
         }
@@ -420,7 +367,7 @@ mod tests {
 
     #[test]
     fn link_down_black_holes_until_link_up() {
-        let (mut sim, sw, sink) = build(QueueDiscipline::Lossless, FaultInjector::none());
+        let (mut sim, sw, sink) = build(FaultInjector::none());
         sim.actor_mut::<Switch>(sw).apply_link_command(LinkCommand::Down(Mac(2)));
         sim.post(sw, frame(100));
         sim.run_until_idle();
@@ -438,7 +385,7 @@ mod tests {
 
     #[test]
     fn delay_spike_sets_and_clears_jitter() {
-        let (mut sim, sw, sink) = build(QueueDiscipline::Lossless, FaultInjector::none());
+        let (mut sim, sw, sink) = build(FaultInjector::none());
         let spike = SimDuration::from_micros(100);
         sim.post(sw, Message::new(LinkCommand::SetJitter(Mac(2), spike)));
         for i in 0..50u32 {
@@ -466,7 +413,7 @@ mod tests {
 
     #[test]
     fn unknown_destination_is_dropped() {
-        let (mut sim, sw, sink) = build(QueueDiscipline::Lossless, FaultInjector::none());
+        let (mut sim, sw, sink) = build(FaultInjector::none());
         sim.post(sw, Message::new(Frame::new(Mac(1), Mac(99), 64, Message::new(()))));
         sim.run_until_idle();
         assert!(sim.actor::<Sink>(sink).got.is_empty());

@@ -4,7 +4,7 @@ use clio_sim::{ActorId, Bandwidth, IdMap, SimDuration, Simulation};
 
 use crate::frame::Mac;
 use crate::nic::NicPort;
-use crate::switch::{FaultInjector, QueueDiscipline, Switch, SwitchConfig};
+use crate::switch::{FaultInjector, Switch, SwitchConfig};
 
 /// Fabric-wide configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,11 +71,11 @@ impl Network {
     ///
     /// Panics if `mac` was not created by this network.
     pub fn attach(&mut self, sim: &mut Simulation, mac: Mac, endpoint: ActorId) {
-        self.attach_with(sim, mac, endpoint, QueueDiscipline::Lossless, FaultInjector::none());
+        self.attach_with(sim, mac, endpoint, FaultInjector::none());
     }
 
-    /// Registers the host actor behind `mac` with explicit queueing and
-    /// fault-injection settings.
+    /// Registers the host actor behind `mac` with explicit fault-injection
+    /// settings.
     ///
     /// # Panics
     ///
@@ -85,15 +85,13 @@ impl Network {
         sim: &mut Simulation,
         mac: Mac,
         endpoint: ActorId,
-        discipline: QueueDiscipline,
         faults: FaultInjector,
     ) {
         let rate = self
             .pending_rates
             .remove(&mac)
             .unwrap_or_else(|| panic!("{mac} was not created by this network"));
-        sim.actor_mut::<Switch>(self.switch_id)
-            .register_port(mac, endpoint, rate, discipline, faults);
+        sim.actor_mut::<Switch>(self.switch_id).register_port(mac, endpoint, rate, faults);
     }
 
     /// Changes fault injection toward `mac` mid-run.
@@ -196,12 +194,12 @@ mod tests {
             let echo_port = net.create_port(Bandwidth::from_gbps(10));
             let echo_mac = echo_port.mac();
             let echo = sim.add_actor(EchoHost { nic: echo_port, echoed: 0 });
-            net.attach_with(&mut sim, echo_mac, echo, QueueDiscipline::Lossless, faults);
+            net.attach_with(&mut sim, echo_mac, echo, faults);
 
             let ping_port = net.create_port(Bandwidth::from_gbps(10));
             let ping_mac = ping_port.mac();
             let pinger = sim.add_actor(Pinger { nic: ping_port, target: echo_mac, echo_at: None });
-            net.attach_with(&mut sim, ping_mac, pinger, QueueDiscipline::Lossless, faults);
+            net.attach_with(&mut sim, ping_mac, pinger, faults);
 
             for i in 0..200u64 {
                 sim.post_in(pinger, SimDuration::from_nanos(i * 10), Message::new("go"));

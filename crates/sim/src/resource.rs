@@ -48,11 +48,6 @@ impl SerialResource {
         self.free_at = end;
         Reservation { start, end }
     }
-
-    /// When the resource next becomes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
 }
 
 /// A throughput gate that admits one item per fixed interval — models a fully

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Config knobs nothing varies: every `pub` field of CLibConfig,
-# CBoardHwConfig, CBoardConfig, ClusterConfig and the baselines' RnicParams
-# and HerdParams must be set in at least two places, because its default
-# preset is one. A setting site is a
+# CBoardHwConfig, CBoardConfig, ClusterConfig, the checker's McConfig and
+# the baselines' RnicParams and HerdParams must be set in at least two
+# places, because its default preset is one. A setting site is a
 # struct-literal `field:` line other than the declaration, or a `.field =`
-# assignment, in the non-test code of a tracked `.rs` file outside vendor/:
-# crates' sources and benches, src/ and benchmark/, each up to its
-# `#[cfg(test)]` module, the way unused_api.sh reads them. tests/,
+# assignment (not a `.field =>` match guard), in the non-test code of a
+# tracked `.rs` file outside vendor/: crates' sources and benches, src/
+# and benchmark/, each up to its `#[cfg(test)]` module, the way
+# unused_api.sh reads them. tests/,
 # crates/*/tests/ and examples/ do not count, and neither do comment
 # lines: a knob only a test sets is one no run of the system varies. A
 # field set only by its preset is a constant: make it an associated
@@ -38,6 +39,13 @@ declare -A allow=(
   [cwnd_min]=1
   # ROADMAP direction 7's swarm draws it (a small incast window).
   [iwnd_bytes]=1
+  # Only clib_end_to_end.rs sets it; ROADMAP 1(b) replaces it with a
+  # budget derived from the migration timeout.
+  [max_conflict_retries]=1
+  # McConfig's planted transport bug: only the checker's self-test
+  # (crates/mc/tests/, the crate's doc example) sets it, to show the
+  # search catches one.
+  [mutation]=1
 )
 
 structs=(
@@ -45,6 +53,7 @@ structs=(
   "crates/hw/src/config.rs CBoardHwConfig"
   "crates/mn/src/config.rs CBoardConfig"
   "crates/core/src/cluster.rs ClusterConfig"
+  "crates/mc/src/explorer.rs McConfig"
   "crates/baselines/src/rdma.rs RnicParams"
   "crates/baselines/src/herd.rs HerdParams"
 )
@@ -65,7 +74,7 @@ for entry in "${structs[@]}"; do
   [ -n "$fields" ] || { echo "$file: no pub fields found for $name"; exit 1; }
   for f in $fields; do
     [ -n "${allow[$f]:-}" ] && continue
-    sites=$(grep -E "(^|[^A-Za-z0-9_])$f:([^:]|\$)|\\.$f[ \t]*=([^=]|\$)" <<< "$code" \
+    sites=$(grep -E "(^|[^A-Za-z0-9_])$f:([^:]|\$)|\\.$f[ \t]*=([^=>]|\$)" <<< "$code" \
       | grep -cvE "^[ \t]*//|^[ \t]*pub $f:" || true)
     if [ "$sites" -lt 2 ]; then
       echo "$name::$f ($sites)"
