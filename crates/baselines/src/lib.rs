@@ -15,9 +15,7 @@
 //!   10/11/18),
 //! * [`legoos`] — a software virtual-memory memory node (thread pool + hash
 //!   lookup per request, 77 Gbps ceiling — §2.2, §7.1),
-//! * [`energy`] — power/energy accounting behind Figure 21,
-//! * [`fpga`] — the FPGA resource-utilization comparison of Figure 22,
-//! * [`capex`] — the §7.3 CapEx/power cost model.
+//! * [`energy`] — power/energy accounting behind Figure 21.
 //!
 //! Each model exposes per-operation completion times driven by explicit
 //! cache and queue state, so scalability figures emerge from the modeled
@@ -29,10 +27,8 @@
 
 use clio_sim::{SimDuration, SimRng};
 
-pub mod capex;
 pub mod clover;
 pub mod energy;
-pub mod fpga;
 pub mod herd;
 pub mod legoos;
 pub mod rdma;

@@ -33,9 +33,10 @@ fn clio_point(procs: u64) -> f64 {
     let mut total = 0f64;
     let mut n = 0u64;
     for rec in recs {
-        let s = rec.borrow().latency();
-        total += s.mean_ns * s.count as f64;
-        n += s.count;
+        let rec = rec.borrow();
+        let lat = rec.latency();
+        total += lat.mean() * lat.count() as f64;
+        n += lat.count();
     }
     total / n.max(1) as f64 / 1000.0 // us
 }

@@ -52,7 +52,7 @@ fn clio_point(log2_ptes: u32) -> f64 {
     let rec = load.spawn(&mut cluster, 0, pid);
     cluster.start();
     cluster.run_until_idle();
-    let mean_ns = rec.borrow().latency().mean_ns;
+    let mean_ns = rec.borrow().latency().mean();
     mean_ns / 1000.0
 }
 

@@ -61,7 +61,7 @@ fn clio_case(hw: CBoardHwConfig, write: bool, scenario: &str) -> f64 {
             let rec = load.spawn(&mut c, 0, Pid(5));
             c.start();
             c.run_until_idle();
-            let mean_ns = rec.borrow().latency().mean_ns;
+            let mean_ns = rec.borrow().latency().mean();
             mean_ns / 1000.0
         }
         "miss" => {
@@ -74,7 +74,7 @@ fn clio_case(hw: CBoardHwConfig, write: bool, scenario: &str) -> f64 {
             let rec = load.spawn(&mut c, 0, Pid(5));
             c.start();
             c.run_until_idle();
-            let mean_ns = rec.borrow().latency().mean_ns;
+            let mean_ns = rec.borrow().latency().mean();
             mean_ns / 1000.0
         }
         "pgfault" => {
@@ -96,7 +96,7 @@ fn clio_case(hw: CBoardHwConfig, write: bool, scenario: &str) -> f64 {
                 }
                 rec
             });
-            rec.latency().mean_ns / 1000.0
+            rec.latency().mean() / 1000.0
         }
         other => unreachable!("unknown scenario {other}"),
     }

@@ -33,7 +33,7 @@ fn clio_hist(mix: AccessMix) -> Histogram {
     let rec = load.spawn(&mut cluster, 0, Pid(3));
     cluster.start();
     cluster.run_until_idle();
-    let hist = rec.borrow().histogram().clone();
+    let hist = rec.borrow().latency().clone();
     hist
 }
 

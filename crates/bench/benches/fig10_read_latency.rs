@@ -40,7 +40,7 @@ pub fn clio_latency(size: u32, mix: AccessMix) -> f64 {
     let rec = load.spawn(&mut cluster, 0, Pid(4));
     cluster.start();
     cluster.run_until_idle();
-    let mean_ns = rec.borrow().latency().mean_ns;
+    let mean_ns = rec.borrow().latency().mean();
     mean_ns / 1000.0
 }
 

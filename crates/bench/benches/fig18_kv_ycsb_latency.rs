@@ -38,7 +38,7 @@ pub fn clio_kv(mix: YcsbMix) -> f64 {
     cluster.run_until_idle();
     let mut mean = 0f64;
     for rec in recs {
-        mean += rec.borrow().latency().mean_ns / 2.0;
+        mean += rec.borrow().latency().mean() / 2.0;
     }
     mean / 1000.0
 }

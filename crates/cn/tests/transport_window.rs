@@ -286,7 +286,7 @@ use clio_sim::{SimDuration as D, SimTime};
 /// Drives a bare transport's congestion window with synthetic RTT samples
 /// and checks every clause of the derivation contract.
 #[test]
-fn rtt_derived_budget_caps_falls_back_and_resets() {
+fn rtt_derived_budget_falls_back_then_caps() {
     let mut t = Transport::new(CLibConfig::prototype(), 1);
 
     // Before any RTT sample: zero — never hold blind.

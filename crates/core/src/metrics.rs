@@ -1,6 +1,6 @@
 //! Measurement helpers shared by client programs and benchmarks.
 
-use clio_sim::stats::{Histogram, LatencySummary};
+use clio_sim::stats::Histogram;
 use clio_sim::{Bandwidth, SimDuration, SimTime};
 
 /// Collects per-operation latency plus goodput over a measurement window,
@@ -64,14 +64,9 @@ impl OpRecorder {
         self.errors
     }
 
-    /// The latency histogram.
-    pub fn histogram(&self) -> &Histogram {
+    /// The latency histogram of the measured ops.
+    pub fn latency(&self) -> &Histogram {
         &self.hist
-    }
-
-    /// Latency summary (mean/percentiles).
-    pub fn latency(&self) -> LatencySummary {
-        self.hist.summary()
     }
 
     /// Goodput in Gbps over the measured window.
@@ -97,7 +92,7 @@ mod tests {
         assert_eq!(r.ops(), 0, "warm-up sample discarded");
         r.record(SimTime::from_nanos(1500), SimDuration::from_nanos(10), 100);
         assert_eq!(r.ops(), 1);
-        assert_eq!(r.latency().count, 1);
+        assert_eq!(r.latency().count(), 1);
     }
 
     #[test]

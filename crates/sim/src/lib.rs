@@ -14,8 +14,8 @@
 //!   thread pools ([`resource`]),
 //! * deterministic integer-keyed tables ([`IdMap`], [`IdSet`]) for simulator
 //!   state ([`table`]),
-//! * a statistics toolkit: log-bucketed latency histograms with percentiles,
-//!   and time series ([`stats`]).
+//! * a statistics toolkit: latency histograms with exact percentiles, and
+//!   time series ([`stats`]).
 //!
 //! Everything is single-threaded and deterministic: running the same
 //! simulation with the same seed produces the identical event sequence, which

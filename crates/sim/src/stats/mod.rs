@@ -1,7 +1,7 @@
-//! Measurement toolkit: latency histograms and time series.
+//! Measurement toolkit: exact latency histograms and time series.
 
 mod histogram;
 mod series;
 
-pub use histogram::{Histogram, LatencySummary};
+pub use histogram::Histogram;
 pub use series::{render_table, Series};

@@ -25,8 +25,8 @@ cd "$(dirname "$0")/.."
 
 # Knobs kept with one site, each with its reason.
 declare -A allow=(
-  # ROADMAP directions 2 and 7 vary it on either side of the paper's
-  # 3 x TIMEOUT x bandwidth sizing rule.
+  # ROADMAP's at-most-once and swarm directions vary it on either side
+  # of the paper's 3 x TIMEOUT x bandwidth sizing rule.
   [dedup_buffer_bytes]=1
   # benchmark/src/kernels.rs reads it, and benchmark/ changes only in a
   # benchmark PR.
@@ -37,10 +37,10 @@ declare -A allow=(
   # PAPER.md's calibration table cites it (§4.4: the window may fall
   # below one packet).
   [cwnd_min]=1
-  # ROADMAP direction 7's swarm draws it (a small incast window).
+  # ROADMAP's swarm direction draws it (a small incast window).
   [iwnd_bytes]=1
-  # Only clib_end_to_end.rs sets it; ROADMAP 1(b) replaces it with a
-  # budget derived from the migration timeout.
+  # Only clib_end_to_end.rs sets it; ROADMAP's "one re-issue budget"
+  # direction replaces it with a budget derived from the migration timeout.
   [max_conflict_retries]=1
   # McConfig's planted transport bug: only the checker's self-test
   # (crates/mc/tests/, the crate's doc example) sets it, to show the
