@@ -8,7 +8,7 @@
 //! saturation).
 
 use clio_baselines::rdma::{RdmaNic, RnicParams, Verb};
-use clio_bench::drivers::{AccessMix, MemLoad};
+use clio_bench::drivers::{spawn_recorded, AccessMix, MemLoad};
 use clio_bench::setup::bench_cluster;
 use clio_bench::FigureReport;
 use clio_proto::Pid;
@@ -24,9 +24,15 @@ fn clio_point(procs: u64) -> f64 {
     let mut recs = Vec::new();
     for p in 0..procs {
         let mut d = MemLoad::new(16, AccessMix::Reads, OPS_PER_PROC, 1, 1, page);
-        // Constant light aggregate load: ~N x 20us think.
+        // Constant light aggregate load: ~N x 20us think, with the starts
+        // 20us apart so the N processes take turns (like the RDMA series'
+        // one op every 20us) instead of firing in one burst per period.
         d.think = SimDuration::from_micros(procs * 20);
-        recs.push(d.spawn(&mut cluster, 0, Pid(1000 + p)));
+        let start = SimDuration::from_micros(p * 20);
+        recs.push(spawn_recorded(&mut cluster, 0, Pid(1000 + p), move |h, rec| async move {
+            h.sleep(start).await;
+            d.run(h, rec).await;
+        }));
     }
     cluster.start();
     cluster.run_until_idle();

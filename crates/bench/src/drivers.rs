@@ -123,28 +123,32 @@ impl MemLoad {
 
     /// Spawns the load as process `pid` on compute node `cn`.
     pub fn spawn(self, cluster: &mut Cluster, cn: usize, pid: Pid) -> Recorder {
-        spawn_recorded(cluster, cn, pid, move |h, rec| async move {
-            let va = alloc_warm(&h, self.span_pages, self.page_size, &rec).await;
-            let issued = Rc::new(Cell::new(0));
-            let window = u64::from(self.window).min(self.ops);
-            // The first window: one W-entry vector in scatter/gather mode,
-            // W independent submissions (each task's own) otherwise.
-            let first: Vec<Option<OpFuture>> = if self.scatter_gather {
-                let ops = (0..window).map(|_| self.next_op(va, &issued).expect("window <= ops"));
-                let futs = match self.mix {
-                    AccessMix::Reads => h.rread_v(ops.map(|(at, _)| (at, self.size)).collect()),
-                    AccessMix::Writes => {
-                        h.rwrite_v(ops.map(|(at, d)| (at, d.expect("a write has data"))).collect())
-                    }
-                };
-                futs.into_iter().map(Some).collect()
-            } else {
-                (0..window).map(|_| None).collect()
+        spawn_recorded(cluster, cn, pid, move |h, rec| self.run(h, rec))
+    }
+
+    /// The load's program: allocates and warms its pages, then spawns the
+    /// window's tasks on `h`, filing their ops under `rec`.
+    pub async fn run(self, h: ProcHandle, rec: Recorder) {
+        let va = alloc_warm(&h, self.span_pages, self.page_size, &rec).await;
+        let issued = Rc::new(Cell::new(0));
+        let window = u64::from(self.window).min(self.ops);
+        // The first window: one W-entry vector in scatter/gather mode,
+        // W independent submissions (each task's own) otherwise.
+        let first: Vec<Option<OpFuture>> = if self.scatter_gather {
+            let ops = (0..window).map(|_| self.next_op(va, &issued).expect("window <= ops"));
+            let futs = match self.mix {
+                AccessMix::Reads => h.rread_v(ops.map(|(at, _)| (at, self.size)).collect()),
+                AccessMix::Writes => {
+                    h.rwrite_v(ops.map(|(at, d)| (at, d.expect("a write has data"))).collect())
+                }
             };
-            for fut in first {
-                h.spawn(self.window_task(h.clone(), va, issued.clone(), rec.clone(), fut));
-            }
-        })
+            futs.into_iter().map(Some).collect()
+        } else {
+            (0..window).map(|_| None).collect()
+        };
+        for fut in first {
+            h.spawn(self.window_task(h.clone(), va, issued.clone(), rec.clone(), fut));
+        }
     }
 
     /// One slot of the window: completes `first` (if handed one), then
