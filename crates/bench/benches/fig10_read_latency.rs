@@ -44,7 +44,7 @@ pub fn clio_latency(size: u32, mix: AccessMix) -> f64 {
     mean_ns / 1000.0
 }
 
-/// Mean one-sided RDMA verb latency (us) on a CX3 RNIC.
+/// Median one-sided RDMA verb latency (us) on a CX3 RNIC.
 pub fn rdma_latency(size: u32, verb: Verb) -> f64 {
     let mut nic = RdmaNic::new(RnicParams::connectx3(), true);
     let mut rng = SimRng::new(2);
@@ -55,7 +55,7 @@ pub fn rdma_latency(size: u32, verb: Verb) -> f64 {
     })
 }
 
-/// Mean Clover read/write latency (us) for one op size.
+/// Median Clover read/write latency (us) for one op size.
 pub fn clover_latency(size: u32, write: bool) -> f64 {
     let mut m = CloverModel::new(RnicParams::connectx3());
     let mut rng = SimRng::new(3);
@@ -70,7 +70,7 @@ pub fn clover_latency(size: u32, write: bool) -> f64 {
     })
 }
 
-/// Mean HERD RPC latency (us), CPU or BlueField server.
+/// Median HERD RPC latency (us), CPU or BlueField server.
 pub fn herd_latency(size: u32, bluefield: bool) -> f64 {
     let params = if bluefield { HerdParams::on_bluefield() } else { HerdParams::on_cpu() };
     let mut m = HerdModel::new(params);
@@ -78,7 +78,7 @@ pub fn herd_latency(size: u32, bluefield: bool) -> f64 {
     median_of(|now| m.request(&mut rng, now, size as u64))
 }
 
-/// Mean LegoOS remote-access latency (us) for one op size.
+/// Median LegoOS remote-access latency (us) for one op size.
 pub fn legoos_latency(size: u32) -> f64 {
     let mut m = LegoOsModel::new();
     let mut rng = SimRng::new(5);
