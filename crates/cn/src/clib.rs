@@ -18,6 +18,9 @@
 //! fence's next leg, a backoff after a `Conflict` refusal (the range is
 //! migrating, §4.7), a re-route after `Moved` — and each one re-enters
 //! the transport through [`Transport::send`], like a first submission.
+//! A spin, backoff or re-route happens only within
+//! [`CLibConfig::REISSUE_HORIZON`] of the op's arrival; past it the op
+//! ends with its last refusal.
 //!
 //! CLib routes every op not submitted to a named memory node
 //! ([`crate::route`]) and asks its host for what needs the global
@@ -41,10 +44,6 @@ use crate::op::Op;
 use crate::ordering::{AccessClass, DependencyTracker};
 use crate::route::{RasRouter, Route};
 use crate::transport::{CompletionValue, OpToken, Transport, TransportTimer, XferDone};
-
-/// How many times one op is re-routed after `Moved` refusals before the
-/// refusal is its result.
-const MAX_MOVED_RETRIES: u32 = 8;
 
 /// Identifies an application thread for intra-thread ordering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -136,8 +135,8 @@ struct PendingOp {
     /// No MN was named: a fence fences every MN, a `Moved` refusal
     /// re-routes, an alloc or free reaches the controller's books.
     routed: bool,
-    /// `Moved` re-routes so far.
-    moved: u32,
+    /// Lock spins, `Conflict` backoffs and `Moved` re-routes so far.
+    reissues: u32,
     /// `Conflict` refusals backed off from so far.
     conflicts: u32,
     /// A fence's first failed leg: a fence that missed an MN did not fence.
@@ -176,7 +175,6 @@ clio_trace::counters! {
 /// a whole run.
 #[derive(Debug, Clone)]
 pub struct CLib {
-    cfg: CLibConfig,
     page_size: u64,
     transport: Transport,
     router: RasRouter,
@@ -200,7 +198,6 @@ impl CLib {
     pub fn new(cfg: CLibConfig, cn_id: u64, page_size: u64, slices: Vec<(u64, u64, Mac)>) -> Self {
         CLib {
             transport: Transport::new(cfg, cn_id),
-            cfg,
             page_size,
             router: RasRouter::new(slices),
             trackers: IdMap::default(),
@@ -452,7 +449,7 @@ impl CLib {
             queued_since: (arrival < now).then_some(arrival),
             trace: None,
             routed: mn.is_none(),
-            moved: 0,
+            reissues: 0,
             conflicts: 0,
             leg_error: None,
         };
@@ -606,7 +603,9 @@ impl CLib {
 
     /// Processes one finished transfer: lock spinning, `Conflict` backoff,
     /// fence legs, `Moved` re-routes — every re-issue is decided here — then
-    /// ordering release and completion delivery.
+    /// ordering release and completion delivery. A spin, backoff or
+    /// re-route is taken only before the op's re-issue horizon; after it
+    /// the refusal is the result, a held lock's as `TimedOut`.
     fn finish(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -616,21 +615,21 @@ impl CLib {
     ) {
         let token = done.token;
         let Some(pending) = self.ops.get_mut(&token) else { return };
+        let reissue = ctx.now() < pending.issued_at + CLibConfig::REISSUE_HORIZON;
 
         match (&pending.op, &done.result) {
             // Lock spinning: TAS returned 1 -> not acquired; back off and retry.
-            (Op::Lock { .. }, Ok(CompletionValue::Old(old))) if *old != 0 => {
+            (Op::Lock { .. }, Ok(CompletionValue::Old(old))) if *old != 0 && reissue => {
+                pending.reissues += 1;
                 ctx.schedule(CLibConfig::LOCK_BACKOFF, Message::new(LockRetry { token }));
                 return;
             }
             // The range is migrating: back off (longer after each refusal)
-            // and re-issue, still in the thread's order; past the budget
-            // the refusal is the op's result.
-            (_, Err(ClioError::Remote(Status::Conflict)))
-                if pending.conflicts < self.cfg.max_conflict_retries =>
-            {
+            // and re-issue, still in the thread's order.
+            (_, Err(ClioError::Remote(Status::Conflict))) if reissue => {
                 let backoff = CLibConfig::CONFLICT_BACKOFF * (1 + pending.conflicts.min(16) as u64);
                 pending.conflicts += 1;
+                pending.reissues += 1;
                 ctx.schedule(backoff, Message::new(ConflictRetry { token }));
                 return;
             }
@@ -650,9 +649,9 @@ impl CLib {
             // The range moved: the op leaves its thread's order and its
             // trace ends, and CLib holds it while the host asks the
             // controller where the range went.
-            (op, Err(ClioError::Moved)) if pending.routed && pending.moved < MAX_MOVED_RETRIES => {
+            (op, Err(ClioError::Moved)) if pending.routed && reissue => {
                 if let Some((va, len)) = op.span() {
-                    pending.moved += 1;
+                    pending.reissues += 1;
                     pending.mn = None;
                     let (thread, pid, trace) = (pending.thread, pending.pid, pending.trace.take());
                     self.notices.push(Notice::Reroute(token, pid, va, len));
@@ -665,9 +664,14 @@ impl CLib {
         }
 
         let pending = self.ops.remove(&token).expect("checked above");
-        // Locks/unlocks surface as Done; raw atomics surface the value; a
-        // fence reports its first failed leg.
+        // Locks/unlocks surface as Done, a lock still held at the horizon
+        // as its spin timing out; raw atomics surface the value; a fence
+        // reports its first failed leg.
         let result = match (&pending.op, done.result) {
+            (Op::Lock { .. }, Ok(CompletionValue::Old(old))) if old != 0 => {
+                let mn = pending.mn.expect("a lock ran");
+                Err(ClioError::TimedOut { op: "lock", mn, attempts: pending.reissues + 1 })
+            }
             (Op::Lock { .. } | Op::Unlock { .. }, Ok(_)) => Ok(CompletionValue::Done),
             (_, result) => pending.leg_error.map_or(result, Err),
         };

@@ -14,9 +14,6 @@ pub struct CLibConfig {
     pub request_timeout: SimDuration,
     /// Retries before the request fails back to the application.
     pub max_retries: u32,
-    /// Retries allowed for `Conflict` refusals (migration takes ~1 s/GB, so
-    /// this budget is generous and the backoff grows).
-    pub max_conflict_retries: u32,
     /// Initial congestion window (requests) per MN.
     pub cwnd_init: f64,
     /// Maximum congestion window (requests) per MN.
@@ -50,6 +47,13 @@ impl CLibConfig {
     /// Spin interval between lock acquisition attempts (§4.5 T3).
     pub const LOCK_BACKOFF: SimDuration = SimDuration::from_micros(2);
 
+    /// How long after its arrival an op may still be re-issued — a lock
+    /// spin, a backoff after `Conflict`, a re-route after `Moved`; past it
+    /// the op ends with its last refusal. Over 16× the longest wait of a
+    /// re-issued op that succeeds in the workspace's tests (605 µs), and
+    /// enough to migrate one 4 MB page at ~1 s/GB.
+    pub const REISSUE_HORIZON: SimDuration = SimDuration::from_millis(10);
+
     /// Additive increase per acknowledged request (divided by cwnd, §4.4).
     pub const CWND_AI: f64 = 1.0;
 
@@ -71,7 +75,6 @@ impl CLibConfig {
         CLibConfig {
             request_timeout: SimDuration::from_micros(50),
             max_retries: 3,
-            max_conflict_retries: 100_000,
             cwnd_init: 16.0,
             cwnd_max: 256.0,
             cwnd_min: 0.01,

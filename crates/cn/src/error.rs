@@ -10,15 +10,18 @@ pub enum ClioError {
     Remote(Status),
     /// The request (and all its retries) went unanswered (§4.5 T4: "we
     /// report the error to the application" when the dedup window is
-    /// exhausted). Carries enough context to tell a slow board from a
-    /// dead one: what kind of op, which MN, and how many attempts were
-    /// made before giving up.
+    /// exhausted), or an `rlock` still found the lock held when its
+    /// [`CLibConfig::REISSUE_HORIZON`](crate::CLibConfig::REISSUE_HORIZON)
+    /// passed. Carries enough context to tell a slow board from a dead
+    /// one: what kind of op, which MN, and how many attempts were made
+    /// before giving up.
     TimedOut {
-        /// Kind of the op that timed out ("read", "write", ...).
+        /// Kind of the op that timed out ("read", "write", "lock", ...).
         op: &'static str,
         /// The memory node the op was addressed to.
         mn: Mac,
-        /// Attempts made (first send plus retries) before giving up.
+        /// Attempts made before giving up: first send plus retries, or
+        /// for a lock its test-and-set attempts.
         attempts: u32,
     },
     /// The target MN was presumed dead and the op failed fast.

@@ -2,10 +2,15 @@
 //! memory node over the simulated fabric, including loss/corruption retries,
 //! ordering, and lock-based mutual exclusion across compute nodes. The
 //! `Conflict` policy (CLib backs off and re-issues a refused op) runs
-//! against a scripted board that refuses the first requests it sees.
+//! against a scripted board that refuses the first requests it sees. Every
+//! re-issue — a lock spin, a `Conflict` backoff, a `Moved` re-route — ends
+//! at `CLibConfig::REISSUE_HORIZON`; the `reissue_horizon_*` tests bound
+//! their runs with `run_for`, as an unbounded re-issue would never idle.
 
 use bytes::Bytes;
-use clio_cn::{CLib, CLibConfig, ClioError, Completion, CompletionValue, Op, OpToken, ThreadId};
+use clio_cn::{
+    CLib, CLibConfig, ClioError, Completion, CompletionValue, Notice, Op, OpToken, Route, ThreadId,
+};
 use clio_mn::{CBoard, CBoardConfig};
 use clio_net::{FaultInjector, Frame, Mac, Network, NetworkConfig, NicPort};
 use clio_proto::{
@@ -28,8 +33,10 @@ struct Cancel(OpToken);
 struct CnHost {
     nic: NicPort,
     clib: CLib,
-    /// The one board every op of the rig is addressed to.
-    mn: Mac,
+    /// The one board every op of the rig is addressed to; `None`: CLib
+    /// routes every op, and the host answers each re-route as a stale
+    /// controller would, with the board that refused it.
+    mn: Option<Mac>,
     completions: Vec<Completion>,
 }
 
@@ -37,7 +44,14 @@ struct CnHost {
 const PID: Pid = Pid(7);
 
 impl CnHost {
-    fn absorb(&mut self, mut c: Vec<Completion>) {
+    /// Keeps `c`, after answering every re-route CLib raised with
+    /// `SCRIPTED_MN`, the only board a routed host's rig has.
+    fn absorb(&mut self, ctx: &mut Ctx<'_>, mut c: Vec<Completion>) {
+        let notices: Vec<Notice> = self.clib.notices().collect();
+        for notice in notices {
+            let Notice::Reroute(token, ..) = notice else { panic!("unexpected {notice:?}") };
+            self.clib.place(ctx, &mut self.nic, token, Route::Owned(SCRIPTED_MN), &mut c);
+        }
         self.completions.append(&mut c);
     }
 }
@@ -51,8 +65,8 @@ impl Actor for CnHost {
             Ok(s) => {
                 let mut comps = Vec::new();
                 let (nic, mn) = (&mut self.nic, self.mn);
-                self.clib.submit(ctx, nic, s.thread, Some(mn), PID, ctx.now(), s.op, &mut comps);
-                self.absorb(comps);
+                self.clib.submit(ctx, nic, s.thread, mn, PID, ctx.now(), s.op, &mut comps);
+                self.absorb(ctx, comps);
                 return;
             }
             Err(m) => m,
@@ -61,7 +75,7 @@ impl Actor for CnHost {
             Ok(Cancel(token)) => {
                 let mut comps = Vec::new();
                 assert!(self.clib.cancel(ctx, &mut self.nic, token, &mut comps), "not pending");
-                self.absorb(comps);
+                self.absorb(ctx, comps);
                 return;
             }
             Err(m) => m,
@@ -70,7 +84,7 @@ impl Actor for CnHost {
             Ok(f) => {
                 let mut comps = Vec::new();
                 self.clib.on_frame(ctx, &mut self.nic, f, &mut comps);
-                self.absorb(comps);
+                self.absorb(ctx, comps);
                 return;
             }
             Err(m) => m,
@@ -78,7 +92,7 @@ impl Actor for CnHost {
         let mut comps = Vec::new();
         let leftover = self.clib.on_timer(ctx, &mut self.nic, msg, &mut comps);
         assert!(leftover.is_none(), "unexpected message at CN host");
-        self.absorb(comps);
+        self.absorb(ctx, comps);
     }
 }
 
@@ -105,7 +119,7 @@ fn rig_with(cfg: CBoardConfig, clib_cfg: CLibConfig) -> Rig {
     let cn = sim.add_actor(CnHost {
         nic: cport,
         clib: CLib::new(clib_cfg, 1, page, Vec::new()),
-        mn: board_mac,
+        mn: Some(board_mac),
         completions: vec![],
     });
     net.attach(&mut sim, cmac, cn);
@@ -306,9 +320,9 @@ fn total_blackout_times_out_with_error() {
     assert!(lat >= SimDuration::from_micros(200), "timeout latency {lat}");
 }
 
-#[test]
-fn locks_provide_mutual_exclusion_across_cns() {
-    // Two CN hosts contend for one lock word on the board.
+/// Two CN hosts and one board; host 0 has allocated a page for a lock word
+/// (shared RAS => same Pid). Returns the hosts and the page's address.
+fn lock_rig() -> (Simulation, Vec<ActorId>, Mac, u64) {
     let mut sim = Simulation::new(3);
     let mut net = Network::new(&mut sim, NetworkConfig::default());
     let cfg = CBoardConfig::test_small();
@@ -326,14 +340,13 @@ fn locks_provide_mutual_exclusion_across_cns() {
         let host = sim.add_actor(CnHost {
             nic: port,
             clib: CLib::new(CLibConfig::default(), cn_id + 1, page, Vec::new()),
-            mn: bmac,
+            mn: Some(bmac),
             completions: vec![],
         });
         net.attach(&mut sim, mac, host);
         hosts.push(host);
     }
 
-    // Host 0 allocates the lock page (shared RAS => same Pid).
     sim.post(
         hosts[0],
         Message::new(Submit { thread: ThreadId(0), op: Op::Alloc { size: 4096, perm: Perm::RW } }),
@@ -343,7 +356,13 @@ fn locks_provide_mutual_exclusion_across_cns() {
         Ok(CompletionValue::Va(va)) => *va,
         other => panic!("alloc failed: {other:?}"),
     };
+    (sim, hosts, bmac, va)
+}
 
+#[test]
+fn locks_provide_mutual_exclusion_across_cns() {
+    // Two CN hosts contend for one lock word on the board.
+    let (mut sim, hosts, _, va) = lock_rig();
     // Both hosts grab the lock; host 0 wins (posted first) and releases
     // 300 µs later; host 1 must not acquire before that.
     sim.post(hosts[0], Message::new(Submit { thread: ThreadId(0), op: Op::Lock { va } }));
@@ -366,6 +385,39 @@ fn locks_provide_mutual_exclusion_across_cns() {
     let lock1_at = h1.completions.last().expect("host1 acquired eventually").completed_at;
     assert!(lock1_at.as_nanos() >= 300_000, "host1 acquired before the unlock: {lock1_at}");
     assert!(lock0_at < lock1_at);
+}
+
+/// A lock whose holder never unlocks — what a `runlock` lost past its
+/// retries looks like to a spinner — ends the other host's spin at the
+/// re-issue horizon: its `rlock` completes `TimedOut`, at most one spin
+/// interval and one test-and-set round trip past the horizon.
+#[test]
+fn reissue_horizon_ends_a_spin_on_a_held_lock() {
+    let (mut sim, hosts, bmac, va) = lock_rig();
+    sim.post(hosts[0], Message::new(Submit { thread: ThreadId(0), op: Op::Lock { va } }));
+    sim.run_until_idle();
+    let held = sim.actor::<CnHost>(hosts[0]).completions.last().expect("host0 locked");
+    assert_eq!(held.result, Ok(CompletionValue::Done));
+    let round_trip = held.latency();
+
+    sim.post(hosts[1], Message::new(Submit { thread: ThreadId(0), op: Op::Lock { va } }));
+    let bound = CLibConfig::REISSUE_HORIZON + CLibConfig::LOCK_BACKOFF + round_trip;
+    sim.run_for(bound + round_trip);
+    let h1 = sim.actor::<CnHost>(hosts[1]);
+    let [c] = &h1.completions[..] else { panic!("one completion: {:?}", h1.completions) };
+    let Err(ClioError::TimedOut { op, mn, attempts }) = c.result else {
+        panic!("expected TimedOut, got {:?}", c.result);
+    };
+    assert_eq!((op, mn), ("lock", bmac));
+    assert!(attempts > 1, "the spin re-issued ({attempts} attempts)");
+    assert!(
+        c.latency() >= CLibConfig::REISSUE_HORIZON && c.latency() <= bound,
+        "spun for {} (bound {bound})",
+        c.latency()
+    );
+    assert_eq!(h1.clib.in_flight(), 0);
+    // Nothing is left to re-issue: the simulation idles.
+    sim.run_until_idle();
 }
 
 #[test]
@@ -416,11 +468,13 @@ const SCRIPTED_CN: Mac = Mac(1);
 const SCRIPTED_MN: Mac = Mac(2);
 
 /// A board that refuses the first `refusals` requests it receives with
-/// `Conflict` (as a board migrating the range would) and serves every
-/// later one with `Ok`. It doubles as the CN NIC's switch, so frames
-/// arrive here directly; it logs each request's arrival.
+/// `refusal` (`Conflict` as a board migrating the range would, `Moved` as
+/// one that gave it away) and serves every later one with `Ok`. It doubles
+/// as the CN NIC's switch, so frames arrive here directly; it logs each
+/// request's arrival.
 struct ScriptedBoard {
     cn: Option<ActorId>,
+    refusal: Status,
     refusals: usize,
     seen: Vec<(SimTime, RequestBody)>,
 }
@@ -437,7 +491,7 @@ impl Actor for ScriptedBoard {
             panic!("one request per frame expected")
         };
         let (status, resp) = if self.seen.len() < self.refusals {
-            (Status::Conflict, ResponseBody::Done)
+            (self.refusal, ResponseBody::Done)
         } else {
             match &body {
                 RequestBody::Read { len, .. } => (
@@ -457,20 +511,32 @@ impl Actor for ScriptedBoard {
 }
 
 /// A CLib host wired to a board that refuses its first `refusals`
-/// requests; returns the host's and the board's ids.
-fn scripted_rig(refusals: usize, cfg: CLibConfig) -> (Simulation, ActorId, ActorId) {
+/// requests with `refusal`; a `routed` host names no MN and routes every op
+/// over one slice the board owns. Returns the host's and the board's ids.
+fn scripted_rig_with(
+    refusal: Status,
+    refusals: usize,
+    routed: bool,
+) -> (Simulation, ActorId, ActorId) {
     let mut sim = Simulation::new(5);
-    let board = sim.add_actor(ScriptedBoard { cn: None, refusals, seen: Vec::new() });
+    let board = sim.add_actor(ScriptedBoard { cn: None, refusal, refusals, seen: Vec::new() });
     let nic =
         NicPort::new(SCRIPTED_CN, Bandwidth::from_gbps(40), board, SimDuration::from_nanos(50));
+    let slices = if routed { vec![(0, 1 << 30, SCRIPTED_MN)] } else { Vec::new() };
     let cn = sim.add_actor(CnHost {
         nic,
-        clib: CLib::new(cfg, 1, 4096, Vec::new()),
-        mn: SCRIPTED_MN,
+        clib: CLib::new(CLibConfig::default(), 1, 4096, slices),
+        mn: (!routed).then_some(SCRIPTED_MN),
         completions: vec![],
     });
     sim.actor_mut::<ScriptedBoard>(board).cn = Some(cn);
     (sim, cn, board)
+}
+
+/// A host naming its MN, against a board that refuses its first `refusals`
+/// requests with `Conflict`.
+fn scripted_rig(refusals: usize) -> (Simulation, ActorId, ActorId) {
+    scripted_rig_with(Status::Conflict, refusals, false)
 }
 
 fn write(va: u64, fill: u8) -> Op {
@@ -491,8 +557,7 @@ fn backoff_sum(k: u64) -> SimDuration {
 #[test]
 fn conflict_refused_op_backs_off_and_completes_once_served() {
     const K: usize = 3;
-    let cfg = CLibConfig::default();
-    let (mut sim, cn, board) = scripted_rig(K, cfg);
+    let (mut sim, cn, board) = scripted_rig(K);
     sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
     // The first refusal lands within a few µs; the first backoff is 100 µs.
     sim.run_for(CLibConfig::CONFLICT_BACKOFF / 2);
@@ -513,20 +578,55 @@ fn conflict_refused_op_backs_off_and_completes_once_served() {
     host.clib.transport().check_invariants().expect("window accounting");
 }
 
-/// Past `max_conflict_retries` backoffs the refusal is the op's result.
+/// Against a board that refuses forever (a range left mid-migration), the
+/// op backs off until the re-issue horizon and then ends with the refusal,
+/// at most one capped backoff past the horizon.
 #[test]
-fn conflict_past_the_budget_is_the_result() {
-    const K: usize = 3;
-    let cfg = CLibConfig { max_conflict_retries: K as u32 - 1, ..CLibConfig::default() };
-    let (mut sim, cn, board) = scripted_rig(K, cfg);
+fn reissue_horizon_ends_an_endless_conflict() {
+    let (mut sim, cn, board) = scripted_rig(usize::MAX);
     sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
-    sim.run_until_idle();
-    assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), K, "no attempt past the budget");
+    let bound = CLibConfig::REISSUE_HORIZON + CLibConfig::CONFLICT_BACKOFF * 17;
+    sim.run_for(bound);
     let host = sim.actor::<CnHost>(cn);
     let [c] = &host.completions[..] else { panic!("one completion: {:?}", host.completions) };
     assert_eq!(c.result, Err(ClioError::Remote(Status::Conflict)));
-    assert!(c.latency() >= backoff_sum(K as u64 - 1), "completed after {}", c.latency());
+    assert!(
+        c.latency() >= CLibConfig::REISSUE_HORIZON && c.latency() <= bound,
+        "completed after {}",
+        c.latency()
+    );
     assert_eq!(host.clib.in_flight(), 0);
+    // One attempt per backoff, and one more after the backoff that
+    // crossed the horizon.
+    let backoffs = (1..).find(|&k| backoff_sum(k) >= CLibConfig::REISSUE_HORIZON).unwrap();
+    assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), backoffs as usize + 1);
+    sim.run_until_idle();
+    assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), backoffs as usize + 1);
+}
+
+/// A routed op the board answers `Moved`, whose every re-route a stale
+/// controller sends back to the same board, re-routes until the re-issue
+/// horizon and then ends `Moved`, within a round trip of it (one to the
+/// scripted board takes ~1.2 µs).
+#[test]
+fn reissue_horizon_ends_endless_moved_reroutes() {
+    let (mut sim, cn, board) = scripted_rig_with(Status::Moved, usize::MAX, true);
+    sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
+    let bound = CLibConfig::REISSUE_HORIZON + SimDuration::from_micros(10);
+    sim.run_for(bound);
+    let host = sim.actor::<CnHost>(cn);
+    let [c] = &host.completions[..] else { panic!("one completion: {:?}", host.completions) };
+    assert_eq!(c.result, Err(ClioError::Moved));
+    assert!(
+        c.latency() >= CLibConfig::REISSUE_HORIZON && c.latency() <= bound,
+        "completed after {}",
+        c.latency()
+    );
+    assert_eq!(host.clib.in_flight(), 0);
+    let attempts = sim.actor::<ScriptedBoard>(board).seen.len();
+    assert!(attempts > 9, "re-routed {} times, no more than a count allows", attempts - 1);
+    sim.run_until_idle();
+    assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), attempts, "sent past the result");
 }
 
 /// A backing-off op keeps its place in its thread's order: a same-page
@@ -535,8 +635,7 @@ fn conflict_past_the_budget_is_the_result() {
 #[test]
 fn conflict_backoff_keeps_a_same_page_write_behind_the_refused_op() {
     const K: usize = 2;
-    let cfg = CLibConfig::default();
-    let (mut sim, cn, board) = scripted_rig(K, cfg);
+    let (mut sim, cn, board) = scripted_rig(K);
     sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
     sim.post_in(
         cn,
@@ -567,8 +666,7 @@ fn conflict_backoff_keeps_a_same_page_write_behind_the_refused_op() {
 /// the backoff's end re-issues nothing.
 #[test]
 fn conflict_backoff_cancelled_ends_the_op_and_sends_nothing_more() {
-    let cfg = CLibConfig::default();
-    let (mut sim, cn, board) = scripted_rig(1, cfg);
+    let (mut sim, cn, board) = scripted_rig(1);
     sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
     sim.post_in(cn, CLibConfig::CONFLICT_BACKOFF / 2, Message::new(Cancel(OpToken(1))));
     sim.run_until_idle();

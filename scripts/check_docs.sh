@@ -271,9 +271,11 @@ if [ "$fail" -ne 0 ]; then
 fi
 # PAPER.md's code references. Every `crates/…:N[-M]`, and a bare
 # `:N[-M]` continuing the last file named on its line, must name lines
-# that exist. In the calibration table, at least one identifier a row
-# backticks (the last `::` component) must appear in the lines it cites,
-# so a reference that drifted off its constant fails here.
+# that exist. Every line a figure bench citation
+# (`crates/bench/benches/…`) names must hold the bench's `paper` note. In
+# the calibration table, at least one identifier a row backticks (the
+# last `::` component) must appear in the lines it cites, so a reference
+# that drifted off its constant fails here.
 PAPER="PAPER.md"
 in_cal=0
 lineno=0
@@ -300,7 +302,12 @@ while IFS= read -r line; do
       echo "$PAPER:$lineno: \`$tok\` cites lines $lo-$hi of $file, which has $(wc -l < "$file")"
       fail=1
     else
-      cited+=$(sed -n "${lo},${hi}p" "$file")$'\n'
+      lines=$(sed -n "${lo},${hi}p" "$file")
+      if [[ "$file" == crates/bench/benches/* ]] && grep -qv 'paper' <<<"$lines"; then
+        echo "$PAPER:$lineno: \`$tok\` cites a line of $file without the bench's paper note"
+        fail=1
+      fi
+      cited+=$lines$'\n'
     fi
   done < <(grep -o '`[^`]*`' <<<"$line" | tr -d '`')
   [ "$in_cal" -eq 1 ] && [[ "$line" == "|"* ]] && [ -n "$cited" ] || continue

@@ -39,9 +39,6 @@ declare -A allow=(
   [cwnd_min]=1
   # ROADMAP's swarm direction draws it (a small incast window).
   [iwnd_bytes]=1
-  # Only clib_end_to_end.rs sets it; ROADMAP's "one re-issue budget"
-  # direction replaces it with a budget derived from the migration timeout.
-  [max_conflict_retries]=1
   # McConfig's planted transport bug: only the checker's self-test
   # (crates/mc/tests/, the crate's doc example) sets it, to show the
   # search catches one.
