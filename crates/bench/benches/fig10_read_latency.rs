@@ -20,7 +20,7 @@ const SIZES: &[u32] = &[4, 16, 64, 256, 1024, 4096];
 const OPS: u64 = 500;
 
 /// Median over a sampled latency model (tail jitter belongs in Figure 7,
-/// not in these mean-latency curves).
+/// not in these median-latency curves).
 fn median_of(mut sample: impl FnMut(SimTime) -> SimTime) -> f64 {
     let mut h = Histogram::new();
     let mut now = SimTime::ZERO;
@@ -32,7 +32,8 @@ fn median_of(mut sample: impl FnMut(SimTime) -> SimTime) -> f64 {
     h.percentile(50.0) as f64 / 1000.0
 }
 
-/// Mean Clio read/write latency (us) for one op size.
+/// Median Clio read/write latency (us) for one op size, the statistic
+/// every baseline reports.
 pub fn clio_latency(size: u32, mix: AccessMix) -> f64 {
     let mut cluster = bench_cluster(1, 1, 90 + size as u64);
     let va = alias_ptes(&mut cluster, 0, Pid(4), 8);
@@ -40,8 +41,8 @@ pub fn clio_latency(size: u32, mix: AccessMix) -> f64 {
     let rec = load.spawn(&mut cluster, 0, Pid(4));
     cluster.start();
     cluster.run_until_idle();
-    let mean_ns = rec.borrow().latency().mean();
-    mean_ns / 1000.0
+    let median_ns = rec.borrow().latency().percentile(50.0);
+    median_ns as f64 / 1000.0
 }
 
 /// Median one-sided RDMA verb latency (us) on a CX3 RNIC.

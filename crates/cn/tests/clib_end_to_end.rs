@@ -321,7 +321,7 @@ fn total_blackout_times_out_with_error() {
 }
 
 /// Two CN hosts and one board; host 0 has allocated a page for a lock word
-/// (shared RAS => same Pid). Returns the hosts and the page's address.
+/// (shared RAS => same Pid). Returns the hosts, the board and the page.
 fn lock_rig() -> (Simulation, Vec<ActorId>, Mac, u64) {
     let mut sim = Simulation::new(3);
     let mut net = Network::new(&mut sim, NetworkConfig::default());
