@@ -193,8 +193,8 @@ impl CLib {
     /// Creates a CLib for a CN. `cn_id` seeds the CN-unique request-id
     /// space; `page_size` must match the MNs' page size for dependency
     /// tracking granularity. Ops submitted without a named MN are routed
-    /// over `slices` (base, span, owner MAC per MN, in MN order; a fence
-    /// fences every MN in this order); with none, every op names its MN.
+    /// over `slices` (base, span, owner MAC per MN; a fence fences every MN
+    /// in address order); with none, every op names its MN.
     pub fn new(cfg: CLibConfig, cn_id: u64, page_size: u64, slices: Vec<(u64, u64, Mac)>) -> Self {
         CLib {
             transport: Transport::new(cfg, cn_id),
@@ -249,9 +249,11 @@ impl CLib {
 
     /// Applies a committed migration the controller broadcast: `[start,
     /// start + len)` of `pid` now lives on `mn`, so the next access targets
-    /// it directly instead of eating a `Moved` refusal.
+    /// it directly instead of eating a `Moved` refusal. The router learns
+    /// only from this broadcast, which lands before the controller's reply
+    /// to any query a `Moved` refusal raised.
     pub fn apply_route_update(&mut self, pid: Pid, start: u64, len: u64, mn: Mac) {
-        self.router.apply_update(pid, start, len, mn);
+        self.router.learn(pid, start, len, mn);
     }
 
     /// The controller conversation raised since the last drain, in order.
@@ -355,10 +357,11 @@ impl CLib {
     }
 
     /// Answers a [`Notice`] with the controller's `route` for the held op
-    /// `token`: an `ralloc`'s MN, or a refused access's owner now (cached,
-    /// then routed again). The op joins its thread's order at the tail with
-    /// a new trace, or completes with the error of a verdict no single MN
-    /// serves. False, doing nothing, if the op was cancelled meanwhile.
+    /// `token`: an `ralloc`'s MN, or a refused access's owner now (not
+    /// learned: see [`CLib::apply_route_update`]). The op joins its thread's
+    /// order at the tail with a new trace, or completes with the error of a
+    /// verdict no single MN serves. False, doing nothing, if the op was
+    /// cancelled meanwhile.
     pub fn place(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -369,29 +372,20 @@ impl CLib {
     ) -> bool {
         let Some(mut pending) = self.ops.remove(&token) else { return false };
         debug_assert!(pending.mn.is_none(), "only a held op is placed");
-        let (now, pid) = (ctx.now(), pending.pid);
-        let placed = match (pending.op.span(), route) {
-            (Some((va, len)), Route::Owned(mac)) => {
-                self.router.add_exception(pid, va, len.max(1), mac);
-                match self.router.lookup(pid, va, len) {
-                    Route::Owned(mn) => Ok(mn),
-                    verdict => Err(verdict.error(va, len)),
-                }
-            }
-            (None, Route::Owned(mn)) => Ok(mn),
-            (Some((va, len)), Route::Spans) => Err(ClioError::SpansOwners { va, len }),
-            // The controller lost track of the range.
-            _ => Err(ClioError::Moved),
-        };
-        match placed {
-            Ok(mn) => {
+        let now = ctx.now();
+        let error = match (pending.op.span(), route) {
+            (_, Route::Owned(mn)) => {
                 pending.mn = Some(mn);
                 if self.admit(now, token, pending) {
                     self.dispatch(ctx, nic, token, completions);
                 }
+                return true;
             }
-            Err(e) => self.report(now, token, &pending, Err(e), completions),
-        }
+            (Some((va, len)), Route::Spans) => ClioError::SpansOwners { va, len },
+            // The controller lost track of the range.
+            _ => ClioError::Moved,
+        };
+        self.report(now, token, &pending, Err(error), completions);
         true
     }
 

@@ -17,8 +17,8 @@
 use clio_cn::route::{self, Route};
 use clio_mn::migrate::{MigrateCommand, MigrationAborted, MigrationComplete, PressureReport};
 use clio_net::Mac;
-use clio_proto::Pid;
-use clio_sim::{Actor, ActorId, Ctx, Message, SimDuration, SimTime};
+use clio_proto::{Pid, RangeMap};
+use clio_sim::{Actor, ActorId, Ctx, Message, SimDuration};
 use clio_trace::metrics::{Metrics, Visit};
 
 clio_trace::counters! {
@@ -132,13 +132,12 @@ pub struct PlacementRefund {
     pub size: u64,
 }
 
+/// The books on one allocated range.
 #[derive(Debug, Clone, Copy)]
-struct TrackedRange {
-    pid: Pid,
-    va: u64,
-    len: u64,
+struct Tracked {
     owner: Mac,
-    allocated_at: SimTime,
+    /// Allocations tracked before this one: the oldest goes first.
+    seq: u64,
     migrating: bool,
 }
 
@@ -146,8 +145,6 @@ struct TrackedRange {
 struct MnInfo {
     mac: Mac,
     actor: ActorId,
-    slice_base: u64,
-    slice_span: u64,
     phys_bytes: u64,
     placed_bytes: u64,
 }
@@ -156,8 +153,10 @@ struct MnInfo {
 #[derive(Debug)]
 pub struct Controller {
     mns: Vec<MnInfo>,
+    slices: RangeMap<Mac>,
     cns: Vec<ActorId>,
-    ranges: Vec<TrackedRange>,
+    ranges: RangeMap<Tracked>,
+    allocs: u64,
     rpc_latency: SimDuration,
     stats: MigrationStats,
 }
@@ -168,8 +167,10 @@ impl Controller {
     pub fn new() -> Self {
         Controller {
             mns: Vec::new(),
+            slices: RangeMap::default(),
             cns: Vec::new(),
-            ranges: Vec::new(),
+            ranges: RangeMap::default(),
+            allocs: 0,
             rpc_latency: SimDuration::from_micros(2),
             stats: MigrationStats::default(),
         }
@@ -184,7 +185,8 @@ impl Controller {
         slice_span: u64,
         phys_bytes: u64,
     ) {
-        self.mns.push(MnInfo { mac, actor, slice_base, slice_span, phys_bytes, placed_bytes: 0 });
+        self.mns.push(MnInfo { mac, actor, phys_bytes, placed_bytes: 0 });
+        self.slices.insert(route::SLICE_KEY, slice_base, slice_span, mac);
     }
 
     /// Registers a compute node to receive [`RouteUpdate`] invalidation
@@ -228,33 +230,23 @@ impl Controller {
         Some(idx)
     }
 
-    /// The MNs' RAS slices, as (base, span, owner).
-    fn slices(&self) -> impl Iterator<Item = (u64, u64, Mac)> + Clone + '_ {
-        self.mns.iter().map(|m| (m.slice_base, m.slice_span, m.mac))
-    }
-
-    /// The tracked ranges, as (pid, start, len, owner): each overrides its
-    /// slice's owner.
-    fn tracked(&self) -> impl Iterator<Item = (Pid, u64, u64, Mac)> + Clone + '_ {
-        self.ranges.iter().map(|r| (r.pid, r.va, r.len, r.owner))
-    }
-
     /// The current owner of the single byte at `(pid, va)`: a tracked
     /// range's owner, or the slice owner as the default.
     pub fn owner_of(&self, pid: Pid, va: u64) -> Option<Mac> {
-        route::owner_of_byte(self.slices(), self.tracked(), pid, va)
+        match route::resolve(&self.slices, &self.ranges, |t| t.owner, pid, va, 1) {
+            Route::Owned(mac) => Some(mac),
+            _ => None,
+        }
     }
 
     fn handle_pressure(&mut self, ctx: &mut Ctx<'_>, report: PressureReport) {
         // Victim: the least-recently-allocated (coldest proxy) range on the
         // pressured node that is not already moving.
-        let Some(victim_idx) = self
+        let Some((pid, start, len, _)) = self
             .ranges
             .iter()
-            .enumerate()
-            .filter(|(_, r)| r.owner == report.mac && !r.migrating)
-            .min_by_key(|(_, r)| r.allocated_at)
-            .map(|(i, _)| i)
+            .filter(|(.., t)| t.owner == report.mac && !t.migrating)
+            .min_by_key(|(.., t)| t.seq)
         else {
             return;
         };
@@ -275,23 +267,18 @@ impl Controller {
             .find(|m| m.mac == report.mac)
             .expect("pressure from unregistered MN")
             .actor;
-        let victim = &mut self.ranges[victim_idx];
-        victim.migrating = true;
+        self.ranges.at_mut(pid, start).expect("the victim is tracked").1.migrating = true;
         self.stats.started += 1;
-        let cmd = MigrateCommand { pid: victim.pid, start: victim.va, len: victim.len, dst };
+        let cmd = MigrateCommand { pid, start, len, dst };
         ctx.send(src_actor, self.rpc_latency, Message::new(cmd));
     }
 
     fn handle_complete(&mut self, ctx: &mut Ctx<'_>, done: MigrationComplete) {
         self.stats.completed += 1;
-        let mut src: Option<Mac> = None;
-        for r in &mut self.ranges {
-            if r.pid == done.pid && r.va == done.start {
-                src = Some(r.owner);
-                r.owner = done.dst;
-                r.migrating = false;
-            }
-        }
+        let src = self.ranges.at_mut(done.pid, done.start).map(|(_, t)| {
+            t.migrating = false;
+            std::mem::replace(&mut t.owner, done.dst)
+        });
         // Account the moved bytes: credit the destination AND debit the
         // source, or placement permanently over-counts migrated-away
         // ranges and the skew compounds with every migration. A completion
@@ -316,10 +303,8 @@ impl Controller {
     /// again.
     fn handle_abort(&mut self, abort: MigrationAborted) {
         self.stats.aborted += 1;
-        for r in &mut self.ranges {
-            if r.pid == abort.pid && r.va == abort.start {
-                r.migrating = false;
-            }
+        if let Some((_, t)) = self.ranges.at_mut(abort.pid, abort.start) {
+            t.migrating = false;
         }
     }
 }
@@ -360,7 +345,8 @@ impl Actor for Controller {
         };
         let msg = match msg.downcast::<RouteQuery>() {
             Ok(q) => {
-                let route = route::resolve(self.slices(), self.tracked(), q.pid, q.va, q.len);
+                let route =
+                    route::resolve(&self.slices, &self.ranges, |t| t.owner, q.pid, q.va, q.len);
                 ctx.send(
                     q.reply_to,
                     self.rpc_latency,
@@ -372,14 +358,9 @@ impl Actor for Controller {
         };
         let msg = match msg.downcast::<AllocNotify>() {
             Ok(n) => {
-                self.ranges.push(TrackedRange {
-                    pid: n.pid,
-                    va: n.va,
-                    len: n.len,
-                    owner: n.mn,
-                    allocated_at: ctx.now(),
-                    migrating: false,
-                });
+                let tracked = Tracked { owner: n.mn, seq: self.allocs, migrating: false };
+                self.ranges.insert(n.pid, n.va, n.len, tracked);
+                self.allocs += 1;
                 return;
             }
             Err(m) => m,
@@ -389,10 +370,9 @@ impl Actor for Controller {
                 // Refund the freed range's bytes to its current owner (the
                 // same conservation rule as migration: placement charges
                 // move with the range and vanish with it).
-                if let Some(r) = self.ranges.iter().find(|r| r.pid == n.pid && r.va == n.va) {
-                    self.debit(r.owner, r.len);
+                if let Some((len, t)) = self.ranges.remove(n.pid, n.va) {
+                    self.debit(t.owner, len);
                 }
-                self.ranges.retain(|r| !(r.pid == n.pid && r.va == n.va));
                 return;
             }
             Err(m) => m,

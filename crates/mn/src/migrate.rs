@@ -9,9 +9,10 @@
 //! global controller.
 //!
 //! [`Migrations`] is the whole protocol on one board: one record per range
-//! the board is sending, has sent, or is receiving. It works on the board's
-//! [`Silicon`] and [`SlowPath`] directly and returns everything else it
-//! needs done — sends, unmaps, controller notices — as [`Effect`]s, which
+//! the board is sending, has sent, or is receiving, in a [`RangeMap`] keyed
+//! by `(pid, start)`, so admission asks one lookup however long the history.
+//! It works on the board's [`Silicon`] and [`SlowPath`] directly and
+//! returns everything else it needs done — sends, unmaps, controller notices — as [`Effect`]s, which
 //! the board executes in order. The exchange:
 //!
 //! ```text
@@ -71,7 +72,7 @@ use bytes::Bytes;
 use clio_hw::pagetable::Pte;
 use clio_hw::silicon::Silicon;
 use clio_net::Mac;
-use clio_proto::{Perm, Pid, Status};
+use clio_proto::{Perm, Pid, RangeMap, Status};
 use clio_sim::{SimDuration, SimTime};
 
 use crate::slowpath::SlowPath;
@@ -96,9 +97,6 @@ enum Phase {
 /// One range this board is sending, has sent, or is receiving.
 #[derive(Debug, Clone)]
 struct Record {
-    pid: Pid,
-    start: u64,
-    len: u64,
     perm: Perm,
     phase: Phase,
 }
@@ -131,11 +129,11 @@ pub enum Effect {
 /// The migration protocol on one board (sans I/O): one record per range.
 ///
 /// The board's admission step and the offload environment ask only
-/// [`Migrations::refusal`]; the table is sized by migrations, not by
-/// clients, and is a short scan because migration "happens rarely" (§4.7).
+/// [`Migrations::refusal`], one lookup; the table is sized by migrations,
+/// not by clients.
 #[derive(Debug, Clone, Default)]
 pub struct Migrations {
-    ranges: Vec<Record>,
+    ranges: RangeMap<Record>,
 }
 
 impl Migrations {
@@ -143,18 +141,17 @@ impl Migrations {
     /// `Conflict` while its range streams out, `Moved` once it has left,
     /// `None` to serve it.
     pub fn refusal(&self, pid: Pid, va: u64) -> Option<Status> {
-        self.ranges.iter().find_map(|r| match r.phase {
-            _ if r.pid != pid || va < r.start || va >= r.start + r.len => None,
+        match self.ranges.get(pid, va)?.2.phase {
             Phase::Out { .. } => Some(Status::Conflict),
             Phase::Moved => Some(Status::Moved),
             Phase::In => None,
-        })
+        }
     }
 
     /// `(outgoing, incoming)` migrations in progress.
     pub fn in_progress(&self) -> (u64, u64) {
         let (mut outgoing, mut incoming) = (0, 0);
-        for r in &self.ranges {
+        for (.., r) in self.ranges.iter() {
             match r.phase {
                 Phase::Out { .. } => outgoing += 1,
                 Phase::In => incoming += 1,
@@ -162,11 +159,6 @@ impl Migrations {
             }
         }
         (outgoing, incoming)
-    }
-
-    /// The index of the record of `(pid, start)` in the phase `phase` picks.
-    fn find(&self, pid: Pid, start: u64, phase: fn(&Phase) -> bool) -> Option<usize> {
-        self.ranges.iter().position(|r| r.pid == pid && r.start == start && phase(&r.phase))
     }
 
     /// Starts moving the range `cmd` names: it is refused from now on, and
@@ -188,7 +180,7 @@ impl Migrations {
             .collect();
         // One allocation, one permission: the range's first page has it.
         let perm = table.lookup(pid, start / page).map_or(Perm::RW, |p| p.perm);
-        self.ranges.push(Record { pid, start, len, perm, phase: Phase::Out { dst, vpns } });
+        self.ranges.insert(pid, start, len, Record { perm, phase: Phase::Out { dst, vpns } });
         let msg = MigrationMsg::Offer { pid, start, len, perm };
         out.push(Effect::Send { at: now + TURNAROUND, dst, msg });
     }
@@ -209,21 +201,21 @@ impl Migrations {
             MigrationMsg::Offer { pid, start, len, perm } => {
                 let accepted = slow.adopt_range(pid, VaRange { start, len, perm }).is_ok();
                 if accepted {
-                    self.ranges.push(Record { pid, start, len, perm, phase: Phase::In });
+                    self.ranges.insert(pid, start, len, Record { perm, phase: Phase::In });
                 }
                 let reply = MigrationMsg::OfferReply { pid, start, accepted };
                 out.push(send(now + TURNAROUND, src, reply));
             }
             MigrationMsg::OfferReply { pid, start, accepted } => {
-                let out_phase = |p: &Phase| matches!(p, Phase::Out { .. });
-                let Some(i) = self.find(pid, start, out_phase) else { return };
+                let Some((len, &mut Record { phase: Phase::Out { dst, ref vpns }, .. })) =
+                    self.ranges.at_mut(pid, start)
+                else {
+                    return;
+                };
                 if !accepted {
-                    self.ranges.remove(i);
+                    self.ranges.remove(pid, start);
                     return out.push(Effect::Abort(MigrationAborted { pid, start }));
                 }
-                let Record { len, phase: Phase::Out { dst, ref vpns }, .. } = self.ranges[i] else {
-                    unreachable!("found in phase Out")
-                };
                 let mut t = now;
                 for &vpn in vpns {
                     // Never-touched pages carry no data.
@@ -250,8 +242,12 @@ impl Migrations {
                 silicon.write_phys(now, ppn * page, &data);
             }
             MigrationMsg::Commit { pid, start, len } => {
-                let Some(i) = self.find(pid, start, |p| matches!(p, Phase::In)) else { return };
-                let perm = self.ranges.remove(i).perm;
+                let Some((_, &mut Record { perm, phase: Phase::In })) =
+                    self.ranges.at_mut(pid, start)
+                else {
+                    return;
+                };
+                self.ranges.remove(pid, start);
                 // Pages that never held data arrive as holes of the range's
                 // permission.
                 for vpn in start / page..(start + len) / page {
@@ -264,17 +260,19 @@ impl Migrations {
                 out.push(send(now + TURNAROUND, src, MigrationMsg::Done { pid, start }));
             }
             MigrationMsg::Done { pid, start } => {
-                let out_phase = |p: &Phase| matches!(p, Phase::Out { .. });
-                let Some(i) = self.find(pid, start, out_phase) else { return };
-                let r = &mut self.ranges[i];
-                let Phase::Out { dst, vpns } = std::mem::replace(&mut r.phase, Phase::Moved) else {
-                    unreachable!("found in phase Out")
+                let Some((len, Record { phase: phase @ Phase::Out { .. }, .. })) =
+                    self.ranges.at_mut(pid, start)
+                else {
+                    return;
+                };
+                let Phase::Out { dst, vpns } = std::mem::replace(phase, Phase::Moved) else {
+                    unreachable!("matched Out")
                 };
                 // The pages are the new owner's; the VA stays reserved here
                 // (invariant 7).
-                slow.shadow_remove(pid, start / page..(start + r.len) / page);
+                slow.shadow_remove(pid, start / page..(start + len) / page);
                 out.push(Effect::Unmap { pid, vpns });
-                out.push(Effect::Complete(MigrationComplete { pid, start, len: r.len, dst }));
+                out.push(Effect::Complete(MigrationComplete { pid, start, len, dst }));
             }
         }
     }
@@ -400,7 +398,14 @@ mod tests {
 
     impl Board {
         fn new(mac: u32) -> Self {
-            let cfg = CBoardConfig::test_small();
+            Board::with_memory(mac, CBoardConfig::test_small().hw.phys_mem_bytes)
+        }
+
+        /// A board with `phys_mem_bytes` of DRAM, its page table sized to
+        /// match.
+        fn with_memory(mac: u32, phys_mem_bytes: u64) -> Self {
+            let mut cfg = CBoardConfig::test_small();
+            cfg.hw.phys_mem_bytes = phys_mem_bytes;
             assert_eq!(cfg.hw.page_size, PAGE);
             let (silicon, slow) = (Silicon::new(cfg.hw.clone()), SlowPath::new(&cfg));
             Board { mac: Mac(mac), m: Migrations::default(), silicon, slow }
@@ -409,8 +414,12 @@ mod tests {
         /// Allocates `pages` pages of `perm` for [`PID`], as the board's
         /// `Alloc` does.
         fn alloc(&mut self, pages: u64, perm: Perm) -> u64 {
-            self.slow.create_as(PID);
-            let a = self.slow.alloc(PID, pages * PAGE, perm, None).expect("alloc");
+            self.alloc_as(PID, pages, perm)
+        }
+
+        fn alloc_as(&mut self, pid: Pid, pages: u64, perm: Perm) -> u64 {
+            self.slow.create_as(pid);
+            let a = self.slow.alloc(pid, pages * PAGE, perm, None).expect("alloc");
             for pte in a.ptes {
                 self.silicon.vm_mut().install_pte(pte).expect("pte");
             }
@@ -626,5 +635,36 @@ mod tests {
         assert_eq!((boards[0].m.in_progress(), boards[1].m.in_progress()), ((0, 0), (0, 0)));
         assert_eq!(boards[0].m.refusal(PID, a), Some(Status::Moved));
         assert_eq!(boards[0].m.refusal(PID, b + 3 * PAGE - 1), Some(Status::Moved));
+    }
+
+    /// A board after a long history: 1,000 ranges of two processes have
+    /// landed elsewhere, one page each, with a served page after each.
+    /// Every range still answers `Moved` at its first and last byte, the
+    /// page after it and a process with no ranges are served, and nothing
+    /// is in progress.
+    #[test]
+    fn a_thousand_landed_ranges_each_answer_moved() {
+        let mut boards = [Board::with_memory(1, 64 << 20), Board::with_memory(2, 64 << 20)];
+        let dst = boards[1].mac;
+        let mut landed = Vec::new();
+        for i in 0..1000 {
+            let pid = [PID, Pid(8)][i % 2];
+            let start = boards[0].alloc_as(pid, 2, Perm::RW);
+            let mut out = Vec::new();
+            let cmd = MigrateCommand { pid, start, len: PAGE, dst };
+            boards[0].m.start(&boards[0].silicon, SimTime::ZERO, cmd, &mut out);
+            let rest = shuttle(&mut boards, 0, out);
+            assert!(matches!(rest.last(), Some((0, Effect::Complete(_)))), "{i}: {rest:?}");
+            landed.push((pid, start));
+        }
+        let m = &boards[0].m;
+        let moved = Some(Status::Moved);
+        for (pid, start) in landed {
+            let bytes =
+                [(pid, start), (pid, start + PAGE - 1), (pid, start + PAGE), (Pid(9), start)];
+            let answers = bytes.map(|(p, va)| m.refusal(p, va));
+            assert_eq!(answers, [moved, moved, None, None], "{pid} at {start:#x}");
+        }
+        assert_eq!(m.in_progress(), (0, 0));
     }
 }

@@ -48,6 +48,7 @@ mod batch;
 pub mod codec;
 mod mtu;
 mod packet;
+mod ranges;
 mod types;
 
 pub use batch::{BatchBuilder, BatchEntry, Packer};
@@ -57,4 +58,5 @@ pub use mtu::{
     MTU_BYTES,
 };
 pub use packet::{ClioPacket, ReqHeader, RequestBody, RespHeader, ResponseBody};
+pub use ranges::RangeMap;
 pub use types::{Perm, Pid, ReqId, Status};
