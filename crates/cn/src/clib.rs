@@ -101,14 +101,15 @@ impl Completion {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Notice {
     /// `Place(token, pid, size)`: the `ralloc` held as `token` needs an MN
-    /// for `size` bytes of `pid`'s; the host answers with [`CLib::place`].
+    /// for `size` bytes of `pid`'s, in whole pages as the board reserves
+    /// them; the host answers with [`CLib::place`].
     Place(OpToken, Pid, u64),
     /// `Reroute(token, pid, va, len)`: the access held as `token` was
     /// refused `Moved`; the host asks who owns `[va, va + len)` of `pid`'s
     /// now and answers with [`CLib::place`].
     Reroute(OpToken, Pid, u64, u64),
     /// `Allocated(pid, mn, size, va)`: an `ralloc` placed on `mn` finished.
-    /// It holds `[va, va + size)` there, or (`va` is `None`: it failed or
+    /// It holds the whole pages `[va, va + size)` there, or (`va` is `None`: it failed or
     /// was cancelled) nothing, and its placement charge comes back.
     Allocated(Pid, Mac, u64, Option<u64>),
     /// `Freed(pid, va)`: an `rfree` of `pid`'s range at `va` succeeded.
@@ -259,6 +260,13 @@ impl CLib {
     /// The controller conversation raised since the last drain, in order.
     pub fn notices(&mut self) -> std::vec::Drain<'_, Notice> {
         self.notices.drain(..)
+    }
+
+    /// The bytes an `ralloc` of `size` holds on its board: whole pages, at
+    /// least one, as the board reserves them (a size too large to round
+    /// is booked as asked).
+    fn booked(&self, size: u64) -> u64 {
+        size.max(1).checked_next_multiple_of(self.page_size).unwrap_or(size)
     }
 
     /// The pages `[va, va + len)` touches (a zero-length access still names
@@ -454,7 +462,7 @@ impl CLib {
             }
             Ok(None) => {
                 let Op::Alloc { size, .. } = pending.op else { unreachable!("only an alloc") };
-                self.notices.push(Notice::Place(token, pid, size));
+                self.notices.push(Notice::Place(token, pid, self.booked(size)));
                 self.ops.insert(token, pending);
             }
             Err(e) => self.report(now, token, &pending, Err(e), completions),
@@ -694,9 +702,11 @@ impl CLib {
                     let Route::Owned(mn) = self.router.lookup(pid, va, size) else {
                         panic!("allocated range must be routable to one MN")
                     };
-                    Some(Notice::Allocated(pid, mn, size, Some(va)))
+                    Some(Notice::Allocated(pid, mn, self.booked(size), Some(va)))
                 }
-                (&Op::Alloc { size, .. }, Err(_)) => Some(Notice::Allocated(pid, mn, size, None)),
+                (&Op::Alloc { size, .. }, Err(_)) => {
+                    Some(Notice::Allocated(pid, mn, self.booked(size), None))
+                }
                 (&Op::Free { va, .. }, Ok(_)) => Some(Notice::Freed(pid, va)),
                 _ => None,
             };

@@ -18,7 +18,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use clio::mn::migrate::MigrateCommand;
+use clio::mn::migrate::{MigrateCommand, PressureReport};
 use clio::net::Mac;
 use clio::proto::{Perm, Pid};
 use clio::sim::{Message, SimDuration, SimTime};
@@ -528,4 +528,64 @@ fn an_ralloc_cancelled_during_placement_gives_back_its_charge() {
 
     assert_eq!(result, Err(ClioError::DeadlineExceeded));
     assert_eq!(placed_total(&cluster), 0, "a cancelled placement stays charged");
+}
+
+/// A sub-page `ralloc` holds a whole page on its board, and the controller
+/// books it as one: a migration the controller picks moves the page, and
+/// the bytes read back through the new owner are the ones written.
+///
+/// Regression: the controller booked the requested 512 bytes. The
+/// migration it commanded covered no whole page, so the new owner served
+/// a range it never received.
+#[test]
+fn a_sub_page_ralloc_migrates_as_its_whole_page() {
+    const LEN: u64 = 512;
+    /// The write drains before this instant; the migration runs from it.
+    const MIGRATE: SimTime = SimTime::from_nanos(1_000_000);
+    /// The migration drains before this instant; the read runs from it.
+    const READ: SimTime = SimTime::from_nanos(2_000_000);
+
+    let mut cfg = ClusterConfig::test_small();
+    cfg.mns = 2;
+    let mut cluster = Cluster::build(&cfg);
+    let va = Rc::new(Cell::new(0));
+    let read = Rc::new(RefCell::new(None));
+    let (va_out, read_out) = (va.clone(), read.clone());
+    cluster.spawn(0, Pid(1), move |p| async move {
+        let va = p.ralloc(LEN, Perm::RW).await.va();
+        p.rwrite(va, Bytes::from(vec![0x5A; LEN as usize])).await;
+        p.rwrite(va + PAGE - 8, Bytes::from_static(b"page end")).await;
+        va_out.set(va);
+        p.sleep(READ.since(p.now())).await;
+        let head = p.rread(va, LEN as u32).await;
+        let tail = p.rread(va + PAGE - 8, 8).await;
+        *read_out.borrow_mut() = Some((head, tail));
+    });
+    let drain_before = |cluster: &mut Cluster, at: SimTime| {
+        cluster.run_for(at.since(cluster.now()) - SimDuration::from_nanos(1));
+        assert_eq!(cluster.sim.peek_next_event_time(), Some(READ), "phase still running");
+    };
+    cluster.start();
+    drain_before(&mut cluster, MIGRATE);
+
+    // The controller picks the victim and its length from its own books.
+    let va = va.get();
+    let src = cluster.controller().owner_of(Pid(1), va).expect("owned");
+    let dst = *cluster.mn_macs().iter().find(|&&m| m != src).expect("a second MN");
+    let report = PressureReport { mac: src, utilization: 1.0 };
+    cluster.sim.post(cluster.controller_id(), Message::new(report));
+    drain_before(&mut cluster, READ);
+    assert_eq!(cluster.registry().counter("controller.migration.completed"), Some(1));
+    cluster.run_until_idle();
+
+    let (head, tail) = read.borrow_mut().take().expect("the reads completed");
+    assert_eq!(head.result.as_ref().err(), None, "read through the new owner failed");
+    assert!(head.data().iter().all(|&b| b == 0x5A), "read back the wrong bytes");
+    assert_eq!(tail.result.as_ref().err(), None, "the page's last bytes were left behind");
+    assert_eq!(&tail.data()[..], b"page end");
+    assert_eq!(cluster.cn(0).clib().route_of(Pid(1), va, LEN), Some(dst));
+    for byte in [va, va + PAGE - 1] {
+        assert_eq!(cluster.controller().owner_of(Pid(1), byte), Some(dst), "byte {byte:#x}");
+    }
+    assert_eq!(cluster.controller().placed_bytes_of(dst), PAGE, "the page is booked whole");
 }
