@@ -140,6 +140,8 @@ struct PendingOp {
     reissues: u32,
     /// `Conflict` refusals backed off from so far.
     conflicts: u32,
+    /// `Moved` refusals re-routed so far.
+    moves: u32,
     /// A fence's first failed leg: a fence that missed an MN did not fence.
     leg_error: Option<ClioError>,
 }
@@ -151,8 +153,8 @@ pub struct LockRetry {
     token: OpToken,
 }
 
-/// Timer message ending a `Conflict` backoff; hosts route it to
-/// [`CLib::on_timer`].
+/// Timer message ending a `Conflict` backoff, or the backoff before a
+/// repeated `Moved` re-route; hosts route it to [`CLib::on_timer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConflictRetry {
     token: OpToken,
@@ -453,6 +455,7 @@ impl CLib {
             routed: mn.is_none(),
             reissues: 0,
             conflicts: 0,
+            moves: 0,
             leg_error: None,
         };
         match target {
@@ -567,9 +570,15 @@ impl CLib {
         };
         match msg.downcast::<ConflictRetry>() {
             Ok(ConflictRetry { token }) => {
-                // Re-issue a still-pending op after its backoff.
-                let trace = self.ops.get(&token)?.trace;
-                self.tracer.stitch(trace, self.track, Stage::ConflictBackoff, ctx.now());
+                // Re-issue a still-pending op after its backoff: a held op
+                // asks again where its range went.
+                let pending = self.ops.get(&token)?;
+                if pending.mn.is_none() {
+                    let (va, len) = pending.op.span().expect("only an access re-routes");
+                    self.notices.push(Notice::Reroute(token, pending.pid, va, len));
+                    return None;
+                }
+                self.tracer.stitch(pending.trace, self.track, Stage::ConflictBackoff, ctx.now());
                 self.dispatch(ctx, nic, token, completions);
                 None
             }
@@ -629,7 +638,7 @@ impl CLib {
             // The range is migrating: back off (longer after each refusal)
             // and re-issue, still in the thread's order.
             (_, Err(ClioError::Remote(Status::Conflict))) if reissue => {
-                let backoff = CLibConfig::CONFLICT_BACKOFF * (1 + pending.conflicts.min(16) as u64);
+                let backoff = CLibConfig::backoff(pending.conflicts);
                 pending.conflicts += 1;
                 pending.reissues += 1;
                 ctx.schedule(backoff, Message::new(ConflictRetry { token }));
@@ -650,13 +659,20 @@ impl CLib {
             }
             // The range moved: the op leaves its thread's order and its
             // trace ends, and CLib holds it while the host asks the
-            // controller where the range went.
+            // controller where the range went: at once the first time,
+            // after a growing backoff from the second on.
             (op, Err(ClioError::Moved)) if pending.routed && reissue => {
                 if let Some((va, len)) = op.span() {
                     pending.reissues += 1;
                     pending.mn = None;
                     let (thread, pid, trace) = (pending.thread, pending.pid, pending.trace.take());
-                    self.notices.push(Notice::Reroute(token, pid, va, len));
+                    if pending.moves == 0 {
+                        self.notices.push(Notice::Reroute(token, pid, va, len));
+                    } else {
+                        let backoff = CLibConfig::backoff(pending.moves - 1);
+                        ctx.schedule(backoff, Message::new(ConflictRetry { token }));
+                    }
+                    pending.moves += 1;
                     self.tracer.finish(trace, self.track, ctx.now());
                     self.release(ctx, nic, thread, token, completions);
                     return;

@@ -41,8 +41,15 @@ impl CLibConfig {
 
     /// Backoff before re-issuing a request refused with `Conflict` (its
     /// region is mid-migration, §4.7); the `n`-th re-issue waits
-    /// `CONFLICT_BACKOFF × (1 + min(n, 16))`.
+    /// `CONFLICT_BACKOFF × (1 + min(n, 16))`. A `Moved` refusal re-routes
+    /// at once the first time; the `n`-th re-route after that waits as
+    /// long.
     pub const CONFLICT_BACKOFF: SimDuration = SimDuration::from_micros(100);
+
+    /// The wait before the `n`-th (0-based) backed-off re-issue.
+    pub(crate) fn backoff(n: u32) -> SimDuration {
+        Self::CONFLICT_BACKOFF * (1 + n.min(16) as u64)
+    }
 
     /// Spin interval between lock acquisition attempts (§4.5 T3).
     pub const LOCK_BACKOFF: SimDuration = SimDuration::from_micros(2);

@@ -605,14 +605,14 @@ fn reissue_horizon_ends_an_endless_conflict() {
 }
 
 /// A routed op the board answers `Moved`, whose every re-route a stale
-/// controller sends back to the same board, re-routes until the re-issue
-/// horizon and then ends `Moved`, within a round trip of it (one to the
-/// scripted board takes ~1.2 µs).
+/// controller sends back to the same board, re-routes at once the first
+/// time and then backs off as a `Conflict` does, until the re-issue
+/// horizon; it then ends `Moved`, at most one capped backoff past it.
 #[test]
 fn reissue_horizon_ends_endless_moved_reroutes() {
     let (mut sim, cn, board) = scripted_rig_with(Status::Moved, usize::MAX, true);
     sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
-    let bound = CLibConfig::REISSUE_HORIZON + SimDuration::from_micros(10);
+    let bound = CLibConfig::REISSUE_HORIZON + CLibConfig::CONFLICT_BACKOFF * 17;
     sim.run_for(bound);
     let host = sim.actor::<CnHost>(cn);
     let [c] = &host.completions[..] else { panic!("one completion: {:?}", host.completions) };
@@ -623,10 +623,40 @@ fn reissue_horizon_ends_endless_moved_reroutes() {
         c.latency()
     );
     assert_eq!(host.clib.in_flight(), 0);
-    let attempts = sim.actor::<ScriptedBoard>(board).seen.len();
-    assert!(attempts > 9, "re-routed {} times, no more than a count allows", attempts - 1);
+    // The first attempt, the immediate re-route's, one per backoff, and
+    // one more after the backoff that crossed the horizon.
+    let backoffs = (1..).find(|&k| backoff_sum(k) >= CLibConfig::REISSUE_HORIZON).unwrap();
+    assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), backoffs as usize + 2);
     sim.run_until_idle();
-    assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), attempts, "sent past the result");
+    assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), backoffs as usize + 2);
+}
+
+/// A second `Moved` refusal backs off before the op asks again where its
+/// range went: refused twice, the op completes `Ok` on its third attempt,
+/// no earlier than the first backoff; cancelled during that backoff, it
+/// ends `DeadlineExceeded` and sends nothing more.
+#[test]
+fn a_repeated_moved_reroute_backs_off_and_can_be_cancelled() {
+    let (mut sim, cn, board) = scripted_rig_with(Status::Moved, 2, true);
+    sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
+    sim.run_for(CLibConfig::CONFLICT_BACKOFF / 2);
+    assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), 2, "the first re-route waits");
+    assert_eq!(sim.actor::<CnHost>(cn).clib.in_flight(), 1, "CLib holds the op");
+    sim.run_until_idle();
+    assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), 3);
+    let [c] = &sim.actor::<CnHost>(cn).completions[..] else { panic!("one completion") };
+    assert_eq!(c.result, Ok(CompletionValue::Done));
+    assert!(c.latency() >= CLibConfig::CONFLICT_BACKOFF, "completed after {}", c.latency());
+
+    let (mut sim, cn, board) = scripted_rig_with(Status::Moved, 2, true);
+    sim.post(cn, Message::new(Submit { thread: ThreadId(0), op: write(0x1000, 1) }));
+    sim.post_in(cn, CLibConfig::CONFLICT_BACKOFF / 2, Message::new(Cancel(OpToken(1))));
+    sim.run_until_idle();
+    assert_eq!(sim.actor::<ScriptedBoard>(board).seen.len(), 2, "re-routed after the cancel");
+    let host = sim.actor::<CnHost>(cn);
+    let [c] = &host.completions[..] else { panic!("one completion: {:?}", host.completions) };
+    assert_eq!(c.result, Err(ClioError::DeadlineExceeded));
+    assert_eq!(host.clib.in_flight(), 0);
 }
 
 /// A backing-off op keeps its place in its thread's order: a same-page
