@@ -714,9 +714,10 @@ impl Transport {
     /// flushes that frame so the MN still sees requests in send order
     /// (fences must not overtake the batch in front of them) and travels
     /// alone. Every request header carries the op's trace context (reserved
-    /// header bits, zero wire bytes) and the srtt echo (always encoded,
-    /// tracing on or off, so the wire image never depends on
-    /// observability). Returns how many wire frames left.
+    /// header bits, zero wire bytes) and the srtt echo (4 B once there is
+    /// an RTT sample toward the MN, tracing on or off, so the wire image
+    /// never depends on observability); a batch entry is sized by its own
+    /// header. Returns how many wire frames left.
     #[allow(clippy::too_many_arguments)] // a request's header fields travel together
     fn ship(
         &mut self,
@@ -739,7 +740,7 @@ impl Transport {
                 srtt_echo_ns: pack.echo,
                 ..ReqHeader::single(req_id, pid)
             };
-            let entry_wire = codec::request_wire_len(&body);
+            let entry_wire = codec::request_len(&header, &body);
             if !pack.batch.fits(entry_wire) {
                 frames += self.flush_batch(ctx, nic, pack) as u64;
             }

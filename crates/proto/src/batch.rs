@@ -16,7 +16,7 @@
 //! ([`ReqHeader`] / [`RespHeader`]), so retries, deduplication, completion
 //! matching and window accounting stay per logical request.
 
-use crate::codec::{request_wire_len, response_wire_len, BATCH_OVERHEAD_BYTES, NACK_ENTRY_BYTES};
+use crate::codec::{request_len, response_wire_len, BATCH_OVERHEAD_BYTES, NACK_ENTRY_BYTES};
 use crate::mtu::MTU_BYTES;
 use crate::packet::{ClioPacket, ReqHeader, RequestBody, RespHeader, ResponseBody};
 use crate::types::ReqId;
@@ -35,7 +35,7 @@ pub trait BatchEntry: Sized {
 
 impl BatchEntry for (ReqHeader, RequestBody) {
     fn wire_len(&self) -> usize {
-        request_wire_len(&self.1)
+        request_len(&self.0, &self.1)
     }
     fn lone(self) -> ClioPacket {
         ClioPacket::Request { header: self.0, body: self.1 }
@@ -171,8 +171,15 @@ mod tests {
     use crate::codec::wire_len;
     use crate::types::{Pid, Status};
 
+    /// A read whose header carries `retry_of` for odd ids and an srtt
+    /// echo for ids divisible by 3, so entries differ in size.
     fn read_entry(id: u64) -> (ReqHeader, RequestBody) {
-        (ReqHeader::single(ReqId(id), Pid(1)), RequestBody::Read { va: id * 64, len: 32 })
+        let header = ReqHeader {
+            retry_of: (id % 2 == 1).then(|| ReqId(id - 1)),
+            srtt_echo_ns: id.is_multiple_of(3).then_some(5_000),
+            ..ReqHeader::single(ReqId(id), Pid(1))
+        };
+        (header, RequestBody::Read { va: id * 64, len: 32 })
     }
 
     fn resp_entry(id: u64, n: usize) -> (RespHeader, ResponseBody) {
@@ -186,19 +193,19 @@ mod tests {
     /// entry after the last that fits, and a byte budget above the MTU is
     /// clamped to it — whatever the entry type.
     fn enforces_budgets<E: BatchEntry>(entry: impl Fn(u64) -> E) {
-        let wire = entry(0).wire_len();
+        let wire = |id| entry(id).wire_len();
         let mut ops = Packer::new(2, MTU_BYTES);
         for id in 0..2 {
-            assert!(ops.fits(wire));
+            assert!(ops.fits(wire(id)));
             ops.add(entry(id));
         }
-        assert!(!ops.fits(wire), "third entry exceeds max_ops=2");
-        let mut bytes = Packer::new(64, BATCH_OVERHEAD_BYTES + 3 * wire);
+        assert!(!ops.fits(wire(2)), "third entry exceeds max_ops=2");
+        let mut bytes = Packer::new(64, BATCH_OVERHEAD_BYTES + (0..3).map(wire).sum::<usize>());
         for id in 0..3 {
-            assert!(bytes.fits(wire));
+            assert!(bytes.fits(wire(id)));
             bytes.add(entry(id));
         }
-        assert!(!bytes.fits(wire), "fourth entry exceeds the byte budget");
+        assert!(!bytes.fits(wire(3)), "fourth entry exceeds the byte budget");
         let clamped = Packer::<E>::new(64, 1 << 20);
         assert!(!clamped.fits(MTU_BYTES + 1));
     }
@@ -227,11 +234,11 @@ mod tests {
         let mut b = BatchBuilder::new(2, MTU_BYTES);
         for id in 0..2 {
             let (h, body) = read_entry(id);
-            assert!(b.fits(request_wire_len(&body)));
+            assert!(b.fits(request_len(&h, &body)));
             b.push(h, body);
         }
-        let (_, body) = read_entry(2);
-        assert!(!b.fits(request_wire_len(&body)), "third op exceeds max_ops=2");
+        let (h, body) = read_entry(2);
+        assert!(!b.fits(request_len(&h, &body)), "third op exceeds max_ops=2");
     }
 
     #[test]

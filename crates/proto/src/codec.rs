@@ -1,9 +1,10 @@
 //! Byte-level encoding of [`ClioPacket`]s.
 //!
-//! The encoding is fixed-layout (no varints) so that packet sizes are
-//! predictable: the timing model can compute a packet's wire footprint with
-//! [`wire_len`] without materializing bytes, and tests assert the two always
-//! agree.
+//! The encoding has no varints, so packet sizes are predictable: the timing
+//! model can compute a packet's wire footprint with [`wire_len`] without
+//! materializing bytes, and tests assert the two always agree. The one
+//! variable part is the request header's optional fields: a flags byte says
+//! which follow, and one that is absent costs no bytes ([`req_header_len`]).
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -23,6 +24,8 @@ pub enum CodecError {
     TrailingBytes(usize),
     /// A batch packet declared zero entries.
     EmptyBatch,
+    /// A request header set a flag bit the codec does not know.
+    BadFlags(u8),
 }
 
 impl std::fmt::Display for CodecError {
@@ -33,6 +36,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadStatus(s) => write!(f, "unknown status code {s}"),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after packet"),
             CodecError::EmptyBatch => write!(f, "batch packet with zero entries"),
+            CodecError::BadFlags(b) => write!(f, "unknown request header flags {b:#04x}"),
         }
     }
 }
@@ -65,18 +69,31 @@ const RESP_ALLOCED: u8 = 2;
 const RESP_ATOMIC_OLD: u8 = 3;
 const RESP_OFFLOAD: u8 = 4;
 
-/// Encoded size of the packet tag plus a request header. The trailing
-/// `1 + 4` is the srtt-echo flag byte plus value ([`ReqHeader::srtt_echo_ns`]);
-/// the header's trace context intentionally contributes nothing — it models
-/// reserved header bits and never costs modeled wire bytes.
-pub const REQ_HEADER_LEN: usize = 1 + 8 + 1 + 8 + 8 + 2 + 2 + 1 + 4;
+/// Header flag: an 8-byte [`ReqHeader::retry_of`] follows the packet count.
+const FLAG_RETRY: u8 = 1 << 0;
+/// Header flag: a 4-byte [`ReqHeader::srtt_echo_ns`] follows `retry_of` (or
+/// the packet count, with no `retry_of`).
+const FLAG_ECHO: u8 = 1 << 1;
+
+/// Encoded size of the packet tag plus a request header without its
+/// optional fields: tag, request id, flags, pid, packet index and count.
+const REQ_HEADER_BASE: usize = 1 + 8 + 1 + 8 + 2 + 2;
+
+/// Encoded size of the packet tag plus the largest request header: a retry
+/// (8 B `retry_of`) carrying an srtt echo (4 B). MTU fragment sizing uses
+/// it, so a fragment still fits when re-sent as a retry. The header's
+/// trace context contributes nothing: it models reserved header bits and
+/// never costs modeled wire bytes.
+pub const REQ_HEADER_LEN: usize = REQ_HEADER_BASE + 8 + 4;
 /// Encoded size of the packet tag plus a response header.
 pub const RESP_HEADER_LEN: usize = 1 + 8 + 1 + 2 + 2;
 /// Fixed framing cost of a batch packet (packet tag + u16 entry count),
 /// shared by request batches and response batches. Each entry then costs
-/// exactly what the same packet would cost standalone ([`request_wire_len`]
-/// / [`response_wire_len`]), so batching `n` small packets saves `(n - 1)`
-/// per-frame Ethernet overheads at the price of these 3 bytes.
+/// exactly what the same packet would cost standalone ([`request_len`]:
+/// 22 B of header for a first attempt before any RTT sample, 26 B with the
+/// srtt echo, 34 B for a retry with it; [`response_wire_len`]: 14 B of
+/// header), so batching `n` small packets saves `(n - 1)` per-frame
+/// Ethernet overheads at the price of these 3 bytes.
 pub const BATCH_OVERHEAD_BYTES: usize = 1 + 2;
 /// Encoded size of a standalone NACK (packet tag + request id). A
 /// batched-NACK entry costs [`NACK_ENTRY_BYTES`]; the id travels without the
@@ -85,30 +102,26 @@ pub const NACK_WIRE_LEN: usize = 1 + 8;
 /// Encoded size of one [`ClioPacket::BatchNack`] entry (a bare request id).
 pub const NACK_ENTRY_BYTES: usize = 8;
 
+/// Writes a request header (tag excluded): request id, flags, pid, packet
+/// index and count, then `retry_of` and the srtt echo if their flag is set.
 fn put_req_header(buf: &mut BytesMut, h: &ReqHeader) {
     buf.put_u64_le(h.req_id.0);
-    match h.retry_of {
-        Some(r) => {
-            buf.put_u8(1);
-            buf.put_u64_le(r.0);
-        }
-        None => {
-            buf.put_u8(0);
-            buf.put_u64_le(0);
-        }
+    let mut flags = 0;
+    if h.retry_of.is_some() {
+        flags |= FLAG_RETRY;
     }
+    if h.srtt_echo_ns.is_some() {
+        flags |= FLAG_ECHO;
+    }
+    buf.put_u8(flags);
     buf.put_u64_le(h.pid.0);
     buf.put_u16_le(h.pkt_index);
     buf.put_u16_le(h.pkt_count);
-    match h.srtt_echo_ns {
-        Some(ns) => {
-            buf.put_u8(1);
-            buf.put_u32_le(ns);
-        }
-        None => {
-            buf.put_u8(0);
-            buf.put_u32_le(0);
-        }
+    if let Some(r) = h.retry_of {
+        buf.put_u64_le(r.0);
+    }
+    if let Some(ns) = h.srtt_echo_ns {
+        buf.put_u32_le(ns);
     }
     // `h.trace` is deliberately not encoded (zero modeled wire bytes).
 }
@@ -262,24 +275,39 @@ pub fn encode(pkt: &ClioPacket) -> Bytes {
     buf.freeze()
 }
 
+/// The exact encoded size of the packet tag plus header `h`: the optional
+/// fields it does not carry cost nothing.
+pub fn req_header_len(h: &ReqHeader) -> usize {
+    REQ_HEADER_BASE + 8 * h.retry_of.is_some() as usize + 4 * h.srtt_echo_ns.is_some() as usize
+}
+
 /// The exact encoded size of one request (header + body) framed as a
 /// standalone [`ClioPacket::Request`]. A batch entry costs exactly this
 /// much, so callers can pack batches against the MTU analytically.
+pub fn request_len(header: &ReqHeader, body: &RequestBody) -> usize {
+    req_header_len(header) + req_body_len(body)
+}
+
+/// The encoded size of one request with the largest header
+/// ([`REQ_HEADER_LEN`]): no request with `body` costs more on the wire.
 pub fn request_wire_len(body: &RequestBody) -> usize {
-    REQ_HEADER_LEN
-        + 1
-        + match body {
-            RequestBody::Read { .. } => 12,
-            RequestBody::WriteFrag { data, .. } => 8 + 4 + data.len(),
-            RequestBody::Alloc { .. } => 8 + 1 + 1 + 8,
-            RequestBody::Free { .. } => 16,
-            RequestBody::AtomicTas { .. } => 8,
-            RequestBody::AtomicStore { .. } => 16,
-            RequestBody::AtomicCas { .. } => 24,
-            RequestBody::AtomicFaa { .. } => 16,
-            RequestBody::Fence | RequestBody::CreateAs | RequestBody::DestroyAs => 0,
-            RequestBody::OffloadCall { arg, .. } => 2 + 2 + 4 + arg.len(),
-        }
+    REQ_HEADER_LEN + req_body_len(body)
+}
+
+/// The encoded size of a request body, its tag included.
+fn req_body_len(body: &RequestBody) -> usize {
+    1 + match body {
+        RequestBody::Read { .. } => 12,
+        RequestBody::WriteFrag { data, .. } => 8 + 4 + data.len(),
+        RequestBody::Alloc { .. } => 8 + 1 + 1 + 8,
+        RequestBody::Free { .. } => 16,
+        RequestBody::AtomicTas { .. } => 8,
+        RequestBody::AtomicStore { .. } => 16,
+        RequestBody::AtomicCas { .. } => 24,
+        RequestBody::AtomicFaa { .. } => 16,
+        RequestBody::Fence | RequestBody::CreateAs | RequestBody::DestroyAs => 0,
+        RequestBody::OffloadCall { arg, .. } => 2 + 2 + 4 + arg.len(),
+    }
 }
 
 /// The exact encoded size of one response (header + body) framed as a
@@ -302,10 +330,10 @@ pub fn response_wire_len(body: &ResponseBody) -> usize {
 /// (used by the timing model on every packet send).
 pub fn wire_len(pkt: &ClioPacket) -> usize {
     match pkt {
-        ClioPacket::Request { body, .. } => request_wire_len(body),
+        ClioPacket::Request { header, body } => request_len(header, body),
         ClioPacket::Batch { requests } => {
             BATCH_OVERHEAD_BYTES
-                + requests.iter().map(|(_, body)| request_wire_len(body)).sum::<usize>()
+                + requests.iter().map(|(header, body)| request_len(header, body)).sum::<usize>()
         }
         ClioPacket::Response { body, .. } => response_wire_len(body),
         ClioPacket::BatchResp { responses } => {
@@ -354,23 +382,17 @@ impl<'a> Reader<'a> {
 /// Parses one request (header + body, tag already consumed) from `r`.
 fn read_request(r: &mut Reader<'_>) -> Result<(ReqHeader, RequestBody), CodecError> {
     let req_id = ReqId(r.u64()?);
-    let has_retry = r.u8()? != 0;
-    let retry_raw = r.u64()?;
-    let retry_of = has_retry.then_some(ReqId(retry_raw));
+    let flags = r.u8()?;
+    if flags & !(FLAG_RETRY | FLAG_ECHO) != 0 {
+        return Err(CodecError::BadFlags(flags));
+    }
     let pid = Pid(r.u64()?);
     let pkt_index = r.u16()?;
     let pkt_count = r.u16()?;
-    let has_echo = r.u8()? != 0;
-    let echo_raw = r.u32()?;
-    let header = ReqHeader {
-        req_id,
-        retry_of,
-        pid,
-        pkt_index,
-        pkt_count,
-        trace: None,
-        srtt_echo_ns: has_echo.then_some(echo_raw),
-    };
+    let retry_of = if flags & FLAG_RETRY != 0 { Some(ReqId(r.u64()?)) } else { None };
+    let srtt_echo_ns = if flags & FLAG_ECHO != 0 { Some(r.u32()?) } else { None };
+    let header =
+        ReqHeader { req_id, retry_of, pid, pkt_index, pkt_count, trace: None, srtt_echo_ns };
     let body = match r.u8()? {
         BODY_READ => RequestBody::Read { va: r.u64()?, len: r.u32()? },
         BODY_WRITE_FRAG => RequestBody::WriteFrag { va: r.u64()?, data: r.bytes()? },
@@ -581,16 +603,78 @@ mod tests {
         roundtrip(ClioPacket::Batch { requests });
     }
 
+    /// A first attempt, with and without the srtt echo, and a retry, with
+    /// and without it: each costs its own header's size, inside a batch as
+    /// alone, and the largest header is [`REQ_HEADER_LEN`].
     #[test]
     fn batch_entry_costs_exactly_one_standalone_request() {
-        let header = ReqHeader::single(ReqId(9), Pid(1));
+        let first = ReqHeader::single(ReqId(9), Pid(1));
+        let echo = |h: ReqHeader| ReqHeader { srtt_echo_ns: Some(7_000), ..h };
+        let retry = first.retrying(ReqId(8));
+        let headers = [first, echo(first), retry, echo(retry)];
+        assert_eq!(headers.map(|h| req_header_len(&h)), [22, 26, 30, 34]);
+        assert_eq!(REQ_HEADER_LEN, 34);
+
         let body = RequestBody::Read { va: 0x4000, len: 16 };
-        let single = wire_len(&ClioPacket::Request { header, body: body.clone() });
-        assert_eq!(single, request_wire_len(&body));
-        let batch = ClioPacket::Batch {
-            requests: vec![(header, body.clone()), (header, body.clone()), (header, body)],
+        let mut entries = 0;
+        for header in headers {
+            let single = wire_len(&ClioPacket::Request { header, body: body.clone() });
+            assert_eq!(single, req_header_len(&header) + 13, "a 16 B read's body is 13 B");
+            assert_eq!(single, request_len(&header, &body));
+            entries += single;
+        }
+        assert_eq!(request_wire_len(&body), REQ_HEADER_LEN + 13, "the largest header's size");
+        let batch = ClioPacket::Batch { requests: headers.map(|h| (h, body.clone())).to_vec() };
+        assert_eq!(encode(&batch).len(), BATCH_OVERHEAD_BYTES + entries);
+        assert_eq!(wire_len(&batch), BATCH_OVERHEAD_BYTES + entries);
+    }
+
+    /// A first attempt's 64 B write carrying the srtt echo, as a batch
+    /// entry: 26 B of header, 13 B of body framing, 64 B of data.
+    #[test]
+    fn a_first_attempt_64_byte_write_entry_costs_103_bytes() {
+        let header =
+            ReqHeader { srtt_echo_ns: Some(12_000), ..ReqHeader::single(ReqId(1), Pid(1)) };
+        let body = RequestBody::WriteFrag { va: 0x1000, data: Bytes::from(vec![7; 64]) };
+        assert_eq!(request_len(&header, &body), 103);
+        let pkt = ClioPacket::Request { header, body };
+        assert_eq!(encode(&pkt).len(), 103);
+    }
+
+    /// A write split at the largest fragment still fits the MTU exactly
+    /// when re-sent as a retry carrying the srtt echo.
+    #[test]
+    fn a_maximal_write_fragment_retried_with_an_echo_fills_the_mtu() {
+        let data = Bytes::from(vec![3; crate::MAX_WRITE_FRAG_PAYLOAD]);
+        let [ClioPacket::Request { header, body }] =
+            &crate::split_write(ReqId(2), Some(ReqId(1)), Pid(1), 0x1000, data)[..]
+        else {
+            panic!("one fragment")
         };
-        assert_eq!(wire_len(&batch), BATCH_OVERHEAD_BYTES + 3 * single);
+        let header = ReqHeader { srtt_echo_ns: Some(u32::MAX), ..*header };
+        let pkt = ClioPacket::Request { header, body: body.clone() };
+        assert_eq!(encode(&pkt).len(), crate::MTU_BYTES);
+        assert_eq!(wire_len(&pkt), crate::MTU_BYTES);
+    }
+
+    /// A request header's flags byte (after the tag and the request id)
+    /// with a bit the codec does not know fails to decode, alone or as a
+    /// batch entry.
+    #[test]
+    fn an_unknown_header_flag_bit_fails_to_decode() {
+        let header = ReqHeader::single(ReqId(1), Pid(1));
+        let body = RequestBody::Read { va: 0, len: 8 };
+        let mut bytes = encode(&ClioPacket::Request { header, body: body.clone() }).to_vec();
+        assert_eq!(bytes[9], 0, "a first attempt without an echo sets no flag");
+        for bit in 2..8 {
+            bytes[9] = 1 << bit;
+            assert_eq!(decode(&bytes), Err(CodecError::BadFlags(1 << bit)));
+        }
+        let batch = ClioPacket::Batch { requests: vec![(header, body.clone()), (header, body)] };
+        let mut bytes = encode(&batch).to_vec();
+        bytes[3 + 9] = FLAG_RETRY | FLAG_ECHO | 0x80;
+        assert_eq!(decode(&bytes), Err(CodecError::BadFlags(0x83)));
+        assert!(CodecError::BadFlags(0x83).to_string().contains("0x83"));
     }
 
     #[test]

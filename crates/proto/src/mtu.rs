@@ -20,7 +20,8 @@ pub const MTU_BYTES: usize = 1500;
 /// gap (12).
 pub const ETH_OVERHEAD_BYTES: usize = 38;
 
-/// Encoded bytes of packet tag + request header.
+/// Encoded bytes of packet tag + the largest request header (a retry
+/// carrying an srtt echo).
 pub const CLIO_REQ_HEADER_BYTES: usize = codec::REQ_HEADER_LEN;
 
 /// Encoded bytes of packet tag + response header.
@@ -31,7 +32,9 @@ const WRITE_FRAG_BODY_OVERHEAD: usize = 1 + 8 + 4; // tag + va + len
 /// Encoded overhead of a `DataFrag` body besides its payload.
 const DATA_FRAG_BODY_OVERHEAD: usize = 1 + 4 + 4; // tag + offset + len
 
-/// Maximum write payload per packet.
+/// Maximum write payload per packet, such that a fragment fits the MTU
+/// with the largest request header: a fragment re-sent as a retry with an
+/// srtt echo still fits.
 pub const MAX_WRITE_FRAG_PAYLOAD: usize =
     MTU_BYTES - CLIO_REQ_HEADER_BYTES - WRITE_FRAG_BODY_OVERHEAD;
 

@@ -7,21 +7,27 @@ use crate::types::{Perm, Pid, ReqId, Status};
 
 /// The Clio header attached to every request packet (§4.5 T1).
 ///
+/// On the wire it costs 21 B besides the packet tag: the request id (8 B),
+/// one flags byte saying which optional fields follow, the pid (8 B), and
+/// the packet index and count (2 B each). `retry_of` adds 8 B and the srtt
+/// echo 4 B only when present (`codec::req_header_len`).
+///
 /// `pkt_index`/`pkt_count` describe the packet's position within a
 /// multi-packet request (only writes exceed one packet); the MN uses the
 /// count — not ordering — to know when a request is complete, so packets may
 /// arrive in any order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReqHeader {
-    /// This packet's request id.
+    /// This packet's request id (8 encoded bytes).
     pub req_id: ReqId,
-    /// For retries: the id of the timed-out request this one replaces.
+    /// For retries: the id of the timed-out request this one replaces
+    /// (8 encoded bytes when present, none when absent).
     pub retry_of: Option<ReqId>,
-    /// Requesting process (protection domain).
+    /// Requesting process (protection domain; 8 encoded bytes).
     pub pid: Pid,
-    /// Index of this packet within the request (0-based).
+    /// Index of this packet within the request (0-based; 2 encoded bytes).
     pub pkt_index: u16,
-    /// Total packets in the request.
+    /// Total packets in the request (2 encoded bytes).
     pub pkt_count: u16,
     /// Observability trace context. Models metadata carried in reserved
     /// header bits: it crosses the wire with the request but costs **zero**
@@ -29,7 +35,8 @@ pub struct ReqHeader {
     pub trace: Option<TraceCtx>,
     /// The CN's smoothed RTT toward this MN, in nanoseconds, echoed so the
     /// MN's egress doorbell budget can derive from the same signal as the
-    /// CN's request doorbell (5 encoded bytes; see `codec`).
+    /// CN's request doorbell (4 encoded bytes when present, none before
+    /// the CN's first RTT sample).
     pub srtt_echo_ns: Option<u32>,
 }
 

@@ -6,6 +6,7 @@ use clio_proto::{
     codec, read_response_fragments, split_write, ClioPacket, Perm, Pid, Reassembler, ReqHeader,
     ReqId, RequestBody, RespHeader, ResponseBody, Status, MTU_BYTES,
 };
+use clio_trace::TraceCtx;
 use proptest::prelude::*;
 
 fn arb_status() -> impl Strategy<Value = Status> {
@@ -39,6 +40,19 @@ fn arb_req_header() -> impl Strategy<Value = ReqHeader> {
             trace: None,
             srtt_echo_ns: echo,
         })
+}
+
+/// A header as [`arb_req_header`] draws it, with or without a trace
+/// context (which the codec does not carry).
+fn arb_traced_req_header() -> impl Strategy<Value = ReqHeader> {
+    (arb_req_header(), any::<Option<u64>>(), any::<u32>()).prop_map(|(header, id, attempt)| {
+        ReqHeader { trace: id.map(|id| TraceCtx { id, attempt }), ..header }
+    })
+}
+
+/// `entry` as it decodes: the trace context does not cross the wire.
+fn untraced((header, body): &(ReqHeader, RequestBody)) -> (ReqHeader, RequestBody) {
+    (ReqHeader { trace: None, ..*header }, body.clone())
 }
 
 fn arb_request_body() -> impl Strategy<Value = RequestBody> {
@@ -103,6 +117,32 @@ proptest! {
         let bytes = codec::encode(&pkt);
         prop_assert_eq!(bytes.len(), codec::wire_len(&pkt));
         prop_assert_eq!(codec::decode(&bytes).unwrap(), pkt);
+    }
+
+    /// A request header's absent options cost no bytes: every request,
+    /// alone and in a batch of 1–16, encodes to exactly the analytic
+    /// length (`request_len` per entry, within the worst case
+    /// `request_wire_len`) and decodes to itself, its trace context aside.
+    #[test]
+    fn request_len_matches_the_encoder_for_every_header(
+        entries in proptest::collection::vec((arb_traced_req_header(), arb_request_body()), 1..17),
+    ) {
+        for entry in &entries {
+            let (header, body) = entry.clone();
+            let pkt = ClioPacket::Request { header, body };
+            let bytes = codec::encode(&pkt);
+            prop_assert_eq!(bytes.len(), codec::wire_len(&pkt));
+            prop_assert_eq!(bytes.len(), codec::request_len(&entry.0, &entry.1));
+            prop_assert!(codec::req_header_len(&entry.0) <= codec::REQ_HEADER_LEN);
+            prop_assert!(bytes.len() <= codec::request_wire_len(&entry.1));
+            let (header, body) = untraced(entry);
+            prop_assert_eq!(codec::decode(&bytes).unwrap(), ClioPacket::Request { header, body });
+        }
+        let want = ClioPacket::Batch { requests: entries.iter().map(untraced).collect() };
+        let pkt = ClioPacket::Batch { requests: entries };
+        let bytes = codec::encode(&pkt);
+        prop_assert_eq!(bytes.len(), codec::wire_len(&pkt));
+        prop_assert_eq!(codec::decode(&bytes).unwrap(), want);
     }
 
     #[test]
