@@ -109,8 +109,9 @@ pub enum Notice {
     /// now and answers with [`CLib::place`].
     Reroute(OpToken, Pid, u64, u64),
     /// `Allocated(pid, mn, size, va)`: an `ralloc` placed on `mn` finished.
-    /// It holds the whole pages `[va, va + size)` there, or (`va` is `None`: it failed or
-    /// was cancelled) nothing, and its placement charge comes back.
+    /// It holds the whole pages `[va, va + size)` there, or (`va` is
+    /// `None`: it failed or was cancelled) nothing, and its placement
+    /// charge comes back.
     Allocated(Pid, Mac, u64, Option<u64>),
     /// `Freed(pid, va)`: an `rfree` of `pid`'s range at `va` succeeded.
     Freed(Pid, u64),

@@ -91,8 +91,8 @@ pub const RESP_HEADER_LEN: usize = 1 + 8 + 1 + 2 + 2;
 /// shared by request batches and response batches. Each entry then costs
 /// exactly what the same packet would cost standalone ([`request_len`]:
 /// 22 B of header for a first attempt before any RTT sample, 26 B with the
-/// srtt echo, 34 B for a retry with it; [`response_wire_len`]: 14 B of
-/// header), so batching `n` small packets saves `(n - 1)` per-frame
+/// srtt echo, 30 B and 34 B for a retry without and with it;
+/// [`response_wire_len`]: 14 B of header), so batching `n` small packets saves `(n - 1)` per-frame
 /// Ethernet overheads at the price of these 3 bytes.
 pub const BATCH_OVERHEAD_BYTES: usize = 1 + 2;
 /// Encoded size of a standalone NACK (packet tag + request id). A
