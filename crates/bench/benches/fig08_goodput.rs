@@ -9,8 +9,7 @@
 //! directions (one frame per packet, the paper's wire behavior); the
 //! `*-Batched` variants enable the transport's request batching **and** the
 //! MN's response batching, which coalesce small packets into shared frames
-//! and trim per-frame Ethernet overhead; the `-SG` variant refills its
-//! window through the explicit `rread_v`/`rwrite_v` scatter/gather API.
+//! and trim per-frame Ethernet overhead.
 
 use clio_bench::drivers::{AccessMix, MemLoad};
 use clio_bench::setup::bench_cluster_tuned;
@@ -29,14 +28,7 @@ struct Run {
     resp_frames_per_op: f64,
 }
 
-fn goodput(
-    threads: u64,
-    mix: AccessMix,
-    window: u32,
-    clib: CLibConfig,
-    resp_batched: bool,
-    scatter_gather: bool,
-) -> Run {
+fn goodput(threads: u64, mix: AccessMix, window: u32, clib: CLibConfig, resp_batched: bool) -> Run {
     let mut cluster = bench_cluster_tuned(1, 1, 80 + threads, clib, |board| {
         if !resp_batched {
             board.resp_batch_max_ops = 1;
@@ -44,9 +36,8 @@ fn goodput(
     });
     let mut recs = Vec::new();
     for t in 0..threads {
-        let mut d = MemLoad::new(SIZE, mix, OPS_PER_THREAD, window, 8, 4096);
-        d.scatter_gather = scatter_gather;
-        recs.push(d.spawn(&mut cluster, 0, Pid(10 + t)));
+        let load = MemLoad::new(SIZE, mix, OPS_PER_THREAD, window, 8, 4096);
+        recs.push(load.spawn(&mut cluster, 0, Pid(10 + t)));
     }
     cluster.start();
     cluster.run_until_idle();
@@ -81,19 +72,18 @@ fn main() {
     }
     report.push_series(max);
     let unbatched = CLibConfig::prototype_unbatched();
-    for (name, mix, window, clib, resp_batched, sg) in [
-        ("Read-Sync", AccessMix::Reads, 1u32, unbatched, false, false),
-        ("Write-Sync", AccessMix::Writes, 1, unbatched, false, false),
-        ("Read-Async", AccessMix::Reads, 16, unbatched, false, false),
-        ("Write-Async", AccessMix::Writes, 16, unbatched, false, false),
-        ("Read-Async-Batched", AccessMix::Reads, 16, CLibConfig::prototype(), true, false),
-        ("Write-Async-Batched", AccessMix::Writes, 16, CLibConfig::prototype(), true, false),
-        ("Write-Async-SG", AccessMix::Writes, 16, CLibConfig::prototype(), true, true),
+    for (name, mix, window, clib, resp_batched) in [
+        ("Read-Sync", AccessMix::Reads, 1u32, unbatched, false),
+        ("Write-Sync", AccessMix::Writes, 1, unbatched, false),
+        ("Read-Async", AccessMix::Reads, 16, unbatched, false),
+        ("Write-Async", AccessMix::Writes, 16, unbatched, false),
+        ("Read-Async-Batched", AccessMix::Reads, 16, CLibConfig::prototype(), true),
+        ("Write-Async-Batched", AccessMix::Writes, 16, CLibConfig::prototype(), true),
     ] {
         let mut s = Series::new(name);
         let mut last = 0.0;
         for &t in THREADS {
-            let run = goodput(t, mix, window, clib, resp_batched, sg);
+            let run = goodput(t, mix, window, clib, resp_batched);
             s.push(t as f64, run.goodput_gbps);
             last = run.resp_frames_per_op;
         }
@@ -107,6 +97,5 @@ fn main() {
          (symmetric batching); 1 KB read replies stay one-per-frame (two don't fit an MTU), so \
          the response win shows for writes, whose Done replies pack densely",
     );
-    report.note("the -SG variant refills its window through the explicit read_v/write_v vectors");
     report.print();
 }

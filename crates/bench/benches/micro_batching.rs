@@ -9,8 +9,6 @@
 //! 64-op burst ships in `ceil(64 / batch_max_ops)` request frames, and the
 //! board's egress doorbell collapses the response path the same way
 //! (responses completing within the egress hold share `BatchResp` frames).
-//! A scatter/gather series drives the same burst through `rread_v`,
-//! bypassing the doorbell's same-instant heuristics entirely.
 //!
 //! `--smoke` runs a reduced sweep (CI regression gate): it still asserts
 //! the acceptance bar — ≥ 4× fewer MN→CN frames at default knobs.
@@ -31,7 +29,7 @@ struct Point {
     mops: f64,
 }
 
-fn run(size: u32, batch_max_ops: u32, bursts: u64, scatter_gather: bool) -> Point {
+fn run(size: u32, batch_max_ops: u32, bursts: u64) -> Point {
     let clib = CLibConfig {
         batch_max_ops,
         // Wide congestion window so the burst size and the framing policy —
@@ -54,17 +52,11 @@ fn run(size: u32, batch_max_ops: u32, bursts: u64, scatter_gather: bool) -> Poin
             // Distinct pages inside one burst: no intra-burst dependencies,
             // so the whole burst dispatches (and coalesces) at one instant.
             let reads = (0..BURST).map(|i| (va + (b * BURST + i) % SPAN_PAGES * 4096, size));
-            if scatter_gather {
-                for fut in h.rread_v(reads.collect()) {
-                    record(&rec, &fut.await, size as u64);
-                }
-            } else {
-                for (va, len) in reads {
-                    let (h2, rec) = (h.clone(), rec.clone());
-                    h.spawn(async move { record(&rec, &h2.rread(va, len).await, len as u64) });
-                }
-                h.rrelease().await;
+            for (va, len) in reads {
+                let (h2, rec) = (h.clone(), rec.clone());
+                h.spawn(async move { record(&rec, &h2.rread(va, len).await, len as u64) });
             }
+            h.rrelease().await;
         }
     });
     cluster.start();
@@ -95,6 +87,7 @@ fn main() {
         "Symmetric batching: frames per op (both directions) and throughput, 64-op bursts",
         "batch_max_ops",
     );
+    let mut dflt = None;
     for &size in sizes {
         let mut req = Series::new(match size {
             16 => "req-frames/op-16B",
@@ -109,7 +102,7 @@ fn main() {
             _ => "Mops-64B",
         });
         for &b in batch_ops {
-            let p = run(size, b, bursts, false);
+            let p = run(size, b, bursts);
             req.push(b as f64, p.req_frames_per_op);
             resp.push(b as f64, p.resp_frames_per_op);
             mops.push(b as f64, p.mops);
@@ -135,18 +128,15 @@ fn main() {
                     p.req_frames_per_op
                 );
             }
+            if (size, b) == (64, 16) {
+                dflt = Some(p);
+            }
         }
         report.push_series(req);
         report.push_series(resp);
         report.push_series(mops);
     }
-    // Scatter/gather variant at default knobs: the explicit vector API hits
-    // the same framing floor without relying on same-instant submission.
-    let sg = run(64, 16, bursts, true);
-    report.metric("frames/op [req] 64B sg burst @16", sg.req_frames_per_op);
-    report.metric("frames/op [resp] 64B sg burst @16", sg.resp_frames_per_op);
-    assert!(sg.req_frames_per_op <= 0.25, "scatter/gather must batch requests");
-    let dflt = run(64, 16, bursts, false);
+    let dflt = dflt.expect("the sweep runs 64 B at batch_max_ops 16");
     report.metric("frames/op [req] 64B burst @16", dflt.req_frames_per_op);
     report.metric("frames/op [resp] 64B burst @16", dflt.resp_frames_per_op);
     report.note("batch_max_ops = 1 is the no-batch escape hatch: one wire frame per packet, both directions");

@@ -13,7 +13,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use clio_cn::Completion;
 use clio_core::metrics::OpRecorder;
-use clio_core::{Cluster, OpFuture, ProcHandle};
+use clio_core::{Cluster, ProcHandle};
 use clio_proto::{Perm, Pid};
 use clio_sim::{SimDuration, SimRng, SimTime};
 
@@ -86,13 +86,10 @@ pub struct MemLoad {
     pub page_size: u64,
     /// Think time inserted before each op (models light offered load).
     pub think: SimDuration,
-    /// Refill the window through the scatter/gather API (`rread_v`/
-    /// `rwrite_v`) instead of per-op submissions.
-    pub scatter_gather: bool,
 }
 
 impl MemLoad {
-    /// A load with the given shape, no think time, per-op submissions.
+    /// A load with the given shape and no think time.
     pub fn new(
         size: u32,
         mix: AccessMix,
@@ -101,8 +98,7 @@ impl MemLoad {
         span_pages: u64,
         page_size: u64,
     ) -> Self {
-        let (think, scatter_gather) = (SimDuration::ZERO, false);
-        MemLoad { size, mix, ops, window, span_pages, page_size, think, scatter_gather }
+        MemLoad { size, mix, ops, window, span_pages, page_size, think: SimDuration::ZERO }
     }
 
     /// Claims the next op of the stream all window tasks share (`issued`
@@ -131,52 +127,22 @@ impl MemLoad {
     pub async fn run(self, h: ProcHandle, rec: Recorder) {
         let va = alloc_warm(&h, self.span_pages, self.page_size, &rec).await;
         let issued = Rc::new(Cell::new(0));
-        let window = u64::from(self.window).min(self.ops);
-        // The first window: one W-entry vector in scatter/gather mode,
-        // W independent submissions (each task's own) otherwise.
-        let first: Vec<Option<OpFuture>> = if self.scatter_gather {
-            let ops = (0..window).map(|_| self.next_op(va, &issued).expect("window <= ops"));
-            let futs = match self.mix {
-                AccessMix::Reads => h.rread_v(ops.map(|(at, _)| (at, self.size)).collect()),
-                AccessMix::Writes => {
-                    h.rwrite_v(ops.map(|(at, d)| (at, d.expect("a write has data"))).collect())
-                }
-            };
-            futs.into_iter().map(Some).collect()
-        } else {
-            (0..window).map(|_| None).collect()
-        };
-        for fut in first {
-            h.spawn(self.window_task(h.clone(), va, issued.clone(), rec.clone(), fut));
+        for _ in 0..u64::from(self.window).min(self.ops) {
+            h.spawn(self.window_task(h.clone(), va, issued.clone(), rec.clone()));
         }
     }
 
-    /// One slot of the window: completes `first` (if handed one), then
-    /// keeps claiming and issuing the stream's next op until it runs dry.
-    async fn window_task(
-        self,
-        h: ProcHandle,
-        va: u64,
-        issued: Rc<Cell<u64>>,
-        rec: Recorder,
-        mut first: Option<OpFuture>,
-    ) {
-        loop {
-            let fut = match first.take() {
-                Some(fut) => fut,
-                None if issued.get() >= self.ops => break,
-                None => {
-                    if !self.think.is_zero() {
-                        h.sleep(self.think).await;
-                    }
-                    let Some((at, data)) = self.next_op(va, &issued) else { break };
-                    match (data, self.scatter_gather) {
-                        (Some(data), false) => h.rwrite(at, data),
-                        (None, false) => h.rread(at, self.size),
-                        (Some(data), true) => h.rwrite_v(vec![(at, data)]).remove(0),
-                        (None, true) => h.rread_v(vec![(at, self.size)]).remove(0),
-                    }
-                }
+    /// One slot of the window: keeps claiming and issuing the stream's
+    /// next op until it runs dry.
+    async fn window_task(self, h: ProcHandle, va: u64, issued: Rc<Cell<u64>>, rec: Recorder) {
+        while issued.get() < self.ops {
+            if !self.think.is_zero() {
+                h.sleep(self.think).await;
+            }
+            let Some((at, data)) = self.next_op(va, &issued) else { break };
+            let fut = match data {
+                Some(data) => h.rwrite(at, data),
+                None => h.rread(at, self.size),
             };
             record(&rec, &fut.await, self.size as u64);
         }

@@ -317,54 +317,50 @@ impl CLib {
         op: Op,
         completions: &mut Vec<Completion>,
     ) -> OpToken {
-        let (token, dispatch) = self.enter(ctx.now(), thread, mn, pid, arrival, op, completions);
-        if dispatch {
-            self.dispatch(ctx, nic, token, completions);
-        }
-        token
-    }
-
-    /// Submits an explicit vector of operations, all served by `mn` or
-    /// each routed as [`submit`](Self::submit) routes, on behalf of
-    /// `thread` — the scatter/gather path behind `rread_v`/`rwrite_v`. The
-    /// vector shares one `arrival`. Every operation passes the same
-    /// per-thread dependency tracking as [`submit`](Self::submit); all
-    /// immediately-dispatchable entries are then handed to the transport
-    /// as one unit, bypassing the doorbell's same-instant/adaptive-delay
-    /// heuristics, so they coalesce into batch frames regardless of
-    /// submission timing. Entries held back by dependencies dispatch later,
-    /// exactly as sequentially-submitted ops would.
-    #[allow(clippy::too_many_arguments)] // as `submit`
-    pub fn submit_many(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
-        thread: ThreadId,
-        mn: Option<Mac>,
-        pid: Pid,
-        arrival: SimTime,
-        ops: Vec<Op>,
-        completions: &mut Vec<Completion>,
-    ) -> Vec<OpToken> {
-        let mut tokens = Vec::with_capacity(ops.len());
-        let mut sends = Vec::new();
-        for op in ops {
-            let (token, dispatch) =
-                self.enter(ctx.now(), thread, mn, pid, arrival, op, completions);
-            tokens.push(token);
-            if dispatch {
-                let pending = &self.ops[&token];
-                match &pending.op {
-                    Op::Release => self.dispatch(ctx, nic, token, completions),
-                    op => {
-                        let target = pending.mn.expect("a dispatched op is placed");
-                        sends.push((token, target, pid, op.clone(), pending.trace));
-                    }
+        let now = ctx.now();
+        let token = OpToken(self.next_token);
+        self.next_token += 1;
+        let target = match (mn, op.span()) {
+            (Some(mn), _) => Ok(Some(mn)),
+            (None, Some((va, len))) => match self.router.lookup(pid, va, len) {
+                Route::Owned(mn) => Ok(Some(mn)),
+                // Unroutable: fail fast with a typed error — spanning
+                // accesses must never be guessed onto the start VA's owner.
+                verdict => Err(verdict.error(va, len)),
+            },
+            (None, None) if matches!(op, Op::Alloc { .. }) => Ok(None),
+            (None, None) => Ok(Some(self.router.first().expect("CLib routes over slices"))),
+        };
+        let arrival = arrival.min(now);
+        let mut pending = PendingOp {
+            thread,
+            mn: None,
+            pid,
+            op,
+            issued_at: arrival,
+            queued_since: (arrival < now).then_some(arrival),
+            trace: None,
+            routed: mn.is_none(),
+            reissues: 0,
+            conflicts: 0,
+            moves: 0,
+            leg_error: None,
+        };
+        match target {
+            Ok(Some(mn)) => {
+                pending.mn = Some(mn);
+                if self.admit(now, token, pending) {
+                    self.dispatch(ctx, nic, token, completions);
                 }
             }
+            Ok(None) => {
+                let Op::Alloc { size, .. } = pending.op else { unreachable!("only an alloc") };
+                self.notices.push(Notice::Place(token, pid, self.booked(size)));
+                self.ops.insert(token, pending);
+            }
+            Err(e) => self.report(now, token, &pending, Err(e), completions),
         }
-        self.transport.send_many(ctx, nic, sends);
-        tokens
+        token
     }
 
     /// Answers a [`Notice`] with the controller's `route` for the held op
@@ -415,63 +411,6 @@ impl CLib {
             self.finish(ctx, nic, d, completions);
         }
         self.xfer_done = done;
-    }
-
-    /// Gives a fresh op its token and routes it. An op with an MN is
-    /// admitted (returns whether it may dispatch now); an `ralloc` to place
-    /// is held for the controller; an unroutable access completes at once.
-    #[allow(clippy::too_many_arguments)] // as `submit`
-    fn enter(
-        &mut self,
-        now: SimTime,
-        thread: ThreadId,
-        mn: Option<Mac>,
-        pid: Pid,
-        arrival: SimTime,
-        op: Op,
-        completions: &mut Vec<Completion>,
-    ) -> (OpToken, bool) {
-        let token = OpToken(self.next_token);
-        self.next_token += 1;
-        let target = match (mn, op.span()) {
-            (Some(mn), _) => Ok(Some(mn)),
-            (None, Some((va, len))) => match self.router.lookup(pid, va, len) {
-                Route::Owned(mn) => Ok(Some(mn)),
-                // Unroutable: fail fast with a typed error — spanning
-                // accesses must never be guessed onto the start VA's owner.
-                verdict => Err(verdict.error(va, len)),
-            },
-            (None, None) if matches!(op, Op::Alloc { .. }) => Ok(None),
-            (None, None) => Ok(Some(self.router.first().expect("CLib routes over slices"))),
-        };
-        let arrival = arrival.min(now);
-        let mut pending = PendingOp {
-            thread,
-            mn: None,
-            pid,
-            op,
-            issued_at: arrival,
-            queued_since: (arrival < now).then_some(arrival),
-            trace: None,
-            routed: mn.is_none(),
-            reissues: 0,
-            conflicts: 0,
-            moves: 0,
-            leg_error: None,
-        };
-        match target {
-            Ok(Some(mn)) => {
-                pending.mn = Some(mn);
-                return (token, self.admit(now, token, pending));
-            }
-            Ok(None) => {
-                let Op::Alloc { size, .. } = pending.op else { unreachable!("only an alloc") };
-                self.notices.push(Notice::Place(token, pid, self.booked(size)));
-                self.ops.insert(token, pending);
-            }
-            Err(e) => self.report(now, token, &pending, Err(e), completions),
-        }
-        (token, false)
     }
 
     /// Admits a placed op under `token`: begins its trace — at its arrival

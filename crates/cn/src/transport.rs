@@ -40,10 +40,6 @@
 //! dedup chain. A corrupted batch frame therefore recovers symmetrically:
 //! one `BatchNack` frame back, one coalesced retry frame forward.
 //!
-//! [`send_many`] bypasses the doorbell heuristics entirely: the caller
-//! hands the transport an explicit op vector (CLib's `rread_v`/`rwrite_v`
-//! scatter/gather API) which is queued and pumped as one unit.
-//!
 //! # Structure
 //!
 //! Per-MN state is one `Peer` record in one table (send queue, congestion
@@ -100,7 +96,6 @@
 //!    no drain; neither does a pump undoing its own `try_acquire`.
 //!
 //! [`send`]: Transport::send
-//! [`send_many`]: Transport::send_many
 //! [`on_packet`]: Transport::on_packet
 //! [`on_timer`]: Transport::on_timer
 //! [`cancel`]: Transport::cancel
@@ -548,29 +543,6 @@ impl Transport {
     ) {
         self.enqueue(ctx.now(), token, target, pid, op, trace);
         self.kick(ctx, nic, target);
-    }
-
-    /// Submits an explicit vector of requests (the scatter/gather path):
-    /// all entries are queued first and then every touched MN is pumped
-    /// once, immediately — no doorbell heuristics involved — so the vector
-    /// coalesces into batch frames regardless of submission timing.
-    pub fn send_many(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
-        requests: Vec<(OpToken, Mac, Pid, Op, Option<TraceCtx>)>,
-    ) {
-        let mut targets: Vec<Mac> = Vec::new();
-        for (token, target, pid, op, trace) in requests {
-            self.enqueue(ctx.now(), token, target, pid, op, trace);
-            if !targets.contains(&target) {
-                targets.push(target);
-            }
-        }
-        for target in targets {
-            self.peer(target).doorbell.cancel(ctx);
-            self.pump(ctx, nic, target);
-        }
     }
 
     /// Puts one submission on its MN's send queue, feeding the doorbell's

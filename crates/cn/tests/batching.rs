@@ -2,8 +2,7 @@
 //! transport against a real CBoard over the simulated fabric. Verifies the
 //! acceptance bars — ≥ 4× fewer wire frames in **both** directions for
 //! bursts of small same-MN ops with identical completion results, for
-//! same-instant bursts, adaptive-doorbell closed-loop bursts, and explicit
-//! scatter/gather submissions — plus unchanged retry/dedup semantics under
+//! same-instant bursts and adaptive-doorbell closed-loop bursts — plus unchanged retry/dedup semantics under
 //! corruption, coalesced retransmissions after same-instant timeouts, and
 //! the NACK-exhaustion queue-pump fix.
 
@@ -18,13 +17,6 @@ use clio_sim::{Actor, ActorId, Bandwidth, Ctx, Message, SimDuration, Simulation}
 struct Submit {
     thread: ThreadId,
     op: Op,
-}
-
-/// Scatter/gather submission: the whole vector in one `submit_many`.
-#[derive(Clone)]
-struct SubmitV {
-    thread: ThreadId,
-    ops: Vec<Op>,
 }
 
 struct CnHost {
@@ -47,14 +39,6 @@ impl Actor for CnHost {
             Ok(s) => {
                 let (nic, mn, done) = (&mut self.nic, self.mn, &mut self.completions);
                 self.clib.submit(ctx, nic, s.thread, Some(mn), PID, ctx.now(), s.op, done);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<SubmitV>() {
-            Ok(s) => {
-                let (nic, mn, done) = (&mut self.nic, Some(self.mn), &mut self.completions);
-                self.clib.submit_many(ctx, nic, s.thread, mn, PID, ctx.now(), s.ops, done);
                 return;
             }
             Err(m) => m,
@@ -308,36 +292,6 @@ fn staggered_closed_loop_burst_coalesces_both_directions_under_doorbell_delay() 
     assert_eq!(data_batched, data_plain, "coalescing must not change results");
     for (p, d) in data_batched.iter().enumerate() {
         assert!(d.iter().all(|&b| b == p as u8 + 1), "page {p} read back wrong data");
-    }
-}
-
-#[test]
-fn scatter_gather_vector_coalesces_without_doorbell_heuristics() {
-    // Zero doorbell budget and even zero-delay coalescing would not help a
-    // driver submitting from separate events; the explicit vector must
-    // still batch because it reaches the transport as one unit.
-    let mut r = rig(CLibConfig { cwnd_init: 64.0, ..CLibConfig::prototype() });
-    let va = r.alloc(PAGES * PAGE);
-    for p in 0..PAGES {
-        r.submit(
-            0,
-            Op::Write { va: va + p * PAGE, data: Bytes::from(vec![p as u8 + 1; OP_LEN as usize]) },
-        );
-    }
-    let rx0 = r.rx_frames();
-    let comps_before = r.completions().len();
-    let ops: Vec<Op> = (0..PAGES).map(|p| Op::Read { va: va + p * PAGE, len: OP_LEN }).collect();
-    r.sim.post(r.cn, Message::new(SubmitV { thread: ThreadId(0), ops }));
-    r.sim.run_until_idle();
-    let frames = r.rx_frames() - rx0;
-    assert!(frames * 4 <= PAGES, "a {PAGES}-op vector must share frames, got {frames} frames");
-    for (p, c) in r.completions()[comps_before..].iter().enumerate() {
-        match &c.result {
-            Ok(CompletionValue::Data(d)) => {
-                assert!(d.iter().all(|&b| b == p as u8 + 1), "page {p} wrong data")
-            }
-            other => panic!("read failed: {other:?}"),
-        }
     }
 }
 

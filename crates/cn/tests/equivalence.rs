@@ -3,8 +3,8 @@
 //! A random single-thread sequence of reads, writes, and atomics executes
 //! under three framing policies — unbatched (one frame per packet, both
 //! directions), fully batched (request + response coalescing with an
-//! adaptive doorbell hold), and explicit scatter/gather vectors — and the
-//! test asserts *observational equivalence*: every operation returns the
+//! adaptive doorbell hold), and batched with the whole sequence submitted
+//! at one instant — and the test asserts *observational equivalence*: every operation returns the
 //! same result in every mode, and the final remote memory is identical.
 //! This holds because `cn::ordering` serializes conflicting (same-page)
 //! operations in program order no matter how submissions are framed, and
@@ -52,11 +52,6 @@ struct Submit {
     op: Op,
 }
 
-#[derive(Clone)]
-struct SubmitV {
-    ops: Vec<Op>,
-}
-
 struct CnHost {
     nic: clio_net::NicPort,
     clib: CLib,
@@ -74,14 +69,6 @@ impl Actor for CnHost {
             Ok(s) => {
                 let (nic, mn, done) = (&mut self.nic, self.mn, &mut self.completions);
                 self.clib.submit(ctx, nic, ThreadId(0), Some(mn), Pid(PID), ctx.now(), s.op, done);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<SubmitV>() {
-            Ok(s) => {
-                let (nic, mn, done) = (&mut self.nic, Some(self.mn), &mut self.completions);
-                self.clib.submit_many(ctx, nic, ThreadId(0), mn, Pid(PID), ctx.now(), s.ops, done);
                 return;
             }
             Err(m) => m,
@@ -141,8 +128,9 @@ enum Mode {
     /// One `submit` per op, staggered 100 ns apart, adaptive doorbell +
     /// response batching at defaults.
     Batched,
-    /// The whole sequence as one `submit_many` vector at one instant.
-    ScatterGather,
+    /// One `submit` per op, all at one instant: the doorbell coalesces the
+    /// whole sequence.
+    Burst,
 }
 
 /// Executes `ops` under `mode`; returns per-op results (in submission
@@ -150,9 +138,7 @@ enum Mode {
 fn run_mode(ops: &[TestOp], mode: Mode) -> (Vec<Result<CompletionValue, ClioError>>, Vec<Bytes>) {
     let (clib_cfg, board_cfg) = match mode {
         Mode::Unbatched => (CLibConfig::prototype_unbatched(), CBoardConfig::prototype_unbatched()),
-        Mode::Batched | Mode::ScatterGather => {
-            (CLibConfig::prototype(), CBoardConfig::test_small())
-        }
+        Mode::Batched | Mode::Burst => (CLibConfig::prototype(), CBoardConfig::test_small()),
     };
     let board_cfg = CBoardConfig { hw: CBoardConfig::test_small().hw, ..board_cfg };
     let mut r = rig(clib_cfg, board_cfg);
@@ -175,20 +161,13 @@ fn run_mode(ops: &[TestOp], mode: Mode) -> (Vec<Result<CompletionValue, ClioErro
     }
     let skip = r.sim.actor::<CnHost>(r.cn).completions.len();
 
-    match mode {
-        Mode::ScatterGather => {
-            let vec_ops: Vec<Op> = ops.iter().map(|&o| to_op(o, va)).collect();
-            r.sim.post(r.cn, Message::new(SubmitV { ops: vec_ops }));
-        }
-        _ => {
-            for (i, &op) in ops.iter().enumerate() {
-                r.sim.post_in(
-                    r.cn,
-                    SimDuration::from_nanos(100 * i as u64),
-                    Message::new(Submit { op: to_op(op, va) }),
-                );
-            }
-        }
+    let gap = if matches!(mode, Mode::Burst) { 0 } else { 100 };
+    for (i, &op) in ops.iter().enumerate() {
+        r.sim.post_in(
+            r.cn,
+            SimDuration::from_nanos(gap * i as u64),
+            Message::new(Submit { op: to_op(op, va) }),
+        );
     }
     r.sim.run_until_idle();
 
@@ -214,7 +193,7 @@ fn run_mode(ops: &[TestOp], mode: Mode) -> (Vec<Result<CompletionValue, ClioErro
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Batched, unbatched, and scatter/gather execution must be
+    /// Batched, unbatched, and one-instant burst execution must be
     /// observationally equivalent: same per-op results, same final memory.
     #[test]
     fn framing_policy_is_observationally_equivalent(
@@ -222,11 +201,11 @@ proptest! {
     ) {
         let (res_plain, mem_plain) = run_mode(&ops, Mode::Unbatched);
         let (res_batched, mem_batched) = run_mode(&ops, Mode::Batched);
-        let (res_sg, mem_sg) = run_mode(&ops, Mode::ScatterGather);
+        let (res_burst, mem_burst) = run_mode(&ops, Mode::Burst);
         prop_assert_eq!(&res_batched, &res_plain, "batched results diverge");
-        prop_assert_eq!(&res_sg, &res_plain, "scatter/gather results diverge");
+        prop_assert_eq!(&res_burst, &res_plain, "burst results diverge");
         prop_assert_eq!(&mem_batched, &mem_plain, "batched memory diverges");
-        prop_assert_eq!(&mem_sg, &mem_plain, "scatter/gather memory diverges");
+        prop_assert_eq!(&mem_burst, &mem_plain, "burst memory diverges");
     }
 }
 

@@ -46,9 +46,7 @@
 //!
 //! ## In-flight count
 //!
-//! Every op counts in flight from its first poll (a vector's entries from
-//! the [`ProcHandle::rread_v`] / [`rwrite_v`](ProcHandle::rwrite_v) call)
-//! until its completion, live in the `cn<i>.runtime.inflight` / `.tasks`
+//! Every op counts in flight from its first poll until its completion, live in the `cn<i>.runtime.inflight` / `.tasks`
 //! registry gauges and as [`ExecDriver::peak_inflight`]. Nothing bounds
 //! it: the transport's congestion and incast windows queue what the fabric
 //! cannot take, and the wait before submission shows per op as a
@@ -182,11 +180,9 @@ impl OpSlot {
 }
 
 /// Work queued by task polls, flushed to the compute node in FIFO
-/// (program) order. `Vec` is a scatter/gather vector: one slot per entry,
-/// in order.
+/// (program) order.
 enum Submission {
     Op { op: Op, named_mn: Option<Mac>, slot: Rc<RefCell<OpSlot>> },
-    Vec { ops: Vec<Op>, slots: Vec<Rc<RefCell<OpSlot>>> },
     Timer { tag: u64, dur: SimDuration },
     Cancel { token: OpToken },
 }
@@ -344,24 +340,13 @@ impl ExecDriver {
                 Submission::Op { op, named_mn, slot } => {
                     let arrival = slot.borrow().arrival;
                     let token = api.issue(op, named_mn, arrival);
-                    self.issued(token, slot);
-                }
-                Submission::Vec { ops, slots } => {
-                    let arrival = slots[0].borrow().arrival;
-                    for (token, slot) in api.issue_vec(ops, arrival).into_iter().zip(slots) {
-                        self.issued(token, slot);
-                    }
+                    slot.borrow_mut().token = Some(token);
+                    self.shared.inner.borrow_mut().op_slots.insert(token, slot);
                 }
                 Submission::Timer { tag, dur } => api.wake_in(dur, tag),
                 Submission::Cancel { token } => api.cancel(token),
             }
         }
-    }
-
-    /// Files an op the node just accepted under its token.
-    fn issued(&self, token: OpToken, slot: Rc<RefCell<OpSlot>>) {
-        slot.borrow_mut().token = Some(token);
-        self.shared.inner.borrow_mut().op_slots.insert(token, slot);
     }
 
     /// Runs the executor to quiescence: flush submissions, poll every
@@ -468,24 +453,6 @@ impl ProcHandle {
         }
     }
 
-    /// Queues `ops` as one scatter/gather submission, *now* (not at first
-    /// poll: the vector is one unit however its entries are awaited).
-    fn op_v(&self, ops: Vec<Op>) -> Vec<OpFuture> {
-        if ops.is_empty() {
-            return Vec::new();
-        }
-        let n = ops.len();
-        let slots: Vec<_> = (0..n).map(|_| OpSlot::new(self.now())).collect();
-        let mut inner = self.shared.inner.borrow_mut();
-        inner.inflight += n;
-        inner.peak_inflight = inner.peak_inflight.max(inner.inflight as u64);
-        inner.submit_q.push_back(Submission::Vec { ops, slots: slots.clone() });
-        slots
-            .into_iter()
-            .map(|slot| OpFuture { shared: self.shared.clone(), slot, state: OpState::Queued })
-            .collect()
-    }
-
     /// Bounds `op` by a deadline: if it has not completed after `deadline`
     /// of virtual time, the node cancels it — a `Cancelled` stage ends its
     /// trace, and the future resolves with
@@ -553,20 +520,6 @@ impl ProcHandle {
         self.op(Op::Offload { offload, opcode, arg }, Some(mn))
     }
 
-    /// `rread_v`: scatter/gather read. The whole vector is submitted as
-    /// one unit at this call — it coalesces into batch frames regardless of
-    /// doorbell timing — and each entry completes independently: one
-    /// already-issued future per entry, in order, to await in any order
-    /// (or from different tasks).
-    pub fn rread_v(&self, reads: Vec<(u64, u32)>) -> Vec<OpFuture> {
-        self.op_v(reads.into_iter().map(|(va, len)| Op::Read { va, len }).collect())
-    }
-
-    /// `rwrite_v`: scatter/gather write, the mirror of [`rread_v`](Self::rread_v).
-    pub fn rwrite_v(&self, writes: Vec<(u64, Bytes)>) -> Vec<OpFuture> {
-        self.op_v(writes.into_iter().map(|(va, data)| Op::Write { va, data }).collect())
-    }
-
     /// Sleeps for `dur` of virtual time.
     pub fn sleep(&self, dur: SimDuration) -> SleepFuture {
         SleepFuture { shared: self.shared.clone(), state: SleepState::Start { dur } }
@@ -595,7 +548,7 @@ impl OpFuture {
     /// with the wait until actual submission attributed to the
     /// `SubmitQueued` stage. Open-loop generators use this so measured
     /// latency includes queueing delay. No effect once the op is submitted
-    /// (first poll; for a vector entry, the `rread_v`/`rwrite_v` call).
+    /// (its first poll).
     pub fn arriving_at(self, at: SimTime) -> Self {
         if let OpState::Start(_) = self.state {
             self.slot.borrow_mut().arrival = at;
@@ -761,12 +714,19 @@ mod tests {
             assert_eq!((a.data().as_ref(), b.data().as_ref()), (&b"a"[..], &b"b"[..]));
 
             h.sleep(SimDuration::from_micros(3)).await;
-            let mut batch = h.rread_v(vec![(va, 4), (va + 64, 1)]);
-            assert_eq!(batch.len(), 2);
-            // Entries complete independently: await them in any order.
-            assert_eq!(batch.pop().unwrap().await.data().as_ref(), b"a");
-            assert_eq!(batch.pop().unwrap().await.data().as_ref(), b"exec");
-            assert!(h.rread_v(Vec::new()).is_empty() && h.rwrite_v(Vec::new()).is_empty());
+            // Issue-then-poll: spawned reads are in flight together, and
+            // `rrelease` resolves once every one has completed.
+            let got = Rc::new(RefCell::new(Vec::new()));
+            for (at, len) in [(va, 4), (va + 64, 1)] {
+                let (h1, got) = (h.clone(), got.clone());
+                h.spawn(async move {
+                    let c = h1.rread(at, len).await;
+                    got.borrow_mut().push(c.data().clone());
+                });
+            }
+            assert_eq!(h.inflight(), 2);
+            h.rrelease().await;
+            assert_eq!(*got.borrow(), [Bytes::from_static(b"exec"), Bytes::from_static(b"a")]);
             flag.set(true);
         });
         cluster.start();
@@ -845,33 +805,6 @@ mod tests {
         let reg = cluster.registry();
         assert_eq!(reg.counter("cn0.runtime.deadline_exceeded_total"), Some(1));
         assert_eq!(reg.gauge("cn0.runtime.inflight"), Some(0));
-    }
-
-    #[test]
-    fn a_deadline_on_a_vector_entry_cancels_it_at_the_node() {
-        use clio_net::{ChaosAction, ChaosSchedule};
-
-        let mut cluster = Cluster::build(&ClusterConfig::test_small());
-        let mn = cluster.mn_macs()[0];
-        let schedule =
-            ChaosSchedule::new().at(SimDuration::from_micros(50), ChaosAction::LinkDown(mn));
-        cluster.apply_chaos(&schedule);
-        let results = cluster.block_on(0, Pid(7), |h| async move {
-            let va = h.ralloc(4096, Perm::RW).await.va();
-            h.sleep(SimDuration::from_micros(60)).await;
-            // The vector is queued by the call, ahead of either deadline's
-            // timer: both entries are issued before a deadline can fire.
-            let mut entries = h.rread_v(vec![(va, 8), (va + 64, 8)]);
-            let deadline = SimDuration::from_micros(30);
-            let second = h.with_deadline(entries.pop().unwrap(), deadline);
-            let first = h.with_deadline(entries.pop().unwrap(), deadline);
-            (first.await.result, second.await.result)
-        });
-        let expired = Err(clio_cn::ClioError::DeadlineExceeded);
-        assert_eq!(results, (expired.clone(), expired));
-        let reg = cluster.registry();
-        assert_eq!(reg.counter("cn0.runtime.deadline_exceeded_total"), Some(2));
-        assert_eq!(reg.gauge("cn0.runtime.inflight"), Some(0), "both entries left the count");
     }
 
     #[test]

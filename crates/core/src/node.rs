@@ -109,19 +109,6 @@ impl NodeApi<'_, '_> {
         token
     }
 
-    /// Issues reads/writes as one scatter/gather submission — the whole
-    /// vector reaches the transport as one unit, so the ops coalesce into
-    /// batch frames regardless of doorbell timing. Returns one token per
-    /// entry, in order; each completes independently.
-    pub(crate) fn issue_vec(&mut self, ops: Vec<Op>, arrival: SimTime) -> Vec<OpToken> {
-        let (core, thread) = (&mut *self.core, ThreadId(self.driver as u64));
-        let pid = core.pids[self.driver];
-        let (nic, comps) = (&mut core.nic, &mut core.comps);
-        let tokens = core.clib.submit_many(self.ctx, nic, thread, None, pid, arrival, ops, comps);
-        core.absorb(self.ctx);
-        tokens
-    }
-
     /// Arms a timer delivering [`ExecDriver::on_wake`] with `tag`.
     pub(crate) fn wake_in(&mut self, delay: SimDuration, tag: u64) {
         let driver = self.driver;
@@ -353,22 +340,17 @@ mod tests {
     /// unchecked `va + len - 1`, so an access reaching past the end of the
     /// address space panicked in debug builds and was refused in release
     /// builds only because the wrapped sum happened to miss every slice.
-    /// It names no memory: `InvalidAddr`, in both profiles, on every
-    /// submit path.
+    /// It names no memory: `InvalidAddr`, in both profiles.
     #[test]
     fn access_past_the_end_of_the_address_space_is_invalid_addr() {
         let mut cluster = Cluster::build(&ClusterConfig::test_small());
         let results = cluster.block_on(0, Pid(1), |h| async move {
-            let mut results = vec![
+            vec![
                 h.rread(u64::MAX - 3, 16).await.result,
                 h.rwrite(u64::MAX, Bytes::from_static(b"xy")).await.result,
                 h.rfaa(u64::MAX - 6, 1).await.result,
-            ];
-            for entry in h.rread_v(vec![(u64::MAX - 3, 16)]) {
-                results.push(entry.await.result);
-            }
-            results
+            ]
         });
-        assert_eq!(results, vec![Err(ClioError::Remote(Status::InvalidAddr)); 4]);
+        assert_eq!(results, vec![Err(ClioError::Remote(Status::InvalidAddr)); 3]);
     }
 }

@@ -81,41 +81,6 @@ fn figure1_style_program() {
 }
 
 #[test]
-fn scatter_gather_vectors() {
-    let mut cluster = Cluster::build(&ClusterConfig::test_small());
-    cluster.block_on(0, Pid(42), |h| async move {
-        let va = h.ralloc(16 << 10, Perm::RW).await.va();
-        // Scatter/gather write: one explicit vector, one submission.
-        let writes = (0..16u64).map(|i| (va + i * 1024, Bytes::from(vec![i as u8 + 1; 64])));
-        for w in h.rwrite_v(writes.collect()) {
-            w.await.result.expect("rwrite_v");
-        }
-        // Scatter/gather read hands back one future per entry, in request
-        // order; entries complete independently.
-        let reads: Vec<(u64, u32)> = (0..16u64).map(|i| (va + i * 1024, 64)).collect();
-        let futs = h.rread_v(reads.clone());
-        assert_eq!(futs.len(), 16);
-        for (i, f) in futs.into_iter().enumerate() {
-            let c = f.await;
-            assert!(c.data().iter().all(|&b| b == i as u8 + 1), "entry {i} wrong data");
-        }
-        // Issue a vector, do something else, collect it with `rrelease`.
-        let abandoned = h.rread_v(reads.clone());
-        h.rrelease().await.result.expect("rrelease");
-        for f in abandoned {
-            f.await.result.expect("completed before the release did");
-        }
-        // Single-entry and empty vectors degenerate cleanly.
-        assert_eq!(h.rread_v(reads[..1].to_vec()).len(), 1);
-        assert!(h.rread_v(Vec::new()).is_empty());
-        assert!(h.rwrite_v(Vec::new()).is_empty());
-    });
-    // The vector reached the wire coalesced: the CN transport shipped
-    // multi-request frames.
-    assert!(cluster.cn(0).clib().transport().stats().batched_ops >= 16, "vector ops did not batch");
-}
-
-#[test]
 fn two_threads_share_a_lock() {
     let mut cluster = Cluster::build(&ClusterConfig::test_small());
     // Two threads of one process (same pid, one RAS) increment a counter

@@ -17,18 +17,30 @@ use proptest::prelude::*;
 
 const BURST: usize = 64;
 
-/// Allocates one region, writes it once, then issues `BURST` reads as a
-/// single scatter/gather vector — the doorbell coalesces them into batch
-/// frames, so the burst exercises batching, egress coalescing and
-/// multi-op frames end to end.
+/// Allocates one region, writes it once, then issues `BURST` reads at one
+/// instant (spawned, then collected with `rrelease`) — the doorbell
+/// coalesces them into batch frames, so the burst exercises batching,
+/// egress coalescing and multi-op frames end to end.
 async fn burst_client(h: ProcHandle) {
     let va = h.ralloc((BURST as u64) * 64, Perm::RW).await.va();
     let c = h.rwrite(va, Bytes::from(vec![0xAB; BURST * 64])).await;
     assert!(c.result.is_ok(), "seed write failed: {:?}", c.result);
-    for read in h.rread_v((0..BURST as u64).map(|i| (va + i * 64, 64)).collect()) {
-        let c = read.await;
-        assert!(c.result.is_ok(), "burst read failed: {:?}", c.result);
+    for i in 0..BURST as u64 {
+        let h2 = h.clone();
+        h.spawn(async move {
+            let c = h2.rread(va + i * 64, 64).await;
+            assert!(c.result.is_ok(), "burst read failed: {:?}", c.result);
+        });
     }
+    h.rrelease().await;
+}
+
+/// CN→MN frames that carried the burst's reads: one per batch frame, one
+/// per read that left alone (the alloc and the multi-packet seed write
+/// never share a frame).
+fn burst_request_frames(cluster: &Cluster) -> u64 {
+    let stats = cluster.cn(0).clib().transport().stats();
+    stats.batch_frames + (BURST as u64 - stats.batched_ops)
 }
 
 /// Runs a traced burst and returns (cluster, finished traces).
@@ -89,6 +101,9 @@ fn tracing_disabled_is_zero_overhead() {
         }
         let mut cluster = Cluster::build(&cfg);
         cluster.block_on(0, Pid(1), burst_client);
+        // The burst left the CN coalesced at least 4x.
+        let frames = burst_request_frames(&cluster);
+        assert!(frames * 4 <= BURST as u64, "{BURST} reads took {frames} request frames");
         let stats = cluster.mn(0).stats();
         (
             cluster.sim.digest(),

@@ -127,17 +127,23 @@ fn incast_corruption_storm_recovers_with_coalesced_frames() {
     const FIRE: SimTime = SimTime::from_nanos(1_000_000);
 
     /// Allocates + initializes a page, then sleeps until [`FIRE`] to fire
-    /// its 64-read burst through the scatter/gather API. Returns the data
-    /// each read (in entry order) brought back.
+    /// its 64-read burst (spawned at one instant, collected with
+    /// `rrelease`). Leaves the data each read brought back at the read's
+    /// index in `out`.
     async fn incast_reader(h: clio::system::ProcHandle, out: Rc<RefCell<Vec<Bytes>>>) {
         let va = h.ralloc(READS * OP, Perm::RW).await.va();
         let pattern: Vec<u8> = (0..READS * OP).map(|i| (i / OP) as u8).collect();
         h.rwrite(va, Bytes::from(pattern)).await.result.expect("pattern write");
         h.sleep(FIRE.since(h.now())).await;
-        for read in h.rread_v((0..READS).map(|i| (va + i * OP, OP as u32)).collect()) {
-            let data = read.await.data().clone();
-            out.borrow_mut().push(data);
+        out.borrow_mut().resize(READS as usize, Bytes::new());
+        for i in 0..READS {
+            let (h2, out) = (h.clone(), out.clone());
+            h.spawn(async move {
+                let data = h2.rread(va + i * OP, OP as u32).await.data().clone();
+                out.borrow_mut()[i as usize] = data;
+            });
         }
+        h.rrelease().await;
     }
 
     let run_storm = |corrupt: bool| {
@@ -185,7 +191,8 @@ fn incast_corruption_storm_recovers_with_coalesced_frames() {
         let mut per_cn_rx_frames: Vec<u64> = Vec::new();
         for (cn, out) in outs.iter().enumerate() {
             let data = out.borrow().clone();
-            assert_eq!(data.len() as u64, READS, "cn{cn}: a read never completed");
+            assert_eq!(data.len() as u64, READS, "cn{cn}: the burst never fired");
+            assert!(data.iter().all(|d| d.len() as u64 == OP), "cn{cn}: a read never completed");
             per_cn.push(data);
             // Frames delivered to this CN (responses + NACKs), per port.
             let mac = cluster.cn(cn).mac();
