@@ -70,7 +70,9 @@ fn run(size: u32, batch_max_ops: u32, bursts: u64) -> Point {
     let prologue = 1 + SPAN_PAGES;
     let req_frames = stats.rx_frames.saturating_sub(prologue);
     let resp_frames = stats.tx_frames.saturating_sub(prologue);
-    let elapsed = cluster.now().as_secs_f64();
+    // Over the measured window: the end of warm-up to the last completion.
+    let (from, to) = rec.borrow().window_bounds();
+    let elapsed = to.since(from).as_secs_f64();
     Point {
         req_frames_per_op: req_frames as f64 / ops as f64,
         resp_frames_per_op: resp_frames as f64 / ops as f64,

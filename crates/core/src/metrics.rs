@@ -49,6 +49,13 @@ impl OpRecorder {
         self.last_event.since(self.warmup_until)
     }
 
+    /// The measured window's bounds: `(end of warm-up, last measured
+    /// completion)`. Loads running side by side sum their measured bytes
+    /// over the union of their windows.
+    pub fn window_bounds(&self) -> (SimTime, SimTime) {
+        (self.warmup_until, self.last_event)
+    }
+
     /// Records a failed op finishing at `completed`. Pre-warm-up failures
     /// are discarded under the same window as [`record`](Self::record), so
     /// error rates and op counts describe the same measurement interval.
@@ -93,6 +100,7 @@ mod tests {
         r.record(SimTime::from_nanos(1500), SimDuration::from_nanos(10), 100);
         assert_eq!(r.ops(), 1);
         assert_eq!(r.latency().count(), 1);
+        assert_eq!(r.window_bounds(), (warm, SimTime::from_nanos(1500)), "window from warm-up");
     }
 
     #[test]
