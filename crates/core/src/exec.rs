@@ -202,7 +202,7 @@ struct ExecInner {
     /// being polled.
     tasks: Slab<Option<BoxedTask>>,
     submit_q: VecDeque<Submission>,
-    /// Ops polled (or vector entries queued) and not yet resolved.
+    /// Ops polled and not yet resolved.
     inflight: usize,
     peak_inflight: u64,
     op_slots: IdMap<OpToken, Rc<RefCell<OpSlot>>>,
