@@ -13,8 +13,9 @@ pub fn bench_cluster(cns: usize, mns: usize, seed: u64) -> Cluster {
 }
 
 /// Like [`bench_cluster`] but with an explicit CLib configuration, so
-/// figures can pin transport knobs (e.g. `batch_max_ops = 1` reproduces the
-/// pre-batching wire behavior, larger windows expose batching headroom).
+/// figures can pin transport knobs (e.g. `batch_max_ops = 1`, a budget of
+/// one through the same doorbell, reproduces the pre-batching wire
+/// behavior; larger windows expose batching headroom).
 pub fn bench_cluster_clib(cns: usize, mns: usize, seed: u64, clib: CLibConfig) -> Cluster {
     bench_cluster_tuned(cns, mns, seed, clib, |_| {})
 }

@@ -309,7 +309,6 @@ impl CLib {
     pub fn submit(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
         thread: ThreadId,
         mn: Option<Mac>,
         pid: Pid,
@@ -350,7 +349,7 @@ impl CLib {
             Ok(Some(mn)) => {
                 pending.mn = Some(mn);
                 if self.admit(now, token, pending) {
-                    self.dispatch(ctx, nic, token, completions);
+                    self.dispatch(ctx, token, completions);
                 }
             }
             Ok(None) => {
@@ -372,7 +371,6 @@ impl CLib {
     pub fn place(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
         token: OpToken,
         route: Route,
         completions: &mut Vec<Completion>,
@@ -384,7 +382,7 @@ impl CLib {
             (_, Route::Owned(mn)) => {
                 pending.mn = Some(mn);
                 if self.admit(now, token, pending) {
-                    self.dispatch(ctx, nic, token, completions);
+                    self.dispatch(ctx, token, completions);
                 }
                 return true;
             }
@@ -401,14 +399,13 @@ impl CLib {
     fn with_transport(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
         completions: &mut Vec<Completion>,
-        f: impl FnOnce(&mut Transport, &mut Ctx<'_>, &mut NicPort, &mut Vec<XferDone>),
+        f: impl FnOnce(&mut Transport, &mut Ctx<'_>, &mut Vec<XferDone>),
     ) {
         let mut done = std::mem::take(&mut self.xfer_done);
-        f(&mut self.transport, ctx, nic, &mut done);
+        f(&mut self.transport, ctx, &mut done);
         for d in done.drain(..) {
-            self.finish(ctx, nic, d, completions);
+            self.finish(ctx, d, completions);
         }
         self.xfer_done = done;
     }
@@ -439,13 +436,7 @@ impl CLib {
     /// Hands a pending op to the transport (a lock's every TAS attempt, a
     /// fence's every leg and every re-issue after a `Conflict` come through
     /// here); a token no longer pending is ignored.
-    fn dispatch(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
-        token: OpToken,
-        completions: &mut Vec<Completion>,
-    ) {
+    fn dispatch(&mut self, ctx: &mut Ctx<'_>, token: OpToken, completions: &mut Vec<Completion>) {
         let Some(pending) = self.ops.get(&token) else { return };
         let (mn, pid, trace) =
             (pending.mn.expect("a dispatched op is placed"), pending.pid, pending.trace);
@@ -454,21 +445,15 @@ impl CLib {
             // drained.
             Op::Release => {
                 let done = XferDone { token, result: Ok(CompletionValue::Done) };
-                self.finish(ctx, nic, done, completions);
+                self.finish(ctx, done, completions);
             }
-            op => self.transport.send(ctx, nic, token, mn, pid, op.clone(), trace),
+            op => self.transport.send(ctx, token, mn, pid, op.clone(), trace),
         }
     }
 
     /// Handles a frame delivered to the CN's NIC, appending the operations
     /// it finished to `completions`.
-    pub fn on_frame(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
-        frame: Frame,
-        completions: &mut Vec<Completion>,
-    ) {
+    pub fn on_frame(&mut self, ctx: &mut Ctx<'_>, frame: Frame, completions: &mut Vec<Completion>) {
         if frame.corrupted {
             // Corrupted response: drop; the request timer will retry.
             return;
@@ -476,9 +461,7 @@ impl CLib {
         let Ok(pkt) = frame.payload.downcast::<clio_proto::ClioPacket>() else {
             return;
         };
-        self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
-            t.on_packet(ctx, nic, pkt, done)
-        });
+        self.with_transport(ctx, completions, |t, ctx, done| t.on_packet(ctx, pkt, done));
     }
 
     /// Handles a timer message scheduled by CLib on its host actor,
@@ -493,7 +476,7 @@ impl CLib {
     ) -> Option<Message> {
         let msg = match msg.downcast::<TransportTimer>() {
             Ok(timer) => {
-                self.with_transport(ctx, nic, completions, |t, ctx, nic, done| {
+                self.with_transport(ctx, completions, |t, ctx, done| {
                     t.on_timer(ctx, nic, timer, done)
                 });
                 return None;
@@ -503,7 +486,7 @@ impl CLib {
         let msg = match msg.downcast::<LockRetry>() {
             Ok(LockRetry { token }) => {
                 // Re-issue the TAS for a still-pending lock.
-                self.dispatch(ctx, nic, token, completions);
+                self.dispatch(ctx, token, completions);
                 return None;
             }
             Err(m) => m,
@@ -519,7 +502,7 @@ impl CLib {
                     return None;
                 }
                 self.tracer.stitch(pending.trace, self.track, Stage::ConflictBackoff, ctx.now());
-                self.dispatch(ctx, nic, token, completions);
+                self.dispatch(ctx, token, completions);
                 None
             }
             Err(m) => Some(m),
@@ -535,7 +518,6 @@ impl CLib {
     pub fn cancel(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
         token: OpToken,
         completions: &mut Vec<Completion>,
     ) -> bool {
@@ -544,11 +526,11 @@ impl CLib {
             self.report(ctx.now(), token, &pending, Err(ClioError::DeadlineExceeded), completions);
             return true;
         }
-        self.transport.cancel(ctx, nic, token);
+        self.transport.cancel(ctx, token);
         self.tracer.stitch(pending.trace, self.track, Stage::Cancelled, ctx.now());
         // The cancelled op still orders its thread: dependents it was
         // blocking dispatch now, exactly as on a normal failure.
-        self.complete(ctx, nic, token, pending, Err(ClioError::DeadlineExceeded), completions);
+        self.complete(ctx, token, pending, Err(ClioError::DeadlineExceeded), completions);
         true
     }
 
@@ -557,13 +539,7 @@ impl CLib {
     /// ordering release and completion delivery. A spin, backoff or
     /// re-route is taken only before the op's re-issue horizon; after it
     /// the refusal is the result, a held lock's as `TimedOut`.
-    fn finish(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
-        done: XferDone,
-        completions: &mut Vec<Completion>,
-    ) {
+    fn finish(&mut self, ctx: &mut Ctx<'_>, done: XferDone, completions: &mut Vec<Completion>) {
         let token = done.token;
         let Some(pending) = self.ops.get_mut(&token) else { return };
         let reissue = ctx.now() < pending.issued_at + CLibConfig::REISSUE_HORIZON;
@@ -593,7 +569,7 @@ impl CLib {
                         pending.leg_error.get_or_insert(*e);
                     }
                     pending.mn = Some(next);
-                    self.dispatch(ctx, nic, token, completions);
+                    self.dispatch(ctx, token, completions);
                     return;
                 }
             }
@@ -614,7 +590,7 @@ impl CLib {
                     }
                     pending.moves += 1;
                     self.tracer.finish(trace, self.track, ctx.now());
-                    self.release(ctx, nic, thread, token, completions);
+                    self.release(ctx, thread, token, completions);
                     return;
                 }
             }
@@ -633,7 +609,7 @@ impl CLib {
             (Op::Lock { .. } | Op::Unlock { .. }, Ok(_)) => Ok(CompletionValue::Done),
             (_, result) => pending.leg_error.map_or(result, Err),
         };
-        self.complete(ctx, nic, token, pending, result, completions);
+        self.complete(ctx, token, pending, result, completions);
     }
 
     /// Retires a placed op already taken out of `ops`: ends its trace,
@@ -642,7 +618,6 @@ impl CLib {
     fn complete(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
         token: OpToken,
         pending: PendingOp,
         result: Result<CompletionValue, ClioError>,
@@ -669,7 +644,7 @@ impl CLib {
             self.notices.extend(notice);
         }
         self.report(now, token, &pending, result, completions);
-        self.release(ctx, nic, pending.thread, token, completions);
+        self.release(ctx, pending.thread, token, completions);
     }
 
     /// Reports `token`'s completion with `result`.
@@ -696,7 +671,6 @@ impl CLib {
     fn release(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
         thread: ThreadId,
         token: OpToken,
         completions: &mut Vec<Completion>,
@@ -704,7 +678,7 @@ impl CLib {
         if let Some(tracker) = self.trackers.get_mut(&thread) {
             let released = tracker.complete(token);
             for t in released {
-                self.dispatch(ctx, nic, t, completions);
+                self.dispatch(ctx, t, completions);
             }
         }
     }

@@ -23,12 +23,12 @@ pub struct CLibConfig {
     /// Incast window: maximum outstanding expected response bytes per CN.
     pub iwnd_bytes: u64,
     /// Maximum small requests coalesced into one wire frame toward an MN
-    /// (doorbell coalescing), under the link MTU. `1` disables batching
-    /// entirely — no doorbell, no hold — and restores the
-    /// one-frame-per-request wire behavior (the escape hatch that keeps
-    /// pre-batching figures reproducible). Above `1` the doorbell's hold is
-    /// not configured but measured: see [`clio_net::Doorbell`] for the rule
-    /// and [`Self::DOORBELL_DERIVED_CAP`] for its one CN-side constant.
+    /// (doorbell coalescing), under the link MTU. `1` is a budget of one,
+    /// through the same doorbell: each queued request fills a frame, so it
+    /// fires at once and never holds (the one-frame-per-request wire that
+    /// keeps pre-batching figures reproducible). The hold is not configured
+    /// but measured: see [`clio_net::Doorbell`] for the rule and
+    /// [`Self::DOORBELL_DERIVED_CAP`] for its one CN-side constant.
     pub batch_max_ops: u32,
 }
 

@@ -11,9 +11,8 @@
 //!
 //! # Request batching (doorbell coalescing)
 //!
-//! With batching enabled (`batch_max_ops > 1`, the default), [`send`]
-//! enqueues the request and rings a *doorbell* instead of transmitting
-//! immediately; when the doorbell fires, every queued request drains
+//! [`send`] never transmits: it enqueues the request and rings a
+//! *doorbell*; when the doorbell fires, every queued request drains
 //! through a single pump. The pump packs admitted small same-MN requests
 //! (single-packet reads, writes, and atomics) into [`ClioPacket::Batch`]
 //! frames under the `batch_max_ops`/MTU budgets, saving one Ethernet
@@ -21,8 +20,9 @@
 //! own request id, congestion/incast window slot, retry timer, and op:
 //! timeouts, NACK retries (`retry_of` dedup), and completions are
 //! indistinguishable from the unbatched wire protocol. A lone admitted
-//! request is framed as a plain `Request`, byte-identical to
-//! `batch_max_ops = 1`.
+//! request is framed as a plain `Request`. `batch_max_ops = 1` is a budget
+//! of one through the same doorbell: every queued request is a full frame,
+//! so the doorbell fires at once and each request travels alone.
 //!
 //! How long the doorbell holds is not configured but measured — the rule
 //! is [`clio_net::Doorbell`]'s, shared with the MN's egress doorbell. The
@@ -48,8 +48,9 @@
 //! and reaches the wire through `ship` (a first send does both in its
 //! pump; a retransmission registers when it is queued and ships when the
 //! retry doorbell fires, one event later) and leaves it through `take`.
-//! Window slots are handed back in `release`, a failure is reported by
-//! `fail`, nowhere else.
+//! Only the two pumps ship, each run from its timer, so only
+//! [`on_timer`] is lent the NIC. Window slots are handed back in
+//! `release`, a failure is reported by `fail`, nowhere else.
 //!
 //! # Invariants
 //!
@@ -511,10 +512,6 @@ impl Transport {
         h
     }
 
-    fn batching(&self) -> bool {
-        self.cfg.batch_max_ops > 1
-    }
-
     /// The record of `mn`, created on first use.
     fn peer(&mut self, mn: Mac) -> &mut Peer {
         let cfg = &self.cfg;
@@ -526,15 +523,13 @@ impl Transport {
         &mut self.peer(mn).cwnd
     }
 
-    /// Submits a request. With batching disabled it is sent immediately if
-    /// the congestion and incast windows allow (otherwise queued); with
-    /// batching enabled it is queued and the (load-adaptive) doorbell
-    /// coalesces every submission sharing a pump into shared frames.
-    #[allow(clippy::too_many_arguments)] // the op's full identity travels together
+    /// Submits a request: it is queued and the (load-adaptive) doorbell
+    /// coalesces every submission sharing a pump into shared frames, as the
+    /// congestion and incast windows allow. With `batch_max_ops = 1` the
+    /// budget is one, so the doorbell fires at once.
     pub fn send(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
         token: OpToken,
         target: Mac,
         pid: Pid,
@@ -542,7 +537,7 @@ impl Transport {
         trace: Option<TraceCtx>,
     ) {
         self.enqueue(ctx.now(), token, target, pid, op, trace);
-        self.kick(ctx, nic, target);
+        self.kick(ctx, target);
     }
 
     /// Puts one submission on its MN's send queue, feeding the doorbell's
@@ -571,19 +566,14 @@ impl Transport {
         self.peers.get(&target).map_or(SimDuration::ZERO, Peer::doorbell_budget)
     }
 
-    /// Makes queued requests toward `target` progress: immediately when
-    /// batching is off, via the coalescing doorbell when on. A doorbell
-    /// already armed is left in place unless a full batch is waiting, in
-    /// which case it is re-rung to fire now; otherwise it is armed after
-    /// the load-adaptive hold ([`Doorbell::hold`]) the free batch slots
-    /// call for.
-    fn kick(&mut self, ctx: &mut Ctx<'_>, nic: &mut NicPort, target: Mac) {
-        let batching = self.batching();
+    /// Makes queued requests toward `target` progress through the
+    /// coalescing doorbell. A doorbell already armed is left in place
+    /// unless a full batch is waiting, in which case it is re-rung to fire
+    /// now; otherwise it is armed after the load-adaptive hold
+    /// ([`Doorbell::hold`]) the free batch slots call for. With a budget of
+    /// one every queued request is a full batch, so it never holds.
+    fn kick(&mut self, ctx: &mut Ctx<'_>, target: Mac) {
         let max_ops = self.cfg.batch_max_ops as usize;
-        if !batching {
-            self.pump(ctx, nic, target);
-            return;
-        }
         let peer = self.peer(target);
         let slots = max_ops.saturating_sub(peer.queue.len());
         if slots > 0 && peer.doorbell.armed().is_some() {
@@ -600,7 +590,7 @@ impl Transport {
     /// same-instant `Pump` timer, so the visiting order decides NIC
     /// serialization order and must be a function of the simulation alone,
     /// never of table layout.
-    fn drain_released(&mut self, ctx: &mut Ctx<'_>, nic: &mut NicPort) {
+    fn drain_released(&mut self, ctx: &mut Ctx<'_>) {
         if !std::mem::take(&mut self.released) {
             return;
         }
@@ -609,7 +599,7 @@ impl Transport {
         macs.extend(self.peers.keys().copied());
         macs.sort_unstable();
         for &m in &macs {
-            self.kick(ctx, nic, m);
+            self.kick(ctx, m);
         }
         self.kick_scratch = macs;
     }
@@ -681,9 +671,10 @@ impl Transport {
 
     /// Puts one attempt — first send or retransmission — on the wire. A
     /// batchable single-packet request joins the frame under assembly,
-    /// flushing it first when a budget would be busted; anything else
-    /// (multi-packet, slow-path, fence, or everything with batching off)
-    /// flushes that frame so the MN still sees requests in send order
+    /// flushing it first when a budget would be busted (with a budget of
+    /// one, every request flushes the one before it); anything else
+    /// (multi-packet, slow-path, fence) flushes that frame so the MN still
+    /// sees requests in send order
     /// (fences must not overtake the batch in front of them) and travels
     /// alone. Every request header carries the op's trace context (reserved
     /// header bits, zero wire bytes) and the srtt echo (4 B once there is
@@ -704,8 +695,7 @@ impl Transport {
     ) -> u64 {
         let send_start = ctx.now() + CLibConfig::SEND_OVERHEAD;
         let mut frames = 0;
-        let joins = self.batching() && op.is_batchable();
-        if let Some(body) = joins.then(|| op.single_body()).flatten() {
+        if let Some(body) = op.is_batchable().then(|| op.single_body()).flatten() {
             let header = ReqHeader {
                 retry_of,
                 trace,
@@ -825,7 +815,7 @@ impl Transport {
     /// completion (e.g. `DeadlineExceeded`) upward. A response or NACK for
     /// a cancelled id arriving later is dropped by the outstanding-id
     /// lookup like any stale frame.
-    pub fn cancel(&mut self, ctx: &mut Ctx<'_>, nic: &mut NicPort, token: OpToken) {
+    pub fn cancel(&mut self, ctx: &mut Ctx<'_>, token: OpToken) {
         let mut ids: Vec<ReqId> =
             self.outstanding.iter().filter(|(_, o)| o.token == token).map(|(id, _)| *id).collect();
         ids.sort_unstable(); // release attempts oldest-first, whatever the table's layout
@@ -841,7 +831,7 @@ impl Transport {
             peer.retries.retain(|(id, _)| outstanding.contains_key(id));
             peer.queue.retain(|s| s.token != token);
         }
-        self.drain_released(ctx, nic);
+        self.drain_released(ctx);
     }
 
     /// Handles a frame payload (a [`ClioPacket`]) delivered to this CN,
@@ -866,13 +856,7 @@ impl Transport {
     ///   `BatchNack` are queued in this same event, so the retry doorbell
     ///   re-coalesces them — recovery stays at one frame per direction per
     ///   corrupted frame.
-    pub fn on_packet(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
-        pkt: ClioPacket,
-        done: &mut Vec<XferDone>,
-    ) {
+    pub fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: ClioPacket, done: &mut Vec<XferDone>) {
         match pkt {
             ClioPacket::Response { header, body } => self.handle_response(ctx, header, body, done),
             ClioPacket::BatchResp { responses } => {
@@ -889,7 +873,7 @@ impl Transport {
             // CNs never receive requests (batched or not).
             ClioPacket::Request { .. } | ClioPacket::Batch { .. } => {}
         }
-        self.drain_released(ctx, nic);
+        self.drain_released(ctx);
     }
 
     /// Handles one link-layer NACK — shared by plain `Nack` frames and
@@ -1035,7 +1019,7 @@ impl Transport {
             TransportTimer::Pump(mac) => self.pump(ctx, nic, mac),
             TransportTimer::RetryPump(mac) => self.retry_pump(ctx, nic, mac),
         }
-        self.drain_released(ctx, nic);
+        self.drain_released(ctx);
     }
 
     /// A request's retransmission timer fired: retry it under a fresh id,

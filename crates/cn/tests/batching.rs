@@ -37,15 +37,15 @@ impl Actor for CnHost {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         let msg = match msg.downcast::<Submit>() {
             Ok(s) => {
-                let (nic, mn, done) = (&mut self.nic, self.mn, &mut self.completions);
-                self.clib.submit(ctx, nic, s.thread, Some(mn), PID, ctx.now(), s.op, done);
+                let (mn, done) = (self.mn, &mut self.completions);
+                self.clib.submit(ctx, s.thread, Some(mn), PID, ctx.now(), s.op, done);
                 return;
             }
             Err(m) => m,
         };
         let msg = match msg.downcast::<Frame>() {
             Ok(f) => {
-                self.clib.on_frame(ctx, &mut self.nic, f, &mut self.completions);
+                self.clib.on_frame(ctx, f, &mut self.completions);
                 return;
             }
             Err(m) => m,

@@ -50,7 +50,7 @@ impl CnHost {
         let notices: Vec<Notice> = self.clib.notices().collect();
         for notice in notices {
             let Notice::Reroute(token, ..) = notice else { panic!("unexpected {notice:?}") };
-            self.clib.place(ctx, &mut self.nic, token, Route::Owned(SCRIPTED_MN), &mut c);
+            self.clib.place(ctx, token, Route::Owned(SCRIPTED_MN), &mut c);
         }
         self.completions.append(&mut c);
     }
@@ -64,8 +64,7 @@ impl Actor for CnHost {
         let msg = match msg.downcast::<Submit>() {
             Ok(s) => {
                 let mut comps = Vec::new();
-                let (nic, mn) = (&mut self.nic, self.mn);
-                self.clib.submit(ctx, nic, s.thread, mn, PID, ctx.now(), s.op, &mut comps);
+                self.clib.submit(ctx, s.thread, self.mn, PID, ctx.now(), s.op, &mut comps);
                 self.absorb(ctx, comps);
                 return;
             }
@@ -74,7 +73,7 @@ impl Actor for CnHost {
         let msg = match msg.downcast::<Cancel>() {
             Ok(Cancel(token)) => {
                 let mut comps = Vec::new();
-                assert!(self.clib.cancel(ctx, &mut self.nic, token, &mut comps), "not pending");
+                assert!(self.clib.cancel(ctx, token, &mut comps), "not pending");
                 self.absorb(ctx, comps);
                 return;
             }
@@ -83,7 +82,7 @@ impl Actor for CnHost {
         let msg = match msg.downcast::<Frame>() {
             Ok(f) => {
                 let mut comps = Vec::new();
-                self.clib.on_frame(ctx, &mut self.nic, f, &mut comps);
+                self.clib.on_frame(ctx, f, &mut comps);
                 self.absorb(ctx, comps);
                 return;
             }

@@ -82,15 +82,8 @@ impl Actor for Host {
         let msg = match msg.downcast::<Go>() {
             Ok(go) => {
                 for (i, op) in go.ops.into_iter().enumerate() {
-                    self.transport.send(
-                        ctx,
-                        &mut self.nic,
-                        OpToken(go.base + i as u64),
-                        MN_MAC,
-                        clio_proto::Pid(7),
-                        op,
-                        None,
-                    );
+                    let token = OpToken(go.base + i as u64);
+                    self.transport.send(ctx, token, MN_MAC, clio_proto::Pid(7), op, None);
                 }
                 return;
             }
@@ -98,7 +91,7 @@ impl Actor for Host {
         };
         let msg = match msg.downcast::<Cancel>() {
             Ok(Cancel(token)) => {
-                self.transport.cancel(ctx, &mut self.nic, token);
+                self.transport.cancel(ctx, token);
                 return;
             }
             Err(m) => m,
@@ -106,7 +99,7 @@ impl Actor for Host {
         let msg = match msg.downcast::<Frame>() {
             Ok(f) => {
                 let pkt = f.payload.downcast::<ClioPacket>().expect("clio packet");
-                self.transport.on_packet(ctx, &mut self.nic, pkt, &mut self.done);
+                self.transport.on_packet(ctx, pkt, &mut self.done);
                 return;
             }
             Err(m) => m,

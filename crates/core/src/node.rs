@@ -103,8 +103,7 @@ impl NodeApi<'_, '_> {
     pub(crate) fn issue(&mut self, op: Op, named_mn: Option<Mac>, arrival: SimTime) -> OpToken {
         let (core, thread) = (&mut *self.core, ThreadId(self.driver as u64));
         let pid = core.pids[self.driver];
-        let (nic, comps) = (&mut core.nic, &mut core.comps);
-        let token = core.clib.submit(self.ctx, nic, thread, named_mn, pid, arrival, op, comps);
+        let token = core.clib.submit(self.ctx, thread, named_mn, pid, arrival, op, &mut core.comps);
         core.absorb(self.ctx);
         token
     }
@@ -122,7 +121,7 @@ impl NodeApi<'_, '_> {
     /// cancellation never un-completes a finished op.
     pub(crate) fn cancel(&mut self, token: OpToken) {
         let core = &mut *self.core;
-        if core.clib.cancel(self.ctx, &mut core.nic, token, &mut core.comps) {
+        if core.clib.cancel(self.ctx, token, &mut core.comps) {
             core.deadline_exceeded += 1;
             core.absorb(self.ctx);
         }
@@ -266,7 +265,7 @@ impl Actor for ComputeNode {
         let core = &mut self.core;
         let msg = match msg.downcast::<Frame>() {
             Ok(frame) => {
-                core.clib.on_frame(ctx, &mut core.nic, frame, &mut core.comps);
+                core.clib.on_frame(ctx, frame, &mut core.comps);
                 core.absorb(ctx);
                 self.pump_events(ctx);
                 return;
@@ -286,7 +285,7 @@ impl Actor for ComputeNode {
             Ok(p) => {
                 let token = OpToken(p.tag);
                 let size = core.placing.remove(&token).expect("a placement this node asked for");
-                if core.clib.place(ctx, &mut core.nic, token, Route::Owned(p.mn), &mut core.comps) {
+                if core.clib.place(ctx, token, Route::Owned(p.mn), &mut core.comps) {
                     core.absorb(ctx);
                     self.pump_events(ctx);
                 } else {
@@ -301,7 +300,7 @@ impl Actor for ComputeNode {
         let msg = match msg.downcast::<RouteReply>() {
             Ok(r) => {
                 // An op cancelled while the query was out is gone.
-                core.clib.place(ctx, &mut core.nic, OpToken(r.tag), r.route, &mut core.comps);
+                core.clib.place(ctx, OpToken(r.tag), r.route, &mut core.comps);
                 core.absorb(ctx);
                 self.pump_events(ctx);
                 return;

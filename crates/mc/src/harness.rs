@@ -145,15 +145,15 @@ impl Actor for McCnHost {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         let msg = match msg.downcast::<Submit>() {
             Ok(s) => {
-                let (nic, done) = (&mut self.nic, &mut self.completions);
-                self.clib.submit(ctx, nic, ThreadId(0), Some(s.mn), PID, ctx.now(), s.op, done);
+                let done = &mut self.completions;
+                self.clib.submit(ctx, ThreadId(0), Some(s.mn), PID, ctx.now(), s.op, done);
                 return;
             }
             Err(m) => m,
         };
         let msg = match msg.downcast::<Frame>() {
             Ok(f) => {
-                self.clib.on_frame(ctx, &mut self.nic, f, &mut self.completions);
+                self.clib.on_frame(ctx, f, &mut self.completions);
                 return;
             }
             Err(m) => m,

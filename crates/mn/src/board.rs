@@ -685,7 +685,7 @@ impl CBoard {
                 &entry.pkt,
                 ClioPacket::Response { header, .. } if header.pkt_count <= 1
             );
-            if batchable && self.cfg.resp_batch_max_ops > 1 {
+            if batchable {
                 let EgressEntry { ready, pkt, trace } = entry;
                 let ClioPacket::Response { header, body } = pkt else {
                     unreachable!("checked batchable")
@@ -705,9 +705,10 @@ impl CBoard {
                     shipped.push((ready, ClioPacket::Response { header, body }, 1, traces));
                 }
             } else {
-                // NACKs, multi-fragment responses (and everything when
-                // response batching is disabled) flush the frame being
-                // assembled and travel alone, preserving send order.
+                // NACKs and multi-fragment responses flush the frame being
+                // assembled and travel alone, preserving send order. (With
+                // `resp_batch_max_ops = 1` a response is the frame's only
+                // member, so it too leaves alone.)
                 flush(&mut batch, &mut batch_traces, frame_ready, &mut shipped);
                 frame_ready = now;
                 let traces: Vec<TraceCtx> = entry.trace.into_iter().collect();
