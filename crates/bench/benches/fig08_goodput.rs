@@ -17,7 +17,7 @@
 //! the codec plus Ethernet framing. No measured point may exceed its line.
 
 use bytes::Bytes;
-use clio_bench::drivers::{AccessMix, MemLoad};
+use clio_bench::drivers::{measured_window, AccessMix, MemLoad};
 use clio_bench::setup::bench_cluster_tuned;
 use clio_bench::FigureReport;
 use clio_cn::CLibConfig;
@@ -27,7 +27,6 @@ use clio_proto::{
     ETH_OVERHEAD_BYTES,
 };
 use clio_sim::stats::Series;
-use clio_sim::SimTime;
 
 const THREADS: &[u64] = &[1, 2, 4, 8, 12, 16];
 const OPS_PER_THREAD: u64 = 600;
@@ -35,8 +34,9 @@ const SIZE: u32 = 1024;
 
 struct Run {
     goodput_gbps: f64,
-    /// MN→CN wire frames per completed op (the response-framing cost).
-    resp_frames_per_op: f64,
+    /// MN→CN wire frames per response packet (the response-framing cost;
+    /// 1 when every response travels alone).
+    resp_frames_per_packet: f64,
 }
 
 fn goodput(threads: u64, mix: AccessMix, window: u32, clib: CLibConfig, resp_batched: bool) -> Run {
@@ -53,24 +53,16 @@ fn goodput(threads: u64, mix: AccessMix, window: u32, clib: CLibConfig, resp_bat
     cluster.start();
     cluster.run_until_idle();
     // Aggregate goodput: measured payload over the union of the threads'
-    // measured windows, from the earliest end of warm-up to the latest
-    // measured completion (every thread's ralloc and warm-up excluded).
-    let (mut bytes, mut ops) = (0u64, 0u64);
-    let (mut from, mut to) = (SimTime::MAX, SimTime::ZERO);
-    for rec in recs {
-        let rec = rec.borrow();
-        bytes += rec.ops() * SIZE as u64;
-        ops += rec.ops();
-        let (start, end) = rec.window_bounds();
-        (from, to) = (from.min(start), to.max(end));
-    }
-    let elapsed = to.since(from).as_secs_f64();
+    // measured windows (every thread's ralloc and warm-up excluded).
+    let bytes: u64 = recs.iter().map(|rec| rec.borrow().ops() * SIZE as u64).sum();
+    let elapsed = measured_window(&recs).as_secs_f64();
     if elapsed == 0.0 {
-        return Run { goodput_gbps: 0.0, resp_frames_per_op: 0.0 };
+        return Run { goodput_gbps: 0.0, resp_frames_per_packet: 0.0 };
     }
+    let stats = cluster.mn(0).stats();
     Run {
         goodput_gbps: bytes as f64 * 8.0 / elapsed / 1e9,
-        resp_frames_per_op: cluster.mn(0).stats().tx_frames as f64 / ops.max(1) as f64,
+        resp_frames_per_packet: stats.tx_frames as f64 / stats.tx_packets.max(1) as f64,
     }
 }
 
@@ -126,9 +118,9 @@ fn main() {
                 run.goodput_gbps
             );
             s.push(t as f64, run.goodput_gbps);
-            last = run.resp_frames_per_op;
+            last = run.resp_frames_per_packet;
         }
-        report.metric(format!("frames/op [resp] {name} @16 threads"), last);
+        report.metric(format!("frames/packet [resp] {name} @16 threads"), last);
         report.push_series(s);
     }
     report

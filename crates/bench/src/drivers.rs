@@ -45,6 +45,18 @@ pub fn record(rec: &Recorder, c: &Completion, bytes: u64) {
     }
 }
 
+/// The union of `recs`' measured windows: from the earliest end of warm-up
+/// to the latest measured completion. Loads running side by side divide
+/// their summed measured work by it.
+pub fn measured_window(recs: &[Recorder]) -> SimDuration {
+    let (mut from, mut to) = (SimTime::MAX, SimTime::ZERO);
+    for rec in recs {
+        let (start, end) = rec.borrow().window_bounds();
+        (from, to) = (from.min(start), to.max(end));
+    }
+    to.since(from)
+}
+
 /// Allocates `pages` pages, warms each (fault + TLB) with a 1-byte write,
 /// and restarts `rec`'s measurement window at the end of the warm-up.
 pub async fn alloc_warm(h: &ProcHandle, pages: u64, page_size: u64, rec: &Recorder) -> u64 {
