@@ -6,7 +6,7 @@
 
 use clio_apps::kv::ClioKv;
 use clio_apps::ycsb::{YcsbGenerator, YcsbMix};
-use clio_bench::drivers::KvLoad;
+use clio_bench::drivers::{measured_window, KvLoad};
 use clio_bench::setup::bench_cluster;
 use clio_bench::FigureReport;
 use clio_proto::Pid;
@@ -35,14 +35,14 @@ fn run(mix: YcsbMix, mns: usize) -> f64 {
     cluster.start();
     cluster.run_until_idle();
     let mut ops = 0u64;
-    let mut end = 0f64;
-    for rec in recs {
+    for rec in &recs {
         let rec = rec.borrow();
         assert_eq!(rec.ops() + rec.errors(), OPS_PER_DRIVER, "client did not finish");
         ops += rec.ops();
     }
-    end = end.max(cluster.now().as_secs_f64());
-    ops as f64 / end / 1e6
+    // Over the union of the drivers' measured windows (each preload
+    // excluded).
+    ops as f64 / measured_window(&recs).as_secs_f64() / 1e6
 }
 
 fn main() {
