@@ -15,7 +15,9 @@
 //! `Transport::doorbell_budget` (the rule's clauses are unit-tested beside
 //! `clio_net::Doorbell`): derived from the congestion window's smoothed RTT
 //! (≤ srtt/4), never above the cap, zero before the first RTT sample, and
-//! forgotten on `CongestionWindow::reset`. And the release-then-drain rule:
+//! forgotten on `CongestionWindow::reset` — and that `batch_max_ops = 1`, a
+//! budget of one through the same doorbell, never holds a request for
+//! company. And the release-then-drain rule:
 //! a cancelled op must not strand the sends queued behind its window slot.
 
 use bytes::Bytes;
@@ -115,6 +117,8 @@ struct ScriptedMn {
     cn: Option<ActorId>,
     script: Vec<Fate>,
     next: usize,
+    /// When each received frame arrived, in arrival order.
+    arrivals: Vec<SimTime>,
 }
 
 impl ScriptedMn {
@@ -182,6 +186,7 @@ impl Actor for ScriptedMn {
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         let frame = msg.downcast::<Frame>().expect("frame");
+        self.arrivals.push(ctx.now());
         match frame.payload.downcast::<ClioPacket>().expect("clio packet") {
             ClioPacket::Request { header, body } => {
                 if let Some(req_id) = self.serve(ctx, header, body) {
@@ -216,14 +221,15 @@ fn op_of(kind: u8) -> Op {
     }
 }
 
-/// A bare transport wired to a scripted MN; returns the CN host's id.
-fn rig(cfg: CLibConfig, seed: u64, script: Vec<Fate>) -> (Simulation, ActorId) {
+/// A bare transport wired to a scripted MN; returns the CN host's id and
+/// the MN's.
+fn rig(cfg: CLibConfig, seed: u64, script: Vec<Fate>) -> (Simulation, ActorId, ActorId) {
     let mut sim = Simulation::new(seed);
-    let mn_id = sim.add_actor(ScriptedMn { cn: None, script, next: 0 });
+    let mn_id = sim.add_actor(ScriptedMn { cn: None, script, next: 0, arrivals: Vec::new() });
     let nic = NicPort::new(CN_MAC, Bandwidth::from_gbps(40), mn_id, SimDuration::from_nanos(50));
     let cn_id = sim.add_actor(Host { nic, transport: Transport::new(cfg, 1), done: vec![] });
     sim.actor_mut::<ScriptedMn>(mn_id).cn = Some(cn_id);
-    (sim, cn_id)
+    (sim, cn_id, mn_id)
 }
 
 fn run_case(op_kinds: &[u8], script: &[u8], batch_max_ops: u32, seed: u64) {
@@ -238,7 +244,7 @@ fn run_case(op_kinds: &[u8], script: &[u8], batch_max_ops: u32, seed: u64) {
         ..CLibConfig::prototype()
     };
     let script = script.iter().map(|&b| Fate::from_byte(b)).collect();
-    let (mut sim, cn_id) = rig(cfg, seed, script);
+    let (mut sim, cn_id, _) = rig(cfg, seed, script);
 
     let ops: Vec<Op> = op_kinds.iter().map(|&k| op_of(k)).collect();
     let n = ops.len();
@@ -306,21 +312,48 @@ fn rtt_derived_budget_falls_back_then_caps() {
 
 /// End to end: after real traffic against the scripted MN (all-Ok fates)
 /// the hold budget is derived from the measured RTT and stays at or under
-/// srtt/4.
+/// srtt/4 — with batching on and with a budget of one alike. A budget of
+/// one never holds, though the derived budget is non-zero and requests
+/// come faster than it: a same-instant burst then reaches the MN one frame
+/// per request, the first no later than an unheld lone request's.
 #[test]
 fn doorbell_budget_derives_from_measured_rtt_after_warmup() {
-    let (mut sim, cn_id) = rig(CLibConfig::prototype(), 11, vec![]);
-    let ops: Vec<Op> = (0..24).map(|k| op_of(k as u8)).collect();
-    sim.post(cn_id, Message::new(Go { ops, base: 0 }));
-    sim.run_until_idle();
-    let host = sim.actor_mut::<Host>(cn_id);
-    assert_eq!(host.done.len(), 24, "warm-up traffic completed");
-    let srtt = host.transport.cwnd(MN_MAC).srtt().expect("RTT measured");
-    let budget = host.transport.doorbell_budget(MN_MAC);
-    assert!(!budget.is_zero(), "warmed-up derived budget engages");
-    assert!(budget <= srtt / 4, "hold budget {budget} exceeds srtt/4 ({})", srtt / 4);
-    assert!(budget <= CLibConfig::DOORBELL_DERIVED_CAP);
-    assert_eq!(budget, (srtt / 4).min(CLibConfig::DOORBELL_DERIVED_CAP));
+    for batch_max_ops in [16, 1] {
+        let cfg = CLibConfig { batch_max_ops, ..CLibConfig::prototype() };
+        let (mut sim, cn_id, mn_id) = rig(cfg, 11, vec![]);
+        let ops: Vec<Op> = (0..24).map(|k| op_of(k as u8)).collect();
+        sim.post(cn_id, Message::new(Go { ops, base: 0 }));
+        sim.run_until_idle();
+        let host = sim.actor_mut::<Host>(cn_id);
+        assert_eq!(host.done.len(), 24, "batch_max_ops={batch_max_ops}: warm-up completed");
+        let srtt = host.transport.cwnd(MN_MAC).srtt().expect("RTT measured");
+        let budget = host.transport.doorbell_budget(MN_MAC);
+        assert!(!budget.is_zero(), "batch_max_ops={batch_max_ops}: derived budget engages");
+        assert!(budget <= srtt / 4, "hold budget {budget} exceeds srtt/4 ({})", srtt / 4);
+        assert!(budget <= CLibConfig::DOORBELL_DERIVED_CAP);
+        assert_eq!(budget, (srtt / 4).min(CLibConfig::DOORBELL_DERIVED_CAP));
+        if batch_max_ops > 1 {
+            continue;
+        }
+        // Lone requests a gap apart well inside the budget, so a doorbell
+        // that held for company would hold the burst that follows. The
+        // first, after an idle spell, is never held: the reference.
+        const LONE: u64 = 8;
+        const BURST: u64 = 8;
+        let gap = budget / 3;
+        let (start, seen) = (sim.now(), sim.actor::<ScriptedMn>(mn_id).arrivals.len());
+        for i in 0..LONE {
+            sim.post_in(cn_id, gap * i, Message::new(Go { ops: vec![op_of(0)], base: 100 + i }));
+        }
+        let burst: Vec<Op> = (0..BURST).map(|k| op_of(k as u8)).collect();
+        sim.post_in(cn_id, gap * LONE, Message::new(Go { ops: burst, base: 200 }));
+        sim.run_until_idle();
+        let arrivals = &sim.actor::<ScriptedMn>(mn_id).arrivals[seen..];
+        assert_eq!(arrivals.len() as u64, LONE + BURST, "one frame per request");
+        let lone = arrivals[0].since(start);
+        let first = arrivals[LONE as usize].since(start + gap * LONE);
+        assert!(first <= lone, "the burst's first frame took {first}, a lone request {lone}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -329,7 +362,7 @@ fn doorbell_budget_derives_from_measured_rtt_after_warmup() {
 
 use clio_cn::ClioError;
 
-fn lossy_rig(cfg: CLibConfig, seed: u64) -> (Simulation, ActorId) {
+fn lossy_rig(cfg: CLibConfig, seed: u64) -> (Simulation, ActorId, ActorId) {
     // Every request is silently dropped: `loss_prob = 1.0` toward this MN.
     rig(cfg, seed, vec![Fate::Drop; 4096])
 }
@@ -346,7 +379,7 @@ fn cancel_drains_the_sends_queued_behind_the_freed_slot() {
     for batch_max_ops in [1, 16] {
         let cfg =
             CLibConfig { cwnd_init: 1.0, cwnd_max: 1.0, batch_max_ops, ..CLibConfig::prototype() };
-        let (mut sim, cn_id) = rig(cfg, 3, vec![]); // every request answered Ok after 1 µs
+        let (mut sim, cn_id, _) = rig(cfg, 3, vec![]); // every request answered Ok after 1 µs
         sim.post(cn_id, Message::new(Go { ops: vec![op_of(0), op_of(0)], base: 0 }));
         sim.post_in(cn_id, SimDuration::from_nanos(500), Message::new(Cancel(OpToken(0))));
         sim.run_until_idle();
@@ -377,7 +410,7 @@ fn total_loss_burst_exhausts_retries_exactly_and_leaks_nothing() {
         ..CLibConfig::prototype()
     };
     let max_retries = cfg.max_retries;
-    let (mut sim, cn_id) = lossy_rig(cfg, 77);
+    let (mut sim, cn_id, _) = lossy_rig(cfg, 77);
     let n = 12usize;
     let ops: Vec<Op> = (0..n).map(|k| op_of(k as u8)).collect();
     sim.post(cn_id, Message::new(Go { ops: ops.clone(), base: 0 }));
