@@ -17,7 +17,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-mapfile -t files < <(git ls-files --cached --others --exclude-standard -- '*.rs' ':!:vendor/')
+# An empty listing (outside a git checkout, say) would pass vacuously.
+listing=$(git ls-files --cached --others --exclude-standard -- '*.rs' ':!:vendor/' 2>/dev/null) &&
+  [ -n "$listing" ] || { echo "unused_api.sh: git ls-files listed no .rs files (not a git checkout?)" >&2; exit 1; }
+mapfile -t files <<< "$listing"
 awk '
     FNR == 1 { src = FILENAME ~ /^crates\/[^\/]+\/src\//; test = 0 }
     src && /^[ \t]*#\[cfg\(test\)\]/ { test = 1 }

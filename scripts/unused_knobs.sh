@@ -55,8 +55,11 @@ structs=(
   "crates/baselines/src/herd.rs HerdParams"
 )
 
-mapfile -t files < <(git ls-files -- '*.rs' ':!:vendor/' ':!:tests/' ':!:examples/' \
-  ':(exclude,glob)crates/*/tests/**')
+# An empty listing (outside a git checkout, say) would flag every knob.
+listing=$(git ls-files -- '*.rs' ':!:vendor/' ':!:tests/' ':!:examples/' \
+  ':(exclude,glob)crates/*/tests/**' 2>/dev/null) &&
+  [ -n "$listing" ] || { echo "unused_knobs.sh: git ls-files listed no .rs files (not a git checkout?)" >&2; exit 1; }
+mapfile -t files <<< "$listing"
 # Each file's lines up to its `#[cfg(test)]` module.
 code=$(awk 'FNR == 1 { test = 0 } /^[ \t]*#\[cfg\(test\)\]/ { test = 1 } !test' "${files[@]}")
 bad=0
