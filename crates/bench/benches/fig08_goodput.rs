@@ -5,7 +5,7 @@
 //! Async reaches the ~9.4 Gbps line rate with a couple of threads; sync
 //! needs more threads to cover the RTT.
 //!
-//! The four paper series run with batching fully disabled in both
+//! The four paper series run with a batch budget of one in both
 //! directions (one frame per packet, the paper's wire behavior); the
 //! `*-Batched` variants enable the transport's request batching **and** the
 //! MN's response batching, which coalesce small packets into shared frames

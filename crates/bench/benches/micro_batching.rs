@@ -141,7 +141,10 @@ fn main() {
     let dflt = dflt.expect("the sweep runs 64 B at batch_max_ops 16");
     report.metric("frames/op [req] 64B burst @16", dflt.req_frames_per_op);
     report.metric("frames/op [resp] 64B burst @16", dflt.resp_frames_per_op);
-    report.note("batch_max_ops = 1 is the no-batch escape hatch: one wire frame per packet, both directions");
+    report.note(
+        "batch_max_ops = 1 is a budget of one through the same doorbells: one wire frame per \
+         packet, both directions",
+    );
     report.note(
         "a 64-op burst ships in ceil(64 / batch_max_ops) request frames when coalescing engages",
     );
