@@ -18,10 +18,10 @@
 //! * [`congestion`] — delay-based AIMD congestion window (which may fall
 //!   below one packet, §4.4) plus the incast window bounding expected
 //!   response bytes,
-//! * the NIC driver underneath is `clio-net`'s [`NicPort`] (kernel-bypass,
-//!   zero-copy — modeled as direct frame injection).
-//!
-//! [`NicPort`]: clio_net::NicPort
+//! * the NIC driver underneath is `clio-net`'s port (kernel-bypass,
+//!   zero-copy — modeled as direct frame injection). Its host owns it and
+//!   lends it only to [`CLib::on_timer`](clib::CLib::on_timer): the
+//!   transport's pumps, run from its timers, are the one way onto the wire.
 
 pub mod clib;
 pub mod config;
