@@ -188,6 +188,8 @@ pub struct CLib {
     notices: Vec<Notice>,
     /// Reused buffer the transport reports finished transfers into.
     xfer_done: Vec<XferDone>,
+    /// Reused buffer [`DependencyTracker::complete`] releases into.
+    released: Vec<OpToken>,
     stats: ClibStats,
     tracer: Tracer,
     track: Track,
@@ -209,6 +211,7 @@ impl CLib {
             next_token: 1,
             notices: Vec::new(),
             xfer_done: Vec::new(),
+            released: Vec::new(),
             stats: ClibStats::default(),
             tracer: Tracer::disabled(),
             track: Track::Cn(0),
@@ -675,12 +678,15 @@ impl CLib {
         token: OpToken,
         completions: &mut Vec<Completion>,
     ) {
-        if let Some(tracker) = self.trackers.get_mut(&thread) {
-            let released = tracker.complete(token);
-            for t in released {
-                self.dispatch(ctx, t, completions);
-            }
+        let Some(tracker) = self.trackers.get_mut(&thread) else { return };
+        // A dispatch can complete at once and release again: each call
+        // appends past what its caller still walks, then cuts back.
+        let start = self.released.len();
+        tracker.complete(token, &mut self.released);
+        for i in start..self.released.len() {
+            self.dispatch(ctx, self.released[i], completions);
         }
+        self.released.truncate(start);
     }
 }
 

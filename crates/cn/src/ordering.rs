@@ -194,13 +194,13 @@ impl<T: Copy + Eq + Hash> DependencyTracker<T> {
         dispatch
     }
 
-    /// Marks a dispatched operation complete and returns the tokens of
-    /// queued operations that become dispatchable, in program order.
-    pub fn complete(&mut self, token: T) -> Vec<T> {
+    /// Marks a dispatched operation complete and appends the tokens of
+    /// queued operations that become dispatchable to `released`, in program
+    /// order (the caller owns the buffer, so a release allocates nothing).
+    pub fn complete(&mut self, token: T, released: &mut Vec<T>) {
         if let Some(t) = self.inflight.remove(&token) {
             self.count(&t, true, false);
         }
-        let mut released = Vec::new();
         // Promote, front to back, every pending op whose conflicts have
         // cleared: nothing in flight and nothing queued ahead of it
         // conflicts, preserving FIFO among conflicting ops.
@@ -221,7 +221,6 @@ impl<T: Copy + Eq + Hash> DependencyTracker<T> {
             // Releasing one op can unblock none of the earlier ones (it only
             // adds to what is in flight), so the scan resumes at index `i`.
         }
-        released
     }
 }
 
@@ -235,6 +234,13 @@ impl<T: Copy + Eq + Hash> Default for DependencyTracker<T> {
 mod tests {
     use super::*;
     use AccessClass::{Read, Write};
+
+    /// Completes `token` and returns what that released.
+    fn done(d: &mut DependencyTracker<u32>, token: u32) -> Vec<u32> {
+        let mut released = Vec::new();
+        d.complete(token, &mut released);
+        released
+    }
 
     #[test]
     fn independent_ops_fly_together() {
@@ -258,15 +264,15 @@ mod tests {
         assert!(d.submit(1u32, Write, 7..=7));
         assert!(!d.submit(2, Write, 7..=7), "WAW");
         assert!(!d.submit(3, Read, 7..=7), "RAW");
-        let released = d.complete(1);
+        let released = done(&mut d, 1);
         assert_eq!(released, vec![2], "only the WAW write releases first");
-        let released = d.complete(2);
+        let released = done(&mut d, 2);
         assert_eq!(released, vec![3]);
         // WAR: read in flight blocks a write.
         assert!(d.submit(4, Read, 9..=9));
         assert!(!d.submit(5, Write, 9..=9), "WAR");
-        d.complete(3);
-        assert_eq!(d.complete(4), vec![5]);
+        done(&mut d, 3);
+        assert_eq!(done(&mut d, 4), vec![5]);
     }
 
     #[test]
@@ -276,8 +282,8 @@ mod tests {
         assert!(!d.submit(2, Write, 1..=1));
         assert!(!d.submit(3, Write, 1..=1));
         // Completing 1 must release 2 (not 3).
-        assert_eq!(d.complete(1), vec![2]);
-        assert_eq!(d.complete(2), vec![3]);
+        assert_eq!(done(&mut d, 1), vec![2]);
+        assert_eq!(done(&mut d, 2), vec![3]);
     }
 
     #[test]
@@ -287,10 +293,10 @@ mod tests {
         assert!(d.submit(2, Write, 2..=2));
         assert!(!d.submit_barrier(10), "barrier waits for in-flight ops");
         assert!(!d.submit(3, Read, 99..=99), "ops after a barrier wait for it");
-        d.complete(1);
-        let rel = d.complete(2);
+        done(&mut d, 1);
+        let rel = done(&mut d, 2);
         assert_eq!(rel, vec![10], "barrier dispatches once drained");
-        let rel = d.complete(10);
+        let rel = done(&mut d, 10);
         assert_eq!(rel, vec![3]);
         assert!(d.is_drained() || d.inflight_len() == 1);
     }

@@ -17,6 +17,13 @@ fn arb_op() -> impl Strategy<Value = Access> {
     (any::<bool>(), 0u64..6).prop_map(|(write, vpn)| Access { write, vpn })
 }
 
+/// Completes `token` and returns what that released.
+fn complete(tracker: &mut DependencyTracker<u32>, token: u32) -> Vec<u32> {
+    let mut released = Vec::new();
+    tracker.complete(token, &mut released);
+    released
+}
+
 fn conflicts(a: &Access, b: &Access) -> bool {
     a.vpn == b.vpn && (a.write || b.write)
 }
@@ -64,7 +71,7 @@ proptest! {
             if let Some(idx) = completion_iter.next() {
                 if !inflight.is_empty() {
                     let victim = inflight.remove(idx.index(inflight.len()));
-                    for released in tracker.complete(victim) {
+                    for released in complete(&mut tracker, victim) {
                         inflight.push(released);
                         dispatched_order.push(released);
                     }
@@ -77,7 +84,7 @@ proptest! {
         let mut guard = 0;
         while !inflight.is_empty() {
             let victim = inflight.remove(0);
-            for released in tracker.complete(victim) {
+            for released in complete(&mut tracker, victim) {
                 inflight.push(released);
                 dispatched_order.push(released);
             }
@@ -202,7 +209,7 @@ proptest! {
                                 inflight: &mut Vec<u32>,
                                 at: usize| {
             let victim = inflight.remove(at);
-            let released = tracker.complete(victim);
+            let released = complete(tracker, victim);
             assert_eq!(released, reference.complete(victim), "release order after {victim}");
             inflight.extend(released);
         };
