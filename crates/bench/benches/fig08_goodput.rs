@@ -13,7 +13,7 @@
 //!
 //! Each mix's Max-Throughput line is the port's goodput when every frame
 //! in the direction that carries the payload is one 1 KB packet: a write
-//! request (first attempt, echoing srtt) or a read's response, sized by
+//! request (a first attempt) or a read's response, sized by
 //! the codec plus Ethernet framing. No measured point may exceed its line.
 
 use bytes::Bytes;
@@ -80,7 +80,7 @@ fn main() {
     );
     let payload = Bytes::from(vec![0u8; SIZE as usize]);
     let write = ClioPacket::Request {
-        header: ReqHeader { srtt_echo_ns: Some(0), ..ReqHeader::single(ReqId(0), Pid(0)) },
+        header: ReqHeader::single(ReqId(0), Pid(0)),
         body: RequestBody::WriteFrag { va: 0, data: payload.clone() },
     };
     let read = ClioPacket::Response {

@@ -25,8 +25,8 @@
 //! so the doorbell fires at once and each request travels alone.
 //!
 //! How long the doorbell holds is not configured but measured — the rule
-//! is [`clio_net::Doorbell`]'s, shared with the MN's egress doorbell. The
-//! transport supplies what is its own: the signal (the congestion window's
+//! is [`clio_net::Doorbell`]'s (the MN's egress never holds: it sends as
+//! soon as its port is free). The transport supplies what is its own: the signal (the congestion window's
 //! smoothed RTT toward that MN, so the budget is `srtt / 4`, zero before
 //! the first sample) and the cap (`CLibConfig::DOORBELL_DERIVED_CAP`). The
 //! doorbell fires immediately when a full batch is queued.
@@ -194,12 +194,6 @@ impl Peer {
     fn doorbell_budget(&self) -> SimDuration {
         Doorbell::budget(self.cwnd.srtt(), CLibConfig::DOORBELL_DERIVED_CAP)
     }
-
-    /// The smoothed RTT as echoed in request headers (saturating at
-    /// `u32::MAX` ns; `None` before the first sample).
-    fn srtt_echo(&self) -> Option<u32> {
-        self.cwnd.srtt().map(|s| s.as_nanos().min(u32::MAX as u64) as u32)
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -252,9 +246,6 @@ enum Outcome {
 struct PackScratch {
     /// Where this pump's frames go.
     target: Mac,
-    /// The smoothed RTT toward `target` every request header echoes (the
-    /// MN derives its egress doorbell budget from it).
-    echo: Option<u32>,
     /// The batch frame under assembly.
     batch: BatchBuilder,
     /// Trace contexts of the requests currently packed in `batch`, in push
@@ -656,16 +647,14 @@ impl Transport {
     /// The packing state for a pump toward `target`: the one a previous
     /// pump left (empty), or a fresh one the first time.
     fn take_pack(&mut self, target: Mac) -> PackScratch {
-        let echo = self.peers.get(&target).and_then(Peer::srtt_echo);
         let batch_max_ops = self.cfg.batch_max_ops as usize;
         let mut pack = self.pack.take().unwrap_or_else(|| PackScratch {
             target,
-            echo,
             batch: BatchBuilder::new(batch_max_ops, MTU_BYTES),
             traces: Vec::new(),
             packets: Vec::new(),
         });
-        (pack.target, pack.echo) = (target, echo);
+        pack.target = target;
         pack
     }
 
@@ -677,10 +666,10 @@ impl Transport {
     /// sees requests in send order
     /// (fences must not overtake the batch in front of them) and travels
     /// alone. Every request header carries the op's trace context (reserved
-    /// header bits, zero wire bytes) and the srtt echo (4 B once there is
-    /// an RTT sample toward the MN, tracing on or off, so the wire image
-    /// never depends on observability); a batch entry is sized by its own
-    /// header. Returns how many wire frames left.
+    /// header bits, zero wire bytes, so the wire image never depends on
+    /// observability); a batch entry is sized by its own header: 22 B for
+    /// a first attempt, 30 B for a retry. Returns how many wire frames
+    /// left.
     #[allow(clippy::too_many_arguments)] // a request's header fields travel together
     fn ship(
         &mut self,
@@ -696,12 +685,7 @@ impl Transport {
         let send_start = ctx.now() + CLibConfig::SEND_OVERHEAD;
         let mut frames = 0;
         if let Some(body) = op.is_batchable().then(|| op.single_body()).flatten() {
-            let header = ReqHeader {
-                retry_of,
-                trace,
-                srtt_echo_ns: pack.echo,
-                ..ReqHeader::single(req_id, pid)
-            };
+            let header = ReqHeader { retry_of, trace, ..ReqHeader::single(req_id, pid) };
             let entry_wire = codec::request_len(&header, &body);
             if !pack.batch.fits(entry_wire) {
                 frames += self.flush_batch(ctx, nic, pack) as u64;
@@ -719,7 +703,6 @@ impl Transport {
             for pkt in &mut pack.packets {
                 if let ClioPacket::Request { header, .. } = pkt {
                     header.trace = trace;
-                    header.srtt_echo_ns = pack.echo;
                 }
             }
         }

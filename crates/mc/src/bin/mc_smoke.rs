@@ -25,9 +25,9 @@ type Tree = (u64, usize, u64);
 /// `crates/mc/tests/bounded_search.rs` when a change means to alter a tree.
 const PINNED_TREES: [(Bounds, Tree); 3] = [
     // The default bounds: one board, depth 9, two faults, no crash.
-    ((9, 2, 0, 16, 1), (1_888_495, 1_147_842, 22)),
+    ((9, 2, 0, 16, 1), (1_361_205, 811_628, 20)),
     // One board power-blip in the budget, depth 6.
-    ((6, 2, 1, 16, 1), (70_389, 41_459, 14)),
+    ((6, 2, 1, 16, 1), (59_103, 34_559, 13)),
     // Two boards, depth 7.
     ((7, 2, 0, 16, 2), (641_563, 382_038, 12)),
 ];

@@ -36,13 +36,13 @@ fn counts(cfg: &McConfig) -> (u64, usize, u64) {
 #[test]
 fn pinned_depth_5_two_faults() {
     let cfg = McConfig { max_depth: 5, ..McConfig::default() };
-    assert_eq!(counts(&cfg), (10_407, 6_823, 3));
+    assert_eq!(counts(&cfg), (9_105, 5_971, 2));
 }
 
 #[test]
 fn pinned_depth_7_two_faults() {
     let cfg = McConfig { max_depth: 7, ..McConfig::default() };
-    assert_eq!(counts(&cfg), (172_494, 107_523, 10));
+    assert_eq!(counts(&cfg), (136_792, 84_166, 8));
 }
 
 /// One board power-blip in the budget: every schedule interleaving a
@@ -59,7 +59,7 @@ fn pinned_depth_7_two_faults() {
 fn pinned_depth_6_one_crash() {
     let cfg = McConfig { max_depth: 6, crash_budget: 1, ..McConfig::default() };
     let with_crash = counts(&cfg);
-    assert_eq!(with_crash, (70_389, 41_459, 14));
+    assert_eq!(with_crash, (59_103, 34_559, 13));
     // The crash budget genuinely widens the search.
     let without = counts(&McConfig { crash_budget: 0, ..cfg });
     assert!(with_crash.1 > without.1, "crash budget added no states ({without:?})");

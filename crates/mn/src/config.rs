@@ -1,7 +1,7 @@
 //! Memory-node configuration.
 
 use clio_hw::CBoardHwConfig;
-use clio_sim::{Bandwidth, SimDuration};
+use clio_sim::Bandwidth;
 
 /// Full configuration of one CBoard device.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,23 +17,16 @@ pub struct CBoardConfig {
     pub va_window: Option<(u64, u64)>,
     /// Maximum small responses coalesced into one `BatchResp` wire frame
     /// toward a CN, under the link MTU (the board's egress counterpart of
-    /// the CN's request batching). `1` disables response batching: every
-    /// response pays its own frame at exactly its own completion time — no
-    /// hold, no reach-ahead — the pre-batching wire behavior. Above `1` the
-    /// egress doorbell's budget (how long a response may be held, and how
-    /// far ahead a frame may reach for members) is not configured but
-    /// measured per destination: see [`clio_net::Doorbell`] for the rule
-    /// and [`Self::EGRESS_DERIVED_CAP`] for its one MN-side constant.
+    /// the CN's request batching). A response is never held for company:
+    /// it leaves as soon as it is ready and the port is free, together with
+    /// the responses to the same CN that became ready while the port was
+    /// busy, and a `Batch` frame's responses leave together. `1` disables
+    /// response batching: every response pays its own frame — the
+    /// pre-batching wire behavior.
     pub resp_batch_max_ops: u32,
 }
 
 impl CBoardConfig {
-    /// Hard cap on the egress doorbell's latency budget toward one CN (a
-    /// quarter of the srtt that CN echoes in its request headers, else of
-    /// the board-measured request turnaround; zero before the first
-    /// sample): response coalescing never costs a response more than this.
-    pub const EGRESS_DERIVED_CAP: SimDuration = SimDuration::from_micros(2);
-
     /// The paper's prototype board.
     pub fn prototype() -> Self {
         CBoardConfig {
@@ -75,7 +68,6 @@ mod tests {
         t.hw.validate();
         assert!(t.hw.phys_mem_bytes < c.hw.phys_mem_bytes);
         assert!(c.resp_batch_max_ops > 1, "response batching is on by default");
-        assert!(!CBoardConfig::EGRESS_DERIVED_CAP.is_zero());
         assert_eq!(CBoardConfig::prototype_unbatched().resp_batch_max_ops, 1);
     }
 }

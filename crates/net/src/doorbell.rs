@@ -23,17 +23,19 @@ impl Ewma {
 /// One coalescing doorbell: the arrival-gap estimate that sizes its hold
 /// and the timer event currently armed for it.
 ///
-/// Both ends of a Clio link coalesce small packets into shared frames, and
-/// both decide how long to wait for company the same way: the CN's request
-/// doorbell (per MN) and the MN's egress doorbell (per CN) are each one
-/// `Doorbell`. The rule lives here, once:
+/// Both ends of a Clio link coalesce small packets into shared frames, but
+/// only the CN holds for company: its request doorbell (one per MN) waits
+/// by the rule below. The MN's egress never waits — a response leaves as
+/// soon as the board's port is free, with whatever became ready while it
+/// was busy — so the board uses a `Doorbell` only as its armed timer. The
+/// rule lives here, once:
 ///
 /// * **Budget** — the most latency a hold may add is a quarter of the
 ///   link's measured round trip, capped, and **zero without a measurement**
 ///   ([`budget`](Self::budget)): nothing is ever held on an uncalibrated
 ///   link. Which measurement and which cap is the caller's business (the
-///   CN passes its congestion window's srtt, the MN the srtt the CN echoed
-///   or else its own turnaround estimate).
+///   CN passes its congestion window's srtt and
+///   `CLibConfig::DOORBELL_DERIVED_CAP`).
 /// * **Hold** — within the budget, wait as long as the observed arrival
 ///   rate needs to fill the frame's free slots, and not at all when
 ///   arrivals come no faster than the budget or there is no history
@@ -68,12 +70,6 @@ impl Doorbell {
         if let Some(prev) = self.last.replace(at) {
             self.gap.observe(at.since(prev).as_nanos() as f64);
         }
-    }
-
-    /// When the last arrival was observed (for idle pruning).
-    #[inline]
-    pub fn last_observed(&self) -> Option<SimTime> {
-        self.last
     }
 
     /// How long to hold for company with `slots` free in the frame: the
@@ -167,7 +163,7 @@ mod tests {
     fn out_of_order_arrival_is_a_zero_gap() {
         let bell = observed(&[1000, 1100, 1050]);
         assert_eq!(bell.gap.get(), Some(75.0), "100 blended with a zero gap");
-        assert_eq!(bell.last_observed(), Some(at(1050)), "the last arrival, not the latest");
+        assert_eq!(bell.last, Some(at(1050)), "the last arrival, not the latest");
     }
 
     #[test]

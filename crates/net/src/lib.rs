@@ -36,9 +36,10 @@
 //! own seed and installed as pre-posted messages, so the whole fault
 //! timeline replays exactly (same seed ⇒ same digest).
 //!
-//! Endpoints that coalesce small packets into shared frames (CLib's request
-//! path, the CBoard's egress path) put a [`Doorbell`] in front of their
-//! [`NicPort`]: the one load-adaptive hold rule both ends of a link use.
+//! CLib's request path puts a [`Doorbell`] in front of its [`NicPort`]:
+//! the one load-adaptive rule for holding small packets so they share a
+//! frame. The CBoard's egress holds nothing; it sends when its port is
+//! free ([`NicPort::free_at`]).
 //!
 //! Frames carry a type-erased payload ([`clio_sim::Message`]) plus an
 //! explicit wire size, so upper layers (clio-proto packets, RDMA verbs, ...)

@@ -40,6 +40,13 @@ impl NicPort {
         self.rate
     }
 
+    /// When the port finishes serializing what it was given so far: a
+    /// frame handed to it earlier waits until then.
+    #[inline]
+    pub fn free_at(&self) -> SimTime {
+        self.tx.free_at()
+    }
+
     /// Queues `payload` (occupying `wire_bytes` on the wire) for `dst`.
     /// Returns the time the last bit leaves the NIC.
     #[inline]

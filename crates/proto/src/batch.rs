@@ -171,12 +171,11 @@ mod tests {
     use crate::codec::wire_len;
     use crate::types::{Pid, Status};
 
-    /// A read whose header carries `retry_of` for odd ids and an srtt
-    /// echo for ids divisible by 3, so entries differ in size.
+    /// A read whose header carries `retry_of` for odd ids, so entries
+    /// differ in size.
     fn read_entry(id: u64) -> (ReqHeader, RequestBody) {
         let header = ReqHeader {
             retry_of: (id % 2 == 1).then(|| ReqId(id - 1)),
-            srtt_echo_ns: id.is_multiple_of(3).then_some(5_000),
             ..ReqHeader::single(ReqId(id), Pid(1))
         };
         (header, RequestBody::Read { va: id * 64, len: 32 })

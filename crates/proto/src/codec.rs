@@ -3,8 +3,9 @@
 //! The encoding has no varints, so packet sizes are predictable: the timing
 //! model can compute a packet's wire footprint with [`wire_len`] without
 //! materializing bytes, and tests assert the two always agree. The one
-//! variable part is the request header's optional fields: a flags byte says
-//! which follow, and one that is absent costs no bytes ([`req_header_len`]).
+//! variable part is the request header's optional `retry_of`: a flags byte
+//! says whether it follows, and when absent it costs no bytes
+//! ([`req_header_len`]).
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -71,27 +72,24 @@ const RESP_OFFLOAD: u8 = 4;
 
 /// Header flag: an 8-byte [`ReqHeader::retry_of`] follows the packet count.
 const FLAG_RETRY: u8 = 1 << 0;
-/// Header flag: a 4-byte [`ReqHeader::srtt_echo_ns`] follows `retry_of` (or
-/// the packet count, with no `retry_of`).
-const FLAG_ECHO: u8 = 1 << 1;
 
 /// Encoded size of the packet tag plus a request header without its
-/// optional fields: tag, request id, flags, pid, packet index and count.
+/// optional `retry_of`: tag, request id, flags, pid, packet index and
+/// count.
 const REQ_HEADER_BASE: usize = 1 + 8 + 1 + 8 + 2 + 2;
 
-/// Encoded size of the packet tag plus the largest request header: a retry
-/// (8 B `retry_of`) carrying an srtt echo (4 B). MTU fragment sizing uses
-/// it, so a fragment still fits when re-sent as a retry. The header's
-/// trace context contributes nothing: it models reserved header bits and
-/// never costs modeled wire bytes.
-pub const REQ_HEADER_LEN: usize = REQ_HEADER_BASE + 8 + 4;
+/// Encoded size of the packet tag plus the largest request header: a
+/// retry's (8 B `retry_of`). MTU fragment sizing uses it, so a fragment
+/// still fits when re-sent as a retry. The header's trace context
+/// contributes nothing: it models reserved header bits and never costs
+/// modeled wire bytes.
+pub const REQ_HEADER_LEN: usize = REQ_HEADER_BASE + 8;
 /// Encoded size of the packet tag plus a response header.
 pub const RESP_HEADER_LEN: usize = 1 + 8 + 1 + 2 + 2;
 /// Fixed framing cost of a batch packet (packet tag + u16 entry count),
 /// shared by request batches and response batches. Each entry then costs
 /// exactly what the same packet would cost standalone ([`request_len`]:
-/// 22 B of header for a first attempt before any RTT sample, 26 B with the
-/// srtt echo, 30 B and 34 B for a retry without and with it;
+/// 22 B of header for a first attempt, 30 B for a retry;
 /// [`response_wire_len`]: 14 B of header), so batching `n` small packets saves `(n - 1)` per-frame
 /// Ethernet overheads at the price of these 3 bytes.
 pub const BATCH_OVERHEAD_BYTES: usize = 1 + 2;
@@ -103,25 +101,15 @@ pub const NACK_WIRE_LEN: usize = 1 + 8;
 pub const NACK_ENTRY_BYTES: usize = 8;
 
 /// Writes a request header (tag excluded): request id, flags, pid, packet
-/// index and count, then `retry_of` and the srtt echo if their flag is set.
+/// index and count, then `retry_of` if its flag is set.
 fn put_req_header(buf: &mut BytesMut, h: &ReqHeader) {
     buf.put_u64_le(h.req_id.0);
-    let mut flags = 0;
-    if h.retry_of.is_some() {
-        flags |= FLAG_RETRY;
-    }
-    if h.srtt_echo_ns.is_some() {
-        flags |= FLAG_ECHO;
-    }
-    buf.put_u8(flags);
+    buf.put_u8(if h.retry_of.is_some() { FLAG_RETRY } else { 0 });
     buf.put_u64_le(h.pid.0);
     buf.put_u16_le(h.pkt_index);
     buf.put_u16_le(h.pkt_count);
     if let Some(r) = h.retry_of {
         buf.put_u64_le(r.0);
-    }
-    if let Some(ns) = h.srtt_echo_ns {
-        buf.put_u32_le(ns);
     }
     // `h.trace` is deliberately not encoded (zero modeled wire bytes).
 }
@@ -275,10 +263,10 @@ pub fn encode(pkt: &ClioPacket) -> Bytes {
     buf.freeze()
 }
 
-/// The exact encoded size of the packet tag plus header `h`: the optional
-/// fields it does not carry cost nothing.
+/// The exact encoded size of the packet tag plus header `h`: a `retry_of`
+/// it does not carry costs nothing.
 pub fn req_header_len(h: &ReqHeader) -> usize {
-    REQ_HEADER_BASE + 8 * h.retry_of.is_some() as usize + 4 * h.srtt_echo_ns.is_some() as usize
+    REQ_HEADER_BASE + 8 * h.retry_of.is_some() as usize
 }
 
 /// The exact encoded size of one request (header + body) framed as a
@@ -383,16 +371,14 @@ impl<'a> Reader<'a> {
 fn read_request(r: &mut Reader<'_>) -> Result<(ReqHeader, RequestBody), CodecError> {
     let req_id = ReqId(r.u64()?);
     let flags = r.u8()?;
-    if flags & !(FLAG_RETRY | FLAG_ECHO) != 0 {
+    if flags & !FLAG_RETRY != 0 {
         return Err(CodecError::BadFlags(flags));
     }
     let pid = Pid(r.u64()?);
     let pkt_index = r.u16()?;
     let pkt_count = r.u16()?;
     let retry_of = if flags & FLAG_RETRY != 0 { Some(ReqId(r.u64()?)) } else { None };
-    let srtt_echo_ns = if flags & FLAG_ECHO != 0 { Some(r.u32()?) } else { None };
-    let header =
-        ReqHeader { req_id, retry_of, pid, pkt_index, pkt_count, trace: None, srtt_echo_ns };
+    let header = ReqHeader { req_id, retry_of, pid, pkt_index, pkt_count, trace: None };
     let body = match r.u8()? {
         BODY_READ => RequestBody::Read { va: r.u64()?, len: r.u32()? },
         BODY_WRITE_FRAG => RequestBody::WriteFrag { va: r.u64()?, data: r.bytes()? },
@@ -522,7 +508,6 @@ mod tests {
             pkt_index: 3,
             pkt_count: 9,
             trace: None,
-            srtt_echo_ns: Some(42_500),
         };
         let bodies = vec![
             RequestBody::Read { va: 0x4000_0000, len: 4096 },
@@ -603,17 +588,16 @@ mod tests {
         roundtrip(ClioPacket::Batch { requests });
     }
 
-    /// A first attempt, with and without the srtt echo, and a retry, with
-    /// and without it: each costs its own header's size, inside a batch as
-    /// alone, and the largest header is [`REQ_HEADER_LEN`].
+    /// A first attempt and a retry: each costs its own header's size,
+    /// inside a batch as alone, and the largest header is
+    /// [`REQ_HEADER_LEN`].
     #[test]
     fn batch_entry_costs_exactly_one_standalone_request() {
         let first = ReqHeader::single(ReqId(9), Pid(1));
-        let echo = |h: ReqHeader| ReqHeader { srtt_echo_ns: Some(7_000), ..h };
         let retry = first.retrying(ReqId(8));
-        let headers = [first, echo(first), retry, echo(retry)];
-        assert_eq!(headers.map(|h| req_header_len(&h)), [22, 26, 30, 34]);
-        assert_eq!(REQ_HEADER_LEN, 34);
+        let headers = [first, retry];
+        assert_eq!(headers.map(|h| req_header_len(&h)), [22, 30]);
+        assert_eq!(REQ_HEADER_LEN, 30);
 
         let body = RequestBody::Read { va: 0x4000, len: 16 };
         let mut entries = 0;
@@ -629,32 +613,28 @@ mod tests {
         assert_eq!(wire_len(&batch), BATCH_OVERHEAD_BYTES + entries);
     }
 
-    /// A first attempt's 64 B write carrying the srtt echo, as a batch
-    /// entry: 26 B of header, 13 B of body framing, 64 B of data.
+    /// A first attempt's 64 B write as a batch entry: 22 B of header, 13 B
+    /// of body framing, 64 B of data.
     #[test]
-    fn a_first_attempt_64_byte_write_entry_costs_103_bytes() {
-        let header =
-            ReqHeader { srtt_echo_ns: Some(12_000), ..ReqHeader::single(ReqId(1), Pid(1)) };
+    fn a_first_attempt_64_byte_write_entry_costs_99_bytes() {
+        let header = ReqHeader::single(ReqId(1), Pid(1));
         let body = RequestBody::WriteFrag { va: 0x1000, data: Bytes::from(vec![7; 64]) };
-        assert_eq!(request_len(&header, &body), 103);
+        assert_eq!(request_len(&header, &body), 99);
         let pkt = ClioPacket::Request { header, body };
-        assert_eq!(encode(&pkt).len(), 103);
+        assert_eq!(encode(&pkt).len(), 99);
     }
 
     /// A write split at the largest fragment still fits the MTU exactly
-    /// when re-sent as a retry carrying the srtt echo.
+    /// when re-sent as a retry.
     #[test]
-    fn a_maximal_write_fragment_retried_with_an_echo_fills_the_mtu() {
+    fn a_maximal_write_fragment_retried_fills_the_mtu() {
+        assert_eq!(crate::MAX_WRITE_FRAG_PAYLOAD, 1457);
         let data = Bytes::from(vec![3; crate::MAX_WRITE_FRAG_PAYLOAD]);
-        let [ClioPacket::Request { header, body }] =
-            &crate::split_write(ReqId(2), Some(ReqId(1)), Pid(1), 0x1000, data)[..]
-        else {
+        let [pkt] = &crate::split_write(ReqId(2), Some(ReqId(1)), Pid(1), 0x1000, data)[..] else {
             panic!("one fragment")
         };
-        let header = ReqHeader { srtt_echo_ns: Some(u32::MAX), ..*header };
-        let pkt = ClioPacket::Request { header, body: body.clone() };
-        assert_eq!(encode(&pkt).len(), crate::MTU_BYTES);
-        assert_eq!(wire_len(&pkt), crate::MTU_BYTES);
+        assert_eq!(encode(pkt).len(), crate::MTU_BYTES);
+        assert_eq!(wire_len(pkt), crate::MTU_BYTES);
     }
 
     /// A request header's flags byte (after the tag and the request id)
@@ -665,15 +645,16 @@ mod tests {
         let header = ReqHeader::single(ReqId(1), Pid(1));
         let body = RequestBody::Read { va: 0, len: 8 };
         let mut bytes = encode(&ClioPacket::Request { header, body: body.clone() }).to_vec();
-        assert_eq!(bytes[9], 0, "a first attempt without an echo sets no flag");
-        for bit in 2..8 {
+        assert_eq!(bytes[9], 0, "a first attempt sets no flag");
+        for bit in 1..8 {
             bytes[9] = 1 << bit;
             assert_eq!(decode(&bytes), Err(CodecError::BadFlags(1 << bit)));
         }
         let batch = ClioPacket::Batch { requests: vec![(header, body.clone()), (header, body)] };
         let mut bytes = encode(&batch).to_vec();
-        bytes[3 + 9] = FLAG_RETRY | FLAG_ECHO | 0x80;
-        assert_eq!(decode(&bytes), Err(CodecError::BadFlags(0x83)));
+        // Bit 1, like every bit but `FLAG_RETRY`, is unknown.
+        bytes[3 + 9] = FLAG_RETRY | 1 << 1;
+        assert_eq!(decode(&bytes), Err(CodecError::BadFlags(0x03)));
         assert!(CodecError::BadFlags(0x83).to_string().contains("0x83"));
     }
 

@@ -20,8 +20,7 @@ pub const MTU_BYTES: usize = 1500;
 /// gap (12).
 pub const ETH_OVERHEAD_BYTES: usize = 38;
 
-/// Encoded bytes of packet tag + the largest request header (a retry
-/// carrying an srtt echo).
+/// Encoded bytes of packet tag + the largest request header (a retry's).
 pub const CLIO_REQ_HEADER_BYTES: usize = codec::REQ_HEADER_LEN;
 
 /// Encoded bytes of packet tag + response header.
@@ -33,8 +32,8 @@ const WRITE_FRAG_BODY_OVERHEAD: usize = 1 + 8 + 4; // tag + va + len
 const DATA_FRAG_BODY_OVERHEAD: usize = 1 + 4 + 4; // tag + offset + len
 
 /// Maximum write payload per packet, such that a fragment fits the MTU
-/// with the largest request header: a fragment re-sent as a retry with an
-/// srtt echo still fits.
+/// with the largest request header: a fragment re-sent as a retry still
+/// fits.
 pub const MAX_WRITE_FRAG_PAYLOAD: usize =
     MTU_BYTES - CLIO_REQ_HEADER_BYTES - WRITE_FRAG_BODY_OVERHEAD;
 
@@ -69,7 +68,6 @@ pub fn split_write(
                 pkt_index: i as u16,
                 pkt_count: count as u16,
                 trace: None,
-                srtt_echo_ns: None,
             },
             body: RequestBody::WriteFrag { va: va + lo as u64, data: data.slice(lo..hi) },
         });

@@ -8,9 +8,9 @@ use crate::types::{Perm, Pid, ReqId, Status};
 /// The Clio header attached to every request packet (§4.5 T1).
 ///
 /// On the wire it costs 21 B besides the packet tag: the request id (8 B),
-/// one flags byte saying which optional fields follow, the pid (8 B), and
-/// the packet index and count (2 B each). `retry_of` adds 8 B and the srtt
-/// echo 4 B only when present (`codec::req_header_len`).
+/// one flags byte saying whether `retry_of` follows, the pid (8 B), and
+/// the packet index and count (2 B each). `retry_of` adds 8 B only when
+/// present (`codec::req_header_len`).
 ///
 /// `pkt_index`/`pkt_count` describe the packet's position within a
 /// multi-packet request (only writes exceed one packet); the MN uses the
@@ -33,25 +33,12 @@ pub struct ReqHeader {
     /// header bits: it crosses the wire with the request but costs **zero**
     /// modeled bytes and is not serialized by the codec.
     pub trace: Option<TraceCtx>,
-    /// The CN's smoothed RTT toward this MN, in nanoseconds, echoed so the
-    /// MN's egress doorbell budget can derive from the same signal as the
-    /// CN's request doorbell (4 encoded bytes when present, none before
-    /// the CN's first RTT sample).
-    pub srtt_echo_ns: Option<u32>,
 }
 
 impl ReqHeader {
     /// Header for a single-packet request.
     pub fn single(req_id: ReqId, pid: Pid) -> Self {
-        ReqHeader {
-            req_id,
-            retry_of: None,
-            pid,
-            pkt_index: 0,
-            pkt_count: 1,
-            trace: None,
-            srtt_echo_ns: None,
-        }
+        ReqHeader { req_id, retry_of: None, pid, pkt_index: 0, pkt_count: 1, trace: None }
     }
 
     /// Marks this header as a retry of `orig`.
@@ -285,8 +272,9 @@ pub enum ClioPacket {
     },
     /// MN → CN batch: several small single-packet responses coalesced into
     /// one wire frame — the egress mirror of [`Batch`](Self::Batch). The
-    /// board's per-destination egress queue packs responses that complete
-    /// within one doorbell hold; every entry keeps its own [`RespHeader`]
+    /// board's egress queue packs the responses to one CN that became
+    /// ready while its port was busy, and a request `Batch`'s responses;
+    /// every entry keeps its own [`RespHeader`]
     /// (request id, status), so the CN transport completes, retries, and
     /// accounts for each entry exactly as if it had arrived alone.
     BatchResp {

@@ -23,23 +23,16 @@ fn arb_status() -> impl Strategy<Value = Status> {
 }
 
 fn arb_req_header() -> impl Strategy<Value = ReqHeader> {
-    (
-        any::<u64>(),
-        any::<Option<u64>>(),
-        any::<u64>(),
-        any::<u16>(),
-        1u16..=64,
-        any::<Option<u32>>(),
-    )
-        .prop_map(|(id, retry, pid, idx, cnt, echo)| ReqHeader {
+    (any::<u64>(), any::<Option<u64>>(), any::<u64>(), any::<u16>(), 1u16..=64).prop_map(
+        |(id, retry, pid, idx, cnt)| ReqHeader {
             req_id: ReqId(id),
             retry_of: retry.map(ReqId),
             pid: Pid(pid),
             pkt_index: idx % cnt,
             pkt_count: cnt,
             trace: None,
-            srtt_echo_ns: echo,
-        })
+        },
+    )
 }
 
 /// A header as [`arb_req_header`] draws it, with or without a trace

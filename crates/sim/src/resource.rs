@@ -40,6 +40,12 @@ impl SerialResource {
         Self::default()
     }
 
+    /// When the work reserved so far ends.
+    #[inline]
+    pub fn free_at(&self) -> SimTime {
+        self.free_at
+    }
+
     /// Reserves `service` time for work arriving at `now`.
     #[inline]
     pub fn reserve(&mut self, now: SimTime, service: SimDuration) -> Reservation {

@@ -92,7 +92,8 @@ pub enum Stage {
     SlowPath,
     /// Held at the MN behind a fence barrier.
     FenceHold,
-    /// Held in the MN egress doorbell queue (response coalescing window).
+    /// Waiting on the MN egress queue: for the port to free up, or, in a
+    /// `Batch` frame, for the frame's last response.
     EgressHold,
     /// CN-side completion delivery (transport match + CLib hand-back).
     Complete,
