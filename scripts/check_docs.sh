@@ -324,4 +324,24 @@ if [ "$fail" -ne 0 ]; then
   echo "PAPER.md cites code lines that moved or do not exist (see above)"
   exit 1
 fi
+# The CI workflow's comments quote the model checker's search trees: every
+# "<N> nodes" in a comment line must be the node count of a tree pinned in
+# mc_smoke.rs, so a re-pin cannot leave the old count quoted.
+SMOKE="crates/mc/src/bin/mc_smoke.rs"
+CI=".github/workflows/ci.yml"
+pins=$(grep -oE '^[[:space:]]*\(\([0-9, ]+\), \([0-9_]+' "$SMOKE" | sed 's/.*(//; s/_//g')
+[ -n "$pins" ] || { echo "$SMOKE: no pinned tree found"; fail=1; }
+while IFS= read -r quoted; do
+  [ -n "$quoted" ] || continue
+  n=${quoted%% *}
+  n=${n//,/}
+  if ! grep -qx "$n" <<<"$pins"; then
+    echo "$CI: a comment quotes \"$quoted\", not a tree pinned in $SMOKE"
+    fail=1
+  fi
+done < <(grep -E '^[[:space:]]*#' "$CI" | grep -oE '[0-9][0-9,]* nodes')
+if [ "$fail" -ne 0 ]; then
+  echo "the CI workflow quotes a search tree mc_smoke.rs does not pin (see above)"
+  exit 1
+fi
 echo "docs link check: OK"
