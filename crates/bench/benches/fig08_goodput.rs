@@ -126,9 +126,10 @@ fn main() {
     report
         .note("paper: async hits the 9.4 Gbps line rate almost immediately; sync needs ~8 threads");
     report.note(
-        "batched variants coalesce async requests AND responses into shared wire frames \
-         (symmetric batching); 1 KB read replies stay one-per-frame (two don't fit an MTU), so \
-         the response win shows for writes, whose Done replies pack densely",
+        "batched variants coalesce async requests into shared wire frames; the MN sends each \
+         reply as soon as its port is free, so Done replies to 1 KB writes (an idle response \
+         port) leave one per frame, and 1 KB read replies stay one per frame (two don't fit an \
+         MTU)",
     );
     report.print();
 }

@@ -149,9 +149,9 @@ fn main() {
         "a 64-op burst ships in ceil(64 / batch_max_ops) request frames when coalescing engages",
     );
     report.note(
-        "responses now coalesce symmetrically: the MN egress doorbell packs replies completing \
-         within its hold into BatchResp frames, so the 10 Gbps response path no longer pays \
-         per-op framing",
+        "responses coalesce too: the MN packs a request frame's replies, and the replies that \
+         become ready while its port is busy, into BatchResp frames, so the 10 Gbps response \
+         path no longer pays per-op framing",
     );
     if smoke {
         report.note("smoke mode: reduced sweep (CI gate); run without --smoke for full figures");
