@@ -7,8 +7,8 @@
 //! response frames at the board — plus burst throughput. With
 //! `batch_max_ops = 1` every request pays its own frame; with coalescing a
 //! 64-op burst ships in `ceil(64 / batch_max_ops)` request frames, and the
-//! board's egress doorbell collapses the response path the same way
-//! (responses completing within the egress hold share `BatchResp` frames).
+//! board collapses the response path the same way (a request frame's
+//! responses leave together in one `BatchResp` frame).
 //!
 //! `--smoke` runs a reduced sweep (CI regression gate): it still asserts
 //! the acceptance bar — ≥ 4× fewer MN→CN frames at default knobs.
