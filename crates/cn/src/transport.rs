@@ -26,10 +26,11 @@
 //!
 //! How long the doorbell holds is not configured but measured — the rule
 //! is [`clio_net::Doorbell`]'s (the MN's egress never holds: it sends as
-//! soon as its port is free). The transport supplies what is its own: the signal (the congestion window's
-//! smoothed RTT toward that MN, so the budget is `srtt / 4`, zero before
-//! the first sample) and the cap (`CLibConfig::DOORBELL_DERIVED_CAP`). The
-//! doorbell fires immediately when a full batch is queued.
+//! soon as its port is free). The transport supplies what is its own: the
+//! signal (the congestion window's smoothed RTT toward that MN, so the
+//! budget is `srtt / 4`, zero before the first sample) and the cap
+//! (`CLibConfig::DOORBELL_DERIVED_CAP`). The doorbell fires immediately
+//! when a full batch is queued.
 //!
 //! Retransmissions re-coalesce too: retries queued in the same pump — e.g.
 //! several timers for one MN expiring at the same instant after a lost
