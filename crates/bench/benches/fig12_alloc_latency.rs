@@ -48,10 +48,10 @@ fn clio_alloc_free(size_mb: u64) -> (f64, f64) {
 /// plus the ARM crossing, as the paper instruments it).
 fn clio_alloc_phys(size_mb: u64) -> f64 {
     let cfg = CBoardConfig::prototype();
-    let mut slow = SlowPath::new(&cfg);
+    let (mut slow, mut vm) = (SlowPath::new(&cfg), clio_hw::vm::VmUnit::new(&cfg.hw));
     slow.create_as(Pid(1));
-    let out = slow.alloc(Pid(1), size_mb << 20, Perm::RW, None).expect("alloc");
-    let (_, service) = slow.alloc_phys(Pid(1), out.range.start, out.range.len).expect("phys");
+    let out = slow.alloc(&mut vm, Pid(1), size_mb << 20, Perm::RW, None).expect("alloc");
+    let service = slow.alloc_phys(&mut vm, Pid(1), out.range.start, out.range.len).expect("phys");
     (service + SlowPath::CROSSING_DELAY * 2).as_nanos() as f64 / 1e6
 }
 

@@ -35,7 +35,7 @@ fn main() {
         PROBE_SIZES.iter().map(|p| Series::new(format!("{p} page(s)"))).collect();
 
     for (si, &probe_pages) in PROBE_SIZES.iter().enumerate() {
-        let mut shadow = HashPageTable::new(cfg.pt_buckets(), cfg.pt_slots_per_bucket);
+        let mut table = HashPageTable::new(cfg.pt_buckets(), cfg.pt_slots_per_bucket);
         let mut va = VaAllocator::new(page, 4096);
         const TENANTS: u64 = 64;
         for t in 0..TENANTS {
@@ -49,10 +49,10 @@ fn main() {
                 let pid = Pid(tenant % TENANTS);
                 tenant += 1;
                 let pages = 1 + tenant % 3;
-                match va.alloc(&shadow, pid, pages * page, Perm::RW, None) {
+                match va.alloc(&table, pid, pages * page, Perm::RW, None) {
                     Ok(a) => {
                         for vpn in a.range.start / page..(a.range.start + a.range.len) / page {
-                            shadow
+                            table
                                 .insert(clio_hw::pagetable::Pte {
                                     pid,
                                     vpn,
@@ -72,7 +72,7 @@ fn main() {
             let mut trials = 0u64;
             for t in 0..24u64 {
                 let pid = Pid(t % TENANTS);
-                if let Ok(a) = va.alloc(&shadow, pid, probe_pages * page, Perm::RW, None) {
+                if let Ok(a) = va.alloc(&table, pid, probe_pages * page, Perm::RW, None) {
                     retries += a.retries as u64;
                     trials += 1;
                     let _ = va.free(pid, a.range.start);

@@ -25,20 +25,20 @@ fn bench<I>(name: &str, mut setup: impl FnMut() -> I, mut routine: impl FnMut(&m
     );
 }
 
-/// Eight processes with eight 8-page ranges each, shadowed in a small table.
+/// Eight processes with eight 8-page ranges each, installed in a small page table.
 fn half_full() -> (VaAllocator, HashPageTable) {
     let mut va = VaAllocator::new(4096, 1024);
-    let mut shadow = HashPageTable::new(256, 4);
+    let mut table = HashPageTable::new(256, 4);
     for pid in (0..8).map(Pid) {
         va.create_pid(pid);
         for _ in 0..8 {
-            let Ok(a) = va.alloc(&shadow, pid, 8 * 4096, Perm::RW, None) else { continue };
+            let Ok(a) = va.alloc(&table, pid, 8 * 4096, Perm::RW, None) else { continue };
             for vpn in a.range.start / 4096..(a.range.start + a.range.len) / 4096 {
-                let _ = shadow.insert(Pte { pid, vpn, ppn: 0, perm: Perm::RW, valid: false });
+                let _ = table.insert(Pte { pid, vpn, ppn: 0, perm: Perm::RW, valid: false });
             }
         }
     }
-    (va, shadow)
+    (va, table)
 }
 
 fn main() {
@@ -49,13 +49,13 @@ fn main() {
             va.create_pid(Pid(1));
             (va, HashPageTable::new(1024, 4))
         },
-        |(va, shadow)| {
-            let a = va.alloc(shadow, Pid(1), 4096, Perm::RW, None).expect("alloc");
+        |(va, table)| {
+            let a = va.alloc(table, Pid(1), 4096, Perm::RW, None).expect("alloc");
             let _ = va.free(Pid(1), a.range.start);
         },
     );
-    bench("alloc_100_pages_half_full_table", half_full, |(va, shadow)| {
-        if let Ok(a) = va.alloc(shadow, Pid(1), 100 * 4096, Perm::RW, None) {
+    bench("alloc_100_pages_half_full_table", half_full, |(va, table)| {
+        if let Ok(a) = va.alloc(table, Pid(1), 100 * 4096, Perm::RW, None) {
             let _ = va.free(Pid(1), a.range.start);
         }
     });

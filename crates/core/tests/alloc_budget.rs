@@ -1,12 +1,16 @@
-//! Allocation budget of the op fast path: steady-state heap allocations per
-//! completed op, counted by a wrapping `#[global_allocator]`, must stay
-//! under the ceilings below so the budget cannot silently regress. The
-//! closed-loop ceilings are the measured use rounded up, plus one (8.36 →
-//! 10 lone, 4.20 → 6 batched); the open-loop one is the measured use
-//! rounded up (7.67 → 8), so the per-task waker the executor once
-//! allocated (8.83) cannot come back. Lower a ceiling whenever a change
-//! removes an allocation. The counter is per thread, so the tests do not
-//! see each other (or the harness).
+//! Allocation and event budget of the op fast path: steady-state heap
+//! allocations per completed op, counted by a wrapping
+//! `#[global_allocator]`, and simulator events dispatched per completed
+//! op must stay under the ceilings below so neither can silently regress.
+//! The closed-loop alloc ceilings are the measured use rounded up, plus one
+//! (8.36 → 10 lone, 4.20 → 6 batched); the open-loop one is the measured
+//! use rounded up (7.67 → 8), so the per-task waker the executor once
+//! allocated (8.83) cannot come back. Event counts are exact on any host,
+//! so their ceilings are the measured value rounded up to the hundredth
+//! (5.9988 → 6.00 lone, 0.4689 → 0.47 batched, 2.5826 → 2.59 open loop).
+//! Lower a ceiling whenever a change removes an allocation or an event.
+//! The alloc counter is per thread, so the tests do not see each other (or
+//! the harness).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -49,10 +53,11 @@ static GLOBAL: Counting = Counting;
 
 const PAGE: u64 = 4096;
 
-/// Steady-state allocations per completed op of the load `program`
-/// spawns on one CN against one MN. It gets the process handle, a
-/// completed-op counter to bump and a flag telling it to stop.
-fn allocs_per_op<F, Fut>(label: &str, program: F) -> f64
+/// Steady-state cost per completed op of the load `program` spawns on one
+/// CN against one MN: heap allocations and dispatched simulator events. It
+/// gets the process handle, a completed-op counter to bump and a flag
+/// telling it to stop.
+fn per_op<F, Fut>(label: &str, program: F) -> PerOp
 where
     F: FnOnce(ProcHandle, Rc<Cell<u64>>, Rc<Cell<bool>>) -> Fut,
     Fut: Future<Output = ()> + 'static,
@@ -66,15 +71,36 @@ where
     cluster.start();
     // Warm-up: page faults, TLB fills, table and scratch-buffer growth.
     cluster.run_for(SimDuration::from_millis(2));
-    let (ops0, allocs0) = (ops.get(), ALLOCS.with(Cell::get));
+    let (ops0, events0) = (ops.get(), cluster.sim.events_dispatched());
+    let allocs0 = ALLOCS.with(Cell::get);
     cluster.run_for(SimDuration::from_millis(4));
     let (measured, allocs) = (ops.get() - ops0, ALLOCS.with(Cell::get) - allocs0);
+    let events = cluster.sim.events_dispatched() - events0;
     stop.set(true);
     cluster.run_until_idle();
     assert!(measured > 1000, "only {measured} ops in the measured window");
-    let per_op = allocs as f64 / measured as f64;
-    println!("{label}: {per_op:.2} allocs/op over {measured} ops");
-    per_op
+    let cost =
+        PerOp { allocs: allocs as f64 / measured as f64, events: events as f64 / measured as f64 };
+    println!(
+        "{label}: {:.2} allocs/op, {:.4} events/op over {measured} ops",
+        cost.allocs, cost.events
+    );
+    cost
+}
+
+/// What one op cost in the measured window.
+struct PerOp {
+    allocs: f64,
+    events: f64,
+}
+
+impl PerOp {
+    /// Asserts both of `path`'s ceilings.
+    fn within(&self, path: &str, allocs: f64, events: f64) {
+        let PerOp { allocs: a, events: e } = *self;
+        assert!(a <= allocs, "{a:.2} allocs/op on the {path} path (budget {allocs})");
+        assert!(e <= events, "{e:.4} events/op on the {path} path (ceiling {events})");
+    }
 }
 
 /// Where the next `len`-byte op of `task` goes, somewhere in its four
@@ -93,9 +119,9 @@ async fn one_op(h: &ProcHandle, (va, read): (u64, bool), payload: Bytes, done: &
 }
 
 /// `tasks` closed-loop tasks issuing `len`-byte ops.
-fn closed_loop_allocs_per_op(tasks: u64, len: u64) -> f64 {
+fn closed_loop_per_op(tasks: u64, len: u64) -> PerOp {
     let label = format!("{tasks} task(s) x {len} B");
-    allocs_per_op(&label, move |h, done, stopped| async move {
+    per_op(&label, move |h, done, stopped| async move {
         let payload = Bytes::from(vec![0xA5u8; len as usize]);
         let base = h.ralloc(tasks * 4 * PAGE, Perm::RW).await.va();
         let mut seeds = SimRng::new(1);
@@ -114,21 +140,19 @@ fn closed_loop_allocs_per_op(tasks: u64, len: u64) -> f64 {
 
 #[test]
 fn single_task_16b_loop_stays_within_budget() {
-    let per_op = closed_loop_allocs_per_op(1, 16);
-    assert!(per_op <= 10.0, "{per_op:.2} allocs/op on the lone-op path (budget 10)");
+    closed_loop_per_op(1, 16).within("lone-op", 10.0, 6.00);
 }
 
 #[test]
 fn batched_64_task_64b_loop_stays_within_budget() {
-    let per_op = closed_loop_allocs_per_op(64, 64);
-    assert!(per_op <= 6.0, "{per_op:.2} allocs/op on the batched path (budget 6)");
+    closed_loop_per_op(64, 64).within("batched", 6.0, 0.47);
 }
 
 /// Open loop: a generator sleeps 200 ns and spawns one task per 64 B op,
 /// so every op pays a task's spawn, first poll and retirement.
 #[test]
 fn open_loop_task_per_64b_op_stays_within_budget() {
-    let per_op = allocs_per_op("open loop, a task per 64 B op", |h, done, stopped| async move {
+    let cost = per_op("open loop, a task per 64 B op", |h, done, stopped| async move {
         let payload = Bytes::from(vec![0xA5u8; 64]);
         let base = h.ralloc(64 * 4 * PAGE, Perm::RW).await.va();
         let mut rng = SimRng::new(1);
@@ -143,5 +167,5 @@ fn open_loop_task_per_64b_op_stays_within_budget() {
             h.spawn(async move { one_op(&h2, op, payload, &done).await });
         }
     });
-    assert!(per_op <= 8.0, "{per_op:.2} allocs/op on the open-loop path (budget 8)");
+    cost.within("open-loop", 8.0, 2.59);
 }

@@ -267,12 +267,13 @@ fn slow_path_retries_after_lost_responses_run_once() {
         let counted_at = SimTime::ZERO + ROUND * round - SimDuration::from_nanos(1);
         cluster.run_for(counted_at.since(cluster.now()));
         assert_eq!(allocated.get(), 100 * round, "round {round}: allocs still running");
-        let ranges = cluster.mn(0).slow_path().shadow().iter_pid(PID).count();
+        let ranges = cluster.mn(0).silicon().vm().page_table().iter_pid(PID).count();
         assert_eq!(ranges, 100, "round {round}: 100 rallocs left {ranges} one-page ranges");
     }
     cluster.run_until_idle();
     assert_eq!(invalid.get(), 0, "rfrees of live ranges reported InvalidAddr");
-    assert_eq!(cluster.mn(0).slow_path().shadow().iter_pid(PID).count(), 0, "a range leaked");
+    let table = cluster.mn(0).silicon().vm().page_table();
+    assert_eq!(table.iter_pid(PID).count(), 0, "a range leaked");
     let retried = cluster.cn(0).clib().transport().stats().retries;
     assert!(retried > 0, "the loss never forced a retry");
 }

@@ -285,9 +285,12 @@ impl Silicon {
     /// Translates every page a `[va, va+len)` access touches from `t`,
     /// accumulating its cost into `timing`. Leaves the access's
     /// `(physical_address, length)` segments in `self.segs` and returns the
-    /// time after translation. An atomic (`perm` [`Perm::RW`]) is one
-    /// word's read-modify-write, so a word that crosses a page is refused
-    /// before either page is translated.
+    /// time after translation. The walks' TLB and page-table costs enter
+    /// the breakdown only once every page has translated: a failed access
+    /// answers from the translate stage's entry, so it is charged none of
+    /// them. An atomic (`perm` [`Perm::RW`]) is one word's
+    /// read-modify-write, so a word that crosses a page is refused before
+    /// either page is translated.
     fn translate_range(
         &mut self,
         mut t: SimTime,
@@ -303,12 +306,13 @@ impl Silicon {
             return Err(Status::InvalidAddr);
         }
         self.segs.clear();
+        let (mut tlb, mut pt_dram) = (SimDuration::ZERO, SimDuration::ZERO);
         let mut addr = va;
         loop {
             let vpn = addr / page;
             let (res, walk) = self.vm.translate(t, &mut self.dram, pid, vpn, perm);
-            timing.breakdown.tlb += self.cycles(walk.cycles);
-            timing.breakdown.pt_dram += walk.pt_fetch;
+            tlb += self.cycles(walk.cycles);
+            pt_dram += walk.pt_fetch;
             t = t + self.cycles(walk.cycles) + walk.pt_fetch;
             timing.page_fault |= walk.page_fault;
             timing.all_tlb_hits &= walk.tlb_hit;
@@ -324,6 +328,8 @@ impl Silicon {
                 break;
             }
         }
+        timing.breakdown.tlb += tlb;
+        timing.breakdown.pt_dram += pt_dram;
         Ok(t)
     }
 
@@ -653,6 +659,9 @@ mod tests {
             ("write", s.write(t0(), Pid(1), 0, b"abcd").1),
             ("read", s.read(SimTime::from_nanos(50_000), Pid(1), 0, 4).1),
             ("atomic", s.atomic(SimTime::from_nanos(100_000), Pid(1), 8, AtomicOp::Faa(1)).1),
+            // A failed translation answers from the translate stage's
+            // entry, and its walk is not charged.
+            ("unmapped read", s.read(SimTime::from_nanos(150_000), Pid(1), 1 << 30, 4).1),
         ] {
             let sum: SimDuration = t.breakdown.stage_components().iter().map(|&(_, d)| d).sum();
             assert_eq!(sum, t.breakdown.total(), "{label}: components must sum to total");

@@ -151,8 +151,9 @@ impl VmUnit {
     }
 
     /// Slow-path hook: installs a (typically invalid) PTE after VA
-    /// allocation. Mirrors into nothing else — the shadow copy lives on the
-    /// ARM side (`clio_mn`).
+    /// allocation or migration. This table is the node's only PTE store:
+    /// the ARM's shadow of it is modelled by the slow path's costs
+    /// (`clio_mn`), not by a second copy.
     ///
     /// # Errors
     ///
@@ -169,12 +170,8 @@ impl VmUnit {
         self.pt.remove(pid, vpn)
     }
 
-    /// The allocation-time overflow check used by the VA allocator.
-    pub fn can_insert_all<I: IntoIterator<Item = (Pid, u64)>>(&self, pages: I) -> bool {
-        self.pt.can_insert_all(pages)
-    }
-
-    /// Read access to the page table (shadow sync, migration, tests).
+    /// Read access to the page table (the slow path's overflow checks,
+    /// migration, tests).
     pub fn page_table(&self) -> &HashPageTable {
         &self.pt
     }

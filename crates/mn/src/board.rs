@@ -108,6 +108,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use clio_hw::dedup::DedupRecord;
 use clio_hw::silicon::{AccessTiming, AtomicOp, Silicon};
+use clio_hw::vm::VmUnit;
 use clio_hw::CBoardHwConfig;
 use clio_net::{BoardPower, Doorbell, Frame, Mac, NicPort};
 use clio_proto::{
@@ -372,7 +373,7 @@ impl CBoard {
     /// Installs a computation offload under `id`, creating its address
     /// space.
     pub fn install_offload(&mut self, id: u16, pid: Pid, module: Box<dyn Offload>) {
-        self.slow_mut().create_as(pid);
+        self.slow_mut().0.create_as(pid);
         self.offloads.insert(id, InstalledOffload { pid: Some(pid), module });
     }
 
@@ -482,9 +483,9 @@ impl CBoard {
     }
 
     /// The slow path, unique to this board (copied first if a clone still
-    /// shares it).
-    fn slow_mut(&mut self) -> &mut SlowPath {
-        Rc::make_mut(&mut self.slow)
+    /// shares it), and the VM unit whose page table it edits.
+    fn slow_mut(&mut self) -> (&mut SlowPath, &mut VmUnit) {
+        (Rc::make_mut(&mut self.slow), self.silicon.vm_mut())
     }
 
     /// Tops up the fault handler's free-page buffer. With nothing to
@@ -724,14 +725,6 @@ impl CBoard {
             + hw.clock.cycles(CBoardHwConfig::RESPONSE_CYCLES)
     }
 
-    /// Removes the PTEs of `vpns` and hands the physical pages behind the
-    /// valid ones back to the allocator.
-    fn unmap(&mut self, pid: Pid, vpns: &[u64]) {
-        let vm = self.silicon.vm_mut();
-        let freed = vpns.iter().filter_map(|&vpn| vm.remove_pte(pid, vpn)).filter(|pte| pte.valid);
-        Rc::make_mut(&mut self.slow).palloc_mut().free_many(freed.map(|pte| pte.ppn));
-    }
-
     fn note_completion(&mut self, done: SimTime) {
         self.last_completion = self.last_completion.max(done);
     }
@@ -905,17 +898,11 @@ impl CBoard {
                     // Implicit address-space creation on first allocation
                     // keeps the client API simple (CreateAs remains
                     // available explicitly).
-                    self.slow_mut().create_as(pid);
+                    self.slow_mut().0.create_as(pid);
                 }
-                let (service, status, body) = match self.slow_mut().alloc(pid, size, perm, fixed_va)
-                {
+                let (slow, vm) = self.slow_mut();
+                let (service, status, body) = match slow.alloc(vm, pid, size, perm, fixed_va) {
                     Ok(out) => {
-                        for pte in &out.ptes {
-                            self.silicon
-                                .vm_mut()
-                                .install_pte(*pte)
-                                .expect("allocator pre-checked bucket capacity");
-                        }
                         let va = out.range.start;
                         self.record_dedup(&header, DedupRecord::Alloc { va });
                         (out.service, Status::Ok, ResponseBody::Alloced { va })
@@ -925,9 +912,9 @@ impl CBoard {
                 self.reply_slow(ctx, src, &header, service, status, body);
             }
             RequestBody::Free { va, size: _ } => {
-                let (service, status) = match self.slow_mut().free(pid, va) {
+                let (slow, vm) = self.slow_mut();
+                let (service, status) = match slow.free(vm, pid, va) {
                     Ok(out) => {
-                        self.unmap(pid, &out.vpns);
                         self.record_dedup(&header, DedupRecord::Write);
                         (out.service, Status::Ok)
                     }
@@ -936,12 +923,12 @@ impl CBoard {
                 self.reply_slow(ctx, src, &header, service, status, ResponseBody::Done);
             }
             RequestBody::CreateAs => {
-                let service = self.slow_mut().create_as(pid);
+                let service = self.slow_mut().0.create_as(pid);
                 self.reply_slow(ctx, src, &header, service, Status::Ok, ResponseBody::Done);
             }
             RequestBody::DestroyAs => {
-                let (vpns, service) = self.slow_mut().destroy_as(pid);
-                self.unmap(pid, &vpns);
+                let (slow, vm) = self.slow_mut();
+                let service = slow.destroy_as(vm, pid);
                 self.reply_slow(ctx, src, &header, service, Status::Ok, ResponseBody::Done);
             }
             RequestBody::OffloadCall { offload, opcode, arg } => {
@@ -1143,7 +1130,6 @@ impl CBoard {
         for effect in effects {
             match effect {
                 Effect::Send { at, dst, msg } => self.send_migration(ctx, at, dst, msg),
-                Effect::Unmap { pid, vpns } => self.unmap(pid, &vpns),
                 Effect::Complete(done) => self.notify(ctx, Message::new(done)),
                 Effect::Abort(abort) => self.notify(ctx, Message::new(abort)),
             }
@@ -1292,6 +1278,7 @@ mod tests {
     use super::*;
     use clio_proto::Perm;
     use clio_sim::{Bandwidth, Simulation};
+    use clio_trace::OpTrace;
 
     const BOARD: Mac = Mac(1000);
 
@@ -1358,6 +1345,21 @@ mod tests {
         Bandwidth::from_gbps(10).transfer_time((codec::wire_len(pkt) + ETH_OVERHEAD_BYTES) as u64)
     }
 
+    /// Delivers one traced request (id 1) from `Mac(7)` to the board now,
+    /// runs until the board is idle and returns the op's finished trace.
+    fn traced(sim: &mut Simulation, board: ActorId, body: RequestBody) -> OpTrace {
+        let tracer = Tracer::enabled(1);
+        sim.actor_mut::<CBoard>(board).set_tracer(tracer.clone(), Track::Mn(0));
+        let trace = tracer.begin("op", sim.now());
+        let header = ReqHeader { trace, ..ReqHeader::single(ReqId(1), Pid(1)) };
+        let pkt = ClioPacket::Request { header, body };
+        sim.post(board, Message::new(Frame::new(Mac(7), BOARD, 64, Message::new(pkt))));
+        sim.run_until_idle();
+        tracer.finish(trace, Track::Cn(0), sim.now());
+        let [op] = &tracer.finished()[..] else { panic!("one traced op") };
+        op.clone()
+    }
+
     /// A lone response on an idle port leaves the instant it is ready: its
     /// op's timeline goes from the datapath straight to NIC serialization,
     /// with no egress hold.
@@ -1365,15 +1367,7 @@ mod tests {
     fn a_lone_response_on_an_idle_port_leaves_when_ready() {
         let (mut sim, board, sink) = rig();
         let va = alloc(&mut sim, board, sink);
-        let tracer = Tracer::enabled(1);
-        sim.actor_mut::<CBoard>(board).set_tracer(tracer.clone(), Track::Mn(0));
-        let trace = tracer.begin("read", sim.now());
-        let header = ReqHeader { trace, ..ReqHeader::single(ReqId(1), Pid(1)) };
-        let pkt = ClioPacket::Request { header, body: RequestBody::Read { va, len: 8 } };
-        sim.post(board, Message::new(Frame::new(Mac(7), BOARD, 64, Message::new(pkt))));
-        sim.run_until_idle();
-        tracer.finish(trace, Track::Cn(0), sim.now());
-        let [op] = &tracer.finished()[..] else { panic!("one traced op") };
+        let op = traced(&mut sim, board, RequestBody::Read { va, len: 8 });
         assert_eq!(op.stage_total(Stage::EgressHold), SimDuration::ZERO);
         let [.., on_board, nic] = &op.spans[..] else { panic!("spans: {:?}", op.spans) };
         assert_eq!(on_board.track, Track::Mn(0), "the datapath's last stage");
@@ -1383,6 +1377,23 @@ mod tests {
             (nic.stage, nic.end, nic.duration()),
             (Stage::NicSerialize, *end, serialize(reply))
         );
+    }
+
+    /// A failed translation is charged only for what ran: an 8 B read of
+    /// an unmapped VA answers from the translate stage's entry, so its
+    /// page-table walk must not run past the response and swallow the
+    /// response's egress spans (no stitch lands behind the cursor).
+    #[test]
+    fn a_failed_translation_swallows_no_later_stage() {
+        let (mut sim, board, sink) = rig();
+        let op = traced(&mut sim, board, RequestBody::Read { va: 0, len: 8 });
+        let late: Vec<_> = op.late.iter().filter(|(stage, _)| *stage != Stage::Wire).collect();
+        assert_eq!(late, [] as [&(Stage, SimDuration); 0], "spans: {:?}", op.spans);
+        let [(end, Mac(7), reply)] = sent(&sim, sink) else { panic!("one frame, to 7") };
+        let ClioPacket::Response { header, .. } = reply else { panic!("a response: {reply:?}") };
+        assert_eq!(header.status, Status::InvalidAddr);
+        let nic = op.spans.iter().find(|s| s.stage == Stage::NicSerialize).expect("egress span");
+        assert_eq!(nic.end, *end, "the response's serialization ends the board's spans");
     }
 
     /// Responses that become ready while the port serializes a frame leave

@@ -195,14 +195,8 @@ impl<'a> OffloadEnv<'a> {
     /// Propagates allocator failures.
     pub fn alloc(&mut self, size: u64, perm: Perm) -> Result<u64, Status> {
         let crossing = SlowPath::CROSSING_DELAY;
-        match self.slow.alloc(self.pid, size, perm, None) {
+        match self.slow.alloc(self.silicon.vm_mut(), self.pid, size, perm, None) {
             Ok(out) => {
-                for pte in &out.ptes {
-                    self.silicon
-                        .vm_mut()
-                        .install_pte(*pte)
-                        .expect("allocator pre-checked bucket space");
-                }
                 self.cursor = self.cursor + crossing + out.service + crossing;
                 self.slow.refill_async_buffer(self.silicon);
                 Ok(out.range.start)
@@ -278,10 +272,7 @@ mod tests {
         let mut e = setup();
         // A "client" pid maps a page.
         e.slow.create_as(Pid(1));
-        let out = e.slow.alloc(Pid(1), 4096, Perm::RW, None).expect("client alloc");
-        for pte in &out.ptes {
-            e.silicon.vm_mut().install_pte(*pte).expect("install");
-        }
+        let out = e.slow.alloc(e.silicon.vm_mut(), Pid(1), 4096, Perm::RW, None).expect("alloc");
         let client_va = out.range.start;
         let mut env = e.env();
         assert_eq!(env.read(client_va, 8).unwrap_err(), Status::InvalidAddr);

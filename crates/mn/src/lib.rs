@@ -10,8 +10,9 @@
 //! * [`valloc`] — the slow-path VA allocator with allocation-time
 //!   hash-overflow avoidance (§4.2) — the mechanism behind Figure 13,
 //! * [`palloc`] — the physical-page allocator and async-buffer refill,
-//! * [`slowpath`] — the ARM software model: shadow page table, service-time
-//!   accounting, FPGA↔ARM crossing delays (§5),
+//! * [`slowpath`] — the ARM software model: edits the board's one page
+//!   table, service-time accounting (which charges the ARM's shadow of
+//!   that table), FPGA↔ARM crossing delays (§5),
 //! * [`extend`] — the offload framework: offloads get their own PID and the
 //!   same virtual-memory API as CN applications (§4.6),
 //! * [`migrate`] — MN→MN region migration for over-committed nodes (§4.7).

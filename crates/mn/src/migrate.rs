@@ -11,9 +11,10 @@
 //! [`Migrations`] is the whole protocol on one board: one record per range
 //! the board is sending, has sent, or is receiving, in a [`RangeMap`] keyed
 //! by `(pid, start)`, so admission asks one lookup however long the history.
-//! It works on the board's [`Silicon`] and [`SlowPath`] directly and
-//! returns everything else it needs done — sends, unmaps, controller notices — as [`Effect`]s, which
-//! the board executes in order. The exchange:
+//! It works on the board's [`Silicon`] and [`SlowPath`] directly: PTEs are
+//! installed in, and unmapped from, the board's one page table. It returns
+//! everything else it needs done — sends and controller notices — as
+//! [`Effect`]s, which the board executes in order. The exchange:
 //!
 //! ```text
 //! source                                   destination
@@ -22,9 +23,9 @@
 //! refused: record dropped, Abort notice
 //! accepted: each valid page  ── PageData ───→ installed with its bytes
 //!                            ── Commit ─────→ holes installed, record dropped
-//! record Moved, shadow PTEs  ←─ Done ────────
-//!   dropped, Unmap and
-//!   Complete notice
+//! record Moved, pages        ←─ Done ────────
+//!   unmapped, Complete
+//!   notice
 //! ```
 //!
 //! # Invariants
@@ -62,7 +63,7 @@
 //!    order they come, so the two-MN shape of `digest_pins.rs` and
 //!    `tests/multi_mn.rs` pin every send's time and order.
 //! 7. **The VA reservation outlives `Moved`.** At `Done` the source drops
-//!    the range's pages and shadow PTEs but keeps its VA reserved: the
+//!    the range's PTEs and pages but keeps its VA reserved: the
 //!    range lies in the source's allocation window, so releasing it would
 //!    let the source hand out an address the destination holds, one VA
 //!    with two owners
@@ -112,13 +113,6 @@ pub enum Effect {
         dst: Mac,
         /// The message.
         msg: MigrationMsg,
-    },
-    /// Remove the PTEs of `vpns` and free the pages behind them.
-    Unmap {
-        /// Owning process.
-        pid: Pid,
-        /// The pages that moved away.
-        vpns: Vec<u64>,
     },
     /// Tell the controller the range landed.
     Complete(MigrationComplete),
@@ -199,7 +193,8 @@ impl Migrations {
         let send = |at, dst, msg| Effect::Send { at, dst, msg };
         match msg {
             MigrationMsg::Offer { pid, start, len, perm } => {
-                let accepted = slow.adopt_range(pid, VaRange { start, len, perm }).is_ok();
+                let range = VaRange { start, len, perm };
+                let accepted = slow.adopt_range(silicon.vm(), pid, range).is_ok();
                 if accepted {
                     self.ranges.insert(pid, start, len, Record { perm, phase: Phase::In });
                 }
@@ -235,7 +230,7 @@ impl Migrations {
                 // exposes the gap.
                 let Some(ppn) = slow.palloc_mut().alloc() else { return };
                 let pte = Pte { pid, vpn, ppn, perm, valid: true };
-                if slow.shadow_install(pte).is_err() || silicon.vm_mut().install_pte(pte).is_err() {
+                if silicon.vm_mut().install_pte(pte).is_err() {
                     slow.palloc_mut().free(ppn);
                     return;
                 }
@@ -253,7 +248,6 @@ impl Migrations {
                 for vpn in start / page..(start + len) / page {
                     if silicon.vm().page_table().lookup(pid, vpn).is_none() {
                         let pte = Pte { pid, vpn, ppn: 0, perm, valid: false };
-                        let _ = slow.shadow_install(pte);
                         let _ = silicon.vm_mut().install_pte(pte);
                     }
                 }
@@ -270,8 +264,7 @@ impl Migrations {
                 };
                 // The pages are the new owner's; the VA stays reserved here
                 // (invariant 7).
-                slow.shadow_remove(pid, start / page..(start + len) / page);
-                out.push(Effect::Unmap { pid, vpns });
+                slow.unmap(silicon.vm_mut(), pid, vpns);
                 out.push(Effect::Complete(MigrationComplete { pid, start, len, dst }));
             }
         }
@@ -419,11 +412,8 @@ mod tests {
 
         fn alloc_as(&mut self, pid: Pid, pages: u64, perm: Perm) -> u64 {
             self.slow.create_as(pid);
-            let a = self.slow.alloc(pid, pages * PAGE, perm, None).expect("alloc");
-            for pte in a.ptes {
-                self.silicon.vm_mut().install_pte(pte).expect("pte");
-            }
-            a.range.start
+            let vm = self.silicon.vm_mut();
+            self.slow.alloc(vm, pid, pages * PAGE, perm, None).expect("alloc").range.start
         }
 
         /// Writes through the fast path, faulting pages in.
@@ -481,18 +471,18 @@ mod tests {
     }
 
     /// A whole `Offer…Done`: the written pages arrive with their bytes, the
-    /// untouched ones as holes, and the source is told to unmap the range
-    /// and report it landed. It drops the range's shadow PTEs and keeps its
-    /// VA reserved.
+    /// untouched ones as holes, and the source reports it landed. The
+    /// source drops the range's PTEs and pages and keeps its VA reserved.
     #[test]
     fn offer_to_done_moves_the_written_bytes_and_keeps_the_holes() {
         let mut boards = pair();
         let va = boards[0].alloc(4, Perm::RW);
         boards[0].write(va, b"page zero");
         boards[0].write(va + 2 * PAGE + 100, b"page two");
+        let free_before = boards[0].slow.palloc().free_pages();
         let dst = boards[1].mac;
         let start = boards[0].command(va, 4, dst);
-        let mut rest = shuttle(&mut boards, 0, start);
+        let rest = shuttle(&mut boards, 0, start);
 
         let [src, dst_board] = &mut boards;
         let read = |b: &mut Board, va, len| b.silicon.read(SimTime::ZERO, PID, va, len).0;
@@ -502,27 +492,21 @@ mod tests {
             let pte = dst_board.pte(hole).expect("a hole is mapped");
             assert!(!pte.valid, "an untouched page arrived with a frame");
         }
-        assert_eq!(dst_board.slow.shadow().len(), 4, "the shadow table mirrors every page");
+        let table = dst_board.silicon.vm().page_table();
+        assert_eq!(table.len(), 4, "the board's table maps every page");
 
-        if let Some((_, Effect::Unmap { vpns, .. })) = rest.first_mut() {
-            vpns.sort_unstable();
-        }
-        let vpns = (va / PAGE..va / PAGE + 4).collect();
         let len = 4 * PAGE;
-        assert_eq!(
-            rest,
-            [
-                (0, Effect::Unmap { pid: PID, vpns }),
-                (0, Effect::Complete(MigrationComplete { pid: PID, start: va, len, dst })),
-            ]
-        );
+        let complete = Effect::Complete(MigrationComplete { pid: PID, start: va, len, dst });
+        assert_eq!(rest, [(0, complete)]);
         assert_eq!((src.m.in_progress(), dst_board.m.in_progress()), ((0, 0), (0, 0)));
 
-        // The source keeps the range's VA reserved, and nothing else of it.
-        let shadowed =
-            (va / PAGE..va / PAGE + 4).filter(|&v| src.slow.shadow().lookup(PID, v).is_some());
-        assert_eq!(shadowed.count(), 0, "the source's shadow still maps moved pages");
-        let again = src.slow.alloc(PID, len, Perm::RW, Some(va)).expect("alloc").range;
+        // The source keeps the range's VA reserved, and nothing else of it:
+        // no PTE, and the two written pages are free again.
+        let mapped = (va..va + len).step_by(PAGE as usize).filter(|&v| src.pte(v).is_some());
+        assert_eq!(mapped.count(), 0, "the source still maps moved pages");
+        assert_eq!(src.slow.palloc().free_pages(), free_before + 2, "the frames leaked");
+        let vm = src.silicon.vm_mut();
+        let again = src.slow.alloc(vm, PID, len, Perm::RW, Some(va)).expect("alloc").range;
         let overlaps = again.start < va + len && va < again.start + again.len;
         assert!(!overlaps, "the source handed out the moved range's VA again: {again:?}");
     }

@@ -1,17 +1,22 @@
 //! The slow-path virtual-address allocator (paper §4.2).
 //!
 //! Works like a `vma`-tree allocator with one Clio-specific twist: before
-//! committing to a candidate VA range it checks — against the **shadow page
-//! table** in ARM-local memory — that inserting every page of the range
-//! would not overflow any hash bucket. If it would, the allocator slides to
-//! another candidate and retries. This trades bounded allocation-time
-//! retries (measured by Figure 13) for a fast path whose translation never
-//! chains or overflows.
+//! committing to a candidate VA range it checks — against the board's
+//! **page table** — that inserting every page of the range would not
+//! overflow any hash bucket. If it would, the allocator slides to another
+//! candidate and retries. This trades bounded allocation-time retries
+//! (measured by Figure 13) for a fast path whose translation never chains
+//! or overflows. The prototype's ARM runs the check on a shadow of the
+//! table in its local DRAM; the model charges that by the slow path's
+//! service times and reads the one table the fast path walks.
+//!
+//! Every process's ranges live in one [`RangeMap`], as CLib's router and
+//! the migration records do.
 
 use std::collections::BTreeMap;
 
 use clio_hw::pagetable::HashPageTable;
-use clio_proto::{Perm, Pid, Status};
+use clio_proto::{Perm, Pid, RangeMap, Status};
 
 /// The lowest VA handed out (keeps 0 unmapped, like a null guard page).
 pub const VA_BASE: u64 = 1 << 20;
@@ -40,49 +45,6 @@ pub struct VaAllocation {
     pub retries: u32,
 }
 
-/// Per-process allocation state.
-#[derive(Debug, Clone, Default)]
-struct ProcSpace {
-    /// start -> range, non-overlapping, page aligned.
-    ranges: BTreeMap<u64, VaRange>,
-    /// Rotating search cursor to spread allocations across the VA space.
-    cursor: u64,
-}
-
-impl ProcSpace {
-    fn overlaps(&self, start: u64, len: u64) -> bool {
-        // Range before `start + len` with end > start?
-        if let Some((_, prev)) = self.ranges.range(..start + len).next_back() {
-            if prev.start + prev.len > start {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// First free gap of `len` bytes at or after `from` (page aligned),
-    /// within `[base, limit)`.
-    fn find_gap(&self, from: u64, len: u64, page: u64, base: u64, limit: u64) -> Option<u64> {
-        let mut candidate = from.max(base).next_multiple_of(page);
-        loop {
-            if candidate + len > limit {
-                return None;
-            }
-            match self
-                .ranges
-                .range(..candidate + len)
-                .next_back()
-                .filter(|(_, r)| r.start + r.len > candidate)
-            {
-                None => return Some(candidate),
-                Some((_, r)) => {
-                    candidate = (r.start + r.len).next_multiple_of(page);
-                }
-            }
-        }
-    }
-}
-
 /// The VA allocator for every process on one MN.
 #[derive(Debug, Clone)]
 pub struct VaAllocator {
@@ -90,7 +52,12 @@ pub struct VaAllocator {
     retry_limit: u32,
     base: u64,
     limit: u64,
-    procs: BTreeMap<Pid, ProcSpace>,
+    /// Every process's allocated ranges (page aligned), with their
+    /// permission.
+    ranges: RangeMap<Perm>,
+    /// Each process's rotating search cursor, which spreads allocations
+    /// across the window. A process has an address space iff it has one.
+    cursors: BTreeMap<Pid, u64>,
 }
 
 impl VaAllocator {
@@ -113,29 +80,67 @@ impl VaAllocator {
         assert!(page_size.is_power_of_two(), "page size must be a power of two");
         assert!(span >= page_size, "window must hold at least one page");
         let base = base.max(VA_BASE).next_multiple_of(page_size);
-        VaAllocator { page_size, retry_limit, base, limit: base + span, procs: BTreeMap::new() }
+        VaAllocator {
+            page_size,
+            retry_limit,
+            base,
+            limit: base + span,
+            ranges: RangeMap::default(),
+            cursors: BTreeMap::new(),
+        }
     }
 
     /// Registers a process address space (idempotent).
     pub fn create_pid(&mut self, pid: Pid) {
-        self.procs.entry(pid).or_default();
+        self.cursors.entry(pid).or_default();
     }
 
     /// True if the process has an address space.
     pub fn has_pid(&self, pid: Pid) -> bool {
-        self.procs.contains_key(&pid)
+        self.cursors.contains_key(&pid)
     }
 
-    /// Removes a process, returning all its ranges (for PTE teardown).
+    /// Removes a process, returning all its ranges in address order (for
+    /// PTE teardown).
     pub fn destroy_pid(&mut self, pid: Pid) -> Vec<VaRange> {
-        self.procs.remove(&pid).map(|p| p.ranges.into_values().collect()).unwrap_or_default()
+        self.cursors.remove(&pid);
+        let all = self.ranges.starting_in(pid, 0, u64::MAX);
+        let ranges: Vec<VaRange> =
+            all.map(|(start, len, &perm)| VaRange { start, len, perm }).collect();
+        for r in &ranges {
+            self.ranges.remove(pid, r.start);
+        }
+        ranges
+    }
+
+    /// The end of a range of `pid` that overlaps `[start, start + len)`:
+    /// the one holding `start`, else the first that starts inside.
+    fn overlap_end(&self, pid: Pid, start: u64, len: u64) -> Option<u64> {
+        let inside = || self.ranges.starting_in(pid, start, start + len - 1).next();
+        self.ranges.get(pid, start).or_else(inside).map(|(s, l, _)| s + l)
+    }
+
+    /// First free gap of `len` bytes of `pid` at or after `from` (page
+    /// aligned), within the window.
+    fn find_gap(&self, pid: Pid, from: u64, len: u64) -> Option<u64> {
+        let mut candidate = from.max(self.base).next_multiple_of(self.page_size);
+        loop {
+            if candidate + len > self.limit {
+                return None;
+            }
+            match self.overlap_end(pid, candidate, len) {
+                None => return Some(candidate),
+                Some(end) => candidate = end.next_multiple_of(self.page_size),
+            }
+        }
     }
 
     /// Allocates `size` bytes for `pid`, avoiding page-table overflow.
     ///
-    /// `shadow` is the ARM-local shadow of the hardware page table. If
-    /// `fixed_va` is given it is tried first (and, per §4.2's limitation,
-    /// silently abandoned for a fresh range if it cannot be inserted).
+    /// `table` is the board's page table, which the caller fills with the
+    /// range's pages. If `fixed_va` is given it is tried first (and, per
+    /// §4.2's limitation, silently abandoned for a fresh range if it cannot
+    /// be inserted).
     ///
     /// # Errors
     ///
@@ -144,7 +149,7 @@ impl VaAllocator {
     ///   within the retry limit.
     pub fn alloc(
         &mut self,
-        shadow: &HashPageTable,
+        table: &HashPageTable,
         pid: Pid,
         size: u64,
         perm: Perm,
@@ -153,43 +158,40 @@ impl VaAllocator {
         let page = self.page_size;
         let len = size.max(1).next_multiple_of(page);
         let pages = len / page;
-        let proc = self.procs.get_mut(&pid).ok_or(Status::InvalidAddr)?;
+        let cursor = *self.cursors.get(&pid).ok_or(Status::InvalidAddr)?;
 
-        let fits = |start: u64, proc: &ProcSpace| -> bool {
+        let fits = |start: u64, this: &Self| -> bool {
             let vpns = (0..pages).map(|i| (pid, start / page + i));
-            !proc.overlaps(start, len) && shadow.can_insert_all(vpns)
+            this.overlap_end(pid, start, len).is_none() && table.can_insert_all(vpns)
         };
 
         // Fixed placement first, if requested.
         if let Some(va) = fixed_va {
             let va = va / page * page;
-            if va >= self.base && va + len <= self.limit && fits(va, proc) {
-                let range = VaRange { start: va, len, perm };
-                proc.ranges.insert(va, range);
-                return Ok(VaAllocation { range, retries: 0 });
+            if va >= self.base && va + len <= self.limit && fits(va, self) {
+                self.ranges.insert(pid, va, len, perm);
+                return Ok(VaAllocation { range: VaRange { start: va, len, perm }, retries: 0 });
             }
             // Fall through: find a new range (paper §4.2 "Limitation").
         }
 
-        let (base, limit) = (self.base, self.limit);
         let mut retries = 0u32;
-        let mut from = proc.cursor.max(base);
+        let mut from = cursor.max(self.base);
         let mut wrapped = false;
         loop {
-            let Some(start) = proc.find_gap(from, len, page, base, limit) else {
+            let Some(start) = self.find_gap(pid, from, len) else {
                 // Wrapped? Try once from the base before giving up.
                 if !wrapped {
                     wrapped = true;
-                    from = base;
+                    from = self.base;
                     continue;
                 }
                 return Err(Status::OutOfVirtualMemory);
             };
-            if fits(start, proc) {
-                let range = VaRange { start, len, perm };
-                proc.ranges.insert(start, range);
-                proc.cursor = start + len;
-                return Ok(VaAllocation { range, retries });
+            if fits(start, self) {
+                self.ranges.insert(pid, start, len, perm);
+                self.cursors.insert(pid, start + len);
+                return Ok(VaAllocation { range: VaRange { start, len, perm }, retries });
             }
             retries += 1;
             if retries > self.retry_limit {
@@ -210,11 +212,10 @@ impl VaAllocator {
     /// `pid`.
     pub fn adopt(&mut self, pid: Pid, range: VaRange) -> Result<(), Status> {
         self.create_pid(pid);
-        let proc = self.procs.get_mut(&pid).expect("just created");
-        if proc.overlaps(range.start, range.len) {
+        if self.overlap_end(pid, range.start, range.len).is_some() {
             return Err(Status::Conflict);
         }
-        proc.ranges.insert(range.start, range);
+        self.ranges.insert(pid, range.start, range.len, range.perm);
         Ok(())
     }
 
@@ -225,19 +226,14 @@ impl VaAllocator {
     /// [`Status::InvalidAddr`] if `va` is not the start of an allocated
     /// range of `pid`.
     pub fn free(&mut self, pid: Pid, va: u64) -> Result<VaRange, Status> {
-        let proc = self.procs.get_mut(&pid).ok_or(Status::InvalidAddr)?;
-        proc.ranges.remove(&va).ok_or(Status::InvalidAddr)
+        let (len, perm) = self.ranges.remove(pid, va).ok_or(Status::InvalidAddr)?;
+        Ok(VaRange { start: va, len, perm })
     }
 
     /// VPNs covered by a range.
     pub fn vpns(&self, range: VaRange) -> impl Iterator<Item = u64> {
         let page = self.page_size;
         range.start / page..(range.start + range.len) / page
-    }
-
-    /// Page size in bytes.
-    pub fn page_size(&self) -> u64 {
-        self.page_size
     }
 }
 
@@ -250,9 +246,9 @@ mod tests {
         (VaAllocator::new(4096, 64), HashPageTable::new(16, 4))
     }
 
-    fn sync_insert(shadow: &mut HashPageTable, pid: Pid, a: &VaAllocator, r: VaRange) {
+    fn sync_insert(table: &mut HashPageTable, pid: Pid, a: &VaAllocator, r: VaRange) {
         for vpn in a.vpns(r) {
-            shadow
+            table
                 .insert(clio_hw::pagetable::Pte { pid, vpn, ppn: 0, perm: r.perm, valid: false })
                 .expect("pre-checked insert");
         }
@@ -260,28 +256,28 @@ mod tests {
 
     #[test]
     fn alloc_rounds_to_pages_and_does_not_overlap() {
-        let (mut va, shadow) = small();
+        let (mut va, table) = small();
         va.create_pid(Pid(1));
-        let a = va.alloc(&shadow, Pid(1), 100, Perm::RW, None).expect("alloc");
+        let a = va.alloc(&table, Pid(1), 100, Perm::RW, None).expect("alloc");
         assert_eq!(a.range.len, 4096);
         assert_eq!(a.range.start % 4096, 0);
-        let b = va.alloc(&shadow, Pid(1), 8192, Perm::RW, None).expect("alloc");
+        let b = va.alloc(&table, Pid(1), 8192, Perm::RW, None).expect("alloc");
         let (a, b) = (a.range, b.range);
         assert!(a.start + a.len <= b.start || b.start + b.len <= a.start, "{a:?} vs {b:?}");
     }
 
     #[test]
     fn unknown_pid_rejected() {
-        let (mut va, shadow) = small();
-        assert_eq!(va.alloc(&shadow, Pid(9), 1, Perm::RW, None), Err(Status::InvalidAddr));
+        let (mut va, table) = small();
+        assert_eq!(va.alloc(&table, Pid(9), 1, Perm::RW, None), Err(Status::InvalidAddr));
         assert_eq!(va.free(Pid(9), VA_BASE), Err(Status::InvalidAddr));
     }
 
     #[test]
     fn free_then_realloc_reuses_space() {
-        let (mut va, shadow) = small();
+        let (mut va, table) = small();
         va.create_pid(Pid(1));
-        let a = va.alloc(&shadow, Pid(1), 4096, Perm::RW, None).unwrap().range;
+        let a = va.alloc(&table, Pid(1), 4096, Perm::RW, None).unwrap().range;
         va.free(Pid(1), a.start).expect("free");
         // Freeing twice fails.
         assert_eq!(va.free(Pid(1), a.start), Err(Status::InvalidAddr));
@@ -289,42 +285,42 @@ mod tests {
 
     #[test]
     fn fixed_va_honored_when_free() {
-        let (mut va, shadow) = small();
+        let (mut va, table) = small();
         va.create_pid(Pid(1));
         let want = VA_BASE + 16 * 4096;
-        let got = va.alloc(&shadow, Pid(1), 4096, Perm::RW, Some(want)).unwrap();
+        let got = va.alloc(&table, Pid(1), 4096, Perm::RW, Some(want)).unwrap();
         assert_eq!(got.range.start, want);
         // Same fixed VA again: falls back to another range, not an error.
-        let again = va.alloc(&shadow, Pid(1), 4096, Perm::RW, Some(want)).unwrap();
+        let again = va.alloc(&table, Pid(1), 4096, Perm::RW, Some(want)).unwrap();
         assert_ne!(again.range.start, want);
     }
 
     #[test]
-    fn overflow_forces_retries_and_respects_shadow() {
+    fn overflow_forces_retries_and_respects_the_table() {
         // Tiny table: 2 buckets x 1 slot. After two pages are present,
         // nothing else fits and allocation must fail after retrying.
-        let mut shadow = HashPageTable::new(2, 1);
+        let mut table = HashPageTable::new(2, 1);
         let mut va = VaAllocator::new(4096, 16);
         va.create_pid(Pid(1));
-        let a = va.alloc(&shadow, Pid(1), 4096, Perm::RW, None).expect("first");
-        sync_insert(&mut shadow, Pid(1), &va, a.range);
-        let b = va.alloc(&shadow, Pid(1), 4096, Perm::RW, None).expect("second");
-        sync_insert(&mut shadow, Pid(1), &va, b.range);
-        let err = va.alloc(&shadow, Pid(1), 4096, Perm::RW, None).unwrap_err();
+        let a = va.alloc(&table, Pid(1), 4096, Perm::RW, None).expect("first");
+        sync_insert(&mut table, Pid(1), &va, a.range);
+        let b = va.alloc(&table, Pid(1), 4096, Perm::RW, None).expect("second");
+        sync_insert(&mut table, Pid(1), &va, b.range);
+        let err = va.alloc(&table, Pid(1), 4096, Perm::RW, None).unwrap_err();
         assert_eq!(err, Status::OutOfVirtualMemory);
     }
 
     #[test]
     fn retries_grow_with_table_pressure() {
         // 64-slot table; fill it gradually and watch retries appear.
-        let mut shadow = HashPageTable::new(16, 4);
+        let mut table = HashPageTable::new(16, 4);
         let mut va = VaAllocator::new(4096, 1024);
         va.create_pid(Pid(1));
         let mut retries_low = 0;
         let mut retries_high = 0;
         for i in 0..56 {
-            let a = va.alloc(&shadow, Pid(1), 4096, Perm::RW, None).expect("alloc");
-            sync_insert(&mut shadow, Pid(1), &va, a.range);
+            let a = va.alloc(&table, Pid(1), 4096, Perm::RW, None).expect("alloc");
+            sync_insert(&mut table, Pid(1), &va, a.range);
             if i < 28 {
                 retries_low += a.retries;
             } else {
@@ -339,10 +335,10 @@ mod tests {
 
     #[test]
     fn destroy_pid_returns_ranges() {
-        let (mut va, shadow) = small();
+        let (mut va, table) = small();
         va.create_pid(Pid(1));
-        va.alloc(&shadow, Pid(1), 4096, Perm::RW, None).unwrap();
-        va.alloc(&shadow, Pid(1), 4096, Perm::RW, None).unwrap();
+        va.alloc(&table, Pid(1), 4096, Perm::RW, None).unwrap();
+        va.alloc(&table, Pid(1), 4096, Perm::RW, None).unwrap();
         let ranges = va.destroy_pid(Pid(1));
         assert_eq!(ranges.len(), 2);
         assert!(!va.has_pid(Pid(1)));

@@ -212,6 +212,10 @@ pub struct OpTrace {
     pub spans: Vec<Span>,
     /// Retry edges between attempts.
     pub links: Vec<RetryLink>,
+    /// Late stitches, in order: each stage whose end lay before the
+    /// cursor, and by how much. The cursor clamps them, so they add no
+    /// span; a stage that over-reported before them swallowed their time.
+    pub late: Vec<(Stage, SimDuration)>,
     /// Timeline cursor: where the next span will start.
     pub cursor: SimTime,
     /// Current attempt number.
@@ -318,6 +322,7 @@ mod tests {
             end: Some(t(end)),
             spans,
             links: vec![],
+            late: vec![],
             cursor: t(end),
             attempt: 0,
         }

@@ -28,7 +28,11 @@ struct TraceSink {
 /// its end; zero-width spans are skipped entirely. Layers therefore only
 /// name the *end* of each stage — contiguity (and thus the span-sum ==
 /// end-to-end invariant checked by [`check_trace`](crate::check_trace)) is
-/// structural, not something call sites can get wrong.
+/// structural, not something call sites can get wrong. The clamp keeps the
+/// sum even when a stage over-reports and swallows the stages after it, so
+/// each stitch that ends before the cursor is counted as late
+/// ([`OpTrace::late`]): only stages that overlap by design, a multi-fragment
+/// write's `Wire` flights, should have any.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer(Option<Rc<RefCell<TraceSink>>>);
 
@@ -72,6 +76,7 @@ impl Tracer {
                 end: None,
                 spans: Vec::new(),
                 links: Vec::new(),
+                late: Vec::new(),
                 cursor: at,
                 attempt: 0,
             },
@@ -80,13 +85,17 @@ impl Tracer {
     }
 
     /// Appends the stage span `[cursor, max(cursor, end)]` on `track` and
-    /// advances the cursor; zero-width spans are skipped. No-op when
+    /// advances the cursor; zero-width spans are skipped, and an `end`
+    /// before the cursor is recorded in [`OpTrace::late`]. No-op when
     /// disabled, unsampled, or the trace is unknown/finished.
     #[inline]
     pub fn stitch(&self, ctx: Option<TraceCtx>, track: Track, stage: Stage, end: SimTime) {
         let (Some(sink), Some(ctx)) = (self.0.as_ref(), ctx) else { return };
         let mut s = sink.borrow_mut();
         let Some(t) = s.active.get_mut(&ctx.id) else { return };
+        if end < t.cursor {
+            t.late.push((stage, t.cursor.since(end)));
+        }
         let end = end.max(t.cursor);
         if end > t.cursor {
             t.spans.push(Span { track, stage, start: t.cursor, end, attempt: ctx.attempt });
@@ -138,6 +147,7 @@ impl Tracer {
 mod tests {
     use super::*;
     use crate::span::check_trace;
+    use clio_sim::SimDuration;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -166,6 +176,8 @@ mod tests {
         assert_eq!(traces.len(), 1);
         let tr0 = &traces[0];
         check_trace(tr0).expect("well-formed");
+        let lost = SimDuration::from_nanos(60);
+        assert_eq!(tr0.late, [(Stage::Dram, lost)], "only the stitch behind the cursor is late");
         assert_eq!(tr0.spans.len(), 3, "zero-width spans skipped: {:?}", tr0.spans);
         assert_eq!(tr0.spans[2].stage, Stage::Complete);
         assert_eq!(tr0.e2e().as_nanos(), 100);
