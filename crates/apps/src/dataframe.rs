@@ -174,6 +174,11 @@ impl Offload for ClioDf {
         "clio-df"
     }
 
+    /// `Avg` only reads; `Select` writes its output column.
+    fn mutates(&self, opcode: u16) -> bool {
+        opcode != DfOpcode::Avg as u16
+    }
+
     fn on_call(&mut self, env: &mut OffloadEnv<'_>, opcode: u16, arg: Bytes) -> OffloadReply {
         let u64_at = |off: usize| -> Option<u64> {
             arg.get(off..off + 8).map(|s| u64::from_le_bytes(s.try_into().expect("8 B")))

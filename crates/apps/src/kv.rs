@@ -350,6 +350,11 @@ impl Offload for ClioKv {
         "clio-kv"
     }
 
+    /// Only `Get` leaves the table as it found it.
+    fn mutates(&self, opcode: u16) -> bool {
+        opcode != KvOpcode::Get as u16
+    }
+
     fn on_call(&mut self, env: &mut OffloadEnv<'_>, opcode: u16, arg: Bytes) -> OffloadReply {
         if self.ensure_init(env).is_err() {
             return OffloadReply::err(Status::OutOfVirtualMemory);

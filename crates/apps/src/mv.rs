@@ -157,6 +157,11 @@ impl Offload for ClioMv {
         "clio-mv"
     }
 
+    /// Only `Read` leaves the store as it found it.
+    fn mutates(&self, opcode: u16) -> bool {
+        opcode != MvOpcode::Read as u16
+    }
+
     fn on_call(&mut self, env: &mut OffloadEnv<'_>, opcode: u16, arg: Bytes) -> OffloadReply {
         if self.ensure_init(env).is_err() {
             return OffloadReply::err(Status::OutOfVirtualMemory);

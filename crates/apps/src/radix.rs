@@ -65,6 +65,11 @@ impl Offload for PointerChase {
         "pointer-chase"
     }
 
+    /// A chase only reads the tree.
+    fn mutates(&self, _opcode: u16) -> bool {
+        false
+    }
+
     fn on_call(&mut self, env: &mut OffloadEnv<'_>, _opcode: u16, arg: Bytes) -> OffloadReply {
         if arg.len() < 16 {
             return OffloadReply::err(Status::Unsupported);

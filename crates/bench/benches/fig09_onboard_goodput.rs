@@ -93,17 +93,22 @@ fn chained_goodput(size: u32, frame_ops: u64) -> f64 {
 /// The 10 Gbps port's read-response goodput ceiling for `size`-byte
 /// payloads when `per_frame` responses share each wire frame: payload over
 /// payload + amortized response framing + amortized Ethernet overhead, all
-/// taken from the real codec so this line tracks the wire format.
+/// taken from the real codec so this line tracks the wire format: a lone
+/// response is its plain packet, a batch entry the same less its tag.
 fn port_ceiling_gbps(size: u32, per_frame: u32) -> f64 {
-    use clio_proto::codec::{response_wire_len, BATCH_OVERHEAD_BYTES};
-    use clio_proto::{ResponseBody, ETH_OVERHEAD_BYTES, MTU_BYTES};
+    use clio_proto::codec::{response_entry_len, response_len, BATCH_OVERHEAD_BYTES};
+    use clio_proto::{ReqId, RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES, MTU_BYTES};
+    let header = RespHeader::single(ReqId(0), Status::Ok);
     let body = ResponseBody::DataFrag { offset: 0, data: vec![0u8; size as usize].into() };
-    let per_entry = response_wire_len(&body) as f64;
+    let per_entry = response_entry_len(&header, &body) as f64;
     let mtu_cap = ((MTU_BYTES - BATCH_OVERHEAD_BYTES) as f64 / per_entry).floor().max(1.0);
     let n = (per_frame as f64).min(mtu_cap);
-    let frame = n * per_entry
-        + ETH_OVERHEAD_BYTES as f64
-        + if n > 1.0 { BATCH_OVERHEAD_BYTES as f64 } else { 0.0 };
+    let payload = if n > 1.0 {
+        n * per_entry + BATCH_OVERHEAD_BYTES as f64
+    } else {
+        response_len(&header, &body) as f64
+    };
+    let frame = payload + ETH_OVERHEAD_BYTES as f64;
     10.0 * (n * size as f64) / frame
 }
 
@@ -140,8 +145,8 @@ fn main() {
     report.note("cause: the prototype's non-pipelined third-party DMA IP on the read path");
     report.note(
         "Port-10G rows: the egress port's goodput ceiling per framing policy — at 64 B the \
-         pipeline sustains >28 Gbps but an unbatched port delivers only ~5.1 Gbps of goodput; \
-         BatchResp coalescing (default 16/frame) lifts the ceiling to ~7.1 Gbps",
+         pipeline sustains >28 Gbps but an unbatched port delivers only ~5.6 Gbps of goodput; \
+         BatchResp coalescing (default 16/frame) lifts the ceiling to ~8.1 Gbps",
     );
     report.note(
         "chained rows: closed-loop issue where per-op latency sets the rate; with 16 requests \

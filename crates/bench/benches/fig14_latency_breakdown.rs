@@ -44,6 +44,9 @@ fn row_of(stage: Stage) -> usize {
         Stage::Dram | Stage::Dma => 4,
         Stage::Parse | Stage::PipelineWait => 5,
         Stage::Pack | Stage::Complete => 6,
+        // The CN's two pre-send waits: the coalescing hold, then the
+        // congestion or incast window.
+        Stage::DoorbellHold | Stage::WindowWait => 7,
         s if s.is_queueing() => 7,
         _ => 8,
     }
@@ -124,6 +127,8 @@ fn main() {
     report.note(
         "paper: DDR access + wire dominate, especially for 1 KB; TLB miss adds one DRAM read",
     );
-    report.note("TLBHit row includes MAC ingress; Queueing aggregates doorbell/egress/fence holds");
+    report.note(
+        "TLBHit row includes MAC ingress; Queueing aggregates doorbell/window/egress/fence holds",
+    );
     report.print();
 }

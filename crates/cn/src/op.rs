@@ -224,7 +224,9 @@ impl Op {
     }
 
     /// True if a retry must carry `retry_of` for MN-side deduplication:
-    /// writes, atomics, allocs and frees, the requests the MN deduplicates.
+    /// writes, atomics, allocs, frees and offload calls, the requests the
+    /// MN may deduplicate (a call only if its module declares the opcode
+    /// mutating, which the CN cannot see).
     pub(crate) fn is_non_idempotent(&self) -> bool {
         matches!(
             self,
@@ -235,6 +237,7 @@ impl Op {
                 | Op::Cas { .. }
                 | Op::Alloc { .. }
                 | Op::Free { .. }
+                | Op::Offload { .. }
         )
     }
 

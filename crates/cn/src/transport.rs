@@ -226,6 +226,10 @@ struct QueuedSend {
     pid: Pid,
     op: Op,
     trace: Option<TraceCtx>,
+    /// A pump has run while this send was queued, ending its doorbell
+    /// hold; what it waits from then on is window wait. Set only while
+    /// tracing; the flagged sends always form a prefix of the queue.
+    pumped: bool,
 }
 
 /// What a finished attempt tells the congestion controller as its window
@@ -546,7 +550,7 @@ impl Transport {
         self.tracer.stitch(trace, self.track, Stage::Submit, now);
         let peer = self.peer(target);
         peer.doorbell.observe(now);
-        peer.queue.push_back(QueuedSend { token, pid, op, trace });
+        peer.queue.push_back(QueuedSend { token, pid, op, trace, pumped: false });
     }
 
     /// The doorbell's latency budget toward `target`: a quarter of the
@@ -621,7 +625,8 @@ impl Transport {
                 break;
             }
             let q = peer.queue.pop_front().expect("peeked above");
-            self.tracer.stitch(q.trace, self.track, Stage::DoorbellHold, now);
+            let stage = if q.pumped { Stage::WindowWait } else { Stage::DoorbellHold };
+            self.tracer.stitch(q.trace, self.track, stage, now);
             let req_id = self.fresh_id();
             self.ship(ctx, nic, &mut pack, req_id, None, q.pid, &q.op, q.trace);
             self.register(
@@ -643,6 +648,16 @@ impl Transport {
         }
         self.flush_batch(ctx, nic, &mut pack);
         self.pack = Some(pack);
+        if self.tracer.is_enabled() {
+            // The sends this pump left queued end their doorbell hold now
+            // and wait for a window from here. Earlier pumps flagged a
+            // prefix of the queue, so the walk from the back stops there.
+            let peer = self.peers.get_mut(&target).expect("looked up above");
+            for q in peer.queue.iter_mut().rev().take_while(|q| !q.pumped) {
+                self.tracer.stitch(q.trace, self.track, Stage::DoorbellHold, now);
+                q.pumped = true;
+            }
+        }
     }
 
     /// The packing state for a pump toward `target`: the one a previous
@@ -668,9 +683,9 @@ impl Transport {
     /// (fences must not overtake the batch in front of them) and travels
     /// alone. Every request header carries the op's trace context (reserved
     /// header bits, zero wire bytes, so the wire image never depends on
-    /// observability); a batch entry is sized by its own header: 22 B for
-    /// a first attempt, 30 B for a retry. Returns how many wire frames
-    /// left.
+    /// observability); a batch entry is sized by its own header, less the
+    /// packet tag the frame implies: 17 B for a first attempt, 25 B for a
+    /// retry. Returns how many wire frames left.
     #[allow(clippy::too_many_arguments)] // a request's header fields travel together
     fn ship(
         &mut self,
@@ -687,7 +702,7 @@ impl Transport {
         let mut frames = 0;
         if let Some(body) = op.is_batchable().then(|| op.single_body()).flatten() {
             let header = ReqHeader { retry_of, trace, ..ReqHeader::single(req_id, pid) };
-            let entry_wire = codec::request_len(&header, &body);
+            let entry_wire = codec::request_entry_len(&header, &body);
             if !pack.batch.fits(entry_wire) {
                 frames += self.flush_batch(ctx, nic, pack) as u64;
             }

@@ -242,19 +242,19 @@ fn pin(cluster: &Cluster, lat: &[u64]) -> Pin {
 fn two_mn_migration_fence_and_cancelled_placement_is_pinned() {
     let (pin, moved) = run_two_mn();
     assert!(moved > 0, "no read reached the old owner after the migration");
-    assert_eq!(pin, (1661756346564697181, 1583, 2358, 775, 740, 3299890, 3498777774095269616));
+    assert_eq!(pin, (17983358271165921960, 1590, 2369, 779, 744, 3250862, 1568926728245429859));
 }
 
 #[test]
 fn sync_single_task_is_pinned() {
-    assert_eq!(run(SYNC), (16102697991277975516, 2411, 2812, 401, 400, 973670, 590177199574728449));
+    assert_eq!(run(SYNC), (527774018057023146, 2411, 2812, 401, 400, 968588, 8250635721733160757));
 }
 
 #[test]
 fn batched_two_cn_is_pinned() {
     assert_eq!(
         run(BATCHED),
-        (2740294048338830428, 3369, 9486, 6117, 3072, 88643720, 14034654169006026191)
+        (6719850822556438106, 4137, 10253, 6116, 3072, 87485231, 3341508402522260424)
     );
 }
 
@@ -262,6 +262,6 @@ fn batched_two_cn_is_pinned() {
 fn lossy_four_cn_is_pinned() {
     assert_eq!(
         run(LOSSY),
-        (663935552733554866, 2423, 5179, 2756, 2560, 33990002, 4195447763325397559)
+        (4447535874729358826, 2440, 5195, 2755, 2560, 33183804, 7999041631954744347)
     );
 }

@@ -5,8 +5,9 @@
 //! runtime since (op-level schedule parity; it moved from 217,998 to
 //! 217,369 ns when a request header stopped encoding its absent options
 //! and a first attempt's header got 9 to 13 bytes shorter, then to 217,078
-//! ns when the header lost its 4-byte srtt echo), and (b) be
-//! digest-identical across repeated runs.
+//! ns when the header lost its 4-byte srtt echo, then to 216,293 ns when
+//! single-packet headers stopped carrying their packet index, count and
+//! offset), and (b) be digest-identical across repeated runs.
 
 use bytes::Bytes;
 use clio_core::{Cluster, ClusterConfig};
@@ -17,11 +18,11 @@ use clio_sim::SimDuration;
 /// no virtual time between a completion and the next issue, so the whole
 /// schedule is the sum of the ops' latencies (plus the one modeled pause
 /// below): it moves only if an op's modeled latency does.
-const FINAL_NANOS: u64 = 217_078;
+const FINAL_NANOS: u64 = 216_293;
 
 /// The probe's `Simulation::digest` and `events_dispatched`. The count moves
 /// only with the modeled schedule; the digest also with its definition.
-const DIGEST_AND_EVENTS: (u64, u64) = (585_693_304_447_993_922, 421);
+const DIGEST_AND_EVENTS: (u64, u64) = (13_181_800_658_159_724_862, 421);
 
 /// The rendezvous runtime the constant was recorded on stepped the
 /// simulation between a thread's calls, so the controller's 1 µs

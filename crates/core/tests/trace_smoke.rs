@@ -87,6 +87,44 @@ fn burst_traces_tile_exactly_and_export_valid_perfetto_json() {
     assert!(stats.lanes >= 3, "expected cn + wire + mn lanes, got {}", stats.lanes);
 }
 
+/// A burst of 256 4 KiB reads outruns the CN's windows: the reads the
+/// first pumps leave queued wait for a window, and that wait is
+/// `WindowWait`, not `DoorbellHold`. So no op's doorbell hold exceeds the
+/// hold cap, the window wait is there, and the spans still tile with no
+/// stage swallowed.
+#[test]
+fn a_window_wait_is_not_a_doorbell_hold() {
+    const READS: u64 = 256;
+    let cfg = ClusterConfig::test_small().with_tracing(1);
+    let mut cluster = Cluster::build(&cfg);
+    cluster.block_on(0, Pid(1), |h| async move {
+        let va = h.ralloc(READS * 4096, Perm::RW).await.va();
+        for i in 0..READS {
+            let h2 = h.clone();
+            h.spawn(async move {
+                let c = h2.rread(va + i * 4096, 4096).await;
+                assert!(c.result.is_ok(), "read failed: {:?}", c.result);
+            });
+        }
+        h.rrelease().await;
+    });
+    let traces: Vec<OpTrace> =
+        cluster.take_traces().into_iter().filter(|t| t.label == "read").collect();
+    assert_eq!(traces.len(), READS as usize);
+    let cap = clio_cn::CLibConfig::DOORBELL_DERIVED_CAP;
+    for t in &traces {
+        check_trace(t).expect("spans tile");
+        assert_eq!(late_outside_wire(t), [], "op {} swallowed a stage: {:?}", t.id, t.spans);
+        let held = t.stage_total(Stage::DoorbellHold);
+        assert!(held <= cap, "op {} held {held:?} in the doorbell", t.id);
+    }
+    let waited = traces.iter().filter(|t| t.stage_total(Stage::WindowWait) > SimDuration::ZERO);
+    let (n, total) =
+        waited.fold((0, 0), |(n, ns), t| (n + 1, ns + t.stage_total(Stage::WindowWait).as_nanos()));
+    println!("{n} of {READS} reads waited for a window, {total} ns in all");
+    assert!(n > READS / 2, "only {n} of {READS} reads waited for a window");
+}
+
 #[test]
 fn sampling_traces_a_subset() {
     let (_cluster, traces) = run_burst(8);

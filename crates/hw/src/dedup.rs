@@ -3,9 +3,12 @@
 //! A retried request must not execute twice: a slow (not lost) original could
 //! arrive after another client's write and a blind re-execution of the retry
 //! would undo it. The MN therefore remembers the request ids of recently
-//! executed non-idempotent operations (writes, atomics, and the slow
-//! path's allocs and frees) plus the results of atomics and allocs, for
-//! long enough to cover the retry window.
+//! executed non-idempotent operations (writes, atomics, the slow path's
+//! allocs and frees, and offload calls their module declares mutating)
+//! plus the results of atomics, allocs and offload calls, for long enough
+//! to cover the retry window. A record takes one
+//! [`CBoardHwConfig::DEDUP_ENTRY_BYTES`] slot, and an offload reply one
+//! more per started slot of its bytes.
 //!
 //! The buffer is sized `3 × TIMEOUT × bandwidth` (30 KB in the paper's
 //! setting): it can "remember" an operation long enough for two retries, and
@@ -15,13 +18,14 @@
 
 use std::collections::VecDeque;
 
-use clio_proto::ReqId;
+use bytes::Bytes;
+use clio_proto::{ReqId, Status};
 use clio_sim::IdMap;
 
 use crate::config::CBoardHwConfig;
 
 /// What the MN remembers about an executed non-idempotent request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DedupRecord {
     /// A write or a free: the retry is acknowledged without re-executing.
     Write,
@@ -36,6 +40,27 @@ pub enum DedupRecord {
         /// The start of the range the original execution allocated.
         va: u64,
     },
+    /// A mutating offload call: its reply is re-sent, and the module does
+    /// not run again.
+    Offload {
+        /// The status the call answered with.
+        status: Status,
+        /// The reply bytes the call answered with.
+        data: Bytes,
+    },
+}
+
+impl DedupRecord {
+    /// Buffer slots the record takes: one, plus one per started
+    /// [`CBoardHwConfig::DEDUP_ENTRY_BYTES`] of a cached offload reply.
+    fn slots(&self) -> usize {
+        match self {
+            DedupRecord::Offload { data, .. } => {
+                1 + data.len().div_ceil(CBoardHwConfig::DEDUP_ENTRY_BYTES)
+            }
+            _ => 1,
+        }
+    }
 }
 
 /// FIFO dedup buffer with O(1) lookup.
@@ -44,6 +69,8 @@ pub struct DedupBuffer {
     order: VecDeque<ReqId>,
     records: IdMap<ReqId, DedupRecord>,
     capacity_entries: usize,
+    /// Slots the remembered records take ([`DedupRecord::slots`]).
+    used: usize,
     hits: u64,
 }
 
@@ -66,15 +93,21 @@ impl DedupBuffer {
     /// Panics if `capacity_entries == 0`.
     pub fn new(capacity_entries: usize) -> Self {
         assert!(capacity_entries > 0, "dedup buffer must have capacity");
-        DedupBuffer { order: VecDeque::new(), records: IdMap::default(), capacity_entries, hits: 0 }
+        DedupBuffer {
+            order: VecDeque::new(),
+            records: IdMap::default(),
+            capacity_entries,
+            used: 0,
+            hits: 0,
+        }
     }
 
-    /// Capacity in entries.
+    /// Capacity in slots: one per plain record.
     pub fn capacity(&self) -> usize {
         self.capacity_entries
     }
 
-    /// Entries currently remembered.
+    /// Records currently remembered.
     pub fn len(&self) -> usize {
         self.order.len()
     }
@@ -90,16 +123,18 @@ impl DedupBuffer {
     }
 
     /// Records that `req_id` (a non-idempotent op) has executed, evicting the
-    /// oldest record if full. Re-recording an id refreshes its record but
-    /// not its eviction position (ids are unique in practice).
+    /// oldest records until the slots fit. Re-recording an id refreshes its
+    /// record but not its eviction position (ids are unique in practice). A
+    /// record larger than the whole buffer evicts everything, itself too.
     pub fn record(&mut self, req_id: ReqId, record: DedupRecord) {
-        if self.records.insert(req_id, record).is_some() {
-            return;
+        self.used += record.slots();
+        match self.records.insert(req_id, record) {
+            Some(old) => self.used -= old.slots(),
+            None => self.order.push_back(req_id),
         }
-        self.order.push_back(req_id);
-        if self.order.len() > self.capacity_entries {
-            let evicted = self.order.pop_front().expect("non-empty");
-            self.records.remove(&evicted);
+        while self.used > self.capacity_entries {
+            let evicted = self.order.pop_front().expect("slots are used");
+            self.used -= self.records.remove(&evicted).expect("ordered ids are recorded").slots();
         }
     }
 
@@ -109,12 +144,13 @@ impl DedupBuffer {
     pub fn clear(&mut self) {
         self.order.clear();
         self.records.clear();
+        self.used = 0;
     }
 
     /// Checks whether the original of a retry already executed; counts a hit
     /// if so. The fast path calls this with the retry's `retry_of` id.
     pub fn check(&mut self, original: ReqId) -> Option<DedupRecord> {
-        let rec = self.records.get(&original).copied();
+        let rec = self.records.get(&original).cloned();
         if rec.is_some() {
             self.hits += 1;
         }
@@ -168,6 +204,30 @@ mod tests {
         assert_eq!(d.hits(), 1, "observability counter survives");
         d.record(ReqId(2), DedupRecord::Write);
         assert_eq!(d.len(), 1, "buffer usable after clear");
+    }
+
+    /// An offload reply is charged at its length: a 40 B reply takes one
+    /// slot for the record and two for its bytes, so it evicts the oldest
+    /// plain records to fit, and refreshing it with a shorter reply gives
+    /// slots back.
+    #[test]
+    fn an_offload_reply_takes_slots_for_its_bytes() {
+        let mut d = DedupBuffer::new(4);
+        for id in 1..=4 {
+            d.record(ReqId(id), DedupRecord::Write);
+        }
+        let reply = |n: usize| DedupRecord::Offload { status: Status::Ok, data: vec![7; n].into() };
+        d.record(ReqId(5), reply(40));
+        assert_eq!(d.len(), 2, "three plain records made room for three slots");
+        assert_eq!(d.check(ReqId(3)), None);
+        assert_eq!(d.check(ReqId(4)), Some(DedupRecord::Write));
+        assert_eq!(d.check(ReqId(5)), Some(reply(40)));
+        d.record(ReqId(5), reply(0));
+        d.record(ReqId(6), DedupRecord::Write);
+        d.record(ReqId(7), DedupRecord::Write);
+        assert_eq!(d.len(), 4, "the shorter reply takes one slot");
+        d.record(ReqId(8), reply(1000));
+        assert!(d.is_empty(), "a reply larger than the buffer is not remembered");
     }
 
     #[test]

@@ -613,7 +613,8 @@ impl CBoard {
             let EgressEntry { dst, pkt, trace, .. } = self.egress.pop_front().expect("peeked");
             let pkt = match pkt {
                 ClioPacket::Response { header, body }
-                    if header.pkt_count <= 1 && batch.fits(codec::response_wire_len(&body)) =>
+                    if header.pkt_count <= 1
+                        && batch.fits(codec::response_entry_len(&header, &body)) =>
                 {
                     batch.push(header, body);
                     self.egress_traces.extend(trace);
@@ -654,7 +655,7 @@ impl CBoard {
                 continue;
             }
             let ClioPacket::Response { header, body } = &entry.pkt else { break };
-            if header.pkt_count > 1 || !batch.fits(codec::response_wire_len(body)) {
+            if header.pkt_count > 1 || !batch.fits(codec::response_entry_len(header, body)) {
                 break;
             }
             let entry = self.egress.remove(i).expect("indexed above");
@@ -763,10 +764,26 @@ impl CBoard {
         self.silicon.dedup_mut().check(header.req_id)
     }
 
+    /// Whether a retry of `body` must not run again: a non-idempotent
+    /// request, except an offload call whose module declares its opcode
+    /// read-only ([`Offload::mutates`]) or is not installed.
+    fn deduplicates(&self, body: &RequestBody) -> bool {
+        match body {
+            RequestBody::OffloadCall { offload, opcode, .. } => {
+                self.offloads.get(offload).is_some_and(|o| o.module.mutates(*opcode))
+            }
+            body => body.is_non_idempotent(),
+        }
+    }
+
     fn record_dedup(&mut self, header: &ReqHeader, rec: DedupRecord) {
-        self.silicon.dedup_mut().record(header.req_id, rec);
-        if let Some(orig) = header.retry_of {
-            self.silicon.dedup_mut().record(orig, rec);
+        let dedup = self.silicon.dedup_mut();
+        match header.retry_of {
+            Some(orig) => {
+                dedup.record(header.req_id, rec.clone());
+                dedup.record(orig, rec);
+            }
+            None => dedup.record(header.req_id, rec),
         }
     }
 
@@ -775,13 +792,14 @@ impl CBoard {
     /// request too: a retry of THIS retry must also find a record.
     fn replay(&mut self, ctx: &mut Ctx<'_>, src: Mac, header: &ReqHeader, rec: DedupRecord) {
         self.stats.dedup_replays += 1;
-        self.record_dedup(header, rec);
-        let body = match rec {
-            DedupRecord::Write => ResponseBody::Done,
-            DedupRecord::Atomic { old } => ResponseBody::AtomicOld { old },
-            DedupRecord::Alloc { va } => ResponseBody::Alloced { va },
+        self.record_dedup(header, rec.clone());
+        let (status, body) = match rec {
+            DedupRecord::Write => (Status::Ok, ResponseBody::Done),
+            DedupRecord::Atomic { old } => (Status::Ok, ResponseBody::AtomicOld { old }),
+            DedupRecord::Alloc { va } => (Status::Ok, ResponseBody::Alloced { va }),
+            DedupRecord::Offload { status, data } => (status, ResponseBody::OffloadReply { data }),
         };
-        self.reply_control(ctx, src, header, Status::Ok, body);
+        self.reply_control(ctx, src, header, status, body);
     }
 
     /// Tiles the op's board-resident time with the datapath's measured
@@ -829,7 +847,7 @@ impl CBoard {
             }
             return self.reply_control(ctx, src, &header, status, ResponseBody::Done);
         }
-        if let Some(rec) = body.is_non_idempotent().then(|| self.dedup_hit(&header)).flatten() {
+        if let Some(rec) = self.deduplicates(&body).then(|| self.dedup_hit(&header)).flatten() {
             return self.replay(ctx, src, &header, rec);
         }
 
@@ -1100,6 +1118,10 @@ impl CBoard {
         let reply = installed.module.on_call(&mut env, opcode, arg);
         let env_done = env.now();
         let done = env_done + hw.clock.cycles(CBoardHwConfig::RESPONSE_CYCLES) + hw.mac_phy_latency;
+        if installed.module.mutates(opcode) {
+            let rec = DedupRecord::Offload { status: reply.status, data: reply.data.clone() };
+            self.record_dedup(&header, rec);
+        }
         self.offloads.insert(offload, installed);
         self.note_completion(done);
         let body = ResponseBody::OffloadReply { data: reply.data };

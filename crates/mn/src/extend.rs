@@ -17,9 +17,16 @@
 //! Each access is admitted like a request: the board's [`Migrations`]
 //! refuses one to a range migrating away (`Conflict`) or gone (`Moved`),
 //! and the access fails with that status, which a module returns as its
-//! call's. Offload calls are not deduplicated, so CLib re-runs a call
-//! refused `Conflict` part-way whole, as after a lost response; a `Moved`
-//! call fails, as an offload names no range for CLib to re-route.
+//! call's. CLib re-issues a call refused `Conflict` part-way as a new
+//! request, so the module runs it again whole; a `Moved` call fails, as an
+//! offload names no range for CLib to re-route.
+//!
+//! A call is at most once across lost replies when its module declares
+//! the opcode mutating ([`Offload::mutates`], every opcode by default):
+//! the board records its reply in the dedup buffer like a write's and
+//! re-sends it to a retry instead of running the module again. The record
+//! is volatile, as every dedup record is: a retry that arrives after a
+//! board restart runs the call again.
 
 use bytes::Bytes;
 use clio_hw::silicon::{AccessTiming, AtomicOp, Silicon};
@@ -62,6 +69,15 @@ pub trait Offload: 'static {
 
     /// Handles one offload invocation.
     fn on_call(&mut self, env: &mut OffloadEnv<'_>, opcode: u16, arg: Bytes) -> OffloadReply;
+
+    /// Whether a call with `opcode` changes state, so that a retry after a
+    /// lost reply must get the recorded reply rather than run again. Every
+    /// opcode does unless the module says otherwise; a read-only opcode
+    /// returns false and is re-run, which costs no dedup slots.
+    fn mutates(&self, opcode: u16) -> bool {
+        let _ = opcode;
+        true
+    }
 
     /// A boxed copy of the module and its state, so that cloning a
     /// [`CBoard`](crate::CBoard) copies what is installed on it. For a

@@ -362,6 +362,6 @@ fn a_stall_retried_access_answers_at_pinned_instants() {
         answered.insert(id.0, (t.as_nanos(), *status));
     }
     let ok = Status::Ok;
-    let pinned = BTreeMap::from([(1, (12_478, ok)), (2, (24_856, ok)), (3, (24_918, ok))]);
+    let pinned = BTreeMap::from([(1, (12_463, ok)), (2, (24_826, ok)), (3, (24_880, ok))]);
     assert_eq!(answered, pinned);
 }

@@ -514,6 +514,46 @@ fn offload_calls_run_on_the_extend_path() {
     }
 }
 
+/// A mutating offload call runs at most once while the board is up: a
+/// retry of a call that ran gets the recorded reply (the counter reads 5,
+/// not 10). The record is volatile, so after a restart the same retry
+/// runs the call again, on the counter that survived in DRAM.
+#[test]
+fn a_mutating_offload_call_runs_once_until_a_restart() {
+    let mut r = rig();
+    {
+        let board = r.sim.actor_mut::<CBoard>(r.board_id);
+        board.install_offload(1, Pid(9000), Box::new(CounterOffload { slot: None }));
+    }
+    let add = |id: u64, retry_of: Option<u64>| {
+        let header =
+            ReqHeader { retry_of: retry_of.map(ReqId), ..ReqHeader::single(ReqId(id), Pid(7)) };
+        let arg = Bytes::copy_from_slice(&5u64.to_le_bytes());
+        Message::new(SendNow(ClioPacket::Request {
+            header,
+            body: RequestBody::OffloadCall { offload: 1, opcode: 1, arg },
+        }))
+    };
+    let counter = |r: &Rig| match r.last_response() {
+        ClioPacket::Response { body: ResponseBody::OffloadReply { data }, .. } => {
+            u64::from_le_bytes(data[..8].try_into().expect("8 B"))
+        }
+        other => panic!("unexpected {other:?}"),
+    };
+    r.send(req(1, 7, RequestBody::OffloadCall { offload: 1, opcode: 0, arg: Bytes::new() }));
+    r.send(add(2, None));
+    assert_eq!(counter(&r), 5);
+    r.send(add(3, Some(2)));
+    assert_eq!(counter(&r), 5, "the retry was answered from the record");
+    assert_eq!(r.sim.actor::<CBoard>(r.board_id).stats().dedup_replays, 1);
+
+    r.sim.post(r.board_id, Message::new(BoardPower::Crash));
+    r.sim.post(r.board_id, Message::new(BoardPower::Restart));
+    r.sim.run_until_idle();
+    r.send(add(4, Some(2)));
+    assert_eq!(counter(&r), 10, "after a restart the retry runs the call again");
+}
+
 #[test]
 fn over_commit_faults_until_physical_exhaustion() {
     // 8 physical pages, but allow allocating VA for many more. The page

@@ -14,9 +14,13 @@
 //! budgets: the link MTU (always), a caller-chosen byte budget, and a
 //! caller-chosen op-count budget. Every entry keeps its own header
 //! ([`ReqHeader`] / [`RespHeader`]), so retries, deduplication, completion
-//! matching and window accounting stay per logical request.
+//! matching and window accounting stay per logical request. An entry drops
+//! only its packet tag, which the frame's tag implies: a `Batch` holds only
+//! requests and a `BatchResp` only responses, so an entry costs its
+//! standalone packet minus 1 B, and a lone entry leaves as its plain
+//! packet, byte for byte.
 
-use crate::codec::{request_len, response_wire_len, BATCH_OVERHEAD_BYTES, NACK_ENTRY_BYTES};
+use crate::codec::{request_entry_len, response_entry_len, BATCH_OVERHEAD_BYTES, NACK_ENTRY_BYTES};
 use crate::mtu::MTU_BYTES;
 use crate::packet::{ClioPacket, ReqHeader, RequestBody, RespHeader, ResponseBody};
 use crate::types::ReqId;
@@ -35,7 +39,7 @@ pub trait BatchEntry: Sized {
 
 impl BatchEntry for (ReqHeader, RequestBody) {
     fn wire_len(&self) -> usize {
-        request_len(&self.0, &self.1)
+        request_entry_len(&self.0, &self.1)
     }
     fn lone(self) -> ClioPacket {
         ClioPacket::Request { header: self.0, body: self.1 }
@@ -47,7 +51,7 @@ impl BatchEntry for (ReqHeader, RequestBody) {
 
 impl BatchEntry for (RespHeader, ResponseBody) {
     fn wire_len(&self) -> usize {
-        response_wire_len(&self.1)
+        response_entry_len(&self.0, &self.1)
     }
     fn lone(self) -> ClioPacket {
         ClioPacket::Response { header: self.0, body: self.1 }
@@ -233,11 +237,11 @@ mod tests {
         let mut b = BatchBuilder::new(2, MTU_BYTES);
         for id in 0..2 {
             let (h, body) = read_entry(id);
-            assert!(b.fits(request_len(&h, &body)));
+            assert!(b.fits(request_entry_len(&h, &body)));
             b.push(h, body);
         }
         let (h, body) = read_entry(2);
-        assert!(!b.fits(request_len(&h, &body)), "third op exceeds max_ops=2");
+        assert!(!b.fits(request_entry_len(&h, &body)), "third op exceeds max_ops=2");
     }
 
     #[test]

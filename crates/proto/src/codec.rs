@@ -2,10 +2,16 @@
 //!
 //! The encoding has no varints, so packet sizes are predictable: the timing
 //! model can compute a packet's wire footprint with [`wire_len`] without
-//! materializing bytes, and tests assert the two always agree. The one
-//! variable part is the request header's optional `retry_of`: a flags byte
-//! says whether it follows, and when absent it costs no bytes
-//! ([`req_header_len`]).
+//! materializing bytes, and tests assert the two always agree.
+//!
+//! A field the receiver can infer costs no bytes. A request header's flags
+//! byte says whether `retry_of` follows and whether the request spans
+//! several packets; only then do its packet index and count follow
+//! ([`req_header_len`]). A response's status byte has a top bit that marks
+//! "not one packet at offset 0"; only then do the packet index and count,
+//! and a `DataFrag`'s offset, follow ([`response_len`]). Fragment lengths
+//! are u16, since the MTU bounds them, and a batch entry drops its packet
+//! tag, since the batch frame's own tag implies it.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -70,28 +76,43 @@ const RESP_ALLOCED: u8 = 2;
 const RESP_ATOMIC_OLD: u8 = 3;
 const RESP_OFFLOAD: u8 = 4;
 
-/// Header flag: an 8-byte [`ReqHeader::retry_of`] follows the packet count.
+/// Header flag: an 8-byte [`ReqHeader::retry_of`] follows the pid (and
+/// the packet index and count, when those travel).
 const FLAG_RETRY: u8 = 1 << 0;
+/// Header flag: the request spans several packets, so the packet index
+/// and count (2 B each) follow the pid. Without it they read 0 of 1.
+const FLAG_MULTI: u8 = 1 << 1;
 
-/// Encoded size of the packet tag plus a request header without its
-/// optional `retry_of`: tag, request id, flags, pid, packet index and
-/// count.
-const REQ_HEADER_BASE: usize = 1 + 8 + 1 + 8 + 2 + 2;
+/// Status-byte bit of a response that is not one packet at offset 0: the
+/// packet index and count follow the status, and a `DataFrag` carries its
+/// offset. Status codes use only the low seven bits.
+const STATUS_MULTI: u8 = 1 << 7;
+
+/// Encoded size of the packet tag plus a request header with neither
+/// option: tag, request id, flags and pid.
+const REQ_HEADER_BASE: usize = 1 + 8 + 1 + 8;
+
+/// Encoded size of a header's packet index and count, which travel only
+/// when the packet is not the whole request (or response).
+const PKT_FIELDS_LEN: usize = 2 + 2;
 
 /// Encoded size of the packet tag plus the largest request header: a
-/// retry's (8 B `retry_of`). MTU fragment sizing uses it, so a fragment
-/// still fits when re-sent as a retry. The header's trace context
-/// contributes nothing: it models reserved header bits and never costs
-/// modeled wire bytes.
-pub const REQ_HEADER_LEN: usize = REQ_HEADER_BASE + 8;
-/// Encoded size of the packet tag plus a response header.
-pub const RESP_HEADER_LEN: usize = 1 + 8 + 1 + 2 + 2;
+/// retried fragment's (4 B of packet index and count, 8 B of `retry_of`).
+/// MTU fragment sizing uses it, so a fragment still fits when re-sent as a
+/// retry. The header's trace context contributes nothing: it models
+/// reserved header bits and never costs modeled wire bytes.
+pub const REQ_HEADER_LEN: usize = REQ_HEADER_BASE + PKT_FIELDS_LEN + 8;
+/// Encoded size of the packet tag plus the largest response header: a
+/// fragment's, which carries its packet index and count. A lone response's
+/// header costs 4 B less ([`response_len`]).
+pub const RESP_HEADER_LEN: usize = 1 + 8 + 1 + PKT_FIELDS_LEN;
 /// Fixed framing cost of a batch packet (packet tag + u16 entry count),
 /// shared by request batches and response batches. Each entry then costs
-/// exactly what the same packet would cost standalone ([`request_len`]:
-/// 22 B of header for a first attempt, 30 B for a retry;
-/// [`response_wire_len`]: 14 B of header), so batching `n` small packets saves `(n - 1)` per-frame
-/// Ethernet overheads at the price of these 3 bytes.
+/// what the same packet would cost standalone minus its 1 B packet tag,
+/// which the frame's tag implies ([`request_entry_len`]: 17 B of header
+/// for a first attempt, 25 B for a retry; [`response_entry_len`]: 9 B of
+/// header), so batching `n` small packets saves `(n - 1)` per-frame
+/// Ethernet overheads and `n` tags at the price of these 3 bytes.
 pub const BATCH_OVERHEAD_BYTES: usize = 1 + 2;
 /// Encoded size of a standalone NACK (packet tag + request id). A
 /// batched-NACK entry costs [`NACK_ENTRY_BYTES`]; the id travels without the
@@ -100,26 +121,55 @@ pub const NACK_WIRE_LEN: usize = 1 + 8;
 /// Encoded size of one [`ClioPacket::BatchNack`] entry (a bare request id).
 pub const NACK_ENTRY_BYTES: usize = 8;
 
-/// Writes a request header (tag excluded): request id, flags, pid, packet
-/// index and count, then `retry_of` if its flag is set.
+/// Bytes a batch entry saves against its standalone packet: the packet
+/// tag, which the batch frame's tag implies.
+const ENTRY_TAG_LEN: usize = 1;
+
+/// Whether `h` names anything but packet 0 of a one-packet request.
+fn req_multi(h: &ReqHeader) -> bool {
+    (h.pkt_index, h.pkt_count) != (0, 1)
+}
+
+/// Whether a response must say where it sits: anything but packet 0 of a
+/// one-packet response, or a `DataFrag` at a non-zero offset.
+fn resp_multi(h: &RespHeader, body: &ResponseBody) -> bool {
+    (h.pkt_index, h.pkt_count) != (0, 1)
+        || matches!(body, ResponseBody::DataFrag { offset, .. } if *offset != 0)
+}
+
+/// Writes a request header (tag excluded): request id, flags, pid, then
+/// the packet index and count and `retry_of` if their flags are set.
 fn put_req_header(buf: &mut BytesMut, h: &ReqHeader) {
+    let multi = req_multi(h);
     buf.put_u64_le(h.req_id.0);
-    buf.put_u8(if h.retry_of.is_some() { FLAG_RETRY } else { 0 });
+    let flags = if h.retry_of.is_some() { FLAG_RETRY } else { 0 };
+    buf.put_u8(flags | if multi { FLAG_MULTI } else { 0 });
     buf.put_u64_le(h.pid.0);
-    buf.put_u16_le(h.pkt_index);
-    buf.put_u16_le(h.pkt_count);
+    if multi {
+        buf.put_u16_le(h.pkt_index);
+        buf.put_u16_le(h.pkt_count);
+    }
     if let Some(r) = h.retry_of {
         buf.put_u64_le(r.0);
     }
     // `h.trace` is deliberately not encoded (zero modeled wire bytes).
 }
 
+/// Writes offload bytes behind their u32 length.
 fn put_bytes(buf: &mut BytesMut, b: &Bytes) {
     buf.put_u32_le(b.len() as u32);
     buf.put_slice(b);
 }
 
-fn put_req_body(buf: &mut BytesMut, body: &RequestBody) {
+/// Writes fragment bytes behind their u16 length: the MTU bounds a
+/// fragment, so no valid one needs more.
+fn put_frag(buf: &mut BytesMut, b: &Bytes) {
+    buf.put_u16_le(u16::try_from(b.len()).expect("a fragment fits in one packet"));
+    buf.put_slice(b);
+}
+
+fn put_request(buf: &mut BytesMut, header: &ReqHeader, body: &RequestBody) {
+    put_req_header(buf, header);
     match body {
         RequestBody::Read { va, len } => {
             buf.put_u8(BODY_READ);
@@ -129,7 +179,7 @@ fn put_req_body(buf: &mut BytesMut, body: &RequestBody) {
         RequestBody::WriteFrag { va, data } => {
             buf.put_u8(BODY_WRITE_FRAG);
             buf.put_u64_le(*va);
-            put_bytes(buf, data);
+            put_frag(buf, data);
         }
         RequestBody::Alloc { size, perm, fixed_va } => {
             buf.put_u8(BODY_ALLOC);
@@ -183,17 +233,23 @@ fn put_req_body(buf: &mut BytesMut, body: &RequestBody) {
     }
 }
 
+/// Writes a response (tag excluded): request id, status, the packet index
+/// and count when [`resp_multi`], then the body.
 fn put_response(buf: &mut BytesMut, header: &RespHeader, body: &ResponseBody) {
-    buf.put_u8(TAG_RESPONSE);
+    let multi = resp_multi(header, body);
     buf.put_u64_le(header.req_id.0);
-    buf.put_u8(header.status.to_wire());
-    buf.put_u16_le(header.pkt_index);
-    buf.put_u16_le(header.pkt_count);
+    buf.put_u8(header.status.to_wire() | if multi { STATUS_MULTI } else { 0 });
+    if multi {
+        buf.put_u16_le(header.pkt_index);
+        buf.put_u16_le(header.pkt_count);
+    }
     match body {
         ResponseBody::DataFrag { offset, data } => {
             buf.put_u8(RESP_DATA_FRAG);
-            buf.put_u32_le(*offset);
-            put_bytes(buf, data);
+            if multi {
+                buf.put_u32_le(*offset);
+            }
+            put_frag(buf, data);
         }
         ResponseBody::Done => buf.put_u8(RESP_DONE),
         ResponseBody::Alloced { va } => {
@@ -217,30 +273,29 @@ pub fn encode(pkt: &ClioPacket) -> Bytes {
     match pkt {
         ClioPacket::Request { header, body } => {
             buf.put_u8(TAG_REQUEST);
-            put_req_header(&mut buf, header);
-            put_req_body(&mut buf, body);
+            put_request(&mut buf, header, body);
         }
         ClioPacket::Batch { requests } => {
             debug_assert!(!requests.is_empty(), "batches must carry at least one request");
             buf.put_u8(TAG_BATCH);
             buf.put_u16_le(requests.len() as u16);
-            // Each entry is a complete embedded request packet (tag
-            // included), so an entry's encoded size is exactly
-            // `request_wire_len` and unbatching reuses the request parser.
+            // Each entry is an embedded request packet without its tag,
+            // so an entry's encoded size is exactly `request_entry_len`
+            // and unbatching reuses the request parser.
             for (header, body) in requests {
-                buf.put_u8(TAG_REQUEST);
-                put_req_header(&mut buf, header);
-                put_req_body(&mut buf, body);
+                put_request(&mut buf, header, body);
             }
         }
-        ClioPacket::Response { header, body } => put_response(&mut buf, header, body),
+        ClioPacket::Response { header, body } => {
+            buf.put_u8(TAG_RESPONSE);
+            put_response(&mut buf, header, body);
+        }
         ClioPacket::BatchResp { responses } => {
             debug_assert!(!responses.is_empty(), "batches must carry at least one response");
             buf.put_u8(TAG_BATCH_RESP);
             buf.put_u16_le(responses.len() as u16);
-            // As with request batches, each entry is a complete embedded
-            // response packet, so entry size is exactly `response_wire_len`
-            // and unbatching reuses the response parser.
+            // As with request batches, each entry is an embedded response
+            // packet without its tag (`response_entry_len`).
             for (header, body) in responses {
                 put_response(&mut buf, header, body);
             }
@@ -264,16 +319,23 @@ pub fn encode(pkt: &ClioPacket) -> Bytes {
 }
 
 /// The exact encoded size of the packet tag plus header `h`: a `retry_of`
-/// it does not carry costs nothing.
+/// it does not carry costs nothing, and neither do the packet index and
+/// count of a one-packet request.
 pub fn req_header_len(h: &ReqHeader) -> usize {
-    REQ_HEADER_BASE + 8 * h.retry_of.is_some() as usize
+    REQ_HEADER_BASE + PKT_FIELDS_LEN * req_multi(h) as usize + 8 * h.retry_of.is_some() as usize
 }
 
 /// The exact encoded size of one request (header + body) framed as a
-/// standalone [`ClioPacket::Request`]. A batch entry costs exactly this
-/// much, so callers can pack batches against the MTU analytically.
+/// standalone [`ClioPacket::Request`].
 pub fn request_len(header: &ReqHeader, body: &RequestBody) -> usize {
     req_header_len(header) + req_body_len(body)
+}
+
+/// The exact encoded size of one request as a [`ClioPacket::Batch`]
+/// entry: [`request_len`] without the packet tag. Callers pack batches
+/// against the MTU with it.
+pub fn request_entry_len(header: &ReqHeader, body: &RequestBody) -> usize {
+    request_len(header, body) - ENTRY_TAG_LEN
 }
 
 /// The encoded size of one request with the largest header
@@ -286,7 +348,7 @@ pub fn request_wire_len(body: &RequestBody) -> usize {
 fn req_body_len(body: &RequestBody) -> usize {
     1 + match body {
         RequestBody::Read { .. } => 12,
-        RequestBody::WriteFrag { data, .. } => 8 + 4 + data.len(),
+        RequestBody::WriteFrag { data, .. } => 8 + 2 + data.len(),
         RequestBody::Alloc { .. } => 8 + 1 + 1 + 8,
         RequestBody::Free { .. } => 16,
         RequestBody::AtomicTas { .. } => 8,
@@ -299,19 +361,26 @@ fn req_body_len(body: &RequestBody) -> usize {
 }
 
 /// The exact encoded size of one response (header + body) framed as a
-/// standalone [`ClioPacket::Response`]. A response-batch entry costs exactly
-/// this much, so the board's egress queue can pack response batches against
-/// the MTU analytically.
-pub fn response_wire_len(body: &ResponseBody) -> usize {
-    RESP_HEADER_LEN
+/// standalone [`ClioPacket::Response`]: a lone response at offset 0 pays
+/// neither the packet index and count nor a `DataFrag` offset.
+pub fn response_len(header: &RespHeader, body: &ResponseBody) -> usize {
+    let multi = resp_multi(header, body);
+    RESP_HEADER_LEN - PKT_FIELDS_LEN * !multi as usize
         + 1
         + match body {
-            ResponseBody::DataFrag { data, .. } => 4 + 4 + data.len(),
+            ResponseBody::DataFrag { data, .. } => 4 * multi as usize + 2 + data.len(),
             ResponseBody::Done => 0,
             ResponseBody::Alloced { .. } => 8,
             ResponseBody::AtomicOld { .. } => 8,
             ResponseBody::OffloadReply { data } => 4 + data.len(),
         }
+}
+
+/// The exact encoded size of one response as a [`ClioPacket::BatchResp`]
+/// entry: [`response_len`] without the packet tag. The board's egress
+/// queue packs response batches against the MTU with it.
+pub fn response_entry_len(header: &RespHeader, body: &ResponseBody) -> usize {
+    response_len(header, body) - ENTRY_TAG_LEN
 }
 
 /// The exact number of bytes [`encode`] will produce, computed analytically
@@ -321,12 +390,12 @@ pub fn wire_len(pkt: &ClioPacket) -> usize {
         ClioPacket::Request { header, body } => request_len(header, body),
         ClioPacket::Batch { requests } => {
             BATCH_OVERHEAD_BYTES
-                + requests.iter().map(|(header, body)| request_len(header, body)).sum::<usize>()
+                + requests.iter().map(|(h, body)| request_entry_len(h, body)).sum::<usize>()
         }
-        ClioPacket::Response { body, .. } => response_wire_len(body),
+        ClioPacket::Response { header, body } => response_len(header, body),
         ClioPacket::BatchResp { responses } => {
             BATCH_OVERHEAD_BYTES
-                + responses.iter().map(|(_, body)| response_wire_len(body)).sum::<usize>()
+                + responses.iter().map(|(h, body)| response_entry_len(h, body)).sum::<usize>()
         }
         ClioPacket::Nack { .. } => NACK_WIRE_LEN,
         ClioPacket::BatchNack { req_ids } => {
@@ -365,23 +434,28 @@ impl<'a> Reader<'a> {
         let len = self.u32()? as usize;
         Ok(Bytes::copy_from_slice(self.take(len)?))
     }
+    fn frag(&mut self) -> Result<Bytes, CodecError> {
+        let len = self.u16()? as usize;
+        Ok(Bytes::copy_from_slice(self.take(len)?))
+    }
 }
 
-/// Parses one request (header + body, tag already consumed) from `r`.
+/// Parses one request (header + body) from `r`: the packet tag is
+/// consumed already, or absent in a batch entry.
 fn read_request(r: &mut Reader<'_>) -> Result<(ReqHeader, RequestBody), CodecError> {
     let req_id = ReqId(r.u64()?);
     let flags = r.u8()?;
-    if flags & !FLAG_RETRY != 0 {
+    if flags & !(FLAG_RETRY | FLAG_MULTI) != 0 {
         return Err(CodecError::BadFlags(flags));
     }
     let pid = Pid(r.u64()?);
-    let pkt_index = r.u16()?;
-    let pkt_count = r.u16()?;
+    let (pkt_index, pkt_count) =
+        if flags & FLAG_MULTI != 0 { (r.u16()?, r.u16()?) } else { (0, 1) };
     let retry_of = if flags & FLAG_RETRY != 0 { Some(ReqId(r.u64()?)) } else { None };
     let header = ReqHeader { req_id, retry_of, pid, pkt_index, pkt_count, trace: None };
     let body = match r.u8()? {
         BODY_READ => RequestBody::Read { va: r.u64()?, len: r.u32()? },
-        BODY_WRITE_FRAG => RequestBody::WriteFrag { va: r.u64()?, data: r.bytes()? },
+        BODY_WRITE_FRAG => RequestBody::WriteFrag { va: r.u64()?, data: r.frag()? },
         BODY_ALLOC => {
             let size = r.u64()?;
             let perm = Perm::from_bits(r.u8()?);
@@ -405,16 +479,21 @@ fn read_request(r: &mut Reader<'_>) -> Result<(ReqHeader, RequestBody), CodecErr
     Ok((header, body))
 }
 
-/// Parses one response (header + body, tag already consumed) from `r`.
+/// Parses one response (header + body) from `r`: the packet tag is
+/// consumed already, or absent in a batch entry.
 fn read_response(r: &mut Reader<'_>) -> Result<(RespHeader, ResponseBody), CodecError> {
     let req_id = ReqId(r.u64()?);
     let status_raw = r.u8()?;
-    let status = Status::from_wire(status_raw).ok_or(CodecError::BadStatus(status_raw))?;
-    let pkt_index = r.u16()?;
-    let pkt_count = r.u16()?;
+    let multi = status_raw & STATUS_MULTI != 0;
+    let status_code = status_raw & !STATUS_MULTI;
+    let status = Status::from_wire(status_code).ok_or(CodecError::BadStatus(status_code))?;
+    let (pkt_index, pkt_count) = if multi { (r.u16()?, r.u16()?) } else { (0, 1) };
     let header = RespHeader { req_id, status, pkt_index, pkt_count };
     let body = match r.u8()? {
-        RESP_DATA_FRAG => ResponseBody::DataFrag { offset: r.u32()?, data: r.bytes()? },
+        RESP_DATA_FRAG => {
+            let offset = if multi { r.u32()? } else { 0 };
+            ResponseBody::DataFrag { offset, data: r.frag()? }
+        }
         RESP_DONE => ResponseBody::Done,
         RESP_ALLOCED => ResponseBody::Alloced { va: r.u64()? },
         RESP_ATOMIC_OLD => ResponseBody::AtomicOld { old: r.u64()? },
@@ -444,10 +523,7 @@ pub fn decode(bytes: &[u8]) -> Result<ClioPacket, CodecError> {
             }
             let mut requests = Vec::with_capacity(count);
             for _ in 0..count {
-                match r.u8()? {
-                    TAG_REQUEST => requests.push(read_request(&mut r)?),
-                    t => return Err(CodecError::BadTag(t)),
-                }
+                requests.push(read_request(&mut r)?);
             }
             ClioPacket::Batch { requests }
         }
@@ -462,10 +538,7 @@ pub fn decode(bytes: &[u8]) -> Result<ClioPacket, CodecError> {
             }
             let mut responses = Vec::with_capacity(count);
             for _ in 0..count {
-                match r.u8()? {
-                    TAG_RESPONSE => responses.push(read_response(&mut r)?),
-                    t => return Err(CodecError::BadTag(t)),
-                }
+                responses.push(read_response(&mut r)?);
             }
             ClioPacket::BatchResp { responses }
         }
@@ -588,15 +661,16 @@ mod tests {
         roundtrip(ClioPacket::Batch { requests });
     }
 
-    /// A first attempt and a retry: each costs its own header's size,
-    /// inside a batch as alone, and the largest header is
-    /// [`REQ_HEADER_LEN`].
+    /// A first attempt, a retry and a retried fragment: each costs its own
+    /// header's size alone, and 1 B less (its tag) inside a batch; the
+    /// largest header is [`REQ_HEADER_LEN`].
     #[test]
-    fn batch_entry_costs_exactly_one_standalone_request() {
+    fn batch_entry_costs_its_standalone_request_minus_the_tag() {
         let first = ReqHeader::single(ReqId(9), Pid(1));
         let retry = first.retrying(ReqId(8));
-        let headers = [first, retry];
-        assert_eq!(headers.map(|h| req_header_len(&h)), [22, 30]);
+        let fragment = ReqHeader { pkt_index: 1, pkt_count: 2, ..retry };
+        let headers = [first, retry, fragment];
+        assert_eq!(headers.map(|h| req_header_len(&h)), [18, 26, 30]);
         assert_eq!(REQ_HEADER_LEN, 30);
 
         let body = RequestBody::Read { va: 0x4000, len: 16 };
@@ -605,7 +679,8 @@ mod tests {
             let single = wire_len(&ClioPacket::Request { header, body: body.clone() });
             assert_eq!(single, req_header_len(&header) + 13, "a 16 B read's body is 13 B");
             assert_eq!(single, request_len(&header, &body));
-            entries += single;
+            assert_eq!(request_entry_len(&header, &body), single - 1);
+            entries += single - 1;
         }
         assert_eq!(request_wire_len(&body), REQ_HEADER_LEN + 13, "the largest header's size");
         let batch = ClioPacket::Batch { requests: headers.map(|h| (h, body.clone())).to_vec() };
@@ -613,28 +688,28 @@ mod tests {
         assert_eq!(wire_len(&batch), BATCH_OVERHEAD_BYTES + entries);
     }
 
-    /// A first attempt's 64 B write as a batch entry: 22 B of header, 13 B
-    /// of body framing, 64 B of data.
+    /// A first attempt's 64 B write as a batch entry: 17 B of header (no
+    /// tag, no packet index or count), 11 B of body framing (tag, va, u16
+    /// length), 64 B of data. Alone it is 93 B.
     #[test]
-    fn a_first_attempt_64_byte_write_entry_costs_99_bytes() {
+    fn a_first_attempt_64_byte_write_entry_costs_92_bytes() {
         let header = ReqHeader::single(ReqId(1), Pid(1));
         let body = RequestBody::WriteFrag { va: 0x1000, data: Bytes::from(vec![7; 64]) };
-        assert_eq!(request_len(&header, &body), 99);
+        assert_eq!(request_entry_len(&header, &body), 92);
         let pkt = ClioPacket::Request { header, body };
-        assert_eq!(encode(&pkt).len(), 99);
+        assert_eq!(encode(&pkt).len(), 93);
     }
 
     /// A write split at the largest fragment still fits the MTU exactly
-    /// when re-sent as a retry.
+    /// when re-sent as a retry of a multi-packet write.
     #[test]
     fn a_maximal_write_fragment_retried_fills_the_mtu() {
-        assert_eq!(crate::MAX_WRITE_FRAG_PAYLOAD, 1457);
-        let data = Bytes::from(vec![3; crate::MAX_WRITE_FRAG_PAYLOAD]);
-        let [pkt] = &crate::split_write(ReqId(2), Some(ReqId(1)), Pid(1), 0x1000, data)[..] else {
-            panic!("one fragment")
-        };
-        assert_eq!(encode(pkt).len(), crate::MTU_BYTES);
-        assert_eq!(wire_len(pkt), crate::MTU_BYTES);
+        assert_eq!(crate::MAX_WRITE_FRAG_PAYLOAD, 1459);
+        let data = Bytes::from(vec![3; crate::MAX_WRITE_FRAG_PAYLOAD + 1]);
+        let pkts = crate::split_write(ReqId(2), Some(ReqId(1)), Pid(1), 0x1000, data);
+        let [full, _] = &pkts[..] else { panic!("two fragments") };
+        assert_eq!(encode(full).len(), crate::MTU_BYTES);
+        assert_eq!(wire_len(full), crate::MTU_BYTES);
     }
 
     /// A request header's flags byte (after the tag and the request id)
@@ -645,17 +720,44 @@ mod tests {
         let header = ReqHeader::single(ReqId(1), Pid(1));
         let body = RequestBody::Read { va: 0, len: 8 };
         let mut bytes = encode(&ClioPacket::Request { header, body: body.clone() }).to_vec();
-        assert_eq!(bytes[9], 0, "a first attempt sets no flag");
-        for bit in 1..8 {
+        assert_eq!(bytes[9], 0, "a first single-packet attempt sets no flag");
+        for bit in 2..8 {
             bytes[9] = 1 << bit;
             assert_eq!(decode(&bytes), Err(CodecError::BadFlags(1 << bit)));
         }
         let batch = ClioPacket::Batch { requests: vec![(header, body.clone()), (header, body)] };
         let mut bytes = encode(&batch).to_vec();
-        // Bit 1, like every bit but `FLAG_RETRY`, is unknown.
-        bytes[3 + 9] = FLAG_RETRY | 1 << 1;
-        assert_eq!(decode(&bytes), Err(CodecError::BadFlags(0x03)));
+        // Bit 2, like every bit but `FLAG_RETRY` and `FLAG_MULTI`, is
+        // unknown; the entry's flags byte follows its request id.
+        bytes[3 + 8] = FLAG_RETRY | 1 << 2;
+        assert_eq!(decode(&bytes), Err(CodecError::BadFlags(0x05)));
         assert!(CodecError::BadFlags(0x83).to_string().contains("0x83"));
+    }
+
+    /// Packet index and count travel only when the packet is not the
+    /// whole request or response, and a `DataFrag` offset only then: a
+    /// lone 64 B read reply is 77 B (76 B as a batch entry), a `Done` 11 B
+    /// (10 B), and a fragment header is [`RESP_HEADER_LEN`].
+    #[test]
+    fn inferable_fields_cost_no_bytes() {
+        let lone = RespHeader::single(ReqId(4), Status::Ok);
+        let data = ResponseBody::DataFrag { offset: 0, data: Bytes::from(vec![1; 64]) };
+        assert_eq!(response_len(&lone, &data), 77);
+        assert_eq!(response_entry_len(&lone, &data), 76);
+        assert_eq!(response_len(&lone, &ResponseBody::Done), 11);
+        assert_eq!(response_entry_len(&lone, &ResponseBody::Done), 10);
+        let bytes = encode(&ClioPacket::Response { header: lone, body: ResponseBody::Done });
+        assert_eq!(bytes[9], Status::Ok.to_wire(), "no multi bit on a lone response");
+        let frag = RespHeader { pkt_index: 1, pkt_count: 2, ..lone };
+        let at = ResponseBody::DataFrag { offset: 1479, data: Bytes::from(vec![1; 64]) };
+        assert_eq!(response_len(&frag, &at), RESP_HEADER_LEN + 1 + 4 + 2 + 64);
+        // A lone fragment at a non-zero offset says where it sits.
+        assert_eq!(response_len(&lone, &at), RESP_HEADER_LEN + 1 + 4 + 2 + 64);
+        roundtrip(ClioPacket::Response { header: lone, body: at });
+        let multi = ReqHeader { pkt_index: 0, pkt_count: 3, ..ReqHeader::single(ReqId(1), Pid(1)) };
+        let bytes = encode(&ClioPacket::Request { header: multi, body: RequestBody::Fence });
+        assert_eq!(bytes[9], FLAG_MULTI);
+        assert_eq!(bytes.len(), req_header_len(&multi) + 1);
     }
 
     #[test]
@@ -673,15 +775,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_resp_entry_costs_exactly_one_standalone_response() {
+    fn batch_resp_entry_costs_its_standalone_response_minus_the_tag() {
         let header = RespHeader::single(ReqId(9), Status::Ok);
         let body = ResponseBody::DataFrag { offset: 0, data: Bytes::from_static(b"xy") };
         let single = wire_len(&ClioPacket::Response { header, body: body.clone() });
-        assert_eq!(single, response_wire_len(&body));
+        assert_eq!(single, response_len(&header, &body));
+        assert_eq!(response_entry_len(&header, &body), single - 1);
         let batch = ClioPacket::BatchResp {
             responses: vec![(header, body.clone()), (header, body.clone()), (header, body)],
         };
-        assert_eq!(wire_len(&batch), BATCH_OVERHEAD_BYTES + 3 * single);
+        assert_eq!(wire_len(&batch), BATCH_OVERHEAD_BYTES + 3 * (single - 1));
     }
 
     #[test]
@@ -698,7 +801,10 @@ mod tests {
             responses: vec![(RespHeader::single(ReqId(1), Status::Ok), ResponseBody::Done)],
         };
         let mut bytes = encode(&pkt).to_vec();
-        bytes[3] = 99; // the entry's embedded TAG_RESPONSE byte
+        // The entry carries no packet tag: its body tag follows the frame's
+        // tag and count (3 B), the request id and the status.
+        assert_eq!(bytes[3 + 8 + 1], RESP_DONE);
+        bytes[3 + 8 + 1] = 99;
         assert_eq!(decode(&bytes), Err(CodecError::BadTag(99)));
     }
 
@@ -711,7 +817,10 @@ mod tests {
             )],
         };
         let mut bytes = encode(&pkt).to_vec();
-        bytes[3] = 99; // the entry's embedded TAG_REQUEST byte
+        // The entry carries no packet tag: its body tag follows the frame's
+        // tag and count (3 B), the request id, the flags and the pid.
+        assert_eq!(bytes[3 + 8 + 1 + 8], BODY_READ);
+        bytes[3 + 8 + 1 + 8] = 99;
         assert_eq!(decode(&bytes), Err(CodecError::BadTag(99)));
     }
 

@@ -23,13 +23,15 @@ pub const ETH_OVERHEAD_BYTES: usize = 38;
 /// Encoded bytes of packet tag + the largest request header (a retry's).
 pub const CLIO_REQ_HEADER_BYTES: usize = codec::REQ_HEADER_LEN;
 
-/// Encoded bytes of packet tag + response header.
+/// Encoded bytes of packet tag + the largest response header (a
+/// fragment's).
 pub const CLIO_RESP_HEADER_BYTES: usize = codec::RESP_HEADER_LEN;
 
 /// Encoded overhead of a `WriteFrag` body besides its payload.
-const WRITE_FRAG_BODY_OVERHEAD: usize = 1 + 8 + 4; // tag + va + len
-/// Encoded overhead of a `DataFrag` body besides its payload.
-const DATA_FRAG_BODY_OVERHEAD: usize = 1 + 4 + 4; // tag + offset + len
+const WRITE_FRAG_BODY_OVERHEAD: usize = 1 + 8 + 2; // tag + va + u16 len
+/// Encoded overhead of a fragment's `DataFrag` body besides its payload
+/// (a lone response at offset 0 omits the offset).
+const DATA_FRAG_BODY_OVERHEAD: usize = 1 + 4 + 2; // tag + offset + u16 len
 
 /// Maximum write payload per packet, such that a fragment fits the MTU
 /// with the largest request header: a fragment re-sent as a retry still
@@ -37,7 +39,9 @@ const DATA_FRAG_BODY_OVERHEAD: usize = 1 + 4 + 4; // tag + offset + len
 pub const MAX_WRITE_FRAG_PAYLOAD: usize =
     MTU_BYTES - CLIO_REQ_HEADER_BYTES - WRITE_FRAG_BODY_OVERHEAD;
 
-/// Maximum read-response payload per packet.
+/// Maximum read-response payload per packet, such that a fragment at a
+/// non-zero offset, which carries its packet index, count and offset, fits
+/// the MTU.
 pub const MAX_READ_FRAG_PAYLOAD: usize =
     MTU_BYTES - CLIO_RESP_HEADER_BYTES - DATA_FRAG_BODY_OVERHEAD;
 

@@ -7,10 +7,10 @@ use crate::types::{Perm, Pid, ReqId, Status};
 
 /// The Clio header attached to every request packet (§4.5 T1).
 ///
-/// On the wire it costs 21 B besides the packet tag: the request id (8 B),
-/// one flags byte saying whether `retry_of` follows, the pid (8 B), and
-/// the packet index and count (2 B each). `retry_of` adds 8 B only when
-/// present (`codec::req_header_len`).
+/// On the wire it costs 17 B besides the packet tag: the request id (8 B),
+/// one flags byte saying which optional fields follow, and the pid (8 B).
+/// The packet index and count add 4 B only for a multi-packet request,
+/// and `retry_of` 8 B only when present (`codec::req_header_len`).
 ///
 /// `pkt_index`/`pkt_count` describe the packet's position within a
 /// multi-packet request (only writes exceed one packet); the MN uses the
@@ -25,9 +25,11 @@ pub struct ReqHeader {
     pub retry_of: Option<ReqId>,
     /// Requesting process (protection domain; 8 encoded bytes).
     pub pid: Pid,
-    /// Index of this packet within the request (0-based; 2 encoded bytes).
+    /// Index of this packet within the request (0-based; 2 encoded bytes
+    /// in a multi-packet request, none in a single-packet one).
     pub pkt_index: u16,
-    /// Total packets in the request (2 encoded bytes).
+    /// Total packets in the request (2 encoded bytes when more than one,
+    /// none when it is 1).
     pub pkt_count: u16,
     /// Observability trace context. Models metadata carried in reserved
     /// header bits: it crosses the wire with the request but costs **zero**
@@ -49,15 +51,22 @@ impl ReqHeader {
 }
 
 /// The header of every response packet. Responses double as ACKs (§4.4).
+///
+/// On the wire it costs 9 B besides the packet tag: the request id and the
+/// status byte. The packet index and count add 4 B only for a response
+/// that is not one packet at offset 0, which the status byte's top bit
+/// marks (`codec::response_len`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RespHeader {
-    /// The request this response answers.
+    /// The request this response answers (8 encoded bytes).
     pub req_id: ReqId,
-    /// Outcome.
+    /// Outcome (the status byte's low seven bits).
     pub status: Status,
-    /// Index of this packet within the response (only reads exceed one).
+    /// Index of this packet within the response (only reads exceed one;
+    /// 2 encoded bytes when the status byte's top bit is set).
     pub pkt_index: u16,
-    /// Total packets in the response.
+    /// Total packets in the response (2 encoded bytes when the top bit is
+    /// set, none for a lone packet at offset 0).
     pub pkt_count: u16,
 }
 
@@ -92,7 +101,7 @@ pub enum RequestBody {
     WriteFrag {
         /// Absolute virtual address this fragment writes.
         va: u64,
-        /// Fragment payload.
+        /// Fragment payload, behind a u16 length: the MTU bounds it.
         data: Bytes,
     },
     /// Allocate `size` bytes of virtual address space (slow path).
@@ -160,8 +169,10 @@ pub enum RequestBody {
 
 impl RequestBody {
     /// True if the MN treats this as non-idempotent and must deduplicate
-    /// retries through the dedup buffer (writes and atomics, §4.5 T4, and
-    /// the slow path's allocs and frees).
+    /// retries through the dedup buffer (writes and atomics, §4.5 T4, the
+    /// slow path's allocs and frees, and offload calls). An offload call
+    /// is deduplicated only when its module declares the opcode mutating,
+    /// which only the MN knows, so every call's retry names its original.
     pub fn is_non_idempotent(&self) -> bool {
         matches!(
             self,
@@ -172,6 +183,7 @@ impl RequestBody {
                 | RequestBody::AtomicFaa { .. }
                 | RequestBody::Alloc { .. }
                 | RequestBody::Free { .. }
+                | RequestBody::OffloadCall { .. }
         )
     }
 
@@ -208,9 +220,10 @@ pub enum ResponseBody {
     /// One fragment of read data; `offset` is relative to the request's
     /// start address.
     DataFrag {
-        /// Offset of this fragment within the read.
+        /// Offset of this fragment within the read (4 encoded bytes, none
+        /// for a lone packet at offset 0).
         offset: u32,
-        /// Fragment bytes.
+        /// Fragment bytes, behind a u16 length: the MTU bounds them.
         data: Bytes,
     },
     /// Completion with no payload (writes, frees, fences, stores).
@@ -337,6 +350,8 @@ mod tests {
             RequestBody::Alloc { size: 4096, perm: Perm::RW, fixed_va: None }.is_non_idempotent()
         );
         assert!(RequestBody::Free { va: 0, size: 4096 }.is_non_idempotent());
+        let call = RequestBody::OffloadCall { offload: 1, opcode: 0, arg: Bytes::new() };
+        assert!(call.is_non_idempotent());
         assert!(!RequestBody::Read { va: 0, len: 8 }.is_non_idempotent());
         assert!(!RequestBody::Fence.is_non_idempotent());
     }

@@ -71,6 +71,36 @@ fn arb_request_body() -> impl Strategy<Value = RequestBody> {
     ]
 }
 
+fn arb_response_body() -> impl Strategy<Value = ResponseBody> {
+    prop_oneof![
+        (any::<u32>(), proptest::collection::vec(any::<u8>(), 0..1024))
+            .prop_map(|(off, d)| ResponseBody::DataFrag { offset: off, data: Bytes::from(d) }),
+        // A lone fragment at offset 0: the case that pays no offset.
+        proptest::collection::vec(any::<u8>(), 0..256)
+            .prop_map(|d| ResponseBody::DataFrag { offset: 0, data: Bytes::from(d) }),
+        Just(ResponseBody::Done),
+        any::<u64>().prop_map(|va| ResponseBody::Alloced { va }),
+        any::<u64>().prop_map(|old| ResponseBody::AtomicOld { old }),
+        proptest::collection::vec(any::<u8>(), 0..512)
+            .prop_map(|d| ResponseBody::OffloadReply { data: Bytes::from(d) }),
+    ]
+}
+
+/// A response header of either shape: half are one packet (index 0 of
+/// 1), the rest a fragment of 2–64.
+fn arb_resp_header() -> impl Strategy<Value = RespHeader> {
+    (any::<u64>(), arb_status(), any::<bool>(), any::<u16>(), 2u16..=64).prop_map(
+        |(id, status, single, idx, cnt)| {
+            let lone = RespHeader::single(ReqId(id), status);
+            if single {
+                lone
+            } else {
+                RespHeader { pkt_index: idx % cnt, pkt_count: cnt, ..lone }
+            }
+        },
+    )
+}
+
 fn arb_response() -> impl Strategy<Value = ClioPacket> {
     (
         any::<u64>(),
@@ -136,6 +166,46 @@ proptest! {
         let bytes = codec::encode(&pkt);
         prop_assert_eq!(bytes.len(), codec::wire_len(&pkt));
         prop_assert_eq!(codec::decode(&bytes).unwrap(), want);
+    }
+
+    /// A response's inferable fields cost no bytes: every response, of
+    /// either header shape and every body (a lone `DataFrag` at a non-zero
+    /// offset included), encodes to exactly `response_len` and decodes to
+    /// itself, alone and in a batch of 1–16; as a batch entry it costs its
+    /// standalone packet minus its 1 B tag, and so does a request entry.
+    #[test]
+    fn response_len_matches_the_encoder_for_every_header(
+        entries in proptest::collection::vec((arb_resp_header(), arb_response_body()), 1..17),
+        requests in proptest::collection::vec((arb_traced_req_header(), arb_request_body()), 1..17),
+    ) {
+        for (header, body) in &entries {
+            let pkt = ClioPacket::Response { header: *header, body: body.clone() };
+            let bytes = codec::encode(&pkt);
+            prop_assert_eq!(bytes.len(), codec::wire_len(&pkt));
+            prop_assert_eq!(bytes.len(), codec::response_len(header, body));
+            prop_assert_eq!(codec::response_entry_len(header, body), bytes.len() - 1);
+            prop_assert!(bytes.len() <= codec::RESP_HEADER_LEN + 1 + 4 + 4 + body.payload_len());
+            prop_assert_eq!(codec::decode(&bytes).unwrap(), pkt);
+        }
+        let pkt = ClioPacket::BatchResp { responses: entries.clone() };
+        let bytes = codec::encode(&pkt);
+        prop_assert_eq!(bytes.len(), codec::wire_len(&pkt));
+        let standalone: usize = entries.iter().map(|(h, b)| codec::response_len(h, b)).sum();
+        prop_assert_eq!(bytes.len(), codec::BATCH_OVERHEAD_BYTES + standalone - entries.len());
+        prop_assert_eq!(codec::decode(&bytes).unwrap(), pkt);
+
+        let pkt = ClioPacket::Batch { requests: requests.clone() };
+        let standalone: usize = requests.iter().map(|(h, b)| codec::request_len(h, b)).sum();
+        prop_assert_eq!(
+            codec::encode(&pkt).len(),
+            codec::BATCH_OVERHEAD_BYTES + standalone - requests.len()
+        );
+        for (header, body) in &requests {
+            prop_assert_eq!(
+                codec::request_entry_len(header, body),
+                codec::request_len(header, body) - 1
+            );
+        }
     }
 
     #[test]

@@ -56,8 +56,12 @@ pub enum Stage {
     /// CLib software work from submit to transport hand-off, plus any wait
     /// on intra-thread dependency ordering.
     Submit,
-    /// Held in the CN request doorbell queue (batch coalescing window).
+    /// Held in the CN request doorbell queue (batch coalescing window),
+    /// until the first pump that runs while the op is queued.
     DoorbellHold,
+    /// Queued at the CN from the first pump that saw it until the
+    /// congestion or incast window admitted it.
+    WindowWait,
     /// Request build + header packing software overhead at the CN.
     Pack,
     /// NIC serialization of the request frame (includes NIC tx queueing).
@@ -119,6 +123,7 @@ impl Stage {
             Stage::SubmitQueued
                 | Stage::Submit
                 | Stage::DoorbellHold
+                | Stage::WindowWait
                 | Stage::PipelineWait
                 | Stage::FenceHold
                 | Stage::EgressHold
@@ -136,6 +141,7 @@ impl Stage {
             Stage::SubmitQueued => "submit_queued",
             Stage::Submit => "submit",
             Stage::DoorbellHold => "doorbell_hold",
+            Stage::WindowWait => "window_wait",
             Stage::Pack => "pack",
             Stage::NicSerialize => "nic_serialize",
             Stage::Wire => "wire",
@@ -368,6 +374,7 @@ mod tests {
         assert!(Stage::SubmitQueued.is_queueing());
         assert_eq!(Stage::SubmitQueued.name(), "submit_queued");
         assert!(Stage::DoorbellHold.is_queueing());
+        assert!(Stage::WindowWait.is_queueing());
         assert!(Stage::EgressHold.is_queueing());
         assert!(!Stage::Dram.is_queueing());
         assert!(!Stage::Wire.is_queueing());

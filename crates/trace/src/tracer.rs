@@ -84,6 +84,12 @@ impl Tracer {
         Some(TraceCtx { id, attempt: 0 })
     }
 
+    /// Whether the tracer records anything (a disabled one ignores every
+    /// call).
+    pub fn is_enabled(&self) -> bool {
+        self.0.is_some()
+    }
+
     /// Appends the stage span `[cursor, max(cursor, end)]` on `track` and
     /// advances the cursor; zero-width spans are skipped, and an `end`
     /// before the cursor is recorded in [`OpTrace::late`]. No-op when

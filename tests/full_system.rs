@@ -7,6 +7,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use clio::apps::kv::{partition_of, ClioKv, KvRequest, KvResponse};
+use clio::apps::mv::{encode_append, ClioMv, MvOpcode};
 use clio::mn::CBoardConfig;
 use clio::proto::{Perm, Pid, Status};
 use clio::sim::{SimDuration, SimTime};
@@ -109,6 +110,40 @@ fn lossy_network_preserves_correctness_end_to_end() {
     });
     let retries = cluster.cn(0).clib().transport().stats().retries;
     assert!(retries > 0, "faults should have caused retries (got {retries})");
+}
+
+/// An offload call whose reply is lost runs once: `ClioMv` declares
+/// `Append` mutating, so the board remembers its reply and answers the
+/// retry from the dedup buffer instead of running the module again. One
+/// CN and one MN, seed 3, 20 % loss toward the CN, eight retries: 40
+/// sequential appends end at version 40.
+#[test]
+fn a_retried_offload_append_runs_once() {
+    let mut cfg = ClusterConfig::test_small();
+    cfg.seed = 3;
+    cfg.clib.max_retries = 8;
+    let mut cluster = Cluster::build(&cfg);
+    cluster.install_offload(0, 1, Pid(9001), Box::new(ClioMv::new(64, 16)));
+    let (mn, cn) = (cluster.mn_macs()[0], cluster.cn(0).mac());
+    let lossy = clio::net::FaultInjector { loss_prob: 0.20, ..clio::net::FaultInjector::none() };
+    cluster.net.set_faults(&mut cluster.sim, cn, lossy);
+    let versions = cluster.block_on(0, Pid(3), |h| async move {
+        let call = |op: MvOpcode, arg| h.roffload(mn, 1, op as u16, arg);
+        let word = |data: &Bytes| u64::from_le_bytes(data[..8].try_into().expect("8 B"));
+        let created = call(MvOpcode::Create, Bytes::new()).await;
+        let id = word(created.data());
+        let mut versions = Vec::new();
+        for i in 0..40u8 {
+            let c = call(MvOpcode::Append, encode_append(id, &[i; 16])).await;
+            assert!(c.result.is_ok(), "append {i} failed: {:?}", c.result);
+            versions.push(word(c.data()));
+        }
+        versions
+    });
+    assert_eq!(versions, (1..=40).collect::<Vec<u64>>(), "an append ran twice");
+    let retries = cluster.cn(0).clib().transport().stats().retries;
+    assert!(retries > 0, "the loss should have caused retries (got {retries})");
+    assert!(cluster.mn(0).stats().dedup_replays > 0, "no retry was answered from a record");
 }
 
 /// Tier-2 scenario: incast corruption storm. 8 CNs fire 64 small reads
